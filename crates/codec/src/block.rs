@@ -25,6 +25,8 @@ const MIN_MATCH: usize = 4;
 /// Farthest back a match may reach.
 const WINDOW: usize = 64 * 1024;
 const HASH_BITS: u32 = 16;
+/// Largest output buffer [`decompress`] reserves on the frame's say-so.
+const MAX_PREALLOC: usize = 1 << 24;
 
 #[inline]
 fn hash4(b: &[u8]) -> usize {
@@ -95,7 +97,10 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
 /// Decompresses into exactly `expected_len` bytes.
 pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(expected_len);
+    // `expected_len` is read from the frame, not trusted: a run can
+    // legitimately expand without bound, so cap the pre-allocation and
+    // let the length checks below decide.
+    let mut out = Vec::with_capacity(expected_len.min(MAX_PREALLOC));
     let mut pos = 0usize;
     while pos < coded.len() {
         let op = coded[pos];
@@ -106,7 +111,7 @@ pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 if len > coded.len() - pos {
                     return Err(CodecError::Truncated);
                 }
-                if out.len() + len > expected_len {
+                if len > expected_len - out.len() {
                     return Err(CodecError::Corrupt("literal overruns logical length"));
                 }
                 out.extend_from_slice(&coded[pos..pos + len]);
@@ -116,7 +121,7 @@ pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 let len = read_u64(coded, &mut pos)? as usize;
                 let b = *coded.get(pos).ok_or(CodecError::Truncated)?;
                 pos += 1;
-                if out.len() + len > expected_len {
+                if len > expected_len - out.len() {
                     return Err(CodecError::Corrupt("run overruns logical length"));
                 }
                 out.resize(out.len() + len, b);
@@ -127,7 +132,7 @@ pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 if dist == 0 || dist > out.len() {
                     return Err(CodecError::Corrupt("match distance out of range"));
                 }
-                if out.len() + len > expected_len {
+                if len > expected_len - out.len() {
                     return Err(CodecError::Corrupt("match overruns logical length"));
                 }
                 // Byte-at-a-time so overlapping matches replicate, as the

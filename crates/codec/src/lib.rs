@@ -27,6 +27,7 @@ pub mod bits;
 pub mod block;
 pub mod bv;
 pub mod ef;
+pub mod frame;
 pub mod gaps;
 pub mod varint;
 
@@ -103,6 +104,25 @@ impl CodecChoice {
     /// True if stores should bypass coding entirely.
     pub fn is_none(self) -> bool {
         self == CodecChoice::None
+    }
+
+    /// Stable single-byte tag (record-log headers, catalog payloads and
+    /// gateway requests persist it).
+    pub fn tag(self) -> u8 {
+        match self {
+            CodecChoice::None => 0,
+            CodecChoice::Gaps => 1,
+            CodecChoice::Block => 2,
+            CodecChoice::Auto => 3,
+            // Appended after Auto: bytes written before the BV tier
+            // existed keep their meaning.
+            CodecChoice::Bv => 4,
+        }
+    }
+
+    /// Inverse of [`CodecChoice::tag`]; `None` for an unknown byte.
+    pub fn from_tag(tag: u8) -> Option<CodecChoice> {
+        CodecChoice::ALL.into_iter().find(|c| c.tag() == tag)
     }
 }
 

@@ -23,8 +23,7 @@ use crate::config::Mode;
 use crate::metrics::{FailureEvent, RecoveryMetrics, StepKind, SuperstepMetrics};
 use crate::switch::{self, Switcher};
 use hybridgraph_obs::{decode_shard_states, encode_shard_states, ShardState};
-use hybridgraph_storage::service_log::{PayloadReader, PayloadWriter};
-use hybridgraph_storage::IoSnapshot;
+use hybridgraph_storage::{IoSnapshot, PayloadReader, PayloadWriter};
 use std::io;
 
 fn corrupt(what: &str) -> io::Error {
@@ -228,8 +227,8 @@ fn get_recovery(r: &mut PayloadReader<'_>) -> io::Result<RecoveryMetrics> {
         mtbf_secs: r.get_f64()?,
         failures: Vec::new(),
     };
-    let n = r.get_u64()? as usize;
-    rec.failures.reserve(n.min(1 << 16));
+    let n = r.get_count(8 + 8 + 8)?;
+    rec.failures.reserve(n);
     for _ in 0..n {
         rec.failures.push(FailureEvent {
             superstep: r.get_u64()?,
@@ -450,13 +449,14 @@ impl MasterState {
         let pending_release_secs = r.get_f64()?;
         let audit_seen = r.get_u64()?;
         let switcher = Switcher::decode(&mut r)?;
-        let n_steps = r.get_u64()? as usize;
-        let mut steps = Vec::with_capacity(n_steps.min(1 << 16));
+        // A step is at least its superstep, kind byte and `IoSnapshot`.
+        let n_steps = r.get_count(8 + 1 + 12 * 8)?;
+        let mut steps = Vec::with_capacity(n_steps);
         for _ in 0..n_steps {
             steps.push(get_step(&mut r)?);
         }
-        let n_switches = r.get_u64()? as usize;
-        let mut switches = Vec::with_capacity(n_switches.min(1 << 16));
+        let n_switches = r.get_count(8 + 1 + 1)?;
+        let mut switches = Vec::with_capacity(n_switches);
         for _ in 0..n_switches {
             switches.push((
                 r.get_u64()?,

@@ -16,8 +16,7 @@
 
 use crate::config::Mode;
 use hybridgraph_obs::{QtAsync, QtAudit, QtInputs, QtTerms, QtTiers, QtVerdict};
-use hybridgraph_storage::service_log::{PayloadReader, PayloadWriter};
-use hybridgraph_storage::DeviceProfile;
+use hybridgraph_storage::{DeviceProfile, PayloadReader, PayloadWriter};
 use std::io;
 
 const MB: f64 = 1024.0 * 1024.0;
@@ -368,14 +367,14 @@ impl Switcher {
             1 => Some(r.get_f64()?),
             _ => return Err(snap_corrupt("rco flag")),
         };
-        let nh = r.get_u64()? as usize;
+        let nh = r.get_count(8 + 8)?;
         let mut history = Vec::with_capacity(nh);
         for _ in 0..nh {
             let t = r.get_u64()?;
             let q = r.get_f64()?;
             history.push((t, q));
         }
-        let na = r.get_u64()? as usize;
+        let na = r.get_count(QT_AUDIT_MIN_BYTES)?;
         let mut audit = Vec::with_capacity(na);
         for _ in 0..na {
             audit.push(decode_qt_audit(r)?);
@@ -452,6 +451,11 @@ fn verdict_from_tag(tag: u8) -> io::Result<QtVerdict> {
         _ => return Err(snap_corrupt("unknown verdict tag")),
     })
 }
+
+/// Fewest bytes one encoded audit record takes (superstep, 7 inputs, 4
+/// terms, 4 scalars, two empty labels, the verdict byte): what a decoded
+/// audit count is sized against before a table is allocated for it.
+const QT_AUDIT_MIN_BYTES: usize = 8 * (1 + 7 + 4 + 4 + 2) + 1;
 
 /// Serializes one Eq. 11 audit record (floats by bit pattern).
 pub fn encode_qt_audit(w: &mut PayloadWriter, a: &QtAudit) {
@@ -574,7 +578,7 @@ pub fn encode_qt_audits(audits: &[QtAudit]) -> Vec<u8> {
 /// Rebuilds an audit table from [`encode_qt_audits`] bytes.
 pub fn decode_qt_audits(buf: &[u8]) -> io::Result<Vec<QtAudit>> {
     let mut r = PayloadReader::new(buf);
-    let n = r.get_u64()? as usize;
+    let n = r.get_count(QT_AUDIT_MIN_BYTES)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(decode_qt_audit(&mut r)?);

@@ -27,7 +27,7 @@ use hybridgraph_storage::record::{decode_slice, encode_slice};
 use hybridgraph_storage::value_store::ValueStore;
 use hybridgraph_storage::veblock::VeBlockStore;
 use hybridgraph_storage::vfs::Vfs;
-use hybridgraph_storage::{AccessClass, IoSnapshot, Record};
+use hybridgraph_storage::{AccessClass, IoSnapshot, PayloadWriter, Record};
 use std::collections::HashMap;
 use std::io;
 use std::ops::Range;
@@ -1037,11 +1037,11 @@ impl<P: VertexProgram> Worker<P> {
         captured: &[(WorkerId, Packet)],
     ) -> io::Result<u64> {
         let mut w = MsgLogWriter::new(superstep);
-        let mut blob = Vec::new();
+        let mut blob = PayloadWriter::new();
         for (to, packet) in captured {
             blob.clear();
             packet.encode(&mut blob);
-            w.push(to.index() as u32, &blob);
+            w.push(to.index() as u32, blob.as_bytes());
         }
         w.commit_with(self.vfs.as_ref(), self.cfg.codec)
     }

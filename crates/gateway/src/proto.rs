@@ -1,10 +1,11 @@
 //! The message layer: typed requests and responses inside [`crate::wire`]
 //! frames.
 //!
-//! Bodies are encoded with the storage crate's `PayloadWriter` /
-//! `PayloadReader` (the same length-prefixed primitives the service WAL
-//! uses), so every field is bounds-checked on decode and a malformed
-//! body is a typed [`WireError::Malformed`], never a panic.
+//! Bodies are encoded with the `codec::frame` field codec
+//! (`PayloadWriter` / `PayloadReader`, the same length-prefixed
+//! primitives the service WAL uses), so every field is bounds-checked on
+//! decode and a malformed body is a typed [`WireError::Malformed`], never
+//! a panic.
 //!
 //! Frame kind assignments (append-only — never renumber):
 //!
@@ -195,23 +196,17 @@ pub fn encode_values<V: Record>(vals: &[V]) -> Vec<u8> {
 
 /// Decodes a value blob produced by [`encode_values`].
 pub fn decode_values<V: Record>(buf: &[u8]) -> Result<Vec<V>, WireError> {
-    if buf.len() < 8 {
-        return Err(WireError::Malformed("value blob shorter than count".into()));
-    }
-    let count = u64::from_le_bytes(buf[..8].try_into().unwrap()) as usize;
-    let need = count
-        .checked_mul(V::BYTES)
-        .and_then(|n| n.checked_add(8))
-        .ok_or_else(|| WireError::Malformed("value count overflows".into()))?;
-    if buf.len() != need {
+    let mut r = PayloadReader::new(buf);
+    let count = r.get_count(V::BYTES).map_err(malformed)?;
+    let records = r.take(count * V::BYTES).map_err(malformed)?;
+    if !r.done() {
         return Err(WireError::Malformed(format!(
-            "value blob is {} bytes, {count} records need {need}",
-            buf.len()
+            "value blob is {} bytes, {count} records need {}",
+            buf.len(),
+            8 + records.len()
         )));
     }
-    Ok((0..count)
-        .map(|i| V::read_from(&buf[8 + i * V::BYTES..8 + (i + 1) * V::BYTES]))
-        .collect())
+    Ok(records.chunks_exact(V::BYTES).map(V::read_from).collect())
 }
 
 /// Per-job knobs a client may set; everything else stays at the

@@ -97,10 +97,16 @@ pub fn read_edge_list<R: Read>(n: usize, input: R) -> io::Result<Graph> {
 
 const BINARY_MAGIC: &[u8; 8] = b"HYGRAPH1";
 
-/// Writes `g` in the compact binary CSR format.
-pub fn write_binary<W: Write>(g: &Graph, out: W) -> io::Result<()> {
-    let mut w = BufWriter::new(out);
-    w.write_all(BINARY_MAGIC)?;
+/// Largest vector [`read_body`] reserves on the say-so of a count it has
+/// only read: a stream has no "bytes remaining" to size the count
+/// against, so past this the vectors grow as `read_exact` delivers.
+const MAX_PREALLOC: usize = 1 << 20;
+
+/// Writes the binary graph body — `n u64 | m u64 | out-degree u32 per
+/// vertex | (dst u32, weight f32) per edge`, all little-endian. This is
+/// the workspace's one binary graph layout: [`write_binary`] puts a magic
+/// in front of it, the service's registration records carry it bare.
+pub fn write_body<W: Write>(g: &Graph, w: &mut W) -> io::Result<()> {
     w.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
     w.write_all(&(g.num_edges() as u64).to_le_bytes())?;
     for v in g.vertices() {
@@ -110,6 +116,37 @@ pub fn write_binary<W: Write>(g: &Graph, out: W) -> io::Result<()> {
         w.write_all(&e.dst.0.to_le_bytes())?;
         w.write_all(&e.weight.to_le_bytes())?;
     }
+    Ok(())
+}
+
+/// Reads the body written by [`write_body`], leaving `r` just past it.
+pub fn read_body<R: Read>(r: &mut R) -> io::Result<Graph> {
+    let n = read_u64(r)?;
+    let m = read_u64(r)?;
+    let prealloc = |count: u64| count.min(MAX_PREALLOC as u64) as usize;
+    let mut offsets = Vec::with_capacity(prealloc(n.saturating_add(1)));
+    offsets.push(0u64);
+    let mut acc = 0u64;
+    for _ in 0..n {
+        acc = acc.saturating_add(read_u32(r)? as u64);
+        offsets.push(acc);
+    }
+    if acc != m {
+        return Err(invalid("degree sum does not match edge count"));
+    }
+    let mut edges = Vec::with_capacity(prealloc(m));
+    for _ in 0..m {
+        let dst = VertexId(read_u32(r)?);
+        edges.push(Edge::weighted(dst, f32::from_bits(read_u32(r)?)));
+    }
+    Ok(Graph::from_parts(offsets, edges))
+}
+
+/// Writes `g` in the compact binary CSR format.
+pub fn write_binary<W: Write>(g: &Graph, out: W) -> io::Result<()> {
+    let mut w = BufWriter::new(out);
+    w.write_all(BINARY_MAGIC)?;
+    write_body(g, &mut w)?;
     w.flush()
 }
 
@@ -119,35 +156,9 @@ pub fn read_binary<R: Read>(input: R) -> io::Result<Graph> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != BINARY_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+        return Err(invalid("bad magic"));
     }
-    let n = read_u64(&mut r)? as usize;
-    let m = read_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0u64);
-    let mut acc = 0u64;
-    for _ in 0..n {
-        let mut d = [0u8; 4];
-        r.read_exact(&mut d)?;
-        acc += u32::from_le_bytes(d) as u64;
-        offsets.push(acc);
-    }
-    if acc != m as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "degree sum does not match edge count",
-        ));
-    }
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let mut d = [0u8; 4];
-        r.read_exact(&mut d)?;
-        let dst = VertexId(u32::from_le_bytes(d));
-        let mut wbuf = [0u8; 4];
-        r.read_exact(&mut wbuf)?;
-        edges.push(Edge::weighted(dst, f32::from_le_bytes(wbuf)));
-    }
-    Ok(Graph::from_parts(offsets, edges))
+    read_body(&mut r)
 }
 
 /// Saves a graph to `path` in binary format.
@@ -160,10 +171,20 @@ pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
     read_binary(std::fs::File::open(path)?)
 }
 
+fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
+    let mut b = [0u8; 4];
+    r.read_exact(&mut b)?;
+    Ok(u32::from_le_bytes(b))
+}
+
 fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
+}
+
+fn invalid(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
 fn bad_line<E: std::fmt::Display>(lineno: usize, e: E) -> io::Error {

@@ -16,6 +16,7 @@
 
 use crate::wire::{BatchKind, WireStats};
 use hybridgraph_graph::BlockId;
+use hybridgraph_storage::{PayloadReader, PayloadWriter};
 use std::sync::Arc;
 
 /// Fixed header bytes per packet (tag + ids), charged on every packet.
@@ -83,25 +84,19 @@ impl Packet {
     /// Serializes the packet for the sender-side message log.
     ///
     /// The encoding is a 1-byte tag followed by the variant fields in
-    /// declaration order, everything little-endian and length-prefixed
-    /// where variable. It exists for confined recovery — logged
+    /// declaration order, everything little-endian and `u32`-length-
+    /// prefixed where variable. It exists for confined recovery — logged
     /// outbound packets must survive a process boundary — not for the
     /// in-process fabric, which moves [`Packet`] values directly.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        fn put_u32(out: &mut Vec<u8>, v: u32) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-            put_u32(out, b.len() as u32);
-            out.extend_from_slice(b);
+    pub fn encode(&self, out: &mut PayloadWriter) {
+        fn put_run(out: &mut PayloadWriter, b: &[u8]) {
+            out.put_u32(b.len() as u32);
+            out.put_raw(b);
         }
         match self {
             Packet::PullRequest { block } => {
-                out.push(0);
-                put_u32(out, block.0);
+                out.put_u8(0);
+                out.put_u32(block.0);
             }
             Packet::Messages {
                 kind,
@@ -109,42 +104,42 @@ impl Packet {
                 stats,
                 for_block,
             } => {
-                out.push(1);
-                out.push(match kind {
+                out.put_u8(1);
+                out.put_u8(match kind {
                     BatchKind::Plain => 0,
                     BatchKind::Concatenated => 1,
                     BatchKind::Combined => 2,
                 });
                 match for_block {
-                    None => out.push(0),
+                    None => out.put_u8(0),
                     Some(b) => {
-                        out.push(1);
-                        put_u32(out, b.0);
+                        out.put_u8(1);
+                        out.put_u32(b.0);
                     }
                 }
-                put_u64(out, stats.raw_messages);
-                put_u64(out, stats.wire_values);
-                put_u64(out, stats.wire_bytes);
-                put_u64(out, stats.saved_messages);
-                put_bytes(out, payload);
+                out.put_u64(stats.raw_messages);
+                out.put_u64(stats.wire_values);
+                out.put_u64(stats.wire_bytes);
+                out.put_u64(stats.saved_messages);
+                put_run(out, payload);
             }
             Packet::EndOfResponses { block } => {
-                out.push(2);
-                put_u32(out, block.0);
+                out.put_u8(2);
+                out.put_u32(block.0);
             }
-            Packet::DoneSending => out.push(3),
-            Packet::SuperstepDone => out.push(4),
+            Packet::DoneSending => out.put_u8(3),
+            Packet::SuperstepDone => out.put_u8(4),
             Packet::GatherRequests { ids } => {
-                out.push(5);
-                put_bytes(out, ids);
+                out.put_u8(5);
+                put_run(out, ids);
             }
-            Packet::DoneRequesting => out.push(6),
-            Packet::EndOfGather => out.push(7),
+            Packet::DoneRequesting => out.put_u8(6),
+            Packet::EndOfGather => out.put_u8(7),
             Packet::Signals { ids } => {
-                out.push(8);
-                put_bytes(out, ids);
+                out.put_u8(8);
+                put_run(out, ids);
             }
-            Packet::Abort => out.push(9),
+            Packet::Abort => out.put_u8(9),
         }
     }
 
@@ -152,84 +147,57 @@ impl Packet {
     /// number of bytes consumed. Returns `None` on malformed input
     /// (truncated log segments must degrade gracefully, not panic).
     pub fn decode(bytes: &[u8]) -> Option<(Packet, usize)> {
-        fn get_u32(bytes: &[u8], at: usize) -> Option<u32> {
-            Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
+        fn get_run(r: &mut PayloadReader<'_>) -> Option<Arc<[u8]>> {
+            let len = r.get_u32().ok()? as usize;
+            Some(r.take(len).ok()?.into())
         }
-        fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
-            Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
-        }
-        let tag = *bytes.first()?;
-        match tag {
-            0 => Some((
-                Packet::PullRequest {
-                    block: BlockId(get_u32(bytes, 1)?),
-                },
-                5,
-            )),
+        let mut r = PayloadReader::new(bytes);
+        let packet = match r.get_u8().ok()? {
+            0 => Packet::PullRequest {
+                block: BlockId(r.get_u32().ok()?),
+            },
             1 => {
-                let kind = match *bytes.get(1)? {
+                let kind = match r.get_u8().ok()? {
                     0 => BatchKind::Plain,
                     1 => BatchKind::Concatenated,
                     2 => BatchKind::Combined,
                     _ => return None,
                 };
-                let mut at = 2usize;
-                let for_block = match *bytes.get(at)? {
-                    0 => {
-                        at += 1;
-                        None
-                    }
-                    1 => {
-                        let b = get_u32(bytes, at + 1)?;
-                        at += 5;
-                        Some(BlockId(b))
-                    }
+                let for_block = match r.get_u8().ok()? {
+                    0 => None,
+                    1 => Some(BlockId(r.get_u32().ok()?)),
                     _ => return None,
                 };
                 let stats = WireStats {
-                    raw_messages: get_u64(bytes, at)?,
-                    wire_values: get_u64(bytes, at + 8)?,
-                    wire_bytes: get_u64(bytes, at + 16)?,
-                    saved_messages: get_u64(bytes, at + 24)?,
+                    raw_messages: r.get_u64().ok()?,
+                    wire_values: r.get_u64().ok()?,
+                    wire_bytes: r.get_u64().ok()?,
+                    saved_messages: r.get_u64().ok()?,
                 };
-                at += 32;
-                let len = get_u32(bytes, at)? as usize;
-                at += 4;
-                let payload: Arc<[u8]> = bytes.get(at..at + len)?.into();
-                at += len;
-                Some((
-                    Packet::Messages {
-                        kind,
-                        payload,
-                        stats,
-                        for_block,
-                    },
-                    at,
-                ))
+                Packet::Messages {
+                    kind,
+                    payload: get_run(&mut r)?,
+                    stats,
+                    for_block,
+                }
             }
-            2 => Some((
-                Packet::EndOfResponses {
-                    block: BlockId(get_u32(bytes, 1)?),
-                },
-                5,
-            )),
-            3 => Some((Packet::DoneSending, 1)),
-            4 => Some((Packet::SuperstepDone, 1)),
-            5 | 8 => {
-                let len = get_u32(bytes, 1)? as usize;
-                let ids: Arc<[u8]> = bytes.get(5..5 + len)?.into();
-                let p = if tag == 5 {
-                    Packet::GatherRequests { ids }
-                } else {
-                    Packet::Signals { ids }
-                };
-                Some((p, 5 + len))
-            }
-            6 => Some((Packet::DoneRequesting, 1)),
-            7 => Some((Packet::EndOfGather, 1)),
-            9 => Some((Packet::Abort, 1)),
-            _ => None,
-        }
+            2 => Packet::EndOfResponses {
+                block: BlockId(r.get_u32().ok()?),
+            },
+            3 => Packet::DoneSending,
+            4 => Packet::SuperstepDone,
+            5 => Packet::GatherRequests {
+                ids: get_run(&mut r)?,
+            },
+            6 => Packet::DoneRequesting,
+            7 => Packet::EndOfGather,
+            8 => Packet::Signals {
+                ids: get_run(&mut r)?,
+            },
+            9 => Packet::Abort,
+            _ => return None,
+        };
+        Some((packet, r.pos()))
     }
 
     /// Bytes this packet occupies on the wire.
@@ -299,10 +267,11 @@ mod tests {
             },
             Packet::Abort,
         ];
-        let mut blob = Vec::new();
+        let mut blob = PayloadWriter::new();
         for p in &packets {
             p.encode(&mut blob);
         }
+        let blob = blob.into_bytes();
         let mut at = 0;
         for want in &packets {
             let (got, used) = Packet::decode(&blob[at..]).expect("decode");
@@ -314,7 +283,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated_input() {
-        let mut blob = Vec::new();
+        let mut blob = PayloadWriter::new();
         Packet::Messages {
             kind: BatchKind::Plain,
             payload: vec![0u8; 64].into(),
@@ -322,6 +291,7 @@ mod tests {
             for_block: None,
         }
         .encode(&mut blob);
+        let blob = blob.into_bytes();
         for cut in 0..blob.len() {
             assert!(Packet::decode(&blob[..cut]).is_none(), "cut at {cut}");
         }

@@ -12,6 +12,7 @@ use std::io;
 use std::sync::{Arc, Mutex};
 
 use crate::event::{intern_arg_key, ArgValue, EventKind, TraceEvent};
+use hybridgraph_codec::frame::{PayloadReader, PayloadWriter};
 
 /// Default per-shard capacity. At ~100 events per superstep per worker this
 /// is enough for hundreds of supersteps before wrapping.
@@ -314,126 +315,92 @@ fn enc_corrupt(what: &str) -> io::Error {
     )
 }
 
-fn put_u64(buf: &mut Vec<u8>, x: u64) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if n > self.buf.len() - self.pos {
-            return Err(enc_corrupt("field past end"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.u64()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| enc_corrupt("invalid utf-8"))
-    }
-}
-
 /// Serializes shard states into a deterministic little-endian byte run
 /// (f64 args by bit pattern), for embedding in a durable master snapshot.
 pub fn encode_shard_states(states: &[ShardState]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, states.len() as u64);
+    let mut w = PayloadWriter::new();
+    w.put_u64(states.len() as u64);
     for s in states {
-        put_u64(&mut buf, s.clock_us);
-        put_u64(&mut buf, s.dropped);
-        put_u64(&mut buf, s.events.len() as u64);
+        w.put_u64(s.clock_us);
+        w.put_u64(s.dropped);
+        w.put_u64(s.events.len() as u64);
         for ev in &s.events {
-            put_u64(&mut buf, ev.ts_us);
-            buf.extend_from_slice(&ev.track.to_le_bytes());
-            put_str(&mut buf, &ev.name);
+            w.put_u64(ev.ts_us);
+            w.put_u32(ev.track);
+            w.put_str(&ev.name);
             match ev.kind {
                 EventKind::Span { dur_us } => {
-                    buf.push(0);
-                    put_u64(&mut buf, dur_us);
+                    w.put_u8(0);
+                    w.put_u64(dur_us);
                 }
-                EventKind::Instant => buf.push(1),
-                EventKind::Counter => buf.push(2),
+                EventKind::Instant => w.put_u8(1),
+                EventKind::Counter => w.put_u8(2),
             }
-            put_u64(&mut buf, ev.args.len() as u64);
+            w.put_u64(ev.args.len() as u64);
             for (k, v) in &ev.args {
-                put_str(&mut buf, k);
+                w.put_str(k);
                 match v {
                     ArgValue::U64(x) => {
-                        buf.push(0);
-                        put_u64(&mut buf, *x);
+                        w.put_u8(0);
+                        w.put_u64(*x);
                     }
                     ArgValue::I64(x) => {
-                        buf.push(1);
-                        put_u64(&mut buf, *x as u64);
+                        w.put_u8(1);
+                        w.put_u64(*x as u64);
                     }
                     ArgValue::F64(x) => {
-                        buf.push(2);
-                        put_u64(&mut buf, x.to_bits());
+                        w.put_u8(2);
+                        w.put_f64(*x);
                     }
                     ArgValue::Str(x) => {
-                        buf.push(3);
-                        put_str(&mut buf, x);
+                        w.put_u8(3);
+                        w.put_str(x);
                     }
                 }
             }
         }
     }
-    buf
+    w.into_bytes()
 }
+
+// Fewest bytes one encoded element can take: what `get_count` sizes a
+// decoded count against before anything is allocated for it.
+const MIN_STATE_BYTES: usize = 8 + 8 + 8;
+const MIN_EVENT_BYTES: usize = 8 + 4 + 8 + 1 + 8;
+const MIN_ARG_BYTES: usize = 8 + 1 + 8;
 
 /// Rebuilds shard states from [`encode_shard_states`] bytes. Arg keys are
 /// re-interned to `'static` via [`intern_arg_key`].
 pub fn decode_shard_states(buf: &[u8]) -> io::Result<Vec<ShardState>> {
-    let mut d = Dec { buf, pos: 0 };
-    let n = d.u64()? as usize;
+    let mut d = PayloadReader::new(buf);
+    let n = d.get_count(MIN_STATE_BYTES)?;
     let mut states = Vec::with_capacity(n);
     for _ in 0..n {
-        let clock_us = d.u64()?;
-        let dropped = d.u64()?;
-        let ne = d.u64()? as usize;
+        let clock_us = d.get_u64()?;
+        let dropped = d.get_u64()?;
+        let ne = d.get_count(MIN_EVENT_BYTES)?;
         let mut events = Vec::with_capacity(ne);
         for _ in 0..ne {
-            let ts_us = d.u64()?;
-            let track = d.u32()?;
-            let name = d.str()?;
-            let kind = match d.u8()? {
-                0 => EventKind::Span { dur_us: d.u64()? },
+            let ts_us = d.get_u64()?;
+            let track = d.get_u32()?;
+            let name = d.get_str()?;
+            let kind = match d.get_u8()? {
+                0 => EventKind::Span {
+                    dur_us: d.get_u64()?,
+                },
                 1 => EventKind::Instant,
                 2 => EventKind::Counter,
                 _ => return Err(enc_corrupt("unknown event kind")),
             };
-            let na = d.u64()? as usize;
+            let na = d.get_count(MIN_ARG_BYTES)?;
             let mut args = Vec::with_capacity(na);
             for _ in 0..na {
-                let key = intern_arg_key(&d.str()?);
-                let val = match d.u8()? {
-                    0 => ArgValue::U64(d.u64()?),
-                    1 => ArgValue::I64(d.u64()? as i64),
-                    2 => ArgValue::F64(f64::from_bits(d.u64()?)),
-                    3 => ArgValue::Str(d.str()?),
+                let key = intern_arg_key(&d.get_str()?);
+                let val = match d.get_u8()? {
+                    0 => ArgValue::U64(d.get_u64()?),
+                    1 => ArgValue::I64(d.get_u64()? as i64),
+                    2 => ArgValue::F64(d.get_f64()?),
+                    3 => ArgValue::Str(d.get_str()?),
                     _ => return Err(enc_corrupt("unknown arg value tag")),
                 };
                 args.push((key, val));
@@ -452,7 +419,7 @@ pub fn decode_shard_states(buf: &[u8]) -> io::Result<Vec<ShardState>> {
             clock_us,
         });
     }
-    if d.pos != buf.len() {
+    if !d.done() {
         return Err(enc_corrupt("trailing bytes"));
     }
     Ok(states)

@@ -239,19 +239,19 @@ fn put_cache(w: &mut PayloadWriter, snap: &CacheSnapshot) {
 }
 
 fn get_cache(r: &mut PayloadReader<'_>) -> io::Result<CacheSnapshot> {
-    let nshards = r.get_u64()? as usize;
+    let nshards = r.get_count(4 * 8)?;
     let mut shards = Vec::with_capacity(nshards);
     for _ in 0..nshards {
         let hits = r.get_u64()?;
         let misses = r.get_u64()?;
         let evictions = r.get_u64()?;
-        let nentries = r.get_u64()? as usize;
+        let nentries = r.get_count(4 + 4 + 8 + 8)?;
         let mut entries: Vec<(ExtentKey, Arc<Vec<Edge>>, usize)> = Vec::with_capacity(nentries);
         for _ in 0..nentries {
             let graph = r.get_u32()?;
             let extent = r.get_u32()?;
             let weight = r.get_u64()? as usize;
-            let nedges = r.get_u64()? as usize;
+            let nedges = r.get_count(4 + 4)?;
             let mut edges = Vec::with_capacity(nedges);
             for _ in 0..nedges {
                 let dst = r.get_u32()?;

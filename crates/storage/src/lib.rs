@@ -20,7 +20,7 @@
 //!   fragments, per-block metadata `X_j`),
 //! * [`msg_store`] — the push receiver-side message buffer with spill,
 //! * [`lru`] — the LRU vertex cache used by the per-vertex pull baseline,
-//! * [`checkpoint`] — superstep-boundary checkpoint framing for the
+//! * [`checkpoint`] — superstep-boundary checkpoint files for the
 //!   engine's fault-tolerance subsystem (classified sequential I/O like
 //!   everything else),
 //! * [`msg_log`] — sender-side outgoing-message log segments enabling
@@ -29,8 +29,12 @@
 //! * [`shared_cache`] — the cross-job byte-weighted edge-extent cache for
 //!   the multi-tenant service, with per-requesting-job attribution,
 //! * [`service_log`] — the append-only write-ahead log the durable
-//!   service persists its control-plane state through (commit-marker
-//!   framing, torn-tail healing, codec-aware).
+//!   service persists its control-plane state through (torn-tail
+//!   healing, codec-aware).
+//!
+//! The byte layouts of the last three are `hybridgraph_codec::frame`'s;
+//! the modules here own file naming, the `Vfs` calls and the I/O
+//! accounting.
 
 pub mod adjacency;
 pub mod checkpoint;
@@ -40,6 +44,7 @@ pub mod msg_log;
 pub mod msg_store;
 pub mod profile;
 pub mod record;
+mod sealed;
 pub mod service_log;
 pub mod shared_cache;
 pub mod stats;

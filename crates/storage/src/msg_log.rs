@@ -15,15 +15,11 @@
 //! packets that worker sent to **remote** peers during that superstep,
 //! in send order. This crate stores them opaquely as
 //! `(destination, byte-blob)` entries — the wire format of the blobs
-//! belongs to the network layer, which sits above storage. The framing
-//! mirrors [`crate::checkpoint`]:
+//! belongs to the network layer, which sits above storage. A segment is a
+//! sealed file ([`hybridgraph_codec::frame`]) with two id words, the
+//! superstep and the entry count, around `(dest u32, len u64, bytes…)*`.
 //!
-//! ```text
-//! magic u32 | version u32 | superstep u64 | count u64
-//! | (dest u32, len u64, bytes...)*  | total-length trailer u64
-//! ```
-//!
-//! The trailer lets recovery distinguish a *committed-but-empty*
+//! The seal lets recovery distinguish a *committed-but-empty*
 //! segment (the superstep genuinely produced no remote traffic —
 //! possible, e.g. push supersteps with no active vertices) from a
 //! *truncated or missing* one, in which case confined recovery is
@@ -33,19 +29,17 @@
 //! (recovery always restarts *after* a checkpoint) and are pruned when
 //! the checkpoint commits.
 
-use crate::stats::AccessClass;
+use crate::sealed;
 use crate::vfs::Vfs;
-use hybridgraph_codec::{decode_blob_frame, encode_blob_frame, CodecChoice};
+use hybridgraph_codec::frame::{PayloadReader, PayloadWriter};
+use hybridgraph_codec::CodecChoice;
 use std::io;
 
 /// File magic: `HGML` little-endian.
 pub const MSG_LOG_MAGIC: u32 = 0x4c4d_4748;
-/// Format version for plain (uncompressed) segments.
-pub const MSG_LOG_VERSION: u32 = 1;
-/// Format version when the entry body is wrapped in one codec blob frame.
-pub const MSG_LOG_VERSION_CODED: u32 = 2;
 
-const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
+/// `dest u32 | len u64` in front of every entry's blob.
+const ENTRY_HEADER_BYTES: usize = 4 + 8;
 
 /// The VFS file name of the log segment for `superstep`.
 pub fn msg_log_file_name(superstep: u64) -> String {
@@ -75,22 +69,16 @@ fn corrupt(what: &str) -> io::Error {
 pub struct MsgLogWriter {
     superstep: u64,
     count: u64,
-    buf: Vec<u8>,
+    entries: PayloadWriter,
 }
 
 impl MsgLogWriter {
     /// A writer for the log segment of `superstep`.
     pub fn new(superstep: u64) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&MSG_LOG_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&MSG_LOG_VERSION.to_le_bytes());
-        buf.extend_from_slice(&superstep.to_le_bytes());
-        // Entry count: patched at commit.
-        buf.extend_from_slice(&0u64.to_le_bytes());
         MsgLogWriter {
             superstep,
             count: 0,
-            buf,
+            entries: PayloadWriter::sealed(2),
         }
     }
 
@@ -98,10 +86,8 @@ impl MsgLogWriter {
     /// network-layer encoding.
     pub fn push(&mut self, dest: u32, blob: &[u8]) {
         self.count += 1;
-        self.buf.extend_from_slice(&dest.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(blob);
+        self.entries.put_u32(dest);
+        self.entries.put_bytes(blob);
     }
 
     /// Entries appended so far.
@@ -125,35 +111,23 @@ impl MsgLogWriter {
     }
 
     /// Like [`MsgLogWriter::commit`], but with a codec the entry body is
-    /// wrapped in one blob frame (format version 2) and the write is
-    /// accounted physical-vs-logical. Returns the physical bytes written.
-    pub fn commit_with(mut self, vfs: &dyn Vfs, codec: CodecChoice) -> io::Result<u64> {
-        self.buf[16..24].copy_from_slice(&self.count.to_le_bytes());
-        let file = vfs.create(&msg_log_file_name(self.superstep))?;
-        if codec.is_none() {
-            let total = self.buf.len() as u64 + 8;
-            self.buf.extend_from_slice(&total.to_le_bytes());
-            file.append(AccessClass::SeqWrite, &self.buf)?;
-            return Ok(total);
-        }
-        let logical = self.buf.len() as u64 + 8; // what version 1 would write
-        let body = &self.buf[HEADER_BYTES..];
-        let mut out = Vec::with_capacity(HEADER_BYTES + body.len() / 2 + 16);
-        out.extend_from_slice(&MSG_LOG_MAGIC.to_le_bytes());
-        out.extend_from_slice(&MSG_LOG_VERSION_CODED.to_le_bytes());
-        out.extend_from_slice(&self.superstep.to_le_bytes());
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&encode_blob_frame(codec, body));
-        let total = out.len() as u64 + 8;
-        out.extend_from_slice(&total.to_le_bytes());
-        file.append_coded(AccessClass::SeqWrite, &out, logical)?;
-        Ok(total)
+    /// wrapped in one blob frame and the write is accounted
+    /// physical-vs-logical. Returns the physical bytes written.
+    pub fn commit_with(self, vfs: &dyn Vfs, codec: CodecChoice) -> io::Result<u64> {
+        sealed::commit(
+            vfs,
+            &msg_log_file_name(self.superstep),
+            MSG_LOG_MAGIC,
+            &[self.superstep, self.count],
+            self.entries,
+            codec,
+        )
     }
 }
 
 /// Reads back a committed log segment, verifying framing as it goes.
-/// Accepts both plain (v1) and coded (v2) segments — the file itself
-/// says which, so replay needs no codec configuration.
+/// Accepts both plain and coded segments — the file itself says which,
+/// so replay needs no codec configuration.
 pub struct MsgLogReader {
     body: Vec<u8>,
     pos: usize,
@@ -166,48 +140,16 @@ impl MsgLogReader {
     /// sequential read of the whole file). Fails on any framing damage,
     /// which recovery treats as "confined recovery unavailable".
     pub fn open(vfs: &dyn Vfs, superstep: u64) -> io::Result<Self> {
-        let file = vfs.open(&msg_log_file_name(superstep))?;
-        let data = file.read_all(AccessClass::SeqRead)?;
-        if data.len() < HEADER_BYTES + 8 {
-            return Err(corrupt("file shorter than header"));
-        }
-        let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
-        if magic != MSG_LOG_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
-        if version != MSG_LOG_VERSION && version != MSG_LOG_VERSION_CODED {
-            return Err(corrupt("unsupported version"));
-        }
-        let ss = u64::from_le_bytes(data[8..16].try_into().unwrap());
-        if ss != superstep {
+        let file = sealed::open(vfs, &msg_log_file_name(superstep), MSG_LOG_MAGIC, 2)?;
+        if file.ids[0] != superstep {
             return Err(corrupt("superstep mismatch"));
         }
-        let count = u64::from_le_bytes(data[16..24].try_into().unwrap());
-        let trailer = u64::from_le_bytes(data[data.len() - 8..].try_into().unwrap());
-        if trailer != data.len() as u64 {
-            return Err(corrupt("length trailer mismatch (truncated write?)"));
+        let count = file.ids[1];
+        if count > (file.body.len() / ENTRY_HEADER_BYTES) as u64 {
+            return Err(corrupt("entry count exceeds the segment body"));
         }
-        let body = if version == MSG_LOG_VERSION {
-            data[HEADER_BYTES..data.len() - 8].to_vec()
-        } else {
-            let mut pos = HEADER_BYTES;
-            let raw = decode_blob_frame(&data[..data.len() - 8], &mut pos)
-                .map_err(|e| corrupt(&e.to_string()))?;
-            if pos != data.len() - 8 {
-                return Err(corrupt("coded body length mismatch"));
-            }
-            // The whole-file read above charged logical == physical; top
-            // up to the decoded (v1-equivalent) logical size.
-            let logical = (HEADER_BYTES + raw.len() + 8) as u64;
-            vfs.stats().record_logical(
-                AccessClass::SeqRead,
-                logical.saturating_sub(data.len() as u64),
-            );
-            raw
-        };
         Ok(MsgLogReader {
-            body,
+            body: file.body,
             pos: 0,
             remaining: count,
             superstep,
@@ -231,28 +173,17 @@ impl MsgLogReader {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let end = self.body.len();
-        if self.pos + 12 > end {
-            return Err(corrupt("entry header past end"));
-        }
-        let dest = u32::from_le_bytes(self.body[self.pos..self.pos + 4].try_into().unwrap());
-        let len =
-            u64::from_le_bytes(self.body[self.pos + 4..self.pos + 12].try_into().unwrap()) as usize;
-        self.pos += 12;
-        // `len` comes from on-disk data: compare without `pos + len`,
-        // which a corrupt length near `usize::MAX` would overflow.
-        if len > end - self.pos {
-            return Err(corrupt("entry body past end"));
-        }
-        let blob = self.body[self.pos..self.pos + len].to_vec();
-        self.pos += len;
+        let mut r = PayloadReader::at(&self.body, self.pos);
+        let entry = (r.get_u32()?, r.get_bytes()?);
+        self.pos = r.pos();
         self.remaining -= 1;
-        Ok(Some((dest, blob)))
+        Ok(Some(entry))
     }
 
     /// Reads every remaining entry.
     #[allow(clippy::type_complexity)]
     pub fn read_all_entries(&mut self) -> io::Result<Vec<(u32, Vec<u8>)>> {
+        // `open` bounded the count by the body length.
         let mut out = Vec::with_capacity(self.remaining as usize);
         while let Some(e) = self.next_entry()? {
             out.push(e);
@@ -264,6 +195,7 @@ impl MsgLogReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::AccessClass;
     use crate::vfs::MemVfs;
 
     #[test]
@@ -309,23 +241,6 @@ mod tests {
         assert!(r.next_entry().unwrap().is_none());
         // A missing segment is an error, not an empty iterator.
         assert!(MsgLogReader::open(&vfs, 10).is_err());
-    }
-
-    #[test]
-    fn truncated_segment_rejected() {
-        let vfs = MemVfs::new();
-        let mut w = MsgLogWriter::new(2);
-        w.push(1, &[7u8; 100]);
-        w.commit(&vfs).unwrap();
-        let full = vfs
-            .open(&msg_log_file_name(2))
-            .unwrap()
-            .read_all(AccessClass::SeqRead)
-            .unwrap();
-        let f = vfs.create(&msg_log_file_name(2)).unwrap();
-        f.append(AccessClass::SeqWrite, &full[..full.len() - 9])
-            .unwrap();
-        assert!(MsgLogReader::open(&vfs, 2).is_err());
     }
 
     #[test]

@@ -8,43 +8,30 @@
 //! *control-plane* state — graph registrations, admissions, and per-job
 //! master snapshots cut at superstep barriers.
 //!
-//! This module owns the framing; the service crate owns record semantics.
-//! A log is a header followed by records:
-//!
-//! ```text
-//! magic u32 | version u32 | codec u8           (header, written once)
-//! kind u8 | body_len u64 | body | total u64    (each record)
-//! ```
-//!
-//! The trailing `total` word (the full record length including itself) is
-//! the commit marker: a record is durable iff its trailer is present and
-//! consistent, exactly like [`crate::checkpoint`] files. Replay walks the
-//! file front to back and stops at the first record whose framing does not
-//! check out — a torn tail from a crash mid-append — then truncates the
-//! file back to the clean prefix, so the next append continues from a
-//! consistent state. Appends happen in commit order and each record is one
-//! classified sequential write; on a real-directory VFS the append is a
-//! positional `write_all_at`, so the modeled fsync order *is* the append
-//! order.
-//!
-//! With a non-`None` codec the body is wrapped in one self-describing
-//! blob frame and accounted physical-vs-logical like every other coded
-//! write in this crate.
+//! The bytes are [`hybridgraph_codec::frame`]'s append-only record-log
+//! layout; the service crate owns record semantics; this module owns the
+//! file. Replay scans the log, then truncates the file back to the clean
+//! prefix the scan reports — dropping the torn tail of a crash mid-append
+//! — so the next append continues from a consistent state. Appends happen
+//! in commit order and each record is one classified sequential write; on
+//! a real-directory VFS the append is a positional `write_all_at`, so the
+//! modeled fsync order *is* the append order. With a non-`None` codec
+//! record bodies are blob frames, accounted physical-vs-logical like every
+//! other coded write in this crate.
 
 use crate::stats::AccessClass;
 use crate::vfs::{Vfs, VfsFile};
-use hybridgraph_codec::{decode_blob_frame, encode_blob_frame, CodecChoice};
-use hybridgraph_graph::{Edge, Graph, VertexId};
+use hybridgraph_codec::frame;
+use hybridgraph_codec::CodecChoice;
+use hybridgraph_graph::Graph;
 use std::io;
+
+pub use hybridgraph_codec::frame::{LogRecord, PayloadReader, PayloadWriter};
 
 /// File magic: `HGSL` little-endian.
 pub const SERVICE_LOG_MAGIC: u32 = 0x4c53_4748;
-/// Format version.
-pub const SERVICE_LOG_VERSION: u32 = 1;
 /// The log's VFS file name.
 pub const SERVICE_LOG_FILE: &str = "service_log";
-
-const HEADER_BYTES: u64 = 4 + 4 + 1;
 
 fn corrupt(what: &str) -> io::Error {
     io::Error::new(
@@ -56,37 +43,12 @@ fn corrupt(what: &str) -> io::Error {
 /// Stable single-byte tag for a codec choice (log header and catalog
 /// payloads both persist it).
 pub fn codec_tag(codec: CodecChoice) -> u8 {
-    match codec {
-        CodecChoice::None => 0,
-        CodecChoice::Gaps => 1,
-        CodecChoice::Block => 2,
-        CodecChoice::Auto => 3,
-        // Appended after Auto: WAL bytes written before the BV tier
-        // existed keep their meaning.
-        CodecChoice::Bv => 4,
-    }
+    codec.tag()
 }
 
 /// Inverse of [`codec_tag`]; rejects unknown bytes.
 pub fn codec_from_tag(tag: u8) -> io::Result<CodecChoice> {
-    Ok(match tag {
-        0 => CodecChoice::None,
-        1 => CodecChoice::Gaps,
-        2 => CodecChoice::Block,
-        3 => CodecChoice::Auto,
-        4 => CodecChoice::Bv,
-        _ => return Err(corrupt("unknown codec tag")),
-    })
-}
-
-/// One replayed record: the service-defined kind byte plus its decoded
-/// body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LogRecord {
-    /// Service-defined record type.
-    pub kind: u8,
-    /// Decoded (post-codec) body bytes.
-    pub body: Vec<u8>,
+    CodecChoice::from_tag(tag).ok_or_else(|| corrupt("unknown codec tag"))
 }
 
 /// An open, append-positioned write-ahead log.
@@ -99,11 +61,10 @@ impl ServiceLog {
     /// Creates a fresh (truncated) log on `vfs` and writes the header.
     pub fn create(vfs: &dyn Vfs, codec: CodecChoice) -> io::Result<ServiceLog> {
         let file = vfs.create(SERVICE_LOG_FILE)?;
-        let mut hdr = Vec::with_capacity(HEADER_BYTES as usize);
-        hdr.extend_from_slice(&SERVICE_LOG_MAGIC.to_le_bytes());
-        hdr.extend_from_slice(&SERVICE_LOG_VERSION.to_le_bytes());
-        hdr.push(codec_tag(codec));
-        file.append(AccessClass::SeqWrite, &hdr)?;
+        file.append(
+            AccessClass::SeqWrite,
+            &frame::record_log_header(SERVICE_LOG_MAGIC, codec),
+        )?;
         Ok(ServiceLog { file, codec })
     }
 
@@ -119,69 +80,16 @@ impl ServiceLog {
     pub fn open(vfs: &dyn Vfs) -> io::Result<(ServiceLog, Vec<LogRecord>)> {
         let file = vfs.open(SERVICE_LOG_FILE)?;
         let data = file.read_all(AccessClass::SeqRead)?;
-        if (data.len() as u64) < HEADER_BYTES {
-            return Err(corrupt("file shorter than header"));
-        }
-        let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
-        if magic != SERVICE_LOG_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
-        if version != SERVICE_LOG_VERSION {
-            return Err(corrupt("unsupported version"));
-        }
-        let codec = codec_from_tag(data[8])?;
-
-        let mut records = Vec::new();
-        let mut pos = HEADER_BYTES as usize;
-        let mut decoded_extra = 0u64;
-        // Walk committed records; the first framing violation marks the
-        // torn tail and everything from there on is discarded.
-        loop {
-            let start = pos;
-            if data.len() - pos < 1 + 8 {
-                break;
-            }
-            let kind = data[pos];
-            let body_len = u64::from_le_bytes(data[pos + 1..pos + 9].try_into().unwrap()) as usize;
-            let rest = data.len() - (pos + 9);
-            if body_len > rest || rest - body_len < 8 {
-                break;
-            }
-            let body_start = pos + 9;
-            let total = u64::from_le_bytes(
-                data[body_start + body_len..body_start + body_len + 8]
-                    .try_into()
-                    .unwrap(),
-            );
-            if total != (1 + 8 + body_len + 8) as u64 {
-                break;
-            }
-            let stored = &data[body_start..body_start + body_len];
-            let body = if codec.is_none() {
-                stored.to_vec()
-            } else {
-                let mut fpos = 0usize;
-                let raw = match decode_blob_frame(stored, &mut fpos) {
-                    Ok(raw) if fpos == stored.len() => raw,
-                    // A framing-consistent record whose blob frame does
-                    // not decode is corruption, not a torn tail.
-                    _ => return Err(corrupt("blob frame mismatch")),
-                };
-                decoded_extra += (raw.len() as u64).saturating_sub(stored.len() as u64);
-                raw
-            };
-            records.push(LogRecord { kind, body });
-            pos = start + total as usize;
-        }
-        if pos < data.len() {
-            file.truncate_to(pos as u64)?;
+        let scan = frame::scan_records(SERVICE_LOG_MAGIC, &data)?;
+        if scan.clean_len < data.len() {
+            file.truncate_to(scan.clean_len as u64)?;
         }
         // The whole-file read charged logical == physical; top up to the
         // decoded logical size (coded logs only).
         vfs.stats()
-            .record_logical(AccessClass::SeqRead, decoded_extra);
-        Ok((ServiceLog { file, codec }, records))
+            .record_logical(AccessClass::SeqRead, scan.decoded_extra);
+        let codec = scan.codec;
+        Ok((ServiceLog { file, codec }, scan.records))
     }
 
     /// The codec every record body is wrapped with.
@@ -194,27 +102,11 @@ impl ServiceLog {
     /// trailing length word — a crash before the append completes leaves
     /// a torn tail that [`ServiceLog::open`] discards.
     pub fn append(&self, kind: u8, body: &[u8]) -> io::Result<u64> {
-        let stored: Vec<u8>;
-        let (payload, logical_body): (&[u8], u64) = if self.codec.is_none() {
-            (body, body.len() as u64)
-        } else {
-            stored = encode_blob_frame(self.codec, body);
-            (&stored, body.len() as u64)
-        };
-        let mut rec = Vec::with_capacity(1 + 8 + payload.len() + 8);
-        rec.push(kind);
-        rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        rec.extend_from_slice(payload);
-        let total = (rec.len() + 8) as u64;
-        rec.extend_from_slice(&total.to_le_bytes());
-        if self.codec.is_none() {
-            self.file.append(AccessClass::SeqWrite, &rec)?;
-        } else {
-            let logical = 1 + 8 + logical_body + 8;
-            self.file
-                .append_coded(AccessClass::SeqWrite, &rec, logical)?;
-        }
-        Ok(total)
+        let mut rec = PayloadWriter::new();
+        let logical = frame::push_record(&mut rec, kind, body, self.codec);
+        self.file
+            .append_coded(AccessClass::SeqWrite, rec.as_bytes(), logical)?;
+        Ok(rec.len() as u64)
     }
 
     /// Current log length in bytes (header included).
@@ -223,183 +115,36 @@ impl ServiceLog {
     }
 }
 
-// ------------------------------------------------------- payload codecs
-
-/// Accumulates a record body field by field (little-endian, f64 by bit
-/// pattern — the same conventions as [`crate::checkpoint`]).
-#[derive(Default)]
-pub struct PayloadWriter {
-    buf: Vec<u8>,
-}
-
-impl PayloadWriter {
-    /// An empty payload.
-    pub fn new() -> PayloadWriter {
-        PayloadWriter::default()
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-
-    /// Appends an `f64` by bit pattern (bit-exact restore).
-    pub fn put_f64(&mut self, x: f64) {
-        self.put_u64(x.to_bits());
-    }
-
-    /// Appends a length-prefixed byte run.
-    pub fn put_bytes(&mut self, data: &[u8]) {
-        self.put_u64(data.len() as u64);
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
-    }
-
-    /// The finished body.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes accumulated so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-/// Walks a record body field by field, mirroring [`PayloadWriter`].
-pub struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    /// A reader over `buf` starting at its first field.
-    pub fn new(buf: &'a [u8]) -> PayloadReader<'a> {
-        PayloadReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        // `n` comes from on-disk data: compare without `pos + n`, which a
-        // corrupt length near `usize::MAX` would overflow.
-        if n > self.buf.len() - self.pos {
-            return Err(corrupt("field past end"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f64` by bit pattern.
-    pub fn get_f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a length-prefixed byte run.
-    pub fn get_bytes(&mut self) -> io::Result<Vec<u8>> {
-        let n = self.get_u64()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> io::Result<String> {
-        String::from_utf8(self.get_bytes()?).map_err(|_| corrupt("invalid utf-8"))
-    }
-
-    /// True once every field has been consumed.
-    pub fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
 // ------------------------------------------------------- graph payloads
 
-/// Serializes a graph into the body of a registration record:
-/// `n u64 | m u64 | out-degree u32 per vertex | (dst u32, weight f32) per
-/// edge`, all little-endian — the workspace's standard binary graph
-/// layout, so a restore rebuilds the CSR without re-parsing any source.
+/// Serializes a graph into the body of a registration record: the
+/// workspace's binary graph body ([`hybridgraph_graph::io`]), so a
+/// restore rebuilds the CSR without re-parsing any source.
 pub fn encode_graph(g: &Graph) -> Vec<u8> {
-    let n = g.num_vertices();
-    let m = g.num_edges();
-    let mut out = Vec::with_capacity(16 + 4 * n + 8 * m);
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(m as u64).to_le_bytes());
-    for v in g.vertices() {
-        out.extend_from_slice(&(g.out_degree(v) as u32).to_le_bytes());
-    }
-    for v in g.vertices() {
-        for e in g.out_edges(v) {
-            out.extend_from_slice(&e.dst.0.to_le_bytes());
-            out.extend_from_slice(&e.weight.to_le_bytes());
-        }
-    }
+    let mut out = Vec::with_capacity(16 + 4 * g.num_vertices() + 8 * g.num_edges());
+    hybridgraph_graph::io::write_body(g, &mut out).expect("writing to a Vec cannot fail");
     out
 }
 
-/// Rebuilds a graph from [`encode_graph`] bytes.
+/// Rebuilds a graph from [`encode_graph`] bytes. The bytes may come from
+/// a gateway client, so the two counts are sized against the blob before
+/// anything is allocated for them.
 pub fn decode_graph(buf: &[u8]) -> io::Result<Graph> {
     let mut r = PayloadReader::new(buf);
-    let n = r.get_u64()? as usize;
-    let m = r.get_u64()? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut off = 0u64;
-    offsets.push(0);
-    for _ in 0..n {
-        off += r.get_u32()? as u64;
-        offsets.push(off);
+    let n = r.get_count(4)?;
+    let m = r.get_count(8)?;
+    // Both counts are now bounded by `buf.len()`, so this cannot overflow.
+    if 4 * n + 8 * m != r.remaining() {
+        return Err(corrupt("graph blob length does not match its counts"));
     }
-    if off != m as u64 {
-        return Err(corrupt("degree sum does not match edge count"));
-    }
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let dst = r.get_u32()?;
-        let weight = f32::from_bits(r.get_u32()?);
-        edges.push(Edge::weighted(VertexId(dst), weight));
-    }
-    if !r.done() {
-        return Err(corrupt("trailing bytes after graph payload"));
-    }
-    Ok(Graph::from_parts(offsets, edges))
+    hybridgraph_graph::io::read_body(&mut &buf[..])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vfs::MemVfs;
+    use hybridgraph_graph::{Edge, VertexId};
 
     #[test]
     fn roundtrip_records_in_commit_order() {
@@ -499,28 +244,6 @@ mod tests {
             .append(AccessClass::SeqWrite, b"not a log at all")
             .unwrap();
         assert!(ServiceLog::open(&vfs).is_err());
-    }
-
-    #[test]
-    fn payload_writer_reader_roundtrip() {
-        let mut w = PayloadWriter::new();
-        w.put_u8(9);
-        w.put_u32(77);
-        w.put_u64(u64::MAX - 3);
-        w.put_f64(-0.25);
-        w.put_bytes(&[1, 2, 3]);
-        w.put_str("pagerank-a");
-        let body = w.into_bytes();
-
-        let mut r = PayloadReader::new(&body);
-        assert_eq!(r.get_u8().unwrap(), 9);
-        assert_eq!(r.get_u32().unwrap(), 77);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_f64().unwrap(), -0.25);
-        assert_eq!(r.get_bytes().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.get_str().unwrap(), "pagerank-a");
-        assert!(r.done());
-        assert!(r.get_u8().is_err());
     }
 
     #[test]

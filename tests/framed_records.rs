@@ -1,6 +1,7 @@
 //! Round-trip property tests for the framed on-disk record formats:
 //! fixed-width [`Record`] slices, codec blob frames, and the
-//! checkpoint / message-log file formats (v1 uncompressed and v2 coded).
+//! checkpoint / message-log / service-log file formats (plain and coded),
+//! plus golden fingerprints pinning their exact bytes.
 //!
 //! Each seeded case prints its seed on failure so a regression is
 //! reproducible from the assertion message alone.
@@ -8,7 +9,10 @@
 use hybridgraph::storage::checkpoint::{checkpoint_file_name, CheckpointReader, CheckpointWriter};
 use hybridgraph::storage::msg_log::{msg_log_file_name, MsgLogReader, MsgLogWriter};
 use hybridgraph::storage::record::{decode_slice, encode_slice};
-use hybridgraph::storage::{AccessClass, CodecChoice, MemVfs, Record, Vfs};
+use hybridgraph::storage::service_log::{ServiceLog, SERVICE_LOG_FILE};
+use hybridgraph::storage::{
+    decode_graph, encode_graph, AccessClass, CodecChoice, MemVfs, Record, Vfs,
+};
 use hybridgraph_codec::{decode_blob_frame, encode_blob_frame};
 use hybridgraph_graph::rng::SplitMix64;
 use hybridgraph_graph::VertexId;
@@ -245,9 +249,9 @@ fn truncated_msg_log_rejected_all_codecs() {
 }
 
 // With `CodecChoice::None` the coded commit path must produce the exact
-// v1 byte stream — the no-codec invariant at the file-format level.
+// plain byte stream — the no-codec invariant at the file-format level.
 #[test]
-fn none_codec_files_are_byte_identical_to_v1() {
+fn none_codec_files_are_byte_identical_to_plain() {
     let build = |coded: bool| -> (Vec<u8>, Vec<u8>) {
         let vfs = MemVfs::new();
         let mut cw = CheckpointWriter::new(4);
@@ -262,13 +266,170 @@ fn none_codec_files_are_byte_identical_to_v1() {
             cw.commit(&vfs).expect("commit");
             lw.commit(&vfs).expect("commit");
         }
-        let read = |name: &str| {
-            vfs.open(name)
-                .expect("open")
-                .read_all(AccessClass::SeqRead)
-                .expect("read")
-        };
-        (read(&checkpoint_file_name(4)), read(&msg_log_file_name(4)))
+        (
+            read_file(&vfs, &checkpoint_file_name(4)),
+            read_file(&vfs, &msg_log_file_name(4)),
+        )
     };
     assert_eq!(build(true), build(false));
+}
+
+// ------------------------------------------------- corrupt element counts
+
+fn read_file(vfs: &MemVfs, name: &str) -> Vec<u8> {
+    vfs.open(name)
+        .expect("open")
+        .read_all(AccessClass::SeqRead)
+        .expect("read")
+}
+
+// A count that is intact as framing goes but absurd as a number must be a
+// read error, not an allocation: before `get_count`, each of these three
+// panicked with `capacity overflow`.
+#[test]
+fn huge_element_counts_are_errors_not_allocations() {
+    // Sealed checkpoint, valid trailer, word-run count u64::MAX / 4.
+    let vfs = MemVfs::new();
+    let mut w = CheckpointWriter::new(1);
+    w.put_u64(u64::MAX / 4);
+    w.put_u64(7);
+    w.commit(&vfs).expect("commit");
+    let err = CheckpointReader::open(&vfs, 1)
+        .expect("framing is intact")
+        .get_words()
+        .expect_err("count cannot fit");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+    // Message-log segment whose header claims u64::MAX / 16 entries: patch
+    // the count id word of a committed one-entry segment (the trailer
+    // only covers the length, so the file still unseals).
+    let mut w = MsgLogWriter::new(2);
+    w.push(0, b"entry");
+    w.commit(&vfs).expect("commit");
+    let mut bytes = read_file(&vfs, &msg_log_file_name(2));
+    bytes[16..24].copy_from_slice(&(u64::MAX / 16).to_le_bytes());
+    vfs.create(&msg_log_file_name(2))
+        .expect("create")
+        .append(AccessClass::SeqWrite, &bytes)
+        .expect("append");
+    let err = MsgLogReader::open(&vfs, 2)
+        .and_then(|mut r| r.read_all_entries())
+        .expect_err("count cannot fit");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+    // 16-byte graph blob: n = u64::MAX / 8 vertices, no edges, no body.
+    let mut blob = (u64::MAX / 8).to_le_bytes().to_vec();
+    blob.extend_from_slice(&0u64.to_le_bytes());
+    let err = decode_graph(&blob).expect_err("count cannot fit");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+// ------------------------------------------------------- golden file bytes
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+// "Byte for byte": FNV-1a fingerprints of whole files, captured by running
+// this test body at the commit before `codec::frame` took over the
+// layouts. The `BENCH_*.json` baselines only pin byte *counts*; this pins
+// the bytes. A deliberate format change re-captures the constants.
+#[test]
+fn golden_file_bytes_are_pinned() {
+    use hybridgraph::graph::{Edge, Graph};
+
+    // Runs (compressible) interleaved with arithmetic noise, so the block
+    // codec behind `Bv` blob frames and the raw frames under `Gaps` differ.
+    let noise: Vec<u8> = (0..1500u32)
+        .map(|i| {
+            if (i / 100) % 2 == 0 {
+                (i / 25) as u8
+            } else {
+                (i.wrapping_mul(2_654_435_761) >> 13) as u8
+            }
+        })
+        .collect();
+    // [checkpoint, msg-log segment, service log] per codec.
+    let golden: [(CodecChoice, [u64; 3]); 3] = [
+        (
+            CodecChoice::None,
+            [
+                0x342d_1b23_658c_70c7,
+                0x9a4a_3fd8_c3dc_a066,
+                0xe2d2_5243_3b52_6fe9,
+            ],
+        ),
+        (
+            CodecChoice::Gaps,
+            [
+                0x8283_85df_67b5_5ce3,
+                0x3883_c139_19c4_fe4a,
+                0xfa37_c475_6673_28f6,
+            ],
+        ),
+        (
+            CodecChoice::Bv,
+            [
+                0x4188_0d0f_1d03_2c67,
+                0xd0fc_0981_9246_c217,
+                0x03ab_960d_f7c2_5cea,
+            ],
+        ),
+    ];
+    for (codec, want) in golden {
+        let vfs = MemVfs::new();
+
+        let mut cw = CheckpointWriter::new(0x0102_0304_0506);
+        cw.put_u8(0xa5);
+        cw.put_u32(0xdead_beef);
+        cw.put_u64(u64::MAX - 7);
+        cw.put_f64(-0.0);
+        cw.put_bytes(&noise);
+        cw.put_bytes(&[]);
+        cw.put_words(&[0, 1, u64::MAX, 0x8000_0000_0000_0000]);
+        cw.commit_with(&vfs, codec).expect("checkpoint commit");
+
+        let mut lw = MsgLogWriter::new(77);
+        lw.push(3, &noise[..700]);
+        lw.push(0, &[]);
+        lw.push(u32::MAX, &noise[700..]);
+        lw.commit_with(&vfs, codec).expect("msg-log commit");
+
+        let log = ServiceLog::create(&vfs, codec).expect("service-log create");
+        log.append(1, &noise).expect("append");
+        log.append(0xff, &[]).expect("append");
+        log.append(6, &[9u8; 300]).expect("append");
+
+        let got = [
+            fnv1a(&read_file(&vfs, &checkpoint_file_name(0x0102_0304_0506))),
+            fnv1a(&read_file(&vfs, &msg_log_file_name(77))),
+            fnv1a(&read_file(&vfs, SERVICE_LOG_FILE)),
+        ];
+        assert_eq!(
+            got, want,
+            "{codec:?}: [checkpoint, msg-log, service-log] = {got:#018x?}"
+        );
+    }
+
+    let g = Graph::from_parts(
+        vec![0, 2, 2, 5, 6],
+        vec![
+            Edge::weighted(VertexId(1), 1.0),
+            Edge::weighted(VertexId(3), 0.5),
+            Edge::weighted(VertexId(0), -2.25),
+            Edge::weighted(VertexId(1), f32::MIN_POSITIVE),
+            Edge::weighted(VertexId(2), 0.0),
+            Edge::weighted(VertexId(3), 7.0),
+        ],
+    );
+    let blob = encode_graph(&g);
+    assert_eq!(decode_graph(&blob).expect("decode"), g);
+    assert_eq!(
+        fnv1a(&blob),
+        0x23c5_c12e_3945_f6e9,
+        "graph blob = {:#018x}",
+        fnv1a(&blob)
+    );
 }

@@ -7,8 +7,8 @@
 
 use hybridgraph::core::encode_qt_audits;
 use hybridgraph::gateway::proto::{
-    encode_values, ErrorDomain, JobOptions, JobStatusInfo, ProgramSpec, ProgressEvent, Request,
-    Response, SubmitReq, GW_SHUTTING_DOWN, GW_UNKNOWN_DATASET, GW_UNKNOWN_JOB,
+    encode_values, ErrorDomain, GraphSource, JobOptions, JobStatusInfo, ProgramSpec, ProgressEvent,
+    Request, Response, SubmitReq, GW_SHUTTING_DOWN, GW_UNKNOWN_DATASET, GW_UNKNOWN_JOB,
 };
 use hybridgraph::gateway::wire::{
     decode_frame, encode_frame, read_frame, write_frame, WireError, DEFAULT_MAX_FRAME, MAGIC,
@@ -418,6 +418,31 @@ fn protocol_robustness_over_raw_connections() {
     assert!(
         matches!(read_resp(&mut *conn), Ok(Response::MetricsText(_))),
         "connection must survive a malformed body"
+    );
+    drop(conn);
+
+    // A well-formed RegisterGraph whose inline graph blob claims 2^61
+    // vertices in 16 bytes: the count is sized against the blob before
+    // anything is allocated, so this is code 6 too — it used to panic
+    // the connection thread — and the connection keeps serving.
+    let mut conn = transport.connect().expect("connect");
+    let mut blob = (u64::MAX / 8).to_le_bytes().to_vec();
+    blob.extend_from_slice(&0u64.to_le_bytes());
+    let (kind, body) = Request::RegisterGraph {
+        name: "hostile".into(),
+        workers: 2,
+        vblocks_per_worker: 1,
+        codec: CodecChoice::None,
+        source: GraphSource::Blob(blob),
+    }
+    .encode();
+    write_frame(&mut *conn, kind, &body).expect("write");
+    assert_eq!(protocol_code(read_resp(&mut *conn)), 6);
+    let (kind, body) = Request::Metrics.encode();
+    write_frame(&mut *conn, kind, &body).expect("write");
+    assert!(
+        matches!(read_resp(&mut *conn), Ok(Response::MetricsText(_))),
+        "connection must survive a hostile graph blob"
     );
     drop(conn);
 

@@ -1,10 +1,13 @@
 //! `billion` — the streaming billion-edge catalog entry, end to end.
 //!
 //! Builds the `twi-stream` entry ([`StreamSpec::twitter`]) block-at-a-time
-//! through the storage crate's [`StreamEblockWriter`] under the BV codec,
-//! then runs a b-pull PageRank superstep sweep where every `g_{j,i}` read
-//! is served by the Elias-Fano extent directory — per-block random access,
-//! never a whole-extent or whole-directory decode.
+//! through the storage crate's [`ExtentWriter`] — the writer under every
+//! edge store — under the BV codec: Eblocks are appended source-major
+//! (extent `src block · nblocks + dst block`), so the generator never
+//! holds more than one source block's edges. Then runs a b-pull PageRank
+//! superstep sweep where every `g_{j,i}` read is served by the
+//! Elias-Fano extent directory — per-block random access, never a
+//! whole-extent or whole-directory decode.
 //!
 //! At the default `--scale 2000` this is a fast smoke of the same code
 //! path (~17 K vertices, ~0.5 M edges, in-memory VFS). The acceptance
@@ -16,13 +19,15 @@
 use crate::table::{bytes, ratio, Table};
 use crate::Scale;
 use hybridgraph_graph::StreamSpec;
-use hybridgraph_storage::stream::{StreamEblockStore, StreamEblockWriter};
-use hybridgraph_storage::{AccessClass, CodecChoice, DirVfs, MemVfs, Vfs};
+use hybridgraph_storage::extent::{self, ExtentFile, ExtentWriter};
+use hybridgraph_storage::{AccessClass, CodecChoice, DirVfs, ExtentKind, MemVfs, Vfs};
 use std::sync::Arc;
 
 /// A built store plus the sweep-side per-vertex state.
 struct Built {
-    store: StreamEblockStore,
+    /// The `nblocks × nblocks` Eblock grid, source-major.
+    store: ExtentFile,
+    nblocks: u32,
     deg: Vec<u32>,
     edges: u64,
     /// Largest per-source-block working set during the build (bytes).
@@ -36,11 +41,12 @@ fn build(spec: &StreamSpec, vfs: &dyn Vfs, codec: CodecChoice) -> Built {
     let nblocks = spec.nblocks();
     let bs = u64::from(spec.block_size());
     let n = spec.vertices;
-    let mut w = StreamEblockWriter::create(vfs, "billion", nblocks, codec).expect("create store");
+    let cells_total = nblocks as usize * nblocks as usize;
+    let mut w = ExtentWriter::create(vfs, "billion", ExtentKind::Fragments, codec, cells_total)
+        .expect("create store");
     let mut deg = vec![0u32; n as usize];
     let mut dsts: Vec<u32> = Vec::new();
     let mut cells: Vec<Vec<u8>> = vec![Vec::new(); nblocks as usize];
-    let mut cell_frags: Vec<u32> = vec![0; nblocks as usize];
     let mut edges = 0u64;
     let mut peak = 0u64;
     for sb in 0..nblocks {
@@ -49,7 +55,6 @@ fn build(spec: &StreamSpec, vfs: &dyn Vfs, codec: CodecChoice) -> Built {
         for cell in &mut cells {
             cell.clear();
         }
-        cell_frags.fill(0);
         for v in lo..hi {
             spec.out_dsts(v, &mut dsts);
             deg[v as usize] = dsts.len() as u32;
@@ -64,24 +69,22 @@ fn build(spec: &StreamSpec, vfs: &dyn Vfs, codec: CodecChoice) -> Built {
                     j += 1;
                 }
                 let cell = &mut cells[db as usize];
-                cell.extend_from_slice(&(v as u32).to_le_bytes());
-                cell.extend_from_slice(&((j - i) as u32).to_le_bytes());
+                extent::push_fragment_header(cell, v as u32, j - i);
                 for &d in &dsts[i..j] {
                     cell.extend_from_slice(&d.to_le_bytes());
                     cell.extend_from_slice(&1.0f32.to_le_bytes());
                 }
-                cell_frags[db as usize] += 1;
                 i = j;
             }
         }
         peak = peak.max(cells.iter().map(|c| c.capacity() as u64).sum());
-        for (db, cell) in cells.iter().enumerate() {
-            w.append_eblock(cell, cell_frags[db])
-                .expect("append eblock");
+        for cell in &cells {
+            w.append(cell).expect("append eblock");
         }
     }
     Built {
         store: w.finish().expect("finish store"),
+        nblocks,
         deg,
         edges,
         peak_block_bytes: peak,
@@ -92,7 +95,7 @@ fn build(spec: &StreamSpec, vfs: &dyn Vfs, codec: CodecChoice) -> Built {
 /// Eblock column via EF random access. Returns the final rank sum (a
 /// deterministic checksum of the whole computation).
 fn sweep(b: &Built, n: usize, supersteps: u32) -> f64 {
-    let nblocks = b.store.nblocks();
+    let nblocks = b.nblocks as usize;
     let mut rank = vec![1.0 / n as f64; n];
     for _ in 0..supersteps {
         let mut next = vec![0.15 / n as f64; n];
@@ -100,18 +103,14 @@ fn sweep(b: &Built, n: usize, supersteps: u32) -> f64 {
             for sb in 0..nblocks {
                 let raw = b
                     .store
-                    .read_eblock_raw(sb, db, AccessClass::RandRead)
+                    .read(sb * nblocks + db, AccessClass::RandRead)
                     .expect("read eblock");
-                let mut at = 0usize;
-                while at < raw.len() {
-                    let src = u32::from_le_bytes(raw[at..at + 4].try_into().unwrap()) as usize;
-                    let cnt = u32::from_le_bytes(raw[at + 4..at + 8].try_into().unwrap()) as usize;
-                    at += 8;
-                    let contr = 0.85 * rank[src] / f64::from(b.deg[src]);
-                    for _ in 0..cnt {
-                        let dst = u32::from_le_bytes(raw[at..at + 4].try_into().unwrap()) as usize;
-                        next[dst] += contr;
-                        at += 8;
+                for fragment in extent::fragments(&raw) {
+                    let (src, edges) = fragment.expect("fragment stream");
+                    let contr = 0.85 * rank[src as usize] / f64::from(b.deg[src as usize]);
+                    for edge in edges.chunks_exact(8) {
+                        let dst = u32::from_le_bytes([edge[0], edge[1], edge[2], edge[3]]);
+                        next[dst as usize] += contr;
                     }
                 }
             }
@@ -161,10 +160,7 @@ pub fn run(scale: Scale) {
         "p/l ratio".into(),
         ratio(physical as f64 / logical.max(1) as f64),
     ]);
-    t.row(vec![
-        "ef directory".into(),
-        bytes(b.store.index_memory_bytes()),
-    ]);
+    t.row(vec!["ef directory".into(), bytes(b.store.memory_bytes())]);
     t.row(vec!["flat directory would be".into(), bytes(flat_index)]);
     t.row(vec![
         "peak build block set".into(),

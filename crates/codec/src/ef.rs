@@ -147,6 +147,27 @@ impl EliasFano {
         ((self.select(i) - i) << self.l) | self.low_bits(i)
     }
 
+    /// `(get(i), get(i + 1))` — both ends of extent `i` in a cumulative
+    /// offset directory — from one select: the second value's upper part
+    /// is the next set bit of `high`, found by scanning on from the
+    /// first. Panics if `i + 1 >= len()`.
+    pub fn pair(&self, i: u64) -> (u64, u64) {
+        assert!(i + 1 < self.n, "elias-fano pair {i} out of {}", self.n);
+        let pos = self.select(i);
+        let mut w = (pos / 64) as usize;
+        // Bits above `pos` in its word (two shifts: `pos % 64` may be 63).
+        let mut word = self.high[w] & ((!0u64 << (pos % 64)) << 1);
+        while word == 0 {
+            w += 1;
+            word = self.high[w];
+        }
+        let next = w as u64 * 64 + word.trailing_zeros() as u64;
+        (
+            ((pos - i) << self.l) | self.low_bits(i),
+            ((next - i - 1) << self.l) | self.low_bits(i + 1),
+        )
+    }
+
     /// Resident heap bytes (the number the flat directory is judged by).
     pub fn memory_bytes(&self) -> u64 {
         (self.low.len() + self.high.len() + self.samples.len()) as u64 * 8
@@ -262,6 +283,9 @@ mod tests {
                 assert_eq!(ef.len(), vals.len() as u64);
                 for (i, &v) in vals.iter().enumerate() {
                     assert_eq!(ef.get(i as u64), v, "seed {seed} gap {max_gap} i {i}");
+                }
+                for (i, w) in vals.windows(2).enumerate() {
+                    assert_eq!(ef.pair(i as u64), (w[0], w[1]), "seed {seed} gap {max_gap}");
                 }
             }
         }

@@ -72,7 +72,7 @@ pub enum CodecChoice {
     /// The general RLE+LZ byte codec everywhere.
     Block,
     /// WebGraph-class BV tier: reference-chain copy-lists, interval
-    /// coding and ζ residual gaps for adjacency data (format v3); blobs
+    /// coding and ζ residual gaps for adjacency data (`TAG_BV` extents); blobs
     /// get the block codec. Falls back to raw per extent when the BV
     /// structural assumptions don't hold.
     Bv,
@@ -214,8 +214,9 @@ pub const TAG_RAW: u8 = 0;
 pub const TAG_GAPS: u8 = 1;
 /// Extent tag: RLE+LZ coded bytes follow.
 pub const TAG_BLOCK: u8 = 2;
-/// Extent tag: BV-coded adjacency data follows (format v3; readers
-/// accept tags 0–3, so v1/v2 extents keep decoding unchanged).
+/// Extent tag: BV-coded adjacency data follows. Tags are per extent and
+/// a reader accepts all four, so extents written under any
+/// [`CodecChoice`] decode with the same [`decode_extent`] call.
 pub const TAG_BV: u8 = 3;
 
 /// The record structure inside an adjacency extent, which decides how
@@ -236,7 +237,7 @@ pub enum ExtentKind {
 /// Candidates are tried per the choice and the smallest wins; ties keep
 /// the earlier of raw → gaps → block → bv, so output is deterministic.
 /// [`CodecChoice::Auto`] deliberately excludes the BV candidate so its
-/// extents stay byte-identical to the pre-v3 format; `Bv` is its own
+/// extents only ever carry the raw/gaps/block tags; `Bv` is its own
 /// tier (raw fallback included).
 pub fn encode_extent(choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> Vec<u8> {
     debug_assert!(!choice.is_none(), "None bypasses extent framing");
@@ -454,8 +455,8 @@ mod tests {
 
     #[test]
     fn auto_never_emits_bv_tags() {
-        // Auto's output is the pre-v3 format; BV extents only appear
-        // when the job explicitly opts into the new tier.
+        // Auto's output never carries `TAG_BV`; BV extents only appear
+        // when the job asks for `CodecChoice::Bv`.
         let raw = raw_edges(500);
         let coded = encode_extent(CodecChoice::Auto, ExtentKind::Edges, &raw);
         assert_ne!(coded[0], TAG_BV);

@@ -211,11 +211,10 @@ fn serve_pull<P: VertexProgram>(
         if !w.block_res[jidx] || !ve.meta(j).has_edges_to(block) {
             continue;
         }
-        let info = *ve.eblock_info(j, block);
         let frags = ve.scan_eblock(j, block)?;
         // Physical stored bytes (== logical without a codec), split
         // proportionally into edge and fragment-auxiliary shares.
-        let (stored_edge, stored_aux) = info.stored_split();
+        let (stored_edge, stored_aux) = ve.eblock_info(j, block).stored_split(frags.len());
         rep.sem.bpull_edge_bytes += stored_edge;
         rep.sem.fragment_aux_bytes += stored_aux;
         for frag in frags {

@@ -8,65 +8,15 @@
 //! vertices' edge bytes — this is the paper's `IO(Ē^t)` term, which shrinks
 //! with the active set for traversal algorithms.
 
-use crate::record::Record;
-use crate::stats::AccessClass;
-use crate::vfs::{Vfs, VfsFile};
-use hybridgraph_codec::ef::EliasFano;
-use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, ExtentKind};
+use crate::extent::{ExtentFile, ExtentWriter};
+use crate::record::{decode_slice, Record};
+use crate::stats::{AccessClass, IoStats};
+use crate::vfs::Vfs;
+use hybridgraph_codec::{CodecChoice, ExtentKind};
 use hybridgraph_graph::{Edge, Graph, VertexId};
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// The per-vertex extent directory: cumulative physical byte offsets,
-/// `n + 1` entries. Under [`CodecChoice::Bv`] the flat 8-bytes-per-entry
-/// vector is replaced by an Elias-Fano sequence (~2 bytes/entry) with
-/// O(1)-ish random access — the piece that keeps 100M+ vertex indices
-/// resident.
-#[derive(Clone)]
-enum OffsetDir {
-    Flat(Arc<Vec<u64>>),
-    Ef(Arc<EliasFano>),
-}
-
-impl OffsetDir {
-    fn from_flat(offsets: Vec<u64>, codec: CodecChoice) -> OffsetDir {
-        if codec == CodecChoice::Bv {
-            let ef = EliasFano::build(&offsets).expect("cumulative offsets are monotone");
-            OffsetDir::Ef(Arc::new(ef))
-        } else {
-            OffsetDir::Flat(Arc::new(offsets))
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> u64 {
-        match self {
-            OffsetDir::Flat(v) => v[i],
-            OffsetDir::Ef(ef) => ef.get(i as u64),
-        }
-    }
-
-    /// Number of entries (vertex count + 1).
-    fn len(&self) -> usize {
-        match self {
-            OffsetDir::Flat(v) => v.len(),
-            OffsetDir::Ef(ef) => ef.len() as usize,
-        }
-    }
-
-    fn last(&self) -> u64 {
-        self.get(self.len() - 1)
-    }
-
-    /// Resident bytes of the directory itself.
-    fn memory_bytes(&self) -> u64 {
-        match self {
-            OffsetDir::Flat(v) => v.len() as u64 * 8,
-            OffsetDir::Ef(ef) => ef.memory_bytes(),
-        }
-    }
-}
 
 impl Record for Edge {
     const BYTES: usize = 8;
@@ -88,19 +38,10 @@ impl Record for Edge {
 
 /// On-disk adjacency lists for one worker's contiguous vertex range.
 pub struct AdjacencyStore {
-    file: VfsFile,
+    /// Extent `i` is vertex `base + i`'s edge run; its logical length is
+    /// `out_degree · 8`, so the directory doubles as the degree column.
+    file: ExtentFile,
     base: u32,
-    /// `offsets.get(i)..offsets.get(i + 1)` is the *physical* byte
-    /// extent of vertex `base + i`'s edge run in the file; length
-    /// `count + 1`. Without a codec, physical extents equal logical edge
-    /// bytes. Arc-shared so cross-job views are cheap.
-    offsets: OffsetDir,
-    /// Per-vertex out-degrees, kept only when a codec is active (the
-    /// physical extents no longer encode the edge counts then).
-    degrees: Option<Arc<Vec<u32>>>,
-    /// Total logical edge bytes (`Σ out_degree · 8`).
-    total_logical: u64,
-    codec: CodecChoice,
 }
 
 impl AdjacencyStore {
@@ -126,57 +67,30 @@ impl AdjacencyStore {
         range: Range<u32>,
         codec: CodecChoice,
     ) -> io::Result<AdjacencyStore> {
-        let file = vfs.create(name)?;
-        let mut offsets = Vec::with_capacity(range.len() + 1);
-        offsets.push(0u64);
-        let mut degrees = (!codec.is_none()).then(|| Vec::with_capacity(range.len()));
-        let mut total_logical = 0u64;
+        let mut w = ExtentWriter::create(vfs, name, ExtentKind::Edges, codec, range.len())?;
         let mut buf = Vec::new();
         for v in range.clone() {
-            let edges = graph.out_edges(VertexId(v));
             buf.clear();
-            for e in edges {
+            for e in graph.out_edges(VertexId(v)) {
                 e.append_to(&mut buf);
             }
-            total_logical += buf.len() as u64;
-            if let Some(degrees) = degrees.as_mut() {
-                degrees.push(edges.len() as u32);
-            }
-            let stored = if buf.is_empty() {
-                0
-            } else if codec.is_none() {
-                file.append(AccessClass::SeqWrite, &buf)?;
-                buf.len() as u64
-            } else {
-                let coded = encode_extent(codec, ExtentKind::Edges, &buf);
-                file.append_coded(AccessClass::SeqWrite, &coded, buf.len() as u64)?;
-                coded.len() as u64
-            };
-            offsets.push(offsets.last().unwrap() + stored);
+            w.append(&buf)?;
         }
         Ok(AdjacencyStore {
-            file,
+            file: w.finish()?,
             base: range.start,
-            offsets: OffsetDir::from_flat(offsets, codec),
-            degrees: degrees.map(Arc::new),
-            total_logical,
-            codec,
         })
     }
 
     /// A read-only view over the same on-disk bytes whose I/O is recorded
-    /// into `stats` instead of the builder's sink. The extent index is
+    /// into `stats` instead of the builder's sink. The extent directory is
     /// Arc-shared, so views are cheap; the underlying file is immutable
     /// after [`AdjacencyStore::build_with`], so concurrent views from
     /// different jobs are safe.
-    pub fn share_view(&self, stats: Arc<crate::stats::IoStats>) -> AdjacencyStore {
+    pub fn share_view(&self, stats: Arc<IoStats>) -> AdjacencyStore {
         AdjacencyStore {
-            file: self.file.with_stats(stats),
+            file: self.file.share_view(stats),
             base: self.base,
-            offsets: self.offsets.clone(),
-            degrees: self.degrees.as_ref().map(Arc::clone),
-            total_logical: self.total_logical,
-            codec: self.codec,
         }
     }
 
@@ -187,7 +101,7 @@ impl AdjacencyStore {
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.file.len()
     }
 
     /// True if the store holds no vertices.
@@ -204,49 +118,40 @@ impl AdjacencyStore {
         (v.0 - self.base) as usize
     }
 
-    /// Out-degree of `v` (from the in-memory index; no I/O).
+    /// Out-degree of `v` (from the in-memory directory; no I/O).
     pub fn out_degree(&self, v: VertexId) -> usize {
-        let i = self.local(v);
-        match &self.degrees {
-            Some(d) => d[i] as usize,
-            Option::None => {
-                ((self.offsets.get(i + 1) - self.offsets.get(i)) / Edge::BYTES as u64) as usize
-            }
-        }
+        (self.edge_bytes_of(v) / Edge::BYTES as u64) as usize
     }
 
     /// Logical edge bytes of `v` (`out_degree · 8`; no I/O).
     pub fn edge_bytes_of(&self, v: VertexId) -> u64 {
-        self.out_degree(v) as u64 * Edge::BYTES as u64
+        self.file.logical_bytes(self.local(v))
     }
 
     /// Physical bytes `v`'s edge run occupies on disk (no I/O). Equal to
     /// [`AdjacencyStore::edge_bytes_of`] without a codec.
     pub fn stored_bytes_of(&self, v: VertexId) -> u64 {
-        let i = self.local(v);
-        self.offsets.get(i + 1) - self.offsets.get(i)
+        self.file.stored_bytes(self.local(v))
     }
 
-    /// Resident bytes of the in-memory extent directory (flat offsets,
-    /// or the Elias-Fano index under [`CodecChoice::Bv`]) plus the
-    /// degree column when present.
+    /// Resident bytes of the in-memory extent directory.
     pub fn index_memory_bytes(&self) -> u64 {
-        self.offsets.memory_bytes() + self.degrees.as_ref().map_or(0, |d| d.len() as u64 * 4)
+        self.file.memory_bytes()
     }
 
     /// Total logical edge bytes in the store.
     pub fn total_edge_bytes(&self) -> u64 {
-        self.total_logical
+        self.file.total_logical_bytes()
     }
 
     /// Total physical bytes the store's file occupies.
     pub fn total_stored_bytes(&self) -> u64 {
-        self.offsets.last()
+        self.file.total_stored_bytes()
     }
 
     /// The codec the store was built with.
     pub fn codec(&self) -> CodecChoice {
-        self.codec
+        self.file.codec()
     }
 
     /// Reads the out-edges of `v`.
@@ -254,22 +159,7 @@ impl AdjacencyStore {
     /// `class` is chosen by the caller: `SeqRead` when visiting vertices in
     /// id order (the push scan), `RandRead` for out-of-order access.
     pub fn edges_of(&self, v: VertexId, class: AccessClass) -> io::Result<Vec<Edge>> {
-        let i = self.local(v);
-        let (start, end) = (self.offsets.get(i), self.offsets.get(i + 1));
-        if start == end {
-            return Ok(Vec::new());
-        }
-        let bytes = if self.codec.is_none() {
-            self.file.read_vec(class, start, (end - start) as usize)?
-        } else {
-            let logical = self.edge_bytes_of(v);
-            let coded = self
-                .file
-                .read_vec_coded(class, start, (end - start) as usize, logical)?;
-            decode_extent(ExtentKind::Edges, &coded, logical as usize)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        };
-        Ok(crate::record::decode_slice(&bytes))
+        Ok(decode_slice(&self.file.read(self.local(v), class)?))
     }
 }
 
@@ -361,34 +251,44 @@ mod tests {
     }
 
     #[test]
-    fn bv_store_uses_elias_fano_directory() {
+    fn directory_is_elias_fano_under_every_codec() {
         let g = gen::uniform(300, 6000, 9);
-        let vfs = MemVfs::new();
-        let flat = AdjacencyStore::build_with(&vfs, "a", &g, 0..300, CodecChoice::Gaps).unwrap();
-        let bvfs = MemVfs::new();
-        let bv = AdjacencyStore::build_with(&bvfs, "a", &g, 0..300, CodecChoice::Bv).unwrap();
-        // Same logical content, shared-view reads identical, EF index
-        // well under the flat directory.
-        assert_eq!(bv.total_edge_bytes(), flat.total_edge_bytes());
-        assert!(
-            bv.index_memory_bytes() * 2 < flat.index_memory_bytes(),
-            "ef {} vs flat {}",
-            bv.index_memory_bytes(),
-            flat.index_memory_bytes()
-        );
-        let view = bv.share_view(Arc::new(crate::stats::IoStats::default()));
-        for v in (0..300u32).step_by(17) {
-            let v = VertexId(v);
-            assert_eq!(
-                bv.edges_of(v, AccessClass::RandRead).unwrap(),
-                g.out_edges(v)
+        let flat = 301 * 8; // one u64 offset per vertex, plus the end
+        for codec in CodecChoice::ALL {
+            let vfs = MemVfs::new();
+            let s = AdjacencyStore::build_with(&vfs, "a", &g, 0..300, codec).unwrap();
+            // Two sequences under a codec (physical + logical offsets,
+            // the latter standing in for a 4-byte degree column), one
+            // without: either way well under the flat directory.
+            assert!(
+                s.index_memory_bytes() * 2 < flat + if codec.is_none() { 0 } else { 300 * 4 },
+                "{codec:?}: ef {} vs flat {flat}",
+                s.index_memory_bytes()
             );
-            assert_eq!(
-                view.edges_of(v, AccessClass::RandRead).unwrap(),
-                g.out_edges(v)
-            );
-            assert_eq!(bv.stored_bytes_of(v) == 0, g.out_degree(v) == 0);
+            let view = s.share_view(Arc::new(IoStats::default()));
+            for v in (0..300u32).step_by(17) {
+                let v = VertexId(v);
+                assert_eq!(
+                    s.edges_of(v, AccessClass::RandRead).unwrap(),
+                    g.out_edges(v)
+                );
+                assert_eq!(
+                    view.edges_of(v, AccessClass::RandRead).unwrap(),
+                    g.out_edges(v)
+                );
+                assert_eq!(s.stored_bytes_of(v) == 0, g.out_degree(v) == 0);
+            }
         }
+    }
+
+    #[test]
+    fn empty_range_builds_an_empty_store() {
+        let g = gen::uniform(10, 30, 1);
+        let vfs = MemVfs::new();
+        let s = AdjacencyStore::build_with(&vfs, "a", &g, 4..4, CodecChoice::Gaps).unwrap();
+        assert!(s.is_empty());
+        assert_eq!((s.total_edge_bytes(), s.total_stored_bytes()), (0, 0));
+        assert_eq!(vfs.stats().snapshot(), IoStats::default().snapshot());
     }
 
     #[test]

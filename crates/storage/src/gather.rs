@@ -9,35 +9,33 @@
 //! LRU cache) is what makes the `pull` baseline I/O-hostile on disk, the
 //! effect Table 5 and Fig. 10 quantify.
 
+use crate::extent::{self, ExtentFile, ExtentWriter};
 use crate::record::Record;
-use crate::stats::AccessClass;
-use crate::vfs::{Vfs, VfsFile};
-use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, ExtentKind};
-use hybridgraph_graph::{Edge, Graph, VertexId};
-use std::collections::HashMap;
+use crate::stats::{seek_pad, AccessClass, IoStats};
+use crate::vfs::Vfs;
+use hybridgraph_codec::{CodecChoice, ExtentKind};
+use hybridgraph_graph::{Graph, VertexId};
 use std::io;
 use std::ops::Range;
-
-/// Byte cost of one fragment's auxiliary data: destination id + edge count.
-const AUX_BYTES: u64 = 8;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One worker's out-edges regrouped by destination vertex.
 pub struct GatherStore {
-    file: VfsFile,
-    /// Destination vertex → `(offset, edge count, stored bytes)` of its
-    /// fragment. Without a codec, stored bytes equal the logical fragment
-    /// size `AUX_BYTES + count · 8`. Arc-shared so cross-job views are
-    /// cheap.
-    index: std::sync::Arc<HashMap<u32, (u64, u32, u32)>>,
-    codec: CodecChoice,
-    /// Offset of the last fragment read. Requests that sweep the file in
-    /// ascending order (a dense gather, e.g. PageRank's every-vertex
+    /// Extent `v` is the one-fragment stream `v | count | (src, w)…` of
+    /// destination vertex `v`, empty (no bytes, no I/O) where `v` has no
+    /// local in-edge — the directory is the destination index.
+    file: ExtentFile,
+    /// Destinations with at least one local in-edge.
+    destinations: usize,
+    /// End offset of the last fragment read. Requests that sweep the file
+    /// in ascending order (a dense gather, e.g. PageRank's every-vertex
     /// superstep) amount to one sequential pass — the paper's ext-edge
     /// observation that "edges are read only once per superstep" — while
     /// backward jumps are genuine seeks. Atomic only so the store is
     /// `Sync` for cross-job sharing; each job's view has its own cursor
     /// and each view is read by one worker thread at a time.
-    cursor: std::sync::atomic::AtomicU64,
+    cursor: AtomicU64,
 }
 
 /// An in-edge as seen from the destination: the source and the weight.
@@ -74,122 +72,110 @@ impl GatherStore {
     ) -> io::Result<GatherStore> {
         // Collect (dst, src, weight) triples for local sources.
         let mut triples: Vec<(u32, u32, f32)> = Vec::new();
-        for u in local.clone() {
+        for u in local {
             for e in graph.out_edges(VertexId(u)) {
                 triples.push((e.dst.0, u, e.weight));
             }
         }
-        triples.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
+        // Stable: parallel edges (the generators keep multigraph
+        // duplicates) stay in CSR order, so the file bytes are defined.
+        triples.sort_by_key(|&(dst, src, _)| (dst, src));
 
-        let file = vfs.create(name)?;
-        let mut index = HashMap::new();
+        let n = graph.num_vertices();
+        let mut w = ExtentWriter::create(vfs, name, ExtentKind::Fragments, codec, n)?;
+        let mut runs = triples.chunk_by(|a, b| a.0 == b.0).peekable();
+        let mut destinations = 0;
         let mut buf = Vec::new();
-        let mut i = 0usize;
-        let mut offset = 0u64;
-        while i < triples.len() {
-            let dst = triples[i].0;
-            let mut end = i + 1;
-            while end < triples.len() && triples[end].0 == dst {
-                end += 1;
-            }
+        for dst in 0..n as u32 {
             buf.clear();
-            buf.extend_from_slice(&dst.to_le_bytes());
-            buf.extend_from_slice(&((end - i) as u32).to_le_bytes());
-            for &(_, src, w) in &triples[i..end] {
-                buf.extend_from_slice(&src.to_le_bytes());
-                buf.extend_from_slice(&w.to_le_bytes());
+            if let Some(run) = runs.next_if(|run| run[0].0 == dst) {
+                extent::push_fragment_header(&mut buf, dst, run.len());
+                for &(_, src, weight) in run {
+                    (src, weight).append_to(&mut buf);
+                }
+                destinations += 1;
             }
-            let stored = if codec.is_none() {
-                file.append(AccessClass::SeqWrite, &buf)?;
-                buf.len() as u64
-            } else {
-                let coded = encode_extent(codec, ExtentKind::Fragments, &buf);
-                file.append_coded(AccessClass::SeqWrite, &coded, buf.len() as u64)?;
-                coded.len() as u64
-            };
-            index.insert(dst, (offset, (end - i) as u32, stored as u32));
-            offset += stored;
-            i = end;
+            w.append(&buf)?;
         }
         Ok(GatherStore {
-            file,
-            index: std::sync::Arc::new(index),
-            codec,
-            cursor: std::sync::atomic::AtomicU64::new(0),
+            file: w.finish()?,
+            destinations,
+            cursor: AtomicU64::new(0),
         })
     }
 
     /// A read-only view over the same on-disk bytes whose I/O is recorded
-    /// into `stats` instead of the builder's sink. The fragment index is
+    /// into `stats` instead of the builder's sink. The directory is
     /// Arc-shared; the sweep cursor is per-view (each job tracks its own
     /// sequential/seek classification).
-    pub fn share_view(&self, stats: std::sync::Arc<crate::stats::IoStats>) -> GatherStore {
+    pub fn share_view(&self, stats: Arc<IoStats>) -> GatherStore {
         GatherStore {
-            file: self.file.with_stats(stats),
-            index: std::sync::Arc::clone(&self.index),
-            codec: self.codec,
-            cursor: std::sync::atomic::AtomicU64::new(0),
+            file: self.file.share_view(stats),
+            destinations: self.destinations,
+            cursor: AtomicU64::new(0),
         }
     }
 
     /// Number of destinations with at least one local in-edge.
     pub fn num_destinations(&self) -> usize {
-        self.index.len()
+        self.destinations
+    }
+
+    /// The physical byte range of `dst`'s fragment; `None` if this worker
+    /// hosts no in-edge of it.
+    fn locate(&self, dst: VertexId) -> Option<Range<u64>> {
+        let at = (dst.index() < self.file.len()).then(|| self.file.range(dst.index()))?;
+        (!at.is_empty()).then_some(at)
     }
 
     /// True if this worker hosts in-edges of `dst` (no I/O).
     pub fn has_in_edges(&self, dst: VertexId) -> bool {
-        self.index.contains_key(&dst.0)
+        self.locate(dst).is_some()
     }
 
-    /// In-memory footprint of the fragment index.
+    /// In-memory footprint of the fragment index as the pull baseline's
+    /// memory curves (Fig. 14(d)) model it: 20 bytes per destination —
+    /// key, offset, edge count and stored length held flat, as a
+    /// GraphLab-style per-vertex index would. What this store keeps
+    /// resident (the Elias-Fano directory) is smaller.
     pub fn index_memory_bytes(&self) -> u64 {
-        self.index.len() as u64 * 20
+        self.destinations as u64 * 20
     }
 
     /// Randomly reads the in-edge fragment of `dst`; empty if none.
     pub fn in_edges_of(&self, dst: VertexId) -> io::Result<Vec<InEdge>> {
-        let Some(&(offset, count, stored)) = self.index.get(&dst.0) else {
+        let Some(at) = self.locate(dst) else {
             return Ok(Vec::new());
         };
-        let len = AUX_BYTES as usize + count as usize * Edge::BYTES;
         // Forward reads continue a sweep (sequential); backward jumps are
         // scattered seeks charged at sector granularity (on the physical
         // bytes the device actually moves).
-        let forward = offset >= self.cursor.load(std::sync::atomic::Ordering::Relaxed);
+        let forward = at.start >= self.cursor.load(Ordering::Relaxed);
         let class = if forward {
             AccessClass::SeqRead
         } else {
             AccessClass::RandRead
         };
-        let bytes = if self.codec.is_none() {
-            self.file.read_vec(class, offset, len)?
-        } else {
-            let coded = self
-                .file
-                .read_vec_coded(class, offset, stored as usize, len as u64)?;
-            decode_extent(ExtentKind::Fragments, &coded, len)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        };
+        let bytes = self.file.read_at(dst.index(), at.clone(), class)?;
         if !forward {
-            self.file.charge(
-                AccessClass::RandRead,
-                crate::stats::seek_pad(u64::from(stored)),
-            );
+            self.file
+                .charge(AccessClass::RandRead, seek_pad(at.end - at.start));
         }
-        self.cursor.store(
-            offset + u64::from(stored),
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        let mut out = Vec::with_capacity(count as usize);
-        let mut at = AUX_BYTES as usize;
-        for _ in 0..count {
-            let src = VertexId(u32::read_from(&bytes[at..at + 4]));
-            let weight = f32::read_from(&bytes[at + 4..at + 8]);
-            out.push(InEdge { src, weight });
-            at += 8;
+        self.cursor.store(at.end, Ordering::Relaxed);
+        let mut fragments = extent::fragments(&bytes);
+        match (fragments.next().transpose()?, fragments.next()) {
+            (Some((id, payload)), None) if id == dst.0 => Ok(payload
+                .chunks_exact(8)
+                .map(|pair| {
+                    let (src, weight) = <(VertexId, f32)>::read_from(pair);
+                    InEdge { src, weight }
+                })
+                .collect()),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("gather extent of {dst} is not one fragment of it"),
+            )),
         }
-        Ok(out)
     }
 }
 

@@ -15,9 +15,14 @@
 //!   backends) through which every store routes its bytes,
 //! * [`record`] — fixed-size value/message serialization,
 //! * [`value_store`] — the per-worker vertex-value segment,
+//! * [`extent`] — the one extent file (writer, Elias-Fano directory,
+//!   per-extent coded read, fragment-stream parser) under the three
+//!   edge stores:
 //! * [`adjacency`] — the push-side adjacency-list layout,
 //! * [`veblock`] — the paper's VE-BLOCK layout (Vblocks, Eblocks,
 //!   fragments, per-block metadata `X_j`),
+//! * [`gather`] — the destination-grouped layout of the per-vertex pull
+//!   baseline,
 //! * [`msg_store`] — the push receiver-side message buffer with spill,
 //! * [`lru`] — the LRU vertex cache used by the per-vertex pull baseline,
 //! * [`checkpoint`] — superstep-boundary checkpoint files for the
@@ -38,6 +43,7 @@
 
 pub mod adjacency;
 pub mod checkpoint;
+pub mod extent;
 pub mod gather;
 pub mod lru;
 pub mod msg_log;
@@ -48,7 +54,6 @@ mod sealed;
 pub mod service_log;
 pub mod shared_cache;
 pub mod stats;
-pub mod stream;
 pub mod value_store;
 pub mod veblock;
 pub mod vfs;

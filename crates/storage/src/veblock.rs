@@ -18,15 +18,16 @@
 //! `IO(E^t)` and `IO(F^t)`) plus one random svertex-value read per
 //! responding fragment (`IO(V^t_rr)`).
 
-use crate::record::Record;
-use crate::stats::AccessClass;
-use crate::vfs::{Vfs, VfsFile};
-use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, ExtentKind};
+use crate::extent::{self, ExtentFile, ExtentWriter};
+use crate::record::{decode_slice, Record};
+use crate::stats::{AccessClass, IoStats};
+use crate::vfs::Vfs;
+use hybridgraph_codec::{CodecChoice, ExtentKind};
 use hybridgraph_graph::{BlockId, BlockLayout, Edge, Graph, VertexId, WorkerId};
 use std::io;
+use std::sync::Arc;
 
-/// Byte cost of one fragment's auxiliary data: svertex id + edge count.
-pub const FRAGMENT_AUX_BYTES: u64 = 8;
+pub use crate::extent::FRAGMENT_AUX_BYTES;
 
 /// Static per-Vblock metadata (the paper's `X_j`, minus the dynamic `res`
 /// flag, which the engine owns because it changes every superstep).
@@ -68,7 +69,8 @@ impl BlockMeta {
     }
 }
 
-/// Index entry for one Eblock `g_{j,i}` inside its block file.
+/// Where Eblock `g_{j,i}` sits in its block file, computed from the
+/// extent directory on request.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct EblockInfo {
     /// Byte offset of the Eblock inside the local block's edge file.
@@ -76,29 +78,35 @@ pub struct EblockInfo {
     /// Total *logical* Eblock bytes (edges + fragment auxiliary data,
     /// uncompressed).
     pub bytes: u64,
-    /// Logical auxiliary bytes: `fragments * FRAGMENT_AUX_BYTES`.
-    pub aux_bytes: u64,
-    /// Logical edge payload bytes.
-    pub edge_bytes: u64,
     /// *Physical* bytes the Eblock occupies on disk. Equal to `bytes`
     /// when the store was built without a codec.
     pub stored_bytes: u64,
-    /// Number of fragments.
-    pub fragments: u32,
 }
 
 impl EblockInfo {
     /// Splits the physical extent into (edge, aux) shares proportional to
     /// the logical split, for cost-model terms that want the two
-    /// separately (`IO(E^t)` vs `IO(F^t)`). The shares always sum to
+    /// separately (`IO(E^t)` vs `IO(F^t)`). `fragments` is the Eblock's
+    /// fragment count — the directory does not keep it; a caller that
+    /// just scanned the Eblock has it. The shares always sum to
     /// `stored_bytes`.
-    pub fn stored_split(&self) -> (u64, u64) {
-        if self.bytes == 0 {
-            return (0, 0);
-        }
-        let aux = self.stored_bytes * self.aux_bytes / self.bytes;
-        (self.stored_bytes - aux, aux)
+    pub fn stored_split(&self, fragments: usize) -> (u64, u64) {
+        split_stored(
+            self.stored_bytes,
+            self.bytes,
+            fragments as u64 * FRAGMENT_AUX_BYTES,
+        )
     }
+}
+
+/// `stored` physical bytes split into (edge, aux) shares in the proportion
+/// `aux` has of the `bytes` logical bytes.
+fn split_stored(stored: u64, bytes: u64, aux: u64) -> (u64, u64) {
+    if bytes == 0 {
+        return (0, 0);
+    }
+    let stored_aux = stored * aux / bytes;
+    (stored - stored_aux, stored_aux)
 }
 
 /// One decoded fragment: a source vertex and its clustered edges into the
@@ -111,15 +119,25 @@ pub struct Fragment {
     pub edges: Vec<Edge>,
 }
 
+/// What a pull request touching one local block scans, summed over all
+/// destination blocks once at build.
+#[derive(Copy, Clone, Default)]
+struct ScanTotals {
+    edge: u64,
+    aux: u64,
+    stored_edge: u64,
+    stored_aux: u64,
+}
+
 /// The VE-BLOCK store for one worker's local blocks.
 pub struct VeBlockStore {
-    /// One edge file per local block, holding its `V` Eblocks back to back.
-    files: Vec<VfsFile>,
-    /// `index[j_local][i_global]` — extent of `g_{j,i}`. Arc-shared so
-    /// cross-job views are cheap.
-    index: std::sync::Arc<Vec<Vec<EblockInfo>>>,
-    /// `meta[j_local]` — `X_j`.
-    meta: std::sync::Arc<Vec<BlockMeta>>,
+    /// One extent file per local block, holding its `V` Eblocks back to
+    /// back: extent `i` of file `j_local` is `g_{j,i}`.
+    files: Vec<ExtentFile>,
+    /// `meta[j_local]` — `X_j`. Arc-shared so cross-job views are cheap.
+    meta: Arc<Vec<BlockMeta>>,
+    /// `scan[j_local]` — the `Q_t` predictor's per-block scan bytes.
+    scan: Arc<Vec<ScanTotals>>,
     /// Global id of local block 0 (a worker's blocks are contiguous).
     first_block: u32,
     /// First vertex id covered by the local blocks.
@@ -127,7 +145,7 @@ pub struct VeBlockStore {
     /// `fragment_counts[v - base_vertex]` — how many fragments vertex `v`
     /// appears in (its out-edges span that many Eblocks). Used to estimate
     /// `IO(V^t_rr)` for the hybrid predictor without running b-pull.
-    fragment_counts: std::sync::Arc<Vec<u32>>,
+    fragment_counts: Arc<Vec<u32>>,
     total_fragments: u64,
     total_edge_bytes: u64,
     /// The codec every Eblock extent was written (and is read) with.
@@ -173,8 +191,8 @@ impl VeBlockStore {
         let in_degrees = graph.in_degrees();
 
         let mut files = Vec::with_capacity(local_blocks.len());
-        let mut index = Vec::with_capacity(local_blocks.len());
         let mut meta = Vec::with_capacity(local_blocks.len());
+        let mut scan = Vec::with_capacity(local_blocks.len());
         let mut fragment_counts = vec![0u32; local_vertices];
         let mut total_fragments = 0u64;
         let mut total_edge_bytes = 0u64;
@@ -184,7 +202,7 @@ impl VeBlockStore {
             let mut m = BlockMeta::new(range.len() as u32, num_blocks);
             // Accumulate per-destination-block fragment buffers.
             let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); num_blocks];
-            let mut frag_counts = vec![0u32; num_blocks];
+            let mut frag_counts = vec![0u64; num_blocks];
             for v in range.clone() {
                 let v = VertexId(v);
                 m.in_degree += in_degrees[v.index()] as u64;
@@ -202,8 +220,7 @@ impl VeBlockStore {
                         end += 1;
                     }
                     let buf = &mut bufs[bi.index()];
-                    v.0.append_to_vec(buf);
-                    ((end - k) as u32).append_to_vec(buf);
+                    extent::push_fragment_header(buf, v.0, end - k);
                     for e in &row[k..end] {
                         e.append_to(buf);
                     }
@@ -214,46 +231,32 @@ impl VeBlockStore {
                 }
             }
             // Concatenate the Eblocks into this block's file.
-            let file = vfs.create(&format!("eblk_{}", bj.0))?;
-            let mut block_index = Vec::with_capacity(num_blocks);
-            let mut offset = 0u64;
-            for (i, buf) in bufs.iter().enumerate() {
-                let aux = frag_counts[i] as u64 * FRAGMENT_AUX_BYTES;
-                let stored_bytes = if buf.is_empty() {
-                    0
-                } else if codec.is_none() {
-                    file.append(AccessClass::SeqWrite, buf)?;
-                    buf.len() as u64
-                } else {
-                    let coded = encode_extent(codec, ExtentKind::Fragments, buf);
-                    file.append_coded(AccessClass::SeqWrite, &coded, buf.len() as u64)?;
-                    coded.len() as u64
-                };
-                let info = EblockInfo {
-                    offset,
-                    bytes: buf.len() as u64,
-                    aux_bytes: aux,
-                    edge_bytes: buf.len() as u64 - aux,
-                    stored_bytes,
-                    fragments: frag_counts[i],
-                };
-                offset += stored_bytes;
-                total_fragments += frag_counts[i] as u64;
-                total_edge_bytes += info.edge_bytes;
-                block_index.push(info);
+            let name = format!("eblk_{}", bj.0);
+            let mut w = ExtentWriter::create(vfs, &name, ExtentKind::Fragments, codec, num_blocks)?;
+            let mut totals = ScanTotals::default();
+            for (buf, &fragments) in bufs.iter().zip(&frag_counts) {
+                let stored = w.append(buf)?;
+                let (bytes, aux) = (buf.len() as u64, fragments * FRAGMENT_AUX_BYTES);
+                let (stored_edge, stored_aux) = split_stored(stored, bytes, aux);
+                totals.edge += bytes - aux;
+                totals.aux += aux;
+                totals.stored_edge += stored_edge;
+                totals.stored_aux += stored_aux;
+                total_fragments += fragments;
             }
-            files.push(file);
-            index.push(block_index);
+            total_edge_bytes += totals.edge;
+            files.push(w.finish()?);
             meta.push(m);
+            scan.push(totals);
         }
 
         Ok(VeBlockStore {
             files,
-            index: std::sync::Arc::new(index),
-            meta: std::sync::Arc::new(meta),
+            meta: Arc::new(meta),
+            scan: Arc::new(scan),
             first_block,
             base_vertex,
-            fragment_counts: std::sync::Arc::new(fragment_counts),
+            fragment_counts: Arc::new(fragment_counts),
             total_fragments,
             total_edge_bytes,
             codec,
@@ -261,23 +264,23 @@ impl VeBlockStore {
     }
 
     /// A read-only view over the same Eblock files whose I/O is recorded
-    /// into `stats` instead of the builder's sink. Index, metadata and
-    /// fragment counts are Arc-shared; the files are immutable after
+    /// into `stats` instead of the builder's sink. Directories, metadata
+    /// and fragment counts are Arc-shared; the files are immutable after
     /// [`VeBlockStore::build_with`] (vertex *values* live in the per-job
     /// [`ValueStore`](crate::value_store::ValueStore), never here), so
     /// concurrent views from different jobs are safe.
-    pub fn share_view(&self, stats: std::sync::Arc<crate::stats::IoStats>) -> VeBlockStore {
+    pub fn share_view(&self, stats: Arc<IoStats>) -> VeBlockStore {
         VeBlockStore {
             files: self
                 .files
                 .iter()
-                .map(|f| f.with_stats(std::sync::Arc::clone(&stats)))
+                .map(|f| f.share_view(Arc::clone(&stats)))
                 .collect(),
-            index: std::sync::Arc::clone(&self.index),
-            meta: std::sync::Arc::clone(&self.meta),
+            meta: Arc::clone(&self.meta),
+            scan: Arc::clone(&self.scan),
             first_block: self.first_block,
             base_vertex: self.base_vertex,
-            fragment_counts: std::sync::Arc::clone(&self.fragment_counts),
+            fragment_counts: Arc::clone(&self.fragment_counts),
             total_fragments: self.total_fragments,
             total_edge_bytes: self.total_edge_bytes,
             codec: self.codec,
@@ -295,25 +298,17 @@ impl VeBlockStore {
     /// `j` scans: `(edge bytes, auxiliary bytes)` summed over all
     /// destinations.
     pub fn block_scan_bytes(&self, j: BlockId) -> (u64, u64) {
-        let per = &self.index[self.local_of(j)];
-        let edge = per.iter().map(|i| i.edge_bytes).sum();
-        let aux = per.iter().map(|i| i.aux_bytes).sum();
-        (edge, aux)
+        let t = &self.scan[self.local_of(j)];
+        (t.edge, t.aux)
     }
 
     /// Like [`VeBlockStore::block_scan_bytes`] but in *physical* stored
     /// bytes — what the device actually moves, and therefore what the
-    /// `Q_t` predictor should charge for a b-pull scan of block `j`.
+    /// `Q_t` predictor should charge for a b-pull scan of block `j`
+    /// (each Eblock split as [`EblockInfo::stored_split`] does).
     pub fn block_scan_stored_bytes(&self, j: BlockId) -> (u64, u64) {
-        let per = &self.index[self.local_of(j)];
-        let mut edge = 0;
-        let mut aux = 0;
-        for info in per {
-            let (e, a) = info.stored_split();
-            edge += e;
-            aux += a;
-        }
-        (edge, aux)
+        let t = &self.scan[self.local_of(j)];
+        (t.stored_edge, t.stored_aux)
     }
 
     /// Number of local blocks.
@@ -338,9 +333,15 @@ impl VeBlockStore {
         &self.meta[self.local_of(b)]
     }
 
-    /// Extent info of Eblock `g_{j,i}`.
-    pub fn eblock_info(&self, j: BlockId, i: BlockId) -> &EblockInfo {
-        &self.index[self.local_of(j)][i.index()]
+    /// Extent info of Eblock `g_{j,i}` (no I/O).
+    pub fn eblock_info(&self, j: BlockId, i: BlockId) -> EblockInfo {
+        let file = &self.files[self.local_of(j)];
+        let at = file.range(i.index());
+        EblockInfo {
+            offset: at.start,
+            bytes: file.logical_bytes(i.index()),
+            stored_bytes: at.end - at.start,
+        }
     }
 
     /// Total fragments across the store (the paper's `f`, used by
@@ -356,11 +357,7 @@ impl VeBlockStore {
 
     /// Total physical bytes the store's Eblock files occupy.
     pub fn total_stored_bytes(&self) -> u64 {
-        self.index
-            .iter()
-            .flat_map(|per| per.iter())
-            .map(|i| i.stored_bytes)
-            .sum()
+        self.files.iter().map(|f| f.total_stored_bytes()).sum()
     }
 
     /// The codec the store was built with.
@@ -375,10 +372,10 @@ impl VeBlockStore {
         self.meta.iter().map(|m| m.memory_bytes()).sum()
     }
 
-    /// In-memory footprint of the Eblock extent index (an implementation
-    /// detail of this store, reported separately).
+    /// In-memory footprint of the Eblock extent directories (an
+    /// implementation detail of this store, reported separately).
     pub fn index_memory_bytes(&self) -> u64 {
-        self.index.iter().map(|per| per.len() as u64 * 44).sum()
+        self.files.iter().map(|f| f.memory_bytes()).sum()
     }
 
     /// Sequentially reads and decodes Eblock `g_{j,i}`.
@@ -387,51 +384,18 @@ impl VeBlockStore {
     /// extent (edges + auxiliary data) as a sequential read — physical
     /// stored bytes on the device, logical uncompressed bytes beside them;
     /// the caller is responsible for the random svertex value reads.
+    /// Bytes that do not parse as a fragment stream are `InvalidData`.
     pub fn scan_eblock(&self, j: BlockId, i: BlockId) -> io::Result<Vec<Fragment>> {
-        let jl = self.local_of(j);
-        let info = self.index[jl][i.index()];
-        if info.bytes == 0 {
-            return Ok(Vec::new());
-        }
-        let bytes = if self.codec.is_none() {
-            self.files[jl].read_vec(AccessClass::SeqRead, info.offset, info.bytes as usize)?
-        } else {
-            let coded = self.files[jl].read_vec_coded(
-                AccessClass::SeqRead,
-                info.offset,
-                info.stored_bytes as usize,
-                info.bytes,
-            )?;
-            decode_extent(ExtentKind::Fragments, &coded, info.bytes as usize)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        };
-        let mut fragments = Vec::with_capacity(info.fragments as usize);
-        let mut at = 0usize;
-        while at < bytes.len() {
-            let src = VertexId(u32::read_from(&bytes[at..at + 4]));
-            let count = u32::read_from(&bytes[at + 4..at + 8]) as usize;
-            at += 8;
-            let mut edges = Vec::with_capacity(count);
-            for _ in 0..count {
-                edges.push(Edge::read_from(&bytes[at..at + 8]));
-                at += 8;
-            }
-            fragments.push(Fragment { src, edges });
-        }
-        debug_assert_eq!(fragments.len(), info.fragments as usize);
-        Ok(fragments)
-    }
-}
-
-/// Little helper so `u32` values can append themselves like [`Record`]s.
-trait AppendTo {
-    fn append_to_vec(&self, out: &mut Vec<u8>);
-}
-
-impl AppendTo for u32 {
-    #[inline]
-    fn append_to_vec(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+        let bytes = self.files[self.local_of(j)].read(i.index(), AccessClass::SeqRead)?;
+        extent::fragments(&bytes)
+            .map(|f| {
+                let (src, payload) = f?;
+                Ok(Fragment {
+                    src: VertexId(src),
+                    edges: decode_slice(payload),
+                })
+            })
+            .collect()
     }
 }
 
@@ -497,7 +461,7 @@ mod tests {
         let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(1)).unwrap();
         for j in l.blocks_of_worker(WorkerId(1)) {
             for i in l.block_ids() {
-                let has = s.eblock_info(j, i).fragments > 0;
+                let has = s.eblock_info(j, i).bytes > 0;
                 assert_eq!(s.meta(j).has_edges_to(i), has, "g_{{{j},{i}}}");
             }
         }
@@ -513,10 +477,8 @@ mod tests {
         let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(0)).unwrap();
         let b0 = BlockId(0);
         for i in l.block_ids() {
-            let info = s.eblock_info(b0, i);
-            if info.fragments > 0 {
-                assert_eq!(info.fragments, 1, "one fragment per dst block");
-            }
+            let frags = s.scan_eblock(b0, i).unwrap();
+            assert_eq!(frags.len(), 1, "one fragment per dst block");
         }
         assert_eq!(s.total_fragments(), 4); // vertex 0 reaches all 4 blocks
     }
@@ -530,12 +492,18 @@ mod tests {
         let mut edge_bytes = 0;
         let mut aux_bytes = 0;
         for j in l.block_ids() {
+            let mut offset = 0;
             for i in l.block_ids() {
                 let info = s.eblock_info(j, i);
-                assert_eq!(info.bytes, info.edge_bytes + info.aux_bytes);
-                assert_eq!(info.aux_bytes, info.fragments as u64 * FRAGMENT_AUX_BYTES);
-                edge_bytes += info.edge_bytes;
-                aux_bytes += info.aux_bytes;
+                let frags = s.scan_eblock(j, i).unwrap();
+                let edges: usize = frags.iter().map(|f| f.edges.len()).sum();
+                let aux = frags.len() as u64 * FRAGMENT_AUX_BYTES;
+                assert_eq!(info.bytes, edges as u64 * 8 + aux);
+                assert_eq!((info.offset, info.stored_bytes), (offset, info.bytes));
+                assert_eq!(info.stored_split(frags.len()), (info.bytes - aux, aux));
+                offset += info.stored_bytes;
+                edge_bytes += info.bytes - aux;
+                aux_bytes += aux;
             }
         }
         assert_eq!(edge_bytes, g.num_edges() as u64 * 8);
@@ -550,7 +518,7 @@ mod tests {
         let vfs = MemVfs::new();
         let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(0)).unwrap();
         let before = vfs.stats().snapshot();
-        let info = *s.eblock_info(BlockId(0), BlockId(1));
+        let info = s.eblock_info(BlockId(0), BlockId(1));
         s.scan_eblock(BlockId(0), BlockId(1)).unwrap();
         let d = vfs.stats().snapshot().delta(&before);
         assert_eq!(d.seq_read_bytes, info.bytes);
@@ -599,15 +567,26 @@ mod tests {
 
     #[test]
     fn block_scan_totals() {
+        // The totals summed at build are the per-Eblock values summed:
+        // logical, and physical as `stored_split` divides each Eblock.
         let g = gen::uniform(30, 150, 2);
         let (_, l) = layout(30, 1, 3);
-        let vfs = MemVfs::new();
-        let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(0)).unwrap();
-        for j in l.block_ids() {
-            let (edge, aux) = s.block_scan_bytes(j);
-            let want_edge: u64 = l.block_ids().map(|i| s.eblock_info(j, i).edge_bytes).sum();
-            let want_aux: u64 = l.block_ids().map(|i| s.eblock_info(j, i).aux_bytes).sum();
-            assert_eq!((edge, aux), (want_edge, want_aux));
+        for codec in [CodecChoice::None, CodecChoice::Gaps, CodecChoice::Bv] {
+            let vfs = MemVfs::new();
+            let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(0), codec).unwrap();
+            for j in l.block_ids() {
+                let (mut logical, mut stored) = ((0, 0), (0, 0));
+                for i in l.block_ids() {
+                    let info = s.eblock_info(j, i);
+                    let frags = s.scan_eblock(j, i).unwrap().len();
+                    let aux = frags as u64 * FRAGMENT_AUX_BYTES;
+                    logical = (logical.0 + info.bytes - aux, logical.1 + aux);
+                    let (e, a) = info.stored_split(frags);
+                    stored = (stored.0 + e, stored.1 + a);
+                }
+                assert_eq!(s.block_scan_bytes(j), logical, "{codec:?}");
+                assert_eq!(s.block_scan_stored_bytes(j), stored, "{codec:?}");
+            }
         }
     }
 
@@ -654,7 +633,7 @@ mod tests {
             s.total_stored_bytes()
         );
         // And the BV tier must beat gaps on the same eblocks — its
-        // bit-granular codes are the whole point of format v3.
+        // bit-granular codes are the whole point of `TAG_BV` extents.
         let bvfs = MemVfs::new();
         let b = VeBlockStore::build_with(&bvfs, &g, &l, WorkerId(0), CodecChoice::Bv).unwrap();
         assert!(
@@ -671,25 +650,56 @@ mod tests {
         let (_, l) = layout(60, 1, 2);
         let vfs = MemVfs::new();
         let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(0), CodecChoice::Gaps).unwrap();
-        let info = *s.eblock_info(BlockId(0), BlockId(1));
+        let info = s.eblock_info(BlockId(0), BlockId(1));
         assert!(info.stored_bytes < info.bytes);
-        let (se, sa) = info.stored_split();
-        assert_eq!(se + sa, info.stored_bytes);
         let before = vfs.stats().snapshot();
-        s.scan_eblock(BlockId(0), BlockId(1)).unwrap();
+        let frags = s.scan_eblock(BlockId(0), BlockId(1)).unwrap();
         let d = vfs.stats().snapshot().delta(&before);
+        let (se, sa) = info.stored_split(frags.len());
+        assert_eq!(se + sa, info.stored_bytes);
+        assert!(sa > 0 && sa < se);
         assert_eq!(d.seq_read_bytes, info.stored_bytes);
         assert_eq!(d.seq_read_logical_bytes, info.bytes);
     }
 
     #[test]
-    fn empty_worker_store() {
+    fn more_workers_than_vertices() {
         let g = gen::uniform(16, 32, 2);
         let p = Partition::range(16, 20); // workers 16..19 own nothing
         let l = BlockLayout::uniform(&p, 1);
+        for codec in [CodecChoice::None, CodecChoice::Bv] {
+            let vfs = MemVfs::new();
+            let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(17), codec).unwrap();
+            assert_eq!(s.local_blocks(), 0);
+            assert_eq!(s.total_fragments(), 0);
+            assert_eq!((s.total_stored_bytes(), s.index_memory_bytes()), (0, 0));
+            // The one-vertex workers still hold every edge between them.
+            let mut edges = 0;
+            for w in p.workers() {
+                let s = VeBlockStore::build_with(&vfs, &g, &l, w, codec).unwrap();
+                for j in l.blocks_of_worker(w) {
+                    for i in l.block_ids() {
+                        let frags = s.scan_eblock(j, i).unwrap();
+                        edges += frags.iter().map(|f| f.edges.len()).sum::<usize>();
+                    }
+                }
+            }
+            assert_eq!(edges, g.num_edges(), "{codec:?}");
+        }
+    }
+
+    #[test]
+    fn one_block_holds_the_whole_graph() {
+        let g = gen::uniform(24, 90, 5);
+        let (_, l) = layout(24, 1, 1);
         let vfs = MemVfs::new();
-        let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(17)).unwrap();
-        assert_eq!(s.local_blocks(), 0);
-        assert_eq!(s.total_fragments(), 0);
+        let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(0)).unwrap();
+        let frags = s.scan_eblock(BlockId(0), BlockId(0)).unwrap();
+        assert_eq!(frags.len() as u64, s.total_fragments());
+        for f in &frags {
+            assert_eq!(f.edges, g.out_edges(f.src));
+        }
+        assert_eq!(s.eblock_info(BlockId(0), BlockId(0)).offset, 0);
+        assert!(s.index_memory_bytes() > 0);
     }
 }

@@ -433,3 +433,173 @@ fn golden_file_bytes_are_pinned() {
         fnv1a(&blob)
     );
 }
+
+// Extent files: every `eblk_*`, adjacency and gather file of one small
+// seeded graph, plus the `IoSnapshot` after the builds and after one full
+// scan of each store. Captured by running this test body at the commit
+// before `storage::extent` went under the three stores, so that merge is
+// pinned byte for byte — bytes on disk and bytes accounted.
+#[test]
+fn golden_extent_file_bytes_are_pinned() {
+    use hybridgraph::graph::{gen, BlockLayout, Partition, WorkerId};
+    use hybridgraph::storage::adjacency::AdjacencyStore;
+    use hybridgraph::storage::gather::GatherStore;
+    use hybridgraph::storage::veblock::VeBlockStore;
+    use hybridgraph::storage::{IoSnapshot, IoStats};
+    use std::sync::Arc;
+
+    // Skewed degrees (empty rows, empty Eblocks, long rows) and non-unit
+    // weights, so gap runs, BV intervals and the weight columns all occur.
+    let g = gen::randomize_weights(
+        &gen::rmat(96, 500, gen::RmatParams::default(), 0x5eed),
+        0.5,
+        2.0,
+        7,
+    );
+    let p = Partition::range(96, 2);
+    let l = BlockLayout::uniform(&p, 4);
+    let w = WorkerId(1); // non-zero base vertex and first block
+    let range = p.worker_range(w);
+    let snap_print = |s: &IoSnapshot| {
+        let words = [
+            s.seq_read_bytes,
+            s.seq_write_bytes,
+            s.rand_read_bytes,
+            s.rand_write_bytes,
+            s.seq_read_logical_bytes,
+            s.seq_write_logical_bytes,
+            s.rand_read_logical_bytes,
+            s.rand_write_logical_bytes,
+            s.seq_read_ops,
+            s.seq_write_ops,
+            s.rand_read_ops,
+            s.rand_write_ops,
+        ];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        fnv1a(&bytes)
+    };
+
+    // Per codec: file fingerprints [eblk_4, eblk_5, eblk_6, eblk_7, adj,
+    // gather], then snapshot fingerprints [built, + VE-BLOCK scan,
+    // + adjacency scan, + gather sweep and one backward jump].
+    let golden: [(CodecChoice, [u64; 6], [u64; 4]); 3] = [
+        (
+            CodecChoice::None,
+            [
+                0x3b1d_a124_c550_bfb1,
+                0xbf7e_b13f_f67d_f526,
+                0x48de_b4c3_e5a9_306d,
+                0x2f47_ad66_934c_4b1c,
+                0x6ab0_542e_fb60_786a,
+                0xa3a9_aecb_d188_79dc,
+            ],
+            [
+                0x0c4a_112d_0b4b_c287,
+                0x843e_966c_17e0_35ad,
+                0x83fd_6c05_54ba_5ad0,
+                0xec96_2f59_2f33_dd5d,
+            ],
+        ),
+        (
+            CodecChoice::Gaps,
+            [
+                0xc558_7b44_6789_df65,
+                0x0f1a_49df_0521_b507,
+                0x1b35_e738_413f_a43d,
+                0xd26d_739e_ca5f_4776,
+                0xc80e_ed77_a450_bd34,
+                0x35be_7db5_e3c5_c985,
+            ],
+            [
+                0xfb24_06f3_28c7_246d,
+                0x2353_883b_307c_dd9d,
+                0x16e7_cced_b087_c6b9,
+                0xb757_285d_f266_7835,
+            ],
+        ),
+        (
+            CodecChoice::Bv,
+            [
+                0x3b3d_d3b8_0290_87ba,
+                0x9d5a_6030_9d33_1b86,
+                0x87be_0419_2a03_0942,
+                0xd4ce_8214_1092_f518,
+                0x5f1f_da45_f916_a89b,
+                0xe32e_0f74_dea9_18bb,
+            ],
+            [
+                0xb092_8d7f_3533_acb7,
+                0x1cf8_a421_b4b5_f731,
+                0x3b9d_d363_ef03_277d,
+                0x318a_226f_6fb4_3949,
+            ],
+        ),
+    ];
+    let mut got = Vec::new();
+    let mut detail = Vec::new();
+    for (codec, ..) in golden {
+        let vfs = MemVfs::new();
+        let ve = VeBlockStore::build_with(&vfs, &g, &l, w, codec).expect("veblock");
+        let adj = AdjacencyStore::build_with(&vfs, "adj", &g, range.clone(), codec).expect("adj");
+        let ga = GatherStore::build_with(&vfs, "gather", &g, range.clone(), codec).expect("gather");
+        let mut snaps = vec![vfs.stats().snapshot()];
+
+        // File bytes, read through a throwaway sink so the pinned
+        // snapshots see only the stores' own traffic.
+        let file = |name: &str| {
+            let bytes = vfs
+                .open(name)
+                .expect("open")
+                .with_stats(Arc::new(IoStats::new()))
+                .read_all(AccessClass::SeqRead)
+                .expect("read");
+            fnv1a(&bytes)
+        };
+        let files = [
+            file("eblk_4"),
+            file("eblk_5"),
+            file("eblk_6"),
+            file("eblk_7"),
+            file("adj"),
+            file("gather"),
+        ];
+
+        let (mut empty_cells, mut edges) = (0usize, 0usize);
+        for j in l.blocks_of_worker(w) {
+            for i in l.block_ids() {
+                let frags = ve.scan_eblock(j, i).expect("scan");
+                empty_cells += frags.is_empty() as usize;
+                edges += frags.iter().map(|f| f.edges.len()).sum::<usize>();
+            }
+        }
+        assert!(empty_cells > 0, "the grid should have empty Eblocks");
+        snaps.push(vfs.stats().snapshot());
+        let mut adj_edges = 0usize;
+        for v in range.clone() {
+            adj_edges += adj
+                .edges_of(VertexId(v), AccessClass::SeqRead)
+                .expect("edges")
+                .len();
+        }
+        snaps.push(vfs.stats().snapshot());
+        let mut in_edges = 0usize;
+        for v in g.vertices() {
+            in_edges += ga.in_edges_of(v).expect("in-edges").len();
+        }
+        let first = g
+            .vertices()
+            .find(|&v| ga.has_in_edges(v))
+            .expect("a destination");
+        ga.in_edges_of(first).expect("backward jump");
+        snaps.push(vfs.stats().snapshot());
+        assert_eq!((edges, adj_edges), (in_edges, in_edges), "{codec:?}");
+
+        let io: [u64; 4] = std::array::from_fn(|k| snap_print(&snaps[k]));
+        got.push((codec, files, io));
+        detail.push(snaps);
+    }
+    assert_eq!(
+        got, golden,
+        "(codec, files, snapshots) = {got:#018x?}\nsnapshots = {detail:#?}"
+    );
+}

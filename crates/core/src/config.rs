@@ -181,10 +181,6 @@ pub struct JobConfig {
     /// LRU vertex-cache capacity for `Pull` mode; `None` uses
     /// `buffer_messages`.
     pub lru_capacity: Option<usize>,
-    /// Modeled CPU cost per message handled (microseconds).
-    pub cpu_us_per_message: f64,
-    /// Modeled CPU cost per vertex update (microseconds).
-    pub cpu_us_per_vertex: f64,
     /// Supersteps between switching-decision evaluations (the paper's
     /// Δt = 2).
     pub switch_interval: u64,
@@ -278,13 +274,6 @@ pub struct JobConfig {
     /// every completed superstep barrier. `None` (the default) reports
     /// nothing. Purely observational — see [`ProgressSink`].
     pub progress: Option<Arc<dyn ProgressSink>>,
-    /// Per-block residual threshold for [`Mode::Async`] pseudo-rounds: a
-    /// block stops iterating its interior once the maximum
-    /// `VertexProgram::residual` of its last round is at or below this.
-    pub async_residual: f64,
-    /// Hard cap on pseudo-rounds per superstep in [`Mode::Async`] (the
-    /// regenerating round 0 plus at most this many dirty rounds).
-    pub async_max_rounds: u64,
 }
 
 impl JobConfig {
@@ -302,8 +291,6 @@ impl JobConfig {
             pre_pull: true,
             combining: true,
             lru_capacity: None,
-            cpu_us_per_message: 0.5,
-            cpu_us_per_vertex: 0.5,
             switch_interval: 2,
             initial_mode_override: None,
             switch_threshold: 0.1,
@@ -326,8 +313,6 @@ impl JobConfig {
             worker_disks: None,
             fault_aware_checkpoint: false,
             progress: None,
-            async_residual: 1e-9,
-            async_max_rounds: 8,
         }
     }
 
@@ -369,7 +354,7 @@ impl JobConfig {
     }
 
     /// Installs an observability sink; the sink's worker count must match
-    /// `workers` (checked by the runner).
+    /// `workers` (the runner rejects a mismatch as `InvalidConfig`).
     pub fn with_trace(mut self, sink: Arc<hybridgraph_obs::TraceSink>) -> Self {
         self.trace = Some(sink);
         self
@@ -426,7 +411,7 @@ impl JobConfig {
     }
 
     /// Mounts persistent per-worker disks; `disks.len()` must equal
-    /// `workers` (checked by the runner).
+    /// `workers` (the runner rejects a mismatch as `InvalidConfig`).
     pub fn with_worker_disks(mut self, disks: WorkerDisks) -> Self {
         self.worker_disks = Some(disks);
         self
@@ -441,18 +426,6 @@ impl JobConfig {
     /// Turns fault-aware adaptive checkpoint spacing on or off.
     pub fn with_fault_aware_checkpoint(mut self, on: bool) -> Self {
         self.fault_aware_checkpoint = on;
-        self
-    }
-
-    /// Sets the per-block residual threshold for `Async` pseudo-rounds.
-    pub fn with_async_residual(mut self, residual: f64) -> Self {
-        self.async_residual = residual;
-        self
-    }
-
-    /// Caps the dirty pseudo-rounds per superstep in `Async` mode.
-    pub fn with_async_max_rounds(mut self, rounds: u64) -> Self {
-        self.async_max_rounds = rounds;
         self
     }
 
@@ -521,16 +494,6 @@ mod tests {
         for name in ["push", "pushM", "pull", "b-pull", "hybrid", "async"] {
             assert!(err.contains(name), "error must list '{name}': {err}");
         }
-    }
-
-    #[test]
-    fn async_knob_defaults_and_builders() {
-        let c = JobConfig::new(Mode::Async, 2);
-        assert_eq!(c.async_max_rounds, 8);
-        assert!(c.async_residual > 0.0);
-        let c = c.with_async_residual(1e-6).with_async_max_rounds(3);
-        assert_eq!(c.async_residual, 1e-6);
-        assert_eq!(c.async_max_rounds, 3);
     }
 
     #[test]

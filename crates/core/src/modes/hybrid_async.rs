@@ -7,9 +7,7 @@
 //! [`crate::blockexec`]) have their inboxes *regenerated in memory* from
 //! in-block neighbors' current values and are updated again, block by
 //! block, until the block's per-round residual drops to
-//! [`async_residual`](crate::config::JobConfig::async_residual) or
-//! [`async_max_rounds`](crate::config::JobConfig::async_max_rounds) is
-//! hit. Each extra round is progress a strict-BSP run would have paid a
+//! [`ASYNC_RESIDUAL`] or [`ASYNC_MAX_ROUNDS`] is hit. Each extra round is progress a strict-BSP run would have paid a
 //! global barrier (plus a full value reload and a message exchange) for.
 //!
 //! Boundary vertices keep strict semantics: they update once in the
@@ -43,6 +41,14 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Per-block residual threshold for pseudo-rounds: a block stops
+/// iterating its interior once the maximum `VertexProgram::residual` of
+/// its last round is at or below this.
+pub const ASYNC_RESIDUAL: f64 = 1e-9;
+/// Hard cap on pseudo-rounds per superstep (the regenerating round 0 plus
+/// at most this many dirty rounds).
+pub const ASYNC_MAX_ROUNDS: u64 = 8;
+
 /// Runs one async superstep.
 ///
 /// * `send_all` — send to **every** destination instead of boundary-only
@@ -60,8 +66,8 @@ pub fn run_async_step<P: VertexProgram>(
     let program = Arc::clone(&w.program);
     let info = w.info;
     let workers = w.cfg.workers;
-    let residual_cut = w.cfg.async_residual;
-    let max_rounds = w.cfg.async_max_rounds;
+    let residual_cut = ASYNC_RESIDUAL;
+    let max_rounds = ASYNC_MAX_ROUNDS;
     let base = w.range.start;
 
     // load(): the messages received at the previous barrier.

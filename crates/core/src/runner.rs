@@ -1,80 +1,61 @@
 //! The master: job orchestration (paper Fig. 1 and Algorithm 3) plus the
 //! checkpoint/recovery protocol.
 //!
-//! [`run_job`] spawns one OS thread per computational node, loads the
-//! graph into each worker's stores, then drives supersteps: the master
-//! broadcasts a step command, every worker executes it against the shared
-//! network fabric, and the master's collection of all reports is the BSP
-//! barrier. Between supersteps the master aggregates metrics, evaluates
+//! [`run_job`] validates the configuration, spawns one OS thread per
+//! computational node and hands the job to a private master. The master
+//! is a *value* (`master`): one [`MasterState`]
+//! cursor — exactly the bytes a durable barrier commits — plus the job's
+//! constants, with every decision (next step kind, recovery plan, the
+//! after-step verdict: terminate / switch / checkpoint due) a method that
+//! touches no channel. The driver (`drive`) walks it through
+//!
+//! ```text
+//! Load → [Resume | Baseline] → Superstep ⇄ Recover(Confined | Global)
+//!                                  ↓ ↑
+//!                              Checkpoint            → Collect
+//! ```
+//!
+//! and talks to the workers through one primitive (`control`): a
+//! *round* sends a command to a set of workers and takes exactly one
+//! reply from each; a `Failed`, a duplicate or an out-of-protocol reply
+//! is a [`JobError`], never a panic. The collection of all step reports
+//! is the BSP barrier; there the master aggregates metrics, evaluates
 //! the hybrid switching condition (`evaluate(...)` in Algorithm 3) and
-//! checks termination (no responders and no pending messages, or the
-//! superstep budget).
+//! checks termination (no responders and no pending messages, the
+//! program's tolerance, or the superstep budget).
 //!
-//! # Fault tolerance
-//!
-//! When [`JobConfig::checkpoint`] is not [`CheckpointPolicy::Never`], the
-//! master takes a baseline checkpoint right after loading and further
-//! checkpoints at superstep barriers per the policy. Each checkpoint is
-//! one classified sequential write per worker (see
-//! `hybridgraph_storage::checkpoint`), and the master snapshots its own
-//! superstep cursor — the hybrid [`Switcher`], current mode, and pending
-//! transition step — in memory alongside it.
-//!
-//! A worker failure (injected via [`FaultPlan`](crate::fault::FaultPlan)
-//! or genuine) surfaces as a [`WorkerMsg::Failed`] carrying the dead
-//! worker's network [`Endpoint`] back to the master. The master then
-//! broadcasts [`Packet::Abort`] over the control plane so surviving
-//! workers blocked mid-exchange unwind (they answer `Aborted` and stay
-//! alive), respawns the failed worker's thread onto the *same* VFS and
-//! endpoint, orders every worker to roll back to the last checkpoint,
-//! restores its own snapshot, and resumes from the checkpointed
-//! superstep. Without a usable checkpoint — policy `Never`, a lost
-//! endpoint, or an exhausted [`JobConfig::max_recoveries`] budget — the
-//! job returns [`JobError::WorkerFailed`] instead of panicking.
-//!
-//! # Confined recovery
-//!
-//! With [`JobConfig::message_logging`] on, every worker additionally
-//! writes its superstep's outgoing remote packets as one log segment
-//! (one classified sequential write), and a single failure at superstep
-//! `t` recovers Pregel-style *confined*: only the dead worker rolls back
-//! to the checkpoint `ck` and re-executes `ck+1..t-1` with its inputs
-//! re-served from the survivors' logs, while the survivors merely revert
-//! superstep `t` in memory (pre-images captured when the step started)
-//! — they never reload a checkpoint. Each recovery bumps a fabric
-//! *epoch*; endpoints reset to it so in-flight ARQ frames from before
-//! the failure can never leak into the re-execution. When the
-//! preconditions fail — logging off, several simultaneous deaths,
-//! missing/truncated log segments, or a mode whose receive state is not
-//! undoable (`pull`'s LRU cache, `pushM`'s order-sensitive online
-//! combining) — the master falls back to the global rollback above.
+//! A worker failure — injected via [`FaultPlan`](crate::fault::FaultPlan),
+//! an I/O error, or a panic in the vertex program or an executor —
+//! surfaces as one `Failed` reply. The master broadcasts an abort so
+//! peers blocked mid-exchange unwind, then recovers *confined* (only the
+//! dead worker replays from the last checkpoint, fed from the survivors'
+//! message logs) or *globally* (every worker rolls back and the cursor
+//! rewinds to the cut), or returns [`JobError::WorkerFailed`] when there
+//! is no usable cut, the endpoint is lost, or
+//! [`JobConfig::max_recoveries`] is spent. A durable restart is the same
+//! global rollback with the cursor decoded from the committed bytes.
+//! DESIGN.md § Fault tolerance has the protocol in full.
 
-use crate::config::{CheckpointPolicy, JobConfig, Mode};
-use crate::fault::{FaultPhase, MasterKillPoint};
-use crate::metrics::{
-    FailureEvent, JobMetrics, LoadReport, NetOverhead, RecoveryMetrics, StepKind, StepReport,
-    SuperstepMetrics,
-};
-use crate::modes::bpull::run_bpull_step;
-use crate::modes::hybrid_async::run_async_step;
-use crate::modes::pull::run_pull_step;
-use crate::modes::push::run_push_step;
+#![warn(clippy::too_many_lines)]
+
+mod control;
+mod drive;
+mod master;
+
+use crate::config::{JobConfig, Mode};
+use crate::fault::MasterKillPoint;
+use crate::metrics::{JobMetrics, StepKind, StepReport, SuperstepMetrics};
 use crate::program::VertexProgram;
-use crate::snapshot::{adaptive_spacing_secs, MasterState, MtbfEstimator};
-use crate::switch::{self, b_lower_bound, q_metric, AsyncCostInputs, CostInputs, Switcher};
-use crate::worker::{Worker, WorkerLoadReport, WorkerSeed};
-use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Graph, Partition, WorkerId};
-use hybridgraph_net::fabric::{Endpoint, Fabric, NetSnapshot};
-use hybridgraph_net::packet::Packet;
-use hybridgraph_obs::{secs_to_us, QtTiers};
-use hybridgraph_storage::msg_log::{self, MsgLogReader};
+use crate::snapshot::MasterState;
+use crate::switch::{q_metric, CostInputs, Switcher};
+use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Graph, Partition};
+use hybridgraph_net::fabric::{Fabric, NetSnapshot};
 use hybridgraph_storage::vfs::{DirVfs, MemVfs, Vfs};
 use hybridgraph_storage::{IoSnapshot, Record};
 use std::fmt;
 use std::io;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The outcome of a job: final vertex values plus everything measured.
 pub struct JobResult<P: VertexProgram> {
@@ -97,7 +78,7 @@ impl<P: VertexProgram> fmt::Debug for JobResult<P> {
 #[derive(Debug)]
 pub enum JobError {
     /// A worker failed and the job could not recover: the checkpoint
-    /// policy is [`CheckpointPolicy::Never`], no checkpoint exists yet,
+    /// policy is [`Never`](crate::config::CheckpointPolicy::Never), no checkpoint exists yet,
     /// the recovery budget is exhausted, or the worker died in a way
     /// that lost its network endpoint.
     WorkerFailed {
@@ -136,6 +117,11 @@ pub enum JobError {
     },
     /// An I/O error outside any worker (e.g. creating the disk roots).
     Io(io::Error),
+    /// The configuration cannot run: no workers, an empty graph, `PushM`
+    /// without a combiner, or a worker count that disagrees with the
+    /// mounted disks, the trace sink or the resume state. Detected
+    /// before any worker starts.
+    InvalidConfig(String),
 }
 
 impl JobError {
@@ -149,12 +135,14 @@ impl JobError {
     /// | 2    | `BudgetExceeded` |
     /// | 3    | `Halted`         |
     /// | 4    | `Io`             |
+    /// | 5    | `InvalidConfig`  |
     pub fn code(&self) -> u16 {
         match self {
             JobError::WorkerFailed { .. } => 1,
             JobError::BudgetExceeded { .. } => 2,
             JobError::Halted { .. } => 3,
             JobError::Io(_) => 4,
+            JobError::InvalidConfig(_) => 5,
         }
     }
 }
@@ -185,6 +173,7 @@ impl fmt::Display for JobError {
                 write!(f, "master halted by injected kill at {point:?}")
             }
             JobError::Io(e) => write!(f, "job I/O error: {e}"),
+            JobError::InvalidConfig(why) => write!(f, "invalid job configuration: {why}"),
         }
     }
 }
@@ -195,7 +184,8 @@ impl std::error::Error for JobError {
             JobError::Io(e) => Some(e),
             JobError::WorkerFailed { .. }
             | JobError::BudgetExceeded { .. }
-            | JobError::Halted { .. } => None,
+            | JobError::Halted { .. }
+            | JobError::InvalidConfig(_) => None,
         }
     }
 }
@@ -205,165 +195,71 @@ impl From<io::Error> for JobError {
         JobError::Io(e)
     }
 }
-
-enum Cmd {
-    Step {
-        kind: StepKind,
-        superstep: u64,
-        /// Master's modeled clock (µs) when the step was issued; workers
-        /// lay their phase spans from this base so every track shares one
-        /// deterministic timeline.
-        base_us: u64,
-    },
-    /// Write the checkpoint for `superstep`; optionally prune the one at
-    /// `prune` afterwards (retention 1). With message logging on, log
-    /// segments at or before `superstep` are pruned too — a future
-    /// failure replays from this cut, so they can never be needed again.
-    Checkpoint {
-        superstep: u64,
-        prune: Option<u64>,
-    },
-    /// Reset the endpoint to the fabric `epoch` and restore the
-    /// checkpoint taken after `superstep`.
-    Rollback {
-        superstep: u64,
-        epoch: u64,
-    },
-    /// Confined recovery, survivor side: reset the endpoint to `epoch`
-    /// and revert exactly the last captured superstep in memory.
-    UndoStep {
-        epoch: u64,
-    },
-    /// Confined recovery, survivor side: re-serve the log segment of
-    /// `superstep`, forwarding the entries addressed to worker `target`.
-    ReplayServe {
-        superstep: u64,
-        target: usize,
-    },
-    /// Confined recovery, respawned-worker side: re-execute `superstep`
-    /// with remote sends suppressed (peers already processed the
-    /// originals) and inputs arriving from the survivors' logs.
-    ReplayStep {
-        kind: StepKind,
-        superstep: u64,
-    },
-    Collect,
-    Exit,
-}
-
-enum WorkerMsg<V> {
-    Loaded(usize, Box<WorkerLoadReport>),
-    Step(usize, Box<StepReport>),
-    /// The worker unwound from an aborted superstep and is awaiting
-    /// commands.
-    Aborted(usize),
-    /// Checkpoint written; payload is the bytes it occupies on disk.
-    Checkpointed(usize, u64),
-    RolledBack(usize),
-    /// Survivor reverted its last captured superstep (confined recovery).
-    Undone(usize),
-    /// Survivor finished re-serving one log segment.
-    Served(usize),
-    /// Respawned worker finished re-executing one replayed superstep.
-    Replayed(usize),
-    Values(usize, u32, Vec<V>),
-    /// The worker died. It hands its fabric endpoint back when it can so
-    /// the master can respawn a replacement onto the same slot.
-    Failed {
-        index: usize,
-        error: String,
-        endpoint: Option<Box<Endpoint>>,
-    },
-}
-
-/// Master-side state captured alongside each checkpoint so a rollback
-/// also rewinds the superstep cursor and the hybrid switching engine.
-struct MasterSnapshot {
-    switcher: Switcher,
-    cur: Mode,
-    pending_kind: Option<StepKind>,
-    steps_len: usize,
-    switches_len: usize,
-}
-
-/// Orders every worker to checkpoint `superstep`, waits for all acks, and
-/// records bytes/IO into `recovery`. Returns the largest per-worker
-/// checkpoint size (the adaptive policy's cost estimate input).
-fn checkpoint_all<V>(
-    cmd_txs: &[Sender<Cmd>],
-    rep_rx: &Receiver<WorkerMsg<V>>,
-    vfss: &[Arc<dyn Vfs>],
-    recovery: &mut RecoveryMetrics,
-    superstep: u64,
-    prune: Option<u64>,
-) -> Result<u64, JobError> {
-    let before: Vec<IoSnapshot> = vfss.iter().map(|v| v.stats().snapshot()).collect();
-    for tx in cmd_txs {
-        tx.send(Cmd::Checkpoint { superstep, prune })
-            .expect("worker gone");
+/// Rejects a configuration the engine cannot run, and decodes the resume
+/// state (if any) so its worker count is checked with the rest.
+fn validate<P: VertexProgram>(
+    program: &P,
+    graph: &Graph,
+    cfg: &JobConfig,
+) -> Result<Option<MasterState>, JobError> {
+    let t = cfg.workers;
+    let st = match &cfg.resume {
+        Some(resume) => Some(MasterState::decode(&resume.0[..])?),
+        None => None,
+    };
+    let checks = [
+        (t >= 1, "need at least one worker"),
+        (
+            cfg.mode != Mode::PushM || program.combiner().is_some(),
+            "pushM (message online computing) requires a combiner",
+        ),
+        (graph.num_vertices() > 0, "graph must have vertices"),
+        (
+            cfg.mode != Mode::Hybrid
+                || matches!(
+                    cfg.initial_mode_override,
+                    None | Some(Mode::Push | Mode::BPull)
+                ),
+            "hybrid only alternates push and b-pull",
+        ),
+        (
+            cfg.worker_disks.as_ref().is_none_or(|d| d.0.len() == t),
+            "worker_disks count must match workers",
+        ),
+        (
+            cfg.trace.as_ref().is_none_or(|s| s.num_workers() == t),
+            "TraceSink was built for a different worker count",
+        ),
+        (
+            st.as_ref().is_none_or(|st| st.workers as usize == t),
+            "resume state was captured for a different worker count",
+        ),
+        (
+            st.as_ref()
+                .is_none_or(|st| cfg.trace.is_none() || st.trace.is_some()),
+            "traced job resumed from an untraced state",
+        ),
+    ];
+    match checks.iter().find(|(ok, _)| !ok) {
+        Some((_, why)) => Err(JobError::InvalidConfig(why.to_string())),
+        None => Ok(st),
     }
-    let mut max_bytes = 0u64;
-    let mut acked = vec![false; cmd_txs.len()];
-    for _ in 0..cmd_txs.len() {
-        match rep_rx.recv().expect("workers hung up during checkpoint") {
-            WorkerMsg::Checkpointed(i, bytes) => {
-                assert!(!acked[i], "duplicate checkpoint ack from worker {i}");
-                acked[i] = true;
-                recovery.checkpoint_bytes += bytes;
-                max_bytes = max_bytes.max(bytes);
-            }
-            WorkerMsg::Failed { index, error, .. } => {
-                return Err(JobError::WorkerFailed {
-                    worker: index,
-                    superstep,
-                    error,
-                });
-            }
-            _ => unreachable!("unexpected message during checkpoint"),
-        }
-    }
-    for (vfs, base) in vfss.iter().zip(&before) {
-        let delta = vfs.stats().snapshot().delta(base);
-        recovery.checkpoint_io = recovery.checkpoint_io.plus(&delta);
-    }
-    recovery.checkpoints_taken += 1;
-    Ok(max_bytes)
-}
-
-/// True if every survivor holds a readable log segment for every
-/// superstep the failed worker must replay (`ck+1..t`). A missing or
-/// truncated segment fails validation and recovery falls back to the
-/// global rollback.
-fn confined_logs_ok(vfss: &[Arc<dyn Vfs>], failed: usize, ck: u64, failed_step: u64) -> bool {
-    vfss.iter().enumerate().all(|(i, vfs)| {
-        i == failed || ((ck + 1)..failed_step).all(|s| MsgLogReader::open(vfs.as_ref(), s).is_ok())
-    })
 }
 
 /// Runs `program` over `graph` under `cfg` and returns the final values
-/// and metrics, or a [`JobError`] if a worker failure could not be
-/// recovered.
-///
-/// # Panics
-/// Panics if the configuration is inconsistent (e.g. `PushM` without a
-/// combiner).
+/// and metrics, or a [`JobError`]: the configuration is inconsistent
+/// (e.g. `PushM` without a combiner), a worker failure could not be
+/// recovered, a budget was exceeded, or the master was halted.
 pub fn run_job<P: VertexProgram>(
     program: Arc<P>,
     graph: &Graph,
     cfg: JobConfig,
 ) -> Result<JobResult<P>, JobError> {
-    assert!(cfg.workers >= 1, "need at least one worker");
-    assert!(
-        cfg.mode != Mode::PushM || program.combiner().is_some(),
-        "pushM (message online computing) requires a combiner"
-    );
-    let n = graph.num_vertices();
-    assert!(n > 0, "graph must have vertices");
+    let resume = validate(&*program, graph, &cfg)?;
     let t = cfg.workers;
     let combinable = program.combiner().is_some() && cfg.combining;
-    let msg_bytes = 4 + P::Message::BYTES as u64;
 
-    let partition = Arc::new(Partition::range(n, t));
+    let partition = Arc::new(Partition::range(graph.num_vertices(), t));
     let counts = match cfg.vblocks_per_worker {
         Some(k) => vec![k.max(1); t],
         None if cfg.memory_limited() => {
@@ -373,35 +269,22 @@ pub fn run_job<P: VertexProgram>(
     };
     let layout = Arc::new(BlockLayout::new(&partition, &counts));
     let reverse = matches!(cfg.mode, Mode::Pull).then(|| graph.reverse());
-    // Async jobs classify every vertex boundary/interior against the
-    // VE-BLOCK layout once, master-side; workers share the read-only view
-    // (a respawned worker reattaches to the same classification).
     let classification = matches!(cfg.mode, Mode::Async).then(|| {
         Arc::new(crate::blockexec::BlockClassification::classify(
             graph, &layout,
         ))
     });
-
-    // The master holds each worker's VFS so a respawned worker thread
-    // reattaches to the same (simulated or real) disk — that is what
-    // makes its checkpoints reachable after the thread died. A durable
-    // service passes its own disks in (`worker_disks`), which is what
-    // makes them reachable after the *master process* died.
-    let mut vfss: Vec<Arc<dyn Vfs>> = Vec::with_capacity(t);
-    match &cfg.worker_disks {
-        Some(d) => {
-            assert_eq!(d.0.len(), t, "worker_disks count must match workers");
-            vfss.extend(d.0.iter().map(Arc::clone));
-        }
-        None => {
-            for i in 0..t {
-                vfss.push(match &cfg.disk_root {
+    let vfss: Vec<Arc<dyn Vfs>> = match &cfg.worker_disks {
+        Some(d) => d.0.clone(),
+        None => (0..t)
+            .map(|i| -> io::Result<Arc<dyn Vfs>> {
+                Ok(match &cfg.disk_root {
                     Some(root) => Arc::new(DirVfs::new(root.join(format!("w{i}")))?),
                     None => Arc::new(MemVfs::new()),
-                });
-            }
-        }
-    }
+                })
+            })
+            .collect::<io::Result<_>>()?,
+    };
 
     let (endpoints, net_stats, control) = Fabric::mesh_with_control(t);
     // A seeded network-fault schedule attached to the fault plan makes
@@ -411,1344 +294,52 @@ pub fn run_job<P: VertexProgram>(
             ep.install_faults(Arc::clone(np));
         }
     }
-    let (rep_tx, rep_rx) = channel::<WorkerMsg<P::Value>>();
-
-    std::thread::scope(|scope| -> Result<JobResult<P>, JobError> {
-        let graph_ref = &*graph;
-        let reverse_ref = reverse.as_ref();
-        // Spawns (or respawns) worker `i` on `ep` with a fresh command
-        // channel receiver. The master keeps `rep_tx` alive for the whole
-        // job so late respawns can still clone it.
-        let spawn_worker = |i: usize, ep: Endpoint, cmd_rx: Receiver<Cmd>| {
-            let seed = WorkerSeed {
-                id: WorkerId::from(i),
-                program: Arc::clone(&program),
-                graph: graph_ref,
-                reverse: reverse_ref,
-                partition: Arc::clone(&partition),
-                layout: Arc::clone(&layout),
-                cfg: cfg.clone(),
-                ep,
-                vfs: Arc::clone(&vfss[i]),
-                classification: classification.clone(),
-            };
-            let rep_tx = rep_tx.clone();
-            scope.spawn(move || worker_main::<P>(seed, cmd_rx, rep_tx));
-        };
-
-        // Cooperative pacing: under a multi-job scheduler the master holds
-        // a grant for each unit of work (load, one superstep, collect) so
-        // the cross-job interleaving replays deterministically. Unpaced
-        // jobs skip every hook.
-        let pacer = cfg.pacer.clone();
-        if let Some(p) = &pacer {
-            p.acquire(); // covers the load phase (workers load on spawn)
-        }
-
-        let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(t);
-        let mut pending_rx: Vec<Receiver<Cmd>> = Vec::with_capacity(t);
-        for _ in 0..t {
-            let (tx, rx) = channel::<Cmd>();
-            cmd_txs.push(tx);
-            pending_rx.push(rx);
-        }
-        for (i, (ep, rx)) in endpoints.into_iter().zip(pending_rx).enumerate() {
-            spawn_worker(i, ep, rx);
-        }
-
-        let mut recovery = RecoveryMetrics::default();
-        let mut recoveries_used = 0u64;
-        let mut mtbf = MtbfEstimator::new();
-        // Seeded master-kill hooks: each fires at most once (also across
-        // checks), simulating the service process dying at that point.
-        let master_killed = |point: MasterKillPoint| -> bool {
-            cfg.fault_plan
-                .as_ref()
-                .is_some_and(|p| p.master_kill_at(point))
-        };
-
-        // ---- Load phase -------------------------------------------------
-        // Workers do not exchange packets while loading, so a load-phase
-        // failure needs no abort or rollback: respawn and reload.
-        let mut load_reports: Vec<WorkerLoadReport> = vec![WorkerLoadReport::default(); t];
-        let mut loaded = 0usize;
-        while loaded < t {
-            match rep_rx.recv().expect("workers hung up during load") {
-                WorkerMsg::Loaded(i, r) => {
-                    load_reports[i] = *r;
-                    loaded += 1;
-                }
-                WorkerMsg::Failed {
-                    index,
-                    error,
-                    endpoint,
-                } => {
-                    recovery.failures.push(FailureEvent {
-                        superstep: 0,
-                        worker: index,
-                        error: error.clone(),
-                    });
-                    mtbf.observe();
-                    let recoverable = cfg.checkpoint != CheckpointPolicy::Never
-                        && recoveries_used < cfg.max_recoveries;
-                    match endpoint {
-                        Some(ep) if recoverable => {
-                            recoveries_used += 1;
-                            let (tx, rx) = channel::<Cmd>();
-                            cmd_txs[index] = tx;
-                            spawn_worker(index, *ep, rx);
-                        }
-                        _ => {
-                            return Err(JobError::WorkerFailed {
-                                worker: index,
-                                superstep: 0,
-                                error,
-                            })
-                        }
-                    }
-                }
-                _ => unreachable!("unexpected message during load"),
-            }
-        }
-        // Simulated master crash while loading: the job dies before any
-        // durable cut exists, so a restore re-runs it from scratch.
-        if master_killed(MasterKillPoint::Load) {
-            return Err(JobError::Halted {
-                point: MasterKillPoint::Load,
-            });
-        }
-        // ---- Observability ---------------------------------------------
-        // The sink, when installed, is purely additive: it reads counters
-        // the cost model maintains anyway, so tracing on/off changes no
-        // byte count and no Q_t decision. Timestamps are *modeled* time
-        // (DeviceProfile seconds → µs), which makes two same-seed runs
-        // emit byte-identical traces regardless of wall-clock jitter.
-        let sink = cfg.trace.clone();
-        if let Some(s) = &sink {
-            assert_eq!(
-                s.num_workers(),
-                t,
-                "TraceSink was built for a different worker count"
-            );
-        }
-        let net_plan = cfg.fault_plan.as_ref().and_then(|p| p.net_plan()).cloned();
-        // Fault-plan fired counters are deterministic at superstep
-        // barriers (each selected frame fires its drops before the
-        // receiver can complete the step; duplicates/delays fire on the
-        // first attempt only), so their deltas may go into the trace.
-        let fired = |p: &Arc<hybridgraph_net::netfault::NetFaultPlan>| {
-            (p.drops_fired(), p.duplicates_fired(), p.delays_fired())
-        };
-        let mut faults_base = net_plan.as_ref().map(&fired).unwrap_or((0, 0, 0));
-        let mut audit_seen = 0usize;
-
-        let fragments: u64 = load_reports.iter().map(|r| r.fragments).sum();
-        let b_total: u64 = if cfg.memory_limited() {
+    let agg = AggCtx {
+        cfg: &cfg,
+        b_total: if cfg.memory_limited() {
             (cfg.buffer_messages as u64).saturating_mul(t as u64)
         } else {
             u64::MAX / 2
-        };
-        // Theorem 2 decides hybrid's initial mode from the message-buffer
-        // capacity. With sufficient memory no message ever spills and the
-        // sign of Q_t is dominated by b-pull's communication gain (§6.1:
-        // "hybrid thereby runs b-pull"), so b-pull starts.
-        let theorem2_mode = if cfg.memory_limited() {
-            switch::initial_mode(b_total, graph.num_edges() as u64, fragments)
-        } else {
-            Mode::BPull
-        };
-        let initial = match cfg.mode {
-            Mode::Hybrid => cfg.initial_mode_override.unwrap_or(theorem2_mode),
-            m => m,
-        };
-        let load = LoadReport {
-            wall_secs: load_reports.iter().map(|r| r.wall_secs).fold(0.0, f64::max),
-            io: load_reports
-                .iter()
-                .fold(IoSnapshot::default(), |acc, r| acc.plus(&r.io)),
-            fragments,
-            b_lower_bound: b_lower_bound(graph.num_edges() as u64, fragments),
-            num_vblocks: layout.num_blocks(),
-            initial_mode: initial,
-            num_vertices: n as u64,
-            boundary_vertices: classification.as_ref().map_or(0, |c| c.boundary_total),
-            interior_vertices: classification.as_ref().map_or(0, |c| c.interior_total),
-        };
-        // Modeled load time: the slowest worker's classified I/O.
-        let load_modeled_secs = load_reports
-            .iter()
-            .map(|r| r.io.modeled_secs(&cfg.profile))
-            .fold(0.0, f64::max);
-        // ---- Resume (durable restart) -----------------------------------
-        // A resume state is the `MasterState` a previous incarnation of
-        // this job committed through its barrier sink before the master
-        // process died. The workers above reloaded from scratch —
-        // byte-identically to the original load (fresh per-job stats,
-        // same shared stores) — and are now rolled onto the committed
-        // checkpoint while the master rewinds itself to the same cut. No
-        // load span is emitted and no recovery metric moves: this is a
-        // process restart, not an in-job failure.
-        let resume_state = match &cfg.resume {
-            Some(r) => Some(MasterState::decode(&r.0[..])?),
-            None => None,
-        };
-        if resume_state.is_none() {
-            if let Some(s) = &sink {
-                s.master().span(
-                    "load",
-                    secs_to_us(load_modeled_secs),
-                    vec![
-                        ("fragments", load.fragments.into()),
-                        ("vblocks", (load.num_vblocks as u64).into()),
-                        ("b_lower_bound", load.b_lower_bound.into()),
-                        ("initial_mode", load.initial_mode.label().into()),
-                    ],
-                );
-            }
-        }
-
-        // ---- Superstep loop ---------------------------------------------
-        let mut cur = initial;
-        let mut switcher = Switcher::new(
-            if matches!(initial, Mode::Push | Mode::BPull | Mode::Async) {
-                initial
-            } else {
-                Mode::Push
+        },
+        msg_bytes: 4 + P::Message::BYTES as u64,
+        combinable,
+    };
+    let max_steps = program
+        .max_supersteps()
+        .unwrap_or(u64::MAX)
+        .min(cfg.max_supersteps);
+    let (rep_tx, rep_rx) = channel();
+    std::thread::scope(|scope| {
+        let run = drive::Run {
+            scope,
+            program: &program,
+            graph,
+            reverse: reverse.as_ref(),
+            partition,
+            layout,
+            classification,
+            vfss,
+            agg,
+            master: master::Master::new(&cfg, max_steps, program.tolerance()),
+            links: control::Links {
+                cmd_txs: Vec::with_capacity(t),
+                rep_rx,
             },
-            cfg.switch_interval,
-            cfg.switch_threshold,
-        );
-        let mut pending_kind: Option<StepKind> = None;
-        let mut steps: Vec<SuperstepMetrics> = Vec::new();
-        let mut switches: Vec<(u64, Mode, Mode)> = Vec::new();
-        let max_steps = program
-            .max_supersteps()
-            .unwrap_or(u64::MAX)
-            .min(cfg.max_supersteps);
-
-        // Baseline checkpoint: any policy but `Never` takes one right
-        // after loading so even a superstep-1 failure has a cut to roll
-        // back to. In durable mode (a barrier sink is installed) every
-        // checkpoint is followed by a write-ahead commit of the master's
-        // own state; the previous cut is kept until the *next* cut's
-        // commit lands (retention 2), so the log never points at pruned
-        // worker files no matter where a crash falls.
-        let mut last_checkpoint: Option<u64> = None;
-        let mut prev_checkpoint: Option<u64> = None;
-        let mut master_snapshot: Option<MasterSnapshot> = None;
-        let mut last_ckpt_worker_bytes = 0u64;
-        let mut accum_step_secs = 0.0f64;
-        let mut cum_logical = load.io.total_logical_bytes();
-        // Fabric epoch: bumped on every recovery so ARQ frames still in
-        // flight from before a failure are recognizably stale.
-        let mut epoch = 0u64;
-        let mut superstep = 0u64;
-        if let Some(st) = resume_state {
-            assert_eq!(
-                st.workers as usize, t,
-                "resume state was captured for a different worker count"
-            );
-            let s0 = st.superstep;
-            // Replace the trace rings wholesale with the committed
-            // contents: erases the re-load's duplicate events and
-            // restores every track's clock to the cut.
-            if let Some(s) = &sink {
-                let states = st
-                    .trace
-                    .as_ref()
-                    .expect("traced job resumed from an untraced state");
-                s.restore_states(states);
-            }
-            cur = st.cur;
-            switcher = st.switcher;
-            pending_kind = st.pending_kind;
-            steps = st.steps;
-            switches = st.switches;
-            recovery = st.recovery;
-            recoveries_used = st.recoveries_used;
-            cum_logical = st.cum_logical;
-            accum_step_secs = st.accum_step_secs;
-            epoch = st.epoch;
-            audit_seen = st.audit_seen as usize;
-            last_checkpoint = Some(s0);
-            prev_checkpoint = st.prev_checkpoint;
-            last_ckpt_worker_bytes = st.last_ckpt_worker_bytes;
-            mtbf = st.mtbf;
-            // The master kill that necessitated this resume is one
-            // observed failure for the fault-aware spacing.
-            mtbf.observe();
-            master_snapshot = Some(MasterSnapshot {
-                switcher: switcher.clone(),
-                cur,
-                pending_kind,
-                steps_len: steps.len(),
-                switches_len: switches.len(),
-            });
-            for tx in &cmd_txs {
-                tx.send(Cmd::Rollback {
-                    superstep: s0,
-                    epoch,
-                })
-                .expect("worker gone");
-            }
-            let mut rolled = vec![false; t];
-            for _ in 0..t {
-                match rep_rx.recv().expect("workers hung up during resume") {
-                    WorkerMsg::RolledBack(i) => {
-                        assert!(!rolled[i], "duplicate resume ack from worker {i}");
-                        rolled[i] = true;
-                    }
-                    WorkerMsg::Failed { index, error, .. } => {
-                        return Err(JobError::WorkerFailed {
-                            worker: index,
-                            superstep: s0,
-                            error,
-                        })
-                    }
-                    _ => unreachable!("unexpected message during resume"),
-                }
-            }
-            if let Some(p) = &pacer {
-                p.release(st.pending_release_secs);
-            }
-            superstep = s0;
-        } else {
-            if cfg.checkpoint != CheckpointPolicy::Never {
-                last_ckpt_worker_bytes =
-                    checkpoint_all(&cmd_txs, &rep_rx, &vfss, &mut recovery, 0, None)?;
-                if let Some(s) = &sink {
-                    s.master().span(
-                        "checkpoint",
-                        secs_to_us(cfg.profile.seq_write_secs(last_ckpt_worker_bytes)),
-                        vec![
-                            ("superstep", 0u64.into()),
-                            ("max_worker_bytes", last_ckpt_worker_bytes.into()),
-                        ],
-                    );
-                }
-                last_checkpoint = Some(0);
-                master_snapshot = Some(MasterSnapshot {
-                    switcher: switcher.clone(),
-                    cur,
-                    pending_kind,
-                    steps_len: 0,
-                    switches_len: 0,
-                });
-                if let Some(bs) = &cfg.barrier_sink {
-                    let state = MasterState {
-                        superstep: 0,
-                        prev_checkpoint: None,
-                        last_ckpt_worker_bytes,
-                        epoch,
-                        workers: t as u32,
-                        cur,
-                        pending_kind,
-                        recoveries_used,
-                        cum_logical,
-                        accum_step_secs,
-                        // The load grant is still held at this cut; a
-                        // resumed incarnation owes its release.
-                        pending_release_secs: load_modeled_secs,
-                        audit_seen: audit_seen as u64,
-                        switcher: switcher.clone(),
-                        steps: steps.clone(),
-                        switches: switches.clone(),
-                        recovery: recovery.clone(),
-                        mtbf,
-                        trace: sink.as_ref().map(|s| s.export_states()),
-                    }
-                    .encode();
-                    if master_killed(MasterKillPoint::MidBarrier(0)) {
-                        return Err(JobError::Halted {
-                            point: MasterKillPoint::MidBarrier(0),
-                        });
-                    }
-                    bs.commit(0, &state)?;
-                    if master_killed(MasterKillPoint::BetweenGrants(0)) {
-                        return Err(JobError::Halted {
-                            point: MasterKillPoint::BetweenGrants(0),
-                        });
-                    }
-                }
-            }
-            if let Some(p) = &pacer {
-                p.release(load_modeled_secs);
-            }
-            if let Some(ps) = &cfg.progress {
-                ps.loaded(load_modeled_secs);
-            }
-            // Per-job budget enforcement: cumulative logical bytes (the
-            // device-independent measure, so codecs don't mask overuse)
-            // and the per-superstep summed memory high-water mark.
-            if let Some(b) = cfg.logical_io_budget {
-                if cum_logical > b {
-                    return Err(JobError::BudgetExceeded {
-                        superstep: 0,
-                        resource: "logical_io",
-                        used: cum_logical,
-                        budget: b,
-                    });
-                }
-            }
-        }
-
-        let mut net_base = net_stats.snapshot();
-        while superstep < max_steps {
-            superstep += 1;
-            if let Some(p) = &pacer {
-                p.acquire();
-            }
-            let kind = match cfg.mode {
-                Mode::Push => StepKind::Push,
-                Mode::PushM => StepKind::PushM,
-                Mode::Pull => StepKind::Pull,
-                Mode::BPull => StepKind::BPull,
-                Mode::Hybrid => pending_kind.take().unwrap_or(match cur {
-                    Mode::Push => StepKind::Push,
-                    Mode::BPull => StepKind::BPull,
-                    _ => unreachable!("hybrid only alternates push and b-pull"),
-                }),
-                Mode::Async => pending_kind.take().unwrap_or(match cur {
-                    Mode::Push => StepKind::Push,
-                    Mode::BPull => StepKind::BPull,
-                    Mode::Async => StepKind::Async,
-                    _ => unreachable!("async alternates push, b-pull and async"),
-                }),
-            };
-            let t_step = Instant::now();
-            let base_us = sink.as_ref().map(|s| s.master().clock_us()).unwrap_or(0);
-            for tx in &cmd_txs {
-                tx.send(Cmd::Step {
-                    kind,
-                    superstep,
-                    base_us,
-                })
-                .expect("worker gone");
-            }
-            // Collect exactly one terminal response per worker. On the
-            // first failure, broadcast an abort so peers blocked on the
-            // dead worker's packets unwind instead of deadlocking.
-            let mut reports: Vec<StepReport> = vec![StepReport::default(); t];
-            let mut failures: Vec<(usize, String, Option<Box<Endpoint>>)> = Vec::new();
-            let mut responded = vec![false; t];
-            let mut abort_sent = false;
-            for _ in 0..t {
-                match rep_rx.recv().expect("workers hung up mid-superstep") {
-                    WorkerMsg::Step(i, r) => {
-                        assert!(!responded[i], "duplicate step report from worker {i}");
-                        responded[i] = true;
-                        reports[i] = *r;
-                    }
-                    WorkerMsg::Aborted(i) => {
-                        assert!(!responded[i], "duplicate abort ack from worker {i}");
-                        responded[i] = true;
-                    }
-                    WorkerMsg::Failed {
-                        index,
-                        error,
-                        endpoint,
-                    } => {
-                        if !abort_sent {
-                            control.broadcast(Packet::Abort);
-                            abort_sent = true;
-                        }
-                        failures.push((index, error, endpoint));
-                    }
-                    _ => unreachable!("unexpected message during superstep"),
-                }
-            }
-
-            if !failures.is_empty() {
-                for (i, e, _) in &failures {
-                    recovery.failures.push(FailureEvent {
-                        superstep,
-                        worker: *i,
-                        error: e.clone(),
-                    });
-                    mtbf.observe();
-                }
-                let ck = match last_checkpoint {
-                    Some(ck) if cfg.checkpoint != CheckpointPolicy::Never => ck,
-                    _ => {
-                        let (w, e, _) = failures.into_iter().next().unwrap();
-                        return Err(JobError::WorkerFailed {
-                            worker: w,
-                            superstep,
-                            error: e,
-                        });
-                    }
-                };
-                epoch += 1;
-
-                // Confined recovery (Pregel-style): a *single* death with
-                // message logging on, valid log segments at every
-                // survivor, a known step kind for every replayed
-                // superstep, and a mode whose receive-side state is
-                // undoable. Anything else falls back to global rollback.
-                let confined = cfg.message_logging
-                    && failures.len() == 1
-                    && !matches!(cfg.mode, Mode::Pull | Mode::PushM | Mode::Async)
-                    && failures[0].2.is_some()
-                    && recoveries_used < cfg.max_recoveries
-                    && ((ck + 1)..superstep).all(|s| steps.iter().any(|m| m.superstep == s))
-                    && confined_logs_ok(&vfss, failures[0].0, ck, superstep);
-                if confined {
-                    let (fi, _error, endpoint) = failures.into_iter().next().unwrap();
-                    let fail_here = |msg: WorkerMsg<P::Value>| match msg {
-                        WorkerMsg::Failed { index, error, .. } => Err(JobError::WorkerFailed {
-                            worker: index,
-                            superstep,
-                            error,
-                        }),
-                        _ => unreachable!("unexpected message during confined recovery"),
-                    };
-                    recoveries_used += 1;
-                    let (tx, rx) = channel::<Cmd>();
-                    cmd_txs[fi] = tx;
-                    spawn_worker(fi, *endpoint.unwrap(), rx);
-                    match rep_rx.recv().expect("respawned worker hung up") {
-                        WorkerMsg::Loaded(i, _) => debug_assert_eq!(i, fi),
-                        other => return fail_here(other),
-                    }
-                    // Only the respawned worker reloads the checkpoint.
-                    cmd_txs[fi]
-                        .send(Cmd::Rollback {
-                            superstep: ck,
-                            epoch,
-                        })
-                        .expect("worker gone");
-                    match rep_rx.recv().expect("worker hung up during rollback") {
-                        WorkerMsg::RolledBack(i) => debug_assert_eq!(i, fi),
-                        other => return fail_here(other),
-                    }
-                    // Survivors revert exactly the failed superstep from
-                    // their in-memory pre-images — no checkpoint I/O.
-                    for (i, tx) in cmd_txs.iter().enumerate() {
-                        if i != fi {
-                            tx.send(Cmd::UndoStep { epoch }).expect("worker gone");
-                        }
-                    }
-                    for _ in 0..t - 1 {
-                        match rep_rx.recv().expect("workers hung up during undo") {
-                            WorkerMsg::Undone(i) => debug_assert_ne!(i, fi),
-                            other => return fail_here(other),
-                        }
-                    }
-                    // Replay ck+1..t-1 on the respawned worker: survivors
-                    // re-serve their logged packets (never re-executing),
-                    // the dead worker re-computes with sends suppressed.
-                    for s in (ck + 1)..superstep {
-                        let kind_s = steps
-                            .iter()
-                            .find(|m| m.superstep == s)
-                            .expect("validated above")
-                            .kind;
-                        for (i, tx) in cmd_txs.iter().enumerate() {
-                            if i != fi {
-                                tx.send(Cmd::ReplayServe {
-                                    superstep: s,
-                                    target: fi,
-                                })
-                                .expect("worker gone");
-                            }
-                        }
-                        for _ in 0..t - 1 {
-                            match rep_rx.recv().expect("workers hung up during replay") {
-                                WorkerMsg::Served(i) => debug_assert_ne!(i, fi),
-                                other => return fail_here(other),
-                            }
-                        }
-                        cmd_txs[fi]
-                            .send(Cmd::ReplayStep {
-                                kind: kind_s,
-                                superstep: s,
-                            })
-                            .expect("worker gone");
-                        match rep_rx.recv().expect("worker hung up during replay") {
-                            WorkerMsg::Replayed(i) => debug_assert_eq!(i, fi),
-                            other => return fail_here(other),
-                        }
-                    }
-                    // The master keeps its cursor: completed supersteps
-                    // stay aggregated, the switcher is untouched, and the
-                    // failed superstep re-runs under the same kind.
-                    if cfg.mode == Mode::Hybrid {
-                        pending_kind = Some(kind);
-                    }
-                    recovery.confined_recoveries += 1;
-                    recovery.checkpoint_restores += 1;
-                    recovery.replayed_supersteps += (superstep - 1).saturating_sub(ck);
-                    recovery.recomputed_supersteps += 1;
-                    net_base = net_stats.snapshot();
-                    if let Some(p) = &net_plan {
-                        faults_base = fired(p);
-                    }
-                    if let Some(s) = &sink {
-                        s.master().instant(
-                            "recovery.confined",
-                            vec![
-                                ("failed_superstep", superstep.into()),
-                                ("worker", (fi as u64).into()),
-                                ("checkpoint", ck.into()),
-                                ("replayed", (superstep - 1).saturating_sub(ck).into()),
-                            ],
-                        );
-                    }
-                    if let Some(p) = &pacer {
-                        p.release(0.0);
-                    }
-                    superstep -= 1;
-                    continue;
-                }
-
-                // Global rollback: respawn every failed worker onto its
-                // original endpoint and VFS; a lost endpoint or an
-                // exhausted budget is fatal.
-                let mut respawned = 0usize;
-                for (i, error, endpoint) in failures {
-                    let fatal_budget = recoveries_used >= cfg.max_recoveries;
-                    match endpoint {
-                        Some(ep) if !fatal_budget => {
-                            recoveries_used += 1;
-                            let (tx, rx) = channel::<Cmd>();
-                            cmd_txs[i] = tx;
-                            spawn_worker(i, *ep, rx);
-                            respawned += 1;
-                        }
-                        _ => {
-                            return Err(JobError::WorkerFailed {
-                                worker: i,
-                                superstep,
-                                error,
-                            })
-                        }
-                    }
-                }
-                for _ in 0..respawned {
-                    match rep_rx.recv().expect("respawned worker hung up") {
-                        WorkerMsg::Loaded(..) => {}
-                        WorkerMsg::Failed { index, error, .. } => {
-                            return Err(JobError::WorkerFailed {
-                                worker: index,
-                                superstep,
-                                error,
-                            })
-                        }
-                        _ => unreachable!("unexpected message during respawn"),
-                    }
-                }
-                // Roll every worker (survivors and respawns alike) back
-                // to the checkpointed cut. The rollback handler resets
-                // the endpoint to the new epoch — clearing stale packets
-                // (including the abort we broadcast) *and* un-acked ARQ
-                // frames that would otherwise retransmit into the
-                // re-execution.
-                for tx in &cmd_txs {
-                    tx.send(Cmd::Rollback {
-                        superstep: ck,
-                        epoch,
-                    })
-                    .expect("worker gone");
-                }
-                let mut rolled = vec![false; t];
-                for _ in 0..t {
-                    match rep_rx.recv().expect("workers hung up during rollback") {
-                        WorkerMsg::RolledBack(i) => {
-                            assert!(!rolled[i], "duplicate rollback ack from worker {i}");
-                            rolled[i] = true;
-                        }
-                        WorkerMsg::Failed { index, error, .. } => {
-                            return Err(JobError::WorkerFailed {
-                                worker: index,
-                                superstep,
-                                error,
-                            })
-                        }
-                        _ => unreachable!("unexpected message during rollback"),
-                    }
-                }
-                // Rewind the master to the same cut.
-                let snap = master_snapshot
-                    .as_ref()
-                    .expect("a checkpoint always has a master snapshot");
-                switcher = snap.switcher.clone();
-                cur = snap.cur;
-                pending_kind = snap.pending_kind;
-                steps.truncate(snap.steps_len);
-                switches.truncate(snap.switches_len);
-                recovery.rollbacks += 1;
-                recovery.checkpoint_restores += t as u64;
-                recovery.recomputed_supersteps += superstep - ck;
-                accum_step_secs = 0.0;
-                net_base = net_stats.snapshot();
-                if let Some(p) = &net_plan {
-                    faults_base = fired(p);
-                }
-                if let Some(s) = &sink {
-                    s.master().instant(
-                        "recovery.rollback",
-                        vec![
-                            ("failed_superstep", superstep.into()),
-                            ("checkpoint", ck.into()),
-                            ("restores", (t as u64).into()),
-                        ],
-                    );
-                    // The switcher rewound to the cut; audit records past
-                    // it will be regenerated (and re-emitted) as the
-                    // supersteps re-execute.
-                    audit_seen = audit_seen.min(switcher.audit().len());
-                }
-                if let Some(p) = &pacer {
-                    p.release(0.0);
-                }
-                superstep = ck;
-                continue;
-            }
-
-            let wall = t_step.elapsed().as_secs_f64();
-            let net_now = net_stats.snapshot();
-            let net_delta = net_now.delta(&net_base);
-            net_base = net_now;
-            recovery.msg_log_bytes += reports.iter().map(|r| r.msg_log_bytes).sum::<u64>();
-
-            let ctx = AggCtx {
-                cfg: &cfg,
-                b_total,
-                msg_bytes,
-                combinable,
-            };
-            let (metrics, q_inputs) = aggregate(
-                superstep,
-                kind,
-                &reports,
-                &net_delta,
-                &ctx,
-                &mut switcher,
-                wall,
-            );
-            let pending = metrics.pending_messages;
-            let responders = metrics.responders;
-            let step_secs = metrics.modeled_secs;
-            let step_max_residual = metrics.max_residual;
-            // The async extension term's inputs: the duplicated-compute
-            // side is exactly what the pseudo-rounds did beyond the first
-            // sweep, the savings side is what a strict replacement
-            // superstep would have streamed.
-            let asy_inputs = AsyncCostInputs {
-                extra_rounds: metrics.asy.pseudo_rounds.saturating_sub(1),
-                value_io_bytes: metrics.sem.value_update_bytes,
-                interior_msg_bytes: metrics.asy.interior_msg_bytes,
-                dup_updates: metrics.asy.interior_updates,
-                dup_messages: metrics.asy.interior_messages,
-                cpu_us_per_vertex: cfg.cpu_us_per_vertex,
-                cpu_us_per_message: cfg.cpu_us_per_message,
-            };
-            // Physical/logical ratio of this superstep's classified I/O,
-            // recorded alongside every Q_t audit entry (1.0 with no codec).
-            let step_io_ratio = {
-                let logical = metrics.io.total_logical_bytes();
-                if logical == 0 {
-                    1.0
-                } else {
-                    metrics.io.total_bytes() as f64 / logical as f64
-                }
-            };
-            if let Some(s) = &sink {
-                let m = s.master();
-                let dur = secs_to_us(step_secs);
-                let end_us = m.clock_us() + dur;
-                m.span(
-                    kind.label(),
-                    dur,
-                    vec![
-                        ("superstep", superstep.into()),
-                        ("q_metric", metrics.q_metric.into()),
-                        ("updated", metrics.updated.into()),
-                        ("messages", metrics.messages_produced.into()),
-                        ("io_bytes", metrics.io.total_bytes().into()),
-                    ],
-                );
-                m.instant("barrier", vec![("superstep", superstep.into())]);
-                let nsh = s.net();
-                nsh.counter_at(
-                    end_us,
-                    "net.bytes",
-                    vec![
-                        ("remote", metrics.net_out_bytes.into()),
-                        ("local", metrics.net_local_bytes.into()),
-                    ],
-                );
-                if let Some(p) = &net_plan {
-                    let now = fired(p);
-                    let d = (
-                        now.0 - faults_base.0,
-                        now.1 - faults_base.1,
-                        now.2 - faults_base.2,
-                    );
-                    faults_base = now;
-                    if d.0 + d.1 + d.2 > 0 {
-                        nsh.instant_at(
-                            end_us,
-                            "arq.faults",
-                            vec![
-                                ("superstep", superstep.into()),
-                                ("drops", d.0.into()),
-                                ("duplicates", d.1.into()),
-                                ("delays", d.2.into()),
-                            ],
-                        );
-                    }
-                }
-            } else if let Some(p) = &net_plan {
-                faults_base = fired(p);
-            }
-            let step_logical = metrics.io.total_logical_bytes();
-            let step_memory = metrics.memory_bytes;
-            steps.push(metrics);
-            mtbf.advance(step_secs);
-            if let Some(p) = &pacer {
-                p.release(step_secs);
-            }
-            if let Some(ps) = &cfg.progress {
-                ps.superstep(superstep, kind.mode(), step_secs);
-            }
-            cum_logical += step_logical;
-            if let Some(b) = cfg.logical_io_budget {
-                if cum_logical > b {
-                    return Err(JobError::BudgetExceeded {
-                        superstep,
-                        resource: "logical_io",
-                        used: cum_logical,
-                        budget: b,
-                    });
-                }
-            }
-            if let Some(b) = cfg.memory_budget {
-                if step_memory > b {
-                    return Err(JobError::BudgetExceeded {
-                        superstep,
-                        resource: "memory",
-                        used: step_memory,
-                        budget: b,
-                    });
-                }
-            }
-
-            if pending == 0 && responders == 0 {
-                break;
-            }
-            // Tolerance-based termination: once the largest per-vertex
-            // residual of a superstep falls to `eps`, further supersteps
-            // cannot move the result past the program's own tolerance.
-            // Guarded past superstep 1 so an initially-quiet frontier
-            // does not end the job before any message flowed.
-            if let Some(eps) = program.tolerance() {
-                if superstep >= 2 && step_max_residual <= eps {
-                    break;
-                }
-            }
-            if matches!(cfg.mode, Mode::Hybrid | Mode::Async) && superstep + 1 < max_steps {
-                let decision = if cfg.mode == Mode::Async {
-                    switcher.decide_async(
-                        superstep,
-                        &cfg.profile,
-                        &q_inputs,
-                        &asy_inputs,
-                        step_secs,
-                        step_io_ratio,
-                    )
-                } else {
-                    switcher.decide(superstep, &cfg.profile, &q_inputs, step_secs, step_io_ratio)
-                };
-                // Break `step_io_ratio` out by access class for jobs
-                // running with a codec: the audit then shows *which* I/O
-                // tier the codec compressed (adjacency extents are
-                // sequential reads; value point reads stay 1.0).
-                if !cfg.codec.is_none() {
-                    let tier = |phys: u64, logi: u64| {
-                        if logi == 0 {
-                            1.0
-                        } else {
-                            phys as f64 / logi as f64
-                        }
-                    };
-                    let io = &steps.last().expect("step just pushed").io;
-                    switcher.annotate_tiers(QtTiers {
-                        seq_read: tier(io.seq_read_bytes, io.seq_read_logical_bytes),
-                        seq_write: tier(io.seq_write_bytes, io.seq_write_logical_bytes),
-                        rand_read: tier(io.rand_read_bytes, io.rand_read_logical_bytes),
-                        rand_write: tier(io.rand_write_bytes, io.rand_write_logical_bytes),
-                    });
-                }
-                if let Some(new_mode) = decision {
-                    let from = cur;
-                    // The transition step that reconciles the two legs'
-                    // message state. push→async needs none: push already
-                    // delivered to every destination, async's next sweep
-                    // just drains the inbox.
-                    pending_kind = match (from, new_mode) {
-                        (Mode::BPull, Mode::Push | Mode::Async) => Some(StepKind::BPullThenPush),
-                        (Mode::Push | Mode::Async, Mode::BPull) => Some(StepKind::PushNoSend),
-                        (Mode::Async, Mode::Push) => Some(StepKind::AsyncThenPush),
-                        (Mode::Push, Mode::Async) => None,
-                        _ => unreachable!("switcher only moves between push, b-pull and async"),
-                    };
-                    cur = new_mode;
-                    switches.push((superstep + 1, from, new_mode));
-                    if let Some(s) = &sink {
-                        s.control().instant_at(
-                            s.master().clock_us(),
-                            "switch",
-                            vec![
-                                ("at_superstep", (superstep + 1).into()),
-                                ("from", from.label().into()),
-                                ("to", new_mode.label().into()),
-                            ],
-                        );
-                    }
-                }
-            }
-            // Every Switcher evaluation (including holds and too-early
-            // refusals) lands on the control track as one audit instant.
-            if let Some(s) = &sink {
-                let audits = switcher.audit();
-                if audit_seen < audits.len() {
-                    let ts = s.master().clock_us();
-                    let c = s.control();
-                    for a in &audits[audit_seen..] {
-                        c.instant_at(
-                            ts,
-                            "qt",
-                            vec![
-                                ("superstep", a.superstep.into()),
-                                ("q", a.q.into()),
-                                ("verdict", a.verdict.label().into()),
-                                ("mode_before", a.mode_before.into()),
-                                ("mode_after", a.mode_after.into()),
-                            ],
-                        );
-                    }
-                    audit_seen = audits.len();
-                }
-            }
-
-            // Checkpoint decision at the barrier. `EveryK` is the classic
-            // fixed interval; `Adaptive` is a Young-style rule driven by
-            // the deterministic cost model: checkpoint once the modeled
-            // compute time since the last cut outweighs `factor` times
-            // the modeled cost of writing one.
-            let take = match cfg.checkpoint {
-                CheckpointPolicy::Never => false,
-                CheckpointPolicy::EveryK(k) => superstep.is_multiple_of(k.max(1)),
-                CheckpointPolicy::Adaptive => {
-                    accum_step_secs += step_secs;
-                    let write_secs = cfg.profile.seq_write_secs(last_ckpt_worker_bytes.max(1));
-                    // Fault-aware (opt-in): observed kill rates tighten
-                    // the spacing via Young's approximation; without
-                    // evidence or with the flag off this is exactly the
-                    // plain `factor × write_secs` rule.
-                    accum_step_secs
-                        >= adaptive_spacing_secs(
-                            cfg.adaptive_checkpoint_factor,
-                            write_secs,
-                            mtbf.mtbf(),
-                            cfg.fault_aware_checkpoint,
-                        )
-                }
-            };
-            if take {
-                // Durable mode prunes with retention 2: the cut *before*
-                // the previous one goes, because the previous cut must
-                // stay on disk until this cut's WAL record commits — a
-                // crash between the worker files and the commit resumes
-                // from the previous cut.
-                let durable = cfg.barrier_sink.is_some();
-                let prune = if durable {
-                    prev_checkpoint
-                } else {
-                    last_checkpoint
-                };
-                last_ckpt_worker_bytes =
-                    checkpoint_all(&cmd_txs, &rep_rx, &vfss, &mut recovery, superstep, prune)?;
-                if let Some(s) = &sink {
-                    s.master().span(
-                        "checkpoint",
-                        secs_to_us(cfg.profile.seq_write_secs(last_ckpt_worker_bytes)),
-                        vec![
-                            ("superstep", superstep.into()),
-                            ("max_worker_bytes", last_ckpt_worker_bytes.into()),
-                        ],
-                    );
-                }
-                prev_checkpoint = last_checkpoint;
-                last_checkpoint = Some(superstep);
-                master_snapshot = Some(MasterSnapshot {
-                    switcher: switcher.clone(),
-                    cur,
-                    pending_kind,
-                    steps_len: steps.len(),
-                    switches_len: switches.len(),
-                });
-                accum_step_secs = 0.0;
-                if let Some(bs) = &cfg.barrier_sink {
-                    // Write-ahead ordering: worker checkpoint files are
-                    // durable *before* the master's commit record. The
-                    // seeded kills bracket the commit — `MidBarrier`
-                    // models dying with the files written but the record
-                    // missing, `BetweenGrants` right after the record.
-                    let state = MasterState {
-                        superstep,
-                        prev_checkpoint,
-                        last_ckpt_worker_bytes,
-                        epoch,
-                        workers: t as u32,
-                        cur,
-                        pending_kind,
-                        recoveries_used,
-                        cum_logical,
-                        accum_step_secs,
-                        pending_release_secs: 0.0,
-                        audit_seen: audit_seen as u64,
-                        switcher: switcher.clone(),
-                        steps: steps.clone(),
-                        switches: switches.clone(),
-                        recovery: recovery.clone(),
-                        mtbf,
-                        trace: sink.as_ref().map(|s| s.export_states()),
-                    }
-                    .encode();
-                    if master_killed(MasterKillPoint::MidBarrier(superstep)) {
-                        return Err(JobError::Halted {
-                            point: MasterKillPoint::MidBarrier(superstep),
-                        });
-                    }
-                    bs.commit(superstep, &state)?;
-                    if master_killed(MasterKillPoint::BetweenGrants(superstep)) {
-                        return Err(JobError::Halted {
-                            point: MasterKillPoint::BetweenGrants(superstep),
-                        });
-                    }
-                }
-            } else if cfg.fault_plan.is_some() {
-                // Barriers without a checkpoint can still be kill points:
-                // the restarted job then resumes from the last committed
-                // cut further back.
-                for point in [
-                    MasterKillPoint::MidBarrier(superstep),
-                    MasterKillPoint::BetweenGrants(superstep),
-                ] {
-                    if master_killed(point) {
-                        return Err(JobError::Halted { point });
-                    }
-                }
-            }
-        }
-
-        // ---- Collect ----------------------------------------------------
-        if let Some(p) = &pacer {
-            p.acquire();
-        }
-        for tx in &cmd_txs {
-            tx.send(Cmd::Collect).expect("worker gone");
-        }
-        let mut values: Vec<Option<Vec<P::Value>>> = vec![None; t];
-        let mut bases: Vec<u32> = vec![0; t];
-        for _ in 0..t {
-            match rep_rx.recv().expect("workers hung up during collect") {
-                WorkerMsg::Values(i, base, vals) => {
-                    bases[i] = base;
-                    values[i] = Some(vals);
-                }
-                WorkerMsg::Failed { index, error, .. } => {
-                    return Err(JobError::WorkerFailed {
-                        worker: index,
-                        superstep,
-                        error,
-                    })
-                }
-                _ => unreachable!("unexpected message during collect"),
-            }
-        }
-        for tx in &cmd_txs {
-            tx.send(Cmd::Exit).ok();
-        }
-        if let Some(p) = &pacer {
-            p.release(0.0);
-        }
-        let mut all = Vec::with_capacity(n);
-        let mut pairs: Vec<(u32, Vec<P::Value>)> = bases
-            .into_iter()
-            .zip(values.into_iter().map(|v| v.unwrap()))
-            .collect();
-        pairs.sort_by_key(|(b, _)| *b);
-        for (_, vals) in pairs {
-            all.extend(vals);
-        }
-        debug_assert_eq!(all.len(), n);
-
-        recovery.mtbf_secs = mtbf.mtbf().unwrap_or(0.0);
-        let ns = net_stats.snapshot();
-        let net_overhead = NetOverhead {
-            retransmitted_bytes: ns.retransmitted_bytes,
-            duplicate_drops: ns.duplicate_drops,
-            dropped_frames: ns.dropped_frames,
-            delayed_frames: ns.delayed_frames,
-            acks_sent: ns.acks_sent,
-            replayed_bytes: ns.replayed_bytes,
+            rep_tx,
+            control,
+            net_base: net_stats.snapshot(),
+            net_stats,
+            all: (0..t).collect(),
+            faults_base: (0, 0, 0),
         };
-
-        Ok(JobResult {
-            values: all,
-            metrics: JobMetrics {
-                load,
-                steps,
-                switches,
-                qt_audit: switcher.audit().to_vec(),
-                profile: cfg.profile,
-                recovery,
-                net_overhead,
-            },
-        })
+        run.run(endpoints, resume)
     })
 }
 
-/// Dispatches one superstep execution by kind.
-fn run_step_kind<P: VertexProgram>(
-    worker: &mut Worker<P>,
-    kind: StepKind,
-    superstep: u64,
-) -> io::Result<StepReport> {
-    match kind {
-        StepKind::Push => run_push_step(worker, superstep, true, false),
-        StepKind::PushNoSend => run_push_step(worker, superstep, false, false),
-        StepKind::PushM => run_push_step(worker, superstep, true, true),
-        StepKind::Pull => run_pull_step(worker, superstep),
-        StepKind::BPull => run_bpull_step(worker, superstep, false),
-        StepKind::BPullThenPush => run_bpull_step(worker, superstep, true),
-        StepKind::Async => run_async_step(worker, superstep, false),
-        StepKind::AsyncThenPush => run_async_step(worker, superstep, true),
-    }
-}
-
-fn worker_main<P: VertexProgram>(
-    seed: WorkerSeed<'_, P>,
-    cmd_rx: Receiver<Cmd>,
-    rep_tx: Sender<WorkerMsg<P::Value>>,
-) {
-    let index = seed.id.index();
-    let plan = seed.cfg.fault_plan.clone();
-    let injected = |superstep: u64, phase: FaultPhase| -> bool {
-        plan.as_ref()
-            .is_some_and(|p| p.should_fail(index, superstep, phase))
-    };
-    // The load-phase hook fires before `Worker::load` consumes the
-    // endpoint, so an injected load fault is recoverable; a genuine load
-    // error is not (the endpoint went down with the half-built worker).
-    if injected(0, FaultPhase::Load) {
-        rep_tx
-            .send(WorkerMsg::Failed {
-                index,
-                error: "injected fault: killed while loading".into(),
-                endpoint: Some(Box::new(seed.ep)),
-            })
-            .ok();
-        return;
-    }
-    let (mut worker, load) = match Worker::load(seed) {
-        Ok(x) => x,
-        Err(e) => {
-            rep_tx
-                .send(WorkerMsg::Failed {
-                    index,
-                    error: e.to_string(),
-                    endpoint: None,
-                })
-                .ok();
-            return;
-        }
-    };
-    rep_tx
-        .send(WorkerMsg::Loaded(index, Box::new(load)))
-        .expect("master gone");
-    // Propagates an error as a worker death, handing the endpoint back.
-    macro_rules! fail {
-        ($err:expr) => {{
-            let ep = worker.ep;
-            rep_tx
-                .send(WorkerMsg::Failed {
-                    index,
-                    error: $err.to_string(),
-                    endpoint: Some(Box::new(ep)),
-                })
-                .ok();
-            return;
-        }};
-    }
-    loop {
-        // Idle workers must keep servicing the endpoint: the ARQ layer
-        // retransmits from the *sender*, so a worker parked between
-        // supersteps would otherwise never re-send a dropped frame a
-        // peer is still blocked on.
-        let cmd = match cmd_rx.recv_timeout(Duration::from_millis(2)) {
-            Ok(cmd) => cmd,
-            Err(RecvTimeoutError::Timeout) => {
-                worker.ep.service();
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        match cmd {
-            Cmd::Step {
-                kind,
-                superstep,
-                base_us,
-            } => {
-                worker.step_base_us = base_us;
-                if injected(superstep, FaultPhase::Compute) {
-                    fail!(format!(
-                        "injected fault: killed before compute of superstep {superstep}"
-                    ));
-                }
-                let logging = worker.cfg.message_logging;
-                if logging {
-                    worker.ep.start_capture();
-                    if let Err(e) = worker.begin_undo_capture() {
-                        fail!(e);
-                    }
-                }
-                match run_step_kind(&mut worker, kind, superstep) {
-                    Ok(mut rep) => {
-                        if logging {
-                            let captured = worker.ep.take_capture();
-                            match worker.commit_msg_log(superstep, &captured) {
-                                Ok(bytes) => rep.msg_log_bytes = bytes,
-                                Err(e) => fail!(e),
-                            }
-                        }
-                        if injected(superstep, FaultPhase::Barrier) {
-                            fail!(format!(
-                                "injected fault: killed at barrier of superstep {superstep}"
-                            ));
-                        }
-                        rep_tx
-                            .send(WorkerMsg::Step(index, Box::new(rep)))
-                            .expect("master gone");
-                    }
-                    Err(e) if crate::modes::is_abort(&e) => {
-                        // A peer failed; the master broadcast an abort.
-                        // Unwind this superstep (keeping the undo capture
-                        // for a possible confined recovery) and await the
-                        // master's next order.
-                        if logging {
-                            let _ = worker.ep.take_capture();
-                        }
-                        rep_tx.send(WorkerMsg::Aborted(index)).expect("master gone");
-                    }
-                    Err(e) => fail!(e),
-                }
-            }
-            Cmd::Checkpoint { superstep, prune } => {
-                let res = worker.write_checkpoint(superstep).and_then(|bytes| {
-                    // Pruning is idempotent: a restarted incarnation may
-                    // re-prune a cut its predecessor already removed.
-                    if let Some(p) = prune {
-                        if hybridgraph_storage::checkpoint::has_checkpoint(worker.vfs.as_ref(), p) {
-                            hybridgraph_storage::checkpoint::remove_checkpoint(
-                                worker.vfs.as_ref(),
-                                p,
-                            )?;
-                        }
-                    }
-                    if worker.cfg.message_logging {
-                        // Replays start from this cut; earlier log
-                        // segments can never be needed again.
-                        for s in (prune.unwrap_or(0) + 1)..=superstep {
-                            if msg_log::has_log_segment(worker.vfs.as_ref(), s) {
-                                msg_log::remove_log_segment(worker.vfs.as_ref(), s)?;
-                            }
-                        }
-                    }
-                    Ok(bytes)
-                });
-                match res {
-                    Ok(bytes) => rep_tx
-                        .send(WorkerMsg::Checkpointed(index, bytes))
-                        .expect("master gone"),
-                    Err(e) => fail!(e),
-                }
-            }
-            Cmd::Rollback { superstep, epoch } => {
-                // Stale packets from the aborted superstep (message
-                // batches, end-of-step markers, the abort itself) and
-                // un-acked ARQ frames must not leak into the
-                // re-execution: the epoch reset invalidates them all.
-                worker.ep.reset(epoch);
-                worker.undo = None;
-                worker.replay = false;
-                match worker.restore_checkpoint(superstep) {
-                    Ok(()) => rep_tx
-                        .send(WorkerMsg::RolledBack(index))
-                        .expect("master gone"),
-                    Err(e) => fail!(e),
-                }
-            }
-            Cmd::UndoStep { epoch } => {
-                worker.ep.reset(epoch);
-                match worker.apply_undo() {
-                    Ok(true) => rep_tx.send(WorkerMsg::Undone(index)).expect("master gone"),
-                    Ok(false) => fail!("confined undo ordered but no capture exists"),
-                    Err(e) => fail!(e),
-                }
-            }
-            Cmd::ReplayServe { superstep, target } => {
-                let res = (|| -> io::Result<()> {
-                    let mut r = MsgLogReader::open(worker.vfs.as_ref(), superstep)?;
-                    let to = WorkerId::from(target);
-                    while let Some((dest, blob)) = r.next_entry()? {
-                        if dest as usize != target {
-                            continue;
-                        }
-                        let (packet, _) = Packet::decode(&blob).ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("corrupt message-log entry in superstep {superstep}"),
-                            )
-                        })?;
-                        worker.ep.send_replay(to, packet);
-                    }
-                    Ok(())
-                })();
-                match res {
-                    Ok(()) => rep_tx.send(WorkerMsg::Served(index)).expect("master gone"),
-                    Err(e) => fail!(e),
-                }
-            }
-            Cmd::ReplayStep { kind, superstep } => {
-                // Re-execute with remote sends suppressed: every peer
-                // already processed the originals, and this worker's own
-                // loopback traffic still flows so it re-serves itself.
-                worker.replay = true;
-                worker.ep.set_replay(true);
-                let res = run_step_kind(&mut worker, kind, superstep);
-                worker.ep.set_replay(false);
-                worker.replay = false;
-                match res {
-                    Ok(_rep) => rep_tx
-                        .send(WorkerMsg::Replayed(index))
-                        .expect("master gone"),
-                    Err(e) => fail!(e),
-                }
-            }
-            Cmd::Collect => match worker.collect_values() {
-                Ok(vals) => rep_tx
-                    .send(WorkerMsg::Values(index, worker.range.start, vals))
-                    .expect("master gone"),
-                Err(e) => fail!(e),
-            },
-            Cmd::Exit => return,
-        }
-    }
-}
+/// Modeled CPU cost per message handled (microseconds).
+const CPU_US_PER_MESSAGE: f64 = 0.5;
+/// Modeled CPU cost per vertex update (microseconds).
+const CPU_US_PER_VERTEX: f64 = 0.5;
 
 /// Job-constant inputs the per-superstep aggregation needs.
 struct AggCtx<'a> {
@@ -1798,9 +389,8 @@ fn aggregate(
     for (i, r) in reports.iter().enumerate() {
         let io_secs = r.io.modeled_secs(&cfg.profile);
         let net_secs = cfg.profile.net_secs(net.out_bytes[i] + net.in_bytes[i]);
-        let cpu_secs = (cfg.cpu_us_per_message
-            * (r.messages_produced + r.messages_consumed) as f64
-            + cfg.cpu_us_per_vertex * r.updated as f64)
+        let cpu_secs = (CPU_US_PER_MESSAGE * (r.messages_produced + r.messages_consumed) as f64
+            + CPU_US_PER_VERTEX * r.updated as f64)
             * 1e-6;
         modeled = modeled.max(io_secs + net_secs + cpu_secs);
         modeled_io = modeled_io.max(io_secs);

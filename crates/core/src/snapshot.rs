@@ -60,6 +60,26 @@ fn kind_from_tag(tag: u8) -> io::Result<StepKind> {
     })
 }
 
+/// An optional field: a presence byte, then the value.
+fn put_opt<T>(w: &mut PayloadWriter, x: Option<T>, put: impl FnOnce(&mut PayloadWriter, T)) {
+    w.put_u8(x.is_some() as u8);
+    if let Some(x) = x {
+        put(w, x);
+    }
+}
+
+fn get_opt<'a, T>(
+    r: &mut PayloadReader<'a>,
+    what: &str,
+    get: impl FnOnce(&mut PayloadReader<'a>) -> io::Result<T>,
+) -> io::Result<Option<T>> {
+    match r.get_u8()? {
+        0 => Ok(None),
+        1 => get(r).map(Some),
+        _ => Err(corrupt(what)),
+    }
+}
+
 fn put_io(w: &mut PayloadWriter, io: &IoSnapshot) {
     w.put_u64(io.seq_read_bytes);
     w.put_u64(io.seq_write_bytes);
@@ -326,13 +346,14 @@ pub fn adaptive_spacing_secs(
     }
 }
 
-/// Everything the master needs to resume a job from a checkpoint cut in
-/// a fresh process. Produced at each durable barrier, committed through
-/// [`BarrierSink`](crate::config::BarrierSink), and handed back on resume
-/// via [`ResumeState`](crate::config::ResumeState).
+/// The master's cursor: everything it needs to continue a job, in this
+/// process or — encoded at a checkpoint cut, committed through
+/// [`BarrierSink`](crate::config::BarrierSink) and handed back via
+/// [`ResumeState`](crate::config::ResumeState) — in a fresh one.
 #[derive(Clone, Debug)]
 pub struct MasterState {
-    /// The checkpointed superstep this state resumes from (0 = baseline).
+    /// The last completed superstep; in a committed state, the
+    /// checkpointed superstep it resumes from (0 = baseline).
     pub superstep: u64,
     /// The previous committed cut, still on disk under retention 2 (the
     /// next checkpoint prunes it).
@@ -356,6 +377,7 @@ pub struct MasterState {
     pub accum_step_secs: f64,
     /// Pacer seconds the master still owes for the unit it held when the
     /// state was cut (the load grant at the baseline cut, 0 at step cuts).
+    /// Meaningful only in a committed state.
     pub pending_release_secs: f64,
     /// Audit records already exported to the trace.
     pub audit_seen: u64,
@@ -370,33 +392,47 @@ pub struct MasterState {
     /// Failure-rate evidence feeding the fault-aware spacing.
     pub mtbf: MtbfEstimator,
     /// Full trace-ring contents at the cut (present iff the job traces).
+    /// Meaningful only in a committed state.
     pub trace: Option<Vec<ShardState>>,
 }
 
 impl MasterState {
+    /// The cursor of a job about to load: nothing executed, nothing
+    /// failed, no checkpoint taken.
+    pub(crate) fn fresh(workers: u32, switcher: Switcher) -> MasterState {
+        MasterState {
+            superstep: 0,
+            prev_checkpoint: None,
+            last_ckpt_worker_bytes: 0,
+            epoch: 0,
+            workers,
+            cur: switcher.current(),
+            pending_kind: None,
+            recoveries_used: 0,
+            cum_logical: 0,
+            accum_step_secs: 0.0,
+            pending_release_secs: 0.0,
+            audit_seen: 0,
+            switcher,
+            steps: Vec::new(),
+            switches: Vec::new(),
+            recovery: RecoveryMetrics::default(),
+            mtbf: MtbfEstimator::new(),
+            trace: None,
+        }
+    }
+
     /// Canonical byte encoding (little-endian, length-prefixed strings,
     /// f64 as IEEE bits — bit-exact round-trips).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = PayloadWriter::new();
         w.put_u64(self.superstep);
-        match self.prev_checkpoint {
-            Some(p) => {
-                w.put_u8(1);
-                w.put_u64(p);
-            }
-            None => w.put_u8(0),
-        }
+        put_opt(&mut w, self.prev_checkpoint, |w, p| w.put_u64(p));
         w.put_u64(self.last_ckpt_worker_bytes);
         w.put_u64(self.epoch);
         w.put_u32(self.workers);
         w.put_u8(switch::mode_tag(self.cur));
-        match self.pending_kind {
-            Some(k) => {
-                w.put_u8(1);
-                w.put_u8(kind_tag(k));
-            }
-            None => w.put_u8(0),
-        }
+        put_opt(&mut w, self.pending_kind, |w, k| w.put_u8(kind_tag(k)));
         w.put_u64(self.recoveries_used);
         w.put_u64(self.cum_logical);
         w.put_f64(self.accum_step_secs);
@@ -415,13 +451,9 @@ impl MasterState {
         }
         put_recovery(&mut w, &self.recovery);
         self.mtbf.put(&mut w);
-        match &self.trace {
-            Some(states) => {
-                w.put_u8(1);
-                w.put_bytes(&encode_shard_states(states));
-            }
-            None => w.put_u8(0),
-        }
+        put_opt(&mut w, self.trace.as_ref(), |w, states| {
+            w.put_bytes(&encode_shard_states(states))
+        });
         w.into_bytes()
     }
 
@@ -429,20 +461,12 @@ impl MasterState {
     pub fn decode(bytes: &[u8]) -> io::Result<MasterState> {
         let mut r = PayloadReader::new(bytes);
         let superstep = r.get_u64()?;
-        let prev_checkpoint = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_u64()?),
-            _ => return Err(corrupt("prev-checkpoint flag")),
-        };
+        let prev_checkpoint = get_opt(&mut r, "prev-checkpoint flag", |r| r.get_u64())?;
         let last_ckpt_worker_bytes = r.get_u64()?;
         let epoch = r.get_u64()?;
         let workers = r.get_u32()?;
         let cur = switch::mode_from_tag(r.get_u8()?)?;
-        let pending_kind = match r.get_u8()? {
-            0 => None,
-            1 => Some(kind_from_tag(r.get_u8()?)?),
-            _ => return Err(corrupt("pending-kind flag")),
-        };
+        let pending_kind = get_opt(&mut r, "pending-kind flag", |r| kind_from_tag(r.get_u8()?))?;
         let recoveries_used = r.get_u64()?;
         let cum_logical = r.get_u64()?;
         let accum_step_secs = r.get_f64()?;
@@ -466,11 +490,9 @@ impl MasterState {
         }
         let recovery = get_recovery(&mut r)?;
         let mtbf = MtbfEstimator::get(&mut r)?;
-        let trace = match r.get_u8()? {
-            0 => None,
-            1 => Some(decode_shard_states(&r.get_bytes()?)?),
-            _ => return Err(corrupt("trace flag")),
-        };
+        let trace = get_opt(&mut r, "trace flag", |r| {
+            decode_shard_states(&r.get_bytes()?)
+        })?;
         if !r.done() {
             return Err(corrupt("trailing bytes"));
         }

@@ -160,8 +160,7 @@ pub struct Switcher {
     history: Vec<(u64, f64)>,
     /// One record per `decide` call: the full Eq. 11 evaluation and the
     /// verdict. Cloned with the switcher, so a recovery rollback that
-    /// restores an earlier `MasterSnapshot` also rewinds the audit to the
-    /// consistent cut.
+    /// rewinds the master to an earlier cut also rewinds the audit to it.
     audit: Vec<QtAudit>,
 }
 
@@ -868,7 +867,7 @@ mod tests {
             assert_eq!(t.net + t.rw - t.rr + t.sr, a.q);
             assert!(a.inputs.io_vrr > 0);
         }
-        // Cloning (as `MasterSnapshot` does for rollback) preserves the
+        // Cloning (as the master's cut does for rollback) preserves the
         // audit prefix, so restoring an earlier clone rewinds the log.
         let snap = Switcher::new(Mode::BPull, 2, 0.5);
         assert!(snap.audit().is_empty());

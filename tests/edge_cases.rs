@@ -107,3 +107,63 @@ fn max_supersteps_cap_halts_nonconverging_programs() {
     let res = hybridgraph_core::run_job(Arc::new(PageRank::new(u64::MAX)), &g, cfg).unwrap();
     assert_eq!(res.metrics.supersteps(), 4);
 }
+
+/// Configurations the engine cannot run are a typed error from the top
+/// of `run_job` — before any worker thread starts — not a panic in the
+/// caller's (or a service's job) thread.
+#[test]
+fn unrunnable_configurations_are_typed_errors() {
+    use hybridgraph::core::{ResumeState, WorkerDisks};
+
+    let g = gen::uniform(32, 128, 3);
+    let rejects = |graph: &Graph, cfg: JobConfig, why: &str| match run_job(
+        Arc::new(PageRank::new(3)),
+        graph,
+        cfg,
+    ) {
+        Err(e @ JobError::InvalidConfig(_)) => {
+            assert_eq!(e.code(), 5);
+            assert!(e.to_string().contains(why), "{e}");
+        }
+        other => panic!("{why}: expected InvalidConfig, got {:?}", other.err()),
+    };
+    let base = JobConfig::new(Mode::Push, 2);
+    rejects(&g, JobConfig::new(Mode::Push, 0), "at least one worker");
+    rejects(&Graph::empty(0), base.clone(), "must have vertices");
+    let disks = WorkerDisks(vec![Arc::new(MemVfs::new()) as Arc<dyn Vfs>; 3]);
+    rejects(&g, base.clone().with_worker_disks(disks), "worker_disks");
+    let sink = Arc::new(TraceSink::new(5));
+    rejects(&g, base.clone().with_trace(sink), "TraceSink");
+    let mut forced = JobConfig::new(Mode::Hybrid, 2);
+    forced.initial_mode_override = Some(Mode::Pull);
+    rejects(&g, forced, "push and b-pull");
+
+    // A resume state cut for another worker count, or without the trace
+    // rings a traced job needs. Corrupt bytes stay an I/O error.
+    #[derive(Debug, Default)]
+    struct Keep(std::sync::Mutex<Vec<u8>>);
+    impl hybridgraph::core::BarrierSink for Keep {
+        fn commit(&self, _superstep: u64, state: &[u8]) -> std::io::Result<()> {
+            *self.0.lock().unwrap() = state.to_vec();
+            Ok(())
+        }
+    }
+    let keep = Arc::new(Keep::default());
+    let durable = JobConfig::new(Mode::Push, 3)
+        .with_checkpoint(CheckpointPolicy::EveryK(1))
+        .with_barrier_sink(keep.clone());
+    run_job(Arc::new(PageRank::new(3)), &g, durable).unwrap();
+    let state = ResumeState(Arc::new(keep.0.lock().unwrap().clone()));
+    rejects(&g, base.clone().with_resume(state.clone()), "resume state");
+    let traced = JobConfig::new(Mode::Push, 3)
+        .with_trace(Arc::new(TraceSink::new(3)))
+        .with_resume(state);
+    rejects(&g, traced, "untraced state");
+    let torn = ResumeState(Arc::new(vec![7; 5]));
+    let res = run_job(Arc::new(PageRank::new(3)), &g, base.with_resume(torn));
+    assert!(matches!(res, Err(JobError::Io(_))));
+
+    // `pushM` without a combiner (LPA has none).
+    let res = run_job(Arc::new(Lpa::new(3)), &g, JobConfig::new(Mode::PushM, 2));
+    assert!(matches!(res, Err(JobError::InvalidConfig(_))));
+}

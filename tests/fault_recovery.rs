@@ -596,3 +596,101 @@ fn recovery_budget_is_enforced() {
         ),
     }
 }
+
+/// A program that delegates to `inner` but panics in `update` for one
+/// vertex at one superstep — a user bug (or one of the executors' own
+/// protocol assertions) firing on exactly one worker mid-superstep.
+struct PanicAt<P> {
+    inner: P,
+    superstep: u64,
+    vertex: VertexId,
+}
+
+impl<P: VertexProgram> VertexProgram for PanicAt<P> {
+    type Value = P::Value;
+    type Message = P::Message;
+
+    fn name(&self) -> &'static str {
+        "panic-at"
+    }
+    fn init(&self, v: VertexId, info: &GraphInfo) -> P::Value {
+        self.inner.init(v, info)
+    }
+    fn update(
+        &self,
+        v: VertexId,
+        info: &GraphInfo,
+        superstep: u64,
+        current: &P::Value,
+        msgs: &[P::Message],
+    ) -> Update<P::Value> {
+        assert!(
+            !(superstep == self.superstep && v == self.vertex),
+            "user program bug at vertex {} superstep {superstep}",
+            v.0
+        );
+        self.inner.update(v, info, superstep, current, msgs)
+    }
+    fn message(
+        &self,
+        src: VertexId,
+        value: &P::Value,
+        out_degree: u32,
+        edge: &Edge,
+    ) -> Option<P::Message> {
+        self.inner.message(src, value, out_degree, edge)
+    }
+    fn combiner(&self) -> Option<&dyn hybridgraph::net::Combiner<P::Message>> {
+        self.inner.combiner()
+    }
+    fn max_supersteps(&self) -> Option<u64> {
+        self.inner.max_supersteps()
+    }
+}
+
+/// A worker thread that panics (rather than returning an error) used to
+/// hang the job forever: the thread unwound without a `Failed`, its peers
+/// waited for its end-of-step marker, and the master's reply channel
+/// could never disconnect. The panic must surface as a typed
+/// `WorkerFailed` — fatal under every policy, since the endpoint went
+/// down with the thread — within the watchdog's patience.
+#[test]
+fn panicking_worker_fails_the_job_instead_of_hanging() {
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    for mode in [Mode::Push, Mode::BPull] {
+        for policy in [CheckpointPolicy::Never, CheckpointPolicy::EveryK(1)] {
+            let (tx, rx) = channel();
+            std::thread::spawn(move || {
+                let program = PanicAt {
+                    inner: PageRank::new(6),
+                    superstep: 2,
+                    vertex: VertexId(0),
+                };
+                let cfg = JobConfig::new(mode, 3)
+                    .with_buffer(192)
+                    .with_checkpoint(policy);
+                let res = run_job(Arc::new(program), &pagerank_graph(), cfg);
+                tx.send(res.map(|r| r.values.len())).ok();
+            });
+            let res = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("{mode:?}/{policy:?}: run_job hung on a worker panic"));
+            match res {
+                Err(JobError::WorkerFailed {
+                    worker,
+                    superstep,
+                    error,
+                }) => {
+                    assert_eq!((worker, superstep), (0, 2), "{mode:?}/{policy:?}");
+                    assert!(
+                        error.contains("worker panicked") && error.contains("user program bug"),
+                        "{mode:?}/{policy:?}: {error}"
+                    );
+                }
+                other => panic!("{mode:?}/{policy:?}: expected WorkerFailed, got {other:?}"),
+            }
+        }
+    }
+}

@@ -603,3 +603,64 @@ fn golden_extent_file_bytes_are_pinned() {
         "(codec, files, snapshots) = {got:#018x?}\nsnapshots = {detail:#?}"
     );
 }
+
+// "The cursor is the `MasterState`": FNV-1a fingerprints of the blobs a
+// durable master commits through its `BarrierSink`, captured by running
+// this test body at the commit before the master's locals became one
+// `MasterState` value. The three timing-dependent fields of each step
+// (`wall_secs`, `blocking_secs`, the `memory_bytes` high-water mark) are
+// zeroed through a decode/encode round trip first; every other byte —
+// cursor, switcher, audits, steps, recovery counters, trace rings — is
+// pinned.
+#[test]
+fn golden_master_state_bytes_are_pinned() {
+    use hybridgraph::core::{BarrierSink, MasterState};
+    use hybridgraph::graph::gen;
+    use hybridgraph::prelude::*;
+    use std::sync::{Arc, Mutex};
+
+    #[derive(Debug, Default)]
+    struct Recorder(Mutex<Vec<(u64, Vec<u8>)>>);
+    impl BarrierSink for Recorder {
+        fn commit(&self, superstep: u64, state: &[u8]) -> std::io::Result<()> {
+            self.0.lock().unwrap().push((superstep, state.to_vec()));
+            Ok(())
+        }
+    }
+
+    let g = gen::rmat(256, 2048, gen::RmatParams::default(), 11);
+    let rec = Arc::new(Recorder::default());
+    let cfg = JobConfig::new(Mode::Hybrid, 3)
+        .with_buffer(192)
+        .with_checkpoint(CheckpointPolicy::EveryK(2))
+        .with_message_logging(true)
+        .with_trace(Arc::new(TraceSink::new(3)))
+        .with_barrier_sink(Arc::clone(&rec) as Arc<dyn BarrierSink>);
+    let res = run_job(Arc::new(PageRank::new(9)), &g, cfg).unwrap();
+    assert!(
+        !res.metrics.switches.is_empty(),
+        "the pinned job must exercise a switch"
+    );
+
+    let commits = rec.0.lock().unwrap();
+    let cuts: Vec<u64> = commits.iter().map(|(s, _)| *s).collect();
+    assert_eq!(cuts, [0, 2, 4, 6, 8]);
+    let pinned = |superstep: u64| {
+        let (_, blob) = commits.iter().find(|(s, _)| *s == superstep).unwrap();
+        let mut st = MasterState::decode(blob).unwrap();
+        for m in &mut st.steps {
+            m.wall_secs = 0.0;
+            m.blocking_secs = 0.0;
+            m.memory_bytes = 0;
+        }
+        let bytes = st.encode();
+        assert_eq!(bytes.len(), blob.len());
+        (bytes.len(), fnv1a(&bytes))
+    };
+    let got = [pinned(0), pinned(6)];
+    let want = [
+        (742usize, 0xa5b0_ca19_56f1_9f57u64),
+        (20018, 0x94cc_4c8f_959e_5655),
+    ];
+    assert_eq!(got, want, "[baseline, step cut 6] = {got:#x?}");
+}

@@ -284,6 +284,51 @@ fn subscribe_streams_ordered_progress() {
     handle.join();
 }
 
+/// A well-formed request the engine cannot run — `pushM` needs a combiner
+/// and LPA has none — used to panic the service's job thread: the job
+/// stayed `Running`, its scheduler lane stayed held and the waiter died.
+/// It must fail as a typed `JobError::InvalidConfig` (wire code 5) and
+/// leave the engine able to run the next job.
+#[test]
+fn unrunnable_config_fails_typed_and_frees_the_engine() {
+    let (_server, _transport, handle, mut client) = loopback_gateway(5, 1);
+    let g = gen::uniform(128, 512, 3);
+    client
+        .register_graph("g", &g, 2, 1, CodecChoice::None)
+        .expect("register");
+    let bad = JobOptions {
+        mode: Mode::PushM,
+        ..options(false)
+    };
+    let job = client
+        .submit("g", ProgramSpec::Lpa { supersteps: 3 }, bad)
+        .expect("the request itself is admissible");
+    let mut events = Vec::new();
+    let status = client
+        .subscribe(job, |ev| events.push(ev.clone()))
+        .expect("subscribe");
+    assert!(
+        matches!(status, JobStatusInfo::Failed { code: 5, .. }),
+        "{status:?}"
+    );
+    assert!(
+        matches!(&events[..], [ProgressEvent::Failed { code: 5, message }]
+            if message.contains("requires a combiner")),
+        "{events:?}"
+    );
+
+    // Same engine, same lane: a runnable job completes.
+    let next = client
+        .submit("g", ProgramSpec::Lpa { supersteps: 3 }, options(false))
+        .expect("submit");
+    let status = client.subscribe(next, |_| {}).expect("subscribe");
+    assert_eq!(status, JobStatusInfo::Done);
+    assert!(client.fetch(next).is_ok());
+    client.shutdown().expect("shutdown");
+    drop(client);
+    handle.join();
+}
+
 fn remote_code(err: ClientError) -> (ErrorDomain, u16) {
     err.remote_code()
         .unwrap_or_else(|| panic!("expected a remote error, got {err}"))

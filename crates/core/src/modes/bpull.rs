@@ -20,7 +20,7 @@
 //! (Fig. 6): after each block's `update()`, `pushRes()` immediately pushes
 //! messages from the new values into the peers' receive/spill buffers.
 
-use super::push::sink_message;
+use super::push::sink_payloads;
 use super::{run_init_step, send_plain};
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
@@ -99,8 +99,7 @@ pub fn run_bpull_step<P: VertexProgram>(
 
     let mut my_done = false;
     let mut done_peers = 0usize;
-    let mut push_inbound: Vec<Vec<(VertexId, P::Message)>> =
-        (0..workers).map(|_| Vec::new()).collect();
+    let mut push_inbound: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
     loop {
         if inflight.is_empty() && pending.is_empty() && !my_done {
             my_done = true;
@@ -134,7 +133,6 @@ pub fn run_bpull_step<P: VertexProgram>(
                 fl.inboxes[env.from.index()].accept(pairs, program.combiner());
             }
             Packet::Messages {
-                kind,
                 payload,
                 for_block: None,
                 ..
@@ -143,7 +141,7 @@ pub fn run_bpull_step<P: VertexProgram>(
                 // staged per sender, sunk in worker-id order after the
                 // loop so the spill file's content stays deterministic
                 // (see the push executor's exchange phase).
-                push_inbound[env.from.index()].extend(decode_batch::<P::Message>(kind, &payload));
+                push_inbound[env.from.index()].push(payload);
             }
             Packet::EndOfResponses { block } => {
                 let pos = inflight
@@ -174,14 +172,9 @@ pub fn run_bpull_step<P: VertexProgram>(
         }
     }
 
-    let spill_before = w.spill.as_ref().map(|s| s.spilled_bytes()).unwrap_or(0);
-    for pairs in push_inbound {
-        for (dst, m) in pairs {
-            sink_message(w, dst, m, false)?;
-        }
+    if also_push {
+        sink_payloads(w, &push_inbound, false, &mut rep)?;
     }
-    let spill_after = w.spill.as_ref().map(|s| s.spilled_bytes()).unwrap_or(0);
-    rep.sem.msg_spill_bytes += spill_after - spill_before;
 
     w.trace_phase("Pull-Respond+update");
     w.flush_staged()?;
@@ -297,8 +290,8 @@ fn update_block<P: VertexProgram>(
     also_push: bool,
     tbuf: &mut ThresholdBuffer<P::Message>,
 ) -> io::Result<()> {
-    let groups = inbox.into_groups();
-    if groups.is_empty() {
+    let inbox = inbox.into_inbox();
+    if inbox.is_empty() {
         return Ok(());
     }
     let program = Arc::clone(&w.program);
@@ -308,11 +301,11 @@ fn update_block<P: VertexProgram>(
     let vals = w.values.read_range(br.clone())?;
     w.note_value_preimage(br.start, &vals);
     rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
-    for (vg, msgs) in groups {
+    for (vg, msgs) in inbox.iter() {
         let v = VertexId(vg);
         debug_assert!(br.contains(&vg), "message for vertex outside block");
         let idx = (vg - br.start) as usize;
-        let upd = program.update(v, &info, superstep, &vals[idx], &msgs);
+        let upd = program.update(v, &info, superstep, &vals[idx], msgs);
         if track_residual {
             rep.max_residual = rep
                 .max_residual

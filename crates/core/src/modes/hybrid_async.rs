@@ -27,15 +27,13 @@
 //! iterated in canonical block-then-vertex order, so same-seed runs are
 //! byte-identical.
 
-use super::push::{drain_inbox, sink_message};
+use super::push::{exchange, load_inbox};
 use super::send_plain;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
-use crate::worker::Worker;
-use hybridgraph_graph::{VertexId, WorkerId};
+use crate::worker::{OutEdges, Worker};
+use hybridgraph_graph::VertexId;
 use hybridgraph_net::flow::ThresholdBuffer;
-use hybridgraph_net::packet::Packet;
-use hybridgraph_net::wire::{decode_batch, BatchKind};
 use hybridgraph_storage::{AccessClass, Record};
 use std::io;
 use std::sync::Arc;
@@ -71,15 +69,7 @@ pub fn run_async_step<P: VertexProgram>(
     let base = w.range.start;
 
     // load(): the messages received at the previous barrier.
-    let work: Vec<(u32, Vec<P::Message>)> = if superstep == 1 {
-        w.range
-            .clone()
-            .filter(|&v| program.initially_active(VertexId(v), &info))
-            .map(|v| (v, Vec::new()))
-            .collect()
-    } else {
-        drain_inbox(w, &mut rep)?
-    };
+    let work = load_inbox(w, superstep, &mut rep)?;
     w.trace_phase("load");
 
     let cls = Arc::clone(w.cls.as_ref().expect("async mode requires classification"));
@@ -100,7 +90,12 @@ pub fn run_async_step<P: VertexProgram>(
     // pseudo-round, emitted to the trace after the superstep's spans.
     let mut round_trace: Vec<(usize, u64, u64, u64)> = Vec::new();
 
-    let mut wi = 0usize;
+    // The index is out of the worker for the sweep, so it is added to
+    // the standing footprint by hand; neither changes before the
+    // exchange phase.
+    let standing = w.standing_memory_bytes() + index.memory_bytes();
+    let mut out_edges = OutEdges::default();
+    let mut groups = work.iter().peekable();
     let result = (|| -> io::Result<()> {
         for (bi, ib) in index.blocks.iter().enumerate() {
             let br = ib.range.clone();
@@ -114,12 +109,10 @@ pub fn run_async_step<P: VertexProgram>(
 
             // Sweep: apply the real inbox (strict semantics, boundary and
             // interior destinations alike).
-            while wi < work.len() && work[wi].0 < br.end {
-                let (v, msgs) = &work[wi];
-                wi += 1;
-                debug_assert!(br.contains(v));
+            while let Some((v, msgs)) = groups.next_if(|(v, _)| *v < br.end) {
+                debug_assert!(br.contains(&v));
                 let idx = (v - br.start) as usize;
-                let upd = program.update(VertexId(*v), &info, superstep, &vals[idx], msgs);
+                let upd = program.update(VertexId(v), &info, superstep, &vals[idx], msgs);
                 let residual = program.residual(&vals[idx], &upd.value);
                 rep.max_residual = rep.max_residual.max(residual);
                 rep.updated += 1;
@@ -133,7 +126,7 @@ pub fn run_async_step<P: VertexProgram>(
                     live.clear(local);
                     w.respond_next.clear(local);
                 }
-                if cls.is_boundary(*v) {
+                if cls.is_boundary(v) {
                     rep.asy.boundary_active += 1;
                 } else {
                     rep.asy.interior_active += 1;
@@ -256,10 +249,10 @@ pub fn run_async_step<P: VertexProgram>(
                     continue;
                 }
                 let v = VertexId(base + i as u32);
-                let edges = w.read_out_edges(v, AccessClass::SeqRead, &mut rep)?;
+                let edges = w.read_out_edges(v, AccessClass::SeqRead, &mut rep, &mut out_edges)?;
                 let outd = w.out_degrees[i];
                 let idx = (v.0 - br.start) as usize;
-                for e in edges.iter() {
+                for e in edges {
                     if !send_all && !cls.is_boundary(e.dst.0) {
                         continue;
                     }
@@ -273,8 +266,7 @@ pub fn run_async_step<P: VertexProgram>(
                 }
             }
 
-            let mem = tbuf.memory_bytes() + block_bytes + index.memory_bytes();
-            w.note_memory(mem + w.standing_memory_bytes());
+            w.note_memory(tbuf.memory_bytes() + block_bytes + standing);
             rep.sem.value_update_bytes += block_bytes;
             w.values.write_range(br.clone(), &vals)?;
         }
@@ -290,45 +282,7 @@ pub fn run_async_step<P: VertexProgram>(
     });
 
     // Exchange phase (identical to push).
-    for (peer, batch) in tbuf.flush_all() {
-        send_plain(w, peer, batch);
-    }
-    for p in 0..workers {
-        w.ep.send(WorkerId::from(p), Packet::DoneSending);
-    }
-    let mut done = 0usize;
-    let spill_before = w
-        .spill
-        .as_ref()
-        .map(|s| s.spilled_bytes())
-        .unwrap_or_default();
-    // Staged per sender, sunk in worker-id order — keeps the spill
-    // file's content (and so its coded frames) deterministic; see the
-    // push executor's exchange phase.
-    let mut inbound: Vec<Vec<(VertexId, P::Message)>> = (0..workers).map(|_| Vec::new()).collect();
-    while done < workers {
-        let env = w.recv_timed(&mut blocking);
-        match env.packet {
-            Packet::Messages { kind, payload, .. } => {
-                debug_assert_ne!(kind, BatchKind::Concatenated, "async never concatenates");
-                inbound[env.from.index()].extend(decode_batch::<P::Message>(kind, &payload));
-            }
-            Packet::DoneSending => done += 1,
-            Packet::Abort => return Err(super::abort_error()),
-            other => unreachable!("unexpected packet in async step: {other:?}"),
-        }
-    }
-    for pairs in inbound {
-        for (dst, m) in pairs {
-            sink_message(w, dst, m, false)?;
-        }
-    }
-    let spill_after = w
-        .spill
-        .as_ref()
-        .map(|s| s.spilled_bytes())
-        .unwrap_or_default();
-    rep.sem.msg_spill_bytes += spill_after - spill_before;
+    exchange(w, tbuf, false, &mut rep, &mut blocking)?;
     w.trace_phase("exchange");
 
     w.finish_superstep(&mut rep);

@@ -17,7 +17,7 @@
 use super::init_updates;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
-use crate::worker::{MsgAccumulator, Worker};
+use crate::worker::{MsgAccumulator, OutEdges, Worker};
 use hybridgraph_graph::{Edge, VertexId, WorkerId};
 use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::{decode_batch, encode_batch, BatchKind};
@@ -182,10 +182,11 @@ fn scatter_signals<P: VertexProgram>(w: &mut Worker<P>, rep: &mut StepReport) ->
     let workers = w.cfg.workers;
     let responders: Vec<usize> = w.respond_next.ones().collect();
     let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); workers];
+    let mut out_edges = OutEdges::default();
     for i in responders {
         let v = VertexId(w.range.start + i as u32);
-        let edges = w.read_out_edges(v, hybridgraph_storage::AccessClass::SeqRead, rep)?;
-        for e in edges.iter() {
+        let edges = w.read_out_edges(v, AccessClass::SeqRead, rep, &mut out_edges)?;
+        for e in edges {
             let p = w.partition.worker_of(e.dst).index();
             bufs[p].extend_from_slice(&e.dst.0.to_le_bytes());
             if bufs[p].len() >= w.cfg.sending_threshold {
@@ -325,10 +326,10 @@ fn update_cached<P: VertexProgram>(
     let program = Arc::clone(&w.program);
     let info = w.info;
     let track_residual = program.tolerance().is_some();
-    for (vg, msgs) in inbox.into_groups() {
+    for (vg, msgs) in inbox.into_inbox().iter() {
         let v = VertexId(vg);
         let current = cached_value(w, v, rep)?;
-        let upd = program.update(v, &info, superstep, &current, &msgs);
+        let upd = program.update(v, &info, superstep, &current, msgs);
         if track_residual {
             rep.max_residual = rep.max_residual.max(program.residual(&current, &upd.value));
         }

@@ -5,7 +5,7 @@
 //! by block, with the vertex's adjacency run read for every computed
 //! vertex — the paper's `IO(Ē^t)` follows the *active* set), `pushRes()`
 //! for responders (plain-encoded batches flushed at the sending
-//! threshold), then an exchange phase that drains incoming batches into
+//! threshold), then an exchange phase that sinks incoming batches into
 //! the receive buffer, spilling past `B_i`.
 //!
 //! `pushM` differs only at the receiver: messages for hot (memory-
@@ -19,11 +19,12 @@
 use super::send_plain;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
-use crate::worker::Worker;
+use crate::worker::{OutEdges, Worker};
 use hybridgraph_graph::{VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
-use hybridgraph_net::wire::{decode_batch, BatchKind};
+use hybridgraph_net::wire::{check_records, BatchKind};
+use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::{AccessClass, Record};
 use std::io;
 use std::sync::Arc;
@@ -45,42 +46,35 @@ pub fn run_push_step<P: VertexProgram>(
     let mut blocking = 0.0;
     let program = Arc::clone(&w.program);
     let info = w.info;
-    let workers = w.cfg.workers;
     // Residuals only matter to tolerance-terminated programs; others skip
     // the per-vertex comparison so existing runs stay byte-identical.
     let track_residual = program.tolerance().is_some();
 
-    // load(): messages received in the previous superstep.
-    let work: Vec<(u32, Vec<P::Message>)> = if superstep == 1 {
-        w.range
-            .clone()
-            .filter(|&v| program.initially_active(VertexId(v), &info))
-            .map(|v| (v, Vec::new()))
-            .collect()
-    } else {
-        drain_inbox(w, &mut rep)?
-    };
+    let work = load_inbox(w, superstep, &mut rep)?;
     w.trace_phase("load");
 
-    // update() + pushRes(), block by block.
+    // update() + pushRes(), block by block. Nothing the compute phase
+    // does changes the standing footprint: the receive store fills in
+    // the exchange phase.
+    let standing = w.standing_memory_bytes();
     let mut tbuf: ThresholdBuffer<P::Message> =
-        ThresholdBuffer::new(workers, w.cfg.sending_threshold);
-    let mut cur: Option<(std::ops::Range<u32>, Vec<P::Value>)> = None;
-    for (v, msgs) in &work {
-        let v = VertexId(*v);
-        let br = w.layout.block_range(w.layout.block_of(v));
-        if cur.as_ref().map(|(r, _)| r.clone()) != Some(br.clone()) {
-            if let Some((r, vals)) = cur.take() {
+        ThresholdBuffer::new(w.cfg.workers, w.cfg.sending_threshold);
+    let mut edges = OutEdges::default();
+    let mut br = 0..0u32;
+    let mut vals: Vec<P::Value> = Vec::new();
+    for (vg, msgs) in work.iter() {
+        let v = VertexId(vg);
+        if vg >= br.end {
+            if !br.is_empty() {
                 rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
-                w.values.write_range(r, &vals)?;
+                w.values.write_range(br, &vals)?;
             }
-            let vals = w.values.read_range(br.clone())?;
+            br = w.layout.block_range(w.layout.block_of(v));
+            vals = w.values.read_range(br.clone())?;
             w.note_value_preimage(br.start, &vals);
             rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
-            cur = Some((br.clone(), vals));
         }
-        let (_, vals) = cur.as_mut().unwrap();
-        let idx = (v.0 - br.start) as usize;
+        let idx = (vg - br.start) as usize;
         let upd = program.update(v, &info, superstep, &vals[idx], msgs);
         if track_residual {
             rep.max_residual = rep
@@ -99,10 +93,10 @@ pub fn run_push_step<P: VertexProgram>(
             // read goes through the cross-job shared cache when the job
             // has one; a miss charges the physical bytes (== logical
             // without a codec) to `IO(Ē^t)`, a hit charges nothing.
-            let edges = w.read_out_edges(v, AccessClass::SeqRead, &mut rep)?;
+            let out = w.read_out_edges(v, AccessClass::SeqRead, &mut rep, &mut edges)?;
             if upd.respond {
                 let outd = w.out_degrees[local];
-                for e in edges.iter() {
+                for e in out {
                     if let Some(m) = program.message(v, &upd.value, outd, e) {
                         rep.messages_produced += 1;
                         let peer = w.partition.worker_of(e.dst);
@@ -115,60 +109,16 @@ pub fn run_push_step<P: VertexProgram>(
         }
         vals[idx] = upd.value;
         let mem = tbuf.memory_bytes() + (br.len() * P::Value::BYTES) as u64;
-        w.note_memory(mem + w.standing_memory_bytes());
+        w.note_memory(mem + standing);
     }
-    if let Some((r, vals)) = cur.take() {
+    if !br.is_empty() {
         rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
-        w.values.write_range(r, &vals)?;
+        w.values.write_range(br, &vals)?;
     }
     w.trace_phase(if send { "compute+pushRes" } else { "compute" });
 
-    // Exchange phase.
     if send {
-        for (peer, batch) in tbuf.flush_all() {
-            send_plain(w, peer, batch);
-        }
-        for p in 0..workers {
-            w.ep.send(WorkerId::from(p), Packet::DoneSending);
-        }
-        let mut done = 0usize;
-        let spill_before = w
-            .spill
-            .as_ref()
-            .map(|s| s.spilled_bytes())
-            .unwrap_or_default();
-        // Batches are staged per sender and sunk in worker-id order
-        // below: arrival interleaving across senders is scheduling-
-        // dependent, and sinking in slot order makes the spill file's
-        // *content* (not just its byte count) a pure function of the
-        // superstep — coded spill frames compress to the same bytes run
-        // to run, the spill-side twin of `MsgAccumulator::
-        // merge_in_order`.
-        let mut inbound: Vec<Vec<(VertexId, P::Message)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        while done < workers {
-            let env = w.recv_timed(&mut blocking);
-            match env.packet {
-                Packet::Messages { kind, payload, .. } => {
-                    debug_assert_ne!(kind, BatchKind::Concatenated, "push never concatenates");
-                    inbound[env.from.index()].extend(decode_batch::<P::Message>(kind, &payload));
-                }
-                Packet::DoneSending => done += 1,
-                Packet::Abort => return Err(super::abort_error()),
-                other => unreachable!("unexpected packet in push step: {other:?}"),
-            }
-        }
-        for pairs in inbound {
-            for (dst, m) in pairs {
-                sink_message(w, dst, m, online)?;
-            }
-        }
-        let spill_after = w
-            .spill
-            .as_ref()
-            .map(|s| s.spilled_bytes())
-            .unwrap_or_default();
-        rep.sem.msg_spill_bytes += spill_after - spill_before;
+        exchange(w, tbuf, online, &mut rep, &mut blocking)?;
         w.trace_phase("exchange");
     }
 
@@ -178,73 +128,256 @@ pub fn run_push_step<P: VertexProgram>(
     Ok(rep)
 }
 
-/// Routes one received message into the receive store: online-combined
-/// for hot vertices in pushM, spilled-past-`B_i` otherwise.
-pub(crate) fn sink_message<P: VertexProgram>(
+/// The exchange phase of a push or async superstep: flushes the sending
+/// buffers, announces the end of this worker's sends, and receives until
+/// every peer has done the same.
+///
+/// Batches are staged per sender — as the payloads they arrived in — and
+/// sunk in worker-id order afterwards: arrival interleaving across
+/// senders is scheduling-dependent, and sinking in slot order makes the
+/// spill file's *content* (not just its byte count) a pure function of
+/// the superstep — coded spill frames compress to the same bytes run to
+/// run, the spill-side twin of `MsgAccumulator::merge_in_order`.
+pub(crate) fn exchange<P: VertexProgram>(
     w: &mut Worker<P>,
-    dst: VertexId,
-    m: P::Message,
+    mut tbuf: ThresholdBuffer<P::Message>,
     online: bool,
+    rep: &mut StepReport,
+    blocking: &mut f64,
 ) -> io::Result<()> {
-    debug_assert!(w.is_local(dst), "message routed to wrong worker");
-    if online {
-        let local = w.local(dst);
-        let program = Arc::clone(&w.program);
+    let workers = w.cfg.workers;
+    for (peer, batch) in tbuf.flush_all() {
+        send_plain(w, peer, batch);
+    }
+    for p in 0..workers {
+        w.ep.send(WorkerId::from(p), Packet::DoneSending);
+    }
+    let mut inbound: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
+    let mut done = 0usize;
+    while done < workers {
+        let env = w.recv_timed(blocking);
+        match env.packet {
+            Packet::Messages { kind, payload, .. } => {
+                debug_assert_ne!(kind, BatchKind::Concatenated, "push never concatenates");
+                inbound[env.from.index()].push(payload);
+            }
+            Packet::DoneSending => done += 1,
+            Packet::Abort => return Err(super::abort_error()),
+            other => unreachable!("unexpected packet in push exchange: {other:?}"),
+        }
+    }
+    sink_payloads(w, &inbound, online, rep)
+}
+
+/// Sinks staged plain payloads, sender by sender, into the receive
+/// store. A payload's records are the store's own format, so after one
+/// validating pass each payload goes in as a single run: resident up to
+/// `B_i`, spilled past it. In pushM (`online`) records for hot vertices
+/// are combined into their accumulators instead and only the cold rest
+/// of each payload is sunk.
+pub(crate) fn sink_payloads<P: VertexProgram>(
+    w: &mut Worker<P>,
+    inbound: &[Vec<Arc<[u8]>>],
+    online: bool,
+    rep: &mut StepReport,
+) -> io::Result<()> {
+    let program = Arc::clone(&w.program);
+    let base = w.range.start;
+    let spill = w.spill.as_mut().expect("push needs a spill buffer");
+    let spill_before = spill.spilled_bytes();
+    let mut cold: Vec<u8> = Vec::new();
+    for payload in inbound.iter().flatten() {
+        check_records::<P::Message>(payload, &w.range)?;
+        if !online {
+            spill.push_encoded(payload)?;
+            continue;
+        }
         let combiner = program
             .combiner()
             .expect("pushM requires a combiner (message online computing)");
         let hot = w.hotset.as_mut().expect("pushM requires the hot set");
-        if hot.hot.get(local) {
-            let slot = &mut hot.acc[local];
-            *slot = Some(match slot.take() {
-                Some(acc) => combiner.combine(&acc, &m),
-                None => m,
-            });
-            return Ok(());
+        cold.clear();
+        for record in payload.chunks_exact(4 + P::Message::BYTES) {
+            let local = (u32::read_from(&record[..4]) - base) as usize;
+            if hot.hot.get(local) {
+                let m = P::Message::read_from(&record[4..]);
+                let slot = &mut hot.acc[local];
+                *slot = Some(match slot.take() {
+                    Some(acc) => combiner.combine(&acc, &m),
+                    None => m,
+                });
+            } else {
+                cold.extend_from_slice(record);
+            }
         }
+        spill.push_encoded(&cold)?;
     }
-    w.spill
-        .as_mut()
-        .expect("push needs a spill buffer")
-        .push(dst, m)?;
+    rep.sem.msg_spill_bytes += spill.spilled_bytes() - spill_before;
     Ok(())
 }
 
-/// `load()`: drains last superstep's messages (hot accumulators + spill
-/// buffer) into destination-sorted groups.
-pub(crate) fn drain_inbox<P: VertexProgram>(
+/// `load()`: the superstep's input — last superstep's messages (hot
+/// accumulators + receive store) grouped by destination, or in superstep
+/// 1 every initially-active vertex with no messages.
+pub(crate) fn load_inbox<P: VertexProgram>(
     w: &mut Worker<P>,
+    superstep: u64,
     rep: &mut StepReport,
-) -> io::Result<Vec<(u32, Vec<P::Message>)>> {
-    let mut pairs: Vec<(VertexId, P::Message)> = Vec::new();
-    let base = w.range.start;
-    if let Some(hot) = w.hotset.as_mut() {
-        for (i, slot) in hot.acc.iter_mut().enumerate() {
+) -> io::Result<Inbox<P::Message>> {
+    if superstep == 1 {
+        let mut inbox = Inbox::new();
+        for v in w.range.clone() {
+            if w.program.initially_active(VertexId(v), &w.info) {
+                inbox.extend(v, []);
+            }
+        }
+        return Ok(inbox);
+    }
+    // Online accumulators never entered the receive store; they join its
+    // records for the one sort.
+    let mut hot: Vec<u8> = Vec::new();
+    if let Some(h) = w.hotset.as_mut() {
+        for (v, slot) in (w.range.start..).zip(h.acc.iter_mut()) {
             if let Some(m) = slot.take() {
-                pairs.push((VertexId(base + i as u32), m));
+                VertexId(v).append_to(&mut hot);
+                m.append_to(&mut hot);
             }
         }
     }
-    if let Some(spill) = w.spill.as_mut() {
-        pairs.extend(spill.drain()?.into_sorted());
-    }
-    // Canonical order: destination, then encoded message bytes. Arrival
-    // order depends on thread scheduling; sorting by content as well as
-    // destination makes non-commutative float reductions inside
-    // `update()` bit-identical run to run (and across a recovery replay).
-    pairs.sort_by_cached_key(|(d, m)| {
-        let mut bytes = vec![0u8; P::Message::BYTES];
-        m.write_to(&mut bytes);
-        (d.0, bytes)
-    });
-    rep.delivered_raw = pairs.len() as u64;
-    let mut groups: Vec<(u32, Vec<P::Message>)> = Vec::new();
-    for (d, m) in pairs {
-        match groups.last_mut() {
-            Some((last, msgs)) if *last == d.0 => msgs.push(m),
-            _ => groups.push((d.0, vec![m])),
+    let spill = w.spill.as_mut().expect("push needs a spill buffer");
+    let inbox = spill.drain_with(&hot)?;
+    rep.delivered_raw = inbox.messages() as u64;
+    rep.delivered_distinct = inbox.destinations() as u64;
+    Ok(inbox)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{JobConfig, Mode};
+    use crate::program::{GraphInfo, Update};
+    use crate::worker::WorkerSeed;
+    use hybridgraph_graph::{gen, BlockLayout, Edge, Partition};
+    use hybridgraph_net::combine::SumCombiner;
+    use hybridgraph_net::{Combiner, Fabric};
+    use hybridgraph_storage::record::encode_slice;
+    use hybridgraph_storage::MemVfs;
+
+    struct Sum;
+
+    impl VertexProgram for Sum {
+        type Value = f64;
+        type Message = f64;
+
+        fn name(&self) -> &'static str {
+            "sum"
+        }
+
+        fn init(&self, _v: VertexId, _info: &GraphInfo) -> f64 {
+            0.0
+        }
+
+        fn update(&self, _: VertexId, _: &GraphInfo, _: u64, _: &f64, msgs: &[f64]) -> Update<f64> {
+            Update::respond(msgs.iter().sum())
+        }
+
+        fn message(&self, _: VertexId, value: &f64, _: u32, _: &Edge) -> Option<f64> {
+            Some(*value)
+        }
+
+        fn combiner(&self) -> Option<&dyn Combiner<f64>> {
+            Some(&SumCombiner)
         }
     }
-    rep.delivered_distinct = groups.len() as u64;
-    Ok(groups)
+
+    /// Worker 1 of 2 (vertices 20..40) of a pushM job whose hot set holds
+    /// 4 vertices and whose receive buffer holds 4 messages.
+    fn worker() -> Worker<Sum> {
+        let g = gen::uniform(40, 200, 3);
+        let partition = Arc::new(Partition::range(40, 2));
+        let layout = Arc::new(BlockLayout::uniform(&partition, 2));
+        let (mut eps, _) = Fabric::mesh(2);
+        let seed = WorkerSeed {
+            id: WorkerId(1),
+            program: Arc::new(Sum),
+            graph: &g,
+            reverse: None,
+            partition,
+            layout,
+            cfg: JobConfig::new(Mode::PushM, 2).with_buffer(4),
+            ep: eps.remove(1),
+            vfs: Arc::new(MemVfs::new()),
+            classification: None,
+        };
+        Worker::load(seed).expect("load").0
+    }
+
+    fn payload(msgs: &[(u32, f64)]) -> Vec<Vec<Arc<[u8]>>> {
+        let records: Vec<(VertexId, f64)> = msgs.iter().map(|&(d, m)| (VertexId(d), m)).collect();
+        vec![vec![encode_slice(&records).into()], Vec::new()]
+    }
+
+    #[test]
+    fn sunk_payloads_come_back_grouped_hot_and_cold() {
+        let mut w = worker();
+        let hot: Vec<u32> = (20..40)
+            .filter(|v| w.hotset.as_ref().unwrap().hot.get((v - 20) as usize))
+            .collect();
+        let cold: Vec<u32> = (20..40).filter(|v| !hot.contains(v)).collect();
+        assert_eq!(hot.len(), 4);
+        let mut msgs = Vec::new();
+        for round in 0..3 {
+            for &v in hot.iter().chain(&cold[..6]) {
+                msgs.push((v, f64::from(round) - 0.5));
+            }
+        }
+        let mut rep = StepReport::default();
+        for online in [false, true] {
+            sink_payloads(&mut w, &payload(&msgs), online, &mut rep).unwrap();
+            let pending = w.spill.as_ref().unwrap().total();
+            assert_eq!(pending, if online { 18 } else { 30 });
+            let inbox = load_inbox(&mut w, 2, &mut rep).unwrap();
+            assert_eq!(rep.delivered_distinct, 10);
+            assert_eq!(rep.delivered_raw, if online { 18 + 4 } else { 30 });
+            for (v, got) in inbox.iter() {
+                let want: &[f64] = if online && hot.contains(&v) {
+                    &[1.5] // -0.5 + 0.5 + 1.5, combined on arrival
+                } else {
+                    &[-0.5, 0.5, 1.5]
+                };
+                // Canonical order is by encoded bytes, not by value.
+                let mut got = got.to_vec();
+                got.sort_by(f64::total_cmp);
+                assert_eq!(got, want, "vertex {v} online {online}");
+            }
+        }
+        assert!(rep.sem.msg_spill_bytes > 0);
+    }
+
+    #[test]
+    fn malformed_payloads_are_invalid_data_not_panics() {
+        let mut w = worker();
+        let mut rep = StepReport::default();
+        // Vertex 19 lives on worker 0; vertex 40 does not exist.
+        for stray in [19, 40, u32::MAX] {
+            for online in [false, true] {
+                let err = sink_payloads(
+                    &mut w,
+                    &payload(&[(25, 1.0), (stray, 2.0)]),
+                    online,
+                    &mut rep,
+                )
+                .unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{stray}/{online}");
+            }
+        }
+        // One byte short of two records.
+        let mut short = payload(&[(25, 1.0), (26, 2.0)]);
+        short[0][0] = short[0][0][..23].into();
+        let err = sink_payloads(&mut w, &short, false, &mut rep).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Nothing of a rejected payload was sunk.
+        assert_eq!(w.spill.as_ref().unwrap().total(), 0);
+        assert!(w.hotset.as_ref().unwrap().acc.iter().all(Option::is_none));
+    }
 }

@@ -17,9 +17,10 @@ use hybridgraph_net::fabric::{Endpoint, Envelope};
 use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::BatchKind;
 use hybridgraph_obs::TraceShard;
-use hybridgraph_storage::adjacency::AdjacencyStore;
+use hybridgraph_storage::adjacency::{AdjacencyStore, EdgeScratch};
 use hybridgraph_storage::checkpoint::{CheckpointReader, CheckpointWriter};
 use hybridgraph_storage::gather::GatherStore;
+use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::lru::LruCache;
 use hybridgraph_storage::msg_log::MsgLogWriter;
 use hybridgraph_storage::msg_store::SpillBuffer;
@@ -146,27 +147,19 @@ impl<M: Record> MsgAccumulator<M> {
         out
     }
 
-    /// Drains into per-destination groups, sorted by destination.
-    pub fn into_groups(self) -> Vec<(u32, Vec<M>)> {
-        match self {
-            MsgAccumulator::Combined(map) => {
-                let mut v: Vec<(u32, Vec<M>)> =
-                    map.into_iter().map(|(d, m)| (d, vec![m])).collect();
-                v.sort_by_key(|(d, _)| *d);
-                v
-            }
-            MsgAccumulator::List(mut list) => {
-                list.sort_by_key(|(d, _)| *d);
-                let mut out: Vec<(u32, Vec<M>)> = Vec::new();
-                for (d, m) in list {
-                    match out.last_mut() {
-                        Some((last, msgs)) if *last == d => msgs.push(m),
-                        _ => out.push((d, vec![m])),
-                    }
-                }
-                out
-            }
+    /// Drains into an [`Inbox`]: destinations ascending, each one's
+    /// messages in the order they were accepted.
+    pub fn into_inbox(self) -> Inbox<M> {
+        let mut pairs: Vec<(u32, M)> = match self {
+            MsgAccumulator::Combined(map) => map.into_iter().collect(),
+            MsgAccumulator::List(list) => list,
+        };
+        pairs.sort_by_key(|(d, _)| *d);
+        let mut inbox = Inbox::with_capacity(pairs.len());
+        for (d, m) in pairs {
+            inbox.extend(d, [m]);
         }
+        inbox
     }
 }
 
@@ -200,6 +193,14 @@ impl<M: Record> HotSet<M> {
     pub fn memory_bytes(&self) -> u64 {
         self.acc.iter().flatten().count() as u64 * (4 + M::BYTES as u64)
     }
+}
+
+/// Where [`Worker::read_out_edges`] puts a vertex's out-edges: decoded
+/// into reused buffers, or shared with the cross-job cache.
+#[derive(Default)]
+pub struct OutEdges {
+    own: EdgeScratch,
+    shared: Option<Arc<Vec<Edge>>>,
 }
 
 /// Everything [`Worker::load`] needs, bundled into one struct so
@@ -248,7 +249,8 @@ pub struct StepUndo<P: VertexProgram> {
     signaled: BitSet,
     signaled_next: BitSet,
     hot_acc: Option<Vec<Option<P::Message>>>,
-    spill_pending: Option<Vec<(VertexId, P::Message)>>,
+    /// Pending spill-buffer records (`dst | message`, as buffered).
+    spill_pending: Option<Vec<u8>>,
     value_blocks: Vec<(u32, Vec<P::Value>)>,
 }
 
@@ -779,33 +781,42 @@ impl<P: VertexProgram> Worker<P> {
     /// loop (canonical work order) and pull's `scatter_signals` (ascending
     /// vertex order). Arrival-ordered paths must not — the cache state
     /// would depend on packet timing.
-    pub fn read_out_edges(
+    ///
+    /// Without a shared cache the edges decode into `scratch`, which the
+    /// caller reuses vertex after vertex; cached edges are borrowed from
+    /// the `Arc` the cache handed out, which `scratch` keeps alive.
+    pub fn read_out_edges<'a>(
         &self,
         v: VertexId,
         class: AccessClass,
         rep: &mut StepReport,
-    ) -> io::Result<Arc<Vec<Edge>>> {
+        scratch: &'a mut OutEdges,
+    ) -> io::Result<&'a [Edge]> {
         let adj = self.adjacency.as_ref().expect("adjacency store required");
         let stored = adj.stored_bytes_of(v);
         if stored == 0 {
-            return Ok(Arc::new(Vec::new()));
+            return Ok(&[]);
         }
         let (Some(cache), Some(shared)) = (&self.cfg.shared_cache, &self.cfg.shared_stores) else {
-            let edges = adj.edges_of(v, class)?;
             rep.sem.push_edge_bytes += stored;
-            return Ok(Arc::new(edges));
+            return adj.read_edges(v, class, &mut scratch.own);
         };
         let (gid, slot) = (shared.graph_id, self.id.index());
-        if let Some(edges) = cache.get(slot, gid, v.0) {
-            rep.cache_hits += 1;
-            self.vfs.stats().record_logical(class, adj.edge_bytes_of(v));
-            return Ok(edges);
-        }
-        rep.cache_misses += 1;
-        let edges = Arc::new(adj.edges_of(v, class)?);
-        rep.sem.push_edge_bytes += stored;
-        rep.cache_evictions += cache.insert(slot, gid, v.0, Arc::clone(&edges), stored);
-        Ok(edges)
+        let edges = match cache.get(slot, gid, v.0) {
+            Some(edges) => {
+                rep.cache_hits += 1;
+                self.vfs.stats().record_logical(class, adj.edge_bytes_of(v));
+                edges
+            }
+            None => {
+                rep.cache_misses += 1;
+                let edges = Arc::new(adj.edges_of(v, class)?);
+                rep.sem.push_edge_bytes += stored;
+                rep.cache_evictions += cache.insert(slot, gid, v.0, Arc::clone(&edges), stored);
+                edges
+            }
+        };
+        Ok(scratch.shared.insert(edges))
     }
 
     /// A blocking receive that accrues the wait into `blocking_secs`.
@@ -888,8 +899,7 @@ impl<P: VertexProgram> Worker<P> {
         match &self.spill {
             Some(s) => {
                 w.put_u8(1);
-                let pairs = s.snapshot_pending()?;
-                w.put_bytes(&encode_slice(&pairs));
+                w.put_bytes(&s.snapshot_pending()?);
             }
             None => w.put_u8(0),
         }
@@ -937,10 +947,7 @@ impl<P: VertexProgram> Worker<P> {
         self.signaled = BitSet::from_words(r.get_words()?, n);
         self.signaled_next = BitSet::new(n);
         match (&mut self.spill, r.get_u8()?) {
-            (Some(s), 1) => {
-                let pairs: Vec<(VertexId, P::Message)> = decode_slice(&r.get_bytes()?);
-                s.restore_pending(pairs)?;
-            }
+            (Some(s), 1) => s.restore_pending(&r.get_bytes()?)?,
             (None, 0) => {}
             _ => return Err(mismatch("spill buffer presence")),
         }
@@ -1014,8 +1021,8 @@ impl<P: VertexProgram> Worker<P> {
             self.values
                 .write_range(*start..*start + vals.len() as u32, vals)?;
         }
-        if let (Some(s), Some(pairs)) = (&mut self.spill, u.spill_pending) {
-            s.restore_pending(pairs)?;
+        if let (Some(s), Some(records)) = (&mut self.spill, u.spill_pending) {
+            s.restore_pending(&records)?;
         }
         if let (Some(h), Some(acc)) = (&mut self.hotset, u.hot_acc) {
             h.acc = acc;
@@ -1060,8 +1067,9 @@ mod tests {
             Some(&SumCombiner),
         );
         assert_eq!(a.len(), 2);
-        let groups = a.into_groups();
-        assert_eq!(groups, vec![(1, vec![4.0]), (2, vec![2.0])]);
+        let inbox = a.into_inbox();
+        let groups: Vec<(u32, &[f64])> = inbox.iter().collect();
+        assert_eq!(groups, [(1, &[4.0][..]), (2, &[2.0])]);
     }
 
     #[test]
@@ -1071,8 +1079,9 @@ mod tests {
         a.accept(vec![(VertexId(2), 8)], None);
         assert_eq!(a.len(), 3);
         assert_eq!(a.memory_bytes(), 3 * 8);
-        let groups = a.into_groups();
-        assert_eq!(groups, vec![(1, vec![5]), (2, vec![7, 8])]);
+        let inbox = a.into_inbox();
+        let groups: Vec<(u32, &[u32])> = inbox.iter().collect();
+        assert_eq!(groups, [(1, &[5][..]), (2, &[7, 8])]);
     }
 
     #[test]

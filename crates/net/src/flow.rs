@@ -17,7 +17,10 @@ pub const DEFAULT_SENDING_THRESHOLD: usize = 4 * 1024 * 1024;
 /// Per-destination-worker outgoing buffers with threshold-triggered flush.
 pub struct ThresholdBuffer<M: Record> {
     per_peer: Vec<Vec<(VertexId, M)>>,
-    threshold_bytes: usize,
+    /// How many messages fit under the threshold.
+    per_flush: usize,
+    /// Messages buffered across all peers.
+    buffered: usize,
 }
 
 impl<M: Record> ThresholdBuffer<M> {
@@ -27,7 +30,8 @@ impl<M: Record> ThresholdBuffer<M> {
         assert!(threshold_bytes > 0, "threshold must be positive");
         ThresholdBuffer {
             per_peer: (0..peers).map(|_| Vec::new()).collect(),
-            threshold_bytes,
+            per_flush: (threshold_bytes / Self::message_bytes()).max(1),
+            buffered: 0,
         }
     }
 
@@ -39,16 +43,18 @@ impl<M: Record> ThresholdBuffer<M> {
 
     /// How many messages fit under the threshold.
     pub fn messages_per_flush(&self) -> usize {
-        (self.threshold_bytes / Self::message_bytes()).max(1)
+        self.per_flush
     }
 
     /// Appends a message for `dst` owned by worker `peer`; returns the
     /// drained batch if the peer's buffer reached the threshold.
+    #[inline]
     pub fn push(&mut self, peer: WorkerId, dst: VertexId, msg: M) -> Option<Vec<(VertexId, M)>> {
-        let per_flush = self.messages_per_flush();
         let buf = &mut self.per_peer[peer.index()];
         buf.push((dst, msg));
-        if buf.len() >= per_flush {
+        self.buffered += 1;
+        if buf.len() >= self.per_flush {
+            self.buffered -= buf.len();
             Some(std::mem::take(buf))
         } else {
             None
@@ -62,7 +68,7 @@ impl<M: Record> ThresholdBuffer<M> {
 
     /// Total buffered messages.
     pub fn total_buffered(&self) -> usize {
-        self.per_peer.iter().map(Vec::len).sum()
+        self.buffered
     }
 
     /// In-memory footprint of the buffers (the paper's `BS_i` when used as
@@ -73,6 +79,7 @@ impl<M: Record> ThresholdBuffer<M> {
 
     /// Drains every non-empty buffer as `(peer, batch)` pairs.
     pub fn flush_all(&mut self) -> Vec<(WorkerId, Vec<(VertexId, M)>)> {
+        self.buffered = 0;
         let mut out = Vec::new();
         for (i, buf) in self.per_peer.iter_mut().enumerate() {
             if !buf.is_empty() {
@@ -136,6 +143,18 @@ mod tests {
         b.push(WorkerId(0), VertexId(0), 0.0);
         b.push(WorkerId(0), VertexId(1), 1.0);
         assert_eq!(b.memory_bytes(), 24);
+    }
+
+    #[test]
+    fn running_count_follows_threshold_flushes() {
+        let mut b: ThresholdBuffer<u32> = ThresholdBuffer::new(2, 16);
+        b.push(WorkerId(0), VertexId(0), 0);
+        b.push(WorkerId(1), VertexId(1), 1);
+        assert!(b.push(WorkerId(0), VertexId(2), 2).is_some());
+        assert_eq!(b.total_buffered(), 1);
+        assert_eq!(b.memory_bytes(), 8);
+        b.flush_all();
+        assert_eq!(b.total_buffered(), 0);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 use crate::combine::Combiner;
 use hybridgraph_graph::VertexId;
 use hybridgraph_storage::Record;
+use std::io;
+use std::ops::Range;
 
 /// Which encoding a batch uses.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -138,6 +140,34 @@ pub fn encode_batch<M: Record>(
     }
 }
 
+/// Checks a received [`BatchKind::Plain`] or [`BatchKind::Combined`]
+/// payload before it is sunk as it stands (its `dst: u32 LE | M` records
+/// are the receive buffer's and the spill file's format): a whole number
+/// of records, every destination inside the receiver's `local` range.
+/// A violation is `InvalidData`, never a panic or a stray index.
+pub fn check_records<M: Record>(payload: &[u8], local: &Range<u32>) -> io::Result<()> {
+    let width = 4 + M::BYTES;
+    if !payload.len().is_multiple_of(width) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "message batch of {} bytes is not a multiple of the {width}-byte record",
+                payload.len()
+            ),
+        ));
+    }
+    for record in payload.chunks_exact(width) {
+        let dst = u32::read_from(&record[..4]);
+        if !local.contains(&dst) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("message for vertex {dst} routed to the worker owning {local:?}"),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Decodes a batch back into `(dst, value)` pairs.
 ///
 /// Concatenated batches expand to one pair per value; combined batches
@@ -238,6 +268,22 @@ mod tests {
         assert_eq!(stats.wire_values, 1);
         let back: Vec<(VertexId, f32)> = decode_batch(BatchKind::Combined, &bytes);
         assert_eq!(back, vec![(VertexId(0), 2.0)]);
+    }
+
+    #[test]
+    fn check_records_rejects_short_and_misrouted_payloads() {
+        let mut msgs = vec![(VertexId(10), 1.5f64), (VertexId(19), -2.0)];
+        let (bytes, _) = encode_batch(BatchKind::Plain, &mut msgs, None);
+        assert!(check_records::<f64>(&bytes, &(10..20)).is_ok());
+        assert!(check_records::<f64>(&[], &(10..20)).is_ok());
+        // One byte short: not a whole number of 12-byte records.
+        let err = check_records::<f64>(&bytes[..bytes.len() - 1], &(10..20)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Well-formed, but vertex 19 is not in 10..19 / vertex 10 not in 11..20.
+        for local in [10..19, 11..20, 0..0] {
+            let err = check_records::<f64>(&bytes, &local).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{local:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! with the active set for traversal algorithms.
 
 use crate::extent::{ExtentFile, ExtentWriter};
-use crate::record::{decode_slice, Record};
+use crate::record::Record;
 use crate::stats::{AccessClass, IoStats};
 use crate::vfs::Vfs;
 use hybridgraph_codec::{CodecChoice, ExtentKind};
@@ -159,8 +159,36 @@ impl AdjacencyStore {
     /// `class` is chosen by the caller: `SeqRead` when visiting vertices in
     /// id order (the push scan), `RandRead` for out-of-order access.
     pub fn edges_of(&self, v: VertexId, class: AccessClass) -> io::Result<Vec<Edge>> {
-        Ok(decode_slice(&self.file.read(self.local(v), class)?))
+        let mut scratch = EdgeScratch::default();
+        self.read_edges(v, class, &mut scratch)?;
+        Ok(scratch.edges)
     }
+
+    /// [`AdjacencyStore::edges_of`] decoded into caller-owned `scratch`:
+    /// a scan over many vertices allocates nothing per vertex.
+    pub fn read_edges<'a>(
+        &self,
+        v: VertexId,
+        class: AccessClass,
+        scratch: &'a mut EdgeScratch,
+    ) -> io::Result<&'a [Edge]> {
+        let i = self.local(v);
+        self.file
+            .read_into(i, self.file.range(i), class, &mut scratch.raw)?;
+        scratch.edges.clear();
+        scratch
+            .edges
+            .extend(scratch.raw.chunks_exact(Edge::BYTES).map(Edge::read_from));
+        Ok(&scratch.edges)
+    }
+}
+
+/// Reusable buffers behind [`AdjacencyStore::read_edges`]: the raw edge
+/// run and the edges decoded from it.
+#[derive(Default)]
+pub struct EdgeScratch {
+    raw: Vec<u8>,
+    edges: Vec<Edge>,
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// Byte cost of one fragment's auxiliary data: vertex id + edge count.
 pub const FRAGMENT_AUX_BYTES: u64 = 8;
 
-fn invalid(why: impl ToString) -> io::Error {
+pub(crate) fn invalid(why: impl ToString) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, why.to_string())
 }
 
@@ -207,16 +207,33 @@ impl ExtentFile {
         at: Range<u64>,
         class: AccessClass,
     ) -> io::Result<Vec<u8>> {
+        let mut raw = Vec::new();
+        self.read_into(i, at, class, &mut raw)?;
+        Ok(raw)
+    }
+
+    /// [`ExtentFile::read_at`] into a caller-owned buffer (overwritten),
+    /// so a scan that reads extent after extent reuses one allocation.
+    pub(crate) fn read_into(
+        &self,
+        i: usize,
+        at: Range<u64>,
+        class: AccessClass,
+        raw: &mut Vec<u8>,
+    ) -> io::Result<()> {
         let stored = (at.end - at.start) as usize;
+        raw.clear();
         if stored == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         if self.codec.is_none() {
-            return self.file.read_vec(class, at.start, stored);
+            raw.resize(stored, 0);
+            return self.file.read_at(class, at.start, raw);
         }
         let logical = self.logical_bytes(i);
         let coded = self.file.read_vec_coded(class, at.start, stored, logical)?;
-        decode_extent(self.kind, &coded, logical as usize).map_err(invalid)
+        *raw = decode_extent(self.kind, &coded, logical as usize).map_err(invalid)?;
+        Ok(())
     }
 
     /// Charges modeled bytes that move no data (seek padding); see

@@ -24,6 +24,8 @@
 //! * [`gather`] — the destination-grouped layout of the per-vertex pull
 //!   baseline,
 //! * [`msg_store`] — the push receiver-side message buffer with spill,
+//! * [`inbox`] — a superstep's messages grouped by destination (CSR-shaped),
+//!   what every executor's `update()` loop reads,
 //! * [`lru`] — the LRU vertex cache used by the per-vertex pull baseline,
 //! * [`checkpoint`] — superstep-boundary checkpoint files for the
 //!   engine's fault-tolerance subsystem (classified sequential I/O like
@@ -45,6 +47,7 @@ pub mod adjacency;
 pub mod checkpoint;
 pub mod extent;
 pub mod gather;
+pub mod inbox;
 pub mod lru;
 pub mod msg_log;
 pub mod msg_store;

@@ -9,6 +9,8 @@
 //! (the `IO(M_disk)/s_sr` term), which is exactly how [`SpillBuffer`]
 //! classifies its traffic.
 
+use crate::extent::invalid;
+use crate::inbox::Inbox;
 use crate::record::Record;
 use crate::stats::AccessClass;
 use crate::vfs::{Vfs, VfsFile};
@@ -23,20 +25,28 @@ use std::marker::PhantomData;
 const SPILL_CHUNK_MSGS: u64 = 256;
 
 /// A bounded in-memory message buffer that spills overflow to disk.
+///
+/// Messages are held as **records** — `dst: u32 LE | M`, the bytes of a
+/// plain wire batch — from arrival to [`SpillBuffer::drain`]: a received
+/// payload is the resident buffer's and the spill file's format as it
+/// stands, and is decoded once, into the [`Inbox`].
 pub struct SpillBuffer<M: Record> {
-    mem: Vec<(VertexId, M)>,
+    /// Resident records, at most `capacity` of them.
+    mem: Vec<u8>,
     capacity: usize,
     spill: VfsFile,
     spilled: u64,
     total: u64,
     codec: CodecChoice,
-    /// Raw encoding of spill-bound messages not yet flushed as a chunk
-    /// (always empty without a codec).
+    /// Spill-bound records not yet flushed as a coded chunk (always empty
+    /// without a codec).
     chunk: Vec<u8>,
     /// Physical bytes currently in the spill file (coded path only).
     file_bytes: u64,
     /// Logical bytes behind `file_bytes`.
     file_logical: u64,
+    /// The one-record run behind [`SpillBuffer::push`].
+    one: Vec<u8>,
     _marker: PhantomData<M>,
 }
 
@@ -65,12 +75,13 @@ impl<M: Record> SpillBuffer<M> {
             chunk: Vec::new(),
             file_bytes: 0,
             file_logical: 0,
+            one: Vec::new(),
             _marker: PhantomData,
         })
     }
 
-    /// Bytes of one spilled message on disk: destination id + payload
-    /// (the paper's `S_m`).
+    /// Bytes of one record, in memory and on disk: destination id +
+    /// payload (the paper's `S_m`).
     pub fn message_bytes() -> u64 {
         4 + M::BYTES as u64
     }
@@ -89,51 +100,53 @@ impl<M: Record> SpillBuffer<M> {
         Ok(())
     }
 
-    /// Decodes every message currently in the spill file (coded path),
-    /// reading the file as one sequential scan, then the pending chunk.
-    fn decode_spilled_coded(&self, into: &mut Vec<(VertexId, M)>) -> io::Result<()> {
-        let width = Self::message_bytes() as usize;
-        let mut decode_raw = |raw: &[u8]| {
-            for chunk in raw.chunks_exact(width) {
-                let dst = VertexId::read_from(&chunk[..4]);
-                let msg = M::read_from(&chunk[4..]);
-                into.push((dst, msg));
-            }
-        };
-        if self.file_bytes > 0 {
-            let bytes = self.spill.read_vec_coded(
-                AccessClass::SeqRead,
-                0,
-                self.file_bytes as usize,
-                self.file_logical,
-            )?;
-            let mut pos = 0usize;
-            while pos < bytes.len() {
-                let raw = decode_blob_frame(&bytes, &mut pos)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                decode_raw(&raw);
-            }
-        }
-        decode_raw(&self.chunk);
-        Ok(())
+    /// Accepts one message for `dst`: a run of one record.
+    pub fn push(&mut self, dst: VertexId, msg: M) -> io::Result<()> {
+        let mut one = std::mem::take(&mut self.one);
+        one.clear();
+        dst.append_to(&mut one);
+        msg.append_to(&mut one);
+        let pushed = self.push_encoded(&one);
+        self.one = one;
+        pushed
     }
 
-    /// Accepts one message for `dst`.
-    pub fn push(&mut self, dst: VertexId, msg: M) -> io::Result<()> {
-        self.total += 1;
-        if self.mem.len() < self.capacity {
-            self.mem.push((dst, msg));
-        } else if self.codec.is_none() {
-            let mut buf = Vec::with_capacity(Self::message_bytes() as usize);
-            dst.append_to(&mut buf);
-            msg.append_to(&mut buf);
-            self.spill.append(AccessClass::RandWrite, &buf)?;
-            self.spilled += 1;
-        } else {
-            dst.append_to(&mut self.chunk);
-            msg.append_to(&mut self.chunk);
-            self.spilled += 1;
-            if self.chunk.len() as u64 >= SPILL_CHUNK_MSGS * Self::message_bytes() {
+    /// Accepts a run of records in arrival order. Records stay resident
+    /// while the buffer has room; the rest of the run spills as **one**
+    /// write that is still accounted as one scattered write per message
+    /// (Eq. 11's `IO(M_disk)/s_rw`), or — under a codec — fills chunks of
+    /// [`SPILL_CHUNK_MSGS`] exactly as message-by-message arrival would.
+    /// A run that is not a whole number of records is `InvalidData`.
+    pub fn push_encoded(&mut self, run: &[u8]) -> io::Result<()> {
+        let width = Self::message_bytes() as usize;
+        if !run.len().is_multiple_of(width) {
+            return Err(invalid(format!(
+                "message run of {} bytes is not a multiple of the {width}-byte record",
+                run.len()
+            )));
+        }
+        self.total += (run.len() / width) as u64;
+        // `capacity` is `usize::MAX` under ample memory: saturate.
+        let room = self.capacity.saturating_sub(self.in_memory());
+        let (resident, cold) = run.split_at(room.saturating_mul(width).min(run.len()));
+        self.mem.extend_from_slice(resident);
+        if cold.is_empty() {
+            return Ok(());
+        }
+        let cold_msgs = (cold.len() / width) as u64;
+        self.spilled += cold_msgs;
+        if self.codec.is_none() {
+            self.spill
+                .append_run(AccessClass::RandWrite, cold, cold_msgs)?;
+            return Ok(());
+        }
+        let full = SPILL_CHUNK_MSGS as usize * width;
+        let mut rest = cold;
+        while !rest.is_empty() {
+            let (fill, tail) = rest.split_at((full - self.chunk.len()).min(rest.len()));
+            self.chunk.extend_from_slice(fill);
+            rest = tail;
+            if self.chunk.len() == full {
                 self.flush_chunk()?;
             }
         }
@@ -163,33 +176,48 @@ impl<M: Record> SpillBuffer<M> {
 
     /// Messages currently buffered in memory.
     pub fn in_memory(&self) -> usize {
-        self.mem.len()
+        self.mem.len() / Self::message_bytes() as usize
     }
 
     /// In-memory footprint in bytes (for the memory-usage curves),
     /// including any spill chunk still being assembled.
     pub fn memory_bytes(&self) -> u64 {
-        self.mem.len() as u64 * Self::message_bytes() + self.chunk.len() as u64
+        (self.mem.len() + self.chunk.len()) as u64
     }
 
-    /// Ends the receive phase: reads back any spilled messages (sequential
-    /// scan), merges with the in-memory buffer, sorts by destination (the
-    /// sort-merge Giraph performs before the next superstep) and resets the
-    /// buffer for the next receive phase.
-    pub fn drain(&mut self) -> io::Result<DeliveredMessages<M>> {
-        let mut all = std::mem::take(&mut self.mem);
-        if self.spilled > 0 {
-            if self.codec.is_none() {
-                let bytes = self.spill.read_all(AccessClass::SeqRead)?;
-                let width = Self::message_bytes() as usize;
-                for chunk in bytes.chunks_exact(width) {
-                    let dst = VertexId::read_from(&chunk[..4]);
-                    let msg = M::read_from(&chunk[4..]);
-                    all.push((dst, msg));
-                }
-            } else {
-                self.decode_spilled_coded(&mut all)?;
+    /// Appends every spilled record to `into`, in arrival order: the
+    /// spill file read back as one sequential scan (the `IO(M_disk)/s_sr`
+    /// term), then the chunk still pending under a codec.
+    fn read_spilled(&self, into: &mut Vec<u8>) -> io::Result<()> {
+        if self.spilled == 0 {
+            return Ok(());
+        }
+        if self.codec.is_none() {
+            let at = into.len();
+            into.resize(at + self.spill.len() as usize, 0);
+            return self.spill.read_at(AccessClass::SeqRead, 0, &mut into[at..]);
+        }
+        if self.file_bytes > 0 {
+            let frames = self.spill.read_vec_coded(
+                AccessClass::SeqRead,
+                0,
+                self.file_bytes as usize,
+                self.file_logical,
+            )?;
+            let mut pos = 0usize;
+            while pos < frames.len() {
+                let raw = decode_blob_frame(&frames, &mut pos).map_err(invalid)?;
+                into.extend_from_slice(&raw);
             }
+        }
+        into.extend_from_slice(&self.chunk);
+        Ok(())
+    }
+
+    /// Forgets everything buffered (the spill file is emptied, unaccounted).
+    fn clear(&mut self) -> io::Result<()> {
+        self.mem.clear();
+        if self.spilled > 0 {
             self.spill.truncate()?;
         }
         self.spilled = 0;
@@ -197,28 +225,35 @@ impl<M: Record> SpillBuffer<M> {
         self.chunk.clear();
         self.file_bytes = 0;
         self.file_logical = 0;
-        all.sort_by_key(|(dst, _)| *dst);
-        Ok(DeliveredMessages { sorted: all })
+        Ok(())
     }
 
-    /// Non-destructively snapshots every pending message (the in-memory
+    /// Ends the receive phase: reads back any spilled messages (sequential
+    /// scan), merges them with the in-memory buffer into a destination-
+    /// grouped [`Inbox`] (the sort-merge Giraph performs before the next
+    /// superstep) and resets the buffer for the next receive phase.
+    pub fn drain(&mut self) -> io::Result<Inbox<M>> {
+        self.drain_with(&[])
+    }
+
+    /// [`SpillBuffer::drain`] with `extra` records — pushM's online
+    /// accumulators, which never entered the buffer — sorted in beside
+    /// the buffered ones.
+    pub fn drain_with(&mut self, extra: &[u8]) -> io::Result<Inbox<M>> {
+        let mut all = std::mem::take(&mut self.mem);
+        self.read_spilled(&mut all)?;
+        all.extend_from_slice(extra);
+        self.clear()?;
+        Inbox::from_records(&all)
+    }
+
+    /// Non-destructively snapshots every pending record (the in-memory
     /// buffer plus a sequential read-back of the spill file) for
     /// checkpointing. The buffer is left exactly as it was.
-    pub fn snapshot_pending(&self) -> io::Result<Vec<(VertexId, M)>> {
-        let mut all = self.mem.clone();
-        if self.spilled > 0 {
-            if self.codec.is_none() {
-                let bytes = self.spill.read_all(AccessClass::SeqRead)?;
-                let width = Self::message_bytes() as usize;
-                for chunk in bytes.chunks_exact(width) {
-                    let dst = VertexId::read_from(&chunk[..4]);
-                    let msg = M::read_from(&chunk[4..]);
-                    all.push((dst, msg));
-                }
-            } else {
-                self.decode_spilled_coded(&mut all)?;
-            }
-        }
+    pub fn snapshot_pending(&self) -> io::Result<Vec<u8>> {
+        let mut all = Vec::with_capacity((self.total * Self::message_bytes()) as usize);
+        all.extend_from_slice(&self.mem);
+        self.read_spilled(&mut all)?;
         Ok(all)
     }
 
@@ -264,21 +299,12 @@ impl<M: Record> SpillBuffer<M> {
         Ok(())
     }
 
-    /// Replaces the buffer's entire contents with `pairs` (recovery
+    /// Replaces the buffer's entire contents with `records` (recovery
     /// restore): the first `capacity` stay in memory, the rest spill,
     /// with the usual accounting.
-    pub fn restore_pending(&mut self, pairs: Vec<(VertexId, M)>) -> io::Result<()> {
-        self.mem.clear();
-        self.spill.truncate()?;
-        self.spilled = 0;
-        self.total = 0;
-        self.chunk.clear();
-        self.file_bytes = 0;
-        self.file_logical = 0;
-        for (dst, msg) in pairs {
-            self.push(dst, msg)?;
-        }
-        Ok(())
+    pub fn restore_pending(&mut self, records: &[u8]) -> io::Result<()> {
+        self.clear()?;
+        self.push_encoded(records)
     }
 }
 
@@ -296,71 +322,18 @@ pub struct SpillMark {
     chunk: Vec<u8>,
 }
 
-/// Messages of one superstep, grouped by destination vertex.
-pub struct DeliveredMessages<M> {
-    sorted: Vec<(VertexId, M)>,
-}
-
-impl<M> DeliveredMessages<M> {
-    /// An empty delivery.
-    pub fn empty() -> Self {
-        DeliveredMessages { sorted: Vec::new() }
-    }
-
-    /// Total number of messages.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if no messages were delivered.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// The messages addressed to `v`.
-    pub fn for_vertex(&self, v: VertexId) -> &[(VertexId, M)] {
-        let start = self.sorted.partition_point(|(d, _)| *d < v);
-        let end = self.sorted.partition_point(|(d, _)| *d <= v);
-        &self.sorted[start..end]
-    }
-
-    /// Iterates over `(dst, msg)` pairs in destination order.
-    pub fn iter(&self) -> impl Iterator<Item = &(VertexId, M)> {
-        self.sorted.iter()
-    }
-
-    /// Consumes the delivery, returning the destination-sorted pairs.
-    pub fn into_sorted(self) -> Vec<(VertexId, M)> {
-        self.sorted
-    }
-
-    /// Builds a delivery from arbitrary `(dst, msg)` pairs.
-    pub fn from_pairs(mut pairs: Vec<(VertexId, M)>) -> Self
-    where
-        M: Clone,
-    {
-        pairs.sort_by_key(|(d, _)| *d);
-        DeliveredMessages { sorted: pairs }
-    }
-
-    /// The distinct destinations, in order.
-    pub fn destinations(&self) -> impl Iterator<Item = VertexId> + '_ {
-        let mut last: Option<VertexId> = None;
-        self.sorted.iter().filter_map(move |(d, _)| {
-            if last == Some(*d) {
-                None
-            } else {
-                last = Some(*d);
-                Some(*d)
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::encode_slice;
     use crate::vfs::MemVfs;
+
+    /// The inbox flattened to `(dst, msg)` pairs, in inbox order.
+    fn pairs<M: Clone>(d: &Inbox<M>) -> Vec<(u32, M)> {
+        d.iter()
+            .flat_map(|(dst, msgs)| msgs.iter().map(move |m| (dst, m.clone())))
+            .collect()
+    }
 
     #[test]
     fn within_capacity_no_spill() {
@@ -373,7 +346,7 @@ mod tests {
         assert_eq!(b.in_memory(), 5);
         assert_eq!(vfs.stats().snapshot().rand_write_bytes, 0);
         let d = b.drain().unwrap();
-        assert_eq!(d.len(), 5);
+        assert_eq!(d.messages(), 5);
     }
 
     #[test]
@@ -391,7 +364,7 @@ mod tests {
 
         let before = vfs.stats().snapshot();
         let d = b.drain().unwrap();
-        assert_eq!(d.len(), 10);
+        assert_eq!(d.messages(), 10);
         // Read-back is sequential.
         let delta = vfs.stats().snapshot().delta(&before);
         assert_eq!(delta.seq_read_bytes, 7 * msg_bytes);
@@ -406,12 +379,12 @@ mod tests {
         b.push(VertexId(5), 51).unwrap();
         b.push(VertexId(3), 30).unwrap();
         let d = b.drain().unwrap();
-        let five: Vec<u32> = d.for_vertex(VertexId(5)).iter().map(|(_, m)| *m).collect();
-        assert_eq!(five, vec![50, 51]);
-        assert_eq!(d.for_vertex(VertexId(1)).len(), 1);
-        assert_eq!(d.for_vertex(VertexId(2)).len(), 0);
-        let dsts: Vec<u32> = d.destinations().map(|v| v.0).collect();
-        assert_eq!(dsts, vec![1, 3, 5]);
+        assert_eq!(d.for_vertex(VertexId(5)), [50, 51]);
+        assert_eq!(d.for_vertex(VertexId(1)), [10]);
+        assert!(d.for_vertex(VertexId(2)).is_empty());
+        let groups: Vec<(u32, &[u32])> = d.iter().collect();
+        assert_eq!(groups, [(1, &[10][..]), (3, &[30]), (5, &[50, 51])]);
+        assert_eq!((d.destinations(), d.messages()), (3, 4));
     }
 
     #[test]
@@ -426,8 +399,8 @@ mod tests {
         assert_eq!(b.in_memory(), 0);
         b.push(VertexId(2), 3).unwrap();
         let d = b.drain().unwrap();
-        assert_eq!(d.len(), 1);
-        assert_eq!(d.for_vertex(VertexId(2))[0].1, 3);
+        assert_eq!(d.messages(), 1);
+        assert_eq!(d.for_vertex(VertexId(2)), [3]);
     }
 
     #[test]
@@ -438,7 +411,7 @@ mod tests {
             b.push(VertexId(i), i).unwrap();
         }
         assert_eq!(b.spilled(), 4);
-        assert_eq!(b.drain().unwrap().len(), 4);
+        assert_eq!(b.drain().unwrap().messages(), 4);
     }
 
     #[test]
@@ -458,7 +431,7 @@ mod tests {
             b.push(VertexId(i), i * 10).unwrap();
         }
         let snap = b.snapshot_pending().unwrap();
-        assert_eq!(snap.len(), 5);
+        assert_eq!(snap.len(), 5 * 8);
         // Buffer untouched by the snapshot.
         assert_eq!(b.total(), 5);
         assert_eq!(b.spilled(), 3);
@@ -467,17 +440,24 @@ mod tests {
         // Restore into a fresh buffer reproduces counts and contents.
         let vfs2 = MemVfs::new();
         let mut c: SpillBuffer<u32> = SpillBuffer::new(&vfs2, "spill", 2).unwrap();
-        c.restore_pending(snap).unwrap();
+        c.restore_pending(&snap).unwrap();
         assert_eq!(c.total(), 5);
         assert_eq!(c.spilled(), 3);
-        let d = c.drain().unwrap();
-        let got: Vec<(u32, u32)> = d.iter().map(|(v, m)| (v.0, *m)).collect();
-        assert_eq!(got, vec![(0, 0), (1, 10), (2, 20), (3, 30), (4, 40)]);
+        // One run, still one scattered write per spilled message.
+        assert_eq!(vfs2.stats().snapshot().rand_write_ops, 3);
+        assert_eq!(
+            pairs(&c.drain().unwrap()),
+            [(0, 0), (1, 10), (2, 20), (3, 30), (4, 40)]
+        );
         // Restore over a dirty buffer discards its old contents.
         c.push(VertexId(9), 99).unwrap();
-        c.restore_pending(vec![(VertexId(1), 7)]).unwrap();
+        c.restore_pending(&encode_slice(&[(VertexId(1), 7u32)]))
+            .unwrap();
         assert_eq!(c.total(), 1);
-        assert_eq!(c.drain().unwrap().len(), 1);
+        assert_eq!(c.drain().unwrap().messages(), 1);
+        // A torn run is an error, not a panic.
+        let err = c.restore_pending(&snap[..snap.len() - 3]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -496,9 +476,7 @@ mod tests {
         assert_eq!(b.total(), 3);
         assert_eq!(b.spilled(), 1);
         assert_eq!(b.in_memory(), 2);
-        let d = b.drain().unwrap();
-        let got: Vec<(u32, u32)> = d.iter().map(|(v, m)| (v.0, *m)).collect();
-        assert_eq!(got, vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(pairs(&b.drain().unwrap()), [(0, 1), (1, 2), (2, 3)]);
         // A rewind to a no-op mark is fine.
         let m2 = b.mark();
         b.rewind(&m2).unwrap();
@@ -526,11 +504,9 @@ mod tests {
                 );
             }
             assert!(b.spilled_bytes() > 0);
-            let mut got: Vec<(u32, u64)> = b
-                .drain()
-                .unwrap()
-                .iter()
-                .map(|(v, m)| (v.0, m.to_bits()))
+            let mut got: Vec<(u32, u64)> = pairs(&b.drain().unwrap())
+                .into_iter()
+                .map(|(v, m)| (v, m.to_bits()))
                 .collect();
             got.sort();
             let mut want: Vec<(u32, u64)> = (0..n)
@@ -552,15 +528,15 @@ mod tests {
             b.push(VertexId(i as u32), i as u32 * 3).unwrap();
         }
         let snap = b.snapshot_pending().unwrap();
-        assert_eq!(snap.len() as u64, n);
+        assert_eq!(snap.len() as u64, n * 8);
         assert_eq!(b.total(), n, "snapshot must not disturb the buffer");
 
         let vfs2 = MemVfs::new();
         let mut c: SpillBuffer<u32> =
             SpillBuffer::with_codec(&vfs2, "spill", 1, CodecChoice::Block).unwrap();
-        c.restore_pending(snap).unwrap();
+        c.restore_pending(&snap).unwrap();
         assert_eq!(c.total(), n);
-        assert_eq!(c.drain().unwrap().len() as u64, n);
+        assert_eq!(c.drain().unwrap().messages() as u64, n);
     }
 
     #[test]
@@ -581,14 +557,113 @@ mod tests {
         assert_eq!(vfs.stats().snapshot(), before, "rewind must be free");
         assert_eq!(b.total(), 10);
         assert_eq!(b.spilled(), 10);
-        let got: Vec<u32> = b.drain().unwrap().iter().map(|(_, m)| *m).collect();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        let want: Vec<(u32, u32)> = (0..10).map(|i| (i, i)).collect();
+        assert_eq!(pairs(&b.drain().unwrap()), want);
     }
 
     #[test]
-    fn empty_delivery() {
-        let d: DeliveredMessages<u32> = DeliveredMessages::empty();
-        assert!(d.is_empty());
-        assert_eq!(d.for_vertex(VertexId(0)).len(), 0);
+    fn push_encoded_matches_message_by_message_pushes() {
+        // Same records, once as single pushes and once as runs that
+        // straddle the resident/spill boundary and the coded chunk
+        // boundary: file bytes, counters and accounting must agree.
+        let n = 2 * SPILL_CHUNK_MSGS as u32 + 50;
+        let msgs: Vec<(VertexId, f64)> = (0..n)
+            .map(|i| (VertexId(i * 7 % 97), f64::from(i) * 0.5))
+            .collect();
+        let records = encode_slice(&msgs);
+        for codec in [CodecChoice::None, CodecChoice::Gaps] {
+            let (one_vfs, run_vfs) = (MemVfs::new(), MemVfs::new());
+            let mut one: SpillBuffer<f64> =
+                SpillBuffer::with_codec(&one_vfs, "spill", 40, codec).unwrap();
+            let mut run: SpillBuffer<f64> =
+                SpillBuffer::with_codec(&run_vfs, "spill", 40, codec).unwrap();
+            for (dst, m) in &msgs {
+                one.push(*dst, *m).unwrap();
+            }
+            for part in records.chunks(12 * 33) {
+                run.push_encoded(part).unwrap();
+            }
+            assert_eq!(run.total(), one.total(), "{codec:?}");
+            assert_eq!(run.spilled(), one.spilled(), "{codec:?}");
+            assert_eq!(run.in_memory(), one.in_memory(), "{codec:?}");
+            assert_eq!(run.memory_bytes(), one.memory_bytes(), "{codec:?}");
+            assert_eq!(run.spilled_bytes(), one.spilled_bytes(), "{codec:?}");
+            assert_eq!(
+                run_vfs.stats().snapshot(),
+                one_vfs.stats().snapshot(),
+                "{codec:?}: bytes, logical bytes and op counts"
+            );
+            let file = |vfs: &MemVfs| {
+                let f = vfs.open("spill").unwrap();
+                f.read_all(AccessClass::SeqRead).unwrap()
+            };
+            assert_eq!(file(&run_vfs), file(&one_vfs), "{codec:?}");
+            assert_eq!(run.drain().unwrap(), one.drain().unwrap(), "{codec:?}");
+        }
+    }
+
+    #[test]
+    fn unbounded_capacity_keeps_everything_resident() {
+        let vfs = MemVfs::new();
+        let mut b: SpillBuffer<f64> = SpillBuffer::new(&vfs, "spill", usize::MAX).unwrap();
+        let msgs: Vec<(VertexId, f64)> = (0..100).map(|i| (VertexId(i), 1.0)).collect();
+        b.push_encoded(&encode_slice(&msgs)).unwrap();
+        b.push(VertexId(7), 2.0).unwrap();
+        assert_eq!((b.in_memory(), b.spilled()), (101, 0));
+        assert_eq!(vfs.stats().snapshot().total_bytes(), 0);
+    }
+
+    #[test]
+    fn misaligned_run_is_invalid_data() {
+        let vfs = MemVfs::new();
+        let mut b: SpillBuffer<f64> = SpillBuffer::new(&vfs, "spill", 1).unwrap();
+        let err = b.push_encoded(&[0u8; 25]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(b.total(), 0);
+        let err = Inbox::<f64>::from_records(&[0u8; 11]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn mark_and_rewind_mid_run() {
+        // The mark falls between two runs; the second run crosses the
+        // resident/spill boundary (and, coded, a chunk flush).
+        for codec in [CodecChoice::None, CodecChoice::Gaps] {
+            let vfs = MemVfs::new();
+            let mut b: SpillBuffer<u32> = SpillBuffer::with_codec(&vfs, "spill", 6, codec).unwrap();
+            let first: Vec<(VertexId, u32)> = (0..4).map(|i| (VertexId(i), i)).collect();
+            let n = SPILL_CHUNK_MSGS as u32 + 20;
+            let second: Vec<(VertexId, u32)> = (4..n).map(|i| (VertexId(i), i)).collect();
+            b.push_encoded(&encode_slice(&first)).unwrap();
+            let mark = b.mark();
+            b.push_encoded(&encode_slice(&second)).unwrap();
+            assert_eq!((b.in_memory(), b.spilled()), (6, u64::from(n) - 6));
+            let before = vfs.stats().snapshot();
+            b.rewind(&mark).unwrap();
+            assert_eq!(vfs.stats().snapshot(), before, "rewind must be free");
+            assert_eq!((b.total(), b.in_memory(), b.spilled()), (4, 4, 0));
+            assert_eq!(b.spilled_bytes(), 0, "{codec:?}");
+            // The rewound buffer takes the run again, identically.
+            b.push_encoded(&encode_slice(&second)).unwrap();
+            let want: Vec<(u32, u32)> = (0..n).map(|i| (i, i)).collect();
+            assert_eq!(pairs(&b.drain().unwrap()), want, "{codec:?}");
+        }
+    }
+
+    #[test]
+    fn drain_with_sorts_extra_records_in() {
+        let vfs = MemVfs::new();
+        let mut b: SpillBuffer<u32> = SpillBuffer::new(&vfs, "spill", 1).unwrap();
+        b.push(VertexId(4), 40).unwrap();
+        b.push(VertexId(2), 20).unwrap();
+        let before = vfs.stats().snapshot();
+        let extra = encode_slice(&[(VertexId(3), 30u32), (VertexId(4), 4)]);
+        let d = b.drain_with(&extra).unwrap();
+        assert_eq!(pairs(&d), [(2, 20), (3, 30), (4, 4), (4, 40)]);
+        // Extra records were never in the buffer: only the one spilled
+        // message is read back.
+        let delta = vfs.stats().snapshot().delta(&before);
+        assert_eq!(delta.seq_read_bytes, 8);
+        assert_eq!(delta.total_bytes(), 8);
     }
 }

@@ -136,10 +136,24 @@ impl IoStats {
     /// `logical` application bytes.
     #[inline]
     pub fn record_coded(&self, class: AccessClass, physical: u64, logical: u64) {
+        self.add(class, physical, logical, 1);
+    }
+
+    /// Records a run of `ops` uncoded accesses moved as one transfer of
+    /// `bytes` bytes in total (physical == logical). The spill path writes
+    /// whole message runs at once while the cost model still counts one
+    /// scattered write per message.
+    #[inline]
+    pub fn record_run(&self, class: AccessClass, bytes: u64, ops: u64) {
+        self.add(class, bytes, bytes, ops);
+    }
+
+    #[inline]
+    fn add(&self, class: AccessClass, physical: u64, logical: u64, ops: u64) {
         let (b, l, o) = self.counters(class);
         b.fetch_add(physical, Ordering::Relaxed);
         l.fetch_add(logical, Ordering::Relaxed);
-        o.fetch_add(1, Ordering::Relaxed);
+        o.fetch_add(ops, Ordering::Relaxed);
     }
 
     /// Records modeled device bytes that carry no application data (seek

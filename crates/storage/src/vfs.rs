@@ -78,8 +78,14 @@ impl VfsFile {
 
     /// Appends `data`, accounting it in `class`; returns the write offset.
     pub fn append(&self, class: AccessClass, data: &[u8]) -> io::Result<u64> {
+        self.append_run(class, data, 1)
+    }
+
+    /// Appends `data` as one transfer that stands for `ops` accesses in
+    /// `class` (see [`IoStats::record_run`]); returns the write offset.
+    pub fn append_run(&self, class: AccessClass, data: &[u8], ops: u64) -> io::Result<u64> {
         let off = self.raw.append(data)?;
-        self.stats.record(class, data.len() as u64);
+        self.stats.record_run(class, data.len() as u64, ops);
         Ok(off)
     }
 
@@ -558,6 +564,23 @@ mod tests {
         assert_eq!(f.len(), 4);
         assert_eq!(f.read_all(AccessClass::SeqRead).unwrap(), b"0123");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn append_run_is_one_transfer_counted_as_many_ops() {
+        let vfs = MemVfs::new();
+        let f = vfs.create("r").unwrap();
+        assert_eq!(
+            f.append_run(AccessClass::RandWrite, b"abcdefgh", 4)
+                .unwrap(),
+            0
+        );
+        assert_eq!(f.append_run(AccessClass::RandWrite, b"ij", 1).unwrap(), 8);
+        assert_eq!(f.read_all(AccessClass::SeqRead).unwrap(), b"abcdefghij");
+        let snap = vfs.stats().snapshot();
+        assert_eq!(snap.rand_write_bytes, 10);
+        assert_eq!(snap.rand_write_logical_bytes, 10);
+        assert_eq!(snap.rand_write_ops, 5);
     }
 
     #[test]

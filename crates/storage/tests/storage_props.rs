@@ -7,9 +7,11 @@ use hybridgraph_graph::rng::SplitMix64;
 use hybridgraph_graph::{gen, BlockLayout, Partition, VertexId, WorkerId};
 use hybridgraph_storage::lru::LruCache;
 use hybridgraph_storage::msg_store::SpillBuffer;
+use hybridgraph_storage::record::encode_slice;
 use hybridgraph_storage::value_store::ValueStore;
 use hybridgraph_storage::veblock::VeBlockStore;
 use hybridgraph_storage::vfs::MemVfs;
+use hybridgraph_storage::{CodecChoice, Record};
 use std::collections::HashMap;
 
 /// SpillBuffer delivers exactly what was pushed, grouped by dst,
@@ -31,23 +33,151 @@ fn spill_buffer_delivers_everything() {
         assert_eq!(buf.total(), msgs.len() as u64);
         assert_eq!(buf.spilled() as usize, msgs.len().saturating_sub(capacity));
         let delivered = buf.drain().unwrap();
-        assert_eq!(delivered.len(), msgs.len());
+        assert_eq!(delivered.messages(), msgs.len());
         // Multiset equality per destination.
         let mut want: HashMap<u32, Vec<u32>> = HashMap::new();
         for &(dst, m) in &msgs {
             want.entry(dst).or_default().push(m);
         }
         for (dst, mut vals) in want {
-            let mut got: Vec<u32> = delivered
-                .for_vertex(VertexId(dst))
-                .iter()
-                .map(|(_, m)| *m)
-                .collect();
+            let mut got = delivered.for_vertex(VertexId(dst)).to_vec();
             got.sort();
             vals.sort();
             assert_eq!(got, vals);
         }
     }
+}
+
+/// Encoded bytes of one message — the canonical within-destination key.
+fn encoded<M: Record>(m: &M) -> Vec<u8> {
+    let mut bytes = vec![0u8; M::BYTES];
+    m.write_to(&mut bytes);
+    bytes
+}
+
+/// Pushes `msgs` (as single messages and as runs) and checks the drained
+/// inbox against the reference order: destination, then encoded bytes.
+fn check_canonical_order<M: Record>(msgs: &[(u32, M)], what: &str) {
+    let n = msgs.len();
+    let mut want: Vec<(u32, Vec<u8>)> = msgs.iter().map(|(d, m)| (*d, encoded(m))).collect();
+    want.sort_by_key(|(d, bytes)| (*d, bytes.clone()));
+    let distinct = {
+        let mut dsts: Vec<u32> = msgs.iter().map(|(d, _)| *d).collect();
+        dsts.sort_unstable();
+        dsts.dedup();
+        dsts
+    };
+    for capacity in [0, 1, n / 2, n + 7] {
+        for codec in [CodecChoice::None, CodecChoice::Gaps] {
+            let vfs = MemVfs::new();
+            let mut buf: SpillBuffer<M> =
+                SpillBuffer::with_codec(&vfs, "s", capacity, codec).unwrap();
+            // First half message by message, second half as one run.
+            let (single, run) = msgs.split_at(n / 2);
+            for (dst, m) in single {
+                buf.push(VertexId(*dst), m.clone()).unwrap();
+            }
+            let records: Vec<(VertexId, M)> =
+                run.iter().map(|(d, m)| (VertexId(*d), m.clone())).collect();
+            buf.push_encoded(&encode_slice(&records)).unwrap();
+            assert_eq!(buf.total(), n as u64, "{what} cap {capacity} {codec:?}");
+            assert_eq!(buf.spilled() as usize, n.saturating_sub(capacity));
+
+            let inbox = buf.drain().unwrap();
+            let got: Vec<(u32, Vec<u8>)> = inbox
+                .iter()
+                .flat_map(|(d, ms)| ms.iter().map(move |m| (d, encoded(m))))
+                .collect();
+            assert_eq!(got, want, "{what} cap {capacity} {codec:?}");
+            assert_eq!(inbox.messages(), n);
+            assert_eq!(inbox.destinations(), distinct.len());
+            assert_eq!(inbox.is_empty(), n == 0);
+            let dsts: Vec<u32> = inbox.iter().map(|(d, _)| d).collect();
+            assert_eq!(dsts, distinct, "{what}: destinations ascend, once each");
+            for (d, ms) in inbox.iter() {
+                assert!(!ms.is_empty());
+                let by_vertex: Vec<Vec<u8>> =
+                    inbox.for_vertex(VertexId(d)).iter().map(encoded).collect();
+                let by_iter: Vec<Vec<u8>> = ms.iter().map(encoded).collect();
+                assert_eq!(by_vertex, by_iter);
+            }
+            let absent = distinct.last().map_or(0, |d| d + 1);
+            assert!(inbox.for_vertex(VertexId(absent)).is_empty());
+        }
+    }
+}
+
+/// The inbox order is the canonical one — `(dst, encoded message bytes)`
+/// — for every message width and every awkward float, whatever was
+/// resident, spilled or coded.
+#[test]
+fn inbox_order_is_destination_then_encoded_bytes() {
+    let awkward = [
+        0.0f64,
+        -0.0,
+        1.0,
+        -1.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff8_0000_0000_0001), // NaN with a payload
+        f64::from_bits(0xfff0_0000_dead_beef), // signalling, negative
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 4.0, // subnormal
+        -f64::MIN_POSITIVE / 1024.0,
+        f64::MAX,
+        f64::EPSILON,
+    ];
+    for seed in [1u64, 42, 0xdead_beef] {
+        let mut r = SplitMix64::new(seed);
+        let n = r.range_usize(300, 700);
+        let base = r.below_u32(1 << 20);
+        let dst = |r: &mut SplitMix64| base + r.below_u32(48);
+        // Few distinct destinations and a small value pool: many
+        // duplicates, long per-destination runs.
+        let f64s: Vec<(u32, f64)> = (0..n)
+            .map(|_| {
+                let m = if r.next_bool() {
+                    awkward[r.range_usize(0, awkward.len())]
+                } else {
+                    f64::from_bits(r.next_u64())
+                };
+                (dst(&mut r), m)
+            })
+            .collect();
+        check_canonical_order(&f64s, &format!("f64 seed {seed}"));
+        let f32s: Vec<(u32, f32)> = (0..n)
+            .map(|_| {
+                (
+                    dst(&mut r),
+                    f32::from_bits(r.next_u64() as u32 & 0xff80_00ff),
+                )
+            })
+            .collect();
+        check_canonical_order(&f32s, &format!("f32 seed {seed}"));
+        let u32s: Vec<(u32, u32)> = (0..n).map(|_| (dst(&mut r), r.below_u32(6))).collect();
+        check_canonical_order(&u32s, &format!("u32 seed {seed}"));
+        let tuples: Vec<(u32, (u32, f64))> = (0..n)
+            .map(|_| {
+                let m = (r.below_u32(3), awkward[r.range_usize(0, awkward.len())]);
+                (dst(&mut r), m)
+            })
+            .collect();
+        check_canonical_order(&tuples, &format!("(u32, f64) seed {seed}"));
+    }
+}
+
+/// Inbox shapes at the edges: nothing, one message, one destination
+/// taking every message, and every message its own destination.
+#[test]
+fn inbox_edge_shapes() {
+    check_canonical_order::<f64>(&[], "empty");
+    check_canonical_order(&[(9, 2.5f64)], "single message");
+    let one_dst: Vec<(u32, f64)> = (0..200).map(|i| (77, f64::from(i % 13) - 6.0)).collect();
+    check_canonical_order(&one_dst, "every message one destination");
+    let all_distinct: Vec<(u32, u32)> = (0..200).rev().map(|i| (3 * i, i)).collect();
+    check_canonical_order(&all_distinct, "every destination one message");
+    check_canonical_order(&[(3, ()), (1, ()), (3, ())], "zero-width messages");
 }
 
 /// The LRU cache agrees with a naive model on hits and never exceeds

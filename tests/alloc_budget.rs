@@ -1,0 +1,107 @@
+//! Heap-allocation budget of the push-family superstep.
+//!
+//! Wall-clock on a small box cannot resolve a 15% change; allocation
+//! counts repeat exactly. A counting `#[global_allocator]` measures the
+//! *marginal* cost of a delivered message: the same job is run with two
+//! superstep counts and the difference in allocations is divided by the
+//! difference in delivered messages, so load, thread start-up and result
+//! collection cancel out. The receive path is one flat record stream —
+//! no allocation per message, per destination or per computed vertex —
+//! so the budget is a small constant over per-block and per-packet
+//! buffers.
+//!
+//! Everything runs inside one `#[test]`: the counter is process-wide and
+//! the harness would otherwise run tests on parallel threads.
+
+use hybridgraph::graph::gen;
+use hybridgraph::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// statistics that publish no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(
+            new_size.saturating_sub(layout.size()) as u64,
+            Ordering::Relaxed,
+        );
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations per delivered message every push-family mode must stay
+/// under (the per-message path measured ≥ 2 before it was removed).
+const BUDGET: f64 = 0.05;
+
+/// `(allocations, bytes, delivered messages)` of one PageRank job.
+fn measure(g: &Graph, mode: Mode, supersteps: u64) -> (u64, u64, u64) {
+    let cfg = JobConfig::new(mode, 2).with_buffer(1_000);
+    let program = Arc::new(PageRank::new(supersteps));
+    let (a0, b0) = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        ALLOCATED_BYTES.load(Ordering::Relaxed),
+    );
+    let res = run_job(program, g, cfg).expect("job");
+    let (a1, b1) = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        ALLOCATED_BYTES.load(Ordering::Relaxed),
+    );
+    let spilled: u64 = res
+        .metrics
+        .steps
+        .iter()
+        .map(|m| m.sem.msg_spill_bytes)
+        .sum();
+    assert!(spilled > 0, "{mode:?}: the measured job must spill");
+    let delivered = res.metrics.steps.iter().map(|m| m.messages_produced).sum();
+    (a1 - a0, b1 - b0, delivered)
+}
+
+#[test]
+fn push_family_supersteps_allocate_per_block_not_per_message() {
+    // RMAT skew on community-clustered ids (so `Async` has interiors).
+    let g = gen::localize(
+        &gen::rmat(4_096, 65_536, gen::RmatParams::default(), 11),
+        0.6,
+        40,
+        7,
+    );
+    for mode in [Mode::Push, Mode::PushM, Mode::Async] {
+        let (a_short, b_short, m_short) = measure(&g, mode, 3);
+        let (a_long, b_long, m_long) = measure(&g, mode, 9);
+        let messages = (m_long - m_short) as f64;
+        assert!(messages > 100_000.0, "{mode:?}: too few messages to judge");
+        let allocs = a_long.saturating_sub(a_short) as f64 / messages;
+        let bytes = b_long.saturating_sub(b_short) as f64 / messages;
+        println!(
+            "{:<6} {allocs:.4} allocations/message, {bytes:.1} bytes/message \
+             ({messages} marginal messages)",
+            mode.label()
+        );
+        assert!(
+            allocs <= BUDGET,
+            "{mode:?}: {allocs:.4} allocations per delivered message exceeds {BUDGET}"
+        );
+    }
+}

@@ -460,6 +460,51 @@ fn confined_recovery_per_mode() {
     }
 }
 
+/// A survivor's undo puts its pending messages back as **one run**. With
+/// a buffer far below the ~680 messages a worker receives, that run
+/// crosses the resident/spill boundary and — coded — two chunk flushes,
+/// and the restored spill file must read back exactly as the one the
+/// abandoned superstep consumed: same values, same bytes and op counts.
+#[test]
+fn confined_recovery_undo_crosses_run_boundaries() {
+    let g = pagerank_graph();
+    let program = PageRank::new(10);
+    for codec in [CodecChoice::None, CodecChoice::Gaps] {
+        for (mode, phase) in [
+            (Mode::Push, FaultPhase::Barrier),
+            (Mode::Push, FaultPhase::Compute),
+            (Mode::Hybrid, FaultPhase::Barrier),
+        ] {
+            let tag = format!("{mode:?}/{phase:?}/{codec:?}");
+            let base = JobConfig::new(mode, 3).with_buffer(40).with_codec(codec);
+            let clean = run_job(Arc::new(program.clone()), &g, base.clone()).unwrap();
+            let spilled: u64 = clean
+                .metrics
+                .steps
+                .iter()
+                .map(|m| m.sem.msg_spill_bytes)
+                .sum();
+            assert!(spilled > 0, "{tag}: the job must spill");
+            let plan = Arc::new(FaultPlan::new().kill(2, 4, phase));
+            let cfg = base
+                .with_checkpoint(CheckpointPolicy::EveryK(3))
+                .with_fault_plan(Arc::clone(&plan))
+                .with_message_logging(true);
+            let faulted = run_job(Arc::new(program.clone()), &g, cfg).unwrap();
+            assert_eq!(plan.fired(), 1, "{tag}: fault did not fire");
+            assert_eq!(
+                bits(&clean.values),
+                bits(&faulted.values),
+                "{tag}: values diverged after confined recovery"
+            );
+            assert_byte_parity(&clean.metrics, &faulted.metrics, &tag);
+            let rec = &faulted.metrics.recovery;
+            assert_eq!(rec.confined_recoveries, 1, "{tag}");
+            assert_eq!(rec.rollbacks, 0, "{tag}");
+        }
+    }
+}
+
 /// SSSP also recovers confined, exercising min-combining over the replay
 /// path.
 #[test]

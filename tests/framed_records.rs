@@ -664,3 +664,270 @@ fn golden_master_state_bytes_are_pinned() {
     ];
     assert_eq!(got, want, "[baseline, step cut 6] = {got:#x?}");
 }
+
+// "Encode once, sort once": FNV-1a fingerprints of everything a
+// push-family job lets an observer see — result values, every
+// per-superstep metric (the `IoSnapshot` with its op counts, semantic
+// bytes, `mco` from `delivered_raw/distinct`, `memory_bytes`, modeled
+// time), each worker's spill file at every barrier, and the Chrome
+// trace — captured by running this test body at the commit before the
+// receive path became one flat record stream. `wall_secs` and
+// `blocking_secs` are zeroed; so is `memory_bytes` on b-pull
+// supersteps, whose high-water mark depends on packet arrival.
+#[test]
+fn golden_push_family_jobs_are_pinned() {
+    use hybridgraph::core::{ProgressSink, StepKind, WorkerDisks};
+    use hybridgraph::graph::gen;
+    use hybridgraph::prelude::*;
+    use hybridgraph::storage::IoStats;
+    use std::sync::{Arc, Mutex};
+
+    #[derive(Default)]
+    struct SpillProbe {
+        disks: Vec<Arc<MemVfs>>,
+        barriers: Mutex<Vec<u8>>,
+    }
+    impl std::fmt::Debug for SpillProbe {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("SpillProbe")
+        }
+    }
+    impl ProgressSink for SpillProbe {
+        fn superstep(&self, superstep: u64, _mode: Mode, _modeled_secs: f64) {
+            let mut log = self.barriers.lock().unwrap();
+            log.extend_from_slice(&superstep.to_le_bytes());
+            for disk in &self.disks {
+                // Read through a throwaway sink: observing the file must
+                // not show up in the job's own I/O counters.
+                let bytes = disk
+                    .open("spill")
+                    .expect("push-family workers own a spill file")
+                    .with_stats(Arc::new(IoStats::new()))
+                    .read_all(AccessClass::SeqRead)
+                    .expect("read spill");
+                log.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+                log.extend_from_slice(&fnv1a(&bytes).to_le_bytes());
+            }
+        }
+    }
+
+    fn job<P: VertexProgram>(
+        program: P,
+        g: &Graph,
+        mode: Mode,
+        codec: CodecChoice,
+        bits: impl Fn(&P::Value) -> u64,
+    ) -> ([u64; 4], [u64; 3]) {
+        const WORKERS: usize = 3;
+        let disks: Vec<Arc<MemVfs>> = (0..WORKERS).map(|_| Arc::new(MemVfs::new())).collect();
+        let probe = Arc::new(SpillProbe {
+            disks: disks.clone(),
+            barriers: Mutex::default(),
+        });
+        let trace = Arc::new(TraceSink::new(WORKERS));
+        let mut cfg = JobConfig::new(mode, WORKERS)
+            .with_buffer(48)
+            .with_sending_threshold(600)
+            .with_codec(codec)
+            .with_trace(Arc::clone(&trace))
+            .with_worker_disks(WorkerDisks(
+                disks
+                    .iter()
+                    .map(|d| Arc::clone(d) as Arc<dyn Vfs>)
+                    .collect(),
+            ))
+            .with_progress(Arc::clone(&probe) as Arc<dyn ProgressSink>);
+        if mode == Mode::Async {
+            // Few, wide Vblocks: most vertices' edges stay in-block.
+            cfg.vblocks_per_worker = Some(2);
+        }
+        let res = run_job(Arc::new(program), g, cfg).expect("job");
+        let values: Vec<u8> = res
+            .values
+            .iter()
+            .flat_map(|v| bits(v).to_le_bytes())
+            .collect();
+        let mut steps = String::new();
+        // [spilled bytes, mode switches, async interior updates]
+        let mut exercised = [0, res.metrics.switches.len() as u64, 0];
+        for m in &res.metrics.steps {
+            let mut m = m.clone();
+            m.wall_secs = 0.0;
+            m.blocking_secs = 0.0;
+            if matches!(m.kind, StepKind::BPull | StepKind::BPullThenPush) {
+                m.memory_bytes = 0;
+            }
+            exercised[0] += m.sem.msg_spill_bytes;
+            exercised[2] += m.asy.interior_updates;
+            steps.push_str(&format!("{m:?}\n"));
+        }
+        let barriers = probe.barriers.lock().unwrap();
+        (
+            [
+                fnv1a(&values),
+                fnv1a(steps.as_bytes()),
+                fnv1a(&barriers),
+                fnv1a(export_chrome_trace(&trace).as_bytes()),
+            ],
+            exercised,
+        )
+    }
+
+    let rmat = gen::rmat(256, 2048, gen::RmatParams::default(), 11);
+    let g = gen::randomize_weights(&rmat, 0.5, 2.0, 7);
+    // `Async` runs on community-clustered ids (and few, wide Vblocks),
+    // so its blocks have interiors and its pseudo-rounds run.
+    let g_local = gen::randomize_weights(&gen::localize(&rmat, 0.9, 8, 7), 0.5, 2.0, 7);
+    let source = g
+        .vertices()
+        .max_by_key(|&v| g.out_degree(v))
+        .expect("non-empty graph");
+
+    // Per (mode, codec): [values, steps, spill files at barriers, trace]
+    // for PageRank, then for SSSP.
+    let golden: [(Mode, CodecChoice, [u64; 4], [u64; 4]); 8] = [
+        (
+            Mode::Push,
+            CodecChoice::None,
+            [
+                0x7554_e9c6_40c7_20b2,
+                0xd07f_eb56_d84e_7331,
+                0xa646_67f0_0d27_ddda,
+                0x6230_6489_8be7_6f5c,
+            ],
+            [
+                0x3698_04cc_a87b_7baf,
+                0x6e11_bc41_9d66_8541,
+                0x5e28_4323_4692_f9c8,
+                0x01c1_9b8b_e272_bc91,
+            ],
+        ),
+        (
+            Mode::Push,
+            CodecChoice::Gaps,
+            [
+                0x7554_e9c6_40c7_20b2,
+                0xdba4_1b4d_e9c3_c013,
+                0x149c_7cc2_592a_7481,
+                0x02c9_d379_91df_ed4d,
+            ],
+            [
+                0x3698_04cc_a87b_7baf,
+                0x275c_c11e_fd6d_c2f9,
+                0xb27f_27b3_a3da_40df,
+                0xd5b6_f4db_1db5_6328,
+            ],
+        ),
+        (
+            Mode::PushM,
+            CodecChoice::None,
+            [
+                0x3f8c_e272_9ad6_d9d2,
+                0x52fb_3fde_cbd1_e9c8,
+                0x7d79_d0c0_b9a2_6d09,
+                0x7ab0_619f_7a4f_e070,
+            ],
+            [
+                0x3698_04cc_a87b_7baf,
+                0xd0c2_0a79_42b5_a31d,
+                0xae35_4175_d12a_282f,
+                0x77b7_22b8_53fd_4ecd,
+            ],
+        ),
+        (
+            Mode::PushM,
+            CodecChoice::Gaps,
+            [
+                0x3f8c_e272_9ad6_d9d2,
+                0xdd06_cef7_d21f_503b,
+                0x58e6_f270_599b_b792,
+                0x6d5c_9a5a_7886_6154,
+            ],
+            [
+                0x3698_04cc_a87b_7baf,
+                0x4275_77e6_1ab2_b77d,
+                0xed32_0b74_8003_8a65,
+                0x52b6_335c_e1e0_bfb3,
+            ],
+        ),
+        (
+            Mode::Hybrid,
+            CodecChoice::None,
+            [
+                0x7559_ef5e_ba59_86d9,
+                0xb2ac_11e7_3ce2_b204,
+                0xa238_dcb7_c58a_700b,
+                0xc390_5f29_b921_2792,
+            ],
+            [
+                0x3698_04cc_a87b_7baf,
+                0x89d0_53e2_b7a4_4533,
+                0xe8dc_3d72_8f7c_2ed0,
+                0x7bbd_3080_e01d_e2c0,
+            ],
+        ),
+        (
+            Mode::Hybrid,
+            CodecChoice::Gaps,
+            [
+                0x7559_ef5e_ba59_86d9,
+                0xeee1_fa67_f38b_8b53,
+                0x7c7e_cc88_d50b_a76a,
+                0xb5b5_b68c_7c45_af9c,
+            ],
+            [
+                0x3698_04cc_a87b_7baf,
+                0xbf63_a1ac_ced7_63dd,
+                0xc641_5aa1_c73a_74e4,
+                0x77d6_f193_5475_04cf,
+            ],
+        ),
+        (
+            Mode::Async,
+            CodecChoice::None,
+            [
+                0x55c7_3063_accf_e200,
+                0xb485_821e_0f29_fbd4,
+                0x3b69_96a7_0448_9841,
+                0x90b8_55c6_332c_8e23,
+            ],
+            [
+                0xeb8b_fe08_f6fb_a3d9,
+                0xa803_4287_0e18_f0da,
+                0xda78_f2d1_3eb8_1e9b,
+                0x6269_3c21_a6dc_8cb5,
+            ],
+        ),
+        (
+            Mode::Async,
+            CodecChoice::Gaps,
+            [
+                0x55c7_3063_accf_e200,
+                0x7f39_b997_a3c8_63e3,
+                0x0192_cc4b_9881_ca51,
+                0x1142_9735_d140_7e90,
+            ],
+            [
+                0xeb8b_fe08_f6fb_a3d9,
+                0x68f9_aa26_c79e_e9e1,
+                0xa175_6822_b32d_d97a,
+                0x16c2_6ff5_4f65_9835,
+            ],
+        ),
+    ];
+    let mut got = Vec::new();
+    for (mode, codec, ..) in golden {
+        let g = if mode == Mode::Async { &g_local } else { &g };
+        let (pr, pr_did) = job(PageRank::new(6), g, mode, codec, |v| v.to_bits());
+        let (ss, ss_did) = job(Sssp::new(source), g, mode, codec, |v| {
+            u64::from(v.to_bits())
+        });
+        for did in [pr_did, ss_did] {
+            assert!(did[0] > 0, "{mode:?}/{codec:?}: pinned jobs must spill");
+            assert!(did[1] > 0 || mode != Mode::Hybrid, "{codec:?}: no switch");
+            assert!(did[2] > 0 || mode != Mode::Async, "{codec:?}: no interior");
+        }
+        got.push((mode, codec, pr, ss));
+    }
+    assert_eq!(got, golden, "(mode, codec, pagerank, sssp) = {got:#018x?}");
+}

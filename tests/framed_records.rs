@@ -6,16 +6,18 @@
 //! Each seeded case prints its seed on failure so a regression is
 //! reproducible from the assertion message alone.
 
+use hybridgraph::core::{ProgressSink, StepKind, WorkerDisks};
+use hybridgraph::graph::gen;
+use hybridgraph::net::Packet;
+use hybridgraph::prelude::*;
 use hybridgraph::storage::checkpoint::{checkpoint_file_name, CheckpointReader, CheckpointWriter};
 use hybridgraph::storage::msg_log::{msg_log_file_name, MsgLogReader, MsgLogWriter};
 use hybridgraph::storage::record::{decode_slice, encode_slice};
 use hybridgraph::storage::service_log::{ServiceLog, SERVICE_LOG_FILE};
-use hybridgraph::storage::{
-    decode_graph, encode_graph, AccessClass, CodecChoice, MemVfs, Record, Vfs,
-};
+use hybridgraph::storage::{decode_graph, encode_graph, AccessClass, IoStats, Record};
 use hybridgraph_codec::{decode_blob_frame, encode_blob_frame};
 use hybridgraph_graph::rng::SplitMix64;
-use hybridgraph_graph::VertexId;
+use std::sync::{Arc, Mutex};
 
 const SEEDS: [u64; 4] = [1, 42, 0xdead_beef, 0x0123_4567_89ab_cdef];
 
@@ -665,6 +667,173 @@ fn golden_master_state_bytes_are_pinned() {
     assert_eq!(got, want, "[baseline, step cut 6] = {got:#x?}");
 }
 
+// ------------------------------------------------------------ pinned jobs
+
+/// Records, at every barrier, what the job left on each worker's disk:
+/// the spill file (push family) and — when asked — the message-log
+/// segment the superstep just committed.
+struct BarrierProbe {
+    disks: Vec<Arc<MemVfs>>,
+    msg_log: bool,
+    barriers: Mutex<Vec<u8>>,
+}
+
+impl std::fmt::Debug for BarrierProbe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("BarrierProbe")
+    }
+}
+
+impl BarrierProbe {
+    /// A file's bytes read through a throwaway sink: observing it must
+    /// not show up in the job's own I/O counters.
+    fn read(disk: &MemVfs, name: &str) -> Option<Vec<u8>> {
+        let file = disk.open(name).ok()?;
+        let quiet = file.with_stats(Arc::new(IoStats::new()));
+        Some(quiet.read_all(AccessClass::SeqRead).expect("read file"))
+    }
+
+    /// A message-log segment in canonical order. A worker serves its
+    /// peers in whatever order their requests arrive, so the interleaving
+    /// of a segment's entries across destinations and packet kinds is
+    /// scheduling; the sequence to one destination, of one kind, about one
+    /// block is not — and holds every payload byte and `WireStats`.
+    fn canonical_segment(segment: &[u8], superstep: u64) -> Vec<u8> {
+        let scratch = MemVfs::new();
+        let name = msg_log_file_name(superstep);
+        let file = scratch.create(&name).expect("scratch file");
+        file.append(AccessClass::SeqWrite, segment).expect("copy");
+        let mut reader = MsgLogReader::open(&scratch, superstep).expect("open segment");
+        let mut entries = reader.read_all_entries().expect("entries");
+        entries.sort_by_key(|(to, blob)| {
+            let (packet, used) = Packet::decode(blob).expect("logged packet");
+            assert_eq!(used, blob.len());
+            let (rank, block) = match packet {
+                Packet::PullRequest { block } => (0, block.0),
+                Packet::Messages { for_block, .. } => (1, for_block.map_or(u32::MAX, |b| b.0)),
+                Packet::EndOfResponses { block } => (2, block.0),
+                Packet::DoneSending => (3, 0),
+                Packet::SuperstepDone => (4, 0),
+                Packet::GatherRequests { .. } => (5, 0),
+                Packet::DoneRequesting => (6, 0),
+                Packet::EndOfGather => (7, 0),
+                Packet::Signals { .. } => (8, 0),
+                Packet::Abort => unreachable!("the control plane's packet is never logged"),
+            };
+            (*to, rank, block)
+        });
+        let mut out = Vec::new();
+        for (to, blob) in entries {
+            out.extend_from_slice(&to.to_le_bytes());
+            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            out.extend_from_slice(&blob);
+        }
+        out
+    }
+}
+
+impl ProgressSink for BarrierProbe {
+    fn superstep(&self, superstep: u64, _mode: Mode, _modeled_secs: f64) {
+        let mut log = self.barriers.lock().unwrap();
+        log.extend_from_slice(&superstep.to_le_bytes());
+        let mut note = |bytes: &[u8]| {
+            log.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            log.extend_from_slice(&fnv1a(bytes).to_le_bytes());
+        };
+        for disk in &self.disks {
+            if let Some(spill) = Self::read(disk, "spill") {
+                note(&spill);
+            }
+            if self.msg_log {
+                let segment = Self::read(disk, &msg_log_file_name(superstep))
+                    .expect("every worker commits a segment per superstep");
+                note(&Self::canonical_segment(&segment, superstep));
+            }
+        }
+    }
+}
+
+/// Runs `program` on three workers with a 48-message receive buffer and a
+/// 600-byte sending threshold (50 `f64` messages a batch) and fingerprints
+/// everything the job lets an observer see: `[values, per-superstep
+/// metrics, files at every barrier, Chrome trace]`, plus `[spilled bytes,
+/// mode switches, async interior updates]` so callers can assert the
+/// pinned job exercised what it is there to pin. `wall_secs` and
+/// `blocking_secs` are zeroed — and `memory_bytes` on b-pull supersteps
+/// when `mask_bpull_memory` is set. What depends on request arrival order
+/// in pull mode is left out: the trace, and each superstep's `IoSnapshot`,
+/// svertex bytes and modeled I/O time.
+fn pinned_job<P: VertexProgram>(
+    program: P,
+    g: &Graph,
+    mode: Mode,
+    cfg: impl FnOnce(JobConfig) -> JobConfig,
+    mask_bpull_memory: bool,
+    bits: impl Fn(&P::Value) -> u64,
+) -> ([u64; 4], [u64; 3]) {
+    const WORKERS: usize = 3;
+    let disks: Vec<Arc<MemVfs>> = (0..WORKERS).map(|_| Arc::new(MemVfs::new())).collect();
+    let trace = Arc::new(TraceSink::new(WORKERS));
+    let base = JobConfig::new(mode, WORKERS)
+        .with_buffer(48)
+        .with_sending_threshold(600)
+        .with_trace(Arc::clone(&trace))
+        .with_worker_disks(WorkerDisks(
+            disks
+                .iter()
+                .map(|d| Arc::clone(d) as Arc<dyn Vfs>)
+                .collect(),
+        ));
+    let cfg = cfg(base);
+    let probe = Arc::new(BarrierProbe {
+        disks,
+        msg_log: cfg.message_logging,
+        barriers: Mutex::default(),
+    });
+    let cfg = cfg.with_progress(Arc::clone(&probe) as Arc<dyn ProgressSink>);
+    let res = run_job(Arc::new(program), g, cfg).expect("job");
+    let values: Vec<u8> = res
+        .values
+        .iter()
+        .flat_map(|v| bits(v).to_le_bytes())
+        .collect();
+    let mut steps = String::new();
+    let mut exercised = [0, res.metrics.switches.len() as u64, 0];
+    for m in &res.metrics.steps {
+        let mut m = m.clone();
+        m.wall_secs = 0.0;
+        m.blocking_secs = 0.0;
+        if mask_bpull_memory && matches!(m.kind, StepKind::BPull | StepKind::BPullThenPush) {
+            m.memory_bytes = 0;
+        }
+        if m.kind == StepKind::Pull {
+            // The LRU's and the gather cursor's view of a superstep
+            // follows request arrival order (ROADMAP item 3).
+            m.io = Default::default();
+            m.sem.svertex_rand_bytes = 0;
+            m.modeled_secs = 0.0;
+            m.modeled_io_secs = 0.0;
+        }
+        exercised[0] += m.sem.msg_spill_bytes;
+        exercised[2] += m.asy.interior_updates;
+        steps.push_str(&format!("{m:?}\n"));
+    }
+    let trace = match mode {
+        Mode::Pull => 0,
+        _ => fnv1a(export_chrome_trace(&trace).as_bytes()),
+    };
+    let barriers = probe.barriers.lock().unwrap();
+    (
+        [
+            fnv1a(&values),
+            fnv1a(steps.as_bytes()),
+            fnv1a(&barriers),
+            trace,
+        ],
+        exercised,
+    )
+}
+
 // "Encode once, sort once": FNV-1a fingerprints of everything a
 // push-family job lets an observer see — result values, every
 // per-superstep metric (the `IoSnapshot` with its op counts, semantic
@@ -676,102 +845,23 @@ fn golden_master_state_bytes_are_pinned() {
 // supersteps, whose high-water mark depends on packet arrival.
 #[test]
 fn golden_push_family_jobs_are_pinned() {
-    use hybridgraph::core::{ProgressSink, StepKind, WorkerDisks};
-    use hybridgraph::graph::gen;
-    use hybridgraph::prelude::*;
-    use hybridgraph::storage::IoStats;
-    use std::sync::{Arc, Mutex};
-
-    #[derive(Default)]
-    struct SpillProbe {
-        disks: Vec<Arc<MemVfs>>,
-        barriers: Mutex<Vec<u8>>,
-    }
-    impl std::fmt::Debug for SpillProbe {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("SpillProbe")
-        }
-    }
-    impl ProgressSink for SpillProbe {
-        fn superstep(&self, superstep: u64, _mode: Mode, _modeled_secs: f64) {
-            let mut log = self.barriers.lock().unwrap();
-            log.extend_from_slice(&superstep.to_le_bytes());
-            for disk in &self.disks {
-                // Read through a throwaway sink: observing the file must
-                // not show up in the job's own I/O counters.
-                let bytes = disk
-                    .open("spill")
-                    .expect("push-family workers own a spill file")
-                    .with_stats(Arc::new(IoStats::new()))
-                    .read_all(AccessClass::SeqRead)
-                    .expect("read spill");
-                log.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-                log.extend_from_slice(&fnv1a(&bytes).to_le_bytes());
+    let job = |pagerank: bool, g: &Graph, mode: Mode, codec: CodecChoice, source: VertexId| {
+        let cfg = |c: JobConfig| {
+            let mut c = c.with_codec(codec);
+            if mode == Mode::Async {
+                // Few, wide Vblocks: most vertices' edges stay in-block.
+                c.vblocks_per_worker = Some(2);
             }
+            c
+        };
+        if pagerank {
+            pinned_job(PageRank::new(6), g, mode, cfg, true, |v| v.to_bits())
+        } else {
+            pinned_job(Sssp::new(source), g, mode, cfg, true, |v| {
+                u64::from(v.to_bits())
+            })
         }
-    }
-
-    fn job<P: VertexProgram>(
-        program: P,
-        g: &Graph,
-        mode: Mode,
-        codec: CodecChoice,
-        bits: impl Fn(&P::Value) -> u64,
-    ) -> ([u64; 4], [u64; 3]) {
-        const WORKERS: usize = 3;
-        let disks: Vec<Arc<MemVfs>> = (0..WORKERS).map(|_| Arc::new(MemVfs::new())).collect();
-        let probe = Arc::new(SpillProbe {
-            disks: disks.clone(),
-            barriers: Mutex::default(),
-        });
-        let trace = Arc::new(TraceSink::new(WORKERS));
-        let mut cfg = JobConfig::new(mode, WORKERS)
-            .with_buffer(48)
-            .with_sending_threshold(600)
-            .with_codec(codec)
-            .with_trace(Arc::clone(&trace))
-            .with_worker_disks(WorkerDisks(
-                disks
-                    .iter()
-                    .map(|d| Arc::clone(d) as Arc<dyn Vfs>)
-                    .collect(),
-            ))
-            .with_progress(Arc::clone(&probe) as Arc<dyn ProgressSink>);
-        if mode == Mode::Async {
-            // Few, wide Vblocks: most vertices' edges stay in-block.
-            cfg.vblocks_per_worker = Some(2);
-        }
-        let res = run_job(Arc::new(program), g, cfg).expect("job");
-        let values: Vec<u8> = res
-            .values
-            .iter()
-            .flat_map(|v| bits(v).to_le_bytes())
-            .collect();
-        let mut steps = String::new();
-        // [spilled bytes, mode switches, async interior updates]
-        let mut exercised = [0, res.metrics.switches.len() as u64, 0];
-        for m in &res.metrics.steps {
-            let mut m = m.clone();
-            m.wall_secs = 0.0;
-            m.blocking_secs = 0.0;
-            if matches!(m.kind, StepKind::BPull | StepKind::BPullThenPush) {
-                m.memory_bytes = 0;
-            }
-            exercised[0] += m.sem.msg_spill_bytes;
-            exercised[2] += m.asy.interior_updates;
-            steps.push_str(&format!("{m:?}\n"));
-        }
-        let barriers = probe.barriers.lock().unwrap();
-        (
-            [
-                fnv1a(&values),
-                fnv1a(steps.as_bytes()),
-                fnv1a(&barriers),
-                fnv1a(export_chrome_trace(&trace).as_bytes()),
-            ],
-            exercised,
-        )
-    }
+    };
 
     let rmat = gen::rmat(256, 2048, gen::RmatParams::default(), 11);
     let g = gen::randomize_weights(&rmat, 0.5, 2.0, 7);
@@ -918,10 +1008,8 @@ fn golden_push_family_jobs_are_pinned() {
     let mut got = Vec::new();
     for (mode, codec, ..) in golden {
         let g = if mode == Mode::Async { &g_local } else { &g };
-        let (pr, pr_did) = job(PageRank::new(6), g, mode, codec, |v| v.to_bits());
-        let (ss, ss_did) = job(Sssp::new(source), g, mode, codec, |v| {
-            u64::from(v.to_bits())
-        });
+        let (pr, pr_did) = job(true, g, mode, codec, source);
+        let (ss, ss_did) = job(false, g, mode, codec, source);
         for did in [pr_did, ss_did] {
             assert!(did[0] > 0, "{mode:?}/{codec:?}: pinned jobs must spill");
             assert!(did[1] > 0 || mode != Mode::Hybrid, "{codec:?}: no switch");
@@ -930,4 +1018,105 @@ fn golden_push_family_jobs_are_pinned() {
         got.push((mode, codec, pr, ss));
     }
     assert_eq!(got, golden, "(mode, codec, pagerank, sssp) = {got:#018x?}");
+}
+
+// "Group by destination once": the same fingerprints for the pull family —
+// b-pull, pull and hybrid × PageRank (sum), SSSP (min), LPA (no combiner:
+// `Concatenated`) × none/bv × combining on/off, message logging on, so the
+// barrier column holds every remote `Packet::Messages` payload and its
+// `WireStats` as the message log kept them. At a 600-byte sending
+// threshold a batch is 50 messages: `Concatenated` responses are cut
+// mid-group and pull ships several `Combined` batches per sender per
+// superstep, the case where the fold order across batches shows in the
+// value bits. Captured by running this test body at the commit before
+// the pull family's five groupings became one pass; `memory_bytes` on
+// b-pull supersteps is masked because it was timing-dependent there.
+#[test]
+fn golden_pull_family_jobs_are_pinned() {
+    const GOLDEN: &str = "\
+b-pull none comb pagerank 95bd2760a4934f41 4622d63c9ea89f54 ca46404d54ae834e 46289f7cc421a045\n\
+b-pull none comb sssp     369804cca87b7baf e8a17a934a4fc279 7f91b6e776628ae7 32259268accc7b3c\n\
+b-pull none comb lpa      3840de144e882740 ca69495cbbb018e7 1277443fc0a9e35e 3940c98ea253df88\n\
+b-pull none list pagerank 03ee31e1b89598aa a328a6f59262922f 19841c583df5ed39 7f4772c9dfacdc14\n\
+b-pull none list sssp     369804cca87b7baf 42bd7b849f63932c f5f69eaf8bc18713 57aa0036db67816c\n\
+b-pull none list lpa      3840de144e882740 ca69495cbbb018e7 1277443fc0a9e35e 3940c98ea253df88\n\
+b-pull bv   comb pagerank 95bd2760a4934f41 0fe479da7bbf97a1 ca46404d54ae834e c3d25dd5797b4e9c\n\
+b-pull bv   comb sssp     369804cca87b7baf ffbad001ac60d9a7 7f91b6e776628ae7 a88d567969bea590\n\
+b-pull bv   comb lpa      3840de144e882740 e4f79cc7a0600277 1277443fc0a9e35e e079093dc0b0e488\n\
+b-pull bv   list pagerank 03ee31e1b89598aa 7fefd53e54f63ec0 19841c583df5ed39 cde30f987461087f\n\
+b-pull bv   list sssp     369804cca87b7baf 8656514e2b4b1297 f5f69eaf8bc18713 5c24d3d4cc2f50b6\n\
+b-pull bv   list lpa      3840de144e882740 e4f79cc7a0600277 1277443fc0a9e35e e079093dc0b0e488\n\
+pull   none comb pagerank 9ac44c7a093376d0 a8bd7cde6a15bdce 439e327297d05cfb 0000000000000000\n\
+pull   none comb sssp     369804cca87b7baf e117f987addfbb24 521450b50af4c0a8 0000000000000000\n\
+pull   none comb lpa      3840de144e882740 7e7b794ff0eed799 d73b9f356fa06876 0000000000000000\n\
+pull   none list pagerank 03ee31e1b89598aa 1e7d868057671ce2 b348398106f52993 0000000000000000\n\
+pull   none list sssp     369804cca87b7baf bcba124a535aa94b bab9c9025e8d41af 0000000000000000\n\
+pull   none list lpa      3840de144e882740 7e7b794ff0eed799 d73b9f356fa06876 0000000000000000\n\
+pull   bv   comb pagerank 9ac44c7a093376d0 af7aa9b1e91390e6 439e327297d05cfb 0000000000000000\n\
+pull   bv   comb sssp     369804cca87b7baf a9d038ce434611d9 521450b50af4c0a8 0000000000000000\n\
+pull   bv   comb lpa      3840de144e882740 69338797c7c007f1 d73b9f356fa06876 0000000000000000\n\
+pull   bv   list pagerank 03ee31e1b89598aa 0e633fb888592b9c b348398106f52993 0000000000000000\n\
+pull   bv   list sssp     369804cca87b7baf 209489759f17cc33 bab9c9025e8d41af 0000000000000000\n\
+pull   bv   list lpa      3840de144e882740 69338797c7c007f1 d73b9f356fa06876 0000000000000000\n\
+hybrid none comb pagerank 7559ef5eba5986d9 b2ac11e73ce2b204 b9cb60e6518659af c3905f29b9212792\n\
+hybrid none comb sssp     369804cca87b7baf 89d053e2b7a44533 e8013286a0bf81f6 7bbd3080e01de2c0\n\
+hybrid none comb lpa      3840de144e882740 907bf4cb1e386f3b 7fa7046e457ba9f0 95ad7afee227138c\n\
+hybrid none list pagerank bf585b0365d0d058 2f1939806c51dcc0 67b41520aae2e736 34f6e738399a8c22\n\
+hybrid none list sssp     369804cca87b7baf f363dbb286e0119e 8fc659b31e11e4ef 1027f78bc91e3f7b\n\
+hybrid none list lpa      3840de144e882740 907bf4cb1e386f3b 7fa7046e457ba9f0 95ad7afee227138c\n\
+hybrid bv   comb pagerank 7559ef5eba5986d9 e1be9d72d5794af1 4716ae4c6eb09594 2e517baf3fa21a9a\n\
+hybrid bv   comb sssp     369804cca87b7baf d700f071ba222730 66c5db29c07a0142 4f3d9ee04a6c486f\n\
+hybrid bv   comb lpa      3840de144e882740 45fee76205b3ee58 8eaa26fde523ac7d 46b72708d0b0375d\n\
+hybrid bv   list pagerank bf585b0365d0d058 e2bf57797d9e1f80 3db281d06c4525f5 032c1c5adf046d33\n\
+hybrid bv   list sssp     369804cca87b7baf c661c2508f77cf61 ab9189b71c7bef4b 687d8b145be5ca67\n\
+hybrid bv   list lpa      3840de144e882740 45fee76205b3ee58 8eaa26fde523ac7d 46b72708d0b0375d\n\
+";
+
+    let rmat = gen::rmat(256, 2048, gen::RmatParams::default(), 11);
+    let g = gen::randomize_weights(&rmat, 0.5, 2.0, 7);
+    let source = g
+        .vertices()
+        .max_by_key(|&v| g.out_degree(v))
+        .expect("non-empty graph");
+    let mut got = String::new();
+    for mode in [Mode::BPull, Mode::Pull, Mode::Hybrid] {
+        for codec in [CodecChoice::None, CodecChoice::Bv] {
+            for combining in [true, false] {
+                let cfg = |c: JobConfig| {
+                    let mut c = c.with_codec(codec).with_message_logging(true);
+                    c.combining = combining;
+                    c
+                };
+                let jobs = [
+                    (
+                        "pagerank",
+                        pinned_job(PageRank::new(6), &g, mode, cfg, true, |v| v.to_bits()).0,
+                    ),
+                    (
+                        "sssp",
+                        pinned_job(Sssp::new(source), &g, mode, cfg, true, |v| {
+                            u64::from(v.to_bits())
+                        })
+                        .0,
+                    ),
+                    (
+                        "lpa",
+                        pinned_job(Lpa::new(6), &g, mode, cfg, true, |v| u64::from(*v)).0,
+                    ),
+                ];
+                for (algo, [values, steps, barriers, trace]) in jobs {
+                    got.push_str(&format!(
+                        "{:<6} {:<4} {} {algo:<8} {values:016x} {steps:016x} {barriers:016x} {trace:016x}\n",
+                        mode.label(),
+                        codec.label(),
+                        if combining { "comb" } else { "list" },
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        got == GOLDEN,
+        "mode codec combining algo: values steps barriers trace =\n{got}"
+    );
 }

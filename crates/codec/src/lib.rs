@@ -149,63 +149,16 @@ impl fmt::Display for CodecChoice {
     }
 }
 
-/// A reversible byte transform with a stable identity tag.
-///
-/// The two provided implementations are [`block`] (via [`BlockCodec`])
-/// and the identity ([`RawCodec`]); gap coding is exposed through
-/// [`encode_extent`] instead because it needs to know the record
-/// structure, not just the bytes.
-pub trait Codec: Send + Sync {
-    /// The tag written in front of extents coded by this codec.
-    fn tag(&self) -> u8;
-    /// Stable name for metrics.
-    fn name(&self) -> &'static str;
-    /// Encodes `raw`; may return more bytes than it was given.
-    fn encode(&self, raw: &[u8]) -> Vec<u8>;
-    /// Decodes into exactly `logical_len` bytes.
-    fn decode(&self, coded: &[u8], logical_len: usize) -> Result<Vec<u8>, CodecError>;
-}
-
-/// Identity codec: encode and decode are copies.
-pub struct RawCodec;
-
-impl Codec for RawCodec {
-    fn tag(&self) -> u8 {
-        TAG_RAW
+/// The body of a raw (stored, not coded) extent or frame: exactly
+/// `logical_len` bytes, or the length it carries is wrong.
+fn raw_body(body: &[u8], logical_len: usize) -> Result<Vec<u8>, CodecError> {
+    if body.len() != logical_len {
+        return Err(CodecError::LengthMismatch {
+            expected: logical_len,
+            got: body.len(),
+        });
     }
-    fn name(&self) -> &'static str {
-        "raw"
-    }
-    fn encode(&self, raw: &[u8]) -> Vec<u8> {
-        raw.to_vec()
-    }
-    fn decode(&self, coded: &[u8], logical_len: usize) -> Result<Vec<u8>, CodecError> {
-        if coded.len() != logical_len {
-            return Err(CodecError::LengthMismatch {
-                expected: logical_len,
-                got: coded.len(),
-            });
-        }
-        Ok(coded.to_vec())
-    }
-}
-
-/// The RLE+LZ byte codec as a [`Codec`].
-pub struct BlockCodec;
-
-impl Codec for BlockCodec {
-    fn tag(&self) -> u8 {
-        TAG_BLOCK
-    }
-    fn name(&self) -> &'static str {
-        "block"
-    }
-    fn encode(&self, raw: &[u8]) -> Vec<u8> {
-        block::compress(raw)
-    }
-    fn decode(&self, coded: &[u8], logical_len: usize) -> Result<Vec<u8>, CodecError> {
-        block::decompress(coded, logical_len)
-    }
+    Ok(body.to_vec())
 }
 
 /// Extent tag: raw bytes follow.
@@ -294,7 +247,7 @@ pub fn decode_extent(
 ) -> Result<Vec<u8>, CodecError> {
     let (&tag, body) = coded.split_first().ok_or(CodecError::Truncated)?;
     let raw = match tag {
-        TAG_RAW => RawCodec.decode(body, logical_len)?,
+        TAG_RAW => raw_body(body, logical_len)?,
         TAG_GAPS => match kind {
             ExtentKind::Fragments => gaps::raw_from_fragments(body)?,
             ExtentKind::Edges => gaps::raw_from_edges(body)?,
@@ -355,7 +308,7 @@ pub fn decode_blob_frame(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecEr
     let payload = &buf[*pos..*pos + payload_len];
     *pos += payload_len;
     match tag {
-        TAG_RAW => RawCodec.decode(payload, logical),
+        TAG_RAW => raw_body(payload, logical),
         TAG_BLOCK => block::decompress(payload, logical),
         _ => Err(CodecError::Corrupt("unknown blob frame tag")),
     }
@@ -508,15 +461,5 @@ mod tests {
         let frame = encode_blob_frame(CodecChoice::Block, &[1u8; 100]);
         let mut pos = 0;
         assert!(decode_blob_frame(&frame[..frame.len() - 1], &mut pos).is_err());
-    }
-
-    #[test]
-    fn codec_trait_objects() {
-        let codecs: [&dyn Codec; 2] = [&RawCodec, &BlockCodec];
-        let data = b"abababababababab".to_vec();
-        for c in codecs {
-            let coded = c.encode(&data);
-            assert_eq!(c.decode(&coded, data.len()).unwrap(), data, "{}", c.name());
-        }
     }
 }

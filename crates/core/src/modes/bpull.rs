@@ -21,29 +21,46 @@
 //! messages from the new values into the peers' receive/spill buffers.
 
 use super::push::sink_payloads;
-use super::{run_init_step, send_plain};
+use super::{run_init_step, send_batch, stage_response, staged_inbox};
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
-use crate::worker::{MsgAccumulator, Worker};
+use crate::worker::Worker;
 use hybridgraph_graph::{BlockId, VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
-use hybridgraph_net::wire::{decode_batch, encode_batch, BatchKind};
+use hybridgraph_net::wire::BatchKind;
+use hybridgraph_storage::adjacency::EdgeScratch;
+use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::{AccessClass, Record};
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Inflight<M> {
+struct Inflight {
     block: BlockId,
     ends: usize,
-    /// One accumulator per sending peer. Responses arrive in whatever
-    /// order the fabric interleaves them; keeping per-sender partials and
-    /// merging them in worker order at completion makes non-commutative
-    /// float combining bit-identical run to run (and across a recovery
-    /// replay).
-    inboxes: Vec<MsgAccumulator<M>>,
+    /// The response payloads as they arrived, per sending peer. Responses
+    /// arrive in whatever order the fabric interleaves them; the inbox is
+    /// built from the slots in worker order once the block completes.
+    staged: Vec<Vec<Arc<[u8]>>>,
+}
+
+/// What the fused switch step adds to `update()`: push's sending buffers
+/// and the scratch `pushRes()` reads out-edges into.
+struct FusedPush<M: Record> {
+    tbuf: ThresholdBuffer<M>,
+    edges: EdgeScratch,
+}
+
+/// A response or end marker names a block this worker is not pulling:
+/// nothing a live peer sends, but a message-log segment read back from
+/// disk during confined recovery can say anything.
+fn not_in_flight(block: BlockId) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("response for Vblock {} that is not in flight", block.0),
+    )
 }
 
 /// Runs one b-pull superstep (`also_push` makes it the fused
@@ -61,7 +78,6 @@ pub fn run_bpull_step<P: VertexProgram>(
     let mut rep = StepReport::default();
     let mut blocking = 0.0;
     let workers = w.cfg.workers;
-    let combinable = w.combinable();
 
     let mut pending: VecDeque<BlockId> = w.layout.blocks_of_worker(w.id).collect();
     // During a confined-recovery replay, survivors re-serve their logged
@@ -69,25 +85,25 @@ pub fn run_bpull_step<P: VertexProgram>(
     // up front), so every block must already be in flight when they land.
     let pipeline = if w.replay {
         pending.len().max(1)
-    } else if combinable && w.cfg.pre_pull {
+    } else if w.batch_kind() == BatchKind::Combined && w.cfg.pre_pull {
         2
     } else {
         1
     };
-    let mut inflight: Vec<Inflight<P::Message>> = Vec::new();
-    let mut tbuf: ThresholdBuffer<P::Message> =
-        ThresholdBuffer::new(workers, w.cfg.sending_threshold);
+    let mut inflight: Vec<Inflight> = Vec::new();
+    let mut push = also_push.then(|| FusedPush {
+        tbuf: ThresholdBuffer::new(workers, w.cfg.sending_threshold),
+        edges: EdgeScratch::default(),
+    });
 
-    let issue = |w: &Worker<P>, b: BlockId, inflight: &mut Vec<Inflight<P::Message>>| {
+    let issue = |w: &Worker<P>, b: BlockId, inflight: &mut Vec<Inflight>| {
         for p in 0..workers {
             w.ep.send(WorkerId::from(p), Packet::PullRequest { block: b });
         }
         inflight.push(Inflight {
             block: b,
             ends: 0,
-            inboxes: (0..workers)
-                .map(|_| MsgAccumulator::new(combinable))
-                .collect(),
+            staged: vec![Vec::new(); workers],
         });
     };
     for _ in 0..pipeline {
@@ -100,12 +116,14 @@ pub fn run_bpull_step<P: VertexProgram>(
     let mut my_done = false;
     let mut done_peers = 0usize;
     let mut push_inbound: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
+    // Values staged for the last `pipeline` blocks to complete.
+    let mut window: VecDeque<u64> = VecDeque::new();
     loop {
         if inflight.is_empty() && pending.is_empty() && !my_done {
             my_done = true;
-            if also_push {
-                for (peer, batch) in tbuf.flush_all() {
-                    send_plain(w, peer, batch);
+            if let Some(push) = &mut push {
+                for (peer, batch) in push.tbuf.flush_all() {
+                    send_batch(w, peer, w.push_kind(), None, &batch);
                 }
             }
             for p in 0..workers {
@@ -124,13 +142,9 @@ pub fn run_bpull_step<P: VertexProgram>(
                 for_block: Some(b),
                 ..
             } => {
-                let pairs = decode_batch::<P::Message>(kind, &payload);
-                let program = Arc::clone(&w.program);
-                let fl = inflight
-                    .iter_mut()
-                    .find(|f| f.block == b)
-                    .expect("response for a block not in flight");
-                fl.inboxes[env.from.index()].accept(pairs, program.combiner());
+                let fl = inflight.iter_mut().find(|f| f.block == b);
+                let slot = &mut fl.ok_or_else(|| not_in_flight(b))?.staged[env.from.index()];
+                stage_response(w, slot, kind, payload, &w.layout.block_range(b))?;
             }
             Packet::Messages {
                 payload,
@@ -144,23 +158,23 @@ pub fn run_bpull_step<P: VertexProgram>(
                 push_inbound[env.from.index()].push(payload);
             }
             Packet::EndOfResponses { block } => {
-                let pos = inflight
-                    .iter()
-                    .position(|f| f.block == block)
-                    .expect("end-of-responses for a block not in flight");
+                let pos = inflight.iter().position(|f| f.block == block);
+                let pos = pos.ok_or_else(|| not_in_flight(block))?;
                 inflight[pos].ends += 1;
                 if inflight[pos].ends == workers {
-                    let fl = inflight.swap_remove(pos);
-                    let inbox_mem = |f: &Inflight<P::Message>| -> u64 {
-                        f.inboxes.iter().map(|i| i.memory_bytes()).sum()
-                    };
-                    let mem: u64 = inflight.iter().map(inbox_mem).sum::<u64>() + inbox_mem(&fl);
-                    w.note_memory(mem + w.standing_memory_bytes());
-                    let program = Arc::clone(&w.program);
-                    let inbox = MsgAccumulator::merge_in_order(fl.inboxes, program.combiner());
-                    update_block(
-                        w, &mut rep, superstep, fl.block, inbox, also_push, &mut tbuf,
-                    )?;
+                    let (inbox, values) = staged_inbox(w, &inflight.swap_remove(pos).staged);
+                    // Blocks complete in request order (FIFO links), so
+                    // the footprint is taken from complete inboxes only:
+                    // this block's beside the `pipeline − 1` before it —
+                    // the double buffer at its fullest — never from what
+                    // happens to have arrived of the block pre-pulled.
+                    if window.len() == pipeline {
+                        window.pop_front();
+                    }
+                    window.push_back(values);
+                    let held = window.iter().sum::<u64>() * (4 + P::Message::BYTES as u64);
+                    w.note_memory(held + w.standing_memory_bytes());
+                    update_block(w, &mut rep, superstep, block, &inbox, push.as_mut())?;
                     if let Some(nb) = pending.pop_front() {
                         issue(w, nb, &mut inflight);
                     }
@@ -226,57 +240,9 @@ fn serve_pull<P: VertexProgram>(
             }
         }
     }
-    send_response(w, from, block, out);
+    send_batch(w, from, w.batch_kind(), Some(block), &out);
     w.ep.send(from, Packet::EndOfResponses { block });
     Ok(())
-}
-
-/// Sends a block's response, concatenated or fully combined.
-///
-/// Combined responses are buffered whole before sending ("messages in a
-/// sub-buffer will not be sent until all messages are produced", §4.3);
-/// concatenate-only responses flush in sending-threshold chunks.
-fn send_response<P: VertexProgram>(
-    w: &Worker<P>,
-    to: WorkerId,
-    block: BlockId,
-    mut out: Vec<(VertexId, P::Message)>,
-) {
-    if out.is_empty() {
-        return;
-    }
-    let kind = w.batch_kind();
-    match kind {
-        BatchKind::Combined => {
-            let (payload, stats) = encode_batch(kind, &mut out, w.program.combiner());
-            w.ep.send(
-                to,
-                Packet::Messages {
-                    kind,
-                    payload: payload.into(),
-                    stats,
-                    for_block: Some(block),
-                },
-            );
-        }
-        _ => {
-            out.sort_by_key(|(d, _)| *d);
-            let per = (w.cfg.sending_threshold / (4 + P::Message::BYTES)).max(1);
-            for chunk in out.chunks(per) {
-                let mut chunk = chunk.to_vec();
-                let (payload, stats) = encode_batch(BatchKind::Concatenated, &mut chunk, None);
-                w.ep.send(
-                    to,
-                    Packet::Messages {
-                        kind: BatchKind::Concatenated,
-                        payload: payload.into(),
-                        stats,
-                        for_block: Some(block),
-                    },
-                );
-            }
-        }
-    }
 }
 
 /// Pull-Request's update half (Algorithm 1 lines 7–9), plus the fused
@@ -286,11 +252,9 @@ fn update_block<P: VertexProgram>(
     rep: &mut StepReport,
     superstep: u64,
     block: BlockId,
-    inbox: MsgAccumulator<P::Message>,
-    also_push: bool,
-    tbuf: &mut ThresholdBuffer<P::Message>,
+    inbox: &Inbox<P::Message>,
+    mut push: Option<&mut FusedPush<P::Message>>,
 ) -> io::Result<()> {
-    let inbox = inbox.into_inbox();
     if inbox.is_empty() {
         return Ok(());
     }
@@ -301,9 +265,9 @@ fn update_block<P: VertexProgram>(
     let vals = w.values.read_range(br.clone())?;
     w.note_value_preimage(br.start, &vals);
     rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
+    // Staging checked every destination against the block's range.
     for (vg, msgs) in inbox.iter() {
         let v = VertexId(vg);
-        debug_assert!(br.contains(&vg), "message for vertex outside block");
         let idx = (vg - br.start) as usize;
         let upd = program.update(v, &info, superstep, &vals[idx], msgs);
         if track_residual {
@@ -316,20 +280,20 @@ fn update_block<P: VertexProgram>(
         let local = w.local(v);
         if upd.respond {
             w.respond_next.set(local);
-            if also_push {
+            if let Some(push) = &mut push {
                 let adj = w
                     .adjacency
                     .as_ref()
                     .expect("hybrid keeps the adjacency store");
-                let edges = adj.edges_of(v, AccessClass::SeqRead)?;
+                let edges = adj.read_edges(v, AccessClass::SeqRead, &mut push.edges)?;
                 rep.sem.push_edge_bytes += adj.stored_bytes_of(v);
                 let outd = w.out_degrees[local];
-                for e in &edges {
+                for e in edges {
                     if let Some(m) = program.message(v, &upd.value, outd, e) {
                         rep.messages_produced += 1;
                         let peer = w.partition.worker_of(e.dst);
-                        if let Some(batch) = tbuf.push(peer, e.dst, m) {
-                            send_plain(w, peer, batch);
+                        if let Some(batch) = push.tbuf.push(peer, e.dst, m) {
+                            send_batch(w, peer, w.push_kind(), None, &batch);
                         }
                     }
                 }
@@ -340,4 +304,151 @@ fn update_block<P: VertexProgram>(
         rep.sem.value_update_bytes += P::Value::BYTES as u64;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::{worker, Sum};
+    use super::*;
+    use crate::config::{JobConfig, Mode};
+    use hybridgraph_net::wire::encode_batch;
+
+    /// Worker 1 of 2 of a b-pull job (Vblocks 2 = 20..30 and 3 = 30..40),
+    /// responses combined or — with `combining` off — concatenated.
+    fn bpull_worker(combining: bool) -> (Worker<Sum>, hybridgraph_net::Endpoint) {
+        let mut cfg = JobConfig::new(Mode::BPull, 2);
+        cfg.combining = combining;
+        worker(cfg)
+    }
+
+    fn payload(w: &Worker<Sum>, msgs: &[(u32, f64)]) -> Arc<[u8]> {
+        let mut msgs: Vec<(VertexId, f64)> = msgs.iter().map(|&(d, m)| (VertexId(d), m)).collect();
+        encode_batch(
+            w.batch_kind(),
+            &mut msgs,
+            w.program.combiner().filter(|_| w.cfg.combining),
+        )
+        .0
+        .into()
+    }
+
+    /// Stages `batches` as `(sender, messages)` in the order given — the
+    /// arrival order — and builds the inbox.
+    fn staged(w: &Worker<Sum>, batches: &[(usize, &[(u32, f64)])]) -> (Inbox<f64>, u64) {
+        let mut slots = vec![Vec::new(); 2];
+        for &(from, msgs) in batches {
+            stage_response(
+                w,
+                &mut slots[from],
+                w.batch_kind(),
+                payload(w, msgs),
+                &(20..30),
+            )
+            .expect("well-formed response");
+        }
+        staged_inbox(w, &slots)
+    }
+
+    #[test]
+    fn combined_responses_fold_per_sender_then_in_worker_order() {
+        let (w, _peer) = bpull_worker(true);
+        // Worker 0 ships two batches; worker 1's lands between them.
+        let (inbox, values) = staged(
+            &w,
+            &[
+                (0, &[(25, 1e16), (26, 1.0)]),
+                (1, &[(25, -1e16), (26, 3.0)]),
+                (0, &[(25, 1.0), (27, 2.0)]),
+            ],
+        );
+        // (1e16 + 1.0) + -1e16, not (1e16 + -1e16) + 1.0: one combined
+        // value per destination, whatever the arrival order.
+        let groups: Vec<(u32, &[f64])> = inbox.iter().collect();
+        assert_eq!(groups, [(25, &[0.0][..]), (26, &[4.0]), (27, &[2.0])]);
+        // Worker 0's two batches were folded into three distinct values.
+        assert_eq!(values, 3 + 2);
+    }
+
+    #[test]
+    fn concatenated_responses_keep_sender_then_send_order() {
+        let (w, _peer) = bpull_worker(false);
+        let (inbox, values) = staged(
+            &w,
+            &[
+                (1, &[(25, 7.0), (24, 5.0)]),
+                (0, &[(25, 1.0)]),
+                (0, &[(25, 2.0), (24, 3.0)]),
+            ],
+        );
+        let groups: Vec<(u32, &[f64])> = inbox.iter().collect();
+        assert_eq!(groups, [(24, &[3.0, 5.0][..]), (25, &[1.0, 2.0, 7.0])]);
+        assert_eq!(values, 5);
+    }
+
+    #[test]
+    fn malformed_responses_are_invalid_data_and_stage_nothing() {
+        for combining in [true, false] {
+            let (w, _peer) = bpull_worker(combining);
+            let kind = w.batch_kind();
+            let good = payload(&w, &[(25, 1.0), (29, 2.0)]);
+            let mut slot = Vec::new();
+            let mut rejected = |kind, payload: Arc<[u8]>, dsts: std::ops::Range<u32>| {
+                let err = stage_response(&w, &mut slot, kind, payload, &dsts).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind:?} {dsts:?}");
+                assert!(slot.is_empty(), "nothing of a rejected payload is staged");
+            };
+            // Vertex 29 is not in 20..29, vertex 25 not in 26..30; the
+            // other Vblock and the other worker are not the one answered.
+            for dsts in [20..29, 26..30, 30..40, 0..20] {
+                rejected(kind, Arc::clone(&good), dsts);
+            }
+            // One byte short of a whole record or group.
+            rejected(kind, good[..good.len() - 1].into(), 20..30);
+            // An encoding this job's responders do not use.
+            for other in [
+                BatchKind::Plain,
+                BatchKind::Combined,
+                BatchKind::Concatenated,
+            ] {
+                if other != kind {
+                    rejected(other, Arc::clone(&good), 20..30);
+                }
+            }
+        }
+        // A concatenated group that claims more values than were sent.
+        let (w, _peer) = bpull_worker(false);
+        let mut overrun = payload(&w, &[(25, 1.0), (25, 2.0)]).to_vec();
+        overrun[4..8].copy_from_slice(&3u32.to_le_bytes());
+        let err = stage_response(
+            &w,
+            &mut Vec::new(),
+            BatchKind::Concatenated,
+            overrun.into(),
+            &(20..30),
+        );
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn packets_about_a_block_not_in_flight_fail_the_superstep() {
+        // Vblock 0 is worker 0's: worker 1 never pulls it. Vblock 2 is
+        // in flight, but vertex 35 lies in Vblock 3.
+        let stray = |w: &Worker<Sum>, block: u32, dst: u32| Packet::Messages {
+            kind: w.batch_kind(),
+            payload: payload(w, &[(dst, 1.0)]),
+            stats: Default::default(),
+            for_block: Some(BlockId(block)),
+        };
+        for case in 0..3 {
+            let (mut w, peer) = bpull_worker(true);
+            let packet = match case {
+                0 => Packet::EndOfResponses { block: BlockId(0) },
+                1 => stray(&w, 0, 5),
+                _ => stray(&w, 2, 35),
+            };
+            peer.send(WorkerId(1), packet);
+            let err = run_bpull_step(&mut w, 2, false).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "case {case}");
+        }
+    }
 }

@@ -28,7 +28,7 @@
 //! byte-identical.
 
 use super::push::{exchange, load_inbox};
-use super::send_plain;
+use super::send_batch;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
 use crate::worker::{OutEdges, Worker};
@@ -260,7 +260,7 @@ pub fn run_async_step<P: VertexProgram>(
                         rep.messages_produced += 1;
                         let peer = w.partition.worker_of(e.dst);
                         if let Some(batch) = tbuf.push(peer, e.dst, m) {
-                            send_plain(w, peer, batch);
+                            send_batch(w, peer, w.push_kind(), None, &batch);
                         }
                     }
                 }

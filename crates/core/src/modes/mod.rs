@@ -13,11 +13,15 @@ pub mod push;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
 use crate::worker::Worker;
-use hybridgraph_graph::{VertexId, WorkerId};
+use hybridgraph_graph::{BlockId, VertexId, WorkerId};
+use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
-use hybridgraph_net::wire::{encode_batch, BatchKind};
+use hybridgraph_net::wire::{self, BatchKind};
+use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::Record;
 use std::io;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Marker message of the error the executors return when the master
@@ -35,38 +39,90 @@ pub(crate) fn is_abort(e: &io::Error) -> bool {
     e.kind() == io::ErrorKind::Interrupted && e.to_string().contains(ABORT_MARKER)
 }
 
-/// Sends a push batch: plain-encoded by default, or combined within the
-/// batch when `push_sender_combining` is on (the `pushM+com` variant of
-/// Appendix E — only the messages that happen to share a partial buffer
-/// can merge, which is why small sending thresholds cripple the gain).
-pub(crate) fn send_plain<P: VertexProgram>(
+/// Encodes `batch` as `kind` and sends it to `to`: the one place a
+/// [`Packet::Messages`] leaves a worker. Push batches go out under
+/// [`Worker::push_kind`] with no block; b-pull responses (`for_block` =
+/// the Vblock they answer) and pull's gather responses under
+/// [`Worker::batch_kind`] — combined ones whole ("messages in a
+/// sub-buffer will not be sent until all messages are produced", §4.3),
+/// concatenate-only ones cut at the sending threshold.
+pub(crate) fn send_batch<P: VertexProgram>(
     w: &Worker<P>,
-    peer: WorkerId,
-    mut batch: Vec<(VertexId, P::Message)>,
+    to: WorkerId,
+    kind: BatchKind,
+    for_block: Option<BlockId>,
+    batch: &[(VertexId, P::Message)],
 ) {
-    if batch.is_empty() {
-        return;
+    let cut = ThresholdBuffer::<P::Message>::messages_per_flush(w.cfg.sending_threshold);
+    for (payload, stats) in wire::encode_payloads(kind, batch, w.program.combiner(), cut) {
+        let payload = payload.into();
+        w.ep.send(
+            to,
+            Packet::Messages {
+                kind,
+                payload,
+                stats,
+                for_block,
+            },
+        );
     }
-    let kind = if w.cfg.push_sender_combining && w.program.combiner().is_some() {
-        BatchKind::Combined
-    } else {
-        BatchKind::Plain
-    };
-    let combiner = if kind == BatchKind::Combined {
-        w.program.combiner()
-    } else {
-        None
-    };
-    let (payload, stats) = encode_batch(kind, &mut batch, combiner);
-    w.ep.send(
-        peer,
-        Packet::Messages {
-            kind,
-            payload: payload.into(),
-            stats,
-            for_block: None,
-        },
-    );
+}
+
+/// Stages a (b-)pull response payload in its sender's `slot`, as the bytes
+/// it arrived in, after the one check it gets: the encoding this job's
+/// responders use, whole records or groups, every destination inside
+/// `dsts`. Nothing of a rejected payload is staged. A sender's later
+/// *combined* payloads (pull under a small sending threshold) fold into
+/// its first on arrival, in send order, so what is resident stays bounded
+/// by the sender's distinct destinations (Eq. 5) and every slot ends up
+/// holding that sender's partials already folded.
+pub(crate) fn stage_response<P: VertexProgram>(
+    w: &Worker<P>,
+    slot: &mut Vec<Arc<[u8]>>,
+    kind: BatchKind,
+    payload: Arc<[u8]>,
+    dsts: &Range<u32>,
+) -> io::Result<()> {
+    if kind != w.batch_kind() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{kind:?} response to a job that sends {:?}", w.batch_kind()),
+        ));
+    }
+    wire::check_batch::<P::Message>(kind, &payload, dsts)?;
+    match (slot.first_mut(), w.program.combiner()) {
+        (Some(first), Some(combiner)) if kind == BatchKind::Combined => {
+            *first = wire::fold_combined(first, &payload, combiner).into();
+        }
+        _ => slot.push(payload),
+    }
+    Ok(())
+}
+
+/// Builds the inbox of a completed Vblock (b-pull) or superstep (pull)
+/// from its staged responses: one grouping pass in staged order — senders
+/// by worker id, each sender's payloads in send order, which is the order
+/// `update()` sees uncombined messages in — then, when combining, each
+/// destination's per-sender partials folded in that same order. Packets
+/// arrive in whatever order the fabric interleaves them; the staged order
+/// does not depend on it, so float combining is bit-identical run to run
+/// and across a recovery replay. Also returns how many values were staged
+/// (the receive buffer `BR_i` at its fullest, in messages).
+pub(crate) fn staged_inbox<P: VertexProgram>(
+    w: &Worker<P>,
+    staged: &[Vec<Arc<[u8]>>],
+) -> (Inbox<P::Message>, u64) {
+    let kind = w.batch_kind();
+    let messages = staged
+        .iter()
+        .flatten()
+        .flat_map(|payload| wire::messages::<P::Message>(kind, payload));
+    let inbox = Inbox::from_staged(messages);
+    let values = inbox.messages() as u64;
+    match (kind, w.program.combiner()) {
+        (BatchKind::Combined, Some(c)) => (inbox.fold(|a, b| c.combine(a, b)), values),
+        _ => (inbox, values),
+    }
 }
 
 /// Superstep 1 for the pull family: no messages exist yet, so every
@@ -90,7 +146,7 @@ pub(crate) fn init_updates<P: VertexProgram>(
     w: &mut Worker<P>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
-    let program = std::sync::Arc::clone(&w.program);
+    let program = Arc::clone(&w.program);
     let info = w.info;
     // Residuals feed tolerance-based termination only; programs without a
     // tolerance skip the bookkeeping entirely (byte-identical runs).
@@ -127,4 +183,67 @@ pub(crate) fn init_updates<P: VertexProgram>(
         rep.sem.value_update_bytes += block_bytes;
     }
     Ok(())
+}
+
+/// A hand-built worker for the executors' unit tests.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use crate::config::JobConfig;
+    use crate::program::{GraphInfo, Update, VertexProgram};
+    use crate::worker::{Worker, WorkerSeed};
+    use hybridgraph_graph::{gen, BlockLayout, Edge, Partition, VertexId, WorkerId};
+    use hybridgraph_net::combine::SumCombiner;
+    use hybridgraph_net::{Combiner, Endpoint, Fabric};
+    use hybridgraph_storage::MemVfs;
+    use std::sync::Arc;
+
+    pub(crate) struct Sum;
+
+    impl VertexProgram for Sum {
+        type Value = f64;
+        type Message = f64;
+
+        fn name(&self) -> &'static str {
+            "sum"
+        }
+
+        fn init(&self, _v: VertexId, _info: &GraphInfo) -> f64 {
+            0.0
+        }
+
+        fn update(&self, _: VertexId, _: &GraphInfo, _: u64, _: &f64, msgs: &[f64]) -> Update<f64> {
+            Update::respond(msgs.iter().sum())
+        }
+
+        fn message(&self, _: VertexId, value: &f64, _: u32, _: &Edge) -> Option<f64> {
+            Some(*value)
+        }
+
+        fn combiner(&self) -> Option<&dyn Combiner<f64>> {
+            Some(&SumCombiner)
+        }
+    }
+
+    /// Worker 1 of 2 of a 40-vertex job under `cfg`: vertices 20..40 in
+    /// Vblocks 2 (20..30) and 3 (30..40). Also returns worker 0's end of
+    /// the fabric, for tests that play the peer.
+    pub(crate) fn worker(cfg: JobConfig) -> (Worker<Sum>, Endpoint) {
+        let g = gen::uniform(40, 200, 3);
+        let partition = Arc::new(Partition::range(40, 2));
+        let layout = Arc::new(BlockLayout::uniform(&partition, 2));
+        let (mut eps, _) = Fabric::mesh(2);
+        let seed = WorkerSeed {
+            id: WorkerId(1),
+            program: Arc::new(Sum),
+            graph: &g,
+            reverse: None,
+            partition,
+            layout,
+            cfg,
+            ep: eps.remove(1),
+            vfs: Arc::new(MemVfs::new()),
+            classification: None,
+        };
+        (Worker::load(seed).expect("load").0, eps.remove(0))
+    }
 }

@@ -14,13 +14,14 @@
 //! only partially absorb (Table 5's `ext-edge-v2.5` collapse, Fig. 10's
 //! `pull` bars).
 
-use super::init_updates;
+use super::{init_updates, send_batch, stage_response, staged_inbox};
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
-use crate::worker::{MsgAccumulator, OutEdges, Worker};
+use crate::worker::{OutEdges, Worker};
 use hybridgraph_graph::{Edge, VertexId, WorkerId};
+use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
-use hybridgraph_net::wire::{decode_batch, encode_batch, BatchKind};
+use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::stats::{scattered_cost, seek_pad};
 use hybridgraph_storage::{AccessClass, Record};
 use std::io;
@@ -65,8 +66,6 @@ pub fn run_pull_step<P: VertexProgram>(
     }
     let mut rep = StepReport::default();
     let mut blocking = 0.0;
-    let combinable = w.combinable();
-    let program = Arc::clone(&w.program);
 
     // Request phase: every *signaled* local vertex pulls from each of its
     // mirror workers (including itself, over loopback) — PowerGraph's
@@ -105,29 +104,20 @@ pub fn run_pull_step<P: VertexProgram>(
     }
     w.trace_phase("request");
 
-    // Event loop: serve gathers, collect responses, update when both
-    // directions have quiesced. Responses accumulate per sender and merge
-    // in worker order before updating, so float combining is
-    // order-deterministic (bit-identical across runs and replays).
-    let mut inboxes: Vec<MsgAccumulator<P::Message>> = (0..workers)
-        .map(|_| MsgAccumulator::new(combinable))
-        .collect();
-    let mut gbufs: Vec<Vec<(VertexId, P::Message)>> = vec![Vec::new(); workers];
-    let per_flush = (w.cfg.sending_threshold / (4 + P::Message::BYTES)).max(1);
+    // Event loop: serve gathers, stage responses per sender as they
+    // arrive, update when both directions have quiesced.
+    let mut staged: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
+    let mut tbuf: ThresholdBuffer<P::Message> =
+        ThresholdBuffer::new(workers, w.cfg.sending_threshold);
     let (mut got_ends, mut served, mut done_peers) = (0usize, 0usize, 0usize);
     let mut my_done = false;
     loop {
         if got_ends == workers && served == workers && !my_done {
-            let mem: u64 = inboxes.iter().map(|i| i.memory_bytes()).sum();
-            w.note_memory(mem + w.standing_memory_bytes());
-            let parts = std::mem::replace(
-                &mut inboxes,
-                (0..workers)
-                    .map(|_| MsgAccumulator::new(combinable))
-                    .collect(),
-            );
-            let groups = MsgAccumulator::merge_in_order(parts, program.combiner());
-            update_cached(w, &mut rep, superstep, groups)?;
+            let fresh = vec![Vec::new(); workers];
+            let (inbox, values) = staged_inbox(w, &std::mem::replace(&mut staged, fresh));
+            let held = values * (4 + P::Message::BYTES as u64);
+            w.note_memory(held + w.standing_memory_bytes());
+            update_cached(w, &mut rep, superstep, &inbox)?;
             // Scatter: responders signal their out-neighbors to gather
             // next superstep.
             scatter_signals(w, &mut rep)?;
@@ -144,19 +134,17 @@ pub fn run_pull_step<P: VertexProgram>(
             Packet::GatherRequests { ids } => {
                 for chunk in ids.chunks_exact(4) {
                     let v = VertexId(u32::from_le_bytes(chunk.try_into().unwrap()));
-                    serve_gather(w, v, env.from, &mut gbufs, per_flush, &mut rep)?;
+                    serve_gather(w, v, env.from, &mut tbuf, &mut rep)?;
                 }
             }
             Packet::DoneRequesting => {
                 // FIFO per pair: all of this peer's requests are served.
-                let buf = std::mem::take(&mut gbufs[env.from.index()]);
-                flush_gather_batch(w, env.from, buf);
+                send_batch(w, env.from, w.batch_kind(), None, &tbuf.flush(env.from));
                 w.ep.send(env.from, Packet::EndOfGather);
                 served += 1;
             }
             Packet::Messages { kind, payload, .. } => {
-                let pairs = decode_batch::<P::Message>(kind, &payload);
-                inboxes[env.from.index()].accept(pairs, program.combiner());
+                stage_response(w, &mut staged[env.from.index()], kind, payload, &w.range)?;
             }
             Packet::EndOfGather => got_ends += 1,
             Packet::Signals { ids } => accept_signals(w, &ids),
@@ -258,8 +246,7 @@ fn serve_gather<P: VertexProgram>(
     w: &mut Worker<P>,
     v: VertexId,
     from: WorkerId,
-    gbufs: &mut [Vec<(VertexId, P::Message)>],
-    per_flush: usize,
+    tbuf: &mut ThresholdBuffer<P::Message>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let in_edges = w
@@ -278,42 +265,12 @@ fn serve_gather<P: VertexProgram>(
         let edge = Edge::weighted(v, ie.weight);
         if let Some(m) = program.message(ie.src, &val, outd, &edge) {
             rep.messages_produced += 1;
-            let buf = &mut gbufs[from.index()];
-            buf.push((v, m));
-            if buf.len() >= per_flush {
-                let batch = std::mem::take(buf);
-                flush_gather_batch(w, from, batch);
+            if let Some(batch) = tbuf.push(from, v, m) {
+                send_batch(w, from, w.batch_kind(), None, &batch);
             }
         }
     }
     Ok(())
-}
-
-/// Encodes and sends a gather-response batch (combined or concatenated).
-fn flush_gather_batch<P: VertexProgram>(
-    w: &Worker<P>,
-    to: WorkerId,
-    mut batch: Vec<(VertexId, P::Message)>,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    let kind = w.batch_kind();
-    let combiner = if kind == BatchKind::Combined {
-        w.program.combiner()
-    } else {
-        None
-    };
-    let (payload, stats) = encode_batch(kind, &mut batch, combiner);
-    w.ep.send(
-        to,
-        Packet::Messages {
-            kind,
-            payload: payload.into(),
-            stats,
-            for_block: None,
-        },
-    );
 }
 
 /// Applies the superstep's gathered messages through the LRU cache.
@@ -321,12 +278,12 @@ fn update_cached<P: VertexProgram>(
     w: &mut Worker<P>,
     rep: &mut StepReport,
     superstep: u64,
-    inbox: MsgAccumulator<P::Message>,
+    inbox: &Inbox<P::Message>,
 ) -> io::Result<()> {
     let program = Arc::clone(&w.program);
     let info = w.info;
     let track_residual = program.tolerance().is_some();
-    for (vg, msgs) in inbox.into_inbox().iter() {
+    for (vg, msgs) in inbox.iter() {
         let v = VertexId(vg);
         let current = cached_value(w, v, rep)?;
         let upd = program.update(v, &info, superstep, &current, msgs);

@@ -16,14 +16,14 @@
 //! push → b-pull switch superstep (Fig. 6): `load()` + `update()` only,
 //! leaving the responding flags for `pullRes()` to pick up next superstep.
 
-use super::send_plain;
+use super::send_batch;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
 use crate::worker::{OutEdges, Worker};
 use hybridgraph_graph::{VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
-use hybridgraph_net::wire::{check_records, BatchKind};
+use hybridgraph_net::wire::{check_batch, BatchKind};
 use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::{AccessClass, Record};
 use std::io;
@@ -101,7 +101,7 @@ pub fn run_push_step<P: VertexProgram>(
                         rep.messages_produced += 1;
                         let peer = w.partition.worker_of(e.dst);
                         if let Some(batch) = tbuf.push(peer, e.dst, m) {
-                            send_plain(w, peer, batch);
+                            send_batch(w, peer, w.push_kind(), None, &batch);
                         }
                     }
                 }
@@ -137,7 +137,7 @@ pub fn run_push_step<P: VertexProgram>(
 /// senders is scheduling-dependent, and sinking in slot order makes the
 /// spill file's *content* (not just its byte count) a pure function of
 /// the superstep — coded spill frames compress to the same bytes run to
-/// run, the spill-side twin of `MsgAccumulator::merge_in_order`.
+/// run, the spill-side twin of the pull family's `staged_inbox`.
 pub(crate) fn exchange<P: VertexProgram>(
     w: &mut Worker<P>,
     mut tbuf: ThresholdBuffer<P::Message>,
@@ -147,7 +147,7 @@ pub(crate) fn exchange<P: VertexProgram>(
 ) -> io::Result<()> {
     let workers = w.cfg.workers;
     for (peer, batch) in tbuf.flush_all() {
-        send_plain(w, peer, batch);
+        send_batch(w, peer, w.push_kind(), None, &batch);
     }
     for p in 0..workers {
         w.ep.send(WorkerId::from(p), Packet::DoneSending);
@@ -187,7 +187,7 @@ pub(crate) fn sink_payloads<P: VertexProgram>(
     let spill_before = spill.spilled_bytes();
     let mut cold: Vec<u8> = Vec::new();
     for payload in inbound.iter().flatten() {
-        check_records::<P::Message>(payload, &w.range)?;
+        check_batch::<P::Message>(BatchKind::Plain, payload, &w.range)?;
         if !online {
             spill.push_encoded(payload)?;
             continue;
@@ -253,63 +253,15 @@ pub(crate) fn load_inbox<P: VertexProgram>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::testkit::{worker, Sum};
     use super::*;
     use crate::config::{JobConfig, Mode};
-    use crate::program::{GraphInfo, Update};
-    use crate::worker::WorkerSeed;
-    use hybridgraph_graph::{gen, BlockLayout, Edge, Partition};
-    use hybridgraph_net::combine::SumCombiner;
-    use hybridgraph_net::{Combiner, Fabric};
     use hybridgraph_storage::record::encode_slice;
-    use hybridgraph_storage::MemVfs;
-
-    struct Sum;
-
-    impl VertexProgram for Sum {
-        type Value = f64;
-        type Message = f64;
-
-        fn name(&self) -> &'static str {
-            "sum"
-        }
-
-        fn init(&self, _v: VertexId, _info: &GraphInfo) -> f64 {
-            0.0
-        }
-
-        fn update(&self, _: VertexId, _: &GraphInfo, _: u64, _: &f64, msgs: &[f64]) -> Update<f64> {
-            Update::respond(msgs.iter().sum())
-        }
-
-        fn message(&self, _: VertexId, value: &f64, _: u32, _: &Edge) -> Option<f64> {
-            Some(*value)
-        }
-
-        fn combiner(&self) -> Option<&dyn Combiner<f64>> {
-            Some(&SumCombiner)
-        }
-    }
 
     /// Worker 1 of 2 (vertices 20..40) of a pushM job whose hot set holds
     /// 4 vertices and whose receive buffer holds 4 messages.
-    fn worker() -> Worker<Sum> {
-        let g = gen::uniform(40, 200, 3);
-        let partition = Arc::new(Partition::range(40, 2));
-        let layout = Arc::new(BlockLayout::uniform(&partition, 2));
-        let (mut eps, _) = Fabric::mesh(2);
-        let seed = WorkerSeed {
-            id: WorkerId(1),
-            program: Arc::new(Sum),
-            graph: &g,
-            reverse: None,
-            partition,
-            layout,
-            cfg: JobConfig::new(Mode::PushM, 2).with_buffer(4),
-            ep: eps.remove(1),
-            vfs: Arc::new(MemVfs::new()),
-            classification: None,
-        };
-        Worker::load(seed).expect("load").0
+    fn pushm_worker() -> Worker<Sum> {
+        worker(JobConfig::new(Mode::PushM, 2).with_buffer(4)).0
     }
 
     fn payload(msgs: &[(u32, f64)]) -> Vec<Vec<Arc<[u8]>>> {
@@ -319,7 +271,7 @@ mod tests {
 
     #[test]
     fn sunk_payloads_come_back_grouped_hot_and_cold() {
-        let mut w = worker();
+        let mut w = pushm_worker();
         let hot: Vec<u32> = (20..40)
             .filter(|v| w.hotset.as_ref().unwrap().hot.get((v - 20) as usize))
             .collect();
@@ -356,7 +308,7 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_invalid_data_not_panics() {
-        let mut w = worker();
+        let mut w = pushm_worker();
         let mut rep = StepReport::default();
         // Vertex 19 lives on worker 0; vertex 40 does not exist.
         for stray in [19, 40, u32::MAX] {

@@ -20,7 +20,6 @@ use hybridgraph_obs::TraceShard;
 use hybridgraph_storage::adjacency::{AdjacencyStore, EdgeScratch};
 use hybridgraph_storage::checkpoint::{CheckpointReader, CheckpointWriter};
 use hybridgraph_storage::gather::GatherStore;
-use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::lru::LruCache;
 use hybridgraph_storage::msg_log::MsgLogWriter;
 use hybridgraph_storage::msg_store::SpillBuffer;
@@ -29,7 +28,6 @@ use hybridgraph_storage::value_store::ValueStore;
 use hybridgraph_storage::veblock::VeBlockStore;
 use hybridgraph_storage::vfs::Vfs;
 use hybridgraph_storage::{AccessClass, IoSnapshot, PayloadWriter, Record};
-use std::collections::HashMap;
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
@@ -50,117 +48,6 @@ pub struct WorkerLoadReport {
     pub fragments: u64,
     /// Vblocks on this worker.
     pub vblocks: usize,
-}
-
-/// Online message accumulation — b-pull's per-block receive buffer `BR_i`
-/// and the pull baseline's per-superstep inbox.
-///
-/// With a combiner, arriving messages merge immediately (memory bounded by
-/// distinct destinations); without one they are listed (memory bounded by
-/// in-degree mass — exactly the Eq. 5 vs Eq. 6 distinction).
-pub enum MsgAccumulator<M> {
-    /// Combined per destination.
-    Combined(HashMap<u32, M>),
-    /// Concatenate-only: raw list.
-    List(Vec<(u32, M)>),
-}
-
-impl<M: Record> MsgAccumulator<M> {
-    /// An empty accumulator; combining iff `combined`.
-    pub fn new(combined: bool) -> Self {
-        if combined {
-            MsgAccumulator::Combined(HashMap::new())
-        } else {
-            MsgAccumulator::List(Vec::new())
-        }
-    }
-
-    /// Accepts a batch of `(dst, msg)` pairs.
-    pub fn accept(
-        &mut self,
-        pairs: Vec<(VertexId, M)>,
-        combiner: Option<&dyn hybridgraph_net::Combiner<M>>,
-    ) {
-        match self {
-            MsgAccumulator::Combined(map) => {
-                let c = combiner.expect("combined accumulator requires combiner");
-                for (dst, m) in pairs {
-                    map.entry(dst.0)
-                        .and_modify(|acc| *acc = c.combine(acc, &m))
-                        .or_insert(m);
-                }
-            }
-            MsgAccumulator::List(list) => {
-                list.extend(pairs.into_iter().map(|(d, m)| (d.0, m)));
-            }
-        }
-    }
-
-    /// Total messages held.
-    pub fn len(&self) -> usize {
-        match self {
-            MsgAccumulator::Combined(m) => m.len(),
-            MsgAccumulator::List(l) => l.len(),
-        }
-    }
-
-    /// True if no messages are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// In-memory footprint.
-    pub fn memory_bytes(&self) -> u64 {
-        self.len() as u64 * (4 + M::BYTES as u64)
-    }
-
-    /// Merges per-sender accumulators **in slot order** into one.
-    ///
-    /// Receiving threads see sender batches in whatever order the fabric
-    /// delivers them; merging per-sender partials in a fixed order makes
-    /// non-commutative float reductions (e.g. `f64` sums) bit-identical
-    /// run to run — which is what lets recovery tests demand bit-equal
-    /// values after a rollback.
-    pub fn merge_in_order(
-        parts: Vec<Self>,
-        combiner: Option<&dyn hybridgraph_net::Combiner<M>>,
-    ) -> Self {
-        let combined = matches!(parts.first(), Some(MsgAccumulator::Combined(_)));
-        let mut out = MsgAccumulator::new(combined);
-        for part in parts {
-            match (&mut out, part) {
-                (MsgAccumulator::Combined(map), MsgAccumulator::Combined(p)) => {
-                    let c = combiner.expect("combined merge requires combiner");
-                    // Canonical per-part order: destination ascending.
-                    let mut entries: Vec<(u32, M)> = p.into_iter().collect();
-                    entries.sort_by_key(|(d, _)| *d);
-                    for (d, m) in entries {
-                        map.entry(d)
-                            .and_modify(|acc| *acc = c.combine(acc, &m))
-                            .or_insert(m);
-                    }
-                }
-                (MsgAccumulator::List(list), MsgAccumulator::List(p)) => list.extend(p),
-                _ => unreachable!("mixed accumulator kinds in merge"),
-            }
-        }
-        out
-    }
-
-    /// Drains into an [`Inbox`]: destinations ascending, each one's
-    /// messages in the order they were accepted.
-    pub fn into_inbox(self) -> Inbox<M> {
-        let mut pairs: Vec<(u32, M)> = match self {
-            MsgAccumulator::Combined(map) => map.into_iter().collect(),
-            MsgAccumulator::List(list) => list,
-        };
-        pairs.sort_by_key(|(d, _)| *d);
-        let mut inbox = Inbox::with_capacity(pairs.len());
-        for (d, m) in pairs {
-            inbox.extend(d, [m]);
-        }
-        inbox
-    }
 }
 
 /// MOCgraph-style online-computing state: hot vertices accumulate their
@@ -240,9 +127,8 @@ pub struct WorkerSeed<'g, P: VertexProgram> {
 /// at the moment they read a value block anyway
 /// ([`Worker::note_value_preimage`]), so the capture adds **zero** extra
 /// reads. Spilled messages snapshot via the non-destructive
-/// [`SpillBuffer::snapshot_pending`] rather than mark/rewind, because a
-/// superstep that *completed* drained the spill and a rewind past a
-/// drain is illegal.
+/// [`SpillBuffer::snapshot_pending`]: a superstep that *completed* has
+/// drained the spill, so there is no tail to cut back to.
 pub struct StepUndo<P: VertexProgram> {
     respond: BitSet,
     respond_next: BitSet,
@@ -564,12 +450,6 @@ impl<P: VertexProgram> Worker<P> {
         (v.0 - self.range.start) as usize
     }
 
-    /// True if `v` lives on this worker.
-    #[inline]
-    pub fn is_local(&self, v: VertexId) -> bool {
-        self.range.contains(&v.0)
-    }
-
     /// Which batch encoding (b-)pull responses use, given the program and
     /// configuration.
     pub fn batch_kind(&self) -> BatchKind {
@@ -580,9 +460,17 @@ impl<P: VertexProgram> Worker<P> {
         }
     }
 
-    /// True if messages can be combined under this configuration.
-    pub fn combinable(&self) -> bool {
-        self.cfg.combining && self.program.combiner().is_some()
+    /// Which batch encoding push batches use: plain, or combined within
+    /// the batch when `push_sender_combining` is on (the `pushM+com`
+    /// variant of Appendix E — only the messages that happen to share a
+    /// partial buffer can merge, which is why small sending thresholds
+    /// cripple the gain).
+    pub fn push_kind(&self) -> BatchKind {
+        if self.cfg.push_sender_combining && self.program.combiner().is_some() {
+            BatchKind::Combined
+        } else {
+            BatchKind::Plain
+        }
     }
 
     /// Starts a superstep: snapshots I/O, recomputes the per-block `res`
@@ -1057,32 +945,6 @@ impl<P: VertexProgram> Worker<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridgraph_net::combine::SumCombiner;
-
-    #[test]
-    fn accumulator_combined() {
-        let mut a: MsgAccumulator<f64> = MsgAccumulator::new(true);
-        a.accept(
-            vec![(VertexId(1), 1.0), (VertexId(2), 2.0), (VertexId(1), 3.0)],
-            Some(&SumCombiner),
-        );
-        assert_eq!(a.len(), 2);
-        let inbox = a.into_inbox();
-        let groups: Vec<(u32, &[f64])> = inbox.iter().collect();
-        assert_eq!(groups, [(1, &[4.0][..]), (2, &[2.0])]);
-    }
-
-    #[test]
-    fn accumulator_list() {
-        let mut a: MsgAccumulator<u32> = MsgAccumulator::new(false);
-        a.accept(vec![(VertexId(2), 7), (VertexId(1), 5)], None);
-        a.accept(vec![(VertexId(2), 8)], None);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.memory_bytes(), 3 * 8);
-        let inbox = a.into_inbox();
-        let groups: Vec<(u32, &[u32])> = inbox.iter().collect();
-        assert_eq!(groups, [(1, &[5][..]), (2, &[7, 8])]);
-    }
 
     #[test]
     fn hotset_prefers_high_in_degree() {

@@ -30,7 +30,7 @@ impl<M: Record> ThresholdBuffer<M> {
         assert!(threshold_bytes > 0, "threshold must be positive");
         ThresholdBuffer {
             per_peer: (0..peers).map(|_| Vec::new()).collect(),
-            per_flush: (threshold_bytes / Self::message_bytes()).max(1),
+            per_flush: Self::messages_per_flush(threshold_bytes),
             buffered: 0,
         }
     }
@@ -41,9 +41,10 @@ impl<M: Record> ThresholdBuffer<M> {
         4 + M::BYTES
     }
 
-    /// How many messages fit under the threshold.
-    pub fn messages_per_flush(&self) -> usize {
-        self.per_flush
+    /// How many messages fit under a threshold of `threshold_bytes` (at
+    /// least one).
+    pub fn messages_per_flush(threshold_bytes: usize) -> usize {
+        (threshold_bytes / Self::message_bytes()).max(1)
     }
 
     /// Appends a message for `dst` owned by worker `peer`; returns the
@@ -61,20 +62,17 @@ impl<M: Record> ThresholdBuffer<M> {
         }
     }
 
-    /// Number of messages currently buffered for `peer`.
-    pub fn buffered(&self, peer: WorkerId) -> usize {
-        self.per_peer[peer.index()].len()
-    }
-
-    /// Total buffered messages.
-    pub fn total_buffered(&self) -> usize {
-        self.buffered
-    }
-
     /// In-memory footprint of the buffers (the paper's `BS_i` when used as
     /// b-pull's sending buffer).
     pub fn memory_bytes(&self) -> u64 {
-        self.total_buffered() as u64 * Self::message_bytes() as u64
+        self.buffered as u64 * Self::message_bytes() as u64
+    }
+
+    /// Drains `peer`'s buffer, full or not.
+    pub fn flush(&mut self, peer: WorkerId) -> Vec<(VertexId, M)> {
+        let batch = std::mem::take(&mut self.per_peer[peer.index()]);
+        self.buffered -= batch.len();
+        batch
     }
 
     /// Drains every non-empty buffer as `(peer, batch)` pairs.
@@ -98,12 +96,12 @@ mod tests {
     fn flushes_at_threshold() {
         // f64 messages: 12 bytes each; threshold 36 bytes -> 3 per flush.
         let mut b: ThresholdBuffer<f64> = ThresholdBuffer::new(2, 36);
-        assert_eq!(b.messages_per_flush(), 3);
+        assert_eq!(ThresholdBuffer::<f64>::messages_per_flush(36), 3);
         assert!(b.push(WorkerId(0), VertexId(1), 1.0).is_none());
         assert!(b.push(WorkerId(0), VertexId(2), 2.0).is_none());
         let batch = b.push(WorkerId(0), VertexId(3), 3.0).unwrap();
         assert_eq!(batch.len(), 3);
-        assert_eq!(b.buffered(WorkerId(0)), 0);
+        assert!(b.flush(WorkerId(0)).is_empty());
     }
 
     #[test]
@@ -111,10 +109,12 @@ mod tests {
         let mut b: ThresholdBuffer<u32> = ThresholdBuffer::new(3, 16);
         b.push(WorkerId(0), VertexId(0), 0);
         b.push(WorkerId(1), VertexId(1), 1);
-        assert_eq!(b.buffered(WorkerId(0)), 1);
-        assert_eq!(b.buffered(WorkerId(1)), 1);
-        assert_eq!(b.buffered(WorkerId(2)), 0);
-        assert_eq!(b.total_buffered(), 2);
+        assert_eq!(b.memory_bytes(), 2 * 8);
+        assert_eq!(b.flush(WorkerId(1)), [(VertexId(1), 1)]);
+        assert!(b.flush(WorkerId(2)).is_empty());
+        assert_eq!(b.memory_bytes(), 8);
+        assert_eq!(b.flush(WorkerId(0)), [(VertexId(0), 0)]);
+        assert_eq!(b.memory_bytes(), 0);
     }
 
     #[test]
@@ -127,13 +127,13 @@ mod tests {
         assert_eq!(flushed.len(), 2);
         assert_eq!(flushed[0].0, WorkerId(0));
         assert_eq!(flushed[1].1.len(), 2);
-        assert_eq!(b.total_buffered(), 0);
+        assert_eq!(b.memory_bytes(), 0);
     }
 
     #[test]
     fn tiny_threshold_still_batches_one() {
         let mut b: ThresholdBuffer<f64> = ThresholdBuffer::new(1, 1);
-        assert_eq!(b.messages_per_flush(), 1);
+        assert_eq!(ThresholdBuffer::<f64>::messages_per_flush(1), 1);
         assert!(b.push(WorkerId(0), VertexId(0), 0.0).is_some());
     }
 
@@ -151,10 +151,9 @@ mod tests {
         b.push(WorkerId(0), VertexId(0), 0);
         b.push(WorkerId(1), VertexId(1), 1);
         assert!(b.push(WorkerId(0), VertexId(2), 2).is_some());
-        assert_eq!(b.total_buffered(), 1);
         assert_eq!(b.memory_bytes(), 8);
         b.flush_all();
-        assert_eq!(b.total_buffered(), 0);
+        assert_eq!(b.memory_bytes(), 0);
     }
 
     #[test]

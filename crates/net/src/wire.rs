@@ -15,12 +15,20 @@
 //! [`WireStats::saved_messages`] counts the messages merged away — the
 //! quantity the paper calls `M_co`, which drives the `Q_t` switching
 //! metric's network term.
+//!
+//! A Vblock's messages are generated together, so they concatenate or
+//! combine *fully* in the sending buffer — and a Vblock is a contiguous id
+//! range, so grouping them by destination is an array index, not a sort:
+//! both grouping encodings, and the receivers that read them back, go
+//! through the one grouping pass of [`hybridgraph_storage::inbox`].
 
 use crate::combine::Combiner;
 use hybridgraph_graph::VertexId;
+use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::Record;
+use std::fmt::Debug;
 use std::io;
-use std::ops::Range;
+use std::ops::RangeBounds;
 
 /// Which encoding a batch uses.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -56,149 +64,213 @@ impl WireStats {
             saved_messages: self.saved_messages + other.saved_messages,
         }
     }
+
+    /// The statistics of a payload holding `groups` destinations.
+    fn of(payload: &[u8], raw: usize, values: usize, groups: usize) -> WireStats {
+        WireStats {
+            raw_messages: raw as u64,
+            wire_values: values as u64,
+            wire_bytes: payload.len() as u64,
+            saved_messages: (raw - groups.min(raw)) as u64,
+        }
+    }
 }
 
-/// Encodes `msgs` with the given `kind`.
+/// Encodes `msgs` with the given `kind` as one payload.
 ///
-/// `msgs` is sorted by destination in place for the grouping encodings.
-/// `combiner` must be provided iff `kind` is [`BatchKind::Combined`].
+/// `combiner` must be provided if `kind` is [`BatchKind::Combined`].
 pub fn encode_batch<M: Record>(
     kind: BatchKind,
     msgs: &mut [(VertexId, M)],
     combiner: Option<&dyn Combiner<M>>,
 ) -> (Vec<u8>, WireStats) {
-    let raw = msgs.len() as u64;
+    encode_payloads(kind, msgs, combiner, usize::MAX)
+        .pop()
+        .unwrap_or_default()
+}
+
+/// Encodes `msgs` as the payloads of one send, none if there is nothing to
+/// say. The grouping encodings group once ([`Inbox::from_staged`]: by
+/// index, production order kept within a destination) and write the
+/// groups: `Combined` as the left fold of each group, `Concatenated` as
+/// `(dst, count, values…)` cut into a new payload every `cut` messages of
+/// the grouped order — a destination's group may straddle two payloads.
+pub fn encode_payloads<M: Record>(
+    kind: BatchKind,
+    msgs: &[(VertexId, M)],
+    combiner: Option<&dyn Combiner<M>>,
+    cut: usize,
+) -> Vec<(Vec<u8>, WireStats)> {
+    assert!(cut > 0, "a payload holds at least one message");
+    if msgs.is_empty() {
+        return Vec::new();
+    }
+    let staged = msgs.iter().map(|(dst, m)| (dst.0, m.clone()));
     match kind {
         BatchKind::Plain => {
             let mut out = Vec::with_capacity(msgs.len() * (4 + M::BYTES));
-            for (dst, m) in msgs.iter() {
+            for (dst, m) in msgs {
                 dst.append_to(&mut out);
                 m.append_to(&mut out);
             }
-            let stats = WireStats {
-                raw_messages: raw,
-                wire_values: raw,
-                wire_bytes: out.len() as u64,
-                saved_messages: 0,
-            };
-            (out, stats)
-        }
-        BatchKind::Concatenated => {
-            msgs.sort_by_key(|(d, _)| *d);
-            let mut out = Vec::with_capacity(msgs.len() * M::BYTES + 16);
-            let mut groups = 0u64;
-            let mut i = 0;
-            while i < msgs.len() {
-                let dst = msgs[i].0;
-                let mut end = i + 1;
-                while end < msgs.len() && msgs[end].0 == dst {
-                    end += 1;
-                }
-                dst.append_to(&mut out);
-                ((end - i) as u32).append_to(&mut out);
-                for (_, m) in &msgs[i..end] {
-                    m.append_to(&mut out);
-                }
-                groups += 1;
-                i = end;
-            }
-            let stats = WireStats {
-                raw_messages: raw,
-                wire_values: raw,
-                wire_bytes: out.len() as u64,
-                saved_messages: raw.saturating_sub(groups),
-            };
-            (out, stats)
+            let stats = WireStats::of(&out, msgs.len(), msgs.len(), msgs.len());
+            vec![(out, stats)]
         }
         BatchKind::Combined => {
             let combiner = combiner.expect("Combined encoding requires a combiner");
-            msgs.sort_by_key(|(d, _)| *d);
-            let mut out = Vec::with_capacity(msgs.len() * (4 + M::BYTES));
-            let mut groups = 0u64;
-            let mut i = 0;
-            while i < msgs.len() {
-                let dst = msgs[i].0;
-                let mut acc = msgs[i].1.clone();
-                let mut end = i + 1;
-                while end < msgs.len() && msgs[end].0 == dst {
-                    acc = combiner.combine(&acc, &msgs[end].1);
-                    end += 1;
+            let (out, groups) = combined_records(staged, combiner);
+            let stats = WireStats::of(&out, msgs.len(), groups, groups);
+            vec![(out, stats)]
+        }
+        BatchKind::Concatenated => {
+            let mut payloads = Vec::new();
+            let (mut out, mut values, mut groups) = (Vec::new(), 0usize, 0usize);
+            for (dst, mut group) in Inbox::from_staged(staged).iter() {
+                while !group.is_empty() {
+                    let (now, later) = group.split_at(group.len().min(cut - values));
+                    dst.append_to(&mut out);
+                    (now.len() as u32).append_to(&mut out);
+                    for m in now {
+                        m.append_to(&mut out);
+                    }
+                    values += now.len();
+                    groups += 1;
+                    group = later;
+                    if values == cut {
+                        let stats = WireStats::of(&out, values, values, groups);
+                        payloads.push((std::mem::take(&mut out), stats));
+                        (values, groups) = (0, 0);
+                    }
                 }
-                dst.append_to(&mut out);
-                acc.append_to(&mut out);
-                groups += 1;
-                i = end;
             }
-            let stats = WireStats {
-                raw_messages: raw,
-                wire_values: groups,
-                wire_bytes: out.len() as u64,
-                saved_messages: raw.saturating_sub(groups),
-            };
-            (out, stats)
+            if values > 0 {
+                let stats = WireStats::of(&out, values, values, groups);
+                payloads.push((out, stats));
+            }
+            payloads
         }
     }
 }
 
-/// Checks a received [`BatchKind::Plain`] or [`BatchKind::Combined`]
-/// payload before it is sunk as it stands (its `dst: u32 LE | M` records
-/// are the receive buffer's and the spill file's format): a whole number
-/// of records, every destination inside the receiver's `local` range.
-/// A violation is `InvalidData`, never a panic or a stray index.
-pub fn check_records<M: Record>(payload: &[u8], local: &Range<u32>) -> io::Result<()> {
-    let width = 4 + M::BYTES;
-    if !payload.len().is_multiple_of(width) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
+/// `staged` grouped by destination, each group folded left to right in
+/// staged order, as `dst | M` records; and how many there are.
+fn combined_records<M: Record>(
+    staged: impl Iterator<Item = (u32, M)> + Clone,
+    combiner: &dyn Combiner<M>,
+) -> (Vec<u8>, usize) {
+    let folded = Inbox::from_staged(staged).fold(|a, b| combiner.combine(a, b));
+    let mut out = Vec::with_capacity(folded.destinations() * (4 + M::BYTES));
+    for (dst, m) in folded.iter() {
+        dst.append_to(&mut out);
+        m[0].append_to(&mut out);
+    }
+    (out, folded.destinations())
+}
+
+/// Folds a sender's `later` combined payload into its `first`: one
+/// combined payload whose every value is `first`'s combined with
+/// `later`'s, in that order. Both must have passed [`check_batch`].
+pub fn fold_combined<M: Record>(first: &[u8], later: &[u8], combiner: &dyn Combiner<M>) -> Vec<u8> {
+    let kind = BatchKind::Combined;
+    combined_records(messages(kind, first).chain(messages(kind, later)), combiner).0
+}
+
+fn invalid(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, why)
+}
+
+/// Checks a received payload before it is staged or sunk as it stands: a
+/// whole number of `dst: u32 LE | M` records ([`BatchKind::Plain`] and
+/// [`BatchKind::Combined`] — the receive buffer's and the spill file's
+/// format) or of non-empty `(dst, count, values…)` groups, every
+/// destination inside `dsts` (the receiver's local range, or the Vblock a
+/// b-pull response answers). A violation is `InvalidData`, never a panic
+/// or a stray index; [`messages`] may walk whatever passed.
+pub fn check_batch<M: Record>(
+    kind: BatchKind,
+    payload: &[u8],
+    dsts: &(impl RangeBounds<u32> + Debug),
+) -> io::Result<()> {
+    let in_range = |dst: u32| {
+        if dsts.contains(&dst) {
+            Ok(())
+        } else {
+            Err(invalid(format!(
+                "message for vertex {dst} routed to the owner of {dsts:?}"
+            )))
+        }
+    };
+    if kind != BatchKind::Concatenated {
+        let width = 4 + M::BYTES;
+        if !payload.len().is_multiple_of(width) {
+            return Err(invalid(format!(
                 "message batch of {} bytes is not a multiple of the {width}-byte record",
                 payload.len()
-            ),
-        ));
-    }
-    for record in payload.chunks_exact(width) {
-        let dst = u32::read_from(&record[..4]);
-        if !local.contains(&dst) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("message for vertex {dst} routed to the worker owning {local:?}"),
-            ));
+            )));
         }
+        return payload
+            .chunks_exact(width)
+            .try_for_each(|record| in_range(u32::read_from(&record[..4])));
+    }
+    let mut rest = payload;
+    while !rest.is_empty() {
+        let group = rest.split_at_checked(8).and_then(|(header, body)| {
+            let count = u32::read_from(&header[4..]) as usize;
+            let values = count.checked_mul(M::BYTES).filter(|_| count > 0)?;
+            Some((u32::read_from(&header[..4]), body.get(values..)?))
+        });
+        let Some((dst, tail)) = group else {
+            return Err(invalid(format!(
+                "{} bytes do not start with a whole, non-empty message group",
+                rest.len()
+            )));
+        };
+        in_range(dst)?;
+        rest = tail;
     }
     Ok(())
 }
 
-/// Decodes a batch back into `(dst, value)` pairs.
+/// The `(destination, message)` pairs of a payload that passed
+/// [`check_batch`], in wire order.
+pub fn messages<M: Record>(
+    kind: BatchKind,
+    payload: &[u8],
+) -> impl Iterator<Item = (u32, M)> + Clone + '_ {
+    // A record is a group of one that spells no count.
+    let header = if kind == BatchKind::Concatenated {
+        8
+    } else {
+        4
+    };
+    let (mut rest, mut dst, mut left) = (payload, 0u32, 0u32);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            let head = rest.get(..header)?;
+            dst = u32::read_from(&head[..4]);
+            left = if header == 8 {
+                u32::read_from(&head[4..])
+            } else {
+                1
+            };
+            rest = &rest[header..];
+        }
+        let (msg, tail) = rest.split_at(M::BYTES);
+        (rest, left) = (tail, left - 1);
+        Some((dst, M::read_from(msg)))
+    })
+}
+
+/// Decodes a batch back into `(dst, value)` pairs; a malformed one is
+/// `InvalidData`.
 ///
 /// Concatenated batches expand to one pair per value; combined batches
 /// yield one pair per destination.
-pub fn decode_batch<M: Record>(kind: BatchKind, bytes: &[u8]) -> Vec<(VertexId, M)> {
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    match kind {
-        BatchKind::Plain | BatchKind::Combined => {
-            let width = 4 + M::BYTES;
-            assert_eq!(bytes.len() % width, 0, "batch length misaligned");
-            while at < bytes.len() {
-                let dst = VertexId::read_from(&bytes[at..at + 4]);
-                let m = M::read_from(&bytes[at + 4..at + width]);
-                out.push((dst, m));
-                at += width;
-            }
-        }
-        BatchKind::Concatenated => {
-            while at < bytes.len() {
-                let dst = VertexId::read_from(&bytes[at..at + 4]);
-                let count = u32::read_from(&bytes[at + 4..at + 8]) as usize;
-                at += 8;
-                for _ in 0..count {
-                    out.push((dst, M::read_from(&bytes[at..at + M::BYTES])));
-                    at += M::BYTES;
-                }
-            }
-        }
-    }
-    out
+pub fn decode_batch<M: Record>(kind: BatchKind, bytes: &[u8]) -> io::Result<Vec<(VertexId, M)>> {
+    check_batch::<M>(kind, bytes, &(..))?;
+    Ok(messages(kind, bytes)
+        .map(|(dst, m)| (VertexId(dst), m))
+        .collect())
 }
 
 #[cfg(test)]
@@ -224,7 +296,7 @@ mod tests {
         assert_eq!(stats.wire_values, 5);
         assert_eq!(stats.saved_messages, 0);
         assert_eq!(stats.wire_bytes, 5 * 12);
-        let back: Vec<(VertexId, f64)> = decode_batch(BatchKind::Plain, &bytes);
+        let back: Vec<(VertexId, f64)> = decode_batch(BatchKind::Plain, &bytes).unwrap();
         assert_eq!(back, sample());
     }
 
@@ -236,7 +308,7 @@ mod tests {
         // 3 groups: v1 (2 msgs), v2 (2 msgs), v3 (1 msg)
         assert_eq!(stats.saved_messages, 2);
         assert_eq!(stats.wire_bytes, 3 * 8 + 5 * 8);
-        let mut back: Vec<(VertexId, f64)> = decode_batch(BatchKind::Concatenated, &bytes);
+        let mut back: Vec<(VertexId, f64)> = decode_batch(BatchKind::Concatenated, &bytes).unwrap();
         back.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
         let mut want = sample();
         want.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
@@ -250,7 +322,7 @@ mod tests {
         assert_eq!(stats.wire_values, 3);
         assert_eq!(stats.saved_messages, 2);
         assert_eq!(stats.wire_bytes, 3 * 12);
-        let back: Vec<(VertexId, f64)> = decode_batch(BatchKind::Combined, &bytes);
+        let back: Vec<(VertexId, f64)> = decode_batch(BatchKind::Combined, &bytes).unwrap();
         assert_eq!(
             back,
             vec![(VertexId(1), 6.0), (VertexId(2), 4.0), (VertexId(3), 5.0)]
@@ -266,24 +338,107 @@ mod tests {
         ];
         let (bytes, stats) = encode_batch(BatchKind::Combined, &mut msgs, Some(&MinCombiner));
         assert_eq!(stats.wire_values, 1);
-        let back: Vec<(VertexId, f32)> = decode_batch(BatchKind::Combined, &bytes);
+        let back: Vec<(VertexId, f32)> = decode_batch(BatchKind::Combined, &bytes).unwrap();
         assert_eq!(back, vec![(VertexId(0), 2.0)]);
     }
 
     #[test]
     fn check_records_rejects_short_and_misrouted_payloads() {
         let mut msgs = vec![(VertexId(10), 1.5f64), (VertexId(19), -2.0)];
-        let (bytes, _) = encode_batch(BatchKind::Plain, &mut msgs, None);
-        assert!(check_records::<f64>(&bytes, &(10..20)).is_ok());
-        assert!(check_records::<f64>(&[], &(10..20)).is_ok());
-        // One byte short: not a whole number of 12-byte records.
-        let err = check_records::<f64>(&bytes[..bytes.len() - 1], &(10..20)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // Well-formed, but vertex 19 is not in 10..19 / vertex 10 not in 11..20.
-        for local in [10..19, 11..20, 0..0] {
-            let err = check_records::<f64>(&bytes, &local).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{local:?}");
+        for kind in [BatchKind::Plain, BatchKind::Concatenated] {
+            let (bytes, _) = encode_batch(kind, &mut msgs, None);
+            assert!(check_batch::<f64>(kind, &bytes, &(10..20)).is_ok());
+            assert!(check_batch::<f64>(kind, &[], &(10..20)).is_ok());
+            // One byte short: not a whole number of records or groups.
+            let err = check_batch::<f64>(kind, &bytes[..bytes.len() - 1], &(10..20)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(decode_batch::<f64>(kind, &bytes[..bytes.len() - 1]).is_err());
+            // Well-formed, but vertex 19 is not in 10..19 / vertex 10 not in 11..20.
+            for local in [10..19, 11..20, 0..0] {
+                let err = check_batch::<f64>(kind, &bytes, &local).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{local:?}");
+            }
         }
+    }
+
+    /// A concatenated payload built by hand: `(dst, count, values…)`.
+    fn groups(groups: &[(u32, u32, &[u32])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (dst, count, values) in groups {
+            dst.append_to(&mut out);
+            count.append_to(&mut out);
+            values.iter().for_each(|v| v.append_to(&mut out));
+        }
+        out
+    }
+
+    #[test]
+    fn malformed_groups_are_invalid_data_not_panics() {
+        let kind = BatchKind::Concatenated;
+        let good = groups(&[(3, 2, &[7, 8]), (5, 1, &[9])]);
+        let back = decode_batch::<u32>(kind, &good).unwrap();
+        assert_eq!(back, [(VertexId(3), 7), (VertexId(3), 8), (VertexId(5), 9)]);
+        let bad = [
+            // A count that overruns the bytes left — by one value, by 4 billion.
+            groups(&[(3, 3, &[7, 8])]),
+            groups(&[(3, 2, &[7, 8]), (5, u32::MAX, &[9])]),
+            // A group of nothing, and a header cut short.
+            groups(&[(3, 0, &[]), (5, 1, &[9])]),
+            good[..good.len() - 5].to_vec(),
+            good[..4].to_vec(),
+        ];
+        for payload in &bad {
+            let err = check_batch::<u32>(kind, payload, &(..)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{payload:?}");
+            assert!(decode_batch::<u32>(kind, payload).is_err());
+        }
+        // Records are not groups: the kind decides how bytes are read.
+        let mut msgs = vec![(VertexId(1), 2u32), (VertexId(3), 4), (VertexId(5), 6)];
+        let (plain, _) = encode_batch(BatchKind::Plain, &mut msgs, None);
+        assert!(check_batch::<u32>(kind, &plain, &(..)).is_err());
+    }
+
+    #[test]
+    fn concatenated_cut_straddles_groups() {
+        // Grouped order: 1 → [2, 4], 2 → [1, 3], 3 → [5]; cut every 3.
+        let payloads = encode_payloads(BatchKind::Concatenated, &sample(), None, 3);
+        let want = [
+            (groups_f64(&[(1, &[2.0, 4.0]), (2, &[1.0])]), (3, 1)),
+            (groups_f64(&[(2, &[3.0]), (3, &[5.0])]), (2, 0)),
+        ];
+        assert_eq!(payloads.len(), want.len());
+        for ((bytes, stats), (want_bytes, (raw, saved))) in payloads.iter().zip(&want) {
+            assert_eq!(bytes, want_bytes);
+            assert_eq!(stats.raw_messages, *raw);
+            assert_eq!(stats.wire_values, *raw);
+            assert_eq!(stats.wire_bytes, bytes.len() as u64);
+            assert_eq!(stats.saved_messages, *saved);
+        }
+        assert!(encode_payloads::<f64>(BatchKind::Concatenated, &[], None, 3).is_empty());
+    }
+
+    fn groups_f64(groups: &[(u32, &[f64])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (dst, values) in groups {
+            dst.append_to(&mut out);
+            (values.len() as u32).append_to(&mut out);
+            values.iter().for_each(|v| v.append_to(&mut out));
+        }
+        out
+    }
+
+    #[test]
+    fn later_combined_payloads_fold_into_the_first() {
+        let mut first = vec![(VertexId(1), 1.0f64), (VertexId(4), 4.0)];
+        let mut later = vec![(VertexId(4), 0.5f64), (VertexId(2), 2.0)];
+        let (a, _) = encode_batch(BatchKind::Combined, &mut first, Some(&SumCombiner));
+        let (b, _) = encode_batch(BatchKind::Combined, &mut later, Some(&SumCombiner));
+        let folded = fold_combined::<f64>(&a, &b, &SumCombiner);
+        let back = decode_batch::<f64>(BatchKind::Combined, &folded).unwrap();
+        assert_eq!(
+            back,
+            [(VertexId(1), 1.0), (VertexId(2), 2.0), (VertexId(4), 4.5)]
+        );
     }
 
     #[test]
@@ -293,7 +448,7 @@ mod tests {
             let (bytes, stats) = encode_batch(kind, &mut msgs, None);
             assert!(bytes.is_empty());
             assert_eq!(stats, WireStats::default());
-            assert!(decode_batch::<u32>(kind, &bytes).is_empty());
+            assert!(decode_batch::<u32>(kind, &bytes).unwrap().is_empty());
         }
     }
 

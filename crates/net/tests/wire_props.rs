@@ -6,7 +6,10 @@
 use hybridgraph_graph::rng::SplitMix64;
 use hybridgraph_graph::VertexId;
 use hybridgraph_net::combine::{MinCombiner, SumCombiner};
-use hybridgraph_net::wire::{decode_batch, encode_batch, BatchKind};
+use hybridgraph_net::wire::{decode_batch, encode_batch, encode_payloads, BatchKind, WireStats};
+use hybridgraph_net::Combiner;
+use hybridgraph_storage::inbox::Inbox;
+use hybridgraph_storage::Record;
 use std::collections::HashMap;
 
 fn batch(r: &mut SplitMix64) -> Vec<(VertexId, u32)> {
@@ -29,7 +32,7 @@ fn plain_roundtrip() {
         assert_eq!(stats.raw_messages as usize, msgs.len());
         assert_eq!(stats.wire_bytes as usize, bytes.len());
         assert_eq!(stats.saved_messages, 0);
-        let back: Vec<(VertexId, u32)> = decode_batch(BatchKind::Plain, &bytes);
+        let back: Vec<(VertexId, u32)> = decode_batch(BatchKind::Plain, &bytes).unwrap();
         assert_eq!(back, msgs);
     }
 }
@@ -43,7 +46,7 @@ fn concat_preserves_multiset() {
         let mut input = msgs.clone();
         let (bytes, stats) = encode_batch(BatchKind::Concatenated, &mut input, None);
         assert_eq!(stats.wire_bytes as usize, bytes.len());
-        let back: Vec<(VertexId, u32)> = decode_batch(BatchKind::Concatenated, &bytes);
+        let back: Vec<(VertexId, u32)> = decode_batch(BatchKind::Concatenated, &bytes).unwrap();
         assert_eq!(back.len(), msgs.len());
         let key = |v: &[(VertexId, u32)]| {
             let mut s: Vec<(u32, u32)> = v.iter().map(|(d, m)| (d.0, *m)).collect();
@@ -68,7 +71,7 @@ fn combined_sums_per_destination() {
         let msgs = batch(&mut r);
         let mut input: Vec<(VertexId, u64)> = msgs.iter().map(|(d, m)| (*d, *m as u64)).collect();
         let (bytes, stats) = encode_batch(BatchKind::Combined, &mut input, Some(&SumCombiner));
-        let back: Vec<(VertexId, u64)> = decode_batch(BatchKind::Combined, &bytes);
+        let back: Vec<(VertexId, u64)> = decode_batch(BatchKind::Combined, &bytes).unwrap();
         let mut want: HashMap<u32, u64> = HashMap::new();
         for (d, m) in &msgs {
             *want.entry(d.0).or_insert(0) += *m as u64;
@@ -112,5 +115,192 @@ fn merging_never_increases_values() {
         assert!(comb.wire_values <= plain.wire_values);
         assert!(comb.wire_bytes <= plain.wire_bytes);
         assert_eq!(comb.raw_messages, plain.raw_messages);
+    }
+}
+
+// ------------------------------------------------ oracle: sort, then walk
+
+/// The grouping encodings as they were before grouping went by index: a
+/// stable `sort_by_key` on the destination, then a walk over equal runs —
+/// `Concatenated` cut into `cut`-message chunks of the sorted order first,
+/// each chunk encoded on its own.
+fn reference<M: Record>(
+    kind: BatchKind,
+    msgs: &[(VertexId, M)],
+    combiner: Option<&dyn Combiner<M>>,
+    cut: usize,
+) -> Vec<(Vec<u8>, WireStats)> {
+    let mut sorted = msgs.to_vec();
+    sorted.sort_by_key(|(d, _)| *d);
+    let chunks: Vec<&[(VertexId, M)]> = match kind {
+        BatchKind::Concatenated => sorted.chunks(cut).collect(),
+        _ if sorted.is_empty() => Vec::new(),
+        _ => vec![&sorted],
+    };
+    let mut payloads = Vec::new();
+    for chunk in chunks {
+        let (mut out, mut values) = (Vec::new(), 0u64);
+        let runs = chunk.chunk_by(|a, b| a.0 == b.0);
+        let groups = runs.clone().count() as u64;
+        for run in runs {
+            run[0].0.append_to(&mut out);
+            match combiner {
+                Some(c) => {
+                    let acc = run[1..]
+                        .iter()
+                        .fold(run[0].1.clone(), |acc, (_, m)| c.combine(&acc, m));
+                    acc.append_to(&mut out);
+                    values += 1;
+                }
+                None => {
+                    (run.len() as u32).append_to(&mut out);
+                    run.iter().for_each(|(_, m)| m.append_to(&mut out));
+                    values += run.len() as u64;
+                }
+            }
+        }
+        let raw = chunk.len() as u64;
+        let stats = WireStats {
+            raw_messages: raw,
+            wire_values: values,
+            wire_bytes: out.len() as u64,
+            saved_messages: raw - groups,
+        };
+        payloads.push((out, stats));
+    }
+    payloads
+}
+
+/// Destination-id shapes: dense, one destination, all distinct, empty,
+/// and a handful of ids 4 billion apart (the comparison fallback).
+fn destinations(r: &mut SplitMix64, shape: usize) -> Vec<u32> {
+    let len = r.range_usize(1, 300);
+    match shape {
+        0 => (0..len).map(|_| 1000 + r.below_u32(40)).collect(),
+        1 => vec![77; len],
+        2 => {
+            let mut ids: Vec<u32> = (0..len as u32).map(|i| 5 + 3 * i).collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, r.range_usize(0, i + 1));
+            }
+            ids
+        }
+        3 => Vec::new(),
+        _ => (0..len.min(9))
+            .map(|_| [0, 1, u32::MAX - 1, u32::MAX][r.range_usize(0, 4)])
+            .collect(),
+    }
+}
+
+/// Checks both grouping encodings of `value`-filled batches, whole and
+/// cut mid-group, against [`reference`] — bytes and statistics.
+fn matches_reference<M: Record>(
+    seed: u64,
+    value: impl Fn(&mut SplitMix64) -> M,
+    combiner: &dyn Combiner<M>,
+) {
+    let mut r = SplitMix64::new(seed);
+    for case in 0..CASES {
+        let shape = case % 5;
+        let msgs: Vec<(VertexId, M)> = destinations(&mut r, shape)
+            .into_iter()
+            .map(|d| (VertexId(d), value(&mut r)))
+            .collect();
+        for cut in [usize::MAX, 50, 7, 1] {
+            let got = encode_payloads(BatchKind::Concatenated, &msgs, None, cut);
+            let want = reference(BatchKind::Concatenated, &msgs, None, cut);
+            assert_eq!(got, want, "seed {seed:#x} case {case} cut {cut}");
+        }
+        let got = encode_payloads(BatchKind::Combined, &msgs, Some(combiner), 50);
+        let want = reference(BatchKind::Combined, &msgs, Some(combiner), 50);
+        assert_eq!(got, want, "seed {seed:#x} case {case} combined");
+        // The one-payload entry point is the uncut case.
+        let (bytes, stats) = encode_batch(BatchKind::Combined, &mut msgs.clone(), Some(combiner));
+        assert_eq!(want.first().cloned().unwrap_or_default(), (bytes, stats));
+    }
+}
+
+/// `f64` values whose sum depends on the order it is taken in: magnitudes
+/// from 1e-300 to 1e300, both zeros, subnormals, and NaNs with payload
+/// bits (compared as bytes, so a NaN must come out the NaN the left fold
+/// in production order makes).
+fn awkward_f64(r: &mut SplitMix64) -> f64 {
+    match r.range_usize(0, 8) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from_bits(r.next_u64() & 0x000f_ffff_ffff_ffff),
+        3 => f64::from_bits(0x7ff8_0000_0000_0000 | (r.next_u64() & 0xffff)),
+        4 => 1e300 * (r.below_u32(9) as f64 - 4.0),
+        5 => 1e-300 * r.below_u32(100) as f64,
+        _ => (r.below_u32(2_000_001) as f64 - 1e6) / 3.0,
+    }
+}
+
+#[test]
+fn f64_sums_match_the_sorted_walk_bit_for_bit() {
+    matches_reference(0xF64, awkward_f64, &SumCombiner);
+}
+
+#[test]
+fn f32_min_matches_the_sorted_walk() {
+    let value = |r: &mut SplitMix64| r.below_u32(1000) as f32 / 7.0 - 50.0;
+    matches_reference(0xF32, value, &MinCombiner);
+}
+
+#[test]
+fn u32_sums_match_the_sorted_walk() {
+    matches_reference(0x32, |r: &mut SplitMix64| r.next_u64() as u32, &SumCombiner);
+}
+
+/// Keeps the pair with the smaller distance; on a tie, the earlier one —
+/// so the result names which message came first.
+struct NearestParent;
+
+impl Combiner<(u32, f64)> for NearestParent {
+    fn combine(&self, a: &(u32, f64), b: &(u32, f64)) -> (u32, f64) {
+        if b.1 < a.1 {
+            *b
+        } else {
+            *a
+        }
+    }
+}
+
+#[test]
+fn twelve_byte_messages_match_the_sorted_walk() {
+    let value = |r: &mut SplitMix64| (r.below_u32(1 << 20), r.below_u32(4) as f64);
+    matches_reference(0x12, value, &NearestParent);
+}
+
+/// The staged-order constructor is a stable sort by destination.
+#[test]
+fn staged_order_is_a_stable_sort_by_destination() {
+    let mut r = SplitMix64::new(0x57A6ED);
+    for case in 0..CASES {
+        let staged: Vec<(u32, u32)> = destinations(&mut r, case % 5)
+            .into_iter()
+            .enumerate()
+            .map(|(i, d)| (d, i as u32))
+            .collect();
+        let inbox = Inbox::from_staged(staged.iter().copied());
+        let got: Vec<(u32, u32)> = inbox
+            .iter()
+            .flat_map(|(dst, msgs)| msgs.iter().map(move |m| (dst, *m)))
+            .collect();
+        let mut want = staged.clone();
+        want.sort_by_key(|&(d, _)| d);
+        assert_eq!(got, want, "case {case}");
+        assert_eq!(inbox.messages(), staged.len());
+        let mut distinct: Vec<u32> = staged.iter().map(|&(d, _)| d).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(inbox.destinations(), distinct.len());
+        // Folding keeps the first of each destination: its earliest message.
+        let firsts = inbox.fold(|a, _| *a);
+        assert_eq!(firsts.messages(), distinct.len());
+        for (dst, msgs) in firsts.iter() {
+            let earliest = staged.iter().find(|&&(d, _)| d == dst).unwrap().1;
+            assert_eq!(msgs, [earliest]);
+        }
     }
 }

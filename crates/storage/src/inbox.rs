@@ -1,19 +1,21 @@
 //! The superstep inbox: messages grouped by destination vertex.
 //!
-//! Every executor's `update()` loop reads its input through [`Inbox`] —
-//! push, pushM and async from the receive store's record stream
-//! ([`Inbox::from_records`], the one sort of the push message path),
-//! b-pull and pull from their per-block accumulators
-//! ([`Inbox::extend`]).
+//! Every executor's `update()` loop reads its input through [`Inbox`], and
+//! every grouping by destination in the engine is the one pass behind its
+//! two constructors: [`Inbox::from_staged`] keeps a destination's messages
+//! in the order they were staged in (the pull family, at both ends of the
+//! wire: a sender's production order, a receiver's sender-then-send
+//! order); [`Inbox::from_records`] then orders them by content (push,
+//! pushM and async: arrival is unordered).
 
 use crate::extent::invalid;
 use crate::record::Record;
 use hybridgraph_graph::VertexId;
 use std::io;
 
-/// Above this many destination slots per record, [`Inbox::from_records`]
-/// orders records by comparison instead of counting: a few scattered ids
-/// must not size a table by their span.
+/// Above this many destination slots per message, the grouping pass
+/// orders by comparison instead of counting: a few scattered ids must not
+/// size a table by their span.
 const SPARSE_SPAN_PER_RECORD: usize = 8;
 
 /// Messages of one superstep grouped by destination vertex, CSR-shaped:
@@ -43,14 +45,6 @@ impl<M> Inbox<M> {
     /// An empty inbox.
     pub fn new() -> Self {
         Inbox::default()
-    }
-
-    /// An empty inbox with room for `messages` messages.
-    pub fn with_capacity(messages: usize) -> Self {
-        Inbox {
-            msgs: Vec::with_capacity(messages),
-            ..Inbox::default()
-        }
     }
 
     /// Appends `msgs` to `dst`'s messages, making `dst` a destination even
@@ -107,22 +101,119 @@ impl<M> Inbox<M> {
             .enumerate()
             .map(|(i, &dst)| (dst, self.slice(i)))
     }
+
+    /// Each destination's messages sorted, then mapped through `decode`.
+    fn sorted_by_content<T>(mut self, decode: impl Fn(&M) -> T) -> Inbox<T>
+    where
+        M: Ord,
+    {
+        let mut start = 0usize;
+        for &end in &self.ends {
+            // Equal keys are identical messages: no need for stability.
+            self.msgs[start..end as usize].sort_unstable();
+            start = end as usize;
+        }
+        Inbox {
+            dsts: self.dsts,
+            ends: self.ends,
+            msgs: self.msgs.iter().map(decode).collect(),
+        }
+    }
+}
+
+impl<M: Clone> Inbox<M> {
+    /// The engine's one grouping pass: `(destination, message)` pairs
+    /// grouped by destination in **staged order** — each destination's
+    /// messages in the order `staged` yields them, what a stable sort by
+    /// destination would give. That is the pull family's canonical order:
+    /// at the sender the order `pullRes()` produced the messages in, at
+    /// the receiver sender worker id, then send order.
+    ///
+    /// A Vblock and a worker's share are contiguous id ranges, so a
+    /// destination's group is found by index — count per `dst − lo`,
+    /// prefix-sum, scatter — unless a handful of ids is scattered over a
+    /// span far wider than their number, which gets the same result from
+    /// one stable comparison sort. `staged` is walked three times;
+    /// nothing is allocated per message or destination.
+    pub fn from_staged(staged: impl Iterator<Item = (u32, M)> + Clone) -> Inbox<M> {
+        let (mut n, mut lo, mut hi) = (0usize, u32::MAX, 0u32);
+        for (dst, _) in staged.clone() {
+            n += 1;
+            lo = lo.min(dst);
+            hi = hi.max(dst);
+        }
+        let Some((_, first)) = staged.clone().next() else {
+            return Inbox::new();
+        };
+        assert!(u32::try_from(n).is_ok(), "inbox offsets are u32");
+        let span = (hi - lo) as usize + 1;
+
+        if span / SPARSE_SPAN_PER_RECORD > n {
+            let mut pairs: Vec<(u32, M)> = staged.collect();
+            pairs.sort_by_key(|&(dst, _)| dst);
+            let mut inbox = Inbox::new();
+            for (dst, m) in pairs {
+                inbox.extend(dst, [m]);
+            }
+            return inbox;
+        }
+
+        let slot_of = |dst: u32| (dst - lo) as usize;
+        let mut cursors = vec![0u32; span + 1];
+        for (dst, _) in staged.clone() {
+            cursors[slot_of(dst) + 1] += 1;
+        }
+        for slot in 1..=span {
+            cursors[slot] += cursors[slot - 1];
+        }
+        // Every slot of `msgs` is overwritten by the scatter.
+        let mut msgs = vec![first; n];
+        for (dst, m) in staged {
+            let at = &mut cursors[slot_of(dst)];
+            msgs[*at as usize] = m;
+            *at += 1;
+        }
+        // Each cursor has run to the end of its destination's messages.
+        let (mut dsts, mut ends) = (Vec::new(), Vec::new());
+        for (dst, &end) in (lo..=hi).zip(&cursors) {
+            if ends.last().copied().unwrap_or(0) < end {
+                dsts.push(dst);
+                ends.push(end);
+            }
+        }
+        Inbox { dsts, ends, msgs }
+    }
+
+    /// Folds each destination's messages, left to right, into one.
+    pub fn fold(mut self, combine: impl Fn(&M, &M) -> M) -> Inbox<M> {
+        let mut folded = Vec::with_capacity(self.dsts.len());
+        let mut start = 0usize;
+        for end in &mut self.ends {
+            if let Some((first, rest)) = self.msgs[start..*end as usize].split_first() {
+                folded.push(rest.iter().fold(first.clone(), |acc, m| combine(&acc, m)));
+            }
+            start = *end as usize;
+            *end = folded.len() as u32;
+        }
+        self.msgs = folded;
+        self
+    }
 }
 
 impl<M: Record> Inbox<M> {
-    /// Groups a record stream (`dst: u32 LE | M` × k) by destination, each
-    /// destination's messages ordered by their encoded bytes. Arrival
-    /// order depends on thread scheduling; ordering by content as well as
-    /// destination makes non-commutative float reductions inside
-    /// `update()` bit-identical run to run (and across a recovery replay).
+    /// Groups a record stream (`dst: u32 LE | M` × k) by destination in
+    /// **content order**: each destination's messages ordered by their
+    /// encoded bytes. Arrival order depends on thread scheduling; ordering
+    /// by content as well as destination makes non-commutative float
+    /// reductions inside `update()` bit-identical run to run (and across a
+    /// recovery replay).
     ///
     /// A message of up to 8 bytes is its own sort key: read big-endian,
-    /// its encoding orders as an integer exactly as its bytes do. Keys are
-    /// counting-sorted by destination into one flat array, each
+    /// its encoding orders as an integer exactly as its bytes do. The keys
+    /// go through the one grouping pass ([`Inbox::from_staged`]), each
     /// destination's run is sorted as plain integers, and messages are
     /// decoded straight from the sorted keys — no per-message indirection.
-    /// Wider messages, and a handful of ids scattered over a span that
-    /// must not size a table, take the same order by comparison.
+    /// Wider messages are grouped and sorted as the byte slices they are.
     pub fn from_records(records: &[u8]) -> io::Result<Inbox<M>> {
         let width = 4 + M::BYTES;
         if !records.len().is_multiple_of(width) {
@@ -131,66 +222,23 @@ impl<M: Record> Inbox<M> {
                 records.len()
             )));
         }
-        let n = u32::try_from(records.len() / width)
-            .map_err(|_| invalid("more than u32::MAX messages in one inbox"))?;
-        let dst_of = |i: u32| {
-            let at = i as usize * width;
-            u32::from_le_bytes(records[at..at + 4].try_into().expect("4 bytes"))
-        };
-        let msg_of = |i: u32| &records[i as usize * width + 4..(i as usize + 1) * width];
-        let mut inbox = Inbox::with_capacity(n as usize);
-        let Some((lo, hi)) = (0..n).map(dst_of).fold(None, |span, d| match span {
-            None => Some((d, d)),
-            Some((lo, hi)) => Some((lo.min(d), hi.max(d))),
-        }) else {
-            return Ok(inbox);
-        };
-        let span = (hi - lo) as usize + 1;
-
-        if M::BYTES > 8 || span / SPARSE_SPAN_PER_RECORD > n as usize {
-            let mut order: Vec<u32> = (0..n).collect();
-            // Equal keys are identical records: no need for stability.
-            order.sort_unstable_by_key(|&i| (dst_of(i), msg_of(i)));
-            for group in order.chunk_by(|&a, &b| dst_of(a) == dst_of(b)) {
-                let msgs = group.iter().map(|&i| M::read_from(msg_of(i)));
-                inbox.extend(dst_of(group[0]), msgs);
-            }
-            return Ok(inbox);
+        if u32::try_from(records.len() / width).is_err() {
+            return Err(invalid("more than u32::MAX messages in one inbox"));
         }
-
-        let key_of = |i: u32| {
+        let staged = records.chunks_exact(width).map(|record| {
+            let (dst, msg) = record.split_at(4);
+            (u32::from_le_bytes(dst.try_into().expect("4 bytes")), msg)
+        });
+        if M::BYTES > 8 {
+            return Ok(Inbox::from_staged(staged).sorted_by_content(|msg| M::read_from(msg)));
+        }
+        let keys = staged.map(|(dst, msg)| {
             let mut be = [0u8; 8];
-            be[..M::BYTES].copy_from_slice(msg_of(i));
-            u64::from_be_bytes(be)
-        };
-        let slot_of = |i: u32| (dst_of(i) - lo) as usize;
-        let mut ends = vec![0u32; span + 1];
-        for i in 0..n {
-            ends[slot_of(i) + 1] += 1;
-        }
-        for slot in 1..=span {
-            ends[slot] += ends[slot - 1];
-        }
-        let mut keys = vec![0u64; n as usize];
-        for i in 0..n {
-            let at = &mut ends[slot_of(i)];
-            keys[*at as usize] = key_of(i);
-            *at += 1;
-        }
-        // Each cursor has run to the end of its destination's keys.
-        let mut start = 0usize;
-        for (dst, &end) in (lo..=hi).zip(&ends) {
-            let group = &mut keys[start..end as usize];
-            if !group.is_empty() {
-                group.sort_unstable();
-                let msgs = group
-                    .iter()
-                    .map(|key| M::read_from(&key.to_be_bytes()[..M::BYTES]));
-                inbox.extend(dst, msgs);
-            }
-            start = end as usize;
-        }
-        Ok(inbox)
+            be[..M::BYTES].copy_from_slice(msg);
+            (dst, u64::from_be_bytes(be))
+        });
+        Ok(Inbox::from_staged(keys)
+            .sorted_by_content(|key| M::read_from(&key.to_be_bytes()[..M::BYTES])))
     }
 }
 

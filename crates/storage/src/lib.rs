@@ -62,9 +62,7 @@ pub mod veblock;
 pub mod vfs;
 
 pub use checkpoint::{CheckpointReader, CheckpointWriter};
-pub use hybridgraph_codec::{
-    decode_extent, encode_extent, Codec, CodecChoice, CodecError, ExtentKind,
-};
+pub use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, CodecError, ExtentKind};
 pub use msg_log::{MsgLogReader, MsgLogWriter};
 pub use profile::DeviceProfile;
 pub use record::Record;

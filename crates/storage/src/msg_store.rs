@@ -257,48 +257,6 @@ impl<M: Record> SpillBuffer<M> {
         Ok(all)
     }
 
-    /// Captures the buffer's current extent so a later
-    /// [`Self::rewind`] can discard everything pushed after it. Valid
-    /// only while no [`Self::drain`] happens in between (draining
-    /// consumes the marked region).
-    pub fn mark(&self) -> SpillMark {
-        SpillMark {
-            mem: self.mem.len(),
-            spilled: self.spilled,
-            total: self.total,
-            file_bytes: self.file_bytes,
-            file_logical: self.file_logical,
-            chunk: self.chunk.clone(),
-        }
-    }
-
-    /// Discards every message pushed since `mark` (superstep undo for
-    /// confined recovery): the in-memory tail is dropped and the spill
-    /// file shrinks back to its marked length. Discarding moves no
-    /// data, so nothing is accounted — the pushes that created the tail
-    /// already were, during the (kept) measurement window of the
-    /// abandoned superstep.
-    pub fn rewind(&mut self, mark: &SpillMark) -> io::Result<()> {
-        assert!(
-            mark.mem <= self.mem.len() && mark.spilled <= self.spilled,
-            "rewind past a drain"
-        );
-        self.mem.truncate(mark.mem);
-        if self.codec.is_none() {
-            self.spill
-                .truncate_to(mark.spilled * Self::message_bytes())?;
-        } else {
-            self.spill.truncate_to(mark.file_bytes)?;
-            self.file_bytes = mark.file_bytes;
-            self.file_logical = mark.file_logical;
-            self.chunk.clear();
-            self.chunk.extend_from_slice(&mark.chunk);
-        }
-        self.spilled = mark.spilled;
-        self.total = mark.total;
-        Ok(())
-    }
-
     /// Replaces the buffer's entire contents with `records` (recovery
     /// restore): the first `capacity` stay in memory, the rest spill,
     /// with the usual accounting.
@@ -306,20 +264,6 @@ impl<M: Record> SpillBuffer<M> {
         self.clear()?;
         self.push_encoded(records)
     }
-}
-
-/// A point-in-time extent of a [`SpillBuffer`], for [`SpillBuffer::rewind`].
-/// With a codec the mark also carries a copy of the pending spill chunk
-/// (bounded by [`SPILL_CHUNK_MSGS`] messages), since later pushes may have
-/// flushed it into the file.
-#[derive(Clone, Debug)]
-pub struct SpillMark {
-    mem: usize,
-    spilled: u64,
-    total: u64,
-    file_bytes: u64,
-    file_logical: u64,
-    chunk: Vec<u8>,
 }
 
 #[cfg(test)]
@@ -461,29 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn mark_and_rewind_discard_the_tail_unaccounted() {
-        let vfs = MemVfs::new();
-        let mut b: SpillBuffer<u32> = SpillBuffer::new(&vfs, "spill", 2).unwrap();
-        b.push(VertexId(0), 1).unwrap();
-        b.push(VertexId(1), 2).unwrap();
-        b.push(VertexId(2), 3).unwrap(); // spilled
-        let mark = b.mark();
-        b.push(VertexId(3), 4).unwrap(); // spilled tail
-        b.push(VertexId(4), 5).unwrap(); // spilled tail
-        let before = vfs.stats().snapshot();
-        b.rewind(&mark).unwrap();
-        assert_eq!(vfs.stats().snapshot(), before, "rewind must be free");
-        assert_eq!(b.total(), 3);
-        assert_eq!(b.spilled(), 1);
-        assert_eq!(b.in_memory(), 2);
-        assert_eq!(pairs(&b.drain().unwrap()), [(0, 1), (1, 2), (2, 3)]);
-        // A rewind to a no-op mark is fine.
-        let m2 = b.mark();
-        b.rewind(&m2).unwrap();
-        assert_eq!(b.total(), 0);
-    }
-
-    #[test]
     fn coded_spill_roundtrips_and_shrinks() {
         for codec in [CodecChoice::Gaps, CodecChoice::Block, CodecChoice::Auto] {
             let vfs = MemVfs::new();
@@ -537,28 +458,6 @@ mod tests {
         c.restore_pending(&snap).unwrap();
         assert_eq!(c.total(), n);
         assert_eq!(c.drain().unwrap().messages() as u64, n);
-    }
-
-    #[test]
-    fn coded_mark_and_rewind_survive_chunk_flushes() {
-        let vfs = MemVfs::new();
-        let mut b: SpillBuffer<u32> =
-            SpillBuffer::with_codec(&vfs, "spill", 0, CodecChoice::Block).unwrap();
-        // Leave a partial chunk pending, mark, then push past a flush.
-        for i in 0..10u32 {
-            b.push(VertexId(i), i).unwrap();
-        }
-        let mark = b.mark();
-        for i in 10..(SPILL_CHUNK_MSGS as u32 + 40) {
-            b.push(VertexId(i), i).unwrap();
-        }
-        let before = vfs.stats().snapshot();
-        b.rewind(&mark).unwrap();
-        assert_eq!(vfs.stats().snapshot(), before, "rewind must be free");
-        assert_eq!(b.total(), 10);
-        assert_eq!(b.spilled(), 10);
-        let want: Vec<(u32, u32)> = (0..10).map(|i| (i, i)).collect();
-        assert_eq!(pairs(&b.drain().unwrap()), want);
     }
 
     #[test]
@@ -622,32 +521,6 @@ mod tests {
         assert_eq!(b.total(), 0);
         let err = Inbox::<f64>::from_records(&[0u8; 11]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn mark_and_rewind_mid_run() {
-        // The mark falls between two runs; the second run crosses the
-        // resident/spill boundary (and, coded, a chunk flush).
-        for codec in [CodecChoice::None, CodecChoice::Gaps] {
-            let vfs = MemVfs::new();
-            let mut b: SpillBuffer<u32> = SpillBuffer::with_codec(&vfs, "spill", 6, codec).unwrap();
-            let first: Vec<(VertexId, u32)> = (0..4).map(|i| (VertexId(i), i)).collect();
-            let n = SPILL_CHUNK_MSGS as u32 + 20;
-            let second: Vec<(VertexId, u32)> = (4..n).map(|i| (VertexId(i), i)).collect();
-            b.push_encoded(&encode_slice(&first)).unwrap();
-            let mark = b.mark();
-            b.push_encoded(&encode_slice(&second)).unwrap();
-            assert_eq!((b.in_memory(), b.spilled()), (6, u64::from(n) - 6));
-            let before = vfs.stats().snapshot();
-            b.rewind(&mark).unwrap();
-            assert_eq!(vfs.stats().snapshot(), before, "rewind must be free");
-            assert_eq!((b.total(), b.in_memory(), b.spilled()), (4, 4, 0));
-            assert_eq!(b.spilled_bytes(), 0, "{codec:?}");
-            // The rewound buffer takes the run again, identically.
-            b.push_encoded(&encode_slice(&second)).unwrap();
-            let want: Vec<(u32, u32)> = (0..n).map(|i| (i, i)).collect();
-            assert_eq!(pairs(&b.drain().unwrap()), want, "{codec:?}");
-        }
     }
 
     #[test]

@@ -120,9 +120,8 @@ impl VfsFile {
 
     /// Shrinks the file to `len` bytes; a no-op if it is already at or
     /// below that length. Like [`VfsFile::truncate`] this is not an
-    /// accounted access: dropping bytes moves no data. Used by the
-    /// undo path of confined recovery to rewind a spill file to its
-    /// superstep-start length.
+    /// accounted access: dropping bytes moves no data. Used to cut a
+    /// service log back to its last whole record.
     pub fn truncate_to(&self, len: u64) -> io::Result<()> {
         self.raw.truncate_to(len)
     }

@@ -609,11 +609,12 @@ fn golden_extent_file_bytes_are_pinned() {
 // "The cursor is the `MasterState`": FNV-1a fingerprints of the blobs a
 // durable master commits through its `BarrierSink`, captured by running
 // this test body at the commit before the master's locals became one
-// `MasterState` value. The three timing-dependent fields of each step
-// (`wall_secs`, `blocking_secs`, the `memory_bytes` high-water mark) are
-// zeroed through a decode/encode round trip first; every other byte —
-// cursor, switcher, audits, steps, recovery counters, trace rings — is
-// pinned.
+// `MasterState` value. The two timing-dependent fields of each step
+// (`wall_secs`, `blocking_secs`) are zeroed through a decode/encode round
+// trip first; every other byte — cursor, switcher, audits, steps,
+// recovery counters, trace rings — is pinned. (`memory_bytes` joined the
+// pinned bytes, and cut 6 was re-pinned, when b-pull began to take it
+// from complete inboxes only.)
 #[test]
 fn golden_master_state_bytes_are_pinned() {
     use hybridgraph::core::{BarrierSink, MasterState};
@@ -653,7 +654,6 @@ fn golden_master_state_bytes_are_pinned() {
         for m in &mut st.steps {
             m.wall_secs = 0.0;
             m.blocking_secs = 0.0;
-            m.memory_bytes = 0;
         }
         let bytes = st.encode();
         assert_eq!(bytes.len(), blob.len());
@@ -662,7 +662,7 @@ fn golden_master_state_bytes_are_pinned() {
     let got = [pinned(0), pinned(6)];
     let want = [
         (742usize, 0xa5b0_ca19_56f1_9f57u64),
-        (20018, 0x94cc_4c8f_959e_5655),
+        (20018, 0xb7ae_a710_194b_ade6),
     ];
     assert_eq!(got, want, "[baseline, step cut 6] = {got:#x?}");
 }
@@ -841,8 +841,9 @@ fn pinned_job<P: VertexProgram>(
 // time), each worker's spill file at every barrier, and the Chrome
 // trace — captured by running this test body at the commit before the
 // receive path became one flat record stream. `wall_secs` and
-// `blocking_secs` are zeroed; so is `memory_bytes` on b-pull
-// supersteps, whose high-water mark depends on packet arrival.
+// `blocking_secs` are zeroed. (The four hybrid `steps` fingerprints were
+// re-pinned when b-pull's `memory_bytes` stopped depending on packet
+// arrival and joined them.)
 #[test]
 fn golden_push_family_jobs_are_pinned() {
     let job = |pagerank: bool, g: &Graph, mode: Mode, codec: CodecChoice, source: VertexId| {
@@ -855,9 +856,9 @@ fn golden_push_family_jobs_are_pinned() {
             c
         };
         if pagerank {
-            pinned_job(PageRank::new(6), g, mode, cfg, true, |v| v.to_bits())
+            pinned_job(PageRank::new(6), g, mode, cfg, false, |v| v.to_bits())
         } else {
-            pinned_job(Sssp::new(source), g, mode, cfg, true, |v| {
+            pinned_job(Sssp::new(source), g, mode, cfg, false, |v| {
                 u64::from(v.to_bits())
             })
         }
@@ -945,13 +946,13 @@ fn golden_push_family_jobs_are_pinned() {
             CodecChoice::None,
             [
                 0x7559_ef5e_ba59_86d9,
-                0xb2ac_11e7_3ce2_b204,
+                0xbf5c_108b_a0f6_a778,
                 0xa238_dcb7_c58a_700b,
                 0xc390_5f29_b921_2792,
             ],
             [
                 0x3698_04cc_a87b_7baf,
-                0x89d0_53e2_b7a4_4533,
+                0x9a40_8671_9776_bd2a,
                 0xe8dc_3d72_8f7c_2ed0,
                 0x7bbd_3080_e01d_e2c0,
             ],
@@ -961,13 +962,13 @@ fn golden_push_family_jobs_are_pinned() {
             CodecChoice::Gaps,
             [
                 0x7559_ef5e_ba59_86d9,
-                0xeee1_fa67_f38b_8b53,
+                0x51e8_d060_a4ce_8c0f,
                 0x7c7e_cc88_d50b_a76a,
                 0xb5b5_b68c_7c45_af9c,
             ],
             [
                 0x3698_04cc_a87b_7baf,
-                0xbf63_a1ac_ced7_63dd,
+                0xfb7f_e02c_15b6_be82,
                 0xc641_5aa1_c73a_74e4,
                 0x77d6_f193_5475_04cf,
             ],

@@ -189,6 +189,29 @@ fn memory_usage_shrinks_with_more_blocks() {
 }
 
 #[test]
+fn bpull_memory_high_water_mark_does_not_depend_on_packet_timing() {
+    // Pre-pulling keeps two Vblocks in flight, and at a 600-byte sending
+    // threshold their responses interleave differently run to run. The
+    // mark counts complete inboxes only, so it must not move — a job whose
+    // `memory_budget` sits near it may not pass or fail by scheduling.
+    let g = graph();
+    let marks = || -> Vec<u64> {
+        let mut cfg = JobConfig::new(Mode::BPull, 3).with_sending_threshold(600);
+        cfg.vblocks_per_worker = Some(6);
+        assert!(cfg.pre_pull && cfg.combining);
+        let metrics = hybridgraph_core::run_job(Arc::new(PageRank::new(6)), &g, cfg)
+            .unwrap()
+            .metrics;
+        metrics.steps.iter().map(|s| s.memory_bytes).collect()
+    };
+    let first = marks();
+    assert!(first[1] > first[0], "superstep 2 holds received messages");
+    for run in 1..20 {
+        assert_eq!(marks(), first, "run {run}");
+    }
+}
+
+#[test]
 fn io_grows_with_more_blocks() {
     let g = graph();
     let io = |per_worker: usize| {

@@ -71,7 +71,7 @@ impl WireStats {
             raw_messages: raw as u64,
             wire_values: values as u64,
             wire_bytes: payload.len() as u64,
-            saved_messages: (raw - groups.min(raw)) as u64,
+            saved_messages: (raw - groups) as u64,
         }
     }
 }
@@ -361,8 +361,9 @@ mod tests {
         }
     }
 
-    /// A concatenated payload built by hand: `(dst, count, values…)`.
-    fn groups(groups: &[(u32, u32, &[u32])]) -> Vec<u8> {
+    /// A concatenated payload built by hand: `(dst, count, values…)`, the
+    /// count as claimed.
+    fn groups<M: Record>(groups: &[(u32, u32, &[M])]) -> Vec<u8> {
         let mut out = Vec::new();
         for (dst, count, values) in groups {
             dst.append_to(&mut out);
@@ -375,7 +376,7 @@ mod tests {
     #[test]
     fn malformed_groups_are_invalid_data_not_panics() {
         let kind = BatchKind::Concatenated;
-        let good = groups(&[(3, 2, &[7, 8]), (5, 1, &[9])]);
+        let good = groups::<u32>(&[(3, 2, &[7, 8]), (5, 1, &[9])]);
         let back = decode_batch::<u32>(kind, &good).unwrap();
         assert_eq!(back, [(VertexId(3), 7), (VertexId(3), 8), (VertexId(5), 9)]);
         let bad = [
@@ -403,8 +404,8 @@ mod tests {
         // Grouped order: 1 → [2, 4], 2 → [1, 3], 3 → [5]; cut every 3.
         let payloads = encode_payloads(BatchKind::Concatenated, &sample(), None, 3);
         let want = [
-            (groups_f64(&[(1, &[2.0, 4.0]), (2, &[1.0])]), (3, 1)),
-            (groups_f64(&[(2, &[3.0]), (3, &[5.0])]), (2, 0)),
+            (groups(&[(1, 2, &[2.0, 4.0]), (2, 1, &[1.0])]), (3, 1)),
+            (groups(&[(2, 1, &[3.0]), (3, 1, &[5.0])]), (2, 0)),
         ];
         assert_eq!(payloads.len(), want.len());
         for ((bytes, stats), (want_bytes, (raw, saved))) in payloads.iter().zip(&want) {
@@ -415,16 +416,6 @@ mod tests {
             assert_eq!(stats.saved_messages, *saved);
         }
         assert!(encode_payloads::<f64>(BatchKind::Concatenated, &[], None, 3).is_empty());
-    }
-
-    fn groups_f64(groups: &[(u32, &[f64])]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for (dst, values) in groups {
-            dst.append_to(&mut out);
-            (values.len() as u32).append_to(&mut out);
-            values.iter().for_each(|v| v.append_to(&mut out));
-        }
-        out
     }
 
     #[test]

@@ -846,24 +846,6 @@ fn pinned_job<P: VertexProgram>(
 // arrival and joined them.)
 #[test]
 fn golden_push_family_jobs_are_pinned() {
-    let job = |pagerank: bool, g: &Graph, mode: Mode, codec: CodecChoice, source: VertexId| {
-        let cfg = |c: JobConfig| {
-            let mut c = c.with_codec(codec);
-            if mode == Mode::Async {
-                // Few, wide Vblocks: most vertices' edges stay in-block.
-                c.vblocks_per_worker = Some(2);
-            }
-            c
-        };
-        if pagerank {
-            pinned_job(PageRank::new(6), g, mode, cfg, false, |v| v.to_bits())
-        } else {
-            pinned_job(Sssp::new(source), g, mode, cfg, false, |v| {
-                u64::from(v.to_bits())
-            })
-        }
-    };
-
     let rmat = gen::rmat(256, 2048, gen::RmatParams::default(), 11);
     let g = gen::randomize_weights(&rmat, 0.5, 2.0, 7);
     // `Async` runs on community-clustered ids (and few, wide Vblocks),
@@ -1009,8 +991,18 @@ fn golden_push_family_jobs_are_pinned() {
     let mut got = Vec::new();
     for (mode, codec, ..) in golden {
         let g = if mode == Mode::Async { &g_local } else { &g };
-        let (pr, pr_did) = job(true, g, mode, codec, source);
-        let (ss, ss_did) = job(false, g, mode, codec, source);
+        let cfg = |c: JobConfig| {
+            let mut c = c.with_codec(codec);
+            if mode == Mode::Async {
+                // Few, wide Vblocks: most vertices' edges stay in-block.
+                c.vblocks_per_worker = Some(2);
+            }
+            c
+        };
+        let (pr, pr_did) = pinned_job(PageRank::new(6), g, mode, cfg, false, |v| v.to_bits());
+        let (ss, ss_did) = pinned_job(Sssp::new(source), g, mode, cfg, false, |v| {
+            u64::from(v.to_bits())
+        });
         for did in [pr_did, ss_did] {
             assert!(did[0] > 0, "{mode:?}/{codec:?}: pinned jobs must spill");
             assert!(did[1] > 0 || mode != Mode::Hybrid, "{codec:?}: no switch");

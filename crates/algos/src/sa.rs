@@ -56,17 +56,17 @@ impl Sa {
     }
 
     /// Is `v` an initial advertiser?
-    pub fn is_source(&self, v: VertexId) -> bool {
+    fn is_source(&self, v: VertexId) -> bool {
         (self.hash(v.0 as u64, 0)).is_multiple_of(self.source_ratio as u64)
     }
 
     /// `v`'s favourite ad (the one it advertises if a source).
-    pub fn favourite(&self, v: VertexId) -> u32 {
+    fn favourite(&self, v: VertexId) -> u32 {
         (self.hash(v.0 as u64, 1) % NUM_ADS as u64) as u32
     }
 
     /// Is `v` interested in `ad`?
-    pub fn interested(&self, v: VertexId, ad: u32) -> bool {
+    fn interested(&self, v: VertexId, ad: u32) -> bool {
         self.hash(v.0 as u64, 2 + ad as u64) % 256 < self.interest_per_256 as u64
     }
 

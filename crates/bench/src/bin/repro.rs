@@ -21,7 +21,7 @@
 //! `--scale N` generates datasets at 1/N of the paper's sizes
 //! (default 2000). Modeled runtimes are projected back by ×N.
 //!
-//! `--codec C` (none | gaps | block | bv | auto) sets the on-disk codec
+//! `--codec C` (none | gaps | bv) sets the on-disk codec
 //! for the `observe` experiment; `io_compress` sweeps all of them
 //! regardless.
 //!
@@ -199,7 +199,7 @@ mod tests {
     fn mode_parse_error_lists_all_modes() {
         let err = "asink".parse::<Mode>().unwrap_err();
         assert!(err.contains("unknown mode 'asink'"), "{err}");
-        for label in Mode::ALL.iter().map(|m| m.label()).chain(["async"]) {
+        for label in Mode::ALL.iter().map(|m| m.label()) {
             assert!(err.contains(label), "error must list '{label}': {err}");
         }
     }
@@ -208,7 +208,7 @@ mod tests {
     /// error message advertises.
     #[test]
     fn mode_parse_accepts_all_labels() {
-        for mode in Mode::ALL.into_iter().chain([Mode::Async]) {
+        for mode in Mode::ALL {
             assert_eq!(mode.label().parse::<Mode>(), Ok(mode));
         }
         assert_eq!("bpull".parse::<Mode>(), Ok(Mode::BPull));

@@ -11,7 +11,7 @@
 
 use crate::table::{bytes, secs, Table};
 use crate::{buffer_for, report_secs, run_algo, workers_for, Algo, Scale};
-use hybridgraph_core::{JobConfig, JobMetrics, Mode};
+use hybridgraph_core::{JobConfig, Mode};
 use hybridgraph_graph::Dataset;
 use hybridgraph_storage::DeviceProfile;
 
@@ -65,30 +65,6 @@ fn modes_for(algo: Algo) -> Vec<Mode> {
         ]
     } else {
         vec![Mode::Push, Mode::Pull, Mode::BPull, Mode::Hybrid]
-    }
-}
-
-/// Runs the full matrix for one scenario; returns metrics for reuse.
-pub fn matrix(
-    scenario: Scenario,
-    scale: Scale,
-    mut sink: impl FnMut(Algo, Dataset, Mode, &JobMetrics),
-) {
-    for algo in Algo::ALL {
-        for &d in scenario.datasets() {
-            let g = scale.build(d);
-            for mode in modes_for(algo) {
-                if scenario.failed(mode, d) {
-                    continue;
-                }
-                let mut cfg = JobConfig::new(mode, workers_for(d)).with_profile(scenario.profile());
-                if scenario != Scenario::Sufficient {
-                    cfg = cfg.with_buffer(buffer_for(d, scale));
-                }
-                let m = run_algo(algo, &g, cfg);
-                sink(algo, d, mode, &m);
-            }
-        }
     }
 }
 

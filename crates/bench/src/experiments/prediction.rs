@@ -42,7 +42,7 @@ impl Metric {
 
 /// Prints the per-superstep predicted/actual ratios of `metric` for one
 /// algorithm across all datasets (columns = datasets, rows = supersteps).
-pub fn accuracy(metric: Metric, algo: Algo, scale: Scale, max_rows: usize) {
+fn accuracy(metric: Metric, algo: Algo, scale: Scale, max_rows: usize) {
     let mut series: Vec<Vec<f64>> = Vec::new();
     let mut names = Vec::new();
     for d in Dataset::ALL {

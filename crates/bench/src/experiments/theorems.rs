@@ -13,7 +13,7 @@ use hybridgraph_storage::veblock::VeBlockStore;
 use hybridgraph_storage::vfs::MemVfs;
 
 /// Theorem 1: fragments vs V over `livej`.
-pub fn theorem1(scale: Scale) {
+fn theorem1(scale: Scale) {
     let g = scale.build(Dataset::LiveJ);
     let p = Partition::range(g.num_vertices(), 5);
     let mut t = Table::new(
@@ -41,7 +41,7 @@ pub fn theorem1(scale: Scale) {
 
 /// Theorem 2: sweep B around B⊥ on PageRank (broadcast-all) and compare
 /// measured per-superstep I/O bytes of push vs b-pull.
-pub fn theorem2(scale: Scale) {
+fn theorem2(scale: Scale) {
     let d = Dataset::LiveJ;
     let g = scale.build(d);
     let workers = 5usize;

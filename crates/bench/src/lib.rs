@@ -107,13 +107,13 @@ impl Algo {
     }
 
     /// True if the paper reports per-superstep averages for it.
-    pub fn per_superstep(self) -> bool {
+    fn per_superstep(self) -> bool {
         matches!(self, Algo::PageRank | Algo::Lpa)
     }
 }
 
 /// A deterministic SSSP source with high reach: the max-out-degree vertex.
-pub fn sssp_source(g: &Graph) -> VertexId {
+fn sssp_source(g: &Graph) -> VertexId {
     g.vertices()
         .max_by_key(|&v| g.out_degree(v))
         .unwrap_or(VertexId(0))

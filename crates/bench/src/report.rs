@@ -15,6 +15,7 @@
 pub mod diff;
 
 use hybridgraph_core::JobMetrics;
+use hybridgraph_obs::json_escape;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -39,12 +40,15 @@ pub struct BenchRow {
 }
 
 impl BenchRow {
-    /// A row from one job's metrics.
-    pub fn from_metrics(label: impl Into<String>, m: &JobMetrics) -> BenchRow {
+    /// A row from one job's metrics with the wall clock zeroed: every
+    /// remaining field is modeled and deterministic, so a report built
+    /// only from these rows is byte-identical run to run and CI can diff
+    /// the committed copy.
+    pub fn deterministic(label: impl Into<String>, m: &JobMetrics) -> BenchRow {
         BenchRow {
             label: label.into(),
             modeled_secs: m.modeled_total_secs(),
-            wall_secs: m.wall_total_secs(),
+            wall_secs: 0.0,
             physical_bytes: m.total_io_bytes(),
             logical_bytes: m.total_io_logical_bytes(),
             supersteps: m.supersteps(),
@@ -55,15 +59,6 @@ impl BenchRow {
                 .collect(),
             extra: Vec::new(),
         }
-    }
-
-    /// A row with the wall clock zeroed: every remaining field is
-    /// modeled and deterministic, so a report built only from these rows
-    /// is byte-identical run to run and CI can diff the committed copy.
-    pub fn deterministic(label: impl Into<String>, m: &JobMetrics) -> BenchRow {
-        let mut row = BenchRow::from_metrics(label, m);
-        row.wall_secs = 0.0;
-        row
     }
 
     /// Attaches a numeric extra.
@@ -152,25 +147,9 @@ impl BenchReport {
     }
 }
 
-/// Escapes a string as a JSON string literal.
+/// `s` as a JSON string literal.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", json_escape(s))
 }
 
 /// Formats a finite f64 as a JSON number (JSON has no NaN/Infinity).

@@ -8,215 +8,11 @@
 //! from unrelated changes don't demand a lockstep report refresh; past
 //! the band, the diff is a perf regression and CI fails.
 //!
-//! The parser is a minimal recursive-descent JSON reader (the workspace
-//! is deliberately dependency-free) that understands the full JSON
-//! grammar but only extracts the report fields the gate compares.
+//! Reports are read with `obs::json::parse`; only the fields the gate
+//! compares are extracted.
 
+use hybridgraph_obs::json::{self, Json};
 use std::fmt::Write as _;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion order preserved.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a number (`null` reads as NaN — the report writes
-    /// `null` for non-finite numbers).
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            Json::Null => Some(f64::NAN),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document; trailing garbage is an error.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at offset {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_str(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_num(b, pos),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at offset {pos}"))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at offset {start}"))
-}
-
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at offset {pos}"))?;
-                        // The report never emits surrogate pairs; map
-                        // unpaired surrogates to the replacement char.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8 sequences pass through untouched.
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && b[*pos] & 0xc0 == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_str(b, pos)?;
-        expect(b, pos, b':')?;
-        members.push((key, parse_value(b, pos)?));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-        }
-    }
-}
 
 /// One row's gated quantities, pulled out of a parsed report.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,7 +36,7 @@ pub struct GatedReport {
 
 /// Parses a `BENCH_*.json` document down to its gated quantities.
 pub fn parse_report(src: &str) -> Result<GatedReport, String> {
-    let doc = parse_json(src)?;
+    let doc = json::parse(src)?;
     let experiment = doc
         .get("experiment")
         .and_then(Json::as_str)
@@ -252,10 +48,11 @@ pub fn parse_report(src: &str) -> Result<GatedReport, String> {
     };
     let mut out = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        let field = |name: &str| {
-            row.get(name)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("row {i} has no numeric \"{name}\""))
+        // The report writes `null` for a non-finite number.
+        let field = |name: &str| match row.get(name) {
+            Some(Json::Num(n)) => Ok(*n),
+            Some(Json::Null) => Ok(f64::NAN),
+            _ => Err(format!("row {i} has no numeric \"{name}\"")),
         };
         out.push(GatedRow {
             label: row
@@ -459,7 +256,7 @@ mod tests {
         assert_eq!(rep.rows.len(), 1);
         assert_eq!(rep.rows[0].label, "a \"q\"\n");
         assert!((rep.rows[0].modeled_secs - 0.0015).abs() < 1e-12);
-        assert!(parse_json("{\"a\": 1} trailing").is_err());
-        assert!(parse_json("[1, 2,]").is_err());
+        assert!(parse_report("{\"experiment\": \"x\", \"rows\": []} trailing").is_err());
+        assert!(parse_report("{\"experiment\": \"x\", \"rows\": [1, 2,]}").is_err());
     }
 }

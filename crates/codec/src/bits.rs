@@ -52,7 +52,7 @@ impl BitWriter {
     }
 
     /// Unary code: `n` zero bits followed by a one.
-    pub fn write_unary(&mut self, mut n: u64) {
+    fn write_unary(&mut self, mut n: u64) {
         while n >= 32 {
             self.write_bits(0, 32);
             n -= 32;
@@ -173,7 +173,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads a unary code (count of zeros before the terminating one).
-    pub fn read_unary(&mut self) -> Result<u64, CodecError> {
+    fn read_unary(&mut self) -> Result<u64, CodecError> {
         let mut count = 0u64;
         loop {
             if self.n == 0 {
@@ -225,7 +225,7 @@ impl<'a> BitReader<'a> {
         Ok(base + off - 1)
     }
 
-    pub fn read_minimal_binary(&mut self, m: u64) -> Result<u64, CodecError> {
+    fn read_minimal_binary(&mut self, m: u64) -> Result<u64, CodecError> {
         debug_assert!(m >= 1);
         if m == 1 {
             return Ok(0);
@@ -249,11 +249,6 @@ impl<'a> BitReader<'a> {
         } else {
             self.read_bits(width)
         }
-    }
-
-    /// Bits consumed so far, counting whole refilled bytes.
-    pub fn bit_pos(&self) -> u64 {
-        self.pos as u64 * 8 - self.n as u64
     }
 }
 

@@ -19,8 +19,6 @@ const SAMPLE: u64 = 64;
 #[derive(Debug, Clone)]
 pub struct EliasFano {
     n: u64,
-    /// Strict upper bound on values (`last + 1`; 0 when empty).
-    u: u64,
     /// Width of the explicit low-bits part.
     l: u32,
     /// `n × l` low bits, packed LSB-first across words.
@@ -72,7 +70,6 @@ impl EliasFano {
         }
         let mut ef = Self {
             n,
-            u,
             l,
             low,
             high,
@@ -172,81 +169,6 @@ impl EliasFano {
     pub fn memory_bytes(&self) -> u64 {
         (self.low.len() + self.high.len() + self.samples.len()) as u64 * 8
     }
-
-    /// Serializes as `n u64 | u u64 | l u8 | low words | high words`,
-    /// all little-endian; word counts are derived from the header, and
-    /// samples are rebuilt on load.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(17 + (self.low.len() + self.high.len()) * 8);
-        out.extend_from_slice(&self.n.to_le_bytes());
-        out.extend_from_slice(&self.u.to_le_bytes());
-        out.push(self.l as u8);
-        for &w in &self.low {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        for &w in &self.high {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`to_bytes`]; rejects torn or trailing-garbage input.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, CodecError> {
-        if buf.len() < 17 {
-            return Err(CodecError::Truncated);
-        }
-        let n = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-        let u = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let l = buf[16] as u32;
-        if l != low_width(n, u) {
-            return Err(CodecError::Corrupt("elias-fano header width mismatch"));
-        }
-        // Checked size math: a corrupt header must not wrap into a
-        // plausible length or a huge allocation request.
-        let low_total = n
-            .checked_mul(l as u64)
-            .ok_or(CodecError::Corrupt("elias-fano header size overflow"))?;
-        let high_total = n
-            .checked_add(u >> l)
-            .and_then(|v| v.checked_add(1))
-            .ok_or(CodecError::Corrupt("elias-fano header size overflow"))?;
-        let words = low_total.div_ceil(64) + high_total.div_ceil(64);
-        if words > (buf.len() as u64) / 8 {
-            return Err(CodecError::Truncated);
-        }
-        let low_words = low_total.div_ceil(64) as usize;
-        let high_words = high_total.div_ceil(64) as usize;
-        let expect = 17 + (low_words + high_words) * 8;
-        if buf.len() < expect {
-            return Err(CodecError::Truncated);
-        }
-        if buf.len() > expect {
-            return Err(CodecError::Corrupt("elias-fano trailing bytes"));
-        }
-        let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-        let low: Vec<u64> = (0..low_words).map(|i| word(17 + i * 8)).collect();
-        let high: Vec<u64> = (0..high_words)
-            .map(|i| word(17 + (low_words + i) * 8))
-            .collect();
-        let ones: u64 = high.iter().map(|w| w.count_ones() as u64).sum();
-        if ones != n {
-            return Err(CodecError::Corrupt("elias-fano popcount mismatch"));
-        }
-        let mut ef = Self {
-            n,
-            u,
-            l,
-            low,
-            high,
-            samples: Vec::new(),
-        };
-        ef.samples = ef.build_samples();
-        // The last value must round-trip to u - 1, or the header lied.
-        if n > 0 && ef.get(n - 1) + 1 != u {
-            return Err(CodecError::Corrupt("elias-fano upper bound mismatch"));
-        }
-        Ok(ef)
-    }
 }
 
 #[cfg(test)]
@@ -309,40 +231,6 @@ mod tests {
             EliasFano::build(&[3, 2]),
             Err(CodecError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn serialization_roundtrips() {
-        let vals = seeded_monotone(42, 5000, 900);
-        let ef = EliasFano::build(&vals).unwrap();
-        let bytes = ef.to_bytes();
-        let back = EliasFano::from_bytes(&bytes).unwrap();
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(back.get(i as u64), v);
-        }
-        // Empty sequence too.
-        let bytes = EliasFano::build(&[]).unwrap().to_bytes();
-        assert!(EliasFano::from_bytes(&bytes).unwrap().is_empty());
-    }
-
-    #[test]
-    fn torn_reads_are_rejected() {
-        let vals = seeded_monotone(7, 600, 50);
-        let bytes = EliasFano::build(&vals).unwrap().to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                EliasFano::from_bytes(&bytes[..cut]).is_err(),
-                "cut {cut} accepted"
-            );
-        }
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert!(EliasFano::from_bytes(&extra).is_err());
-        // Flipping a high bit breaks the popcount or bound check.
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x80;
-        assert!(EliasFano::from_bytes(&flipped).is_err());
     }
 
     #[test]

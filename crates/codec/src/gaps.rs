@@ -16,7 +16,7 @@ use crate::varint::{read_u64, unzigzag, write_u64, zigzag};
 use crate::CodecError;
 
 /// Appends zig-zag delta coding of `ids` (count is *not* written).
-pub fn write_deltas(out: &mut Vec<u8>, ids: &[u32]) {
+fn write_deltas(out: &mut Vec<u8>, ids: &[u32]) {
     let mut prev = 0i64;
     for &id in ids {
         write_u64(out, zigzag(i64::from(id) - prev));
@@ -25,7 +25,7 @@ pub fn write_deltas(out: &mut Vec<u8>, ids: &[u32]) {
 }
 
 /// Reads `count` zig-zag delta coded ids.
-pub fn read_deltas(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, CodecError> {
+fn read_deltas(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, CodecError> {
     let mut ids = Vec::with_capacity(count);
     let mut prev = 0i64;
     for _ in 0..count {
@@ -40,7 +40,7 @@ pub fn read_deltas(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>
 
 /// Appends a bit-packed column: `min` varint, `width` byte, then
 /// `(v - min)` values at `width` bits each, LSB-first.
-pub fn write_packed(out: &mut Vec<u8>, vals: &[u32]) {
+fn write_packed(out: &mut Vec<u8>, vals: &[u32]) {
     if vals.is_empty() {
         return;
     }
@@ -74,7 +74,7 @@ pub fn write_packed(out: &mut Vec<u8>, vals: &[u32]) {
 }
 
 /// Reads a bit-packed column of `count` values.
-pub fn read_packed(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, CodecError> {
+fn read_packed(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, CodecError> {
     if count == 0 {
         return Ok(Vec::new());
     }

@@ -69,35 +69,23 @@ pub enum CodecChoice {
     /// Delta-gap + bit-packed coding for adjacency-structured data;
     /// blob structures (spills, checkpoints, msg logs) stay raw.
     Gaps,
-    /// The general RLE+LZ byte codec everywhere.
-    Block,
     /// WebGraph-class BV tier: reference-chain copy-lists, interval
     /// coding and ζ residual gaps for adjacency data (`TAG_BV` extents); blobs
     /// get the block codec. Falls back to raw per extent when the BV
     /// structural assumptions don't hold.
     Bv,
-    /// Per extent, the smallest of raw / gaps / block.
-    Auto,
 }
 
 impl CodecChoice {
     /// All choices, for sweeps.
-    pub const ALL: [CodecChoice; 5] = [
-        CodecChoice::None,
-        CodecChoice::Gaps,
-        CodecChoice::Block,
-        CodecChoice::Bv,
-        CodecChoice::Auto,
-    ];
+    pub const ALL: [CodecChoice; 3] = [CodecChoice::None, CodecChoice::Gaps, CodecChoice::Bv];
 
     /// Stable lowercase name (CLI value and metric label).
     pub fn label(self) -> &'static str {
         match self {
             CodecChoice::None => "none",
             CodecChoice::Gaps => "gaps",
-            CodecChoice::Block => "block",
             CodecChoice::Bv => "bv",
-            CodecChoice::Auto => "auto",
         }
     }
 
@@ -107,15 +95,12 @@ impl CodecChoice {
     }
 
     /// Stable single-byte tag (record-log headers, catalog payloads and
-    /// gateway requests persist it).
+    /// gateway requests persist it). 2 and 3 belonged to choices that no
+    /// longer exist and stay unassigned, so `Bv` keeps its byte.
     pub fn tag(self) -> u8 {
         match self {
             CodecChoice::None => 0,
             CodecChoice::Gaps => 1,
-            CodecChoice::Block => 2,
-            CodecChoice::Auto => 3,
-            // Appended after Auto: bytes written before the BV tier
-            // existed keep their meaning.
             CodecChoice::Bv => 4,
         }
     }
@@ -130,16 +115,10 @@ impl FromStr for CodecChoice {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "none" => Ok(CodecChoice::None),
-            "gaps" => Ok(CodecChoice::Gaps),
-            "block" => Ok(CodecChoice::Block),
-            "bv" => Ok(CodecChoice::Bv),
-            "auto" => Ok(CodecChoice::Auto),
-            other => Err(format!(
-                "unknown codec '{other}' (expected none|gaps|block|bv|auto)"
-            )),
-        }
+        CodecChoice::ALL
+            .into_iter()
+            .find(|c| c.label() == s)
+            .ok_or_else(|| format!("unknown codec '{s}' (expected none|gaps|bv)"))
     }
 }
 
@@ -161,14 +140,14 @@ fn raw_body(body: &[u8], logical_len: usize) -> Result<Vec<u8>, CodecError> {
     Ok(body.to_vec())
 }
 
-/// Extent tag: raw bytes follow.
+/// Extent and blob-frame tag: raw bytes follow.
 pub const TAG_RAW: u8 = 0;
 /// Extent tag: gap-coded adjacency data follows.
 pub const TAG_GAPS: u8 = 1;
-/// Extent tag: RLE+LZ coded bytes follow.
+/// Blob-frame tag: RLE+LZ coded bytes follow. Not an extent tag.
 pub const TAG_BLOCK: u8 = 2;
 /// Extent tag: BV-coded adjacency data follows. Tags are per extent and
-/// a reader accepts all four, so extents written under any
+/// a reader accepts all three, so extents written under any
 /// [`CodecChoice`] decode with the same [`decode_extent`] call.
 pub const TAG_BV: u8 = 3;
 
@@ -187,54 +166,27 @@ pub enum ExtentKind {
 /// tagged physical bytes to store. Must not be called with
 /// [`CodecChoice::None`] — the raw, untagged path belongs to the caller.
 ///
-/// Candidates are tried per the choice and the smallest wins; ties keep
-/// the earlier of raw → gaps → block → bv, so output is deterministic.
-/// [`CodecChoice::Auto`] deliberately excludes the BV candidate so its
-/// extents only ever carry the raw/gaps/block tags; `Bv` is its own
-/// tier (raw fallback included).
+/// The choice's one candidate is kept only when strictly smaller than the
+/// raw bytes (or when the structure does not parse, raw), so incompressible
+/// data never grows by more than the tag.
 pub fn encode_extent(choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> Vec<u8> {
     debug_assert!(!choice.is_none(), "None bypasses extent framing");
-    let gaps_coded = match choice {
-        CodecChoice::Gaps | CodecChoice::Auto => match kind {
-            ExtentKind::Fragments => gaps::fragments_from_raw(raw).ok(),
-            ExtentKind::Edges => gaps::edges_from_raw(raw).ok(),
-        },
-        _ => None,
-    };
-    let block_coded = match choice {
-        CodecChoice::Block | CodecChoice::Auto => Some(block::compress(raw)),
-        _ => None,
-    };
-    let bv_coded = match choice {
-        CodecChoice::Bv => match kind {
-            ExtentKind::Fragments => bv::fragments_from_raw(raw).ok(),
-            ExtentKind::Edges => bv::edges_from_raw(raw).ok(),
-        },
-        _ => None,
-    };
-    let mut best_tag = TAG_RAW;
-    let mut best: &[u8] = raw;
-    if let Some(g) = gaps_coded.as_deref() {
-        if g.len() < best.len() {
-            best_tag = TAG_GAPS;
-            best = g;
+    let (tag, coded) = match (choice, kind) {
+        (CodecChoice::None, _) => (TAG_RAW, None),
+        (CodecChoice::Gaps, ExtentKind::Fragments) => {
+            (TAG_GAPS, gaps::fragments_from_raw(raw).ok())
         }
-    }
-    if let Some(b) = block_coded.as_deref() {
-        if b.len() < best.len() {
-            best_tag = TAG_BLOCK;
-            best = b;
-        }
-    }
-    if let Some(v) = bv_coded.as_deref() {
-        if v.len() < best.len() {
-            best_tag = TAG_BV;
-            best = v;
-        }
-    }
-    let mut out = Vec::with_capacity(best.len() + 1);
-    out.push(best_tag);
-    out.extend_from_slice(best);
+        (CodecChoice::Gaps, ExtentKind::Edges) => (TAG_GAPS, gaps::edges_from_raw(raw).ok()),
+        (CodecChoice::Bv, ExtentKind::Fragments) => (TAG_BV, bv::fragments_from_raw(raw).ok()),
+        (CodecChoice::Bv, ExtentKind::Edges) => (TAG_BV, bv::edges_from_raw(raw).ok()),
+    };
+    let (tag, body): (u8, &[u8]) = match coded.as_deref() {
+        Some(c) if c.len() < raw.len() => (tag, c),
+        _ => (TAG_RAW, raw),
+    };
+    let mut out = Vec::with_capacity(body.len() + 1);
+    out.push(tag);
+    out.extend_from_slice(body);
     out
 }
 
@@ -252,7 +204,6 @@ pub fn decode_extent(
             ExtentKind::Fragments => gaps::raw_from_fragments(body)?,
             ExtentKind::Edges => gaps::raw_from_edges(body)?,
         },
-        TAG_BLOCK => block::decompress(body, logical_len)?,
         TAG_BV => match kind {
             ExtentKind::Fragments => bv::raw_from_fragments(body)?,
             ExtentKind::Edges => bv::raw_from_edges(body)?,
@@ -279,10 +230,7 @@ pub fn decode_extent(
 /// [`CodecChoice::None`].
 pub fn encode_blob_frame(choice: CodecChoice, raw: &[u8]) -> Vec<u8> {
     debug_assert!(!choice.is_none(), "None bypasses blob framing");
-    let block_coded = match choice {
-        CodecChoice::Block | CodecChoice::Auto | CodecChoice::Bv => Some(block::compress(raw)),
-        _ => None,
-    };
+    let block_coded = (choice == CodecChoice::Bv).then(|| block::compress(raw));
     let (tag, payload): (u8, &[u8]) = match block_coded.as_deref() {
         Some(b) if b.len() < raw.len() => (TAG_BLOCK, b),
         _ => (TAG_RAW, raw),
@@ -332,7 +280,14 @@ mod tests {
         for c in CodecChoice::ALL {
             assert_eq!(c.label().parse::<CodecChoice>().unwrap(), c);
         }
-        assert!("zstd".parse::<CodecChoice>().is_err());
+        for gone in ["block", "auto", "zstd"] {
+            let err = gone.parse::<CodecChoice>().unwrap_err();
+            assert!(err.contains("none|gaps|bv"), "{err}");
+        }
+        // The deleted choices' tag bytes stay unassigned.
+        assert_eq!(CodecChoice::from_tag(2), None);
+        assert_eq!(CodecChoice::from_tag(3), None);
+        assert_eq!(CodecChoice::Bv.tag(), 4);
         assert_eq!(CodecChoice::default(), CodecChoice::None);
     }
 
@@ -343,12 +298,7 @@ mod tests {
         frags.extend_from_slice(&3u32.to_le_bytes());
         frags.extend_from_slice(&200u32.to_le_bytes());
         frags.extend_from_slice(&edges);
-        for choice in [
-            CodecChoice::Gaps,
-            CodecChoice::Block,
-            CodecChoice::Bv,
-            CodecChoice::Auto,
-        ] {
+        for choice in [CodecChoice::Gaps, CodecChoice::Bv] {
             for (kind, raw) in [(ExtentKind::Edges, &edges), (ExtentKind::Fragments, &frags)] {
                 let coded = encode_extent(choice, kind, raw);
                 assert_eq!(
@@ -375,12 +325,7 @@ mod tests {
 
     #[test]
     fn empty_extent_roundtrips() {
-        for choice in [
-            CodecChoice::Gaps,
-            CodecChoice::Block,
-            CodecChoice::Bv,
-            CodecChoice::Auto,
-        ] {
+        for choice in [CodecChoice::Gaps, CodecChoice::Bv] {
             let coded = encode_extent(choice, ExtentKind::Edges, &[]);
             assert_eq!(decode_extent(ExtentKind::Edges, &coded, 0).unwrap(), vec![]);
         }
@@ -407,12 +352,14 @@ mod tests {
     }
 
     #[test]
-    fn auto_never_emits_bv_tags() {
-        // Auto's output never carries `TAG_BV`; BV extents only appear
-        // when the job asks for `CodecChoice::Bv`.
-        let raw = raw_edges(500);
-        let coded = encode_extent(CodecChoice::Auto, ExtentKind::Edges, &raw);
-        assert_ne!(coded[0], TAG_BV);
+    fn block_is_a_blob_frame_tag_not_an_extent_tag() {
+        let raw = raw_edges(50);
+        let mut coded = vec![TAG_BLOCK];
+        coded.extend(block::compress(&raw));
+        assert_eq!(
+            decode_extent(ExtentKind::Edges, &coded, raw.len()),
+            Err(CodecError::Corrupt("unknown extent tag"))
+        );
     }
 
     #[test]
@@ -426,24 +373,20 @@ mod tests {
 
     #[test]
     fn incompressible_extent_falls_back_to_raw() {
-        // Not a valid edge-list length and with no byte structure, so both
-        // gaps (error) and block (bigger) lose to raw.
+        // Not a valid edge-list length, so the candidate is an error.
         let raw = vec![0xA7u8, 0x13, 0x55];
-        let coded = encode_extent(CodecChoice::Auto, ExtentKind::Edges, &raw);
-        assert_eq!(coded[0], TAG_RAW);
-        assert_eq!(decode_extent(ExtentKind::Edges, &coded, 3).unwrap(), raw);
+        for choice in [CodecChoice::Gaps, CodecChoice::Bv] {
+            let coded = encode_extent(choice, ExtentKind::Edges, &raw);
+            assert_eq!(coded[0], TAG_RAW);
+            assert_eq!(decode_extent(ExtentKind::Edges, &coded, 3).unwrap(), raw);
+        }
     }
 
     #[test]
     fn blob_frames_roundtrip_and_concatenate() {
         let a = vec![7u8; 4096];
         let b: Vec<u8> = (0..255u8).collect();
-        for choice in [
-            CodecChoice::Gaps,
-            CodecChoice::Block,
-            CodecChoice::Bv,
-            CodecChoice::Auto,
-        ] {
+        for choice in [CodecChoice::Gaps, CodecChoice::Bv] {
             let mut stream = encode_blob_frame(choice, &a);
             stream.extend(encode_blob_frame(choice, &b));
             let mut pos = 0;
@@ -451,14 +394,11 @@ mod tests {
             assert_eq!(decode_blob_frame(&stream, &mut pos).unwrap(), b);
             assert_eq!(pos, stream.len());
         }
-        // Block mode actually shrinks the run-heavy payload.
-        let framed = encode_blob_frame(CodecChoice::Block, &a);
-        assert!(framed.len() < 64, "{}", framed.len());
     }
 
     #[test]
     fn blob_frame_truncation_errors() {
-        let frame = encode_blob_frame(CodecChoice::Block, &[1u8; 100]);
+        let frame = encode_blob_frame(CodecChoice::Bv, &[1u8; 100]);
         let mut pos = 0;
         assert!(decode_blob_frame(&frame[..frame.len() - 1], &mut pos).is_err());
     }

@@ -194,11 +194,6 @@ impl FaultPlan {
         self.master_kills.iter().map(|k| k.point).collect()
     }
 
-    /// Number of master kill orders in the plan.
-    pub fn master_kill_count(&self) -> usize {
-        self.master_kills.len()
-    }
-
     /// Attaches a seeded network-fault schedule (drops, duplicates,
     /// delays on the simulated wire) to this plan. The runner installs
     /// it on every fabric endpoint.
@@ -353,7 +348,7 @@ mod tests {
         // The restored run passes the same hook untriggered.
         assert!(!p.master_kill_at(MasterKillPoint::MidBarrier(3)));
         assert!(p.master_kill_at(MasterKillPoint::BetweenGrants(5)));
-        assert_eq!(p.master_kill_count(), 2);
+        assert_eq!(p.master_kill_spec().len(), 2);
         // Master kills are orthogonal to worker kill orders.
         assert!(p.is_empty());
     }
@@ -363,7 +358,7 @@ mod tests {
         let a = FaultPlan::random_master_kills(0xC8A0, 10, 4);
         let b = FaultPlan::random_master_kills(0xC8A0, 10, 4);
         assert_eq!(a.master_kill_spec(), b.master_kill_spec());
-        assert_eq!(a.master_kill_count(), 4);
+        assert_eq!(a.master_kill_spec().len(), 4);
         let c = FaultPlan::random_master_kills(0xC8A1, 10, 4);
         assert_ne!(a.master_kill_spec(), c.master_kill_spec());
         let distinct: std::collections::HashSet<_> = a.master_kill_spec().into_iter().collect();

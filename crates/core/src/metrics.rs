@@ -49,14 +49,6 @@ impl StepKind {
         }
     }
 
-    /// True for the fused switching supersteps.
-    pub fn is_switch(self) -> bool {
-        matches!(
-            self,
-            StepKind::PushNoSend | StepKind::BPullThenPush | StepKind::AsyncThenPush
-        )
-    }
-
     /// Short figure label.
     pub fn label(self) -> &'static str {
         match self {
@@ -527,13 +519,9 @@ mod tests {
         assert_eq!(StepKind::Push.mode(), Mode::Push);
         assert_eq!(StepKind::PushNoSend.mode(), Mode::Push);
         assert_eq!(StepKind::BPullThenPush.mode(), Mode::BPull);
-        assert!(StepKind::BPullThenPush.is_switch());
-        assert!(!StepKind::BPull.is_switch());
         assert_eq!(StepKind::PushM.label(), "pushM");
         assert_eq!(StepKind::Async.mode(), Mode::Async);
         assert_eq!(StepKind::AsyncThenPush.mode(), Mode::Async);
-        assert!(StepKind::AsyncThenPush.is_switch());
-        assert!(!StepKind::Async.is_switch());
         assert_eq!(StepKind::Async.label(), "async");
         assert_eq!(StepKind::AsyncThenPush.label(), "async>push");
     }

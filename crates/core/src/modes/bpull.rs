@@ -182,7 +182,7 @@ pub fn run_bpull_step<P: VertexProgram>(
             }
             Packet::SuperstepDone => done_peers += 1,
             Packet::Abort => return Err(super::abort_error()),
-            other => unreachable!("unexpected packet in b-pull step: {other:?}"),
+            other => return Err(super::unexpected(&other, "b-pull step")),
         }
     }
 
@@ -308,6 +308,8 @@ fn update_block<P: VertexProgram>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::pull::run_pull_step;
+    use super::super::push::run_push_step;
     use super::super::testkit::{worker, Sum};
     use super::*;
     use crate::config::{JobConfig, Mode};
@@ -449,6 +451,33 @@ mod tests {
             peer.send(WorkerId(1), packet);
             let err = run_bpull_step(&mut w, 2, false).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "case {case}");
+        }
+        // A stray end marker per executor, as a message log read back in
+        // confined recovery could hold: an error too, not a panic.
+        type Step = fn(&mut Worker<Sum>) -> io::Result<StepReport>;
+        let strays: [(Mode, Packet, Step); 4] = [
+            (Mode::BPull, Packet::DoneSending, |w| {
+                run_bpull_step(w, 2, false)
+            }),
+            (Mode::Push, Packet::EndOfGather, |w| {
+                run_push_step(w, 2, true, false)
+            }),
+            (Mode::Pull, Packet::DoneSending, |w| run_pull_step(w, 1)),
+            (
+                Mode::Pull,
+                Packet::EndOfResponses { block: BlockId(2) },
+                |w| run_pull_step(w, 2),
+            ),
+        ];
+        for (mode, marker, step) in strays {
+            let (mut w, peer) = worker(JobConfig::new(mode, 2));
+            peer.send(WorkerId(1), marker.clone());
+            let err = step(&mut w).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{mode:?} {marker:?}"
+            );
         }
     }
 }

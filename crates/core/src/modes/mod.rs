@@ -39,6 +39,17 @@ pub(crate) fn is_abort(e: &io::Error) -> bool {
     e.kind() == io::ErrorKind::Interrupted && e.to_string().contains(ABORT_MARKER)
 }
 
+/// A packet the running phase has no arm for. A peer never sends one, but
+/// a message-log segment read back during confined recovery can hold any
+/// variant (`Packet::decode` accepts them all and `send_replay` forwards
+/// it), so it fails the superstep instead of panicking the worker.
+pub(crate) fn unexpected(packet: &Packet, phase: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("unexpected packet in {phase}: {packet:?}"),
+    )
+}
+
 /// Encodes `batch` as `kind` and sends it to `to`: the one place a
 /// [`Packet::Messages`] leaves a worker. Push batches go out under
 /// [`Worker::push_kind`] with no block; b-pull responses (`for_block` =
@@ -188,7 +199,7 @@ pub(crate) fn init_updates<P: VertexProgram>(
 /// A hand-built worker for the executors' unit tests.
 #[cfg(test)]
 pub(crate) mod testkit {
-    use crate::config::JobConfig;
+    use crate::config::{JobConfig, Mode};
     use crate::program::{GraphInfo, Update, VertexProgram};
     use crate::worker::{Worker, WorkerSeed};
     use hybridgraph_graph::{gen, BlockLayout, Edge, Partition, VertexId, WorkerId};
@@ -229,6 +240,7 @@ pub(crate) mod testkit {
     /// the fabric, for tests that play the peer.
     pub(crate) fn worker(cfg: JobConfig) -> (Worker<Sum>, Endpoint) {
         let g = gen::uniform(40, 200, 3);
+        let reverse = (cfg.mode == Mode::Pull).then(|| g.reverse());
         let partition = Arc::new(Partition::range(40, 2));
         let layout = Arc::new(BlockLayout::uniform(&partition, 2));
         let (mut eps, _) = Fabric::mesh(2);
@@ -236,7 +248,7 @@ pub(crate) mod testkit {
             id: WorkerId(1),
             program: Arc::new(Sum),
             graph: &g,
-            reverse: None,
+            reverse: reverse.as_ref(),
             partition,
             layout,
             cfg,

@@ -53,7 +53,7 @@ pub fn run_pull_step<P: VertexProgram>(
                 Packet::Signals { ids } => accept_signals(w, &ids),
                 Packet::SuperstepDone => done_peers += 1,
                 Packet::Abort => return Err(super::abort_error()),
-                other => unreachable!("unexpected packet in pull init: {other:?}"),
+                other => return Err(super::unexpected(&other, "pull init")),
             }
         }
         w.signaled.clear_all();
@@ -104,15 +104,35 @@ pub fn run_pull_step<P: VertexProgram>(
     }
     w.trace_phase("request");
 
-    // Event loop: serve gathers, stage responses per sender as they
-    // arrive, update when both directions have quiesced.
+    // Event loop: stage requests and responses per sender as they
+    // arrive, serve once every peer is done requesting, update when both
+    // directions have quiesced.
+    let mut requests: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
     let mut staged: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
     let mut tbuf: ThresholdBuffer<P::Message> =
         ThresholdBuffer::new(workers, w.cfg.sending_threshold);
-    let (mut got_ends, mut served, mut done_peers) = (0usize, 0usize, 0usize);
-    let mut my_done = false;
+    let (mut done_requesting, mut got_ends, mut done_peers) = (0usize, 0usize, 0usize);
+    let (mut served, mut my_done) = (false, false);
     loop {
-        if got_ends == workers && served == workers && !my_done {
+        if done_requesting == workers && !served {
+            // Sender by sender in worker-id order, so the LRU and the
+            // gather store's cursor see the same request sequence whatever
+            // order the fabric delivered it in. Every peer has sent all its
+            // requests already, so none of them waits on these responses.
+            for (p, payloads) in std::mem::take(&mut requests).into_iter().enumerate() {
+                let from = WorkerId::from(p);
+                for ids in payloads {
+                    for chunk in ids.chunks_exact(4) {
+                        let v = VertexId(u32::from_le_bytes(chunk.try_into().unwrap()));
+                        serve_gather(w, v, from, &mut tbuf, &mut rep)?;
+                    }
+                }
+                send_batch(w, from, w.batch_kind(), None, &tbuf.flush(from));
+                w.ep.send(from, Packet::EndOfGather);
+            }
+            served = true;
+        }
+        if got_ends == workers && served && !my_done {
             let fresh = vec![Vec::new(); workers];
             let (inbox, values) = staged_inbox(w, &std::mem::replace(&mut staged, fresh));
             let held = values * (4 + P::Message::BYTES as u64);
@@ -131,18 +151,9 @@ pub fn run_pull_step<P: VertexProgram>(
         }
         let env = w.recv_timed(&mut blocking);
         match env.packet {
-            Packet::GatherRequests { ids } => {
-                for chunk in ids.chunks_exact(4) {
-                    let v = VertexId(u32::from_le_bytes(chunk.try_into().unwrap()));
-                    serve_gather(w, v, env.from, &mut tbuf, &mut rep)?;
-                }
-            }
-            Packet::DoneRequesting => {
-                // FIFO per pair: all of this peer's requests are served.
-                send_batch(w, env.from, w.batch_kind(), None, &tbuf.flush(env.from));
-                w.ep.send(env.from, Packet::EndOfGather);
-                served += 1;
-            }
+            Packet::GatherRequests { ids } => requests[env.from.index()].push(ids),
+            // FIFO per pair: all of this peer's requests are staged.
+            Packet::DoneRequesting => done_requesting += 1,
             Packet::Messages { kind, payload, .. } => {
                 stage_response(w, &mut staged[env.from.index()], kind, payload, &w.range)?;
             }
@@ -150,7 +161,7 @@ pub fn run_pull_step<P: VertexProgram>(
             Packet::Signals { ids } => accept_signals(w, &ids),
             Packet::SuperstepDone => done_peers += 1,
             Packet::Abort => return Err(super::abort_error()),
-            other => unreachable!("unexpected packet in pull step: {other:?}"),
+            other => return Err(super::unexpected(&other, "pull step")),
         }
     }
 

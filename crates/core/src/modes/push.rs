@@ -163,7 +163,7 @@ pub(crate) fn exchange<P: VertexProgram>(
             }
             Packet::DoneSending => done += 1,
             Packet::Abort => return Err(super::abort_error()),
-            other => unreachable!("unexpected packet in push exchange: {other:?}"),
+            other => return Err(super::unexpected(&other, "push exchange")),
         }
     }
     sink_payloads(w, &inbound, online, rep)

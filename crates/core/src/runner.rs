@@ -215,6 +215,10 @@ fn validate<P: VertexProgram>(
         ),
         (graph.num_vertices() > 0, "graph must have vertices"),
         (
+            cfg.mode != Mode::Pull || t <= 64,
+            "pull keeps a vertex's mirror workers in a 64-bit mask: at most 64 workers",
+        ),
+        (
             cfg.mode != Mode::Hybrid
                 || matches!(
                     cfg.initial_mode_override,

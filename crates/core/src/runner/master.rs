@@ -140,7 +140,7 @@ impl<'a> Master<'a> {
     }
 
     /// The checkpointed superstep a failure now would roll back to.
-    pub fn cut_at(&self) -> Option<u64> {
+    fn cut_at(&self) -> Option<u64> {
         self.cut.as_ref().map(|c| c.at)
     }
 

@@ -299,11 +299,6 @@ impl MtbfEstimator {
         Some((self.observed_secs / self.failures as f64).max(f64::MIN_POSITIVE))
     }
 
-    /// Modeled seconds observed so far.
-    pub fn observed_secs(&self) -> f64 {
-        self.observed_secs
-    }
-
     /// Failures observed so far.
     pub fn failures(&self) -> u64 {
         self.failures
@@ -743,7 +738,7 @@ mod tests {
         // Negative / NaN progress is ignored.
         e.advance(-5.0);
         e.advance(f64::NAN);
-        assert_eq!(e.observed_secs(), 12.0);
+        assert_eq!(e.observed_secs, 12.0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub fn q_metric(profile: &DeviceProfile, c: &CostInputs) -> f64 {
 
 /// The four Eq. 11 terms individually (seconds), for the audit log:
 /// `Q_t = net + rw − rr + sr`.
-pub fn q_terms(profile: &DeviceProfile, c: &CostInputs) -> QtTerms {
+fn q_terms(profile: &DeviceProfile, c: &CostInputs) -> QtTerms {
     QtTerms {
         net: (c.mco as f64 * c.bytes_per_saved as f64) / (profile.snet * MB),
         rw: c.io_mdisk as f64 / (profile.srw * MB),
@@ -70,7 +70,7 @@ pub fn q_terms(profile: &DeviceProfile, c: &CostInputs) -> QtTerms {
 
 impl CostInputs {
     /// The plain-number mirror of this struct recorded in audit artifacts.
-    pub fn to_audit(&self) -> QtInputs {
+    fn to_audit(self) -> QtInputs {
         QtInputs {
             mco: self.mco,
             bytes_per_saved: self.bytes_per_saved,
@@ -185,11 +185,6 @@ impl Switcher {
         self.current
     }
 
-    /// The last observed `R_co`, if any b-pull superstep has run.
-    pub fn rco(&self) -> Option<f64> {
-        self.rco
-    }
-
     /// Records the merge ratio observed in a b-pull superstep:
     /// `saved / raw` messages.
     pub fn observe_rco(&mut self, saved: u64, raw: u64) {
@@ -206,11 +201,6 @@ impl Switcher {
             Some(r) => (raw as f64 * r) as u64,
             None => raw.saturating_sub(distinct),
         }
-    }
-
-    /// `Q_t` values recorded so far, as `(superstep, q)`.
-    pub fn history(&self) -> &[(u64, f64)] {
-        &self.history
     }
 
     /// The full decision audit: one record per `decide` call.
@@ -399,22 +389,12 @@ fn snap_corrupt(what: &str) -> io::Error {
     )
 }
 
+/// A mode's serialized tag: its position in `Mode::ALL`.
 pub(crate) fn mode_tag(m: Mode) -> u8 {
-    // Tags 0..=4 are positional in `Mode::ALL` (the wire format existing
-    // snapshots were written with); `Async` extends past the array.
-    match Mode::ALL.iter().position(|x| *x == m) {
-        Some(i) => i as u8,
-        None => {
-            debug_assert_eq!(m, Mode::Async);
-            Mode::ALL.len() as u8
-        }
-    }
+    m as u8
 }
 
 pub(crate) fn mode_from_tag(tag: u8) -> io::Result<Mode> {
-    if tag as usize == Mode::ALL.len() {
-        return Ok(Mode::Async);
-    }
     Mode::ALL
         .get(tag as usize)
         .copied()
@@ -422,9 +402,6 @@ pub(crate) fn mode_from_tag(tag: u8) -> io::Result<Mode> {
 }
 
 fn mode_label_static(label: &str) -> io::Result<&'static str> {
-    if label == Mode::Async.label() {
-        return Ok(Mode::Async.label());
-    }
     Mode::ALL
         .iter()
         .map(|m| m.label())
@@ -457,7 +434,7 @@ fn verdict_from_tag(tag: u8) -> io::Result<QtVerdict> {
 const QT_AUDIT_MIN_BYTES: usize = 8 * (1 + 7 + 4 + 4 + 2) + 1;
 
 /// Serializes one Eq. 11 audit record (floats by bit pattern).
-pub fn encode_qt_audit(w: &mut PayloadWriter, a: &QtAudit) {
+fn encode_qt_audit(w: &mut PayloadWriter, a: &QtAudit) {
     w.put_u64(a.superstep);
     w.put_u64(a.inputs.mco);
     w.put_u64(a.inputs.bytes_per_saved);
@@ -503,7 +480,7 @@ pub fn encode_qt_audit(w: &mut PayloadWriter, a: &QtAudit) {
 
 /// Rebuilds one audit record; mode labels are re-interned to the engine's
 /// own `'static` labels.
-pub fn decode_qt_audit(r: &mut PayloadReader<'_>) -> io::Result<QtAudit> {
+fn decode_qt_audit(r: &mut PayloadReader<'_>) -> io::Result<QtAudit> {
     let superstep = r.get_u64()?;
     let inputs = QtInputs {
         mco: r.get_u64()?,
@@ -682,7 +659,7 @@ mod tests {
             Some(Mode::BPull)
         );
         assert_eq!(s.current(), Mode::BPull);
-        assert_eq!(s.history().len(), 4);
+        assert_eq!(s.history.len(), 4);
     }
 
     #[test]
@@ -894,8 +871,8 @@ mod tests {
         let mut d = Switcher::decode(&mut r).unwrap();
         assert!(r.done());
         assert_eq!(d.current(), s.current());
-        assert_eq!(d.rco(), s.rco());
-        assert_eq!(d.history(), s.history());
+        assert_eq!(d.rco, s.rco);
+        assert_eq!(d.history, s.history);
         assert_eq!(d.audit(), s.audit());
         // Future decisions agree bit-for-bit.
         let bpull_favoring = CostInputs {
@@ -1098,7 +1075,8 @@ mod tests {
 
     #[test]
     fn async_mode_tag_roundtrip() {
-        for m in Mode::ALL.into_iter().chain([Mode::Async]) {
+        for (i, m) in Mode::ALL.into_iter().enumerate() {
+            assert_eq!(mode_tag(m) as usize, i);
             assert_eq!(mode_from_tag(mode_tag(m)).unwrap(), m);
         }
         assert_eq!(mode_tag(Mode::Async), 5);
@@ -1112,10 +1090,10 @@ mod tests {
         // No observation yet: structural bound.
         assert_eq!(s.estimate_mco(100, 30), 70);
         s.observe_rco(80, 100);
-        assert_eq!(s.rco(), Some(0.8));
+        assert_eq!(s.rco, Some(0.8));
         assert_eq!(s.estimate_mco(50, 30), 40);
         // Zero raw leaves ratio unchanged.
         s.observe_rco(0, 0);
-        assert_eq!(s.rco(), Some(0.8));
+        assert_eq!(s.rco, Some(0.8));
     }
 }

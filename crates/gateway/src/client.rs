@@ -71,16 +71,12 @@ impl ClientError {
 /// A typed client over one gateway connection.
 pub struct GatewayClient {
     conn: Box<dyn Conn>,
-    max_frame: u64,
 }
 
 impl GatewayClient {
     /// Wraps an established connection.
     pub fn new(conn: Box<dyn Conn>) -> GatewayClient {
-        GatewayClient {
-            conn,
-            max_frame: DEFAULT_MAX_FRAME,
-        }
+        GatewayClient { conn }
     }
 
     /// Connects over an in-process loopback transport.
@@ -93,12 +89,6 @@ impl GatewayClient {
         Ok(GatewayClient::new(TcpTransport::connect(addr)?))
     }
 
-    /// Caps response frame bodies (mirror of the server-side cap).
-    pub fn with_max_frame(mut self, max: u64) -> GatewayClient {
-        self.max_frame = max;
-        self
-    }
-
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
         let (kind, body) = req.encode();
         wire::write_frame(&mut *self.conn, kind, &body).map_err(WireError::Io)?;
@@ -106,7 +96,7 @@ impl GatewayClient {
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {
-        let (frame, _) = wire::read_frame(&mut *self.conn, self.max_frame)?;
+        let (frame, _) = wire::read_frame(&mut *self.conn, DEFAULT_MAX_FRAME)?;
         let resp = Response::decode(frame.kind, &frame.body)?;
         if let Response::Error(e) = resp {
             return Err(ClientError::Remote(e));

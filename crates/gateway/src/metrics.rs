@@ -61,7 +61,7 @@ impl GatewayMetrics {
     }
 
     /// Rejected frames.
-    pub fn rejected_frames(&self) -> u64 {
+    fn rejected_frames(&self) -> u64 {
         self.rejected_frames.load(Ordering::Relaxed)
     }
 

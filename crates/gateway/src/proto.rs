@@ -674,21 +674,6 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// The values as `f64` (PageRank jobs).
-    pub fn values_f64(&self) -> Result<Vec<f64>, WireError> {
-        decode_values(&self.values)
-    }
-
-    /// The values as `f32` (SSSP jobs).
-    pub fn values_f32(&self) -> Result<Vec<f32>, WireError> {
-        decode_values(&self.values)
-    }
-
-    /// The values as `u32` (LPA / WCC jobs).
-    pub fn values_u32(&self) -> Result<Vec<u32>, WireError> {
-        decode_values(&self.values)
-    }
-
     fn encode(&self, w: &mut PayloadWriter) {
         w.put_u8(self.value_kind as u8);
         w.put_bytes(&self.values);
@@ -970,5 +955,23 @@ mod tests {
             Request::decode(kind, &body),
             Err(WireError::Malformed(_))
         ));
+        // So is a codec tag no choice owns any more (2 and 3).
+        let (kind, mut body) = Request::RegisterGraph {
+            name: "g".into(),
+            workers: 2,
+            vblocks_per_worker: 0,
+            codec: CodecChoice::Bv,
+            source: GraphSource::Blob(Vec::new()),
+        }
+        .encode();
+        let tag_at = 8 + 1 + 4 + 4;
+        assert_eq!(body[tag_at], CodecChoice::Bv.tag());
+        for retired in [2, 3] {
+            body[tag_at] = retired;
+            assert!(matches!(
+                Request::decode(kind, &body),
+                Err(WireError::Malformed(_))
+            ));
+        }
     }
 }

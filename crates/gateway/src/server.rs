@@ -220,11 +220,6 @@ impl GatewayServer {
         &self.inner.metrics
     }
 
-    /// True once a `Shutdown` request was served.
-    pub fn is_stopping(&self) -> bool {
-        self.inner.stopping.load(Ordering::SeqCst)
-    }
-
     /// Renders the Prometheus gauge exposition (frames, bytes, rejected
     /// frames, per-engine queue depths).
     pub fn prometheus(&self) -> String {

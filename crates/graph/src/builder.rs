@@ -6,13 +6,12 @@ use crate::ids::VertexId;
 
 /// Accumulates directed edges and finalizes them into a [`Graph`].
 ///
-/// Self-loops and duplicate edges can optionally be removed at build time;
-/// both default to being kept so generators have full control.
+/// Duplicate edges can optionally be removed at build time; they are kept
+/// by default so generators have full control.
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, Edge)>,
-    drop_self_loops: bool,
     dedup: bool,
 }
 
@@ -22,7 +21,6 @@ impl GraphBuilder {
         GraphBuilder {
             num_vertices: n,
             edges: Vec::new(),
-            drop_self_loops: false,
             dedup: false,
         }
     }
@@ -30,12 +28,6 @@ impl GraphBuilder {
     /// Pre-allocates room for `m` edges.
     pub fn with_edge_capacity(mut self, m: usize) -> Self {
         self.edges.reserve(m);
-        self
-    }
-
-    /// Remove self-loops when building.
-    pub fn drop_self_loops(mut self) -> Self {
-        self.drop_self_loops = true;
         self
     }
 
@@ -71,9 +63,6 @@ impl GraphBuilder {
     /// row sorted by destination, so the result is deterministic regardless
     /// of insertion order.
     pub fn build(mut self) -> Graph {
-        if self.drop_self_loops {
-            self.edges.retain(|(s, e)| *s != e.dst);
-        }
         self.edges.sort_by_key(|(s, e)| (*s, e.dst));
         if self.dedup {
             self.edges.dedup_by_key(|(s, e)| (*s, e.dst));
@@ -106,16 +95,6 @@ mod tests {
         assert_eq!(row0, vec![1, 2]);
         assert_eq!(g.out_degree(VertexId(1)), 0);
         assert_eq!(g.out_degree(VertexId(2)), 1);
-    }
-
-    #[test]
-    fn self_loops_dropped_on_request() {
-        let mut b = GraphBuilder::new(2).drop_self_loops();
-        b.add(VertexId(0), VertexId(0));
-        b.add(VertexId(0), VertexId(1));
-        assert_eq!(b.len(), 2);
-        let g = b.build();
-        assert_eq!(g.num_edges(), 1);
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl Dataset {
     pub fn build_scaled(self, denominator: usize) -> Graph {
         self.spec().build(denominator)
     }
-
-    /// Convenience: the default 1/1000-scale build.
-    pub fn build_default(self) -> Graph {
-        self.build_scaled(1000)
-    }
 }
 
 /// Generation parameters for one dataset stand-in.

@@ -146,24 +146,6 @@ impl Graph {
             self.edges[s..e].sort_by_key(|e| e.dst);
         }
     }
-
-    /// Disk footprint of the adjacency representation in bytes:
-    /// per vertex `(id, value, |Vo|)` plus `|Vo|` edges (paper §4.1 layout).
-    pub fn adjacency_disk_bytes(&self, value_bytes: u64) -> u64 {
-        let per_vertex = 4 + value_bytes + 4;
-        self.num_vertices() as u64 * per_vertex + self.num_edges() as u64 * Edge::DISK_BYTES
-    }
-
-    /// Out-degree histogram: `hist[d]` = number of vertices with out-degree
-    /// `d` (capped at `max_bucket`, the last bucket collects the tail).
-    pub fn degree_histogram(&self, max_bucket: usize) -> Vec<usize> {
-        let mut hist = vec![0usize; max_bucket + 1];
-        for v in self.vertices() {
-            let d = self.out_degree(v).min(max_bucket);
-            hist[d] += 1;
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -240,23 +222,8 @@ mod tests {
     }
 
     #[test]
-    fn disk_bytes_formula() {
-        let g = diamond();
-        // 4 vertices * (4 + 8 + 4) + 4 edges * 8
-        assert_eq!(g.adjacency_disk_bytes(8), 4 * 16 + 4 * 8);
-    }
-
-    #[test]
     #[should_panic(expected = "offsets must end")]
     fn invalid_offsets_rejected() {
         let _ = Graph::from_parts(vec![0, 5], vec![Edge::to(VertexId(0))]);
-    }
-
-    #[test]
-    fn degree_histogram_caps_tail() {
-        let g = diamond();
-        let h = g.degree_histogram(1);
-        // degree 0: v3; degree >= 1 bucket: v0 (2), v1, v2
-        assert_eq!(h, vec![1, 3]);
     }
 }

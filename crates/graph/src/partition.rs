@@ -207,7 +207,7 @@ pub fn vblocks_eq5(n_i: usize, t: usize, b_i: usize) -> usize {
 
 /// Eq. 6 — Vblock count for worker `i` when messages only concatenate:
 /// `V_i = (Σ_{u ∈ V_i} in-degree(u)) / B_i`, at least 1.
-pub fn vblocks_eq6(sum_in_degree: u64, b_i: usize) -> usize {
+fn vblocks_eq6(sum_in_degree: u64, b_i: usize) -> usize {
     assert!(b_i > 0, "message buffer must be positive");
     let v = (sum_in_degree as usize).div_ceil(b_i);
     v.max(1)

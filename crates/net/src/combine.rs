@@ -63,15 +63,6 @@ impl Combiner<u32> for MinCombiner {
     }
 }
 
-/// Folds an iterator of messages through a combiner; `None` for empty input.
-pub fn combine_all<M: Clone, C: Combiner<M> + ?Sized>(
-    combiner: &C,
-    mut msgs: impl Iterator<Item = M>,
-) -> Option<M> {
-    let first = msgs.next()?;
-    Some(msgs.fold(first, |acc, m| combiner.combine(&acc, &m)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,17 +82,11 @@ mod tests {
     }
 
     #[test]
-    fn combine_all_folds() {
-        let c = SumCombiner;
-        assert_eq!(combine_all(&c, [1.0f64, 2.0, 3.0].into_iter()), Some(6.0));
-        assert_eq!(combine_all(&c, std::iter::empty::<f64>()), None);
-    }
-
-    #[test]
     fn combiner_is_order_insensitive() {
         let c = MinCombiner;
-        let forward = combine_all(&c, [5.0f32, 2.0, 9.0].into_iter());
-        let backward = combine_all(&c, [9.0f32, 2.0, 5.0].into_iter());
+        let fold = |msgs: [f32; 3]| msgs.iter().fold(f32::INFINITY, |acc, m| c.combine(&acc, m));
+        let forward = fold([5.0, 2.0, 9.0]);
+        let backward = fold([9.0, 2.0, 5.0]);
         assert_eq!(forward, backward);
     }
 }

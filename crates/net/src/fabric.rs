@@ -49,7 +49,6 @@
 use crate::netfault::{LinkFault, NetFaultPlan};
 use crate::packet::Packet;
 use hybridgraph_graph::WorkerId;
-use hybridgraph_obs::{ArqEvent, FabricTap};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -343,10 +342,6 @@ struct EpState {
     faults: Option<Arc<NetFaultPlan>>,
     capture: Option<Vec<(WorkerId, Packet)>>,
     suppress: bool,
-    /// Observation hook for ARQ-level occurrences (retransmits, acks,
-    /// fault firings). Purely additive: never touches any counter the
-    /// cost model reads.
-    tap: Option<Arc<dyn FabricTap>>,
 }
 
 /// One worker's attachment to the fabric.
@@ -374,14 +369,6 @@ impl Endpoint {
     /// [`Fabric::mesh`], sharing one plan across the mesh.
     pub fn install_faults(&self, plan: Arc<NetFaultPlan>) {
         self.state.borrow_mut().faults = Some(plan);
-    }
-
-    /// Installs an ARQ observation tap on this endpoint. The tap sees
-    /// retransmissions, acks, duplicate discards and fault firings; it is
-    /// never consulted for logical traffic, so installing one cannot
-    /// change any byte count the cost model reads.
-    pub fn install_tap(&self, tap: Arc<dyn FabricTap>) {
-        self.state.borrow_mut().tap = Some(tap);
     }
 
     /// Sends `packet` to `to`, accounting its bytes.
@@ -585,20 +572,6 @@ impl Endpoint {
         n
     }
 
-    /// Reports an ARQ occurrence on the link `self → peer` (or
-    /// `peer → self` for receive-side events; the tap records the
-    /// direction it is given) to the installed tap, if any.
-    fn observe(&self, st: &EpState, peer: WorkerId, event: ArqEvent) {
-        if let Some(tap) = &st.tap {
-            match event {
-                ArqEvent::AckSent | ArqEvent::DupDrop => {
-                    tap.arq(peer.index(), self.me.index(), event)
-                }
-                _ => tap.arq(self.me.index(), peer.index(), event),
-            }
-        }
-    }
-
     fn raw_send(&self, to: WorkerId, frame: Frame) {
         // A dead destination (worker being respawned) is not an error:
         // its state is being restored from a checkpoint anyway.
@@ -614,7 +587,6 @@ impl Endpoint {
         let bytes = packet.wire_bytes();
         if attempt > 0 {
             self.stats.bump(|o| &o.retransmitted_bytes, bytes);
-            self.observe(st, to, ArqEvent::Retransmit { bytes });
         }
         let decision = match &st.faults {
             Some(plan) => plan.decision(self.me.index(), to.index(), seq, attempt),
@@ -629,17 +601,14 @@ impl Endpoint {
             LinkFault::Deliver => self.raw_send(to, frame),
             LinkFault::Drop => {
                 self.stats.bump(|o| &o.dropped_frames, 1);
-                self.observe(st, to, ArqEvent::FaultDrop);
             }
             LinkFault::Duplicate => {
                 self.stats.bump(|o| &o.retransmitted_bytes, bytes);
-                self.observe(st, to, ArqEvent::FaultDuplicate);
                 self.raw_send(to, frame.clone());
                 self.raw_send(to, frame);
             }
             LinkFault::Delay => {
                 self.stats.bump(|o| &o.delayed_frames, 1);
-                self.observe(st, to, ArqEvent::FaultDelay);
                 let millis = st.faults.as_ref().map_or(2, |p| p.delay_millis());
                 st.delayed.push(Delayed {
                     due: Instant::now() + Duration::from_millis(millis),
@@ -673,7 +642,6 @@ impl Endpoint {
                 let link = &mut st.inn[from.index()];
                 if seq < link.expected {
                     self.stats.bump(|o| &o.duplicate_drops, 1);
-                    self.observe(st, from, ArqEvent::DupDrop);
                 } else if seq == link.expected {
                     link.expected += 1;
                     st.ready.push_back(Envelope { from, packet });
@@ -688,11 +656,9 @@ impl Endpoint {
                     // of an out-of-order arrival. (Re-inserting the same
                     // packet is harmless — frames are immutable.)
                     self.stats.bump(|o| &o.duplicate_drops, 1);
-                    self.observe(st, from, ArqEvent::DupDrop);
                 }
                 let cum = st.inn[from.index()].expected;
                 self.stats.bump(|o| &o.acks_sent, 1);
-                self.observe(st, from, ArqEvent::AckSent);
                 self.raw_send(
                     from,
                     Frame::Ack {
@@ -832,7 +798,6 @@ impl Fabric {
                     faults: None,
                     capture: None,
                     suppress: false,
-                    tap: None,
                 }),
             })
             .collect();
@@ -1197,45 +1162,6 @@ mod tests {
         assert_eq!(zero.duplicate_drops, 0);
         // Every duplicate was deduped, never delivered twice.
         assert!(b.duplicate_drops > 0);
-    }
-
-    /// An installed tap sees fault firings, retransmissions and acks,
-    /// and installing it changes no logical traffic counter.
-    #[test]
-    fn tap_observes_arq_without_touching_accounting() {
-        use hybridgraph_obs::ArqCounters;
-        let run = |with_tap: bool| {
-            let (eps, stats) = Fabric::mesh(2);
-            let plan = Arc::new(NetFaultPlan::new(5).with_drops(1000, 3));
-            let tap = Arc::new(ArqCounters::new());
-            for ep in &eps {
-                ep.install_faults(Arc::clone(&plan));
-                if with_tap {
-                    ep.install_tap(tap.clone() as Arc<dyn FabricTap>);
-                }
-            }
-            let n = 10u32;
-            for i in 0..n {
-                eps[0].send(WorkerId(1), Packet::PullRequest { block: BlockId(i) });
-            }
-            let mut got = 0u32;
-            while got < n {
-                eps[0].service();
-                if eps[1].recv_timeout(Duration::from_millis(5)).is_some() {
-                    got += 1;
-                }
-            }
-            let s = stats.snapshot();
-            (s.packets_out[0], s.out_bytes[0], tap.snapshot())
-        };
-        let (pkts_off, bytes_off, tap_off) = run(false);
-        let (pkts_on, bytes_on, tap_on) = run(true);
-        assert_eq!(pkts_off, pkts_on);
-        assert_eq!(bytes_off, bytes_on, "tap must not perturb accounting");
-        assert!(tap_off.is_zero(), "no tap installed, nothing observed");
-        assert!(tap_on.fault_drops >= 10, "every first attempt dropped");
-        assert!(tap_on.retransmits > 0);
-        assert!(tap_on.acks_sent > 0);
     }
 
     /// Capture records remote sends (destination and packet) without

@@ -210,11 +210,6 @@ impl Packet {
             _ => PACKET_HEADER_BYTES,
         }
     }
-
-    /// True for control packets (everything but message batches).
-    pub fn is_control(&self) -> bool {
-        !matches!(self, Packet::Messages { .. })
-    }
 }
 
 #[cfg(test)]
@@ -228,9 +223,7 @@ mod tests {
             PACKET_HEADER_BYTES
         );
         assert_eq!(Packet::DoneSending.wire_bytes(), PACKET_HEADER_BYTES);
-        assert!(Packet::DoneSending.is_control());
         assert_eq!(Packet::Abort.wire_bytes(), PACKET_HEADER_BYTES);
-        assert!(Packet::Abort.is_control());
     }
 
     #[test]
@@ -308,6 +301,5 @@ mod tests {
             for_block: None,
         };
         assert_eq!(p.wire_bytes(), PACKET_HEADER_BYTES + 100);
-        assert!(!p.is_control());
     }
 }

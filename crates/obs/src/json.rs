@@ -1,23 +1,64 @@
-//! Minimal pure-Rust JSON validator (RFC 8259 syntax check, no DOM).
+//! Minimal pure-Rust JSON reader (RFC 8259 syntax, small DOM).
 //!
 //! Used by CI's `trace-validate` job and the determinism tests to assert
-//! that exported traces parse, without pulling a JSON dependency into the
+//! that exported traces parse, and by the perf gate to read committed
+//! `BENCH_*.json` reports, without pulling a JSON dependency into the
 //! workspace.
 
-pub fn validate_json(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { b: bytes, i: 0 };
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number.
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, insertion order preserved.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Member lookup on an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Parses a JSON document; trailing data is an error.
+pub fn parse(input: &str) -> Result<Json, String> {
+    let mut p = Parser { s: input, i: 0 };
     p.skip_ws();
-    p.value()?;
+    let v = p.value()?;
     p.skip_ws();
-    if p.i != bytes.len() {
+    if p.i != input.len() {
         return Err(format!("trailing data at byte {}", p.i));
     }
-    Ok(())
+    Ok(v)
+}
+
+/// Syntax check only.
+pub fn validate_json(input: &str) -> Result<(), String> {
+    parse(input).map(drop)
 }
 
 struct Parser<'a> {
-    b: &'a [u8],
+    s: &'a str,
     i: usize,
 }
 
@@ -27,7 +68,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
+        self.s.as_bytes().get(self.i).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -53,135 +94,153 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+        if self.s.as_bytes()[self.i..].starts_with(lit.as_bytes()) {
             self.i += lit.len();
-            Ok(())
+            Ok(v)
         } else {
             Err(self.err(&format!("expected '{lit}'")))
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
+    fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected value")),
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
+    fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
-            return Ok(());
+            return Ok(Json::Obj(members));
         }
         loop {
             self.skip_ws();
-            self.string()?;
+            let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            self.value()?;
+            members.push((key, self.value()?));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(()),
+                Some(b'}') => return Ok(Json::Obj(members)),
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<(), String> {
+    fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
+        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.i += 1;
-            return Ok(());
+            return Ok(Json::Arr(items));
         }
         loop {
             self.skip_ws();
-            self.value()?;
+            items.push(self.value()?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(()),
+                Some(b']') => return Ok(Json::Arr(items)),
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<(), String> {
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        let mut out = String::new();
+        // Start of the run of unescaped bytes not yet copied to `out`;
+        // `"` and `\\` are ASCII, so runs split on character boundaries.
+        let mut run = self.i;
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(()),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
-                    Some(b'u') => {
-                        for _ in 0..4 {
-                            match self.bump() {
-                                Some(c) if c.is_ascii_hexdigit() => {}
-                                _ => return Err(self.err("bad \\u escape")),
+                Some(b'"') => {
+                    out.push_str(&self.s[run..self.i - 1]);
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    out.push_str(&self.s[run..self.i - 1]);
+                    out.push(match self.bump() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => {
+                            let mut code = 0u32;
+                            for _ in 0..4 {
+                                let digit = self.bump().and_then(|c| (c as char).to_digit(16));
+                                code =
+                                    code * 16 + digit.ok_or_else(|| self.err("bad \\u escape"))?;
                             }
+                            // Our writers never emit surrogate pairs; a
+                            // lone surrogate reads as the replacement char.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
                         }
-                    }
-                    _ => return Err(self.err("bad escape")),
-                },
+                        _ => return Err(self.err("bad escape")),
+                    });
+                    run = self.i;
+                }
                 Some(c) if c < 0x20 => return Err(self.err("control char in string")),
                 Some(_) => {}
             }
         }
     }
 
-    fn number(&mut self) -> Result<(), String> {
+    fn digits(&mut self, what: &str) -> Result<(), String> {
+        let start = self.i;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.i += 1;
+        }
+        if self.i == start {
+            return Err(self.err(what));
+        }
+        Ok(())
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        match self.peek() {
-            Some(b'0') => {
-                self.i += 1;
-            }
-            Some(c) if c.is_ascii_digit() => {
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.i += 1;
-                }
-            }
-            _ => return Err(self.err("expected digit")),
+        if self.peek() == Some(b'0') {
+            self.i += 1;
+        } else {
+            self.digits("expected digit")?;
         }
         if self.peek() == Some(b'.') {
             self.i += 1;
-            let mut any = false;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                any = true;
-            }
-            if !any {
-                return Err(self.err("expected fraction digits"));
-            }
+            self.digits("expected fraction digits")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.i += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.i += 1;
             }
-            let mut any = false;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                any = true;
-            }
-            if !any {
-                return Err(self.err("expected exponent digits"));
-            }
+            self.digits("expected exponent digits")?;
         }
-        Ok(())
+        self.s[start..self.i]
+            .parse()
+            .map(Json::Num)
+            .map_err(|_| self.err("bad number"))
     }
 }
 
@@ -223,5 +282,21 @@ mod tests {
         ] {
             assert!(validate_json(s).is_err(), "should reject: {s}");
         }
+    }
+
+    #[test]
+    fn parse_builds_the_document() {
+        let doc = parse(r#"{"a": [1, -2.5e-1, null, true], "s": "q\"\n\u00e9é/"}"#).unwrap();
+        assert_eq!(
+            doc.get("a"),
+            Some(&Json::Arr(vec![
+                Json::Num(1.0),
+                Json::Num(-0.25),
+                Json::Null,
+                Json::Bool(true)
+            ]))
+        );
+        assert_eq!(doc.get("s").and_then(Json::as_str), Some("q\"\néé/"));
+        assert_eq!(doc.get("missing"), None);
     }
 }

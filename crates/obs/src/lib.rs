@@ -14,10 +14,8 @@
 //!   like wall time, which are deliberately kept out of the Chrome trace).
 //! * [`QtAudit`] / [`render_table`] — the Eq. 11 switch-decision audit log
 //!   behind `repro --explain-switch`.
-//! * [`FabricTap`] / [`ArqCounters`] — the ARQ observation hook installed
-//!   on network endpoints.
-//! * [`validate_json`] — a pure-Rust JSON syntax checker used by CI's
-//!   `trace-validate` job.
+//! * [`json`] — a pure-Rust JSON reader: [`validate_json`] for CI's
+//!   `trace-validate` job, [`json::parse`] for the perf gate.
 //!
 //! This crate sits at the bottom of the workspace dependency graph: every
 //! other crate may depend on it, it depends on nothing.
@@ -28,7 +26,6 @@ pub mod event;
 pub mod json;
 pub mod prom;
 pub mod sink;
-pub mod tap;
 
 pub use audit::{render_table, QtAsync, QtAudit, QtInputs, QtTerms, QtTiers, QtVerdict};
 pub use chrome::{export_chrome_trace, export_chrome_trace_jobs, json_escape};
@@ -39,7 +36,6 @@ pub use sink::{
     decode_shard_states, encode_shard_states, maybe_instant, maybe_span, ShardState, TraceShard,
     TraceSink, DEFAULT_SHARD_CAPACITY,
 };
-pub use tap::{ArqCounters, ArqEvent, ArqSnapshot, FabricTap};
 
 /// Convert modeled seconds to the trace's microsecond unit, rounding to
 /// nearest. Saturates at `u64::MAX` (never reached for sane inputs).

@@ -66,7 +66,7 @@ impl TraceShard {
 
     /// Advance the modeled-time cursor and return the *previous* value
     /// (the start timestamp of whatever just consumed `dur_us`).
-    pub fn advance_us(&self, dur_us: u64) -> u64 {
+    fn advance_us(&self, dur_us: u64) -> u64 {
         let mut g = self.inner.lock().unwrap();
         let start = g.clock_us;
         g.clock_us = g.clock_us.saturating_add(dur_us);
@@ -92,20 +92,6 @@ impl TraceShard {
     pub fn span(&self, name: impl Into<String>, dur_us: u64, args: Vec<(&'static str, ArgValue)>) {
         let start = self.advance_us(dur_us);
         let mut ev = TraceEvent::span(start, dur_us, self.track, name);
-        ev.args = args;
-        self.push(ev);
-    }
-
-    /// Record a complete span at an explicit start timestamp (does not move
-    /// the cursor).
-    pub fn span_at(
-        &self,
-        ts_us: u64,
-        name: impl Into<String>,
-        dur_us: u64,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        let mut ev = TraceEvent::span(ts_us, dur_us, self.track, name);
         ev.args = args;
         self.push(ev);
     }
@@ -153,7 +139,7 @@ impl TraceShard {
     /// A full copy of this shard's volatile state (buffered events, drop
     /// count, modeled-time cursor) — what a durable master snapshots at a
     /// barrier so a restarted run replays to the same trace bytes.
-    pub fn export_state(&self) -> ShardState {
+    fn export_state(&self) -> ShardState {
         let g = self.inner.lock().unwrap();
         ShardState {
             events: g.ring.iter().cloned().collect(),
@@ -167,7 +153,7 @@ impl TraceShard {
     /// before the restore — e.g. re-load spans emitted while a resumed job
     /// rebuilt its stores — are erased, which is exactly what makes the
     /// restored trace byte-identical to an uninterrupted one.
-    pub fn restore_state(&self, state: &ShardState) {
+    fn restore_state(&self, state: &ShardState) {
         let mut g = self.inner.lock().unwrap();
         g.ring.clear();
         g.ring.extend(state.events.iter().cloned());

@@ -43,7 +43,7 @@ pub mod wal;
 
 pub use catalog::{Catalog, CatalogError, GraphSpec, RegisteredGraph};
 pub use pool::{EnginePool, PoolRecoveredJob};
-pub use retry::{is_transient, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use scheduler::{LaneHandle, RoundRobinScheduler};
 pub use service::{
     AdmissionError, GraphService, JobRequest, JobTicket, RecoveredJob, SchedulingPause,

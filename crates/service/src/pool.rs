@@ -72,7 +72,7 @@ impl EnginePool {
     /// Seed of engine `index` under pool seed `base`: engine 0 keeps
     /// `base` (a 1-engine pool matches a bare service), engine `i > 0`
     /// gets `splitmix64(base ^ i)`.
-    pub fn engine_seed(base: u64, index: usize) -> u64 {
+    fn engine_seed(base: u64, index: usize) -> u64 {
         if index == 0 {
             base
         } else {
@@ -82,7 +82,7 @@ impl EnginePool {
 
     /// The VFS namespace prefix engine `index` mounts under a durable
     /// pool's backing VFS.
-    pub fn engine_prefix(index: usize) -> String {
+    fn engine_prefix(index: usize) -> String {
         format!("e{index}_")
     }
 
@@ -180,7 +180,7 @@ impl EnginePool {
     }
 
     /// The home engine of `name`.
-    pub fn engine_of(&self, name: &str) -> &GraphService {
+    fn engine_of(&self, name: &str) -> &GraphService {
         &self.engines[self.placement(name)]
     }
 

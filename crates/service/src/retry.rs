@@ -5,16 +5,15 @@
 //! ones (corruption, missing files — surfaced immediately). Backoff is
 //! **modeled, never slept**: a wall-clock sleep inside the commit path
 //! would perturb nothing semantically but would make chaos sweeps slow
-//! and flaky-looking; instead each retry charges an exponentially
-//! growing delay to an accumulator the service exposes as an
-//! observability counter.
+//! and flaky-looking; instead each retry adds an exponentially
+//! growing delay to the total [`RetryPolicy::run`] returns.
 
 use std::io;
 
 /// Whether an I/O error is worth retrying. Everything else — corrupt
 /// data, permission problems, missing files — is permanent and must
 /// surface to the caller unchanged.
-pub fn is_transient(e: &io::Error) -> bool {
+fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -41,7 +40,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The modeled delay charged before retry number `retry` (0-based).
-    pub fn backoff_secs(&self, retry: u32) -> f64 {
+    fn backoff_secs(&self, retry: u32) -> f64 {
         self.base_backoff_secs * 2f64.powi(retry.min(62) as i32)
     }
 

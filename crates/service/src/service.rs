@@ -52,12 +52,11 @@ use hybridgraph_core::runner::{run_job, JobError, JobResult};
 use hybridgraph_core::{BarrierSink, JobConfig, ResumeState, WorkerDisks};
 use hybridgraph_graph::Graph;
 use hybridgraph_storage::{
-    CacheSnapshot, CodecChoice, PrefixVfs, ServiceLog, SharedCacheStats, SharedEdgeCache, Vfs,
+    CacheSnapshot, CodecChoice, PrefixVfs, ServiceLog, SharedEdgeCache, Vfs,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 
@@ -300,15 +299,12 @@ struct State {
     recovery_backlog: usize,
 }
 
-/// The durable half of a service: the WAL, its retry policy, and the
-/// degradation counters (all modeled — no wall-clock sleeps anywhere).
+/// The durable half of a service: the WAL and its retry policy (backoff
+/// is modeled — no wall-clock sleeps anywhere).
 struct Durable {
     vfs: Arc<dyn Vfs>,
     log: Mutex<ServiceLog>,
     retry: RetryPolicy,
-    retries: AtomicU64,
-    backoff_us: AtomicU64,
-    append_errors: AtomicU64,
 }
 
 impl Durable {
@@ -317,33 +313,21 @@ impl Durable {
             vfs,
             log: Mutex::new(log),
             retry: RetryPolicy::default(),
-            retries: AtomicU64::new(0),
-            backoff_us: AtomicU64::new(0),
-            append_errors: AtomicU64::new(0),
         }
     }
 
     /// Appends one record, absorbing transient errors under the retry
-    /// policy and charging their modeled backoff to the counters.
+    /// policy.
     fn append(&self, kind: u8, body: &[u8]) -> io::Result<()> {
         let log = self.log.lock().unwrap();
-        let (_, retries, backoff) = self.retry.run(|| log.append(kind, body))?;
-        if retries > 0 {
-            self.retries
-                .fetch_add(u64::from(retries), Ordering::Relaxed);
-            self.backoff_us
-                .fetch_add((backoff * 1e6) as u64, Ordering::Relaxed);
-        }
-        Ok(())
+        self.retry.run(|| log.append(kind, body)).map(drop)
     }
 
     /// Append whose failure is *recoverable by replay semantics* (a
     /// missing `JobStarted` re-queues the job; a missing `JobFinished`
-    /// re-runs it to the same result) — counted, not propagated.
+    /// re-runs it to the same result) — dropped, not propagated.
     fn append_lossy(&self, kind: u8, body: &[u8]) {
-        if self.append(kind, body).is_err() {
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        let _ = self.append(kind, body);
     }
 
     fn worker_disks(&self, job_id: u64, workers: usize) -> WorkerDisks {
@@ -849,17 +833,6 @@ impl GraphService {
         st.catalog.get(name).map(|g| g.pins())
     }
 
-    /// Aggregate shared-cache counters (per-job attribution lives in each
-    /// job's own step reports).
-    pub fn cache_stats(&self) -> SharedCacheStats {
-        self.inner.cache.stats()
-    }
-
-    /// Scheduler units granted so far.
-    pub fn scheduler_grants(&self) -> u64 {
-        self.inner.sched.grants()
-    }
-
     /// Whether this service journals to a write-ahead log.
     pub fn is_durable(&self) -> bool {
         self.inner.durable.is_some()
@@ -876,34 +849,6 @@ impl GraphService {
             .durable
             .as_ref()
             .map(|d| d.log.lock().unwrap().len_bytes())
-            .unwrap_or(0)
-    }
-
-    /// Transient log-append retries absorbed so far.
-    pub fn log_retries(&self) -> u64 {
-        self.inner
-            .durable
-            .as_ref()
-            .map(|d| d.retries.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Modeled backoff charged to those retries, in seconds.
-    pub fn log_backoff_secs(&self) -> f64 {
-        self.inner
-            .durable
-            .as_ref()
-            .map(|d| d.backoff_us.load(Ordering::Relaxed) as f64 / 1e6)
-            .unwrap_or(0.0)
-    }
-
-    /// Appends whose failure was absorbed because replay semantics make
-    /// them recoverable (see `Durable::append_lossy`).
-    pub fn log_append_errors(&self) -> u64 {
-        self.inner
-            .durable
-            .as_ref()
-            .map(|d| d.append_errors.load(Ordering::Relaxed))
             .unwrap_or(0)
     }
 }

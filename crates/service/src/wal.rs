@@ -390,5 +390,20 @@ mod tests {
             body,
         };
         assert!(decode_record(&rec).is_err());
+
+        // A catalog payload carrying a codec tag no choice owns any more.
+        let spec = GraphSpec::new(1).with_codec(CodecChoice::Bv);
+        let mut body = encode_graph_registered("g", 0, &spec, &Graph::empty(1));
+        let tag_at = 8 + 1 + 4 + 4;
+        assert_eq!(body[tag_at], CodecChoice::Bv.tag());
+        for retired in [2, 3] {
+            body[tag_at] = retired;
+            let rec = LogRecord {
+                kind: KIND_GRAPH_REGISTERED,
+                body: body.clone(),
+            };
+            let err = decode_record(&rec).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 }

@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn coded_commit_roundtrips_and_accounts_both_sides() {
-        for codec in [CodecChoice::Gaps, CodecChoice::Block, CodecChoice::Auto] {
+        for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let mut w = CheckpointWriter::new(11);
             w.put_u8(9);

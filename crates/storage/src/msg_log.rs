@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn coded_segment_roundtrips_and_accounts_both_sides() {
-        for codec in [CodecChoice::Gaps, CodecChoice::Block, CodecChoice::Auto] {
+        for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let mut w = MsgLogWriter::new(7);
             for i in 0..40u32 {
@@ -298,7 +298,7 @@ mod tests {
     fn coded_empty_segment_still_committed() {
         let vfs = MemVfs::new();
         MsgLogWriter::new(9)
-            .commit_with(&vfs, CodecChoice::Auto)
+            .commit_with(&vfs, CodecChoice::Bv)
             .unwrap();
         let mut r = MsgLogReader::open(&vfs, 9).unwrap();
         assert_eq!(r.remaining(), 0);

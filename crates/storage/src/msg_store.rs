@@ -175,7 +175,7 @@ impl<M: Record> SpillBuffer<M> {
     }
 
     /// Messages currently buffered in memory.
-    pub fn in_memory(&self) -> usize {
+    fn in_memory(&self) -> usize {
         self.mem.len() / Self::message_bytes() as usize
     }
 
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn coded_spill_roundtrips_and_shrinks() {
-        for codec in [CodecChoice::Gaps, CodecChoice::Block, CodecChoice::Auto] {
+        for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let mut b: SpillBuffer<f64> = SpillBuffer::with_codec(&vfs, "spill", 4, codec).unwrap();
             // Enough overflow to flush several chunks plus a partial one.
@@ -443,7 +443,7 @@ mod tests {
     fn coded_snapshot_and_restore() {
         let vfs = MemVfs::new();
         let mut b: SpillBuffer<u32> =
-            SpillBuffer::with_codec(&vfs, "spill", 1, CodecChoice::Block).unwrap();
+            SpillBuffer::with_codec(&vfs, "spill", 1, CodecChoice::Bv).unwrap();
         let n = SPILL_CHUNK_MSGS + 9;
         for i in 0..n {
             b.push(VertexId(i as u32), i as u32 * 3).unwrap();
@@ -454,7 +454,7 @@ mod tests {
 
         let vfs2 = MemVfs::new();
         let mut c: SpillBuffer<u32> =
-            SpillBuffer::with_codec(&vfs2, "spill", 1, CodecChoice::Block).unwrap();
+            SpillBuffer::with_codec(&vfs2, "spill", 1, CodecChoice::Bv).unwrap();
         c.restore_pending(&snap).unwrap();
         assert_eq!(c.total(), n);
         assert_eq!(c.drain().unwrap().messages() as u64, n);

@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn coded_log_roundtrips_and_accounts_both_sides() {
         let vfs = MemVfs::new();
-        let log = ServiceLog::create(&vfs, CodecChoice::Block).unwrap();
+        let log = ServiceLog::create(&vfs, CodecChoice::Bv).unwrap();
         let body = vec![7u8; 4096]; // highly compressible
         let physical = log.append(4, &body).unwrap();
         assert!(
@@ -228,7 +228,7 @@ mod tests {
         assert!(snap.seq_write_logical_bytes > snap.seq_write_bytes);
 
         let (log, recs) = ServiceLog::open(&vfs).unwrap();
-        assert_eq!(log.codec(), CodecChoice::Block);
+        assert_eq!(log.codec(), CodecChoice::Bv);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].kind, 4);
         assert_eq!(recs[0].body, body);
@@ -244,6 +244,22 @@ mod tests {
             .append(AccessClass::SeqWrite, b"not a log at all")
             .unwrap();
         assert!(ServiceLog::open(&vfs).is_err());
+
+        // A good header but for a codec tag no choice owns any more.
+        for retired in [2u8, 3] {
+            let vfs = MemVfs::new();
+            ServiceLog::create(&vfs, CodecChoice::Bv).unwrap();
+            let file = vfs.open(SERVICE_LOG_FILE).unwrap();
+            let mut header = file.read_all(AccessClass::SeqRead).unwrap();
+            assert_eq!(header[8], CodecChoice::Bv.tag());
+            header[8] = retired;
+            vfs.create(SERVICE_LOG_FILE)
+                .unwrap()
+                .append(AccessClass::SeqWrite, &header)
+                .unwrap();
+            let err = ServiceLog::open(&vfs).err().expect("retired codec tag");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

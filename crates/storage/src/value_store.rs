@@ -53,11 +53,6 @@ impl<V: Record> ValueStore<V> {
         self.count == 0
     }
 
-    /// Bytes per value record (`S_v`).
-    pub fn value_bytes(&self) -> u64 {
-        V::BYTES as u64
-    }
-
     /// Bytes a whole-store pass touches.
     pub fn total_bytes(&self) -> u64 {
         self.count as u64 * V::BYTES as u64
@@ -179,6 +174,5 @@ mod tests {
         let vfs = MemVfs::new();
         let s = store(&vfs);
         assert_eq!(s.total_bytes(), 80);
-        assert_eq!(s.value_bytes(), 8);
     }
 }

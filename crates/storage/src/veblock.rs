@@ -123,8 +123,6 @@ pub struct Fragment {
 /// destination blocks once at build.
 #[derive(Copy, Clone, Default)]
 struct ScanTotals {
-    edge: u64,
-    aux: u64,
     stored_edge: u64,
     stored_aux: u64,
 }
@@ -238,13 +236,11 @@ impl VeBlockStore {
                 let stored = w.append(buf)?;
                 let (bytes, aux) = (buf.len() as u64, fragments * FRAGMENT_AUX_BYTES);
                 let (stored_edge, stored_aux) = split_stored(stored, bytes, aux);
-                totals.edge += bytes - aux;
-                totals.aux += aux;
+                total_edge_bytes += bytes - aux;
                 totals.stored_edge += stored_edge;
                 totals.stored_aux += stored_aux;
                 total_fragments += fragments;
             }
-            total_edge_bytes += totals.edge;
             files.push(w.finish()?);
             meta.push(m);
             scan.push(totals);
@@ -294,17 +290,10 @@ impl VeBlockStore {
         self.fragment_counts[i]
     }
 
-    /// Total *logical* Eblock bytes a pull request touching local block
-    /// `j` scans: `(edge bytes, auxiliary bytes)` summed over all
-    /// destinations.
-    pub fn block_scan_bytes(&self, j: BlockId) -> (u64, u64) {
-        let t = &self.scan[self.local_of(j)];
-        (t.edge, t.aux)
-    }
-
-    /// Like [`VeBlockStore::block_scan_bytes`] but in *physical* stored
-    /// bytes — what the device actually moves, and therefore what the
-    /// `Q_t` predictor should charge for a b-pull scan of block `j`
+    /// Total *physical* stored bytes a pull request touching local block
+    /// `j` scans, `(edge bytes, auxiliary bytes)` summed over all
+    /// destinations — what the device actually moves, and therefore what
+    /// the `Q_t` predictor should charge for a b-pull scan of block `j`
     /// (each Eblock split as [`EblockInfo::stored_split`] does).
     pub fn block_scan_stored_bytes(&self, j: BlockId) -> (u64, u64) {
         let t = &self.scan[self.local_of(j)];
@@ -314,11 +303,6 @@ impl VeBlockStore {
     /// Number of local blocks.
     pub fn local_blocks(&self) -> usize {
         self.meta.len()
-    }
-
-    /// Global id of the first local block.
-    pub fn first_block(&self) -> BlockId {
-        BlockId(self.first_block)
     }
 
     #[inline]
@@ -567,24 +551,21 @@ mod tests {
 
     #[test]
     fn block_scan_totals() {
-        // The totals summed at build are the per-Eblock values summed:
-        // logical, and physical as `stored_split` divides each Eblock.
+        // The totals summed at build are the per-Eblock values summed,
+        // as `stored_split` divides each Eblock.
         let g = gen::uniform(30, 150, 2);
         let (_, l) = layout(30, 1, 3);
         for codec in [CodecChoice::None, CodecChoice::Gaps, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(0), codec).unwrap();
             for j in l.block_ids() {
-                let (mut logical, mut stored) = ((0, 0), (0, 0));
+                let mut stored = (0, 0);
                 for i in l.block_ids() {
                     let info = s.eblock_info(j, i);
                     let frags = s.scan_eblock(j, i).unwrap().len();
-                    let aux = frags as u64 * FRAGMENT_AUX_BYTES;
-                    logical = (logical.0 + info.bytes - aux, logical.1 + aux);
                     let (e, a) = info.stored_split(frags);
                     stored = (stored.0 + e, stored.1 + a);
                 }
-                assert_eq!(s.block_scan_bytes(j), logical, "{codec:?}");
                 assert_eq!(s.block_scan_stored_bytes(j), stored, "{codec:?}");
             }
         }
@@ -596,18 +577,12 @@ mod tests {
         let (_, l) = layout(120, 2, 3);
         let base_vfs = MemVfs::new();
         let base = VeBlockStore::build(&base_vfs, &g, &l, WorkerId(0)).unwrap();
-        for codec in [
-            CodecChoice::Gaps,
-            CodecChoice::Block,
-            CodecChoice::Bv,
-            CodecChoice::Auto,
-        ] {
+        for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(0), codec).unwrap();
             assert_eq!(s.total_edge_bytes(), base.total_edge_bytes());
             assert_eq!(s.total_fragments(), base.total_fragments());
             for j in l.blocks_of_worker(WorkerId(0)) {
-                assert_eq!(s.block_scan_bytes(j), base.block_scan_bytes(j));
                 for i in l.block_ids() {
                     assert_eq!(
                         s.scan_eblock(j, i).unwrap(),
@@ -622,10 +597,8 @@ mod tests {
         let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(0), CodecChoice::Gaps).unwrap();
         let logical: u64 = l
             .blocks_of_worker(WorkerId(0))
-            .map(|j| {
-                let (e, a) = s.block_scan_bytes(j);
-                e + a
-            })
+            .flat_map(|j| l.block_ids().map(move |i| (j, i)))
+            .map(|(j, i)| s.eblock_info(j, i).bytes)
             .sum();
         assert!(
             s.total_stored_bytes() * 2 < logical,

@@ -239,11 +239,6 @@ impl MemVfs {
             stats,
         }
     }
-
-    /// Total bytes currently stored across all files (simulated disk usage).
-    pub fn disk_usage(&self) -> u64 {
-        self.files.read().unwrap().values().map(|f| f.len()).sum()
-    }
 }
 
 impl Default for MemVfs {
@@ -589,20 +584,6 @@ mod tests {
         f.write_at(AccessClass::RandWrite, 4, b"zz").unwrap();
         assert_eq!(f.len(), 6);
         assert_eq!(f.read_all(AccessClass::SeqRead).unwrap(), b"\0\0\0\0zz");
-    }
-
-    #[test]
-    fn disk_usage_sums_files() {
-        let vfs = MemVfs::new();
-        vfs.create("a")
-            .unwrap()
-            .append(AccessClass::SeqWrite, &[0; 10])
-            .unwrap();
-        vfs.create("b")
-            .unwrap()
-            .append(AccessClass::SeqWrite, &[0; 32])
-            .unwrap();
-        assert_eq!(vfs.disk_usage(), 42);
     }
 
     #[test]

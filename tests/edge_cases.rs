@@ -130,6 +130,13 @@ fn unrunnable_configurations_are_typed_errors() {
     let base = JobConfig::new(Mode::Push, 2);
     rejects(&g, JobConfig::new(Mode::Push, 0), "at least one worker");
     rejects(&Graph::empty(0), base.clone(), "must have vertices");
+    rejects(&g, JobConfig::new(Mode::Pull, 65), "at most 64 workers");
+    run_job(
+        Arc::new(PageRank::new(3)),
+        &g,
+        JobConfig::new(Mode::Pull, 64),
+    )
+    .unwrap();
     let disks = WorkerDisks(vec![Arc::new(MemVfs::new()) as Arc<dyn Vfs>; 3]);
     rejects(&g, base.clone().with_worker_disks(disks), "worker_disks");
     let sink = Arc::new(TraceSink::new(5));

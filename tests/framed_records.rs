@@ -760,9 +760,7 @@ impl ProgressSink for BarrierProbe {
 /// mode switches, async interior updates]` so callers can assert the
 /// pinned job exercised what it is there to pin. `wall_secs` and
 /// `blocking_secs` are zeroed — and `memory_bytes` on b-pull supersteps
-/// when `mask_bpull_memory` is set. What depends on request arrival order
-/// in pull mode is left out: the trace, and each superstep's `IoSnapshot`,
-/// svertex bytes and modeled I/O time.
+/// when `mask_bpull_memory` is set.
 fn pinned_job<P: VertexProgram>(
     program: P,
     g: &Graph,
@@ -806,22 +804,11 @@ fn pinned_job<P: VertexProgram>(
         if mask_bpull_memory && matches!(m.kind, StepKind::BPull | StepKind::BPullThenPush) {
             m.memory_bytes = 0;
         }
-        if m.kind == StepKind::Pull {
-            // The LRU's and the gather cursor's view of a superstep
-            // follows request arrival order (ROADMAP item 3).
-            m.io = Default::default();
-            m.sem.svertex_rand_bytes = 0;
-            m.modeled_secs = 0.0;
-            m.modeled_io_secs = 0.0;
-        }
         exercised[0] += m.sem.msg_spill_bytes;
         exercised[2] += m.asy.interior_updates;
         steps.push_str(&format!("{m:?}\n"));
     }
-    let trace = match mode {
-        Mode::Pull => 0,
-        _ => fnv1a(export_chrome_trace(&trace).as_bytes()),
-    };
+    let trace = fnv1a(export_chrome_trace(&trace).as_bytes());
     let barriers = probe.barriers.lock().unwrap();
     (
         [
@@ -1024,6 +1011,9 @@ fn golden_push_family_jobs_are_pinned() {
 // value bits. Captured by running this test body at the commit before
 // the pull family's five groupings became one pass; `memory_bytes` on
 // b-pull supersteps is masked because it was timing-dependent there.
+// (The `steps` and `trace` columns of the 12 pull rows were pinned when
+// pull began serving gather requests sender by sender instead of in
+// arrival order; they had been masked until then.)
 #[test]
 fn golden_pull_family_jobs_are_pinned() {
     const GOLDEN: &str = "\
@@ -1039,18 +1029,18 @@ b-pull bv   comb lpa      3840de144e882740 e4f79cc7a0600277 1277443fc0a9e35e e07
 b-pull bv   list pagerank 03ee31e1b89598aa 7fefd53e54f63ec0 19841c583df5ed39 cde30f987461087f\n\
 b-pull bv   list sssp     369804cca87b7baf 8656514e2b4b1297 f5f69eaf8bc18713 5c24d3d4cc2f50b6\n\
 b-pull bv   list lpa      3840de144e882740 e4f79cc7a0600277 1277443fc0a9e35e e079093dc0b0e488\n\
-pull   none comb pagerank 9ac44c7a093376d0 a8bd7cde6a15bdce 439e327297d05cfb 0000000000000000\n\
-pull   none comb sssp     369804cca87b7baf e117f987addfbb24 521450b50af4c0a8 0000000000000000\n\
-pull   none comb lpa      3840de144e882740 7e7b794ff0eed799 d73b9f356fa06876 0000000000000000\n\
-pull   none list pagerank 03ee31e1b89598aa 1e7d868057671ce2 b348398106f52993 0000000000000000\n\
-pull   none list sssp     369804cca87b7baf bcba124a535aa94b bab9c9025e8d41af 0000000000000000\n\
-pull   none list lpa      3840de144e882740 7e7b794ff0eed799 d73b9f356fa06876 0000000000000000\n\
-pull   bv   comb pagerank 9ac44c7a093376d0 af7aa9b1e91390e6 439e327297d05cfb 0000000000000000\n\
-pull   bv   comb sssp     369804cca87b7baf a9d038ce434611d9 521450b50af4c0a8 0000000000000000\n\
-pull   bv   comb lpa      3840de144e882740 69338797c7c007f1 d73b9f356fa06876 0000000000000000\n\
-pull   bv   list pagerank 03ee31e1b89598aa 0e633fb888592b9c b348398106f52993 0000000000000000\n\
-pull   bv   list sssp     369804cca87b7baf 209489759f17cc33 bab9c9025e8d41af 0000000000000000\n\
-pull   bv   list lpa      3840de144e882740 69338797c7c007f1 d73b9f356fa06876 0000000000000000\n\
+pull   none comb pagerank 9ac44c7a093376d0 adbadf6736faa054 439e327297d05cfb c2737bce228cd4bd\n\
+pull   none comb sssp     369804cca87b7baf dbf2eca2e6c87889 521450b50af4c0a8 9406d0319c336d61\n\
+pull   none comb lpa      3840de144e882740 2ff487db2c576209 d73b9f356fa06876 007b0e203af695d7\n\
+pull   none list pagerank 03ee31e1b89598aa 5f9be38d4ceec5bc b348398106f52993 01fb5bbbafaa9362\n\
+pull   none list sssp     369804cca87b7baf 661214402ae83ff1 bab9c9025e8d41af b0005f21471c68f4\n\
+pull   none list lpa      3840de144e882740 2ff487db2c576209 d73b9f356fa06876 007b0e203af695d7\n\
+pull   bv   comb pagerank 9ac44c7a093376d0 497e23fe3438eb45 439e327297d05cfb f4b6270d486edeca\n\
+pull   bv   comb sssp     369804cca87b7baf acd7af0c0d053701 521450b50af4c0a8 3467826fae867399\n\
+pull   bv   comb lpa      3840de144e882740 f36796dbd27bb066 d73b9f356fa06876 55ec2b8e2cd23301\n\
+pull   bv   list pagerank 03ee31e1b89598aa 476b39485ea27535 b348398106f52993 ae2a72c32e4c7dde\n\
+pull   bv   list sssp     369804cca87b7baf 2a1593c975c35114 bab9c9025e8d41af b5f015e4cccf8db2\n\
+pull   bv   list lpa      3840de144e882740 f36796dbd27bb066 d73b9f356fa06876 55ec2b8e2cd23301\n\
 hybrid none comb pagerank 7559ef5eba5986d9 b2ac11e73ce2b204 b9cb60e6518659af c3905f29b9212792\n\
 hybrid none comb sssp     369804cca87b7baf 89d053e2b7a44533 e8013286a0bf81f6 7bbd3080e01de2c0\n\
 hybrid none comb lpa      3840de144e882740 907bf4cb1e386f3b 7fa7046e457ba9f0 95ad7afee227138c\n\
@@ -1112,4 +1102,27 @@ hybrid bv   list lpa      3840de144e882740 45fee76205b3ee58 8eaa26fde523ac7d 46b
         got == GOLDEN,
         "mode codec combining algo: values steps barriers trace =\n{got}"
     );
+}
+
+/// Pull serves gather requests sender by sender, not in arrival order, so
+/// the LRU, the gather cursor and the trace repeat run to run.
+#[test]
+fn pinned_pull_job_repeats_exactly() {
+    let rmat = gen::rmat(256, 2048, gen::RmatParams::default(), 11);
+    let g = gen::randomize_weights(&rmat, 0.5, 2.0, 7);
+    let run = || {
+        pinned_job(
+            PageRank::new(6),
+            &g,
+            Mode::Pull,
+            |c| c,
+            false,
+            |v| v.to_bits(),
+        )
+        .0
+    };
+    let first = run();
+    for i in 1..25 {
+        assert_eq!(run(), first, "run {i}");
+    }
 }

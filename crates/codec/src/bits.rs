@@ -132,12 +132,20 @@ impl BitWriter {
 }
 
 /// Reads bits MSB-first from a byte slice, erroring on overrun.
+///
+/// The next `n` stream bits sit left-aligned at the top of `acc`. A refill
+/// loads one big-endian word while eight bytes remain — after it `n` is at
+/// least [`MAX_WIDTH`], so any single read needs at most one — and falls
+/// back to single bytes in the last seven.
 pub struct BitReader<'a> {
     data: &'a [u8],
+    /// Next byte not yet counted in `n`.
     pos: usize,
+    /// Stream bits, MSB first. Below the top `n` it holds either zeros or
+    /// the stream bits that follow (a word refill loads whole bytes it
+    /// does not count yet), so OR-ing those bits in again is harmless.
     acc: u64,
-    /// Valid bits remaining in the low end of `acc` (above-`n` bits are
-    /// stale and masked off on extraction).
+    /// Valid bits at the top of `acc`.
     n: u32,
 }
 
@@ -151,47 +159,90 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    fn refill(&mut self) -> Result<(), CodecError> {
-        let &b = self.data.get(self.pos).ok_or(CodecError::Truncated)?;
-        self.pos += 1;
-        self.acc = (self.acc << 8) | b as u64;
-        self.n += 8;
-        Ok(())
+    /// Tops `n` up to 57..=64 bits, or to whatever the stream has left.
+    /// Only called with `n < 64`.
+    #[inline]
+    fn refill(&mut self) {
+        if let Some(word) = self.data[self.pos..].first_chunk::<8>() {
+            self.acc |= u64::from_be_bytes(*word) >> self.n;
+            let bytes = (64 - self.n) / 8;
+            self.pos += bytes as usize;
+            self.n += bytes * 8;
+        } else {
+            while self.n <= 56 && self.pos < self.data.len() {
+                self.acc |= u64::from(self.data[self.pos]) << (56 - self.n);
+                self.pos += 1;
+                self.n += 8;
+            }
+        }
     }
 
     /// Reads `width` (≤ [`MAX_WIDTH`]) bits MSB-first.
+    #[inline]
     pub fn read_bits(&mut self, width: u32) -> Result<u64, CodecError> {
         debug_assert!(width <= MAX_WIDTH);
         if width == 0 {
             return Ok(0);
         }
-        while self.n < width {
-            self.refill()?;
+        if self.n < width {
+            self.refill();
+            if self.n < width {
+                return Err(CodecError::Truncated);
+            }
         }
+        let v = self.acc >> (64 - width);
+        self.acc <<= width;
         self.n -= width;
-        Ok((self.acc >> self.n) & ((1u64 << width) - 1))
+        Ok(v)
     }
 
     /// Reads a unary code (count of zeros before the terminating one).
+    #[inline]
     fn read_unary(&mut self) -> Result<u64, CodecError> {
         let mut count = 0u64;
         loop {
             if self.n == 0 {
-                self.refill()?;
+                self.refill();
+                if self.n == 0 {
+                    return Err(CodecError::Truncated);
+                }
             }
-            // Left-align the n valid bits so leading_zeros counts them.
-            let window = self.acc << (64 - self.n);
-            let lz = window.leading_zeros().min(self.n);
+            let lz = self.acc.leading_zeros();
             if lz < self.n {
+                // `lz + 1` may be 64 when all 64 bits are valid.
+                self.acc = self.acc << lz << 1;
                 self.n -= lz + 1;
-                return Ok(count + lz as u64);
+                return Ok(count + u64::from(lz));
             }
-            count += self.n as u64;
+            // All valid bits are zeros; drop them (and the uncounted bits
+            // below, which the next refill loads again).
+            count += u64::from(self.n);
+            self.acc = 0;
             self.n = 0;
         }
     }
 
+    /// Tops the valid bits up to a whole refill unless [`MAX_WIDTH`] are
+    /// already there: the codes' fast paths decode from `acc` alone.
+    #[inline]
+    fn fill(&mut self) {
+        if self.n < MAX_WIDTH {
+            self.refill();
+        }
+    }
+
+    #[inline]
     pub fn read_gamma(&mut self) -> Result<u64, CodecError> {
+        self.fill();
+        let b = self.acc.leading_zeros();
+        // Fast path: unary, stop bit and mantissa are all valid bits.
+        let len = 2 * b + 1;
+        if len <= self.n {
+            let v = self.acc >> (64 - len);
+            self.acc <<= len;
+            self.n -= len;
+            return Ok(v - 1);
+        }
         let b = self.read_unary()?;
         if b > 63 {
             return Err(CodecError::Corrupt("gamma exponent out of range"));
@@ -200,6 +251,7 @@ impl<'a> BitReader<'a> {
         Ok(((1u64 << b) | mantissa) - 1)
     }
 
+    #[inline]
     pub fn read_delta(&mut self) -> Result<u64, CodecError> {
         let b = self.read_gamma()?;
         if b > 63 {
@@ -209,8 +261,29 @@ impl<'a> BitReader<'a> {
         Ok(((1u64 << b) | mantissa) - 1)
     }
 
+    #[inline]
     pub fn read_zeta(&mut self, k: u32) -> Result<u64, CodecError> {
         debug_assert!((1..=20).contains(&k));
+        self.fill();
+        let h = self.acc.leading_zeros();
+        // Fast path (k ≥ 2): unary, stop bit and the offset — at most
+        // `need` bits — are all valid bits. The shard holds
+        // base·(2^k − 1) values, so the minimal-binary code of the offset
+        // has `s = (h + 1)·k` bits and its threshold is `base` itself.
+        let need = (h + 1) * (k + 1);
+        if k >= 2 && need < 64 && need <= self.n {
+            let base = 1u64 << (h * k);
+            let s = (h + 1) * k;
+            let rest = self.acc << (h + 1);
+            // The long form takes one more bit and subtracts `base`;
+            // chosen without a branch, since it is a coin flip.
+            let long = u32::from(rest >> (64 - (s - 1)) >= base);
+            let off = (rest >> (64 - (s - 1 + long))) - (base & u64::from(long).wrapping_neg());
+            let len = h + s + long;
+            self.acc <<= len;
+            self.n -= len;
+            return Ok(base + off - 1);
+        }
         let h = self.read_unary()?;
         if h as u32 * k > 63 {
             return Err(CodecError::Corrupt("zeta shard out of range"));
@@ -392,6 +465,87 @@ mod tests {
                     break;
                 }
             }
+        }
+    }
+
+    /// The reference reader: `width` stream bits from bit `at`, MSB first;
+    /// `None` if the stream ends first.
+    fn reference(data: &[u8], at: usize, width: u32) -> Option<u64> {
+        let bit = |i: usize| u64::from(data[i / 8] >> (7 - i % 8) & 1);
+        (at + width as usize <= data.len() * 8)
+            .then(|| (at..at + width as usize).fold(0, |v, i| v << 1 | bit(i)))
+    }
+
+    #[test]
+    fn reads_of_every_width_at_every_alignment_cross_the_refill() {
+        // Three refill words; every read from 0..=80 bits in straddles the
+        // first 8-byte boundary at some width. The lead-in is read in
+        // steps of varying size so the reader arrives with every fill.
+        let data: Vec<u8> = (0..24u64).map(|i| mix(i) as u8).collect();
+        for lead in 0..=80usize {
+            for width in 1..=MAX_WIDTH {
+                let mut r = BitReader::new(&data);
+                let mut at = 0;
+                while at < lead {
+                    let step = (lead - at).min(1 + at % 13);
+                    r.read_bits(step as u32).unwrap();
+                    at += step;
+                }
+                let want = reference(&data, lead, width).unwrap();
+                assert_eq!(r.read_bits(width), Ok(want), "lead {lead} width {width}");
+                let next = reference(&data, lead + width as usize, 7).unwrap();
+                assert_eq!(r.read_bits(7), Ok(next), "after lead {lead} width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn short_streams_cut_at_every_length() {
+        // Streams of 0..=17 bytes — the byte-wise tail alone, one word,
+        // word plus tail, two words — read in widths cycling through
+        // 1..=57 from every start width: each read is the reference bits
+        // until they run out, and then exactly `Truncated`.
+        let full: Vec<u8> = (0..17u64).map(|i| mix(i ^ 0xb1) as u8).collect();
+        for len in 0..=full.len() {
+            let data = &full[..len];
+            for first in 1..=MAX_WIDTH {
+                let mut r = BitReader::new(data);
+                let (mut at, mut width) = (0usize, first);
+                while let Some(want) = reference(data, at, width) {
+                    assert_eq!(r.read_bits(width), Ok(want), "len {len} at {at} w {width}");
+                    at += width as usize;
+                    width = width % MAX_WIDTH + 1;
+                }
+                assert_eq!(r.read_bits(width), Err(CodecError::Truncated), "len {len}");
+            }
+        }
+        // The codes' fast paths too: a γ/δ/ζ₃ stream cut at every byte
+        // decodes exactly a prefix of its values, then errs.
+        let vals: Vec<u64> = (0..40u64).map(|i| mix(i) % (1 << (i % 14))).collect();
+        let mut w = BitWriter::new();
+        for (i, &v) in vals.iter().enumerate() {
+            match i % 3 {
+                0 => w.write_gamma(v),
+                1 => w.write_delta(v),
+                _ => w.write_zeta(v, 3),
+            }
+        }
+        let bytes = w.finish();
+        for cut in 0..=bytes.len() {
+            let mut r = BitReader::new(&bytes[..cut]);
+            let mut decoded = 0;
+            for (i, &v) in vals.iter().enumerate() {
+                let got = match i % 3 {
+                    0 => r.read_gamma(),
+                    1 => r.read_delta(),
+                    _ => r.read_zeta(3),
+                };
+                let Ok(got) = got else { break };
+                assert_eq!(got, v, "cut {cut} value {i}");
+                decoded += 1;
+            }
+            // The last byte holds code bits, so any cut loses a value.
+            assert_eq!(decoded == vals.len(), cut == bytes.len(), "cut {cut}");
         }
     }
 

@@ -20,9 +20,8 @@
 //! sequence, so reconstruction is byte-exact.
 
 use crate::bits::{BitReader, BitWriter};
-use crate::gaps::parse_raw_fragments;
 use crate::varint::{read_u64, write_u64};
-use crate::CodecError;
+use crate::{CodecError, FragmentColumns};
 
 /// How many previous lists inside the extent a copy-reference may reach
 /// back. Chains are bounded by the extent, so decode state is at most
@@ -283,17 +282,44 @@ fn write_plan(w: &mut BitWriter, p: &ListPlan, n: usize, anchor: Option<u32>) {
     }
 }
 
+/// The id lists before the current one, as index ranges into the one flat
+/// id column: list `t` is `ids[ends[t-1]..ends[t]]` (from 0 for `t = 0`).
+/// A copy-reference `r` names list `ends.len() - r`.
+#[derive(Copy, Clone)]
+struct Window<'a> {
+    ids: &'a [u32],
+    ends: &'a [usize],
+}
+
+impl<'a> Window<'a> {
+    const EMPTY: Window<'static> = Window {
+        ids: &[],
+        ends: &[],
+    };
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The list `back` positions before the current one (`1..=len`).
+    fn back(&self, back: usize) -> &'a [u32] {
+        let t = self.ends.len() - back;
+        let start = if t == 0 { 0 } else { self.ends[t - 1] };
+        &self.ids[start..self.ends[t]]
+    }
+}
+
 /// Encodes `cur` into `w`, choosing the cheapest reference among "no
 /// reference" and the window of previously encoded lists (most recent
 /// first candidate). Ties keep the smallest `r`, so output is
 /// deterministic. `cur` must be non-decreasing (checked by callers);
 /// `anchor` is the first id of the extent's previous non-empty list.
-fn write_list(w: &mut BitWriter, cur: &[u32], window: &[Vec<u32>], anchor: Option<u32>) {
+fn write_list(w: &mut BitWriter, cur: &[u32], window: Window<'_>, anchor: Option<u32>) {
     let mut best = plan_list(cur, None, 0);
     let mut best_cost = plan_cost(&best, cur.len(), anchor);
     let reach = window.len().min(REF_WINDOW);
     for r in 1..=reach {
-        let rl = &window[window.len() - r];
+        let rl = window.back(r);
         if rl.is_empty() {
             continue;
         }
@@ -307,50 +333,77 @@ fn write_list(w: &mut BitWriter, cur: &[u32], window: &[Vec<u32>], anchor: Optio
     write_plan(w, &best, cur.len(), anchor);
 }
 
-/// Decodes one list of `count` ids written by [`write_list`].
+/// The list decoder's per-list buffers, cleared for every list and kept
+/// across lists and extents.
+#[derive(Default)]
+pub(crate) struct ListScratch {
+    copied: Vec<u32>,
+    /// `(left, len)` runs.
+    intervals: Vec<(u32, u32)>,
+    residuals: Vec<u32>,
+}
+
+/// Past the last element of a merge input (ids are `u32`).
+const DONE: u64 = u64::MAX;
+
+fn head(v: &[u32], i: usize) -> u64 {
+    v.get(i).map_or(DONE, |&x| u64::from(x))
+}
+
+fn interval_head(v: &[(u32, u32)], i: usize) -> u64 {
+    v.get(i).map_or(DONE, |&(left, _)| u64::from(left))
+}
+
+/// Decodes one list of `count` ids written by [`write_list`] and appends it
+/// to `ids`, whose lists so far end at `prev_ends` (the reference window).
 fn read_list(
     r: &mut BitReader<'_>,
     count: usize,
-    window: &[Vec<u32>],
+    ids: &mut Vec<u32>,
+    prev_ends: &[usize],
     anchor: Option<u32>,
-) -> Result<Vec<u32>, CodecError> {
+    s: &mut ListScratch,
+) -> Result<(), CodecError> {
     if count == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
+    s.copied.clear();
+    s.intervals.clear();
+    s.residuals.clear();
     let rref = r.read_gamma()?;
-    let copied: Vec<u32> = if rref == 0 {
-        Vec::new()
-    } else {
+    if rref != 0 {
         let back = usize::try_from(rref).map_err(|_| CodecError::Corrupt("bv ref too far"))?;
-        if back > window.len() || back > REF_WINDOW {
+        if back > prev_ends.len() || back > REF_WINDOW {
             return Err(CodecError::Corrupt("bv ref outside window"));
         }
-        let rl = &window[window.len() - back];
+        let window = Window {
+            ids,
+            ends: prev_ends,
+        };
+        let rl = window.back(back);
         let nblocks = r.read_gamma()? as usize;
         if nblocks > rl.len() + 1 {
             return Err(CodecError::Corrupt("bv copy blocks exceed reference"));
         }
-        let mut out = Vec::new();
         let mut pos = 0usize;
         let mut parity = true;
         for i in 0..nblocks {
             let raw = r.read_gamma()?;
             let len = if i == 0 { raw } else { raw + 1 } as usize;
-            if pos + len > rl.len() {
+            if len > rl.len() - pos {
                 return Err(CodecError::Corrupt("bv copy block overruns reference"));
             }
             if parity {
-                out.extend_from_slice(&rl[pos..pos + len]);
+                s.copied.extend_from_slice(&rl[pos..pos + len]);
             }
             pos += len;
             parity = !parity;
         }
         if parity {
-            out.extend_from_slice(&rl[pos..]);
+            s.copied.extend_from_slice(&rl[pos..]);
         }
-        out
-    };
-    if copied.len() > count {
+    }
+    if s.copied.len() > count {
         return Err(CodecError::Corrupt("bv copied more than list length"));
     }
     let nintervals = if count >= MIN_INTERVAL as usize {
@@ -363,74 +416,85 @@ fn read_list(
     if nintervals > count {
         return Err(CodecError::Corrupt("bv interval count exceeds list"));
     }
-    let mut intervals = Vec::with_capacity(nintervals);
     let mut extra_total = 0usize;
     let mut prev_left = 0u64;
     for i in 0..nintervals {
         let left = if i == 0 {
-            u64::from(read_first(r, anchor)?)
+            Some(u64::from(read_first(r, anchor)?))
         } else {
-            prev_left + 1 + r.read_delta()?
+            r.read_delta()?.checked_add(prev_left + 1)
         };
-        let len = r.read_gamma()? + u64::from(MIN_INTERVAL);
-        let left32 =
-            u32::try_from(left).map_err(|_| CodecError::Corrupt("bv interval left overflow"))?;
-        let len32 =
-            u32::try_from(len).map_err(|_| CodecError::Corrupt("bv interval len overflow"))?;
+        let len = r.read_gamma()?.checked_add(u64::from(MIN_INTERVAL));
+        let left32 = left
+            .and_then(|l| u32::try_from(l).ok())
+            .ok_or(CodecError::Corrupt("bv interval left overflow"))?;
+        let len32 = len
+            .and_then(|l| u32::try_from(l).ok())
+            .ok_or(CodecError::Corrupt("bv interval len overflow"))?;
         if u64::from(left32) + u64::from(len32) > u64::from(u32::MAX) + 1 {
             return Err(CodecError::Corrupt("bv interval end overflow"));
         }
-        extra_total += len32 as usize;
-        intervals.push((left32, len32));
-        prev_left = left;
+        extra_total = extra_total.saturating_add(len32 as usize);
+        s.intervals.push((left32, len32));
+        prev_left = u64::from(left32);
     }
     let nresiduals = count
-        .checked_sub(copied.len())
+        .checked_sub(s.copied.len())
         .and_then(|x| x.checked_sub(extra_total))
         .ok_or(CodecError::Corrupt("bv list pieces exceed count"))?;
-    let mut residuals = Vec::with_capacity(nresiduals.min(1 << 20));
     if nresiduals > 0 {
         let mut prev = read_first(r, anchor)?;
-        residuals.push(prev);
+        s.residuals.push(prev);
         for _ in 1..nresiduals {
             let gap = r.read_zeta(ZETA_K)?;
-            let v = u64::from(prev) + gap;
-            let v32 = u32::try_from(v).map_err(|_| CodecError::Corrupt("bv residual overflow"))?;
-            residuals.push(v32);
-            prev = v32;
+            prev = gap
+                .checked_add(u64::from(prev))
+                .and_then(|v| u32::try_from(v).ok())
+                .ok_or(CodecError::Corrupt("bv residual overflow"))?;
+            s.residuals.push(prev);
         }
     }
-    // Three-way merge of the sorted pieces back into the sorted list.
-    let mut out = Vec::with_capacity(count);
-    let mut ci = 0usize;
-    let mut ri = 0usize;
-    let mut ii = 0usize; // interval index
-    let mut ioff = 0u32; // offset within current interval
+    let start = ids.len();
+    if s.copied.is_empty() && s.intervals.is_empty() {
+        // Residuals only (most lists): they are the list.
+        ids.extend_from_slice(&s.residuals);
+        return Ok(());
+    }
+    // Three-way merge of the sorted pieces back into the sorted list; an
+    // exhausted piece reads as `DONE`, above every id.
+    let (mut ci, mut ri, mut ii, mut ioff) = (0usize, 0usize, 0usize, 0u32);
+    let (mut cv, mut rv, mut iv) = (
+        head(&s.copied, 0),
+        head(&s.residuals, 0),
+        interval_head(&s.intervals, 0),
+    );
     loop {
-        let cv = copied.get(ci).copied();
-        let rv = residuals.get(ri).copied();
-        let iv = intervals.get(ii).map(|&(l, _)| l + ioff);
-        let min = [cv, rv, iv].into_iter().flatten().min();
-        let Some(m) = min else { break };
-        if cv == Some(m) {
-            out.push(m);
+        let m = cv.min(rv).min(iv);
+        if m == DONE {
+            break;
+        }
+        ids.push(m as u32);
+        if cv == m {
             ci += 1;
-        } else if iv == Some(m) {
-            out.push(m);
+            cv = head(&s.copied, ci);
+        } else if iv == m {
             ioff += 1;
-            if ioff == intervals[ii].1 {
+            if ioff == s.intervals[ii].1 {
                 ii += 1;
                 ioff = 0;
+                iv = interval_head(&s.intervals, ii);
+            } else {
+                iv += 1;
             }
         } else {
-            out.push(m);
             ri += 1;
+            rv = head(&s.residuals, ri);
         }
     }
-    if out.len() != count {
+    if ids.len() - start != count {
         return Err(CodecError::Corrupt("bv list length mismatch"));
     }
-    Ok(out)
+    Ok(())
 }
 
 // -------------------------------------------------------- weight column
@@ -456,16 +520,25 @@ fn write_weights(w: &mut BitWriter, vals: &[u32]) {
     }
 }
 
-fn read_weights(r: &mut BitReader<'_>, count: usize) -> Result<Vec<u32>, CodecError> {
+/// Reads a [`write_weights`] column of `count` values, appending them to
+/// `vals`.
+fn read_weights(
+    r: &mut BitReader<'_>,
+    count: usize,
+    vals: &mut Vec<u32>,
+) -> Result<(), CodecError> {
     if count == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let min = r.read_bits(32)? as u32;
     let width = r.read_bits(6)? as u32;
     if width > 32 {
         return Err(CodecError::Corrupt("bv weight width > 32"));
     }
-    let mut vals = Vec::with_capacity(count);
+    if width == 0 {
+        vals.resize(vals.len() + count, min);
+        return Ok(());
+    }
     for _ in 0..count {
         let delta = r.read_bits(width)? as u32;
         let v = min
@@ -473,7 +546,7 @@ fn read_weights(r: &mut BitReader<'_>, count: usize) -> Result<Vec<u32>, CodecEr
             .ok_or(CodecError::Corrupt("bv weight overflows u32"))?;
         vals.push(v);
     }
-    Ok(vals)
+    Ok(())
 }
 
 // ------------------------------------------------------- fragment bodies
@@ -494,12 +567,13 @@ fn require_sorted(ids: &[u32]) -> Result<(), CodecError> {
 /// share one destination block), and the packed weight column over all
 /// edges.
 pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let f = parse_raw_fragments(raw)?;
+    let mut f = FragmentColumns::default();
+    f.parse_raw(raw)?;
     if f.svertices.windows(2).any(|p| p[0] >= p[1]) {
         return Err(CodecError::Corrupt("bv requires ascending svertices"));
     }
     let mut out = Vec::with_capacity(raw.len() / 4 + 16);
-    write_u64(&mut out, f.svertices.len() as u64);
+    write_u64(&mut out, f.len() as u64);
     let mut w = BitWriter::new();
     let mut prev = 0u64;
     for (i, &sv) in f.svertices.iter().enumerate() {
@@ -510,45 +584,47 @@ pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
         }
         prev = u64::from(sv);
     }
-    for &c in &f.counts {
-        w.write_gamma(u64::from(c));
+    for k in 0..f.len() {
+        w.write_gamma(f.span(k).len() as u64);
     }
-    let mut window: Vec<Vec<u32>> = Vec::with_capacity(f.counts.len());
     let mut anchor: Option<u32> = None;
-    let mut base = 0usize;
-    for &c in &f.counts {
-        let cur = &f.ids[base..base + c as usize];
+    for k in 0..f.len() {
+        let cur = &f.ids[f.span(k)];
         require_sorted(cur)?;
-        write_list(&mut w, cur, &window, anchor);
+        let window = Window {
+            ids: &f.ids,
+            ends: &f.ends[..k],
+        };
+        write_list(&mut w, cur, window, anchor);
         if let Some(&first) = cur.first() {
             anchor = Some(first);
         }
-        window.push(cur.to_vec());
-        base += c as usize;
     }
     write_weights(&mut w, &f.weights);
     out.extend(w.finish());
     Ok(out)
 }
 
-/// Inverse of [`fragments_from_raw`].
-pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// Decodes a [`fragments_from_raw`] body into `cols` (overwritten): the
+/// tier's one fragment decoder.
+pub(crate) fn decode_fragments(coded: &[u8], cols: &mut FragmentColumns) -> Result<(), CodecError> {
+    cols.clear();
     let mut pos = 0usize;
     let nfrags = read_u64(coded, &mut pos)? as usize;
     let mut r = BitReader::new(&coded[pos..]);
-    let mut svertices = Vec::with_capacity(nfrags.min(1 << 20));
     let mut prev = 0u64;
     for i in 0..nfrags {
         let sv = if i == 0 {
-            r.read_delta()?
+            Some(r.read_delta()?)
         } else {
-            prev + 1 + r.read_delta()?
+            r.read_delta()?.checked_add(prev + 1)
         };
-        u32::try_from(sv).map_err(|_| CodecError::Corrupt("bv svertex overflow"))?;
-        svertices.push(sv as u32);
-        prev = sv;
+        let sv = sv
+            .and_then(|sv| u32::try_from(sv).ok())
+            .ok_or(CodecError::Corrupt("bv svertex overflow"))?;
+        cols.svertices.push(sv);
+        prev = u64::from(sv);
     }
-    let mut counts = Vec::with_capacity(nfrags.min(1 << 20));
     let mut total_edges = 0usize;
     for _ in 0..nfrags {
         let c =
@@ -556,31 +632,31 @@ pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
         total_edges = total_edges
             .checked_add(c as usize)
             .ok_or(CodecError::Corrupt("bv edge total overflows"))?;
-        counts.push(c);
+        cols.ends.push(total_edges);
     }
-    let mut window: Vec<Vec<u32>> = Vec::with_capacity(nfrags.min(1 << 20));
     let mut anchor: Option<u32> = None;
-    for &c in &counts {
-        let list = read_list(&mut r, c as usize, &window, anchor)?;
-        if let Some(&first) = list.first() {
-            anchor = Some(first);
+    for k in 0..nfrags {
+        let (start, count) = (cols.ids.len(), cols.span(k).len());
+        read_list(
+            &mut r,
+            count,
+            &mut cols.ids,
+            &cols.ends[..k],
+            anchor,
+            &mut cols.lists,
+        )?;
+        if count > 0 {
+            anchor = Some(cols.ids[start]);
         }
-        window.push(list);
     }
-    let weights = read_weights(&mut r, total_edges)?;
-    let mut raw = Vec::with_capacity(nfrags * 8 + total_edges * 8);
-    let mut base = 0usize;
-    for i in 0..nfrags {
-        raw.extend_from_slice(&svertices[i].to_le_bytes());
-        raw.extend_from_slice(&counts[i].to_le_bytes());
-        let ids = &window[i];
-        for e in 0..counts[i] as usize {
-            raw.extend_from_slice(&ids[e].to_le_bytes());
-            raw.extend_from_slice(&weights[base + e].to_le_bytes());
-        }
-        base += counts[i] as usize;
-    }
-    Ok(raw)
+    read_weights(&mut r, total_edges, &mut cols.weights)
+}
+
+/// Inverse of [`fragments_from_raw`].
+pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut cols = FragmentColumns::default();
+    decode_fragments(coded, &mut cols)?;
+    Ok(cols.to_raw())
 }
 
 /// BV-codes a bare edge list (`id u32 | w f32` pairs): `count` varint,
@@ -601,7 +677,7 @@ pub fn edges_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(raw.len() / 4 + 8);
     write_u64(&mut out, count as u64);
     let mut w = BitWriter::new();
-    write_list(&mut w, &ids, &[], None);
+    write_list(&mut w, &ids, Window::EMPTY, None);
     write_weights(&mut w, &weights);
     out.extend(w.finish());
     Ok(out)
@@ -612,8 +688,16 @@ pub fn raw_from_edges(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut pos = 0usize;
     let count = read_u64(coded, &mut pos)? as usize;
     let mut r = BitReader::new(&coded[pos..]);
-    let ids = read_list(&mut r, count, &[], None)?;
-    let weights = read_weights(&mut r, count)?;
+    let (mut ids, mut weights) = (Vec::new(), Vec::new());
+    read_list(
+        &mut r,
+        count,
+        &mut ids,
+        &[],
+        None,
+        &mut ListScratch::default(),
+    )?;
+    read_weights(&mut r, count, &mut weights)?;
     let mut raw = Vec::with_capacity(count * 8);
     for i in 0..count {
         raw.extend_from_slice(&ids[i].to_le_bytes());

@@ -13,7 +13,7 @@
 //! width-0 column — one varint plus one byte regardless of edge count.
 
 use crate::varint::{read_u64, unzigzag, write_u64, zigzag};
-use crate::CodecError;
+use crate::{CodecError, FragmentColumns};
 
 /// Appends zig-zag delta coding of `ids` (count is *not* written).
 fn write_deltas(out: &mut Vec<u8>, ids: &[u32]) {
@@ -24,18 +24,23 @@ fn write_deltas(out: &mut Vec<u8>, ids: &[u32]) {
     }
 }
 
-/// Reads `count` zig-zag delta coded ids.
-fn read_deltas(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, CodecError> {
-    let mut ids = Vec::with_capacity(count);
+/// Reads `count` zig-zag delta coded ids, appending them to `ids`.
+fn read_deltas(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    ids: &mut Vec<u32>,
+) -> Result<(), CodecError> {
     let mut prev = 0i64;
     for _ in 0..count {
-        let v = prev + unzigzag(read_u64(buf, pos)?);
-        let id =
-            u32::try_from(v).map_err(|_| CodecError::Corrupt("delta-coded id out of range"))?;
+        let id = prev
+            .checked_add(unzigzag(read_u64(buf, pos)?))
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or(CodecError::Corrupt("delta-coded id out of range"))?;
         ids.push(id);
-        prev = v;
+        prev = i64::from(id);
     }
-    Ok(ids)
+    Ok(())
 }
 
 /// Appends a bit-packed column: `min` varint, `width` byte, then
@@ -73,10 +78,15 @@ fn write_packed(out: &mut Vec<u8>, vals: &[u32]) {
     }
 }
 
-/// Reads a bit-packed column of `count` values.
-fn read_packed(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, CodecError> {
+/// Reads a bit-packed column of `count` values, appending them to `vals`.
+fn read_packed(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    vals: &mut Vec<u32>,
+) -> Result<(), CodecError> {
     if count == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let min = u32::try_from(read_u64(buf, pos)?)
         .map_err(|_| CodecError::Corrupt("packed column min out of range"))?;
@@ -86,9 +96,9 @@ fn read_packed(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, Co
         return Err(CodecError::Corrupt("packed column width > 32"));
     }
     if width == 0 {
-        return Ok(vec![min; count]);
+        vals.resize(vals.len() + count, min);
+        return Ok(());
     }
-    let mut vals = Vec::with_capacity(count);
     let mut acc = 0u64;
     let mut nbits = 0u32;
     let mask = if width == 32 {
@@ -111,111 +121,57 @@ fn read_packed(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, Co
             .ok_or(CodecError::Corrupt("packed column value overflows u32"))?;
         vals.push(v);
     }
-    Ok(vals)
+    Ok(())
 }
 
-// ------------------------------------------------------- fragment streams
-//
-// The raw layouts below are the storage crate's on-disk formats; they are
-// mirrored here so the codec can translate between raw bytes and gap
-// coding without depending on storage types.
-//
-// * Fragment stream (VE-BLOCK eblocks, gather fragments):
-//   repeated `svertex u32 LE | count u32 LE | count × (id u32 LE, w f32 LE)`.
-// * Edge list (AdjacencyStore runs): repeated `id u32 LE | w f32 LE`.
-
-pub(crate) struct Frags {
-    pub(crate) svertices: Vec<u32>,
-    pub(crate) counts: Vec<u32>,
-    pub(crate) ids: Vec<u32>,
-    pub(crate) weights: Vec<u32>,
-}
-
-pub(crate) fn parse_raw_fragments(raw: &[u8]) -> Result<Frags, CodecError> {
-    let mut f = Frags {
-        svertices: Vec::new(),
-        counts: Vec::new(),
-        ids: Vec::new(),
-        weights: Vec::new(),
-    };
-    let mut pos = 0usize;
-    while pos < raw.len() {
-        if raw.len() - pos < 8 {
-            return Err(CodecError::Corrupt("fragment header truncated"));
-        }
-        let sv = u32::from_le_bytes(raw[pos..pos + 4].try_into().expect("width"));
-        let count = u32::from_le_bytes(raw[pos + 4..pos + 8].try_into().expect("width"));
-        pos += 8;
-        let need = (count as usize)
-            .checked_mul(8)
-            .ok_or(CodecError::Corrupt("fragment edge count overflows"))?;
-        if raw.len() - pos < need {
-            return Err(CodecError::Corrupt("fragment edges truncated"));
-        }
-        f.svertices.push(sv);
-        f.counts.push(count);
-        for e in raw[pos..pos + need].chunks_exact(8) {
-            f.ids
-                .push(u32::from_le_bytes(e[..4].try_into().expect("width")));
-            f.weights
-                .push(u32::from_le_bytes(e[4..].try_into().expect("width")));
-        }
-        pos += need;
-    }
-    Ok(f)
-}
+// The fragment stream is parsed into and serialised from
+// [`FragmentColumns`]; the edge list (AdjacencyStore runs) is repeated
+// `id u32 LE | w f32 LE`.
 
 /// Gap-codes a raw fragment stream. Layout: `nfrags varint`, zig-zag
 /// delta-coded svertex ids, per-fragment edge counts, per-fragment
 /// delta-coded neighbour ids, then one bit-packed weight column over all
 /// edges.
 pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let f = parse_raw_fragments(raw)?;
+    let mut f = FragmentColumns::default();
+    f.parse_raw(raw)?;
     let mut out = Vec::with_capacity(raw.len() / 4 + 16);
-    write_u64(&mut out, f.svertices.len() as u64);
+    write_u64(&mut out, f.len() as u64);
     write_deltas(&mut out, &f.svertices);
-    for &c in &f.counts {
-        write_u64(&mut out, u64::from(c));
+    for k in 0..f.len() {
+        write_u64(&mut out, f.span(k).len() as u64);
     }
-    let mut base = 0usize;
-    for &c in &f.counts {
-        write_deltas(&mut out, &f.ids[base..base + c as usize]);
-        base += c as usize;
+    for k in 0..f.len() {
+        write_deltas(&mut out, &f.ids[f.span(k)]);
     }
     write_packed(&mut out, &f.weights);
     Ok(out)
 }
 
-/// Inverse of [`fragments_from_raw`]: rebuilds the raw fragment stream.
-pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// Decodes a [`fragments_from_raw`] body into `cols` (overwritten).
+pub(crate) fn decode_fragments(coded: &[u8], cols: &mut FragmentColumns) -> Result<(), CodecError> {
+    cols.clear();
     let mut pos = 0usize;
     let nfrags = read_u64(coded, &mut pos)? as usize;
-    let svertices = read_deltas(coded, &mut pos, nfrags)?;
-    let mut counts = Vec::with_capacity(nfrags);
+    read_deltas(coded, &mut pos, nfrags, &mut cols.svertices)?;
     let mut total_edges = 0usize;
     for _ in 0..nfrags {
         let c = u32::try_from(read_u64(coded, &mut pos)?)
             .map_err(|_| CodecError::Corrupt("fragment count out of range"))?;
         total_edges += c as usize;
-        counts.push(c);
+        cols.ends.push(total_edges);
     }
-    let mut ids = Vec::with_capacity(total_edges);
-    for &c in &counts {
-        ids.extend(read_deltas(coded, &mut pos, c as usize)?);
+    for k in 0..nfrags {
+        read_deltas(coded, &mut pos, cols.span(k).len(), &mut cols.ids)?;
     }
-    let weights = read_packed(coded, &mut pos, total_edges)?;
-    let mut raw = Vec::with_capacity(nfrags * 8 + total_edges * 8);
-    let mut base = 0usize;
-    for i in 0..nfrags {
-        raw.extend_from_slice(&svertices[i].to_le_bytes());
-        raw.extend_from_slice(&counts[i].to_le_bytes());
-        for e in 0..counts[i] as usize {
-            raw.extend_from_slice(&ids[base + e].to_le_bytes());
-            raw.extend_from_slice(&weights[base + e].to_le_bytes());
-        }
-        base += counts[i] as usize;
-    }
-    Ok(raw)
+    read_packed(coded, &mut pos, total_edges, &mut cols.weights)
+}
+
+/// Inverse of [`fragments_from_raw`]: rebuilds the raw fragment stream.
+pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut cols = FragmentColumns::default();
+    decode_fragments(coded, &mut cols)?;
+    Ok(cols.to_raw())
 }
 
 /// Gap-codes a bare edge list (`id u32 LE | w f32 LE` pairs): `count`
@@ -242,8 +198,9 @@ pub fn edges_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
 pub fn raw_from_edges(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut pos = 0usize;
     let count = read_u64(coded, &mut pos)? as usize;
-    let ids = read_deltas(coded, &mut pos, count)?;
-    let weights = read_packed(coded, &mut pos, count)?;
+    let (mut ids, mut weights) = (Vec::new(), Vec::new());
+    read_deltas(coded, &mut pos, count, &mut ids)?;
+    read_packed(coded, &mut pos, count, &mut weights)?;
     let mut raw = Vec::with_capacity(count * 8);
     for i in 0..count {
         raw.extend_from_slice(&ids[i].to_le_bytes());
@@ -303,6 +260,19 @@ mod tests {
     }
 
     #[test]
+    fn id_delta_overflow_is_corrupt_not_a_panic() {
+        // Id 5, then a delta of i64::MAX: the sum leaves i64.
+        let mut coded = Vec::new();
+        for v in [2, zigzag(5), zigzag(i64::MAX)] {
+            write_u64(&mut coded, v);
+        }
+        assert_eq!(
+            raw_from_edges(&coded),
+            Err(CodecError::Corrupt("delta-coded id out of range"))
+        );
+    }
+
+    #[test]
     fn empty_fragment_stream_roundtrips() {
         let coded = fragments_from_raw(&[]).unwrap();
         assert_eq!(raw_from_fragments(&coded).unwrap(), Vec::<u8>::new());
@@ -348,8 +318,9 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             write_packed(&mut buf, &vals);
-            let mut pos = 0;
-            assert_eq!(read_packed(&buf, &mut pos, vals.len()).unwrap(), vals);
+            let (mut pos, mut back) = (0, Vec::new());
+            read_packed(&buf, &mut pos, vals.len(), &mut back).unwrap();
+            assert_eq!(back, vals);
             assert_eq!(pos, buf.len());
         }
     }

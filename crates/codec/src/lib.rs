@@ -131,12 +131,7 @@ impl fmt::Display for CodecChoice {
 /// The body of a raw (stored, not coded) extent or frame: exactly
 /// `logical_len` bytes, or the length it carries is wrong.
 fn raw_body(body: &[u8], logical_len: usize) -> Result<Vec<u8>, CodecError> {
-    if body.len() != logical_len {
-        return Err(CodecError::LengthMismatch {
-            expected: logical_len,
-            got: body.len(),
-        });
-    }
+    check_len(logical_len, body.len())?;
     Ok(body.to_vec())
 }
 
@@ -160,6 +155,98 @@ pub enum ExtentKind {
     Fragments,
     /// Bare `(id, weight)` pair list (AdjacencyStore runs).
     Edges,
+}
+
+/// A fragment stream — `svertex u32 LE | count u32 LE | count × (id u32 LE,
+/// w f32 LE)` repeated, what VE-BLOCK Eblocks and gather fragments hold —
+/// as columns: fragment `k` is vertex `svertices[k]` with the ids and
+/// weight bits at `span(k)`. Decoders overwrite a caller-owned value, so a
+/// scan that decodes extent after extent reuses one set of allocations.
+#[derive(Default)]
+pub struct FragmentColumns {
+    pub svertices: Vec<u32>,
+    /// End of each fragment's run in `ids` / `weights`.
+    pub ends: Vec<usize>,
+    pub ids: Vec<u32>,
+    /// `f32` bit patterns.
+    pub weights: Vec<u32>,
+    /// The BV list decoder's per-list buffers.
+    lists: bv::ListScratch,
+}
+
+impl FragmentColumns {
+    /// Drops every fragment, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.svertices.clear();
+        self.ends.clear();
+        self.ids.clear();
+        self.weights.clear();
+    }
+
+    /// Number of fragments.
+    pub fn len(&self) -> usize {
+        self.svertices.len()
+    }
+
+    /// True if there are no fragments.
+    pub fn is_empty(&self) -> bool {
+        self.svertices.is_empty()
+    }
+
+    /// Fragment `k`'s run in `ids` / `weights`.
+    pub fn span(&self, k: usize) -> std::ops::Range<usize> {
+        (if k == 0 { 0 } else { self.ends[k - 1] })..self.ends[k]
+    }
+
+    /// Length of the raw stream these columns stand for.
+    fn raw_len(&self) -> usize {
+        8 * (self.svertices.len() + self.ids.len())
+    }
+
+    /// Parses a raw fragment stream into the columns (overwritten): the
+    /// one raw-stream parser of this crate. Every header is checked
+    /// against the bytes that remain.
+    pub fn parse_raw(&mut self, raw: &[u8]) -> Result<(), CodecError> {
+        self.clear();
+        let mut rest = raw;
+        while let Some((head, body)) = rest.split_first_chunk::<8>() {
+            let sv = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+            let count = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+            let need = (count as usize)
+                .checked_mul(8)
+                .ok_or(CodecError::Corrupt("fragment edge count overflows"))?;
+            let (edges, tail) = body
+                .split_at_checked(need)
+                .ok_or(CodecError::Corrupt("fragment edges truncated"))?;
+            self.svertices.push(sv);
+            for e in edges.chunks_exact(8) {
+                self.ids.push(u32::from_le_bytes([e[0], e[1], e[2], e[3]]));
+                self.weights
+                    .push(u32::from_le_bytes([e[4], e[5], e[6], e[7]]));
+            }
+            self.ends.push(self.ids.len());
+            rest = tail;
+        }
+        if !rest.is_empty() {
+            return Err(CodecError::Corrupt("fragment header truncated"));
+        }
+        Ok(())
+    }
+
+    /// Serialises the columns back into the raw stream.
+    fn to_raw(&self) -> Vec<u8> {
+        let mut raw = Vec::with_capacity(self.raw_len());
+        for (k, &sv) in self.svertices.iter().enumerate() {
+            let span = self.span(k);
+            raw.extend_from_slice(&sv.to_le_bytes());
+            raw.extend_from_slice(&(span.len() as u32).to_le_bytes());
+            for (id, w) in self.ids[span.clone()].iter().zip(&self.weights[span]) {
+                raw.extend_from_slice(&id.to_le_bytes());
+                raw.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        raw
+    }
 }
 
 /// Encodes one adjacency-structured extent under `choice`, returning the
@@ -210,13 +297,36 @@ pub fn decode_extent(
         },
         _ => return Err(CodecError::Corrupt("unknown extent tag")),
     };
-    if raw.len() != logical_len {
-        return Err(CodecError::LengthMismatch {
-            expected: logical_len,
-            got: raw.len(),
-        });
-    }
+    check_len(logical_len, raw.len())?;
     Ok(raw)
+}
+
+/// Decodes an [`ExtentKind::Fragments`] extent produced by
+/// [`encode_extent`] into `cols` (overwritten) — the fragments
+/// [`decode_extent`] would serialise, without the raw bytes in between.
+pub fn decode_fragments(
+    coded: &[u8],
+    logical_len: usize,
+    cols: &mut FragmentColumns,
+) -> Result<(), CodecError> {
+    let (&tag, body) = coded.split_first().ok_or(CodecError::Truncated)?;
+    match tag {
+        TAG_RAW => {
+            check_len(logical_len, body.len())?;
+            cols.parse_raw(body)?;
+        }
+        TAG_GAPS => gaps::decode_fragments(body, cols)?,
+        TAG_BV => bv::decode_fragments(body, cols)?,
+        _ => return Err(CodecError::Corrupt("unknown extent tag")),
+    }
+    check_len(logical_len, cols.raw_len())
+}
+
+fn check_len(expected: usize, got: usize) -> Result<(), CodecError> {
+    if got != expected {
+        return Err(CodecError::LengthMismatch { expected, got });
+    }
+    Ok(())
 }
 
 /// Encodes a self-describing blob frame:
@@ -308,6 +418,65 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn raw_frags(frags: &[(u32, &[(u32, f32)])]) -> Vec<u8> {
+        let mut raw = Vec::new();
+        for &(sv, edges) in frags {
+            raw.extend_from_slice(&sv.to_le_bytes());
+            raw.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+            for (d, w) in edges {
+                raw.extend_from_slice(&d.to_le_bytes());
+                raw.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        raw
+    }
+
+    #[test]
+    fn fragment_columns_are_what_decode_extent_serialises() {
+        let long: Vec<(u32, f32)> = (0..300).map(|i| (7 + 3 * i, 1.0)).collect();
+        let streams = [
+            Vec::new(),
+            raw_frags(&[(5, &[])]),
+            // Duplicate ids with different weights, NaN and -0.0 weights.
+            raw_frags(&[
+                (2, &[(9, 1.0), (9, 2.5), (11, f32::NAN)]),
+                (4, &[(0, -0.0)]),
+            ]),
+            raw_frags(&[(1, &long), (3, &long[..200]), (8, &long[50..])]),
+            // A non-monotone list: gap-coded, but raw-tagged under bv.
+            raw_frags(&[(6, &[(40, 1.0), (3, 1.0)])]),
+        ];
+        // One set of columns for every decode: nothing may leak across.
+        let mut cols = FragmentColumns::default();
+        for raw in &streams {
+            for choice in [CodecChoice::Gaps, CodecChoice::Bv] {
+                let coded = encode_extent(choice, ExtentKind::Fragments, raw);
+                decode_fragments(&coded, raw.len(), &mut cols).unwrap();
+                assert_eq!(&cols.to_raw(), raw, "{choice:?} tag {}", coded[0]);
+                let bad_len = decode_fragments(&coded, raw.len() + 8, &mut cols);
+                assert!(
+                    matches!(bad_len, Err(CodecError::LengthMismatch { .. })),
+                    "{bad_len:?}"
+                );
+            }
+            let mut tagged = vec![TAG_RAW];
+            tagged.extend_from_slice(raw);
+            decode_fragments(&tagged, raw.len(), &mut cols).unwrap();
+            assert_eq!(&cols.to_raw(), raw);
+        }
+        let non_monotone = &streams[4];
+        let coded = encode_extent(CodecChoice::Bv, ExtentKind::Fragments, non_monotone);
+        assert_eq!(coded[0], TAG_RAW);
+        // A header that overruns the raw bytes, and a block-codec tag.
+        let mut torn = vec![TAG_RAW];
+        torn.extend_from_slice(&non_monotone[..non_monotone.len() - 4]);
+        assert!(decode_fragments(&torn, torn.len() - 1, &mut cols).is_err());
+        assert_eq!(
+            decode_fragments(&[TAG_BLOCK, 0], 1, &mut cols),
+            Err(CodecError::Corrupt("unknown extent tag"))
+        );
     }
 
     #[test]

@@ -31,6 +31,7 @@ use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::BatchKind;
 use hybridgraph_storage::adjacency::EdgeScratch;
 use hybridgraph_storage::inbox::Inbox;
+use hybridgraph_storage::veblock::EblockScratch;
 use hybridgraph_storage::{AccessClass, Record};
 use std::collections::VecDeque;
 use std::io;
@@ -91,6 +92,7 @@ pub fn run_bpull_step<P: VertexProgram>(
         1
     };
     let mut inflight: Vec<Inflight> = Vec::new();
+    let mut resp = std::mem::take(&mut w.responder);
     let mut push = also_push.then(|| FusedPush {
         tbuf: ThresholdBuffer::new(workers, w.cfg.sending_threshold),
         edges: EdgeScratch::default(),
@@ -135,7 +137,7 @@ pub fn run_bpull_step<P: VertexProgram>(
         }
         let env = w.recv_timed(&mut blocking);
         match env.packet {
-            Packet::PullRequest { block } => serve_pull(w, env.from, block, &mut rep)?,
+            Packet::PullRequest { block } => serve_pull(w, env.from, block, &mut resp, &mut rep)?,
             Packet::Messages {
                 kind,
                 payload,
@@ -190,6 +192,7 @@ pub fn run_bpull_step<P: VertexProgram>(
         sink_payloads(w, &push_inbound, false, &mut rep)?;
     }
 
+    w.responder = resp;
     w.trace_phase("Pull-Respond+update");
     w.flush_staged()?;
     w.trace_phase("flush");
@@ -199,11 +202,29 @@ pub fn run_bpull_step<P: VertexProgram>(
     Ok(rep)
 }
 
+/// What Pull-Respond reuses from request to request (and the worker from
+/// superstep to superstep): the buffers each Eblock is decoded into and
+/// the messages of the response being built.
+pub(crate) struct Responder<M> {
+    scan: EblockScratch,
+    out: Vec<(VertexId, M)>,
+}
+
+impl<M> Default for Responder<M> {
+    fn default() -> Self {
+        Responder {
+            scan: EblockScratch::default(),
+            out: Vec::new(),
+        }
+    }
+}
+
 /// Pull-Respond (Algorithm 2): answers a request for Vblock `block`.
 fn serve_pull<P: VertexProgram>(
     w: &Worker<P>,
     from: WorkerId,
     block: BlockId,
+    resp: &mut Responder<P::Message>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let ve = w
@@ -211,36 +232,37 @@ fn serve_pull<P: VertexProgram>(
         .as_ref()
         .expect("b-pull requires the VE-BLOCK store");
     let program = Arc::clone(&w.program);
-    let mut out: Vec<(VertexId, P::Message)> = Vec::new();
+    resp.out.clear();
     for (jidx, j) in w.layout.blocks_of_worker(w.id).enumerate() {
         // X_j.res and bitmap short-circuit: skip blocks with no responders
         // or no edges into the requested block.
         if !w.block_res[jidx] || !ve.meta(j).has_edges_to(block) {
             continue;
         }
-        let frags = ve.scan_eblock(j, block)?;
+        ve.scan_eblock_into(j, block, &mut resp.scan)?;
+        let frags = resp.scan.fragments();
         // Physical stored bytes (== logical without a codec), split
         // proportionally into edge and fragment-auxiliary shares.
         let (stored_edge, stored_aux) = ve.eblock_info(j, block).stored_split(frags.len());
         rep.sem.bpull_edge_bytes += stored_edge;
         rep.sem.fragment_aux_bytes += stored_aux;
-        for frag in frags {
-            let local = w.local(frag.src);
+        for (src, edges) in frags {
+            let local = w.local(src);
             if !w.respond.get(local) {
                 continue;
             }
-            let val = w.values.read_one(frag.src)?;
+            let val = w.values.read_one(src)?;
             rep.sem.svertex_rand_bytes += P::Value::BYTES as u64;
             let outd = w.out_degrees[local];
-            for e in &frag.edges {
-                if let Some(m) = program.message(frag.src, &val, outd, e) {
+            for e in edges {
+                if let Some(m) = program.message(src, &val, outd, e) {
                     rep.messages_produced += 1;
-                    out.push((e.dst, m));
+                    resp.out.push((e.dst, m));
                 }
             }
         }
     }
-    send_batch(w, from, w.batch_kind(), Some(block), &out);
+    send_batch(w, from, w.batch_kind(), Some(block), &resp.out);
     w.ep.send(from, Packet::EndOfResponses { block });
     Ok(())
 }

@@ -21,6 +21,7 @@ use crate::worker::{OutEdges, Worker};
 use hybridgraph_graph::{Edge, VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
+use hybridgraph_storage::gather::InEdgeScratch;
 use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::stats::{scattered_cost, seek_pad};
 use hybridgraph_storage::{AccessClass, Record};
@@ -108,6 +109,7 @@ pub fn run_pull_step<P: VertexProgram>(
     // arrive, serve once every peer is done requesting, update when both
     // directions have quiesced.
     let mut requests: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
+    let mut in_edges = InEdgeScratch::default();
     let mut staged: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
     let mut tbuf: ThresholdBuffer<P::Message> =
         ThresholdBuffer::new(workers, w.cfg.sending_threshold);
@@ -124,7 +126,7 @@ pub fn run_pull_step<P: VertexProgram>(
                 for ids in payloads {
                     for chunk in ids.chunks_exact(4) {
                         let v = VertexId(u32::from_le_bytes(chunk.try_into().unwrap()));
-                        serve_gather(w, v, from, &mut tbuf, &mut rep)?;
+                        serve_gather(w, v, from, &mut tbuf, &mut in_edges, &mut rep)?;
                     }
                 }
                 send_batch(w, from, w.batch_kind(), None, &tbuf.flush(from));
@@ -251,20 +253,22 @@ fn write_back<P: VertexProgram>(w: &Worker<P>, v: VertexId, value: &P::Value) ->
     Ok(())
 }
 
-/// Serves one gather request: read `v`'s local in-edge fragment, then each
-/// responding source's value, generating messages.
+/// Serves one gather request: read `v`'s local in-edge fragment (into
+/// `scratch`, reused request after request), then each responding source's
+/// value, generating messages.
 fn serve_gather<P: VertexProgram>(
     w: &mut Worker<P>,
     v: VertexId,
     from: WorkerId,
     tbuf: &mut ThresholdBuffer<P::Message>,
+    scratch: &mut InEdgeScratch,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let in_edges = w
         .gather
         .as_ref()
         .expect("pull needs the gather store")
-        .in_edges_of(v)?;
+        .read_in_edges(v, scratch)?;
     let program = Arc::clone(&w.program);
     for ie in in_edges {
         let local = w.local(ie.src);

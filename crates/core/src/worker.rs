@@ -11,6 +11,7 @@
 use crate::bitset::BitSet;
 use crate::config::{JobConfig, Mode};
 use crate::metrics::StepReport;
+use crate::modes::bpull::Responder;
 use crate::program::{GraphInfo, VertexProgram};
 use hybridgraph_graph::{BlockLayout, Edge, Graph, Partition, VertexId, WorkerId};
 use hybridgraph_net::fabric::{Endpoint, Envelope};
@@ -204,6 +205,8 @@ pub struct Worker<P: VertexProgram> {
     /// Value updates staged during a (b-)pull superstep, flushed once no
     /// peer can read this worker's values anymore.
     pub staged: Vec<(u32, P::Value)>,
+    /// b-pull's Pull-Respond buffers, kept from superstep to superstep.
+    pub(crate) responder: Responder<P::Message>,
 
     /// Current superstep (set by the runner before each step).
     pub superstep: u64,
@@ -416,6 +419,7 @@ impl<P: VertexProgram> Worker<P> {
             cls,
             interior,
             staged: Vec::new(),
+            responder: Responder::default(),
             superstep: 0,
             io_baseline: IoSnapshot::default(),
             mem_peak: 0,
@@ -723,6 +727,7 @@ impl<P: VertexProgram> Worker<P> {
         }
         let mut staged = std::mem::take(&mut self.staged);
         staged.sort_by_key(|(v, _)| *v);
+        let mut run = Vec::new();
         let mut i = 0;
         while i < staged.len() {
             let start = staged[i].0;
@@ -730,11 +735,16 @@ impl<P: VertexProgram> Worker<P> {
             while end < staged.len() && staged[end].0 == staged[end - 1].0 + 1 {
                 end += 1;
             }
-            let run: Vec<P::Value> = staged[i..end].iter().map(|(_, v)| v.clone()).collect();
-            self.values
-                .write_range(start..start + run.len() as u32, &run)?;
+            run.clear();
+            for (_, v) in &staged[i..end] {
+                v.append_to(&mut run);
+            }
+            self.values.write_encoded(start, &run)?;
             i = end;
         }
+        // Kept for the next superstep's updates.
+        staged.clear();
+        self.staged = staged;
         Ok(())
     }
 

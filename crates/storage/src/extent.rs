@@ -14,11 +14,13 @@
 //!   sequences (~2 bytes per extent, always — the directory does not
 //!   depend on the codec), any extent is located by one select and read
 //!   and decoded alone, and views for other jobs share the directory.
-//! * [`fragments`] is the one parser of the
-//!   `id u32 | count u32 | count × (id u32, weight f32)` stream that
-//!   Eblocks and gather fragments hold. Every header is checked against
-//!   the bytes that remain: the bytes come from disk, raw under
-//!   [`CodecChoice::None`] and in raw-tagged extents under a codec.
+//!   An Eblock scan decodes its extent straight into caller-owned
+//!   [`FragmentColumns`], with no raw stream in between.
+//! * [`fragments`] walks a raw
+//!   `id u32 | count u32 | count × (id u32, weight f32)` stream (a gather
+//!   fragment). Every header is checked against the bytes that remain:
+//!   the bytes come from disk, raw under [`CodecChoice::None`] and in
+//!   raw-tagged extents under a codec.
 //!
 //! The stores on top own what differs between them: file names, what an
 //! extent index means (Eblock column, local vertex, destination key),
@@ -27,7 +29,9 @@
 use crate::stats::{AccessClass, IoStats};
 use crate::vfs::{Vfs, VfsFile};
 use hybridgraph_codec::ef::EliasFano;
-use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, ExtentKind};
+use hybridgraph_codec::{
+    decode_extent, decode_fragments, encode_extent, CodecChoice, ExtentKind, FragmentColumns,
+};
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
@@ -197,23 +201,14 @@ impl ExtentFile {
     /// the physical extent — and the logical bytes beside it — in `class`.
     /// Only that extent is read and decoded; an empty one costs no I/O.
     pub fn read(&self, i: usize, class: AccessClass) -> io::Result<Vec<u8>> {
-        self.read_at(i, self.range(i), class)
-    }
-
-    /// [`ExtentFile::read`] for a caller that already took `range(i)`.
-    pub(crate) fn read_at(
-        &self,
-        i: usize,
-        at: Range<u64>,
-        class: AccessClass,
-    ) -> io::Result<Vec<u8>> {
         let mut raw = Vec::new();
-        self.read_into(i, at, class, &mut raw)?;
+        self.read_into(i, self.range(i), class, &mut raw)?;
         Ok(raw)
     }
 
-    /// [`ExtentFile::read_at`] into a caller-owned buffer (overwritten),
-    /// so a scan that reads extent after extent reuses one allocation.
+    /// [`ExtentFile::read`] of `at = range(i)` into a caller-owned buffer
+    /// (overwritten), so a scan that reads extent after extent reuses one
+    /// allocation.
     pub(crate) fn read_into(
         &self,
         i: usize,
@@ -234,6 +229,33 @@ impl ExtentFile {
         let coded = self.file.read_vec_coded(class, at.start, stored, logical)?;
         *raw = decode_extent(self.kind, &coded, logical as usize).map_err(invalid)?;
         Ok(())
+    }
+
+    /// Reads fragment-stream extent `i` — accounted exactly as
+    /// [`ExtentFile::read`] accounts it — and decodes it straight into
+    /// `cols`, with no raw stream in between. `bytes` holds what was read;
+    /// both buffers are the caller's, reused extent after extent.
+    pub(crate) fn read_fragments(
+        &self,
+        i: usize,
+        class: AccessClass,
+        bytes: &mut Vec<u8>,
+        cols: &mut FragmentColumns,
+    ) -> io::Result<()> {
+        debug_assert_eq!(self.kind, ExtentKind::Fragments);
+        let at = self.range(i);
+        bytes.resize((at.end - at.start) as usize, 0);
+        let decoded = if bytes.is_empty() {
+            cols.parse_raw(&[])
+        } else if self.codec.is_none() {
+            self.file.read_at(class, at.start, bytes)?;
+            cols.parse_raw(bytes)
+        } else {
+            let logical = self.logical_bytes(i);
+            self.file.read_coded_at(class, at.start, bytes, logical)?;
+            decode_fragments(bytes, logical as usize, cols)
+        };
+        decoded.map_err(invalid)
     }
 
     /// Charges modeled bytes that move no data (seek padding); see
@@ -390,6 +412,58 @@ mod tests {
                 raws.iter().map(|r| r.len() as u64).sum::<u64>()
             );
             assert_eq!(f.range(cells.len() - 1).end, f.total_stored_bytes());
+        }
+    }
+
+    /// Decoded columns serialised back into the raw stream.
+    fn raw_of(cols: &FragmentColumns) -> Vec<u8> {
+        let mut raw = Vec::new();
+        for k in 0..cols.len() {
+            let span = cols.span(k);
+            push_fragment_header(&mut raw, cols.svertices[k], span.len());
+            for (id, w) in cols.ids[span.clone()].iter().zip(&cols.weights[span]) {
+                raw.extend_from_slice(&id.to_le_bytes());
+                raw.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        raw
+    }
+
+    #[test]
+    fn fragment_reads_decode_what_read_returns_and_account_the_same() {
+        let mut raws: Vec<Vec<u8>> = grid_cells(4).iter().map(raw_cell).collect();
+        // Duplicate ids with different weights and a NaN weight; then a
+        // non-monotone list, which the bv writer stores raw-tagged.
+        raws.push(raw_cell(&vec![(
+            3,
+            vec![(5, 1.0), (5, -2.0), (6, f32::NAN)],
+        )]));
+        raws.push(raw_cell(&vec![(9, vec![(40, 1.0), (3, 1.0)])]));
+        let last = raws.len() - 1;
+        let (mut bytes, mut cols) = (Vec::new(), FragmentColumns::default());
+        for codec in CodecChoice::ALL {
+            let f = write(&MemVfs::new(), codec, &raws);
+            if codec == CodecChoice::Bv {
+                assert_eq!(f.stored_bytes(last), f.logical_bytes(last) + 1);
+            }
+            // Back to front, one set of buffers: empty and small extents
+            // follow big ones and must leave nothing of them behind.
+            for i in (0..raws.len()).rev() {
+                let (by_read, by_cols) = (Arc::new(IoStats::new()), Arc::new(IoStats::new()));
+                let raw = f
+                    .share_view(Arc::clone(&by_read))
+                    .read(i, AccessClass::SeqRead)
+                    .unwrap();
+                f.share_view(Arc::clone(&by_cols))
+                    .read_fragments(i, AccessClass::SeqRead, &mut bytes, &mut cols)
+                    .unwrap();
+                assert_eq!(raw_of(&cols), raw, "{codec:?} extent {i}");
+                assert_eq!(
+                    by_cols.snapshot(),
+                    by_read.snapshot(),
+                    "{codec:?} extent {i}"
+                );
+            }
         }
     }
 

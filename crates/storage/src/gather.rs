@@ -137,10 +137,23 @@ impl GatherStore {
         self.destinations as u64 * 20
     }
 
-    /// Randomly reads the in-edge fragment of `dst`; empty if none.
+    /// Reads the in-edge fragment of `dst`; empty if none.
     pub fn in_edges_of(&self, dst: VertexId) -> io::Result<Vec<InEdge>> {
+        let mut scratch = InEdgeScratch::default();
+        self.read_in_edges(dst, &mut scratch)?;
+        Ok(scratch.edges)
+    }
+
+    /// [`GatherStore::in_edges_of`] decoded into caller-owned `scratch`,
+    /// so serving request after request allocates nothing per vertex.
+    pub fn read_in_edges<'a>(
+        &self,
+        dst: VertexId,
+        scratch: &'a mut InEdgeScratch,
+    ) -> io::Result<&'a [InEdge]> {
+        scratch.edges.clear();
         let Some(at) = self.locate(dst) else {
-            return Ok(Vec::new());
+            return Ok(&scratch.edges);
         };
         // Forward reads continue a sweep (sequential); backward jumps are
         // scattered seeks charged at sector granularity (on the physical
@@ -151,27 +164,36 @@ impl GatherStore {
         } else {
             AccessClass::RandRead
         };
-        let bytes = self.file.read_at(dst.index(), at.clone(), class)?;
+        self.file
+            .read_into(dst.index(), at.clone(), class, &mut scratch.raw)?;
         if !forward {
             self.file
                 .charge(AccessClass::RandRead, seek_pad(at.end - at.start));
         }
         self.cursor.store(at.end, Ordering::Relaxed);
-        let mut fragments = extent::fragments(&bytes);
+        let mut fragments = extent::fragments(&scratch.raw);
         match (fragments.next().transpose()?, fragments.next()) {
-            (Some((id, payload)), None) if id == dst.0 => Ok(payload
-                .chunks_exact(8)
-                .map(|pair| {
+            (Some((id, payload)), None) if id == dst.0 => {
+                scratch.edges.extend(payload.chunks_exact(8).map(|pair| {
                     let (src, weight) = <(VertexId, f32)>::read_from(pair);
                     InEdge { src, weight }
-                })
-                .collect()),
+                }));
+                Ok(&scratch.edges)
+            }
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("gather extent of {dst} is not one fragment of it"),
             )),
         }
     }
+}
+
+/// Reusable buffers behind [`GatherStore::read_in_edges`]: the raw
+/// fragment and the in-edges decoded from it.
+#[derive(Default)]
+pub struct InEdgeScratch {
+    raw: Vec<u8>,
+    edges: Vec<InEdge>,
 }
 
 #[cfg(test)]

@@ -163,7 +163,9 @@ impl<M: Clone> Inbox<M> {
         for (dst, _) in staged.clone() {
             cursors[slot_of(dst) + 1] += 1;
         }
+        let mut distinct = 0;
         for slot in 1..=span {
+            distinct += usize::from(cursors[slot] > 0);
             cursors[slot] += cursors[slot - 1];
         }
         // Every slot of `msgs` is overwritten by the scatter.
@@ -174,7 +176,7 @@ impl<M: Clone> Inbox<M> {
             *at += 1;
         }
         // Each cursor has run to the end of its destination's messages.
-        let (mut dsts, mut ends) = (Vec::new(), Vec::new());
+        let (mut dsts, mut ends) = (Vec::with_capacity(distinct), Vec::with_capacity(distinct));
         for (dst, &end) in (lo..=hi).zip(&cursors) {
             if ends.last().copied().unwrap_or(0) < end {
                 dsts.push(dst);

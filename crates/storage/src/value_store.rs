@@ -84,25 +84,47 @@ impl<V: Record> ValueStore<V> {
         if range.is_empty() {
             return Ok(());
         }
-        let off = self.offset_of(VertexId(range.start));
-        self.file
-            .write_at(AccessClass::SeqWrite, off, &encode_slice(values))
+        self.write_encoded(range.start, &encode_slice(values))
+    }
+
+    /// [`ValueStore::write_range`] of a non-empty run starting at `start`
+    /// whose values the caller already encoded (`V::BYTES` each, back to
+    /// back).
+    pub fn write_encoded(&self, start: u32, bytes: &[u8]) -> io::Result<()> {
+        self.file.write_at(
+            AccessClass::SeqWrite,
+            self.offset_of(VertexId(start)),
+            bytes,
+        )
     }
 
     /// Randomly reads one value (Pull-Respond's svertex lookup).
     pub fn read_one(&self, v: VertexId) -> io::Result<V> {
-        let bytes = self
-            .file
-            .read_vec(AccessClass::RandRead, self.offset_of(v), V::BYTES)?;
-        Ok(V::read_from(&bytes))
+        with_value_buf::<V, _>(|buf| {
+            self.file
+                .read_at(AccessClass::RandRead, self.offset_of(v), buf)?;
+            Ok(V::read_from(buf))
+        })
     }
 
     /// Randomly writes one value.
     pub fn write_one(&self, v: VertexId, value: &V) -> io::Result<()> {
-        let mut buf = vec![0u8; V::BYTES];
-        value.write_to(&mut buf);
-        self.file
-            .write_at(AccessClass::RandWrite, self.offset_of(v), &buf)
+        with_value_buf::<V, _>(|buf| {
+            value.write_to(buf);
+            self.file
+                .write_at(AccessClass::RandWrite, self.offset_of(v), buf)
+        })
+    }
+}
+
+/// Runs `f` on a zeroed `V::BYTES`-byte buffer — on the stack for values up
+/// to 64 bytes wide (every shipped program's), so a point access allocates
+/// nothing.
+fn with_value_buf<V: Record, R>(f: impl FnOnce(&mut [u8]) -> R) -> R {
+    let mut stack = [0u8; 64];
+    match stack.get_mut(..V::BYTES) {
+        Some(buf) => f(buf),
+        None => f(&mut vec![0u8; V::BYTES]),
     }
 }
 

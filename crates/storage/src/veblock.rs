@@ -19,10 +19,10 @@
 //! responding fragment (`IO(V^t_rr)`).
 
 use crate::extent::{self, ExtentFile, ExtentWriter};
-use crate::record::{decode_slice, Record};
+use crate::record::Record;
 use crate::stats::{AccessClass, IoStats};
 use crate::vfs::Vfs;
-use hybridgraph_codec::{CodecChoice, ExtentKind};
+use hybridgraph_codec::{CodecChoice, ExtentKind, FragmentColumns};
 use hybridgraph_graph::{BlockId, BlockLayout, Edge, Graph, VertexId, WorkerId};
 use std::io;
 use std::sync::Arc;
@@ -362,24 +362,72 @@ impl VeBlockStore {
         self.files.iter().map(|f| f.memory_bytes()).sum()
     }
 
-    /// Sequentially reads and decodes Eblock `g_{j,i}`.
+    /// Sequentially reads Eblock `g_{j,i}` and decodes it once into
+    /// `scratch`, whose [`EblockScratch::fragments`] then walks it in
+    /// svertex order.
     ///
-    /// Returns the fragments in svertex order. Accounts the whole Eblock
-    /// extent (edges + auxiliary data) as a sequential read — physical
-    /// stored bytes on the device, logical uncompressed bytes beside them;
-    /// the caller is responsible for the random svertex value reads.
-    /// Bytes that do not parse as a fragment stream are `InvalidData`.
+    /// Accounts the whole Eblock extent (edges + auxiliary data) as a
+    /// sequential read — physical stored bytes on the device, logical
+    /// uncompressed bytes beside them; the caller is responsible for the
+    /// random svertex value reads. Bytes that do not decode as a fragment
+    /// stream are `InvalidData`, and leave `scratch` empty.
+    pub fn scan_eblock_into(
+        &self,
+        j: BlockId,
+        i: BlockId,
+        scratch: &mut EblockScratch,
+    ) -> io::Result<()> {
+        let s = scratch;
+        let read = self.files[self.local_of(j)].read_fragments(
+            i.index(),
+            AccessClass::SeqRead,
+            &mut s.bytes,
+            &mut s.cols,
+        );
+        s.edges.clear();
+        if let Err(e) = read {
+            s.cols.clear();
+            return Err(e);
+        }
+        let (ids, weights) = (&s.cols.ids, &s.cols.weights);
+        s.edges
+            .extend(ids.iter().zip(weights).map(|(&dst, &w)| Edge {
+                dst: VertexId(dst),
+                weight: f32::from_bits(w),
+            }));
+        Ok(())
+    }
+
+    /// [`VeBlockStore::scan_eblock_into`] collected into owned fragments.
     pub fn scan_eblock(&self, j: BlockId, i: BlockId) -> io::Result<Vec<Fragment>> {
-        let bytes = self.files[self.local_of(j)].read(i.index(), AccessClass::SeqRead)?;
-        extent::fragments(&bytes)
-            .map(|f| {
-                let (src, payload) = f?;
-                Ok(Fragment {
-                    src: VertexId(src),
-                    edges: decode_slice(payload),
-                })
+        let mut scratch = EblockScratch::default();
+        self.scan_eblock_into(j, i, &mut scratch)?;
+        Ok(scratch
+            .fragments()
+            .map(|(src, edges)| Fragment {
+                src,
+                edges: edges.to_vec(),
             })
-            .collect()
+            .collect())
+    }
+}
+
+/// The buffers an Eblock scan decodes into, kept by the caller and reused
+/// Eblock after Eblock: the bytes read, their fragment columns, and every
+/// fragment's edges back to back.
+#[derive(Default)]
+pub struct EblockScratch {
+    bytes: Vec<u8>,
+    cols: FragmentColumns,
+    edges: Vec<Edge>,
+}
+
+impl EblockScratch {
+    /// The fragments of the Eblock last scanned, in svertex order: each
+    /// source vertex with its edges into the destination block.
+    pub fn fragments(&self) -> impl ExactSizeIterator<Item = (VertexId, &[Edge])> {
+        let c = &self.cols;
+        (0..c.len()).map(move |k| (VertexId(c.svertices[k]), &self.edges[c.span(k)]))
     }
 }
 
@@ -658,6 +706,68 @@ mod tests {
                 }
             }
             assert_eq!(edges, g.num_edges(), "{codec:?}");
+        }
+    }
+
+    /// `g_{j,i}` straight from the graph: each vertex of block `j` with its
+    /// CSR out-edges into block `i`, in vertex order.
+    fn expected(g: &Graph, l: &BlockLayout, j: BlockId, i: BlockId) -> Vec<(VertexId, Vec<Edge>)> {
+        l.block_range(j)
+            .map(VertexId)
+            .map(|v| {
+                let row = g.out_edges(v).iter();
+                (v, row.filter(|e| l.block_of(e.dst) == i).copied().collect())
+            })
+            .filter(|(_, edges): &(_, Vec<Edge>)| !edges.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn scratch_scans_match_the_graph_under_every_codec() {
+        // Seeded RMAT graphs keep multigraph duplicates, here with
+        // different weights; three layouts: many blocks (most Eblocks
+        // empty), one block, more workers than vertices. One scratch
+        // serves every scan, so nothing may leak from one to the next.
+        let mut scratch = EblockScratch::default();
+        for seed in [1u64, 7, 42] {
+            println!("scratch scan seed {seed}");
+            let g = gen::rmat(96, 700, gen::RmatParams::default(), seed);
+            let g = gen::randomize_weights(&g, 0.5, 4.0, seed);
+            let dup = |v| g.out_edges(v).windows(2).any(|p| p[0].dst == p[1].dst);
+            assert!(g.vertices().any(dup), "seed {seed}: no duplicate edges");
+            for (workers, per_worker) in [(2, 3), (1, 1), (120, 1)] {
+                let p = Partition::range(96, workers);
+                let l = BlockLayout::uniform(&p, per_worker);
+                for codec in CodecChoice::ALL {
+                    for w in p.workers() {
+                        let vfs = MemVfs::new();
+                        let s = VeBlockStore::build_with(&vfs, &g, &l, w, codec).unwrap();
+                        for j in l.blocks_of_worker(w) {
+                            for i in l.block_ids() {
+                                let want = expected(&g, &l, j, i);
+                                let before = vfs.stats().snapshot();
+                                s.scan_eblock_into(j, i, &mut scratch).unwrap();
+                                let d = vfs.stats().snapshot().delta(&before);
+                                let got: Vec<(VertexId, Vec<Edge>)> = scratch
+                                    .fragments()
+                                    .map(|(v, edges)| (v, edges.to_vec()))
+                                    .collect();
+                                let at = format!("seed {seed} {workers}w {codec:?} g_{{{j},{i}}}");
+                                assert_eq!(got, want, "{at}");
+                                let info = s.eblock_info(j, i);
+                                assert_eq!(d.seq_read_bytes, info.stored_bytes, "{at}");
+                                assert_eq!(d.seq_read_logical_bytes, info.bytes, "{at}");
+                                assert_eq!(d.seq_read_ops, u64::from(info.bytes > 0), "{at}");
+                                let owned = s.scan_eblock(j, i).unwrap();
+                                assert!(owned
+                                    .iter()
+                                    .map(|f| (f.src, &f.edges))
+                                    .eq(want.iter().map(|(v, e)| (*v, e))));
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -98,8 +98,21 @@ impl VfsFile {
         Ok(off)
     }
 
-    /// Reads `len` coded bytes at `off` that stand for `logical`
+    /// Reads `buf.len()` coded bytes at `off` that stand for `logical`
     /// uncompressed bytes (see [`VfsFile::append_coded`]).
+    pub fn read_coded_at(
+        &self,
+        class: AccessClass,
+        off: u64,
+        buf: &mut [u8],
+        logical: u64,
+    ) -> io::Result<()> {
+        self.raw.read_at(off, buf)?;
+        self.stats.record_coded(class, buf.len() as u64, logical);
+        Ok(())
+    }
+
+    /// [`VfsFile::read_coded_at`] of `len` bytes into a fresh vector.
     pub fn read_vec_coded(
         &self,
         class: AccessClass,
@@ -108,8 +121,7 @@ impl VfsFile {
         logical: u64,
     ) -> io::Result<Vec<u8>> {
         let mut buf = vec![0u8; len];
-        self.raw.read_at(off, &mut buf)?;
-        self.stats.record_coded(class, len as u64, logical);
+        self.read_coded_at(class, off, &mut buf, logical)?;
         Ok(buf)
     }
 

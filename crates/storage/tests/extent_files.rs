@@ -7,13 +7,16 @@
 //! every extent back must then give an error or the pristine content,
 //! never a panic. (A flipped bit no check can see — an id or weight bit
 //! in raw bytes — may instead change the content of the extents those
-//! eight bytes belong to, but never their size.)
+//! eight bytes belong to, but never their size.) The VE-BLOCK scan into a
+//! reused scratch gets the same treatment, and then a flip of every bit
+//! of the file.
 
-use hybridgraph_graph::{gen, BlockLayout, Graph, Partition, VertexId, WorkerId};
+use hybridgraph_graph::{gen, BlockLayout, Edge, Graph, Partition, VertexId, WorkerId};
 use hybridgraph_storage::adjacency::AdjacencyStore;
 use hybridgraph_storage::gather::GatherStore;
-use hybridgraph_storage::veblock::VeBlockStore;
+use hybridgraph_storage::veblock::{EblockScratch, VeBlockStore};
 use hybridgraph_storage::{AccessClass, CodecChoice, MemVfs, Vfs};
+use std::cell::RefCell;
 use std::fmt::Debug;
 use std::io;
 
@@ -115,6 +118,57 @@ fn veblock_files_survive_truncation_and_header_flips() {
             },
             |frags| frags.iter().map(|f| 8 + 8 * f.edges.len()).sum(),
         );
+    }
+}
+
+#[test]
+fn veblock_scratch_scans_survive_truncation_and_bit_flips() {
+    let g = graph();
+    let p = Partition::range(64, 2);
+    let l = BlockLayout::uniform(&p, 3);
+    let w = WorkerId(1);
+    type Scan = Vec<(VertexId, Vec<Edge>)>;
+    let size = |frags: &Scan| frags.iter().map(|(_, e)| 8 + 8 * e.len()).sum::<usize>();
+    for codec in CODECS {
+        println!("extent fuzz: veblock scratch scan, {codec:?}, seed {SEED:#x}");
+        let vfs = MemVfs::new();
+        let s = VeBlockStore::build_with(&vfs, &g, &l, w, codec).unwrap();
+        let name = format!("eblk_{}", l.blocks_of_worker(w).next().unwrap().0);
+        // One scratch for every scan, damaged or not; a failed scan must
+        // leave it empty.
+        let scratch = RefCell::new(EblockScratch::default());
+        let read = || -> Vec<io::Result<Scan>> {
+            let mut scratch = scratch.borrow_mut();
+            l.blocks_of_worker(w)
+                .flat_map(|j| l.block_ids().map(move |i| (j, i)))
+                .map(|(j, i)| {
+                    let scanned = s.scan_eblock_into(j, i, &mut scratch);
+                    let frags: Scan = scratch.fragments().map(|(v, e)| (v, e.to_vec())).collect();
+                    assert!(scanned.is_ok() || frags.is_empty(), "g_{{{j},{i}}}");
+                    scanned.map(|()| frags)
+                })
+                .collect()
+        };
+        fuzz(&format!("veblock scan/{codec:?}"), &vfs, &name, read, size);
+
+        let pristine: Vec<Scan> = read().into_iter().map(|r| r.unwrap()).collect();
+        let f = vfs.open(&name).expect("open");
+        let bytes = f.read_all(AccessClass::SeqRead).expect("read");
+        for bit in 0..bytes.len() * 8 {
+            let at = bit / 8;
+            let flipped = [bytes[at] ^ (1 << (bit % 8))];
+            f.write_at(AccessClass::RandWrite, at as u64, &flipped)
+                .expect("flip");
+            for (k, (got, want)) in read().iter().zip(&pristine).enumerate() {
+                if let Ok(got) = got {
+                    assert_eq!(size(got), size(want), "{codec:?}: bit {bit}, extent {k}");
+                }
+            }
+            f.write_at(AccessClass::RandWrite, at as u64, &bytes[at..at + 1])
+                .expect("restore");
+        }
+        let back: Vec<Scan> = read().into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(back, pristine, "{codec:?}: restore");
     }
 }
 

@@ -30,6 +30,13 @@ impl BitWriter {
         Self::default()
     }
 
+    /// A writer that appends after the bytes already in `buf`, so a
+    /// caller can write a header and then a bit stream into one buffer
+    /// that it keeps across streams.
+    pub(crate) fn from_vec(buf: Vec<u8>) -> Self {
+        BitWriter { buf, acc: 0, n: 0 }
+    }
+
     /// Number of bits written so far (before padding).
     pub fn bit_len(&self) -> u64 {
         self.buf.len() as u64 * 8 + self.n as u64

@@ -36,12 +36,18 @@ pub const ZETA_K: u32 = 3;
 
 // ------------------------------------------------------------- planning
 //
-// Each list is first decomposed into a `ListPlan` (reference choice,
-// copy blocks, intervals, residuals); the plan knows its exact bit cost,
-// so reference selection compares candidates without writing anything,
-// and the chosen plan is then replayed into the writer. Cost helpers
-// must stay in lockstep with `bits::BitWriter` — `tests::cost_helpers_
-// match_writer` enforces it.
+// A list is written from a `ListPlan` (reference choice, copy blocks,
+// intervals, residuals). Choosing the reference builds no plan: one
+// streaming merge of the list against a candidate (`decompose`) feeds a
+// `Cost` sink that sums the exact bit length that candidate's plan would
+// have, allocating nothing. A candidate sharing no id with the list is
+// skipped unpriced (see `choose_reference`). Only the winner is
+// decomposed, into a `ListPlan` the encoder reuses list after list and
+// extent after extent, and replayed into the writer by `write_plan`.
+// Cost helpers must stay in lockstep with `bits::BitWriter` —
+// `tests::cost_helpers_match_writer` enforces it, and
+// `tests::streaming_choice_matches_exhaustive_planner` holds the choice
+// to a planner that builds and prices every candidate's plan.
 
 fn len_unary(n: u64) -> u64 {
     n + 1
@@ -121,6 +127,7 @@ fn read_first(r: &mut BitReader<'_>, anchor: Option<u32>) -> Result<u32, CodecEr
 }
 
 /// The structural decomposition of one neighbour list.
+#[derive(Default)]
 struct ListPlan {
     /// 0 = no reference; `r` = copy against the list `r` positions back.
     r: u64,
@@ -133,119 +140,195 @@ struct ListPlan {
     residuals: Vec<u32>,
 }
 
-/// Splits `extras` (sorted) into intervals and residuals.
-fn split_intervals(extras: &[u32]) -> (Vec<(u32, u32)>, Vec<u32>) {
-    let mut intervals = Vec::new();
-    let mut residuals = Vec::new();
-    let mut i = 0usize;
-    while i < extras.len() {
-        let mut j = i + 1;
-        while j < extras.len() && extras[j] == extras[j - 1] + 1 {
+impl ListPlan {
+    /// Overwrites the plan with `cur`'s decomposition against `rl`, the
+    /// list `r` positions back (`r = 0`, `rl` empty: no reference).
+    fn build(&mut self, cur: &[u32], rl: &[u32], r: u64) {
+        self.r = r;
+        self.blocks.clear();
+        self.intervals.clear();
+        self.residuals.clear();
+        decompose(cur, rl, self);
+    }
+}
+
+/// The pieces [`decompose`] finds, each kind in list order.
+trait Pieces {
+    /// The next explicit copy block's length.
+    fn block(&mut self, len: u64);
+    /// A run of `len >= MIN_INTERVAL` consecutive ids from `left`.
+    fn interval(&mut self, left: u32, len: u32);
+    /// `len < MIN_INTERVAL` consecutive ids from `first`, coded as
+    /// residuals.
+    fn residuals(&mut self, first: u32, len: u32);
+}
+
+impl Pieces for ListPlan {
+    fn block(&mut self, len: u64) {
+        self.blocks.push(len);
+    }
+
+    fn interval(&mut self, left: u32, len: u32) {
+        self.intervals.push((left, len));
+    }
+
+    fn residuals(&mut self, first: u32, len: u32) {
+        self.residuals.extend((0..len).map(|k| first + k));
+    }
+}
+
+/// Run-lengths the reference's copied/skipped positions into alternating
+/// blocks that start with a "copied" one (possibly empty). The run still
+/// open at the end is never reported: its length is implied by the
+/// reference's.
+struct BlockRuns {
+    copied: bool,
+    len: u64,
+}
+
+impl BlockRuns {
+    fn push(&mut self, copied: bool, n: usize, out: &mut impl Pieces) {
+        if n == 0 {
+            return;
+        }
+        if copied != self.copied {
+            out.block(self.len);
+            self.copied = copied;
+            self.len = 0;
+        }
+        self.len += n as u64;
+    }
+}
+
+/// Reports a finished run of consecutive extras: an interval if it is
+/// long enough, residuals otherwise.
+fn flush_run(first: u64, len: u64, out: &mut impl Pieces) {
+    if len >= u64::from(MIN_INTERVAL) {
+        out.interval(first as u32, len as u32);
+    } else if len > 0 {
+        out.residuals(first as u32, len as u32);
+    }
+}
+
+/// Decomposes `cur` against reference `rl` (empty: no reference) in one
+/// merge. A two-pointer multiset intersection decides which reference
+/// positions are copied; the ids it leaves over ("extras") split into
+/// maximal runs of consecutive ids, compared in `u64` so a run may end at
+/// `u32::MAX`.
+fn decompose(cur: &[u32], rl: &[u32], out: &mut impl Pieces) {
+    let mut blocks = BlockRuns {
+        copied: true,
+        len: 0,
+    };
+    let (mut run_first, mut run_len) = (0u64, 0u64);
+    let mut j = 0usize;
+    for &v in cur {
+        let skipped_from = j;
+        while j < rl.len() && rl[j] < v {
             j += 1;
         }
-        let len = (j - i) as u32;
-        if len >= MIN_INTERVAL {
-            intervals.push((extras[i], len));
+        blocks.push(false, j - skipped_from, out);
+        if j < rl.len() && rl[j] == v {
+            blocks.push(true, 1, out);
+            j += 1;
+        } else if run_len > 0 && u64::from(v) == run_first + run_len {
+            run_len += 1;
         } else {
-            residuals.extend_from_slice(&extras[i..j]);
+            flush_run(run_first, run_len, out);
+            (run_first, run_len) = (u64::from(v), 1);
         }
-        i = j;
     }
-    (intervals, residuals)
+    blocks.push(false, rl.len() - j, out);
+    flush_run(run_first, run_len, out);
 }
 
-/// Builds the plan for `cur` against an optional reference list.
-fn plan_list(cur: &[u32], reference: Option<&[u32]>, r: u64) -> ListPlan {
-    let (blocks, extras) = match reference {
-        None => (Vec::new(), cur.to_vec()),
-        Some(rl) => {
-            // Two-pointer multiset intersection: which reference
-            // positions are copied into `cur`.
-            let mut copied = vec![false; rl.len()];
-            let mut extras = Vec::new();
-            let mut j = 0usize;
-            for &v in cur {
-                while j < rl.len() && rl[j] < v {
-                    j += 1;
-                }
-                if j < rl.len() && rl[j] == v {
-                    copied[j] = true;
-                    j += 1;
-                } else {
-                    extras.push(v);
-                }
-            }
-            // Run-length the copied bitmap into alternating blocks
-            // starting with "copied"; the final run is implicit.
-            let mut runs: Vec<u64> = Vec::new();
-            let mut parity = true; // first block is copied
-            if let Some(&first) = copied.first() {
-                if first != parity {
-                    runs.push(0);
-                    parity = false;
-                }
-                let mut len = 0u64;
-                for &c in &copied {
-                    if c == parity {
-                        len += 1;
-                    } else {
-                        runs.push(len);
-                        parity = c;
-                        len = 1;
-                    }
-                }
-                runs.push(len);
-                runs.pop(); // trailing block is implied by the ref length
-            }
-            (runs, extras)
-        }
-    };
-    let (intervals, residuals) = split_intervals(&extras);
-    ListPlan {
-        r,
-        blocks,
-        intervals,
-        residuals,
+/// Running bit cost of a plan's pieces, less the count fields that
+/// [`list_cost`] adds once the counts are known.
+struct Cost {
+    anchor: Option<u32>,
+    bits: u64,
+    blocks: u64,
+    intervals: u64,
+    prev_left: u32,
+    prev_residual: Option<u32>,
+}
+
+impl Pieces for Cost {
+    fn block(&mut self, len: u64) {
+        self.bits += len_gamma(if self.blocks == 0 { len } else { len - 1 });
+        self.blocks += 1;
+    }
+
+    fn interval(&mut self, left: u32, len: u32) {
+        self.bits += if self.intervals == 0 {
+            len_first(left, self.anchor)
+        } else {
+            len_delta(u64::from(left - self.prev_left - 1))
+        };
+        self.bits += len_gamma(u64::from(len - MIN_INTERVAL));
+        self.intervals += 1;
+        self.prev_left = left;
+    }
+
+    fn residuals(&mut self, first: u32, len: u32) {
+        self.bits += match self.prev_residual {
+            None => len_first(first, self.anchor),
+            Some(prev) => len_zeta(u64::from(first - prev), ZETA_K),
+        };
+        // The run's later ids are each one past the previous residual.
+        self.bits += u64::from(len - 1) * len_zeta(1, ZETA_K);
+        self.prev_residual = Some(first + (len - 1));
     }
 }
 
-/// Exact bit cost of writing this plan for a list of `n` ids against
-/// `anchor`. Empty lists cost nothing; lists shorter than
-/// [`MIN_INTERVAL`] omit the interval-count field (they cannot contain
-/// an interval).
-fn plan_cost(p: &ListPlan, n: usize, anchor: Option<u32>) -> u64 {
-    if n == 0 {
+/// Exact bit length [`write_plan`] spends on `cur` decomposed against
+/// `rl`, the list `r` positions back (`r = 0`, `rl` empty: no reference),
+/// without building the plan. Empty lists cost nothing; lists shorter
+/// than [`MIN_INTERVAL`] omit the interval-count field (they cannot
+/// contain an interval).
+fn list_cost(cur: &[u32], rl: &[u32], r: u64, anchor: Option<u32>) -> u64 {
+    if cur.is_empty() {
         return 0;
     }
-    let mut bits = len_gamma(p.r);
-    if p.r > 0 {
-        bits += len_gamma(p.blocks.len() as u64);
-        for (i, &b) in p.blocks.iter().enumerate() {
-            bits += len_gamma(if i == 0 { b } else { b - 1 });
-        }
+    let mut c = Cost {
+        anchor,
+        bits: 0,
+        blocks: 0,
+        intervals: 0,
+        prev_left: 0,
+        prev_residual: None,
+    };
+    decompose(cur, rl, &mut c);
+    let mut bits = len_gamma(r) + c.bits;
+    if r > 0 {
+        bits += len_gamma(c.blocks);
     }
-    if n >= MIN_INTERVAL as usize {
-        bits += len_gamma(p.intervals.len() as u64);
-    }
-    let mut prev_left = 0u64;
-    for (i, &(left, len)) in p.intervals.iter().enumerate() {
-        bits += if i == 0 {
-            len_first(left, anchor)
-        } else {
-            len_delta(u64::from(left) - prev_left - 1)
-        };
-        bits += len_gamma(u64::from(len - MIN_INTERVAL));
-        prev_left = u64::from(left);
-    }
-    if let Some((&first, rest)) = p.residuals.split_first() {
-        bits += len_first(first, anchor);
-        let mut prev = first;
-        for &v in rest {
-            bits += len_zeta(u64::from(v - prev), ZETA_K);
-            prev = v;
-        }
+    if cur.len() >= MIN_INTERVAL as usize {
+        bits += len_gamma(c.intervals);
     }
     bits
+}
+
+/// True if sorted `a` and `b` hold a common id: a range check, then a
+/// merge that stops at the first match.
+fn shares_id(a: &[u32], b: &[u32]) -> bool {
+    let (Some(&a_lo), Some(&a_hi), Some(&b_lo), Some(&b_hi)) =
+        (a.first(), a.last(), b.first(), b.last())
+    else {
+        return false;
+    };
+    if a_hi < b_lo || b_hi < a_lo {
+        return false;
+    }
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
 }
 
 fn write_plan(w: &mut BitWriter, p: &ListPlan, n: usize, anchor: Option<u32>) {
@@ -309,28 +392,47 @@ impl<'a> Window<'a> {
     }
 }
 
-/// Encodes `cur` into `w`, choosing the cheapest reference among "no
-/// reference" and the window of previously encoded lists (most recent
-/// first candidate). Ties keep the smallest `r`, so output is
-/// deterministic. `cur` must be non-decreasing (checked by callers);
-/// `anchor` is the first id of the extent's previous non-empty list.
-fn write_list(w: &mut BitWriter, cur: &[u32], window: Window<'_>, anchor: Option<u32>) {
-    let mut best = plan_list(cur, None, 0);
-    let mut best_cost = plan_cost(&best, cur.len(), anchor);
-    let reach = window.len().min(REF_WINDOW);
-    for r in 1..=reach {
+/// The cheapest reference for `cur` among "no reference" (`0`) and the
+/// window of previously encoded lists (most recent first). Ties keep the
+/// smallest `r`, so output is deterministic.
+///
+/// A candidate sharing no id with `cur` is skipped without pricing it:
+/// it copies nothing, so its plan is one empty copy block plus exactly
+/// the no-reference plan's intervals and residuals. On top of those same
+/// bits it spends γ(r) + γ(1) + γ(0) ≥ 7 where no reference spends
+/// γ(0) = 1, so it can never win. The no-reference cost is therefore
+/// needed only once a candidate survives that test.
+fn choose_reference(cur: &[u32], window: Window<'_>, anchor: Option<u32>) -> u64 {
+    let mut best: Option<(u64, u64)> = None; // (bits, r)
+    for r in 1..=window.len().min(REF_WINDOW) {
         let rl = window.back(r);
-        if rl.is_empty() {
+        if !shares_id(cur, rl) {
             continue;
         }
-        let cand = plan_list(cur, Some(rl), r as u64);
-        let cost = plan_cost(&cand, cur.len(), anchor);
-        if cost < best_cost {
-            best = cand;
-            best_cost = cost;
+        let (best_bits, _) = *best.get_or_insert_with(|| (list_cost(cur, &[], 0, anchor), 0));
+        let bits = list_cost(cur, rl, r as u64, anchor);
+        if bits < best_bits {
+            best = Some((bits, r as u64));
         }
     }
-    write_plan(w, &best, cur.len(), anchor);
+    best.map_or(0, |(_, r)| r)
+}
+
+/// Encodes `cur` into `w` against its cheapest reference, building only
+/// that plan, into `plan` (scratch the caller reuses list after list).
+/// `cur` must be non-decreasing (checked by callers); `anchor` is the
+/// first id of the extent's previous non-empty list.
+fn write_list(
+    w: &mut BitWriter,
+    cur: &[u32],
+    window: Window<'_>,
+    anchor: Option<u32>,
+    plan: &mut ListPlan,
+) {
+    let r = choose_reference(cur, window, anchor);
+    let rl = if r == 0 { &[] } else { window.back(r as usize) };
+    plan.build(cur, rl, r);
+    write_plan(w, plan, cur.len(), anchor);
 }
 
 /// The list decoder's per-list buffers, cleared for every list and kept
@@ -558,6 +660,15 @@ fn require_sorted(ids: &[u32]) -> Result<(), CodecError> {
     Ok(())
 }
 
+/// The encoder's working buffers — the parsed columns and the chosen
+/// list's plan — which [`crate::ExtentEncoder`] keeps from one extent to
+/// the next.
+#[derive(Default)]
+pub(crate) struct EncodeScratch {
+    cols: FragmentColumns,
+    plan: ListPlan,
+}
+
 /// BV-codes a raw fragment stream (`svertex u32 | count u32 | count ×
 /// (id u32, w f32)` repeated). Layout: `nfrags` varint, then one bit
 /// stream — δ-coded strictly-ascending svertices, γ counts, one
@@ -567,14 +678,28 @@ fn require_sorted(ids: &[u32]) -> Result<(), CodecError> {
 /// share one destination block), and the packed weight column over all
 /// edges.
 pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut f = FragmentColumns::default();
+    let mut out = Vec::new();
+    encode_fragments(raw, &mut EncodeScratch::default(), &mut out)?;
+    Ok(out)
+}
+
+/// [`fragments_from_raw`] appending to `out`, in buffers the caller keeps.
+/// Every input check runs before `out` is touched.
+pub(crate) fn encode_fragments(
+    raw: &[u8],
+    s: &mut EncodeScratch,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let EncodeScratch { cols: f, plan } = s;
     f.parse_raw(raw)?;
     if f.svertices.windows(2).any(|p| p[0] >= p[1]) {
         return Err(CodecError::Corrupt("bv requires ascending svertices"));
     }
-    let mut out = Vec::with_capacity(raw.len() / 4 + 16);
-    write_u64(&mut out, f.len() as u64);
-    let mut w = BitWriter::new();
+    for k in 0..f.len() {
+        require_sorted(&f.ids[f.span(k)])?;
+    }
+    write_u64(out, f.len() as u64);
+    let mut w = BitWriter::from_vec(std::mem::take(out));
     let mut prev = 0u64;
     for (i, &sv) in f.svertices.iter().enumerate() {
         if i == 0 {
@@ -590,19 +715,18 @@ pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut anchor: Option<u32> = None;
     for k in 0..f.len() {
         let cur = &f.ids[f.span(k)];
-        require_sorted(cur)?;
         let window = Window {
             ids: &f.ids,
             ends: &f.ends[..k],
         };
-        write_list(&mut w, cur, window, anchor);
+        write_list(&mut w, cur, window, anchor, plan);
         if let Some(&first) = cur.first() {
             anchor = Some(first);
         }
     }
     write_weights(&mut w, &f.weights);
-    out.extend(w.finish());
-    Ok(out)
+    *out = w.finish();
+    Ok(())
 }
 
 /// Decodes a [`fragments_from_raw`] body into `cols` (overwritten): the
@@ -663,24 +787,35 @@ pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
 /// then one bit stream with a single referenceless list body and the
 /// packed weight column.
 pub fn edges_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    encode_edges(raw, &mut EncodeScratch::default(), &mut out)?;
+    Ok(out)
+}
+
+/// [`edges_from_raw`] appending to `out`, in buffers the caller keeps.
+/// Every input check runs before `out` is touched.
+pub(crate) fn encode_edges(
+    raw: &[u8],
+    s: &mut EncodeScratch,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
     if !raw.len().is_multiple_of(8) {
         return Err(CodecError::Corrupt("edge list not a multiple of 8 bytes"));
     }
-    let count = raw.len() / 8;
-    let mut ids = Vec::with_capacity(count);
-    let mut weights = Vec::with_capacity(count);
+    let EncodeScratch { cols, plan } = s;
+    cols.clear();
     for e in raw.chunks_exact(8) {
-        ids.push(u32::from_le_bytes(e[..4].try_into().expect("width")));
-        weights.push(u32::from_le_bytes(e[4..].try_into().expect("width")));
+        cols.ids.push(u32::from_le_bytes([e[0], e[1], e[2], e[3]]));
+        cols.weights
+            .push(u32::from_le_bytes([e[4], e[5], e[6], e[7]]));
     }
-    require_sorted(&ids)?;
-    let mut out = Vec::with_capacity(raw.len() / 4 + 8);
-    write_u64(&mut out, count as u64);
-    let mut w = BitWriter::new();
-    write_list(&mut w, &ids, Window::EMPTY, None);
-    write_weights(&mut w, &weights);
-    out.extend(w.finish());
-    Ok(out)
+    require_sorted(&cols.ids)?;
+    write_u64(out, cols.ids.len() as u64);
+    let mut w = BitWriter::from_vec(std::mem::take(out));
+    write_list(&mut w, &cols.ids, Window::EMPTY, None, plan);
+    write_weights(&mut w, &cols.weights);
+    *out = w.finish();
+    Ok(())
 }
 
 /// Inverse of [`edges_from_raw`].
@@ -936,6 +1071,348 @@ mod tests {
             for cut in 0..coded.len() {
                 assert!(raw_from_fragments(&coded[..cut]).is_err());
             }
+        }
+    }
+
+    #[test]
+    fn lists_reaching_u32_max_roundtrip_through_both_entry_points() {
+        let m = u32::MAX;
+        let lists: [&[u32]; 5] = [
+            &[m, m],
+            &[m - 1, m, m],
+            &[m - 4, m - 3, m - 2, m - 1, m, m],
+            &[3, m - 2, m - 1, m],
+            &[0, m, m, m],
+        ];
+        for ids in lists {
+            let edges: Vec<(u32, f32)> = ids.iter().map(|&d| (d, 1.5)).collect();
+            // The second fragment repeats the first: a copy-reference case.
+            let raw = raw_fragment_stream(&[(1, edges.clone()), (2, edges.clone())]);
+            let coded = fragments_from_raw(&raw).unwrap();
+            assert_eq!(raw_from_fragments(&coded).unwrap(), raw, "{ids:?}");
+            let raw: Vec<u8> = edges
+                .iter()
+                .flat_map(|(d, w)| [d.to_le_bytes(), w.to_le_bytes()].concat())
+                .collect();
+            let coded = edges_from_raw(&raw).unwrap();
+            assert_eq!(raw_from_edges(&coded).unwrap(), raw, "{ids:?}");
+        }
+    }
+
+    // ------------------------------------------- the exhaustive planner
+    //
+    // The reference choice by brute force: every candidate's plan built
+    // in full — copied bitmap, extras, runs — and priced. It is the
+    // oracle `choose_reference` and `list_cost` are held to.
+
+    fn split_intervals(extras: &[u32]) -> (Vec<(u32, u32)>, Vec<u32>) {
+        let mut intervals = Vec::new();
+        let mut residuals = Vec::new();
+        let mut i = 0usize;
+        while i < extras.len() {
+            let mut j = i + 1;
+            while j < extras.len() && u64::from(extras[j]) == u64::from(extras[j - 1]) + 1 {
+                j += 1;
+            }
+            let len = (j - i) as u32;
+            if len >= MIN_INTERVAL {
+                intervals.push((extras[i], len));
+            } else {
+                residuals.extend_from_slice(&extras[i..j]);
+            }
+            i = j;
+        }
+        (intervals, residuals)
+    }
+
+    fn plan_list(cur: &[u32], reference: Option<&[u32]>, r: u64) -> ListPlan {
+        let (blocks, extras) = match reference {
+            None => (Vec::new(), cur.to_vec()),
+            Some(rl) => {
+                // Two-pointer multiset intersection: `copied[j]` says
+                // whether reference position `j` is copied into `cur`.
+                let mut copied = Vec::with_capacity(rl.len());
+                let mut extras = Vec::new();
+                for &v in cur {
+                    while copied.len() < rl.len() && rl[copied.len()] < v {
+                        copied.push(false);
+                    }
+                    if copied.len() < rl.len() && rl[copied.len()] == v {
+                        copied.push(true);
+                    } else {
+                        extras.push(v);
+                    }
+                }
+                copied.resize(rl.len(), false);
+                // Run-length the bitmap into alternating blocks starting
+                // with "copied"; the final run is implicit.
+                let mut runs: Vec<u64> = Vec::new();
+                let mut parity = true;
+                if let Some(&first) = copied.first() {
+                    if first != parity {
+                        runs.push(0);
+                        parity = false;
+                    }
+                    let mut len = 0u64;
+                    for &c in &copied {
+                        if c == parity {
+                            len += 1;
+                        } else {
+                            runs.push(len);
+                            parity = c;
+                            len = 1;
+                        }
+                    }
+                    runs.push(len);
+                    runs.pop();
+                }
+                (runs, extras)
+            }
+        };
+        let (intervals, residuals) = split_intervals(&extras);
+        ListPlan {
+            r,
+            blocks,
+            intervals,
+            residuals,
+        }
+    }
+
+    fn plan_cost(p: &ListPlan, n: usize, anchor: Option<u32>) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        let mut bits = len_gamma(p.r);
+        if p.r > 0 {
+            bits += len_gamma(p.blocks.len() as u64);
+            for (i, &b) in p.blocks.iter().enumerate() {
+                bits += len_gamma(if i == 0 { b } else { b - 1 });
+            }
+        }
+        if n >= MIN_INTERVAL as usize {
+            bits += len_gamma(p.intervals.len() as u64);
+        }
+        let mut prev_left = 0u64;
+        for (i, &(left, len)) in p.intervals.iter().enumerate() {
+            bits += if i == 0 {
+                len_first(left, anchor)
+            } else {
+                len_delta(u64::from(left) - prev_left - 1)
+            };
+            bits += len_gamma(u64::from(len - MIN_INTERVAL));
+            prev_left = u64::from(left);
+        }
+        if let Some((&first, rest)) = p.residuals.split_first() {
+            bits += len_first(first, anchor);
+            let mut prev = first;
+            for &v in rest {
+                bits += len_zeta(u64::from(v - prev), ZETA_K);
+                prev = v;
+            }
+        }
+        bits
+    }
+
+    /// `(r, bits)` of the cheapest plan, every candidate built and priced;
+    /// ties keep the smallest `r`.
+    fn exhaustive_choice(cur: &[u32], window: Window<'_>, anchor: Option<u32>) -> (u64, u64) {
+        let n = cur.len();
+        let mut best = (0, plan_cost(&plan_list(cur, None, 0), n, anchor));
+        for r in 1..=window.len().min(REF_WINDOW) {
+            let rl = window.back(r);
+            if rl.is_empty() {
+                continue;
+            }
+            let bits = plan_cost(&plan_list(cur, Some(rl), r as u64), n, anchor);
+            if bits < best.1 {
+                best = (r as u64, bits);
+            }
+        }
+        best
+    }
+
+    /// Holds one extent's lists to the exhaustive planner — the streaming
+    /// cost of every candidate, the chosen reference, the written bits —
+    /// and returns how many lists had two references tie for cheapest.
+    fn check_against_oracle(lists: &[Vec<u32>]) -> usize {
+        let (mut ids, mut ends) = (Vec::new(), Vec::new());
+        let (mut anchor, mut ties) = (None, 0);
+        let (mut streamed, mut exhaustive) = (BitWriter::new(), BitWriter::new());
+        let mut plan = ListPlan::default();
+        for (k, cur) in lists.iter().enumerate() {
+            let window = Window {
+                ids: &ids,
+                ends: &ends,
+            };
+            let n = cur.len();
+            let no_ref = list_cost(cur, &[], 0, anchor);
+            assert_eq!(no_ref, plan_cost(&plan_list(cur, None, 0), n, anchor));
+            let mut costs = Vec::new();
+            for r in 1..=window.len().min(REF_WINDOW) {
+                let rl = window.back(r);
+                let bits = list_cost(cur, rl, r as u64, anchor);
+                let oracle = plan_cost(&plan_list(cur, Some(rl), r as u64), n, anchor);
+                assert_eq!(bits, oracle, "list {k}, r {r}");
+                // What lets `choose_reference` skip without pricing.
+                assert!(
+                    n == 0 || shares_id(cur, rl) || bits > no_ref,
+                    "list {k}, r {r}"
+                );
+                costs.push(bits);
+            }
+            let (r, best) = exhaustive_choice(cur, window, anchor);
+            assert_eq!(choose_reference(cur, window, anchor), r, "list {k}");
+            if best < no_ref && costs.iter().filter(|&&b| b == best).count() > 1 {
+                ties += 1;
+            }
+            write_list(&mut streamed, cur, window, anchor, &mut plan);
+            let rl = (r > 0).then(|| window.back(r as usize));
+            write_plan(&mut exhaustive, &plan_list(cur, rl, r), n, anchor);
+            assert_eq!(streamed.bit_len(), exhaustive.bit_len(), "list {k}");
+            ids.extend_from_slice(cur);
+            ends.push(ids.len());
+            if let Some(&first) = cur.first() {
+                anchor = Some(first);
+            }
+        }
+        assert_eq!(streamed.finish(), exhaustive.finish());
+        ties
+    }
+
+    /// A sorted list of `len` ids: gaps of 0 (duplicates), 1 (runs) and
+    /// jumps up to `spread`.
+    fn seeded_list(s: &mut u64, start: u32, len: usize, spread: u32) -> Vec<u32> {
+        let mut cur = start;
+        (0..len)
+            .map(|i| {
+                *s = mix(*s ^ i as u64);
+                cur += match *s % 6 {
+                    0 => 0,
+                    1..=3 => 1,
+                    _ => (*s >> 8) as u32 % spread,
+                };
+                cur
+            })
+            .collect()
+    }
+
+    /// `base` with about one id in `one_in` dropped and as many fresh ids
+    /// merged in.
+    fn perturbed(s: &mut u64, base: &[u32], one_in: u64) -> Vec<u32> {
+        let mut out: Vec<u32> = base
+            .iter()
+            .copied()
+            .filter(|&v| {
+                *s = mix(*s ^ u64::from(v));
+                !s.is_multiple_of(one_in)
+            })
+            .collect();
+        let fresh = out.len() as u64 / one_in;
+        for _ in 0..fresh {
+            *s = mix(*s);
+            out.push(base[0] + (*s % u64::from(base[base.len() - 1] - base[0] + 1)) as u32);
+        }
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn streaming_choice_matches_exhaustive_planner() {
+        let mut s = 0x0b5e_55ed_u64;
+        // Hub lists of 1–5,000 ids sharing long prefixes, duplicates and
+        // runs included, with empty lists inside the window.
+        let hub = seeded_list(&mut s, 1_000, 5_000, 60);
+        let mut lists = vec![hub.clone(), Vec::new()];
+        for len in [4_990, 1, 3_000, 5_000, 2, 4_500, 64] {
+            lists.push(perturbed(&mut s, &hub[..len], 40));
+        }
+        lists.push(Vec::new());
+        lists.push(hub[2_000..2_600].to_vec());
+        check_against_oracle(&lists);
+
+        // Runs of exactly 3, 4 and 5 ids left over once a reference's ids
+        // are copied, around every spot a reference can cut them.
+        let runs = [10, 11, 12, 20, 21, 22, 23, 30, 31, 32, 33, 34, 40];
+        let mut lists = vec![runs.to_vec()];
+        for mask in 1u32..64 {
+            let reference: Vec<u32> = runs
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| mask >> (i % 6) & 1 == 1)
+                .map(|(_, &v)| v + (mask >> 5))
+                .collect();
+            lists.push(reference);
+            lists.push(runs.to_vec());
+        }
+        check_against_oracle(&lists);
+
+        // Ids next to u32::MAX.
+        let m = u32::MAX;
+        let lists = [
+            (m - 9..=m).collect(),
+            vec![m, m],
+            vec![m - 4, m - 3, m - 2, m - 1, m, m],
+            vec![m - 9, m - 1, m],
+            vec![],
+            vec![0, m - 3, m - 2, m - 1, m, m],
+        ];
+        check_against_oracle(&lists);
+
+        // An exact tie: the same list one and two lists back costs γ(1) =
+        // γ(2) = 3 bits of reference either way; r = 1 must win.
+        let a = seeded_list(&mut s, 500, 40, 9);
+        let tied = [a.clone(), a.clone(), a.clone()];
+        assert_eq!(check_against_oracle(&tied), 1);
+        let window = Window {
+            ids: &[a.clone(), a.clone()].concat(),
+            ends: &[a.len(), 2 * a.len()],
+        };
+        assert_eq!(choose_reference(&a, window, a.first().copied()), 1);
+
+        // Seeded small windows: every mix of the above at random.
+        for case in 0..200u64 {
+            s = mix(s ^ case);
+            let count = 1 + (s % 10) as usize;
+            let lists: Vec<_> = (0..count)
+                .map(|f| {
+                    s = mix(s ^ f as u64);
+                    let (len, start) = ((s >> 8) as usize % 40, (s >> 20) as u32 % 200);
+                    seeded_list(&mut s, start, len, 12)
+                })
+                .collect();
+            check_against_oracle(&lists);
+        }
+    }
+
+    #[test]
+    fn streaming_choice_matches_exhaustive_planner_on_livej_extents() {
+        use hybridgraph_graph::{BlockLayout, Dataset, Partition};
+        for seed in [1u64, 2] {
+            let mut spec = Dataset::LiveJ.spec();
+            spec.seed ^= seed;
+            let g = spec.build(2_000);
+            // Two workers, one Vblock each: the Eblocks VeBlockStore
+            // builds for an ample-memory b-pull job.
+            let layout = BlockLayout::uniform(&Partition::range(g.num_vertices(), 2), 1);
+            let blocks = layout.num_blocks();
+            let mut extents: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); blocks * blocks];
+            for v in g.vertices() {
+                let j = layout.block_of(v).index();
+                for e in g.out_edges(v) {
+                    let frags = &mut extents[j * blocks + layout.block_of(e.dst).index()];
+                    if frags.last().map(|(sv, _)| *sv) != Some(v.0) {
+                        frags.push((v.0, Vec::new()));
+                    }
+                    frags.last_mut().expect("pushed").1.push(e.dst.0);
+                }
+            }
+            let mut lists = 0;
+            for frags in extents {
+                let ids: Vec<_> = frags.into_iter().map(|(_, ids)| ids).collect();
+                lists += ids.len();
+                check_against_oracle(&ids);
+            }
+            assert!(lists > 1_000, "seed {seed}: {lists} lists");
         }
     }
 }

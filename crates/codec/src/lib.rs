@@ -257,24 +257,57 @@ impl FragmentColumns {
 /// raw bytes (or when the structure does not parse, raw), so incompressible
 /// data never grows by more than the tag.
 pub fn encode_extent(choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> Vec<u8> {
-    debug_assert!(!choice.is_none(), "None bypasses extent framing");
-    let (tag, coded) = match (choice, kind) {
-        (CodecChoice::None, _) => (TAG_RAW, None),
-        (CodecChoice::Gaps, ExtentKind::Fragments) => {
-            (TAG_GAPS, gaps::fragments_from_raw(raw).ok())
+    let mut encoder = ExtentEncoder::default();
+    encoder.encode(choice, kind, raw);
+    encoder.out
+}
+
+/// [`encode_extent`] for a caller that codes extent after extent: the
+/// encoder keeps its working buffers and its output buffer, so a store
+/// build under [`CodecChoice::Bv`] allocates only while they grow.
+#[derive(Default)]
+pub struct ExtentEncoder {
+    bv: bv::EncodeScratch,
+    out: Vec<u8>,
+}
+
+impl ExtentEncoder {
+    /// The bytes [`encode_extent`] returns for `raw`, valid until the next
+    /// call.
+    pub fn encode(&mut self, choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> &[u8] {
+        debug_assert!(!choice.is_none(), "None bypasses extent framing");
+        let out = &mut self.out;
+        out.clear();
+        let coded = match (choice, kind) {
+            (CodecChoice::None, _) => false,
+            (CodecChoice::Gaps, kind) => {
+                let body = match kind {
+                    ExtentKind::Fragments => gaps::fragments_from_raw(raw),
+                    ExtentKind::Edges => gaps::edges_from_raw(raw),
+                };
+                body.map(|body| {
+                    out.push(TAG_GAPS);
+                    out.extend_from_slice(&body);
+                })
+                .is_ok()
+            }
+            (CodecChoice::Bv, kind) => {
+                out.push(TAG_BV);
+                match kind {
+                    ExtentKind::Fragments => bv::encode_fragments(raw, &mut self.bv, out),
+                    ExtentKind::Edges => bv::encode_edges(raw, &mut self.bv, out),
+                }
+                .is_ok()
+            }
+        };
+        // The coded body stays only when strictly shorter than `raw`.
+        if !coded || out.len() > raw.len() {
+            out.clear();
+            out.push(TAG_RAW);
+            out.extend_from_slice(raw);
         }
-        (CodecChoice::Gaps, ExtentKind::Edges) => (TAG_GAPS, gaps::edges_from_raw(raw).ok()),
-        (CodecChoice::Bv, ExtentKind::Fragments) => (TAG_BV, bv::fragments_from_raw(raw).ok()),
-        (CodecChoice::Bv, ExtentKind::Edges) => (TAG_BV, bv::edges_from_raw(raw).ok()),
-    };
-    let (tag, body): (u8, &[u8]) = match coded.as_deref() {
-        Some(c) if c.len() < raw.len() => (tag, c),
-        _ => (TAG_RAW, raw),
-    };
-    let mut out = Vec::with_capacity(body.len() + 1);
-    out.push(tag);
-    out.extend_from_slice(body);
-    out
+        out
+    }
 }
 
 /// Decodes an extent produced by [`encode_extent`] back into its raw

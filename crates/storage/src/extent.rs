@@ -30,7 +30,7 @@ use crate::stats::{AccessClass, IoStats};
 use crate::vfs::{Vfs, VfsFile};
 use hybridgraph_codec::ef::EliasFano;
 use hybridgraph_codec::{
-    decode_extent, decode_fragments, encode_extent, CodecChoice, ExtentKind, FragmentColumns,
+    decode_extent, decode_fragments, CodecChoice, ExtentEncoder, ExtentKind, FragmentColumns,
 };
 use std::io;
 use std::ops::Range;
@@ -54,6 +54,8 @@ pub struct ExtentWriter {
     /// Cumulative logical bytes; kept only under a codec (without one
     /// they would repeat `phys`).
     logi: Option<Vec<u64>>,
+    /// Codes extent after extent in the same buffers.
+    encoder: ExtentEncoder,
 }
 
 impl ExtentWriter {
@@ -78,6 +80,7 @@ impl ExtentWriter {
             extents,
             phys: offsets(),
             logi: (!codec.is_none()).then(offsets),
+            encoder: ExtentEncoder::default(),
         })
     }
 
@@ -91,9 +94,9 @@ impl ExtentWriter {
             self.file.append(AccessClass::SeqWrite, raw)?;
             raw.len() as u64
         } else {
-            let coded = encode_extent(self.codec, self.kind, raw);
+            let coded = self.encoder.encode(self.codec, self.kind, raw);
             self.file
-                .append_coded(AccessClass::SeqWrite, &coded, raw.len() as u64)?;
+                .append_coded(AccessClass::SeqWrite, coded, raw.len() as u64)?;
             coded.len() as u64
         };
         self.phys.push(self.phys[self.phys.len() - 1] + stored);

@@ -12,7 +12,8 @@ GUARDS=(
   "1 :: decode_fragments\( :: crates/storage/src :: storage::extent is the only site that decodes an Eblock into columns"
   "0 :: scan_eblock\(|in_edges_of\( :: crates/core/src :: the engine scans Eblocks and gathers in-edges into reused scratch, not into fresh Vecs"
   "0 :: Vec<Vec<u32>> :: crates/codec/src/bv.rs :: bv's reference window is index ranges into one flat id column"
-  "1 :: encode_extent\( :: crates/storage/src :: storage::extent is the only encode site of coded extents"
+  "1 :: encode_extent\(|encoder\.encode\( :: crates/storage/src :: storage::extent is the only encode site of coded extents"
+  "0 :: vec!\[false :: crates/codec/src/bv.rs :: bv prices copy-reference candidates in one streaming pass, without a copied bitmap per candidate"
   "0 :: sort_by_cached_key|DeliveredMessages|Vec<\(u32, Vec<(M|P::Message)> :: crates/core/src/modes crates/core/src/worker.rs crates/storage/src :: storage::inbox::Inbox is the one receive path: no grouped Vec of message Vecs, no allocating sort key"
   "0 :: MsgAccumulator|HashMap<u32, M> :: crates/core/src :: Inbox::from_staged is the only group-by-destination: no accumulator map in the engine"
   "0 :: sort_by_key :: crates/core/src/modes crates/net/src/wire.rs :: no sort in the executors or the wire encodings"
@@ -26,7 +27,7 @@ GUARDS=(
 
 # file :: most lines it may have (its count when the ratchet was last set)
 MAX_LINES=(
-  "DESIGN.md :: 1147"
+  "DESIGN.md :: 1144"
   "README.md :: 539"
 )
 
@@ -55,4 +56,15 @@ for row in "${MAX_LINES[@]}"; do
     fail=1
   fi
 done
+# CHANGES.md: one line per PR, at most this many characters each.
+MAX_CHANGES_CHARS=1500
+n=0
+while IFS= read -r line; do
+  n=$((n + 1))
+  chars=$(printf '%s' "$line" | LC_ALL=C.UTF-8 wc -m)
+  if [ "$chars" -gt "$MAX_CHANGES_CHARS" ]; then
+    echo "guard: CHANGES.md line $n has $chars characters, over $MAX_CHANGES_CHARS — raw runs go in the PR body, the history in git log"
+    fail=1
+  fi
+done < CHANGES.md
 exit $fail

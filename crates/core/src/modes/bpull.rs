@@ -7,8 +7,11 @@
 //! 2. **Serve** — on receiving a request for block `i`, scan every local
 //!    Eblock `g_{j,i}` whose metadata passes the `res` + bitmap check,
 //!    read the svertex value for each *responding* fragment (random read),
-//!    generate messages via `pullRes`, concatenate/combine, reply with
-//!    message batches and an `EndOfResponses{i}` marker.
+//!    generate messages via `pullRes`, reply with message batches and an
+//!    `EndOfResponses{i}` marker. Combinable messages fold by index into
+//!    one slot per vertex of block `i` as they are produced (the sending
+//!    buffer of Eq. 5, a [`FoldBuf`]), so the response is built without
+//!    holding a message; others are collected and concatenated.
 //! 3. **Update** — once all `T` peers have ended a block's responses,
 //!    run `update()` for its message destinations; new values are staged
 //!    and flushed only after every peer has finished the superstep, so
@@ -21,20 +24,21 @@
 //! messages from the new values into the peers' receive/spill buffers.
 
 use super::push::sink_payloads;
-use super::{run_init_step, send_batch, stage_response, staged_inbox};
+use super::{run_init_step, send_batch, send_payloads, stage_response, staged_inbox};
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
 use crate::worker::Worker;
 use hybridgraph_graph::{BlockId, VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
-use hybridgraph_net::wire::BatchKind;
+use hybridgraph_net::wire::{self, BatchKind};
 use hybridgraph_storage::adjacency::EdgeScratch;
-use hybridgraph_storage::inbox::Inbox;
+use hybridgraph_storage::inbox::{FoldBuf, Inbox};
 use hybridgraph_storage::veblock::EblockScratch;
 use hybridgraph_storage::{AccessClass, Record};
 use std::collections::VecDeque;
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,24 +97,27 @@ pub fn run_bpull_step<P: VertexProgram>(
     };
     let mut inflight: Vec<Inflight> = Vec::new();
     let mut resp = std::mem::take(&mut w.responder);
+    let mut fold = std::mem::take(&mut w.fold);
     let mut push = also_push.then(|| FusedPush {
         tbuf: ThresholdBuffer::new(workers, w.cfg.sending_threshold),
         edges: EdgeScratch::default(),
     });
 
-    let issue = |w: &Worker<P>, b: BlockId, inflight: &mut Vec<Inflight>| {
+    // `staged` is empty slots: fresh for the first `pipeline` blocks, then
+    // those of the block that just completed.
+    let issue = |w: &Worker<P>, b: BlockId, staged, inflight: &mut Vec<Inflight>| {
         for p in 0..workers {
             w.ep.send(WorkerId::from(p), Packet::PullRequest { block: b });
         }
         inflight.push(Inflight {
             block: b,
             ends: 0,
-            staged: vec![Vec::new(); workers],
+            staged,
         });
     };
     for _ in 0..pipeline {
         if let Some(b) = pending.pop_front() {
-            issue(w, b, &mut inflight);
+            issue(w, b, vec![Vec::new(); workers], &mut inflight);
         }
     }
     w.trace_phase("Pull-Request");
@@ -137,7 +144,9 @@ pub fn run_bpull_step<P: VertexProgram>(
         }
         let env = w.recv_timed(&mut blocking);
         match env.packet {
-            Packet::PullRequest { block } => serve_pull(w, env.from, block, &mut resp, &mut rep)?,
+            Packet::PullRequest { block } => {
+                serve_pull(w, env.from, block, &mut resp, &mut fold, &mut rep)?
+            }
             Packet::Messages {
                 kind,
                 payload,
@@ -164,7 +173,9 @@ pub fn run_bpull_step<P: VertexProgram>(
                 let pos = pos.ok_or_else(|| not_in_flight(block))?;
                 inflight[pos].ends += 1;
                 if inflight[pos].ends == workers {
-                    let (inbox, values) = staged_inbox(w, &inflight.swap_remove(pos).staged);
+                    let mut staged = inflight.swap_remove(pos).staged;
+                    let br = w.layout.block_range(block);
+                    let (inbox, values) = staged_inbox(w, &mut fold, &staged, &br);
                     // Blocks complete in request order (FIFO links), so
                     // the footprint is taken from complete inboxes only:
                     // this block's beside the `pipeline − 1` before it —
@@ -178,7 +189,8 @@ pub fn run_bpull_step<P: VertexProgram>(
                     w.note_memory(held + w.standing_memory_bytes());
                     update_block(w, &mut rep, superstep, block, &inbox, push.as_mut())?;
                     if let Some(nb) = pending.pop_front() {
-                        issue(w, nb, &mut inflight);
+                        staged.iter_mut().for_each(Vec::clear);
+                        issue(w, nb, staged, &mut inflight);
                     }
                 }
             }
@@ -193,6 +205,7 @@ pub fn run_bpull_step<P: VertexProgram>(
     }
 
     w.responder = resp;
+    w.fold = fold;
     w.trace_phase("Pull-Respond+update");
     w.flush_staged()?;
     w.trace_phase("flush");
@@ -203,8 +216,10 @@ pub fn run_bpull_step<P: VertexProgram>(
 }
 
 /// What Pull-Respond reuses from request to request (and the worker from
-/// superstep to superstep): the buffers each Eblock is decoded into and
-/// the messages of the response being built.
+/// superstep to superstep): the buffers each Eblock is decoded into and,
+/// for a concatenated response, the messages of the response being built.
+/// A combined response holds no message: each one folds into the worker's
+/// [`FoldBuf`] as it is produced.
 pub(crate) struct Responder<M> {
     scan: EblockScratch,
     out: Vec<(VertexId, M)>,
@@ -219,12 +234,32 @@ impl<M> Default for Responder<M> {
     }
 }
 
-/// Pull-Respond (Algorithm 2): answers a request for Vblock `block`.
+/// Eblock `g_{j,i}` names vertex `v`, as `what`, outside `range`.
+fn corrupt_eblock(
+    j: BlockId,
+    i: BlockId,
+    what: &str,
+    v: VertexId,
+    range: &Range<u32>,
+) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("Eblock g_{{{},{}}}: {what} {v} outside {range:?}", j.0, i.0),
+    )
+}
+
+/// Pull-Respond (Algorithm 2): answers a request for Vblock `block`. A
+/// combined response is each destination's left fold in production order,
+/// folded by index over the Vblock's range as `pullRes()` produces it; a
+/// concatenated one is the messages themselves, grouped when sent. An
+/// Eblock whose svertex lies outside its block, or whose edge leaves the
+/// requested Vblock, is `InvalidData`.
 fn serve_pull<P: VertexProgram>(
     w: &Worker<P>,
     from: WorkerId,
     block: BlockId,
     resp: &mut Responder<P::Message>,
+    fold: &mut FoldBuf<P::Message>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let ve = w
@@ -232,7 +267,12 @@ fn serve_pull<P: VertexProgram>(
         .as_ref()
         .expect("b-pull requires the VE-BLOCK store");
     let program = Arc::clone(&w.program);
+    let kind = w.batch_kind();
+    let combiner = program.combiner().filter(|_| kind == BatchKind::Combined);
+    let dsts = w.layout.block_range(block);
+    fold.reset(dsts.clone());
     resp.out.clear();
+    let produced = rep.messages_produced;
     for (jidx, j) in w.layout.blocks_of_worker(w.id).enumerate() {
         // X_j.res and bitmap short-circuit: skip blocks with no responders
         // or no edges into the requested block.
@@ -246,7 +286,11 @@ fn serve_pull<P: VertexProgram>(
         let (stored_edge, stored_aux) = ve.eblock_info(j, block).stored_split(frags.len());
         rep.sem.bpull_edge_bytes += stored_edge;
         rep.sem.fragment_aux_bytes += stored_aux;
+        let srcs = w.layout.block_range(j);
         for (src, edges) in frags {
+            if !srcs.contains(&src.0) {
+                return Err(corrupt_eblock(j, block, "svertex", src, &srcs));
+            }
             let local = w.local(src);
             if !w.respond.get(local) {
                 continue;
@@ -255,14 +299,31 @@ fn serve_pull<P: VertexProgram>(
             rep.sem.svertex_rand_bytes += P::Value::BYTES as u64;
             let outd = w.out_degrees[local];
             for e in edges {
+                if !dsts.contains(&e.dst.0) {
+                    return Err(corrupt_eblock(j, block, "edge to", e.dst, &dsts));
+                }
                 if let Some(m) = program.message(src, &val, outd, e) {
                     rep.messages_produced += 1;
-                    resp.out.push((e.dst, m));
+                    match combiner {
+                        Some(c) => fold.add(e.dst.0, m, |a, b| c.combine(a, b)),
+                        None => resp.out.push((e.dst, m)),
+                    }
                 }
             }
         }
     }
-    send_batch(w, from, w.batch_kind(), Some(block), &resp.out);
+    if combiner.is_some() {
+        let raw = (rep.messages_produced - produced) as usize;
+        send_payloads(
+            w,
+            from,
+            kind,
+            Some(block),
+            wire::combined_payload(fold, raw),
+        );
+    } else {
+        send_batch(w, from, kind, Some(block), &resp.out);
+    }
     w.ep.send(from, Packet::EndOfResponses { block });
     Ok(())
 }
@@ -370,7 +431,7 @@ mod tests {
             )
             .expect("well-formed response");
         }
-        staged_inbox(w, &slots)
+        staged_inbox(w, &mut FoldBuf::default(), &slots, &(20..30))
     }
 
     #[test]
@@ -451,6 +512,28 @@ mod tests {
             &(20..30),
         );
         assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_corrupt_eblock_fails_the_step_and_never_panics() {
+        // Raw extents carry ids as plain u32s: flip the high bit of Eblock
+        // g_{2,2}'s first svertex (byte 3), or of its first edge's `dst`
+        // (byte 11). Serving this worker's own request for Vblock 2 reads it.
+        for (combining, byte) in [(true, 3), (false, 3), (true, 11), (false, 11)] {
+            let (mut w, _peer) = bpull_worker(combining);
+            for local in 0..20 {
+                w.respond.set(local);
+            }
+            let ve = w.veblock.as_ref().expect("b-pull builds VE-BLOCK");
+            let at = ve.eblock_info(BlockId(2), BlockId(2)).offset + byte;
+            let file = w.vfs.open("eblk_2").expect("Eblock file");
+            let mut b = [0u8];
+            file.read_at(AccessClass::RandRead, at, &mut b).unwrap();
+            file.write_at(AccessClass::RandWrite, at, &[b[0] ^ 0x80])
+                .unwrap();
+            let err = run_bpull_step(&mut w, 2, false).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{combining} {byte}");
+        }
     }
 
     #[test]

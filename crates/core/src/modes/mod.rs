@@ -16,8 +16,8 @@ use crate::worker::Worker;
 use hybridgraph_graph::{BlockId, VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
-use hybridgraph_net::wire::{self, BatchKind};
-use hybridgraph_storage::inbox::Inbox;
+use hybridgraph_net::wire::{self, BatchKind, WireStats};
+use hybridgraph_storage::inbox::{FoldBuf, Inbox};
 use hybridgraph_storage::Record;
 use std::io;
 use std::ops::Range;
@@ -50,12 +50,11 @@ pub(crate) fn unexpected(packet: &Packet, phase: &str) -> io::Error {
     )
 }
 
-/// Encodes `batch` as `kind` and sends it to `to`: the one place a
-/// [`Packet::Messages`] leaves a worker. Push batches go out under
-/// [`Worker::push_kind`] with no block; b-pull responses (`for_block` =
-/// the Vblock they answer) and pull's gather responses under
-/// [`Worker::batch_kind`] — combined ones whole ("messages in a
-/// sub-buffer will not be sent until all messages are produced", §4.3),
+/// Encodes `batch` as `kind` and sends it to `to`. Push batches go out
+/// under [`Worker::push_kind`] with no block; pull's gather responses and
+/// b-pull's concatenated ones (`for_block` = the Vblock they answer) under
+/// [`Worker::batch_kind`] — combined ones whole ("messages in a sub-buffer
+/// will not be sent until all messages are produced", §4.3),
 /// concatenate-only ones cut at the sending threshold.
 pub(crate) fn send_batch<P: VertexProgram>(
     w: &Worker<P>,
@@ -65,13 +64,25 @@ pub(crate) fn send_batch<P: VertexProgram>(
     batch: &[(VertexId, P::Message)],
 ) {
     let cut = ThresholdBuffer::<P::Message>::messages_per_flush(w.cfg.sending_threshold);
-    for (payload, stats) in wire::encode_payloads(kind, batch, w.program.combiner(), cut) {
-        let payload = payload.into();
+    let payloads = wire::encode_payloads(kind, batch, w.program.combiner(), cut);
+    send_payloads(w, to, kind, for_block, payloads);
+}
+
+/// Sends encoded `kind` payloads to `to`: the one place a
+/// [`Packet::Messages`] leaves a worker.
+pub(crate) fn send_payloads<P: VertexProgram>(
+    w: &Worker<P>,
+    to: WorkerId,
+    kind: BatchKind,
+    for_block: Option<BlockId>,
+    payloads: impl IntoIterator<Item = (Vec<u8>, WireStats)>,
+) {
+    for (payload, stats) in payloads {
         w.ep.send(
             to,
             Packet::Messages {
                 kind,
-                payload,
+                payload: payload.into(),
                 stats,
                 for_block,
             },
@@ -111,28 +122,41 @@ pub(crate) fn stage_response<P: VertexProgram>(
 }
 
 /// Builds the inbox of a completed Vblock (b-pull) or superstep (pull)
-/// from its staged responses: one grouping pass in staged order — senders
-/// by worker id, each sender's payloads in send order, which is the order
-/// `update()` sees uncombined messages in — then, when combining, each
-/// destination's per-sender partials folded in that same order. Packets
+/// from its staged responses, every one of which passed [`stage_response`]
+/// against `dsts`. Staged order is senders by worker id, each sender's
+/// payloads in send order: uncombined messages are grouped in it, the
+/// order `update()` sees them in; combined values fold into `fold` over
+/// `dsts` in it — each sender's partials, then across senders. Packets
 /// arrive in whatever order the fabric interleaves them; the staged order
 /// does not depend on it, so float combining is bit-identical run to run
 /// and across a recovery replay. Also returns how many values were staged
 /// (the receive buffer `BR_i` at its fullest, in messages).
 pub(crate) fn staged_inbox<P: VertexProgram>(
     w: &Worker<P>,
+    fold: &mut FoldBuf<P::Message>,
     staged: &[Vec<Arc<[u8]>>],
+    dsts: &Range<u32>,
 ) -> (Inbox<P::Message>, u64) {
     let kind = w.batch_kind();
     let messages = staged
         .iter()
         .flatten()
         .flat_map(|payload| wire::messages::<P::Message>(kind, payload));
-    let inbox = Inbox::from_staged(messages);
-    let values = inbox.messages() as u64;
     match (kind, w.program.combiner()) {
-        (BatchKind::Combined, Some(c)) => (inbox.fold(|a, b| c.combine(a, b)), values),
-        _ => (inbox, values),
+        (BatchKind::Combined, Some(c)) => {
+            fold.reset(dsts.clone());
+            let mut values = 0;
+            for (dst, m) in messages {
+                fold.add(dst, m, |a, b| c.combine(a, b));
+                values += 1;
+            }
+            (fold.drain_inbox(), values)
+        }
+        _ => {
+            let inbox = Inbox::from_staged(messages);
+            let values = inbox.messages() as u64;
+            (inbox, values)
+        }
     }
 }
 

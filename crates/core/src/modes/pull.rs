@@ -135,8 +135,10 @@ pub fn run_pull_step<P: VertexProgram>(
             served = true;
         }
         if got_ends == workers && served && !my_done {
-            let fresh = vec![Vec::new(); workers];
-            let (inbox, values) = staged_inbox(w, &std::mem::replace(&mut staged, fresh));
+            let mut fold = std::mem::take(&mut w.fold);
+            let (inbox, values) = staged_inbox(w, &mut fold, &staged, &w.range);
+            w.fold = fold;
+            staged.iter_mut().for_each(Vec::clear);
             let held = values * (4 + P::Message::BYTES as u64);
             w.note_memory(held + w.standing_memory_bytes());
             update_cached(w, &mut rep, superstep, &inbox)?;

@@ -21,6 +21,7 @@ use hybridgraph_obs::TraceShard;
 use hybridgraph_storage::adjacency::{AdjacencyStore, EdgeScratch};
 use hybridgraph_storage::checkpoint::{CheckpointReader, CheckpointWriter};
 use hybridgraph_storage::gather::GatherStore;
+use hybridgraph_storage::inbox::FoldBuf;
 use hybridgraph_storage::lru::LruCache;
 use hybridgraph_storage::msg_log::MsgLogWriter;
 use hybridgraph_storage::msg_store::SpillBuffer;
@@ -207,6 +208,9 @@ pub struct Worker<P: VertexProgram> {
     pub staged: Vec<(u32, P::Value)>,
     /// b-pull's Pull-Respond buffers, kept from superstep to superstep.
     pub(crate) responder: Responder<P::Message>,
+    /// The combining fold of b-pull's responses and the pull family's
+    /// completed inboxes, kept from superstep to superstep.
+    pub(crate) fold: FoldBuf<P::Message>,
 
     /// Current superstep (set by the runner before each step).
     pub superstep: u64,
@@ -420,6 +424,7 @@ impl<P: VertexProgram> Worker<P> {
             interior,
             staged: Vec::new(),
             responder: Responder::default(),
+            fold: FoldBuf::default(),
             superstep: 0,
             io_baseline: IoSnapshot::default(),
             mem_peak: 0,

@@ -18,13 +18,15 @@
 //!
 //! A Vblock's messages are generated together, so they concatenate or
 //! combine *fully* in the sending buffer — and a Vblock is a contiguous id
-//! range, so grouping them by destination is an array index, not a sort:
-//! both grouping encodings, and the receivers that read them back, go
-//! through the one grouping pass of [`hybridgraph_storage::inbox`].
+//! range, so finding a destination is an array index, not a sort.
+//! Concatenation groups through the one grouping pass of
+//! [`hybridgraph_storage::inbox`]; combining never groups: each message
+//! folds into its destination's slot of a [`FoldBuf`] — b-pull's responder
+//! folds as `pullRes()` produces, then sends [`combined_payload`].
 
 use crate::combine::Combiner;
 use hybridgraph_graph::VertexId;
-use hybridgraph_storage::inbox::Inbox;
+use hybridgraph_storage::inbox::{FoldBuf, Inbox};
 use hybridgraph_storage::Record;
 use std::fmt::Debug;
 use std::io;
@@ -90,9 +92,9 @@ pub fn encode_batch<M: Record>(
 }
 
 /// Encodes `msgs` as the payloads of one send, none if there is nothing to
-/// say. The grouping encodings group once ([`Inbox::from_staged`]: by
-/// index, production order kept within a destination) and write the
-/// groups: `Combined` as the left fold of each group, `Concatenated` as
+/// say. `Combined` writes each destination's left fold in production
+/// order ([`FoldBuf`]); `Concatenated` groups once ([`Inbox::from_staged`]:
+/// by index, production order kept within a destination) and writes
 /// `(dst, count, values…)` cut into a new payload every `cut` messages of
 /// the grouped order — a destination's group may straddle two payloads.
 pub fn encode_payloads<M: Record>(
@@ -152,19 +154,29 @@ pub fn encode_payloads<M: Record>(
     }
 }
 
-/// `staged` grouped by destination, each group folded left to right in
-/// staged order, as `dst | M` records; and how many there are.
+/// `staged` folded left to right per destination, in staged order, as
+/// `dst | M` records ascending; and how many there are.
 fn combined_records<M: Record>(
     staged: impl Iterator<Item = (u32, M)> + Clone,
     combiner: &dyn Combiner<M>,
 ) -> (Vec<u8>, usize) {
-    let folded = Inbox::from_staged(staged).fold(|a, b| combiner.combine(a, b));
-    let mut out = Vec::with_capacity(folded.destinations() * (4 + M::BYTES));
-    for (dst, m) in folded.iter() {
-        dst.append_to(&mut out);
-        m[0].append_to(&mut out);
-    }
-    (out, folded.destinations())
+    let mut out = Vec::new();
+    let groups = FoldBuf::default().fold_records(staged, |a, b| combiner.combine(a, b), &mut out);
+    (out, groups)
+}
+
+/// Drains `fold` — the per-destination folds of `raw` messages — as one
+/// combined payload; `None` if nothing was added since it was reset.
+pub fn combined_payload<M: Record>(
+    fold: &mut FoldBuf<M>,
+    raw: usize,
+) -> Option<(Vec<u8>, WireStats)> {
+    let mut out = Vec::new();
+    let groups = fold.drain_records(&mut out);
+    (groups > 0).then(|| {
+        let stats = WireStats::of(&out, raw, groups, groups);
+        (out, stats)
+    })
 }
 
 /// Folds a sender's `later` combined payload into its `first`: one

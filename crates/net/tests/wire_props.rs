@@ -6,9 +6,11 @@
 use hybridgraph_graph::rng::SplitMix64;
 use hybridgraph_graph::VertexId;
 use hybridgraph_net::combine::{MinCombiner, SumCombiner};
-use hybridgraph_net::wire::{decode_batch, encode_batch, encode_payloads, BatchKind, WireStats};
+use hybridgraph_net::wire::{
+    combined_payload, decode_batch, encode_batch, encode_payloads, messages, BatchKind, WireStats,
+};
 use hybridgraph_net::Combiner;
-use hybridgraph_storage::inbox::Inbox;
+use hybridgraph_storage::inbox::{FoldBuf, Inbox};
 use hybridgraph_storage::Record;
 use std::collections::HashMap;
 
@@ -272,10 +274,127 @@ fn twelve_byte_messages_match_the_sorted_walk() {
     matches_reference(0x12, value, &NearestParent);
 }
 
-/// The staged-order constructor is a stable sort by destination.
+/// Destination ids an accumulator can be reset over: shapes 0–3 as
+/// [`destinations`] draws them, and — in place of ids scattered over the
+/// whole `u32` space, which cannot size a table — ids near `u32::MAX`.
+fn dense_destinations(r: &mut SplitMix64, shape: usize) -> Vec<u32> {
+    match shape {
+        4 => (0..r.range_usize(1, 300))
+            .map(|_| u32::MAX - 1 - r.below_u32(40))
+            .collect(),
+        _ => destinations(r, shape),
+    }
+}
+
+/// A range holding every id of `ids`, with slack on both sides.
+fn covering(ids: impl Iterator<Item = u32> + Clone) -> std::ops::Range<u32> {
+    let lo = ids.clone().min().unwrap_or(0);
+    let hi = ids.max().unwrap_or(0);
+    lo.saturating_sub(5)..hi.saturating_add(65)
+}
+
+/// Feeds one reused accumulator one message at a time, in production
+/// order, and holds what it drains to [`reference`], bytes and statistics;
+/// then folds 1–3 senders' combined payloads in slot order, as a receiver
+/// stages them, and holds that to the reference folded in slot order.
+fn accumulator_matches_reference<M: Record>(
+    seed: u64,
+    value: impl Fn(&mut SplitMix64) -> M,
+    combiner: &dyn Combiner<M>,
+) {
+    // Which NaN payload `a + b` keeps is the compiler's choice per call
+    // site, and an inlined site may commute the operands: kept opaque, the
+    // accumulator and the reference both call the one compiled `combine`,
+    // so only the operand order they pass can tell them apart.
+    let combiner = std::hint::black_box(combiner);
+    let combine = |a: &M, b: &M| combiner.combine(a, b);
+    let mut r = SplitMix64::new(seed);
+    let mut fold = FoldBuf::default();
+    for case in 0..CASES {
+        let shape = case % 5;
+        let msgs: Vec<(VertexId, M)> = dense_destinations(&mut r, shape)
+            .into_iter()
+            .map(|d| (VertexId(d), value(&mut r)))
+            .collect();
+        let ids = covering(msgs.iter().map(|(d, _)| d.0));
+        fold.reset(ids.clone());
+        if case % 3 == 0 {
+            // Added and never drained: the next reset forgets it.
+            fold.add(ids.start, value(&mut r), combine);
+            fold.reset(ids.clone());
+        }
+        for (dst, m) in &msgs {
+            fold.add(dst.0, m.clone(), combine);
+        }
+        let want = reference(BatchKind::Combined, &msgs, Some(combiner), usize::MAX).pop();
+        let got = combined_payload(&mut fold, msgs.len());
+        assert_eq!(got, want, "seed {seed:#x} case {case}");
+
+        // Senders by worker id, each sender's combined payload as sent.
+        let senders = 1 + case % 3;
+        let slots: Vec<Vec<u8>> = (0..senders)
+            .map(|s| {
+                let mut own: Vec<(VertexId, M)> =
+                    msgs.iter().skip(s).step_by(senders).cloned().collect();
+                encode_batch(BatchKind::Combined, &mut own, Some(combiner)).0
+            })
+            .collect();
+        let staged = slots
+            .iter()
+            .flat_map(|payload| messages::<M>(BatchKind::Combined, payload));
+        let in_slot_order: Vec<(VertexId, M)> =
+            staged.clone().map(|(d, m)| (VertexId(d), m)).collect();
+        let want = reference(
+            BatchKind::Combined,
+            &in_slot_order,
+            Some(combiner),
+            usize::MAX,
+        );
+        fold.reset(ids);
+        for (dst, m) in staged {
+            fold.add(dst, m, combine);
+        }
+        let mut got = Vec::new();
+        for (dst, msgs) in fold.drain_inbox().iter() {
+            assert_eq!(msgs.len(), 1, "one folded value per destination");
+            dst.append_to(&mut got);
+            msgs[0].append_to(&mut got);
+        }
+        let want = want.first().map_or(&[][..], |(bytes, _)| &bytes[..]);
+        assert_eq!(got, want, "seed {seed:#x} case {case}: {senders} senders");
+    }
+}
+
+#[test]
+fn accumulated_f64_sums_match_the_sorted_walk_bit_for_bit() {
+    accumulator_matches_reference(0xACF64, awkward_f64, &SumCombiner);
+}
+
+#[test]
+fn accumulated_f32_min_matches_the_sorted_walk() {
+    let value = |r: &mut SplitMix64| r.below_u32(1000) as f32 / 7.0 - 50.0;
+    accumulator_matches_reference(0xACF32, value, &MinCombiner);
+}
+
+#[test]
+fn accumulated_u32_sums_match_the_sorted_walk() {
+    let value = |r: &mut SplitMix64| r.next_u64() as u32;
+    accumulator_matches_reference(0xAC32, value, &SumCombiner);
+}
+
+#[test]
+fn accumulated_twelve_byte_messages_match_the_sorted_walk() {
+    let value = |r: &mut SplitMix64| (r.below_u32(1 << 20), r.below_u32(4) as f64);
+    accumulator_matches_reference(0xAC12, value, &NearestParent);
+}
+
+/// The staged-order constructor is a stable sort by destination, and
+/// folding in staged order meets each destination's earliest message
+/// first.
 #[test]
 fn staged_order_is_a_stable_sort_by_destination() {
     let mut r = SplitMix64::new(0x57A6ED);
+    let mut fold = FoldBuf::default();
     for case in 0..CASES {
         let staged: Vec<(u32, u32)> = destinations(&mut r, case % 5)
             .into_iter()
@@ -295,12 +414,14 @@ fn staged_order_is_a_stable_sort_by_destination() {
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(inbox.destinations(), distinct.len());
-        // Folding keeps the first of each destination: its earliest message.
-        let firsts = inbox.fold(|a, _| *a);
-        assert_eq!(firsts.messages(), distinct.len());
-        for (dst, msgs) in firsts.iter() {
-            let earliest = staged.iter().find(|&&(d, _)| d == dst).unwrap().1;
-            assert_eq!(msgs, [earliest]);
+        // Keeping the first of each destination keeps its earliest message.
+        let mut records = Vec::new();
+        let groups = fold.fold_records(staged.iter().copied(), |a, _| *a, &mut records);
+        assert_eq!(groups, distinct.len());
+        let firsts = decode_batch::<u32>(BatchKind::Combined, &records).unwrap();
+        for (dst, first) in firsts {
+            let earliest = staged.iter().find(|&&(d, _)| d == dst.0).unwrap().1;
+            assert_eq!(first, earliest, "case {case}");
         }
     }
 }

@@ -6,17 +6,46 @@
 //! in the order they were staged in (the pull family, at both ends of the
 //! wire: a sender's production order, a receiver's sender-then-send
 //! order); [`Inbox::from_records`] then orders them by content (push,
-//! pushM and async: arrival is unordered).
+//! pushM and async: arrival is unordered). Combined messages are never
+//! grouped: they fold by index into a [`FoldBuf`] where they are produced
+//! or staged.
 
 use crate::extent::invalid;
 use crate::record::Record;
 use hybridgraph_graph::VertexId;
 use std::io;
+use std::ops::Range;
 
-/// Above this many destination slots per message, the grouping pass
-/// orders by comparison instead of counting: a few scattered ids must not
-/// size a table by their span.
+/// Above this many destination slots per message, the grouping pass and
+/// [`FoldBuf::fold_records`] order by comparison instead of indexing: a
+/// few scattered ids must not size a table by their span.
 const SPARSE_SPAN_PER_RECORD: usize = 8;
+
+/// `(messages, lowest destination, highest destination)` of `staged`, or
+/// `None` if it is empty.
+fn extent<M>(staged: impl Iterator<Item = (u32, M)>) -> Option<(usize, u32, u32)> {
+    let (mut n, mut lo, mut hi) = (0usize, u32::MAX, 0u32);
+    for (dst, _) in staged {
+        n += 1;
+        lo = lo.min(dst);
+        hi = hi.max(dst);
+    }
+    (n > 0).then_some((n, lo, hi))
+}
+
+/// True if `n` ids spread over `lo..=hi` are too few to size a table by
+/// their span.
+fn scattered(n: usize, lo: u32, hi: u32) -> bool {
+    ((hi - lo) as usize + 1) / SPARSE_SPAN_PER_RECORD > n
+}
+
+/// `staged` stably sorted by destination: what scattered ids get instead
+/// of a table.
+fn sorted<M>(staged: impl Iterator<Item = (u32, M)>) -> Vec<(u32, M)> {
+    let mut pairs: Vec<(u32, M)> = staged.collect();
+    pairs.sort_by_key(|&(dst, _)| dst);
+    pairs
+}
 
 /// Messages of one superstep grouped by destination vertex, CSR-shaped:
 /// the distinct destinations ascending, one flat message arena, and each
@@ -136,28 +165,20 @@ impl<M: Clone> Inbox<M> {
     /// one stable comparison sort. `staged` is walked three times;
     /// nothing is allocated per message or destination.
     pub fn from_staged(staged: impl Iterator<Item = (u32, M)> + Clone) -> Inbox<M> {
-        let (mut n, mut lo, mut hi) = (0usize, u32::MAX, 0u32);
-        for (dst, _) in staged.clone() {
-            n += 1;
-            lo = lo.min(dst);
-            hi = hi.max(dst);
-        }
-        let Some((_, first)) = staged.clone().next() else {
+        let Some((n, lo, hi)) = extent(staged.clone()) else {
             return Inbox::new();
         };
         assert!(u32::try_from(n).is_ok(), "inbox offsets are u32");
-        let span = (hi - lo) as usize + 1;
-
-        if span / SPARSE_SPAN_PER_RECORD > n {
-            let mut pairs: Vec<(u32, M)> = staged.collect();
-            pairs.sort_by_key(|&(dst, _)| dst);
+        if scattered(n, lo, hi) {
             let mut inbox = Inbox::new();
-            for (dst, m) in pairs {
+            for (dst, m) in sorted(staged) {
                 inbox.extend(dst, [m]);
             }
             return inbox;
         }
 
+        let span = (hi - lo) as usize + 1;
+        let first = staged.clone().next().expect("staged is not empty").1;
         let slot_of = |dst: u32| (dst - lo) as usize;
         let mut cursors = vec![0u32; span + 1];
         for (dst, _) in staged.clone() {
@@ -184,21 +205,6 @@ impl<M: Clone> Inbox<M> {
             }
         }
         Inbox { dsts, ends, msgs }
-    }
-
-    /// Folds each destination's messages, left to right, into one.
-    pub fn fold(mut self, combine: impl Fn(&M, &M) -> M) -> Inbox<M> {
-        let mut folded = Vec::with_capacity(self.dsts.len());
-        let mut start = 0usize;
-        for end in &mut self.ends {
-            if let Some((first, rest)) = self.msgs[start..*end as usize].split_first() {
-                folded.push(rest.iter().fold(first.clone(), |acc, m| combine(&acc, m)));
-            }
-            start = *end as usize;
-            *end = folded.len() as u32;
-        }
-        self.msgs = folded;
-        self
     }
 }
 
@@ -241,6 +247,163 @@ impl<M: Record> Inbox<M> {
         });
         Ok(Inbox::from_staged(keys)
             .sorted_by_content(|key| M::read_from(&key.to_be_bytes()[..M::BYTES])))
+    }
+}
+
+/// The engine's one combining fold: a reusable dense accumulator with one
+/// slot per id of a contiguous range (a Vblock, a worker's share) and a
+/// bitset of the slots touched since the last drain. Messages fold into
+/// their destination's slot as they are added, left to right in call
+/// order, and a drain hands out one value per destination in ascending
+/// order — exactly what grouping in staged order and then folding each
+/// group gives, with no pair or group held per message.
+///
+/// [`FoldBuf::reset`] is O(1) — a drain leaves no bit set — and the slots
+/// and bitset are kept from range to range, so a caller that keeps the
+/// buffer allocates nothing once it has seen its widest range.
+pub struct FoldBuf<M> {
+    lo: u32,
+    span: usize,
+    slots: Vec<M>,
+    touched: Vec<u64>,
+    /// Slots touched since the last drain.
+    groups: usize,
+}
+
+impl<M> Default for FoldBuf<M> {
+    fn default() -> Self {
+        FoldBuf {
+            lo: 0,
+            span: 0,
+            slots: Vec::new(),
+            touched: Vec::new(),
+            groups: 0,
+        }
+    }
+}
+
+impl<M: Clone> FoldBuf<M> {
+    /// Readies the buffer for destinations in `ids`, dropping anything
+    /// added and not drained.
+    pub fn reset(&mut self, ids: Range<u32>) {
+        self.cover(ids.start, ids.len());
+    }
+
+    fn cover(&mut self, lo: u32, span: usize) {
+        if self.groups > 0 {
+            self.touched[..self.span.div_ceil(64)].fill(0);
+            self.groups = 0;
+        }
+        (self.lo, self.span) = (lo, span);
+        if self.touched.len() < span.div_ceil(64) {
+            self.touched.resize(span.div_ceil(64), 0);
+        }
+    }
+
+    /// Folds `m` into `dst`'s slot: the first message since the last
+    /// drain is the slot, each later one becomes `combine(slot, m)`.
+    ///
+    /// # Panics
+    /// Panics if `dst` is outside the range of the last reset.
+    #[inline]
+    pub fn add(&mut self, dst: u32, m: M, combine: impl Fn(&M, &M) -> M) {
+        let i = dst.wrapping_sub(self.lo) as usize;
+        assert!(i < self.span, "vertex {dst} is outside the fold's range");
+        let (word, bit) = (&mut self.touched[i / 64], 1u64 << (i % 64));
+        if *word & bit != 0 {
+            self.slots[i] = combine(&self.slots[i], &m);
+            return;
+        }
+        *word |= bit;
+        self.groups += 1;
+        if self.slots.len() < self.span {
+            // Untouched slots are never read: the filler is any message.
+            self.slots.resize(self.span, m.clone());
+        }
+        self.slots[i] = m;
+    }
+
+    /// Hands every touched slot to `emit` in ascending destination order,
+    /// leaves the buffer empty, and returns how many there were.
+    fn drain(&mut self, mut emit: impl FnMut(u32, &M)) -> usize {
+        if self.groups == 0 {
+            return 0;
+        }
+        for (w, word) in self.touched[..self.span.div_ceil(64)]
+            .iter_mut()
+            .enumerate()
+        {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                emit(self.lo + i as u32, &self.slots[i]);
+            }
+        }
+        std::mem::take(&mut self.groups)
+    }
+
+    /// Drains the folded values as an inbox of one message per
+    /// destination.
+    pub fn drain_inbox(&mut self) -> Inbox<M> {
+        let mut inbox = Inbox {
+            dsts: Vec::with_capacity(self.groups),
+            ends: Vec::with_capacity(self.groups),
+            msgs: Vec::with_capacity(self.groups),
+        };
+        self.drain(|dst, m| {
+            inbox.dsts.push(dst);
+            inbox.msgs.push(m.clone());
+            inbox.ends.push(inbox.msgs.len() as u32);
+        });
+        inbox
+    }
+}
+
+impl<M: Record> FoldBuf<M> {
+    /// Drains the folded values as `dst: u32 LE | M` records appended to
+    /// `out`, ascending by destination; returns how many.
+    pub fn drain_records(&mut self, out: &mut Vec<u8>) -> usize {
+        out.reserve(self.groups * (4 + M::BYTES));
+        self.drain(|dst, m| {
+            dst.append_to(out);
+            m.append_to(out);
+        })
+    }
+
+    /// Folds `staged` — ids anywhere in `u32` — left to right per
+    /// destination and appends the results to `out` as records, ascending;
+    /// returns how many. Ids dense enough go through the slots; a handful
+    /// scattered over a span far wider than their number gets one stable
+    /// comparison sort, folded run by run.
+    pub fn fold_records(
+        &mut self,
+        staged: impl Iterator<Item = (u32, M)> + Clone,
+        combine: impl Fn(&M, &M) -> M,
+        out: &mut Vec<u8>,
+    ) -> usize {
+        let Some((n, lo, hi)) = extent(staged.clone()) else {
+            return 0;
+        };
+        if !scattered(n, lo, hi) {
+            self.cover(lo, (hi - lo) as usize + 1);
+            for (dst, m) in staged {
+                self.add(dst, m, &combine);
+            }
+            return self.drain_records(out);
+        }
+        let pairs = sorted(staged);
+        let runs = pairs.chunk_by(|a, b| a.0 == b.0);
+        let groups = runs.clone().count();
+        out.reserve(groups * (4 + M::BYTES));
+        for run in runs {
+            let folded = run[1..]
+                .iter()
+                .fold(run[0].1.clone(), |acc, (_, m)| combine(&acc, m));
+            run[0].0.append_to(out);
+            folded.append_to(out);
+        }
+        groups
     }
 }
 

@@ -16,6 +16,8 @@ GUARDS=(
   "0 :: vec!\[false :: crates/codec/src/bv.rs :: bv prices copy-reference candidates in one streaming pass, without a copied bitmap per candidate"
   "0 :: sort_by_cached_key|DeliveredMessages|Vec<\(u32, Vec<(M|P::Message)> :: crates/core/src/modes crates/core/src/worker.rs crates/storage/src :: storage::inbox::Inbox is the one receive path: no grouped Vec of message Vecs, no allocating sort key"
   "0 :: MsgAccumulator|HashMap<u32, M> :: crates/core/src :: Inbox::from_staged is the only group-by-destination: no accumulator map in the engine"
+  "0 :: fn fold\( :: crates/storage/src/inbox.rs :: combined values fold by index (FoldBuf) where they are produced or staged, never grouped first"
+  "0 :: from_staged\([^)]*\)\.fold :: crates/net/src/wire.rs crates/core/src/modes :: combined values fold by index (FoldBuf) where they are produced or staged, never grouped first"
   "0 :: sort_by_key :: crates/core/src/modes crates/net/src/wire.rs :: no sort in the executors or the wire encodings"
   "0 :: MasterSnapshot :: crates/core/src :: the master's cursor is a MasterState, not a parallel snapshot struct"
   "0 :: MasterState[[:space:]]*\{ :: crates/core/src !snapshot.rs :: no hand-copied MasterState literal outside snapshot.rs"
@@ -27,7 +29,7 @@ GUARDS=(
 
 # file :: most lines it may have (its count when the ratchet was last set)
 MAX_LINES=(
-  "DESIGN.md :: 1144"
+  "DESIGN.md :: 1141"
   "README.md :: 539"
 )
 

@@ -11,7 +11,18 @@
 //!    prefixed runs. Every count read back goes through
 //!    [`PayloadReader::get_count`], which rejects a count whose elements
 //!    could not fit in the bytes that remain — so no decoder allocates
-//!    for a number it merely *read*.
+//!    for a number it merely *read*. A persisted record is *declared*
+//!    once — [`record!`](crate::record) for a struct,
+//!    [`tagged!`](crate::tagged) for an enum (a tag byte, then the
+//!    variant's fields) — as its fields in wire order. The declaration
+//!    writes both directions of the [`Field`] codec and derives
+//!    [`Field::MIN_BYTES`], the size a decoded count is checked against.
+//!    A layout other than a field type's own is named in the table as
+//!    `field via Layout` ([`Via`]): [`AsU32`], [`Len32`], [`Framed`], or
+//!    a crate's own (an interned label, an id from the dependency-free
+//!    graph crate). Decoding is strict: a presence byte is 0 or 1, a tag
+//!    is one the declaration lists, a narrowed integer must fit, so any
+//!    bytes that decode re-encode to themselves.
 //! 2. **Sealed whole files** — [`seal`] / [`unseal`] (checkpoints and
 //!    message-log segments):
 //!
@@ -39,6 +50,7 @@
 
 use crate::{decode_blob_frame, encode_blob_frame, CodecChoice};
 use std::io;
+use std::sync::Arc;
 
 fn corrupt(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("corrupt frame: {what}"))
@@ -89,7 +101,7 @@ impl PayloadWriter {
 
     /// Appends `data` with no length prefix (the schema fixes its length
     /// or carries it some other way).
-    pub fn put_raw(&mut self, data: &[u8]) {
+    fn put_raw(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
     }
 
@@ -221,6 +233,12 @@ impl<'a> PayloadReader<'a> {
     /// an allocation is never larger than the input justifies.
     pub fn get_count(&mut self, min_elem_bytes: usize) -> io::Result<usize> {
         let n = self.get_u64()?;
+        self.fits(n, min_elem_bytes)
+    }
+
+    /// `n` as a count, if that many elements of at least `min_elem_bytes`
+    /// each could still follow.
+    fn fits(&self, n: u64, min_elem_bytes: usize) -> io::Result<usize> {
         let fits = self.remaining() / min_elem_bytes.max(1);
         if n > fits as u64 {
             return Err(corrupt("count exceeds the bytes that remain"));
@@ -247,6 +265,518 @@ impl<'a> PayloadReader<'a> {
             out.push(self.get_u64()?);
         }
         Ok(out)
+    }
+}
+
+// --------------------------------------------------------- declarations
+
+/// A value with one persisted layout. Records get theirs from one
+/// declaration ([`record!`](crate::record), [`tagged!`](crate::tagged));
+/// the impls below are the primitives those are built from.
+pub trait Field: Sized {
+    /// Fewest bytes one value takes: what a decoded count of these is
+    /// checked against before anything is allocated for it.
+    const MIN_BYTES: usize;
+
+    /// Appends the value.
+    fn put(&self, w: &mut PayloadWriter);
+
+    /// Reads one value back; bytes this process did not write give
+    /// `InvalidData`, never a panic.
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Self>;
+
+    /// Appends `xs` back to back with no count (a byte run is one copy).
+    fn put_run(xs: &[Self], w: &mut PayloadWriter) {
+        for x in xs {
+            x.put(w);
+        }
+    }
+
+    /// Reads `n` values written by [`Field::put_run`]; `n` is already
+    /// checked against the bytes that remain.
+    fn get_run(n: usize, r: &mut PayloadReader<'_>) -> io::Result<Vec<Self>> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// A layout for values of type `T` other than `T`'s own [`Field`] one —
+/// a narrower integer, an interned label, a nested frame, or a type from
+/// a crate that cannot name [`Field`]. A declaration writes it as
+/// `field via Layout`; `Option`, `Vec`, `Arc` and pairs of layouts pass
+/// it through to what they hold.
+pub trait Via<T> {
+    /// Fewest bytes one value takes in this layout.
+    const MIN_BYTES: usize;
+
+    /// Appends `x` in this layout.
+    fn put(x: &T, w: &mut PayloadWriter);
+
+    /// Reads one value written by [`Via::put`].
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<T>;
+
+    /// Appends `xs` as `Vec<Self>` lays out a `Vec<T>`: a `u64` count,
+    /// then each value.
+    fn put_all(xs: &[T], w: &mut PayloadWriter) {
+        xs.len().put(w);
+        for x in xs {
+            Self::put(x, w);
+        }
+    }
+}
+
+/// An enum declared with [`tagged!`](crate::tagged): a tag byte, then the
+/// variant's fields. Where the tag travels outside the body — a gateway
+/// frame kind, a service-log record kind — the halves are used apart.
+pub trait Tagged: Sized {
+    /// The variant's tag.
+    fn tag(&self) -> u8;
+
+    /// Appends the variant's fields, without the tag.
+    fn put_fields(&self, w: &mut PayloadWriter);
+
+    /// Reads the fields of the variant tagged `tag`; an unknown tag is
+    /// `InvalidData`.
+    fn get_fields(tag: u8, r: &mut PayloadReader<'_>) -> io::Result<Self>;
+}
+
+/// The bytes of one value, on their own.
+pub fn encode<T: Field>(x: &T) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    x.put(&mut w);
+    w.into_bytes()
+}
+
+/// Reads one value that must fill `bytes` exactly.
+pub fn decode<T: Field>(bytes: &[u8]) -> io::Result<T> {
+    decode_via::<AsIs, T>(bytes)
+}
+
+/// Reads one value in layout `L` that must fill `bytes` exactly.
+pub fn decode_via<L: Via<T>, T>(bytes: &[u8]) -> io::Result<T> {
+    whole(bytes, L::get)
+}
+
+/// A tagged value as its tag and its field bytes, for a carrier that
+/// keeps the tag outside the body.
+pub fn encode_tagged<T: Tagged>(x: &T) -> (u8, Vec<u8>) {
+    let mut w = PayloadWriter::new();
+    x.put_fields(&mut w);
+    (x.tag(), w.into_bytes())
+}
+
+/// Reads the value [`encode_tagged`] split into `tag` and `body`; the
+/// fields must fill `body` exactly.
+pub fn decode_tagged<T: Tagged>(tag: u8, body: &[u8]) -> io::Result<T> {
+    whole(body, |r| T::get_fields(tag, r))
+}
+
+fn whole<T>(
+    bytes: &[u8],
+    get: impl FnOnce(&mut PayloadReader<'_>) -> io::Result<T>,
+) -> io::Result<T> {
+    let mut r = PayloadReader::new(bytes);
+    let x = get(&mut r)?;
+    if !r.done() {
+        return Err(corrupt("trailing bytes"));
+    }
+    Ok(x)
+}
+
+/// Declares how a struct is persisted: its fields in wire order, each in
+/// its own [`Field`] layout or `via` another ([`Via`]). Generates both
+/// directions and derives `MIN_BYTES`.
+///
+/// ```text
+/// record! { WireStats { raw_messages, wire_values, wire_bytes, saved_messages } }
+/// // A layout for a type from a crate that cannot name `Field`:
+/// record! { EdgeLayout: Edge { dst via AsU32, weight } }
+/// // A leading part; `..` fills the fields not listed from `Default`.
+/// record! { Head: QtAudit { superstep, q, .. } }
+/// ```
+#[macro_export]
+macro_rules! record {
+    ($ty:ident { $($f:ident $(via $w:ty)?),* $(,)? }) => {
+        impl $crate::frame::Field for $ty {
+            const MIN_BYTES: usize = 0 $(+ $crate::record!(@min |s: &$ty| &s.$f $(, $w)?))*;
+            fn put(&self, w: &mut $crate::frame::PayloadWriter) {
+                $($crate::record!(@put w, &self.$f $(, $w)?);)*
+            }
+            fn get(r: &mut $crate::frame::PayloadReader<'_>) -> ::std::io::Result<Self> {
+                Ok($ty { $($f: $crate::record!(@get r $(, $w)?),)* })
+            }
+        }
+    };
+    ($via:ident : $ty:ident { $($f:ident $(via $w:ty)?,)* .. }) => {
+        $crate::record!(@via $via $ty [..Default::default()] $($f $(via $w)?),*);
+    };
+    ($via:ident : $ty:ident { $($f:ident $(via $w:ty)?),* $(,)? }) => {
+        $crate::record!(@via $via $ty [] $($f $(via $w)?),*);
+    };
+    (@via $via:ident $ty:ident [$($rest:tt)*] $($f:ident $(via $w:ty)?),*) => {
+        impl $crate::frame::Via<$ty> for $via {
+            const MIN_BYTES: usize = 0 $(+ $crate::record!(@min |s: &$ty| &s.$f $(, $w)?))*;
+            fn put(x: &$ty, w: &mut $crate::frame::PayloadWriter) {
+                $($crate::record!(@put w, &x.$f $(, $w)?);)*
+            }
+            fn get(r: &mut $crate::frame::PayloadReader<'_>) -> ::std::io::Result<$ty> {
+                Ok($ty { $($f: $crate::record!(@get r $(, $w)?),)* $($rest)* })
+            }
+        }
+    };
+    // A field's MIN_BYTES, its type taken from an accessor closure.
+    (@min $field:expr) => {{
+        const fn m<S, T: $crate::frame::Field>(_: fn(&S) -> &T) -> usize {
+            T::MIN_BYTES
+        }
+        m($field)
+    }};
+    (@min $field:expr, $w:ty) => {{
+        const fn m<W: $crate::frame::Via<T>, S, T>(_: fn(&S) -> &T) -> usize {
+            W::MIN_BYTES
+        }
+        m::<$w, _, _>($field)
+    }};
+    (@put $wr:ident, $x:expr) => { $crate::frame::Field::put($x, $wr) };
+    (@put $wr:ident, $x:expr, $w:ty) => { <$w as $crate::frame::Via<_>>::put($x, $wr) };
+    (@get $r:ident) => { $crate::frame::Field::get($r)? };
+    (@get $r:ident, $w:ty) => { <$w as $crate::frame::Via<_>>::get($r)? };
+}
+
+/// Declares how an enum is persisted: per variant its tag byte and its
+/// fields in wire order (named as [`record!`](crate::record) names them;
+/// a tuple variant binds its one field to a name). Generates [`Tagged`]
+/// and [`Field`] — the tag, then the fields.
+///
+/// ```text
+/// tagged! { EventKind { 0 => Span { dur_us }, 1 => Instant, 2 => Counter } }
+/// tagged! { ArgValue { 0 => U64(x), 1 => I64(x), 2 => F64(x), 3 => Str(x) } }
+/// ```
+#[macro_export]
+macro_rules! tagged {
+    ($ty:ident {
+        $($tag:literal => $v:ident $(($p:ident $(via $pw:ty)?))? $({ $($f:ident $(via $fw:ty)?),* $(,)? })?),*
+        $(,)?
+    }) => {
+        impl $crate::frame::Tagged for $ty {
+            fn tag(&self) -> u8 {
+                match self { $($ty::$v { .. } => $tag,)* }
+            }
+            fn put_fields(&self, w: &mut $crate::frame::PayloadWriter) {
+                match self {
+                    $($ty::$v $(($p))? $({ $($f),* })? => {
+                        $($crate::record!(@put w, $p $(, $pw)?);)?
+                        $($($crate::record!(@put w, $f $(, $fw)?);)*)?
+                    })*
+                }
+            }
+            fn get_fields(tag: u8, r: &mut $crate::frame::PayloadReader<'_>) -> ::std::io::Result<Self> {
+                match tag {
+                    $($tag => {
+                        $(let $p = $crate::record!(@get r $(, $pw)?);)?
+                        $($(let $f = $crate::record!(@get r $(, $fw)?);)*)?
+                        Ok($ty::$v $(($p))? $({ $($f),* })?)
+                    })*
+                    t => Err(::std::io::Error::new(
+                        ::std::io::ErrorKind::InvalidData,
+                        format!("corrupt frame: unknown {} tag {t}", stringify!($ty)),
+                    )),
+                }
+            }
+        }
+        impl $crate::frame::Field for $ty {
+            // The tag, then the smallest variant.
+            #[allow(unreachable_patterns)]
+            const MIN_BYTES: usize = 1 + {
+                let mins = [$(
+                    0 $(+ $crate::record!(@min |s: &$ty| match s {
+                        $ty::$v($p) => $p,
+                        _ => unreachable!(),
+                    } $(, $pw)?))?
+                    $($(+ $crate::record!(@min |s: &$ty| match s {
+                        $ty::$v { $f, .. } => $f,
+                        _ => unreachable!(),
+                    } $(, $fw)?))*)?
+                ),*];
+                let (mut min, mut i) = (usize::MAX, 0);
+                while i < mins.len() {
+                    if mins[i] < min {
+                        min = mins[i];
+                    }
+                    i += 1;
+                }
+                min
+            };
+            fn put(&self, w: &mut $crate::frame::PayloadWriter) {
+                $crate::frame::Field::put(&$crate::frame::Tagged::tag(self), w);
+                $crate::frame::Tagged::put_fields(self, w);
+            }
+            fn get(r: &mut $crate::frame::PayloadReader<'_>) -> ::std::io::Result<Self> {
+                let tag = <u8 as $crate::frame::Field>::get(r)?;
+                $crate::frame::Tagged::get_fields(tag, r)
+            }
+        }
+    };
+}
+
+// ------------------------------------------------------------ primitives
+
+impl Field for u8 {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut PayloadWriter) {
+        w.put_u8(*self);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<u8> {
+        r.get_u8()
+    }
+    fn put_run(xs: &[u8], w: &mut PayloadWriter) {
+        w.put_raw(xs);
+    }
+    fn get_run(n: usize, r: &mut PayloadReader<'_>) -> io::Result<Vec<u8>> {
+        Ok(r.take(n)?.to_vec())
+    }
+}
+
+/// Little-endian integers; floats by bit pattern (bit-exact restore).
+macro_rules! le_fields {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn put(&self, w: &mut PayloadWriter) {
+                w.put_raw(&self.to_le_bytes());
+            }
+            fn get(r: &mut PayloadReader<'_>) -> io::Result<$t> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+le_fields!(u32, u64, i64, f32, f64);
+
+/// A `usize` is a `u64` on the wire.
+impl Field for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut PayloadWriter) {
+        (*self as u64).put(w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<usize> {
+        usize::try_from(r.get_u64()?).map_err(|_| corrupt("count overflows usize"))
+    }
+}
+
+impl Field for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut PayloadWriter) {
+        w.put_u8(*self as u8);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<bool> {
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(corrupt("flag is neither 0 nor 1")),
+        }
+    }
+}
+
+impl Field for String {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut PayloadWriter) {
+        w.put_str(self);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<String> {
+        r.get_str()
+    }
+}
+
+impl Field for CodecChoice {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut PayloadWriter) {
+        w.put_u8(self.tag());
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<CodecChoice> {
+        CodecChoice::from_tag(r.get_u8()?).ok_or_else(|| corrupt("unknown codec tag"))
+    }
+}
+
+/// A `u64` count, then the elements.
+impl<T: Field> Field for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut PayloadWriter) {
+        self.len().put(w);
+        T::put_run(self, w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Vec<T>> {
+        let n = r.get_count(T::MIN_BYTES)?;
+        T::get_run(n, r)
+    }
+}
+
+/// A presence byte (0 or 1), then the value.
+impl<T: Field> Field for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut PayloadWriter) {
+        <Option<AsIs>>::put(self, w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Option<T>> {
+        <Option<AsIs>>::get(r)
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, w: &mut PayloadWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<(A, B)> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES + C::MIN_BYTES;
+    fn put(&self, w: &mut PayloadWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<(A, B, C)> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+// --------------------------------------------------------------- layouts
+
+/// A value in its own [`Field`] layout — for the half of a pair of
+/// layouts that keeps it.
+pub struct AsIs;
+
+impl<T: Field> Via<T> for AsIs {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn put(x: &T, w: &mut PayloadWriter) {
+        x.put(w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<T> {
+        T::get(r)
+    }
+}
+
+/// An integer or id stored as a little-endian `u32` (gateway codes and
+/// counts, graph ids). A stored value that does not fit the field's type
+/// is `InvalidData`.
+pub struct AsU32;
+
+impl<T: Copy + TryFrom<u32> + TryInto<u32>> Via<T> for AsU32 {
+    const MIN_BYTES: usize = 4;
+    fn put(x: &T, w: &mut PayloadWriter) {
+        w.put_u32((*x).try_into().unwrap_or(u32::MAX));
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<T> {
+        T::try_from(r.get_u32()?).map_err(|_| corrupt("u32 value out of range"))
+    }
+}
+
+/// A run behind a `u32` count instead of a `u64` one (gateway lists,
+/// logged packet payloads).
+pub struct Len32;
+
+impl<T: Field> Via<Vec<T>> for Len32 {
+    const MIN_BYTES: usize = 4;
+    fn put(xs: &Vec<T>, w: &mut PayloadWriter) {
+        AsU32::put(&xs.len(), w);
+        T::put_run(xs, w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Vec<T>> {
+        let n = r.get_u32()?;
+        let n = r.fits(n.into(), T::MIN_BYTES)?;
+        T::get_run(n, r)
+    }
+}
+
+impl Via<Arc<[u8]>> for Len32 {
+    const MIN_BYTES: usize = 4;
+    fn put(xs: &Arc<[u8]>, w: &mut PayloadWriter) {
+        AsU32::put(&xs.len(), w);
+        w.put_raw(xs);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Arc<[u8]>> {
+        let n = r.get_u32()?;
+        let n = r.fits(n.into(), 1)?;
+        Ok(r.take(n)?.into())
+    }
+}
+
+/// A value framed as a length-prefixed byte run of its own fields, which
+/// must fill the run exactly.
+pub struct Framed;
+
+impl<T: Field> Via<T> for Framed {
+    const MIN_BYTES: usize = 8;
+    fn put(x: &T, w: &mut PayloadWriter) {
+        let at = w.len();
+        w.put_u64(0);
+        x.put(w);
+        let len = (w.len() - at - 8) as u64;
+        w.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<T> {
+        let n = r.get_count(1)?;
+        decode(r.take(n)?)
+    }
+}
+
+impl<T, L: Via<T>> Via<Option<T>> for Option<L> {
+    const MIN_BYTES: usize = 1;
+    fn put(x: &Option<T>, w: &mut PayloadWriter) {
+        x.is_some().put(w);
+        if let Some(x) = x {
+            L::put(x, w);
+        }
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Option<T>> {
+        Ok(match bool::get(r)? {
+            true => Some(L::get(r)?),
+            false => None,
+        })
+    }
+}
+
+impl<T, L: Via<T>> Via<Vec<T>> for Vec<L> {
+    const MIN_BYTES: usize = 8;
+    fn put(xs: &Vec<T>, w: &mut PayloadWriter) {
+        L::put_all(xs, w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Vec<T>> {
+        let n = r.get_count(L::MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(L::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T, L: Via<T>> Via<Arc<T>> for Arc<L> {
+    const MIN_BYTES: usize = L::MIN_BYTES;
+    fn put(x: &Arc<T>, w: &mut PayloadWriter) {
+        L::put(x, w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Arc<T>> {
+        L::get(r).map(Arc::new)
+    }
+}
+
+impl<A, B, LA: Via<A>, LB: Via<B>> Via<(A, B)> for (LA, LB) {
+    const MIN_BYTES: usize = LA::MIN_BYTES + LB::MIN_BYTES;
+    fn put(x: &(A, B), w: &mut PayloadWriter) {
+        LA::put(&x.0, w);
+        LB::put(&x.1, w);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<(A, B)> {
+        Ok((LA::get(r)?, LB::get(r)?))
     }
 }
 

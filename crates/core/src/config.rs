@@ -3,6 +3,7 @@
 use crate::fault::FaultPlan;
 use crate::pacer::StepPacer;
 use crate::shared::SharedStores;
+use hybridgraph_storage::frame::{Field, PayloadReader, PayloadWriter, Via};
 use hybridgraph_storage::{CodecChoice, DeviceProfile, SharedEdgeCache, Vfs};
 use std::io;
 use std::sync::Arc;
@@ -91,7 +92,7 @@ pub enum Mode {
 impl Mode {
     /// All modes: the paper's five in the order its figures list them,
     /// then `Async`. Serialized mode tags are positions in this array
-    /// (see `switch::mode_tag`), so new modes go at the end.
+    /// (see `snapshot`'s declarations), so new modes go at the end.
     pub const ALL: [Mode; 6] = [
         Mode::Push,
         Mode::PushM,
@@ -130,6 +131,34 @@ impl std::str::FromStr for Mode {
                  b-pull, hybrid, async"
             )),
         }
+    }
+}
+
+/// A mode stored as its [`Mode::label`] (gateway job options and progress
+/// events, the `Q_t` audit's mode columns). Only the six labels read back.
+pub struct ModeLabel;
+
+impl Via<Mode> for ModeLabel {
+    const MIN_BYTES: usize = String::MIN_BYTES;
+    fn put(mode: &Mode, w: &mut PayloadWriter) {
+        w.put_str(mode.label());
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Mode> {
+        let label = r.get_str()?;
+        Mode::ALL
+            .into_iter()
+            .find(|m| m.label() == label)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unknown mode label"))
+    }
+}
+
+impl Via<&'static str> for ModeLabel {
+    const MIN_BYTES: usize = String::MIN_BYTES;
+    fn put(label: &&'static str, w: &mut PayloadWriter) {
+        w.put_str(label);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<&'static str> {
+        <ModeLabel as Via<Mode>>::get(r).map(Mode::label)
     }
 }
 

@@ -43,7 +43,8 @@ pub mod worker;
 
 pub use blockexec::{BlockClassification, InteriorIndex};
 pub use config::{
-    BarrierSink, CheckpointPolicy, JobConfig, Mode, ProgressSink, ResumeState, WorkerDisks,
+    BarrierSink, CheckpointPolicy, JobConfig, Mode, ModeLabel, ProgressSink, ResumeState,
+    WorkerDisks,
 };
 pub use fault::{FaultPhase, FaultPlan, MasterKillPoint};
 pub use metrics::{

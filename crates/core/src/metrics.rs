@@ -11,9 +11,10 @@ use hybridgraph_obs::QtAudit;
 use hybridgraph_storage::{DeviceProfile, IoSnapshot};
 
 /// What a worker executed in one superstep.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum StepKind {
     /// Pure push: load + update + pushRes.
+    #[default]
     Push,
     /// Push without sending — the first half of switching push → b-pull
     /// (Fig. 6): load + update only; respond flags carry the signal.
@@ -217,7 +218,7 @@ pub struct StepReport {
 }
 
 /// Master-side aggregation of one superstep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SuperstepMetrics {
     /// 1-based superstep number.
     pub superstep: u64,

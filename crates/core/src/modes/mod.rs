@@ -41,7 +41,7 @@ pub(crate) fn is_abort(e: &io::Error) -> bool {
 
 /// A packet the running phase has no arm for. A peer never sends one, but
 /// a message-log segment read back during confined recovery can hold any
-/// variant (`Packet::decode` accepts them all and `send_replay` forwards
+/// variant (its declared layout reads them all and `send_replay` forwards
 /// it), so it fails the superstep instead of panicking the worker.
 pub(crate) fn unexpected(packet: &Packet, phase: &str) -> io::Error {
     io::Error::new(

@@ -50,6 +50,7 @@ use crate::snapshot::MasterState;
 use crate::switch::{q_metric, CostInputs, Switcher};
 use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Graph, Partition};
 use hybridgraph_net::fabric::{Fabric, NetSnapshot};
+use hybridgraph_storage::frame;
 use hybridgraph_storage::vfs::{DirVfs, MemVfs, Vfs};
 use hybridgraph_storage::{IoSnapshot, Record};
 use std::fmt;
@@ -204,7 +205,7 @@ fn validate<P: VertexProgram>(
 ) -> Result<Option<MasterState>, JobError> {
     let t = cfg.workers;
     let st = match &cfg.resume {
-        Some(resume) => Some(MasterState::decode(&resume.0[..])?),
+        Some(resume) => Some(frame::decode::<MasterState>(&resume.0[..])?),
         None => None,
     };
     let checks = [
@@ -242,6 +243,13 @@ fn validate<P: VertexProgram>(
             st.as_ref()
                 .is_none_or(|st| cfg.trace.is_none() || st.trace.is_some()),
             "traced job resumed from an untraced state",
+        ),
+        (
+            match (st.as_ref().and_then(|st| st.trace.as_ref()), &cfg.trace) {
+                (Some(states), Some(sink)) => states.len() == sink.shards().len(),
+                _ => true,
+            },
+            "resume state has a different number of trace tracks than the TraceSink",
         ),
     ];
     match checks.iter().find(|(ok, _)| !ok) {

@@ -15,6 +15,7 @@ use hybridgraph_graph::WorkerId;
 use hybridgraph_net::fabric::Endpoint;
 use hybridgraph_net::packet::Packet;
 use hybridgraph_storage::checkpoint::{has_checkpoint, remove_checkpoint};
+use hybridgraph_storage::frame;
 use hybridgraph_storage::msg_log::{self, MsgLogReader};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -409,12 +410,7 @@ fn replay_serve<P: VertexProgram>(
         if dest as usize != target {
             continue;
         }
-        let (packet, _) = Packet::decode(&blob).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("corrupt message-log entry in superstep {superstep}"),
-            )
-        })?;
+        let packet: Packet = frame::decode(&blob)?;
         w.ep.send_replay(to, packet);
     }
     Ok(())

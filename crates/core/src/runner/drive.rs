@@ -19,6 +19,7 @@ use hybridgraph_net::fabric::{ControlPlane, Endpoint, NetSnapshot, NetStats};
 use hybridgraph_net::netfault::NetFaultPlan;
 use hybridgraph_net::packet::Packet;
 use hybridgraph_obs::{secs_to_us, TraceSink};
+use hybridgraph_storage::frame;
 use hybridgraph_storage::msg_log::MsgLogReader;
 use hybridgraph_storage::vfs::Vfs;
 use hybridgraph_storage::IoSnapshot;
@@ -361,7 +362,7 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
         let st = &mut self.master.st;
         st.pending_release_secs = owed_release_secs;
         st.trace = self.agg.cfg.trace.as_ref().map(|s| s.export_states());
-        let (superstep, state) = (st.superstep, st.encode());
+        let (superstep, state) = (st.superstep, frame::encode(&*st));
         st.trace = None;
         self.master.killed(MasterKillPoint::MidBarrier(superstep))?;
         bs.commit(superstep, &state)?;

@@ -457,6 +457,7 @@ mod tests {
     use crate::metrics::StepReport;
     use crate::switch::Switcher;
     use hybridgraph_net::fabric::Fabric;
+    use hybridgraph_storage::frame;
 
     fn cfg(mode: Mode) -> JobConfig {
         JobConfig::new(mode, 3)
@@ -753,7 +754,7 @@ mod tests {
         assert_eq!(a.cut_at(), Some(4));
         // As a traced job has it: every audit so far is exported.
         a.st.audit_seen = a.st.switcher.audit().len() as u64;
-        let (committed, at_cut) = (a.st.encode(), a.st.clone());
+        let (committed, at_cut) = (frame::encode(&a.st), a.st.clone());
         assert_eq!(at_cut.switches.len(), 1, "Q_t = 0 flipped to b-pull");
         // Past the cut: more steps and audits, a switch back, a failure,
         // a spent recovery.
@@ -770,7 +771,7 @@ mod tests {
         a.rolled_back(8, 4);
 
         let mut b = Master::new(&c, 100, None);
-        b.resume(MasterState::decode(&committed).unwrap());
+        b.resume(frame::decode(&committed).unwrap());
         assert_eq!(b.cut_at(), Some(4));
         assert_eq!(b.rewind(), 4);
 
@@ -791,6 +792,9 @@ mod tests {
         a.cum_logical = b.st.cum_logical;
         a.epoch = b.st.epoch;
         a.mtbf = b.st.mtbf;
-        assert!(a.encode() == b.st.encode(), "a rewound field differs");
+        assert!(
+            frame::encode(&a) == frame::encode(&b.st),
+            "a rewound field differs"
+        );
     }
 }

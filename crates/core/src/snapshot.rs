@@ -4,8 +4,8 @@
 //! the master needs to resume a job from that cut in a *new process*:
 //! the superstep cursor, the hybrid [`Switcher`], the aggregated
 //! per-superstep metrics, the recovery bookkeeping, and (when tracing)
-//! the full trace-ring contents. [`MasterState::encode`] produces one
-//! canonical byte string; committing it through
+//! the full trace-ring contents. Its declared layout below encodes it to
+//! one canonical byte string; committing that through
 //! [`BarrierSink`](crate::config::BarrierSink) *after* the workers'
 //! checkpoint files are on disk gives the write-ahead ordering that makes
 //! a crash at any instant recoverable: either the commit record exists
@@ -20,244 +20,73 @@
 //! plain adaptive policy uses.
 
 use crate::config::Mode;
-use crate::metrics::{FailureEvent, RecoveryMetrics, StepKind, SuperstepMetrics};
-use crate::switch::{self, Switcher};
-use hybridgraph_obs::{decode_shard_states, encode_shard_states, ShardState};
-use hybridgraph_storage::{IoSnapshot, PayloadReader, PayloadWriter};
+use crate::metrics::{
+    AsyncStepStats, FailureEvent, RecoveryMetrics, SemanticBytes, StepKind, SuperstepMetrics,
+};
+use crate::switch::Switcher;
+use hybridgraph_obs::ShardState;
+use hybridgraph_storage::frame::{Field, Framed, PayloadReader, PayloadWriter, Via};
+use hybridgraph_storage::{record, tagged};
 use std::io;
 
-fn corrupt(what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("corrupt master state: {what}"),
-    )
-}
+// The master state's persisted layout, one declaration per record.
 
-fn kind_tag(k: StepKind) -> u8 {
-    match k {
-        StepKind::Push => 0,
-        StepKind::PushNoSend => 1,
-        StepKind::PushM => 2,
-        StepKind::Pull => 3,
-        StepKind::BPull => 4,
-        StepKind::BPullThenPush => 5,
-        StepKind::Async => 6,
-        StepKind::AsyncThenPush => 7,
+tagged! { Mode { 0 => Push, 1 => PushM, 2 => Pull, 3 => BPull, 4 => Hybrid, 5 => Async } }
+tagged! { StepKind {
+    0 => Push, 1 => PushNoSend, 2 => PushM, 3 => Pull, 4 => BPull, 5 => BPullThenPush,
+    6 => Async, 7 => AsyncThenPush,
+} }
+record! { SemanticBytes {
+    value_update_bytes, push_edge_bytes, bpull_edge_bytes, fragment_aux_bytes,
+    svertex_rand_bytes, msg_spill_bytes,
+} }
+record! { AsyncStepStats {
+    pseudo_rounds, interior_updates, interior_messages, interior_msg_bytes, boundary_active,
+    interior_active, blocks_active, blocks_converged,
+} }
+
+/// A superstep's fields up to the async block.
+struct StrictStep;
+
+record! { StrictStep: SuperstepMetrics {
+    superstep, kind, io, sem, net_out_bytes, net_local_bytes, net_raw_messages, net_wire_values,
+    net_saved_messages, net_requests, updated, responders, messages_produced, pending_messages,
+    cio_push_bytes, cio_bpull_bytes, mco, q_metric, memory_bytes, cache_hits, cache_misses,
+    cache_evictions, modeled_secs, modeled_io_secs, modeled_net_secs, wall_secs, blocking_secs, ..
+} }
+
+/// The async block follows only on the async step kinds, so strict-BSP
+/// steps keep their older layout: the service-log bytes (`physical_bytes`)
+/// of `BENCH_service_restart.json` pin it.
+impl Field for SuperstepMetrics {
+    const MIN_BYTES: usize = StrictStep::MIN_BYTES;
+    fn put(&self, w: &mut PayloadWriter) {
+        StrictStep::put(self, w);
+        if self.kind.mode() == Mode::Async {
+            (self.asy, self.max_residual).put(w);
+        }
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<SuperstepMetrics> {
+        let mut m = StrictStep::get(r)?;
+        if m.kind.mode() == Mode::Async {
+            (m.asy, m.max_residual) = Field::get(r)?;
+        }
+        Ok(m)
     }
 }
 
-fn kind_from_tag(tag: u8) -> io::Result<StepKind> {
-    Ok(match tag {
-        0 => StepKind::Push,
-        1 => StepKind::PushNoSend,
-        2 => StepKind::PushM,
-        3 => StepKind::Pull,
-        4 => StepKind::BPull,
-        5 => StepKind::BPullThenPush,
-        6 => StepKind::Async,
-        7 => StepKind::AsyncThenPush,
-        _ => return Err(corrupt("unknown step kind tag")),
-    })
-}
-
-/// An optional field: a presence byte, then the value.
-fn put_opt<T>(w: &mut PayloadWriter, x: Option<T>, put: impl FnOnce(&mut PayloadWriter, T)) {
-    w.put_u8(x.is_some() as u8);
-    if let Some(x) = x {
-        put(w, x);
-    }
-}
-
-fn get_opt<'a, T>(
-    r: &mut PayloadReader<'a>,
-    what: &str,
-    get: impl FnOnce(&mut PayloadReader<'a>) -> io::Result<T>,
-) -> io::Result<Option<T>> {
-    match r.get_u8()? {
-        0 => Ok(None),
-        1 => get(r).map(Some),
-        _ => Err(corrupt(what)),
-    }
-}
-
-fn put_io(w: &mut PayloadWriter, io: &IoSnapshot) {
-    w.put_u64(io.seq_read_bytes);
-    w.put_u64(io.seq_write_bytes);
-    w.put_u64(io.rand_read_bytes);
-    w.put_u64(io.rand_write_bytes);
-    w.put_u64(io.seq_read_logical_bytes);
-    w.put_u64(io.seq_write_logical_bytes);
-    w.put_u64(io.rand_read_logical_bytes);
-    w.put_u64(io.rand_write_logical_bytes);
-    w.put_u64(io.seq_read_ops);
-    w.put_u64(io.seq_write_ops);
-    w.put_u64(io.rand_read_ops);
-    w.put_u64(io.rand_write_ops);
-}
-
-fn get_io(r: &mut PayloadReader<'_>) -> io::Result<IoSnapshot> {
-    Ok(IoSnapshot {
-        seq_read_bytes: r.get_u64()?,
-        seq_write_bytes: r.get_u64()?,
-        rand_read_bytes: r.get_u64()?,
-        rand_write_bytes: r.get_u64()?,
-        seq_read_logical_bytes: r.get_u64()?,
-        seq_write_logical_bytes: r.get_u64()?,
-        rand_read_logical_bytes: r.get_u64()?,
-        rand_write_logical_bytes: r.get_u64()?,
-        seq_read_ops: r.get_u64()?,
-        seq_write_ops: r.get_u64()?,
-        rand_read_ops: r.get_u64()?,
-        rand_write_ops: r.get_u64()?,
-    })
-}
-
-fn put_step(w: &mut PayloadWriter, m: &SuperstepMetrics) {
-    w.put_u64(m.superstep);
-    w.put_u8(kind_tag(m.kind));
-    put_io(w, &m.io);
-    w.put_u64(m.sem.value_update_bytes);
-    w.put_u64(m.sem.push_edge_bytes);
-    w.put_u64(m.sem.bpull_edge_bytes);
-    w.put_u64(m.sem.fragment_aux_bytes);
-    w.put_u64(m.sem.svertex_rand_bytes);
-    w.put_u64(m.sem.msg_spill_bytes);
-    w.put_u64(m.net_out_bytes);
-    w.put_u64(m.net_local_bytes);
-    w.put_u64(m.net_raw_messages);
-    w.put_u64(m.net_wire_values);
-    w.put_u64(m.net_saved_messages);
-    w.put_u64(m.net_requests);
-    w.put_u64(m.updated);
-    w.put_u64(m.responders);
-    w.put_u64(m.messages_produced);
-    w.put_u64(m.pending_messages);
-    w.put_u64(m.cio_push_bytes);
-    w.put_u64(m.cio_bpull_bytes);
-    w.put_u64(m.mco);
-    w.put_f64(m.q_metric);
-    w.put_u64(m.memory_bytes);
-    w.put_u64(m.cache_hits);
-    w.put_u64(m.cache_misses);
-    w.put_u64(m.cache_evictions);
-    w.put_f64(m.modeled_secs);
-    w.put_f64(m.modeled_io_secs);
-    w.put_f64(m.modeled_net_secs);
-    w.put_f64(m.wall_secs);
-    w.put_f64(m.blocking_secs);
-    // The async extension rides only on the async step kinds (tags 6–7),
-    // so strict-BSP snapshots — including the committed WAL byte counts
-    // in BENCH_service_restart.json — keep their exact pre-async layout.
-    if matches!(m.kind, StepKind::Async | StepKind::AsyncThenPush) {
-        w.put_u64(m.asy.pseudo_rounds);
-        w.put_u64(m.asy.interior_updates);
-        w.put_u64(m.asy.interior_messages);
-        w.put_u64(m.asy.interior_msg_bytes);
-        w.put_u64(m.asy.boundary_active);
-        w.put_u64(m.asy.interior_active);
-        w.put_u64(m.asy.blocks_active);
-        w.put_u64(m.asy.blocks_converged);
-        w.put_f64(m.max_residual);
-    }
-}
-
-fn get_step(r: &mut PayloadReader<'_>) -> io::Result<SuperstepMetrics> {
-    let mut m = SuperstepMetrics {
-        superstep: r.get_u64()?,
-        kind: kind_from_tag(r.get_u8()?)?,
-        io: get_io(r)?,
-        sem: crate::metrics::SemanticBytes {
-            value_update_bytes: r.get_u64()?,
-            push_edge_bytes: r.get_u64()?,
-            bpull_edge_bytes: r.get_u64()?,
-            fragment_aux_bytes: r.get_u64()?,
-            svertex_rand_bytes: r.get_u64()?,
-            msg_spill_bytes: r.get_u64()?,
-        },
-        net_out_bytes: r.get_u64()?,
-        net_local_bytes: r.get_u64()?,
-        net_raw_messages: r.get_u64()?,
-        net_wire_values: r.get_u64()?,
-        net_saved_messages: r.get_u64()?,
-        net_requests: r.get_u64()?,
-        updated: r.get_u64()?,
-        responders: r.get_u64()?,
-        messages_produced: r.get_u64()?,
-        pending_messages: r.get_u64()?,
-        cio_push_bytes: r.get_u64()?,
-        cio_bpull_bytes: r.get_u64()?,
-        mco: r.get_u64()?,
-        q_metric: r.get_f64()?,
-        memory_bytes: r.get_u64()?,
-        cache_hits: r.get_u64()?,
-        cache_misses: r.get_u64()?,
-        cache_evictions: r.get_u64()?,
-        modeled_secs: r.get_f64()?,
-        modeled_io_secs: r.get_f64()?,
-        modeled_net_secs: r.get_f64()?,
-        wall_secs: r.get_f64()?,
-        blocking_secs: r.get_f64()?,
-        asy: crate::metrics::AsyncStepStats::default(),
-        max_residual: 0.0,
-    };
-    if matches!(m.kind, StepKind::Async | StepKind::AsyncThenPush) {
-        m.asy.pseudo_rounds = r.get_u64()?;
-        m.asy.interior_updates = r.get_u64()?;
-        m.asy.interior_messages = r.get_u64()?;
-        m.asy.interior_msg_bytes = r.get_u64()?;
-        m.asy.boundary_active = r.get_u64()?;
-        m.asy.interior_active = r.get_u64()?;
-        m.asy.blocks_active = r.get_u64()?;
-        m.asy.blocks_converged = r.get_u64()?;
-        m.max_residual = r.get_f64()?;
-    }
-    Ok(m)
-}
-
-fn put_recovery(w: &mut PayloadWriter, rec: &RecoveryMetrics) {
-    w.put_u64(rec.checkpoints_taken);
-    w.put_u64(rec.checkpoint_bytes);
-    put_io(w, &rec.checkpoint_io);
-    w.put_u64(rec.rollbacks);
-    w.put_u64(rec.confined_recoveries);
-    w.put_u64(rec.checkpoint_restores);
-    w.put_u64(rec.recomputed_supersteps);
-    w.put_u64(rec.replayed_supersteps);
-    w.put_u64(rec.msg_log_bytes);
-    w.put_f64(rec.mtbf_secs);
-    w.put_u64(rec.failures.len() as u64);
-    for f in &rec.failures {
-        w.put_u64(f.superstep);
-        w.put_u64(f.worker as u64);
-        w.put_str(&f.error);
-    }
-}
-
-fn get_recovery(r: &mut PayloadReader<'_>) -> io::Result<RecoveryMetrics> {
-    let mut rec = RecoveryMetrics {
-        checkpoints_taken: r.get_u64()?,
-        checkpoint_bytes: r.get_u64()?,
-        checkpoint_io: get_io(r)?,
-        rollbacks: r.get_u64()?,
-        confined_recoveries: r.get_u64()?,
-        checkpoint_restores: r.get_u64()?,
-        recomputed_supersteps: r.get_u64()?,
-        replayed_supersteps: r.get_u64()?,
-        msg_log_bytes: r.get_u64()?,
-        mtbf_secs: r.get_f64()?,
-        failures: Vec::new(),
-    };
-    let n = r.get_count(8 + 8 + 8)?;
-    rec.failures.reserve(n);
-    for _ in 0..n {
-        rec.failures.push(FailureEvent {
-            superstep: r.get_u64()?,
-            worker: r.get_u64()? as usize,
-            error: r.get_str()?.to_string(),
-        });
-    }
-    Ok(rec)
-}
+record! { FailureEvent { superstep, worker, error } }
+record! { RecoveryMetrics {
+    checkpoints_taken, checkpoint_bytes, checkpoint_io, rollbacks, confined_recoveries,
+    checkpoint_restores, recomputed_supersteps, replayed_supersteps, msg_log_bytes, mtbf_secs,
+    failures,
+} }
+record! { MtbfEstimator { observed_secs, failures } }
+record! { MasterState {
+    superstep, prev_checkpoint, last_ckpt_worker_bytes, epoch, workers, cur, pending_kind,
+    recoveries_used, cum_logical, accum_step_secs, pending_release_secs, audit_seen, switcher,
+    steps, switches, recovery, mtbf, trace via Option<Framed>,
+} }
 
 /// Modeled mean time between failures, fed by observed kills.
 ///
@@ -302,18 +131,6 @@ impl MtbfEstimator {
     /// Failures observed so far.
     pub fn failures(&self) -> u64 {
         self.failures
-    }
-
-    fn put(&self, w: &mut PayloadWriter) {
-        w.put_f64(self.observed_secs);
-        w.put_u64(self.failures);
-    }
-
-    fn get(r: &mut PayloadReader<'_>) -> io::Result<MtbfEstimator> {
-        Ok(MtbfEstimator {
-            observed_secs: r.get_f64()?,
-            failures: r.get_u64()?,
-        })
     }
 }
 
@@ -416,108 +233,13 @@ impl MasterState {
             trace: None,
         }
     }
-
-    /// Canonical byte encoding (little-endian, length-prefixed strings,
-    /// f64 as IEEE bits — bit-exact round-trips).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
-        w.put_u64(self.superstep);
-        put_opt(&mut w, self.prev_checkpoint, |w, p| w.put_u64(p));
-        w.put_u64(self.last_ckpt_worker_bytes);
-        w.put_u64(self.epoch);
-        w.put_u32(self.workers);
-        w.put_u8(switch::mode_tag(self.cur));
-        put_opt(&mut w, self.pending_kind, |w, k| w.put_u8(kind_tag(k)));
-        w.put_u64(self.recoveries_used);
-        w.put_u64(self.cum_logical);
-        w.put_f64(self.accum_step_secs);
-        w.put_f64(self.pending_release_secs);
-        w.put_u64(self.audit_seen);
-        self.switcher.encode(&mut w);
-        w.put_u64(self.steps.len() as u64);
-        for s in &self.steps {
-            put_step(&mut w, s);
-        }
-        w.put_u64(self.switches.len() as u64);
-        for (at, from, to) in &self.switches {
-            w.put_u64(*at);
-            w.put_u8(switch::mode_tag(*from));
-            w.put_u8(switch::mode_tag(*to));
-        }
-        put_recovery(&mut w, &self.recovery);
-        self.mtbf.put(&mut w);
-        put_opt(&mut w, self.trace.as_ref(), |w, states| {
-            w.put_bytes(&encode_shard_states(states))
-        });
-        w.into_bytes()
-    }
-
-    /// Decodes a state produced by [`MasterState::encode`].
-    pub fn decode(bytes: &[u8]) -> io::Result<MasterState> {
-        let mut r = PayloadReader::new(bytes);
-        let superstep = r.get_u64()?;
-        let prev_checkpoint = get_opt(&mut r, "prev-checkpoint flag", |r| r.get_u64())?;
-        let last_ckpt_worker_bytes = r.get_u64()?;
-        let epoch = r.get_u64()?;
-        let workers = r.get_u32()?;
-        let cur = switch::mode_from_tag(r.get_u8()?)?;
-        let pending_kind = get_opt(&mut r, "pending-kind flag", |r| kind_from_tag(r.get_u8()?))?;
-        let recoveries_used = r.get_u64()?;
-        let cum_logical = r.get_u64()?;
-        let accum_step_secs = r.get_f64()?;
-        let pending_release_secs = r.get_f64()?;
-        let audit_seen = r.get_u64()?;
-        let switcher = Switcher::decode(&mut r)?;
-        // A step is at least its superstep, kind byte and `IoSnapshot`.
-        let n_steps = r.get_count(8 + 1 + 12 * 8)?;
-        let mut steps = Vec::with_capacity(n_steps);
-        for _ in 0..n_steps {
-            steps.push(get_step(&mut r)?);
-        }
-        let n_switches = r.get_count(8 + 1 + 1)?;
-        let mut switches = Vec::with_capacity(n_switches);
-        for _ in 0..n_switches {
-            switches.push((
-                r.get_u64()?,
-                switch::mode_from_tag(r.get_u8()?)?,
-                switch::mode_from_tag(r.get_u8()?)?,
-            ));
-        }
-        let recovery = get_recovery(&mut r)?;
-        let mtbf = MtbfEstimator::get(&mut r)?;
-        let trace = get_opt(&mut r, "trace flag", |r| {
-            decode_shard_states(&r.get_bytes()?)
-        })?;
-        if !r.done() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(MasterState {
-            superstep,
-            prev_checkpoint,
-            last_ckpt_worker_bytes,
-            epoch,
-            workers,
-            cur,
-            pending_kind,
-            recoveries_used,
-            cum_logical,
-            accum_step_secs,
-            pending_release_secs,
-            audit_seen,
-            switcher,
-            steps,
-            switches,
-            recovery,
-            mtbf,
-            trace,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::SemanticBytes;
+    use hybridgraph_storage::frame::{decode, encode};
+    use hybridgraph_storage::IoSnapshot;
 
     fn sample_step(s: u64) -> SuperstepMetrics {
         SuperstepMetrics {
@@ -568,7 +290,7 @@ mod tests {
             modeled_net_secs: 0.004,
             wall_secs: 0.0009,
             blocking_secs: 0.0001,
-            asy: crate::metrics::AsyncStepStats::default(),
+            asy: AsyncStepStats::default(),
             max_residual: 0.0,
         }
     }
@@ -613,9 +335,9 @@ mod tests {
             mtbf,
             trace: None,
         };
-        let bytes = st.encode();
-        let back = MasterState::decode(&bytes).unwrap();
-        assert_eq!(back.encode(), bytes);
+        let bytes = encode(&st);
+        let back: MasterState = decode(&bytes).unwrap();
+        assert_eq!(encode(&back), bytes);
         assert_eq!(back.superstep, 4);
         assert_eq!(back.prev_checkpoint, Some(2));
         assert_eq!(back.cur, Mode::BPull);
@@ -635,13 +357,11 @@ mod tests {
         // A strict step encodes exactly as before; an async step appends
         // its stats block (8 u64 + 1 f64 = 72 bytes).
         let strict = sample_step(1);
-        let mut w = PayloadWriter::new();
-        put_step(&mut w, &strict);
-        let strict_len = w.into_bytes().len();
+        let strict_len = encode(&strict).len();
 
         let mut asy_step = sample_step(2);
         asy_step.kind = StepKind::Async;
-        asy_step.asy = crate::metrics::AsyncStepStats {
+        asy_step.asy = AsyncStepStats {
             pseudo_rounds: 4,
             interior_updates: 30,
             interior_messages: 44,
@@ -652,14 +372,10 @@ mod tests {
             blocks_converged: 2,
         };
         asy_step.max_residual = 1.25e-3;
-        let mut w = PayloadWriter::new();
-        put_step(&mut w, &asy_step);
-        let bytes = w.into_bytes();
+        let bytes = encode(&asy_step);
         assert_eq!(bytes.len(), strict_len + 72);
 
-        let mut r = PayloadReader::new(&bytes);
-        let back = get_step(&mut r).unwrap();
-        assert!(r.done());
+        let back: SuperstepMetrics = decode(&bytes).unwrap();
         assert_eq!(back.kind, StepKind::Async);
         assert_eq!(back.asy, asy_step.asy);
         assert_eq!(back.max_residual.to_bits(), asy_step.max_residual.to_bits());
@@ -687,40 +403,12 @@ mod tests {
             mtbf: MtbfEstimator::new(),
             trace: None,
         };
-        let enc = st.encode();
-        let dec = MasterState::decode(&enc).unwrap();
-        assert_eq!(dec.encode(), enc);
+        let enc = encode(&st);
+        let dec: MasterState = decode(&enc).unwrap();
+        assert_eq!(encode(&dec), enc);
         assert_eq!(dec.cur, Mode::Async);
         assert!(matches!(dec.pending_kind, Some(StepKind::AsyncThenPush)));
         assert_eq!(dec.steps[0].asy.pseudo_rounds, 4);
-    }
-
-    #[test]
-    fn master_state_rejects_corruption() {
-        let st = MasterState {
-            superstep: 0,
-            prev_checkpoint: None,
-            last_ckpt_worker_bytes: 1,
-            epoch: 0,
-            workers: 1,
-            cur: Mode::Push,
-            pending_kind: None,
-            recoveries_used: 0,
-            cum_logical: 0,
-            accum_step_secs: 0.0,
-            pending_release_secs: 0.0,
-            audit_seen: 0,
-            switcher: Switcher::new(Mode::Push, 2, 0.1),
-            steps: Vec::new(),
-            switches: Vec::new(),
-            recovery: RecoveryMetrics::default(),
-            mtbf: MtbfEstimator::new(),
-            trace: None,
-        };
-        let mut bytes = st.encode();
-        assert!(MasterState::decode(&bytes[..bytes.len() - 1]).is_err());
-        bytes.push(0);
-        assert!(MasterState::decode(&bytes).is_err());
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   (Shang & Yu-style "current metrics predict the remaining
 //!   supersteps") and requests a switch when the sign flips.
 
-use crate::config::Mode;
+use crate::config::{Mode, ModeLabel};
 use hybridgraph_obs::{QtAsync, QtAudit, QtInputs, QtTerms, QtTiers, QtVerdict};
-use hybridgraph_storage::{DeviceProfile, PayloadReader, PayloadWriter};
+use hybridgraph_storage::frame::{self, Field, PayloadReader, PayloadWriter, Tagged, Via};
+use hybridgraph_storage::{record, DeviceProfile};
 use std::io;
 
 const MB: f64 = 1024.0 * 1024.0;
@@ -317,252 +318,74 @@ impl Switcher {
             a.tiers = Some(tiers);
         }
     }
-
-    /// Serializes the switcher's full state (mode, decision cursor, `R_co`,
-    /// history, audit) into a durable master snapshot. Bit-exact: every
-    /// float travels by bit pattern, so a decoded switcher makes byte-for-
-    /// byte the same future decisions.
-    pub fn encode(&self, w: &mut PayloadWriter) {
-        w.put_u64(self.interval);
-        w.put_u8(mode_tag(self.current));
-        w.put_u64(self.last_decision);
-        w.put_f64(self.threshold);
-        match self.rco {
-            Some(r) => {
-                w.put_u8(1);
-                w.put_f64(r);
-            }
-            None => w.put_u8(0),
-        }
-        w.put_u64(self.history.len() as u64);
-        for (t, q) in &self.history {
-            w.put_u64(*t);
-            w.put_f64(*q);
-        }
-        w.put_u64(self.audit.len() as u64);
-        for a in &self.audit {
-            encode_qt_audit(w, a);
-        }
-    }
-
-    /// Rebuilds a switcher from [`Switcher::encode`] bytes.
-    pub fn decode(r: &mut PayloadReader<'_>) -> io::Result<Switcher> {
-        let interval = r.get_u64()?;
-        let current = mode_from_tag(r.get_u8()?)?;
-        let last_decision = r.get_u64()?;
-        let threshold = r.get_f64()?;
-        let rco = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_f64()?),
-            _ => return Err(snap_corrupt("rco flag")),
-        };
-        let nh = r.get_count(8 + 8)?;
-        let mut history = Vec::with_capacity(nh);
-        for _ in 0..nh {
-            let t = r.get_u64()?;
-            let q = r.get_f64()?;
-            history.push((t, q));
-        }
-        let na = r.get_count(QT_AUDIT_MIN_BYTES)?;
-        let mut audit = Vec::with_capacity(na);
-        for _ in 0..na {
-            audit.push(decode_qt_audit(r)?);
-        }
-        Ok(Switcher {
-            interval,
-            current,
-            last_decision,
-            threshold,
-            rco,
-            history,
-            audit,
-        })
-    }
 }
 
 // ------------------------------------------------- snapshot serialization
 
-fn snap_corrupt(what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("corrupt switcher snapshot: {what}"),
-    )
-}
+// The switcher's full state — mode, decision cursor, `R_co`, history,
+// audit — is part of a durable master snapshot. Bit-exact: every float
+// travels by bit pattern, so a decoded switcher makes byte-for-byte the
+// same future decisions.
+record! { Switcher {
+    interval, current, last_decision, threshold, rco, history, audit via Vec<AuditLayout>,
+} }
 
-/// A mode's serialized tag: its position in `Mode::ALL`.
-pub(crate) fn mode_tag(m: Mode) -> u8 {
-    m as u8
-}
+/// An audit record's fields up to the verdict byte; mode labels are
+/// re-interned to the engine's own `'static` labels.
+struct AuditHead;
 
-pub(crate) fn mode_from_tag(tag: u8) -> io::Result<Mode> {
-    Mode::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or_else(|| snap_corrupt("unknown mode tag"))
-}
+record! { AuditHead: QtAudit {
+    superstep, inputs, terms, q, step_secs, io_ratio, threshold,
+    mode_before via ModeLabel, mode_after via ModeLabel, ..
+} }
 
-fn mode_label_static(label: &str) -> io::Result<&'static str> {
-    Mode::ALL
-        .iter()
-        .map(|m| m.label())
-        .find(|l| *l == label)
-        .ok_or_else(|| snap_corrupt("unknown mode label"))
-}
+/// One audit record: the head, then the verdict byte.
+struct AuditLayout;
 
-fn verdict_tag(v: QtVerdict) -> u8 {
-    match v {
-        QtVerdict::TooEarly => 0,
-        QtVerdict::Hold => 1,
-        QtVerdict::BelowThreshold => 2,
-        QtVerdict::Switch => 3,
+/// The optional extensions ride on the verdict byte's high bits (0x80 =
+/// async term, 0x40 = per-tier ratios), so the audits of codec-less
+/// push/b-pull jobs keep their older layout: the `wire_bytes_out` of
+/// `BENCH_gateway.json` (audit blobs in `FetchResults`) and the
+/// service-log bytes (`physical_bytes`) of `BENCH_service_restart.json`
+/// pin it.
+impl Via<QtAudit> for AuditLayout {
+    const MIN_BYTES: usize = AuditHead::MIN_BYTES + 1;
+    fn put(a: &QtAudit, w: &mut PayloadWriter) {
+        AuditHead::put(a, w);
+        let flags = (a.asy.is_some() as u8) << 7 | (a.tiers.is_some() as u8) << 6;
+        (a.verdict.tag() | flags).put(w);
+        if let Some(x) = &a.asy {
+            x.put(w);
+        }
+        if let Some(t) = &a.tiers {
+            t.put(w);
+        }
     }
-}
-
-fn verdict_from_tag(tag: u8) -> io::Result<QtVerdict> {
-    Ok(match tag {
-        0 => QtVerdict::TooEarly,
-        1 => QtVerdict::Hold,
-        2 => QtVerdict::BelowThreshold,
-        3 => QtVerdict::Switch,
-        _ => return Err(snap_corrupt("unknown verdict tag")),
-    })
-}
-
-/// Fewest bytes one encoded audit record takes (superstep, 7 inputs, 4
-/// terms, 4 scalars, two empty labels, the verdict byte): what a decoded
-/// audit count is sized against before a table is allocated for it.
-const QT_AUDIT_MIN_BYTES: usize = 8 * (1 + 7 + 4 + 4 + 2) + 1;
-
-/// Serializes one Eq. 11 audit record (floats by bit pattern).
-fn encode_qt_audit(w: &mut PayloadWriter, a: &QtAudit) {
-    w.put_u64(a.superstep);
-    w.put_u64(a.inputs.mco);
-    w.put_u64(a.inputs.bytes_per_saved);
-    w.put_u64(a.inputs.io_mdisk);
-    w.put_u64(a.inputs.io_vrr);
-    w.put_u64(a.inputs.io_e_push);
-    w.put_u64(a.inputs.io_e_bpull);
-    w.put_u64(a.inputs.io_f);
-    w.put_f64(a.terms.net);
-    w.put_f64(a.terms.rw);
-    w.put_f64(a.terms.rr);
-    w.put_f64(a.terms.sr);
-    w.put_f64(a.q);
-    w.put_f64(a.step_secs);
-    w.put_f64(a.io_ratio);
-    w.put_f64(a.threshold);
-    w.put_str(a.mode_before);
-    w.put_str(a.mode_after);
-    // Optional extensions ride on the verdict byte's high bits (0x80 =
-    // async term, 0x40 = per-tier ratios) so audit records of plain
-    // push/b-pull codec-less jobs serialize byte-for-byte as they always
-    // have (committed baselines depend on those byte counts).
-    let mut tag = verdict_tag(a.verdict);
-    if a.asy.is_some() {
-        tag |= 0x80;
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<QtAudit> {
+        let mut a = AuditHead::get(r)?;
+        let tag = u8::get(r)?;
+        a.verdict = QtVerdict::get_fields(tag & 0x3f, r)?;
+        if tag & 0x80 != 0 {
+            a.asy = Some(QtAsync::get(r)?);
+        }
+        if tag & 0x40 != 0 {
+            a.tiers = Some(QtTiers::get(r)?);
+        }
+        Ok(a)
     }
-    if a.tiers.is_some() {
-        tag |= 0x40;
-    }
-    w.put_u8(tag);
-    if let Some(x) = &a.asy {
-        w.put_f64(x.barrier_saved_secs);
-        w.put_f64(x.dup_compute_secs);
-        w.put_f64(x.q_async);
-    }
-    if let Some(t) = &a.tiers {
-        w.put_f64(t.seq_read);
-        w.put_f64(t.seq_write);
-        w.put_f64(t.rand_read);
-        w.put_f64(t.rand_write);
-    }
-}
-
-/// Rebuilds one audit record; mode labels are re-interned to the engine's
-/// own `'static` labels.
-fn decode_qt_audit(r: &mut PayloadReader<'_>) -> io::Result<QtAudit> {
-    let superstep = r.get_u64()?;
-    let inputs = QtInputs {
-        mco: r.get_u64()?,
-        bytes_per_saved: r.get_u64()?,
-        io_mdisk: r.get_u64()?,
-        io_vrr: r.get_u64()?,
-        io_e_push: r.get_u64()?,
-        io_e_bpull: r.get_u64()?,
-        io_f: r.get_u64()?,
-    };
-    let terms = QtTerms {
-        net: r.get_f64()?,
-        rw: r.get_f64()?,
-        rr: r.get_f64()?,
-        sr: r.get_f64()?,
-    };
-    let q = r.get_f64()?;
-    let step_secs = r.get_f64()?;
-    let io_ratio = r.get_f64()?;
-    let threshold = r.get_f64()?;
-    let mode_before = mode_label_static(&r.get_str()?)?;
-    let mode_after = mode_label_static(&r.get_str()?)?;
-    let tag = r.get_u8()?;
-    let verdict = verdict_from_tag(tag & 0x3f)?;
-    let asy = if tag & 0x80 != 0 {
-        Some(QtAsync {
-            barrier_saved_secs: r.get_f64()?,
-            dup_compute_secs: r.get_f64()?,
-            q_async: r.get_f64()?,
-        })
-    } else {
-        None
-    };
-    let tiers = if tag & 0x40 != 0 {
-        Some(QtTiers {
-            seq_read: r.get_f64()?,
-            seq_write: r.get_f64()?,
-            rand_read: r.get_f64()?,
-            rand_write: r.get_f64()?,
-        })
-    } else {
-        None
-    };
-    Ok(QtAudit {
-        superstep,
-        inputs,
-        terms,
-        q,
-        step_secs,
-        io_ratio,
-        threshold,
-        mode_before,
-        mode_after,
-        verdict,
-        asy,
-        tiers,
-    })
 }
 
 /// Serializes a `Q_t` audit table to a canonical byte run — the form the
 /// restart-determinism tests and the chaos harness compare byte-for-byte.
 pub fn encode_qt_audits(audits: &[QtAudit]) -> Vec<u8> {
     let mut w = PayloadWriter::new();
-    w.put_u64(audits.len() as u64);
-    for a in audits {
-        encode_qt_audit(&mut w, a);
-    }
+    AuditLayout::put_all(audits, &mut w);
     w.into_bytes()
 }
 
 /// Rebuilds an audit table from [`encode_qt_audits`] bytes.
 pub fn decode_qt_audits(buf: &[u8]) -> io::Result<Vec<QtAudit>> {
-    let mut r = PayloadReader::new(buf);
-    let n = r.get_count(QT_AUDIT_MIN_BYTES)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_qt_audit(&mut r)?);
-    }
-    if !r.done() {
-        return Err(snap_corrupt("trailing bytes after audit table"));
-    }
-    Ok(out)
+    frame::decode_via::<Vec<AuditLayout>, _>(buf)
 }
 
 #[cfg(test)]
@@ -864,12 +687,7 @@ mod tests {
         s.decide(1, &hdd(), &push_favoring, 0.5, 1.0);
         s.decide(2, &hdd(), &push_favoring, 0.5, 1.25);
 
-        let mut w = PayloadWriter::new();
-        s.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = PayloadReader::new(&bytes);
-        let mut d = Switcher::decode(&mut r).unwrap();
-        assert!(r.done());
+        let mut d: Switcher = frame::decode(&frame::encode(&s)).unwrap();
         assert_eq!(d.current(), s.current());
         assert_eq!(d.rco, s.rco);
         assert_eq!(d.history, s.history);
@@ -1061,10 +879,7 @@ mod tests {
         assert!(decode_qt_audits(&plain_bytes).unwrap()[0].tiers.is_none());
 
         // The full switcher snapshot carries the annotation too.
-        let mut w = PayloadWriter::new();
-        coded.encode(&mut w);
-        let bytes = w.into_bytes();
-        let back = Switcher::decode(&mut PayloadReader::new(&bytes)).unwrap();
+        let back: Switcher = frame::decode(&frame::encode(&coded)).unwrap();
         assert_eq!(back.audit(), coded.audit());
 
         // Annotating with no audit record yet is a no-op, not a panic.
@@ -1076,12 +891,16 @@ mod tests {
     #[test]
     fn async_mode_tag_roundtrip() {
         for (i, m) in Mode::ALL.into_iter().enumerate() {
-            assert_eq!(mode_tag(m) as usize, i);
-            assert_eq!(mode_from_tag(mode_tag(m)).unwrap(), m);
+            assert_eq!(m.tag() as usize, i);
+            assert_eq!(frame::decode::<Mode>(&[i as u8]).unwrap(), m);
         }
-        assert_eq!(mode_tag(Mode::Async), 5);
-        assert!(mode_from_tag(6).is_err());
-        assert_eq!(mode_label_static("async").unwrap(), "async");
+        assert_eq!(Mode::Async.tag(), 5);
+        assert!(frame::decode::<Mode>(&[6]).is_err());
+        let label = frame::encode(&"async".to_string());
+        let back: &str = frame::decode_via::<ModeLabel, _>(&label).unwrap();
+        assert_eq!(back, "async");
+        let alias = frame::encode(&"bpull".to_string());
+        assert!(frame::decode_via::<ModeLabel, Mode>(&alias).is_err());
     }
 
     #[test]

@@ -20,6 +20,7 @@ use hybridgraph_net::wire::BatchKind;
 use hybridgraph_obs::TraceShard;
 use hybridgraph_storage::adjacency::{AdjacencyStore, EdgeScratch};
 use hybridgraph_storage::checkpoint::{CheckpointReader, CheckpointWriter};
+use hybridgraph_storage::frame::Field;
 use hybridgraph_storage::gather::GatherStore;
 use hybridgraph_storage::inbox::FoldBuf;
 use hybridgraph_storage::lru::LruCache;
@@ -950,7 +951,7 @@ impl<P: VertexProgram> Worker<P> {
         let mut blob = PayloadWriter::new();
         for (to, packet) in captured {
             blob.clear();
-            packet.encode(&mut blob);
+            packet.put(&mut blob);
             w.push(to.index() as u32, blob.as_bytes());
         }
         w.commit_with(self.vfs.as_ref(), self.cfg.codec)

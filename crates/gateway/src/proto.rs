@@ -1,11 +1,12 @@
 //! The message layer: typed requests and responses inside [`crate::wire`]
 //! frames.
 //!
-//! Bodies are encoded with the `codec::frame` field codec
-//! (`PayloadWriter` / `PayloadReader`, the same length-prefixed
-//! primitives the service WAL uses), so every field is bounds-checked on
+//! Every body is declared once below with the `codec::frame` field codec
+//! (the one the service WAL uses), so every field is bounds-checked on
 //! decode and a malformed body is a typed [`WireError::Malformed`], never
-//! a panic.
+//! a panic. Counts and codes are `u32` on this wire. A request or
+//! response is a tagged enum whose tag travels as the frame kind, outside
+//! the body.
 //!
 //! Frame kind assignments (append-only — never renumber):
 //!
@@ -30,10 +31,9 @@
 //! | 127  | response  | `Error`         |
 
 use crate::wire::WireError;
-use hybridgraph_core::Mode;
-use hybridgraph_storage::{
-    codec_from_tag, codec_tag, CodecChoice, PayloadReader, PayloadWriter, Record,
-};
+use hybridgraph_core::{Mode, ModeLabel};
+use hybridgraph_storage::frame::{self, AsU32, Field, Len32, PayloadReader};
+use hybridgraph_storage::{record, tagged, CodecChoice, Record};
 use std::fmt;
 use std::io;
 
@@ -93,58 +93,6 @@ pub enum ProgramSpec {
 }
 
 impl ProgramSpec {
-    fn encode(&self, w: &mut PayloadWriter) {
-        match self {
-            ProgramSpec::PageRank { supersteps } => {
-                w.put_u8(1);
-                w.put_u64(*supersteps);
-            }
-            ProgramSpec::PageRankUntil { eps, cap } => {
-                w.put_u8(2);
-                w.put_f64(*eps);
-                w.put_u64(*cap);
-            }
-            ProgramSpec::Sssp { source } => {
-                w.put_u8(3);
-                w.put_u32(*source);
-            }
-            ProgramSpec::Lpa { supersteps } => {
-                w.put_u8(4);
-                w.put_u64(*supersteps);
-            }
-            ProgramSpec::Wcc => w.put_u8(5),
-            ProgramSpec::Sa { ratio, seed } => {
-                w.put_u8(6);
-                w.put_u32(*ratio);
-                w.put_u64(*seed);
-            }
-        }
-    }
-
-    fn decode(r: &mut PayloadReader<'_>) -> Result<ProgramSpec, WireError> {
-        Ok(match r.get_u8().map_err(malformed)? {
-            1 => ProgramSpec::PageRank {
-                supersteps: r.get_u64().map_err(malformed)?,
-            },
-            2 => ProgramSpec::PageRankUntil {
-                eps: r.get_f64().map_err(malformed)?,
-                cap: r.get_u64().map_err(malformed)?,
-            },
-            3 => ProgramSpec::Sssp {
-                source: r.get_u32().map_err(malformed)?,
-            },
-            4 => ProgramSpec::Lpa {
-                supersteps: r.get_u64().map_err(malformed)?,
-            },
-            5 => ProgramSpec::Wcc,
-            6 => ProgramSpec::Sa {
-                ratio: r.get_u32().map_err(malformed)?,
-                seed: r.get_u64().map_err(malformed)?,
-            },
-            t => return Err(WireError::Malformed(format!("unknown program tag {t}"))),
-        })
-    }
-
     /// The [`ValueKind`] this program's per-vertex values decode as.
     pub fn value_kind(&self) -> ValueKind {
         match self {
@@ -169,19 +117,6 @@ pub enum ValueKind {
     U64U32 = 4,
 }
 
-impl ValueKind {
-    /// Decodes the tag.
-    pub fn from_tag(t: u8) -> Result<ValueKind, WireError> {
-        Ok(match t {
-            1 => ValueKind::F64,
-            2 => ValueKind::F32,
-            3 => ValueKind::U32,
-            4 => ValueKind::U64U32,
-            _ => return Err(WireError::Malformed(format!("unknown value kind {t}"))),
-        })
-    }
-}
-
 /// Encodes per-vertex values generically: `count:u64` then fixed-width
 /// [`Record`] bytes. This is the exact value encoding of `FetchResults`,
 /// so byte-identity of two runs' values is byte-identity of these blobs.
@@ -196,14 +131,13 @@ pub fn encode_values<V: Record>(vals: &[V]) -> Vec<u8> {
 
 /// Decodes a value blob produced by [`encode_values`].
 pub fn decode_values<V: Record>(buf: &[u8]) -> Result<Vec<V>, WireError> {
-    let mut r = PayloadReader::new(buf);
-    let count = r.get_count(V::BYTES).map_err(malformed)?;
-    let records = r.take(count * V::BYTES).map_err(malformed)?;
-    if !r.done() {
+    let count = u64::get(&mut PayloadReader::new(buf)).map_err(malformed)?;
+    let records = &buf[8..];
+    if records.len() as u64 != count.saturating_mul(V::BYTES as u64) {
         return Err(WireError::Malformed(format!(
-            "value blob is {} bytes, {count} records need {}",
+            "value blob is {} bytes, {count} records of {} bytes do not fill it",
             buf.len(),
-            8 + records.len()
+            V::BYTES
         )));
     }
     Ok(records.chunks_exact(V::BYTES).map(V::read_from).collect())
@@ -235,29 +169,6 @@ impl Default for JobOptions {
     }
 }
 
-impl JobOptions {
-    fn encode(&self, w: &mut PayloadWriter) {
-        w.put_str(self.mode.label());
-        w.put_u64(self.buffer_messages);
-        w.put_u8(self.trace as u8);
-        w.put_u64(self.max_supersteps);
-    }
-
-    fn decode(r: &mut PayloadReader<'_>) -> Result<JobOptions, WireError> {
-        let mode: Mode = r
-            .get_str()
-            .map_err(malformed)?
-            .parse()
-            .map_err(WireError::Malformed)?;
-        Ok(JobOptions {
-            mode,
-            buffer_messages: r.get_u64().map_err(malformed)?,
-            trace: r.get_u8().map_err(malformed)? != 0,
-            max_supersteps: r.get_u64().map_err(malformed)?,
-        })
-    }
-}
-
 /// One job submission inside `Submit` / `SubmitBatch`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitReq {
@@ -267,22 +178,6 @@ pub struct SubmitReq {
     pub program: ProgramSpec,
     /// Job knobs.
     pub options: JobOptions,
-}
-
-impl SubmitReq {
-    fn encode(&self, w: &mut PayloadWriter) {
-        w.put_str(&self.graph);
-        self.program.encode(w);
-        self.options.encode(w);
-    }
-
-    fn decode(r: &mut PayloadReader<'_>) -> Result<SubmitReq, WireError> {
-        Ok(SubmitReq {
-            graph: r.get_str().map_err(malformed)?,
-            program: ProgramSpec::decode(r)?,
-            options: JobOptions::decode(r)?,
-        })
-    }
 }
 
 /// A client-to-server message.
@@ -337,120 +232,13 @@ pub enum Request {
 impl Request {
     /// Encodes into `(frame kind, body)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = PayloadWriter::new();
-        let kind = match self {
-            Request::RegisterGraph {
-                name,
-                workers,
-                vblocks_per_worker,
-                codec,
-                source,
-            } => {
-                w.put_str(name);
-                w.put_u32(*workers);
-                w.put_u32(*vblocks_per_worker);
-                w.put_u8(codec_tag(*codec));
-                match source {
-                    GraphSource::Blob(b) => {
-                        w.put_u8(0);
-                        w.put_bytes(b);
-                    }
-                    GraphSource::Dataset { name, scale } => {
-                        w.put_u8(1);
-                        w.put_str(name);
-                        w.put_u64(*scale);
-                    }
-                }
-                1
-            }
-            Request::Submit(req) => {
-                req.encode(&mut w);
-                2
-            }
-            Request::SubmitBatch(reqs) => {
-                w.put_u32(reqs.len() as u32);
-                for r in reqs {
-                    r.encode(&mut w);
-                }
-                3
-            }
-            Request::JobStatus { job_id } => {
-                w.put_u64(*job_id);
-                4
-            }
-            Request::Subscribe { job_id } => {
-                w.put_u64(*job_id);
-                5
-            }
-            Request::FetchResults { job_id } => {
-                w.put_u64(*job_id);
-                6
-            }
-            Request::Evict { name } => {
-                w.put_str(name);
-                7
-            }
-            Request::Metrics => 8,
-            Request::Shutdown => 9,
-        };
-        (kind, w.into_bytes())
+        frame::encode_tagged(self)
     }
 
     /// Decodes a request frame. The whole body must be consumed —
     /// trailing garbage is malformed.
     pub fn decode(kind: u8, body: &[u8]) -> Result<Request, WireError> {
-        let mut r = PayloadReader::new(body);
-        let req = match kind {
-            1 => {
-                let name = r.get_str().map_err(malformed)?;
-                let workers = r.get_u32().map_err(malformed)?;
-                let vblocks_per_worker = r.get_u32().map_err(malformed)?;
-                let codec = codec_from_tag(r.get_u8().map_err(malformed)?).map_err(malformed)?;
-                let source = match r.get_u8().map_err(malformed)? {
-                    0 => GraphSource::Blob(r.get_bytes().map_err(malformed)?),
-                    1 => GraphSource::Dataset {
-                        name: r.get_str().map_err(malformed)?,
-                        scale: r.get_u64().map_err(malformed)?,
-                    },
-                    t => return Err(WireError::Malformed(format!("unknown graph source {t}"))),
-                };
-                Request::RegisterGraph {
-                    name,
-                    workers,
-                    vblocks_per_worker,
-                    codec,
-                    source,
-                }
-            }
-            2 => Request::Submit(SubmitReq::decode(&mut r)?),
-            3 => {
-                let n = r.get_u32().map_err(malformed)?;
-                let mut reqs = Vec::new();
-                for _ in 0..n {
-                    reqs.push(SubmitReq::decode(&mut r)?);
-                }
-                Request::SubmitBatch(reqs)
-            }
-            4 => Request::JobStatus {
-                job_id: r.get_u64().map_err(malformed)?,
-            },
-            5 => Request::Subscribe {
-                job_id: r.get_u64().map_err(malformed)?,
-            },
-            6 => Request::FetchResults {
-                job_id: r.get_u64().map_err(malformed)?,
-            },
-            7 => Request::Evict {
-                name: r.get_str().map_err(malformed)?,
-            },
-            8 => Request::Metrics,
-            9 => Request::Shutdown,
-            k => return Err(WireError::Malformed(format!("unknown request kind {k}"))),
-        };
-        if !r.done() {
-            return Err(WireError::Malformed("trailing bytes after request".into()));
-        }
-        Ok(req)
+        frame::decode_tagged(kind, body).map_err(malformed)
     }
 }
 
@@ -469,19 +257,6 @@ pub enum ErrorDomain {
     /// Gateway-level codes: 1 = unknown job id, 2 = shutting down,
     /// 3 = unknown dataset name.
     Gateway = 5,
-}
-
-impl ErrorDomain {
-    fn from_tag(t: u8) -> Result<ErrorDomain, WireError> {
-        Ok(match t {
-            1 => ErrorDomain::Protocol,
-            2 => ErrorDomain::Admission,
-            3 => ErrorDomain::Job,
-            4 => ErrorDomain::Catalog,
-            5 => ErrorDomain::Gateway,
-            _ => return Err(WireError::Malformed(format!("unknown error domain {t}"))),
-        })
-    }
 }
 
 /// Gateway-domain code: the job id is not (and never was) registered.
@@ -544,54 +319,6 @@ pub enum ProgressEvent {
 }
 
 impl ProgressEvent {
-    fn encode(&self, w: &mut PayloadWriter) {
-        match self {
-            ProgressEvent::Loaded { modeled_secs } => {
-                w.put_u8(1);
-                w.put_f64(*modeled_secs);
-            }
-            ProgressEvent::Superstep {
-                superstep,
-                mode,
-                modeled_secs,
-            } => {
-                w.put_u8(2);
-                w.put_u64(*superstep);
-                w.put_str(mode.label());
-                w.put_f64(*modeled_secs);
-            }
-            ProgressEvent::Done => w.put_u8(3),
-            ProgressEvent::Failed { code, message } => {
-                w.put_u8(4);
-                w.put_u32(*code as u32);
-                w.put_str(message);
-            }
-        }
-    }
-
-    fn decode(r: &mut PayloadReader<'_>) -> Result<ProgressEvent, WireError> {
-        Ok(match r.get_u8().map_err(malformed)? {
-            1 => ProgressEvent::Loaded {
-                modeled_secs: r.get_f64().map_err(malformed)?,
-            },
-            2 => ProgressEvent::Superstep {
-                superstep: r.get_u64().map_err(malformed)?,
-                mode: r
-                    .get_str()
-                    .map_err(malformed)?
-                    .parse()
-                    .map_err(WireError::Malformed)?,
-                modeled_secs: r.get_f64().map_err(malformed)?,
-            },
-            3 => ProgressEvent::Done,
-            4 => ProgressEvent::Failed {
-                code: r.get_u32().map_err(malformed)? as u16,
-                message: r.get_str().map_err(malformed)?,
-            },
-            t => return Err(WireError::Malformed(format!("unknown progress tag {t}"))),
-        })
-    }
-
     /// True for `Done` / `Failed`.
     pub fn is_terminal(&self) -> bool {
         matches!(self, ProgressEvent::Done | ProgressEvent::Failed { .. })
@@ -617,37 +344,6 @@ pub enum JobStatusInfo {
     },
 }
 
-impl JobStatusInfo {
-    fn encode(&self, w: &mut PayloadWriter) {
-        match self {
-            JobStatusInfo::Running { supersteps_done } => {
-                w.put_u8(1);
-                w.put_u64(*supersteps_done);
-            }
-            JobStatusInfo::Done => w.put_u8(2),
-            JobStatusInfo::Failed { code, message } => {
-                w.put_u8(3);
-                w.put_u32(*code as u32);
-                w.put_str(message);
-            }
-        }
-    }
-
-    fn decode(r: &mut PayloadReader<'_>) -> Result<JobStatusInfo, WireError> {
-        Ok(match r.get_u8().map_err(malformed)? {
-            1 => JobStatusInfo::Running {
-                supersteps_done: r.get_u64().map_err(malformed)?,
-            },
-            2 => JobStatusInfo::Done,
-            3 => JobStatusInfo::Failed {
-                code: r.get_u32().map_err(malformed)? as u16,
-                message: r.get_str().map_err(malformed)?,
-            },
-            t => return Err(WireError::Malformed(format!("unknown status tag {t}"))),
-        })
-    }
-}
-
 /// A finished job's full outcome (`FetchResults` response). The value,
 /// audit and trace bytes are exactly what the engine produced — the
 /// byte-identity guarantees compare these blobs directly.
@@ -671,59 +367,6 @@ pub struct JobOutcome {
     pub supersteps: u64,
     /// Mode switches as `"t:from->to"` strings, superstep order.
     pub switches: Vec<String>,
-}
-
-impl JobOutcome {
-    fn encode(&self, w: &mut PayloadWriter) {
-        w.put_u8(self.value_kind as u8);
-        w.put_bytes(&self.values);
-        w.put_bytes(&self.audits);
-        match &self.trace {
-            Some(t) => {
-                w.put_u8(1);
-                w.put_str(t);
-            }
-            None => w.put_u8(0),
-        }
-        w.put_f64(self.modeled_secs);
-        w.put_u64(self.physical_bytes);
-        w.put_u64(self.logical_bytes);
-        w.put_u64(self.supersteps);
-        w.put_u32(self.switches.len() as u32);
-        for s in &self.switches {
-            w.put_str(s);
-        }
-    }
-
-    fn decode(r: &mut PayloadReader<'_>) -> Result<JobOutcome, WireError> {
-        let value_kind = ValueKind::from_tag(r.get_u8().map_err(malformed)?)?;
-        let values = r.get_bytes().map_err(malformed)?;
-        let audits = r.get_bytes().map_err(malformed)?;
-        let trace = match r.get_u8().map_err(malformed)? {
-            0 => None,
-            _ => Some(r.get_str().map_err(malformed)?),
-        };
-        let modeled_secs = r.get_f64().map_err(malformed)?;
-        let physical_bytes = r.get_u64().map_err(malformed)?;
-        let logical_bytes = r.get_u64().map_err(malformed)?;
-        let supersteps = r.get_u64().map_err(malformed)?;
-        let n = r.get_u32().map_err(malformed)?;
-        let mut switches = Vec::new();
-        for _ in 0..n {
-            switches.push(r.get_str().map_err(malformed)?);
-        }
-        Ok(JobOutcome {
-            value_kind,
-            values,
-            audits,
-            trace,
-            modeled_secs,
-            physical_bytes,
-            logical_bytes,
-            supersteps,
-            switches,
-        })
-    }
 }
 
 /// A server-to-client message.
@@ -759,81 +402,67 @@ pub enum Response {
 impl Response {
     /// Encodes into `(frame kind, body)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = PayloadWriter::new();
-        let kind = match self {
-            Response::Ok => 64,
-            Response::Registered { engine, graph_id } => {
-                w.put_u32(*engine);
-                w.put_u32(*graph_id);
-                65
-            }
-            Response::Submitted { job_ids } => {
-                w.put_u32(job_ids.len() as u32);
-                for id in job_ids {
-                    w.put_u64(*id);
-                }
-                66
-            }
-            Response::Status(s) => {
-                s.encode(&mut w);
-                67
-            }
-            Response::Progress(p) => {
-                p.encode(&mut w);
-                68
-            }
-            Response::Results(o) => {
-                o.encode(&mut w);
-                69
-            }
-            Response::MetricsText(t) => {
-                w.put_str(t);
-                70
-            }
-            Response::Error(e) => {
-                w.put_u8(e.domain as u8);
-                w.put_u32(e.code as u32);
-                w.put_str(&e.message);
-                127
-            }
-        };
-        (kind, w.into_bytes())
+        frame::encode_tagged(self)
     }
 
     /// Decodes a response frame; the whole body must be consumed.
     pub fn decode(kind: u8, body: &[u8]) -> Result<Response, WireError> {
-        let mut r = PayloadReader::new(body);
-        let resp = match kind {
-            64 => Response::Ok,
-            65 => Response::Registered {
-                engine: r.get_u32().map_err(malformed)?,
-                graph_id: r.get_u32().map_err(malformed)?,
-            },
-            66 => {
-                let n = r.get_u32().map_err(malformed)?;
-                let mut job_ids = Vec::new();
-                for _ in 0..n {
-                    job_ids.push(r.get_u64().map_err(malformed)?);
-                }
-                Response::Submitted { job_ids }
-            }
-            67 => Response::Status(JobStatusInfo::decode(&mut r)?),
-            68 => Response::Progress(ProgressEvent::decode(&mut r)?),
-            69 => Response::Results(JobOutcome::decode(&mut r)?),
-            70 => Response::MetricsText(r.get_str().map_err(malformed)?),
-            127 => Response::Error(RemoteError {
-                domain: ErrorDomain::from_tag(r.get_u8().map_err(malformed)?)?,
-                code: r.get_u32().map_err(malformed)? as u16,
-                message: r.get_str().map_err(malformed)?,
-            }),
-            k => return Err(WireError::Malformed(format!("unknown response kind {k}"))),
-        };
-        if !r.done() {
-            return Err(WireError::Malformed("trailing bytes after response".into()));
-        }
-        Ok(resp)
+        frame::decode_tagged(kind, body).map_err(malformed)
     }
 }
+
+// ------------------------------------------------------------ the bodies
+
+tagged! { GraphSource { 0 => Blob(blob), 1 => Dataset { name, scale } } }
+tagged! { ProgramSpec {
+    1 => PageRank { supersteps },
+    2 => PageRankUntil { eps, cap },
+    3 => Sssp { source },
+    4 => Lpa { supersteps },
+    5 => Wcc,
+    6 => Sa { ratio, seed },
+} }
+tagged! { ValueKind { 1 => F64, 2 => F32, 3 => U32, 4 => U64U32 } }
+record! { JobOptions { mode via ModeLabel, buffer_messages, trace, max_supersteps } }
+record! { SubmitReq { graph, program, options } }
+tagged! { Request {
+    1 => RegisterGraph { name, workers, vblocks_per_worker, codec, source },
+    2 => Submit(req),
+    3 => SubmitBatch(reqs via Len32),
+    4 => JobStatus { job_id },
+    5 => Subscribe { job_id },
+    6 => FetchResults { job_id },
+    7 => Evict { name },
+    8 => Metrics,
+    9 => Shutdown,
+} }
+tagged! { ErrorDomain { 1 => Protocol, 2 => Admission, 3 => Job, 4 => Catalog, 5 => Gateway } }
+record! { RemoteError { domain, code via AsU32, message } }
+tagged! { ProgressEvent {
+    1 => Loaded { modeled_secs },
+    2 => Superstep { superstep, mode via ModeLabel, modeled_secs },
+    3 => Done,
+    4 => Failed { code via AsU32, message },
+} }
+tagged! { JobStatusInfo {
+    1 => Running { supersteps_done },
+    2 => Done,
+    3 => Failed { code via AsU32, message },
+} }
+record! { JobOutcome {
+    value_kind, values, audits, trace, modeled_secs, physical_bytes, logical_bytes, supersteps,
+    switches via Len32,
+} }
+tagged! { Response {
+    64 => Ok,
+    65 => Registered { engine, graph_id },
+    66 => Submitted { job_ids via Len32 },
+    67 => Status(status),
+    68 => Progress(event),
+    69 => Results(outcome),
+    70 => MetricsText(text),
+    127 => Error(error),
+} }
 
 #[cfg(test)]
 mod tests {

@@ -531,19 +531,13 @@ fn handle_request(gw: &Arc<Gw>, transport: &Arc<dyn Transport>, req: Request) ->
             source,
         } => {
             let graph = match source {
-                GraphSource::Blob(b) => match decode_graph(&b) {
-                    Ok(g) => g,
-                    Err(e) => {
-                        return Response::Error(RemoteError {
-                            domain: ErrorDomain::Protocol,
-                            code: WireError::Malformed(String::new()).code(),
-                            message: format!("graph blob: {e}"),
-                        })
-                    }
-                },
+                GraphSource::Blob(b) => decode_graph(&b).map_err(|e| format!("graph blob: {e}")),
+                GraphSource::Dataset { scale: 0, .. } => {
+                    Err("dataset scale denominator must be at least 1".to_string())
+                }
                 GraphSource::Dataset { name: ds, scale } => {
                     match Dataset::ALL.iter().find(|d| d.name() == ds) {
-                        Some(d) => d.build_scaled(scale as usize),
+                        Some(d) => Ok(d.build_scaled(scale as usize)),
                         None => {
                             return gateway_error(
                                 GW_UNKNOWN_DATASET,
@@ -551,6 +545,16 @@ fn handle_request(gw: &Arc<Gw>, transport: &Arc<dyn Transport>, req: Request) ->
                             )
                         }
                     }
+                }
+            };
+            let graph = match graph {
+                Ok(g) => g,
+                Err(message) => {
+                    return Response::Error(RemoteError {
+                        domain: ErrorDomain::Protocol,
+                        code: WireError::Malformed(String::new()).code(),
+                        message,
+                    })
                 }
             };
             let spec = GraphSpec::new(workers as usize)

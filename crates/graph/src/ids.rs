@@ -31,6 +31,13 @@ impl From<u32> for VertexId {
     }
 }
 
+impl From<VertexId> for u32 {
+    #[inline]
+    fn from(v: VertexId) -> u32 {
+        v.0
+    }
+}
+
 impl From<usize> for VertexId {
     #[inline]
     fn from(v: usize) -> Self {
@@ -52,6 +59,20 @@ impl BlockId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+impl From<u32> for BlockId {
+    #[inline]
+    fn from(b: u32) -> Self {
+        BlockId(b)
+    }
+}
+
+impl From<BlockId> for u32 {
+    #[inline]
+    fn from(b: BlockId) -> u32 {
+        b.0
     }
 }
 

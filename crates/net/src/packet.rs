@@ -16,7 +16,8 @@
 
 use crate::wire::{BatchKind, WireStats};
 use hybridgraph_graph::BlockId;
-use hybridgraph_storage::{PayloadReader, PayloadWriter};
+use hybridgraph_storage::frame::{AsU32, Len32};
+use hybridgraph_storage::{record, tagged};
 use std::sync::Arc;
 
 /// Fixed header bytes per packet (tag + ids), charged on every packet.
@@ -80,126 +81,26 @@ pub enum Packet {
     Abort,
 }
 
+// The sender-side message log's layout: a tag byte, then the variant's
+// fields, with `u32` ids and `u32`-length runs. It exists for confined
+// recovery — logged outbound packets must survive a process boundary —
+// not for the in-process fabric, which moves `Packet` values directly.
+tagged! { Packet {
+    0 => PullRequest { block via AsU32 },
+    1 => Messages { kind, for_block via Option<AsU32>, stats, payload via Len32 },
+    2 => EndOfResponses { block via AsU32 },
+    3 => DoneSending,
+    4 => SuperstepDone,
+    5 => GatherRequests { ids via Len32 },
+    6 => DoneRequesting,
+    7 => EndOfGather,
+    8 => Signals { ids via Len32 },
+    9 => Abort,
+} }
+tagged! { BatchKind { 0 => Plain, 1 => Concatenated, 2 => Combined } }
+record! { WireStats { raw_messages, wire_values, wire_bytes, saved_messages } }
+
 impl Packet {
-    /// Serializes the packet for the sender-side message log.
-    ///
-    /// The encoding is a 1-byte tag followed by the variant fields in
-    /// declaration order, everything little-endian and `u32`-length-
-    /// prefixed where variable. It exists for confined recovery — logged
-    /// outbound packets must survive a process boundary — not for the
-    /// in-process fabric, which moves [`Packet`] values directly.
-    pub fn encode(&self, out: &mut PayloadWriter) {
-        fn put_run(out: &mut PayloadWriter, b: &[u8]) {
-            out.put_u32(b.len() as u32);
-            out.put_raw(b);
-        }
-        match self {
-            Packet::PullRequest { block } => {
-                out.put_u8(0);
-                out.put_u32(block.0);
-            }
-            Packet::Messages {
-                kind,
-                payload,
-                stats,
-                for_block,
-            } => {
-                out.put_u8(1);
-                out.put_u8(match kind {
-                    BatchKind::Plain => 0,
-                    BatchKind::Concatenated => 1,
-                    BatchKind::Combined => 2,
-                });
-                match for_block {
-                    None => out.put_u8(0),
-                    Some(b) => {
-                        out.put_u8(1);
-                        out.put_u32(b.0);
-                    }
-                }
-                out.put_u64(stats.raw_messages);
-                out.put_u64(stats.wire_values);
-                out.put_u64(stats.wire_bytes);
-                out.put_u64(stats.saved_messages);
-                put_run(out, payload);
-            }
-            Packet::EndOfResponses { block } => {
-                out.put_u8(2);
-                out.put_u32(block.0);
-            }
-            Packet::DoneSending => out.put_u8(3),
-            Packet::SuperstepDone => out.put_u8(4),
-            Packet::GatherRequests { ids } => {
-                out.put_u8(5);
-                put_run(out, ids);
-            }
-            Packet::DoneRequesting => out.put_u8(6),
-            Packet::EndOfGather => out.put_u8(7),
-            Packet::Signals { ids } => {
-                out.put_u8(8);
-                put_run(out, ids);
-            }
-            Packet::Abort => out.put_u8(9),
-        }
-    }
-
-    /// Deserializes one packet from `bytes`, returning it and the
-    /// number of bytes consumed. Returns `None` on malformed input
-    /// (truncated log segments must degrade gracefully, not panic).
-    pub fn decode(bytes: &[u8]) -> Option<(Packet, usize)> {
-        fn get_run(r: &mut PayloadReader<'_>) -> Option<Arc<[u8]>> {
-            let len = r.get_u32().ok()? as usize;
-            Some(r.take(len).ok()?.into())
-        }
-        let mut r = PayloadReader::new(bytes);
-        let packet = match r.get_u8().ok()? {
-            0 => Packet::PullRequest {
-                block: BlockId(r.get_u32().ok()?),
-            },
-            1 => {
-                let kind = match r.get_u8().ok()? {
-                    0 => BatchKind::Plain,
-                    1 => BatchKind::Concatenated,
-                    2 => BatchKind::Combined,
-                    _ => return None,
-                };
-                let for_block = match r.get_u8().ok()? {
-                    0 => None,
-                    1 => Some(BlockId(r.get_u32().ok()?)),
-                    _ => return None,
-                };
-                let stats = WireStats {
-                    raw_messages: r.get_u64().ok()?,
-                    wire_values: r.get_u64().ok()?,
-                    wire_bytes: r.get_u64().ok()?,
-                    saved_messages: r.get_u64().ok()?,
-                };
-                Packet::Messages {
-                    kind,
-                    payload: get_run(&mut r)?,
-                    stats,
-                    for_block,
-                }
-            }
-            2 => Packet::EndOfResponses {
-                block: BlockId(r.get_u32().ok()?),
-            },
-            3 => Packet::DoneSending,
-            4 => Packet::SuperstepDone,
-            5 => Packet::GatherRequests {
-                ids: get_run(&mut r)?,
-            },
-            6 => Packet::DoneRequesting,
-            7 => Packet::EndOfGather,
-            8 => Packet::Signals {
-                ids: get_run(&mut r)?,
-            },
-            9 => Packet::Abort,
-            _ => return None,
-        };
-        Some((packet, r.pos()))
-    }
-
     /// Bytes this packet occupies on the wire.
     pub fn wire_bytes(&self) -> u64 {
         match self {
@@ -215,6 +116,7 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridgraph_storage::frame::{Field, PayloadReader, PayloadWriter};
 
     #[test]
     fn control_packets_cost_header_only() {
@@ -262,34 +164,15 @@ mod tests {
         ];
         let mut blob = PayloadWriter::new();
         for p in &packets {
-            p.encode(&mut blob);
+            p.put(&mut blob);
         }
         let blob = blob.into_bytes();
-        let mut at = 0;
+        let mut r = PayloadReader::new(&blob);
         for want in &packets {
-            let (got, used) = Packet::decode(&blob[at..]).expect("decode");
-            at += used;
+            let got = Packet::get(&mut r).expect("decode");
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
-        assert_eq!(at, blob.len());
-    }
-
-    #[test]
-    fn decode_rejects_truncated_input() {
-        let mut blob = PayloadWriter::new();
-        Packet::Messages {
-            kind: BatchKind::Plain,
-            payload: vec![0u8; 64].into(),
-            stats: WireStats::default(),
-            for_block: None,
-        }
-        .encode(&mut blob);
-        let blob = blob.into_bytes();
-        for cut in 0..blob.len() {
-            assert!(Packet::decode(&blob[..cut]).is_none(), "cut at {cut}");
-        }
-        assert!(Packet::decode(&[]).is_none());
-        assert!(Packet::decode(&[200]).is_none());
+        assert!(r.done());
     }
 
     #[test]

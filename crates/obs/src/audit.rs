@@ -5,6 +5,7 @@
 //! The record carries only plain numbers and static strings so any mode
 //! flip is explainable from the artifact alone — no re-run needed.
 
+use hybridgraph_codec::{record, tagged};
 use std::fmt::Write as _;
 
 /// Raw Eq. 11 inputs (bytes/counts of one superstep), mirroring the
@@ -77,11 +78,17 @@ pub struct QtTerms {
     pub sr: f64,
 }
 
+record! { QtInputs { mco, bytes_per_saved, io_mdisk, io_vrr, io_e_push, io_e_bpull, io_f } }
+record! { QtAsync { barrier_saved_secs, dup_compute_secs, q_async } }
+record! { QtTiers { seq_read, seq_write, rand_read, rand_write } }
+record! { QtTerms { net, rw, rr, sr } }
+
 /// What the switcher concluded from this evaluation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum QtVerdict {
     /// `t < 2` or within the Δt interval of the last decision: no
     /// evaluation took place beyond recording `Q_t`.
+    #[default]
     TooEarly,
     /// Evaluated; predicted mode equals the current mode.
     Hold,
@@ -91,6 +98,8 @@ pub enum QtVerdict {
     /// Switch taken for superstep `t + 1`.
     Switch,
 }
+
+tagged! { QtVerdict { 0 => TooEarly, 1 => Hold, 2 => BelowThreshold, 3 => Switch } }
 
 impl QtVerdict {
     pub fn label(&self) -> &'static str {
@@ -104,7 +113,7 @@ impl QtVerdict {
 }
 
 /// One audited `Switcher::decide` evaluation.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QtAudit {
     /// Superstep `t` whose measurements fed the prediction.
     pub superstep: u64,

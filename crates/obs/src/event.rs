@@ -5,6 +5,10 @@
 //! function of (graph, config, seed) and is bit-reproducible across runs and
 //! machines. Nothing in this module reads a clock.
 
+use hybridgraph_codec::frame::{AsIs, Field, PayloadReader, PayloadWriter, Via};
+use hybridgraph_codec::{record, tagged};
+use std::io;
+
 /// A value attached to an event's `args` map.
 ///
 /// Only exactly-representable value kinds are allowed; floats are carried as
@@ -49,6 +53,8 @@ impl From<String> for ArgValue {
     }
 }
 
+tagged! { ArgValue { 0 => U64(x), 1 => I64(x), 2 => F64(x), 3 => Str(x) } }
+
 /// What shape of event this is, mapping onto Chrome Trace Event phases.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
@@ -75,12 +81,28 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
+tagged! { EventKind { 0 => Span { dur_us }, 1 => Instant, 2 => Counter } }
+record! { TraceEvent { ts_us, track, name, kind, args via Vec<(ArgKey, AsIs)> } }
+
+/// An arg key as stored: its string, re-interned on the way back in.
+struct ArgKey;
+
+impl Via<&'static str> for ArgKey {
+    const MIN_BYTES: usize = String::MIN_BYTES;
+    fn put(key: &&'static str, w: &mut PayloadWriter) {
+        w.put_str(key);
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<&'static str> {
+        Ok(intern_arg_key(&r.get_str()?))
+    }
+}
+
 /// Returns a `'static` copy of `key` for a decoded event arg, reusing the
 /// program's own literal for every known key. Arg keys form a small closed
 /// set (they are `&'static str` at record time), so the `Box::leak`
 /// fallback for unrecognized keys is bounded and only reachable for logs
 /// written by a newer producer.
-pub fn intern_arg_key(key: &str) -> &'static str {
+fn intern_arg_key(key: &str) -> &'static str {
     match key {
         "b" => "b",
         "b_lower_bound" => "b_lower_bound",

@@ -29,12 +29,11 @@ pub mod sink;
 
 pub use audit::{render_table, QtAsync, QtAudit, QtInputs, QtTerms, QtTiers, QtVerdict};
 pub use chrome::{export_chrome_trace, export_chrome_trace_jobs, json_escape};
-pub use event::{intern_arg_key, ArgValue, EventKind, TraceEvent};
+pub use event::{ArgValue, EventKind, TraceEvent};
 pub use json::validate_json;
 pub use prom::{export_prometheus, export_prometheus_gauges, ExtraMetric};
 pub use sink::{
-    decode_shard_states, encode_shard_states, maybe_instant, maybe_span, ShardState, TraceShard,
-    TraceSink, DEFAULT_SHARD_CAPACITY,
+    maybe_instant, maybe_span, ShardState, TraceShard, TraceSink, DEFAULT_SHARD_CAPACITY,
 };
 
 /// Convert modeled seconds to the trace's microsecond unit, rounding to

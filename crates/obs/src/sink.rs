@@ -8,11 +8,10 @@
 //! the hot path.
 
 use std::collections::VecDeque;
-use std::io;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{intern_arg_key, ArgValue, EventKind, TraceEvent};
-use hybridgraph_codec::frame::{PayloadReader, PayloadWriter};
+use crate::event::{ArgValue, TraceEvent};
+use hybridgraph_codec::record;
 
 /// Default per-shard capacity. At ~100 events per superstep per worker this
 /// is enough for hundreds of supersteps before wrapping.
@@ -270,6 +269,8 @@ pub struct ShardState {
     pub clock_us: u64,
 }
 
+record! { ShardState { clock_us, dropped, events } }
+
 impl TraceSink {
     /// Snapshots every shard in track order (workers, master, control,
     /// net).
@@ -292,123 +293,6 @@ impl TraceSink {
             shard.restore_state(state);
         }
     }
-}
-
-fn enc_corrupt(what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("corrupt shard state: {what}"),
-    )
-}
-
-/// Serializes shard states into a deterministic little-endian byte run
-/// (f64 args by bit pattern), for embedding in a durable master snapshot.
-pub fn encode_shard_states(states: &[ShardState]) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.put_u64(states.len() as u64);
-    for s in states {
-        w.put_u64(s.clock_us);
-        w.put_u64(s.dropped);
-        w.put_u64(s.events.len() as u64);
-        for ev in &s.events {
-            w.put_u64(ev.ts_us);
-            w.put_u32(ev.track);
-            w.put_str(&ev.name);
-            match ev.kind {
-                EventKind::Span { dur_us } => {
-                    w.put_u8(0);
-                    w.put_u64(dur_us);
-                }
-                EventKind::Instant => w.put_u8(1),
-                EventKind::Counter => w.put_u8(2),
-            }
-            w.put_u64(ev.args.len() as u64);
-            for (k, v) in &ev.args {
-                w.put_str(k);
-                match v {
-                    ArgValue::U64(x) => {
-                        w.put_u8(0);
-                        w.put_u64(*x);
-                    }
-                    ArgValue::I64(x) => {
-                        w.put_u8(1);
-                        w.put_u64(*x as u64);
-                    }
-                    ArgValue::F64(x) => {
-                        w.put_u8(2);
-                        w.put_f64(*x);
-                    }
-                    ArgValue::Str(x) => {
-                        w.put_u8(3);
-                        w.put_str(x);
-                    }
-                }
-            }
-        }
-    }
-    w.into_bytes()
-}
-
-// Fewest bytes one encoded element can take: what `get_count` sizes a
-// decoded count against before anything is allocated for it.
-const MIN_STATE_BYTES: usize = 8 + 8 + 8;
-const MIN_EVENT_BYTES: usize = 8 + 4 + 8 + 1 + 8;
-const MIN_ARG_BYTES: usize = 8 + 1 + 8;
-
-/// Rebuilds shard states from [`encode_shard_states`] bytes. Arg keys are
-/// re-interned to `'static` via [`intern_arg_key`].
-pub fn decode_shard_states(buf: &[u8]) -> io::Result<Vec<ShardState>> {
-    let mut d = PayloadReader::new(buf);
-    let n = d.get_count(MIN_STATE_BYTES)?;
-    let mut states = Vec::with_capacity(n);
-    for _ in 0..n {
-        let clock_us = d.get_u64()?;
-        let dropped = d.get_u64()?;
-        let ne = d.get_count(MIN_EVENT_BYTES)?;
-        let mut events = Vec::with_capacity(ne);
-        for _ in 0..ne {
-            let ts_us = d.get_u64()?;
-            let track = d.get_u32()?;
-            let name = d.get_str()?;
-            let kind = match d.get_u8()? {
-                0 => EventKind::Span {
-                    dur_us: d.get_u64()?,
-                },
-                1 => EventKind::Instant,
-                2 => EventKind::Counter,
-                _ => return Err(enc_corrupt("unknown event kind")),
-            };
-            let na = d.get_count(MIN_ARG_BYTES)?;
-            let mut args = Vec::with_capacity(na);
-            for _ in 0..na {
-                let key = intern_arg_key(&d.get_str()?);
-                let val = match d.get_u8()? {
-                    0 => ArgValue::U64(d.get_u64()?),
-                    1 => ArgValue::I64(d.get_u64()? as i64),
-                    2 => ArgValue::F64(d.get_f64()?),
-                    3 => ArgValue::Str(d.get_str()?),
-                    _ => return Err(enc_corrupt("unknown arg value tag")),
-                };
-                args.push((key, val));
-            }
-            events.push(TraceEvent {
-                ts_us,
-                track,
-                name,
-                kind,
-                args,
-            });
-        }
-        states.push(ShardState {
-            events,
-            dropped,
-            clock_us,
-        });
-    }
-    if !d.done() {
-        return Err(enc_corrupt("trailing bytes"));
-    }
-    Ok(states)
 }
 
 /// Convenience for instrumented code: events recorded through an
@@ -439,6 +323,7 @@ pub fn maybe_instant(
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use hybridgraph_codec::frame;
 
     #[test]
     fn ring_drops_oldest() {
@@ -496,8 +381,8 @@ mod tests {
         let states = sink.export_states();
         assert_eq!(states[4].dropped, 2, "net ring wrapped");
 
-        let bytes = encode_shard_states(&states);
-        let decoded = decode_shard_states(&bytes).unwrap();
+        let bytes = frame::encode(&states);
+        let decoded: Vec<ShardState> = frame::decode(&bytes).unwrap();
         assert_eq!(decoded, states);
 
         // A fresh sink restored from the snapshot replays identically —
@@ -510,7 +395,6 @@ mod tests {
         sink.worker(0).span("next", 10, vec![]);
         fresh.worker(0).span("next", 10, vec![]);
         assert_eq!(fresh.worker(0).events(), sink.worker(0).events());
-        assert!(decode_shard_states(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

@@ -13,10 +13,11 @@
 use hybridgraph_core::SharedStores;
 use hybridgraph_graph::{BlockLayout, Graph, Partition, WorkerId};
 use hybridgraph_storage::adjacency::AdjacencyStore;
+use hybridgraph_storage::frame::AsU32;
 use hybridgraph_storage::gather::GatherStore;
 use hybridgraph_storage::veblock::VeBlockStore;
 use hybridgraph_storage::vfs::MemVfs;
-use hybridgraph_storage::CodecChoice;
+use hybridgraph_storage::{record, CodecChoice};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -58,6 +59,8 @@ impl GraphSpec {
     }
 }
 
+record! { GraphSpec { workers via AsU32, codec, vblocks_per_worker via AsU32 } }
+
 /// Why a catalog operation was refused.
 #[derive(Debug)]
 pub enum CatalogError {
@@ -82,6 +85,13 @@ pub enum CatalogError {
     },
     /// Building the stores failed.
     Io(String),
+    /// The spec asks for no worker slots or no Vblocks.
+    EmptyLayout {
+        /// Requested worker count.
+        workers: usize,
+        /// Requested Vblocks per worker.
+        vblocks_per_worker: usize,
+    },
 }
 
 impl CatalogError {
@@ -96,6 +106,7 @@ impl CatalogError {
     /// | 3    | `Pinned`         |
     /// | 4    | `TooManyWorkers` |
     /// | 5    | `Io`             |
+    /// | 6    | `EmptyLayout`    |
     pub fn code(&self) -> u16 {
         match self {
             CatalogError::NameTaken(_) => 1,
@@ -103,6 +114,7 @@ impl CatalogError {
             CatalogError::Pinned { .. } => 3,
             CatalogError::TooManyWorkers { .. } => 4,
             CatalogError::Io(_) => 5,
+            CatalogError::EmptyLayout { .. } => 6,
         }
     }
 }
@@ -120,6 +132,14 @@ impl fmt::Display for CatalogError {
                 "spec asks for {workers} workers but the shared cache has {slots} shard slots"
             ),
             CatalogError::Io(e) => write!(f, "building graph stores failed: {e}"),
+            CatalogError::EmptyLayout {
+                workers,
+                vblocks_per_worker,
+            } => write!(
+                f,
+                "spec asks for {workers} workers with {vblocks_per_worker} Vblocks each; \
+                 both must be at least 1"
+            ),
         }
     }
 }
@@ -184,24 +204,7 @@ impl Catalog {
         graph: Arc<Graph>,
         spec: GraphSpec,
     ) -> Result<u32, CatalogError> {
-        assert!(spec.workers >= 1, "need at least one worker slot");
-        if self.graphs.contains_key(name) {
-            return Err(CatalogError::NameTaken(name.to_string()));
-        }
-        let id = self.next_id;
-        let stores = build_stores(id, &graph, &spec)?;
-        self.next_id += 1;
-        self.graphs.insert(
-            name.to_string(),
-            RegisteredGraph {
-                id,
-                graph,
-                spec,
-                stores,
-                pins: 0,
-            },
-        );
-        Ok(id)
+        self.register_with_id(name, graph, spec, self.next_id)
     }
 
     /// Re-registers a graph under the id it held before a restart
@@ -216,12 +219,17 @@ impl Catalog {
         spec: GraphSpec,
         id: u32,
     ) -> Result<u32, CatalogError> {
-        assert!(spec.workers >= 1, "need at least one worker slot");
+        if spec.workers == 0 || spec.vblocks_per_worker == 0 {
+            return Err(CatalogError::EmptyLayout {
+                workers: spec.workers,
+                vblocks_per_worker: spec.vblocks_per_worker,
+            });
+        }
         if self.graphs.contains_key(name) {
             return Err(CatalogError::NameTaken(name.to_string()));
         }
         let stores = build_stores(id, &graph, &spec)?;
-        self.next_id = self.next_id.max(id + 1);
+        self.next_id = self.next_id.max(id.saturating_add(1));
         self.graphs.insert(
             name.to_string(),
             RegisteredGraph {

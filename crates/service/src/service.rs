@@ -46,13 +46,13 @@
 use crate::catalog::{Catalog, CatalogError, GraphSpec};
 use crate::retry::RetryPolicy;
 use crate::scheduler::RoundRobinScheduler;
-use crate::wal::{self, WalRecord};
+use crate::wal::WalRecord;
 use hybridgraph_core::program::VertexProgram;
 use hybridgraph_core::runner::{run_job, JobError, JobResult};
 use hybridgraph_core::{BarrierSink, JobConfig, ResumeState, WorkerDisks};
 use hybridgraph_graph::Graph;
 use hybridgraph_storage::{
-    CacheSnapshot, CodecChoice, PrefixVfs, ServiceLog, SharedEdgeCache, Vfs,
+    frame, CacheSnapshot, CodecChoice, PrefixVfs, ServiceLog, SharedEdgeCache, Vfs,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -318,16 +318,17 @@ impl Durable {
 
     /// Appends one record, absorbing transient errors under the retry
     /// policy.
-    fn append(&self, kind: u8, body: &[u8]) -> io::Result<()> {
+    fn append(&self, rec: &WalRecord) -> io::Result<()> {
+        let (kind, body) = frame::encode_tagged(rec);
         let log = self.log.lock().unwrap();
-        self.retry.run(|| log.append(kind, body)).map(drop)
+        self.retry.run(|| log.append(kind, &body)).map(drop)
     }
 
     /// Append whose failure is *recoverable by replay semantics* (a
     /// missing `JobStarted` re-queues the job; a missing `JobFinished`
     /// re-runs it to the same result) — dropped, not propagated.
-    fn append_lossy(&self, kind: u8, body: &[u8]) {
-        let _ = self.append(kind, body);
+    fn append_lossy(&self, rec: &WalRecord) {
+        let _ = self.append(rec);
     }
 
     fn worker_disks(&self, job_id: u64, workers: usize) -> WorkerDisks {
@@ -406,12 +407,13 @@ impl BarrierSink for ServiceBarrierSink {
             .durable
             .as_ref()
             .expect("barrier sink on a non-durable service");
-        let vtime = self.inner.sched.lane_vtime(self.lane);
-        let cache = self.inner.cache.snapshot();
-        d.append(
-            wal::KIND_JOB_BARRIER,
-            &wal::encode_job_barrier(self.job_id, superstep, vtime, state, &cache),
-        )
+        d.append(&WalRecord::JobBarrier {
+            job_id: self.job_id,
+            superstep,
+            lane_vtime: self.inner.sched.lane_vtime(self.lane),
+            state: state.to_vec(),
+            cache: self.inner.cache.snapshot(),
+        })
     }
 }
 
@@ -465,12 +467,12 @@ impl GraphService {
         }
 
         let (log, records) = ServiceLog::open(vfs.as_ref())?;
-        let mut graphs: Vec<(String, u32, GraphSpec, Graph)> = Vec::new();
+        let mut graphs: Vec<(String, u32, GraphSpec, Arc<Graph>)> = Vec::new();
         let mut jobs: BTreeMap<u64, JobInfo> = BTreeMap::new();
         let mut cache_snap: Option<CacheSnapshot> = None;
         let mut next_job = 0u64;
         for rec in &records {
-            match wal::decode_record(rec)? {
+            match frame::decode_tagged(rec.kind, &rec.body)? {
                 WalRecord::GraphRegistered {
                     name,
                     id,
@@ -521,7 +523,7 @@ impl GraphService {
             let mut st = svc.inner.state.lock().unwrap();
             for (name, id, spec, graph) in graphs {
                 st.catalog
-                    .register_with_id(&name, Arc::new(graph), spec, id)
+                    .register_with_id(&name, graph, spec, id)
                     .map_err(|e| io::Error::other(format!("catalog replay failed: {e}")))?;
             }
             st.next_job = next_job;
@@ -587,10 +589,12 @@ impl GraphService {
         let mut st = self.inner.state.lock().unwrap();
         let id = st.catalog.register(name, Arc::clone(&graph), spec)?;
         if let Some(d) = &self.inner.durable {
-            if let Err(e) = d.append(
-                wal::KIND_GRAPH_REGISTERED,
-                &wal::encode_graph_registered(name, id, &spec, &graph),
-            ) {
+            if let Err(e) = d.append(&WalRecord::GraphRegistered {
+                name: name.to_string(),
+                id,
+                spec,
+                graph,
+            }) {
                 st.catalog.evict(name).expect("just registered, unpinned");
                 return Err(CatalogError::Io(e.to_string()));
             }
@@ -607,10 +611,10 @@ impl GraphService {
         };
         self.inner.cache.purge_graph(id);
         if let Some(d) = &self.inner.durable {
-            d.append(
-                wal::KIND_GRAPH_EVICTED,
-                &wal::encode_graph_evicted(name, id),
-            )
+            d.append(&WalRecord::GraphEvicted {
+                name: name.to_string(),
+                id,
+            })
             .map_err(|e| CatalogError::Io(e.to_string()))?;
         }
         Ok(())
@@ -729,10 +733,10 @@ impl GraphService {
             // namespaced per job id so a restart finds the checkpoints
             // the barrier records point at.
             if resume.is_none() {
-                d.append(
-                    wal::KIND_JOB_ADMITTED,
-                    &wal::encode_job_admitted(job_id, &graph_name),
-                )
+                d.append(&WalRecord::JobAdmitted {
+                    job_id,
+                    graph: graph_name.clone(),
+                })
                 .map_err(|e| AdmissionError::LogFailed(e.to_string()))?;
             }
             cfg = cfg.with_worker_disks(d.worker_disks(job_id, spec.workers));
@@ -754,7 +758,7 @@ impl GraphService {
             let pacer = inner2.sched.handle(lane);
             let mut cfg = cfg.with_pacer(pacer);
             if let Some(d) = &inner2.durable {
-                d.append_lossy(wal::KIND_JOB_STARTED, &wal::encode_job_started(job_id));
+                d.append_lossy(&WalRecord::JobStarted { job_id });
                 cfg = cfg.with_barrier_sink(Arc::new(ServiceBarrierSink {
                     inner: Arc::clone(&inner2),
                     job_id,
@@ -772,10 +776,10 @@ impl GraphService {
                     inner2.sched.leave(lane);
                 } else {
                     if let Some(d) = &inner2.durable {
-                        d.append_lossy(
-                            wal::KIND_JOB_FINISHED,
-                            &wal::encode_job_finished(job_id, &inner2.cache.snapshot()),
-                        );
+                        d.append_lossy(&WalRecord::JobFinished {
+                            job_id,
+                            cache: inner2.cache.snapshot(),
+                        });
                     }
                     // Bookkeeping before the result is delivered: a
                     // waiter unblocked by the send already sees the slot

@@ -1,4 +1,4 @@
-//! Service write-ahead-log record kinds and their payload codecs.
+//! Service write-ahead-log records and their declared layout.
 //!
 //! The durable [`GraphService`](crate::GraphService) appends one record
 //! per state transition to a [`ServiceLog`] on its VFS. Replaying the
@@ -15,43 +15,23 @@
 //! | 5 | `JobBarrier` | durable superstep cut: master snapshot + lane vtime + cache |
 //! | 6 | `JobFinished` | the job is over (any outcome); final cache state |
 //!
-//! Barrier and finish records carry a [`CacheSnapshot`] so the shared
-//! edge cache resumes with the exact hit/miss/recency state it had at
-//! the last durable cut — the post-restart `io_ratio` of a resumed run
+//! The kind is the log record's own kind byte; the body is the variant's
+//! fields. Barrier and finish records carry a [`CacheSnapshot`] so the
+//! shared edge cache resumes with the exact hit/miss/recency state it had
+//! at the last durable cut — the post-restart `io_ratio` of a resumed run
 //! then matches the uninterrupted run byte for byte.
+//!
+//! [`ServiceLog`]: hybridgraph_storage::ServiceLog
 
-use hybridgraph_graph::{Edge, Graph, VertexId};
-use hybridgraph_storage::shared_cache::ExtentKey;
-use hybridgraph_storage::{
-    codec_from_tag, codec_tag, decode_graph, encode_graph, CacheSnapshot, LogRecord, PayloadReader,
-    PayloadWriter, ShardSnapshot,
-};
+use hybridgraph_graph::Graph;
+use hybridgraph_storage::frame::{Field, PayloadReader, PayloadWriter, Via};
+use hybridgraph_storage::{decode_graph, encode_graph, tagged, CacheSnapshot};
 use std::io;
 use std::sync::Arc;
 
 use crate::catalog::GraphSpec;
 
-/// Kind byte of a [`WalRecord::GraphRegistered`] record.
-pub const KIND_GRAPH_REGISTERED: u8 = 1;
-/// Kind byte of a [`WalRecord::GraphEvicted`] record.
-pub const KIND_GRAPH_EVICTED: u8 = 2;
-/// Kind byte of a [`WalRecord::JobAdmitted`] record.
-pub const KIND_JOB_ADMITTED: u8 = 3;
-/// Kind byte of a [`WalRecord::JobStarted`] record.
-pub const KIND_JOB_STARTED: u8 = 4;
-/// Kind byte of a [`WalRecord::JobBarrier`] record.
-pub const KIND_JOB_BARRIER: u8 = 5;
-/// Kind byte of a [`WalRecord::JobFinished`] record.
-pub const KIND_JOB_FINISHED: u8 = 6;
-
-fn corrupt(what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("corrupt service record: {what}"),
-    )
-}
-
-/// One decoded service-log record.
+/// One service-log record.
 #[derive(Debug)]
 pub enum WalRecord {
     /// A graph entered the catalog.
@@ -62,8 +42,8 @@ pub enum WalRecord {
         id: u32,
         /// Store layout the graph was built with.
         spec: GraphSpec,
-        /// The graph itself, decoded from the record's blob.
-        graph: Graph,
+        /// The graph itself, stored as its `encode_graph` blob.
+        graph: Arc<Graph>,
     },
     /// A graph left the catalog.
     GraphEvicted {
@@ -106,182 +86,47 @@ pub enum WalRecord {
     },
 }
 
-/// Encodes a graph-registration payload.
-pub fn encode_graph_registered(name: &str, id: u32, spec: &GraphSpec, graph: &Graph) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.put_str(name);
-    w.put_u32(id);
-    w.put_u32(spec.workers as u32);
-    w.put_u8(codec_tag(spec.codec));
-    w.put_u32(spec.vblocks_per_worker as u32);
-    w.put_bytes(&encode_graph(graph));
-    w.into_bytes()
-}
+tagged! { WalRecord {
+    1 => GraphRegistered { name, id, spec, graph via Arc<GraphBlob> },
+    2 => GraphEvicted { name, id },
+    3 => JobAdmitted { job_id, graph },
+    4 => JobStarted { job_id },
+    5 => JobBarrier { job_id, superstep, lane_vtime, state, cache },
+    6 => JobFinished { job_id, cache },
+} }
 
-/// Encodes a graph-eviction payload.
-pub fn encode_graph_evicted(name: &str, id: u32) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.put_str(name);
-    w.put_u32(id);
-    w.into_bytes()
-}
+/// A graph as its length-prefixed `encode_graph` blob.
+struct GraphBlob;
 
-/// Encodes a job-admission payload.
-pub fn encode_job_admitted(job_id: u64, graph: &str) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.put_u64(job_id);
-    w.put_str(graph);
-    w.into_bytes()
-}
-
-/// Encodes a job-start payload.
-pub fn encode_job_started(job_id: u64) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.put_u64(job_id);
-    w.into_bytes()
-}
-
-/// Encodes a durable-barrier payload.
-pub fn encode_job_barrier(
-    job_id: u64,
-    superstep: u64,
-    lane_vtime: f64,
-    state: &[u8],
-    cache: &CacheSnapshot,
-) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.put_u64(job_id);
-    w.put_u64(superstep);
-    w.put_f64(lane_vtime);
-    w.put_bytes(state);
-    put_cache(&mut w, cache);
-    w.into_bytes()
-}
-
-/// Encodes a job-completion payload.
-pub fn encode_job_finished(job_id: u64, cache: &CacheSnapshot) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.put_u64(job_id);
-    put_cache(&mut w, cache);
-    w.into_bytes()
-}
-
-/// Decodes one replayed log record into its typed form.
-pub fn decode_record(rec: &LogRecord) -> io::Result<WalRecord> {
-    let mut r = PayloadReader::new(&rec.body);
-    let out = match rec.kind {
-        KIND_GRAPH_REGISTERED => {
-            let name = r.get_str()?;
-            let id = r.get_u32()?;
-            let workers = r.get_u32()? as usize;
-            let codec = codec_from_tag(r.get_u8()?)?;
-            let vblocks = r.get_u32()? as usize;
-            let graph = decode_graph(&r.get_bytes()?)?;
-            WalRecord::GraphRegistered {
-                name,
-                id,
-                spec: GraphSpec::new(workers)
-                    .with_codec(codec)
-                    .with_vblocks(vblocks),
-                graph,
-            }
-        }
-        KIND_GRAPH_EVICTED => WalRecord::GraphEvicted {
-            name: r.get_str()?,
-            id: r.get_u32()?,
-        },
-        KIND_JOB_ADMITTED => WalRecord::JobAdmitted {
-            job_id: r.get_u64()?,
-            graph: r.get_str()?,
-        },
-        KIND_JOB_STARTED => WalRecord::JobStarted {
-            job_id: r.get_u64()?,
-        },
-        KIND_JOB_BARRIER => WalRecord::JobBarrier {
-            job_id: r.get_u64()?,
-            superstep: r.get_u64()?,
-            lane_vtime: r.get_f64()?,
-            state: r.get_bytes()?,
-            cache: get_cache(&mut r)?,
-        },
-        KIND_JOB_FINISHED => WalRecord::JobFinished {
-            job_id: r.get_u64()?,
-            cache: get_cache(&mut r)?,
-        },
-        k => return Err(corrupt(&format!("unknown record kind {k}"))),
-    };
-    if !r.done() {
-        return Err(corrupt("trailing bytes after record payload"));
+impl Via<Graph> for GraphBlob {
+    const MIN_BYTES: usize = 8;
+    fn put(graph: &Graph, w: &mut PayloadWriter) {
+        encode_graph(graph).put(w);
     }
-    Ok(out)
-}
-
-/// Serializes a shared-cache snapshot: per shard the MRU-ordered entries
-/// (extent key, weight, edge run) plus the hit/miss/eviction counters.
-fn put_cache(w: &mut PayloadWriter, snap: &CacheSnapshot) {
-    w.put_u64(snap.shards.len() as u64);
-    for shard in &snap.shards {
-        w.put_u64(shard.hits);
-        w.put_u64(shard.misses);
-        w.put_u64(shard.evictions);
-        w.put_u64(shard.entries.len() as u64);
-        for ((graph, extent), edges, weight) in &shard.entries {
-            w.put_u32(*graph);
-            w.put_u32(*extent);
-            w.put_u64(*weight as u64);
-            w.put_u64(edges.len() as u64);
-            for e in edges.iter() {
-                w.put_u32(e.dst.0);
-                w.put_u32(e.weight.to_bits());
-            }
-        }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Graph> {
+        decode_graph(&Vec::<u8>::get(r)?)
     }
-}
-
-fn get_cache(r: &mut PayloadReader<'_>) -> io::Result<CacheSnapshot> {
-    let nshards = r.get_count(4 * 8)?;
-    let mut shards = Vec::with_capacity(nshards);
-    for _ in 0..nshards {
-        let hits = r.get_u64()?;
-        let misses = r.get_u64()?;
-        let evictions = r.get_u64()?;
-        let nentries = r.get_count(4 + 4 + 8 + 8)?;
-        let mut entries: Vec<(ExtentKey, Arc<Vec<Edge>>, usize)> = Vec::with_capacity(nentries);
-        for _ in 0..nentries {
-            let graph = r.get_u32()?;
-            let extent = r.get_u32()?;
-            let weight = r.get_u64()? as usize;
-            let nedges = r.get_count(4 + 4)?;
-            let mut edges = Vec::with_capacity(nedges);
-            for _ in 0..nedges {
-                let dst = r.get_u32()?;
-                let bits = r.get_u32()?;
-                edges.push(Edge::weighted(VertexId(dst), f32::from_bits(bits)));
-            }
-            entries.push(((graph, extent), Arc::new(edges), weight));
-        }
-        shards.push(ShardSnapshot {
-            entries,
-            hits,
-            misses,
-            evictions,
-        });
-    }
-    Ok(CacheSnapshot { shards })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridgraph_storage::CodecChoice;
+    use hybridgraph_graph::{Edge, VertexId};
+    use hybridgraph_storage::frame::{decode_tagged, encode_tagged};
+    use hybridgraph_storage::{CacheEntry, CodecChoice, ShardSnapshot};
 
     fn sample_cache() -> CacheSnapshot {
+        let entry = |key, edges, weight| CacheEntry {
+            key,
+            weight,
+            edges: Arc::new(edges),
+        };
         CacheSnapshot {
             shards: vec![
                 ShardSnapshot {
                     entries: vec![
-                        ((3, 9), Arc::new(vec![Edge::weighted(VertexId(4), 2.5)]), 48),
-                        ((3, 1), Arc::new(Vec::new()), 32),
+                        entry((3, 9), vec![Edge::weighted(VertexId(4), 2.5)], 48),
+                        entry((3, 1), Vec::new(), 32),
                     ],
                     hits: 11,
                     misses: 5,
@@ -304,12 +149,16 @@ mod tests {
             assert_eq!(x.misses, y.misses);
             assert_eq!(x.evictions, y.evictions);
             assert_eq!(x.entries.len(), y.entries.len());
-            for ((ka, ea, wa), (kb, eb, wb)) in x.entries.iter().zip(&y.entries) {
-                assert_eq!(ka, kb);
-                assert_eq!(wa, wb);
-                assert_eq!(ea.as_slice(), eb.as_slice());
+            for (a, b) in x.entries.iter().zip(&y.entries) {
+                assert_eq!((a.key, a.weight), (b.key, b.weight));
+                assert_eq!(a.edges.as_slice(), b.edges.as_slice());
             }
         }
+    }
+
+    fn roundtrip(rec: &WalRecord) -> WalRecord {
+        let (kind, body) = encode_tagged(rec);
+        decode_tagged(kind, &body).unwrap()
     }
 
     #[test]
@@ -325,12 +174,13 @@ mod tests {
         let spec = GraphSpec::new(2)
             .with_codec(CodecChoice::Gaps)
             .with_vblocks(3);
-        let body = encode_graph_registered("ring", 7, &spec, &g);
-        let rec = LogRecord {
-            kind: KIND_GRAPH_REGISTERED,
-            body,
+        let rec = WalRecord::GraphRegistered {
+            name: "ring".into(),
+            id: 7,
+            spec,
+            graph: Arc::new(g),
         };
-        match decode_record(&rec).unwrap() {
+        match roundtrip(&rec) {
             WalRecord::GraphRegistered {
                 name,
                 id,
@@ -352,12 +202,14 @@ mod tests {
     #[test]
     fn barrier_record_roundtrips_cache_exactly() {
         let cache = sample_cache();
-        let body = encode_job_barrier(42, 6, 1.25, b"master-bytes", &cache);
-        let rec = LogRecord {
-            kind: KIND_JOB_BARRIER,
-            body,
+        let rec = WalRecord::JobBarrier {
+            job_id: 42,
+            superstep: 6,
+            lane_vtime: 1.25,
+            state: b"master-bytes".to_vec(),
+            cache: cache.clone(),
         };
-        match decode_record(&rec).unwrap() {
+        match roundtrip(&rec) {
             WalRecord::JobBarrier {
                 job_id,
                 superstep,
@@ -377,32 +229,24 @@ mod tests {
 
     #[test]
     fn unknown_kinds_and_trailing_bytes_are_rejected() {
-        let rec = LogRecord {
-            kind: 99,
-            body: Vec::new(),
-        };
-        assert!(decode_record(&rec).is_err());
+        assert!(decode_tagged::<WalRecord>(99, &[]).is_err());
 
-        let mut body = encode_job_started(3);
+        let (kind, mut body) = encode_tagged(&WalRecord::JobStarted { job_id: 3 });
         body.push(0);
-        let rec = LogRecord {
-            kind: KIND_JOB_STARTED,
-            body,
-        };
-        assert!(decode_record(&rec).is_err());
+        assert!(decode_tagged::<WalRecord>(kind, &body).is_err());
 
         // A catalog payload carrying a codec tag no choice owns any more.
-        let spec = GraphSpec::new(1).with_codec(CodecChoice::Bv);
-        let mut body = encode_graph_registered("g", 0, &spec, &Graph::empty(1));
+        let (kind, mut body) = encode_tagged(&WalRecord::GraphRegistered {
+            name: "g".into(),
+            id: 0,
+            spec: GraphSpec::new(1).with_codec(CodecChoice::Bv),
+            graph: Arc::new(Graph::empty(1)),
+        });
         let tag_at = 8 + 1 + 4 + 4;
         assert_eq!(body[tag_at], CodecChoice::Bv.tag());
         for retired in [2, 3] {
             body[tag_at] = retired;
-            let rec = LogRecord {
-                kind: KIND_GRAPH_REGISTERED,
-                body: body.clone(),
-            };
-            let err = decode_record(&rec).unwrap_err();
+            let err = decode_tagged::<WalRecord>(kind, &body).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
     }

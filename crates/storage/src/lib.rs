@@ -62,16 +62,18 @@ pub mod veblock;
 pub mod vfs;
 
 pub use checkpoint::{CheckpointReader, CheckpointWriter};
-pub use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, CodecError, ExtentKind};
+pub use hybridgraph_codec::{
+    decode_extent, encode_extent, frame, record, tagged, CodecChoice, CodecError, ExtentKind,
+};
 pub use msg_log::{MsgLogReader, MsgLogWriter};
 pub use profile::DeviceProfile;
 pub use record::Record;
 pub use service_log::{
-    codec_from_tag, codec_tag, decode_graph, encode_graph, LogRecord, PayloadReader, PayloadWriter,
-    ServiceLog,
+    decode_graph, encode_graph, LogRecord, PayloadReader, PayloadWriter, ServiceLog,
 };
 pub use shared_cache::{
-    CacheSnapshot, ShardSnapshot, SharedCacheStats, SharedEdgeCache, CACHE_ENTRY_OVERHEAD,
+    CacheEntry, CacheSnapshot, ShardSnapshot, SharedCacheStats, SharedEdgeCache,
+    CACHE_ENTRY_OVERHEAD,
 };
 pub use stats::{AccessClass, IoSnapshot, IoStats};
 pub use vfs::{DirVfs, MemVfs, PrefixVfs, Vfs, VfsFile};

@@ -40,17 +40,6 @@ fn corrupt(what: &str) -> io::Error {
     )
 }
 
-/// Stable single-byte tag for a codec choice (log header and catalog
-/// payloads both persist it).
-pub fn codec_tag(codec: CodecChoice) -> u8 {
-    codec.tag()
-}
-
-/// Inverse of [`codec_tag`]; rejects unknown bytes.
-pub fn codec_from_tag(tag: u8) -> io::Result<CodecChoice> {
-    CodecChoice::from_tag(tag).ok_or_else(|| corrupt("unknown codec tag"))
-}
-
 /// An open, append-positioned write-ahead log.
 pub struct ServiceLog {
     file: VfsFile,
@@ -128,7 +117,7 @@ pub fn encode_graph(g: &Graph) -> Vec<u8> {
 
 /// Rebuilds a graph from [`encode_graph`] bytes. The bytes may come from
 /// a gateway client, so the two counts are sized against the blob before
-/// anything is allocated for them.
+/// anything is allocated for them, and an edge must point inside it.
 pub fn decode_graph(buf: &[u8]) -> io::Result<Graph> {
     let mut r = PayloadReader::new(buf);
     let n = r.get_count(4)?;
@@ -137,7 +126,11 @@ pub fn decode_graph(buf: &[u8]) -> io::Result<Graph> {
     if 4 * n + 8 * m != r.remaining() {
         return Err(corrupt("graph blob length does not match its counts"));
     }
-    hybridgraph_graph::io::read_body(&mut &buf[..])
+    let g = hybridgraph_graph::io::read_body(&mut &buf[..])?;
+    if g.edges().any(|(_, e)| e.dst.index() >= n) {
+        return Err(corrupt("edge to a vertex outside the graph"));
+    }
+    Ok(g)
 }
 
 #[cfg(test)]

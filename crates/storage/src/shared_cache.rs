@@ -27,6 +27,8 @@
 //! makes multi-job runs byte-identically replayable.
 
 use crate::lru::LruCache;
+use hybridgraph_codec::frame::AsU32;
+use hybridgraph_codec::record;
 use hybridgraph_graph::Edge;
 use std::sync::{Arc, Mutex};
 
@@ -69,12 +71,23 @@ struct Shard {
     evictions: u64,
 }
 
-/// One shard of a [`CacheSnapshot`]: MRU-first `(key, edges, weight)`
-/// entries plus the shard's attribution counters.
+/// One cached extent of a [`ShardSnapshot`].
+#[derive(Clone, Debug)]
+pub struct CacheEntry {
+    /// Which graph's vertex the extent belongs to.
+    pub key: ExtentKey,
+    /// The exact weight it was inserted with.
+    pub weight: usize,
+    /// The decoded edges.
+    pub edges: Arc<Vec<Edge>>,
+}
+
+/// One shard of a [`CacheSnapshot`]: MRU-first entries plus the shard's
+/// attribution counters.
 #[derive(Clone, Debug)]
 pub struct ShardSnapshot {
-    /// Cached extents, most-recently-used first, with exact weights.
-    pub entries: Vec<(ExtentKey, Arc<Vec<Edge>>, usize)>,
+    /// Cached extents, most-recently-used first.
+    pub entries: Vec<CacheEntry>,
     /// Lookups that found an extent.
     pub hits: u64,
     /// Lookups that missed.
@@ -90,6 +103,14 @@ pub struct CacheSnapshot {
     /// Per-slot shard snapshots, in slot order.
     pub shards: Vec<ShardSnapshot>,
 }
+
+/// An edge as the service log stores it: destination id, weight bits.
+pub struct EdgeLayout;
+
+record! { EdgeLayout: Edge { dst via AsU32, weight } }
+record! { CacheEntry { key, weight, edges via Arc<Vec<EdgeLayout>> } }
+record! { ShardSnapshot { hits, misses, evictions, entries } }
+record! { CacheSnapshot { shards } }
 
 /// A byte-weighted cache of decoded adjacency extents shared by every job
 /// of a service, sharded per worker slot.
@@ -211,7 +232,7 @@ impl SharedEdgeCache {
                             .lru
                             .snapshot_mru()
                             .into_iter()
-                            .map(|(k, v, _, w)| (k, v, w))
+                            .map(|(key, edges, _, weight)| CacheEntry { key, weight, edges })
                             .collect(),
                         hits: shard.lru.hits(),
                         misses: shard.lru.misses(),
@@ -237,10 +258,10 @@ impl SharedEdgeCache {
         for (shard, s) in self.shards.iter().zip(&snap.shards) {
             let mut shard = shard.lock().unwrap();
             shard.lru.drain();
-            for ((g, v), edges, weight) in s.entries.iter().rev() {
+            for e in s.entries.iter().rev() {
                 shard
                     .lru
-                    .insert_weighted((*g, *v), Arc::clone(edges), false, *weight);
+                    .insert_weighted(e.key, Arc::clone(&e.edges), false, e.weight);
             }
             shard.lru.set_counters(s.hits, s.misses);
             shard.evictions = s.evictions;

@@ -7,6 +7,7 @@
 //! [`DeviceProfile`](crate::profile::DeviceProfile).
 
 use crate::profile::DeviceProfile;
+use hybridgraph_codec::record;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Smallest unit a *scattered* random access moves on a real disk.
@@ -230,6 +231,12 @@ pub struct IoSnapshot {
     pub rand_read_ops: u64,
     pub rand_write_ops: u64,
 }
+
+record! { IoSnapshot {
+    seq_read_bytes, seq_write_bytes, rand_read_bytes, rand_write_bytes,
+    seq_read_logical_bytes, seq_write_logical_bytes, rand_read_logical_bytes,
+    rand_write_logical_bytes, seq_read_ops, seq_write_ops, rand_read_ops, rand_write_ops,
+} }
 
 impl IoSnapshot {
     /// Physical (on-device) bytes in `class`.

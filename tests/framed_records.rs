@@ -15,6 +15,7 @@ use hybridgraph::storage::msg_log::{msg_log_file_name, MsgLogReader, MsgLogWrite
 use hybridgraph::storage::record::{decode_slice, encode_slice};
 use hybridgraph::storage::service_log::{ServiceLog, SERVICE_LOG_FILE};
 use hybridgraph::storage::{decode_graph, encode_graph, AccessClass, IoStats, Record};
+use hybridgraph_codec::frame;
 use hybridgraph_codec::{decode_blob_frame, encode_blob_frame};
 use hybridgraph_graph::rng::SplitMix64;
 use std::sync::{Arc, Mutex};
@@ -650,12 +651,12 @@ fn golden_master_state_bytes_are_pinned() {
     assert_eq!(cuts, [0, 2, 4, 6, 8]);
     let pinned = |superstep: u64| {
         let (_, blob) = commits.iter().find(|(s, _)| *s == superstep).unwrap();
-        let mut st = MasterState::decode(blob).unwrap();
+        let mut st: MasterState = frame::decode(blob).unwrap();
         for m in &mut st.steps {
             m.wall_secs = 0.0;
             m.blocking_secs = 0.0;
         }
-        let bytes = st.encode();
+        let bytes = frame::encode(&st);
         assert_eq!(bytes.len(), blob.len());
         (bytes.len(), fnv1a(&bytes))
     };
@@ -665,6 +666,45 @@ fn golden_master_state_bytes_are_pinned() {
         (20018, 0xb7ae_a710_194b_ade6),
     ];
     assert_eq!(got, want, "[baseline, step cut 6] = {got:#x?}");
+}
+
+// A committed cut whose trace rings do not match the resuming job's
+// `TraceSink` is a refused configuration. It used to pass validation and
+// panic in `TraceSink::restore_states`.
+#[test]
+fn resume_with_a_missing_trace_shard_is_invalid_config() {
+    use hybridgraph::core::{BarrierSink, MasterState, ResumeState};
+    use std::sync::Mutex;
+
+    #[derive(Debug, Default)]
+    struct Last(Mutex<Vec<u8>>);
+    impl BarrierSink for Last {
+        fn commit(&self, _superstep: u64, state: &[u8]) -> std::io::Result<()> {
+            *self.0.lock().unwrap() = state.to_vec();
+            Ok(())
+        }
+    }
+
+    let g = gen::uniform(64, 256, 3);
+    let cfg = || {
+        JobConfig::new(Mode::Push, 2)
+            .with_checkpoint(CheckpointPolicy::EveryK(2))
+            .with_trace(Arc::new(TraceSink::new(2)))
+    };
+    let last = Arc::new(Last::default());
+    let sink = Arc::clone(&last) as Arc<dyn BarrierSink>;
+    run_job(
+        Arc::new(PageRank::new(3)),
+        &g,
+        cfg().with_barrier_sink(sink),
+    )
+    .expect("job");
+
+    let mut cut: MasterState = frame::decode(&last.0.lock().unwrap()).expect("cut");
+    cut.trace.as_mut().expect("traced cut").pop();
+    let resume = ResumeState(Arc::new(frame::encode(&cut)));
+    let err = run_job(Arc::new(PageRank::new(3)), &g, cfg().with_resume(resume)).unwrap_err();
+    assert!(matches!(err, JobError::InvalidConfig(_)), "{err}");
 }
 
 // ------------------------------------------------------------ pinned jobs
@@ -706,8 +746,7 @@ impl BarrierProbe {
         let mut reader = MsgLogReader::open(&scratch, superstep).expect("open segment");
         let mut entries = reader.read_all_entries().expect("entries");
         entries.sort_by_key(|(to, blob)| {
-            let (packet, used) = Packet::decode(blob).expect("logged packet");
-            assert_eq!(used, blob.len());
+            let packet: Packet = frame::decode(blob).expect("logged packet");
             let (rank, block) = match packet {
                 Packet::PullRequest { block } => (0, block.0),
                 Packet::Messages { for_block, .. } => (1, for_block.map_or(u32::MAX, |b| b.0)),
@@ -1124,5 +1163,392 @@ fn pinned_pull_job_repeats_exactly() {
     let first = run();
     for i in 1..25 {
         assert_eq!(run(), first, "run {i}");
+    }
+}
+
+// -------------------------------------------------------- declared records
+
+/// The bytes of one sample record plus how to read them back and write
+/// what was read: `Ok(re-encoded bytes)` or the decoder's error.
+type Sample = (String, Vec<u8>, fn(&[u8]) -> std::io::Result<Vec<u8>>);
+
+fn sample<T: frame::Field>(name: &str, x: &T) -> Sample {
+    fn reencode<T: frame::Field>(b: &[u8]) -> std::io::Result<Vec<u8>> {
+        frame::decode::<T>(b).map(|x| frame::encode(&x))
+    }
+    (name.to_string(), frame::encode(x), reencode::<T>)
+}
+
+/// Seeded values of every record declared with `record!` / `tagged!`:
+/// the master state and its parts (strict and async steps, the switcher
+/// with plain, async and tiered audits, trace rings with every event and
+/// arg kind), the audit table, every logged packet, every service-log
+/// record and every gateway request and response body.
+fn declared_record_samples(seed: u64) -> Vec<Sample> {
+    use hybridgraph::core::{
+        decode_qt_audits, encode_qt_audits, AsyncCostInputs, AsyncStepStats, CostInputs,
+        FailureEvent, MasterState, MtbfEstimator, RecoveryMetrics, SemanticBytes, SuperstepMetrics,
+        Switcher,
+    };
+    use hybridgraph::gateway::proto::*;
+    use hybridgraph::graph::{BlockId, Edge};
+    use hybridgraph::net::{BatchKind, WireStats};
+    use hybridgraph::obs::{ArgValue, QtTiers, ShardState};
+    use hybridgraph::service::{GraphSpec, WalRecord};
+    use hybridgraph::storage::{CacheEntry, CacheSnapshot, IoSnapshot, ShardSnapshot};
+
+    let mut rng = SplitMix64::new(seed);
+    let mut n = || rng.next_u64() % 1000;
+    let (a, b, c, d) = (n(), n(), n(), n());
+
+    let profile = DeviceProfile::local_hdd();
+    let mut switcher = Switcher::new(Mode::BPull, 2, 0.1);
+    switcher.observe_rco(a, a + b + 1);
+    let push_favoring = CostInputs {
+        io_vrr: 1 << 30,
+        mco: c,
+        ..CostInputs::default()
+    };
+    switcher.decide(1, &profile, &push_favoring, 0.5, 1.0);
+    switcher.decide(2, &profile, &push_favoring, 0.5, 0.75);
+    switcher.annotate_tiers(QtTiers {
+        seq_read: 0.5,
+        seq_write: 1.0,
+        rand_read: 0.25,
+        rand_write: d as f64,
+    });
+    let async_favoring = AsyncCostInputs {
+        extra_rounds: 3,
+        value_io_bytes: 1 << 20,
+        ..AsyncCostInputs::default()
+    };
+    switcher.decide_async(
+        4,
+        &profile,
+        &CostInputs::default(),
+        &async_favoring,
+        0.5,
+        1.0,
+    );
+    let audits = switcher.audit().to_vec();
+
+    let sink = TraceSink::with_capacity(2, 8);
+    sink.worker(0).span(
+        "load",
+        a,
+        vec![
+            ("bytes", ArgValue::U64(b)),
+            ("worker", ArgValue::I64(-(c as i64))),
+            ("q", ArgValue::F64(-0.125)),
+            ("mode", ArgValue::Str("b-pull".into())),
+        ],
+    );
+    sink.master()
+        .instant("barrier", vec![("superstep", ArgValue::U64(d))]);
+    sink.control()
+        .counter_at(77, "q", vec![("custom_key", ArgValue::F64(1.5))]);
+    let shards: Vec<ShardState> = sink.export_states();
+
+    let io = IoSnapshot {
+        seq_read_bytes: a,
+        rand_write_ops: b,
+        ..IoSnapshot::default()
+    };
+    let strict = SuperstepMetrics {
+        superstep: 1,
+        kind: StepKind::BPull,
+        io,
+        sem: SemanticBytes {
+            bpull_edge_bytes: c,
+            ..SemanticBytes::default()
+        },
+        q_metric: -0.5,
+        modeled_secs: 0.25,
+        ..SuperstepMetrics::default()
+    };
+    let asy = SuperstepMetrics {
+        superstep: 2,
+        kind: StepKind::AsyncThenPush,
+        asy: AsyncStepStats {
+            pseudo_rounds: d,
+            blocks_converged: 1,
+            ..AsyncStepStats::default()
+        },
+        max_residual: 1e-3,
+        ..SuperstepMetrics::default()
+    };
+    let mut mtbf = MtbfEstimator::new();
+    mtbf.advance(1.5);
+    mtbf.observe();
+    let state = MasterState {
+        superstep: 2,
+        prev_checkpoint: Some(a),
+        last_ckpt_worker_bytes: b,
+        epoch: 1,
+        workers: 2,
+        cur: Mode::Async,
+        pending_kind: Some(StepKind::PushNoSend),
+        recoveries_used: 1,
+        cum_logical: c,
+        accum_step_secs: 0.125,
+        pending_release_secs: 0.0625,
+        audit_seen: 2,
+        switcher,
+        steps: vec![strict, asy],
+        switches: vec![(2, Mode::BPull, Mode::Async)],
+        recovery: RecoveryMetrics {
+            checkpoints_taken: 2,
+            checkpoint_io: io,
+            mtbf_secs: 1.5,
+            failures: vec![FailureEvent {
+                superstep: 2,
+                worker: 1,
+                error: "injected".into(),
+            }],
+            ..RecoveryMetrics::default()
+        },
+        mtbf,
+        trace: Some(shards.clone()),
+    };
+
+    let cache = CacheSnapshot {
+        shards: vec![
+            ShardSnapshot {
+                entries: vec![
+                    CacheEntry {
+                        key: (3, a as u32),
+                        weight: 48,
+                        edges: Arc::new(vec![Edge::weighted(VertexId(b as u32), 2.5)]),
+                    },
+                    CacheEntry {
+                        key: (3, 1),
+                        weight: 32,
+                        edges: Arc::new(Vec::new()),
+                    },
+                ],
+                hits: c,
+                misses: 5,
+                evictions: 2,
+            },
+            ShardSnapshot {
+                entries: Vec::new(),
+                hits: 0,
+                misses: d,
+                evictions: 0,
+            },
+        ],
+    };
+    let g = gen::uniform(6, 10, seed);
+    let spec = GraphSpec::new(2)
+        .with_codec(CodecChoice::Gaps)
+        .with_vblocks(3);
+    let wal = [
+        WalRecord::GraphRegistered {
+            name: "ring".into(),
+            id: 7,
+            spec,
+            graph: Arc::new(g.clone()),
+        },
+        WalRecord::GraphEvicted {
+            name: "ring".into(),
+            id: 7,
+        },
+        WalRecord::JobAdmitted {
+            job_id: a,
+            graph: "ring".into(),
+        },
+        WalRecord::JobStarted { job_id: a },
+        WalRecord::JobBarrier {
+            job_id: a,
+            superstep: 2,
+            lane_vtime: 1.25,
+            state: frame::encode(&state)[..40].to_vec(),
+            cache: cache.clone(),
+        },
+        WalRecord::JobFinished { job_id: a, cache },
+    ];
+
+    let stats = WireStats {
+        raw_messages: a,
+        wire_values: b,
+        wire_bytes: 8,
+        saved_messages: a.saturating_sub(b),
+    };
+    let packets = [
+        Packet::PullRequest { block: BlockId(7) },
+        Packet::Messages {
+            kind: BatchKind::Combined,
+            payload: (0..8).map(|i| (i * d) as u8).collect::<Vec<u8>>().into(),
+            stats,
+            for_block: Some(BlockId(3)),
+        },
+        Packet::Messages {
+            kind: BatchKind::Plain,
+            payload: vec![0u8; 64].into(),
+            stats: WireStats::default(),
+            for_block: None,
+        },
+        Packet::EndOfResponses { block: BlockId(1) },
+        Packet::DoneSending,
+        Packet::SuperstepDone,
+        Packet::GatherRequests {
+            ids: vec![5u8, 0, 0, 0].into(),
+        },
+        Packet::DoneRequesting,
+        Packet::EndOfGather,
+        Packet::Signals {
+            ids: vec![9u8, 0, 0, 0].into(),
+        },
+        Packet::Abort,
+    ];
+
+    let options = JobOptions {
+        mode: Mode::PushM,
+        buffer_messages: a,
+        trace: true,
+        max_supersteps: b,
+    };
+    let submit = |program| SubmitReq {
+        graph: "g".into(),
+        program,
+        options,
+    };
+    let requests = [
+        Request::RegisterGraph {
+            name: "g".into(),
+            workers: 3,
+            vblocks_per_worker: 2,
+            codec: CodecChoice::Bv,
+            source: GraphSource::Blob(encode_graph(&g)),
+        },
+        Request::RegisterGraph {
+            name: "d".into(),
+            workers: 2,
+            vblocks_per_worker: 1,
+            codec: CodecChoice::None,
+            source: GraphSource::Dataset {
+                name: "livej".into(),
+                scale: c,
+            },
+        },
+        Request::Submit(submit(ProgramSpec::PageRankUntil { eps: 1e-9, cap: d })),
+        Request::SubmitBatch(vec![
+            submit(ProgramSpec::PageRank { supersteps: a }),
+            submit(ProgramSpec::Sssp { source: 4 }),
+            submit(ProgramSpec::Lpa { supersteps: 3 }),
+            submit(ProgramSpec::Wcc),
+            submit(ProgramSpec::Sa { ratio: 8, seed }),
+        ]),
+        Request::JobStatus { job_id: a },
+        Request::Subscribe { job_id: b },
+        Request::FetchResults { job_id: c },
+        Request::Evict { name: "g".into() },
+        Request::Metrics,
+        Request::Shutdown,
+    ];
+    let responses = [
+        Response::Ok,
+        Response::Registered {
+            engine: 1,
+            graph_id: a as u32,
+        },
+        Response::Submitted {
+            job_ids: vec![a, b, c],
+        },
+        Response::Status(JobStatusInfo::Running { supersteps_done: d }),
+        Response::Status(JobStatusInfo::Done),
+        Response::Status(JobStatusInfo::Failed {
+            code: 5,
+            message: "invalid".into(),
+        }),
+        Response::Progress(ProgressEvent::Loaded { modeled_secs: 0.5 }),
+        Response::Progress(ProgressEvent::Superstep {
+            superstep: 3,
+            mode: Mode::BPull,
+            modeled_secs: 1.5,
+        }),
+        Response::Progress(ProgressEvent::Done),
+        Response::Progress(ProgressEvent::Failed {
+            code: 2,
+            message: "budget".into(),
+        }),
+        Response::Results(JobOutcome {
+            value_kind: ValueKind::U64U32,
+            values: encode_values(&[1.0f64, 2.0]),
+            audits: encode_qt_audits(&audits),
+            trace: Some("{}".into()),
+            modeled_secs: 2.25,
+            physical_bytes: a,
+            logical_bytes: b,
+            supersteps: 5,
+            switches: vec!["2:push->b-pull".into(), "4:b-pull->push".into()],
+        }),
+        Response::Results(JobOutcome {
+            value_kind: ValueKind::F32,
+            values: Vec::new(),
+            audits: Vec::new(),
+            trace: None,
+            modeled_secs: 0.0,
+            physical_bytes: 0,
+            logical_bytes: 0,
+            supersteps: 0,
+            switches: Vec::new(),
+        }),
+        Response::MetricsText("# TYPE x gauge\n".into()),
+        Response::Error(RemoteError {
+            domain: ErrorDomain::Catalog,
+            code: 6,
+            message: "empty layout".into(),
+        }),
+    ];
+
+    let mut out = vec![
+        sample("MasterState", &state),
+        sample("trace rings", &shards),
+        (
+            "Q_t audit table".to_string(),
+            encode_qt_audits(&audits),
+            |b| decode_qt_audits(b).map(|a| encode_qt_audits(&a)),
+        ),
+    ];
+    out.extend(wal.iter().map(|r| sample(&format!("{r:?}"), r)));
+    out.extend(packets.iter().map(|p| sample(&format!("{p:?}"), p)));
+    out.extend(requests.iter().map(|r| sample(&format!("{r:?}"), r)));
+    out.extend(responses.iter().map(|r| sample(&format!("{r:?}"), r)));
+    out
+}
+
+// One property for every declared record type, in place of a truncation
+// test per record: the sample round-trips; every cut and an appended byte
+// are errors; every flipped bit is an error or reads back as a value that
+// writes exactly the flipped bytes (decoding is canonical — no presence
+// byte, tag, label or narrowed count reads two ways). Nothing panics.
+#[test]
+fn declared_records_reject_cuts_and_read_flips_canonically() {
+    for seed in [3u64, 1776] {
+        for (name, bytes, reencode) in declared_record_samples(seed) {
+            let name: String = name.chars().take(60).collect();
+            assert_eq!(
+                reencode(&bytes).expect("sample reads back"),
+                bytes,
+                "{name}"
+            );
+            for cut in 0..bytes.len() {
+                assert!(reencode(&bytes[..cut]).is_err(), "{name}: cut {cut} read");
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(reencode(&longer).is_err(), "{name}: trailing byte read");
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(again) = reencode(&flipped) {
+                    assert!(
+                        again == flipped,
+                        "{name} seed {seed}: bit {bit} read two ways"
+                    );
+                }
+            }
+        }
     }
 }

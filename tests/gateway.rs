@@ -391,6 +391,39 @@ fn error_codes_cross_the_wire() {
     handle.join();
 }
 
+/// A `RegisterGraph` for zero workers, for a dataset at scale 0, or with
+/// an edge to a vertex outside its inline graph is a typed error, and the
+/// engine goes on to register a valid graph. Each used to panic the
+/// connection thread — zero workers and the stray edge while it held the
+/// engine's state lock, poisoning the engine for every later request.
+#[test]
+fn degenerate_registrations_are_typed_errors_and_keep_the_engine() {
+    let (_server, _transport, handle, mut client) = loopback_gateway(1, 1);
+    let g = gen::uniform(64, 256, 3);
+    let err = client
+        .register_graph("none", &g, 0, 1, CodecChoice::None)
+        .unwrap_err();
+    assert_eq!(remote_code(err), (ErrorDomain::Catalog, 6));
+    let err = client
+        .register_dataset("tiny", "livej", 0, 2, 1, CodecChoice::None)
+        .unwrap_err();
+    let malformed = WireError::Malformed(String::new()).code();
+    assert_eq!(remote_code(err), (ErrorDomain::Protocol, malformed));
+    let stray = Graph::from_parts(vec![0, 1], vec![Edge::to(VertexId(5))]);
+    let err = client
+        .register_graph("stray", &stray, 2, 1, CodecChoice::None)
+        .unwrap_err();
+    assert_eq!(remote_code(err), (ErrorDomain::Protocol, malformed));
+
+    let (engine, _) = client
+        .register_graph("g", &g, 2, 1, CodecChoice::None)
+        .expect("the engine still registers");
+    assert_eq!(engine, 0, "one engine: the same one refused the bad spec");
+    client.shutdown().expect("shutdown");
+    drop(client);
+    handle.join();
+}
+
 /// Reads one response frame off a raw connection.
 fn read_resp(conn: &mut dyn hybridgraph::gateway::Conn) -> Result<Response, WireError> {
     let (frame, _) = read_frame(conn, DEFAULT_MAX_FRAME)?;

@@ -25,11 +25,13 @@ GUARDS=(
   "0 :: FabricTap|ArqCounters|install_tap :: crates src tests examples :: NetStats' overhead counters are the ARQ observation surface"
   "0 :: enum Json|fn parse_(json|value)|fn json_escape :: crates/bench :: obs::json::parse and obs::json_escape are the workspace's one JSON reader and escaper"
   "0 :: fn (to|from)_bytes :: crates/codec/src/ef.rs :: Elias-Fano directories are rebuilt at load, never persisted"
+  "0 :: \.(put|get)_(u8|u32|u64|f64|str|bytes|count)\( :: crates/core/src/snapshot.rs crates/core/src/switch.rs crates/service/src/wal.rs crates/obs/src/sink.rs crates/net/src/packet.rs crates/gateway/src/proto.rs :: each persisted record is one record!/tagged! declaration; the two shims go through Field as well"
+  "0 :: QT_AUDIT_MIN_BYTES|MIN_(STATE|EVENT|ARG)_BYTES :: crates :: MIN_BYTES is derived from each declaration, never kept by hand"
 )
 
 # file :: most lines it may have (its count when the ratchet was last set)
 MAX_LINES=(
-  "DESIGN.md :: 1141"
+  "DESIGN.md :: 1139"
   "README.md :: 539"
 )
 

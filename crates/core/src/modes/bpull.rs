@@ -24,7 +24,7 @@
 //! messages from the new values into the peers' receive/spill buffers.
 
 use super::push::sink_payloads;
-use super::{run_init_step, send_batch, send_payloads, stage_response, staged_inbox};
+use super::{init_updates, send_batch, send_payloads, stage_response, staged_inbox};
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
 use crate::worker::Worker;
@@ -40,7 +40,6 @@ use std::collections::VecDeque;
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 struct Inflight {
     block: BlockId,
@@ -70,18 +69,16 @@ fn not_in_flight(block: BlockId) -> io::Error {
 
 /// Runs one b-pull superstep (`also_push` makes it the fused
 /// b-pull → push switch superstep).
-pub fn run_bpull_step<P: VertexProgram>(
+pub(crate) fn run_bpull_step<P: VertexProgram>(
     w: &mut Worker<P>,
-    superstep: u64,
+    rep: &mut StepReport,
     also_push: bool,
-) -> io::Result<StepReport> {
-    let t0 = Instant::now();
-    w.begin_superstep(superstep);
-    if superstep == 1 {
-        return run_init_step(w);
+) -> io::Result<()> {
+    if w.superstep == 1 {
+        init_updates(w, rep)?;
+        w.trace_phase("init");
+        return Ok(());
     }
-    let mut rep = StepReport::default();
-    let mut blocking = 0.0;
     let workers = w.cfg.workers;
 
     let mut pending: VecDeque<BlockId> = w.layout.blocks_of_worker(w.id).collect();
@@ -106,9 +103,7 @@ pub fn run_bpull_step<P: VertexProgram>(
     // `staged` is empty slots: fresh for the first `pipeline` blocks, then
     // those of the block that just completed.
     let issue = |w: &Worker<P>, b: BlockId, staged, inflight: &mut Vec<Inflight>| {
-        for p in 0..workers {
-            w.ep.send(WorkerId::from(p), Packet::PullRequest { block: b });
-        }
+        w.ep.broadcast(Packet::PullRequest { block: b });
         inflight.push(Inflight {
             block: b,
             ends: 0,
@@ -135,17 +130,15 @@ pub fn run_bpull_step<P: VertexProgram>(
                     send_batch(w, peer, w.push_kind(), None, &batch);
                 }
             }
-            for p in 0..workers {
-                w.ep.send(WorkerId::from(p), Packet::SuperstepDone);
-            }
+            w.ep.broadcast(Packet::SuperstepDone);
         }
         if my_done && done_peers == workers {
             break;
         }
-        let env = w.recv_timed(&mut blocking);
+        let env = w.recv_timed();
         match env.packet {
             Packet::PullRequest { block } => {
-                serve_pull(w, env.from, block, &mut resp, &mut fold, &mut rep)?
+                serve_pull(w, env.from, block, &mut resp, &mut fold, rep)?
             }
             Packet::Messages {
                 kind,
@@ -187,7 +180,7 @@ pub fn run_bpull_step<P: VertexProgram>(
                     window.push_back(values);
                     let held = window.iter().sum::<u64>() * (4 + P::Message::BYTES as u64);
                     w.note_memory(held + w.standing_memory_bytes());
-                    update_block(w, &mut rep, superstep, block, &inbox, push.as_mut())?;
+                    update_block(w, rep, block, &inbox, push.as_mut())?;
                     if let Some(nb) = pending.pop_front() {
                         staged.iter_mut().for_each(Vec::clear);
                         issue(w, nb, staged, &mut inflight);
@@ -201,7 +194,7 @@ pub fn run_bpull_step<P: VertexProgram>(
     }
 
     if also_push {
-        sink_payloads(w, &push_inbound, false, &mut rep)?;
+        sink_payloads(w, &push_inbound, false, rep)?;
     }
 
     w.responder = resp;
@@ -209,10 +202,7 @@ pub fn run_bpull_step<P: VertexProgram>(
     w.trace_phase("Pull-Respond+update");
     w.flush_staged()?;
     w.trace_phase("flush");
-    w.finish_superstep(&mut rep);
-    rep.wall_secs = t0.elapsed().as_secs_f64();
-    rep.blocking_secs = blocking;
-    Ok(rep)
+    Ok(())
 }
 
 /// What Pull-Respond reuses from request to request (and the worker from
@@ -253,7 +243,9 @@ fn corrupt_eblock(
 /// folded by index over the Vblock's range as `pullRes()` produces it; a
 /// concatenated one is the messages themselves, grouped when sent. An
 /// Eblock whose svertex lies outside its block, or whose edge leaves the
-/// requested Vblock, is `InvalidData`.
+/// requested Vblock, is `InvalidData`; so is a request for a Vblock the
+/// layout does not have, which a message-log segment read back in confined
+/// recovery could hold.
 fn serve_pull<P: VertexProgram>(
     w: &Worker<P>,
     from: WorkerId,
@@ -262,6 +254,12 @@ fn serve_pull<P: VertexProgram>(
     fold: &mut FoldBuf<P::Message>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
+    if block.index() >= w.layout.num_blocks() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("pull request for Vblock {}, not in the layout", block.0),
+        ));
+    }
     let ve = w
         .veblock
         .as_ref()
@@ -333,7 +331,6 @@ fn serve_pull<P: VertexProgram>(
 fn update_block<P: VertexProgram>(
     w: &mut Worker<P>,
     rep: &mut StepReport,
-    superstep: u64,
     block: BlockId,
     inbox: &Inbox<P::Message>,
     mut push: Option<&mut FusedPush<P::Message>>,
@@ -341,9 +338,6 @@ fn update_block<P: VertexProgram>(
     if inbox.is_empty() {
         return Ok(());
     }
-    let program = Arc::clone(&w.program);
-    let info = w.info;
-    let track_residual = program.tolerance().is_some();
     let br = w.layout.block_range(block);
     let vals = w.values.read_range(br.clone())?;
     w.note_value_preimage(br.start, &vals);
@@ -351,36 +345,15 @@ fn update_block<P: VertexProgram>(
     // Staging checked every destination against the block's range.
     for (vg, msgs) in inbox.iter() {
         let v = VertexId(vg);
-        let idx = (vg - br.start) as usize;
-        let upd = program.update(v, &info, superstep, &vals[idx], msgs);
-        if track_residual {
-            rep.max_residual = rep
-                .max_residual
-                .max(program.residual(&vals[idx], &upd.value));
-        }
-        rep.updated += 1;
-        rep.messages_consumed += msgs.len() as u64;
-        let local = w.local(v);
-        if upd.respond {
-            w.respond_next.set(local);
-            if let Some(push) = &mut push {
-                let adj = w
-                    .adjacency
-                    .as_ref()
-                    .expect("hybrid keeps the adjacency store");
-                let edges = adj.read_edges(v, AccessClass::SeqRead, &mut push.edges)?;
-                rep.sem.push_edge_bytes += adj.stored_bytes_of(v);
-                let outd = w.out_degrees[local];
-                for e in edges {
-                    if let Some(m) = program.message(v, &upd.value, outd, e) {
-                        rep.messages_produced += 1;
-                        let peer = w.partition.worker_of(e.dst);
-                        if let Some(batch) = push.tbuf.push(peer, e.dst, m) {
-                            send_batch(w, peer, w.push_kind(), None, &batch);
-                        }
-                    }
-                }
-            }
+        let upd = w.update_vertex(v, &vals[(vg - br.start) as usize], msgs, rep);
+        if let (true, Some(push)) = (upd.respond, &mut push) {
+            let adj = w
+                .adjacency
+                .as_ref()
+                .expect("hybrid keeps the adjacency store");
+            let edges = adj.read_edges(v, AccessClass::SeqRead, &mut push.edges)?;
+            rep.sem.push_edge_bytes += adj.stored_bytes_of(v);
+            w.push_res(v, &upd.value, edges, |_| true, &mut push.tbuf, rep);
         }
         // Staged: flushed after every peer stops reading this superstep.
         w.staged.push((vg, upd.value));
@@ -391,11 +364,11 @@ fn update_block<P: VertexProgram>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::pull::run_pull_step;
-    use super::super::push::run_push_step;
     use super::super::testkit::{worker, Sum};
     use super::*;
     use crate::config::{JobConfig, Mode};
+    use crate::metrics::StepKind;
+    use crate::runner::control::run_step_kind;
     use hybridgraph_net::wire::encode_batch;
 
     /// Worker 1 of 2 of a b-pull job (Vblocks 2 = 20..30 and 3 = 30..40),
@@ -531,7 +504,7 @@ mod tests {
             file.read_at(AccessClass::RandRead, at, &mut b).unwrap();
             file.write_at(AccessClass::RandWrite, at, &[b[0] ^ 0x80])
                 .unwrap();
-            let err = run_bpull_step(&mut w, 2, false).unwrap_err();
+            let err = run_step_kind(&mut w, StepKind::BPull, 2).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{combining} {byte}");
         }
     }
@@ -554,34 +527,53 @@ mod tests {
                 _ => stray(&w, 2, 35),
             };
             peer.send(WorkerId(1), packet);
-            let err = run_bpull_step(&mut w, 2, false).unwrap_err();
+            let err = run_step_kind(&mut w, StepKind::BPull, 2).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "case {case}");
         }
-        // A stray end marker per executor, as a message log read back in
-        // confined recovery could hold: an error too, not a panic.
-        type Step = fn(&mut Worker<Sum>) -> io::Result<StepReport>;
-        let strays: [(Mode, Packet, Step); 4] = [
-            (Mode::BPull, Packet::DoneSending, |w| {
-                run_bpull_step(w, 2, false)
-            }),
-            (Mode::Push, Packet::EndOfGather, |w| {
-                run_push_step(w, 2, true, false)
-            }),
-            (Mode::Pull, Packet::DoneSending, |w| run_pull_step(w, 1)),
-            (
-                Mode::Pull,
-                Packet::EndOfResponses { block: BlockId(2) },
-                |w| run_pull_step(w, 2),
-            ),
+        // A stray end marker per executor, or an id no peer would send —
+        // as a message log read back in confined recovery could hold: an
+        // error too, not a panic. Worker 1 owns vertices 20..40 and
+        // Vblocks 2 and 3 of the layout's 4; the peer, worker 0, requests
+        // gathers for its own 0..20 only. Past a stray id the peer ends
+        // its part of the superstep, so a step that lets it through
+        // returns instead of waiting.
+        let ids = |ids: &[u32]| -> Arc<[u8]> { ids.iter().flat_map(|v| v.to_le_bytes()).collect() };
+        // A whole id, then one byte of the next.
+        let ragged = |id: u32| -> Arc<[u8]> { [&id.to_le_bytes()[..], &[0]].concat().into() };
+        let signals = |ids| vec![Packet::Signals { ids }, Packet::SuperstepDone];
+        let gather = |ids| {
+            vec![
+                Packet::GatherRequests { ids },
+                Packet::DoneRequesting,
+                Packet::EndOfGather,
+                Packet::SuperstepDone,
+            ]
+        };
+        let end = Packet::EndOfResponses { block: BlockId(2) };
+        let request = Packet::PullRequest { block: BlockId(99) };
+        let strays = [
+            (StepKind::BPull, 2, vec![Packet::DoneSending]),
+            (StepKind::Push, 2, vec![Packet::EndOfGather]),
+            (StepKind::Pull, 1, vec![Packet::DoneSending]),
+            (StepKind::Pull, 2, vec![end]),
+            (StepKind::BPull, 2, vec![request]),
+            (StepKind::Pull, 1, signals(ids(&[5]))),
+            (StepKind::Pull, 1, signals(ids(&[25, 41]))),
+            (StepKind::Pull, 1, signals(ragged(25))),
+            (StepKind::Pull, 2, gather(ids(&[5, 25]))),
+            (StepKind::Pull, 2, gather(ids(&[41]))),
+            (StepKind::Pull, 2, gather(ragged(5))),
         ];
-        for (mode, marker, step) in strays {
-            let (mut w, peer) = worker(JobConfig::new(mode, 2));
-            peer.send(WorkerId(1), marker.clone());
-            let err = step(&mut w).unwrap_err();
+        for (kind, superstep, packets) in strays {
+            let (mut w, peer) = worker(JobConfig::new(kind.mode(), 2));
+            for packet in &packets {
+                peer.send(WorkerId(1), packet.clone());
+            }
+            let err = run_step_kind(&mut w, kind, superstep).unwrap_err();
             assert_eq!(
                 err.kind(),
                 io::ErrorKind::InvalidData,
-                "{mode:?} {marker:?}"
+                "{kind:?} {packets:?}"
             );
         }
     }

@@ -28,16 +28,14 @@
 //! byte-identical.
 
 use super::push::{exchange, load_inbox};
-use super::send_batch;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
 use crate::worker::{OutEdges, Worker};
-use hybridgraph_graph::VertexId;
+use hybridgraph_graph::{Edge, VertexId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_storage::{AccessClass, Record};
 use std::io;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-block residual threshold for pseudo-rounds: a block stops
 /// iterating its interior once the maximum `VertexProgram::residual` of
@@ -52,24 +50,18 @@ pub const ASYNC_MAX_ROUNDS: u64 = 8;
 /// * `send_all` — send to **every** destination instead of boundary-only
 ///   (the async → push switch superstep, [`StepKind::AsyncThenPush`]
 ///   (crate::metrics::StepKind::AsyncThenPush)).
-pub fn run_async_step<P: VertexProgram>(
+pub(crate) fn run_async_step<P: VertexProgram>(
     w: &mut Worker<P>,
-    superstep: u64,
+    rep: &mut StepReport,
     send_all: bool,
-) -> io::Result<StepReport> {
-    let t0 = Instant::now();
-    w.begin_superstep(superstep);
-    let mut rep = StepReport::default();
-    let mut blocking = 0.0;
+) -> io::Result<()> {
     let program = Arc::clone(&w.program);
     let info = w.info;
-    let workers = w.cfg.workers;
-    let residual_cut = ASYNC_RESIDUAL;
-    let max_rounds = ASYNC_MAX_ROUNDS;
+    let superstep = w.superstep;
     let base = w.range.start;
 
     // load(): the messages received at the previous barrier.
-    let work = load_inbox(w, superstep, &mut rep)?;
+    let work = load_inbox(w, rep)?;
     w.trace_phase("load");
 
     let cls = Arc::clone(w.cls.as_ref().expect("async mode requires classification"));
@@ -84,11 +76,8 @@ pub fn run_async_step<P: VertexProgram>(
     let mut touched = crate::bitset::BitSet::new(w.range.len());
 
     let mut tbuf: ThresholdBuffer<P::Message> =
-        ThresholdBuffer::new(workers, w.cfg.sending_threshold);
+        ThresholdBuffer::new(w.cfg.workers, w.cfg.sending_threshold);
     let mut max_extra_rounds = 0u64;
-    // `(block index, round, updates, regenerated messages)` per executed
-    // pseudo-round, emitted to the trace after the superstep's spans.
-    let mut round_trace: Vec<(usize, u64, u64, u64)> = Vec::new();
 
     // The index is out of the worker for the sweep, so it is added to
     // the standing footprint by hand; neither changes before the
@@ -112,19 +101,16 @@ pub fn run_async_step<P: VertexProgram>(
             while let Some((v, msgs)) = groups.next_if(|(v, _)| *v < br.end) {
                 debug_assert!(br.contains(&v));
                 let idx = (v - br.start) as usize;
-                let upd = program.update(VertexId(v), &info, superstep, &vals[idx], msgs);
-                let residual = program.residual(&vals[idx], &upd.value);
-                rep.max_residual = rep.max_residual.max(residual);
-                rep.updated += 1;
-                rep.messages_consumed += msgs.len() as u64;
+                let upd = w.update_vertex(VertexId(v), &vals[idx], msgs, rep);
                 let local = (v - base) as usize;
                 touched.set(local);
+                // The kernel raised the responding flag; the sweep is this
+                // vertex's first update of the superstep, so a lowered one
+                // is already clear.
                 if upd.respond {
                     live.set(local);
-                    w.respond_next.set(local);
                 } else {
                     live.clear(local);
-                    w.respond_next.clear(local);
                 }
                 if cls.is_boundary(v) {
                     rep.asy.boundary_active += 1;
@@ -137,7 +123,7 @@ pub fn run_async_step<P: VertexProgram>(
             // Pseudo-rounds: regenerate interior inboxes in memory and
             // iterate until the block's residual settles.
             let mut extra_rounds = 0u64;
-            if !ib.interior.is_empty() && max_rounds > 0 {
+            if !ib.interior.is_empty() {
                 // Round 1 visits every interior vertex (the inbox left by
                 // an arbitrary previous mode is consumed by the sweep;
                 // regeneration re-derives the in-block part from current
@@ -146,7 +132,7 @@ pub fn run_async_step<P: VertexProgram>(
                 let mut dirty_mark = vec![false; ib.interior.len()];
                 let mut inbox: Vec<P::Message> = Vec::new();
                 let mut block_active = false;
-                for round in 1..=max_rounds {
+                for round in 1..=ASYNC_MAX_ROUNDS {
                     let mut round_updates = 0u64;
                     let mut round_msgs = 0u64;
                     let mut round_max = 0.0f64;
@@ -213,8 +199,8 @@ pub fn run_async_step<P: VertexProgram>(
                     }
                     extra_rounds = round;
                     block_active = true;
-                    round_trace.push((bi, round, round_updates, round_msgs));
-                    if round_max <= residual_cut {
+                    w.trace_round(bi, round, round_updates, round_msgs);
+                    if round_max <= ASYNC_RESIDUAL {
                         rep.asy.blocks_converged += 1;
                         break;
                     }
@@ -244,26 +230,15 @@ pub fn run_async_step<P: VertexProgram>(
             // pushRes() from final values: every vertex that updated this
             // superstep and is finally responding sends — to boundary
             // destinations only, unless this is the async → push switch.
+            let keep = |e: &Edge| send_all || cls.is_boundary(e.dst.0);
             for i in (br.start - base) as usize..(br.end - base) as usize {
                 if !(touched.get(i) && live.get(i)) {
                     continue;
                 }
                 let v = VertexId(base + i as u32);
-                let edges = w.read_out_edges(v, AccessClass::SeqRead, &mut rep, &mut out_edges)?;
-                let outd = w.out_degrees[i];
-                let idx = (v.0 - br.start) as usize;
-                for e in edges {
-                    if !send_all && !cls.is_boundary(e.dst.0) {
-                        continue;
-                    }
-                    if let Some(m) = program.message(v, &vals[idx], outd, e) {
-                        rep.messages_produced += 1;
-                        let peer = w.partition.worker_of(e.dst);
-                        if let Some(batch) = tbuf.push(peer, e.dst, m) {
-                            send_batch(w, peer, w.push_kind(), None, &batch);
-                        }
-                    }
-                }
+                let edges = w.read_out_edges(v, AccessClass::SeqRead, rep, &mut out_edges)?;
+                let value = &vals[(v.0 - br.start) as usize];
+                w.push_res(v, value, edges, keep, &mut tbuf, rep);
             }
 
             w.note_memory(tbuf.memory_bytes() + block_bytes + standing);
@@ -282,31 +257,7 @@ pub fn run_async_step<P: VertexProgram>(
     });
 
     // Exchange phase (identical to push).
-    exchange(w, tbuf, false, &mut rep, &mut blocking)?;
+    exchange(w, tbuf, false, rep)?;
     w.trace_phase("exchange");
-
-    w.finish_superstep(&mut rep);
-    // One instant per executed pseudo-round, after the phase spans: the
-    // per-pseudo-superstep view the graphhp experiment plots. Timestamps
-    // are modeled (the shard clock emit_phase_trace left), so traces stay
-    // bit-reproducible.
-    if let (Some(shard), false) = (w.shard.clone(), w.replay) {
-        let at = shard.clock_us();
-        for (bi, round, updates, msgs) in round_trace {
-            shard.instant_at(
-                at,
-                "async.round",
-                vec![
-                    ("superstep", superstep.into()),
-                    ("block", (bi as u64).into()),
-                    ("round", round.into()),
-                    ("updates", updates.into()),
-                    ("messages", msgs.into()),
-                ],
-            );
-        }
-    }
-    rep.wall_secs = t0.elapsed().as_secs_f64();
-    rep.blocking_secs = blocking;
-    Ok(rep)
+    Ok(())
 }

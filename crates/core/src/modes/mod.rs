@@ -1,4 +1,13 @@
-//! Superstep executors for the four message-handling strategies.
+//! Superstep executors for the four message-handling strategies and
+//! GraphHP-style async.
+//!
+//! Every executor runs inside one frame, the worker thread's
+//! `run_step_kind`: it starts the clock and the superstep's I/O window
+//! ([`Worker::begin_superstep`]), hands the executor a fresh
+//! [`StepReport`] to fill, and closes the superstep
+//! ([`Worker::finish_superstep`]). Executors differ only in traversal:
+//! every one of them updates a vertex through [`Worker::update_vertex`],
+//! and the push family sends through [`Worker::push_res`].
 //!
 //! All executors obey the same BSP contract: a superstep's packets are
 //! fully drained before the executor returns, so the master's barrier
@@ -11,9 +20,9 @@ pub mod pull;
 pub mod push;
 
 use crate::metrics::StepReport;
-use crate::program::VertexProgram;
+use crate::program::{Update, VertexProgram};
 use crate::worker::Worker;
-use hybridgraph_graph::{BlockId, VertexId, WorkerId};
+use hybridgraph_graph::{BlockId, Edge, VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::{self, BatchKind, WireStats};
@@ -22,7 +31,6 @@ use hybridgraph_storage::Record;
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Marker message of the error the executors return when the master
 /// broadcasts [`Packet::Abort`] mid-superstep because a peer failed.
@@ -160,32 +168,72 @@ pub(crate) fn staged_inbox<P: VertexProgram>(
     }
 }
 
-/// Superstep 1 for the pull family: no messages exist yet, so every
-/// initially-active vertex runs `update()` with an empty message list and
-/// (possibly) raises its responding flag. No packets are exchanged —
-/// b-pull "starts exchanging messages from the 2nd superstep" (Fig. 17).
-pub(crate) fn run_init_step<P: VertexProgram>(w: &mut Worker<P>) -> io::Result<StepReport> {
-    let t0 = Instant::now();
-    let mut rep = StepReport::default();
-    init_updates(w, &mut rep)?;
-    w.trace_phase("init");
-    w.finish_superstep(&mut rep);
-    rep.wall_secs = t0.elapsed().as_secs_f64();
-    Ok(rep)
+/// The two per-vertex kernels every executor shares (§5.2: `update()` is
+/// the same in every mode, and one message function serves `pushRes()`
+/// and `pullRes()`; only the traversal around them differs).
+impl<P: VertexProgram> Worker<P> {
+    /// `update()` of local vertex `v` from its current `value` and
+    /// `msgs`, plus its bookkeeping: the residual (in every async step,
+    /// otherwise only for a program with a tolerance), the `updated` and
+    /// `messages_consumed` counters, and `v`'s responding flag for the
+    /// next superstep. The caller stores the returned value.
+    pub(crate) fn update_vertex(
+        &mut self,
+        v: VertexId,
+        value: &P::Value,
+        msgs: &[P::Message],
+        rep: &mut StepReport,
+    ) -> Update<P::Value> {
+        let program = &self.program;
+        let upd = program.update(v, &self.info, self.superstep, value, msgs);
+        if self.record_residual {
+            rep.max_residual = rep.max_residual.max(program.residual(value, &upd.value));
+        }
+        rep.updated += 1;
+        rep.messages_consumed += msgs.len() as u64;
+        if upd.respond {
+            let local = self.local(v);
+            self.respond_next.set(local);
+        }
+        upd
+    }
+
+    /// `pushRes()` of local vertex `v` holding `value`: a message along
+    /// every edge of `edges` that `keep` accepts, into `tbuf`, each batch
+    /// sent to its worker as it fills.
+    pub(crate) fn push_res(
+        &self,
+        v: VertexId,
+        value: &P::Value,
+        edges: &[Edge],
+        keep: impl Fn(&Edge) -> bool,
+        tbuf: &mut ThresholdBuffer<P::Message>,
+        rep: &mut StepReport,
+    ) {
+        let outd = self.out_degrees[self.local(v)];
+        for e in edges.iter().filter(|e| keep(e)) {
+            if let Some(m) = self.program.message(v, value, outd, e) {
+                rep.messages_produced += 1;
+                let peer = self.partition.worker_of(e.dst);
+                if let Some(batch) = tbuf.push(peer, e.dst, m) {
+                    send_batch(self, peer, self.push_kind(), None, &batch);
+                }
+            }
+        }
+    }
 }
 
-/// The update half of superstep 1 (shared by b-pull's local-only first
-/// superstep and the pull baseline's first superstep, which additionally
-/// scatters signals before finishing).
+/// Superstep 1 of the pull family: no messages exist yet, so every
+/// initially-active vertex runs `update()` with an empty message list and
+/// (possibly) raises its responding flag. b-pull exchanges nothing — it
+/// "starts exchanging messages from the 2nd superstep" (Fig. 17); pull
+/// then scatters signals.
 pub(crate) fn init_updates<P: VertexProgram>(
     w: &mut Worker<P>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let program = Arc::clone(&w.program);
     let info = w.info;
-    // Residuals feed tolerance-based termination only; programs without a
-    // tolerance skip the bookkeeping entirely (byte-identical runs).
-    let track_residual = program.tolerance().is_some();
     for b in w.layout.blocks_of_worker(w.id).collect::<Vec<_>>() {
         let br = w.layout.block_range(b);
         let actives: Vec<u32> = br
@@ -201,18 +249,7 @@ pub(crate) fn init_updates<P: VertexProgram>(
         rep.sem.value_update_bytes += block_bytes;
         for v in actives {
             let idx = (v - br.start) as usize;
-            let upd = program.update(VertexId(v), &info, 1, &vals[idx], &[]);
-            if track_residual {
-                rep.max_residual = rep
-                    .max_residual
-                    .max(program.residual(&vals[idx], &upd.value));
-            }
-            rep.updated += 1;
-            if upd.respond {
-                let local = (v - w.range.start) as usize;
-                w.respond_next.set(local);
-            }
-            vals[idx] = upd.value;
+            vals[idx] = w.update_vertex(VertexId(v), &vals[idx], &[], rep).value;
         }
         w.values.write_range(br.clone(), &vals)?;
         rep.sem.value_update_bytes += block_bytes;

@@ -26,32 +26,26 @@ use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::stats::{scattered_cost, seek_pad};
 use hybridgraph_storage::{AccessClass, Record};
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Runs one pull (gather) superstep.
-pub fn run_pull_step<P: VertexProgram>(
+pub(crate) fn run_pull_step<P: VertexProgram>(
     w: &mut Worker<P>,
-    superstep: u64,
-) -> io::Result<StepReport> {
-    let t0 = Instant::now();
-    w.begin_superstep(superstep);
+    rep: &mut StepReport,
+) -> io::Result<()> {
     let workers = w.cfg.workers;
-    if superstep == 1 {
+    if w.superstep == 1 {
         // Local init, then scatter activation signals from the
         // responders so superstep 2 knows who must gather.
-        let mut rep = StepReport::default();
-        let mut blocking = 0.0;
-        init_updates(w, &mut rep)?;
-        scatter_signals(w, &mut rep)?;
-        for p in 0..workers {
-            w.ep.send(WorkerId::from(p), Packet::SuperstepDone);
-        }
+        init_updates(w, rep)?;
+        scatter_signals(w, rep)?;
+        w.ep.broadcast(Packet::SuperstepDone);
         let mut done_peers = 0usize;
         while done_peers < workers {
-            let env = w.recv_timed(&mut blocking);
+            let env = w.recv_timed();
             match env.packet {
-                Packet::Signals { ids } => accept_signals(w, &ids),
+                Packet::Signals { ids } => accept_signals(w, &ids)?,
                 Packet::SuperstepDone => done_peers += 1,
                 Packet::Abort => return Err(super::abort_error()),
                 other => return Err(super::unexpected(&other, "pull init")),
@@ -60,49 +54,22 @@ pub fn run_pull_step<P: VertexProgram>(
         w.signaled.clear_all();
         w.signaled.swap(&mut w.signaled_next);
         w.trace_phase("init+scatter");
-        w.finish_superstep(&mut rep);
-        rep.wall_secs = t0.elapsed().as_secs_f64();
-        rep.blocking_secs = blocking;
-        return Ok(rep);
+        return Ok(());
     }
-    let mut rep = StepReport::default();
-    let mut blocking = 0.0;
 
     // Request phase: every *signaled* local vertex pulls from each of its
     // mirror workers (including itself, over loopback) — PowerGraph's
     // scatter-driven activation.
+    let request = |ids| Packet::GatherRequests { ids };
     let mut req_bufs: Vec<Vec<u8>> = vec![Vec::new(); workers];
-    let signaled: Vec<usize> = w.signaled.ones().collect();
-    for i in signaled {
-        let mask = w.mirror_peers[i];
-        if mask == 0 {
-            continue;
-        }
-        let v = w.range.start + i as u32;
-        for (p, buf) in req_bufs.iter_mut().enumerate() {
-            if (mask >> p) & 1 == 1 {
-                buf.extend_from_slice(&v.to_le_bytes());
-                if buf.len() >= w.cfg.sending_threshold {
-                    let ids = std::mem::take(buf);
-                    w.ep.send(
-                        WorkerId::from(p),
-                        Packet::GatherRequests { ids: ids.into() },
-                    );
-                }
-            }
+    for i in w.signaled.ones() {
+        let (v, mask) = (w.range.start + i as u32, w.mirror_peers[i]);
+        for p in (0..workers).filter(|p| mask >> p & 1 == 1) {
+            buffer_id(w, &mut req_bufs, p, v, request);
         }
     }
-    for (p, buf) in req_bufs.into_iter().enumerate() {
-        if !buf.is_empty() {
-            w.ep.send(
-                WorkerId::from(p),
-                Packet::GatherRequests { ids: buf.into() },
-            );
-        }
-    }
-    for p in 0..workers {
-        w.ep.send(WorkerId::from(p), Packet::DoneRequesting);
-    }
+    flush_ids(w, req_bufs, request);
+    w.ep.broadcast(Packet::DoneRequesting);
     w.trace_phase("request");
 
     // Event loop: stage requests and responses per sender as they
@@ -123,10 +90,10 @@ pub fn run_pull_step<P: VertexProgram>(
             // requests already, so none of them waits on these responses.
             for (p, payloads) in std::mem::take(&mut requests).into_iter().enumerate() {
                 let from = WorkerId::from(p);
+                let requester = w.partition.worker_range(from);
                 for ids in payloads {
-                    for chunk in ids.chunks_exact(4) {
-                        let v = VertexId(u32::from_le_bytes(chunk.try_into().unwrap()));
-                        serve_gather(w, v, from, &mut tbuf, &mut in_edges, &mut rep)?;
+                    for v in vertex_ids(&ids, &requester)? {
+                        serve_gather(w, v, from, &mut tbuf, &mut in_edges, rep)?;
                     }
                 }
                 send_batch(w, from, w.batch_kind(), None, &tbuf.flush(from));
@@ -141,19 +108,17 @@ pub fn run_pull_step<P: VertexProgram>(
             staged.iter_mut().for_each(Vec::clear);
             let held = values * (4 + P::Message::BYTES as u64);
             w.note_memory(held + w.standing_memory_bytes());
-            update_cached(w, &mut rep, superstep, &inbox)?;
+            update_cached(w, rep, &inbox)?;
             // Scatter: responders signal their out-neighbors to gather
             // next superstep.
-            scatter_signals(w, &mut rep)?;
+            scatter_signals(w, rep)?;
             my_done = true;
-            for p in 0..workers {
-                w.ep.send(WorkerId::from(p), Packet::SuperstepDone);
-            }
+            w.ep.broadcast(Packet::SuperstepDone);
         }
         if my_done && done_peers == workers {
             break;
         }
-        let env = w.recv_timed(&mut blocking);
+        let env = w.recv_timed();
         match env.packet {
             Packet::GatherRequests { ids } => requests[env.from.index()].push(ids),
             // FIFO per pair: all of this peer's requests are staged.
@@ -162,7 +127,7 @@ pub fn run_pull_step<P: VertexProgram>(
                 stage_response(w, &mut staged[env.from.index()], kind, payload, &w.range)?;
             }
             Packet::EndOfGather => got_ends += 1,
-            Packet::Signals { ids } => accept_signals(w, &ids),
+            Packet::Signals { ids } => accept_signals(w, &ids)?,
             Packet::SuperstepDone => done_peers += 1,
             Packet::Abort => return Err(super::abort_error()),
             other => return Err(super::unexpected(&other, "pull step")),
@@ -172,47 +137,80 @@ pub fn run_pull_step<P: VertexProgram>(
     w.signaled.clear_all();
     w.signaled.swap(&mut w.signaled_next);
     w.trace_phase("gather+update");
-    w.finish_superstep(&mut rep);
-    rep.wall_secs = t0.elapsed().as_secs_f64();
-    rep.blocking_secs = blocking;
-    Ok(rep)
+    Ok(())
 }
 
 /// PowerGraph-style scatter: every responder reads its out-edges from the
 /// adjacency store and signals each destination's owner that the vertex
 /// must gather next superstep.
 fn scatter_signals<P: VertexProgram>(w: &mut Worker<P>, rep: &mut StepReport) -> io::Result<()> {
-    let workers = w.cfg.workers;
-    let responders: Vec<usize> = w.respond_next.ones().collect();
-    let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); workers];
+    let signal = |ids| Packet::Signals { ids };
+    let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); w.cfg.workers];
     let mut out_edges = OutEdges::default();
-    for i in responders {
+    for i in w.respond_next.ones() {
         let v = VertexId(w.range.start + i as u32);
-        let edges = w.read_out_edges(v, AccessClass::SeqRead, rep, &mut out_edges)?;
-        for e in edges {
+        for e in w.read_out_edges(v, AccessClass::SeqRead, rep, &mut out_edges)? {
             let p = w.partition.worker_of(e.dst).index();
-            bufs[p].extend_from_slice(&e.dst.0.to_le_bytes());
-            if bufs[p].len() >= w.cfg.sending_threshold {
-                let ids = std::mem::take(&mut bufs[p]);
-                w.ep.send(WorkerId::from(p), Packet::Signals { ids: ids.into() });
-            }
+            buffer_id(w, &mut bufs, p, e.dst.0, signal);
         }
     }
-    for (p, buf) in bufs.into_iter().enumerate() {
-        if !buf.is_empty() {
-            w.ep.send(WorkerId::from(p), Packet::Signals { ids: buf.into() });
-        }
+    flush_ids(w, bufs, signal);
+    Ok(())
+}
+
+/// Appends vertex id `v` to worker `p`'s buffer in `bufs`, sending the
+/// buffer as `packet` once it reaches the sending threshold.
+fn buffer_id<P: VertexProgram>(
+    w: &Worker<P>,
+    bufs: &mut [Vec<u8>],
+    p: usize,
+    v: u32,
+    packet: fn(Arc<[u8]>) -> Packet,
+) {
+    bufs[p].extend_from_slice(&v.to_le_bytes());
+    if bufs[p].len() >= w.cfg.sending_threshold {
+        w.ep.send(
+            WorkerId::from(p),
+            packet(std::mem::take(&mut bufs[p]).into()),
+        );
+    }
+}
+
+/// Sends what is left in each worker's buffer as `packet`.
+fn flush_ids<P: VertexProgram>(w: &Worker<P>, bufs: Vec<Vec<u8>>, packet: fn(Arc<[u8]>) -> Packet) {
+    for (p, buf) in bufs.into_iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+        w.ep.send(WorkerId::from(p), packet(buf.into()));
+    }
+}
+
+/// Marks locally-owned signal targets for the next superstep.
+fn accept_signals<P: VertexProgram>(w: &mut Worker<P>, ids: &[u8]) -> io::Result<()> {
+    for v in vertex_ids(ids, &w.range)? {
+        let local = w.local(v);
+        w.signaled_next.set(local);
     }
     Ok(())
 }
 
-/// Marks locally-owned signal targets for the next superstep.
-fn accept_signals<P: VertexProgram>(w: &mut Worker<P>, ids: &[u8]) {
-    for chunk in ids.chunks_exact(4) {
-        let v = VertexId(u32::from_le_bytes(chunk.try_into().unwrap()));
-        let local = w.local(v);
-        w.signaled_next.set(local);
+/// The vertex ids of a `Signals` payload (this worker's vertices) or a
+/// `GatherRequests` one (the requester's). A peer never sends another, but
+/// a message-log segment read back in confined recovery can say anything:
+/// a payload that is not whole `u32`s, or names a vertex outside `range`,
+/// is `InvalidData`.
+fn vertex_ids<'a>(
+    ids: &'a [u8],
+    range: &Range<u32>,
+) -> io::Result<impl Iterator<Item = VertexId> + 'a> {
+    let vertices = ids
+        .chunks_exact(4)
+        .map(|c| VertexId(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
+    if !ids.len().is_multiple_of(4) || vertices.clone().any(|v| !range.contains(&v.0)) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("vertex ids outside {range:?}, or not whole u32s"),
+        ));
     }
+    Ok(vertices)
 }
 
 /// Reads a local vertex value through the LRU cache; misses hit the value
@@ -232,26 +230,29 @@ pub(crate) fn cached_value<P: VertexProgram>(
     let width = P::Value::BYTES as u64;
     w.vfs.stats().record(AccessClass::RandRead, seek_pad(width));
     rep.sem.svertex_rand_bytes += scattered_cost(width);
-    let evicted = w.lru.as_mut().unwrap().insert_weighted(
-        v.0,
-        val.clone(),
-        false,
-        Worker::<P>::lru_entry_weight(),
-    );
-    for (k, old, dirty) in evicted {
-        if dirty {
-            write_back(w, VertexId(k), &old)?;
-        }
-    }
+    cache_insert(w, v, val.clone(), false)?;
     Ok(val)
 }
 
-/// Writes an evicted dirty value back (scattered random write).
-fn write_back<P: VertexProgram>(w: &Worker<P>, v: VertexId, value: &P::Value) -> io::Result<()> {
-    w.values.write_one(v, value)?;
-    w.vfs
-        .stats()
-        .record(AccessClass::RandWrite, seek_pad(P::Value::BYTES as u64));
+/// Caches `value` as `v`'s, `dirty` once updated; a dirty value the LRU
+/// evicts is written back (scattered random write).
+fn cache_insert<P: VertexProgram>(
+    w: &mut Worker<P>,
+    v: VertexId,
+    value: P::Value,
+    dirty: bool,
+) -> io::Result<()> {
+    let lru = w.lru.as_mut().expect("pull needs the LRU");
+    let evicted = lru.insert_weighted(v.0, value, dirty, Worker::<P>::lru_entry_weight());
+    for (k, old, was_dirty) in evicted {
+        if was_dirty {
+            w.values.write_one(VertexId(k), &old)?;
+            let width = P::Value::BYTES as u64;
+            w.vfs
+                .stats()
+                .record(AccessClass::RandWrite, seek_pad(width));
+        }
+    }
     Ok(())
 }
 
@@ -294,36 +295,13 @@ fn serve_gather<P: VertexProgram>(
 fn update_cached<P: VertexProgram>(
     w: &mut Worker<P>,
     rep: &mut StepReport,
-    superstep: u64,
     inbox: &Inbox<P::Message>,
 ) -> io::Result<()> {
-    let program = Arc::clone(&w.program);
-    let info = w.info;
-    let track_residual = program.tolerance().is_some();
     for (vg, msgs) in inbox.iter() {
         let v = VertexId(vg);
         let current = cached_value(w, v, rep)?;
-        let upd = program.update(v, &info, superstep, &current, msgs);
-        if track_residual {
-            rep.max_residual = rep.max_residual.max(program.residual(&current, &upd.value));
-        }
-        rep.updated += 1;
-        rep.messages_consumed += msgs.len() as u64;
-        if upd.respond {
-            let local = w.local(v);
-            w.respond_next.set(local);
-        }
-        let evicted = w.lru.as_mut().unwrap().insert_weighted(
-            vg,
-            upd.value,
-            true,
-            Worker::<P>::lru_entry_weight(),
-        );
-        for (k, old, dirty) in evicted {
-            if dirty {
-                write_back(w, VertexId(k), &old)?;
-            }
-        }
+        let upd = w.update_vertex(v, &current, msgs, rep);
+        cache_insert(w, v, upd.value, true)?;
     }
     Ok(())
 }

@@ -20,7 +20,7 @@ use super::send_batch;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
 use crate::worker::{OutEdges, Worker};
-use hybridgraph_graph::{VertexId, WorkerId};
+use hybridgraph_graph::VertexId;
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::{check_batch, BatchKind};
@@ -28,29 +28,18 @@ use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::{AccessClass, Record};
 use std::io;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Runs one push-family superstep.
 ///
 /// * `send` — run `pushRes()` (false for the push → b-pull switch step).
 /// * `online` — MOCgraph message online computing (requires a combiner).
-pub fn run_push_step<P: VertexProgram>(
+pub(crate) fn run_push_step<P: VertexProgram>(
     w: &mut Worker<P>,
-    superstep: u64,
+    rep: &mut StepReport,
     send: bool,
     online: bool,
-) -> io::Result<StepReport> {
-    let t0 = Instant::now();
-    w.begin_superstep(superstep);
-    let mut rep = StepReport::default();
-    let mut blocking = 0.0;
-    let program = Arc::clone(&w.program);
-    let info = w.info;
-    // Residuals only matter to tolerance-terminated programs; others skip
-    // the per-vertex comparison so existing runs stay byte-identical.
-    let track_residual = program.tolerance().is_some();
-
-    let work = load_inbox(w, superstep, &mut rep)?;
+) -> io::Result<()> {
+    let work = load_inbox(w, rep)?;
     w.trace_phase("load");
 
     // update() + pushRes(), block by block. Nothing the compute phase
@@ -75,36 +64,16 @@ pub fn run_push_step<P: VertexProgram>(
             rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
         }
         let idx = (vg - br.start) as usize;
-        let upd = program.update(v, &info, superstep, &vals[idx], msgs);
-        if track_residual {
-            rep.max_residual = rep
-                .max_residual
-                .max(program.residual(&vals[idx], &upd.value));
-        }
-        rep.updated += 1;
-        rep.messages_consumed += msgs.len() as u64;
-        let local = w.local(v);
-        if upd.respond {
-            w.respond_next.set(local);
-        }
+        let upd = w.update_vertex(v, &vals[idx], msgs, rep);
         if send {
             // The vertex object is loaded with its edges for every
             // computed vertex (Giraph), whether or not it responds. The
             // read goes through the cross-job shared cache when the job
             // has one; a miss charges the physical bytes (== logical
             // without a codec) to `IO(Ē^t)`, a hit charges nothing.
-            let out = w.read_out_edges(v, AccessClass::SeqRead, &mut rep, &mut edges)?;
+            let out = w.read_out_edges(v, AccessClass::SeqRead, rep, &mut edges)?;
             if upd.respond {
-                let outd = w.out_degrees[local];
-                for e in out {
-                    if let Some(m) = program.message(v, &upd.value, outd, e) {
-                        rep.messages_produced += 1;
-                        let peer = w.partition.worker_of(e.dst);
-                        if let Some(batch) = tbuf.push(peer, e.dst, m) {
-                            send_batch(w, peer, w.push_kind(), None, &batch);
-                        }
-                    }
-                }
+                w.push_res(v, &upd.value, out, |_| true, &mut tbuf, rep);
             }
         }
         vals[idx] = upd.value;
@@ -118,14 +87,10 @@ pub fn run_push_step<P: VertexProgram>(
     w.trace_phase(if send { "compute+pushRes" } else { "compute" });
 
     if send {
-        exchange(w, tbuf, online, &mut rep, &mut blocking)?;
+        exchange(w, tbuf, online, rep)?;
         w.trace_phase("exchange");
     }
-
-    w.finish_superstep(&mut rep);
-    rep.wall_secs = t0.elapsed().as_secs_f64();
-    rep.blocking_secs = blocking;
-    Ok(rep)
+    Ok(())
 }
 
 /// The exchange phase of a push or async superstep: flushes the sending
@@ -143,19 +108,16 @@ pub(crate) fn exchange<P: VertexProgram>(
     mut tbuf: ThresholdBuffer<P::Message>,
     online: bool,
     rep: &mut StepReport,
-    blocking: &mut f64,
 ) -> io::Result<()> {
     let workers = w.cfg.workers;
     for (peer, batch) in tbuf.flush_all() {
         send_batch(w, peer, w.push_kind(), None, &batch);
     }
-    for p in 0..workers {
-        w.ep.send(WorkerId::from(p), Packet::DoneSending);
-    }
+    w.ep.broadcast(Packet::DoneSending);
     let mut inbound: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
     let mut done = 0usize;
     while done < workers {
-        let env = w.recv_timed(blocking);
+        let env = w.recv_timed();
         match env.packet {
             Packet::Messages { kind, payload, .. } => {
                 debug_assert_ne!(kind, BatchKind::Concatenated, "push never concatenates");
@@ -221,10 +183,9 @@ pub(crate) fn sink_payloads<P: VertexProgram>(
 /// 1 every initially-active vertex with no messages.
 pub(crate) fn load_inbox<P: VertexProgram>(
     w: &mut Worker<P>,
-    superstep: u64,
     rep: &mut StepReport,
 ) -> io::Result<Inbox<P::Message>> {
-    if superstep == 1 {
+    if w.superstep == 1 {
         let mut inbox = Inbox::new();
         for v in w.range.clone() {
             if w.program.initially_active(VertexId(v), &w.info) {
@@ -284,11 +245,12 @@ mod tests {
             }
         }
         let mut rep = StepReport::default();
+        w.superstep = 2;
         for online in [false, true] {
             sink_payloads(&mut w, &payload(&msgs), online, &mut rep).unwrap();
             let pending = w.spill.as_ref().unwrap().total();
             assert_eq!(pending, if online { 18 } else { 30 });
-            let inbox = load_inbox(&mut w, 2, &mut rep).unwrap();
+            let inbox = load_inbox(&mut w, &mut rep).unwrap();
             assert_eq!(rep.delivered_distinct, 10);
             assert_eq!(rep.delivered_raw, if online { 18 + 4 } else { 30 });
             for (v, got) in inbox.iter() {

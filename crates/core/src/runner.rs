@@ -38,7 +38,7 @@
 
 #![warn(clippy::too_many_lines)]
 
-mod control;
+pub(crate) mod control;
 mod drive;
 mod master;
 

@@ -20,7 +20,7 @@ use hybridgraph_storage::msg_log::{self, MsgLogReader};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What the master orders a worker to do. A worker whose command channel
 /// hangs up exits.
@@ -175,22 +175,31 @@ impl<V> Links<V> {
     }
 }
 
-/// Dispatches one superstep execution by kind.
-fn run_step_kind<P: VertexProgram>(
-    worker: &mut Worker<P>,
+/// The one superstep frame, live or replayed: opens the superstep, runs
+/// the executor of `kind` into a fresh report, closes the superstep, and
+/// stamps the wall and blocking seconds.
+pub(crate) fn run_step_kind<P: VertexProgram>(
+    w: &mut Worker<P>,
     kind: StepKind,
     superstep: u64,
 ) -> io::Result<StepReport> {
+    let t0 = Instant::now();
+    w.begin_superstep(superstep, kind);
+    let mut rep = StepReport::default();
     match kind {
-        StepKind::Push => run_push_step(worker, superstep, true, false),
-        StepKind::PushNoSend => run_push_step(worker, superstep, false, false),
-        StepKind::PushM => run_push_step(worker, superstep, true, true),
-        StepKind::Pull => run_pull_step(worker, superstep),
-        StepKind::BPull => run_bpull_step(worker, superstep, false),
-        StepKind::BPullThenPush => run_bpull_step(worker, superstep, true),
-        StepKind::Async => run_async_step(worker, superstep, false),
-        StepKind::AsyncThenPush => run_async_step(worker, superstep, true),
-    }
+        StepKind::Push => run_push_step(w, &mut rep, true, false),
+        StepKind::PushNoSend => run_push_step(w, &mut rep, false, false),
+        StepKind::PushM => run_push_step(w, &mut rep, true, true),
+        StepKind::Pull => run_pull_step(w, &mut rep),
+        StepKind::BPull => run_bpull_step(w, &mut rep, false),
+        StepKind::BPullThenPush => run_bpull_step(w, &mut rep, true),
+        StepKind::Async => run_async_step(w, &mut rep, false),
+        StepKind::AsyncThenPush => run_async_step(w, &mut rep, true),
+    }?;
+    w.finish_superstep(&mut rep);
+    rep.wall_secs = t0.elapsed().as_secs_f64();
+    rep.blocking_secs = w.blocking_secs;
+    Ok(rep)
 }
 
 /// One worker thread. Whatever ends it abnormally — an I/O error, an

@@ -10,7 +10,7 @@
 
 use crate::bitset::BitSet;
 use crate::config::{JobConfig, Mode};
-use crate::metrics::StepReport;
+use crate::metrics::{StepKind, StepReport};
 use crate::modes::bpull::Responder;
 use crate::program::{GraphInfo, VertexProgram};
 use hybridgraph_graph::{BlockLayout, Edge, Graph, Partition, VertexId, WorkerId};
@@ -238,6 +238,17 @@ pub struct Worker<P: VertexProgram> {
     /// Converted into per-phase spans (and per-class VFS events) at
     /// [`Worker::finish_superstep`]. Always empty when not tracing.
     phase_marks: Vec<(&'static str, IoSnapshot)>,
+    /// Async pseudo-rounds of the current superstep, `(block index,
+    /// round, updates, regenerated messages)`, emitted as instants right
+    /// after the phase spans. Always empty when not tracing.
+    round_marks: Vec<(usize, u64, u64, u64)>,
+    /// Wall seconds the current superstep has spent blocked in
+    /// [`Worker::recv_timed`].
+    pub(crate) blocking_secs: f64,
+    /// Whether [`Worker::update_vertex`] records residuals this superstep:
+    /// async steps always do, strict ones only for a program with a
+    /// tolerance (the others skip the comparison, byte-identical runs).
+    pub(crate) record_residual: bool,
 }
 
 impl<P: VertexProgram> Worker<P> {
@@ -434,6 +445,9 @@ impl<P: VertexProgram> Worker<P> {
             shard,
             step_base_us: 0,
             phase_marks: Vec::new(),
+            round_marks: Vec::new(),
+            blocking_secs: 0.0,
+            record_residual: false,
         };
         Ok((worker, report))
     }
@@ -483,13 +497,17 @@ impl<P: VertexProgram> Worker<P> {
         }
     }
 
-    /// Starts a superstep: snapshots I/O, recomputes the per-block `res`
-    /// flags from the previous superstep's responders, resets watermarks.
-    pub fn begin_superstep(&mut self, superstep: u64) {
+    /// Starts a superstep of `kind`: snapshots I/O, recomputes the
+    /// per-block `res` flags from the previous superstep's responders,
+    /// resets watermarks.
+    pub fn begin_superstep(&mut self, superstep: u64, kind: StepKind) {
         self.superstep = superstep;
         self.io_baseline = self.vfs.stats().snapshot();
         self.mem_peak = 0;
+        self.blocking_secs = 0.0;
+        self.record_residual = kind.mode() == Mode::Async || self.program.tolerance().is_some();
         self.phase_marks.clear();
+        self.round_marks.clear();
         self.block_res = self
             .layout
             .blocks_of_worker(self.id)
@@ -619,14 +637,25 @@ impl<P: VertexProgram> Worker<P> {
         }
     }
 
+    /// Records one executed async pseudo-round of Vblock index `block`.
+    /// Free when not tracing.
+    pub(crate) fn trace_round(&mut self, block: usize, round: u64, updates: u64, messages: u64) {
+        if self.shard.is_some() && !self.replay {
+            self.round_marks.push((block, round, updates, messages));
+        }
+    }
+
     /// Converts the recorded phase marks of the finished superstep into
     /// per-phase spans (modeled-time durations laid out sequentially from
     /// [`Worker::step_base_us`]) plus one per-I/O-class VFS event per
-    /// phase. Replayed supersteps (confined recovery) emit nothing: their
-    /// original execution already did.
+    /// phase, then one `async.round` instant per pseudo-round at the clock
+    /// the spans left — the per-pseudo-superstep view the graphhp
+    /// experiment plots. Replayed supersteps (confined recovery) emit
+    /// nothing: their original execution already did.
     fn emit_phase_trace(&mut self) {
         if self.replay || self.shard.is_none() {
             self.phase_marks.clear();
+            self.round_marks.clear();
             return;
         }
         let marks = std::mem::take(&mut self.phase_marks);
@@ -662,6 +691,20 @@ impl<P: VertexProgram> Worker<P> {
             );
             prev = snap;
         }
+        let at = shard.clock_us();
+        for (block, round, updates, messages) in self.round_marks.drain(..) {
+            shard.instant_at(
+                at,
+                "async.round",
+                vec![
+                    ("superstep", self.superstep.into()),
+                    ("block", (block as u64).into()),
+                    ("round", round.into()),
+                    ("updates", updates.into()),
+                    ("messages", messages.into()),
+                ],
+            );
+        }
     }
 
     /// Reads vertex `v`'s out-edges through the cross-job shared cache if
@@ -680,9 +723,9 @@ impl<P: VertexProgram> Worker<P> {
     /// vertex order). Arrival-ordered paths must not — the cache state
     /// would depend on packet timing.
     ///
-    /// Without a shared cache the edges decode into `scratch`, which the
-    /// caller reuses vertex after vertex; cached edges are borrowed from
-    /// the `Arc` the cache handed out, which `scratch` keeps alive.
+    /// The edges decode into `scratch`, which the caller reuses vertex
+    /// after vertex; a miss publishes a copy. Cached edges are borrowed
+    /// from the `Arc` the cache handed out, which `scratch` keeps alive.
     pub fn read_out_edges<'a>(
         &self,
         v: VertexId,
@@ -708,7 +751,7 @@ impl<P: VertexProgram> Worker<P> {
             }
             None => {
                 rep.cache_misses += 1;
-                let edges = Arc::new(adj.edges_of(v, class)?);
+                let edges = Arc::new(adj.read_edges(v, class, &mut scratch.own)?.to_vec());
                 rep.sem.push_edge_bytes += stored;
                 rep.cache_evictions += cache.insert(slot, gid, v.0, Arc::clone(&edges), stored);
                 edges
@@ -717,11 +760,12 @@ impl<P: VertexProgram> Worker<P> {
         Ok(scratch.shared.insert(edges))
     }
 
-    /// A blocking receive that accrues the wait into `blocking_secs`.
-    pub fn recv_timed(&self, blocking_secs: &mut f64) -> Envelope {
+    /// A blocking receive that accrues the wait into the superstep's
+    /// blocking seconds.
+    pub fn recv_timed(&mut self) -> Envelope {
         let t = Instant::now();
         let env = self.ep.recv();
-        *blocking_secs += t.elapsed().as_secs_f64();
+        self.blocking_secs += t.elapsed().as_secs_f64();
         env
     }
 

@@ -154,18 +154,11 @@ impl AdjacencyStore {
         self.file.codec()
     }
 
-    /// Reads the out-edges of `v`.
+    /// Reads the out-edges of `v`, decoded into caller-owned `scratch`: a
+    /// scan over many vertices allocates nothing per vertex.
     ///
     /// `class` is chosen by the caller: `SeqRead` when visiting vertices in
     /// id order (the push scan), `RandRead` for out-of-order access.
-    pub fn edges_of(&self, v: VertexId, class: AccessClass) -> io::Result<Vec<Edge>> {
-        let mut scratch = EdgeScratch::default();
-        self.read_edges(v, class, &mut scratch)?;
-        Ok(scratch.edges)
-    }
-
-    /// [`AdjacencyStore::edges_of`] decoded into caller-owned `scratch`:
-    /// a scan over many vertices allocates nothing per vertex.
     pub fn read_edges<'a>(
         &self,
         v: VertexId,
@@ -197,6 +190,11 @@ mod tests {
     use crate::vfs::MemVfs;
     use hybridgraph_graph::gen;
 
+    fn edges(s: &AdjacencyStore, v: VertexId, class: AccessClass) -> Vec<Edge> {
+        let mut scratch = EdgeScratch::default();
+        s.read_edges(v, class, &mut scratch).unwrap().to_vec()
+    }
+
     #[test]
     fn edge_record_roundtrip() {
         let mut buf = [0u8; 8];
@@ -215,7 +213,7 @@ mod tests {
         for v in 10..30u32 {
             let v = VertexId(v);
             assert_eq!(s.out_degree(v), g.out_degree(v));
-            assert_eq!(s.edges_of(v, AccessClass::SeqRead).unwrap(), g.out_edges(v));
+            assert_eq!(edges(&s, v, AccessClass::SeqRead), g.out_edges(v));
         }
     }
 
@@ -237,7 +235,7 @@ mod tests {
         let vfs = MemVfs::new();
         let s = AdjacencyStore::build(&vfs, "adj", &g, 0..20).unwrap();
         let before = vfs.stats().snapshot();
-        s.edges_of(VertexId(5), AccessClass::SeqRead).unwrap();
+        edges(&s, VertexId(5), AccessClass::SeqRead);
         let d = vfs.stats().snapshot().delta(&before);
         assert_eq!(d.seq_read_bytes, s.edge_bytes_of(VertexId(5)));
     }
@@ -255,7 +253,7 @@ mod tests {
                 let v = VertexId(v);
                 assert_eq!(s.out_degree(v), g.out_degree(v), "{codec:?}");
                 assert_eq!(s.edge_bytes_of(v), plain.edge_bytes_of(v));
-                assert_eq!(s.edges_of(v, AccessClass::SeqRead).unwrap(), g.out_edges(v));
+                assert_eq!(edges(&s, v, AccessClass::SeqRead), g.out_edges(v));
             }
         }
         // Gaps shrinks the file and the coded read accounts both sides.
@@ -267,7 +265,7 @@ mod tests {
         assert_eq!(wsnap.seq_write_logical_bytes, s.total_edge_bytes());
         let v = VertexId(7);
         let before = cvfs.stats().snapshot();
-        s.edges_of(v, AccessClass::RandRead).unwrap();
+        edges(&s, v, AccessClass::RandRead);
         let d = cvfs.stats().snapshot().delta(&before);
         assert_eq!(d.rand_read_bytes, s.stored_bytes_of(v));
         assert_eq!(d.rand_read_logical_bytes, s.edge_bytes_of(v));
@@ -291,14 +289,8 @@ mod tests {
             let view = s.share_view(Arc::new(IoStats::default()));
             for v in (0..300u32).step_by(17) {
                 let v = VertexId(v);
-                assert_eq!(
-                    s.edges_of(v, AccessClass::RandRead).unwrap(),
-                    g.out_edges(v)
-                );
-                assert_eq!(
-                    view.edges_of(v, AccessClass::RandRead).unwrap(),
-                    g.out_edges(v)
-                );
+                assert_eq!(edges(&s, v, AccessClass::RandRead), g.out_edges(v));
+                assert_eq!(edges(&view, v, AccessClass::RandRead), g.out_edges(v));
                 assert_eq!(s.stored_bytes_of(v) == 0, g.out_degree(v) == 0);
             }
         }
@@ -320,10 +312,7 @@ mod tests {
         let vfs = MemVfs::new();
         let s = AdjacencyStore::build(&vfs, "adj", &g, 0..10).unwrap();
         let before = vfs.stats().snapshot();
-        assert!(s
-            .edges_of(VertexId(5), AccessClass::SeqRead)
-            .unwrap()
-            .is_empty());
+        assert!(edges(&s, VertexId(5), AccessClass::SeqRead).is_empty());
         assert_eq!(vfs.stats().snapshot(), before);
         assert_eq!(s.out_degree(VertexId(0)), 9);
     }

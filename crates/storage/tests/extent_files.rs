@@ -12,7 +12,7 @@
 //! of the file.
 
 use hybridgraph_graph::{gen, BlockLayout, Edge, Graph, Partition, VertexId, WorkerId};
-use hybridgraph_storage::adjacency::AdjacencyStore;
+use hybridgraph_storage::adjacency::{AdjacencyStore, EdgeScratch};
 use hybridgraph_storage::gather::GatherStore;
 use hybridgraph_storage::veblock::{EblockScratch, VeBlockStore};
 use hybridgraph_storage::{AccessClass, CodecChoice, MemVfs, Vfs};
@@ -184,8 +184,12 @@ fn adjacency_files_survive_truncation_and_header_flips() {
             &vfs,
             "adj",
             || {
+                let mut scratch = EdgeScratch::default();
                 (16..64)
-                    .map(|v| s.edges_of(VertexId(v), AccessClass::RandRead))
+                    .map(|v| {
+                        s.read_edges(VertexId(v), AccessClass::RandRead, &mut scratch)
+                            .map(<[Edge]>::to_vec)
+                    })
                     .collect()
             },
             |edges| edges.len(),

@@ -226,6 +226,44 @@ fn io_grows_with_more_blocks() {
     assert!(io(32) > io(1), "{} vs {}", io(32), io(1));
 }
 
+/// Every executor updates through one kernel, so which vertices update
+/// and which respond in each superstep — and when the job stops — may not
+/// depend on the executor.
+#[test]
+fn executors_agree_on_updates_and_responders() {
+    fn agree<P: VertexProgram>(name: &str, program: P, g: &Graph, modes: &[Mode]) {
+        let program = Arc::new(program);
+        for workers in [1, 3, 4] {
+            let counters = |mode| -> Vec<(u64, u64)> {
+                let cfg = JobConfig::new(mode, workers).with_buffer(64);
+                let metrics = run_job(Arc::clone(&program), g, cfg).unwrap().metrics;
+                metrics
+                    .steps
+                    .iter()
+                    .map(|s| (s.updated, s.responders))
+                    .collect()
+            };
+            let want = counters(Mode::Push);
+            assert!(want.len() > 2, "{name} x{workers}: {want:?}");
+            for &mode in modes {
+                assert_eq!(counters(mode), want, "{name} {mode:?} x{workers}");
+            }
+        }
+    }
+    let g = gen::uniform(600, 6000, 3);
+    let all = [Mode::PushM, Mode::Pull, Mode::BPull];
+    let weighted = gen::randomize_weights(&g, 1.0, 6.0, 3);
+    agree("sssp", Sssp::new(VertexId(0)), &weighted, &all);
+    agree(
+        "wcc",
+        Wcc::new(),
+        &hybridgraph_algos::wcc::symmetrize(&g),
+        &all,
+    );
+    // LPA has no combiner, so no pushM.
+    agree("lpa", Lpa::converging(30), &g, &all[1..]);
+}
+
 #[test]
 fn load_report_counts_fragments() {
     let m = run(Mode::BPull, 100);

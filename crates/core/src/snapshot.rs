@@ -25,9 +25,8 @@ use crate::metrics::{
 };
 use crate::switch::Switcher;
 use hybridgraph_obs::ShardState;
-use hybridgraph_storage::frame::{Field, Framed, PayloadReader, PayloadWriter, Via};
+use hybridgraph_storage::frame::Framed;
 use hybridgraph_storage::{record, tagged};
-use std::io;
 
 // The master state's persisted layout, one declaration per record.
 
@@ -45,35 +44,13 @@ record! { AsyncStepStats {
     interior_active, blocks_active, blocks_converged,
 } }
 
-/// A superstep's fields up to the async block.
-struct StrictStep;
-
-record! { StrictStep: SuperstepMetrics {
+record! { SuperstepMetrics {
     superstep, kind, io, sem, net_out_bytes, net_local_bytes, net_raw_messages, net_wire_values,
     net_saved_messages, net_requests, updated, responders, messages_produced, pending_messages,
     cio_push_bytes, cio_bpull_bytes, mco, q_metric, memory_bytes, cache_hits, cache_misses,
-    cache_evictions, modeled_secs, modeled_io_secs, modeled_net_secs, wall_secs, blocking_secs, ..
+    cache_evictions, modeled_secs, modeled_io_secs, modeled_net_secs, wall_secs, blocking_secs,
+    asy, max_residual,
 } }
-
-/// The async block follows only on the async step kinds, so strict-BSP
-/// steps keep their older layout: the service-log bytes (`physical_bytes`)
-/// of `BENCH_service_restart.json` pin it.
-impl Field for SuperstepMetrics {
-    const MIN_BYTES: usize = StrictStep::MIN_BYTES;
-    fn put(&self, w: &mut PayloadWriter) {
-        StrictStep::put(self, w);
-        if self.kind.mode() == Mode::Async {
-            (self.asy, self.max_residual).put(w);
-        }
-    }
-    fn get(r: &mut PayloadReader<'_>) -> io::Result<SuperstepMetrics> {
-        let mut m = StrictStep::get(r)?;
-        if m.kind.mode() == Mode::Async {
-            (m.asy, m.max_residual) = Field::get(r)?;
-        }
-        Ok(m)
-    }
-}
 
 record! { FailureEvent { superstep, worker, error } }
 record! { RecoveryMetrics {
@@ -353,11 +330,14 @@ mod tests {
     }
 
     #[test]
-    fn async_step_roundtrips_and_stays_conditional() {
-        // A strict step encodes exactly as before; an async step appends
-        // its stats block (8 u64 + 1 f64 = 72 bytes).
-        let strict = sample_step(1);
-        let strict_len = encode(&strict).len();
+    fn every_step_kind_roundtrips_its_async_stats_and_residual() {
+        // Every kind carries the async block and the residual: a strict
+        // step resumed from a committed cut reports its residual too.
+        let mut strict = sample_step(1);
+        strict.max_residual = 0.068;
+        let strict_bytes = encode(&strict);
+        let back: SuperstepMetrics = decode(&strict_bytes).unwrap();
+        assert_eq!(back.max_residual.to_bits(), strict.max_residual.to_bits());
 
         let mut asy_step = sample_step(2);
         asy_step.kind = StepKind::Async;
@@ -373,7 +353,7 @@ mod tests {
         };
         asy_step.max_residual = 1.25e-3;
         let bytes = encode(&asy_step);
-        assert_eq!(bytes.len(), strict_len + 72);
+        assert_eq!(bytes.len(), strict_bytes.len());
 
         let back: SuperstepMetrics = decode(&bytes).unwrap();
         assert_eq!(back.kind, StepKind::Async);

@@ -16,7 +16,7 @@
 
 use crate::config::{Mode, ModeLabel};
 use hybridgraph_obs::{QtAsync, QtAudit, QtInputs, QtTerms, QtTiers, QtVerdict};
-use hybridgraph_storage::frame::{self, Field, PayloadReader, PayloadWriter, Tagged, Via};
+use hybridgraph_storage::frame::{self, PayloadWriter, Via};
 use hybridgraph_storage::{record, DeviceProfile};
 use std::io;
 
@@ -330,50 +330,14 @@ record! { Switcher {
     interval, current, last_decision, threshold, rco, history, audit via Vec<AuditLayout>,
 } }
 
-/// An audit record's fields up to the verdict byte; mode labels are
-/// re-interned to the engine's own `'static` labels.
-struct AuditHead;
-
-record! { AuditHead: QtAudit {
-    superstep, inputs, terms, q, step_secs, io_ratio, threshold,
-    mode_before via ModeLabel, mode_after via ModeLabel, ..
-} }
-
-/// One audit record: the head, then the verdict byte.
+/// One audit record; mode labels are re-interned to the engine's own
+/// `'static` labels.
 struct AuditLayout;
 
-/// The optional extensions ride on the verdict byte's high bits (0x80 =
-/// async term, 0x40 = per-tier ratios), so the audits of codec-less
-/// push/b-pull jobs keep their older layout: the `wire_bytes_out` of
-/// `BENCH_gateway.json` (audit blobs in `FetchResults`) and the
-/// service-log bytes (`physical_bytes`) of `BENCH_service_restart.json`
-/// pin it.
-impl Via<QtAudit> for AuditLayout {
-    const MIN_BYTES: usize = AuditHead::MIN_BYTES + 1;
-    fn put(a: &QtAudit, w: &mut PayloadWriter) {
-        AuditHead::put(a, w);
-        let flags = (a.asy.is_some() as u8) << 7 | (a.tiers.is_some() as u8) << 6;
-        (a.verdict.tag() | flags).put(w);
-        if let Some(x) = &a.asy {
-            x.put(w);
-        }
-        if let Some(t) = &a.tiers {
-            t.put(w);
-        }
-    }
-    fn get(r: &mut PayloadReader<'_>) -> io::Result<QtAudit> {
-        let mut a = AuditHead::get(r)?;
-        let tag = u8::get(r)?;
-        a.verdict = QtVerdict::get_fields(tag & 0x3f, r)?;
-        if tag & 0x80 != 0 {
-            a.asy = Some(QtAsync::get(r)?);
-        }
-        if tag & 0x40 != 0 {
-            a.tiers = Some(QtTiers::get(r)?);
-        }
-        Ok(a)
-    }
-}
+record! { AuditLayout: QtAudit {
+    superstep, inputs, terms, q, step_secs, io_ratio, threshold,
+    mode_before via ModeLabel, mode_after via ModeLabel, verdict, asy, tiers,
+} }
 
 /// Serializes a `Q_t` audit table to a canonical byte run — the form the
 /// restart-determinism tests and the chaos harness compare byte-for-byte.
@@ -391,6 +355,7 @@ pub fn decode_qt_audits(buf: &[u8]) -> io::Result<Vec<QtAudit>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridgraph_storage::frame::Tagged;
 
     fn hdd() -> DeviceProfile {
         DeviceProfile::local_hdd()
@@ -850,8 +815,8 @@ mod tests {
     }
 
     /// Per-tier ratio annotations round-trip through the canonical byte
-    /// run (0x40 flag), survive a full switcher snapshot, and add bytes
-    /// only to records that carry them.
+    /// run, survive a full switcher snapshot, and add bytes only to
+    /// records that carry them.
     #[test]
     fn tier_audit_bytes_roundtrip_and_stay_conditional() {
         let p = hdd();

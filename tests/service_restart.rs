@@ -1,8 +1,8 @@
 //! Durable `GraphService` end-to-end: master-failure recovery must be
 //! byte-exact. A run killed at any seeded master kill point and revived
 //! through `GraphService::restore` / `resume_job` must produce the same
-//! vertex values, the same `Q_t` audit bytes and the same trace as the
-//! uninterrupted run — and survivors of a crashed tenant must not be
+//! vertex values, the same `Q_t` audit bytes, the same trace and the same
+//! per-superstep residuals as the uninterrupted run — and survivors of a crashed tenant must not be
 //! perturbed. Graceful degradation rides along: admission shedding under
 //! recovery backlog and typed retry of transient log errors.
 
@@ -50,10 +50,34 @@ fn pagerank_cfg(workers: usize) -> JobConfig {
     cfg
 }
 
+/// PageRank with a tolerance it never reaches in 4 supersteps, so every
+/// step records its residual (and a resumed job must restore them).
+fn pagerank() -> Arc<PageRank> {
+    Arc::new(PageRank::until(1e-12, 4))
+}
+
 struct RunBytes {
     values: Vec<u64>,
     audits: Vec<u8>,
     trace: String,
+    /// Each superstep's max residual, as bits.
+    residuals: Vec<u64>,
+}
+
+impl RunBytes {
+    fn of(r: &JobResult<PageRank>, sink: &TraceSink) -> RunBytes {
+        RunBytes {
+            values: bits(&r.values),
+            audits: encode_qt_audits(&r.metrics.qt_audit),
+            trace: export_chrome_trace(sink),
+            residuals: r
+                .metrics
+                .steps
+                .iter()
+                .map(|s| s.max_residual.to_bits())
+                .collect(),
+        }
+    }
 }
 
 /// One uninterrupted durable run of PageRank over `graph_a`.
@@ -66,17 +90,13 @@ fn uninterrupted(seed: u64) -> RunBytes {
     let sink = Arc::new(TraceSink::new(3));
     let r = svc
         .submit(
-            Arc::new(PageRank::new(4)),
+            pagerank(),
             JobRequest::new("a", pagerank_cfg(3).with_trace(Arc::clone(&sink))),
         )
         .unwrap()
         .wait()
         .unwrap();
-    RunBytes {
-        values: bits(&r.values),
-        audits: encode_qt_audits(&r.metrics.qt_audit),
-        trace: export_chrome_trace(&sink),
-    }
+    RunBytes::of(&r, &sink)
 }
 
 /// The same run killed at `point`, then revived from the log on the same
@@ -91,7 +111,7 @@ fn killed_and_restored(seed: u64, point: MasterKillPoint) -> RunBytes {
     let plan = FaultPlan::new().master_kill(point);
     let err = svc
         .submit(
-            Arc::new(PageRank::new(4)),
+            pagerank(),
             JobRequest::new(
                 "a",
                 pagerank_cfg(3)
@@ -117,23 +137,20 @@ fn killed_and_restored(seed: u64, point: MasterKillPoint) -> RunBytes {
     let sink = Arc::new(TraceSink::new(3));
     let r = svc
         .resume_job(
-            Arc::new(PageRank::new(4)),
+            pagerank(),
             pagerank_cfg(3).with_trace(Arc::clone(&sink)),
             rec,
         )
         .unwrap()
         .wait()
         .unwrap();
-    RunBytes {
-        values: bits(&r.values),
-        audits: encode_qt_audits(&r.metrics.qt_audit),
-        trace: export_chrome_trace(&sink),
-    }
+    RunBytes::of(&r, &sink)
 }
 
 /// The acceptance matrix: every kill point × every seed, killed-and-
 /// restored must equal uninterrupted byte for byte — vertex values,
-/// `Q_t` audit bytes, and the full modeled-time trace.
+/// `Q_t` audit bytes, the full modeled-time trace and every superstep's
+/// residual.
 #[test]
 fn kill_matrix_restarts_byte_identical() {
     let points = [
@@ -156,6 +173,10 @@ fn kill_matrix_restarts_byte_identical() {
             assert_eq!(
                 base.trace, restarted.trace,
                 "seed {seed} {point:?}: trace diverged after restart"
+            );
+            assert_eq!(
+                base.residuals, restarted.residuals,
+                "seed {seed} {point:?}: per-step residuals diverged after restart"
             );
         }
     }

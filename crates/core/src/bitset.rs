@@ -6,10 +6,26 @@
 //! reports it anyway so the memory curves are honest.
 
 /// A fixed-length bitset.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Copies `source`'s words into this bitset's own buffer, which is
+    /// reused whenever it is large enough (the derived impl would clone).
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl BitSet {
@@ -83,10 +99,23 @@ impl BitSet {
         })
     }
 
-    /// True if any bit in `range` is set.
+    /// True if any bit in `range` is set: the two edge words are masked
+    /// and the whole words between them tested, so an empty range of `k`
+    /// bits costs `k / 64` word loads, not `k` bit probes.
     pub fn any_in_range(&self, range: std::ops::Range<usize>) -> bool {
-        // Fast path over whole words, precise at the edges.
-        range.clone().any(|i| self.get(i))
+        if range.start >= range.end {
+            return false;
+        }
+        debug_assert!(range.end <= self.len);
+        let (first, last) = (range.start / 64, (range.end - 1) / 64);
+        let lo = !0u64 << (range.start % 64);
+        let hi = !0u64 >> (63 - (range.end - 1) % 64);
+        if first == last {
+            return self.words[first] & lo & hi != 0;
+        }
+        self.words[first] & lo != 0
+            || self.words[first + 1..last].iter().any(|&w| w != 0)
+            || self.words[last] & hi != 0
     }
 
     /// Heap footprint in bytes.
@@ -100,15 +129,12 @@ impl BitSet {
     }
 
     /// Rebuilds a bitset of `len` bits from checkpointed `words`; bits
-    /// past `len` are masked off.
-    ///
-    /// # Panics
-    /// Panics if `words` is shorter than `len` requires.
-    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
-        assert!(
-            words.len() >= len.div_ceil(64),
-            "word run too short for {len} bits"
-        );
+    /// past `len` are masked off. `None` if `words` is shorter than `len`
+    /// requires.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Option<Self> {
+        if words.len() < len.div_ceil(64) {
+            return None;
+        }
         let mut b = BitSet { words, len };
         b.words.truncate(len.div_ceil(64));
         if !len.is_multiple_of(64) {
@@ -116,7 +142,7 @@ impl BitSet {
                 *last &= (1u64 << (len % 64)) - 1;
             }
         }
-        b
+        Some(b)
     }
 
     /// Swaps contents with `other`.
@@ -166,13 +192,46 @@ mod tests {
         assert_eq!(b.count(), 0);
     }
 
+    /// Every `(start, end)` of every length and pattern, against a
+    /// per-bit oracle: the word-wise scan's edge masks are where an
+    /// off-by-one would hide.
     #[test]
     fn any_in_range() {
-        let mut b = BitSet::new(100);
-        b.set(50);
-        assert!(b.any_in_range(40..60));
-        assert!(!b.any_in_range(0..50));
-        assert!(!b.any_in_range(51..100));
+        for len in [1usize, 63, 64, 65, 200] {
+            let mut patterns: Vec<Vec<usize>> = vec![Vec::new(), (0..len).collect()];
+            for bit in [0, 63, 64, 127, len - 1] {
+                if bit < len {
+                    patterns.push(vec![bit]);
+                }
+            }
+            patterns.push((0..len).step_by(2).collect());
+            for bits in &patterns {
+                let mut b = BitSet::new(len);
+                bits.iter().for_each(|&i| b.set(i));
+                for start in 0..=len {
+                    for end in start..=len {
+                        let want = (start..end).any(|i| b.get(i));
+                        assert_eq!(
+                            b.any_in_range(start..end),
+                            want,
+                            "len {len}, bits {bits:?}, range {start}..{end}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer() {
+        let mut src = BitSet::new(200);
+        src.set(3);
+        src.set(199);
+        let mut dst = BitSet::new(200);
+        let buf = dst.as_words().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.as_words().as_ptr(), buf);
     }
 
     #[test]
@@ -193,12 +252,14 @@ mod tests {
         b.set(69);
         let words = b.as_words().to_vec();
         let back = BitSet::from_words(words, 70);
-        assert_eq!(back, b);
+        assert_eq!(back, Some(b.clone()));
         // Dirty tail bits beyond `len` are dropped on restore.
         let mut dirty = b.as_words().to_vec();
         dirty[1] |= 1 << 63;
         let cleaned = BitSet::from_words(dirty, 70);
-        assert_eq!(cleaned, b);
+        assert_eq!(cleaned, Some(b.clone()));
+        // A run too short for `len` is refused, not a panic.
+        assert_eq!(BitSet::from_words(vec![u64::MAX], 70), None);
     }
 
     #[test]

@@ -125,9 +125,10 @@ pub struct WorkerSeed<'g, P: VertexProgram> {
 /// recovery — no checkpoint reload, which is the whole point of
 /// confinement (Pregel §4.2).
 ///
-/// Flag vectors and online accumulators are cloned eagerly (they are
-/// small); vertex-value pre-images are captured lazily by the executors
-/// at the moment they read a value block anyway
+/// Flag vectors and online accumulators are copied eagerly (they are
+/// small) into the previous capture's buffers; vertex-value pre-images
+/// are captured lazily by the executors at the moment they read a value
+/// block anyway
 /// ([`Worker::note_value_preimage`]), so the capture adds **zero** extra
 /// reads. Spilled messages snapshot via the non-destructive
 /// [`SpillBuffer::snapshot_pending`]: a superstep that *completed* has
@@ -508,15 +509,13 @@ impl<P: VertexProgram> Worker<P> {
         self.record_residual = kind.mode() == Mode::Async || self.program.tolerance().is_some();
         self.phase_marks.clear();
         self.round_marks.clear();
-        self.block_res = self
-            .layout
-            .blocks_of_worker(self.id)
-            .map(|b| {
-                let r = self.layout.block_range(b);
-                self.respond
-                    .any_in_range(self.rel(r.start)..self.rel(r.end))
-            })
-            .collect();
+        let (layout, respond, base) = (&self.layout, &self.respond, self.range.start);
+        self.block_res.clear();
+        self.block_res
+            .extend(layout.blocks_of_worker(self.id).map(|b| {
+                let r = layout.block_range(b);
+                respond.any_in_range((r.start - base) as usize..(r.end - base) as usize)
+            }));
     }
 
     #[inline]
@@ -604,9 +603,9 @@ impl<P: VertexProgram> Worker<P> {
             report.next_bpull_vrr_bytes = vrr;
         }
 
+        // `respond_next` comes out of the swap holding the cleared words.
         self.respond.clear_all();
         self.respond.swap(&mut self.respond_next);
-        self.respond_next = BitSet::new(self.range.len());
 
         self.note_memory(self.standing_memory_bytes());
         report.memory_bytes = self.mem_peak;
@@ -880,8 +879,16 @@ impl<P: VertexProgram> Worker<P> {
                 format!("checkpoint does not match worker state: {what}"),
             )
         }
+        /// Decodes a run of whole records; anything else is a mismatch,
+        /// never `decode_slice`'s panic.
+        fn records<T: Record>(bytes: &[u8], what: &str) -> io::Result<Vec<T>> {
+            if T::BYTES != 0 && !bytes.len().is_multiple_of(T::BYTES) {
+                return Err(mismatch(what));
+            }
+            Ok(decode_slice(bytes))
+        }
         let mut r = CheckpointReader::open(self.vfs.as_ref(), superstep)?;
-        let vals: Vec<P::Value> = decode_slice(&r.get_bytes()?);
+        let vals: Vec<P::Value> = records(&r.get_bytes()?, "value bytes")?;
         let n = self.range.len();
         if vals.len() != n {
             return Err(mismatch("value count"));
@@ -890,9 +897,10 @@ impl<P: VertexProgram> Worker<P> {
         if r.get_u64()? as usize != n {
             return Err(mismatch("flag vector length"));
         }
-        self.respond = BitSet::from_words(r.get_words()?, n);
+        let flags = |words| BitSet::from_words(words, n).ok_or_else(|| mismatch("flag words"));
+        self.respond = flags(r.get_words()?)?;
         self.respond_next = BitSet::new(n);
-        self.signaled = BitSet::from_words(r.get_words()?, n);
+        self.signaled = flags(r.get_words()?)?;
         self.signaled_next = BitSet::new(n);
         match (&mut self.spill, r.get_u8()?) {
             (Some(s), 1) => s.restore_pending(&r.get_bytes()?)?,
@@ -904,7 +912,7 @@ impl<P: VertexProgram> Worker<P> {
                 for a in h.acc.iter_mut() {
                     *a = None;
                 }
-                let pairs: Vec<(u32, P::Message)> = decode_slice(&r.get_bytes()?);
+                let pairs: Vec<(u32, P::Message)> = records(&r.get_bytes()?, "hot pair bytes")?;
                 for (i, m) in pairs {
                     if i as usize >= h.acc.len() {
                         return Err(mismatch("hot accumulator index"));
@@ -932,15 +940,27 @@ impl<P: VertexProgram> Worker<P> {
             Some(s) => Some(s.snapshot_pending()?),
             None => None,
         };
-        self.undo = Some(StepUndo {
-            respond: self.respond.clone(),
-            respond_next: self.respond_next.clone(),
-            signaled: self.signaled.clone(),
-            signaled_next: self.signaled_next.clone(),
-            hot_acc: self.hotset.as_ref().map(|h| h.acc.clone()),
-            spill_pending,
+        // Copied in place: a capture runs every superstep, and the flag
+        // vectors are as long as the local range.
+        let u = self.undo.get_or_insert_with(|| StepUndo {
+            respond: BitSet::default(),
+            respond_next: BitSet::default(),
+            signaled: BitSet::default(),
+            signaled_next: BitSet::default(),
+            hot_acc: None,
+            spill_pending: None,
             value_blocks: Vec::new(),
         });
+        u.respond.clone_from(&self.respond);
+        u.respond_next.clone_from(&self.respond_next);
+        u.signaled.clone_from(&self.signaled);
+        u.signaled_next.clone_from(&self.signaled_next);
+        match (&self.hotset, &mut u.hot_acc) {
+            (Some(h), Some(acc)) => acc.clone_from(&h.acc),
+            (h, acc) => *acc = h.as_ref().map(|h| h.acc.clone()),
+        }
+        u.spill_pending = spill_pending;
+        u.value_blocks.clear();
         Ok(())
     }
 
@@ -1022,5 +1042,40 @@ mod tests {
         let ind = vec![1u32, 2];
         let h: HotSet<f64> = HotSet::new(&ind, 10);
         assert_eq!(h.hot.count(), 2);
+    }
+
+    /// A checkpoint whose runs have the wrong length is `InvalidData`,
+    /// never a panic: values that are not whole records, a flag word run
+    /// shorter than its declared length, hot pairs that are not whole
+    /// `(u32, message)` records.
+    #[test]
+    fn malformed_checkpoint_is_invalid_data() {
+        let (mut w, _peer) = crate::modes::testkit::worker(JobConfig::new(Mode::PushM, 2));
+        let n = w.range.len();
+        let mut restore = |values: Vec<u8>, words: Vec<u64>, hot: Vec<u8>| {
+            let mut c = CheckpointWriter::new(7);
+            c.put_bytes(&values);
+            c.put_u64(n as u64);
+            c.put_words(&words);
+            c.put_words(&words);
+            c.put_u8(1);
+            c.put_bytes(&[]);
+            c.put_u8(1);
+            c.put_bytes(&hot);
+            c.commit(w.vfs.as_ref()).expect("commit");
+            w.restore_checkpoint(7)
+        };
+        let values = encode_slice(&vec![1.5f64; n]);
+        let hot = encode_slice(&[(3u32, 2.5f64)]);
+        restore(values.clone(), vec![1], hot.clone()).expect("well-formed checkpoint");
+        let cases = [
+            (values[1..].to_vec(), vec![1], hot.clone()),
+            (values.clone(), vec![], hot.clone()),
+            (values, vec![1], hot[1..].to_vec()),
+        ];
+        for (values, words, hot) in cases {
+            let e = restore(values, words, hot).expect_err("malformed checkpoint restored");
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        }
     }
 }

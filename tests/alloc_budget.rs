@@ -32,6 +32,14 @@
 //! VE-BLOCK build ≈ 3.2, a buffer set per vertex the adjacency build
 //! ≈ 0.44).
 //!
+//! The barrier path is counted per superstep: SSSP down a chain has one
+//! responder per superstep, so what a superstep allocates beyond that
+//! one vertex's messages is fixed cost. Run in push mode with message
+//! logging on, at two chain lengths 4× apart and one Vblock size, it
+//! must not grow with the chain: a fresh responding-flag vector per
+//! superstep and four cloned flag vectors per undo capture once took it
+//! from 8.6 kB to 16.5 kB per superstep (≈ 5.9 kB flat now).
+//!
 //! Everything runs inside one `#[test]`: the counter is process-wide and
 //! the harness would otherwise run tests on parallel threads.
 
@@ -87,6 +95,13 @@ const PULL_FAMILY_BUDGETS: [(Mode, CodecChoice, f64, f64); 3] = [
     (Mode::BPull, CodecChoice::Bv, 0.01, 5.3 * 1.05),
     (Mode::Pull, CodecChoice::None, 0.1072 * 1.05, 47.5 * 1.05),
 ];
+
+/// The per-worker message buffer of the chain rows: it fixes the Vblock
+/// size, so the chain's Vblock count grows with its length.
+const CHAIN_BUFFER: usize = 256;
+
+/// `(short, long)` superstep caps of the chain rows.
+const CHAIN_STEPS: (u64, u64) = (64, 256);
 
 /// Allocations per edge a `bv` store build may make.
 const BUILD_BUDGET: f64 = 0.01;
@@ -147,6 +162,31 @@ fn measure(g: &Graph, mode: Mode, codec: CodecChoice, supersteps: u64) -> (u64, 
     (a1 - a0, b1 - b0, produced)
 }
 
+/// Marginal bytes allocated per superstep of push-mode SSSP from vertex
+/// 0 down a chain of `n` vertices, message logging on: the difference
+/// between the two [`CHAIN_STEPS`] jobs, printed as one row.
+fn chain_bytes_per_superstep(n: usize) -> f64 {
+    let g = gen::chain(n);
+    let bytes = |steps: u64| {
+        let mut cfg = JobConfig::new(Mode::Push, 2)
+            .with_buffer(CHAIN_BUFFER)
+            .with_message_logging(true);
+        cfg.max_supersteps = steps;
+        let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+        let res = run_job(Arc::new(Sssp::new(VertexId(0))), &g, cfg).expect("job");
+        assert_eq!(
+            res.metrics.steps.len() as u64,
+            steps,
+            "the chain must outlast the cap"
+        );
+        ALLOCATED_BYTES.load(Ordering::Relaxed) - before
+    };
+    let (short, long) = CHAIN_STEPS;
+    let per_step = bytes(long).saturating_sub(bytes(short)) as f64 / (long - short) as f64;
+    println!("sssp   chain {n:>6} vertices: {per_step:.1} bytes/superstep");
+    per_step
+}
+
 /// Marginal `(allocations, bytes)` per produced message: the difference
 /// between a 9- and a 3-superstep job, printed as one row.
 fn marginal(g: &Graph, mode: Mode, codec: CodecChoice) -> (f64, f64) {
@@ -189,6 +229,15 @@ fn push_family_supersteps_allocate_per_block_not_per_message() {
              message exceed {max_allocs:.4} / {max_bytes:.1}"
         );
     }
+    let (short, long) = (
+        chain_bytes_per_superstep(4_096),
+        chain_bytes_per_superstep(16_384),
+    );
+    assert!(
+        long <= short * 1.01,
+        "a superstep of a 4x longer chain allocates {long:.1} bytes, not the {short:.1} \
+         of the short chain: the barrier path allocates per local vertex"
+    );
     let (ve, adj) = build_allocations(&g);
     assert!(
         ve <= BUILD_BUDGET && adj <= BUILD_BUDGET,

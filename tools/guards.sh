@@ -32,6 +32,8 @@ GUARDS=(
   "1 :: \.begin_superstep\( :: crates/core/src :: run_step_kind is the one superstep frame"
   "1 :: \.finish_superstep\( :: crates/core/src :: run_step_kind is the one superstep frame"
   "0 :: Instant::now\(\)|track_residual|for p in 0\.\.workers :: crates/core/src/modes :: the frame times the superstep, the update kernel applies the residual rule, and broadcasts go through Endpoint::broadcast"
+  "0 :: \.any\(\|i\| self\.get\(i\)\) :: crates/core/src/bitset.rs :: any_in_range tests whole words: an empty frontier costs a word load per 64 vertices, not a probe per vertex"
+  "7 :: BitSet::new\( :: crates/core/src/worker.rs :: flag vectors are built at load and restore only; the barrier path and the undo capture reuse their words"
 )
 
 # file :: most lines it may have (its count when the ratchet was last set)

@@ -80,7 +80,7 @@ impl PayloadWriter {
     }
 
     /// Appends one byte.
-    pub fn put_u8(&mut self, x: u8) {
+    fn put_u8(&mut self, x: u8) {
         self.buf.push(x);
     }
 
@@ -90,13 +90,8 @@ impl PayloadWriter {
     }
 
     /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, x: u64) {
+    fn put_u64(&mut self, x: u64) {
         self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-
-    /// Appends an `f64` by bit pattern (bit-exact restore).
-    pub fn put_f64(&mut self, x: f64) {
-        self.put_u64(x.to_bits());
     }
 
     /// Appends `data` with no length prefix (the schema fixes its length
@@ -208,7 +203,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self) -> io::Result<u8> {
+    fn get_u8(&mut self) -> io::Result<u8> {
         Ok(self.take(1)?[0])
     }
 
@@ -218,13 +213,8 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> io::Result<u64> {
+    fn get_u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// Reads an `f64` by bit pattern.
-    pub fn get_f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads a `u64` element count and rejects it unless that many
@@ -1048,7 +1038,7 @@ mod tests {
         w.put_u8(9);
         w.put_u32(77);
         w.put_u64(u64::MAX - 3);
-        w.put_f64(-0.25);
+        (-0.25f64).put(&mut w);
         w.put_bytes(&[1, 2, 3]);
         w.put_str("pagerank-a");
         w.put_words(&[1, 2, u64::MAX]);
@@ -1059,7 +1049,7 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 9);
         assert_eq!(r.get_u32().unwrap(), 77);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_f64().unwrap(), -0.25);
+        assert_eq!(f64::get(&mut r).unwrap(), -0.25);
         assert_eq!(r.get_bytes().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.get_str().unwrap(), "pagerank-a");
         // A cursor handed to a fresh reader resumes where this one stopped.

@@ -37,16 +37,6 @@ impl BitSet {
         }
     }
 
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the bitset has zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Sets bit `i`.
     #[inline]
     pub fn set(&mut self, i: usize) {
@@ -76,11 +66,6 @@ impl BitSet {
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True if no bit is set.
-    pub fn none(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
     }
 
     /// Iterates over set bit indices in ascending order.
@@ -144,12 +129,6 @@ impl BitSet {
         }
         Some(b)
     }
-
-    /// Swaps contents with `other`.
-    pub fn swap(&mut self, other: &mut BitSet) {
-        std::mem::swap(&mut self.words, &mut other.words);
-        std::mem::swap(&mut self.len, &mut other.len);
-    }
 }
 
 #[cfg(test)]
@@ -183,12 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_all_and_none() {
+    fn clear_all() {
         let mut b = BitSet::new(70);
         b.set(69);
-        assert!(!b.none());
+        assert_eq!(b.count(), 1);
         b.clear_all();
-        assert!(b.none());
         assert_eq!(b.count(), 0);
     }
 
@@ -235,17 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_exchanges_contents() {
-        let mut a = BitSet::new(10);
-        let mut b = BitSet::new(10);
-        a.set(1);
-        b.set(2);
-        a.swap(&mut b);
-        assert!(a.get(2) && !a.get(1));
-        assert!(b.get(1) && !b.get(2));
-    }
-
-    #[test]
     fn words_roundtrip_masks_tail() {
         let mut b = BitSet::new(70);
         b.set(0);
@@ -265,8 +232,7 @@ mod tests {
     #[test]
     fn empty_bitset() {
         let b = BitSet::new(0);
-        assert!(b.is_empty());
-        assert!(b.none());
+        assert_eq!(b.count(), 0);
         assert_eq!(b.ones().count(), 0);
     }
 }

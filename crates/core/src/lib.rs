@@ -31,6 +31,7 @@ pub mod bitset;
 pub mod blockexec;
 pub mod config;
 pub mod fault;
+pub(crate) mod frontier;
 pub mod metrics;
 pub mod modes;
 pub mod pacer;

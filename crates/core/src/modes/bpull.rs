@@ -274,7 +274,7 @@ fn serve_pull<P: VertexProgram>(
     for (jidx, j) in w.layout.blocks_of_worker(w.id).enumerate() {
         // X_j.res and bitmap short-circuit: skip blocks with no responders
         // or no edges into the requested block.
-        if !w.block_res[jidx] || !ve.meta(j).has_edges_to(block) {
+        if !w.respond.block_has(jidx) || !ve.meta(j).has_edges_to(block) {
             continue;
         }
         ve.scan_eblock_into(j, block, &mut resp.scan)?;
@@ -290,7 +290,7 @@ fn serve_pull<P: VertexProgram>(
                 return Err(corrupt_eblock(j, block, "svertex", src, &srcs));
             }
             let local = w.local(src);
-            if !w.respond.get(local) {
+            if !w.respond.responds(local) {
                 continue;
             }
             let val = w.values.read_one(src)?;
@@ -495,8 +495,9 @@ mod tests {
         for (combining, byte) in [(true, 3), (false, 3), (true, 11), (false, 11)] {
             let (mut w, _peer) = bpull_worker(combining);
             for local in 0..20 {
-                w.respond.set(local);
+                w.respond.set_next(local, true);
             }
+            w.respond.advance();
             let ve = w.veblock.as_ref().expect("b-pull builds VE-BLOCK");
             let at = ve.eblock_info(BlockId(2), BlockId(2)).offset + byte;
             let file = w.vfs.open("eblk_2").expect("Eblock file");

@@ -20,14 +20,16 @@
 //!
 //! Sender liveness follows the responding flag as a *standing* state: a
 //! vertex contributes to regenerated inboxes iff its most recent update
-//! (this superstep, or last superstep via the checkpointed `respond`
-//! vector) responded. Regeneration always rebuilds a vertex's **whole**
-//! inbox from live in-block senders — never a delta — so overwrite-style
-//! programs (PageRank's `(1-d)/N + d·Σ`) stay correct. Everything is
-//! iterated in canonical block-then-vertex order, so same-seed runs are
-//! byte-identical.
+//! responded: this superstep's (the frontier's `next`, once the vertex is
+//! updated), or last superstep's (`cur`, checkpointed). Regeneration
+//! always rebuilds a vertex's **whole** inbox from live in-block
+//! senders — never a delta — so overwrite-style programs (PageRank's
+//! `(1-d)/N + d·Σ`) stay correct. Everything is iterated in canonical
+//! block-then-vertex order, so same-seed runs are byte-identical.
 
 use super::push::{exchange, load_inbox};
+use crate::bitset::BitSet;
+use crate::frontier::Frontier;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
 use crate::worker::{OutEdges, Worker};
@@ -70,10 +72,11 @@ pub(crate) fn run_async_step<P: VertexProgram>(
         .take()
         .expect("async mode requires interior index");
 
-    // Standing sender-liveness: last superstep's responders, updated as
-    // vertices recompute this superstep.
-    let mut live = w.respond.clone();
-    let mut touched = crate::bitset::BitSet::new(w.range.len());
+    // Vertices updated this superstep. Only an update sets `next`, so a
+    // vertex is live if `next` has it, or if it is untouched and `cur` has.
+    let mut touched = BitSet::new(w.range.len());
+    let live =
+        |f: &Frontier, touched: &BitSet, i| f.next().get(i) || (!touched.get(i) && f.responds(i));
 
     let mut tbuf: ThresholdBuffer<P::Message> =
         ThresholdBuffer::new(w.cfg.workers, w.cfg.sending_threshold);
@@ -102,16 +105,10 @@ pub(crate) fn run_async_step<P: VertexProgram>(
                 debug_assert!(br.contains(&v));
                 let idx = (v - br.start) as usize;
                 let upd = w.update_vertex(VertexId(v), &vals[idx], msgs, rep);
-                let local = (v - base) as usize;
-                touched.set(local);
                 // The kernel raised the responding flag; the sweep is this
                 // vertex's first update of the superstep, so a lowered one
                 // is already clear.
-                if upd.respond {
-                    live.set(local);
-                } else {
-                    live.clear(local);
-                }
+                touched.set((v - base) as usize);
                 if cls.is_boundary(v) {
                     rep.asy.boundary_active += 1;
                 } else {
@@ -146,7 +143,7 @@ pub(crate) fn run_async_step<P: VertexProgram>(
                         );
                         for (src, edge) in &ib.rev[s..e] {
                             let slocal = (*src - base) as usize;
-                            if live.get(slocal) {
+                            if live(&w.respond, &touched, slocal) {
                                 let sval = &vals[(*src - br.start) as usize];
                                 if let Some(m) = program.message(
                                     VertexId(*src),
@@ -180,15 +177,9 @@ pub(crate) fn run_async_step<P: VertexProgram>(
                         rep.asy.interior_messages += inbox.len() as u64;
                         rep.asy.interior_msg_bytes += inbox.len() as u64 * P::Message::BYTES as u64;
                         let local = (v - base) as usize;
-                        let was_live = live.get(local);
+                        let was_live = live(&w.respond, &touched, local);
                         touched.set(local);
-                        if upd.respond {
-                            live.set(local);
-                            w.respond_next.set(local);
-                        } else {
-                            live.clear(local);
-                            w.respond_next.clear(local);
-                        }
+                        w.respond.set_next(local, upd.respond);
                         if residual != 0.0 || was_live != upd.respond {
                             changed.push(p);
                         }
@@ -228,11 +219,12 @@ pub(crate) fn run_async_step<P: VertexProgram>(
             max_extra_rounds = max_extra_rounds.max(extra_rounds);
 
             // pushRes() from final values: every vertex that updated this
-            // superstep and is finally responding sends — to boundary
-            // destinations only, unless this is the async → push switch.
+            // superstep and is finally responding — set in `next`, which
+            // only updates set — sends, to boundary destinations only
+            // unless this is the async → push switch.
             let keep = |e: &Edge| send_all || cls.is_boundary(e.dst.0);
             for i in (br.start - base) as usize..(br.end - base) as usize {
-                if !(touched.get(i) && live.get(i)) {
+                if !w.respond.next().get(i) {
                     continue;
                 }
                 let v = VertexId(base + i as u32);

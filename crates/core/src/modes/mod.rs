@@ -193,7 +193,7 @@ impl<P: VertexProgram> Worker<P> {
         rep.messages_consumed += msgs.len() as u64;
         if upd.respond {
             let local = self.local(v);
-            self.respond_next.set(local);
+            self.respond.set_next(local, true);
         }
         upd
     }

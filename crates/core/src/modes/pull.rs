@@ -51,8 +51,7 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
                 other => return Err(super::unexpected(&other, "pull init")),
             }
         }
-        w.signaled.clear_all();
-        w.signaled.swap(&mut w.signaled_next);
+        w.signaled.advance();
         w.trace_phase("init+scatter");
         return Ok(());
     }
@@ -62,7 +61,7 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
     // scatter-driven activation.
     let request = |ids| Packet::GatherRequests { ids };
     let mut req_bufs: Vec<Vec<u8>> = vec![Vec::new(); workers];
-    for i in w.signaled.ones() {
+    for i in w.signaled.cur().ones() {
         let (v, mask) = (w.range.start + i as u32, w.mirror_peers[i]);
         for p in (0..workers).filter(|p| mask >> p & 1 == 1) {
             buffer_id(w, &mut req_bufs, p, v, request);
@@ -134,8 +133,7 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
         }
     }
 
-    w.signaled.clear_all();
-    w.signaled.swap(&mut w.signaled_next);
+    w.signaled.advance();
     w.trace_phase("gather+update");
     Ok(())
 }
@@ -147,7 +145,7 @@ fn scatter_signals<P: VertexProgram>(w: &mut Worker<P>, rep: &mut StepReport) ->
     let signal = |ids| Packet::Signals { ids };
     let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); w.cfg.workers];
     let mut out_edges = OutEdges::default();
-    for i in w.respond_next.ones() {
+    for i in w.respond.next().ones() {
         let v = VertexId(w.range.start + i as u32);
         for e in w.read_out_edges(v, AccessClass::SeqRead, rep, &mut out_edges)? {
             let p = w.partition.worker_of(e.dst).index();
@@ -187,7 +185,7 @@ fn flush_ids<P: VertexProgram>(w: &Worker<P>, bufs: Vec<Vec<u8>>, packet: fn(Arc
 fn accept_signals<P: VertexProgram>(w: &mut Worker<P>, ids: &[u8]) -> io::Result<()> {
     for v in vertex_ids(ids, &w.range)? {
         let local = w.local(v);
-        w.signaled_next.set(local);
+        w.signaled.set_next(local, true);
     }
     Ok(())
 }
@@ -274,8 +272,16 @@ fn serve_gather<P: VertexProgram>(
         .read_in_edges(v, scratch)?;
     let program = Arc::clone(&w.program);
     for ie in in_edges {
+        // Bytes read back from disk: a source outside this worker is corrupt.
+        if !w.range.contains(&ie.src.0) {
+            let why = format!(
+                "gather in-edge of {v} from {} outside {:?}",
+                ie.src, w.range
+            );
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+        }
         let local = w.local(ie.src);
-        if !w.respond.get(local) {
+        if !w.respond.responds(local) {
             continue;
         }
         let val = cached_value(w, ie.src, rep)?;
@@ -304,4 +310,43 @@ fn update_cached<P: VertexProgram>(
         cache_insert(w, v, upd.value, true)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::worker;
+    use super::*;
+    use crate::config::{JobConfig, Mode};
+    use crate::metrics::StepKind;
+    use crate::runner::control::run_step_kind;
+
+    #[test]
+    fn a_corrupt_gather_file_fails_the_step_and_never_panics() {
+        let (mut w, peer) = worker(JobConfig::new(Mode::Pull, 2));
+        // A raw gather file starts with its first fragment, `dst | count |
+        // (src, weight)…`: flip the high bit of the first source (byte 11).
+        let file = w.vfs.open("gather").expect("gather file");
+        let mut head = [0u8; 12];
+        file.read_at(AccessClass::RandRead, 0, &mut head).unwrap();
+        head[11] ^= 0x80;
+        file.write_at(AccessClass::RandWrite, 0, &head).unwrap();
+        let dst = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+        assert!(
+            dst < 20,
+            "the peer, worker 0, requests only its own vertices"
+        );
+        let request = Packet::GatherRequests {
+            ids: dst.to_le_bytes().to_vec().into(),
+        };
+        for packet in [
+            request,
+            Packet::DoneRequesting,
+            Packet::EndOfGather,
+            Packet::SuperstepDone,
+        ] {
+            peer.send(WorkerId(1), packet);
+        }
+        let err = run_step_kind(&mut w, StepKind::Pull, 2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
 }

@@ -10,6 +10,7 @@
 
 use crate::bitset::BitSet;
 use crate::config::{JobConfig, Mode};
+use crate::frontier::Frontier;
 use crate::metrics::{StepKind, StepReport};
 use crate::modes::bpull::Responder;
 use crate::program::{GraphInfo, VertexProgram};
@@ -26,6 +27,7 @@ use hybridgraph_storage::inbox::FoldBuf;
 use hybridgraph_storage::lru::LruCache;
 use hybridgraph_storage::msg_log::MsgLogWriter;
 use hybridgraph_storage::msg_store::SpillBuffer;
+use hybridgraph_storage::record;
 use hybridgraph_storage::record::{decode_slice, encode_slice};
 use hybridgraph_storage::value_store::ValueStore;
 use hybridgraph_storage::veblock::VeBlockStore;
@@ -125,24 +127,36 @@ pub struct WorkerSeed<'g, P: VertexProgram> {
 /// recovery — no checkpoint reload, which is the whole point of
 /// confinement (Pregel §4.2).
 ///
-/// Flag vectors and online accumulators are copied eagerly (they are
-/// small) into the previous capture's buffers; vertex-value pre-images
-/// are captured lazily by the executors at the moment they read a value
-/// block anyway
+/// The two frontiers' `cur` words and the online accumulators are copied
+/// eagerly (they are small) into the previous capture's buffers;
+/// vertex-value pre-images are captured lazily by the executors at the
+/// moment they read a value block anyway
 /// ([`Worker::note_value_preimage`]), so the capture adds **zero** extra
 /// reads. Spilled messages snapshot via the non-destructive
 /// [`SpillBuffer::snapshot_pending`]: a superstep that *completed* has
 /// drained the spill, so there is no tail to cut back to.
 pub struct StepUndo<P: VertexProgram> {
     respond: BitSet,
-    respond_next: BitSet,
     signaled: BitSet,
-    signaled_next: BitSet,
     hot_acc: Option<Vec<Option<P::Message>>>,
     /// Pending spill-buffer records (`dst | message`, as buffered).
     spill_pending: Option<Vec<u8>>,
     value_blocks: Vec<(u32, Vec<P::Value>)>,
 }
+
+/// A worker checkpoint's body: value records, the local vertex count and
+/// both frontiers' `cur` words, then pending spilled messages and hot-set
+/// `(local index, message)` records where the mode keeps them.
+struct WorkerCheckpoint {
+    values: Vec<u8>,
+    flag_len: u64,
+    respond: Vec<u64>,
+    signaled: Vec<u64>,
+    spill: Option<Vec<u8>>,
+    hot: Option<Vec<u8>>,
+}
+
+record! { WorkerCheckpoint { values, flag_len, respond, signaled, spill, hot } }
 
 /// One computational node's full state.
 pub struct Worker<P: VertexProgram> {
@@ -182,17 +196,12 @@ pub struct Worker<P: VertexProgram> {
     /// deployment exchanges during loading).
     pub mirror_peers: Vec<u64>,
 
-    /// Responding flags set in the previous superstep (read by serving).
-    pub respond: BitSet,
-    /// Responding flags being set in the current superstep.
-    pub respond_next: BitSet,
-    /// Per-local-block `res` indicator derived from `respond` (`X_j.res`).
-    pub block_res: Vec<bool>,
+    /// Responding flags: the previous superstep's (read by serving, per
+    /// local Vblock as `X_j.res`) and the current one's.
+    pub(crate) respond: Frontier,
     /// Pull baseline: vertices signaled (by a responding in-neighbor's
-    /// scatter) to gather this superstep.
-    pub signaled: BitSet,
-    /// Pull baseline: signals accumulating for the next superstep.
-    pub signaled_next: BitSet,
+    /// scatter) to gather this superstep, and for the next.
+    pub(crate) signaled: Frontier,
 
     /// Push-family incoming message store.
     pub spill: Option<SpillBuffer<P::Message>>,
@@ -369,33 +378,20 @@ impl<P: VertexProgram> Worker<P> {
             Vec::new()
         };
 
-        let spill = if matches!(
+        let spill = matches!(
             cfg.mode,
             Mode::Push | Mode::PushM | Mode::Hybrid | Mode::Async
-        ) {
-            Some(SpillBuffer::with_codec(
-                vfs.as_ref(),
-                "spill",
-                cfg.buffer_messages,
-                cfg.codec,
-            )?)
-        } else {
-            None
-        };
+        )
+        .then(|| SpillBuffer::with_codec(vfs.as_ref(), "spill", cfg.buffer_messages, cfg.codec))
+        .transpose()?;
 
-        let hotset = if matches!(cfg.mode, Mode::PushM) {
+        let hotset = (cfg.mode == Mode::PushM).then(|| {
             let ind = graph.in_degrees();
             let local_ind: Vec<u32> = range.clone().map(|v| ind[v as usize]).collect();
-            Some(HotSet::new(&local_ind, cfg.buffer_messages.min(n_local)))
-        } else {
-            None
-        };
+            HotSet::new(&local_ind, cfg.buffer_messages.min(n_local))
+        });
 
-        let lru = if needs_gather {
-            Some(Self::new_value_lru(&cfg))
-        } else {
-            None
-        };
+        let lru = needs_gather.then(|| Self::new_value_lru(&cfg));
 
         let (cls, interior) = if matches!(cfg.mode, Mode::Async) {
             let c = classification.expect("Async mode requires the block classification");
@@ -408,6 +404,12 @@ impl<P: VertexProgram> Worker<P> {
         report.wall_secs = t0.elapsed().as_secs_f64();
         report.io = vfs.stats().snapshot();
 
+        let base = range.start as usize;
+        let blocks = layout.blocks_of_worker(id).map(|b| {
+            let r = layout.block_range(b);
+            r.start as usize - base..r.end as usize - base
+        });
+        let respond = Frontier::new(n_local, blocks.collect());
         let shard = cfg.trace.as_ref().map(|t| t.worker(id.index()));
         let worker = Worker {
             id,
@@ -425,11 +427,8 @@ impl<P: VertexProgram> Worker<P> {
             gather,
             out_degrees,
             mirror_peers,
-            respond: BitSet::new(n_local),
-            respond_next: BitSet::new(n_local),
-            block_res: Vec::new(),
-            signaled: BitSet::new(n_local),
-            signaled_next: BitSet::new(n_local),
+            respond,
+            signaled: Frontier::new(n_local, Vec::new()),
             spill,
             hotset,
             lru,
@@ -498,9 +497,7 @@ impl<P: VertexProgram> Worker<P> {
         }
     }
 
-    /// Starts a superstep of `kind`: snapshots I/O, recomputes the
-    /// per-block `res` flags from the previous superstep's responders,
-    /// resets watermarks.
+    /// Starts a superstep of `kind`: snapshots I/O, resets watermarks.
     pub fn begin_superstep(&mut self, superstep: u64, kind: StepKind) {
         self.superstep = superstep;
         self.io_baseline = self.vfs.stats().snapshot();
@@ -509,18 +506,6 @@ impl<P: VertexProgram> Worker<P> {
         self.record_residual = kind.mode() == Mode::Async || self.program.tolerance().is_some();
         self.phase_marks.clear();
         self.round_marks.clear();
-        let (layout, respond, base) = (&self.layout, &self.respond, self.range.start);
-        self.block_res.clear();
-        self.block_res
-            .extend(layout.blocks_of_worker(self.id).map(|b| {
-                let r = layout.block_range(b);
-                respond.any_in_range((r.start - base) as usize..(r.end - base) as usize)
-            }));
-    }
-
-    #[inline]
-    fn rel(&self, v: u32) -> usize {
-        (v - self.range.start) as usize
     }
 
     /// Notes a momentary memory usage for the high-water mark.
@@ -532,7 +517,7 @@ impl<P: VertexProgram> Worker<P> {
     /// Baseline memory that exists all superstep: flag vectors, metadata,
     /// spill buffer contents, hot accumulators, staged updates.
     pub fn standing_memory_bytes(&self) -> u64 {
-        let mut m = self.respond.memory_bytes() + self.respond_next.memory_bytes();
+        let mut m = self.respond.memory_bytes();
         if let Some(ve) = &self.veblock {
             m += ve.metadata_memory_bytes();
         }
@@ -555,57 +540,42 @@ impl<P: VertexProgram> Worker<P> {
         m
     }
 
-    /// Finishes a superstep: swaps responding flags, fills the common
-    /// fields of the report (estimates, I/O delta, memory).
+    /// Finishes a superstep: advances the responding frontier, fills the
+    /// common fields of the report (estimates, I/O delta, memory).
     pub fn finish_superstep(&mut self, report: &mut StepReport) {
-        report.responders = self.respond_next.count() as u64;
+        self.respond.advance();
+        let responders = self.respond.cur();
+        report.responders = responders.count() as u64;
 
         // Next-superstep estimates for the hybrid predictor, in *physical*
         // bytes (what the device would move). Without a codec these equal
-        // the logical sizes exactly.
-        let mut edge_bytes = 0u64;
-        match &self.adjacency {
-            Some(adj) => {
-                for i in self.respond_next.ones() {
-                    edge_bytes += adj.stored_bytes_of(VertexId(self.range.start + i as u32));
-                }
-            }
-            // Pure b-pull builds no adjacency store; the logical size is
-            // the (upper-bound) estimate, as before.
-            None => {
-                for i in self.respond_next.ones() {
-                    edge_bytes += self.out_degrees[i] as u64 * 8;
-                }
-            }
-        }
-        report.next_push_edge_bytes = edge_bytes;
+        // the logical sizes exactly. Pure b-pull builds no adjacency store:
+        // the logical size is its (upper-bound) push estimate.
+        let vertex = |i: usize| VertexId(self.range.start + i as u32);
+        report.next_push_edge_bytes = match &self.adjacency {
+            Some(adj) => responders
+                .ones()
+                .map(|i| adj.stored_bytes_of(vertex(i)))
+                .sum(),
+            None => responders
+                .ones()
+                .map(|i| self.out_degrees[i] as u64 * 8)
+                .sum(),
+        };
         if let Some(ve) = &self.veblock {
-            let mut scan_edge = 0u64;
-            let mut scan_aux = 0u64;
-            for b in self.layout.blocks_of_worker(self.id) {
-                let r = self.layout.block_range(b);
-                if self
-                    .respond_next
-                    .any_in_range(self.rel(r.start)..self.rel(r.end))
-                {
+            for (j, b) in self.layout.blocks_of_worker(self.id).enumerate() {
+                if self.respond.block_has(j) {
                     let (e, a) = ve.block_scan_stored_bytes(b);
-                    scan_edge += e;
-                    scan_aux += a;
+                    report.next_bpull_edge_bytes += e;
+                    report.next_bpull_aux_bytes += a;
                 }
             }
-            let mut vrr = 0u64;
-            for i in self.respond_next.ones() {
-                vrr += ve.fragments_of(VertexId(self.range.start + i as u32)) as u64
-                    * P::Value::BYTES as u64;
-            }
-            report.next_bpull_edge_bytes = scan_edge;
-            report.next_bpull_aux_bytes = scan_aux;
-            report.next_bpull_vrr_bytes = vrr;
+            let width = P::Value::BYTES as u64;
+            report.next_bpull_vrr_bytes = responders
+                .ones()
+                .map(|i| ve.fragments_of(vertex(i)) as u64 * width)
+                .sum();
         }
-
-        // `respond_next` comes out of the swap holding the cleared words.
-        self.respond.clear_all();
-        self.respond.swap(&mut self.respond_next);
 
         self.note_memory(self.standing_memory_bytes());
         report.memory_bytes = self.mem_peak;
@@ -811,8 +781,8 @@ impl<P: VertexProgram> Worker<P> {
     }
 
     /// Serializes this worker's recoverable state — the vertex-value
-    /// segment, the responding/signaled flag vectors, pending spilled
-    /// messages, and online-computing accumulators — as the checkpoint
+    /// segment, both frontiers' `cur` flags, pending spilled messages,
+    /// and online-computing accumulators — as the checkpoint
     /// taken after `superstep`. The whole checkpoint commits as **one
     /// classified sequential write** on this worker's VFS, so its cost is
     /// visible in `IoStats` and modeled time like any other byte the
@@ -837,32 +807,27 @@ impl<P: VertexProgram> Worker<P> {
             }
         }
         let vals = self.values.read_range(self.range.clone())?;
-        let n = self.range.len();
+        let spill = self
+            .spill
+            .as_ref()
+            .map(|s| s.snapshot_pending())
+            .transpose()?;
+        let hot = self.hotset.as_ref().map(|h| {
+            let acc = h.acc.iter().enumerate();
+            let pairs: Vec<(u32, P::Message)> = acc
+                .filter_map(|(i, m)| Some((i as u32, m.clone()?)))
+                .collect();
+            encode_slice(&pairs)
+        });
         let mut w = CheckpointWriter::new(superstep);
-        w.put_bytes(&encode_slice(&vals));
-        w.put_u64(n as u64);
-        w.put_words(self.respond.as_words());
-        w.put_words(self.signaled.as_words());
-        match &self.spill {
-            Some(s) => {
-                w.put_u8(1);
-                w.put_bytes(&s.snapshot_pending()?);
-            }
-            None => w.put_u8(0),
-        }
-        match &self.hotset {
-            Some(h) => {
-                w.put_u8(1);
-                let pairs: Vec<(u32, P::Message)> = h
-                    .acc
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, m)| m.clone().map(|m| (i as u32, m)))
-                    .collect();
-                w.put_bytes(&encode_slice(&pairs));
-            }
-            None => w.put_u8(0),
-        }
+        w.put(&WorkerCheckpoint {
+            values: encode_slice(&vals),
+            flag_len: self.range.len() as u64,
+            respond: self.respond.cur().as_words().to_vec(),
+            signaled: self.signaled.cur().as_words().to_vec(),
+            spill,
+            hot,
+        });
         w.commit_with(self.vfs.as_ref(), self.cfg.codec)
     }
 
@@ -887,32 +852,28 @@ impl<P: VertexProgram> Worker<P> {
             }
             Ok(decode_slice(bytes))
         }
-        let mut r = CheckpointReader::open(self.vfs.as_ref(), superstep)?;
-        let vals: Vec<P::Value> = records(&r.get_bytes()?, "value bytes")?;
+        let ck: WorkerCheckpoint = CheckpointReader::open(self.vfs.as_ref(), superstep)?.get()?;
+        let vals: Vec<P::Value> = records(&ck.values, "value bytes")?;
         let n = self.range.len();
         if vals.len() != n {
             return Err(mismatch("value count"));
         }
         self.values.write_range(self.range.clone(), &vals)?;
-        if r.get_u64()? as usize != n {
+        if ck.flag_len != n as u64 {
             return Err(mismatch("flag vector length"));
         }
         let flags = |words| BitSet::from_words(words, n).ok_or_else(|| mismatch("flag words"));
-        self.respond = flags(r.get_words()?)?;
-        self.respond_next = BitSet::new(n);
-        self.signaled = flags(r.get_words()?)?;
-        self.signaled_next = BitSet::new(n);
-        match (&mut self.spill, r.get_u8()?) {
-            (Some(s), 1) => s.restore_pending(&r.get_bytes()?)?,
-            (None, 0) => {}
+        self.respond.restore_from(flags(ck.respond)?);
+        self.signaled.restore_from(flags(ck.signaled)?);
+        match (&mut self.spill, ck.spill) {
+            (Some(s), Some(pending)) => s.restore_pending(&pending)?,
+            (None, None) => {}
             _ => return Err(mismatch("spill buffer presence")),
         }
-        match (&mut self.hotset, r.get_u8()?) {
-            (Some(h), 1) => {
-                for a in h.acc.iter_mut() {
-                    *a = None;
-                }
-                let pairs: Vec<(u32, P::Message)> = records(&r.get_bytes()?, "hot pair bytes")?;
+        match (&mut self.hotset, ck.hot) {
+            (Some(h), Some(hot)) => {
+                h.acc.iter_mut().for_each(|a| *a = None);
+                let pairs: Vec<(u32, P::Message)> = records(&hot, "hot pair bytes")?;
                 for (i, m) in pairs {
                     if i as usize >= h.acc.len() {
                         return Err(mismatch("hot accumulator index"));
@@ -920,7 +881,7 @@ impl<P: VertexProgram> Worker<P> {
                     h.acc[i as usize] = Some(m);
                 }
             }
-            (None, 0) => {}
+            (None, None) => {}
             _ => return Err(mismatch("hot set presence")),
         }
         if self.lru.is_some() {
@@ -936,25 +897,22 @@ impl<P: VertexProgram> Worker<P> {
     /// snapshot's reads fall outside the step's measured I/O window).
     /// Replaces any previous capture.
     pub fn begin_undo_capture(&mut self) -> io::Result<()> {
-        let spill_pending = match &self.spill {
-            Some(s) => Some(s.snapshot_pending()?),
-            None => None,
-        };
+        let spill_pending = self
+            .spill
+            .as_ref()
+            .map(|s| s.snapshot_pending())
+            .transpose()?;
         // Copied in place: a capture runs every superstep, and the flag
         // vectors are as long as the local range.
         let u = self.undo.get_or_insert_with(|| StepUndo {
             respond: BitSet::default(),
-            respond_next: BitSet::default(),
             signaled: BitSet::default(),
-            signaled_next: BitSet::default(),
             hot_acc: None,
             spill_pending: None,
             value_blocks: Vec::new(),
         });
-        u.respond.clone_from(&self.respond);
-        u.respond_next.clone_from(&self.respond_next);
-        u.signaled.clone_from(&self.signaled);
-        u.signaled_next.clone_from(&self.signaled_next);
+        self.respond.capture_into(&mut u.respond);
+        self.signaled.capture_into(&mut u.signaled);
         match (&self.hotset, &mut u.hot_acc) {
             (Some(h), Some(acc)) => acc.clone_from(&h.acc),
             (h, acc) => *acc = h.as_ref().map(|h| h.acc.clone()),
@@ -979,7 +937,7 @@ impl<P: VertexProgram> Worker<P> {
 
     /// Reverts exactly the last captured superstep: value-block
     /// pre-images, pending spilled messages, online accumulators, and
-    /// all four flag vectors. Consumes the capture. Returns `true` if a
+    /// both frontiers. Consumes the capture. Returns `true` if a
     /// capture existed (i.e. the undo actually happened).
     pub fn apply_undo(&mut self) -> io::Result<bool> {
         let Some(u) = self.undo.take() else {
@@ -995,10 +953,8 @@ impl<P: VertexProgram> Worker<P> {
         if let (Some(h), Some(acc)) = (&mut self.hotset, u.hot_acc) {
             h.acc = acc;
         }
-        self.respond = u.respond;
-        self.respond_next = u.respond_next;
-        self.signaled = u.signaled;
-        self.signaled_next = u.signaled_next;
+        self.respond.restore_from(u.respond);
+        self.signaled.restore_from(u.signaled);
         self.staged.clear();
         Ok(true)
     }
@@ -1054,14 +1010,14 @@ mod tests {
         let n = w.range.len();
         let mut restore = |values: Vec<u8>, words: Vec<u64>, hot: Vec<u8>| {
             let mut c = CheckpointWriter::new(7);
-            c.put_bytes(&values);
-            c.put_u64(n as u64);
-            c.put_words(&words);
-            c.put_words(&words);
-            c.put_u8(1);
-            c.put_bytes(&[]);
-            c.put_u8(1);
-            c.put_bytes(&hot);
+            c.put(&WorkerCheckpoint {
+                values,
+                flag_len: n as u64,
+                respond: words.clone(),
+                signaled: words,
+                spill: Some(Vec::new()),
+                hot: Some(hot),
+            });
             c.commit(w.vfs.as_ref()).expect("commit");
             w.restore_checkpoint(7)
         };

@@ -12,15 +12,14 @@
 //! like every other byte the system moves.
 //!
 //! A checkpoint is a sealed file ([`hybridgraph_codec::frame`]) whose one
-//! id word is the superstep. Field encoding is caller-driven via the
-//! typed `put_*`/`get_*` pairs of [`CheckpointWriter`] and
-//! [`CheckpointReader`]; both sides must agree on the field sequence (the
-//! engine's `Worker::write_checkpoint` / `Worker::restore_checkpoint` are
-//! the two sides).
+//! id word is the superstep. The body is whatever the caller puts:
+//! [`CheckpointWriter::put`] appends any declared [`Field`] and
+//! [`CheckpointReader::get`] reads it back, so one declaration fixes both
+//! sides (the engine's is its worker-checkpoint record).
 
 use crate::sealed;
 use crate::vfs::Vfs;
-use hybridgraph_codec::frame::{PayloadReader, PayloadWriter};
+use hybridgraph_codec::frame::{Field, PayloadReader, PayloadWriter};
 use hybridgraph_codec::CodecChoice;
 use std::io;
 
@@ -58,24 +57,9 @@ impl CheckpointWriter {
         }
     }
 
-    /// Appends one byte.
-    pub fn put_u8(&mut self, x: u8) {
-        self.fields.put_u8(x);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, x: u32) {
-        self.fields.put_u32(x);
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, x: u64) {
-        self.fields.put_u64(x);
-    }
-
-    /// Appends an `f64` by bit pattern (bit-exact restore).
-    pub fn put_f64(&mut self, x: f64) {
-        self.fields.put_f64(x);
+    /// Appends `x` in its declared layout.
+    pub fn put<T: Field>(&mut self, x: &T) {
+        x.put(&mut self.fields);
     }
 
     /// Appends a length-prefixed byte run.
@@ -160,24 +144,9 @@ impl CheckpointReader {
         out
     }
 
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> io::Result<u8> {
-        self.read(|r| r.get_u8())
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> io::Result<u32> {
-        self.read(|r| r.get_u32())
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> io::Result<u64> {
-        self.read(|r| r.get_u64())
-    }
-
-    /// Reads an `f64` by bit pattern.
-    pub fn get_f64(&mut self) -> io::Result<f64> {
-        self.read(|r| r.get_f64())
+    /// Reads one value written by [`CheckpointWriter::put`].
+    pub fn get<T: Field>(&mut self) -> io::Result<T> {
+        self.read(T::get)
     }
 
     /// Reads a length-prefixed byte run.
@@ -201,10 +170,10 @@ mod tests {
     fn roundtrip_all_field_kinds() {
         let vfs = MemVfs::new();
         let mut w = CheckpointWriter::new(7);
-        w.put_u8(3);
-        w.put_u32(1234);
-        w.put_u64(u64::MAX - 1);
-        w.put_f64(-0.1);
+        w.put(&3u8);
+        w.put(&1234u32);
+        w.put(&(u64::MAX - 1));
+        w.put(&-0.1f64);
         w.put_bytes(b"hello");
         w.put_words(&[1, 2, 3]);
         let bytes = w.commit(&vfs).unwrap();
@@ -213,14 +182,14 @@ mod tests {
 
         let mut r = CheckpointReader::open(&vfs, 7).unwrap();
         assert_eq!(r.superstep(), 7);
-        assert_eq!(r.get_u8().unwrap(), 3);
-        assert_eq!(r.get_u32().unwrap(), 1234);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_f64().unwrap(), -0.1);
+        assert_eq!(r.get::<u8>().unwrap(), 3);
+        assert_eq!(r.get::<u32>().unwrap(), 1234);
+        assert_eq!(r.get::<u64>().unwrap(), u64::MAX - 1);
+        assert_eq!(r.get::<f64>().unwrap(), -0.1);
         assert_eq!(r.get_bytes().unwrap(), b"hello");
         assert_eq!(r.get_words().unwrap(), vec![1, 2, 3]);
         // Trailer guards against over-reads.
-        assert!(r.get_u64().is_err());
+        assert!(r.get::<u64>().is_err());
         // Everything went through one accounted sequential write.
         assert_eq!(vfs.stats().snapshot().seq_write_bytes, bytes);
         assert_eq!(vfs.stats().snapshot().seq_write_ops, 1);
@@ -262,8 +231,8 @@ mod tests {
         for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let mut w = CheckpointWriter::new(11);
-            w.put_u8(9);
-            w.put_f64(2.5);
+            w.put(&9u8);
+            w.put(&2.5f64);
             w.put_bytes(&[42u8; 4096]); // highly compressible body
             w.put_words(&[5; 100]);
             let logical = w.payload_bytes() + 8;
@@ -277,11 +246,11 @@ mod tests {
             assert_eq!(wsnap.seq_write_logical_bytes, logical);
 
             let mut r = CheckpointReader::open(&vfs, 11).unwrap();
-            assert_eq!(r.get_u8().unwrap(), 9);
-            assert_eq!(r.get_f64().unwrap(), 2.5);
+            assert_eq!(r.get::<u8>().unwrap(), 9);
+            assert_eq!(r.get::<f64>().unwrap(), 2.5);
             assert_eq!(r.get_bytes().unwrap(), vec![42u8; 4096]);
             assert_eq!(r.get_words().unwrap(), vec![5; 100]);
-            assert!(r.get_u8().is_err(), "no fields past the body");
+            assert!(r.get::<u8>().is_err(), "no fields past the body");
             let rsnap = vfs.stats().snapshot();
             assert_eq!(rsnap.seq_read_bytes, physical);
             // The whole-file read charges logical == physical up front,

@@ -33,7 +33,9 @@ GUARDS=(
   "1 :: \.finish_superstep\( :: crates/core/src :: run_step_kind is the one superstep frame"
   "0 :: Instant::now\(\)|track_residual|for p in 0\.\.workers :: crates/core/src/modes :: the frame times the superstep, the update kernel applies the residual rule, and broadcasts go through Endpoint::broadcast"
   "0 :: \.any\(\|i\| self\.get\(i\)\) :: crates/core/src/bitset.rs :: any_in_range tests whole words: an empty frontier costs a word load per 64 vertices, not a probe per vertex"
-  "7 :: BitSet::new\( :: crates/core/src/worker.rs :: flag vectors are built at load and restore only; the barrier path and the undo capture reuse their words"
+  "1 :: BitSet::new\( :: crates/core/src/worker.rs :: flag vectors are Frontier's, built once at load; the barrier path, the undo capture and restore reuse or move their words (the one left is the hot set's)"
+  "0 :: respond_next|signaled_next|block_res :: crates/core/src :: core::frontier::Frontier owns both generations of every flag vector and its per-Vblock summary"
+  "0 :: any_in_range\( :: crates/core/src !bitset.rs !frontier.rs :: the per-Vblock responder bit is computed once per barrier, by Frontier, and read there through block_has"
 )
 
 # file :: most lines it may have (its count when the ratchet was last set)

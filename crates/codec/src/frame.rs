@@ -85,7 +85,7 @@ impl PayloadWriter {
     }
 
     /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, x: u32) {
+    fn put_u32(&mut self, x: u32) {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
@@ -175,7 +175,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -208,7 +208,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> io::Result<u32> {
+    fn get_u32(&mut self) -> io::Result<u32> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 

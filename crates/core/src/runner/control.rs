@@ -14,9 +14,8 @@ use crate::worker::{Worker, WorkerLoadReport, WorkerSeed};
 use hybridgraph_graph::WorkerId;
 use hybridgraph_net::fabric::Endpoint;
 use hybridgraph_net::packet::Packet;
-use hybridgraph_storage::checkpoint::{has_checkpoint, remove_checkpoint};
 use hybridgraph_storage::frame;
-use hybridgraph_storage::msg_log::{self, MsgLogReader};
+use hybridgraph_storage::segment::{self, Checkpoint, MsgLog, MsgLogReader};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -392,17 +391,13 @@ fn checkpoint<P: VertexProgram>(
     // Pruning is idempotent: a restarted incarnation may re-prune a cut
     // its predecessor already removed.
     if let Some(p) = prune {
-        if has_checkpoint(w.vfs.as_ref(), p) {
-            remove_checkpoint(w.vfs.as_ref(), p)?;
-        }
+        segment::remove::<Checkpoint>(w.vfs.as_ref(), p)?;
     }
     if w.cfg.message_logging {
         // Replays start from this cut; earlier log segments can never
         // be needed again.
         for s in (prune.unwrap_or(0) + 1)..=superstep {
-            if msg_log::has_log_segment(w.vfs.as_ref(), s) {
-                msg_log::remove_log_segment(w.vfs.as_ref(), s)?;
-            }
+            segment::remove::<MsgLog>(w.vfs.as_ref(), s)?;
         }
     }
     Ok(bytes)
@@ -415,11 +410,11 @@ fn replay_serve<P: VertexProgram>(
 ) -> io::Result<()> {
     let mut r = MsgLogReader::open(w.vfs.as_ref(), superstep)?;
     let to = WorkerId::from(target);
-    while let Some((dest, blob)) = r.next_entry()? {
-        if dest as usize != target {
+    while let Some(e) = r.next_entry()? {
+        if e.dest as usize != target {
             continue;
         }
-        let packet: Packet = frame::decode(&blob)?;
+        let packet: Packet = frame::decode(&e.blob)?;
         w.ep.send_replay(to, packet);
     }
     Ok(())

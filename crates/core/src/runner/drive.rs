@@ -20,7 +20,7 @@ use hybridgraph_net::netfault::NetFaultPlan;
 use hybridgraph_net::packet::Packet;
 use hybridgraph_obs::{secs_to_us, TraceSink};
 use hybridgraph_storage::frame;
-use hybridgraph_storage::msg_log::MsgLogReader;
+use hybridgraph_storage::segment::MsgLogReader;
 use hybridgraph_storage::vfs::Vfs;
 use hybridgraph_storage::IoSnapshot;
 use std::sync::mpsc::{channel, Sender};

@@ -20,19 +20,17 @@ use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::BatchKind;
 use hybridgraph_obs::TraceShard;
 use hybridgraph_storage::adjacency::{AdjacencyStore, EdgeScratch};
-use hybridgraph_storage::checkpoint::{CheckpointReader, CheckpointWriter};
-use hybridgraph_storage::frame::Field;
 use hybridgraph_storage::gather::GatherStore;
 use hybridgraph_storage::inbox::FoldBuf;
 use hybridgraph_storage::lru::LruCache;
-use hybridgraph_storage::msg_log::MsgLogWriter;
 use hybridgraph_storage::msg_store::SpillBuffer;
 use hybridgraph_storage::record;
 use hybridgraph_storage::record::{decode_slice, encode_slice};
+use hybridgraph_storage::segment::{CheckpointReader, CheckpointWriter, MsgLogWriter};
 use hybridgraph_storage::value_store::ValueStore;
 use hybridgraph_storage::veblock::VeBlockStore;
 use hybridgraph_storage::vfs::Vfs;
-use hybridgraph_storage::{AccessClass, IoSnapshot, PayloadWriter, Record};
+use hybridgraph_storage::{AccessClass, IoSnapshot, Record};
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
@@ -844,16 +842,8 @@ impl<P: VertexProgram> Worker<P> {
                 format!("checkpoint does not match worker state: {what}"),
             )
         }
-        /// Decodes a run of whole records; anything else is a mismatch,
-        /// never `decode_slice`'s panic.
-        fn records<T: Record>(bytes: &[u8], what: &str) -> io::Result<Vec<T>> {
-            if T::BYTES != 0 && !bytes.len().is_multiple_of(T::BYTES) {
-                return Err(mismatch(what));
-            }
-            Ok(decode_slice(bytes))
-        }
         let ck: WorkerCheckpoint = CheckpointReader::open(self.vfs.as_ref(), superstep)?.get()?;
-        let vals: Vec<P::Value> = records(&ck.values, "value bytes")?;
+        let vals: Vec<P::Value> = decode_slice(&ck.values)?;
         let n = self.range.len();
         if vals.len() != n {
             return Err(mismatch("value count"));
@@ -873,7 +863,7 @@ impl<P: VertexProgram> Worker<P> {
         match (&mut self.hotset, ck.hot) {
             (Some(h), Some(hot)) => {
                 h.acc.iter_mut().for_each(|a| *a = None);
-                let pairs: Vec<(u32, P::Message)> = records(&hot, "hot pair bytes")?;
+                let pairs: Vec<(u32, P::Message)> = decode_slice(&hot)?;
                 for (i, m) in pairs {
                     if i as usize >= h.acc.len() {
                         return Err(mismatch("hot accumulator index"));
@@ -968,11 +958,8 @@ impl<P: VertexProgram> Worker<P> {
         captured: &[(WorkerId, Packet)],
     ) -> io::Result<u64> {
         let mut w = MsgLogWriter::new(superstep);
-        let mut blob = PayloadWriter::new();
         for (to, packet) in captured {
-            blob.clear();
-            packet.put(&mut blob);
-            w.push(to.index() as u32, blob.as_bytes());
+            w.push_framed(to.index() as u32, packet);
         }
         w.commit_with(self.vfs.as_ref(), self.cfg.codec)
     }

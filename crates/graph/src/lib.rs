@@ -8,7 +8,7 @@
 //!   for the six real-world graphs evaluated in the paper (Table 4),
 //! * the range [`partition`]er and Vblock layout used by VE-BLOCK
 //!   (paper §4.1 and §4.3, Eqs. 5–6),
-//! * text/binary graph [`io`].
+//! * text graph [`io`].
 //!
 //! Everything downstream (storage, network, engine) is written against the
 //! types defined here.

@@ -6,7 +6,8 @@
 //! so a failure reproduces exactly from the fixed seed.
 
 use hybridgraph_graph::rng::SplitMix64;
-use hybridgraph_graph::{gen, io, partition, BlockLayout, GraphBuilder, Partition, VertexId};
+use hybridgraph_graph::{gen, partition, BlockLayout, GraphBuilder, Partition, VertexId};
+use hybridgraph_storage::{decode_graph, encode_graph};
 
 /// Every vertex is owned by exactly one worker, ranges are contiguous
 /// and cover 0..n.
@@ -111,7 +112,7 @@ fn reverse_is_involution() {
     }
 }
 
-/// Binary serialization round-trips arbitrary random graphs.
+/// The graph blob round-trips arbitrary random graphs.
 #[test]
 fn binary_io_roundtrip() {
     let mut r = SplitMix64::new(0xB10);
@@ -120,9 +121,7 @@ fn binary_io_roundtrip() {
         let m = r.range_usize(1, 300);
         let seed = r.next_u64() % 1000;
         let g = gen::randomize_weights(&gen::uniform(n, m, seed), 0.5, 9.5, seed);
-        let mut buf = Vec::new();
-        io::write_binary(&g, &mut buf).unwrap();
-        let back = io::read_binary(buf.as_slice()).unwrap();
+        let back = decode_graph(&encode_graph(&g)).unwrap();
         assert_eq!(g, back, "case {case}");
     }
 }

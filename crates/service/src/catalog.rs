@@ -92,6 +92,8 @@ pub enum CatalogError {
         /// Requested Vblocks per worker.
         vblocks_per_worker: usize,
     },
+    /// The graph has no vertices.
+    EmptyGraph,
 }
 
 impl CatalogError {
@@ -107,6 +109,7 @@ impl CatalogError {
     /// | 4    | `TooManyWorkers` |
     /// | 5    | `Io`             |
     /// | 6    | `EmptyLayout`    |
+    /// | 7    | `EmptyGraph`     |
     pub fn code(&self) -> u16 {
         match self {
             CatalogError::NameTaken(_) => 1,
@@ -115,6 +118,7 @@ impl CatalogError {
             CatalogError::TooManyWorkers { .. } => 4,
             CatalogError::Io(_) => 5,
             CatalogError::EmptyLayout { .. } => 6,
+            CatalogError::EmptyGraph => 7,
         }
     }
 }
@@ -140,6 +144,7 @@ impl fmt::Display for CatalogError {
                 "spec asks for {workers} workers with {vblocks_per_worker} Vblocks each; \
                  both must be at least 1"
             ),
+            CatalogError::EmptyGraph => write!(f, "the graph has no vertices"),
         }
     }
 }
@@ -225,6 +230,9 @@ impl Catalog {
                 vblocks_per_worker: spec.vblocks_per_worker,
             });
         }
+        if graph.num_vertices() == 0 {
+            return Err(CatalogError::EmptyGraph);
+        }
         if self.graphs.contains_key(name) {
             return Err(CatalogError::NameTaken(name.to_string()));
         }
@@ -299,9 +307,7 @@ impl Catalog {
 /// Arc-shared into the returned views, so the catalog need not keep the
 /// build-time VFS around.
 fn build_stores(id: u32, graph: &Graph, spec: &GraphSpec) -> Result<SharedStores, CatalogError> {
-    let n = graph.num_vertices();
-    assert!(n > 0, "graph must have vertices");
-    let partition = Partition::range(n, spec.workers);
+    let partition = Partition::range(graph.num_vertices(), spec.workers);
     let counts = vec![spec.vblocks_per_worker.max(1); spec.workers];
     let layout = BlockLayout::new(&partition, &counts);
 

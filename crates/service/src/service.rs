@@ -417,6 +417,19 @@ impl BarrierSink for ServiceBarrierSink {
     }
 }
 
+/// Refuses a spec with more worker slots than the shared cache has
+/// shards: at registration, and when a log replays under another
+/// `cache_slots`.
+fn fits_cache(spec: &GraphSpec, slots: usize) -> Result<(), CatalogError> {
+    if spec.workers > slots {
+        return Err(CatalogError::TooManyWorkers {
+            workers: spec.workers,
+            slots,
+        });
+    }
+    Ok(())
+}
+
 /// The resident engine: graph catalog + shared cache + job scheduler.
 pub struct GraphService {
     inner: Arc<Inner>,
@@ -454,7 +467,8 @@ impl GraphService {
     /// shared cache from its last durable snapshot, and returns every
     /// unfinished job as a [`RecoveredJob`] in admission order. The
     /// recovered jobs count as backlog for admission shedding until
-    /// resumed.
+    /// resumed. A log written for another `cache_slots` (a graph wider
+    /// than the cache, a snapshot of another shard count) is an error.
     pub fn restore(
         cfg: ServiceConfig,
         vfs: Arc<dyn Vfs>,
@@ -522,14 +536,14 @@ impl GraphService {
         {
             let mut st = svc.inner.state.lock().unwrap();
             for (name, id, spec, graph) in graphs {
-                st.catalog
-                    .register_with_id(&name, graph, spec, id)
+                fits_cache(&spec, cfg.cache_slots)
+                    .and_then(|()| st.catalog.register_with_id(&name, graph, spec, id))
                     .map_err(|e| io::Error::other(format!("catalog replay failed: {e}")))?;
             }
             st.next_job = next_job;
         }
         if let Some(snap) = &cache_snap {
-            svc.inner.cache.restore(snap);
+            svc.inner.cache.restore(snap)?;
         }
         let recovered: Vec<RecoveredJob> = jobs
             .into_iter()
@@ -579,12 +593,7 @@ impl GraphService {
         graph: Graph,
         spec: GraphSpec,
     ) -> Result<u32, CatalogError> {
-        if spec.workers > self.inner.cfg.cache_slots {
-            return Err(CatalogError::TooManyWorkers {
-                workers: spec.workers,
-                slots: self.inner.cfg.cache_slots,
-            });
-        }
+        fits_cache(&spec, self.inner.cfg.cache_slots)?;
         let graph = Arc::new(graph);
         let mut st = self.inner.state.lock().unwrap();
         let id = st.catalog.register(name, Arc::clone(&graph), spec)?;

@@ -27,12 +27,10 @@
 //! * [`inbox`] — a superstep's messages grouped by destination (CSR-shaped),
 //!   what every executor's `update()` loop reads,
 //! * [`lru`] — the LRU vertex cache used by the per-vertex pull baseline,
-//! * [`checkpoint`] — superstep-boundary checkpoint files for the
-//!   engine's fault-tolerance subsystem (classified sequential I/O like
-//!   everything else),
-//! * [`msg_log`] — sender-side outgoing-message log segments enabling
-//!   Pregel-style confined recovery (one classified sequential write per
-//!   superstep),
+//! * [`segment`] — the per-superstep files of the engine's fault
+//!   tolerance: worker checkpoints and the sender-side message-log
+//!   segments of Pregel-style confined recovery (one classified
+//!   sequential write each),
 //! * [`shared_cache`] — the cross-job byte-weighted edge-extent cache for
 //!   the multi-tenant service, with per-requesting-job attribution,
 //! * [`service_log`] — the append-only write-ahead log the durable
@@ -44,16 +42,14 @@
 //! accounting.
 
 pub mod adjacency;
-pub mod checkpoint;
 pub mod extent;
 pub mod gather;
 pub mod inbox;
 pub mod lru;
-pub mod msg_log;
 pub mod msg_store;
 pub mod profile;
 pub mod record;
-mod sealed;
+pub mod segment;
 pub mod service_log;
 pub mod shared_cache;
 pub mod stats;
@@ -61,13 +57,12 @@ pub mod value_store;
 pub mod veblock;
 pub mod vfs;
 
-pub use checkpoint::{CheckpointReader, CheckpointWriter};
 pub use hybridgraph_codec::{
     decode_extent, encode_extent, frame, record, tagged, CodecChoice, CodecError, ExtentKind,
 };
-pub use msg_log::{MsgLogReader, MsgLogWriter};
 pub use profile::DeviceProfile;
 pub use record::Record;
+pub use segment::{CheckpointReader, CheckpointWriter, MsgLogReader, MsgLogWriter};
 pub use service_log::{
     decode_graph, encode_graph, LogRecord, PayloadReader, PayloadWriter, ServiceLog,
 };

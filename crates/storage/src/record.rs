@@ -7,6 +7,7 @@
 //! size) used in Theorem 2 and Eq. 11.
 
 use hybridgraph_graph::VertexId;
+use std::io;
 
 /// A fixed-width serializable value.
 pub trait Record: Sized + Clone + Send + Sync + 'static {
@@ -98,20 +99,19 @@ pub fn encode_slice<T: Record>(items: &[T]) -> Vec<u8> {
     out
 }
 
-/// Decodes a byte slice into records.
-///
-/// # Panics
-/// Panics if `bytes.len()` is not a multiple of the record width.
-pub fn decode_slice<T: Record>(bytes: &[u8]) -> Vec<T> {
+/// Decodes a byte slice into records; a length that is not a whole number
+/// of records is `InvalidData`.
+pub fn decode_slice<T: Record>(bytes: &[u8]) -> io::Result<Vec<T>> {
     if T::BYTES == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    assert_eq!(
-        bytes.len() % T::BYTES,
-        0,
-        "byte length not a record multiple"
-    );
-    bytes.chunks_exact(T::BYTES).map(T::read_from).collect()
+    if !bytes.len().is_multiple_of(T::BYTES) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "byte length not a record multiple",
+        ));
+    }
+    Ok(bytes.chunks_exact(T::BYTES).map(T::read_from).collect())
 }
 
 #[cfg(test)]
@@ -150,7 +150,7 @@ mod tests {
         let items = vec![1u32, 2, 3, 4];
         let bytes = encode_slice(&items);
         assert_eq!(bytes.len(), 16);
-        assert_eq!(decode_slice::<u32>(&bytes), items);
+        assert_eq!(decode_slice::<u32>(&bytes).unwrap(), items);
     }
 
     #[test]
@@ -160,8 +160,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "record multiple")]
-    fn misaligned_decode_panics() {
-        decode_slice::<u32>(&[1, 2, 3]);
+    fn misaligned_decode_is_invalid_data() {
+        let err = decode_slice::<u32>(&[1, 2, 3]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

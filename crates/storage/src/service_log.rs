@@ -19,11 +19,12 @@
 //! record bodies are blob frames, accounted physical-vs-logical like every
 //! other coded write in this crate.
 
+use crate::shared_cache::EdgeLayout;
 use crate::stats::AccessClass;
 use crate::vfs::{Vfs, VfsFile};
-use hybridgraph_codec::frame;
+use hybridgraph_codec::frame::{self, Field, Via};
 use hybridgraph_codec::CodecChoice;
-use hybridgraph_graph::Graph;
+use hybridgraph_graph::{Edge, Graph};
 use std::io;
 
 pub use hybridgraph_codec::frame::{LogRecord, PayloadReader, PayloadWriter};
@@ -106,31 +107,64 @@ impl ServiceLog {
 
 // ------------------------------------------------------- graph payloads
 
-/// Serializes a graph into the body of a registration record: the
-/// workspace's binary graph body ([`hybridgraph_graph::io`]), so a
-/// restore rebuilds the CSR without re-parsing any source.
-pub fn encode_graph(g: &Graph) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 4 * g.num_vertices() + 8 * g.num_edges());
-    hybridgraph_graph::io::write_body(g, &mut out).expect("writing to a Vec cannot fail");
-    out
+/// A graph as a registration record carries it, so a restore rebuilds
+/// the CSR without re-parsing any source: `n u64 | m u64 | out-degree u32
+/// per vertex | m edges` in [`EdgeLayout`]. The bytes may come from a
+/// gateway client: both counts are bounded by the blob before anything
+/// is allocated for them, the degrees must sum to `m`, and an edge must
+/// point inside the graph.
+pub struct GraphLayout;
+
+impl Via<Graph> for GraphLayout {
+    const MIN_BYTES: usize = 16;
+    fn put(g: &Graph, w: &mut PayloadWriter) {
+        g.num_vertices().put(w);
+        g.num_edges().put(w);
+        for v in g.vertices() {
+            (g.out_degree(v) as u32).put(w);
+        }
+        for (_, e) in g.edges() {
+            EdgeLayout::put(&e, w);
+        }
+    }
+    fn get(r: &mut PayloadReader<'_>) -> io::Result<Graph> {
+        let n = r.get_count(4)?;
+        let m = r.get_count(8)?;
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut sum = 0u64;
+        offsets.push(sum);
+        for _ in 0..n {
+            sum += u64::from(u32::get(r)?);
+            if sum > m as u64 {
+                return Err(corrupt("out-degrees exceed the edge count"));
+            }
+            offsets.push(sum);
+        }
+        if sum != m as u64 {
+            return Err(corrupt("out-degrees do not sum to the edge count"));
+        }
+        let mut edges = Vec::with_capacity(m);
+        for _ in 0..m {
+            let e: Edge = EdgeLayout::get(r)?;
+            if e.dst.index() >= n {
+                return Err(corrupt("edge to a vertex outside the graph"));
+            }
+            edges.push(e);
+        }
+        Ok(Graph::from_parts(offsets, edges))
+    }
 }
 
-/// Rebuilds a graph from [`encode_graph`] bytes. The bytes may come from
-/// a gateway client, so the two counts are sized against the blob before
-/// anything is allocated for them, and an edge must point inside it.
+/// The [`GraphLayout`] bytes of `g`.
+pub fn encode_graph(g: &Graph) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    GraphLayout::put(g, &mut w);
+    w.into_bytes()
+}
+
+/// Reads a graph from [`encode_graph`] bytes, which it must fill exactly.
 pub fn decode_graph(buf: &[u8]) -> io::Result<Graph> {
-    let mut r = PayloadReader::new(buf);
-    let n = r.get_count(4)?;
-    let m = r.get_count(8)?;
-    // Both counts are now bounded by `buf.len()`, so this cannot overflow.
-    if 4 * n + 8 * m != r.remaining() {
-        return Err(corrupt("graph blob length does not match its counts"));
-    }
-    let g = hybridgraph_graph::io::read_body(&mut &buf[..])?;
-    if g.edges().any(|(_, e)| e.dst.index() >= n) {
-        return Err(corrupt("edge to a vertex outside the graph"));
-    }
-    Ok(g)
+    frame::decode_via::<GraphLayout, Graph>(buf)
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ use crate::lru::LruCache;
 use hybridgraph_codec::frame::AsU32;
 use hybridgraph_codec::record;
 use hybridgraph_graph::Edge;
+use std::io;
 use std::sync::{Arc, Mutex};
 
 /// Fixed per-entry bookkeeping weight (key, Arc, length fields) charged on
@@ -244,17 +245,20 @@ impl SharedEdgeCache {
     }
 
     /// Replaces the cache contents and counters with `snap` — the restore
-    /// half of [`Self::snapshot`]. Shard counts must match (the restored
-    /// service is built from the same logged `ServiceConfig`).
-    ///
-    /// # Panics
-    /// Panics if `snap` has a different number of shards.
-    pub fn restore(&self, snap: &CacheSnapshot) {
-        assert_eq!(
-            snap.shards.len(),
-            self.shards.len(),
-            "cache snapshot shard count mismatch"
-        );
+    /// half of [`Self::snapshot`]. A snapshot of another shard count (a
+    /// log written under another `cache_slots`) is `InvalidData`, and the
+    /// cache is left as it was.
+    pub fn restore(&self, snap: &CacheSnapshot) -> io::Result<()> {
+        if snap.shards.len() != self.shards.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "cache snapshot has {} shards, the cache {}",
+                    snap.shards.len(),
+                    self.shards.len()
+                ),
+            ));
+        }
         for (shard, s) in self.shards.iter().zip(&snap.shards) {
             let mut shard = shard.lock().unwrap();
             shard.lru.drain();
@@ -266,6 +270,7 @@ impl SharedEdgeCache {
             shard.lru.set_counters(s.hits, s.misses);
             shard.evictions = s.evictions;
         }
+        Ok(())
     }
 
     /// Summed counters across shards.
@@ -369,7 +374,10 @@ mod tests {
         let snap = c.snapshot();
 
         let d = SharedEdgeCache::new(2, 2 * 2 * (200 + CACHE_ENTRY_OVERHEAD));
-        d.restore(&snap);
+        d.restore(&snap).unwrap();
+        let other = SharedEdgeCache::new(3, 1 << 16);
+        let err = other.restore(&snap).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(d.stats(), c.stats(), "counters and used bytes carry over");
         // Recency carried over: inserting a third extent into slot 0 must
         // evict vertex 2 (the LRU), exactly as it would in the original.

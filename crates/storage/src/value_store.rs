@@ -75,7 +75,7 @@ impl<V: Record> ValueStore<V> {
         let off = self.offset_of(VertexId(range.start));
         let len = range.len() * V::BYTES;
         let bytes = self.file.read_vec(AccessClass::SeqRead, off, len)?;
-        Ok(decode_slice(&bytes))
+        decode_slice(&bytes)
     }
 
     /// Sequentially writes values of the contiguous vertex range.

@@ -11,9 +11,11 @@ use hybridgraph::graph::gen;
 use hybridgraph::net::Packet;
 use hybridgraph::prelude::*;
 use hybridgraph::storage::adjacency::EdgeScratch;
-use hybridgraph::storage::checkpoint::{checkpoint_file_name, CheckpointReader, CheckpointWriter};
-use hybridgraph::storage::msg_log::{msg_log_file_name, MsgLogReader, MsgLogWriter};
 use hybridgraph::storage::record::{decode_slice, encode_slice};
+use hybridgraph::storage::segment::{
+    file_name, Checkpoint, CheckpointReader, CheckpointWriter, LogEntry, MsgLog, MsgLogReader,
+    MsgLogWriter,
+};
 use hybridgraph::storage::service_log::{ServiceLog, SERVICE_LOG_FILE};
 use hybridgraph::storage::{decode_graph, encode_graph, AccessClass, IoStats, Record};
 use hybridgraph_codec::frame;
@@ -36,7 +38,7 @@ fn record_slices_roundtrip_randomized() {
                 .collect();
             let bytes = encode_slice(&pairs);
             assert_eq!(bytes.len(), n * <(VertexId, f64)>::BYTES, "seed {seed}");
-            let back = decode_slice::<(VertexId, f64)>(&bytes);
+            let back = decode_slice::<(VertexId, f64)>(&bytes).expect("whole records");
             // Bit-level comparison: NaN payloads must survive too.
             assert_eq!(back.len(), pairs.len(), "seed {seed}");
             for (a, b) in back.iter().zip(&pairs) {
@@ -51,7 +53,7 @@ fn record_slices_roundtrip_randomized() {
 fn empty_record_slice_roundtrips() {
     let bytes = encode_slice::<u64>(&[]);
     assert!(bytes.is_empty());
-    assert!(decode_slice::<u64>(&bytes).is_empty());
+    assert!(decode_slice::<u64>(&bytes).expect("no records").is_empty());
 }
 
 // ------------------------------------------------------------ blob frames
@@ -157,7 +159,7 @@ fn truncated_checkpoint_rejected_all_codecs() {
         let mut w = CheckpointWriter::new(3);
         w.put_bytes(&[7u8; 4096]);
         w.commit_with(&vfs, codec).expect("commit");
-        let file = vfs.open(&checkpoint_file_name(3)).expect("open file");
+        let file = vfs.open(&file_name::<Checkpoint>(3)).expect("open file");
         let len = file.len();
         // Descending cuts: each truncate_to actually shrinks the file.
         for cut in [len - 1, len / 2, 1, 0] {
@@ -189,18 +191,21 @@ fn msg_log_roundtrips_randomized_all_codecs() {
     for codec in CodecChoice::ALL {
         for seed in SEEDS {
             let mut r = SplitMix64::new(seed);
-            let entries: Vec<(u32, Vec<u8>)> = (0..r.range_usize(0, 40))
+            let entries: Vec<LogEntry> = (0..r.range_usize(0, 40))
                 .map(|_| {
                     let blob: Vec<u8> = (0..r.range_usize(0, 300))
                         .map(|_| r.next_u64() as u8)
                         .collect();
-                    (r.next_u64() as u32, blob)
+                    LogEntry {
+                        dest: r.next_u64() as u32,
+                        blob,
+                    }
                 })
                 .collect();
             let vfs = MemVfs::new();
             let mut w = MsgLogWriter::new(5);
-            for (d, b) in &entries {
-                w.push(*d, b);
+            for e in &entries {
+                w.push(e.dest, &e.blob);
             }
             w.commit_with(&vfs, codec).expect("commit");
             let mut rd = MsgLogReader::open(&vfs, 5).expect("open");
@@ -223,7 +228,11 @@ fn msg_log_empty_payload_entries_roundtrip() {
             .expect("open")
             .read_all_entries()
             .expect("entries");
-        assert_eq!(got, vec![(11, vec![]), (12, vec![])], "{codec:?}");
+        let empty = |dest| LogEntry {
+            dest,
+            blob: Vec::new(),
+        };
+        assert_eq!(got, [empty(11), empty(12)], "{codec:?}");
     }
 }
 
@@ -236,7 +245,7 @@ fn truncated_msg_log_rejected_all_codecs() {
             w.push(i, &[i as u8; 100]);
         }
         w.commit_with(&vfs, codec).expect("commit");
-        let file = vfs.open(&msg_log_file_name(6)).expect("open file");
+        let file = vfs.open(&file_name::<MsgLog>(6)).expect("open file");
         let len = file.len();
         // Descending cuts: each truncate_to actually shrinks the file.
         for cut in [len - 1, len / 2, 5, 0] {
@@ -271,8 +280,8 @@ fn none_codec_files_are_byte_identical_to_plain() {
             lw.commit(&vfs).expect("commit");
         }
         (
-            read_file(&vfs, &checkpoint_file_name(4)),
-            read_file(&vfs, &msg_log_file_name(4)),
+            read_file(&vfs, &file_name::<Checkpoint>(4)),
+            read_file(&vfs, &file_name::<MsgLog>(4)),
         )
     };
     assert_eq!(build(true), build(false));
@@ -310,9 +319,9 @@ fn huge_element_counts_are_errors_not_allocations() {
     let mut w = MsgLogWriter::new(2);
     w.push(0, b"entry");
     w.commit(&vfs).expect("commit");
-    let mut bytes = read_file(&vfs, &msg_log_file_name(2));
+    let mut bytes = read_file(&vfs, &file_name::<MsgLog>(2));
     bytes[16..24].copy_from_slice(&(u64::MAX / 16).to_le_bytes());
-    vfs.create(&msg_log_file_name(2))
+    vfs.create(&file_name::<MsgLog>(2))
         .expect("create")
         .append(AccessClass::SeqWrite, &bytes)
         .expect("append");
@@ -407,8 +416,8 @@ fn golden_file_bytes_are_pinned() {
         log.append(6, &[9u8; 300]).expect("append");
 
         let got = [
-            fnv1a(&read_file(&vfs, &checkpoint_file_name(0x0102_0304_0506))),
-            fnv1a(&read_file(&vfs, &msg_log_file_name(77))),
+            fnv1a(&read_file(&vfs, &file_name::<Checkpoint>(0x0102_0304_0506))),
+            fnv1a(&read_file(&vfs, &file_name::<MsgLog>(77))),
             fnv1a(&read_file(&vfs, SERVICE_LOG_FILE)),
         ];
         assert_eq!(
@@ -693,7 +702,7 @@ fn golden_worker_checkpoint_bytes_are_pinned() {
         fn commit(&self, superstep: u64, _state: &[u8]) -> std::io::Result<()> {
             let mut log = self.files.lock().unwrap();
             for disk in &self.disks {
-                let bytes = BarrierProbe::read(disk, &checkpoint_file_name(superstep))
+                let bytes = BarrierProbe::read(disk, &file_name::<Checkpoint>(superstep))
                     .expect("every worker checkpoints before the cut commits");
                 log.extend_from_slice(&superstep.to_le_bytes());
                 log.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
@@ -828,13 +837,13 @@ impl BarrierProbe {
     /// block is not — and holds every payload byte and `WireStats`.
     fn canonical_segment(segment: &[u8], superstep: u64) -> Vec<u8> {
         let scratch = MemVfs::new();
-        let name = msg_log_file_name(superstep);
+        let name = file_name::<MsgLog>(superstep);
         let file = scratch.create(&name).expect("scratch file");
         file.append(AccessClass::SeqWrite, segment).expect("copy");
         let mut reader = MsgLogReader::open(&scratch, superstep).expect("open segment");
         let mut entries = reader.read_all_entries().expect("entries");
-        entries.sort_by_key(|(to, blob)| {
-            let packet: Packet = frame::decode(blob).expect("logged packet");
+        entries.sort_by_key(|e| {
+            let packet: Packet = frame::decode(&e.blob).expect("logged packet");
             let (rank, block) = match packet {
                 Packet::PullRequest { block } => (0, block.0),
                 Packet::Messages { for_block, .. } => (1, for_block.map_or(u32::MAX, |b| b.0)),
@@ -847,15 +856,9 @@ impl BarrierProbe {
                 Packet::Signals { .. } => (8, 0),
                 Packet::Abort => unreachable!("the control plane's packet is never logged"),
             };
-            (*to, rank, block)
+            (e.dest, rank, block)
         });
-        let mut out = Vec::new();
-        for (to, blob) in entries {
-            out.extend_from_slice(&to.to_le_bytes());
-            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            out.extend_from_slice(&blob);
-        }
-        out
+        entries.iter().flat_map(frame::encode).collect()
     }
 }
 
@@ -872,7 +875,7 @@ impl ProgressSink for BarrierProbe {
                 note(&spill);
             }
             if self.msg_log {
-                let segment = Self::read(disk, &msg_log_file_name(superstep))
+                let segment = Self::read(disk, &file_name::<MsgLog>(superstep))
                     .expect("every worker commits a segment per superstep");
                 note(&Self::canonical_segment(&segment, superstep));
             }
@@ -1270,8 +1273,9 @@ fn sample<T: frame::Field>(name: &str, x: &T) -> Sample {
 /// Seeded values of every record declared with `record!` / `tagged!`:
 /// the master state and its parts (strict and async steps, the switcher
 /// with plain, async and tiered audits, trace rings with every event and
-/// arg kind), the audit table, every logged packet, every service-log
-/// record and every gateway request and response body.
+/// arg kind), the audit table, every logged packet and message-log entry,
+/// every service-log record, every gateway request and response body, and
+/// graph blobs: empty, with an edgeless vertex, with a NaN weight's bits.
 fn declared_record_samples(seed: u64) -> Vec<Sample> {
     use hybridgraph::core::{
         decode_qt_audits, encode_qt_audits, AsyncCostInputs, AsyncStepStats, CostInputs,
@@ -1603,6 +1607,26 @@ fn declared_record_samples(seed: u64) -> Vec<Sample> {
     out.extend(packets.iter().map(|p| sample(&format!("{p:?}"), p)));
     out.extend(requests.iter().map(|r| sample(&format!("{r:?}"), r)));
     out.extend(responses.iter().map(|r| sample(&format!("{r:?}"), r)));
+    for (dest, packet) in [(a as u32, &packets[1]), (u32::MAX, &packets[4])] {
+        let entry = LogEntry {
+            dest,
+            blob: frame::encode(packet),
+        };
+        out.push(sample(&format!("{entry:?}"), &entry));
+    }
+    let nan = f32::from_bits(0x7fc0_0001);
+    let edges = vec![
+        Edge::weighted(VertexId(1), nan),
+        Edge::weighted(VertexId(2), -0.0),
+        Edge::weighted(VertexId(0), 1.5),
+    ];
+    for g in [Graph::empty(0), Graph::from_parts(vec![0, 2, 2, 3], edges)] {
+        out.push((
+            format!("graph blob of {} vertices", g.num_vertices()),
+            encode_graph(&g),
+            |b| decode_graph(b).map(|g| encode_graph(&g)),
+        ));
+    }
     out
 }
 

@@ -424,6 +424,32 @@ fn degenerate_registrations_are_typed_errors_and_keep_the_engine() {
     handle.join();
 }
 
+/// An inline graph with no vertices (its blob is 16 zero bytes) is
+/// catalog code 7, and the same engine goes on to register a real graph.
+/// It used to hit an assertion under the engine's state lock, poisoning
+/// the engine for every later request.
+#[test]
+fn empty_graph_registration_is_a_typed_error_and_keeps_the_engine() {
+    let (_server, _transport, handle, mut client) = loopback_gateway(1, 1);
+    let empty = Graph::empty(0);
+    assert_eq!(hybridgraph::storage::encode_graph(&empty), [0u8; 16]);
+    let err = client
+        .register_graph("empty", &empty, 2, 1, CodecChoice::None)
+        .unwrap_err();
+    assert_eq!(remote_code(err), (ErrorDomain::Catalog, 7));
+    let g = gen::uniform(64, 256, 3);
+    let (engine, _) = client
+        .register_graph("g", &g, 2, 1, CodecChoice::None)
+        .expect("the engine still registers");
+    assert_eq!(
+        engine, 0,
+        "one engine: the same one refused the empty graph"
+    );
+    client.shutdown().expect("shutdown");
+    drop(client);
+    handle.join();
+}
+
 /// Reads one response frame off a raw connection.
 fn read_resp(conn: &mut dyn hybridgraph::gateway::Conn) -> Result<Response, WireError> {
     let (frame, _) = read_frame(conn, DEFAULT_MAX_FRAME)?;

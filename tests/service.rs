@@ -308,6 +308,22 @@ fn catalog_refuses_eviction_while_pinned() {
         .unwrap();
 }
 
+/// A graph with no vertices is a typed catalog error. It used to hit an
+/// assertion while the service's state lock was held, poisoning the
+/// service for every later call; the same service registers a real graph
+/// afterwards.
+#[test]
+fn empty_graph_is_a_typed_error_and_keeps_the_service() {
+    let svc = service(5, 1, 0);
+    let err = svc
+        .register_graph("empty", Graph::empty(0), GraphSpec::new(2))
+        .unwrap_err();
+    assert!(matches!(err, CatalogError::EmptyGraph), "{err}");
+    assert_eq!(err.code(), 7);
+    svc.register_graph("a", graph_a(), GraphSpec::new(2))
+        .expect("the service still registers");
+}
+
 /// A tenant that loses a worker mid-run *and* runs over a lossy wire
 /// recovers to bit-identical values without perturbing its neighbour:
 /// both jobs must match their solo fault-free baselines.

@@ -369,3 +369,41 @@ fn restore_rebuilds_catalog_and_sheds_until_resumed() {
     assert!(fresh.job_id() > killed_id, "job ids must not be reused");
     fresh.wait().unwrap();
 }
+
+/// A log restores only under the cache geometry it was written for. A
+/// 4-slot log restored with 8 slots (its cache snapshots have 4 shards)
+/// or with 1 (its graph has 3 workers) is an error: the first used to
+/// panic in `SharedEdgeCache::restore`, the second to register a graph
+/// whose jobs would index past the cache's shards.
+#[test]
+fn restore_under_another_cache_geometry_is_an_error() {
+    let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+    let cfg = ServiceConfig {
+        cache_slots: 4,
+        ..service_cfg(31)
+    };
+    let svc = GraphService::new_durable(cfg, Arc::clone(&vfs), CodecChoice::None).unwrap();
+    svc.register_graph("a", graph_a(), GraphSpec::new(3))
+        .unwrap();
+    svc.submit(pagerank(), JobRequest::new("a", pagerank_cfg(3)))
+        .unwrap()
+        .wait()
+        .unwrap();
+    drop(svc);
+
+    let kind_with = |slots| {
+        let other = ServiceConfig {
+            cache_slots: slots,
+            ..cfg
+        };
+        match GraphService::restore(other, Arc::clone(&vfs)) {
+            Ok(_) => panic!("a 4-slot log restored with {slots} slots"),
+            Err(e) => e.kind(),
+        }
+    };
+    assert_eq!(kind_with(8), std::io::ErrorKind::InvalidData);
+    assert_eq!(kind_with(1), std::io::ErrorKind::Other);
+    let (svc, recovered) = GraphService::restore(cfg, vfs).expect("the log's own geometry");
+    assert!(recovered.is_empty());
+    assert_eq!(svc.workers_of("a"), Some(3));
+}

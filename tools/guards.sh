@@ -36,11 +36,15 @@ GUARDS=(
   "1 :: BitSet::new\( :: crates/core/src/worker.rs :: flag vectors are Frontier's, built once at load; the barrier path, the undo capture and restore reuse or move their words (the one left is the hot set's)"
   "0 :: respond_next|signaled_next|block_res :: crates/core/src :: core::frontier::Frontier owns both generations of every flag vector and its per-Vblock summary"
   "0 :: any_in_range\( :: crates/core/src !bitset.rs !frontier.rs :: the per-Vblock responder bit is computed once per barrier, by Frontier, and read there through block_has"
+  "0 :: \.(put|get)_u(8|16|32|64)\( :: crates !frame.rs :: every byte read back goes through a declaration: fixed-width fields are codec::frame's own"
+  "0 :: has_checkpoint|has_log_segment|sealed::|ENTRY_HEADER_BYTES :: crates :: storage::segment is the one per-superstep file kind: remove is idempotent, and LogEntry::MIN_BYTES bounds a log's entry count"
+  "0 :: write_body|read_body|read_binary|write_binary :: crates :: the graph blob (service_log::GraphLayout) is the one binary graph layout; graph::io keeps its text formats"
+  "0 :: to_le_bytes|from_le_bytes :: crates/storage/src/segment.rs crates/storage/src/service_log.rs :: segment and graph-blob bytes are written and read through declarations"
 )
 
 # file :: most lines it may have (its count when the ratchet was last set)
 MAX_LINES=(
-  "DESIGN.md :: 1096"
+  "DESIGN.md :: 1095"
   "README.md :: 539"
 )
 

@@ -10,7 +10,7 @@
 //! * [`Wcc`] — minimum-label propagation (connected components on
 //!   symmetric graphs); an extension beyond the paper's four algorithms.
 //!
-//! [`reference`] provides a sequential executor with the exact BSP
+//! [`reference`](mod@reference) provides a sequential executor with the exact BSP
 //! semantics of the engine, used as ground truth by the cross-mode
 //! equivalence tests.
 //!

@@ -672,7 +672,7 @@ pub(crate) struct EncodeScratch {
 /// BV-codes a raw fragment stream (`svertex u32 | count u32 | count ×
 /// (id u32, w f32)` repeated). Layout: `nfrags` varint, then one bit
 /// stream — δ-coded strictly-ascending svertices, γ counts, one
-/// [`write_list`] body per fragment (reference window = previous lists
+/// `write_list` body per fragment (reference window = previous lists
 /// of this extent; each list's leading id is zigzag-δ-coded against the
 /// previous non-empty list's first id, since all lists in an extent
 /// share one destination block), and the packed weight column over all

@@ -28,10 +28,6 @@ use std::ops::Range;
 pub struct BlockClassification {
     /// Bit `v` set iff vertex `v` has a block-crossing in- or out-edge.
     boundary: BitSet,
-    /// Per-block boundary vertex counts, indexed by `BlockId`.
-    pub block_boundary: Vec<u64>,
-    /// Per-block interior vertex counts, indexed by `BlockId`.
-    pub block_interior: Vec<u64>,
     /// Total boundary vertices.
     pub boundary_total: u64,
     /// Total interior vertices.
@@ -54,25 +50,11 @@ impl BlockClassification {
                 }
             }
         }
-        let mut block_boundary = vec![0u64; layout.num_blocks()];
-        let mut block_interior = vec![0u64; layout.num_blocks()];
-        for b in layout.block_ids() {
-            let r = layout.block_range(b);
-            let mut bd = 0u64;
-            for v in r.clone() {
-                bd += u64::from(boundary.get(v as usize));
-            }
-            block_boundary[b.index()] = bd;
-            block_interior[b.index()] = r.len() as u64 - bd;
-        }
-        let boundary_total = block_boundary.iter().sum();
-        let interior_total = block_interior.iter().sum();
+        let boundary_total = boundary.count() as u64;
         BlockClassification {
             boundary,
-            block_boundary,
-            block_interior,
             boundary_total,
-            interior_total,
+            interior_total: n as u64 - boundary_total,
         }
     }
 
@@ -80,12 +62,6 @@ impl BlockClassification {
     #[inline]
     pub fn is_boundary(&self, v: u32) -> bool {
         self.boundary.get(v as usize)
-    }
-
-    /// In-memory footprint of the classification.
-    pub fn memory_bytes(&self) -> u64 {
-        self.boundary.memory_bytes()
-            + (self.block_boundary.len() + self.block_interior.len()) as u64 * 8
     }
 }
 
@@ -256,8 +232,6 @@ mod tests {
         }
         assert_eq!(cls.boundary_total, 4);
         assert_eq!(cls.interior_total, 4);
-        assert_eq!(cls.block_boundary, vec![1, 1, 1, 1]);
-        assert_eq!(cls.block_interior, vec![1, 1, 1, 1]);
         assert_eq!(cls.boundary_total + cls.interior_total, 8);
     }
 

@@ -51,7 +51,7 @@ impl std::fmt::Debug for ResumeState {
 }
 
 /// Per-worker disk overrides: worker `i` mounts `disks[i]` instead of a
-/// private `MemVfs`/`DirVfs`. The durable service passes namespaced views
+/// private `MemVfs`. The durable service passes namespaced views
 /// (`PrefixVfs`) over its persistent VFS, so checkpoints and spill files
 /// survive a service restart under stable names.
 #[derive(Clone)]
@@ -222,10 +222,6 @@ pub struct JobConfig {
     /// the `pushM+com` variant of Appendix E. Only partial buffers can be
     /// merged, so small sending thresholds cripple the gain (Fig. 26).
     pub push_sender_combining: bool,
-    /// Back each worker's simulated disk with real files under this
-    /// directory (one subdirectory per worker) instead of memory.
-    /// Accounting is identical; this exercises the physical I/O path.
-    pub disk_root: Option<std::path::PathBuf>,
     /// Superstep-boundary checkpointing policy.
     pub checkpoint: CheckpointPolicy,
     /// Re-execution-to-overhead ratio for [`CheckpointPolicy::Adaptive`]:
@@ -234,10 +230,6 @@ pub struct JobConfig {
     pub adaptive_checkpoint_factor: f64,
     /// Deterministic fault-injection schedule, if any.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Maximum worker failures the master will recover from before
-    /// declaring the job failed (guards against endlessly re-failing
-    /// hardware; injected faults fire once regardless).
-    pub max_recoveries: u64,
     /// Log every worker's outgoing remote packets, one classified
     /// sequential write per superstep, enabling Pregel-style *confined*
     /// recovery: a failure respawns only the dead worker, which replays
@@ -262,8 +254,9 @@ pub struct JobConfig {
     /// Multi-job pacing handle (see [`StepPacer`]). `None` (the default)
     /// runs the job unpaced, exactly as before the service existed.
     pub pacer: Option<Arc<dyn StepPacer>>,
-    /// Catalog-built stores to attach instead of loading privately. When
-    /// set, `workers` must equal the stores' slot count, and the load
+    /// Catalog-built stores to attach instead of loading privately. The
+    /// job runs on their partition and layout (`vblocks_per_worker` is
+    /// not read), `workers` must equal their slot count, and the load
     /// phase performs no build I/O.
     pub shared_stores: Option<SharedStores>,
     /// Cross-job edge-extent cache. Hits skip physical reads (and their
@@ -289,9 +282,9 @@ pub struct JobConfig {
     /// of starting fresh. Requires [`JobConfig::worker_disks`] pointing at
     /// the disks the original run checkpointed to.
     pub resume: Option<ResumeState>,
-    /// Per-worker persistent disk mounts (see [`WorkerDisks`]). `None`
-    /// (the default) gives each worker a private in-memory disk, exactly
-    /// as before.
+    /// Per-worker disk mounts (see [`WorkerDisks`]): the one way to put
+    /// a job on persistent or real-file disks. `None` (the default) gives
+    /// each worker a private in-memory disk.
     pub worker_disks: Option<WorkerDisks>,
     /// Feed observed failures into [`CheckpointPolicy::Adaptive`]'s
     /// spacing: with an MTBF estimate available, the interval becomes
@@ -324,11 +317,9 @@ impl JobConfig {
             initial_mode_override: None,
             switch_threshold: 0.1,
             push_sender_combining: false,
-            disk_root: None,
             checkpoint: CheckpointPolicy::Never,
             adaptive_checkpoint_factor: 10.0,
             fault_plan: None,
-            max_recoveries: 8,
             message_logging: false,
             trace: None,
             codec: CodecChoice::None,
@@ -532,7 +523,6 @@ mod tests {
             .with_fault_plan(Arc::clone(&plan));
         assert_eq!(c.checkpoint, CheckpointPolicy::EveryK(3));
         assert_eq!(c.fault_plan.as_ref().unwrap().len(), 1);
-        assert_eq!(c.max_recoveries, 8);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * [`program`] — the decoupled computing functions of §5.2: one
 //!   [`VertexProgram`] expresses `update()` plus the shared message
 //!   generator used by both `pushRes()` and `pullRes()`.
-//! * [`modes`] — the four message-handling strategies the paper compares:
+//! * `modes` — the four message-handling strategies the paper compares:
 //!   `push` (Giraph-style spill-to-disk), `pushm` (MOCgraph-style message
 //!   online computing), `pull` (per-vertex pulling with an LRU vertex
 //!   cache, the disk-extended GraphLab analogue) and `bpull` (the paper's
@@ -22,27 +22,26 @@
 //!   `IO(E^t)`, `IO(F^t)`, `IO(V^t_rr)`, `IO(M_disk)`), network traffic,
 //!   memory usage, and modeled time under a device profile.
 //! * [`fault`] — deterministic, seedable fault injection
-//!   ([`FaultPlan`](fault::FaultPlan)) that kills chosen workers at chosen
+//!   ([`FaultPlan`]) that kills chosen workers at chosen
 //!   supersteps; paired with superstep-boundary checkpointing
-//!   ([`CheckpointPolicy`](config::CheckpointPolicy)) and the runner's
+//!   ([`CheckpointPolicy`]) and the runner's
 //!   respawn-and-rollback recovery path.
 
-pub mod bitset;
-pub mod blockexec;
+pub(crate) mod bitset;
+pub(crate) mod blockexec;
 pub mod config;
 pub mod fault;
 pub(crate) mod frontier;
 pub mod metrics;
-pub mod modes;
+pub(crate) mod modes;
 pub mod pacer;
 pub mod program;
 pub mod runner;
 pub mod shared;
 pub mod snapshot;
 pub mod switch;
-pub mod worker;
+pub(crate) mod worker;
 
-pub use blockexec::{BlockClassification, InteriorIndex};
 pub use config::{
     BarrierSink, CheckpointPolicy, JobConfig, Mode, ModeLabel, ProgressSink, ResumeState,
     WorkerDisks,

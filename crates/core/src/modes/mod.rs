@@ -260,7 +260,7 @@ pub(crate) fn init_updates<P: VertexProgram>(
 /// A hand-built worker for the executors' unit tests.
 #[cfg(test)]
 pub(crate) mod testkit {
-    use crate::config::{JobConfig, Mode};
+    use crate::config::JobConfig;
     use crate::program::{GraphInfo, Update, VertexProgram};
     use crate::worker::{Worker, WorkerSeed};
     use hybridgraph_graph::{gen, BlockLayout, Edge, Partition, VertexId, WorkerId};
@@ -301,7 +301,6 @@ pub(crate) mod testkit {
     /// the fabric, for tests that play the peer.
     pub(crate) fn worker(cfg: JobConfig) -> (Worker<Sum>, Endpoint) {
         let g = gen::uniform(40, 200, 3);
-        let reverse = (cfg.mode == Mode::Pull).then(|| g.reverse());
         let partition = Arc::new(Partition::range(40, 2));
         let layout = Arc::new(BlockLayout::uniform(&partition, 2));
         let (mut eps, _) = Fabric::mesh(2);
@@ -309,7 +308,6 @@ pub(crate) mod testkit {
             id: WorkerId(1),
             program: Arc::new(Sum),
             graph: &g,
-            reverse: reverse.as_ref(),
             partition,
             layout,
             cfg,

@@ -31,8 +31,8 @@
 //! dead worker replays from the last checkpoint, fed from the survivors'
 //! message logs) or *globally* (every worker rolls back and the cursor
 //! rewinds to the cut), or returns [`JobError::WorkerFailed`] when there
-//! is no usable cut, the endpoint is lost, or
-//! [`JobConfig::max_recoveries`] is spent. A durable restart is the same
+//! is no usable cut, the endpoint is lost, or the recovery budget (eight
+//! respawns per job) is spent. A durable restart is the same
 //! global rollback with the cursor decoded from the committed bytes.
 //! DESIGN.md § Fault tolerance has the protocol in full.
 
@@ -51,7 +51,7 @@ use crate::switch::{q_metric, CostInputs, Switcher};
 use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Graph, Partition};
 use hybridgraph_net::fabric::{Fabric, NetSnapshot};
 use hybridgraph_storage::frame;
-use hybridgraph_storage::vfs::{DirVfs, MemVfs, Vfs};
+use hybridgraph_storage::vfs::{MemVfs, Vfs};
 use hybridgraph_storage::{IoSnapshot, Record};
 use std::fmt;
 use std::io;
@@ -116,12 +116,13 @@ pub enum JobError {
         /// The kill point that fired.
         point: MasterKillPoint,
     },
-    /// An I/O error outside any worker (e.g. creating the disk roots).
+    /// An I/O error outside any worker (e.g. a resume state that does not
+    /// decode).
     Io(io::Error),
     /// The configuration cannot run: no workers, an empty graph, `PushM`
     /// without a combiner, or a worker count that disagrees with the
-    /// mounted disks, the trace sink or the resume state. Detected
-    /// before any worker starts.
+    /// mounted disks, the attached stores, the trace sink or the resume
+    /// state. Detected before any worker starts.
     InvalidConfig(String),
 }
 
@@ -232,6 +233,10 @@ fn validate<P: VertexProgram>(
             "worker_disks count must match workers",
         ),
         (
+            cfg.shared_stores.as_ref().is_none_or(|s| s.workers() == t),
+            "shared_stores were built for a different worker count",
+        ),
+        (
             cfg.trace.as_ref().is_none_or(|s| s.num_workers() == t),
             "TraceSink was built for a different worker count",
         ),
@@ -271,16 +276,24 @@ pub fn run_job<P: VertexProgram>(
     let t = cfg.workers;
     let combinable = program.combiner().is_some() && cfg.combining;
 
-    let partition = Arc::new(Partition::range(graph.num_vertices(), t));
-    let counts = match cfg.vblocks_per_worker {
-        Some(k) => vec![k.max(1); t],
-        None if cfg.memory_limited() => {
-            vblock_counts(graph, &partition, cfg.buffer_messages, combinable)
+    // Attached stores bring the layout they were built for; a private
+    // job takes `vblocks_per_worker`, else Eq. 5 / Eq. 6 under limited
+    // memory, else one Vblock per worker.
+    let (partition, layout) = match &cfg.shared_stores {
+        Some(s) => (Arc::clone(&s.partition), Arc::clone(&s.layout)),
+        None => {
+            let partition = Partition::range(graph.num_vertices(), t);
+            let counts = match cfg.vblocks_per_worker {
+                Some(k) => vec![k.max(1); t],
+                None if cfg.memory_limited() => {
+                    vblock_counts(graph, &partition, cfg.buffer_messages, combinable)
+                }
+                None => vec![1; t],
+            };
+            let layout = BlockLayout::new(&partition, &counts);
+            (Arc::new(partition), Arc::new(layout))
         }
-        None => vec![1; t],
     };
-    let layout = Arc::new(BlockLayout::new(&partition, &counts));
-    let reverse = matches!(cfg.mode, Mode::Pull).then(|| graph.reverse());
     let classification = matches!(cfg.mode, Mode::Async).then(|| {
         Arc::new(crate::blockexec::BlockClassification::classify(
             graph, &layout,
@@ -288,14 +301,7 @@ pub fn run_job<P: VertexProgram>(
     });
     let vfss: Vec<Arc<dyn Vfs>> = match &cfg.worker_disks {
         Some(d) => d.0.clone(),
-        None => (0..t)
-            .map(|i| -> io::Result<Arc<dyn Vfs>> {
-                Ok(match &cfg.disk_root {
-                    Some(root) => Arc::new(DirVfs::new(root.join(format!("w{i}")))?),
-                    None => Arc::new(MemVfs::new()),
-                })
-            })
-            .collect::<io::Result<_>>()?,
+        None => (0..t).map(|_| Arc::new(MemVfs::new()) as _).collect(),
     };
 
     let (endpoints, net_stats, control) = Fabric::mesh_with_control(t);
@@ -326,7 +332,6 @@ pub fn run_job<P: VertexProgram>(
             scope,
             program: &program,
             graph,
-            reverse: reverse.as_ref(),
             partition,
             layout,
             classification,

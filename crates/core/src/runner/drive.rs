@@ -54,8 +54,6 @@ pub(super) struct Run<'s, 'e, P: VertexProgram> {
     pub scope: &'s Scope<'s, 'e>,
     pub program: &'e Arc<P>,
     pub graph: &'e Graph,
-    /// Reverse graph (pull mode's mirror discovery), if required.
-    pub reverse: Option<&'e Graph>,
     pub partition: Arc<Partition>,
     pub layout: Arc<BlockLayout>,
     /// Async jobs classify every vertex boundary/interior against the
@@ -138,7 +136,6 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
             id: WorkerId::from(i),
             program: Arc::clone(self.program),
             graph: self.graph,
-            reverse: self.reverse,
             partition: Arc::clone(&self.partition),
             layout: Arc::clone(&self.layout),
             cfg: self.agg.cfg.clone(),

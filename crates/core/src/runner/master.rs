@@ -89,6 +89,10 @@ pub(super) fn transition_kind(from: Mode, to: Mode) -> Option<Option<StepKind>> 
     }
 }
 
+/// Worker failures a job recovers from before it fails: a guard against
+/// endlessly re-failing hardware (an injected fault fires once anyway).
+const MAX_RECOVERIES: u64 = 8;
+
 /// The master: job constants plus the cursor.
 pub(super) struct Master<'a> {
     cfg: &'a JobConfig,
@@ -199,11 +203,11 @@ impl<'a> Master<'a> {
 
     /// True if the master may respawn `f`'s worker once `earlier` other
     /// respawns of the same round are paid for: checkpointing is on, the
-    /// endpoint came back, and the recovery budget is not spent.
+    /// endpoint came back, and [`MAX_RECOVERIES`] is not spent.
     pub fn respawnable(&self, f: &Failure, earlier: u64) -> bool {
         self.cfg.checkpoint != CheckpointPolicy::Never
             && f.endpoint.is_some()
-            && self.st.recoveries_used + earlier < self.cfg.max_recoveries
+            && self.st.recoveries_used + earlier < MAX_RECOVERIES
     }
 
     /// The recovery plan for the (non-empty) `failures` of superstep `s`,
@@ -596,9 +600,9 @@ mod tests {
         ));
         let lost_second = [death(0, true), death(2, false)];
         assert!(is_fatal(m.plan_recovery(4, &lost_second, |_, _| true), 2));
-        m.st.recoveries_used = c.max_recoveries - 1;
+        m.st.recoveries_used = MAX_RECOVERIES - 1;
         assert!(is_fatal(m.plan_recovery(4, &two, |_, _| true), 2));
-        m.st.recoveries_used = c.max_recoveries;
+        m.st.recoveries_used = MAX_RECOVERIES;
         assert!(is_fatal(m.plan_recovery(4, &one, |_, _| true), 1));
         let never = cfg(Mode::Push).with_checkpoint(CheckpointPolicy::Never);
         let mut m = started(&never, Mode::Push);

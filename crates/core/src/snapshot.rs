@@ -158,7 +158,7 @@ pub struct MasterState {
     pub cur: Mode,
     /// Pending transition step, if a switch was decided at this barrier.
     pub pending_kind: Option<StepKind>,
-    /// Recoveries consumed so far (counts against `max_recoveries`).
+    /// Recoveries consumed so far (counts against the master's `MAX_RECOVERIES`).
     pub recoveries_used: u64,
     /// Cumulative logical bytes (budget enforcement cursor).
     pub cum_logical: u64,

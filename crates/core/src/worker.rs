@@ -14,6 +14,7 @@ use crate::frontier::Frontier;
 use crate::metrics::{StepKind, StepReport};
 use crate::modes::bpull::Responder;
 use crate::program::{GraphInfo, VertexProgram};
+use crate::shared::EdgeStores;
 use hybridgraph_graph::{BlockLayout, Edge, Graph, Partition, VertexId, WorkerId};
 use hybridgraph_net::fabric::{Endpoint, Envelope};
 use hybridgraph_net::packet::Packet;
@@ -41,16 +42,10 @@ use std::time::Instant;
 pub struct WorkerLoadReport {
     /// Total loading wall seconds.
     pub wall_secs: f64,
-    /// Wall seconds building the adjacency store.
-    pub adj_secs: f64,
-    /// Wall seconds building the VE-BLOCK store.
-    pub veblock_secs: f64,
     /// I/O performed during loading.
     pub io: IoSnapshot,
     /// VE-BLOCK fragments on this worker.
     pub fragments: u64,
-    /// Vblocks on this worker.
-    pub vblocks: usize,
 }
 
 /// MOCgraph-style online-computing state: hot vertices accumulate their
@@ -103,8 +98,6 @@ pub struct WorkerSeed<'g, P: VertexProgram> {
     pub program: Arc<P>,
     /// The global input graph.
     pub graph: &'g Graph,
-    /// Reverse graph (pull mode's mirror discovery), if required.
-    pub reverse: Option<&'g Graph>,
     /// The cluster-wide partition.
     pub partition: Arc<Partition>,
     /// The cluster-wide Vblock layout.
@@ -125,8 +118,10 @@ pub struct WorkerSeed<'g, P: VertexProgram> {
 /// recovery — no checkpoint reload, which is the whole point of
 /// confinement (Pregel §4.2).
 ///
-/// The two frontiers' `cur` words and the online accumulators are copied
-/// eagerly (they are small) into the previous capture's buffers;
+/// Only the modes `plan_recovery` confines (push, b-pull, hybrid) ever
+/// apply a capture, so it holds what they change: the responding
+/// frontier's `cur` words, copied eagerly (they are small) into the
+/// previous capture's buffers;
 /// vertex-value pre-images are captured lazily by the executors at the
 /// moment they read a value block anyway
 /// ([`Worker::note_value_preimage`]), so the capture adds **zero** extra
@@ -135,8 +130,6 @@ pub struct WorkerSeed<'g, P: VertexProgram> {
 /// drained the spill, so there is no tail to cut back to.
 pub struct StepUndo<P: VertexProgram> {
     respond: BitSet,
-    signaled: BitSet,
-    hot_acc: Option<Vec<Option<P::Message>>>,
     /// Pending spill-buffer records (`dst | message`, as buffered).
     spill_pending: Option<Vec<u8>>,
     value_blocks: Vec<(u32, Vec<P::Value>)>,
@@ -267,7 +260,6 @@ impl<P: VertexProgram> Worker<P> {
             id,
             program,
             graph,
-            reverse,
             partition,
             layout,
             cfg,
@@ -290,91 +282,28 @@ impl<P: VertexProgram> Worker<P> {
             .collect();
         let values = ValueStore::create(vfs.as_ref(), "values", range.start, &init)?;
 
-        // pull's scatter phase reads out-edges to signal destinations.
-        // Async jobs can switch into push *and* b-pull supersteps, so
-        // they build both stores, like Hybrid.
-        let needs_adj = matches!(
-            cfg.mode,
-            Mode::Push | Mode::PushM | Mode::Hybrid | Mode::Pull | Mode::Async
-        );
-        let needs_ve = matches!(cfg.mode, Mode::BPull | Mode::Hybrid | Mode::Async);
-        let needs_gather = matches!(cfg.mode, Mode::Pull);
-
-        let mut report = WorkerLoadReport::default();
-
-        // Catalog-registered graphs: attach stats-rebinding views of the
-        // prebuilt shared stores instead of building privately. Every byte
-        // the views read is charged to *this job's* per-worker `IoStats`.
-        let shared = cfg.shared_stores.clone();
-
-        let adjacency = if needs_adj {
-            let t = Instant::now();
-            let s = match &shared {
-                Some(sh) => sh.adjacency[id.index()].share_view(Arc::clone(vfs.stats())),
-                None => AdjacencyStore::build_with(
-                    vfs.as_ref(),
-                    "adj",
-                    graph,
-                    range.clone(),
-                    cfg.codec,
-                )?,
-            };
-            report.adj_secs = t.elapsed().as_secs_f64();
-            Some(s)
-        } else {
-            None
-        };
-
-        let veblock = if needs_ve {
-            let t = Instant::now();
-            let s = match &shared {
-                Some(sh) => sh.veblock[id.index()].share_view(Arc::clone(vfs.stats())),
-                None => VeBlockStore::build_with(vfs.as_ref(), graph, &layout, id, cfg.codec)?,
-            };
-            report.veblock_secs = t.elapsed().as_secs_f64();
-            report.fragments = s.total_fragments();
-            report.vblocks = s.local_blocks();
-            Some(s)
-        } else {
-            report.vblocks = layout.worker_block_count(id);
-            None
-        };
-
-        let gather = if needs_gather {
-            Some(match &shared {
-                Some(sh) => sh.gather[id.index()].share_view(Arc::clone(vfs.stats())),
-                None => GatherStore::build_with(
-                    vfs.as_ref(),
-                    "gather",
-                    graph,
-                    range.clone(),
-                    cfg.codec,
-                )?,
-            })
-        } else {
-            None
-        };
+        let stores = EdgeStores::for_job(&cfg, vfs.as_ref(), graph, &partition, &layout, id)?;
+        let fragments = stores
+            .veblock
+            .as_ref()
+            .map_or(0, VeBlockStore::total_fragments);
 
         let out_degrees: Vec<u32> = range
             .clone()
             .map(|v| graph.out_degree(VertexId(v)) as u32)
             .collect();
 
-        let mirror_peers = if needs_gather {
-            let rev = reverse.expect("pull mode requires the reverse graph");
-            range
-                .clone()
-                .map(|v| {
-                    let mut mask = 0u64;
-                    for e in rev.out_edges(VertexId(v)) {
-                        mask |= 1 << partition.worker_of(e.dst).index();
-                    }
-                    mask
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // Pull: the workers hosting in-edges of each local vertex.
+        let mut mirror_peers = Vec::new();
+        if cfg.mode == Mode::Pull {
+            mirror_peers = vec![0u64; n_local];
+            for (src, e) in graph.edges() {
+                if range.contains(&e.dst.0) {
+                    let mask = &mut mirror_peers[(e.dst.0 - range.start) as usize];
+                    *mask |= 1 << partition.worker_of(src).index();
+                }
+            }
+        }
 
         let spill = matches!(
             cfg.mode,
@@ -389,7 +318,7 @@ impl<P: VertexProgram> Worker<P> {
             HotSet::new(&local_ind, cfg.buffer_messages.min(n_local))
         });
 
-        let lru = needs_gather.then(|| Self::new_value_lru(&cfg));
+        let lru = (cfg.mode == Mode::Pull).then(|| Self::new_value_lru(&cfg));
 
         let (cls, interior) = if matches!(cfg.mode, Mode::Async) {
             let c = classification.expect("Async mode requires the block classification");
@@ -399,8 +328,11 @@ impl<P: VertexProgram> Worker<P> {
             (None, None)
         };
 
-        report.wall_secs = t0.elapsed().as_secs_f64();
-        report.io = vfs.stats().snapshot();
+        let report = WorkerLoadReport {
+            wall_secs: t0.elapsed().as_secs_f64(),
+            io: vfs.stats().snapshot(),
+            fragments,
+        };
 
         let base = range.start as usize;
         let blocks = layout.blocks_of_worker(id).map(|b| {
@@ -420,9 +352,9 @@ impl<P: VertexProgram> Worker<P> {
             vfs,
             range,
             values,
-            adjacency,
-            veblock,
-            gather,
+            adjacency: stores.adjacency,
+            veblock: stores.veblock,
+            gather: stores.gather,
             out_degrees,
             mirror_peers,
             respond,
@@ -896,17 +828,10 @@ impl<P: VertexProgram> Worker<P> {
         // vectors are as long as the local range.
         let u = self.undo.get_or_insert_with(|| StepUndo {
             respond: BitSet::default(),
-            signaled: BitSet::default(),
-            hot_acc: None,
             spill_pending: None,
             value_blocks: Vec::new(),
         });
         self.respond.capture_into(&mut u.respond);
-        self.signaled.capture_into(&mut u.signaled);
-        match (&self.hotset, &mut u.hot_acc) {
-            (Some(h), Some(acc)) => acc.clone_from(&h.acc),
-            (h, acc) => *acc = h.as_ref().map(|h| h.acc.clone()),
-        }
         u.spill_pending = spill_pending;
         u.value_blocks.clear();
         Ok(())
@@ -926,8 +851,8 @@ impl<P: VertexProgram> Worker<P> {
     }
 
     /// Reverts exactly the last captured superstep: value-block
-    /// pre-images, pending spilled messages, online accumulators, and
-    /// both frontiers. Consumes the capture. Returns `true` if a
+    /// pre-images, pending spilled messages and the responding frontier.
+    /// Consumes the capture. Returns `true` if a
     /// capture existed (i.e. the undo actually happened).
     pub fn apply_undo(&mut self) -> io::Result<bool> {
         let Some(u) = self.undo.take() else {
@@ -940,11 +865,7 @@ impl<P: VertexProgram> Worker<P> {
         if let (Some(s), Some(records)) = (&mut self.spill, u.spill_pending) {
             s.restore_pending(&records)?;
         }
-        if let (Some(h), Some(acc)) = (&mut self.hotset, u.hot_acc) {
-            h.acc = acc;
-        }
         self.respond.restore_from(u.respond);
-        self.signaled.restore_from(u.signaled);
         self.staged.clear();
         Ok(true)
     }

@@ -2,7 +2,7 @@
 //!
 //! One client owns one [`Conn`] and issues requests in order; every
 //! engine-side failure comes back as a typed
-//! [`RemoteError`](crate::proto::RemoteError) whose `(domain, code)`
+//! [`RemoteError`] whose `(domain, code)`
 //! pair round-trips the server's `AdmissionError` / `JobError` /
 //! `CatalogError` codes — match on those, never on message strings.
 

@@ -3,8 +3,8 @@
 //! The paper models a graph as a directed `G = (V, E)` with adjacency lists
 //! of out-edges per source vertex (§3). [`Graph`] is the canonical in-memory
 //! form every other component is built from: the push-side adjacency store,
-//! the VE-BLOCK layout, and the reverse graph needed by the per-vertex pull
-//! baseline are all derived from it.
+//! the VE-BLOCK layout and the per-vertex pull baseline's gather store are
+//! all derived from it.
 
 use crate::edge::Edge;
 use crate::ids::VertexId;
@@ -109,43 +109,6 @@ impl Graph {
         }
         ind
     }
-
-    /// The reverse graph: an edge `(u, v, w)` becomes `(v, u, w)`.
-    ///
-    /// The per-vertex pull baseline gathers along in-edges, so it needs the
-    /// transpose; push, b-pull and hybrid only ever use out-edges.
-    pub fn reverse(&self) -> Graph {
-        let n = self.num_vertices();
-        let mut counts = vec![0u64; n + 1];
-        for e in &self.edges {
-            counts[e.dst.index() + 1] += 1;
-        }
-        for i in 1..=n {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut redges = vec![Edge::default(); self.edges.len()];
-        for (src, e) in self.edges() {
-            let slot = cursor[e.dst.index()];
-            redges[slot as usize] = Edge::weighted(src, e.weight);
-            cursor[e.dst.index()] += 1;
-        }
-        // Sort each row by destination for determinism.
-        let mut g = Graph {
-            offsets,
-            edges: redges,
-        };
-        g.sort_rows();
-        g
-    }
-
-    fn sort_rows(&mut self) {
-        for v in 0..self.num_vertices() {
-            let (s, e) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
-            self.edges[s..e].sort_by_key(|e| e.dst);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,34 +147,11 @@ mod tests {
     }
 
     #[test]
-    fn reverse_transposes() {
-        let g = diamond();
-        let r = g.reverse();
-        assert_eq!(r.num_edges(), 4);
-        assert_eq!(r.out_degree(VertexId(3)), 2);
-        let back: Vec<_> = r.out_edges(VertexId(3)).iter().map(|e| e.dst).collect();
-        assert_eq!(back, vec![VertexId(1), VertexId(2)]);
-        // Double reverse is identity (rows re-sorted).
-        assert_eq!(r.reverse().num_edges(), g.num_edges());
-        assert_eq!(r.reverse().in_degrees(), g.in_degrees());
-    }
-
-    #[test]
-    fn reverse_preserves_weights() {
-        let g = Graph::from_parts(vec![0, 1, 1], vec![Edge::weighted(VertexId(1), 2.5)]);
-        let r = g.reverse();
-        assert_eq!(
-            r.out_edges(VertexId(1)),
-            &[Edge::weighted(VertexId(0), 2.5)]
-        );
-    }
-
-    #[test]
     fn empty_graph() {
         let g = Graph::empty(3);
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.reverse().num_vertices(), 3);
+        assert_eq!(g.in_degrees(), vec![0; 3]);
     }
 
     #[test]

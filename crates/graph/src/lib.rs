@@ -3,7 +3,7 @@
 //! This crate provides the data-model layer under the HybridGraph engine:
 //!
 //! * compact identifiers ([`VertexId`], [`BlockId`], [`WorkerId`]),
-//! * an immutable CSR [`Graph`] with forward and reverse adjacency,
+//! * an immutable CSR [`Graph`] of out-edges with degree queries,
 //! * synthetic graph [`gen`]erators and a [`catalog`] of scaled stand-ins
 //!   for the six real-world graphs evaluated in the paper (Table 4),
 //! * the range [`partition`]er and Vblock layout used by VE-BLOCK

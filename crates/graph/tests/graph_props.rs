@@ -87,31 +87,6 @@ fn eq5_monotone_in_buffer() {
     }
 }
 
-/// reverse(reverse(g)) has identical adjacency to g.
-#[test]
-fn reverse_is_involution() {
-    let mut r = SplitMix64::new(0x12EF);
-    for case in 0..48 {
-        let n = r.range_usize(2, 80);
-        let m = r.range_usize(0, 400);
-        let seed = r.next_u64() % 1000;
-        let g = if m == 0 {
-            hybridgraph_graph::Graph::empty(n)
-        } else {
-            gen::uniform(n, m, seed)
-        };
-        let back = g.reverse().reverse();
-        assert_eq!(g.num_edges(), back.num_edges(), "case {case}");
-        for v in g.vertices() {
-            let mut a: Vec<u32> = g.out_edges(v).iter().map(|e| e.dst.0).collect();
-            let mut b: Vec<u32> = back.out_edges(v).iter().map(|e| e.dst.0).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "case {case}");
-        }
-    }
-}
-
 /// The graph blob round-trips arbitrary random graphs.
 #[test]
 fn binary_io_roundtrip() {

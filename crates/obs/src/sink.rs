@@ -258,7 +258,7 @@ impl TraceSink {
 
 // ------------------------------------------------------- shard snapshots
 
-/// One shard's volatile state, snapshotted by [`TraceShard::export_state`].
+/// One shard's volatile state, snapshotted by `TraceShard::export_state`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardState {
     /// Buffered events in insertion order.

@@ -1,9 +1,10 @@
 //! The resident-graph catalog: load once, attach many.
 //!
 //! A registered graph is partitioned, laid out and written to its three
-//! on-disk stores exactly once (per worker slot, on catalog-owned
-//! in-memory disks). Jobs attach cheap stats-rebinding views
-//! ([`SharedStores`]) instead of rebuilding — the I/O of registration is
+//! on-disk stores exactly once, by the engine's own build path
+//! ([`SharedStores::build`], per worker slot, on in-memory disks). Jobs
+//! run on that layout and attach cheap stats-rebinding views instead of
+//! rebuilding — the I/O of registration is
 //! paid once, while every byte a job later *reads* through a view is
 //! charged to that job's own per-worker `IoStats`.
 //!
@@ -11,12 +12,8 @@
 //! [`Catalog::evict`] refuses while any job still holds a pin.
 
 use hybridgraph_core::SharedStores;
-use hybridgraph_graph::{BlockLayout, Graph, Partition, WorkerId};
-use hybridgraph_storage::adjacency::AdjacencyStore;
+use hybridgraph_graph::Graph;
 use hybridgraph_storage::frame::AsU32;
-use hybridgraph_storage::gather::GatherStore;
-use hybridgraph_storage::veblock::VeBlockStore;
-use hybridgraph_storage::vfs::MemVfs;
 use hybridgraph_storage::{record, CodecChoice};
 use std::collections::HashMap;
 use std::fmt;
@@ -200,9 +197,8 @@ impl Catalog {
         }
     }
 
-    /// Registers `graph` under `name`, building all three store kinds for
-    /// every worker slot (push needs adjacency, b-pull VE-BLOCK, pull
-    /// gather — a job of any mode can attach). Returns the graph id.
+    /// Registers `graph` under `name`, building every store kind for every
+    /// worker slot ([`SharedStores::build`]). Returns the graph id.
     pub fn register(
         &mut self,
         name: &str,
@@ -236,7 +232,13 @@ impl Catalog {
         if self.graphs.contains_key(name) {
             return Err(CatalogError::NameTaken(name.to_string()));
         }
-        let stores = build_stores(id, &graph, &spec)?;
+        let stores = SharedStores::build(
+            id,
+            &graph,
+            spec.workers,
+            spec.vblocks_per_worker,
+            spec.codec,
+        )?;
         self.next_id = self.next_id.max(id.saturating_add(1));
         self.graphs.insert(
             name.to_string(),
@@ -302,48 +304,6 @@ impl Catalog {
     }
 }
 
-/// Builds all three stores for every worker slot of `graph` under `spec`.
-/// Each slot gets its own in-memory disk; the files' backing buffers are
-/// Arc-shared into the returned views, so the catalog need not keep the
-/// build-time VFS around.
-fn build_stores(id: u32, graph: &Graph, spec: &GraphSpec) -> Result<SharedStores, CatalogError> {
-    let partition = Partition::range(graph.num_vertices(), spec.workers);
-    let counts = vec![spec.vblocks_per_worker.max(1); spec.workers];
-    let layout = BlockLayout::new(&partition, &counts);
-
-    let mut adjacency = Vec::with_capacity(spec.workers);
-    let mut veblock = Vec::with_capacity(spec.workers);
-    let mut gather = Vec::with_capacity(spec.workers);
-    for w in 0..spec.workers {
-        let id_w = WorkerId::from(w);
-        let range = partition.worker_range(id_w);
-        let vfs = MemVfs::new();
-        adjacency.push(Arc::new(AdjacencyStore::build_with(
-            &vfs,
-            "adj",
-            graph,
-            range.clone(),
-            spec.codec,
-        )?));
-        veblock.push(Arc::new(VeBlockStore::build_with(
-            &vfs, graph, &layout, id_w, spec.codec,
-        )?));
-        gather.push(Arc::new(GatherStore::build_with(
-            &vfs,
-            "gather",
-            graph,
-            range.clone(),
-            spec.codec,
-        )?));
-    }
-    Ok(SharedStores {
-        graph_id: id,
-        adjacency,
-        veblock,
-        gather,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,8 +338,7 @@ mod tests {
             .unwrap();
         let reg = c.get("g").unwrap();
         assert_eq!(reg.stores.workers(), 3);
-        assert_eq!(reg.stores.veblock.len(), 3);
-        assert_eq!(reg.stores.gather.len(), 3);
+        assert_eq!(reg.stores.layout.num_blocks(), 6);
         assert_eq!(reg.pins(), 0);
     }
 }

@@ -17,7 +17,7 @@
 //!   differences between threads change nothing.
 //! * The grant goes to the active lane with the smallest **virtual time**
 //!   (sum of released modeled seconds); ties break by a per-lane
-//!   [`splitmix64`] value derived from the seed, then by lane index.
+//!   `splitmix64` value derived from the seed, then by lane index.
 //!   Virtual-time round-robin keeps cheap jobs from starving behind
 //!   expensive ones while staying replayable.
 //!

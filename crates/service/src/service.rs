@@ -102,10 +102,10 @@ impl Default for ServiceConfig {
 
 /// A job submission: which registered graph, under what configuration.
 ///
-/// The service overrides the layout-determining fields (`workers`,
-/// `codec`, `vblocks_per_worker`) with the graph's registered spec — the
-/// shared stores are sliced for exactly that layout — and installs the
-/// shared cache, the pacer, and the clamped budgets.
+/// The job runs on the partition and Vblock layout the graph's stores
+/// were built for (its own `vblocks_per_worker` is not read), with the
+/// registered `workers` and `codec`; the service installs the shared
+/// cache, the pacer, and the clamped budgets.
 pub struct JobRequest {
     /// Name of the registered graph to run over.
     pub graph: String,
@@ -722,14 +722,14 @@ impl GraphService {
         )?;
         let mem_budget = clamp_budget("memory", cfg.memory_budget, inner.cfg.max_job_memory)?;
 
-        // Effective configuration: layout fields come from the registered
-        // spec (with_shared_stores pins the worker count), the shared
-        // cache and clamped budgets are installed, the pacer at launch.
+        // Effective configuration: the stores bring their worker count
+        // and layout, the codec comes from the registered spec, the
+        // shared cache and clamped budgets are installed, the pacer at
+        // launch.
         let mut cfg = cfg
             .with_shared_stores(stores)
             .with_shared_cache(Arc::clone(&inner.cache))
             .with_codec(spec.codec);
-        cfg.vblocks_per_worker = Some(spec.vblocks_per_worker);
         cfg.logical_io_budget = io_budget;
         cfg.memory_budget = mem_budget;
 

@@ -13,7 +13,7 @@
 //!   elapsed-time computation,
 //! * [`vfs`] — a minimal virtual file system (in-memory and real-directory
 //!   backends) through which every store routes its bytes,
-//! * [`record`] — fixed-size value/message serialization,
+//! * [`record`](mod@record) — fixed-size value/message serialization,
 //! * [`value_store`] — the per-worker vertex-value segment,
 //! * [`extent`] — the one extent file (writer, Elias-Fano directory,
 //!   per-extent coded read, fragment-stream parser) under the three

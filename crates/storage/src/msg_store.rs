@@ -58,7 +58,7 @@ impl<M: Record> SpillBuffer<M> {
     }
 
     /// Like [`SpillBuffer::new`], but spilled messages are framed into
-    /// coded chunks of [`SPILL_CHUNK_MSGS`] when `codec` is active.
+    /// coded chunks of `SPILL_CHUNK_MSGS` when `codec` is active.
     pub fn with_codec(
         vfs: &dyn Vfs,
         name: &str,
@@ -115,7 +115,7 @@ impl<M: Record> SpillBuffer<M> {
     /// while the buffer has room; the rest of the run spills as **one**
     /// write that is still accounted as one scattered write per message
     /// (Eq. 11's `IO(M_disk)/s_rw`), or — under a codec — fills chunks of
-    /// [`SPILL_CHUNK_MSGS`] exactly as message-by-message arrival would.
+    /// `SPILL_CHUNK_MSGS` exactly as message-by-message arrival would.
     /// A run that is not a whole number of records is `InvalidData`.
     pub fn push_encoded(&mut self, run: &[u8]) -> io::Result<()> {
         let width = Self::message_bytes() as usize;

@@ -4,7 +4,7 @@
 //! classes. The engine snapshots the counters around each superstep to
 //! obtain the per-superstep I/O quantities the paper's cost model needs
 //! (Eqs. 7, 8 and 11), and converts byte totals to *modeled seconds* with a
-//! [`DeviceProfile`](crate::profile::DeviceProfile).
+//! [`DeviceProfile`].
 
 use crate::profile::DeviceProfile;
 use hybridgraph_codec::record;

@@ -300,11 +300,6 @@ impl VeBlockStore {
         (t.stored_edge, t.stored_aux)
     }
 
-    /// Number of local blocks.
-    pub fn local_blocks(&self) -> usize {
-        self.meta.len()
-    }
-
     #[inline]
     fn local_of(&self, b: BlockId) -> usize {
         let j = (b.0 - self.first_block) as usize;
@@ -691,7 +686,6 @@ mod tests {
         for codec in [CodecChoice::None, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(17), codec).unwrap();
-            assert_eq!(s.local_blocks(), 0);
             assert_eq!(s.total_fragments(), 0);
             assert_eq!((s.total_stored_bytes(), s.index_memory_bytes()), (0, 0));
             // The one-vertex workers still hold every edge between them.

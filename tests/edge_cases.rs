@@ -174,3 +174,28 @@ fn unrunnable_configurations_are_typed_errors() {
     let res = run_job(Arc::new(Lpa::new(3)), &g, JobConfig::new(Mode::PushM, 2));
     assert!(matches!(res, Err(JobError::InvalidConfig(_))));
 }
+
+/// Stores attached for another slot count are refused before any worker
+/// starts: with more workers than slots a worker would index past the
+/// stores, with fewer the workers would read stores cut for another
+/// partition.
+#[test]
+fn shared_stores_for_another_worker_count_are_invalid() {
+    use hybridgraph::core::SharedStores;
+
+    let g = gen::uniform(60, 300, 4);
+    let stores = SharedStores::build(0, &g, 3, 1, CodecChoice::None).unwrap();
+    for workers in [2, 4] {
+        let mut cfg = JobConfig::new(Mode::Push, workers);
+        cfg.shared_stores = Some(stores.clone());
+        match run_job(Arc::new(PageRank::new(3)), &g, cfg) {
+            Err(e @ JobError::InvalidConfig(_)) => {
+                assert!(e.to_string().contains("shared_stores"), "{e}")
+            }
+            other => panic!(
+                "{workers} workers: expected InvalidConfig, got {:?}",
+                other.err()
+            ),
+        }
+    }
+}

@@ -618,23 +618,23 @@ fn seeded_stress_survives_kills_and_lossy_wire() {
     assert_byte_parity(&clean.metrics, &faulted.metrics, &format!("seed {seed}"));
 }
 
-/// Exhausting the recovery budget turns the next failure into a typed
-/// job error rather than an endless respawn loop.
+/// Exhausting the recovery budget (eight respawns per job) turns the
+/// next failure into a typed job error rather than an endless respawn
+/// loop: eight kills are recovered, the ninth ends the job.
 #[test]
 fn recovery_budget_is_enforced() {
     let g = pagerank_graph();
-    let plan = Arc::new(FaultPlan::new().kill(0, 2, FaultPhase::Compute).kill(
-        1,
-        3,
-        FaultPhase::Compute,
-    ));
-    let mut cfg = JobConfig::new(Mode::BPull, 3)
+    let plan = (1..=9u64).fold(FaultPlan::new(), |p, s| {
+        p.kill(s as usize % 3, s, FaultPhase::Compute)
+    });
+    let cfg = JobConfig::new(Mode::BPull, 3)
         .with_buffer(128)
         .with_checkpoint(CheckpointPolicy::EveryK(1))
-        .with_fault_plan(plan);
-    cfg.max_recoveries = 1;
-    match run_job(Arc::new(PageRank::new(10)), &g, cfg) {
-        Err(JobError::WorkerFailed { worker, .. }) => assert_eq!(worker, 1),
+        .with_fault_plan(Arc::new(plan));
+    match run_job(Arc::new(PageRank::new(12)), &g, cfg) {
+        Err(JobError::WorkerFailed {
+            worker, superstep, ..
+        }) => assert_eq!((worker, superstep), (0, 9)),
         other => panic!(
             "expected the second failure to exhaust the budget, got {:?}",
             other.map(|r| r.values.len())

@@ -3,8 +3,17 @@
 //! in-memory backend.
 
 use hybridgraph::prelude::*;
+use hybridgraph_core::WorkerDisks;
 use hybridgraph_graph::gen;
+use hybridgraph_storage::DirVfs;
+use std::path::Path;
 use std::sync::Arc;
+
+/// One real-file disk per worker, under `root/w{i}`.
+fn dir_disks(root: &Path, workers: usize) -> WorkerDisks {
+    let disk = |i| Arc::new(DirVfs::new(root.join(format!("w{i}"))).unwrap()) as Arc<dyn Vfs>;
+    WorkerDisks((0..workers).map(disk).collect())
+}
 
 #[test]
 fn dir_vfs_matches_mem_vfs() {
@@ -12,8 +21,7 @@ fn dir_vfs_matches_mem_vfs() {
     let root = std::env::temp_dir().join(format!("hygraph-disk-{}", std::process::id()));
     for mode in [Mode::Push, Mode::BPull, Mode::Hybrid] {
         let mem_cfg = JobConfig::new(mode, 3).with_buffer(64);
-        let mut disk_cfg = mem_cfg.clone();
-        disk_cfg.disk_root = Some(root.clone());
+        let disk_cfg = mem_cfg.clone().with_worker_disks(dir_disks(&root, 3));
 
         let mem = hybridgraph_core::run_job(Arc::new(PageRank::new(5)), &g, mem_cfg).unwrap();
         let disk = hybridgraph_core::run_job(Arc::new(PageRank::new(5)), &g, disk_cfg).unwrap();
@@ -43,8 +51,9 @@ fn dir_vfs_matches_mem_vfs() {
 fn sssp_on_real_disk() {
     let g = gen::randomize_weights(&gen::uniform(150, 900, 5), 1.0, 4.0, 5);
     let root = std::env::temp_dir().join(format!("hygraph-sssp-{}", std::process::id()));
-    let mut cfg = JobConfig::new(Mode::Hybrid, 2).with_buffer(32);
-    cfg.disk_root = Some(root.clone());
+    let cfg = JobConfig::new(Mode::Hybrid, 2)
+        .with_buffer(32)
+        .with_worker_disks(dir_disks(&root, 2));
     let res = hybridgraph_core::run_job(Arc::new(Sssp::new(VertexId(0))), &g, cfg).unwrap();
     let want = hybridgraph_algos::reference::reference_run(&Sssp::new(VertexId(0)), &g);
     for (got, want) in res.values.iter().zip(&want) {

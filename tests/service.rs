@@ -132,6 +132,36 @@ fn shared_engine_matches_solo_values() {
     );
 }
 
+/// Jobs run on the layout their graph was registered with, not the one
+/// their own config would choose: under a 64-message buffer Eq. 5 picks
+/// another Vblock count, the graph is registered with 2 per worker. Each
+/// served job is bit for bit a private job pinned to that layout.
+#[test]
+fn jobs_run_on_the_registered_layout() {
+    let svc = service(3, 1, 0);
+    svc.register_graph("a", graph_a(), GraphSpec::new(3).with_vblocks(2))
+        .unwrap();
+    for mode in [Mode::BPull, Mode::Pull, Mode::Async] {
+        let cfg = JobConfig::new(mode, 3).with_buffer(64);
+        let own = run_job(Arc::new(PageRank::new(4)), &graph_a(), cfg.clone()).unwrap();
+        assert_ne!(own.metrics.load.num_vblocks, 6, "{mode:?}");
+        let served = svc
+            .submit(
+                Arc::new(PageRank::new(4)),
+                JobRequest::new("a", cfg.clone()),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        let mut pinned = cfg;
+        pinned.vblocks_per_worker = Some(2);
+        let direct = run_job(Arc::new(PageRank::new(4)), &graph_a(), pinned).unwrap();
+        assert_eq!(served.metrics.load.num_vblocks, 6, "{mode:?}");
+        assert_eq!(direct.metrics.load.num_vblocks, 6, "{mode:?}");
+        assert_eq!(bits(&served.values), bits(&direct.values), "{mode:?}");
+    }
+}
+
 /// Admission control: unknown graphs, over-limit budgets and a full
 /// queue are typed rejections; queued jobs still run to completion.
 #[test]

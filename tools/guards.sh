@@ -40,11 +40,15 @@ GUARDS=(
   "0 :: has_checkpoint|has_log_segment|sealed::|ENTRY_HEADER_BYTES :: crates :: storage::segment is the one per-superstep file kind: remove is idempotent, and LogEntry::MIN_BYTES bounds a log's entry count"
   "0 :: write_body|read_body|read_binary|write_binary :: crates :: the graph blob (service_log::GraphLayout) is the one binary graph layout; graph::io keeps its text formats"
   "0 :: to_le_bytes|from_le_bytes :: crates/storage/src/segment.rs crates/storage/src/service_log.rs :: segment and graph-blob bytes are written and read through declarations"
+  "0 :: Partition::range|BlockLayout::new|build_with\(|cfg\.vblocks_per_worker :: crates/service/src :: a registered graph's partition, layout and stores come from core's one build path (SharedStores::build), and the job runs on them: nothing is pinned to keep two copies equal"
+  "3 :: (AdjacencyStore|VeBlockStore|GatherStore)::build_with\( :: crates/core/src :: EdgeStores::build is the one build of a worker slot's edge stores, for private jobs and registered graphs alike"
+  "0 :: graph\.reverse\(|reverse: Option|disk_root :: crates src tests examples :: pull's mirror masks come from one pass over the edges, and worker_disks is the one way to put a job on real files"
+  "0 :: fn reverse\( :: crates/graph/src :: no transposed graph: pull gathers from its gather store"
 )
 
 # file :: most lines it may have (its count when the ratchet was last set)
 MAX_LINES=(
-  "DESIGN.md :: 1095"
+  "DESIGN.md :: 1094"
   "README.md :: 539"
 )
 

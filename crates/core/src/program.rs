@@ -56,10 +56,12 @@ impl<V> Update<V> {
 
 /// A vertex-centric iterative graph algorithm.
 ///
-/// Implementations must be deterministic: `update` may not depend on the
-/// *order* of `msgs` (the engine delivers them in an unspecified order,
-/// and push/pull modes differ in ordering). The cross-mode equivalence
-/// tests rely on this.
+/// Implementations must be deterministic, and `update` may not depend on
+/// the *order* of `msgs` beyond float rounding. Every mode delivers a
+/// vertex's messages in staged order — sender worker id, then send
+/// order — so a run repeats bit for bit; but combiners and pushM's
+/// online accumulators change which messages arrive. The cross-mode
+/// equivalence tests rely on this.
 pub trait VertexProgram: Send + Sync + 'static {
     /// Per-vertex state (the paper's `val`), fixed-width on disk.
     type Value: Record + PartialEq + std::fmt::Debug;

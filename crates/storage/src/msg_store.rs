@@ -229,16 +229,18 @@ impl<M: Record> SpillBuffer<M> {
     }
 
     /// Ends the receive phase: reads back any spilled messages (sequential
-    /// scan), merges them with the in-memory buffer into a destination-
-    /// grouped [`Inbox`] (the sort-merge Giraph performs before the next
-    /// superstep) and resets the buffer for the next receive phase.
+    /// scan), groups them with the in-memory buffer by destination into an
+    /// [`Inbox`] (the merge Giraph performs before the next superstep) and
+    /// resets the buffer for the next receive phase. Each destination's
+    /// messages keep arrival order: resident records, then spilled ones.
     pub fn drain(&mut self) -> io::Result<Inbox<M>> {
         self.drain_with(&[])
     }
 
     /// [`SpillBuffer::drain`] with `extra` records — pushM's online
-    /// accumulators, which never entered the buffer — sorted in beside
-    /// the buffered ones.
+    /// accumulators, which never entered the buffer — grouped in after
+    /// the buffered ones: in staged order, the record stream is the
+    /// resident buffer, then the spill read-back, then `extra`.
     pub fn drain_with(&mut self, extra: &[u8]) -> io::Result<Inbox<M>> {
         let mut all = std::mem::take(&mut self.mem);
         self.read_spilled(&mut all)?;
@@ -524,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_with_sorts_extra_records_in() {
+    fn drain_with_groups_extra_records_after_buffered() {
         let vfs = MemVfs::new();
         let mut b: SpillBuffer<u32> = SpillBuffer::new(&vfs, "spill", 1).unwrap();
         b.push(VertexId(4), 40).unwrap();
@@ -532,7 +534,8 @@ mod tests {
         let before = vfs.stats().snapshot();
         let extra = encode_slice(&[(VertexId(3), 30u32), (VertexId(4), 4)]);
         let d = b.drain_with(&extra).unwrap();
-        assert_eq!(pairs(&d), [(2, 20), (3, 30), (4, 4), (4, 40)]);
+        // Vertex 4's accumulator follows its buffered record.
+        assert_eq!(pairs(&d), [(2, 20), (3, 30), (4, 40), (4, 4)]);
         // Extra records were never in the buffer: only the one spilled
         // message is read back.
         let delta = vfs.stats().snapshot().delta(&before);

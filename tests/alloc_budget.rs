@@ -8,7 +8,9 @@
 //! collection cancel out. The receive path is one flat record stream —
 //! no allocation per message, per destination or per computed vertex —
 //! so the budget is a small constant over per-block and per-packet
-//! buffers.
+//! buffers. Bytes per message are bounded too: `load()` groups the
+//! drained records in staged order and decodes each message once, with
+//! no sort key beside it.
 //!
 //! b-pull and pull are measured the same way. b-pull's responder decodes
 //! each Eblock once into buffers the worker keeps, and pull reads each
@@ -86,11 +88,16 @@ static GLOBAL: Counting = Counting;
 /// under (the per-message path measured ≥ 2 before it was removed).
 const BUDGET: f64 = 0.05;
 
-/// `(mode, codec, allocations, bytes)` per produced message the pull
-/// family must stay under: b-pull at [`BUDGET`]'s kind of bound, pull at
-/// its measured number + 5 %; bytes at the measured numbers + 5 %. Every
-/// row repeats exactly run to run.
-const PULL_FAMILY_BUDGETS: [(Mode, CodecChoice, f64, f64); 3] = [
+/// `(mode, codec, allocations, bytes)` per produced message every mode
+/// must stay under: the push family at [`BUDGET`], b-pull at its kind of
+/// bound, pull at its measured number + 5 %; bytes at the measured
+/// numbers + 5 %, so the push family's `load()` cannot grow back the
+/// 8-byte sort key per message it once built (push 79.1, pushM 58.3,
+/// async 80.8 bytes). Every row repeats exactly run to run.
+const BUDGETS: [(Mode, CodecChoice, f64, f64); 6] = [
+    (Mode::Push, CodecChoice::None, BUDGET, 71.1 * 1.05),
+    (Mode::PushM, CodecChoice::None, BUDGET, 57.3 * 1.05),
+    (Mode::Async, CodecChoice::None, BUDGET, 72.8 * 1.05),
     (Mode::BPull, CodecChoice::None, 0.01, 5.3 * 1.05),
     (Mode::BPull, CodecChoice::Bv, 0.01, 5.3 * 1.05),
     (Mode::Pull, CodecChoice::None, 0.1072 * 1.05, 47.5 * 1.05),
@@ -214,14 +221,7 @@ fn push_family_supersteps_allocate_per_block_not_per_message() {
         40,
         7,
     );
-    for mode in [Mode::Push, Mode::PushM, Mode::Async] {
-        let (allocs, _) = marginal(&g, mode, CodecChoice::None);
-        assert!(
-            allocs <= BUDGET,
-            "{mode:?}: {allocs:.4} allocations per delivered message exceeds {BUDGET}"
-        );
-    }
-    for (mode, codec, max_allocs, max_bytes) in PULL_FAMILY_BUDGETS {
+    for (mode, codec, max_allocs, max_bytes) in BUDGETS {
         let (allocs, bytes) = marginal(&g, mode, codec);
         assert!(
             allocs <= max_allocs && bytes <= max_bytes,

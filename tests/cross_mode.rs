@@ -154,3 +154,40 @@ fn pre_pull_disabled_still_correct() {
         );
     }
 }
+
+/// Every inbox is in staged order — by destination, then sender worker
+/// id, then send order — so with nothing combined PageRank's sums, whose
+/// bits depend on summation order, agree exactly across modes: push and
+/// pushM reading a spilled (and coded) store back, and the pull family
+/// with combining off.
+#[test]
+fn pagerank_bits_agree_across_modes_without_combining() {
+    let g = gen::rmat(256, 2048, gen::RmatParams::default(), 11);
+    let program = PageRank::new(6);
+    for codec in [CodecChoice::None, CodecChoice::Bv] {
+        let run = |mode: Mode| {
+            let mut cfg = JobConfig::new(mode, 3).with_buffer(64).with_codec(codec);
+            if !matches!(mode, Mode::Push | Mode::PushM) {
+                cfg.combining = false;
+            }
+            let res = run_job(Arc::new(program.clone()), &g, cfg).unwrap();
+            let spilled: u64 = res
+                .metrics
+                .steps
+                .iter()
+                .map(|m| m.sem.msg_spill_bytes)
+                .sum();
+            let bits: Vec<u64> = res.values.iter().map(|v| v.to_bits()).collect();
+            (bits, spilled)
+        };
+        let (want, spilled) = run(Mode::Push);
+        assert!(spilled > 0, "{codec:?}: push must spill");
+        for mode in [Mode::PushM, Mode::Pull, Mode::BPull, Mode::Hybrid] {
+            let (got, _) = run(mode);
+            assert!(
+                got == want,
+                "{mode:?}/{codec:?}: values differ from push's in bits"
+            );
+        }
+    }
+}

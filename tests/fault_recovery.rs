@@ -285,15 +285,23 @@ fn assert_byte_parity(clean: &JobMetrics, other: &JobMetrics, label: &str) {
 }
 
 /// Seeded drop/duplicate/delay faults on every link must be fully
-/// absorbed by the ARQ layer: PageRank over push, b-pull, and hybrid
-/// finishes bit-identical to a lossless run, with *zero* deviation in
-/// any cost-model byte counter — the lossy wire shows up only in the
-/// overhead counters.
+/// absorbed by the ARQ layer: PageRank over push, pushM, async, b-pull
+/// and hybrid finishes bit-identical to a lossless run, with *zero*
+/// deviation in any cost-model byte counter — the lossy wire shows up
+/// only in the overhead counters. The spill-fed modes keep each
+/// vertex's messages in receive order, so a retransmission that
+/// reordered one sender's frames would show in the values.
 #[test]
 fn unreliable_network_matrix_pagerank() {
     let g = pagerank_graph();
     let program = PageRank::new(12);
-    for mode in [Mode::Push, Mode::BPull, Mode::Hybrid] {
+    for mode in [
+        Mode::Push,
+        Mode::PushM,
+        Mode::Async,
+        Mode::BPull,
+        Mode::Hybrid,
+    ] {
         let base = JobConfig::new(mode, 4).with_buffer(256);
         let clean = run_job(Arc::new(program.clone()), &g, base.clone()).unwrap();
         for (label, net) in [

@@ -684,7 +684,9 @@ fn golden_master_state_bytes_are_pinned() {
 // pull job (signaled words beside the responding ones), read at each
 // barrier commit, when the cut's files are complete. Captured by running
 // this test body at the commit before the checkpoint body became one
-// declared record, so that move is pinned byte for byte.
+// declared record, so that move is pinned byte for byte. (The pushM rows
+// were re-pinned when `load()` kept staged order: the PageRank values and
+// accumulators they checkpoint sum in another order.)
 #[test]
 fn golden_worker_checkpoint_bytes_are_pinned() {
     use hybridgraph::core::BarrierSink;
@@ -713,9 +715,9 @@ fn golden_worker_checkpoint_bytes_are_pinned() {
     }
 
     const GOLDEN: &str = "\
-pushM  none f283e4414d44861f\n\
-pushM  gaps cf8a802b24da96b7\n\
-pushM  bv   f35394b616023f80\n\
+pushM  none 71289fb8d2b79513\n\
+pushM  gaps fde07b4228b785c2\n\
+pushM  bv   2f42b15b79690d0b\n\
 pull   none b56779ee9a625798\n\
 pull   gaps 02aa7fb8dec29969\n\
 pull   bv   1ee51a578d76eb48\n\
@@ -960,7 +962,10 @@ fn pinned_job<P: VertexProgram>(
 // receive path became one flat record stream. `wall_secs` and
 // `blocking_secs` are zeroed. (The four hybrid `steps` fingerprints were
 // re-pinned when b-pull's `memory_bytes` stopped depending on packet
-// arrival and joined them.)
+// arrival and joined them. When `load()` dropped its content sort for
+// staged order, PageRank's `values`, the push, hybrid and async
+// `barriers` and the async `steps` were re-pinned: float sums change
+// with summation order, and the spill bytes and residuals with them.)
 #[test]
 fn golden_push_family_jobs_are_pinned() {
     let rmat = gen::rmat(256, 2048, gen::RmatParams::default(), 11);
@@ -980,9 +985,9 @@ fn golden_push_family_jobs_are_pinned() {
             Mode::Push,
             CodecChoice::None,
             [
-                0x7554_e9c6_40c7_20b2,
+                0x03ee_31e1_b895_98aa,
                 0xd07f_eb56_d84e_7331,
-                0xa646_67f0_0d27_ddda,
+                0x4058_5629_2cbb_3c27,
                 0x6230_6489_8be7_6f5c,
             ],
             [
@@ -996,9 +1001,9 @@ fn golden_push_family_jobs_are_pinned() {
             Mode::Push,
             CodecChoice::Gaps,
             [
-                0x7554_e9c6_40c7_20b2,
+                0x03ee_31e1_b895_98aa,
                 0xdba4_1b4d_e9c3_c013,
-                0x149c_7cc2_592a_7481,
+                0x325b_839c_5f7f_f36b,
                 0x02c9_d379_91df_ed4d,
             ],
             [
@@ -1012,7 +1017,7 @@ fn golden_push_family_jobs_are_pinned() {
             Mode::PushM,
             CodecChoice::None,
             [
-                0x3f8c_e272_9ad6_d9d2,
+                0x03ee_31e1_b895_98aa,
                 0x52fb_3fde_cbd1_e9c8,
                 0x7d79_d0c0_b9a2_6d09,
                 0x7ab0_619f_7a4f_e070,
@@ -1028,7 +1033,7 @@ fn golden_push_family_jobs_are_pinned() {
             Mode::PushM,
             CodecChoice::Gaps,
             [
-                0x3f8c_e272_9ad6_d9d2,
+                0x03ee_31e1_b895_98aa,
                 0xdd06_cef7_d21f_503b,
                 0x58e6_f270_599b_b792,
                 0x6d5c_9a5a_7886_6154,
@@ -1044,9 +1049,9 @@ fn golden_push_family_jobs_are_pinned() {
             Mode::Hybrid,
             CodecChoice::None,
             [
-                0x7559_ef5e_ba59_86d9,
+                0xdb20_778d_3094_70f7,
                 0xbf5c_108b_a0f6_a778,
-                0xa238_dcb7_c58a_700b,
+                0x7c88_b5d4_1aa8_41fa,
                 0xc390_5f29_b921_2792,
             ],
             [
@@ -1060,9 +1065,9 @@ fn golden_push_family_jobs_are_pinned() {
             Mode::Hybrid,
             CodecChoice::Gaps,
             [
-                0x7559_ef5e_ba59_86d9,
+                0xdb20_778d_3094_70f7,
                 0x51e8_d060_a4ce_8c0f,
-                0x7c7e_cc88_d50b_a76a,
+                0x19c3_46db_3b91_7b50,
                 0xb5b5_b68c_7c45_af9c,
             ],
             [
@@ -1076,9 +1081,9 @@ fn golden_push_family_jobs_are_pinned() {
             Mode::Async,
             CodecChoice::None,
             [
-                0x55c7_3063_accf_e200,
-                0xb485_821e_0f29_fbd4,
-                0x3b69_96a7_0448_9841,
+                0x1efd_924e_e259_5e4f,
+                0x2cea_8eba_e522_b95f,
+                0x0f44_d95b_a7af_dd0c,
                 0x90b8_55c6_332c_8e23,
             ],
             [
@@ -1092,9 +1097,9 @@ fn golden_push_family_jobs_are_pinned() {
             Mode::Async,
             CodecChoice::Gaps,
             [
-                0x55c7_3063_accf_e200,
-                0x7f39_b997_a3c8_63e3,
-                0x0192_cc4b_9881_ca51,
+                0x1efd_924e_e259_5e4f,
+                0xc2cd_1c3f_1745_3416,
+                0x219c_04f9_1c49_158e,
                 0x1142_9735_d140_7e90,
             ],
             [
@@ -1143,7 +1148,10 @@ fn golden_push_family_jobs_are_pinned() {
 // b-pull supersteps is masked because it was timing-dependent there.
 // (The `steps` and `trace` columns of the 12 pull rows were pinned when
 // pull began serving gather requests sender by sender instead of in
-// arrival order; they had been masked until then.)
+// arrival order; they had been masked until then. The four hybrid
+// PageRank rows were re-pinned when push's `load()` kept staged order:
+// their push steps sum in another order, and under `bv` the coded spill
+// sizes, and with them the `steps` and `trace` columns, follow the values.)
 #[test]
 fn golden_pull_family_jobs_are_pinned() {
     const GOLDEN: &str = "\
@@ -1171,16 +1179,16 @@ pull   bv   comb lpa      3840de144e882740 f36796dbd27bb066 d73b9f356fa06876 55e
 pull   bv   list pagerank 03ee31e1b89598aa 476b39485ea27535 b348398106f52993 ae2a72c32e4c7dde\n\
 pull   bv   list sssp     369804cca87b7baf 2a1593c975c35114 bab9c9025e8d41af b5f015e4cccf8db2\n\
 pull   bv   list lpa      3840de144e882740 f36796dbd27bb066 d73b9f356fa06876 55ec2b8e2cd23301\n\
-hybrid none comb pagerank 7559ef5eba5986d9 b2ac11e73ce2b204 b9cb60e6518659af c3905f29b9212792\n\
+hybrid none comb pagerank db20778d309470f7 b2ac11e73ce2b204 f3833be9e03332bc c3905f29b9212792\n\
 hybrid none comb sssp     369804cca87b7baf 89d053e2b7a44533 e8013286a0bf81f6 7bbd3080e01de2c0\n\
 hybrid none comb lpa      3840de144e882740 907bf4cb1e386f3b 7fa7046e457ba9f0 95ad7afee227138c\n\
-hybrid none list pagerank bf585b0365d0d058 2f1939806c51dcc0 67b41520aae2e736 34f6e738399a8c22\n\
+hybrid none list pagerank 03ee31e1b89598aa 2f1939806c51dcc0 258a1a4e075ae131 34f6e738399a8c22\n\
 hybrid none list sssp     369804cca87b7baf f363dbb286e0119e 8fc659b31e11e4ef 1027f78bc91e3f7b\n\
 hybrid none list lpa      3840de144e882740 907bf4cb1e386f3b 7fa7046e457ba9f0 95ad7afee227138c\n\
-hybrid bv   comb pagerank 7559ef5eba5986d9 e1be9d72d5794af1 4716ae4c6eb09594 2e517baf3fa21a9a\n\
+hybrid bv   comb pagerank db20778d309470f7 e6e20f4f8a69d5ac 76eb84461f6bc8d3 2788c9784a255e16\n\
 hybrid bv   comb sssp     369804cca87b7baf d700f071ba222730 66c5db29c07a0142 4f3d9ee04a6c486f\n\
 hybrid bv   comb lpa      3840de144e882740 45fee76205b3ee58 8eaa26fde523ac7d 46b72708d0b0375d\n\
-hybrid bv   list pagerank bf585b0365d0d058 e2bf57797d9e1f80 3db281d06c4525f5 032c1c5adf046d33\n\
+hybrid bv   list pagerank 03ee31e1b89598aa 54144e7e37107efa 73b27ef2503bef0a c9c772deb35b55a5\n\
 hybrid bv   list sssp     369804cca87b7baf c661c2508f77cf61 ab9189b71c7bef4b 687d8b145be5ca67\n\
 hybrid bv   list lpa      3840de144e882740 45fee76205b3ee58 8eaa26fde523ac7d 46b72708d0b0375d\n\
 ";

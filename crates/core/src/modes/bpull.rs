@@ -157,8 +157,9 @@ pub(crate) fn run_bpull_step<P: VertexProgram>(
             } => {
                 // Push messages arriving during the fused switch step:
                 // staged per sender, sunk in worker-id order after the
-                // loop so the spill file's content stays deterministic
-                // (see the push executor's exchange phase).
+                // loop so the spill file's content, and the staged-order
+                // inbox next superstep, stay deterministic (see the push
+                // executor's exchange phase).
                 push_inbound[env.from.index()].push(payload);
             }
             Packet::EndOfResponses { block } => {

@@ -58,5 +58,4 @@ pub use shared::SharedStores;
 pub use snapshot::{adaptive_spacing_secs, MasterState, MtbfEstimator};
 pub use switch::{
     async_gain, b_lower_bound, decode_qt_audits, encode_qt_audits, q_metric, AsyncCostInputs,
-    CostInputs, Switcher,
 };

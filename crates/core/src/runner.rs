@@ -47,9 +47,10 @@ use crate::fault::MasterKillPoint;
 use crate::metrics::{JobMetrics, StepKind, StepReport, SuperstepMetrics};
 use crate::program::VertexProgram;
 use crate::snapshot::MasterState;
-use crate::switch::{q_metric, CostInputs, Switcher};
+use crate::switch::{estimate_mco, observe_rco, q_metric};
 use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Graph, Partition};
 use hybridgraph_net::fabric::{Fabric, NetSnapshot};
+use hybridgraph_obs::QtInputs;
 use hybridgraph_storage::frame;
 use hybridgraph_storage::vfs::{MemVfs, Vfs};
 use hybridgraph_storage::{IoSnapshot, Record};
@@ -120,9 +121,10 @@ pub enum JobError {
     /// decode).
     Io(io::Error),
     /// The configuration cannot run: no workers, an empty graph, `PushM`
-    /// without a combiner, or a worker count that disagrees with the
+    /// without a combiner, a worker count that disagrees with the
     /// mounted disks, the attached stores, the trace sink or the resume
-    /// state. Detected before any worker starts.
+    /// state, or a resume state in a mode the job does not run in.
+    /// Detected before any worker starts.
     InvalidConfig(String),
 }
 
@@ -198,7 +200,8 @@ impl From<io::Error> for JobError {
     }
 }
 /// Rejects a configuration the engine cannot run, and decodes the resume
-/// state (if any) so its worker count is checked with the rest.
+/// state (if any) so its worker count and modes are checked with the
+/// rest.
 fn validate<P: VertexProgram>(
     program: &P,
     graph: &Graph,
@@ -243,6 +246,14 @@ fn validate<P: VertexProgram>(
         (
             st.as_ref().is_none_or(|st| st.workers as usize == t),
             "resume state was captured for a different worker count",
+        ),
+        (
+            st.as_ref().is_none_or(|st| {
+                let pending = st.pending_kind.map(StepKind::mode);
+                master::runs_in(cfg.mode, st.cur)
+                    && pending.is_none_or(|m| master::runs_in(cfg.mode, m))
+            }),
+            "resume state's mode is not one this job runs in",
         ),
         (
             st.as_ref()
@@ -370,16 +381,17 @@ struct AggCtx<'a> {
     combinable: bool,
 }
 
-/// Builds the master-side superstep metrics from worker reports.
+/// Builds the master-side superstep metrics and Eq. 11's inputs from
+/// worker reports; a b-pull superstep updates the cursor's `R_co`.
 fn aggregate(
     superstep: u64,
     kind: StepKind,
     reports: &[StepReport],
     net: &NetSnapshot,
     ctx: &AggCtx<'_>,
-    switcher: &mut Switcher,
+    rco: &mut Option<f64>,
     wall: f64,
-) -> (SuperstepMetrics, CostInputs) {
+) -> (SuperstepMetrics, QtInputs) {
     let AggCtx {
         cfg,
         b_total,
@@ -445,7 +457,7 @@ fn aggregate(
     // M_co: observed in (b-)pull supersteps, estimated in push ones.
     let mco = if pull_ran {
         let saved = net.total_saved_messages();
-        switcher.observe_rco(saved, net.total_raw_messages());
+        observe_rco(rco, saved, net.total_raw_messages());
         saved
     } else {
         let distinct_est = if delivered_raw > 0 {
@@ -453,12 +465,12 @@ fn aggregate(
         } else {
             produced // unknown: assume no sharing -> M_co estimate 0
         };
-        switcher.estimate_mco(produced, distinct_est.min(produced))
+        estimate_mco(*rco, produced, distinct_est.min(produced))
     };
 
     let cio_push_bytes = sem.value_update_bytes + io_e_push + 2 * io_mdisk;
     let cio_bpull_bytes = sem.value_update_bytes + io_e_bpull + io_f + io_vrr;
-    let inputs = CostInputs {
+    let inputs = QtInputs {
         mco,
         bytes_per_saved: if combinable { msg_bytes } else { 4 },
         io_mdisk,

@@ -85,7 +85,7 @@ pub(crate) fn run_bpull_step<P: VertexProgram>(
     // During a confined-recovery replay, survivors re-serve their logged
     // responses without flow control (the whole superstep's packets arrive
     // up front), so every block must already be in flight when they land.
-    let pipeline = if w.replay {
+    let pipeline = if w.ep.replaying() {
         pending.len().max(1)
     } else if w.batch_kind() == BatchKind::Combined && w.cfg.pre_pull {
         2

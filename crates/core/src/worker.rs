@@ -224,10 +224,6 @@ pub struct Worker<P: VertexProgram> {
     /// Pre-images for one-superstep undo (confined recovery); captured
     /// when message logging is on, discarded at the next capture.
     pub undo: Option<StepUndo<P>>,
-    /// True while re-executing a superstep whose inputs arrive from
-    /// survivors' message logs instead of live flow control (b-pull
-    /// issues every block request up-front in this state).
-    pub replay: bool,
 
     /// This worker's trace shard (from [`JobConfig::trace`]), if tracing.
     pub shard: Option<Arc<TraceShard>>,
@@ -371,7 +367,6 @@ impl<P: VertexProgram> Worker<P> {
             io_baseline: IoSnapshot::default(),
             mem_peak: 0,
             undo: None,
-            replay: false,
             shard,
             step_base_us: 0,
             phase_marks: Vec::new(),
@@ -531,7 +526,7 @@ impl<P: VertexProgram> Worker<P> {
     /// per-class deltas between boundaries do not.
     #[inline]
     pub fn trace_phase(&mut self, name: &'static str) {
-        if self.shard.is_some() && !self.replay {
+        if self.shard.is_some() && !self.ep.replaying() {
             self.phase_marks.push((name, self.vfs.stats().snapshot()));
         }
     }
@@ -539,7 +534,7 @@ impl<P: VertexProgram> Worker<P> {
     /// Records one executed async pseudo-round of Vblock index `block`.
     /// Free when not tracing.
     pub(crate) fn trace_round(&mut self, block: usize, round: u64, updates: u64, messages: u64) {
-        if self.shard.is_some() && !self.replay {
+        if self.shard.is_some() && !self.ep.replaying() {
             self.round_marks.push((block, round, updates, messages));
         }
     }
@@ -552,7 +547,7 @@ impl<P: VertexProgram> Worker<P> {
     /// experiment plots. Replayed supersteps (confined recovery) emit
     /// nothing: their original execution already did.
     fn emit_phase_trace(&mut self) {
-        if self.replay || self.shard.is_none() {
+        if self.shard.is_none() || self.ep.replaying() {
             self.phase_marks.clear();
             self.round_marks.clear();
             return;

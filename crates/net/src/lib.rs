@@ -34,7 +34,7 @@ pub mod packet;
 pub mod wire;
 
 pub use combine::Combiner;
-pub use fabric::{ControlPlane, Endpoint, Fabric, NetSnapshot, NetStats};
+pub use fabric::{ControlPlane, Endpoint, Fabric, NetOverhead, NetSnapshot, NetStats};
 pub use netfault::{LinkFault, NetFaultPlan};
 pub use packet::Packet;
 pub use wire::{decode_batch, encode_batch, BatchKind, WireStats};

@@ -10,7 +10,7 @@
 //!   same events plus job-level gauges (modeled/wall seconds, ARQ
 //!   overhead) that are *not* part of the deterministic trace;
 //! * the human-readable `Q_t` decision-audit table
-//!   (`--explain-switch`), one row per Switcher evaluation.
+//!   (`--explain-switch`), one row per switching evaluation.
 //!
 //! Timestamps are modeled time, so two runs of this experiment emit
 //! byte-identical trace files — diff them to prove it.

@@ -209,7 +209,7 @@ fn trace_covers_every_superstep_and_track() {
         );
     }
 
-    // Control track: one qt instant per Switcher evaluation.
+    // Control track: one qt instant per switching evaluation.
     let qt = sink
         .control()
         .events()

@@ -161,7 +161,8 @@ struct Gw {
     next_job: AtomicU64,
     metrics: GatewayMetrics,
     stopping: AtomicBool,
-    /// Result-waiter threads, reaped at `ServerHandle::join`.
+    /// Result-waiter threads still to join: the finished ones are joined
+    /// at each launch, the rest at `ServerHandle::join`.
     waiters: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -342,7 +343,11 @@ where
             );
         }
     });
-    gw.waiters.lock().unwrap().push(waiter);
+    let mut waiters = gw.waiters.lock().unwrap();
+    for h in waiters.extract_if(.., |h| h.is_finished()) {
+        h.join().expect("result waiter panicked");
+    }
+    waiters.push(waiter);
     Ok(job_id)
 }
 
@@ -629,5 +634,45 @@ fn handle_request(gw: &Arc<Gw>, transport: &Arc<dyn Transport>, req: Request) ->
             transport.unblock();
             Response::Ok
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::GatewayClient;
+    use crate::proto::JobOptions;
+    use crate::transport::LoopbackTransport;
+    use hybridgraph_graph::gen;
+    use hybridgraph_service::ServiceConfig;
+    use hybridgraph_storage::CodecChoice;
+
+    /// A long-running gateway joins the waiter of every finished job at
+    /// the next launch, so its list holds only the jobs still running.
+    #[test]
+    fn finished_result_waiters_are_joined_at_the_next_launch() {
+        let server = GatewayServer::new(
+            EnginePool::new(ServiceConfig::default(), 1),
+            GatewayConfig::default(),
+        );
+        let transport = LoopbackTransport::new();
+        let handle = server.serve(transport.clone());
+        let mut client = GatewayClient::connect_loopback(&transport).unwrap();
+        client
+            .register_graph("g", &gen::uniform(64, 256, 5), 2, 1, CodecChoice::None)
+            .unwrap();
+        let waiters = || server.inner.waiters.lock().unwrap().len();
+        for _ in 0..6 {
+            let program = ProgramSpec::PageRank { supersteps: 2 };
+            let job = client.submit("g", program, JobOptions::default()).unwrap();
+            assert_eq!(waiters(), 1, "only the job just launched is unjoined");
+            client.fetch(job).unwrap();
+            while !server.inner.waiters.lock().unwrap()[0].is_finished() {
+                thread::yield_now();
+            }
+        }
+        client.shutdown().unwrap();
+        drop(client);
+        handle.join();
     }
 }

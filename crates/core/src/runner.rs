@@ -47,10 +47,10 @@ use crate::fault::MasterKillPoint;
 use crate::metrics::{JobMetrics, StepKind, StepReport, SuperstepMetrics};
 use crate::program::VertexProgram;
 use crate::snapshot::MasterState;
-use crate::switch::{estimate_mco, observe_rco, q_metric};
+use crate::switch::{estimate_mco, observe_rco, q_terms};
 use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Graph, Partition};
 use hybridgraph_net::fabric::{Fabric, NetSnapshot};
-use hybridgraph_obs::QtInputs;
+use hybridgraph_obs::{QtInputs, QtTerms};
 use hybridgraph_storage::frame;
 use hybridgraph_storage::vfs::{MemVfs, Vfs};
 use hybridgraph_storage::{IoSnapshot, Record};
@@ -381,8 +381,9 @@ struct AggCtx<'a> {
     combinable: bool,
 }
 
-/// Builds the master-side superstep metrics and Eq. 11's inputs from
-/// worker reports; a b-pull superstep updates the cursor's `R_co`.
+/// Builds the master-side superstep metrics and Eq. 11's inputs and
+/// terms from worker reports; a b-pull superstep updates the cursor's
+/// `R_co`.
 fn aggregate(
     superstep: u64,
     kind: StepKind,
@@ -391,7 +392,7 @@ fn aggregate(
     ctx: &AggCtx<'_>,
     rco: &mut Option<f64>,
     wall: f64,
-) -> (SuperstepMetrics, QtInputs) {
+) -> (SuperstepMetrics, (QtInputs, QtTerms)) {
     let AggCtx {
         cfg,
         b_total,
@@ -479,7 +480,7 @@ fn aggregate(
         io_e_bpull,
         io_f,
     };
-    let q = q_metric(&cfg.profile, &inputs);
+    let terms = q_terms(&cfg.profile, &inputs);
 
     // Pseudo-round stats: rounds are a max (workers iterate in lockstep
     // between two barriers), the work counts are sums.
@@ -508,7 +509,7 @@ fn aggregate(
         cio_push_bytes,
         cio_bpull_bytes,
         mco,
-        q_metric: q,
+        q_metric: terms.q(),
         memory_bytes: sum(|r| r.memory_bytes),
         cache_hits: sum(|r| r.cache_hits),
         cache_misses: sum(|r| r.cache_misses),
@@ -521,5 +522,5 @@ fn aggregate(
         asy,
         max_residual: reports.iter().map(|r| r.max_residual).fold(0.0, f64::max),
     };
-    (metrics, inputs)
+    (metrics, (inputs, terms))
 }

@@ -387,8 +387,7 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
         self.net_base = net_now;
         let st = &mut self.master.st;
         st.recovery.msg_log_bytes += reports.iter().map(|r| r.msg_log_bytes).sum::<u64>();
-        let (metrics, q_inputs) =
-            aggregate(s, kind, &reports, &net_delta, &self.agg, &mut st.rco, wall);
+        let (metrics, q) = aggregate(s, kind, &reports, &net_delta, &self.agg, &mut st.rco, wall);
         self.trace_step(&metrics);
         let step_secs = metrics.modeled_secs;
         self.master.complete_step(metrics);
@@ -400,7 +399,7 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
         let AfterStep::Continue {
             switched,
             checkpoint,
-        } = self.master.after_step(q_inputs)
+        } = self.master.after_step(q)
         else {
             return Ok(false);
         };

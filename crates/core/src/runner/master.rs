@@ -9,8 +9,8 @@ use crate::config::{CheckpointPolicy, JobConfig, Mode};
 use crate::fault::MasterKillPoint;
 use crate::metrics::{FailureEvent, StepKind, SuperstepMetrics};
 use crate::snapshot::{adaptive_spacing_secs, MasterState};
-use crate::switch::{self, async_gain, q_terms, AsyncCostInputs};
-use hybridgraph_obs::{QtAudit, QtInputs, QtTiers, QtVerdict};
+use crate::switch::{self, async_gain, AsyncCostInputs};
+use hybridgraph_obs::{QtAudit, QtInputs, QtTerms, QtTiers, QtVerdict};
 
 /// How the master recovers from the deaths of one superstep, when it can.
 #[derive(Debug, PartialEq)]
@@ -293,8 +293,8 @@ impl<'a> Master<'a> {
     }
 
     /// The barrier's verdict on the superstep [`Master::complete_step`]
-    /// just booked, whose Eq. 11 inputs are `q`.
-    pub fn after_step(&mut self, q: QtInputs) -> AfterStep {
+    /// just booked, whose Eq. 11 inputs and terms are `q`.
+    pub fn after_step(&mut self, q: (QtInputs, QtTerms)) -> AfterStep {
         let Some(m) = self.st.steps.last() else {
             return AfterStep::Terminate;
         };
@@ -326,10 +326,10 @@ impl<'a> Master<'a> {
     }
 
     /// One switching evaluation on the last booked superstep, whose
-    /// Eq. 11 inputs are `inputs`: appends its audit record and moves the
-    /// Δt cursor; a switch updates the mode, the pending transition kind
-    /// and `switches`.
-    fn decide(&mut self, inputs: QtInputs) -> Option<(Mode, Mode)> {
+    /// Eq. 11 inputs and terms `aggregate` priced: appends its audit
+    /// record and moves the Δt cursor; a switch updates the mode, the
+    /// pending transition kind and `switches`.
+    fn decide(&mut self, (inputs, terms): (QtInputs, QtTerms)) -> Option<(Mode, Mode)> {
         let m = self.st.steps.last()?;
         let (s, step_secs, io) = (m.superstep, m.modeled_secs, m.io);
         let profile = &self.cfg.profile;
@@ -351,7 +351,7 @@ impl<'a> Master<'a> {
         });
         let from = self.st.cur;
         let at = (from, self.st.last_decision);
-        let (verdict, to) = switch::decide(self.cfg, s, at, &inputs, asy, step_secs);
+        let (verdict, to) = switch::decide(self.cfg, s, at, terms.q(), asy, step_secs);
         if verdict != QtVerdict::TooEarly {
             self.st.last_decision = s;
         }
@@ -362,7 +362,6 @@ impl<'a> Master<'a> {
                 phys as f64 / logi as f64
             }
         };
-        let terms = q_terms(profile, &inputs);
         self.st.audit.push(QtAudit {
             superstep: s,
             inputs,
@@ -505,7 +504,7 @@ mod tests {
         s: u64,
         kind: StepKind,
         tweak: impl FnOnce(&mut SuperstepMetrics),
-    ) -> (SuperstepMetrics, QtInputs) {
+    ) -> (SuperstepMetrics, (QtInputs, QtTerms)) {
         let ctx = AggCtx {
             cfg,
             b_total: u64::MAX / 2,

@@ -139,9 +139,9 @@ pub(crate) fn threshold(cfg: &JobConfig) -> f64 {
 ///
 /// An evaluation happens at most every `cfg.switch_interval` supersteps
 /// and never before superstep 2 (superstep 1 exchanges no messages).
-/// Eq. 11's sign on `inputs` picks push or b-pull; for an `Async` job the
-/// [`async_gain`] term `asy` then decides whether pseudo-rounds beat the
-/// strict winner. The move is taken only when its predicted gain clears
+/// The sign of the step's `Q_t`, `q`, picks push or b-pull; for an
+/// `Async` job the [`async_gain`] term `asy` then decides whether
+/// pseudo-rounds beat the strict winner. The move is taken only when its predicted gain clears
 /// `cfg.switch_threshold` relative to the superstep's modeled time
 /// `step_secs`. The threshold guards against paying the fused switch
 /// superstep for a gain of microseconds when `Q_t` hovers around zero
@@ -151,14 +151,13 @@ pub fn decide(
     cfg: &JobConfig,
     t: u64,
     (cur, last_decision): (Mode, u64),
-    inputs: &QtInputs,
+    q: f64,
     asy: Option<QtAsync>,
     step_secs: f64,
 ) -> (QtVerdict, Mode) {
     if t < 2 || t.saturating_sub(last_decision) < cfg.switch_interval.max(1) {
         return (QtVerdict::TooEarly, cur);
     }
-    let q = q_metric(&cfg.profile, inputs);
     let strict_want = if q >= 0.0 { Mode::BPull } else { Mode::Push };
     let want = match asy {
         Some(g) if g.q_async > 0.0 => Mode::Async,
@@ -241,7 +240,8 @@ mod tests {
         asy: Option<QtAsync>,
         step_secs: f64,
     ) -> QtVerdict {
-        let (verdict, to) = decide(c, t, *at, inputs, asy, step_secs);
+        let q = q_metric(&c.profile, inputs);
+        let (verdict, to) = decide(c, t, *at, q, asy, step_secs);
         if verdict != TooEarly {
             *at = (to, t);
         }

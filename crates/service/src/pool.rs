@@ -11,7 +11,7 @@
 //! tenants on the same graph still interleave deterministically inside
 //! their home engine exactly as before.
 //!
-//! Placement rule (documented contract, also in DESIGN.md):
+//! Placement rule (a documented contract):
 //!
 //! ```text
 //! engine(name) = splitmix64(fnv1a64(name)) mod engines
@@ -28,12 +28,12 @@
 //! all of them — plus their unfinished jobs — from a single disk.
 
 use crate::catalog::{CatalogError, GraphSpec};
-use crate::scheduler::splitmix64;
 use crate::service::{
     AdmissionError, GraphService, JobRequest, JobTicket, RecoveredJob, SchedulingPause,
     ServiceConfig,
 };
 use hybridgraph_core::VertexProgram;
+use hybridgraph_graph::rng::SplitMix64;
 use hybridgraph_graph::Graph;
 use hybridgraph_storage::{CodecChoice, PrefixVfs, Vfs};
 use std::io;
@@ -47,7 +47,7 @@ fn place_hash(name: &str) -> u64 {
         h ^= *b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    splitmix64(h)
+    SplitMix64::new(h).next_u64()
 }
 
 /// An unfinished job surfaced by [`EnginePool::restore`], tagged with
@@ -76,7 +76,7 @@ impl EnginePool {
         if index == 0 {
             base
         } else {
-            splitmix64(base ^ index as u64)
+            SplitMix64::new(base ^ index as u64).next_u64()
         }
     }
 

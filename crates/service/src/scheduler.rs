@@ -30,16 +30,8 @@
 //! mid-run interleave at whatever barrier happens to be next.
 
 use hybridgraph_core::StepPacer;
+use hybridgraph_graph::rng::SplitMix64;
 use std::sync::{Arc, Condvar, Mutex};
-
-/// SplitMix64 — the same tiny generator the graph crate seeds with.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 struct Lane {
     /// False once the lane's job finished (left lanes never block grants).
@@ -142,7 +134,7 @@ impl RoundRobinScheduler {
             } else {
                 0.0
             },
-            tiebreak: splitmix64(self.seed ^ lane as u64),
+            tiebreak: SplitMix64::new(self.seed ^ lane as u64).next_u64(),
         });
         drop(s);
         self.cv.notify_all();
@@ -170,7 +162,7 @@ impl RoundRobinScheduler {
             active: true,
             parked: false,
             vtime: if floor.is_finite() { floor } else { 0.0 },
-            tiebreak: splitmix64(seed ^ lane as u64),
+            tiebreak: SplitMix64::new(seed ^ lane as u64).next_u64(),
         });
         lane
     }

@@ -1,6 +1,7 @@
 //! # hybridgraph-codec
 //!
-//! Deterministic compression for HybridGraph's on-disk structures.
+//! Deterministic compression for HybridGraph's on-disk structures,
+//! selected per job with `JobConfig::with_codec(CodecChoice)`.
 //!
 //! The paper's whole analysis (Eqs. 4–11, the `Q_t` switch metric) is in
 //! *bytes per I/O class*, so shrinking on-device bytes is the most direct
@@ -8,20 +9,39 @@
 //! crate decides where to apply them and accounts the result as *logical*
 //! (uncompressed) vs *physical* (on-device) bytes.
 //!
-//! Two codec families:
+//! Codec families:
 //!
 //! * [`gaps`] — structure-aware: zig-zag delta-gap coding for sorted
 //!   neighbour-id lists (WebGraph-style) plus bit-packed weight columns.
 //!   Applied to VE-BLOCK eblocks, adjacency runs, and gather fragments.
+//! * [`bv`] on [`bits`] — the WebGraph-class tier of [`CodecChoice::Bv`]:
+//!   bit-granular copy-references, intervals and ζ₃ residual gaps.
 //! * [`block`] — general-purpose bytes: run-length encoding plus a fixed
-//!   greedy LZ pass. Applied to checkpoint bodies, message spill chunks,
-//!   and msg-log segments.
+//!   greedy LZ pass. Applied under `Bv` to checkpoint bodies, message
+//!   spill chunks, and msg-log segments.
+//! * [`ef`] — Elias-Fano sequences, the directory of every extent file.
 //!
-//! Everything is deterministic (no RNG, no timestamps) and every coded
+//! Two framings carry them: tagged extents ([`encode_extent`]) for
+//! adjacency-structured data and blob frames ([`encode_blob_frame`]) for
+//! structureless runs; [`frame`] declares every persisted layout around
+//! them. Everything is deterministic (no RNG, no timestamps) and every coded
 //! extent can fall back to raw bytes via a leading tag, so incompressible
 //! data never blows up. [`CodecChoice::None`] is special: stores bypass
 //! this crate entirely and their on-disk bytes stay byte-for-byte what
 //! they were before compression existed.
+//!
+//! **What the cost model sees.** Everything downstream of bytes reads the
+//! *physical* side: modeled time, the semantic quantities (`IO(Ē)`,
+//! `IO(E)`, `IO(F)` from the stores' stored bytes, `IO(M_disk)` from the
+//! spill file's coded size), and so every Eq. 11 input. A codec changes
+//! what the device moves, so it may move the push ↔ b-pull switching
+//! point; each `QtAudit` records the superstep's physical/logical ratio,
+//! so the explain-switch table shows when it did. Theorem 2's
+//! `B⊥ = |E|/2 − f` is *not* rescaled: it compares message counts with
+//! logical edge volume at load time, before any coded extent is read.
+//! Under `None` both sides of every counter are equal and every decision
+//! is the uncompressed one, bit for bit; `tests/codec_roundtrip.rs`
+//! checks value bit-identity across codecs.
 
 pub mod bits;
 pub mod block;

@@ -26,6 +26,18 @@
 //! senders — never a delta — so overwrite-style programs (PageRank's
 //! `(1-d)/N + d·Σ`) stay correct. Everything is iterated in canonical
 //! block-then-vertex order, so same-seed runs are byte-identical.
+//!
+//! Global barriers stay BSP, so checkpoints, the scheduler and the cost
+//! model keep their contracts: an async superstep checkpoints and rolls
+//! back like any other and `tests/graphhp.rs` kills workers mid-step and
+//! asserts bit equality, but recovery never confines (pseudo-round
+//! receive state is not undoable). [`crate::switch::decide`] weighs the
+//! rounds' barrier savings against their duplicated interior compute
+//! ([`crate::switch::async_gain`]), and a program with a `tolerance()`
+//! (`PageRank::until`, `Lpa::converging`) ends the job once a superstep's
+//! largest residual falls to it. Strict modes pay for none of this: no
+//! classification, no residuals without a tolerance, and byte-identical
+//! audits.
 
 use super::push::{exchange, load_inbox};
 use crate::bitset::BitSet;

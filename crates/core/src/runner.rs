@@ -1,5 +1,9 @@
 //! The master: job orchestration (paper Fig. 1 and Algorithm 3) plus the
-//! checkpoint/recovery protocol.
+//! checkpoint/recovery protocol. Recovery is **bit-identical**: a job that
+//! loses workers ends with the fault-free run's values to the bit and its
+//! per-superstep byte counts to the byte (`tests/fault_recovery.rs`),
+//! because every executor reduces messages in an order that ignores packet
+//! timing and mode switching reads modeled time, never wall-clock.
 //!
 //! [`run_job`] validates the configuration, spawns one OS thread per
 //! computational node and hands the job to a private master. The master
@@ -15,26 +19,40 @@
 //!                              Checkpoint            → Collect
 //! ```
 //!
-//! and talks to the workers through one primitive (`control`): a
-//! *round* sends a command to a set of workers and takes exactly one
-//! reply from each; a `Failed`, a duplicate or an out-of-protocol reply
-//! is a [`JobError`], never a panic. The collection of all step reports
-//! is the BSP barrier; there the master aggregates metrics, evaluates
-//! the hybrid switching condition (`evaluate(...)` in Algorithm 3) and
-//! checks termination (no responders and no pending messages, the
-//! program's tolerance, or the superstep budget).
+//! * *Load*: every worker builds its stores; a load-phase death is
+//!   respawned in place (no packets flow yet, so no abort or rollback).
+//! * *Baseline* (any policy but `Never`): the checkpoint of superstep 0,
+//!   so even a superstep-1 failure has a cut. *Resume* (durable restart)
+//!   replaces it: the cursor is decoded from the committed bytes and the
+//!   freshly loaded workers are rolled onto that cut by the same round a
+//!   global recovery uses.
+//! * *Superstep*: one step round (`control`: a command to a set of
+//!   workers, exactly one reply from each). The replies are the BSP
+//!   barrier: the master aggregates metrics, evaluates the hybrid
+//!   switching condition (`evaluate(...)` in Algorithm 3) and checks
+//!   termination (no responders and no pending messages, the program's
+//!   tolerance, or the superstep budget). A failure goes to *Recover*,
+//!   after which the failed superstep re-runs.
+//! * *Checkpoint*: one round of worker files, then the master's cut, then
+//!   — with a [`BarrierSink`](crate::config::BarrierSink) installed — the
+//!   commit of the encoded cursor (write-ahead: files before record).
+//! * *Collect*: one round for the values; hanging up the command channels
+//!   is the workers' exit order.
 //!
-//! A worker failure — injected via [`FaultPlan`](crate::fault::FaultPlan),
-//! an I/O error, or a panic in the vertex program or an executor —
-//! surfaces as one `Failed` reply. The master broadcasts an abort so
-//! peers blocked mid-exchange unwind, then recovers *confined* (only the
-//! dead worker replays from the last checkpoint, fed from the survivors'
-//! message logs) or *globally* (every worker rolls back and the cursor
-//! rewinds to the cut), or returns [`JobError::WorkerFailed`] when there
-//! is no usable cut, the endpoint is lost, or the recovery budget (eight
-//! respawns per job) is spent. A durable restart is the same
-//! global rollback with the cursor decoded from the committed bytes.
-//! DESIGN.md § Fault tolerance has the protocol in full.
+//! **Recovery.** A worker failure — injected via
+//! [`FaultPlan`](crate::fault::FaultPlan), an I/O error, or a panic in
+//! the vertex program or an executor — surfaces as one `Failed` reply,
+//! which hands the worker's network endpoint back when it still has one.
+//! The master broadcasts `Abort` on the control plane; in-flight
+//! executors unwind cooperatively (an `Interrupted` marker error) and the
+//! survivors acknowledge and stay alive. Once all are quiescent the
+//! master respawns the dead worker's thread on the *same* simulated disk,
+//! as a restarted process would on a physical node, bumps the fabric
+//! epoch, and recovers *confined* or *globally* (`master` has the plans).
+//! It returns [`JobError::WorkerFailed`] when there is no usable cut, the
+//! endpoint is lost, or the recovery budget (eight respawns per job) is
+//! spent. A durable restart is the same global rollback with the cursor
+//! decoded from the committed bytes.
 
 #![warn(clippy::too_many_lines)]
 

@@ -1,5 +1,12 @@
 //! The control plane between the master and its workers: the commands,
 //! the replies, the one command round, and the worker thread's loop.
+//!
+//! The master talks to workers only through [`Links::round`]; the load
+//! and superstep rounds accept `Failed` replies as input, every other
+//! round ends on one. A worker panic is a `Failed` with no endpoint (it
+//! unwound with the thread), so it is fatal under every checkpoint
+//! policy: the master aborts the peers and returns
+//! [`JobError::WorkerFailed`] instead of hanging the job.
 
 use super::JobError;
 use crate::config::JobConfig;

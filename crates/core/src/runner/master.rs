@@ -2,6 +2,26 @@
 //! constants, and every decision the master takes as a method that reads
 //! them and the workers' reports — no thread, no channel. The driver in
 //! [`super::drive`] turns the decisions into command rounds.
+//!
+//! **Recovery plans.** [`Master::plan_recovery`] turns one superstep
+//! `t`'s deaths into a [`RecoveryPlan`]. *Global*: every worker drains
+//! stale packets and restores checkpoint `ck`, the cursor rewinds to the
+//! [`Cut`] taken there, and the job resumes at `ck + 1`. *Confined*
+//! (Pregel §4.2), when one worker died in a job that logs its messages:
+//!
+//! 1. the dead worker restores `ck`; the survivors stay at `t` and undo
+//!    their partly applied step `t` in memory (`crate::worker::StepUndo`);
+//! 2. for each superstep in `ck+1 .. t`, the survivors re-serve the dead
+//!    worker the packets they logged (control frames, counted only in
+//!    `replayed_bytes`) while it re-executes the step in *suppress mode*:
+//!    its remote sends are dropped unaccounted, since the survivors
+//!    processed them the first time; loopback still delivers;
+//! 3. everyone re-runs `t`.
+//!
+//! Pull's LRU cache, pushM's online combining and async's pseudo-rounds
+//! are not undoable, so those modes always roll back globally. Both plans
+//! are bit-identical: a confined recovery on a lossy wire still matches
+//! the fault-free run's values and byte counts exactly.
 
 use super::control::Failure;
 use super::{JobError, CPU_US_PER_MESSAGE, CPU_US_PER_VERTEX};

@@ -7,6 +7,13 @@
 //! active/responding flag vectors, and the endpoint into the network
 //! fabric. The mode executors in [`crate::modes`] drive it superstep by
 //! superstep.
+//!
+//! Recovery state lives here too: the [`WorkerCheckpoint`] record a
+//! checkpoint writes, and — in a job that
+//! [confines recovery](crate::config::JobConfig::confines_recovery) — a
+//! [`StepUndo`] of the current superstep, which lets a survivor of a
+//! peer's confined recovery revert one step from memory, with zero extra
+//! reads, instead of reloading its checkpoint.
 
 use crate::bitset::BitSet;
 use crate::config::{JobConfig, Mode};

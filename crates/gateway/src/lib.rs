@@ -27,7 +27,33 @@
 //! each superstep), and engine 0 of a pool keeps the base seed, so a
 //! job submitted through the gateway over loopback produces values,
 //! audit records, and traces byte-identical to calling
-//! `GraphService::submit` directly.
+//! `GraphService::submit` directly (`tests/gateway.rs` checks it, over
+//! TCP as well). A two-engine gateway, in process:
+//!
+//! ```
+//! use hybridgraph_gateway::{GatewayClient, GatewayConfig, GatewayServer, LoopbackTransport};
+//! use hybridgraph_gateway::{JobOptions, ProgramSpec};
+//! use hybridgraph_graph::Dataset;
+//! use hybridgraph_service::{EnginePool, ServiceConfig};
+//! use hybridgraph_storage::CodecChoice;
+//!
+//! let pool = EnginePool::new(ServiceConfig::default(), 2);
+//! let server = GatewayServer::new(pool, GatewayConfig::default());
+//! let transport = LoopbackTransport::new();
+//! let handle = server.serve(transport.clone());
+//!
+//! let mut client = GatewayClient::connect_loopback(&transport)?;
+//! let graph = Dataset::LiveJ.build_scaled(2_000);
+//! client.register_graph("social", &graph, 5, 1, CodecChoice::None)?;
+//! let program = ProgramSpec::PageRank { supersteps: 5 };
+//! let job = client.submit("social", program, JobOptions::default())?;
+//! let outcome = client.fetch(job)?;
+//! assert_eq!(outcome.supersteps, 5);
+//! client.shutdown()?;
+//! drop(client);
+//! handle.join();
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 //!
 //! [`GraphService`]: hybridgraph_service::GraphService
 //! [`EnginePool`]: hybridgraph_service::EnginePool

@@ -19,6 +19,34 @@
 //!
 //! This crate sits at the bottom of the workspace dependency graph: every
 //! other crate may depend on it, it depends on nothing.
+//!
+//! The engine installs a sink per job (`JobConfig::with_trace`) and keeps
+//! three rules, in priority order:
+//!
+//! 1. **Tracing does not perturb the experiment.** Nothing in the cost
+//!    model, the switch or the executors reads the sink, and a full ring
+//!    drops (and counts) instead of blocking. `tests/observability.rs`
+//!    checks that every per-superstep byte count, `Q_t` and output `f64`
+//!    is bit-identical with tracing on and off.
+//! 2. **Timestamps are modeled time**, so two same-seed runs export
+//!    byte-identical Chrome traces, also on a lossy wire: logical traffic
+//!    is counted once at first send, and the only fault evidence is one
+//!    `arq.faults` instant per superstep carrying the fault plan's fired
+//!    counters (a pure function of link, sequence number and attempt).
+//!    Timing-driven quantities (retransmitted bytes, acks, duplicate
+//!    drops, wall seconds) go only to the Prometheus gauges.
+//! 3. **The audit mirrors the decisions taken.** Each switching
+//!    evaluation appends one [`QtAudit`] and, when tracing, a `qt`
+//!    instant; a rollback truncates the audit with the other logs, so
+//!    replayed supersteps never log twice and `Switch` rows match the
+//!    job's switches one to one.
+//!
+//! Chrome trace tracks (`pid 0`, one `tid` each): workers `0..T` (phase
+//! spans such as `compute+pushRes` or `Pull-Respond+update`, plus
+//! `vfs.<class>` instants with byte/op deltas), then `master` (`load`,
+//! one span per superstep named by its mode, `checkpoint`, `barrier`,
+//! `recovery.*`), `control` (`qt`, `switch`) and `net` (`net.bytes`
+//! counters per superstep).
 
 pub mod audit;
 pub mod chrome;

@@ -14,6 +14,32 @@
 //! per-job maxima (typed rejection when a request exceeds them; runtime
 //! termination via [`JobError::BudgetExceeded`] when a running job does).
 //!
+//! Two jobs on one registered graph, submitted as a batch under a
+//! scheduling pause: the two-job schedule, and with it every shared-cache
+//! hit, trace byte and `Q_t` decision, is a pure function of the batch
+//! and the service seed (`tests/service.rs` double-runs such a batch and
+//! compares the combined Chrome trace byte for byte).
+//!
+//! ```no_run
+//! use hybridgraph_algos::{PageRank, Sssp};
+//! use hybridgraph_core::{JobConfig, Mode};
+//! use hybridgraph_graph::{Dataset, VertexId};
+//! use hybridgraph_service::{GraphService, GraphSpec, JobRequest, ServiceConfig};
+//! use std::sync::Arc;
+//!
+//! let svc = GraphService::new(ServiceConfig::default());
+//! svc.register_graph("social", Dataset::LiveJ.build_scaled(2_000), GraphSpec::new(5))?;
+//! let job = || JobRequest::new("social", JobConfig::new(Mode::Hybrid, 5).with_buffer(250));
+//!
+//! let pause = svc.pause_scheduling();
+//! let ranks = svc.submit(Arc::new(PageRank::new(5)), job()).unwrap();
+//! let paths = svc.submit(Arc::new(Sssp::new(VertexId(0))), job()).unwrap();
+//! drop(pause);
+//! assert_eq!(ranks.wait().unwrap().metrics.supersteps(), 5);
+//! assert!(paths.wait().unwrap().metrics.supersteps() > 1);
+//! # Ok::<(), hybridgraph_service::CatalogError>(())
+//! ```
+//!
 //! # Durability
 //!
 //! A service built with [`GraphService::new_durable`] additionally owns a
@@ -35,7 +61,37 @@
 //! and unfinished jobs come back as [`RecoveredJob`]s —
 //! [`GraphService::resume_job`] re-attaches each one from its last
 //! durable cut, so a killed-and-restored run is byte-identical (values,
-//! traces, `Q_t` audits) to an uninterrupted one under the same seed.
+//! traces, `Q_t` audits) to an uninterrupted one under the same seed:
+//!
+//! ```no_run
+//! use hybridgraph_algos::PageRank;
+//! use hybridgraph_core::{CheckpointPolicy, FaultPlan, JobConfig, JobError, MasterKillPoint, Mode};
+//! use hybridgraph_graph::Dataset;
+//! use hybridgraph_service::{GraphService, GraphSpec, JobRequest, ServiceConfig};
+//! use hybridgraph_storage::{CodecChoice, MemVfs, Vfs};
+//! use std::sync::Arc;
+//!
+//! let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+//! let cfg = ServiceConfig::default();
+//! let svc = GraphService::new_durable(cfg, Arc::clone(&vfs), CodecChoice::None)?;
+//! svc.register_graph("social", Dataset::LiveJ.build_scaled(2_000), GraphSpec::new(5)).unwrap();
+//! let job = || {
+//!     let ckpt = CheckpointPolicy::EveryK(1);
+//!     JobConfig::new(Mode::Hybrid, 5).with_buffer(250).with_checkpoint(ckpt)
+//! };
+//!
+//! // The master dies mid-barrier at superstep 2; only `vfs` survives.
+//! let kill = FaultPlan::new().master_kill(MasterKillPoint::MidBarrier(2));
+//! let req = JobRequest::new("social", job().with_fault_plan(Arc::new(kill)));
+//! let ticket = svc.submit(Arc::new(PageRank::new(5)), req).unwrap();
+//! assert!(matches!(ticket.wait().unwrap_err(), JobError::Halted { .. }));
+//! drop(svc);
+//!
+//! let (svc, recovered) = GraphService::restore(cfg, vfs)?;
+//! let resumed = svc.resume_job(Arc::new(PageRank::new(5)), job(), &recovered[0]).unwrap();
+//! assert_eq!(resumed.wait().unwrap().metrics.supersteps(), 5);
+//! # Ok::<(), std::io::Error>(())
+//! ```
 //!
 //! Degradation is graceful, not binary: transient log-I/O errors are
 //! retried with typed, *modeled* backoff ([`crate::retry`]), and while

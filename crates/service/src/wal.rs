@@ -21,6 +21,18 @@
 //! at the last durable cut — the post-restart `io_ratio` of a resumed run
 //! then matches the uninterrupted run byte for byte.
 //!
+//! Replay re-registers graphs under their original ids, re-queues a job
+//! that was admitted but never started, and resumes a started one from
+//! its last `JobBarrier` through the engine's global-rollback path, its
+//! lane rejoining the scheduler at the recorded virtual time. A lost
+//! `JobStarted` or `JobFinished` append is harmless (the job re-queues
+//! or re-runs to the same bytes), so only `JobAdmitted` and `JobBarrier`
+//! appends fail the caller. `tests/service_restart.rs` kills the master
+//! at every [`MasterKillPoint`] across seeds and requires the restored
+//! run to match the uninterrupted one byte for byte.
+//!
+//! [`MasterKillPoint`]: hybridgraph_core::MasterKillPoint
+//!
 //! [`ServiceLog`]: hybridgraph_storage::ServiceLog
 
 use hybridgraph_graph::Graph;

@@ -25,6 +25,13 @@
 //! The stores on top own what differs between them: file names, what an
 //! extent index means (Eblock column, local vertex, destination key),
 //! `X_j`, the gather sweep cursor.
+//!
+//! The Elias-Fano directory is what lets the `billion` experiment drive
+//! this writer with a src-major `nblocks²` grid and build a ≥10⁹-edge
+//! catalog entry in a ~40 MB working set: for a 4096² grid it holds
+//! 44.1 MB of index where a flat 16-byte-per-cell directory needs
+//! 268.4 MB. The price is that an extent is located by a select, not a
+//! `Vec` index.
 
 use crate::stats::{AccessClass, IoStats};
 use crate::vfs::{Vfs, VfsFile};

@@ -8,7 +8,10 @@
 //! message state are already disk-resident and byte-accounted through the
 //! [`Vfs`], a checkpoint is one more classified sequential write: the
 //! engine puts each worker's recoverable state (its `WorkerCheckpoint`
-//! record) into one body and commits it to the worker's VFS.
+//! record) into one body and commits it to the worker's VFS. The job's
+//! `CheckpointPolicy` says at which barriers, and the bytes show up in
+//! `RecoveryMetrics::checkpoint_io` and in modeled time like any other
+//! I/O the cost model charges.
 //!
 //! **Message logs.** Pregel's confined recovery ("Pregel: a system for
 //! large-scale graph processing", §4.2) avoids rolling the whole cluster
@@ -22,7 +25,12 @@
 //! nothing remote) is distinct from a missing or truncated one, in which
 //! case confined recovery is impossible and the engine falls back to a
 //! global rollback. Segments at or below a checkpointed superstep can
-//! never be replayed and are pruned when the checkpoint commits.
+//! never be replayed and are pruned when the checkpoint commits, so a log
+//! spans `ckpt+1 ..= current`. Only jobs whose recovery can be confined
+//! (push, b-pull, hybrid with message logging on) write segments, each
+//! *after* the barrier's I/O snapshot: the bytes land in
+//! `RecoveryMetrics::msg_log_bytes`, never in the superstep's cost-model
+//! counts.
 //!
 //! **One file kind.** Both are sealed files
 //! ([`hybridgraph_codec::frame::seal`]) named `{prefix}{superstep:012}`.

@@ -77,3 +77,8 @@ pub mod prelude {
     };
     pub use hybridgraph_storage::{CodecChoice, DeviceProfile, MemVfs, Vfs};
 }
+
+/// README.md's Rust blocks, run as doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -162,14 +162,10 @@ pub(crate) fn sink_payloads<P: VertexProgram>(
         let hot = w.hotset.as_mut().expect("pushM requires the hot set");
         cold.clear();
         for record in payload.chunks_exact(4 + P::Message::BYTES) {
-            let local = (u32::read_from(&record[..4]) - base) as usize;
-            if hot.hot.get(local) {
+            let dst = u32::read_from(&record[..4]);
+            if hot.hot.get((dst - base) as usize) {
                 let m = P::Message::read_from(&record[4..]);
-                let slot = &mut hot.acc[local];
-                *slot = Some(match slot.take() {
-                    Some(acc) => combiner.combine(&acc, &m),
-                    None => m,
-                });
+                hot.acc.add(dst, m, |a, b| combiner.combine(a, b));
             } else {
                 cold.extend_from_slice(record);
             }
@@ -201,12 +197,7 @@ pub(crate) fn load_inbox<P: VertexProgram>(
     // buffered for it.
     let mut hot: Vec<u8> = Vec::new();
     if let Some(h) = w.hotset.as_mut() {
-        for (v, slot) in (w.range.start..).zip(h.acc.iter_mut()) {
-            if let Some(m) = slot.take() {
-                VertexId(v).append_to(&mut hot);
-                m.append_to(&mut hot);
-            }
-        }
+        h.acc.drain_records(&mut hot);
     }
     let spill = w.spill.as_mut().expect("push needs a spill buffer");
     let inbox = spill.drain_with(&hot)?;
@@ -293,6 +284,6 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Nothing of a rejected payload was sunk.
         assert_eq!(w.spill.as_ref().unwrap().total(), 0);
-        assert!(w.hotset.as_ref().unwrap().acc.iter().all(Option::is_none));
+        assert_eq!(w.hotset.as_ref().unwrap().acc.groups(), 0);
     }
 }

@@ -60,14 +60,16 @@ pub struct WorkerLoadReport {
 pub struct HotSet<M> {
     /// Local-index bit per vertex: in the hot (memory-resident) set?
     pub hot: BitSet,
-    /// `acc[local]` — the online-combined message, if any arrived.
-    pub acc: Vec<Option<M>>,
+    /// The online-combined messages of the hot vertices that got one,
+    /// by vertex id over the worker's range.
+    pub acc: FoldBuf<M>,
 }
 
 impl<M: Record> HotSet<M> {
-    /// Marks the `capacity` highest-in-degree local vertices hot
-    /// (the paper's hot-aware placement for MOCgraph).
-    pub fn new(local_in_degrees: &[u32], capacity: usize) -> Self {
+    /// Marks the `capacity` highest-in-degree vertices of `range` hot
+    /// (the paper's hot-aware placement for MOCgraph);
+    /// `local_in_degrees[i]` is the in-degree of `range.start + i`.
+    pub fn new(range: Range<u32>, local_in_degrees: &[u32], capacity: usize) -> Self {
         let n = local_in_degrees.len();
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(local_in_degrees[i as usize]));
@@ -75,15 +77,14 @@ impl<M: Record> HotSet<M> {
         for &i in order.iter().take(capacity) {
             hot.set(i as usize);
         }
-        HotSet {
-            hot,
-            acc: (0..n).map(|_| None).collect(),
-        }
+        let mut acc = FoldBuf::default();
+        acc.reset(range);
+        HotSet { hot, acc }
     }
 
     /// In-memory footprint of live accumulators.
     pub fn memory_bytes(&self) -> u64 {
-        self.acc.iter().flatten().count() as u64 * (4 + M::BYTES as u64)
+        self.acc.groups() as u64 * (4 + M::BYTES as u64)
     }
 }
 
@@ -318,7 +319,7 @@ impl<P: VertexProgram> Worker<P> {
         let hotset = (cfg.mode == Mode::PushM).then(|| {
             let ind = graph.in_degrees();
             let local_ind: Vec<u32> = range.clone().map(|v| ind[v as usize]).collect();
-            HotSet::new(&local_ind, cfg.buffer_messages.min(n_local))
+            HotSet::new(range.clone(), &local_ind, cfg.buffer_messages.min(n_local))
         });
 
         let lru = (cfg.mode == Mode::Pull).then(|| Self::new_value_lru(&cfg));
@@ -517,7 +518,7 @@ impl<P: VertexProgram> Worker<P> {
             report.pending_messages = s.total();
         }
         if let Some(h) = &self.hotset {
-            report.pending_messages += h.acc.iter().flatten().count() as u64;
+            report.pending_messages += h.acc.groups() as u64;
         }
     }
 
@@ -745,10 +746,9 @@ impl<P: VertexProgram> Worker<P> {
             .map(|s| s.snapshot_pending())
             .transpose()?;
         let hot = self.hotset.as_ref().map(|h| {
-            let acc = h.acc.iter().enumerate();
-            let pairs: Vec<(u32, P::Message)> = acc
-                .filter_map(|(i, m)| Some((i as u32, m.clone()?)))
-                .collect();
+            let mut pairs: Vec<(u32, P::Message)> = Vec::with_capacity(h.acc.groups());
+            h.acc
+                .walk(|v, m| pairs.push((v - self.range.start, m.clone())));
             encode_slice(&pairs)
         });
         let mut w = CheckpointWriter::new(superstep);
@@ -796,13 +796,14 @@ impl<P: VertexProgram> Worker<P> {
         }
         match (&mut self.hotset, ck.hot) {
             (Some(h), Some(hot)) => {
-                h.acc.iter_mut().for_each(|a| *a = None);
+                h.acc.reset(self.range.clone());
                 let pairs: Vec<(u32, P::Message)> = decode_slice(&hot)?;
                 for (i, m) in pairs {
-                    if i as usize >= h.acc.len() {
+                    if i as usize >= n {
                         return Err(mismatch("hot accumulator index"));
                     }
-                    h.acc[i as usize] = Some(m);
+                    // A repeated index keeps its last message.
+                    h.acc.add(self.range.start + i, m, |_, last| last.clone());
                 }
             }
             (None, None) => {}
@@ -895,7 +896,7 @@ mod tests {
     #[test]
     fn hotset_prefers_high_in_degree() {
         let ind = vec![1u32, 50, 3, 40, 2];
-        let h: HotSet<f64> = HotSet::new(&ind, 2);
+        let h: HotSet<f64> = HotSet::new(0..5, &ind, 2);
         assert!(h.hot.get(1));
         assert!(h.hot.get(3));
         assert!(!h.hot.get(0));
@@ -906,7 +907,7 @@ mod tests {
     #[test]
     fn hotset_capacity_above_population() {
         let ind = vec![1u32, 2];
-        let h: HotSet<f64> = HotSet::new(&ind, 10);
+        let h: HotSet<f64> = HotSet::new(0..2, &ind, 10);
         assert_eq!(h.hot.count(), 2);
     }
 

@@ -296,24 +296,34 @@ impl<M: Clone> FoldBuf<M> {
         self.slots[i] = m;
     }
 
-    /// Hands every touched slot to `emit` in ascending destination order,
-    /// leaves the buffer empty, and returns how many there were.
-    fn drain(&mut self, mut emit: impl FnMut(u32, &M)) -> usize {
+    /// How many destinations hold a folded value.
+    pub fn groups(&self) -> usize {
+        self.groups
+    }
+
+    /// Hands every touched slot to `emit` in ascending destination order
+    /// and leaves the buffer as it was.
+    pub fn walk(&self, mut emit: impl FnMut(u32, &M)) {
         if self.groups == 0 {
-            return 0;
+            return;
         }
-        for (w, word) in self.touched[..self.span.div_ceil(64)]
-            .iter_mut()
-            .enumerate()
-        {
-            let mut bits = std::mem::take(word);
+        for (w, &word) in self.touched[..self.span.div_ceil(64)].iter().enumerate() {
+            let mut bits = word;
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 emit(self.lo + i as u32, &self.slots[i]);
             }
         }
-        std::mem::take(&mut self.groups)
+    }
+
+    /// [`FoldBuf::walk`], then empties the buffer; returns how many
+    /// values there were.
+    fn drain(&mut self, emit: impl FnMut(u32, &M)) -> usize {
+        self.walk(emit);
+        let groups = self.groups;
+        self.cover(self.lo, self.span);
+        groups
     }
 
     /// Drains the folded values as an inbox of one message per

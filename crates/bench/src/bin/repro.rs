@@ -8,10 +8,8 @@
 //! repro client <addr> <command> [flags]
 //! ```
 //!
-//! Experiments: datasets, fig2, fig7, fig8, fig9, fig10, fig11, fig12,
-//! fig13, fig14, fig15, fig16, fig17, fig18, table5, vblocks (figs
-//! 23–25), fig26, theorems, observe, io_compress, multi_tenant,
-//! service_restart, graphhp, gateway.
+//! `repro --help` lists the experiments, from the one table
+//! ([`EXPERIMENTS`]) that also drives dispatch and `all`.
 //!
 //! `serve` / `client` are the network front door: `serve` runs a TCP
 //! gateway over an [`EnginePool`](hybridgraph_service::EnginePool),
@@ -40,69 +38,49 @@ use hybridgraph_bench::Scale;
 use std::path::PathBuf;
 use std::time::Instant;
 
-const EXPERIMENTS: &[&str] = &[
-    "datasets",
-    "fig2",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "table5",
-    "vblocks",
-    "fig26",
-    "theorems",
-    "ablation",
-    "observe",
-    "io_compress",
-    "billion",
-    "multi_tenant",
-    "service_restart",
-    "graphhp",
-    "gateway",
+/// An experiment's entry point.
+type Run = fn(Scale, &exp::observe::ObserveOpts);
+
+/// Every experiment: the names it answers to (the first is the one `all`
+/// and the usage line show), and its entry point.
+const EXPERIMENTS: &[(&[&str], Run)] = &[
+    (&["datasets"], |s, _| exp::datasets::run(s)),
+    (&["fig2"], |s, _| exp::fig2::run(s)),
+    (&["fig7"], |s, _| exp::overall::fig7(s)),
+    (&["fig8"], |s, _| exp::overall::fig8(s)),
+    (&["fig9"], |s, _| exp::overall::fig9(s)),
+    (&["fig10"], |s, _| exp::overall::fig10(s)),
+    (&["fig11"], |s, _| exp::prediction::fig11(s)),
+    (&["fig12"], |s, _| exp::prediction::fig12(s)),
+    (&["fig13"], |s, _| exp::prediction::fig13(s)),
+    (&["fig14"], |s, _| exp::fig14::run(s)),
+    (&["fig15"], |s, _| exp::fig15::run(s)),
+    (&["fig16"], |s, _| exp::fig16::run(s)),
+    (&["fig17"], |s, _| exp::fig17_18::fig17(s)),
+    (&["fig18"], |s, _| exp::fig17_18::fig18(s)),
+    (&["table5"], |s, _| exp::table5::run(s)),
+    (&["vblocks", "fig23", "fig24", "fig25"], |s, _| {
+        exp::vblocks::run(s)
+    }),
+    (&["fig26"], |s, _| exp::fig26::run(s)),
+    (&["theorems", "thm1", "thm2"], |s, _| exp::theorems::run(s)),
+    (&["trace"], |s, _| exp::trace::run(s)),
+    (&["ablation"], |s, _| exp::ablation::run(s)),
+    (&["observe"], exp::observe::run),
+    (&["io_compress"], |s, _| exp::io_compress::run(s)),
+    (&["billion"], |s, _| exp::billion::run(s)),
+    (&["multi_tenant"], |s, _| exp::multi_tenant::run(s)),
+    (&["service_restart"], |s, _| exp::service_restart::run(s)),
+    (&["graphhp"], |s, _| exp::graphhp::run(s)),
+    (&["gateway"], |s, _| exp::gateway::run(s)),
 ];
 
-fn dispatch(name: &str, scale: Scale, observe: &exp::observe::ObserveOpts) -> bool {
-    let t = Instant::now();
-    match name {
-        "datasets" => exp::datasets::run(scale),
-        "fig2" => exp::fig2::run(scale),
-        "fig7" => exp::overall::fig7(scale),
-        "fig8" => exp::overall::fig8(scale),
-        "fig9" => exp::overall::fig9(scale),
-        "fig10" => exp::overall::fig10(scale),
-        "fig11" => exp::prediction::fig11(scale),
-        "fig12" => exp::prediction::fig12(scale),
-        "fig13" => exp::prediction::fig13(scale),
-        "fig14" => exp::fig14::run(scale),
-        "fig15" => exp::fig15::run(scale),
-        "fig16" => exp::fig16::run(scale),
-        "fig17" => exp::fig17_18::fig17(scale),
-        "fig18" => exp::fig17_18::fig18(scale),
-        "table5" => exp::table5::run(scale),
-        "vblocks" | "fig23" | "fig24" | "fig25" => exp::vblocks::run(scale),
-        "fig26" => exp::fig26::run(scale),
-        "theorems" | "thm1" | "thm2" => exp::theorems::run(scale),
-        "trace" => exp::trace::run(scale),
-        "ablation" => exp::ablation::run(scale),
-        "observe" => exp::observe::run(scale, observe),
-        "io_compress" => exp::io_compress::run(scale),
-        "billion" => exp::billion::run(scale),
-        "multi_tenant" => exp::multi_tenant::run(scale),
-        "service_restart" => exp::service_restart::run(scale),
-        "graphhp" => exp::graphhp::run(scale),
-        "gateway" => exp::gateway::run(scale),
-        _ => return false,
-    }
-    eprintln!("[{name}: {:.1}s]", t.elapsed().as_secs_f64());
-    true
+/// The entry point `name` answers to, if any.
+fn find(name: &str) -> Option<Run> {
+    EXPERIMENTS
+        .iter()
+        .find(|(names, _)| names.contains(&name))
+        .map(|&(_, run)| run)
 }
 
 fn main() {
@@ -160,7 +138,7 @@ fn main() {
                 observe.mode = Some(m.parse().unwrap_or_else(|e: String| usage(&e)));
             }
             "--explain-switch" => observe.explain_switch = true,
-            "all" => targets.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
+            "all" => targets.extend(EXPERIMENTS.iter().map(|(names, _)| names[0].to_string())),
             "--help" | "-h" => usage(""),
             other => targets.push(other.to_string()),
         }
@@ -170,9 +148,10 @@ fn main() {
     }
     println!("# HybridGraph reproduction harness — scale 1/{}\n", scale.0);
     for t in targets {
-        if !dispatch(&t, scale, &observe) {
-            usage(&format!("unknown experiment '{t}'"));
-        }
+        let run = find(&t).unwrap_or_else(|| usage(&format!("unknown experiment '{t}'")));
+        let started = Instant::now();
+        run(scale, &observe);
+        eprintln!("[{t}: {:.1}s]", started.elapsed().as_secs_f64());
     }
 }
 
@@ -184,7 +163,11 @@ fn usage(err: &str) -> ! {
         "usage: repro [--scale N] [--codec C] [--mode M] [--trace F] \
          [--metrics F] [--explain-switch] <experiment> [...] | all"
     );
-    eprintln!("experiments: {}", EXPERIMENTS.join(", "));
+    let names: Vec<String> = EXPERIMENTS
+        .iter()
+        .map(|(names, _)| names.join("|"))
+        .collect();
+    eprintln!("experiments: {}", names.join(", "));
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
@@ -192,6 +175,7 @@ fn usage(err: &str) -> ! {
 mod tests {
     use hybridgraph_core::Mode;
     use hybridgraph_storage::CodecChoice;
+    use std::path::Path;
 
     /// The `--mode` flag surfaces `Mode::from_str`'s error verbatim, so
     /// a typo must name the offender and list every valid mode.
@@ -233,5 +217,30 @@ mod tests {
         for codec in CodecChoice::ALL {
             assert_eq!(codec.label().parse::<CodecChoice>(), Ok(codec));
         }
+    }
+
+    /// Every committed `BENCH_<name>.json` at the workspace root names an
+    /// experiment of the table: CI deletes and regenerates each one, so a
+    /// report that no experiment writes would fail there as deleted.
+    #[test]
+    fn every_committed_report_has_an_experiment() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut reports = 0;
+        for entry in std::fs::read_dir(&root).expect("workspace root") {
+            let file = entry.expect("dir entry").file_name();
+            let file = file.to_string_lossy();
+            let Some(name) = file
+                .strip_prefix("BENCH_")
+                .and_then(|f| f.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            assert!(
+                super::find(name).is_some(),
+                "{file} names no experiment of repro's table"
+            );
+            reports += 1;
+        }
+        assert!(reports > 0, "no BENCH_*.json in {}", root.display());
     }
 }

@@ -20,9 +20,9 @@
 //!    the modeled seconds its tenants consume — shrinks as tenants
 //!    spread out, while each tenant's own bytes stay constant.
 //!
-//! Everything reported is modeled or wire-counted (wall clock is
-//! zeroed), so `BENCH_gateway.json` is byte-identical run to run and CI
-//! diffs it through the perf gate.
+//! Everything reported is modeled or wire-counted, so
+//! `BENCH_gateway.json` is byte-identical run to run and CI compares it
+//! byte for byte with the committed copy.
 
 use crate::report::{BenchReport, BenchRow};
 use crate::table::{bytes, secs, Table};
@@ -115,7 +115,6 @@ fn outcome_row(label: impl Into<String>, o: &JobOutcome) -> BenchRow {
     BenchRow {
         label: label.into(),
         modeled_secs: o.modeled_secs,
-        wall_secs: 0.0,
         physical_bytes: o.physical_bytes,
         logical_bytes: o.logical_bytes,
         supersteps: o.supersteps,
@@ -320,7 +319,6 @@ pub fn run(scale: Scale) {
         let mut summary = BenchRow {
             label: format!("tenants/e{engines}"),
             modeled_secs: makespan,
-            wall_secs: 0.0,
             physical_bytes: physical,
             logical_bytes: outcomes.iter().map(|o| o.logical_bytes).sum(),
             supersteps: outcomes.iter().map(|o| o.supersteps).sum(),

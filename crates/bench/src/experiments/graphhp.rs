@@ -21,8 +21,8 @@
 //!    carries the agreement fraction instead of asserting equality.
 //!
 //! The graphs are generated, seeded and fixed-size, so the emitted
-//! `BENCH_graphhp.json` (wall-clock zeroed) is byte-identical run to
-//! run; CI re-runs the experiment and diffs the committed report.
+//! `BENCH_graphhp.json` is byte-identical run to run; CI re-runs the
+//! experiment and compares the committed report byte for byte.
 
 use crate::report::{BenchReport, BenchRow};
 use crate::table::Table;

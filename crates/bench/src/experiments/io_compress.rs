@@ -15,7 +15,8 @@
 //!
 //! Every row is deterministic (modeled time, byte counts, switch
 //! decisions), so the run also emits `BENCH_io_compress.json` via
-//! [`BenchReport`] and CI diffs it against the committed copy.
+//! [`BenchReport`] and CI compares it byte for byte with the committed
+//! copy.
 
 use crate::report::{BenchReport, BenchRow};
 use crate::table::{bytes, ratio, secs, Table};

@@ -19,8 +19,8 @@
 //!    killed job under both and reports checkpoints taken and
 //!    recomputed supersteps.
 //!
-//! Emits `BENCH_service_restart.json` with wall-clock fields zeroed, so
-//! CI can re-run the sweep and `git diff` the committed report.
+//! Emits `BENCH_service_restart.json`, which holds nothing timed, so CI
+//! can re-run the sweep and `git diff` the committed report.
 
 use crate::report::{BenchReport, BenchRow};
 use crate::table::{bytes, secs, Table};
@@ -117,7 +117,6 @@ pub fn run(scale: Scale) {
             let mut row = BenchRow {
                 label: format!("seed{seed}/{point:?}"),
                 modeled_secs: restored.out.modeled_secs,
-                wall_secs: 0.0,
                 physical_bytes: restored.out.wal_bytes,
                 logical_bytes: 0,
                 supersteps: SUPERSTEPS,

@@ -1,18 +1,18 @@
 //! Machine-readable experiment reports: `BENCH_<experiment>.json`.
 //!
 //! The repro harness prints human-readable tables; this module emits the
-//! same headline numbers as JSON so downstream tooling (CI diffs,
-//! plotting scripts) can consume a run without scraping stdout. One
-//! report per experiment, one row per measured job: modeled and wall
-//! seconds, physical and logical I/O bytes, superstep count, and the
-//! mode-switch decisions (`"t:from->to"`). Hand-rolled serialization —
-//! the workspace is deliberately dependency-free.
+//! same headline numbers as JSON so downstream tooling (plotting
+//! scripts) can consume a run without scraping stdout. One report per
+//! experiment, one row per measured job: modeled seconds, physical and
+//! logical I/O bytes, superstep count, and the mode-switch decisions
+//! (`"t:from->to"`). Hand-rolled serialization — the workspace is
+//! deliberately dependency-free.
 //!
-//! Modeled quantities and switch decisions are deterministic; wall
-//! seconds are the one timing-driven field (reported for orientation,
-//! never compared).
-
-pub mod diff;
+//! Every field is modeled or counted, never timed, so a report is
+//! byte-identical run to run: CI regenerates every committed
+//! `BENCH_*.json` and compares it byte for byte, and a change that moves
+//! a modeled byte regenerates the report in the same commit. Wall-clock
+//! numbers belong to the `benchmark/` package.
 
 use hybridgraph_core::JobMetrics;
 use hybridgraph_obs::json_escape;
@@ -25,8 +25,6 @@ pub struct BenchRow {
     pub label: String,
     /// Modeled seconds, load included.
     pub modeled_secs: f64,
-    /// Wall-clock seconds (non-deterministic; orientation only).
-    pub wall_secs: f64,
     /// Physical bytes moved (post-codec, seek-padded).
     pub physical_bytes: u64,
     /// Logical bytes requested (pre-codec).
@@ -40,15 +38,13 @@ pub struct BenchRow {
 }
 
 impl BenchRow {
-    /// A row from one job's metrics with the wall clock zeroed: every
-    /// remaining field is modeled and deterministic, so a report built
-    /// only from these rows is byte-identical run to run and CI can diff
-    /// the committed copy.
+    /// A row from one job's metrics: every field is modeled and
+    /// deterministic, so a report built only from these rows is
+    /// byte-identical run to run.
     pub fn deterministic(label: impl Into<String>, m: &JobMetrics) -> BenchRow {
         BenchRow {
             label: label.into(),
             modeled_secs: m.modeled_total_secs(),
-            wall_secs: 0.0,
             physical_bytes: m.total_io_bytes(),
             logical_bytes: m.total_io_logical_bytes(),
             supersteps: m.supersteps(),
@@ -94,7 +90,7 @@ impl BenchReport {
     }
 
     /// Serializes the report as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"experiment\": {},", json_str(&self.experiment));
@@ -107,7 +103,6 @@ impl BenchReport {
             out.push_str("\n    {\n");
             let _ = writeln!(out, "      \"label\": {},", json_str(&r.label));
             let _ = writeln!(out, "      \"modeled_secs\": {},", json_num(r.modeled_secs));
-            let _ = writeln!(out, "      \"wall_secs\": {},", json_num(r.wall_secs));
             let _ = writeln!(out, "      \"physical_bytes\": {},", r.physical_bytes);
             let _ = writeln!(out, "      \"logical_bytes\": {},", r.logical_bytes);
             let _ = writeln!(out, "      \"supersteps\": {},", r.supersteps);
@@ -171,8 +166,7 @@ mod tests {
         let mut rep = BenchReport::new("demo", 2000);
         rep.push(BenchRow {
             label: "a \"quoted\"\nlabel".to_string(),
-            modeled_secs: 1.25,
-            wall_secs: f64::NAN,
+            modeled_secs: f64::NAN,
             physical_bytes: 10,
             logical_bytes: 20,
             supersteps: 3,
@@ -182,7 +176,7 @@ mod tests {
         let json = rep.to_json();
         validate_json(&json).expect("valid JSON");
         assert!(json.contains("\"switch_decisions\": [\"2:push->b-pull\"]"));
-        assert!(json.contains("\"wall_secs\": null"));
+        assert!(json.contains("\"modeled_secs\": null"));
         assert!(json.contains("\"cache_hits\": 7.0"));
     }
 

@@ -14,8 +14,8 @@
 //!   like wall time, which are deliberately kept out of the Chrome trace).
 //! * [`QtAudit`] / [`render_table`] — the Eq. 11 switch-decision audit log
 //!   behind `repro --explain-switch`.
-//! * [`json`] — a pure-Rust JSON reader: [`validate_json`] for CI's
-//!   `trace-validate` job, [`json::parse`] for the perf gate.
+//! * [`validate_json`] — a pure-Rust JSON syntax check for CI's
+//!   `trace-validate` job and the exporters' tests.
 //!
 //! This crate sits at the bottom of the workspace dependency graph: every
 //! other crate may depend on it, it depends on nothing.
@@ -51,7 +51,7 @@
 pub mod audit;
 pub mod chrome;
 pub mod event;
-pub mod json;
+mod json;
 pub mod prom;
 pub mod sink;
 

@@ -24,7 +24,10 @@ GUARDS=(
   "0 :: MasterState[[:space:]]*\{ :: crates/core/src !snapshot.rs :: no hand-copied MasterState literal outside snapshot.rs"
   "0 :: CodecChoice::(Block|Auto) :: crates src tests examples :: three codec choices: block and auto lost every row they were swept on"
   "0 :: FabricTap|ArqCounters|install_tap :: crates src tests examples :: NetStats' overhead counters are the ARQ observation surface"
-  "0 :: enum Json|fn parse_(json|value)|fn json_escape :: crates/bench :: obs::json::parse and obs::json_escape are the workspace's one JSON reader and escaper"
+  "0 :: enum Json|fn parse_(json|value)|fn json_escape :: crates/bench :: obs::validate_json is the workspace's one JSON reader and obs::json_escape its one escaper"
+  "0 :: enum Json|pub fn parse :: crates/obs/src :: validate_json is a syntax-only walk: no JSON document is built, since nothing reads one back"
+  "0 :: bench_diff|report::diff|diff_reports|GatedReport :: crates/bench/src :: CI regenerates every committed BENCH_*.json and compares it byte for byte: no tolerance tool beside that gate"
+  "0 :: wall_secs :: crates/bench/src/report.rs :: a report compared byte for byte carries nothing timed: wall-clock numbers live in benchmark/"
   "0 :: fn (to|from)_bytes :: crates/codec/src/ef.rs :: Elias-Fano directories are rebuilt at load, never persisted"
   "0 :: \.(put|get)_(u8|u32|u64|f64|str|bytes|count)\( :: crates/core/src/snapshot.rs crates/core/src/switch.rs crates/service/src/wal.rs crates/obs/src/sink.rs crates/net/src/packet.rs crates/gateway/src/proto.rs :: each persisted record is one record!/tagged! declaration, with no hand-written layout beside it: a step always carries its async block and residual, an audit its verdict and extensions as plain fields"
   "0 :: QT_AUDIT_MIN_BYTES|MIN_(STATE|EVENT|ARG)_BYTES :: crates :: MIN_BYTES is derived from each declaration, never kept by hand"
@@ -48,6 +51,7 @@ GUARDS=(
   "0 :: sort_unstable|sorted_by_content|to_be_bytes :: crates/storage/src/inbox.rs :: every inbox keeps staged order (sender worker id, then send order): no content sort behind the grouping pass"
   "0 :: struct Switcher|annotate_tiers|decide_async|decide_inner|(^|[^A-Za-z])CostInputs :: crates src tests examples :: the switch is a function (switch::decide) of the master's cursor, which alone holds the mode, the Δt cursor, R_co and the Q_t audit; QtInputs is Eq. 11's one input type"
   "1 :: pub struct NetOverhead :: crates :: net::fabric declares the transport-overhead counters once; NetSnapshot and JobMetrics carry that type"
+  "0 :: Vec<Option< :: crates/core/src/worker.rs :: pushM's online accumulators are a FoldBuf, the engine's one combining fold, not a second fold by index"
 )
 
 # file :: most lines it may have

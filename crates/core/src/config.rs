@@ -191,9 +191,11 @@ pub struct JobConfig {
     pub workers: usize,
     /// Per-worker message buffer `B_i`, in messages. `usize::MAX` means
     /// "sufficient memory" (nothing ever spills; vertex caches hold
-    /// everything).
+    /// everything). 0 is `InvalidConfig` where it would size Vblocks
+    /// (Eq. 5 / Eq. 6): a private job without `vblocks_per_worker`.
     pub buffer_messages: usize,
-    /// Sending threshold in bytes (Appendix E; default 4 MB).
+    /// Sending threshold in bytes (Appendix E; default 4 MB); 0 is
+    /// `InvalidConfig`.
     pub sending_threshold: usize,
     /// Disk/network throughputs used for modeled time and `Q_t`.
     pub profile: DeviceProfile,

@@ -126,9 +126,9 @@ pub(crate) fn run_bpull_step<P: VertexProgram>(
         if inflight.is_empty() && pending.is_empty() && !my_done {
             my_done = true;
             if let Some(push) = &mut push {
-                for (peer, batch) in push.tbuf.flush_all() {
-                    send_batch(w, peer, w.push_kind(), None, &batch);
-                }
+                let kind = w.push_kind();
+                push.tbuf
+                    .flush_all(|peer, records| send_batch(w, peer, kind, None, records));
             }
             w.ep.broadcast(Packet::SuperstepDone);
         }
@@ -208,21 +208,13 @@ pub(crate) fn run_bpull_step<P: VertexProgram>(
 
 /// What Pull-Respond reuses from request to request (and the worker from
 /// superstep to superstep): the buffers each Eblock is decoded into and,
-/// for a concatenated response, the messages of the response being built.
-/// A combined response holds no message: each one folds into the worker's
-/// [`FoldBuf`] as it is produced.
-pub(crate) struct Responder<M> {
+/// for a concatenated response, the `dst | M` records of the response
+/// being built. A combined response holds no message: each one folds into
+/// the worker's [`FoldBuf`] as it is produced.
+#[derive(Default)]
+pub(crate) struct Responder {
     scan: EblockScratch,
-    out: Vec<(VertexId, M)>,
-}
-
-impl<M> Default for Responder<M> {
-    fn default() -> Self {
-        Responder {
-            scan: EblockScratch::default(),
-            out: Vec::new(),
-        }
-    }
+    out: Vec<u8>,
 }
 
 /// Eblock `g_{j,i}` names vertex `v`, as `what`, outside `range`.
@@ -251,7 +243,7 @@ fn serve_pull<P: VertexProgram>(
     w: &Worker<P>,
     from: WorkerId,
     block: BlockId,
-    resp: &mut Responder<P::Message>,
+    resp: &mut Responder,
     fold: &mut FoldBuf<P::Message>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
@@ -305,7 +297,7 @@ fn serve_pull<P: VertexProgram>(
                     rep.messages_produced += 1;
                     match combiner {
                         Some(c) => fold.add(e.dst.0, m, |a, b| c.combine(a, b)),
-                        None => resp.out.push((e.dst, m)),
+                        None => (e.dst, m).append_to(&mut resp.out),
                     }
                 }
             }

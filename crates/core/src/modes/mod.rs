@@ -58,8 +58,9 @@ pub(crate) fn unexpected(packet: &Packet, phase: &str) -> io::Error {
     )
 }
 
-/// Encodes `batch` as `kind` and sends it to `to`. Push batches go out
-/// under [`Worker::push_kind`] with no block; pull's gather responses and
+/// Encodes `records` — a sending buffer's `dst | M` records — as `kind`
+/// and sends them to `to`. Push batches go out under
+/// [`Worker::push_kind`] with no block; pull's gather responses and
 /// b-pull's concatenated ones (`for_block` = the Vblock they answer) under
 /// [`Worker::batch_kind`] — combined ones whole ("messages in a sub-buffer
 /// will not be sent until all messages are produced", §4.3),
@@ -69,10 +70,10 @@ pub(crate) fn send_batch<P: VertexProgram>(
     to: WorkerId,
     kind: BatchKind,
     for_block: Option<BlockId>,
-    batch: &[(VertexId, P::Message)],
+    records: &[u8],
 ) {
     let cut = ThresholdBuffer::<P::Message>::messages_per_flush(w.cfg.sending_threshold);
-    let payloads = wire::encode_payloads(kind, batch, w.program.combiner(), cut);
+    let payloads = wire::encode_payloads(kind, records, w.program.combiner(), cut);
     send_payloads(w, to, kind, for_block, payloads);
 }
 
@@ -83,14 +84,14 @@ pub(crate) fn send_payloads<P: VertexProgram>(
     to: WorkerId,
     kind: BatchKind,
     for_block: Option<BlockId>,
-    payloads: impl IntoIterator<Item = (Vec<u8>, WireStats)>,
+    payloads: impl IntoIterator<Item = (impl AsRef<[u8]>, WireStats)>,
 ) {
     for (payload, stats) in payloads {
         w.ep.send(
             to,
             Packet::Messages {
                 kind,
-                payload: payload.into(),
+                payload: payload.as_ref().into(),
                 stats,
                 for_block,
             },
@@ -215,9 +216,9 @@ impl<P: VertexProgram> Worker<P> {
             if let Some(m) = self.program.message(v, value, outd, e) {
                 rep.messages_produced += 1;
                 let peer = self.partition.worker_of(e.dst);
-                if let Some(batch) = tbuf.push(peer, e.dst, m) {
-                    send_batch(self, peer, self.push_kind(), None, &batch);
-                }
+                tbuf.push(peer, e.dst, m, |records| {
+                    send_batch(self, peer, self.push_kind(), None, records)
+                });
             }
         }
     }

@@ -21,12 +21,12 @@ use crate::worker::{OutEdges, Worker};
 use hybridgraph_graph::{Edge, VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
+use hybridgraph_net::wire::{self, BatchKind};
 use hybridgraph_storage::gather::InEdgeScratch;
 use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::stats::{scattered_cost, seek_pad};
 use hybridgraph_storage::{AccessClass, Record};
 use std::io;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Runs one pull (gather) superstep.
@@ -59,15 +59,18 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
     // Request phase: every *signaled* local vertex pulls from each of its
     // mirror workers (including itself, over loopback) — PowerGraph's
     // scatter-driven activation.
-    let request = |ids| Packet::GatherRequests { ids };
-    let mut req_bufs: Vec<Vec<u8>> = vec![Vec::new(); workers];
+    let request = |p, ids: &[u8]| w.ep.send(p, Packet::GatherRequests { ids: ids.into() });
+    let mut req_bufs = ThresholdBuffer::<()>::new(workers, w.cfg.sending_threshold);
     for i in w.signaled.cur().ones() {
-        let (v, mask) = (w.range.start + i as u32, w.mirror_peers[i]);
-        for p in (0..workers).filter(|p| mask >> p & 1 == 1) {
-            buffer_id(w, &mut req_bufs, p, v, request);
+        let (v, mask) = (VertexId(w.range.start + i as u32), w.mirror_peers[i]);
+        for p in (0..workers)
+            .filter(|p| mask >> p & 1 == 1)
+            .map(WorkerId::from)
+        {
+            req_bufs.push(p, v, (), |ids| request(p, ids));
         }
     }
-    flush_ids(w, req_bufs, request);
+    req_bufs.flush_all(request);
     w.ep.broadcast(Packet::DoneRequesting);
     w.trace_phase("request");
 
@@ -91,11 +94,15 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
                 let from = WorkerId::from(p);
                 let requester = w.partition.worker_range(from);
                 for ids in payloads {
-                    for v in vertex_ids(&ids, &requester)? {
-                        serve_gather(w, v, from, &mut tbuf, &mut in_edges, rep)?;
+                    // Ids of the requester's own vertices, as for signals.
+                    wire::check_batch::<()>(BatchKind::Plain, &ids, &requester)?;
+                    for (v, ()) in wire::messages::<()>(BatchKind::Plain, &ids) {
+                        serve_gather(w, VertexId(v), from, &mut tbuf, &mut in_edges, rep)?;
                     }
                 }
-                send_batch(w, from, w.batch_kind(), None, &tbuf.flush(from));
+                tbuf.flush(from, |records| {
+                    send_batch(w, from, w.batch_kind(), None, records)
+                });
                 w.ep.send(from, Packet::EndOfGather);
             }
             served = true;
@@ -142,73 +149,33 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
 /// adjacency store and signals each destination's owner that the vertex
 /// must gather next superstep.
 fn scatter_signals<P: VertexProgram>(w: &mut Worker<P>, rep: &mut StepReport) -> io::Result<()> {
-    let signal = |ids| Packet::Signals { ids };
-    let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); w.cfg.workers];
+    let signal = |p, ids: &[u8]| w.ep.send(p, Packet::Signals { ids: ids.into() });
+    let mut bufs = ThresholdBuffer::<()>::new(w.cfg.workers, w.cfg.sending_threshold);
     let mut out_edges = OutEdges::default();
     for i in w.respond.next().ones() {
         let v = VertexId(w.range.start + i as u32);
         for e in w.read_out_edges(v, AccessClass::SeqRead, rep, &mut out_edges)? {
-            let p = w.partition.worker_of(e.dst).index();
-            buffer_id(w, &mut bufs, p, e.dst.0, signal);
+            let p = w.partition.worker_of(e.dst);
+            bufs.push(p, e.dst, (), |ids| signal(p, ids));
         }
     }
-    flush_ids(w, bufs, signal);
+    bufs.flush_all(signal);
     Ok(())
 }
 
-/// Appends vertex id `v` to worker `p`'s buffer in `bufs`, sending the
-/// buffer as `packet` once it reaches the sending threshold.
-fn buffer_id<P: VertexProgram>(
-    w: &Worker<P>,
-    bufs: &mut [Vec<u8>],
-    p: usize,
-    v: u32,
-    packet: fn(Arc<[u8]>) -> Packet,
-) {
-    bufs[p].extend_from_slice(&v.to_le_bytes());
-    if bufs[p].len() >= w.cfg.sending_threshold {
-        w.ep.send(
-            WorkerId::from(p),
-            packet(std::mem::take(&mut bufs[p]).into()),
-        );
-    }
-}
-
-/// Sends what is left in each worker's buffer as `packet`.
-fn flush_ids<P: VertexProgram>(w: &Worker<P>, bufs: Vec<Vec<u8>>, packet: fn(Arc<[u8]>) -> Packet) {
-    for (p, buf) in bufs.into_iter().enumerate().filter(|(_, b)| !b.is_empty()) {
-        w.ep.send(WorkerId::from(p), packet(buf.into()));
-    }
-}
-
-/// Marks locally-owned signal targets for the next superstep.
+/// Marks locally-owned signal targets for the next superstep. A
+/// `Signals` payload is Plain records of `()` messages, like a
+/// `GatherRequests` one: a peer never sends one naming a vertex of
+/// another worker, but a message-log segment read back in confined
+/// recovery can say anything, so a payload that is not whole records, or
+/// names a vertex outside the receiver's range, is `InvalidData`.
 fn accept_signals<P: VertexProgram>(w: &mut Worker<P>, ids: &[u8]) -> io::Result<()> {
-    for v in vertex_ids(ids, &w.range)? {
-        let local = w.local(v);
+    wire::check_batch::<()>(BatchKind::Plain, ids, &w.range)?;
+    for (v, ()) in wire::messages::<()>(BatchKind::Plain, ids) {
+        let local = w.local(VertexId(v));
         w.signaled.set_next(local, true);
     }
     Ok(())
-}
-
-/// The vertex ids of a `Signals` payload (this worker's vertices) or a
-/// `GatherRequests` one (the requester's). A peer never sends another, but
-/// a message-log segment read back in confined recovery can say anything:
-/// a payload that is not whole `u32`s, or names a vertex outside `range`,
-/// is `InvalidData`.
-fn vertex_ids<'a>(
-    ids: &'a [u8],
-    range: &Range<u32>,
-) -> io::Result<impl Iterator<Item = VertexId> + 'a> {
-    let vertices = ids
-        .chunks_exact(4)
-        .map(|c| VertexId(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-    if !ids.len().is_multiple_of(4) || vertices.clone().any(|v| !range.contains(&v.0)) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("vertex ids outside {range:?}, or not whole u32s"),
-        ));
-    }
-    Ok(vertices)
 }
 
 /// Reads a local vertex value through the LRU cache; misses hit the value
@@ -289,9 +256,9 @@ fn serve_gather<P: VertexProgram>(
         let edge = Edge::weighted(v, ie.weight);
         if let Some(m) = program.message(ie.src, &val, outd, &edge) {
             rep.messages_produced += 1;
-            if let Some(batch) = tbuf.push(from, v, m) {
-                send_batch(w, from, w.batch_kind(), None, &batch);
-            }
+            tbuf.push(from, v, m, |records| {
+                send_batch(w, from, w.batch_kind(), None, records)
+            });
         }
     }
     Ok(())

@@ -112,9 +112,7 @@ pub(crate) fn exchange<P: VertexProgram>(
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let workers = w.cfg.workers;
-    for (peer, batch) in tbuf.flush_all() {
-        send_batch(w, peer, w.push_kind(), None, &batch);
-    }
+    tbuf.flush_all(|peer, records| send_batch(w, peer, w.push_kind(), None, records));
     w.ep.broadcast(Packet::DoneSending);
     let mut inbound: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
     let mut done = 0usize;

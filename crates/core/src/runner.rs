@@ -233,6 +233,16 @@ fn validate<P: VertexProgram>(
     let checks = [
         (t >= 1, "need at least one worker"),
         (
+            cfg.sending_threshold > 0,
+            "sending threshold must be positive",
+        ),
+        (
+            cfg.buffer_messages > 0
+                || cfg.vblocks_per_worker.is_some()
+                || cfg.shared_stores.is_some(),
+            "a zero message buffer cannot size Vblocks by Eq. 5 / Eq. 6",
+        ),
+        (
             cfg.mode != Mode::PushM || program.combiner().is_some(),
             "pushM (message online computing) requires a combiner",
         ),

@@ -217,7 +217,7 @@ pub struct Worker<P: VertexProgram> {
     /// peer can read this worker's values anymore.
     pub staged: Vec<(u32, P::Value)>,
     /// b-pull's Pull-Respond buffers, kept from superstep to superstep.
-    pub(crate) responder: Responder<P::Message>,
+    pub(crate) responder: Responder,
     /// The combining fold of b-pull's responses and the pull family's
     /// completed inboxes, kept from superstep to superstep.
     pub(crate) fold: FoldBuf<P::Message>,

@@ -7,84 +7,94 @@
 //! combining is crippled by small thresholds (partial buffers flush before
 //! merge partners arrive), while b-pull's savings are threshold-independent
 //! because it generates all messages for a destination together.
+//!
+//! A peer's buffer holds the bytes it will put on the wire: one
+//! `dst: u32 LE | M` record per message, the format of a
+//! [`BatchKind::Plain`](crate::wire::BatchKind::Plain) payload, of the
+//! receive store and of its spill file. A flush hands those records to the
+//! sender as they stand ([`crate::wire::encode_payloads`] sends plain ones
+//! as they are and groups or combines the others). Pull's signal and
+//! gather-request ids are `()` messages: 4-byte records of a destination
+//! alone. Buffers are kept, not reallocated, across a superstep's flushes.
 
 use hybridgraph_graph::{VertexId, WorkerId};
 use hybridgraph_storage::Record;
+use std::marker::PhantomData;
 
 /// The paper's default sending threshold (4 MB, chosen in Appendix E).
 pub const DEFAULT_SENDING_THRESHOLD: usize = 4 * 1024 * 1024;
 
-/// Per-destination-worker outgoing buffers with threshold-triggered flush.
+/// Per-destination-worker outgoing record buffers with threshold-triggered
+/// flush.
 pub struct ThresholdBuffer<M: Record> {
-    per_peer: Vec<Vec<(VertexId, M)>>,
-    /// How many messages fit under the threshold.
-    per_flush: usize,
-    /// Messages buffered across all peers.
+    per_peer: Vec<Vec<u8>>,
+    /// Bytes of the records that fit under the threshold.
+    flush_bytes: usize,
+    /// Bytes buffered across all peers.
     buffered: usize,
+    _message: PhantomData<M>,
 }
 
 impl<M: Record> ThresholdBuffer<M> {
+    /// Bytes of one buffered message: its wire record.
+    const RECORD_BYTES: usize = 4 + M::BYTES;
+
     /// Buffers for `peers` destination workers flushing at
     /// `threshold_bytes` of buffered payload.
     pub fn new(peers: usize, threshold_bytes: usize) -> Self {
         assert!(threshold_bytes > 0, "threshold must be positive");
         ThresholdBuffer {
-            per_peer: (0..peers).map(|_| Vec::new()).collect(),
-            per_flush: Self::messages_per_flush(threshold_bytes),
+            per_peer: vec![Vec::new(); peers],
+            flush_bytes: Self::messages_per_flush(threshold_bytes) * Self::RECORD_BYTES,
             buffered: 0,
+            _message: PhantomData,
         }
-    }
-
-    /// Bytes one buffered message will occupy on the wire (plain encoding).
-    #[inline]
-    fn message_bytes() -> usize {
-        4 + M::BYTES
     }
 
     /// How many messages fit under a threshold of `threshold_bytes` (at
     /// least one).
     pub fn messages_per_flush(threshold_bytes: usize) -> usize {
-        (threshold_bytes / Self::message_bytes()).max(1)
+        (threshold_bytes / Self::RECORD_BYTES).max(1)
     }
 
-    /// Appends a message for `dst` owned by worker `peer`; returns the
-    /// drained batch if the peer's buffer reached the threshold.
+    /// Appends the record of a message for `dst` owned by worker `peer`;
+    /// once the peer's buffer reaches the threshold, hands its records to
+    /// `send` and empties it.
     #[inline]
-    pub fn push(&mut self, peer: WorkerId, dst: VertexId, msg: M) -> Option<Vec<(VertexId, M)>> {
+    pub fn push(&mut self, peer: WorkerId, dst: VertexId, msg: M, send: impl FnOnce(&[u8])) {
         let buf = &mut self.per_peer[peer.index()];
-        buf.push((dst, msg));
-        self.buffered += 1;
-        if buf.len() >= self.per_flush {
+        (dst, msg).append_to(buf);
+        self.buffered += Self::RECORD_BYTES;
+        if buf.len() >= self.flush_bytes {
+            send(buf);
             self.buffered -= buf.len();
-            Some(std::mem::take(buf))
-        } else {
-            None
+            buf.clear();
         }
     }
 
     /// In-memory footprint of the buffers (the paper's `BS_i` when used as
     /// b-pull's sending buffer).
     pub fn memory_bytes(&self) -> u64 {
-        self.buffered as u64 * Self::message_bytes() as u64
+        self.buffered as u64
     }
 
-    /// Drains `peer`'s buffer, full or not.
-    pub fn flush(&mut self, peer: WorkerId) -> Vec<(VertexId, M)> {
-        let batch = std::mem::take(&mut self.per_peer[peer.index()]);
-        self.buffered -= batch.len();
-        batch
-    }
-
-    /// Drains every non-empty buffer as `(peer, batch)` pairs.
-    pub fn flush_all(&mut self) -> Vec<(WorkerId, Vec<(VertexId, M)>)> {
-        self.buffered = 0;
-        let mut out = Vec::new();
-        for (i, buf) in self.per_peer.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                out.push((WorkerId::from(i), std::mem::take(buf)));
-            }
+    /// Hands `peer`'s records, full or not, to `send` and empties its
+    /// buffer; an empty buffer sends nothing.
+    pub fn flush(&mut self, peer: WorkerId, send: impl FnOnce(&[u8])) {
+        let buf = &mut self.per_peer[peer.index()];
+        if !buf.is_empty() {
+            send(buf);
+            self.buffered -= buf.len();
+            buf.clear();
         }
-        out
+    }
+
+    /// [`Self::flush`]es every peer, in worker-id order.
+    pub fn flush_all(&mut self, mut send: impl FnMut(WorkerId, &[u8])) {
+        for i in 0..self.per_peer.len() {
+            let peer = WorkerId::from(i);
+            self.flush(peer, |records| send(peer, records));
+        }
     }
 }
 
@@ -92,67 +102,102 @@ impl<M: Record> ThresholdBuffer<M> {
 mod tests {
     use super::*;
 
+    /// Pushes `msgs` as `(peer, dst, msg)`, collecting every flush.
+    fn fill<M: Record>(
+        b: &mut ThresholdBuffer<M>,
+        msgs: &[(u16, u32, M)],
+    ) -> Vec<(WorkerId, Vec<u8>)> {
+        let mut sent = Vec::new();
+        for (peer, dst, m) in msgs {
+            let peer = WorkerId(*peer);
+            b.push(peer, VertexId(*dst), m.clone(), |r| {
+                sent.push((peer, r.to_vec()))
+            });
+        }
+        sent
+    }
+
+    /// The records of `msgs`, in order.
+    fn records<M: Record>(msgs: &[(u32, M)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (dst, m) in msgs {
+            (VertexId(*dst), m.clone()).append_to(&mut out);
+        }
+        out
+    }
+
     #[test]
     fn flushes_at_threshold() {
-        // f64 messages: 12 bytes each; threshold 36 bytes -> 3 per flush.
+        // f64 messages: 12-byte records; threshold 36 bytes -> 3 per flush.
         let mut b: ThresholdBuffer<f64> = ThresholdBuffer::new(2, 36);
         assert_eq!(ThresholdBuffer::<f64>::messages_per_flush(36), 3);
-        assert!(b.push(WorkerId(0), VertexId(1), 1.0).is_none());
-        assert!(b.push(WorkerId(0), VertexId(2), 2.0).is_none());
-        let batch = b.push(WorkerId(0), VertexId(3), 3.0).unwrap();
-        assert_eq!(batch.len(), 3);
-        assert!(b.flush(WorkerId(0)).is_empty());
+        let sent = fill(
+            &mut b,
+            &[(0, 1, 1.0), (0, 2, 2.0), (1, 9, 9.0), (0, 3, 3.0)],
+        );
+        let want = records(&[(1, 1.0), (2, 2.0), (3, 3.0)]);
+        assert_eq!(sent, [(WorkerId(0), want)]);
+        b.flush(WorkerId(0), |_| panic!("a flushed buffer is empty"));
+        assert_eq!(b.memory_bytes(), 12);
     }
 
     #[test]
     fn peers_are_independent() {
         let mut b: ThresholdBuffer<u32> = ThresholdBuffer::new(3, 16);
-        b.push(WorkerId(0), VertexId(0), 0);
-        b.push(WorkerId(1), VertexId(1), 1);
+        assert!(fill(&mut b, &[(0, 0, 0), (1, 1, 1)]).is_empty());
         assert_eq!(b.memory_bytes(), 2 * 8);
-        assert_eq!(b.flush(WorkerId(1)), [(VertexId(1), 1)]);
-        assert!(b.flush(WorkerId(2)).is_empty());
+        let mut sent = Vec::new();
+        b.flush(WorkerId(1), |r| sent = r.to_vec());
+        assert_eq!(sent, records(&[(1, 1u32)]));
+        b.flush(WorkerId(2), |_| panic!("peer 2 has nothing buffered"));
         assert_eq!(b.memory_bytes(), 8);
-        assert_eq!(b.flush(WorkerId(0)), [(VertexId(0), 0)]);
+        b.flush(WorkerId(0), |r| sent = r.to_vec());
+        assert_eq!(sent, records(&[(0, 0u32)]));
         assert_eq!(b.memory_bytes(), 0);
     }
 
     #[test]
     fn flush_all_drains() {
         let mut b: ThresholdBuffer<u32> = ThresholdBuffer::new(3, 1024);
-        b.push(WorkerId(0), VertexId(0), 0);
-        b.push(WorkerId(2), VertexId(1), 1);
-        b.push(WorkerId(2), VertexId(2), 2);
-        let flushed = b.flush_all();
-        assert_eq!(flushed.len(), 2);
-        assert_eq!(flushed[0].0, WorkerId(0));
-        assert_eq!(flushed[1].1.len(), 2);
+        fill(&mut b, &[(2, 1, 1), (0, 0, 0), (2, 2, 2)]);
+        let mut flushed = Vec::new();
+        b.flush_all(|peer, r| flushed.push((peer, r.to_vec())));
+        let want = [
+            (WorkerId(0), records(&[(0, 0u32)])),
+            (WorkerId(2), records(&[(1, 1u32), (2, 2)])),
+        ];
+        assert_eq!(flushed, want);
         assert_eq!(b.memory_bytes(), 0);
+        b.flush_all(|_, _| panic!("everything was flushed"));
     }
 
     #[test]
     fn tiny_threshold_still_batches_one() {
         let mut b: ThresholdBuffer<f64> = ThresholdBuffer::new(1, 1);
         assert_eq!(ThresholdBuffer::<f64>::messages_per_flush(1), 1);
-        assert!(b.push(WorkerId(0), VertexId(0), 0.0).is_some());
+        assert_eq!(fill(&mut b, &[(0, 0, 0.0)]).len(), 1);
+    }
+
+    #[test]
+    fn ids_are_four_byte_records() {
+        let mut b: ThresholdBuffer<()> = ThresholdBuffer::new(1, 8);
+        let sent = fill(&mut b, &[(0, 7, ()), (0, 0x0102_0304, ())]);
+        assert_eq!(sent, [(WorkerId(0), vec![7, 0, 0, 0, 4, 3, 2, 1])]);
     }
 
     #[test]
     fn memory_bytes_tracks_content() {
         let mut b: ThresholdBuffer<f64> = ThresholdBuffer::new(1, 1024);
-        b.push(WorkerId(0), VertexId(0), 0.0);
-        b.push(WorkerId(0), VertexId(1), 1.0);
+        fill(&mut b, &[(0, 0, 0.0), (0, 1, 1.0)]);
         assert_eq!(b.memory_bytes(), 24);
     }
 
     #[test]
     fn running_count_follows_threshold_flushes() {
         let mut b: ThresholdBuffer<u32> = ThresholdBuffer::new(2, 16);
-        b.push(WorkerId(0), VertexId(0), 0);
-        b.push(WorkerId(1), VertexId(1), 1);
-        assert!(b.push(WorkerId(0), VertexId(2), 2).is_some());
+        assert_eq!(fill(&mut b, &[(0, 0, 0), (1, 1, 1), (0, 2, 2)]).len(), 1);
         assert_eq!(b.memory_bytes(), 8);
-        b.flush_all();
+        b.flush_all(|_, _| {});
         assert_eq!(b.memory_bytes(), 0);
     }
 

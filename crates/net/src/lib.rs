@@ -10,7 +10,8 @@
 //! * [`wire`] — message-batch encodings: plain (push), concatenated and
 //!   combined (b-pull), with per-batch savings statistics,
 //! * [`combine`] — the `Combiner` abstraction (paper §4.2, Appendix E),
-//! * [`flow`] — sending-threshold buffering (Appendix E's knob),
+//! * [`flow`] — sending-threshold buffering (Appendix E's knob) of wire
+//!   records,
 //! * [`fabric`] — the worker-to-worker channel mesh and [`NetStats`],
 //! * [`netfault`] — seeded drop/duplicate/delay schedules for the wire.
 //!

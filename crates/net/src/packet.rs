@@ -7,7 +7,7 @@
 //!   pulling ("the cost of pull requests is minimized to a Vblock
 //!   identifier", §4.1).
 //! * [`Packet::Messages`] — a batch of messages encoded by
-//!   [`crate::wire::encode_batch`]; carries its [`WireStats`] so receivers
+//!   [`crate::wire::encode_payloads`]; carries its [`WireStats`] so receivers
 //!   account savings without re-parsing.
 //! * [`Packet::EndOfResponses`] — b-pull: the sender has produced all
 //!   messages for the requested block.

@@ -2,32 +2,42 @@
 //!
 //! Three encodings exist, matching the paper's communication analysis:
 //!
-//! * **Plain** — `(dst id, value)` per message. What push uses: Giraph
-//!   neither concatenates nor combines at the sender because partial
-//!   buffers are flushed at the sending threshold.
+//! * **Plain** — one `dst: u32 LE | value` record per message. What push
+//!   uses: Giraph neither concatenates nor combines at the sender because
+//!   partial buffers are flushed at the sending threshold.
 //! * **Concatenated** — messages grouped by destination share one id:
 //!   `(dst id, count, values…)`. What b-pull uses for non-commutative
 //!   algorithms (LPA, SA).
-//! * **Combined** — one `(dst id, value)` per destination after running a
-//!   [`Combiner`]. What b-pull uses for commutative algorithms
+//! * **Combined** — one `(dst id, value)` record per destination after
+//!   running a [`Combiner`]. What b-pull uses for commutative algorithms
 //!   (PageRank, SSSP).
 //!
 //! [`WireStats::saved_messages`] counts the messages merged away — the
 //! quantity the paper calls `M_co`, which drives the `Q_t` switching
 //! metric's network term.
 //!
+//! Every sending buffer ([`crate::flow::ThresholdBuffer`], b-pull's
+//! concatenating responder) holds Plain records, and [`encode_payloads`]
+//! is the one encoder over them: Plain records go out as they stand,
+//! Concatenated ones are grouped through the one grouping pass of
+//! [`hybridgraph_storage::inbox`], Combined ones folded in a [`FoldBuf`].
+//! Pull's `Signals` and `GatherRequests` payloads are Plain records of
+//! `()` messages — a vertex id each — read by [`check_batch`] and
+//! [`messages`] like any other.
+//!
 //! A Vblock's messages are generated together, so they concatenate or
-//! combine *fully* in the sending buffer — and a Vblock is a contiguous id
-//! range, so finding a destination is an array index, not a sort.
-//! Concatenation groups through the one grouping pass of
-//! [`hybridgraph_storage::inbox`]; combining never groups: each message
-//! folds into its destination's slot of a [`FoldBuf`] — b-pull's responder
-//! folds as `pullRes()` produces, then sends [`combined_payload`].
+//! combine *fully* before they are sent — and a Vblock is a contiguous id
+//! range, so finding a destination is an array index, not a sort. b-pull's
+//! combining responder buffers no message at all: each one folds into its
+//! destination's slot of a [`FoldBuf`] as `pullRes()` produces it, and the
+//! response is [`combined_payload`].
 
 use crate::combine::Combiner;
 use hybridgraph_graph::VertexId;
 use hybridgraph_storage::inbox::{FoldBuf, Inbox};
+use hybridgraph_storage::record::encode_slice;
 use hybridgraph_storage::Record;
+use std::borrow::Cow;
 use std::fmt::Debug;
 use std::io;
 use std::ops::RangeBounds;
@@ -35,7 +45,7 @@ use std::ops::RangeBounds;
 /// Which encoding a batch uses.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum BatchKind {
-    /// `(dst, value)` pairs, no merging.
+    /// `dst | value` records, no merging.
     Plain,
     /// Destination-grouped, id shared per group.
     Concatenated,
@@ -78,7 +88,8 @@ impl WireStats {
     }
 }
 
-/// Encodes `msgs` with the given `kind` as one payload.
+/// Encodes `msgs` with the given `kind` as one payload: their records,
+/// through [`encode_payloads`] uncut.
 ///
 /// `combiner` must be provided if `kind` is [`BatchKind::Combined`].
 pub fn encode_batch<M: Record>(
@@ -86,43 +97,41 @@ pub fn encode_batch<M: Record>(
     msgs: &mut [(VertexId, M)],
     combiner: Option<&dyn Combiner<M>>,
 ) -> (Vec<u8>, WireStats) {
-    encode_payloads(kind, msgs, combiner, usize::MAX)
+    let records = encode_slice(msgs);
+    encode_payloads(kind, &records, combiner, usize::MAX)
         .pop()
+        .map(|(payload, stats)| (payload.into_owned(), stats))
         .unwrap_or_default()
 }
 
-/// Encodes `msgs` as the payloads of one send, none if there is nothing to
-/// say. `Combined` writes each destination's left fold in production
-/// order ([`FoldBuf`]); `Concatenated` groups once ([`Inbox::from_staged`]:
-/// by index, production order kept within a destination) and writes
+/// Encodes `records` — a sending buffer's `dst: u32 LE | M` records, in
+/// production order — as the payloads of one send, none if there is
+/// nothing to say. `Plain` sends the records as they stand; `Combined`
+/// writes each destination's left fold in production order
+/// ([`FoldBuf`]); `Concatenated` groups once ([`Inbox::from_staged`]: by
+/// index, production order kept within a destination) and writes
 /// `(dst, count, values…)` cut into a new payload every `cut` messages of
 /// the grouped order — a destination's group may straddle two payloads.
-pub fn encode_payloads<M: Record>(
+pub fn encode_payloads<'a, M: Record>(
     kind: BatchKind,
-    msgs: &[(VertexId, M)],
+    records: &'a [u8],
     combiner: Option<&dyn Combiner<M>>,
     cut: usize,
-) -> Vec<(Vec<u8>, WireStats)> {
+) -> Vec<(Cow<'a, [u8]>, WireStats)> {
     assert!(cut > 0, "a payload holds at least one message");
-    if msgs.is_empty() {
+    debug_assert!(records.len().is_multiple_of(4 + M::BYTES), "whole records");
+    if records.is_empty() {
         return Vec::new();
     }
-    let staged = msgs.iter().map(|(dst, m)| (dst.0, m.clone()));
+    let raw = records.len() / (4 + M::BYTES);
+    let staged = messages::<M>(BatchKind::Plain, records);
     match kind {
-        BatchKind::Plain => {
-            let mut out = Vec::with_capacity(msgs.len() * (4 + M::BYTES));
-            for (dst, m) in msgs {
-                dst.append_to(&mut out);
-                m.append_to(&mut out);
-            }
-            let stats = WireStats::of(&out, msgs.len(), msgs.len(), msgs.len());
-            vec![(out, stats)]
-        }
+        BatchKind::Plain => vec![(records.into(), WireStats::of(records, raw, raw, raw))],
         BatchKind::Combined => {
             let combiner = combiner.expect("Combined encoding requires a combiner");
             let (out, groups) = combined_records(staged, combiner);
-            let stats = WireStats::of(&out, msgs.len(), groups, groups);
-            vec![(out, stats)]
+            let stats = WireStats::of(&out, raw, groups, groups);
+            vec![(out.into(), stats)]
         }
         BatchKind::Concatenated => {
             let mut payloads = Vec::new();
@@ -140,14 +149,14 @@ pub fn encode_payloads<M: Record>(
                     group = later;
                     if values == cut {
                         let stats = WireStats::of(&out, values, values, groups);
-                        payloads.push((std::mem::take(&mut out), stats));
+                        payloads.push((std::mem::take(&mut out).into(), stats));
                         (values, groups) = (0, 0);
                     }
                 }
             }
             if values > 0 {
                 let stats = WireStats::of(&out, values, values, groups);
-                payloads.push((out, stats));
+                payloads.push((out.into(), stats));
             }
             payloads
         }
@@ -414,7 +423,8 @@ mod tests {
     #[test]
     fn concatenated_cut_straddles_groups() {
         // Grouped order: 1 → [2, 4], 2 → [1, 3], 3 → [5]; cut every 3.
-        let payloads = encode_payloads(BatchKind::Concatenated, &sample(), None, 3);
+        let records = encode_slice(&sample());
+        let payloads = encode_payloads::<f64>(BatchKind::Concatenated, &records, None, 3);
         let want = [
             (groups(&[(1, 2, &[2.0, 4.0]), (2, 1, &[1.0])]), (3, 1)),
             (groups(&[(2, 1, &[3.0]), (3, 1, &[5.0])]), (2, 0)),

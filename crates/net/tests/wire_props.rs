@@ -4,14 +4,17 @@
 //! [`SplitMix64`] stream so the workspace builds offline.
 
 use hybridgraph_graph::rng::SplitMix64;
-use hybridgraph_graph::VertexId;
+use hybridgraph_graph::{VertexId, WorkerId};
 use hybridgraph_net::combine::{MinCombiner, SumCombiner};
+use hybridgraph_net::flow::{ThresholdBuffer, DEFAULT_SENDING_THRESHOLD};
 use hybridgraph_net::wire::{
     combined_payload, decode_batch, encode_batch, encode_payloads, messages, BatchKind, WireStats,
 };
 use hybridgraph_net::Combiner;
 use hybridgraph_storage::inbox::{FoldBuf, Inbox};
+use hybridgraph_storage::record::encode_slice;
 use hybridgraph_storage::Record;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 fn batch(r: &mut SplitMix64) -> Vec<(VertexId, u32)> {
@@ -208,18 +211,37 @@ fn matches_reference<M: Record>(
             .into_iter()
             .map(|d| (VertexId(d), value(&mut r)))
             .collect();
+        let records = encode_slice(&msgs);
         for cut in [usize::MAX, 50, 7, 1] {
-            let got = encode_payloads(BatchKind::Concatenated, &msgs, None, cut);
+            let got = owned(encode_payloads::<M>(
+                BatchKind::Concatenated,
+                &records,
+                None,
+                cut,
+            ));
             let want = reference(BatchKind::Concatenated, &msgs, None, cut);
             assert_eq!(got, want, "seed {seed:#x} case {case} cut {cut}");
         }
-        let got = encode_payloads(BatchKind::Combined, &msgs, Some(combiner), 50);
+        let got = owned(encode_payloads(
+            BatchKind::Combined,
+            &records,
+            Some(combiner),
+            50,
+        ));
         let want = reference(BatchKind::Combined, &msgs, Some(combiner), 50);
         assert_eq!(got, want, "seed {seed:#x} case {case} combined");
         // The one-payload entry point is the uncut case.
         let (bytes, stats) = encode_batch(BatchKind::Combined, &mut msgs.clone(), Some(combiner));
         assert_eq!(want.first().cloned().unwrap_or_default(), (bytes, stats));
     }
+}
+
+/// Encoded payloads as owned bytes, to compare with [`reference`]'s.
+fn owned(payloads: Vec<(Cow<'_, [u8]>, WireStats)>) -> Vec<(Vec<u8>, WireStats)> {
+    payloads
+        .into_iter()
+        .map(|(payload, stats)| (payload.into_owned(), stats))
+        .collect()
 }
 
 /// `f64` values whose sum depends on the order it is taken in: magnitudes
@@ -422,6 +444,153 @@ fn staged_order_is_a_stable_sort_by_destination() {
         for (dst, first) in firsts {
             let earliest = staged.iter().find(|&&(d, _)| d == dst.0).unwrap().1;
             assert_eq!(first, earliest, "case {case}");
+        }
+    }
+}
+
+// ------------------------------------ oracle: buffers of pairs, encoded
+
+/// What one send put on the wire: the peer, the payload and its stats.
+type Sent = Vec<(WorkerId, Vec<u8>, WireStats)>;
+
+/// The sending path as it was when a sending buffer held `(dst, message)`
+/// pairs: a peer's pairs drained once `⌊threshold / (4 + M::BYTES)⌋` of
+/// them (at least one) were in, every peer's rest drained in worker order
+/// at the end, and each drained batch encoded on its own — `Plain` pair by
+/// pair, the grouping kinds by [`reference`].
+fn pair_sends<M: Record>(
+    kind: BatchKind,
+    msgs: &[(WorkerId, VertexId, M)],
+    peers: usize,
+    threshold: usize,
+    combiner: Option<&dyn Combiner<M>>,
+    cut: usize,
+) -> Sent {
+    let per_flush = (threshold / (4 + M::BYTES)).max(1);
+    let mut bufs: Vec<Vec<(VertexId, M)>> = vec![Vec::new(); peers];
+    let mut sent = Vec::new();
+    let mut send = |peer: WorkerId, batch: Vec<(VertexId, M)>| {
+        let payloads = match kind {
+            BatchKind::Plain => {
+                let mut out = Vec::new();
+                for (dst, m) in &batch {
+                    dst.append_to(&mut out);
+                    m.append_to(&mut out);
+                }
+                let n = batch.len() as u64;
+                let stats = WireStats {
+                    raw_messages: n,
+                    wire_values: n,
+                    wire_bytes: out.len() as u64,
+                    saved_messages: 0,
+                };
+                vec![(out, stats)]
+            }
+            _ => reference(kind, &batch, combiner, cut),
+        };
+        sent.extend(payloads.into_iter().map(|(p, s)| (peer, p, s)));
+    };
+    for (peer, dst, m) in msgs {
+        let buf = &mut bufs[peer.index()];
+        buf.push((*dst, m.clone()));
+        if buf.len() >= per_flush {
+            send(*peer, std::mem::take(buf));
+        }
+    }
+    for (p, buf) in bufs.into_iter().enumerate() {
+        if !buf.is_empty() {
+            send(WorkerId::from(p), buf);
+        }
+    }
+    sent
+}
+
+/// Feeds seeded messages for three peers through a [`ThresholdBuffer`]
+/// and encodes every flush with [`encode_payloads`], under all three
+/// kinds and cuts of 1, 3 and unbounded, at thresholds of one record,
+/// a few records, a ragged byte count and the default: the payloads must
+/// be [`pair_sends`]', byte for byte, stats included.
+fn buffered_sends_match_pairs<M: Record>(
+    seed: u64,
+    value: impl Fn(&mut SplitMix64) -> M,
+    combiner: &dyn Combiner<M>,
+) {
+    let combiner = std::hint::black_box(combiner);
+    let width = 4 + M::BYTES;
+    let mut r = SplitMix64::new(seed);
+    for case in 0..CASES {
+        let msgs: Vec<(WorkerId, VertexId, M)> = destinations(&mut r, case % 5)
+            .into_iter()
+            .map(|d| (WorkerId(r.below_u32(3) as u16), VertexId(d), value(&mut r)))
+            .collect();
+        let threshold = [1, 3 * width, 7 * width + 5, DEFAULT_SENDING_THRESHOLD][case % 4];
+        for kind in [
+            BatchKind::Plain,
+            BatchKind::Concatenated,
+            BatchKind::Combined,
+        ] {
+            let combiner = (kind == BatchKind::Combined).then_some(combiner);
+            for cut in [1, 3, usize::MAX] {
+                let mut got = Vec::new();
+                let mut send = |peer: WorkerId, records: &[u8]| {
+                    let payloads = encode_payloads(kind, records, combiner, cut);
+                    got.extend(owned(payloads).into_iter().map(|(p, s)| (peer, p, s)));
+                };
+                let mut tbuf = ThresholdBuffer::<M>::new(3, threshold);
+                for (peer, dst, m) in &msgs {
+                    tbuf.push(*peer, *dst, m.clone(), |records| send(*peer, records));
+                }
+                tbuf.flush_all(&mut send);
+                let want = pair_sends(kind, &msgs, 3, threshold, combiner, cut);
+                let at = format!("seed {seed:#x} case {case} {kind:?} cut {cut} at {threshold}");
+                assert_eq!(got, want, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn buffered_f64_sends_match_pair_encoding() {
+    buffered_sends_match_pairs(0xB0F64, awkward_f64, &SumCombiner);
+}
+
+#[test]
+fn buffered_u32_sends_match_pair_encoding() {
+    let value = |r: &mut SplitMix64| r.next_u64() as u32;
+    buffered_sends_match_pairs(0xB032, value, &MinCombiner);
+}
+
+#[test]
+fn buffered_twelve_byte_sends_match_pair_encoding() {
+    let value = |r: &mut SplitMix64| (r.below_u32(1 << 20), r.below_u32(4) as f64);
+    buffered_sends_match_pairs(0xB012, value, &NearestParent);
+}
+
+/// Pull's ids are `()` records: a buffer of them flushes where the byte
+/// buffer it replaced did — once `threshold` bytes were in — with the same
+/// bytes, for every threshold that is at most 4 or a multiple of 4. Past
+/// 4 and ragged it stops at `⌊threshold / 4⌋` ids, not `⌈threshold / 4⌉`:
+/// at 6, one id per flush, not two.
+#[test]
+fn id_buffers_flush_where_byte_buffers_did() {
+    for threshold in [1, 2, 3, 4, 6, 8, 600] {
+        let mut ids = ThresholdBuffer::<()>::new(1, threshold);
+        let (mut got, mut want, mut bytes) = (Vec::new(), Vec::new(), Vec::new());
+        for v in 0..1000u32 {
+            ids.push(WorkerId(0), VertexId(v), (), |r| got.push((v, r.to_vec())));
+            bytes.extend_from_slice(&v.to_le_bytes());
+            if bytes.len() >= threshold {
+                want.push((v, std::mem::take(&mut bytes)));
+            }
+        }
+        ids.flush_all(|_, r| got.push((u32::MAX, r.to_vec())));
+        if !bytes.is_empty() {
+            want.push((u32::MAX, bytes));
+        }
+        if threshold == 6 {
+            assert_eq!((got.len(), want.len()), (1000, 500));
+        } else {
+            assert_eq!(got, want, "threshold {threshold}");
         }
     }
 }

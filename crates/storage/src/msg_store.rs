@@ -82,7 +82,7 @@ impl<M: Record> SpillBuffer<M> {
 
     /// Bytes of one record, in memory and on disk: destination id +
     /// payload (the paper's `S_m`).
-    pub fn message_bytes() -> u64 {
+    fn message_bytes() -> u64 {
         4 + M::BYTES as u64
     }
 

@@ -40,7 +40,7 @@
 //! logging on, at two chain lengths 4× apart and one Vblock size, it
 //! must not grow with the chain: a fresh responding-flag vector per
 //! superstep and four cloned flag vectors per undo capture once took it
-//! from 8.6 kB to 16.5 kB per superstep (≈ 5.9 kB flat now).
+//! from 8.6 kB to 16.5 kB per superstep (≈ 5.7 kB flat now).
 //!
 //! Everything runs inside one `#[test]`: the counter is process-wide and
 //! the harness would otherwise run tests on parallel threads.
@@ -93,14 +93,16 @@ const BUDGET: f64 = 0.05;
 /// bound, pull at its measured number + 5 %; bytes at the measured
 /// numbers + 5 %, so the push family's `load()` cannot grow back the
 /// 8-byte sort key per message it once built (push 79.1, pushM 58.3,
-/// async 80.8 bytes). Every row repeats exactly run to run.
+/// async 80.8 bytes), nor a sending buffer the `(dst, message)` pairs it
+/// once held and re-encoded at each flush (push 71.1, pushM 57.1, async
+/// 72.8, pull 46.4 bytes). Every row repeats exactly run to run.
 const BUDGETS: [(Mode, CodecChoice, f64, f64); 6] = [
-    (Mode::Push, CodecChoice::None, BUDGET, 71.1 * 1.05),
-    (Mode::PushM, CodecChoice::None, BUDGET, 57.3 * 1.05),
-    (Mode::Async, CodecChoice::None, BUDGET, 72.8 * 1.05),
+    (Mode::Push, CodecChoice::None, BUDGET, 53.1 * 1.05),
+    (Mode::PushM, CodecChoice::None, BUDGET, 39.1 * 1.05),
+    (Mode::Async, CodecChoice::None, BUDGET, 54.4 * 1.05),
     (Mode::BPull, CodecChoice::None, 0.01, 5.3 * 1.05),
     (Mode::BPull, CodecChoice::Bv, 0.01, 5.3 * 1.05),
-    (Mode::Pull, CodecChoice::None, 0.1072 * 1.05, 47.5 * 1.05),
+    (Mode::Pull, CodecChoice::None, 0.1072 * 1.05, 40.4 * 1.05),
 ];
 
 /// The per-worker message buffer of the chain rows: it fixes the Vblock

@@ -144,6 +144,22 @@ fn unrunnable_configurations_are_typed_errors() {
     let mut forced = JobConfig::new(Mode::Hybrid, 2);
     forced.initial_mode_override = Some(Mode::Pull);
     rejects(&g, forced, "push and b-pull");
+    // A zero sending threshold, and a zero message buffer that Eq. 5 /
+    // Eq. 6 would divide by, in every mode. With an explicit Vblock count
+    // a zero buffer sizes nothing, and the job runs.
+    for mode in Mode::ALL {
+        let cfg = JobConfig::new(mode, 2);
+        rejects(
+            &g,
+            cfg.clone().with_sending_threshold(0),
+            "sending threshold",
+        );
+        rejects(&g, cfg.clone().with_buffer(0), "zero message buffer");
+        let mut sized = cfg.with_buffer(0);
+        sized.vblocks_per_worker = Some(2);
+        run_job(Arc::new(PageRank::new(3)), &g, sized)
+            .unwrap_or_else(|e| panic!("{mode:?}, buffer 0, two Vblocks: {e}"));
+    }
 
     // A resume state cut for another worker count, or without the trace
     // rings a traced job needs. Corrupt bytes stay an I/O error.

@@ -52,6 +52,9 @@ GUARDS=(
   "0 :: struct Switcher|annotate_tiers|decide_async|decide_inner|(^|[^A-Za-z])CostInputs :: crates src tests examples :: the switch is a function (switch::decide) of the master's cursor, which alone holds the mode, the Δt cursor, R_co and the Q_t audit; QtInputs is Eq. 11's one input type"
   "1 :: pub struct NetOverhead :: crates :: net::fabric declares the transport-overhead counters once; NetSnapshot and JobMetrics carry that type"
   "0 :: Vec<Option< :: crates/core/src/worker.rs :: pushM's online accumulators are a FoldBuf, the engine's one combining fold, not a second fold by index"
+  "0 :: Vec<Vec<\(VertexId :: crates/net/src/flow.rs :: a sending buffer holds the wire records it flushes, not (dst, message) pairs re-encoded at each flush"
+  "0 :: Responder<|out: Vec<\( :: crates/core/src :: b-pull's concatenating responder builds its response as wire records, not (dst, message) pairs"
+  "0 :: fn buffer_id|fn flush_ids|fn vertex_ids :: crates/core/src/modes/pull.rs :: pull's ids are () records in a ThresholdBuffer<()>, read through wire::check_batch and wire::messages: no second per-peer buffer or id decoder"
 )
 
 # file :: most lines it may have

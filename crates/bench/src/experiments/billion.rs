@@ -20,7 +20,9 @@ use crate::table::{bytes, ratio, Table};
 use crate::Scale;
 use hybridgraph_graph::StreamSpec;
 use hybridgraph_storage::extent::{self, ExtentFile, ExtentWriter};
-use hybridgraph_storage::{AccessClass, CodecChoice, DirVfs, ExtentKind, MemVfs, Vfs};
+use hybridgraph_storage::{
+    AccessClass, CodecChoice, DirVfs, ExtentKind, FragmentColumns, MemVfs, Vfs,
+};
 use std::sync::Arc;
 
 /// A built store plus the sweep-side per-vertex state.
@@ -97,19 +99,22 @@ fn build(spec: &StreamSpec, vfs: &dyn Vfs, codec: CodecChoice) -> Built {
 fn sweep(b: &Built, n: usize, supersteps: u32) -> f64 {
     let nblocks = b.nblocks as usize;
     let mut rank = vec![1.0 / n as f64; n];
+    let (mut bytes, mut cols) = (Vec::new(), FragmentColumns::default());
     for _ in 0..supersteps {
         let mut next = vec![0.15 / n as f64; n];
         for db in 0..nblocks {
             for sb in 0..nblocks {
-                let raw = b
-                    .store
-                    .read(sb * nblocks + db, AccessClass::RandRead)
+                b.store
+                    .read_columns(
+                        sb * nblocks + db,
+                        AccessClass::RandRead,
+                        &mut bytes,
+                        &mut cols,
+                    )
                     .expect("read eblock");
-                for fragment in extent::fragments(&raw) {
-                    let (src, edges) = fragment.expect("fragment stream");
+                for (k, &src) in cols.svertices.iter().enumerate() {
                     let contr = 0.85 * rank[src as usize] / f64::from(b.deg[src as usize]);
-                    for edge in edges.chunks_exact(8) {
-                        let dst = u32::from_le_bytes([edge[0], edge[1], edge[2], edge[3]]);
+                    for &dst in &cols.ids[cols.span(k)] {
                         next[dst as usize] += contr;
                     }
                 }

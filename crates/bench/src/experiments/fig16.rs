@@ -2,7 +2,9 @@
 //! (push's adjacency list), `VE-BLOCK` (b-pull's layout, which must parse
 //! adjacency lists into fragments and write auxiliary data), and
 //! `adj+VE-BLOCK` (hybrid's double storage). Reported as ratios to `adj`,
-//! like the paper's y-axis.
+//! like the paper's y-axis. The runtime table has two rows per graph: the
+//! modeled ratio, a function of bytes alone (so two runs print the same
+//! numbers), and the measured build-CPU ratio, which varies run to run.
 
 use crate::table::{ratio, Table};
 use crate::{buffer_for, workers_for, Scale};
@@ -25,10 +27,10 @@ fn raw_input_bytes(edges: usize) -> u64 {
 }
 
 /// Modeled loading seconds: raw input scan + layout writes (HDD
-/// sequential throughput) + the measured build CPU.
+/// sequential throughput).
 fn modeled_secs(raw: u64, c: &LoadCost) -> f64 {
     let p = hybridgraph_storage::DeviceProfile::local_hdd();
-    p.seq_read_secs(raw) + p.seq_write_secs(c.write_bytes) + c.wall_secs
+    p.seq_read_secs(raw) + p.seq_write_secs(c.write_bytes)
 }
 
 fn build_adj(d: Dataset, scale: Scale) -> LoadCost {
@@ -65,7 +67,7 @@ fn build_ve(d: Dataset, scale: Scale) -> LoadCost {
 pub fn run(scale: Scale) {
     let mut rt = Table::new(
         "Fig 16(a) — loading runtime ratio vs adj",
-        &["graph", "adj", "VE-BLOCK", "adj+VE-BLOCK"],
+        &["graph", "ratio of", "adj", "VE-BLOCK", "adj+VE-BLOCK"],
     );
     let mut iot = Table::new(
         "Fig 16(b) — loading write-byte ratio vs adj",
@@ -75,25 +77,29 @@ pub fn run(scale: Scale) {
         let adj = build_adj(d, scale);
         let ve = build_ve(d, scale);
         let raw = raw_input_bytes(scale.build(d).num_edges());
-        let adj_secs = modeled_secs(raw, &adj);
-        let ve_secs = modeled_secs(raw, &ve);
         let both = LoadCost {
             wall_secs: adj.wall_secs + ve.wall_secs,
             write_bytes: adj.write_bytes + ve.write_bytes,
         };
-        let both_secs = modeled_secs(raw, &both);
-        let both_bytes = both.write_bytes;
-        rt.row(vec![
-            d.name().into(),
-            "1.00".into(),
-            ratio(ve_secs / adj_secs),
-            ratio(both_secs / adj_secs),
-        ]);
+        let modeled = |c: &LoadCost| modeled_secs(raw, c) / modeled_secs(raw, &adj);
+        let cpu = |c: &LoadCost| c.wall_secs / adj.wall_secs;
+        for (label, ve_ratio, both_ratio) in [
+            ("modeled (input + writes)", modeled(&ve), modeled(&both)),
+            ("build CPU (measured)", cpu(&ve), cpu(&both)),
+        ] {
+            rt.row(vec![
+                d.name().into(),
+                label.into(),
+                "1.00".into(),
+                ratio(ve_ratio),
+                ratio(both_ratio),
+            ]);
+        }
         iot.row(vec![
             d.name().into(),
             "1.00".into(),
             ratio(ve.write_bytes as f64 / adj.write_bytes as f64),
-            ratio(both_bytes as f64 / adj.write_bytes as f64),
+            ratio(both.write_bytes as f64 / adj.write_bytes as f64),
         ]);
     }
     rt.print();

@@ -15,6 +15,7 @@
 
 use crate::varint::{read_u64, write_u64};
 use crate::CodecError;
+use std::cell::RefCell;
 
 const OP_LIT: u8 = 0x00;
 const OP_RUN: u8 = 0x01;
@@ -43,11 +44,41 @@ fn flush_literals(out: &mut Vec<u8>, lits: &[u8]) {
     out.extend_from_slice(lits);
 }
 
+/// The hash-chain heads, kept by each thread from call to call. An entry
+/// holds `base + pos`, and every call's `base` lies past all the entries
+/// earlier calls wrote, so those read as empty without being rewritten:
+/// a call costs no table fill, however short its input.
+struct Heads {
+    head: Vec<usize>,
+    base: usize,
+}
+
+thread_local! {
+    static HEADS: RefCell<Heads> = const {
+        RefCell::new(Heads { head: Vec::new(), base: 1 })
+    };
+}
+
 /// Compresses `input`. The output may be larger than the input on
 /// incompressible data; callers keep the raw bytes when that happens.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    HEADS.with_borrow_mut(|heads| {
+        // First call on this thread, or the bases ran out: one fill.
+        if heads.head.is_empty() || heads.base.checked_add(input.len() + 1).is_none() {
+            *heads = Heads {
+                head: vec![0; 1 << HASH_BITS],
+                base: 1,
+            };
+        }
+        let base = heads.base;
+        heads.base += input.len() + 1;
+        compress_with(input, &mut heads.head, base)
+    })
+}
+
+/// [`compress`] over `head`, in which only entries `>= base` are live.
+fn compress_with(input: &[u8], head: &mut [usize], base: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
     let mut lit_start = 0usize;
     let mut pos = 0usize;
     while pos < input.len() {
@@ -60,8 +91,8 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         let mut mdist = 0usize;
         if pos + MIN_MATCH <= input.len() {
             let h = hash4(&input[pos..]);
-            let cand = head[h];
-            if cand != usize::MAX && pos - cand <= WINDOW {
+            let cand = head[h].wrapping_sub(base);
+            if head[h] >= base && pos - cand <= WINDOW {
                 let mut l = 0usize;
                 while pos + l < input.len() && input[cand + l] == input[pos + l] {
                     l += 1;
@@ -71,7 +102,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
                     mdist = pos - cand;
                 }
             }
-            head[h] = pos;
+            head[h] = base + pos;
         }
         if run >= MIN_MATCH && run >= mlen {
             flush_literals(&mut out, &input[lit_start..pos]);
@@ -206,6 +237,22 @@ mod tests {
     fn deterministic() {
         let data: Vec<u8> = (0..5000u32).flat_map(|i| (i % 251).to_le_bytes()).collect();
         assert_eq!(compress(&data), compress(&data));
+    }
+
+    #[test]
+    fn heads_left_by_earlier_calls_change_no_byte() {
+        let a: Vec<u8> = (0..5000u32).flat_map(|i| (i % 251).to_le_bytes()).collect();
+        let b: Vec<u8> = (0..3000u32).flat_map(|i| (i % 13).to_le_bytes()).collect();
+        let fresh = std::thread::spawn({
+            let a = a.clone();
+            move || compress(&a)
+        })
+        .join()
+        .unwrap();
+        compress(&b);
+        assert_eq!(compress(&a), fresh);
+        compress(&a[..100]);
+        assert_eq!(compress(&a), fresh);
     }
 
     #[test]

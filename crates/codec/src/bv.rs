@@ -21,7 +21,7 @@
 
 use crate::bits::{BitReader, BitWriter};
 use crate::varint::{read_u64, write_u64};
-use crate::{CodecError, FragmentColumns};
+use crate::{CodecError, ExtentKind, FragmentColumns};
 
 /// How many previous lists inside the extent a copy-reference may reach
 /// back. Chains are bounded by the extent, so decode state is at most
@@ -665,33 +665,27 @@ fn require_sorted(ids: &[u32]) -> Result<(), CodecError> {
 /// the next.
 #[derive(Default)]
 pub(crate) struct EncodeScratch {
-    cols: FragmentColumns,
+    /// The extent parsed into columns; the gaps tier parses into it too.
+    pub(crate) cols: FragmentColumns,
     plan: ListPlan,
 }
 
 /// BV-codes a raw fragment stream (`svertex u32 | count u32 | count ×
-/// (id u32, w f32)` repeated). Layout: `nfrags` varint, then one bit
-/// stream — δ-coded strictly-ascending svertices, γ counts, one
-/// `write_list` body per fragment (reference window = previous lists
-/// of this extent; each list's leading id is zigzag-δ-coded against the
-/// previous non-empty list's first id, since all lists in an extent
-/// share one destination block), and the packed weight column over all
-/// edges.
-pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    encode_fragments(raw, &mut EncodeScratch::default(), &mut out)?;
-    Ok(out)
-}
-
-/// [`fragments_from_raw`] appending to `out`, in buffers the caller keeps.
-/// Every input check runs before `out` is touched.
+/// (id u32, w f32)` repeated), appending to `out`, in buffers the caller
+/// keeps. Layout: `nfrags` varint, then one bit stream — δ-coded
+/// strictly-ascending svertices, γ counts, one `write_list` body per
+/// fragment (reference window = previous lists of this extent; each
+/// list's leading id is zigzag-δ-coded against the previous non-empty
+/// list's first id, since all lists in an extent share one destination
+/// block), and the packed weight column over all edges. Every input
+/// check runs before `out` is touched.
 pub(crate) fn encode_fragments(
     raw: &[u8],
     s: &mut EncodeScratch,
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
     let EncodeScratch { cols: f, plan } = s;
-    f.parse_raw(raw)?;
+    f.parse(ExtentKind::Fragments, raw)?;
     if f.svertices.windows(2).any(|p| p[0] >= p[1]) {
         return Err(CodecError::Corrupt("bv requires ascending svertices"));
     }
@@ -729,10 +723,15 @@ pub(crate) fn encode_fragments(
     Ok(())
 }
 
-/// Decodes a [`fragments_from_raw`] body into `cols` (overwritten): the
-/// tier's one fragment decoder.
-pub(crate) fn decode_fragments(coded: &[u8], cols: &mut FragmentColumns) -> Result<(), CodecError> {
-    cols.clear();
+/// Decodes an [`encode_fragments`] body of at most `max_edges` edges into
+/// `cols`, which the caller has cleared: the tier's one fragment decoder.
+/// The bound is checked before any list is read, since an interval of a
+/// few bits stands for up to 2³² ids.
+pub(crate) fn decode_fragments(
+    coded: &[u8],
+    cols: &mut FragmentColumns,
+    max_edges: usize,
+) -> Result<(), CodecError> {
     let mut pos = 0usize;
     let nfrags = read_u64(coded, &mut pos)? as usize;
     let mut r = BitReader::new(&coded[pos..]);
@@ -758,6 +757,9 @@ pub(crate) fn decode_fragments(coded: &[u8], cols: &mut FragmentColumns) -> Resu
             .ok_or(CodecError::Corrupt("bv edge total overflows"))?;
         cols.ends.push(total_edges);
     }
+    if total_edges > max_edges {
+        return Err(CodecError::Corrupt("bv edge count exceeds the extent"));
+    }
     let mut anchor: Option<u32> = None;
     for k in 0..nfrags {
         let (start, count) = (cols.ids.len(), cols.span(k).len());
@@ -776,39 +778,17 @@ pub(crate) fn decode_fragments(coded: &[u8], cols: &mut FragmentColumns) -> Resu
     read_weights(&mut r, total_edges, &mut cols.weights)
 }
 
-/// Inverse of [`fragments_from_raw`].
-pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut cols = FragmentColumns::default();
-    decode_fragments(coded, &mut cols)?;
-    Ok(cols.to_raw())
-}
-
-/// BV-codes a bare edge list (`id u32 | w f32` pairs): `count` varint,
-/// then one bit stream with a single referenceless list body and the
-/// packed weight column.
-pub fn edges_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    encode_edges(raw, &mut EncodeScratch::default(), &mut out)?;
-    Ok(out)
-}
-
-/// [`edges_from_raw`] appending to `out`, in buffers the caller keeps.
-/// Every input check runs before `out` is touched.
+/// BV-codes a bare edge list (`id u32 | w f32` pairs), appending to
+/// `out`, in buffers the caller keeps: `count` varint, then one bit
+/// stream with a single referenceless list body and the packed weight
+/// column. Every input check runs before `out` is touched.
 pub(crate) fn encode_edges(
     raw: &[u8],
     s: &mut EncodeScratch,
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
-    if !raw.len().is_multiple_of(8) {
-        return Err(CodecError::Corrupt("edge list not a multiple of 8 bytes"));
-    }
     let EncodeScratch { cols, plan } = s;
-    cols.clear();
-    for e in raw.chunks_exact(8) {
-        cols.ids.push(u32::from_le_bytes([e[0], e[1], e[2], e[3]]));
-        cols.weights
-            .push(u32::from_le_bytes([e[4], e[5], e[6], e[7]]));
-    }
+    cols.parse(ExtentKind::Edges, raw)?;
     require_sorted(&cols.ids)?;
     write_u64(out, cols.ids.len() as u64);
     let mut w = BitWriter::from_vec(std::mem::take(out));
@@ -818,32 +798,46 @@ pub(crate) fn encode_edges(
     Ok(())
 }
 
-/// Inverse of [`edges_from_raw`].
-pub fn raw_from_edges(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// Decodes an [`encode_edges`] body of at most `max_edges` edges into
+/// `cols`' id and weight columns, which the caller has cleared.
+pub(crate) fn decode_edges(
+    coded: &[u8],
+    cols: &mut FragmentColumns,
+    max_edges: usize,
+) -> Result<(), CodecError> {
     let mut pos = 0usize;
     let count = read_u64(coded, &mut pos)? as usize;
-    let mut r = BitReader::new(&coded[pos..]);
-    let (mut ids, mut weights) = (Vec::new(), Vec::new());
-    read_list(
-        &mut r,
-        count,
-        &mut ids,
-        &[],
-        None,
-        &mut ListScratch::default(),
-    )?;
-    read_weights(&mut r, count, &mut weights)?;
-    let mut raw = Vec::with_capacity(count * 8);
-    for i in 0..count {
-        raw.extend_from_slice(&ids[i].to_le_bytes());
-        raw.extend_from_slice(&weights[i].to_le_bytes());
+    if count > max_edges {
+        return Err(CodecError::Corrupt("bv edge count exceeds the extent"));
     }
-    Ok(raw)
+    let mut r = BitReader::new(&coded[pos..]);
+    read_list(&mut r, count, &mut cols.ids, &[], None, &mut cols.lists)?;
+    read_weights(&mut r, count, &mut cols.weights)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `raw` bv-coded as `kind`.
+    fn code(kind: ExtentKind, raw: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let (mut s, mut out) = (EncodeScratch::default(), Vec::new());
+        match kind {
+            ExtentKind::Fragments => encode_fragments(raw, &mut s, &mut out)?,
+            ExtentKind::Edges => encode_edges(raw, &mut s, &mut out)?,
+        }
+        Ok(out)
+    }
+
+    /// A bv body of `kind` decoded back into its raw bytes.
+    fn back(kind: ExtentKind, coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut cols = FragmentColumns::default();
+        match kind {
+            ExtentKind::Fragments => decode_fragments(coded, &mut cols, usize::MAX)?,
+            ExtentKind::Edges => decode_edges(coded, &mut cols, usize::MAX)?,
+        }
+        Ok(cols.to_raw(kind))
+    }
 
     fn mix(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -900,10 +894,13 @@ mod tests {
 
     #[test]
     fn empty_inputs_roundtrip() {
-        let coded = fragments_from_raw(&[]).unwrap();
-        assert_eq!(raw_from_fragments(&coded).unwrap(), Vec::<u8>::new());
-        let coded = edges_from_raw(&[]).unwrap();
-        assert_eq!(raw_from_edges(&coded).unwrap(), Vec::<u8>::new());
+        let coded = code(ExtentKind::Fragments, &[]).unwrap();
+        assert_eq!(
+            back(ExtentKind::Fragments, &coded).unwrap(),
+            Vec::<u8>::new()
+        );
+        let coded = code(ExtentKind::Edges, &[]).unwrap();
+        assert_eq!(back(ExtentKind::Edges, &coded).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -915,8 +912,8 @@ mod tests {
             (9, vec![(7, 3.0), (8, 1.0), (9, 1.0), (10, 1.0)]),
             (40, vec![(0, -0.0), (0, f32::NAN), (1000, 2.0)]),
         ]);
-        let coded = fragments_from_raw(&raw).unwrap();
-        assert_eq!(raw_from_fragments(&coded).unwrap(), raw);
+        let coded = code(ExtentKind::Fragments, &raw).unwrap();
+        assert_eq!(back(ExtentKind::Fragments, &coded).unwrap(), raw);
     }
 
     #[test]
@@ -924,9 +921,9 @@ mod tests {
         // 0..1000 consecutive: one interval, a handful of bytes.
         let edges: Vec<(u32, f32)> = (0..1000).map(|i| (i, 1.0)).collect();
         let raw = raw_fragment_stream(&[(3, edges)]);
-        let coded = fragments_from_raw(&raw).unwrap();
+        let coded = code(ExtentKind::Fragments, &raw).unwrap();
         assert!(coded.len() < 24, "interval coding failed: {}", coded.len());
-        assert_eq!(raw_from_fragments(&coded).unwrap(), raw);
+        assert_eq!(back(ExtentKind::Fragments, &coded).unwrap(), raw);
     }
 
     #[test]
@@ -937,15 +934,15 @@ mod tests {
             .map(|f| (f * 3, ids.iter().map(|&d| (d, 1.0f32)).collect()))
             .collect();
         let raw = raw_fragment_stream(&frags);
-        let coded = fragments_from_raw(&raw).unwrap();
-        let single = fragments_from_raw(&raw_fragment_stream(&frags[..1])).unwrap();
+        let coded = code(ExtentKind::Fragments, &raw).unwrap();
+        let single = code(ExtentKind::Fragments, &raw_fragment_stream(&frags[..1])).unwrap();
         assert!(
             coded.len() < single.len() * 2,
             "8 copies cost {} vs one {}",
             coded.len(),
             single.len()
         );
-        assert_eq!(raw_from_fragments(&coded).unwrap(), raw);
+        assert_eq!(back(ExtentKind::Fragments, &coded).unwrap(), raw);
     }
 
     #[test]
@@ -964,30 +961,30 @@ mod tests {
             frags.push((f * 7, ids.into_iter().map(|d| (d, 1.0f32)).collect()));
         }
         let raw = raw_fragment_stream(&frags);
-        let bv = fragments_from_raw(&raw).unwrap();
-        let gaps = crate::gaps::fragments_from_raw(&raw).unwrap();
+        let bv = code(ExtentKind::Fragments, &raw).unwrap();
+        let gaps = crate::encode_extent(crate::CodecChoice::Gaps, ExtentKind::Fragments, &raw);
         assert!(
             bv.len() * 10 < gaps.len() * 9,
             "bv {} not >=10% under gaps {}",
             bv.len(),
             gaps.len()
         );
-        assert_eq!(raw_from_fragments(&bv).unwrap(), raw);
+        assert_eq!(back(ExtentKind::Fragments, &bv).unwrap(), raw);
     }
 
     #[test]
     fn non_monotone_input_is_rejected_not_mangled() {
         let raw = raw_fragment_stream(&[(1, vec![(9, 1.0), (3, 1.0)])]);
-        assert!(fragments_from_raw(&raw).is_err());
+        assert!(code(ExtentKind::Fragments, &raw).is_err());
         let mut raw = Vec::new();
         raw.extend_from_slice(&9u32.to_le_bytes());
         raw.extend_from_slice(&1.0f32.to_le_bytes());
         raw.extend_from_slice(&3u32.to_le_bytes());
         raw.extend_from_slice(&1.0f32.to_le_bytes());
-        assert!(edges_from_raw(&raw).is_err());
+        assert!(code(ExtentKind::Edges, &raw).is_err());
         // Non-ascending svertices too (duplicate fragment keys).
         let raw = raw_fragment_stream(&[(5, vec![]), (5, vec![])]);
-        assert!(fragments_from_raw(&raw).is_err());
+        assert!(code(ExtentKind::Fragments, &raw).is_err());
     }
 
     #[test]
@@ -1026,9 +1023,9 @@ mod tests {
                     frags.push((sv, edges));
                 }
                 let raw = raw_fragment_stream(&frags);
-                let coded = fragments_from_raw(&raw).unwrap();
+                let coded = code(ExtentKind::Fragments, &raw).unwrap();
                 assert_eq!(
-                    raw_from_fragments(&coded).unwrap(),
+                    back(ExtentKind::Fragments, &coded).unwrap(),
                     raw,
                     "seed {seed} case {case}"
                 );
@@ -1051,26 +1048,73 @@ mod tests {
                     s = mix(s ^ i as u64);
                     buf.push(s as u8);
                 }
-                let _ = raw_from_fragments(&buf);
-                let _ = raw_from_edges(&buf);
+                let _ = back(ExtentKind::Fragments, &buf);
+                let _ = back(ExtentKind::Edges, &buf);
             }
             // Bit-flip a valid body at every position.
             let raw = raw_fragment_stream(&[
                 (1, vec![(5, 1.0), (6, 1.0), (7, 1.0), (8, 1.0), (20, 2.0)]),
                 (4, vec![(5, 1.0), (6, 1.0), (8, 1.0)]),
             ]);
-            let coded = fragments_from_raw(&raw).unwrap();
+            let coded = code(ExtentKind::Fragments, &raw).unwrap();
             for bit in 0..coded.len() * 8 {
                 let mut m = coded.clone();
                 m[bit / 8] ^= 1 << (bit % 8);
-                if let Ok(back) = raw_from_fragments(&m) {
+                if let Ok(raw) = back(ExtentKind::Fragments, &m) {
                     // A surviving decode must still be self-consistent.
-                    let _ = fragments_from_raw(&back);
+                    let _ = code(ExtentKind::Fragments, &raw);
                 }
             }
             for cut in 0..coded.len() {
-                assert!(raw_from_fragments(&coded[..cut]).is_err());
+                assert!(back(ExtentKind::Fragments, &coded[..cut]).is_err());
             }
+        }
+    }
+
+    #[test]
+    fn an_interval_longer_than_the_extent_is_rejected_before_it_is_expanded() {
+        // One list of `n` ids written as a single interval: a few bytes
+        // that would expand to 8n, against a 16-byte logical extent.
+        let n = 1u64 << 24;
+        let list = |w: &mut BitWriter| {
+            w.write_gamma(0); // no reference
+            w.write_gamma(1); // one interval
+            write_first(w, 7, None);
+            w.write_gamma(n - u64::from(MIN_INTERVAL));
+            w.write_bits(0, 32); // weight min
+            w.write_bits(0, 6); // weight width
+        };
+        let mut edges = vec![crate::TAG_BV];
+        write_u64(&mut edges, n);
+        let mut w = BitWriter::from_vec(edges);
+        list(&mut w);
+        let edges = w.finish();
+        let mut fragments = vec![crate::TAG_BV];
+        write_u64(&mut fragments, 1);
+        let mut w = BitWriter::from_vec(fragments);
+        w.write_delta(3); // svertex
+        w.write_gamma(n); // its edge count
+        list(&mut w);
+        let fragments = w.finish();
+        let mut cols = FragmentColumns::default();
+        for (kind, coded) in [
+            (ExtentKind::Edges, edges),
+            (ExtentKind::Fragments, fragments),
+        ] {
+            assert_eq!(
+                crate::decode_columns(kind, &coded, 16, &mut cols),
+                Err(CodecError::Corrupt("bv edge count exceeds the extent")),
+                "{kind:?}"
+            );
+            assert!(
+                cols.ids.capacity() < 1024,
+                "{kind:?}: the interval was expanded"
+            );
+            // Under a logical length that holds them, the same bytes decode.
+            let logical = 8 * n as usize + if kind == ExtentKind::Edges { 0 } else { 8 };
+            crate::decode_columns(kind, &coded, logical, &mut cols).unwrap();
+            assert_eq!((cols.ids.len(), cols.ids[0]), (n as usize, 7), "{kind:?}");
+            cols = FragmentColumns::default();
         }
     }
 
@@ -1088,14 +1132,14 @@ mod tests {
             let edges: Vec<(u32, f32)> = ids.iter().map(|&d| (d, 1.5)).collect();
             // The second fragment repeats the first: a copy-reference case.
             let raw = raw_fragment_stream(&[(1, edges.clone()), (2, edges.clone())]);
-            let coded = fragments_from_raw(&raw).unwrap();
-            assert_eq!(raw_from_fragments(&coded).unwrap(), raw, "{ids:?}");
+            let coded = code(ExtentKind::Fragments, &raw).unwrap();
+            assert_eq!(back(ExtentKind::Fragments, &coded).unwrap(), raw, "{ids:?}");
             let raw: Vec<u8> = edges
                 .iter()
                 .flat_map(|(d, w)| [d.to_le_bytes(), w.to_le_bytes()].concat())
                 .collect();
-            let coded = edges_from_raw(&raw).unwrap();
-            assert_eq!(raw_from_edges(&coded).unwrap(), raw, "{ids:?}");
+            let coded = code(ExtentKind::Edges, &raw).unwrap();
+            assert_eq!(back(ExtentKind::Edges, &coded).unwrap(), raw, "{ids:?}");
         }
     }
 

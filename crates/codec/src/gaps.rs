@@ -13,7 +13,7 @@
 //! width-0 column — one varint plus one byte regardless of edge count.
 
 use crate::varint::{read_u64, unzigzag, write_u64, zigzag};
-use crate::{CodecError, FragmentColumns};
+use crate::{CodecError, ExtentKind, FragmentColumns};
 
 /// Appends zig-zag delta coding of `ids` (count is *not* written).
 fn write_deltas(out: &mut Vec<u8>, ids: &[u32]) {
@@ -124,33 +124,35 @@ fn read_packed(
     Ok(())
 }
 
-// The fragment stream is parsed into and serialised from
-// [`FragmentColumns`]; the edge list (AdjacencyStore runs) is repeated
-// `id u32 LE | w f32 LE`.
+// Both extent kinds are parsed into and decoded as [`FragmentColumns`];
+// an edge list (AdjacencyStore runs) is repeated `id u32 LE | w f32 LE`.
 
-/// Gap-codes a raw fragment stream. Layout: `nfrags varint`, zig-zag
-/// delta-coded svertex ids, per-fragment edge counts, per-fragment
-/// delta-coded neighbour ids, then one bit-packed weight column over all
-/// edges.
-pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut f = FragmentColumns::default();
-    f.parse_raw(raw)?;
-    let mut out = Vec::with_capacity(raw.len() / 4 + 16);
-    write_u64(&mut out, f.len() as u64);
-    write_deltas(&mut out, &f.svertices);
+/// Gap-codes a raw fragment stream, appending to `out` and parsing into
+/// `f`, which the caller keeps from extent to extent. Layout: `nfrags
+/// varint`, zig-zag delta-coded svertex ids, per-fragment edge counts,
+/// per-fragment delta-coded neighbour ids, then one bit-packed weight
+/// column over all edges. Every input check runs before `out` is touched.
+pub(crate) fn encode_fragments(
+    raw: &[u8],
+    f: &mut FragmentColumns,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    f.parse(ExtentKind::Fragments, raw)?;
+    write_u64(out, f.len() as u64);
+    write_deltas(out, &f.svertices);
     for k in 0..f.len() {
-        write_u64(&mut out, f.span(k).len() as u64);
+        write_u64(out, f.span(k).len() as u64);
     }
     for k in 0..f.len() {
-        write_deltas(&mut out, &f.ids[f.span(k)]);
+        write_deltas(out, &f.ids[f.span(k)]);
     }
-    write_packed(&mut out, &f.weights);
-    Ok(out)
+    write_packed(out, &f.weights);
+    Ok(())
 }
 
-/// Decodes a [`fragments_from_raw`] body into `cols` (overwritten).
+/// Decodes an [`encode_fragments`] body into `cols`, which the caller
+/// has cleared.
 pub(crate) fn decode_fragments(coded: &[u8], cols: &mut FragmentColumns) -> Result<(), CodecError> {
-    cols.clear();
     let mut pos = 0usize;
     let nfrags = read_u64(coded, &mut pos)? as usize;
     read_deltas(coded, &mut pos, nfrags, &mut cols.svertices)?;
@@ -167,51 +169,54 @@ pub(crate) fn decode_fragments(coded: &[u8], cols: &mut FragmentColumns) -> Resu
     read_packed(coded, &mut pos, total_edges, &mut cols.weights)
 }
 
-/// Inverse of [`fragments_from_raw`]: rebuilds the raw fragment stream.
-pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut cols = FragmentColumns::default();
-    decode_fragments(coded, &mut cols)?;
-    Ok(cols.to_raw())
+/// Gap-codes a bare edge list (`id u32 LE | w f32 LE` pairs), appending
+/// to `out` and parsing into `f`, which the caller keeps: `count` varint,
+/// delta-coded ids, bit-packed weight column. Every input check runs
+/// before `out` is touched.
+pub(crate) fn encode_edges(
+    raw: &[u8],
+    f: &mut FragmentColumns,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    f.parse(ExtentKind::Edges, raw)?;
+    write_u64(out, f.ids.len() as u64);
+    write_deltas(out, &f.ids);
+    write_packed(out, &f.weights);
+    Ok(())
 }
 
-/// Gap-codes a bare edge list (`id u32 LE | w f32 LE` pairs): `count`
-/// varint, delta-coded ids, bit-packed weight column.
-pub fn edges_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
-    if !raw.len().is_multiple_of(8) {
-        return Err(CodecError::Corrupt("edge list not a multiple of 8 bytes"));
-    }
-    let count = raw.len() / 8;
-    let mut ids = Vec::with_capacity(count);
-    let mut weights = Vec::with_capacity(count);
-    for e in raw.chunks_exact(8) {
-        ids.push(u32::from_le_bytes(e[..4].try_into().expect("width")));
-        weights.push(u32::from_le_bytes(e[4..].try_into().expect("width")));
-    }
-    let mut out = Vec::with_capacity(raw.len() / 4 + 8);
-    write_u64(&mut out, count as u64);
-    write_deltas(&mut out, &ids);
-    write_packed(&mut out, &weights);
-    Ok(out)
-}
-
-/// Inverse of [`edges_from_raw`].
-pub fn raw_from_edges(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// Decodes an [`encode_edges`] body into `cols`' id and weight
+/// columns, which the caller has cleared.
+pub(crate) fn decode_edges(coded: &[u8], cols: &mut FragmentColumns) -> Result<(), CodecError> {
     let mut pos = 0usize;
     let count = read_u64(coded, &mut pos)? as usize;
-    let (mut ids, mut weights) = (Vec::new(), Vec::new());
-    read_deltas(coded, &mut pos, count, &mut ids)?;
-    read_packed(coded, &mut pos, count, &mut weights)?;
-    let mut raw = Vec::with_capacity(count * 8);
-    for i in 0..count {
-        raw.extend_from_slice(&ids[i].to_le_bytes());
-        raw.extend_from_slice(&weights[i].to_le_bytes());
-    }
-    Ok(raw)
+    read_deltas(coded, &mut pos, count, &mut cols.ids)?;
+    read_packed(coded, &mut pos, count, &mut cols.weights)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `raw` gap-coded as `kind`.
+    fn code(kind: ExtentKind, raw: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let (mut f, mut out) = (FragmentColumns::default(), Vec::new());
+        match kind {
+            ExtentKind::Fragments => encode_fragments(raw, &mut f, &mut out)?,
+            ExtentKind::Edges => encode_edges(raw, &mut f, &mut out)?,
+        }
+        Ok(out)
+    }
+
+    /// A gaps body of `kind` decoded back into its raw bytes.
+    fn back(kind: ExtentKind, coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut cols = FragmentColumns::default();
+        match kind {
+            ExtentKind::Fragments => decode_fragments(coded, &mut cols)?,
+            ExtentKind::Edges => decode_edges(coded, &mut cols)?,
+        }
+        Ok(cols.to_raw(kind))
+    }
 
     fn raw_edges(edges: &[(u32, f32)]) -> Vec<u8> {
         let mut raw = Vec::new();
@@ -224,30 +229,30 @@ mod tests {
 
     #[test]
     fn empty_edge_list_roundtrips() {
-        let coded = edges_from_raw(&[]).unwrap();
-        assert_eq!(raw_from_edges(&coded).unwrap(), Vec::<u8>::new());
+        let coded = code(ExtentKind::Edges, &[]).unwrap();
+        assert_eq!(back(ExtentKind::Edges, &coded).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn sorted_unit_weight_edges_shrink() {
         let edges: Vec<(u32, f32)> = (0..1000).map(|i| (1000 + 3 * i, 1.0)).collect();
         let raw = raw_edges(&edges);
-        let coded = edges_from_raw(&raw).unwrap();
+        let coded = code(ExtentKind::Edges, &raw).unwrap();
         assert!(
             coded.len() * 4 < raw.len(),
             "expected >4x on gap-1 unit-weight edges: {} vs {}",
             coded.len(),
             raw.len()
         );
-        assert_eq!(raw_from_edges(&coded).unwrap(), raw);
+        assert_eq!(back(ExtentKind::Edges, &coded).unwrap(), raw);
     }
 
     #[test]
     fn non_monotone_ids_still_roundtrip() {
         let edges = vec![(900u32, 0.5f32), (3, -1.5), (u32::MAX, 2.0), (0, 0.0)];
         let raw = raw_edges(&edges);
-        let coded = edges_from_raw(&raw).unwrap();
-        assert_eq!(raw_from_edges(&coded).unwrap(), raw);
+        let coded = code(ExtentKind::Edges, &raw).unwrap();
+        assert_eq!(back(ExtentKind::Edges, &coded).unwrap(), raw);
     }
 
     #[test]
@@ -255,8 +260,8 @@ mod tests {
         // NaN and negative zero must round-trip bit-exactly.
         let edges = vec![(1u32, f32::NAN), (2, -0.0), (3, f32::INFINITY)];
         let raw = raw_edges(&edges);
-        let coded = edges_from_raw(&raw).unwrap();
-        assert_eq!(raw_from_edges(&coded).unwrap(), raw);
+        let coded = code(ExtentKind::Edges, &raw).unwrap();
+        assert_eq!(back(ExtentKind::Edges, &coded).unwrap(), raw);
     }
 
     #[test]
@@ -267,15 +272,18 @@ mod tests {
             write_u64(&mut coded, v);
         }
         assert_eq!(
-            raw_from_edges(&coded),
+            back(ExtentKind::Edges, &coded),
             Err(CodecError::Corrupt("delta-coded id out of range"))
         );
     }
 
     #[test]
     fn empty_fragment_stream_roundtrips() {
-        let coded = fragments_from_raw(&[]).unwrap();
-        assert_eq!(raw_from_fragments(&coded).unwrap(), Vec::<u8>::new());
+        let coded = code(ExtentKind::Fragments, &[]).unwrap();
+        assert_eq!(
+            back(ExtentKind::Fragments, &coded).unwrap(),
+            Vec::<u8>::new()
+        );
     }
 
     #[test]
@@ -295,8 +303,8 @@ mod tests {
                 raw.extend_from_slice(&w.to_le_bytes());
             }
         }
-        let coded = fragments_from_raw(&raw).unwrap();
-        assert_eq!(raw_from_fragments(&coded).unwrap(), raw);
+        let coded = code(ExtentKind::Fragments, &raw).unwrap();
+        assert_eq!(back(ExtentKind::Fragments, &coded).unwrap(), raw);
     }
 
     #[test]
@@ -305,7 +313,7 @@ mod tests {
         raw.extend_from_slice(&1u32.to_le_bytes());
         raw.extend_from_slice(&2u32.to_le_bytes()); // claims 2 edges
         raw.extend_from_slice(&[0u8; 8]); // only 1 present
-        assert!(fragments_from_raw(&raw).is_err());
+        assert!(code(ExtentKind::Fragments, &raw).is_err());
     }
 
     #[test]

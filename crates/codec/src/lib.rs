@@ -24,7 +24,11 @@
 //! Two framings carry them: tagged extents ([`encode_extent`]) for
 //! adjacency-structured data and blob frames ([`encode_blob_frame`]) for
 //! structureless runs; [`frame`] declares every persisted layout around
-//! them. Everything is deterministic (no RNG, no timestamps) and every coded
+//! them. A tagged extent is read back once, by [`decode_columns`], into
+//! caller-kept [`FragmentColumns`] — a fragment stream's svertices, ends,
+//! ids and weights, or an edge list's ids and weights alone — with no raw
+//! stream in between; [`decode_extent`] serialises those columns for a
+//! caller that wants the bytes. Everything is deterministic (no RNG, no timestamps) and every coded
 //! extent can fall back to raw bytes via a leading tag, so incompressible
 //! data never blows up. [`CodecChoice::None`] is special: stores bypass
 //! this crate entirely and their on-disk bytes stay byte-for-byte what
@@ -163,11 +167,12 @@ pub const TAG_GAPS: u8 = 1;
 pub const TAG_BLOCK: u8 = 2;
 /// Extent tag: BV-coded adjacency data follows. Tags are per extent and
 /// a reader accepts all three, so extents written under any
-/// [`CodecChoice`] decode with the same [`decode_extent`] call.
+/// [`CodecChoice`] decode with the same [`decode_columns`] call.
 pub const TAG_BV: u8 = 3;
 
 /// The record structure inside an adjacency extent, which decides how
-/// gap coding parses the raw bytes.
+/// its raw bytes parse into [`FragmentColumns`] and how each tier codes
+/// them.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ExtentKind {
     /// `svertex | count | edges…` fragment stream (VE-BLOCK eblocks,
@@ -177,10 +182,12 @@ pub enum ExtentKind {
     Edges,
 }
 
-/// A fragment stream — `svertex u32 LE | count u32 LE | count × (id u32 LE,
-/// w f32 LE)` repeated, what VE-BLOCK Eblocks and gather fragments hold —
-/// as columns: fragment `k` is vertex `svertices[k]` with the ids and
-/// weight bits at `span(k)`. Decoders overwrite a caller-owned value, so a
+/// One extent as columns, whichever [`ExtentKind`] it holds. A fragment
+/// stream — `svertex u32 LE | count u32 LE | count × (id u32 LE, w f32
+/// LE)` repeated, what VE-BLOCK Eblocks and gather fragments hold — is
+/// fragment `k` = vertex `svertices[k]` with the ids and weight bits at
+/// `span(k)`; an edge list (an adjacency run) is `ids` and `weights`
+/// alone, with no svertex. Decoders overwrite a caller-owned value, so a
 /// scan that decodes extent after extent reuses one set of allocations.
 #[derive(Default)]
 pub struct FragmentColumns {
@@ -195,7 +202,7 @@ pub struct FragmentColumns {
 }
 
 impl FragmentColumns {
-    /// Drops every fragment, keeping the allocations.
+    /// Drops every fragment and edge, keeping the allocations.
     pub fn clear(&mut self) {
         self.svertices.clear();
         self.ends.clear();
@@ -203,7 +210,7 @@ impl FragmentColumns {
         self.weights.clear();
     }
 
-    /// Number of fragments.
+    /// Number of fragments (0 for an edge list).
     pub fn len(&self) -> usize {
         self.svertices.len()
     }
@@ -218,16 +225,25 @@ impl FragmentColumns {
         (if k == 0 { 0 } else { self.ends[k - 1] })..self.ends[k]
     }
 
-    /// Length of the raw stream these columns stand for.
+    /// Length of the raw extent these columns stand for: 8 bytes per
+    /// fragment header and per edge.
     fn raw_len(&self) -> usize {
         8 * (self.svertices.len() + self.ids.len())
     }
 
-    /// Parses a raw fragment stream into the columns (overwritten): the
-    /// one raw-stream parser of this crate. Every header is checked
-    /// against the bytes that remain.
-    pub fn parse_raw(&mut self, raw: &[u8]) -> Result<(), CodecError> {
+    /// Parses a raw extent of `kind` into the columns (overwritten): the
+    /// one raw parser of this crate. An edge list must be whole 8-byte
+    /// pairs; every fragment header is checked against the bytes that
+    /// remain.
+    pub fn parse(&mut self, kind: ExtentKind, raw: &[u8]) -> Result<(), CodecError> {
         self.clear();
+        if kind == ExtentKind::Edges {
+            if !raw.len().is_multiple_of(8) {
+                return Err(CodecError::Corrupt("edge list not a multiple of 8 bytes"));
+            }
+            self.push_edges(raw);
+            return Ok(());
+        }
         let mut rest = raw;
         while let Some((head, body)) = rest.split_first_chunk::<8>() {
             let sv = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
@@ -239,11 +255,7 @@ impl FragmentColumns {
                 .split_at_checked(need)
                 .ok_or(CodecError::Corrupt("fragment edges truncated"))?;
             self.svertices.push(sv);
-            for e in edges.chunks_exact(8) {
-                self.ids.push(u32::from_le_bytes([e[0], e[1], e[2], e[3]]));
-                self.weights
-                    .push(u32::from_le_bytes([e[4], e[5], e[6], e[7]]));
-            }
+            self.push_edges(edges);
             self.ends.push(self.ids.len());
             rest = tail;
         }
@@ -253,17 +265,32 @@ impl FragmentColumns {
         Ok(())
     }
 
-    /// Serialises the columns back into the raw stream.
-    fn to_raw(&self) -> Vec<u8> {
+    /// Appends whole `id | weight` pairs to the id and weight columns.
+    fn push_edges(&mut self, pairs: &[u8]) {
+        for e in pairs.chunks_exact(8) {
+            self.ids.push(u32::from_le_bytes([e[0], e[1], e[2], e[3]]));
+            self.weights
+                .push(u32::from_le_bytes([e[4], e[5], e[6], e[7]]));
+        }
+    }
+
+    /// Serialises the columns back into the raw extent of `kind`.
+    fn to_raw(&self, kind: ExtentKind) -> Vec<u8> {
         let mut raw = Vec::with_capacity(self.raw_len());
-        for (k, &sv) in self.svertices.iter().enumerate() {
-            let span = self.span(k);
-            raw.extend_from_slice(&sv.to_le_bytes());
-            raw.extend_from_slice(&(span.len() as u32).to_le_bytes());
+        let pairs = |raw: &mut Vec<u8>, span: std::ops::Range<usize>| {
             for (id, w) in self.ids[span.clone()].iter().zip(&self.weights[span]) {
                 raw.extend_from_slice(&id.to_le_bytes());
                 raw.extend_from_slice(&w.to_le_bytes());
             }
+        };
+        if kind == ExtentKind::Edges {
+            pairs(&mut raw, 0..self.ids.len());
+        }
+        for (k, &sv) in self.svertices.iter().enumerate() {
+            let span = self.span(k);
+            raw.extend_from_slice(&sv.to_le_bytes());
+            raw.extend_from_slice(&(span.len() as u32).to_le_bytes());
+            pairs(&mut raw, span);
         }
         raw
     }
@@ -284,10 +311,10 @@ pub fn encode_extent(choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> Vec<u
 
 /// [`encode_extent`] for a caller that codes extent after extent: the
 /// encoder keeps its working buffers and its output buffer, so a store
-/// build under [`CodecChoice::Bv`] allocates only while they grow.
+/// build under either codec allocates only while they grow.
 #[derive(Default)]
 pub struct ExtentEncoder {
-    bv: bv::EncodeScratch,
+    scratch: bv::EncodeScratch,
     out: Vec<u8>,
 }
 
@@ -296,26 +323,23 @@ impl ExtentEncoder {
     /// call.
     pub fn encode(&mut self, choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> &[u8] {
         debug_assert!(!choice.is_none(), "None bypasses extent framing");
-        let out = &mut self.out;
+        let (s, out) = (&mut self.scratch, &mut self.out);
         out.clear();
         let coded = match (choice, kind) {
             (CodecChoice::None, _) => false,
             (CodecChoice::Gaps, kind) => {
-                let body = match kind {
-                    ExtentKind::Fragments => gaps::fragments_from_raw(raw),
-                    ExtentKind::Edges => gaps::edges_from_raw(raw),
-                };
-                body.map(|body| {
-                    out.push(TAG_GAPS);
-                    out.extend_from_slice(&body);
-                })
+                out.push(TAG_GAPS);
+                match kind {
+                    ExtentKind::Fragments => gaps::encode_fragments(raw, &mut s.cols, out),
+                    ExtentKind::Edges => gaps::encode_edges(raw, &mut s.cols, out),
+                }
                 .is_ok()
             }
             (CodecChoice::Bv, kind) => {
                 out.push(TAG_BV);
                 match kind {
-                    ExtentKind::Fragments => bv::encode_fragments(raw, &mut self.bv, out),
-                    ExtentKind::Edges => bv::encode_edges(raw, &mut self.bv, out),
+                    ExtentKind::Fragments => bv::encode_fragments(raw, s, out),
+                    ExtentKind::Edges => bv::encode_edges(raw, s, out),
                 }
                 .is_ok()
             }
@@ -330,49 +354,47 @@ impl ExtentEncoder {
     }
 }
 
-/// Decodes an extent produced by [`encode_extent`] back into its raw
-/// `logical_len` bytes.
-pub fn decode_extent(
+/// Decodes an extent produced by [`encode_extent`] into `cols`
+/// (overwritten): the one decode of a stored extent, raw-tagged or coded,
+/// with no raw stream in between. The columns must stand for exactly
+/// `logical_len` raw bytes.
+pub fn decode_columns(
     kind: ExtentKind,
-    coded: &[u8],
-    logical_len: usize,
-) -> Result<Vec<u8>, CodecError> {
-    let (&tag, body) = coded.split_first().ok_or(CodecError::Truncated)?;
-    let raw = match tag {
-        TAG_RAW => raw_body(body, logical_len)?,
-        TAG_GAPS => match kind {
-            ExtentKind::Fragments => gaps::raw_from_fragments(body)?,
-            ExtentKind::Edges => gaps::raw_from_edges(body)?,
-        },
-        TAG_BV => match kind {
-            ExtentKind::Fragments => bv::raw_from_fragments(body)?,
-            ExtentKind::Edges => bv::raw_from_edges(body)?,
-        },
-        _ => return Err(CodecError::Corrupt("unknown extent tag")),
-    };
-    check_len(logical_len, raw.len())?;
-    Ok(raw)
-}
-
-/// Decodes an [`ExtentKind::Fragments`] extent produced by
-/// [`encode_extent`] into `cols` (overwritten) — the fragments
-/// [`decode_extent`] would serialise, without the raw bytes in between.
-pub fn decode_fragments(
     coded: &[u8],
     logical_len: usize,
     cols: &mut FragmentColumns,
 ) -> Result<(), CodecError> {
     let (&tag, body) = coded.split_first().ok_or(CodecError::Truncated)?;
-    match tag {
-        TAG_RAW => {
+    cols.clear();
+    match (tag, kind) {
+        (TAG_RAW, kind) => {
             check_len(logical_len, body.len())?;
-            cols.parse_raw(body)?;
+            cols.parse(kind, body)?;
         }
-        TAG_GAPS => gaps::decode_fragments(body, cols)?,
-        TAG_BV => bv::decode_fragments(body, cols)?,
+        (TAG_GAPS, ExtentKind::Fragments) => gaps::decode_fragments(body, cols)?,
+        (TAG_GAPS, ExtentKind::Edges) => gaps::decode_edges(body, cols)?,
+        (TAG_BV, ExtentKind::Fragments) => bv::decode_fragments(body, cols, logical_len / 8)?,
+        (TAG_BV, ExtentKind::Edges) => bv::decode_edges(body, cols, logical_len / 8)?,
         _ => return Err(CodecError::Corrupt("unknown extent tag")),
     }
     check_len(logical_len, cols.raw_len())
+}
+
+/// Decodes an extent produced by [`encode_extent`] back into its raw
+/// `logical_len` bytes: a raw-tagged extent's bytes as stored, a coded
+/// one's [`decode_columns`] serialised. The stores read columns; this
+/// serves callers that want the bytes.
+pub fn decode_extent(
+    kind: ExtentKind,
+    coded: &[u8],
+    logical_len: usize,
+) -> Result<Vec<u8>, CodecError> {
+    if let Some((&TAG_RAW, body)) = coded.split_first() {
+        return raw_body(body, logical_len);
+    }
+    let mut cols = FragmentColumns::default();
+    decode_columns(kind, coded, logical_len, &mut cols)?;
+    Ok(cols.to_raw(kind))
 }
 
 fn check_len(expected: usize, got: usize) -> Result<(), CodecError> {
@@ -501,35 +523,97 @@ mod tests {
             // A non-monotone list: gap-coded, but raw-tagged under bv.
             raw_frags(&[(6, &[(40, 1.0), (3, 1.0)])]),
         ];
+        // The same lists as bare edge runs: every stream's pairs, headers
+        // dropped.
+        let runs: Vec<Vec<u8>> = [
+            &[][..],
+            &[(9, 1.0), (9, 2.5), (11, f32::NAN)],
+            &long,
+            &[(40, 1.0), (3, 1.0)],
+        ]
+        .iter()
+        .map(|edges| raw_frags(&[(0, edges)])[8..].to_vec())
+        .collect();
+        let cases = streams
+            .iter()
+            .map(|raw| (ExtentKind::Fragments, raw))
+            .chain(runs.iter().map(|raw| (ExtentKind::Edges, raw)));
         // One set of columns for every decode: nothing may leak across.
         let mut cols = FragmentColumns::default();
-        for raw in &streams {
+        for (kind, raw) in cases {
             for choice in [CodecChoice::Gaps, CodecChoice::Bv] {
-                let coded = encode_extent(choice, ExtentKind::Fragments, raw);
-                decode_fragments(&coded, raw.len(), &mut cols).unwrap();
-                assert_eq!(&cols.to_raw(), raw, "{choice:?} tag {}", coded[0]);
-                let bad_len = decode_fragments(&coded, raw.len() + 8, &mut cols);
+                let coded = encode_extent(choice, kind, raw);
+                decode_columns(kind, &coded, raw.len(), &mut cols).unwrap();
+                let at = format!("{choice:?}/{kind:?} tag {}", coded[0]);
+                assert_eq!(&cols.to_raw(kind), raw, "{at}");
+                assert_eq!(
+                    &decode_extent(kind, &coded, raw.len()).unwrap(),
+                    raw,
+                    "{at}"
+                );
+                let bad_len = decode_columns(kind, &coded, raw.len() + 8, &mut cols);
                 assert!(
                     matches!(bad_len, Err(CodecError::LengthMismatch { .. })),
-                    "{bad_len:?}"
+                    "{at}: {bad_len:?}"
                 );
             }
             let mut tagged = vec![TAG_RAW];
             tagged.extend_from_slice(raw);
-            decode_fragments(&tagged, raw.len(), &mut cols).unwrap();
-            assert_eq!(&cols.to_raw(), raw);
+            decode_columns(kind, &tagged, raw.len(), &mut cols).unwrap();
+            assert_eq!(&cols.to_raw(kind), raw);
+            if kind == ExtentKind::Edges {
+                assert!(
+                    cols.is_empty() && cols.ends.is_empty(),
+                    "an edge run has no svertex"
+                );
+            }
         }
         let non_monotone = &streams[4];
         let coded = encode_extent(CodecChoice::Bv, ExtentKind::Fragments, non_monotone);
         assert_eq!(coded[0], TAG_RAW);
-        // A header that overruns the raw bytes, and a block-codec tag.
+        // A header that overruns the raw bytes, a torn edge pair, and a
+        // block-codec tag.
         let mut torn = vec![TAG_RAW];
         torn.extend_from_slice(&non_monotone[..non_monotone.len() - 4]);
-        assert!(decode_fragments(&torn, torn.len() - 1, &mut cols).is_err());
-        assert_eq!(
-            decode_fragments(&[TAG_BLOCK, 0], 1, &mut cols),
-            Err(CodecError::Corrupt("unknown extent tag"))
-        );
+        for kind in [ExtentKind::Fragments, ExtentKind::Edges] {
+            assert!(decode_columns(kind, &torn, torn.len() - 1, &mut cols).is_err());
+            assert_eq!(
+                decode_columns(kind, &[TAG_BLOCK, 0], 1, &mut cols),
+                Err(CodecError::Corrupt("unknown extent tag"))
+            );
+        }
+    }
+
+    #[test]
+    fn raw_parse_rejects_what_does_not_fit() {
+        let raw = raw_frags(&[(1, &[(2, 1.0)]), (7, &[(8, 1.0), (9, 1.0)])]);
+        let mut cols = FragmentColumns::default();
+        cols.parse(ExtentKind::Fragments, &raw).unwrap();
+        assert_eq!((cols.len(), cols.ids.len()), (2, 3));
+        cols.parse(ExtentKind::Fragments, &[]).unwrap();
+        assert!(cols.is_empty() && cols.ids.is_empty());
+        // Every cut is an error, never a panic, except at a fragment
+        // boundary, which is a clean shorter stream; an edge list parses
+        // exactly at whole pairs.
+        for cut in 1..raw.len() {
+            let fragments = cols.parse(ExtentKind::Fragments, &raw[..cut]);
+            assert_eq!(fragments.is_ok(), cut == 16, "cut {cut}");
+            let edges = cols.parse(ExtentKind::Edges, &raw[..cut]);
+            assert_eq!(edges.is_ok(), cut % 8 == 0, "cut {cut}");
+        }
+        // A count larger than the extent — up to u32::MAX — is an error,
+        // not an allocation or an out-of-bounds slice.
+        for count in [3u32, 1 << 20, u32::MAX] {
+            let mut bad = raw.clone();
+            bad[4..8].copy_from_slice(&count.to_le_bytes());
+            assert!(
+                matches!(
+                    cols.parse(ExtentKind::Fragments, &bad),
+                    Err(CodecError::Corrupt(_))
+                ),
+                "count {count}"
+            );
+        }
     }
 
     #[test]

@@ -293,7 +293,7 @@ fn serve_pull<P: VertexProgram>(
                 if !dsts.contains(&e.dst.0) {
                     return Err(corrupt_eblock(j, block, "edge to", e.dst, &dsts));
                 }
-                if let Some(m) = program.message(src, &val, outd, e) {
+                if let Some(m) = program.message(src, &val, outd, &e) {
                     rep.messages_produced += 1;
                     match combiner {
                         Some(c) => fold.add(e.dst.0, m, |a, b| c.combine(a, b)),

@@ -232,29 +232,27 @@ fn serve_gather<P: VertexProgram>(
     scratch: &mut InEdgeScratch,
     rep: &mut StepReport,
 ) -> io::Result<()> {
-    let in_edges = w
+    let (srcs, weights) = w
         .gather
         .as_ref()
         .expect("pull needs the gather store")
         .read_in_edges(v, scratch)?;
     let program = Arc::clone(&w.program);
-    for ie in in_edges {
+    for (&src, &weight) in srcs.iter().zip(weights) {
+        let src = VertexId(src);
         // Bytes read back from disk: a source outside this worker is corrupt.
-        if !w.range.contains(&ie.src.0) {
-            let why = format!(
-                "gather in-edge of {v} from {} outside {:?}",
-                ie.src, w.range
-            );
+        if !w.range.contains(&src.0) {
+            let why = format!("gather in-edge of {v} from {src} outside {:?}", w.range);
             return Err(io::Error::new(io::ErrorKind::InvalidData, why));
         }
-        let local = w.local(ie.src);
+        let local = w.local(src);
         if !w.respond.responds(local) {
             continue;
         }
-        let val = cached_value(w, ie.src, rep)?;
+        let val = cached_value(w, src, rep)?;
         let outd = w.out_degrees[local];
-        let edge = Edge::weighted(v, ie.weight);
-        if let Some(m) = program.message(ie.src, &val, outd, &edge) {
+        let edge = Edge::weighted(v, f32::from_bits(weight));
+        if let Some(m) = program.message(src, &val, outd, &edge) {
             rep.messages_produced += 1;
             tbuf.push(from, v, m, |records| {
                 send_batch(w, from, w.batch_kind(), None, records)

@@ -12,7 +12,7 @@ use crate::extent::{ExtentFile, ExtentWriter};
 use crate::record::Record;
 use crate::stats::{AccessClass, IoStats};
 use crate::vfs::Vfs;
-use hybridgraph_codec::{CodecChoice, ExtentKind};
+use hybridgraph_codec::{CodecChoice, ExtentKind, FragmentColumns};
 use hybridgraph_graph::{Edge, Graph, VertexId};
 use std::io;
 use std::ops::Range;
@@ -155,7 +155,9 @@ impl AdjacencyStore {
     }
 
     /// Reads the out-edges of `v`, decoded into caller-owned `scratch`: a
-    /// scan over many vertices allocates nothing per vertex.
+    /// scan over many vertices allocates nothing per vertex. A raw run's
+    /// records go straight into the edge buffer; a coded one decodes
+    /// once into columns, which then fill it.
     ///
     /// `class` is chosen by the caller: `SeqRead` when visiting vertices in
     /// id order (the push scan), `RandRead` for out-of-order access.
@@ -165,22 +167,32 @@ impl AdjacencyStore {
         class: AccessClass,
         scratch: &'a mut EdgeScratch,
     ) -> io::Result<&'a [Edge]> {
-        let i = self.local(v);
-        self.file
-            .read_into(i, self.file.range(i), class, &mut scratch.raw)?;
-        scratch.edges.clear();
-        scratch
-            .edges
-            .extend(scratch.raw.chunks_exact(Edge::BYTES).map(Edge::read_from));
-        Ok(&scratch.edges)
+        let (i, s) = (self.local(v), scratch);
+        s.edges.clear();
+        if self.codec().is_none() {
+            self.file.read_stored(i, class, &mut s.bytes)?;
+            s.edges
+                .extend(s.bytes.chunks_exact(Edge::BYTES).map(Edge::read_from));
+        } else {
+            self.file
+                .read_columns(i, class, &mut s.bytes, &mut s.cols)?;
+            let (ids, weights) = (&s.cols.ids, &s.cols.weights);
+            s.edges
+                .extend(ids.iter().zip(weights).map(|(&dst, &w)| Edge {
+                    dst: VertexId(dst),
+                    weight: f32::from_bits(w),
+                }));
+        }
+        Ok(&s.edges)
     }
 }
 
-/// Reusable buffers behind [`AdjacencyStore::read_edges`]: the raw edge
-/// run and the edges decoded from it.
+/// Reusable buffers behind [`AdjacencyStore::read_edges`]: the bytes
+/// read, their columns when coded, and the edges handed out.
 #[derive(Default)]
 pub struct EdgeScratch {
-    raw: Vec<u8>,
+    bytes: Vec<u8>,
+    cols: FragmentColumns,
     edges: Vec<Edge>,
 }
 

@@ -14,13 +14,12 @@
 //!   sequences (~2 bytes per extent, always — the directory does not
 //!   depend on the codec), any extent is located by one select and read
 //!   and decoded alone, and views for other jobs share the directory.
-//!   An Eblock scan decodes its extent straight into caller-owned
-//!   [`FragmentColumns`], with no raw stream in between.
-//! * [`fragments`] walks a raw
-//!   `id u32 | count u32 | count × (id u32, weight f32)` stream (a gather
-//!   fragment). Every header is checked against the bytes that remain:
-//!   the bytes come from disk, raw under [`CodecChoice::None`] and in
-//!   raw-tagged extents under a codec.
+//!   [`ExtentFile::read_columns`] is the one read: it decodes extent `i`,
+//!   raw or coded, straight into caller-owned [`FragmentColumns`] with
+//!   no raw stream in between — a fragment stream (Eblock, gather
+//!   fragment) or a bare edge run (adjacency), whichever `kind` the file
+//!   holds. Every header is checked against the bytes that remain: the
+//!   bytes come from disk.
 //!
 //! The stores on top own what differs between them: file names, what an
 //! extent index means (Eblock column, local vertex, destination key),
@@ -36,9 +35,7 @@
 use crate::stats::{AccessClass, IoStats};
 use crate::vfs::{Vfs, VfsFile};
 use hybridgraph_codec::ef::EliasFano;
-use hybridgraph_codec::{
-    decode_extent, decode_fragments, CodecChoice, ExtentEncoder, ExtentKind, FragmentColumns,
-};
+use hybridgraph_codec::{decode_columns, CodecChoice, ExtentEncoder, ExtentKind, FragmentColumns};
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
@@ -207,65 +204,51 @@ impl ExtentFile {
         self.dir.phys.memory_bytes() + self.dir.logi.as_ref().map_or(0, |l| l.memory_bytes())
     }
 
-    /// Reads extent `i` and returns its raw (decoded) bytes, accounting
-    /// the physical extent — and the logical bytes beside it — in `class`.
-    /// Only that extent is read and decoded; an empty one costs no I/O.
-    pub fn read(&self, i: usize, class: AccessClass) -> io::Result<Vec<u8>> {
-        let mut raw = Vec::new();
-        self.read_into(i, self.range(i), class, &mut raw)?;
-        Ok(raw)
-    }
-
-    /// [`ExtentFile::read`] of `at = range(i)` into a caller-owned buffer
-    /// (overwritten), so a scan that reads extent after extent reuses one
-    /// allocation.
-    pub(crate) fn read_into(
+    /// Reads extent `i` as stored into `bytes` (overwritten), accounted as
+    /// [`ExtentFile::read_columns`] accounts it. Without a codec `bytes`
+    /// is the raw extent, which a caller may take as it stands.
+    pub(crate) fn read_stored(
         &self,
         i: usize,
-        at: Range<u64>,
         class: AccessClass,
-        raw: &mut Vec<u8>,
+        bytes: &mut Vec<u8>,
     ) -> io::Result<()> {
-        let stored = (at.end - at.start) as usize;
-        raw.clear();
-        if stored == 0 {
-            return Ok(());
+        let at = self.range(i);
+        bytes.resize((at.end - at.start) as usize, 0);
+        if bytes.is_empty() {
+            Ok(())
+        } else if self.codec.is_none() {
+            self.file.read_at(class, at.start, bytes)
+        } else {
+            let logical = self.logical_bytes(i);
+            self.file.read_coded_at(class, at.start, bytes, logical)
         }
-        if self.codec.is_none() {
-            raw.resize(stored, 0);
-            return self.file.read_at(class, at.start, raw);
-        }
-        let logical = self.logical_bytes(i);
-        let coded = self.file.read_vec_coded(class, at.start, stored, logical)?;
-        *raw = decode_extent(self.kind, &coded, logical as usize).map_err(invalid)?;
-        Ok(())
     }
 
-    /// Reads fragment-stream extent `i` — accounted exactly as
-    /// [`ExtentFile::read`] accounts it — and decodes it straight into
-    /// `cols`, with no raw stream in between. `bytes` holds what was read;
-    /// both buffers are the caller's, reused extent after extent.
-    pub(crate) fn read_fragments(
+    /// Reads extent `i` alone — its physical bytes accounted in `class`,
+    /// the logical bytes beside them; an empty extent costs no I/O — and
+    /// decodes it once into `cols`. `bytes` holds what was read; both
+    /// buffers are the caller's, reused extent after extent. A failed
+    /// read leaves `cols` empty; bytes that do not decode as the file's
+    /// kind are `InvalidData`.
+    pub fn read_columns(
         &self,
         i: usize,
         class: AccessClass,
         bytes: &mut Vec<u8>,
         cols: &mut FragmentColumns,
     ) -> io::Result<()> {
-        debug_assert_eq!(self.kind, ExtentKind::Fragments);
-        let at = self.range(i);
-        bytes.resize((at.end - at.start) as usize, 0);
-        let decoded = if bytes.is_empty() {
-            cols.parse_raw(&[])
-        } else if self.codec.is_none() {
-            self.file.read_at(class, at.start, bytes)?;
-            cols.parse_raw(bytes)
+        cols.clear();
+        self.read_stored(i, class, bytes)?;
+        let decoded = if self.codec.is_none() || bytes.is_empty() {
+            cols.parse(self.kind, bytes)
         } else {
-            let logical = self.logical_bytes(i);
-            self.file.read_coded_at(class, at.start, bytes, logical)?;
-            decode_fragments(bytes, logical as usize, cols)
+            decode_columns(self.kind, bytes, self.logical_bytes(i) as usize, cols)
         };
-        decoded.map_err(invalid)
+        decoded.map_err(|e| {
+            cols.clear();
+            invalid(e)
+        })
     }
 
     /// Charges modeled bytes that move no data (seek padding); see
@@ -295,45 +278,6 @@ pub fn push_fragment_header(raw: &mut Vec<u8>, id: u32, count: usize) {
     raw.extend_from_slice(&(count as u32).to_le_bytes());
 }
 
-/// Walks a raw fragment stream, yielding each fragment's vertex id and
-/// its `count × 8` payload bytes. A header that does not fit the bytes
-/// that remain yields one `InvalidData` error and ends the walk.
-pub fn fragments(raw: &[u8]) -> Fragments<'_> {
-    Fragments { rest: raw }
-}
-
-/// Iterator returned by [`fragments`].
-pub struct Fragments<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Iterator for Fragments<'a> {
-    type Item = io::Result<(u32, &'a [u8])>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.rest.is_empty() {
-            return None;
-        }
-        let parsed = self.rest.split_first_chunk::<8>().and_then(|(head, body)| {
-            let id = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-            let count = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-            let payload = (count as usize).checked_mul(8)?;
-            let (payload, rest) = body.split_at_checked(payload)?;
-            Some((id, payload, rest))
-        });
-        Some(match parsed {
-            Some((id, payload, rest)) => {
-                self.rest = rest;
-                Ok((id, payload))
-            }
-            None => {
-                self.rest = &[];
-                Err(invalid("fragment header overruns its extent"))
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,22 +298,40 @@ mod tests {
         raw
     }
 
-    fn parse_cell(raw: &[u8]) -> Cell {
-        fragments(raw)
-            .map(|f| {
-                let (sv, payload) = f.unwrap();
-                let edges = payload
-                    .chunks_exact(8)
-                    .map(|p| {
-                        (
-                            u32::from_le_bytes(p[..4].try_into().unwrap()),
-                            f32::from_le_bytes(p[4..].try_into().unwrap()),
-                        )
-                    })
+    fn parse_cell(cols: &FragmentColumns) -> Cell {
+        (0..cols.len())
+            .map(|k| {
+                let span = cols.span(k);
+                let edges = cols.ids[span.clone()]
+                    .iter()
+                    .zip(&cols.weights[span])
+                    .map(|(&d, &w)| (d, f32::from_bits(w)))
                     .collect();
-                (sv, edges)
+                (cols.svertices[k], edges)
             })
             .collect()
+    }
+
+    /// Decoded columns serialised back into the raw stream.
+    fn raw_of(cols: &FragmentColumns) -> Vec<u8> {
+        let mut raw = Vec::new();
+        for k in 0..cols.len() {
+            let span = cols.span(k);
+            push_fragment_header(&mut raw, cols.svertices[k], span.len());
+            for (id, w) in cols.ids[span.clone()].iter().zip(&cols.weights[span]) {
+                raw.extend_from_slice(&id.to_le_bytes());
+                raw.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        raw
+    }
+
+    /// Extent `i` read into fresh columns and serialised back.
+    fn read_raw(f: &ExtentFile, i: usize, class: AccessClass) -> Vec<u8> {
+        let mut cols = FragmentColumns::default();
+        f.read_columns(i, class, &mut Vec::new(), &mut cols)
+            .unwrap();
+        raw_of(&cols)
     }
 
     /// A deterministic little grid: block size 4, vertex v = 4·b + k,
@@ -407,13 +369,15 @@ mod tests {
     fn roundtrips_across_codecs_and_matches_input() {
         let cells = grid_cells(4);
         let raws: Vec<Vec<u8>> = cells.iter().map(raw_cell).collect();
+        let (mut bytes, mut cols) = (Vec::new(), FragmentColumns::default());
         for codec in CodecChoice::ALL {
             let f = write(&MemVfs::new(), codec, &raws);
             assert_eq!(f.len(), cells.len());
             for (i, (cell, raw)) in cells.iter().zip(&raws).enumerate() {
-                let got = f.read(i, AccessClass::SeqRead).unwrap();
-                assert_eq!(&got, raw, "{codec:?} extent {i}");
-                assert_eq!(&parse_cell(&got), cell, "{codec:?} extent {i}");
+                f.read_columns(i, AccessClass::SeqRead, &mut bytes, &mut cols)
+                    .unwrap();
+                assert_eq!(&raw_of(&cols), raw, "{codec:?} extent {i}");
+                assert_eq!(&parse_cell(&cols), cell, "{codec:?} extent {i}");
                 assert_eq!(f.logical_bytes(i), raw.len() as u64);
                 assert_eq!(f.range(i).end - f.range(i).start, f.stored_bytes(i));
             }
@@ -425,22 +389,8 @@ mod tests {
         }
     }
 
-    /// Decoded columns serialised back into the raw stream.
-    fn raw_of(cols: &FragmentColumns) -> Vec<u8> {
-        let mut raw = Vec::new();
-        for k in 0..cols.len() {
-            let span = cols.span(k);
-            push_fragment_header(&mut raw, cols.svertices[k], span.len());
-            for (id, w) in cols.ids[span.clone()].iter().zip(&cols.weights[span]) {
-                raw.extend_from_slice(&id.to_le_bytes());
-                raw.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        raw
-    }
-
     #[test]
-    fn fragment_reads_decode_what_read_returns_and_account_the_same() {
+    fn column_reads_match_input_and_account_one_extent() {
         let mut raws: Vec<Vec<u8>> = grid_cells(4).iter().map(raw_cell).collect();
         // Duplicate ids with different weights and a NaN weight; then a
         // non-monotone list, which the bv writer stores raw-tagged.
@@ -450,29 +400,50 @@ mod tests {
         )]));
         raws.push(raw_cell(&vec![(9, vec![(40, 1.0), (3, 1.0)])]));
         let last = raws.len() - 1;
+        // The same pairs as bare edge runs, headers dropped.
+        let runs: Vec<Vec<u8>> = raws
+            .iter()
+            .map(|raw| raw.chunks(8).skip(1).flatten().copied().collect())
+            .collect();
         let (mut bytes, mut cols) = (Vec::new(), FragmentColumns::default());
         for codec in CodecChoice::ALL {
-            let f = write(&MemVfs::new(), codec, &raws);
-            if codec == CodecChoice::Bv {
-                assert_eq!(f.stored_bytes(last), f.logical_bytes(last) + 1);
-            }
-            // Back to front, one set of buffers: empty and small extents
-            // follow big ones and must leave nothing of them behind.
-            for i in (0..raws.len()).rev() {
-                let (by_read, by_cols) = (Arc::new(IoStats::new()), Arc::new(IoStats::new()));
-                let raw = f
-                    .share_view(Arc::clone(&by_read))
-                    .read(i, AccessClass::SeqRead)
-                    .unwrap();
-                f.share_view(Arc::clone(&by_cols))
-                    .read_fragments(i, AccessClass::SeqRead, &mut bytes, &mut cols)
-                    .unwrap();
-                assert_eq!(raw_of(&cols), raw, "{codec:?} extent {i}");
-                assert_eq!(
-                    by_cols.snapshot(),
-                    by_read.snapshot(),
-                    "{codec:?} extent {i}"
-                );
+            for (kind, raws) in [(ExtentKind::Fragments, &raws), (ExtentKind::Edges, &runs)] {
+                let vfs = MemVfs::new();
+                let mut w = ExtentWriter::create(&vfs, "x", kind, codec, raws.len()).unwrap();
+                for raw in raws {
+                    w.append(raw).unwrap();
+                }
+                let f = w.finish().unwrap();
+                if codec == CodecChoice::Bv {
+                    assert_eq!(f.stored_bytes(last), f.logical_bytes(last) + 1);
+                }
+                // Back to front, one set of buffers: empty and small
+                // extents follow big ones and must leave nothing of them
+                // behind.
+                for i in (0..raws.len()).rev() {
+                    let stats = Arc::new(IoStats::new());
+                    f.share_view(Arc::clone(&stats))
+                        .read_columns(i, AccessClass::SeqRead, &mut bytes, &mut cols)
+                        .unwrap();
+                    let at = format!("{codec:?} {kind:?} extent {i}");
+                    match kind {
+                        ExtentKind::Fragments => assert_eq!(raw_of(&cols), raws[i], "{at}"),
+                        ExtentKind::Edges => {
+                            assert!(cols.is_empty(), "{at}");
+                            let pairs = raws[i].chunks(8);
+                            assert!(pairs.eq(cols
+                                .ids
+                                .iter()
+                                .zip(&cols.weights)
+                                .map(|(d, w)| { [d.to_le_bytes(), w.to_le_bytes()].concat() })));
+                        }
+                    }
+                    let d = stats.snapshot();
+                    assert_eq!(d.seq_read_bytes, f.stored_bytes(i), "{at}");
+                    assert_eq!(d.seq_read_logical_bytes, f.logical_bytes(i), "{at}");
+                    assert_eq!(d.seq_read_ops, u64::from(f.stored_bytes(i) > 0), "{at}");
+                    assert_eq!(d.total_bytes(), d.seq_read_bytes, "{at}");
+                }
             }
         }
     }
@@ -503,7 +474,7 @@ mod tests {
         let stats = Arc::new(IoStats::new());
         let view = bv.share_view(Arc::clone(&stats));
         let i = 2 * 4 + 1;
-        assert_eq!(view.read(i, AccessClass::RandRead).unwrap(), raws[i]);
+        assert_eq!(read_raw(&view, i, AccessClass::RandRead), raws[i]);
         let d = stats.snapshot();
         assert_eq!(d.rand_read_bytes, bv.stored_bytes(i));
         assert_eq!(d.rand_read_logical_bytes, bv.logical_bytes(i));
@@ -544,7 +515,7 @@ mod tests {
         );
         assert_eq!(vfs.stats().snapshot().seq_write_ops, u64::from(nblocks));
         let before = vfs.stats().snapshot();
-        assert!(f.read(2, AccessClass::SeqRead).unwrap().is_empty());
+        assert!(read_raw(&f, 2, AccessClass::SeqRead).is_empty());
         assert_eq!(vfs.stats().snapshot(), before);
     }
 
@@ -561,37 +532,14 @@ mod tests {
             assert_eq!((f.len(), f.total_stored_bytes()), (9, 0));
             for i in 0..9 {
                 assert_eq!(f.range(i), 0..0);
-                assert!(f.read(i, AccessClass::RandRead).unwrap().is_empty());
+                assert!(read_raw(&f, i, AccessClass::RandRead).is_empty());
             }
             assert_eq!(vfs.stats().snapshot(), IoStats::new().snapshot());
             // Single extent.
             let raw = raw_cell(&vec![(3, vec![(5, 0.5), (9, 2.0)])]);
             let f = write(&vfs, codec, std::slice::from_ref(&raw));
-            assert_eq!(f.read(0, AccessClass::SeqRead).unwrap(), raw, "{codec:?}");
+            assert_eq!(read_raw(&f, 0, AccessClass::SeqRead), raw, "{codec:?}");
             assert_eq!(f.range(0), 0..f.total_stored_bytes());
-        }
-    }
-
-    #[test]
-    fn fragment_walk_rejects_what_does_not_fit() {
-        let raw = raw_cell(&vec![(1, vec![(2, 1.0)]), (7, vec![(8, 1.0), (9, 1.0)])]);
-        assert_eq!(fragments(&raw).count(), 2);
-        assert!(fragments(&[]).next().is_none());
-        // Every truncation is an error (or a clean shorter stream at a
-        // fragment boundary), never a panic.
-        for cut in 1..raw.len() {
-            let items: Vec<_> = fragments(&raw[..cut]).collect();
-            let clean = cut == 16;
-            assert_eq!(items.iter().all(|f| f.is_ok()), clean, "cut {cut}");
-            assert!(items.iter().rev().skip(1).all(|f| f.is_ok()), "cut {cut}");
-        }
-        // A count larger than the extent — up to u32::MAX — is an error,
-        // not an allocation or an out-of-bounds slice.
-        for count in [3u32, 1 << 20, u32::MAX] {
-            let mut bad = raw.clone();
-            bad[4..8].copy_from_slice(&count.to_le_bytes());
-            let err = fragments(&bad).find_map(|f| f.err()).expect("must err");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "count {count}");
         }
     }
 }

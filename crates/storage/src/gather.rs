@@ -13,7 +13,7 @@ use crate::extent::{self, ExtentFile, ExtentWriter};
 use crate::record::Record;
 use crate::stats::{seek_pad, AccessClass, IoStats};
 use crate::vfs::Vfs;
-use hybridgraph_codec::{CodecChoice, ExtentKind};
+use hybridgraph_codec::{CodecChoice, ExtentKind, FragmentColumns};
 use hybridgraph_graph::{Graph, VertexId};
 use std::io;
 use std::ops::Range;
@@ -140,20 +140,31 @@ impl GatherStore {
     /// Reads the in-edge fragment of `dst`; empty if none.
     pub fn in_edges_of(&self, dst: VertexId) -> io::Result<Vec<InEdge>> {
         let mut scratch = InEdgeScratch::default();
-        self.read_in_edges(dst, &mut scratch)?;
-        Ok(scratch.edges)
+        let (srcs, weights) = self.read_in_edges(dst, &mut scratch)?;
+        Ok(srcs
+            .iter()
+            .zip(weights)
+            .map(|(&src, &w)| InEdge {
+                src: VertexId(src),
+                weight: f32::from_bits(w),
+            })
+            .collect())
     }
 
-    /// [`GatherStore::in_edges_of`] decoded into caller-owned `scratch`,
-    /// so serving request after request allocates nothing per vertex.
+    /// The sources and weight bits of `dst`'s in-edge fragment, decoded
+    /// once into caller-owned `scratch`, so serving request after request
+    /// allocates nothing per vertex; both empty if this worker hosts no
+    /// in-edge of `dst`. An extent that is not one fragment of `dst` is
+    /// `InvalidData`.
     pub fn read_in_edges<'a>(
         &self,
         dst: VertexId,
         scratch: &'a mut InEdgeScratch,
-    ) -> io::Result<&'a [InEdge]> {
-        scratch.edges.clear();
+    ) -> io::Result<(&'a [u32], &'a [u32])> {
+        let cols = &mut scratch.cols;
+        cols.clear();
         let Some(at) = self.locate(dst) else {
-            return Ok(&scratch.edges);
+            return Ok((&cols.ids, &cols.weights));
         };
         // Forward reads continue a sweep (sequential); backward jumps are
         // scattered seeks charged at sector granularity (on the physical
@@ -165,35 +176,28 @@ impl GatherStore {
             AccessClass::RandRead
         };
         self.file
-            .read_into(dst.index(), at.clone(), class, &mut scratch.raw)?;
+            .read_columns(dst.index(), class, &mut scratch.bytes, cols)?;
         if !forward {
             self.file
                 .charge(AccessClass::RandRead, seek_pad(at.end - at.start));
         }
         self.cursor.store(at.end, Ordering::Relaxed);
-        let mut fragments = extent::fragments(&scratch.raw);
-        match (fragments.next().transpose()?, fragments.next()) {
-            (Some((id, payload)), None) if id == dst.0 => {
-                scratch.edges.extend(payload.chunks_exact(8).map(|pair| {
-                    let (src, weight) = <(VertexId, f32)>::read_from(pair);
-                    InEdge { src, weight }
-                }));
-                Ok(&scratch.edges)
-            }
-            _ => Err(io::Error::new(
+        if cols.svertices != [dst.0] {
+            return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("gather extent of {dst} is not one fragment of it"),
-            )),
+            ));
         }
+        Ok((&cols.ids, &cols.weights))
     }
 }
 
-/// Reusable buffers behind [`GatherStore::read_in_edges`]: the raw
-/// fragment and the in-edges decoded from it.
+/// Reusable buffers behind [`GatherStore::read_in_edges`]: the bytes read
+/// and the fragment decoded from them.
 #[derive(Default)]
 pub struct InEdgeScratch {
-    raw: Vec<u8>,
-    edges: Vec<InEdge>,
+    bytes: Vec<u8>,
+    cols: FragmentColumns,
 }
 
 #[cfg(test)]
@@ -293,6 +297,49 @@ mod tests {
         GatherStore::build_with(&cvfs, "gather", &g, 0..50, CodecChoice::Gaps).unwrap();
         let snap = cvfs.stats().snapshot();
         assert!(snap.seq_write_bytes < snap.seq_write_logical_bytes);
+    }
+
+    #[test]
+    fn an_extent_that_is_not_one_fragment_of_its_destination_is_invalid() {
+        let frag = |id: u32, count: u32, pairs: &[(u32, f32)]| {
+            let mut raw = Vec::new();
+            extent::push_fragment_header(&mut raw, id, count as usize);
+            for pair in pairs {
+                pair.append_to(&mut raw);
+            }
+            raw
+        };
+        let good = frag(1, 2, &[(0, 1.0), (4, 2.0)]);
+        let bad = [
+            ("another vertex's fragment", frag(1, 1, &[(0, 1.0)])),
+            (
+                "two fragments",
+                [frag(2, 1, &[(0, 1.0)]), frag(3, 1, &[(7, 1.0)])].concat(),
+            ),
+            ("a header overrunning the extent", frag(2, 5, &[(0, 1.0)])),
+        ];
+        for codec in [CodecChoice::None, CodecChoice::Gaps] {
+            for (what, raw) in &bad {
+                let vfs = MemVfs::new();
+                let mut w =
+                    ExtentWriter::create(&vfs, "gather", ExtentKind::Fragments, codec, 3).unwrap();
+                for extent in [&Vec::new(), &good, raw] {
+                    w.append(extent).unwrap();
+                }
+                let s = GatherStore {
+                    file: w.finish().unwrap(),
+                    destinations: 2,
+                    cursor: AtomicU64::new(0),
+                };
+                let at = format!("{codec:?}: {what}");
+                assert!(s.in_edges_of(VertexId(0)).unwrap().is_empty(), "{at}");
+                let edges = s.in_edges_of(VertexId(1)).unwrap();
+                let srcs: Vec<u32> = edges.iter().map(|ie| ie.src.0).collect();
+                assert_eq!(srcs, [0, 4], "{at}");
+                let err = s.in_edges_of(VertexId(2)).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{at}");
+            }
+        }
     }
 
     #[test]

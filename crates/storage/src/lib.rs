@@ -58,7 +58,7 @@ pub mod veblock;
 pub mod vfs;
 
 pub use hybridgraph_codec::{
-    decode_extent, encode_extent, frame, record, tagged, CodecChoice, CodecError, ExtentKind,
+    frame, record, tagged, CodecChoice, CodecError, ExtentKind, FragmentColumns,
 };
 pub use profile::DeviceProfile;
 pub use record::Record;

@@ -372,25 +372,12 @@ impl VeBlockStore {
         i: BlockId,
         scratch: &mut EblockScratch,
     ) -> io::Result<()> {
-        let s = scratch;
-        let read = self.files[self.local_of(j)].read_fragments(
+        self.files[self.local_of(j)].read_columns(
             i.index(),
             AccessClass::SeqRead,
-            &mut s.bytes,
-            &mut s.cols,
-        );
-        s.edges.clear();
-        if let Err(e) = read {
-            s.cols.clear();
-            return Err(e);
-        }
-        let (ids, weights) = (&s.cols.ids, &s.cols.weights);
-        s.edges
-            .extend(ids.iter().zip(weights).map(|(&dst, &w)| Edge {
-                dst: VertexId(dst),
-                weight: f32::from_bits(w),
-            }));
-        Ok(())
+            &mut scratch.bytes,
+            &mut scratch.cols,
+        )
     }
 
     /// [`VeBlockStore::scan_eblock_into`] collected into owned fragments.
@@ -401,28 +388,37 @@ impl VeBlockStore {
             .fragments()
             .map(|(src, edges)| Fragment {
                 src,
-                edges: edges.to_vec(),
+                edges: edges.collect(),
             })
             .collect())
     }
 }
 
 /// The buffers an Eblock scan decodes into, kept by the caller and reused
-/// Eblock after Eblock: the bytes read, their fragment columns, and every
-/// fragment's edges back to back.
+/// Eblock after Eblock: the bytes read and their fragment columns.
 #[derive(Default)]
 pub struct EblockScratch {
     bytes: Vec<u8>,
     cols: FragmentColumns,
-    edges: Vec<Edge>,
 }
 
 impl EblockScratch {
     /// The fragments of the Eblock last scanned, in svertex order: each
-    /// source vertex with its edges into the destination block.
-    pub fn fragments(&self) -> impl ExactSizeIterator<Item = (VertexId, &[Edge])> {
+    /// source vertex with its edges into the destination block, built
+    /// from the columns as they are walked.
+    pub fn fragments(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (VertexId, impl Iterator<Item = Edge> + '_)> {
         let c = &self.cols;
-        (0..c.len()).map(move |k| (VertexId(c.svertices[k]), &self.edges[c.span(k)]))
+        (0..c.len()).map(move |k| {
+            let span = c.span(k);
+            let edges = c.ids[span.clone()].iter().zip(&c.weights[span]);
+            let edges = edges.map(|(&dst, &w)| Edge {
+                dst: VertexId(dst),
+                weight: f32::from_bits(w),
+            });
+            (VertexId(c.svertices[k]), edges)
+        })
     }
 }
 
@@ -744,7 +740,7 @@ mod tests {
                                 let d = vfs.stats().snapshot().delta(&before);
                                 let got: Vec<(VertexId, Vec<Edge>)> = scratch
                                     .fragments()
-                                    .map(|(v, edges)| (v, edges.to_vec()))
+                                    .map(|(v, edges)| (v, edges.collect()))
                                     .collect();
                                 let at = format!("seed {seed} {workers}w {codec:?} g_{{{j},{i}}}");
                                 assert_eq!(got, want, "{at}");

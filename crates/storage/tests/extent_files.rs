@@ -143,7 +143,7 @@ fn veblock_scratch_scans_survive_truncation_and_bit_flips() {
                 .flat_map(|j| l.block_ids().map(move |i| (j, i)))
                 .map(|(j, i)| {
                     let scanned = s.scan_eblock_into(j, i, &mut scratch);
-                    let frags: Scan = scratch.fragments().map(|(v, e)| (v, e.to_vec())).collect();
+                    let frags: Scan = scratch.fragments().map(|(v, e)| (v, e.collect())).collect();
                     assert!(scanned.is_ok() || frags.is_empty(), "g_{{{j},{i}}}");
                     scanned.map(|()| frags)
                 })

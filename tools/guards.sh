@@ -9,8 +9,12 @@ cd "$(dirname "$0")/.."
 
 GUARDS=(
   "0 :: storage::stream|StreamEblock|OffsetDir :: crates/storage/src :: storage::extent is the one extent path: no second store or directory fork"
-  "1 :: decode_extent\( :: crates/storage/src :: storage::extent is the only decode site of coded extents"
-  "1 :: decode_fragments\( :: crates/storage/src :: storage::extent is the only site that decodes an Eblock into columns"
+  "1 :: decode_columns\( :: crates/storage/src :: ExtentFile::read_columns is the one decode site of stored extents, for every edge store"
+  "0 :: decode_extent\(|decode_fragments\( :: crates/storage/src crates/core/src crates/bench/src :: stores decode each extent once into FragmentColumns: no raw stream rebuilt and parsed again"
+  "0 :: fn raw_from_(edges|fragments) :: crates/codec/src :: each codec tier decodes an extent into columns only; decode_extent serialises them for callers that want bytes"
+  "0 :: pub fn fragments\(|struct Fragments|fn read_into :: crates/storage/src/extent.rs :: FragmentColumns::parse is the one raw parser and read_columns the one extent read"
+  "0 :: ^[[:space:]]*edges: Vec<Edge> :: crates/storage/src/veblock.rs :: an Eblock scan walks its columns: no flat edge copy beside them"
+  "0 :: let (mut )?head = vec! :: crates/codec/src/block.rs :: the block codec keeps its hash heads between calls: no 512 KiB table filled per spill chunk"
   "0 :: scan_eblock\(|in_edges_of\( :: crates/core/src :: the engine scans Eblocks and gathers in-edges into reused scratch, not into fresh Vecs"
   "0 :: Vec<Vec<u32>> :: crates/codec/src/bv.rs :: bv's reference window is index ranges into one flat id column"
   "1 :: encode_extent\(|encoder\.encode\( :: crates/storage/src :: storage::extent is the only encode site of coded extents"

@@ -125,16 +125,33 @@ fn sweep(b: &Built, n: usize, supersteps: u32) -> f64 {
     rank.iter().sum()
 }
 
-/// Runs the entry at `1/scale` of billion scale (`--scale 1` = the real
-/// thing; anything past ~100 M edges spills through a directory VFS).
-pub fn run(scale: Scale) {
-    let spec = StreamSpec::twitter().scaled(scale.0);
-    println!(
-        "## billion: streaming {} build + b-pull sweep ({} vertices, {} blocks)",
-        spec.name,
-        spec.vertices,
-        spec.nblocks()
-    );
+/// What one run of the entry measures. Everything but
+/// `peak_block_bytes` (a capacity high-water mark) is a function of the
+/// spec alone: `det_probe`'s `billion` row holds those fields to the byte.
+pub struct Outcome {
+    /// Edges generated.
+    pub edges: u64,
+    /// Raw bytes behind the coded Eblocks.
+    pub logical: u64,
+    /// Stored (bv-coded) bytes.
+    pub physical: u64,
+    /// Resident bytes of the Elias-Fano extent directory.
+    pub directory: u64,
+    /// Largest per-source-block working set during the build (bytes).
+    pub peak_block_bytes: u64,
+    /// Physical bytes the sweep read.
+    pub sweep_physical: u64,
+    /// Logical bytes the sweep read.
+    pub sweep_logical: u64,
+    /// Supersteps the sweep ran.
+    pub supersteps: u32,
+    /// The final rank sum, a checksum of the whole computation.
+    pub rank_sum: f64,
+}
+
+/// Builds `spec` under bv and sweeps it (anything past ~100 M edges
+/// spills through a directory VFS).
+pub fn measure(spec: &StreamSpec) -> Outcome {
     let big = spec.expected_edges() > 100_000_000;
     let tmp = std::env::temp_dir().join("hybridgraph-billion");
     let vfs: Arc<dyn Vfs> = if big {
@@ -143,45 +160,15 @@ pub fn run(scale: Scale) {
     } else {
         Arc::new(MemVfs::new())
     };
-    let b = build(&spec, vfs.as_ref(), CodecChoice::Bv);
+    let b = build(spec, vfs.as_ref(), CodecChoice::Bv);
     if spec.vertices >= StreamSpec::twitter().vertices {
         assert!(b.edges >= 1_000_000_000, "full entry must be ≥1B edges");
     }
     let (logical, physical) = (b.store.total_logical_bytes(), b.store.total_stored_bytes());
-    let flat_index = 16 * u64::from(spec.nblocks()) * u64::from(spec.nblocks());
     let supersteps = 3u32;
     let before = vfs.stats().snapshot();
-    let sum = sweep(&b, spec.vertices as usize, supersteps);
+    let rank_sum = sweep(&b, spec.vertices as usize, supersteps);
     let io = vfs.stats().snapshot().delta(&before);
-
-    let mut t = Table::new(
-        "streaming build + EF-served b-pull sweep (codec bv)",
-        &["metric", "value"],
-    );
-    t.row(vec!["edges".into(), b.edges.to_string()]);
-    t.row(vec!["logical bytes".into(), bytes(logical)]);
-    t.row(vec!["physical bytes".into(), bytes(physical)]);
-    t.row(vec![
-        "p/l ratio".into(),
-        ratio(physical as f64 / logical.max(1) as f64),
-    ]);
-    t.row(vec!["ef directory".into(), bytes(b.store.memory_bytes())]);
-    t.row(vec!["flat directory would be".into(), bytes(flat_index)]);
-    t.row(vec![
-        "peak build block set".into(),
-        bytes(b.peak_block_bytes),
-    ]);
-    t.row(vec![
-        "sweep rand reads (physical)".into(),
-        bytes(io.rand_read_bytes),
-    ]);
-    t.row(vec![
-        "sweep rand reads (logical)".into(),
-        bytes(io.rand_read_logical_bytes),
-    ]);
-    t.row(vec!["supersteps".into(), supersteps.to_string()]);
-    t.row(vec!["rank sum".into(), format!("{sum:.12}")]);
-    t.print();
     // The sweep must have read every extent per superstep — via EF
     // random access, whole extents only, no directory I/O.
     assert_eq!(
@@ -192,6 +179,59 @@ pub fn run(scale: Scale) {
     if big {
         let _ = std::fs::remove_dir_all(&tmp);
     }
+    Outcome {
+        edges: b.edges,
+        logical,
+        physical,
+        directory: b.store.memory_bytes(),
+        peak_block_bytes: b.peak_block_bytes,
+        sweep_physical: io.rand_read_bytes,
+        sweep_logical: io.rand_read_logical_bytes,
+        supersteps,
+        rank_sum,
+    }
+}
+
+/// Runs the entry at `1/scale` of billion scale (`--scale 1` = the real
+/// thing).
+pub fn run(scale: Scale) {
+    let spec = StreamSpec::twitter().scaled(scale.0);
+    println!(
+        "## billion: streaming {} build + b-pull sweep ({} vertices, {} blocks)",
+        spec.name,
+        spec.vertices,
+        spec.nblocks()
+    );
+    let o = measure(&spec);
+    let flat_index = 16 * u64::from(spec.nblocks()) * u64::from(spec.nblocks());
+    let mut t = Table::new(
+        "streaming build + EF-served b-pull sweep (codec bv)",
+        &["metric", "value"],
+    );
+    t.row(vec!["edges".into(), o.edges.to_string()]);
+    t.row(vec!["logical bytes".into(), bytes(o.logical)]);
+    t.row(vec!["physical bytes".into(), bytes(o.physical)]);
+    t.row(vec![
+        "p/l ratio".into(),
+        ratio(o.physical as f64 / o.logical.max(1) as f64),
+    ]);
+    t.row(vec!["ef directory".into(), bytes(o.directory)]);
+    t.row(vec!["flat directory would be".into(), bytes(flat_index)]);
+    t.row(vec![
+        "peak build block set".into(),
+        bytes(o.peak_block_bytes),
+    ]);
+    t.row(vec![
+        "sweep rand reads (physical)".into(),
+        bytes(o.sweep_physical),
+    ]);
+    t.row(vec![
+        "sweep rand reads (logical)".into(),
+        bytes(o.sweep_logical),
+    ]);
+    t.row(vec!["supersteps".into(), o.supersteps.to_string()]);
+    t.row(vec!["rank sum".into(), format!("{:.12}", o.rank_sum)]);
+    t.print();
 }
 
 #[cfg(test)]

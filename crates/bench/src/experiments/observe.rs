@@ -13,10 +13,12 @@
 //!   (`--explain-switch`), one row per switching evaluation.
 //!
 //! Timestamps are modeled time, so two runs of this experiment emit
-//! byte-identical trace files — diff them to prove it.
+//! byte-identical trace files: `det_probe`'s `observe-*` rows hold every
+//! mode × codec pair to that.
 
-use crate::{buffer_for, run_algo, workers_for, Algo, Scale};
-use hybridgraph_core::{JobConfig, Mode};
+use crate::{buffer_for, workers_for, Scale};
+use hybridgraph_algos::PageRank;
+use hybridgraph_core::{run_job, JobConfig, JobResult, Mode};
 use hybridgraph_graph::Dataset;
 use hybridgraph_obs::{
     export_chrome_trace, export_prometheus, render_table, validate_json, ExtraMetric, TraceSink,
@@ -45,28 +47,43 @@ pub struct ObserveOpts {
     pub mode: Option<Mode>,
 }
 
-/// Runs the instrumented job and writes the requested artifacts.
-pub fn run(scale: Scale, opts: &ObserveOpts) {
+/// The instrumented job itself, shared with `det_probe`'s `observe-*`
+/// rows: a 5-superstep PageRank on the scaled LiveJ stand-in under
+/// `mode` and `codec`, with a trace sink installed. Returns the result
+/// and the sink.
+pub fn traced_job(
+    scale: Scale,
+    mode: Mode,
+    codec: CodecChoice,
+) -> (JobResult<PageRank>, Arc<TraceSink>) {
     let d = Dataset::LiveJ;
     let g = scale.build(d);
     let workers = workers_for(d);
     let sink = Arc::new(TraceSink::new(workers));
-    let mode = opts.mode.unwrap_or(Mode::Hybrid);
     let mut cfg = JobConfig::new(mode, workers)
         .with_buffer(buffer_for(d, scale))
         .with_trace(Arc::clone(&sink))
-        .with_codec(opts.codec);
+        .with_codec(codec);
     if mode == Mode::Hybrid {
         // Start in push even where Theorem 2 would pick b-pull, so the
         // demo exercises the Q_t evaluation *and* an actual switch
         // superstep.
         cfg.initial_mode_override = Some(Mode::Push);
     }
-    let m = run_algo(Algo::PageRank, &g, cfg);
+    let r = run_job(Arc::new(PageRank::new(5)), &g, cfg).expect("job failed");
+    (r, sink)
+}
+
+/// Runs the instrumented job and writes the requested artifacts.
+pub fn run(scale: Scale, opts: &ObserveOpts) {
+    let mode = opts.mode.unwrap_or(Mode::Hybrid);
+    let (r, sink) = traced_job(scale, mode, opts.codec);
+    let m = r.metrics;
 
     println!(
-        "## observe: instrumented {} PageRank on {d:?} (codec {})",
+        "## observe: instrumented {} PageRank on {:?} (codec {})",
         mode.label(),
+        Dataset::LiveJ,
         opts.codec.label()
     );
     println!(

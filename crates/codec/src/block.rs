@@ -59,9 +59,10 @@ thread_local! {
     };
 }
 
-/// Compresses `input`. The output may be larger than the input on
-/// incompressible data; callers keep the raw bytes when that happens.
-pub fn compress(input: &[u8]) -> Vec<u8> {
+/// Compresses `input`, appending the coded bytes to `out`. They may be
+/// longer than the input on incompressible data; callers keep the raw
+/// bytes when that happens.
+pub fn compress(input: &[u8], out: &mut Vec<u8>) {
     HEADS.with_borrow_mut(|heads| {
         // First call on this thread, or the bases ran out: one fill.
         if heads.head.is_empty() || heads.base.checked_add(input.len() + 1).is_none() {
@@ -72,13 +73,13 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         }
         let base = heads.base;
         heads.base += input.len() + 1;
-        compress_with(input, &mut heads.head, base)
+        compress_with(input, &mut heads.head, base, out)
     })
 }
 
 /// [`compress`] over `head`, in which only entries `>= base` are live.
-fn compress_with(input: &[u8], head: &mut [usize], base: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+fn compress_with(input: &[u8], head: &mut [usize], base: usize, out: &mut Vec<u8>) {
+    out.reserve(input.len() / 2 + 16);
     let mut lit_start = 0usize;
     let mut pos = 0usize;
     while pos < input.len() {
@@ -105,44 +106,47 @@ fn compress_with(input: &[u8], head: &mut [usize], base: usize) -> Vec<u8> {
             head[h] = base + pos;
         }
         if run >= MIN_MATCH && run >= mlen {
-            flush_literals(&mut out, &input[lit_start..pos]);
+            flush_literals(out, &input[lit_start..pos]);
             out.push(OP_RUN);
-            write_u64(&mut out, run as u64);
+            write_u64(out, run as u64);
             out.push(b);
             pos += run;
             lit_start = pos;
         } else if mlen >= MIN_MATCH {
-            flush_literals(&mut out, &input[lit_start..pos]);
+            flush_literals(out, &input[lit_start..pos]);
             out.push(OP_MATCH);
-            write_u64(&mut out, mdist as u64);
-            write_u64(&mut out, mlen as u64);
+            write_u64(out, mdist as u64);
+            write_u64(out, mlen as u64);
             pos += mlen;
             lit_start = pos;
         } else {
             pos += 1;
         }
     }
-    flush_literals(&mut out, &input[lit_start..]);
-    out
+    flush_literals(out, &input[lit_start..]);
 }
 
-/// Decompresses into exactly `expected_len` bytes.
-pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
+/// Decompresses into exactly `expected_len` bytes, appended to `out`.
+/// Matches reach back no further than this call's first byte; on error
+/// `out` may hold a partial tail.
+pub fn decompress(coded: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
     // `expected_len` is read from the frame, not trusted: a run can
     // legitimately expand without bound, so cap the pre-allocation and
     // let the length checks below decide.
-    let mut out = Vec::with_capacity(expected_len.min(MAX_PREALLOC));
+    out.reserve(expected_len.min(MAX_PREALLOC));
+    let start = out.len();
     let mut pos = 0usize;
     while pos < coded.len() {
         let op = coded[pos];
         pos += 1;
+        let room = expected_len - (out.len() - start);
         match op {
             OP_LIT => {
                 let len = read_u64(coded, &mut pos)? as usize;
                 if len > coded.len() - pos {
                     return Err(CodecError::Truncated);
                 }
-                if len > expected_len - out.len() {
+                if len > room {
                     return Err(CodecError::Corrupt("literal overruns logical length"));
                 }
                 out.extend_from_slice(&coded[pos..pos + len]);
@@ -152,7 +156,7 @@ pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 let len = read_u64(coded, &mut pos)? as usize;
                 let b = *coded.get(pos).ok_or(CodecError::Truncated)?;
                 pos += 1;
-                if len > expected_len - out.len() {
+                if len > room {
                     return Err(CodecError::Corrupt("run overruns logical length"));
                 }
                 out.resize(out.len() + len, b);
@@ -160,10 +164,10 @@ pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
             OP_MATCH => {
                 let dist = read_u64(coded, &mut pos)? as usize;
                 let len = read_u64(coded, &mut pos)? as usize;
-                if dist == 0 || dist > out.len() {
+                if dist == 0 || dist > out.len() - start {
                     return Err(CodecError::Corrupt("match distance out of range"));
                 }
-                if len > expected_len - out.len() {
+                if len > room {
                     return Err(CodecError::Corrupt("match overruns logical length"));
                 }
                 // Byte-at-a-time so overlapping matches replicate, as the
@@ -176,18 +180,29 @@ pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
             _ => return Err(CodecError::Corrupt("unknown block-codec opcode")),
         }
     }
-    if out.len() != expected_len {
+    if out.len() - start != expected_len {
         return Err(CodecError::LengthMismatch {
             expected: expected_len,
-            got: out.len(),
+            got: out.len() - start,
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn compress(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        super::compress(input, &mut out);
+        out
+    }
+
+    fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        super::decompress(coded, expected_len, &mut out).map(|()| out)
+    }
 
     fn roundtrip(data: &[u8]) {
         let coded = compress(data);
@@ -267,6 +282,23 @@ mod tests {
             data.extend_from_slice(&x.to_le_bytes());
         }
         roundtrip(&data);
+    }
+
+    #[test]
+    fn appending_calls_leave_earlier_bytes_alone() {
+        let data: Vec<u8> = b"abc".iter().copied().cycle().take(300).collect();
+        let mut coded = vec![9u8; 5];
+        super::compress(&data, &mut coded);
+        assert_eq!(coded[..5], [9; 5]);
+        assert_eq!(coded[5..], compress(&data));
+        let mut out = b"xyz".to_vec();
+        super::decompress(&coded[5..], data.len(), &mut out).unwrap();
+        assert_eq!((&out[..3], &out[3..]), (&b"xyz"[..], &data[..]));
+        // A match may not reach back into bytes an earlier call left.
+        let mut bad = vec![OP_MATCH];
+        write_u64(&mut bad, 3);
+        write_u64(&mut bad, 3);
+        assert!(super::decompress(&bad, 3, &mut b"xyz".to_vec()).is_err());
     }
 
     #[test]

@@ -414,23 +414,51 @@ fn check_len(expected: usize, got: usize) -> Result<(), CodecError> {
 /// the everything-tightened tier. Must not be called with
 /// [`CodecChoice::None`].
 pub fn encode_blob_frame(choice: CodecChoice, raw: &[u8]) -> Vec<u8> {
-    debug_assert!(!choice.is_none(), "None bypasses blob framing");
-    let block_coded = (choice == CodecChoice::Bv).then(|| block::compress(raw));
-    let (tag, payload): (u8, &[u8]) = match block_coded.as_deref() {
-        Some(b) if b.len() < raw.len() => (TAG_BLOCK, b),
-        _ => (TAG_RAW, raw),
-    };
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.push(tag);
-    varint::write_u64(&mut out, raw.len() as u64);
-    varint::write_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
+    let mut out = Vec::new();
+    encode_blob_frame_into(choice, raw, &mut out);
     out
+}
+
+/// [`encode_blob_frame`], appending the frame to `out`: a caller that
+/// frames chunk after chunk keeps one buffer.
+pub fn encode_blob_frame_into(choice: CodecChoice, raw: &[u8], out: &mut Vec<u8>) {
+    debug_assert!(!choice.is_none(), "None bypasses blob framing");
+    let at = out.len();
+    if choice == CodecChoice::Bv {
+        // Code in place, then rotate the header in front of the payload.
+        block::compress(raw, out);
+        let coded = out.len() - at;
+        if coded < raw.len() {
+            out.push(TAG_BLOCK);
+            varint::write_u64(out, raw.len() as u64);
+            varint::write_u64(out, coded as u64);
+            let header = out.len() - at - coded;
+            out[at..].rotate_right(header);
+            return;
+        }
+        out.truncate(at);
+    }
+    out.push(TAG_RAW);
+    varint::write_u64(out, raw.len() as u64);
+    varint::write_u64(out, raw.len() as u64);
+    out.extend_from_slice(raw);
 }
 
 /// Decodes one blob frame at `*pos`, advancing past it; returns the raw
 /// payload bytes.
 pub fn decode_blob_frame(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    decode_blob_frame_into(buf, pos, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_blob_frame`], appending the raw payload to `out`; on error
+/// `out` is left as it was.
+pub fn decode_blob_frame_into(
+    buf: &[u8],
+    pos: &mut usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
     let tag = *buf.get(*pos).ok_or(CodecError::Truncated)?;
     *pos += 1;
     let logical = varint::read_u64(buf, pos)? as usize;
@@ -440,11 +468,16 @@ pub fn decode_blob_frame(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecEr
     }
     let payload = &buf[*pos..*pos + payload_len];
     *pos += payload_len;
-    match tag {
-        TAG_RAW => raw_body(payload, logical),
-        TAG_BLOCK => block::decompress(payload, logical),
+    let at = out.len();
+    let decoded = match tag {
+        TAG_RAW => check_len(logical, payload.len()).map(|()| out.extend_from_slice(payload)),
+        TAG_BLOCK => block::decompress(payload, logical, out),
         _ => Err(CodecError::Corrupt("unknown blob frame tag")),
+    };
+    if decoded.is_err() {
+        out.truncate(at);
     }
+    decoded
 }
 
 #[cfg(test)]
@@ -661,7 +694,7 @@ mod tests {
     fn block_is_a_blob_frame_tag_not_an_extent_tag() {
         let raw = raw_edges(50);
         let mut coded = vec![TAG_BLOCK];
-        coded.extend(block::compress(&raw));
+        block::compress(&raw, &mut coded);
         assert_eq!(
             decode_extent(ExtentKind::Edges, &coded, raw.len()),
             Err(CodecError::Corrupt("unknown extent tag"))
@@ -700,6 +733,40 @@ mod tests {
             assert_eq!(decode_blob_frame(&stream, &mut pos).unwrap(), b);
             assert_eq!(pos, stream.len());
         }
+    }
+
+    #[test]
+    fn appended_blob_frames_match_fresh_ones() {
+        let a = vec![7u8; 4096];
+        let b: Vec<u8> = (0..255u8).collect();
+        for choice in [CodecChoice::Gaps, CodecChoice::Bv] {
+            let mut stream = vec![1, 2, 3];
+            encode_blob_frame_into(choice, &a, &mut stream);
+            encode_blob_frame_into(choice, &b, &mut stream);
+            let fresh = [encode_blob_frame(choice, &a), encode_blob_frame(choice, &b)];
+            assert_eq!(stream[3..], fresh.concat(), "{choice:?}");
+            let (mut pos, mut out) = (3, vec![9]);
+            decode_blob_frame_into(&stream, &mut pos, &mut out).unwrap();
+            decode_blob_frame_into(&stream, &mut pos, &mut out).unwrap();
+            assert_eq!(out, [&[9][..], &a, &b].concat(), "{choice:?}");
+            // A frame cut short leaves `out` as it was.
+            let (mut pos, mut out) = (3, vec![9]);
+            let cut = &stream[..stream.len() - 1];
+            decode_blob_frame_into(cut, &mut pos, &mut out).unwrap();
+            assert!(decode_blob_frame_into(cut, &mut pos, &mut out).is_err());
+            assert_eq!(out, [&[9][..], &a].concat(), "{choice:?}");
+        }
+        // A block payload that decodes short of its logical length is an
+        // error after bytes were appended: they are taken back.
+        let mut short = Vec::new();
+        block::compress(&[5u8; 64], &mut short);
+        let mut bad = vec![TAG_BLOCK];
+        varint::write_u64(&mut bad, 65);
+        varint::write_u64(&mut bad, short.len() as u64);
+        bad.extend_from_slice(&short);
+        let mut out = vec![9];
+        assert!(decode_blob_frame_into(&bad, &mut 0, &mut out).is_err());
+        assert_eq!(out, [9]);
     }
 
     #[test]

@@ -78,7 +78,6 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
     // arrive, serve once every peer is done requesting, update when both
     // directions have quiesced.
     let mut requests: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
-    let mut in_edges = InEdgeScratch::default();
     let mut staged: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
     let mut tbuf: ThresholdBuffer<P::Message> =
         ThresholdBuffer::new(workers, w.cfg.sending_threshold);
@@ -90,6 +89,7 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
             // gather store's cursor see the same request sequence whatever
             // order the fabric delivered it in. Every peer has sent all its
             // requests already, so none of them waits on these responses.
+            let mut in_edges = std::mem::take(&mut w.in_edges);
             for (p, payloads) in std::mem::take(&mut requests).into_iter().enumerate() {
                 let from = WorkerId::from(p);
                 let requester = w.partition.worker_range(from);
@@ -105,6 +105,7 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
                 });
                 w.ep.send(from, Packet::EndOfGather);
             }
+            w.in_edges = in_edges;
             served = true;
         }
         if got_ends == workers && served && !my_done {

@@ -136,7 +136,7 @@ pub fn export_chrome_trace(sink: &TraceSink) -> String {
 ///
 /// Jobs are emitted in slice order and each sink's shards in track order,
 /// so the byte stream is a deterministic function of the recorded events —
-/// the property the service's double-run `cmp` check relies on.
+/// the property the `service-<seed>` rows of `det_probe` rely on.
 pub fn export_chrome_trace_jobs(jobs: &[(&str, &TraceSink)]) -> String {
     let mut buf = String::new();
     buf.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");

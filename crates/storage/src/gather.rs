@@ -38,15 +38,6 @@ pub struct GatherStore {
     cursor: AtomicU64,
 }
 
-/// An in-edge as seen from the destination: the source and the weight.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct InEdge {
-    /// The source vertex (always local to the store's worker).
-    pub src: VertexId,
-    /// The edge weight.
-    pub weight: f32,
-}
-
 impl GatherStore {
     /// Builds the store without compression; see
     /// [`GatherStore::build_with`].
@@ -137,20 +128,6 @@ impl GatherStore {
         self.destinations as u64 * 20
     }
 
-    /// Reads the in-edge fragment of `dst`; empty if none.
-    pub fn in_edges_of(&self, dst: VertexId) -> io::Result<Vec<InEdge>> {
-        let mut scratch = InEdgeScratch::default();
-        let (srcs, weights) = self.read_in_edges(dst, &mut scratch)?;
-        Ok(srcs
-            .iter()
-            .zip(weights)
-            .map(|(&src, &w)| InEdge {
-                src: VertexId(src),
-                weight: f32::from_bits(w),
-            })
-            .collect())
-    }
-
     /// The sources and weight bits of `dst`'s in-edge fragment, decoded
     /// once into caller-owned `scratch`, so serving request after request
     /// allocates nothing per vertex; both empty if this worker hosts no
@@ -211,13 +188,9 @@ mod tests {
         let g = gen::uniform(30, 200, 8);
         let vfs = MemVfs::new();
         let s = GatherStore::build(&vfs, "gather", &g, 0..30).unwrap();
+        let mut scratch = InEdgeScratch::default();
         for v in g.vertices() {
-            let mut got: Vec<u32> = s
-                .in_edges_of(v)
-                .unwrap()
-                .iter()
-                .map(|ie| ie.src.0)
-                .collect();
+            let mut got = s.read_in_edges(v, &mut scratch).unwrap().0.to_vec();
             got.sort();
             let mut want: Vec<u32> = g
                 .edges()
@@ -234,9 +207,10 @@ mod tests {
         let g = gen::uniform(20, 100, 3);
         let vfs = MemVfs::new();
         let s = GatherStore::build(&vfs, "gather", &g, 0..10).unwrap();
+        let mut scratch = InEdgeScratch::default();
         for v in g.vertices() {
-            for ie in s.in_edges_of(v).unwrap() {
-                assert!(ie.src.0 < 10, "source must be local");
+            for &src in s.read_in_edges(v, &mut scratch).unwrap().0 {
+                assert!(src < 10, "source must be local");
             }
         }
     }
@@ -246,10 +220,11 @@ mod tests {
         let g = gen::uniform(40, 300, 4);
         let vfs = MemVfs::new();
         let s = GatherStore::build(&vfs, "gather", &g, 0..40).unwrap();
+        let mut scratch = InEdgeScratch::default();
         // An ascending sweep over all destinations: only sequential reads.
         let before = vfs.stats().snapshot();
         for v in 0..40u32 {
-            s.in_edges_of(VertexId(v)).unwrap();
+            s.read_in_edges(VertexId(v), &mut scratch).unwrap();
         }
         let d = vfs.stats().snapshot().delta(&before);
         assert_eq!(d.rand_read_bytes, 0, "ascending sweep must be sequential");
@@ -257,9 +232,9 @@ mod tests {
         // A backward jump is a seek, padded to a sector.
         let lo = (0..40u32).find(|&v| s.has_in_edges(VertexId(v))).unwrap();
         let before = vfs.stats().snapshot();
-        let edges = s.in_edges_of(VertexId(lo)).unwrap();
+        let edges = s.read_in_edges(VertexId(lo), &mut scratch).unwrap().0.len();
         let d = vfs.stats().snapshot().delta(&before);
-        let payload = 8 + edges.len() as u64 * 8;
+        let payload = 8 + edges as u64 * 8;
         assert_eq!(d.rand_read_bytes, payload.max(crate::stats::SECTOR_BYTES));
     }
 
@@ -271,7 +246,12 @@ mod tests {
         assert!(!s.has_in_edges(VertexId(0)));
         assert!(s.has_in_edges(VertexId(1)));
         let before = vfs.stats().snapshot();
-        assert!(s.in_edges_of(VertexId(0)).unwrap().is_empty());
+        let mut scratch = InEdgeScratch::default();
+        assert!(s
+            .read_in_edges(VertexId(0), &mut scratch)
+            .unwrap()
+            .0
+            .is_empty());
         assert_eq!(vfs.stats().snapshot(), before);
     }
 
@@ -284,10 +264,11 @@ mod tests {
             let cvfs = MemVfs::new();
             let s = GatherStore::build_with(&cvfs, "gather", &g, 0..50, codec).unwrap();
             assert_eq!(s.destinations, plain.destinations);
+            let (mut coded, mut raw) = (InEdgeScratch::default(), InEdgeScratch::default());
             for v in g.vertices() {
                 assert_eq!(
-                    s.in_edges_of(v).unwrap(),
-                    plain.in_edges_of(v).unwrap(),
+                    s.read_in_edges(v, &mut coded).unwrap(),
+                    plain.read_in_edges(v, &mut raw).unwrap(),
                     "{codec:?} dst {v}"
                 );
             }
@@ -332,11 +313,12 @@ mod tests {
                     cursor: AtomicU64::new(0),
                 };
                 let at = format!("{codec:?}: {what}");
-                assert!(s.in_edges_of(VertexId(0)).unwrap().is_empty(), "{at}");
-                let edges = s.in_edges_of(VertexId(1)).unwrap();
-                let srcs: Vec<u32> = edges.iter().map(|ie| ie.src.0).collect();
+                let mut scratch = InEdgeScratch::default();
+                let (srcs, _) = s.read_in_edges(VertexId(0), &mut scratch).unwrap();
+                assert!(srcs.is_empty(), "{at}");
+                let (srcs, _) = s.read_in_edges(VertexId(1), &mut scratch).unwrap();
                 assert_eq!(srcs, [0, 4], "{at}");
-                let err = s.in_edges_of(VertexId(2)).unwrap_err();
+                let err = s.read_in_edges(VertexId(2), &mut scratch).unwrap_err();
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{at}");
             }
         }
@@ -347,9 +329,9 @@ mod tests {
         let g = gen::randomize_weights(&gen::cycle(6), 2.0, 3.0, 1);
         let vfs = MemVfs::new();
         let s = GatherStore::build(&vfs, "gather", &g, 0..6).unwrap();
-        let ie = s.in_edges_of(VertexId(1)).unwrap();
-        assert_eq!(ie.len(), 1);
-        assert_eq!(ie[0].src, VertexId(0));
-        assert!((2.0..3.0).contains(&ie[0].weight));
+        let mut scratch = InEdgeScratch::default();
+        let (srcs, weights) = s.read_in_edges(VertexId(1), &mut scratch).unwrap();
+        assert_eq!(srcs, [0]);
+        assert!((2.0..3.0).contains(&f32::from_bits(weights[0])));
     }
 }

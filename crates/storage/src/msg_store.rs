@@ -14,7 +14,7 @@ use crate::inbox::Inbox;
 use crate::record::Record;
 use crate::stats::AccessClass;
 use crate::vfs::{Vfs, VfsFile};
-use hybridgraph_codec::{decode_blob_frame, encode_blob_frame, CodecChoice};
+use hybridgraph_codec::{decode_blob_frame_into, encode_blob_frame_into, CodecChoice};
 use hybridgraph_graph::VertexId;
 use std::io;
 use std::marker::PhantomData;
@@ -41,6 +41,9 @@ pub struct SpillBuffer<M: Record> {
     /// Spill-bound records not yet flushed as a coded chunk (always empty
     /// without a codec).
     chunk: Vec<u8>,
+    /// Coded bytes on their way to or from the spill file: the frame being
+    /// appended, then the file read back at drain (coded path only).
+    frames: Vec<u8>,
     /// Physical bytes currently in the spill file (coded path only).
     file_bytes: u64,
     /// Logical bytes behind `file_bytes`.
@@ -73,6 +76,7 @@ impl<M: Record> SpillBuffer<M> {
             total: 0,
             codec,
             chunk: Vec::new(),
+            frames: Vec::new(),
             file_bytes: 0,
             file_logical: 0,
             one: Vec::new(),
@@ -91,10 +95,14 @@ impl<M: Record> SpillBuffer<M> {
         if self.chunk.is_empty() {
             return Ok(());
         }
-        let frame = encode_blob_frame(self.codec, &self.chunk);
-        self.spill
-            .append_coded(AccessClass::RandWrite, &frame, self.chunk.len() as u64)?;
-        self.file_bytes += frame.len() as u64;
+        self.frames.clear();
+        encode_blob_frame_into(self.codec, &self.chunk, &mut self.frames);
+        self.spill.append_coded(
+            AccessClass::RandWrite,
+            &self.frames,
+            self.chunk.len() as u64,
+        )?;
+        self.file_bytes += self.frames.len() as u64;
         self.file_logical += self.chunk.len() as u64;
         self.chunk.clear();
         Ok(())
@@ -187,8 +195,9 @@ impl<M: Record> SpillBuffer<M> {
 
     /// Appends every spilled record to `into`, in arrival order: the
     /// spill file read back as one sequential scan (the `IO(M_disk)/s_sr`
-    /// term), then the chunk still pending under a codec.
-    fn read_spilled(&self, into: &mut Vec<u8>) -> io::Result<()> {
+    /// term) — under a codec into `frames`, each frame decoded straight
+    /// onto `into` — then the chunk still pending under a codec.
+    fn read_spilled(&self, into: &mut Vec<u8>, frames: &mut Vec<u8>) -> io::Result<()> {
         if self.spilled == 0 {
             return Ok(());
         }
@@ -198,16 +207,12 @@ impl<M: Record> SpillBuffer<M> {
             return self.spill.read_at(AccessClass::SeqRead, 0, &mut into[at..]);
         }
         if self.file_bytes > 0 {
-            let frames = self.spill.read_vec_coded(
-                AccessClass::SeqRead,
-                0,
-                self.file_bytes as usize,
-                self.file_logical,
-            )?;
+            frames.resize(self.file_bytes as usize, 0);
+            self.spill
+                .read_coded_at(AccessClass::SeqRead, 0, frames, self.file_logical)?;
             let mut pos = 0usize;
             while pos < frames.len() {
-                let raw = decode_blob_frame(&frames, &mut pos).map_err(invalid)?;
-                into.extend_from_slice(&raw);
+                decode_blob_frame_into(frames, &mut pos, into).map_err(invalid)?;
             }
         }
         into.extend_from_slice(&self.chunk);
@@ -240,13 +245,19 @@ impl<M: Record> SpillBuffer<M> {
     /// [`SpillBuffer::drain`] with `extra` records — pushM's online
     /// accumulators, which never entered the buffer — grouped in after
     /// the buffered ones: in staged order, the record stream is the
-    /// resident buffer, then the spill read-back, then `extra`.
+    /// resident buffer, then the spill read-back, then `extra`. The
+    /// resident buffer keeps its capacity for the next receive phase.
     pub fn drain_with(&mut self, extra: &[u8]) -> io::Result<Inbox<M>> {
         let mut all = std::mem::take(&mut self.mem);
-        self.read_spilled(&mut all)?;
+        let mut frames = std::mem::take(&mut self.frames);
+        self.read_spilled(&mut all, &mut frames)?;
+        self.frames = frames;
         all.extend_from_slice(extra);
         self.clear()?;
-        Inbox::from_records(&all)
+        let inbox = Inbox::from_records(&all);
+        all.clear();
+        self.mem = all;
+        inbox
     }
 
     /// Non-destructively snapshots every pending record (the in-memory
@@ -255,7 +266,7 @@ impl<M: Record> SpillBuffer<M> {
     pub fn snapshot_pending(&self) -> io::Result<Vec<u8>> {
         let mut all = Vec::with_capacity((self.total * Self::message_bytes()) as usize);
         all.extend_from_slice(&self.mem);
-        self.read_spilled(&mut all)?;
+        self.read_spilled(&mut all, &mut Vec::new())?;
         Ok(all)
     }
 

@@ -112,19 +112,6 @@ impl VfsFile {
         Ok(())
     }
 
-    /// [`VfsFile::read_coded_at`] of `len` bytes into a fresh vector.
-    pub fn read_vec_coded(
-        &self,
-        class: AccessClass,
-        off: u64,
-        len: usize,
-        logical: u64,
-    ) -> io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; len];
-        self.read_coded_at(class, off, &mut buf, logical)?;
-        Ok(buf)
-    }
-
     /// Truncates the file to zero length (not an accounted access).
     pub fn truncate(&self) -> io::Result<()> {
         self.raw.truncate()

@@ -13,7 +13,7 @@
 
 use hybridgraph_graph::{gen, BlockLayout, Edge, Graph, Partition, VertexId, WorkerId};
 use hybridgraph_storage::adjacency::{AdjacencyStore, EdgeScratch};
-use hybridgraph_storage::gather::GatherStore;
+use hybridgraph_storage::gather::{GatherStore, InEdgeScratch};
 use hybridgraph_storage::veblock::{EblockScratch, VeBlockStore};
 use hybridgraph_storage::{AccessClass, CodecChoice, MemVfs, Vfs};
 use std::cell::RefCell;
@@ -208,8 +208,16 @@ fn gather_files_survive_truncation_and_header_flips() {
             &format!("gather/{codec:?}"),
             &vfs,
             "gather",
-            || g.vertices().map(|v| s.in_edges_of(v)).collect(),
-            |edges| edges.len(),
+            || {
+                let mut scratch = InEdgeScratch::default();
+                g.vertices()
+                    .map(|v| {
+                        s.read_in_edges(v, &mut scratch)
+                            .map(|(srcs, weights)| (srcs.to_vec(), weights.to_vec()))
+                    })
+                    .collect()
+            },
+            |(srcs, _)| srcs.len(),
         );
     }
 }

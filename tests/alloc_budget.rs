@@ -101,18 +101,27 @@ const BUDGET: f64 = 0.05;
 /// rebuilt per read (push 0.232 allocations / 112.3 bytes under gaps,
 /// 0.301 / 2,088 under bv, that with a fresh block-codec hash table per
 /// spill chunk; pull 0.921 / 84.0 under gaps, 1.075 / 92.6 under bv).
+/// The spill buffer keeps its resident buffer's capacity across drains
+/// and, under a codec, frames and reads back through one kept buffer,
+/// decoding each frame onto the drained records (push 53.1, pushM 39.1,
+/// async 54.4 bytes when the resident buffer regrew every superstep;
+/// push 93.7 under gaps and 90.0 under bv with a fresh vector per frame,
+/// per read-back and per decoded frame). Pull keeps its in-edge scratch
+/// on the worker (0.1072 / 0.1073 / 0.1079 allocations under none /
+/// gaps / bv when it was rebuilt every superstep); its bv row keeps that
+/// old bound, which is below its measured 0.1073 + 5 %.
 /// Every row repeats exactly run to run.
 const BUDGETS: [(Mode, CodecChoice, f64, f64); 10] = [
-    (Mode::Push, CodecChoice::None, BUDGET, 53.1 * 1.05),
-    (Mode::PushM, CodecChoice::None, BUDGET, 39.1 * 1.05),
-    (Mode::Async, CodecChoice::None, BUDGET, 54.4 * 1.05),
+    (Mode::Push, CodecChoice::None, BUDGET, 41.1 * 1.05),
+    (Mode::PushM, CodecChoice::None, BUDGET, 36.4 * 1.05),
+    (Mode::Async, CodecChoice::None, BUDGET, 42.4 * 1.05),
     (Mode::BPull, CodecChoice::None, 0.01, 5.3 * 1.05),
     (Mode::BPull, CodecChoice::Bv, 0.01, 5.3 * 1.05),
-    (Mode::Pull, CodecChoice::None, 0.1072 * 1.05, 40.4 * 1.05),
-    (Mode::Push, CodecChoice::Gaps, BUDGET, 93.7 * 1.05),
-    (Mode::Push, CodecChoice::Bv, BUDGET, 90.0 * 1.05),
-    (Mode::Pull, CodecChoice::Gaps, 0.1072 * 1.05, 40.5 * 1.05),
-    (Mode::Pull, CodecChoice::Bv, 0.1072 * 1.05, 40.8 * 1.05),
+    (Mode::Pull, CodecChoice::None, 0.1066 * 1.05, 40.2 * 1.05),
+    (Mode::Push, CodecChoice::Gaps, BUDGET, 41.3 * 1.05),
+    (Mode::Push, CodecChoice::Bv, BUDGET, 41.6 * 1.05),
+    (Mode::Pull, CodecChoice::Gaps, 0.1069 * 1.05, 40.3 * 1.05),
+    (Mode::Pull, CodecChoice::Bv, 0.1072 * 1.05, 40.6 * 1.05),
 ];
 
 /// The per-worker message buffer of the chain rows: it fixes the Vblock

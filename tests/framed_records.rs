@@ -456,7 +456,7 @@ fn golden_file_bytes_are_pinned() {
 fn golden_extent_file_bytes_are_pinned() {
     use hybridgraph::graph::{gen, BlockLayout, Partition, WorkerId};
     use hybridgraph::storage::adjacency::AdjacencyStore;
-    use hybridgraph::storage::gather::GatherStore;
+    use hybridgraph::storage::gather::{GatherStore, InEdgeScratch};
     use hybridgraph::storage::veblock::VeBlockStore;
     use hybridgraph::storage::{IoSnapshot, IoStats};
     use std::sync::Arc;
@@ -595,15 +595,20 @@ fn golden_extent_file_bytes_are_pinned() {
                 .len();
         }
         snaps.push(vfs.stats().snapshot());
-        let mut in_edges = 0usize;
+        let (mut in_edges, mut gathered) = (0usize, InEdgeScratch::default());
         for v in g.vertices() {
-            in_edges += ga.in_edges_of(v).expect("in-edges").len();
+            in_edges += ga
+                .read_in_edges(v, &mut gathered)
+                .expect("in-edges")
+                .0
+                .len();
         }
         let first = g
             .vertices()
             .find(|&v| ga.has_in_edges(v))
             .expect("a destination");
-        ga.in_edges_of(first).expect("backward jump");
+        ga.read_in_edges(first, &mut gathered)
+            .expect("backward jump");
         snaps.push(vfs.stats().snapshot());
         assert_eq!((edges, adj_edges), (in_edges, in_edges), "{codec:?}");
 

@@ -15,7 +15,8 @@ GUARDS=(
   "0 :: pub fn fragments\(|struct Fragments|fn read_into :: crates/storage/src/extent.rs :: FragmentColumns::parse is the one raw parser and read_columns the one extent read"
   "0 :: ^[[:space:]]*edges: Vec<Edge> :: crates/storage/src/veblock.rs :: an Eblock scan walks its columns: no flat edge copy beside them"
   "0 :: let (mut )?head = vec! :: crates/codec/src/block.rs :: the block codec keeps its hash heads between calls: no 512 KiB table filled per spill chunk"
-  "0 :: scan_eblock\(|in_edges_of\( :: crates/core/src :: the engine scans Eblocks and gathers in-edges into reused scratch, not into fresh Vecs"
+  "0 :: scan_eblock\( :: crates/core/src :: the engine scans Eblocks into reused scratch, not into fresh Vecs"
+  "0 :: in_edges_of\(|struct InEdge\b :: crates src tests examples :: GatherStore::read_in_edges into caller-kept InEdgeScratch is the gather store's one read: no allocating second path beside it"
   "0 :: Vec<Vec<u32>> :: crates/codec/src/bv.rs :: bv's reference window is index ranges into one flat id column"
   "1 :: encode_extent\(|encoder\.encode\( :: crates/storage/src :: storage::extent is the only encode site of coded extents"
   "0 :: vec!\[false :: crates/codec/src/bv.rs :: bv prices copy-reference candidates in one streaming pass, without a copied bitmap per candidate"

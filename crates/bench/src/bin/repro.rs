@@ -8,8 +8,8 @@
 //! repro client <addr> <command> [flags]
 //! ```
 //!
-//! `repro --help` lists the experiments, from the one table
-//! ([`EXPERIMENTS`]) that also drives dispatch and `all`.
+//! `repro --help` lists the experiments, from the two tables
+//! ([`PAPER`], [`EXPERIMENTS`]) that also drive dispatch and `all`.
 //!
 //! `serve` / `client` are the network front door: `serve` runs a TCP
 //! gateway over an [`EnginePool`](hybridgraph_service::EnginePool),
@@ -34,51 +34,73 @@
 //! print the per-superstep `Q_t` decision audit table.
 
 use hybridgraph_bench::experiments as exp;
+use hybridgraph_bench::report::Report;
 use hybridgraph_bench::Scale;
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// An experiment's entry point.
-type Run = fn(Scale, &exp::observe::ObserveOpts);
+type Run = fn(Scale, &exp::observe::ObserveOpts, &mut Report);
 
-/// Every experiment: the names it answers to (the first is the one `all`
-/// and the usage line show), and its entry point.
-const EXPERIMENTS: &[(&[&str], Run)] = &[
-    (&["datasets"], |s, _| exp::datasets::run(s)),
-    (&["fig2"], |s, _| exp::fig2::run(s)),
-    (&["fig7"], |s, _| exp::overall::fig7(s)),
-    (&["fig8"], |s, _| exp::overall::fig8(s)),
-    (&["fig9"], |s, _| exp::overall::fig9(s)),
-    (&["fig10"], |s, _| exp::overall::fig10(s)),
-    (&["fig11"], |s, _| exp::prediction::fig11(s)),
-    (&["fig12"], |s, _| exp::prediction::fig12(s)),
-    (&["fig13"], |s, _| exp::prediction::fig13(s)),
-    (&["fig14"], |s, _| exp::fig14::run(s)),
-    (&["fig15"], |s, _| exp::fig15::run(s)),
-    (&["fig16"], |s, _| exp::fig16::run(s)),
-    (&["fig17"], |s, _| exp::fig17_18::fig17(s)),
-    (&["fig18"], |s, _| exp::fig17_18::fig18(s)),
-    (&["table5"], |s, _| exp::table5::run(s)),
-    (&["vblocks", "fig23", "fig24", "fig25"], |s, _| {
-        exp::vblocks::run(s)
+/// The paper's experiments, which `paper` runs into one report: the names
+/// each answers to (the first is the one the usage line shows), and its
+/// entry point.
+const PAPER: &[(&[&str], Run)] = &[
+    (&["datasets"], |s, _, r| exp::datasets::run(s, r)),
+    (&["fig2"], |s, _, r| exp::fig2::run(s, r)),
+    (&["fig7"], |s, _, r| exp::overall::fig7(s, r)),
+    (&["fig8"], |s, _, r| exp::overall::fig8(s, r)),
+    (&["fig9"], |s, _, r| exp::overall::fig9(s, r)),
+    (&["fig10"], |s, _, r| exp::overall::fig10(s, r)),
+    (&["fig11"], |s, _, r| exp::prediction::fig11(s, r)),
+    (&["fig12"], |s, _, r| exp::prediction::fig12(s, r)),
+    (&["fig13"], |s, _, r| exp::prediction::fig13(s, r)),
+    (&["fig14"], |s, _, r| exp::fig14::run(s, r)),
+    (&["fig15"], |s, _, r| exp::fig15::run(s, r)),
+    (&["fig16"], |s, _, r| exp::fig16::run(s, r)),
+    (&["fig17"], |s, _, r| exp::fig17_18::fig17(s, r)),
+    (&["fig18"], |s, _, r| exp::fig17_18::fig18(s, r)),
+    (&["table5"], |s, _, r| exp::table5::run(s, r)),
+    (&["vblocks", "fig23", "fig24", "fig25"], |s, _, r| {
+        exp::vblocks::run(s, r)
     }),
-    (&["fig26"], |s, _| exp::fig26::run(s)),
-    (&["theorems", "thm1", "thm2"], |s, _| exp::theorems::run(s)),
-    (&["trace"], |s, _| exp::trace::run(s)),
-    (&["ablation"], |s, _| exp::ablation::run(s)),
-    (&["observe"], exp::observe::run),
-    (&["io_compress"], |s, _| exp::io_compress::run(s)),
-    (&["billion"], |s, _| exp::billion::run(s)),
-    (&["multi_tenant"], |s, _| exp::multi_tenant::run(s)),
-    (&["service_restart"], |s, _| exp::service_restart::run(s)),
-    (&["graphhp"], |s, _| exp::graphhp::run(s)),
-    (&["gateway"], |s, _| exp::gateway::run(s)),
+    (&["fig26"], |s, _, r| exp::fig26::run(s, r)),
+    (&["theorems", "thm1", "thm2"], |s, _, r| {
+        exp::theorems::run(s, r)
+    }),
+];
+
+/// Every other experiment, as in [`PAPER`]; `all` runs these.
+const EXPERIMENTS: &[(&[&str], Run)] = &[
+    (&["paper"], |s, _, r| exp::paper(s, r)),
+    (&["trace"], |s, _, r| exp::trace::run(s, r)),
+    (&["ablation"], |s, _, r| exp::ablation::run(s, r)),
+    (&["observe"], |s, o, _| exp::observe::run(s, o)),
+    (&["io_compress"], |s, _, r| exp::io_compress::run(s, r)),
+    (&["billion"], |s, _, r| exp::billion::run(s, r)),
+    (&["multi_tenant"], |s, _, r| exp::multi_tenant::run(s, r)),
+    (&["service_restart"], |s, _, r| {
+        exp::service_restart::run(s, r)
+    }),
+    (&["graphhp"], |_, _, r| exp::graphhp::run(r)),
+    (&["gateway"], |s, _, r| exp::gateway::run(s, r)),
+];
+
+/// The experiments whose report `repro` writes to `BENCH_<name>.json`.
+const REPORTS: &[&str] = &[
+    "paper",
+    "io_compress",
+    "multi_tenant",
+    "service_restart",
+    "graphhp",
+    "gateway",
 ];
 
 /// The entry point `name` answers to, if any.
 fn find(name: &str) -> Option<Run> {
-    EXPERIMENTS
+    PAPER
         .iter()
+        .chain(EXPERIMENTS)
         .find(|(names, _)| names.contains(&name))
         .map(|&(_, run)| run)
 }
@@ -150,7 +172,11 @@ fn main() {
     for t in targets {
         let run = find(&t).unwrap_or_else(|| usage(&format!("unknown experiment '{t}'")));
         let started = Instant::now();
-        run(scale, &observe);
+        let mut report = Report::default();
+        run(scale, &observe, &mut report);
+        if REPORTS.contains(&t.as_str()) {
+            report.write(&t, scale);
+        }
         eprintln!("[{t}: {:.1}s]", started.elapsed().as_secs_f64());
     }
 }
@@ -163,8 +189,9 @@ fn usage(err: &str) -> ! {
         "usage: repro [--scale N] [--codec C] [--mode M] [--trace F] \
          [--metrics F] [--explain-switch] <experiment> [...] | all"
     );
-    let names: Vec<String> = EXPERIMENTS
+    let names: Vec<String> = PAPER
         .iter()
+        .chain(EXPERIMENTS)
         .map(|(names, _)| names.join("|"))
         .collect();
     eprintln!("experiments: {}", names.join(", "));
@@ -219,9 +246,11 @@ mod tests {
         }
     }
 
-    /// Every committed `BENCH_<name>.json` at the workspace root names an
-    /// experiment of the table: CI deletes and regenerates each one, so a
-    /// report that no experiment writes would fail there as deleted.
+    /// The committed `BENCH_<name>.json` files at the workspace root are
+    /// exactly the reports `repro` writes, each of an experiment of the
+    /// table: CI deletes and regenerates each one, so a report that no
+    /// experiment writes would fail there as deleted, and one not
+    /// committed would go ungated.
     #[test]
     fn every_committed_report_has_an_experiment() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -236,11 +265,17 @@ mod tests {
                 continue;
             };
             assert!(
-                super::find(name).is_some(),
-                "{file} names no experiment of repro's table"
+                super::find(name).is_some() && super::REPORTS.contains(&name),
+                "{file} names no report-writing experiment of repro's table"
             );
             reports += 1;
         }
-        assert!(reports > 0, "no BENCH_*.json in {}", root.display());
+        assert_eq!(
+            reports,
+            super::REPORTS.len(),
+            "a report of {:?} is not committed in {}",
+            super::REPORTS,
+            root.display()
+        );
     }
 }

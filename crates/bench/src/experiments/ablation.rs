@@ -2,7 +2,7 @@
 //! pre-pull pipeline, sender-side combining, and hybrid's switching
 //! threshold (0 = the paper's bare `Q_t` sign rule).
 
-use crate::table::{bytes, secs, Table};
+use crate::report::{Cell, Report, Table};
 use crate::{buffer_for, run_algo, workers_for, Algo, Scale};
 use hybridgraph_core::{JobConfig, JobMetrics, Mode};
 use hybridgraph_graph::Dataset;
@@ -11,19 +11,19 @@ fn base_cfg(d: Dataset, mode: Mode, scale: Scale) -> JobConfig {
     JobConfig::new(mode, workers_for(d)).with_buffer(buffer_for(d, scale))
 }
 
-fn row(label: &str, m: &JobMetrics, scale: Scale) -> Vec<String> {
+fn row(label: &str, m: &JobMetrics, scale: Scale) -> Vec<Cell> {
     vec![
-        label.to_string(),
-        secs(scale.project_secs(m.modeled_total_secs())),
-        bytes(m.total_io_bytes()),
-        bytes(m.total_net_bytes()),
-        m.peak_memory_bytes().to_string(),
-        format!("{}", m.switches.len()),
+        Cell::text(label),
+        Cell::Secs(scale.project_secs(m.modeled_total_secs())),
+        Cell::Bytes(m.total_io_bytes()),
+        Cell::Bytes(m.total_net_bytes()),
+        Cell::Count(m.peak_memory_bytes()),
+        Cell::Count(m.switches.len() as u64),
     ]
 }
 
-/// Prints the ablation table.
-pub fn run(scale: Scale) {
+/// Adds the ablation tables.
+pub fn run(scale: Scale, rep: &mut Report) {
     let headers = [
         "variant",
         "runtime (s)",
@@ -43,7 +43,7 @@ pub fn run(scale: Scale) {
         cfg.pre_pull = pre;
         t.row(row(label, &run_algo(Algo::PageRank, &g, cfg), scale));
     }
-    t.print();
+    rep.add(t);
 
     // (2) b-pull combining vs concatenation vs neither is Fig. 18/26
     // territory; here: combining's effect on bytes AND runtime.
@@ -53,7 +53,7 @@ pub fn run(scale: Scale) {
         cfg.combining = combining;
         t.row(row(label, &run_algo(Algo::PageRank, &g, cfg), scale));
     }
-    t.print();
+    rep.add(t);
 
     // (3) hybrid's switching threshold (SSSP over twi, where switching
     // actually fires): 0 restores the paper's bare sign rule.
@@ -69,7 +69,7 @@ pub fn run(scale: Scale) {
         cfg.switch_threshold = thr;
         t.row(row(label, &run_algo(Algo::Sssp, &g, cfg), scale));
     }
-    t.print();
+    rep.add(t);
 
     // (4) hybrid's decision interval Δt (paper argues for 2).
     let mut t = Table::new("ablation — hybrid Δt interval (SSSP, twi)", &headers);
@@ -82,7 +82,7 @@ pub fn run(scale: Scale) {
             scale,
         ));
     }
-    t.print();
+    rep.add(t);
 
     // (5) forcing hybrid's initial mode against Theorem 2's choice.
     let mut t = Table::new("ablation — hybrid initial mode (PageRank, livej)", &headers);
@@ -96,5 +96,5 @@ pub fn run(scale: Scale) {
         cfg.initial_mode_override = init;
         t.row(row(label, &run_algo(Algo::PageRank, &gl, cfg), scale));
     }
-    t.print();
+    rep.add(t);
 }

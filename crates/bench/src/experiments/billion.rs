@@ -16,7 +16,7 @@
 //! by one source block plus the EF directory and the rank/degree
 //! columns — the edge list itself never exists in memory.
 
-use crate::table::{bytes, ratio, Table};
+use crate::report::{Cell, Report, Table};
 use crate::Scale;
 use hybridgraph_graph::StreamSpec;
 use hybridgraph_storage::extent::{self, ExtentFile, ExtentWriter};
@@ -194,7 +194,7 @@ pub fn measure(spec: &StreamSpec) -> Outcome {
 
 /// Runs the entry at `1/scale` of billion scale (`--scale 1` = the real
 /// thing).
-pub fn run(scale: Scale) {
+pub fn run(scale: Scale, rep: &mut Report) {
     let spec = StreamSpec::twitter().scaled(scale.0);
     println!(
         "## billion: streaming {} build + b-pull sweep ({} vertices, {} blocks)",
@@ -208,30 +208,23 @@ pub fn run(scale: Scale) {
         "streaming build + EF-served b-pull sweep (codec bv)",
         &["metric", "value"],
     );
-    t.row(vec!["edges".into(), o.edges.to_string()]);
-    t.row(vec!["logical bytes".into(), bytes(o.logical)]);
-    t.row(vec!["physical bytes".into(), bytes(o.physical)]);
-    t.row(vec![
-        "p/l ratio".into(),
-        ratio(o.physical as f64 / o.logical.max(1) as f64),
-    ]);
-    t.row(vec!["ef directory".into(), bytes(o.directory)]);
-    t.row(vec!["flat directory would be".into(), bytes(flat_index)]);
-    t.row(vec![
-        "peak build block set".into(),
-        bytes(o.peak_block_bytes),
-    ]);
-    t.row(vec![
-        "sweep rand reads (physical)".into(),
-        bytes(o.sweep_physical),
-    ]);
-    t.row(vec![
-        "sweep rand reads (logical)".into(),
-        bytes(o.sweep_logical),
-    ]);
-    t.row(vec!["supersteps".into(), o.supersteps.to_string()]);
-    t.row(vec!["rank sum".into(), format!("{:.12}", o.rank_sum)]);
-    t.print();
+    let p_over_l = o.physical as f64 / o.logical.max(1) as f64;
+    for (metric, value) in [
+        ("edges", Cell::Count(o.edges)),
+        ("logical bytes", Cell::Bytes(o.logical)),
+        ("physical bytes", Cell::Bytes(o.physical)),
+        ("p/l ratio", Cell::ratio(p_over_l)),
+        ("ef directory", Cell::Bytes(o.directory)),
+        ("flat directory would be", Cell::Bytes(flat_index)),
+        ("peak build block set", Cell::Bytes(o.peak_block_bytes)),
+        ("sweep rand reads (physical)", Cell::Bytes(o.sweep_physical)),
+        ("sweep rand reads (logical)", Cell::Bytes(o.sweep_logical)),
+        ("supersteps", Cell::Count(o.supersteps.into())),
+        ("rank sum", Cell::Fixed(o.rank_sum, 12)),
+    ] {
+        t.row(vec![Cell::text(metric), value]);
+    }
+    rep.add(t);
 }
 
 #[cfg(test)]

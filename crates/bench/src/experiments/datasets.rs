@@ -1,13 +1,13 @@
 //! Table 4 — the dataset catalog, paper sizes vs generated stand-ins.
 
-use crate::table::Table;
+use crate::report::{Cell, Report, Table};
 use crate::Scale;
 use hybridgraph_graph::Dataset;
 
-/// Prints the paper's Table 4 next to the generated stand-ins.
-pub fn run(scale: Scale) {
+/// Adds the paper's Table 4 next to the generated stand-ins.
+pub fn run(scale: Scale, rep: &mut Report) {
     let mut t = Table::new(
-        &format!("Table 4 — datasets (stand-ins at 1/{})", scale.0),
+        format!("Table 4 — datasets (stand-ins at 1/{})", scale.0),
         &[
             "graph",
             "paper |V|",
@@ -23,15 +23,15 @@ pub fn run(scale: Scale) {
         let spec = d.spec();
         let g = scale.build(d);
         t.row(vec![
-            d.name().into(),
-            format!("{:.1}M", spec.paper_vertices as f64 / 1e6),
-            format!("{:.0}M", spec.paper_edges as f64 / 1e6),
-            format!("{:.1}", spec.paper_avg_degree()),
-            format!("{}", g.num_vertices()),
-            format!("{}", g.num_edges()),
-            format!("{:.1}", g.avg_degree()),
-            format!("{}", g.max_degree()),
+            Cell::text(d.name()),
+            Cell::text(format!("{:.1}M", spec.paper_vertices as f64 / 1e6)),
+            Cell::text(format!("{:.0}M", spec.paper_edges as f64 / 1e6)),
+            Cell::Fixed(spec.paper_avg_degree(), 1),
+            Cell::Count(g.num_vertices() as u64),
+            Cell::Count(g.num_edges() as u64),
+            Cell::Fixed(g.avg_degree(), 1),
+            Cell::Count(g.max_degree() as u64),
         ]);
     }
-    t.print();
+    rep.add(t);
 }

@@ -4,9 +4,9 @@
 //! profiles, with the switch points; (b)–(d) per-superstep disk I/O,
 //! network messages, and memory usage for push, b-pull and hybrid.
 
-use crate::table::{bytes, Table};
+use crate::report::{Cell, Report, Table};
 use crate::{buffer_for, run_algo, workers_for, Algo, Scale};
-use hybridgraph_core::{JobConfig, JobMetrics, Mode};
+use hybridgraph_core::{JobConfig, JobMetrics, Mode, SuperstepMetrics};
 use hybridgraph_graph::Dataset;
 use hybridgraph_storage::DeviceProfile;
 
@@ -19,8 +19,8 @@ fn run_mode(mode: Mode, profile: DeviceProfile, scale: Scale) -> JobMetrics {
     run_algo(Algo::Sssp, &g, cfg)
 }
 
-/// Prints Fig. 14 (a)–(d).
-pub fn run(scale: Scale) {
+/// Adds Fig. 14 (a)–(d).
+pub fn run(scale: Scale, rep: &mut Report) {
     let hdd = run_mode(Mode::Hybrid, DeviceProfile::local_hdd(), scale);
     let ssd = run_mode(Mode::Hybrid, DeviceProfile::amazon_ssd(), scale);
 
@@ -39,14 +39,14 @@ pub fn run(scale: Scale) {
             .map(|(_, from, to)| format!("{} -> {}", from.label(), to.label()))
             .unwrap_or_default();
         t.row(vec![
-            s.superstep.to_string(),
-            s.kind.label().into(),
-            format!("{:+.3e}", s.q_metric * scale.0 as f64),
-            format!("{:+.3e}", ssd_q * scale.0 as f64),
-            mark,
+            Cell::Count(s.superstep),
+            Cell::text(s.kind.label()),
+            Cell::Sci(s.q_metric * scale.0 as f64, 3),
+            Cell::Sci(ssd_q * scale.0 as f64, 3),
+            Cell::Text(mark),
         ]);
     }
-    t.print();
+    rep.add(t);
     println!(
         "switch points (HDD): {:?}; (SSD): {:?}\n",
         switches,
@@ -72,22 +72,22 @@ pub fn run(scale: Scale) {
         ],
     );
     let len = push.steps.len().max(bpull.steps.len()).max(hdd.steps.len());
-    let cell = |m: &JobMetrics, i: usize, f: fn(&hybridgraph_core::SuperstepMetrics) -> String| {
-        m.steps.get(i).map(f).unwrap_or_else(|| "-".into())
+    let cell = |m: &JobMetrics, i: usize, f: fn(&SuperstepMetrics) -> Cell| {
+        m.steps.get(i).map_or(Cell::text("-"), f)
     };
     for i in 0..len {
         t.row(vec![
-            (i + 1).to_string(),
-            cell(&push, i, |s| bytes(s.io.total_bytes())),
-            cell(&bpull, i, |s| bytes(s.io.total_bytes())),
-            cell(&hdd, i, |s| bytes(s.io.total_bytes())),
-            cell(&push, i, |s| s.net_raw_messages.to_string()),
-            cell(&bpull, i, |s| s.net_raw_messages.to_string()),
-            cell(&hdd, i, |s| s.net_raw_messages.to_string()),
-            cell(&push, i, |s| bytes(s.memory_bytes)),
-            cell(&bpull, i, |s| bytes(s.memory_bytes)),
-            cell(&hdd, i, |s| bytes(s.memory_bytes)),
+            Cell::Count(i as u64 + 1),
+            cell(&push, i, |s| Cell::Bytes(s.io.total_bytes())),
+            cell(&bpull, i, |s| Cell::Bytes(s.io.total_bytes())),
+            cell(&hdd, i, |s| Cell::Bytes(s.io.total_bytes())),
+            cell(&push, i, |s| Cell::Count(s.net_raw_messages)),
+            cell(&bpull, i, |s| Cell::Count(s.net_raw_messages)),
+            cell(&hdd, i, |s| Cell::Count(s.net_raw_messages)),
+            cell(&push, i, |s| Cell::Bytes(s.memory_bytes)),
+            cell(&bpull, i, |s| Cell::Bytes(s.memory_bytes)),
+            cell(&hdd, i, |s| Cell::Bytes(s.memory_bytes)),
         ]);
     }
-    t.print();
+    rep.add(t);
 }

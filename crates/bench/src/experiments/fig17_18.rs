@@ -6,17 +6,17 @@
 //! b-pull exchanges no messages in superstep 1 (its first superstep is
 //! local initialization), which Fig. 17 notes.
 
-use crate::table::{bytes, Table};
+use crate::report::{Cell, Report, Table};
 use crate::{run_algo, workers_for, Algo, Scale};
 use hybridgraph_core::{JobConfig, Mode};
 use hybridgraph_graph::Dataset;
 
 /// Fig. 17 — modeled network (blocking) seconds per superstep.
-pub fn fig17(scale: Scale) {
+pub fn fig17(scale: Scale, rep: &mut Report) {
     for d in [Dataset::Wiki, Dataset::Orkut] {
         let g = scale.build(d);
         let mut t = Table::new(
-            &format!(
+            format!(
                 "Fig 17 — blocking time per superstep (PageRank over {})",
                 d.name()
             ),
@@ -32,22 +32,20 @@ pub fn fig17(scale: Scale) {
         let len = runs.iter().map(|m| m.steps.len()).max().unwrap_or(0);
         for i in 0..len {
             let cell = |ri: usize| {
-                runs[ri]
-                    .steps
-                    .get(i)
-                    .map(|s| format!("{:.2}", scale.project_secs(s.modeled_net_secs)))
-                    .unwrap_or_else(|| "-".into())
+                runs[ri].steps.get(i).map_or(Cell::text("-"), |s| {
+                    Cell::Fixed(scale.project_secs(s.modeled_net_secs), 2)
+                })
             };
-            t.row(vec![(i + 1).to_string(), cell(0), cell(1), cell(2)]);
+            t.row(vec![Cell::Count(i as u64 + 1), cell(0), cell(1), cell(2)]);
         }
-        t.print();
+        rep.add(t);
     }
 }
 
 /// Fig. 18 — per-superstep network bytes, push vs b-pull
 /// (b-pull combining disabled; concatenation alone still roughly halves
 /// traffic by sharing destination ids).
-pub fn fig18(scale: Scale) {
+pub fn fig18(scale: Scale, rep: &mut Report) {
     for d in [Dataset::Wiki, Dataset::Orkut] {
         let g = scale.build(d);
         let push = run_algo(
@@ -59,7 +57,7 @@ pub fn fig18(scale: Scale) {
         cfg.combining = false;
         let bpull = run_algo(Algo::PageRank, &g, cfg);
         let mut t = Table::new(
-            &format!(
+            format!(
                 "Fig 18 — network traffic per superstep (PageRank over {})",
                 d.name()
             ),
@@ -74,22 +72,22 @@ pub fn fig18(scale: Scale) {
             tot_push += p;
             tot_bpull += b;
             t.row(vec![
-                (i + 1).to_string(),
-                bytes(p),
-                bytes(b),
+                Cell::Count(i as u64 + 1),
+                Cell::Bytes(p),
+                Cell::Bytes(b),
                 if p == 0 {
-                    "-".into()
+                    Cell::text("-")
                 } else {
-                    format!("{:.2}", b as f64 / p as f64)
+                    Cell::ratio(b as f64 / p as f64)
                 },
             ]);
         }
         t.row(vec![
-            "total".into(),
-            bytes(tot_push),
-            bytes(tot_bpull),
-            format!("{:.2}", tot_bpull as f64 / tot_push.max(1) as f64),
+            Cell::text("total"),
+            Cell::Bytes(tot_push),
+            Cell::Bytes(tot_bpull),
+            Cell::ratio(tot_bpull as f64 / tot_push.max(1) as f64),
         ]);
-        t.print();
+        rep.add(t);
     }
 }

@@ -3,13 +3,13 @@
 //! messages (scaled). Reports overall runtime and the percentage of
 //! messages that hit disk for PageRank (10 supersteps) and SSSP.
 
-use crate::table::{secs, Table};
+use crate::report::{Cell, Report, Table};
 use crate::{buffer_for, run_algo_steps, workers_for, Algo, Scale};
 use hybridgraph_core::{JobConfig, Mode};
 use hybridgraph_graph::Dataset;
 
 /// Runs the buffer sweep for one algorithm.
-fn sweep(algo: Algo, scale: Scale) {
+fn sweep(algo: Algo, scale: Scale, rep: &mut Report) {
     let d = Dataset::Wiki;
     let g = scale.build(d);
     let workers = workers_for(d);
@@ -26,7 +26,7 @@ fn sweep(algo: Algo, scale: Scale) {
         Some(base),
     ];
     let mut t = Table::new(
-        &format!("Fig 2 — push over wiki, {} (buffer sweep)", algo.label()),
+        format!("Fig 2 — push over wiki, {} (buffer sweep)", algo.label()),
         &[
             "buffer (msgs)",
             "runtime (s)",
@@ -53,17 +53,17 @@ fn sweep(algo: Algo, scale: Scale) {
             100.0 * spilled_msgs as f64 / total_msgs as f64
         };
         t.row(vec![
-            buf.map(|b| b.to_string()).unwrap_or_else(|| "mem".into()),
-            secs(scale.project_secs(m.modeled_total_secs())),
-            format!("{pct:.0}"),
-            m.supersteps().to_string(),
+            buf.map_or(Cell::text("mem"), |b| Cell::Count(b as u64)),
+            Cell::Secs(scale.project_secs(m.modeled_total_secs())),
+            Cell::Fixed(pct, 0),
+            Cell::Count(m.supersteps()),
         ]);
     }
-    t.print();
+    rep.add(t);
 }
 
-/// Prints Fig. 2 (a) and (b).
-pub fn run(scale: Scale) {
-    sweep(Algo::PageRank, scale);
-    sweep(Algo::Sssp, scale);
+/// Adds Fig. 2 (a) and (b).
+pub fn run(scale: Scale, rep: &mut Report) {
+    sweep(Algo::PageRank, scale, rep);
+    sweep(Algo::Sssp, scale, rep);
 }

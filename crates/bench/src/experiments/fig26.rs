@@ -6,7 +6,7 @@
 //! threshold-independent because it generates all messages for a
 //! destination together.
 
-use crate::table::{ratio, secs, Table};
+use crate::report::{Cell, Report, Table};
 use crate::{report_secs, run_algo, workers_for, Algo, Scale};
 use hybridgraph_core::{JobConfig, JobMetrics, Mode};
 use hybridgraph_graph::Dataset;
@@ -21,8 +21,8 @@ fn combining_ratio(m: &JobMetrics) -> f64 {
     }
 }
 
-/// Prints Fig. 26 (a) runtime and (b) combining ratio.
-pub fn run(scale: Scale) {
+/// Adds Fig. 26 (a) runtime and (b) combining ratio.
+pub fn run(scale: Scale, rep: &mut Report) {
     let d = Dataset::Orkut;
     let g = scale.build(d);
     let workers = workers_for(d);
@@ -64,13 +64,13 @@ pub fn run(scale: Scale) {
                 .with_profile(mem),
         );
         t.row(vec![
-            format!("{mb}MB"),
-            secs(report_secs(Algo::PageRank, &pushm, scale)),
-            secs(report_secs(Algo::PageRank, &pushm_com, scale)),
-            secs(report_secs(Algo::PageRank, &bpull, scale)),
-            ratio(combining_ratio(&pushm_com)),
-            ratio(combining_ratio(&bpull)),
+            Cell::text(format!("{mb}MB")),
+            Cell::Secs(report_secs(Algo::PageRank, &pushm, scale)),
+            Cell::Secs(report_secs(Algo::PageRank, &pushm_com, scale)),
+            Cell::Secs(report_secs(Algo::PageRank, &bpull, scale)),
+            Cell::ratio(combining_ratio(&pushm_com)),
+            Cell::ratio(combining_ratio(&bpull)),
         ]);
     }
-    t.print();
+    rep.add(t);
 }

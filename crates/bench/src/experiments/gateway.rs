@@ -20,12 +20,11 @@
 //!    the modeled seconds its tenants consume — shrinks as tenants
 //!    spread out, while each tenant's own bytes stay constant.
 //!
-//! Everything reported is modeled or wire-counted, so
-//! `BENCH_gateway.json` is byte-identical run to run and CI compares it
-//! byte for byte with the committed copy.
+//! Every cell is modeled or wire-counted, so the tables `repro` writes to
+//! `BENCH_gateway.json` are byte-identical run to run and CI compares
+//! them byte for byte with the committed copy.
 
-use crate::report::{BenchReport, BenchRow};
-use crate::table::{bytes, secs, Table};
+use crate::report::{job_cells, Cell, Report, Table, JOB_COLUMNS};
 use crate::{buffer_for, workers_for, Scale};
 use hybridgraph_algos::PageRank;
 use hybridgraph_core::{encode_qt_audits, JobConfig, Mode};
@@ -110,24 +109,15 @@ fn run_gateway_once(
     )
 }
 
-/// A report row built from a wire outcome instead of engine metrics.
-fn outcome_row(label: impl Into<String>, o: &JobOutcome) -> BenchRow {
-    BenchRow {
-        label: label.into(),
-        modeled_secs: o.modeled_secs,
-        physical_bytes: o.physical_bytes,
-        logical_bytes: o.logical_bytes,
-        supersteps: o.supersteps,
-        switch_decisions: o.switches.clone(),
-        extra: Vec::new(),
-    }
-}
-
-fn wire_extras(row: BenchRow, w: &WireCost) -> BenchRow {
-    row.with_extra("wire_frames_in", w.frames_in as f64)
-        .with_extra("wire_frames_out", w.frames_out as f64)
-        .with_extra("wire_bytes_in", w.bytes_in as f64)
-        .with_extra("wire_bytes_out", w.bytes_out as f64)
+/// [`job_cells`] of a job fetched over the wire.
+fn outcome_cells(o: &JobOutcome) -> Vec<Cell> {
+    vec![
+        Cell::Secs(o.modeled_secs),
+        Cell::Bytes(o.physical_bytes),
+        Cell::Bytes(o.logical_bytes),
+        Cell::Count(o.supersteps),
+        Cell::Text(o.switches.join(" ")),
+    ]
 }
 
 /// Tenant names chosen so a 4-engine pool places one on each engine:
@@ -144,8 +134,8 @@ fn spread_tenant_names() -> Vec<String> {
         .collect()
 }
 
-/// Runs both sweeps and writes `BENCH_gateway.json`.
-pub fn run(scale: Scale) {
+/// Runs both sweeps and adds their tables.
+pub fn run(scale: Scale, rep: &mut Report) {
     let d = Dataset::LiveJ;
     let g = scale.build(d);
     let workers = workers_for(d);
@@ -156,8 +146,6 @@ pub fn run(scale: Scale) {
          {}-tenant dispatch over {:?}-engine pools",
         TENANTS, ENGINE_COUNTS
     );
-
-    let mut report = BenchReport::new("gateway", scale.0);
 
     // --- Part 1: transport overhead -------------------------------
     let direct_svc = EnginePool::new(svc_cfg(), 1);
@@ -209,48 +197,36 @@ pub fn run(scale: Scale) {
          costs must match"
     );
 
+    let mut columns = vec!["path"];
+    columns.extend(JOB_COLUMNS);
+    columns.extend(["wire in", "wire out", "frames in", "frames out"]);
     let mut t = Table::new(
         "one PageRank job, three submission paths (identical results)",
-        &[
-            "path", "modeled", "physical", "wire in", "wire out", "frames",
-        ],
+        &columns,
     );
-    t.row(vec![
-        "direct".into(),
-        secs(direct.metrics.modeled_total_secs()),
-        bytes(direct.metrics.total_io_bytes()),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ]);
+    let mut cells = vec![Cell::text("direct")];
+    cells.extend(job_cells(&direct.metrics));
+    cells.extend((0..4).map(|_| Cell::text("-")));
+    t.row(cells);
     for (label, o, w) in [
         ("loopback", &loop_out, &loop_wire),
         ("tcp", &tcp_out, &tcp_wire),
     ] {
-        t.row(vec![
-            label.into(),
-            secs(o.modeled_secs),
-            bytes(o.physical_bytes),
-            bytes(w.bytes_in),
-            bytes(w.bytes_out),
-            format!("{}+{}", w.frames_in, w.frames_out),
+        let mut cells = vec![Cell::text(label)];
+        cells.extend(outcome_cells(o));
+        cells.extend([
+            Cell::Bytes(w.bytes_in),
+            Cell::Bytes(w.bytes_out),
+            Cell::Count(w.frames_in),
+            Cell::Count(w.frames_out),
         ]);
+        t.row(cells);
     }
-    t.print();
+    rep.add(t);
     println!(
         "values + audits byte-identical on all three paths; loopback and \
          tcp moved identical wire bytes\n"
     );
-
-    report.push(BenchRow::deterministic("overhead/direct", &direct.metrics));
-    report.push(wire_extras(
-        outcome_row("overhead/loopback", &loop_out),
-        &loop_wire,
-    ));
-    report.push(wire_extras(
-        outcome_row("overhead/tcp", &tcp_out),
-        &tcp_wire,
-    ));
 
     // --- Part 2: multi-engine dispatch ----------------------------
     let names = spread_tenant_names();
@@ -258,8 +234,19 @@ pub fn run(scale: Scale) {
 
     let mut t = Table::new(
         "batch of 4 tenants vs pool width (modeled makespan)",
-        &["engines", "makespan", "sum modeled", "physical", "speedup"],
+        &[
+            "engines",
+            "makespan",
+            "sum modeled",
+            "physical",
+            "logical",
+            "supersteps",
+            "speedup",
+        ],
     );
+    let mut columns = vec!["engines", "tenant", "engine"];
+    columns.extend(JOB_COLUMNS);
+    let mut tenants = Table::new("each tenant's job vs pool width", &columns);
     let mut solo_makespan = 0.0f64;
     for &engines in ENGINE_COUNTS {
         let server = GatewayServer::new(
@@ -304,38 +291,28 @@ pub fn run(scale: Scale) {
         }
         let makespan = per_engine.iter().cloned().fold(0.0, f64::max);
         let sum: f64 = outcomes.iter().map(|o| o.modeled_secs).sum();
-        let physical: u64 = outcomes.iter().map(|o| o.physical_bytes).sum();
         if engines == 1 {
             solo_makespan = makespan;
         }
         t.row(vec![
-            engines.to_string(),
-            secs(makespan),
-            secs(sum),
-            bytes(physical),
-            format!("{:.2}x", solo_makespan / makespan),
+            Cell::Count(engines as u64),
+            Cell::Secs(makespan),
+            Cell::Secs(sum),
+            Cell::Bytes(outcomes.iter().map(|o| o.physical_bytes).sum()),
+            Cell::Bytes(outcomes.iter().map(|o| o.logical_bytes).sum()),
+            Cell::Count(outcomes.iter().map(|o| o.supersteps).sum()),
+            Cell::text(format!("{:.2}x", solo_makespan / makespan)),
         ]);
-
-        let mut summary = BenchRow {
-            label: format!("tenants/e{engines}"),
-            modeled_secs: makespan,
-            physical_bytes: physical,
-            logical_bytes: outcomes.iter().map(|o| o.logical_bytes).sum(),
-            supersteps: outcomes.iter().map(|o| o.supersteps).sum(),
-            switch_decisions: Vec::new(),
-            extra: Vec::new(),
-        };
-        summary.extra.push(("engines".into(), engines as f64));
-        summary.extra.push(("sum_modeled_secs".into(), sum));
-        report.push(summary);
         for (name, o) in names.iter().zip(&outcomes) {
-            report.push(
-                outcome_row(format!("tenants/e{engines}/{name}"), o)
-                    .with_extra("engine", server.pool().placement(name) as f64),
-            );
+            let mut cells = vec![
+                Cell::Count(engines as u64),
+                Cell::text(name),
+                Cell::Count(server.pool().placement(name) as u64),
+            ];
+            cells.extend(outcome_cells(o));
+            tenants.row(cells);
         }
     }
-    t.print();
-
-    report.write_announced();
+    rep.add(t);
+    rep.add(tenants);
 }

@@ -20,13 +20,12 @@
 //!    vertices — both runs end at valid fixed points — so the report
 //!    carries the agreement fraction instead of asserting equality.
 //!
-//! The graphs are generated, seeded and fixed-size, so the emitted
-//! `BENCH_graphhp.json` is byte-identical run to run; CI re-runs the
-//! experiment and compares the committed report byte for byte.
+//! The graphs are generated, seeded and fixed-size, so the table `repro`
+//! writes to `BENCH_graphhp.json` is byte-identical run to run; CI
+//! re-runs the experiment and compares the committed report byte for
+//! byte.
 
-use crate::report::{BenchReport, BenchRow};
-use crate::table::Table;
-use crate::Scale;
+use crate::report::{job_cells, Cell, Report, Table, JOB_COLUMNS};
 use hybridgraph_algos::{Lpa, PageRank};
 use hybridgraph_core::{run_job, JobConfig, JobMetrics, Mode};
 use hybridgraph_graph::{gen, Graph};
@@ -63,25 +62,32 @@ fn lpa_graph() -> Graph {
     )
 }
 
-/// Runs the comparison and writes `BENCH_graphhp.json`.
-pub fn run(scale: Scale) {
+/// Runs the comparison and adds its table.
+pub fn run(rep: &mut Report) {
     println!(
         "## graphhp: hybrid sync/async pseudo-rounds vs strict BSP \
          (localized RMAT, {WORKERS} workers)"
     );
 
-    let mut report = BenchReport::new("graphhp", scale.0);
+    let mut columns = vec![
+        "algorithm",
+        "mode",
+        "barriers",
+        "saved",
+        "pseudo-rounds",
+        "interior",
+        "converged",
+    ];
+    columns.extend(JOB_COLUMNS);
+    columns.extend([
+        "boundary",
+        "final active",
+        "max value gap",
+        "label agreement",
+    ]);
     let mut t = Table::new(
         "global barriers to convergence (async must cut ≥30%)",
-        &[
-            "algorithm",
-            "mode",
-            "barriers",
-            "saved",
-            "pseudo-rounds",
-            "interior",
-            "converged",
-        ],
+        &columns,
     );
 
     // PageRank: same fixed point, ≥30% fewer barriers.
@@ -109,10 +115,21 @@ pub fn run(scale: Scale) {
         asy_barriers * 10 <= bsp_barriers * 7,
         "async must cut ≥30% of PageRank barriers: {asy_barriers} vs {bsp_barriers}"
     );
-    table_row(&mut t, "PageRank", "push", &bsp.metrics, true);
-    table_row(&mut t, "PageRank", "async", &asy.metrics, true);
-    report.push(bench_row("pagerank/push", &bsp.metrics));
-    report.push(bench_row("pagerank/async", &asy.metrics).with_extra("max_value_gap", max_gap));
+    let none = || Cell::text("-");
+    t.row(row(
+        "PageRank",
+        "push",
+        &bsp.metrics,
+        true,
+        [none(), none()],
+    ));
+    t.row(row(
+        "PageRank",
+        "async",
+        &asy.metrics,
+        true,
+        [Cell::Sci(max_gap, 3), none()],
+    ));
     println!(
         "PageRank(eps={EPS}): push {bsp_barriers} barriers, async {asy_barriers} \
          ({:.1}% cut), max value gap {max_gap:.3e}",
@@ -143,17 +160,21 @@ pub fn run(scale: Scale) {
         .filter(|(a, b)| a == b)
         .count();
     let bsp_fixed = bsp.metrics.steps.last().unwrap().max_residual == 0.0;
-    table_row(&mut t, "LPA", "push", &bsp.metrics, bsp_fixed);
-    table_row(&mut t, "LPA", "async", &asy.metrics, asy_fixed);
-    report.push(
-        bench_row("lpa/push", &bsp.metrics)
-            .with_extra("reached_fixed_point", if bsp_fixed { 1.0 } else { 0.0 }),
-    );
-    report.push(
-        bench_row("lpa/async", &asy.metrics)
-            .with_extra("reached_fixed_point", 1.0)
-            .with_extra("label_agreement", agree as f64 / asy.values.len() as f64),
-    );
+    let agreement = agree as f64 / asy.values.len() as f64;
+    t.row(row(
+        "LPA",
+        "push",
+        &bsp.metrics,
+        bsp_fixed,
+        [none(), none()],
+    ));
+    t.row(row(
+        "LPA",
+        "async",
+        &asy.metrics,
+        asy_fixed,
+        [none(), Cell::Fixed(agreement, 3)],
+    ));
     println!(
         "LPA: push {} barriers ({}), async {asy_barriers} (fixed point), \
          labels agree on {agree}/{} vertices",
@@ -166,8 +187,7 @@ pub fn run(scale: Scale) {
         asy.values.len()
     );
 
-    t.print();
-    report.write_announced();
+    rep.add(t);
 }
 
 fn barriers(m: &JobMetrics) -> u64 {
@@ -178,25 +198,24 @@ fn cut_pct(bsp: u64, asy: u64) -> f64 {
     100.0 * (bsp - asy) as f64 / bsp as f64
 }
 
-fn table_row(t: &mut Table, algo: &str, mode: &str, m: &JobMetrics, converged: bool) {
-    t.row(vec![
-        algo.to_string(),
-        mode.to_string(),
-        barriers(m).to_string(),
-        m.barriers_saved().to_string(),
-        m.total_pseudo_rounds().to_string(),
-        m.load.interior_vertices.to_string(),
-        if converged { "yes".into() } else { "NO".into() },
-    ]);
-}
-
-fn bench_row(label: &str, m: &JobMetrics) -> BenchRow {
-    let row = BenchRow::deterministic(label, m);
+/// One job's row; `vs_push` is its max value gap and label agreement
+/// against the push run.
+fn row(algo: &str, mode: &str, m: &JobMetrics, converged: bool, vs_push: [Cell; 2]) -> Vec<Cell> {
     let last = m.steps.last().map_or(0, |s| s.superstep);
-    row.with_extra("barriers", barriers(m) as f64)
-        .with_extra("barriers_saved", m.barriers_saved() as f64)
-        .with_extra("pseudo_rounds", m.total_pseudo_rounds() as f64)
-        .with_extra("boundary_vertices", m.load.boundary_vertices as f64)
-        .with_extra("interior_vertices", m.load.interior_vertices as f64)
-        .with_extra("final_active_fraction", m.active_fraction(last))
+    let mut cells = vec![
+        Cell::text(algo),
+        Cell::text(mode),
+        Cell::Count(barriers(m)),
+        Cell::Count(m.barriers_saved()),
+        Cell::Count(m.total_pseudo_rounds()),
+        Cell::Count(m.load.interior_vertices),
+        Cell::text(if converged { "yes" } else { "NO" }),
+    ];
+    cells.extend(job_cells(m));
+    cells.extend([
+        Cell::Count(m.load.boundary_vertices),
+        Cell::Fixed(m.active_fraction(last), 3),
+    ]);
+    cells.extend(vs_push);
+    cells
 }

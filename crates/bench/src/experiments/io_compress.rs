@@ -13,13 +13,11 @@
 //!   WebGraph-class tier (bit-granular ids, intervals, references,
 //!   block-coded blobs) is what the billion-edge path rides on.
 //!
-//! Every row is deterministic (modeled time, byte counts, switch
-//! decisions), so the run also emits `BENCH_io_compress.json` via
-//! [`BenchReport`] and CI compares it byte for byte with the committed
-//! copy.
+//! Every cell is deterministic (modeled time, byte counts, switch
+//! decisions), so `repro` writes the table to `BENCH_io_compress.json`
+//! and CI compares it byte for byte with the committed copy.
 
-use crate::report::{BenchReport, BenchRow};
-use crate::table::{bytes, ratio, secs, Table};
+use crate::report::{switches, Cell, Report, Table};
 use crate::{buffer_for, workers_for, Scale};
 use hybridgraph_algos::PageRank;
 use hybridgraph_core::{run_job, JobConfig, JobMetrics, Mode};
@@ -43,8 +41,8 @@ fn run_with(codec: CodecChoice, scale: Scale) -> (Vec<u64>, JobMetrics) {
     (bits, r.metrics)
 }
 
-/// Runs the sweep and prints the comparison table.
-pub fn run(scale: Scale) {
+/// Runs the sweep and adds the comparison table.
+pub fn run(scale: Scale, rep: &mut Report) {
     println!("## io_compress: codec sweep, hybrid PageRank on LiveJ");
     let mut t = Table::new(
         "logical vs physical classified I/O per codec",
@@ -58,10 +56,11 @@ pub fn run(scale: Scale) {
             "rand_rd",
             "rand_wr",
             "modeled_s",
+            "supersteps",
+            "switches",
             "values",
         ],
     );
-    let mut report = BenchReport::new("io_compress", scale.0);
     let mut baseline: Option<(Vec<u64>, u64)> = None;
     let mut gaps_physical = None;
     let mut bv_physical = None;
@@ -85,24 +84,21 @@ pub fn run(scale: Scale) {
             m.steps.iter().map(|s| f(&s.io)).sum()
         };
         t.row(vec![
-            codec.label().into(),
-            bytes(logical),
-            bytes(physical),
-            ratio(m.io_compression_ratio()),
-            bytes(sum(|io| io.seq_read_bytes)),
-            bytes(sum(|io| io.seq_write_bytes)),
-            bytes(sum(|io| io.rand_read_bytes)),
-            bytes(sum(|io| io.rand_write_bytes)),
-            secs(scale.project_secs(m.modeled_total_secs())),
-            if identical { "identical" } else { "DIFFER" }.into(),
+            Cell::text(codec.label()),
+            Cell::Bytes(logical),
+            Cell::Bytes(physical),
+            Cell::ratio(m.io_compression_ratio()),
+            Cell::Bytes(sum(|io| io.seq_read_bytes)),
+            Cell::Bytes(sum(|io| io.seq_write_bytes)),
+            Cell::Bytes(sum(|io| io.rand_read_bytes)),
+            Cell::Bytes(sum(|io| io.rand_write_bytes)),
+            Cell::Secs(scale.project_secs(m.modeled_total_secs())),
+            Cell::Count(m.supersteps()),
+            switches(&m),
+            Cell::text(if identical { "identical" } else { "DIFFER" }),
         ]);
-        report.push(
-            BenchRow::deterministic(codec.label(), &m)
-                .with_extra("p_over_l", m.io_compression_ratio())
-                .with_extra("values_identical", if identical { 1.0 } else { 0.0 }),
-        );
     }
-    t.print();
+    rep.add(t);
     let (_, none_logical) = baseline.expect("sweep ran");
     if let Some(gp) = gaps_physical {
         let saved = 100.0 * (1.0 - gp as f64 / none_logical.max(1) as f64);
@@ -112,5 +108,4 @@ pub fn run(scale: Scale) {
             println!("bv vs gaps:   physical I/O reduced {saved:.1}% further");
         }
     }
-    report.write_announced();
 }

@@ -1,6 +1,10 @@
 //! One module per reproduced table/figure. Each entry point takes the
-//! dataset [`Scale`](crate::Scale) and prints the rows/series the paper's
-//! figure plots.
+//! dataset [`Scale`] and adds the tables the paper's figure plots to a
+//! [`Report`], which prints them; [`paper`] runs every figure, table and
+//! theorem of the paper's evaluation into one report.
+
+use crate::report::Report;
+use crate::Scale;
 
 pub mod ablation;
 pub mod billion;
@@ -23,3 +27,23 @@ pub mod table5;
 pub mod theorems;
 pub mod trace;
 pub mod vblocks;
+
+/// The paper's evaluation into one report — the tables `datasets`,
+/// `fig2`, `fig7`–`fig18`, `table5`, `vblocks`, `fig26` and `theorems`
+/// print alone, in that order. Figs. 8 and 10 read one set of
+/// limited-memory HDD runs, and Figs. 11–13 one hybrid SSSP/SA sweep.
+pub fn paper(scale: Scale, rep: &mut Report) {
+    datasets::run(scale, rep);
+    fig2::run(scale, rep);
+    overall::figs7_to_10(scale, rep);
+    prediction::figs11_to_13(scale, rep);
+    fig14::run(scale, rep);
+    fig15::run(scale, rep);
+    fig16::run(scale, rep);
+    fig17_18::fig17(scale, rep);
+    fig17_18::fig18(scale, rep);
+    table5::run(scale, rep);
+    vblocks::run(scale, rep);
+    fig26::run(scale, rep);
+    theorems::run(scale, rep);
+}

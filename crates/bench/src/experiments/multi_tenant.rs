@@ -16,11 +16,10 @@
 //! replayable under the service scheduler — is what the experiment
 //! surfaces, audit table included.
 //!
-//! Also emits `BENCH_multi_tenant.json` (one row per job per sweep
-//! point) for machine consumption.
+//! `repro` writes the per-job table (one row per job per sweep point) to
+//! `BENCH_multi_tenant.json`.
 
-use crate::report::{BenchReport, BenchRow};
-use crate::table::{bytes, secs, Table};
+use crate::report::{job_cells, Cell, Report, Table, JOB_COLUMNS};
 use crate::{workers_for, Scale};
 use hybridgraph_algos::PageRank;
 use hybridgraph_core::{JobConfig, JobMetrics, Mode};
@@ -36,8 +35,8 @@ const SUPERSTEPS: u64 = 5;
 /// Swept concurrent-job counts (first entry is the solo baseline).
 const JOB_COUNTS: &[usize] = &[1, 2, 4];
 
-/// Runs the sweep and writes `BENCH_multi_tenant.json`.
-pub fn run(scale: Scale) {
+/// Runs the sweep and adds the per-job table.
+pub fn run(scale: Scale, rep: &mut Report) {
     let d = Dataset::LiveJ;
     let g = scale.build(d);
     let workers = workers_for(d);
@@ -77,23 +76,15 @@ pub fn run(scale: Scale) {
             .map(|k| k.to_string())
             .collect::<Vec<_>>()
             .join("/"),
-        bytes(cache_bytes as u64),
+        Cell::Bytes(cache_bytes as u64),
     );
 
-    let mut report = BenchReport::new("multi_tenant", scale.0);
+    let mut columns = vec!["jobs", "job"];
+    columns.extend(JOB_COLUMNS);
+    columns.extend(["hits", "misses", "evict", "mode sequence"]);
     let mut t = Table::new(
         "per-job effect of cross-tenant cache interference",
-        &[
-            "jobs",
-            "job",
-            "modeled",
-            "physical",
-            "logical",
-            "hits",
-            "misses",
-            "evict",
-            "mode sequence",
-        ],
+        &columns,
     );
     let mut audits: Vec<(String, JobMetrics)> = Vec::new();
 
@@ -131,32 +122,23 @@ pub fn run(scale: Scale) {
         drop(pause);
         for (i, ticket) in tickets.into_iter().enumerate() {
             let m = ticket.wait().expect("job failed").metrics;
-            let label = format!("{k}-jobs/job{i}");
             let seq: Vec<&str> = m.steps.iter().map(|s| s.kind.label()).collect();
             let evictions: u64 = m.steps.iter().map(|s| s.cache_evictions).sum();
-            t.row(vec![
-                k.to_string(),
-                i.to_string(),
-                secs(m.modeled_total_secs()),
-                bytes(m.total_io_bytes()),
-                bytes(m.total_io_logical_bytes()),
-                m.total_cache_hits().to_string(),
-                m.total_cache_misses().to_string(),
-                evictions.to_string(),
-                seq.join(" "),
+            let mut cells = vec![Cell::Count(k as u64), Cell::Count(i as u64)];
+            cells.extend(job_cells(&m));
+            cells.extend([
+                Cell::Count(m.total_cache_hits()),
+                Cell::Count(m.total_cache_misses()),
+                Cell::Count(evictions),
+                Cell::Text(seq.join(" ")),
             ]);
-            report.push(
-                BenchRow::deterministic(&label, &m)
-                    .with_extra("cache_hits", m.total_cache_hits() as f64)
-                    .with_extra("cache_misses", m.total_cache_misses() as f64)
-                    .with_extra("cache_evictions", evictions as f64),
-            );
+            t.row(cells);
             if i == 0 {
-                audits.push((label, m));
+                audits.push((format!("{k}-jobs/job{i}"), m));
             }
         }
     }
-    t.print();
+    rep.add(t);
 
     // Surface the Q_t flip: job0 runs the same program on the same graph
     // at every sweep point; only the neighbours differ. Compare its
@@ -186,8 +168,6 @@ pub fn run(scale: Scale) {
     let (label, contended) = &audits[1];
     println!("# audit, {label} (neighbour evictions restore IO(E_push)):");
     println!("{}", render_table(&contended.qt_audit));
-
-    report.write_announced();
 }
 
 /// A job's audited decision sequence: `(t, mode_after)` per evaluation.

@@ -9,7 +9,7 @@
 //! analogue does not finish at that scale), and push/pull on `twi` under
 //! sufficient memory (out-of-memory in the original evaluation).
 
-use crate::table::{bytes, secs, Table};
+use crate::report::{Cell, Report, Table};
 use crate::{buffer_for, report_secs, run_algo, workers_for, Algo, Scale};
 use hybridgraph_core::{JobConfig, Mode};
 use hybridgraph_graph::Dataset;
@@ -68,18 +68,25 @@ fn modes_for(algo: Algo) -> Vec<Mode> {
     }
 }
 
-fn print_matrix(title: &str, scenario: Scenario, scale: Scale, io_bytes: bool) {
+/// Runs every algorithm × dataset × mode of `scenario` once, into one
+/// runtime table and one I/O-bytes table per algorithm, titled
+/// `titles[0]` and `titles[1]`.
+fn matrix(scenario: Scenario, scale: Scale, titles: [&str; 2]) -> [Vec<Table>; 2] {
+    let mut out = [Vec::new(), Vec::new()];
     for algo in Algo::ALL {
         let modes = modes_for(algo);
         let mut headers = vec!["graph"];
         headers.extend(modes.iter().map(|m| m.label()));
-        let mut t = Table::new(&format!("{title} — {}", algo.label()), &headers);
+        let [mut secs, mut io] =
+            titles.map(|title| Table::new(format!("{title} — {}", algo.label()), &headers));
         for &d in scenario.datasets() {
             let g = scale.build(d);
-            let mut cells = vec![d.name().to_string()];
+            let mut secs_row = vec![Cell::text(d.name())];
+            let mut io_row = secs_row.clone();
             for &mode in &modes {
                 if scenario.failed(mode, d) {
-                    cells.push("F".into());
+                    secs_row.push(Cell::text("F"));
+                    io_row.push(Cell::text("F"));
                     continue;
                 }
                 let mut cfg = JobConfig::new(mode, workers_for(d)).with_profile(scenario.profile());
@@ -87,54 +94,58 @@ fn print_matrix(title: &str, scenario: Scenario, scale: Scale, io_bytes: bool) {
                     cfg = cfg.with_buffer(buffer_for(d, scale));
                 }
                 let m = run_algo(algo, &g, cfg);
-                if io_bytes {
-                    cells.push(bytes(m.total_io_bytes() * scale.0 as u64));
-                } else {
-                    cells.push(secs(report_secs(algo, &m, scale)));
-                }
+                secs_row.push(Cell::Secs(report_secs(algo, &m, scale)));
+                io_row.push(Cell::Bytes(m.total_io_bytes() * scale.0 as u64));
             }
-            t.row(cells);
+            secs.row(secs_row);
+            io.row(io_row);
         }
-        t.print();
+        out[0].push(secs);
+        out[1].push(io);
     }
+    out
+}
+
+const FIG7: &str = "Fig 7 — runtime (s, projected), sufficient memory";
+const FIG8: &str = "Fig 8 — runtime (s, projected), limited memory, local HDD";
+const FIG9: &str = "Fig 9 — runtime (s, projected), limited memory, amazon SSD";
+const FIG10: &str = "Fig 10 — I/O bytes (projected), limited memory, local HDD";
+
+/// Adds `tables` to the report, in order.
+fn add(tables: Vec<Table>, rep: &mut Report) {
+    tables.into_iter().for_each(|t| rep.add(t));
 }
 
 /// Fig. 7 — runtime, sufficient memory.
-pub fn fig7(scale: Scale) {
-    print_matrix(
-        "Fig 7 — runtime (s, projected), sufficient memory",
-        Scenario::Sufficient,
-        scale,
-        false,
-    );
+pub fn fig7(scale: Scale, rep: &mut Report) {
+    let [secs, _] = matrix(Scenario::Sufficient, scale, [FIG7, ""]);
+    add(secs, rep);
 }
 
 /// Fig. 8 — runtime, limited memory, HDD.
-pub fn fig8(scale: Scale) {
-    print_matrix(
-        "Fig 8 — runtime (s, projected), limited memory, local HDD",
-        Scenario::LimitedHdd,
-        scale,
-        false,
-    );
+pub fn fig8(scale: Scale, rep: &mut Report) {
+    let [secs, _] = matrix(Scenario::LimitedHdd, scale, [FIG8, FIG10]);
+    add(secs, rep);
 }
 
 /// Fig. 9 — runtime, limited memory, SSD.
-pub fn fig9(scale: Scale) {
-    print_matrix(
-        "Fig 9 — runtime (s, projected), limited memory, amazon SSD",
-        Scenario::LimitedSsd,
-        scale,
-        false,
-    );
+pub fn fig9(scale: Scale, rep: &mut Report) {
+    let [secs, _] = matrix(Scenario::LimitedSsd, scale, [FIG9, ""]);
+    add(secs, rep);
 }
 
 /// Fig. 10 — I/O bytes, limited memory, HDD (projected to paper scale).
-pub fn fig10(scale: Scale) {
-    print_matrix(
-        "Fig 10 — I/O bytes (projected), limited memory, local HDD",
-        Scenario::LimitedHdd,
-        scale,
-        true,
-    );
+pub fn fig10(scale: Scale, rep: &mut Report) {
+    let [_, io] = matrix(Scenario::LimitedHdd, scale, [FIG8, FIG10]);
+    add(io, rep);
+}
+
+/// Figs. 7–10 in order, Figs. 8 and 10 from one set of limited-memory
+/// HDD runs.
+pub fn figs7_to_10(scale: Scale, rep: &mut Report) {
+    fig7(scale, rep);
+    let [fig8, fig10] = matrix(Scenario::LimitedHdd, scale, [FIG8, FIG10]);
+    add(fig8, rep);
+    fig9(scale, rep);
+    add(fig10, rep);
 }

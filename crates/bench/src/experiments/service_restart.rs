@@ -19,11 +19,11 @@
 //!    killed job under both and reports checkpoints taken and
 //!    recomputed supersteps.
 //!
-//! Emits `BENCH_service_restart.json`, which holds nothing timed, so CI
-//! can re-run the sweep and `git diff` the committed report.
+//! `repro` writes both tables to `BENCH_service_restart.json`, which
+//! holds nothing timed, so CI can re-run the sweep and `git diff` the
+//! committed report.
 
-use crate::report::{BenchReport, BenchRow};
-use crate::table::{bytes, secs, Table};
+use crate::report::{job_cells, Cell, Report, Table, JOB_COLUMNS};
 use crate::{workers_for, Scale};
 use hybridgraph_algos::PageRank;
 use hybridgraph_core::{
@@ -69,8 +69,8 @@ struct Outcome {
     wal_bytes: u64,
 }
 
-/// Runs the sweep and writes `BENCH_service_restart.json`.
-pub fn run(scale: Scale) {
+/// Runs the sweep and adds both tables.
+pub fn run(scale: Scale, rep: &mut Report) {
     let d = Dataset::LiveJ;
     let workers = workers_for(d);
     let buffer = scale.down(13_000_000, 64);
@@ -84,7 +84,6 @@ pub fn run(scale: Scale) {
         "## service_restart: durable-service chaos sweep on {d:?}, kill points {points:?}, seeds {SEEDS:?}"
     );
 
-    let mut report = BenchReport::new("service_restart", scale.0);
     let mut t = Table::new(
         "killed-and-restored vs uninterrupted (byte identity per kill point)",
         &[
@@ -107,32 +106,16 @@ pub fn run(scale: Scale) {
             all_identical &= identical;
             let resume_at = restored.resume_superstep;
             t.row(vec![
-                seed.to_string(),
-                format!("{point:?}"),
-                resume_at.map_or("load".into(), |s| s.to_string()),
-                secs(restored.out.modeled_secs),
-                bytes(restored.out.wal_bytes),
-                if identical { "yes".into() } else { "NO".into() },
+                Cell::Count(seed),
+                Cell::text(format!("{point:?}")),
+                resume_at.map_or(Cell::text("load"), Cell::Count),
+                Cell::Secs(restored.out.modeled_secs),
+                Cell::Bytes(restored.out.wal_bytes),
+                Cell::text(if identical { "yes" } else { "NO" }),
             ]);
-            let mut row = BenchRow {
-                label: format!("seed{seed}/{point:?}"),
-                modeled_secs: restored.out.modeled_secs,
-                physical_bytes: restored.out.wal_bytes,
-                logical_bytes: 0,
-                supersteps: SUPERSTEPS,
-                switch_decisions: Vec::new(),
-                extra: Vec::new(),
-            };
-            row.extra.push((
-                "resume_superstep".into(),
-                resume_at.map_or(-1.0, |s| s as f64),
-            ));
-            row.extra
-                .push(("byte_identical".into(), if identical { 1.0 } else { 0.0 }));
-            report.push(row);
         }
     }
-    t.print();
+    rep.add(t);
     assert!(
         all_identical,
         "a killed-and-restored run diverged from its uninterrupted baseline"
@@ -142,15 +125,12 @@ pub fn run(scale: Scale) {
     // Fault-aware adaptive spacing under a worker-kill storm: observed
     // failures shrink the Young interval, buying cheaper rollbacks with
     // more frequent checkpoints.
+    let mut columns = vec!["fault-aware", "checkpoints", "rollbacks", "recomputed"];
+    columns.extend(JOB_COLUMNS);
+    columns.push("mtbf");
     let mut t = Table::new(
         "adaptive checkpointing under worker kills (fault-aware off/on)",
-        &[
-            "fault-aware",
-            "checkpoints",
-            "rollbacks",
-            "recomputed",
-            "modeled",
-        ],
+        &columns,
     );
     for fault_aware in [false, true] {
         let g = scale.build(d);
@@ -173,27 +153,17 @@ pub fn run(scale: Scale) {
             .wait()
             .expect("adaptive run must recover")
             .metrics;
-        t.row(vec![
-            fault_aware.to_string(),
-            m.recovery.checkpoints_taken.to_string(),
-            m.recovery.rollbacks.to_string(),
-            m.recovery.recomputed_supersteps.to_string(),
-            secs(m.modeled_total_secs()),
-        ]);
-        let row = BenchRow::deterministic(format!("adaptive/fault_aware={fault_aware}"), &m);
-        report.push(
-            row.with_extra("checkpoints_taken", m.recovery.checkpoints_taken as f64)
-                .with_extra("rollbacks", m.recovery.rollbacks as f64)
-                .with_extra(
-                    "recomputed_supersteps",
-                    m.recovery.recomputed_supersteps as f64,
-                )
-                .with_extra("mtbf_secs", m.recovery.mtbf_secs),
-        );
+        let mut cells = vec![
+            Cell::text(fault_aware.to_string()),
+            Cell::Count(m.recovery.checkpoints_taken),
+            Cell::Count(m.recovery.rollbacks),
+            Cell::Count(m.recovery.recomputed_supersteps),
+        ];
+        cells.extend(job_cells(&m));
+        cells.push(Cell::Secs(m.recovery.mtbf_secs));
+        t.row(cells);
     }
-    t.print();
-
-    report.write_announced();
+    rep.add(t);
 }
 
 struct Restored {

@@ -13,7 +13,7 @@
 //! shrinking the vertex cache below the working set collapses performance
 //! by two orders of magnitude (random value reads on every gather).
 
-use crate::table::{secs, Table};
+use crate::report::{Cell, Report, Table};
 use crate::{run_algo, workers_for, Algo, Scale};
 use hybridgraph_core::{JobConfig, Mode};
 use hybridgraph_graph::Dataset;
@@ -58,19 +58,19 @@ const SCENARIOS: [ScenarioSpec; 5] = [
     },
 ];
 
-/// Prints Table 5: pull-baseline runtime per scenario over the small
+/// Adds Table 5: pull-baseline runtime per scenario over the small
 /// graphs, all four algorithms.
-pub fn run(scale: Scale) {
+pub fn run(scale: Scale, rep: &mut Report) {
     for algo in Algo::ALL {
         let mut t = Table::new(
-            &format!(
+            format!(
                 "Table 5 — modified GraphLab scenarios, {} (s, projected)",
                 algo.label()
             ),
             &["scenario", "livej", "wiki", "orkut"],
         );
         for sc in &SCENARIOS {
-            let mut cells = vec![sc.name.to_string()];
+            let mut cells = vec![Cell::text(sc.name)];
             for d in Dataset::SMALL {
                 let g = scale.build(d);
                 let mut cfg = JobConfig::new(Mode::Pull, workers_for(d));
@@ -87,10 +87,10 @@ pub fn run(scale: Scale) {
                 // Table 5 never spills messages; only vertex residency
                 // varies, so leave the message buffer unlimited.
                 let m = run_algo(algo, &g, cfg);
-                cells.push(secs(scale.project_secs(m.modeled_total_secs())));
+                cells.push(Cell::Secs(scale.project_secs(m.modeled_total_secs())));
             }
             t.row(cells);
         }
-        t.print();
+        rep.add(t);
     }
 }

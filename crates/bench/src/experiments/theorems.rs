@@ -5,7 +5,7 @@
 //! cluster-wide buffer `B ≤ B⊥ = |E|/2 − f`, push's I/O bytes are at
 //! least b-pull's.
 
-use crate::table::{bytes, Table};
+use crate::report::{Cell, Report, Table};
 use crate::{run_algo, Algo, Scale};
 use hybridgraph_core::{JobConfig, Mode};
 use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Dataset, Partition, WorkerId};
@@ -13,7 +13,7 @@ use hybridgraph_storage::veblock::VeBlockStore;
 use hybridgraph_storage::vfs::MemVfs;
 
 /// Theorem 1: fragments vs V over `livej`.
-fn theorem1(scale: Scale) {
+fn theorem1(scale: Scale, rep: &mut Report) {
     let g = scale.build(Dataset::LiveJ);
     let p = Partition::range(g.num_vertices(), 5);
     let mut t = Table::new(
@@ -30,18 +30,18 @@ fn theorem1(scale: Scale) {
                 .total_fragments();
         }
         t.row(vec![
-            per.to_string(),
-            layout.num_blocks().to_string(),
-            frags.to_string(),
-            format!("{:.3}", frags as f64 / g.num_edges() as f64),
+            Cell::Count(per as u64),
+            Cell::Count(layout.num_blocks() as u64),
+            Cell::Count(frags),
+            Cell::Fixed(frags as f64 / g.num_edges() as f64, 3),
         ]);
     }
-    t.print();
+    rep.add(t);
 }
 
 /// Theorem 2: sweep B around B⊥ on PageRank (broadcast-all) and compare
 /// measured per-superstep I/O bytes of push vs b-pull.
-fn theorem2(scale: Scale) {
+fn theorem2(scale: Scale, rep: &mut Report) {
     let d = Dataset::LiveJ;
     let g = scale.build(d);
     let workers = 5usize;
@@ -85,19 +85,20 @@ fn theorem2(scale: Scale) {
         let io_push = push.total_io_bytes();
         let io_bpull = bpull.total_io_bytes();
         t.row(vec![
-            b_total.to_string(),
-            b_lower.to_string(),
-            ((b_total as i64) <= b_lower).to_string(),
-            bytes(io_push),
-            bytes(io_bpull),
-            (io_push >= io_bpull).to_string(),
+            Cell::Count(b_total),
+            // Signed: B⊥ is negative once fragments outnumber |E|/2.
+            Cell::text(b_lower.to_string()),
+            Cell::text(((b_total as i64) <= b_lower).to_string()),
+            Cell::Bytes(io_push),
+            Cell::Bytes(io_bpull),
+            Cell::text((io_push >= io_bpull).to_string()),
         ]);
     }
-    t.print();
+    rep.add(t);
 }
 
-/// Prints both theorem tables.
-pub fn run(scale: Scale) {
-    theorem1(scale);
-    theorem2(scale);
+/// Adds both theorem tables.
+pub fn run(scale: Scale, rep: &mut Report) {
+    theorem1(scale, rep);
+    theorem2(scale, rep);
 }

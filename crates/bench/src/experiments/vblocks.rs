@@ -3,19 +3,19 @@
 //! I/O bytes grow (more fragments, Theorem 1); runtime bottoms out in
 //! between, with SSSP showing the turning point the appendix discusses.
 
-use crate::table::{bytes, secs, Table};
+use crate::report::{Cell, Report, Table};
 use crate::{buffer_for, run_algo, workers_for, Algo, Scale};
 use hybridgraph_core::{JobConfig, Mode};
 use hybridgraph_graph::Dataset;
 
-fn sweep(d: Dataset, scale: Scale) {
+fn sweep(d: Dataset, scale: Scale, rep: &mut Report) {
     let g = scale.build(d);
     let workers = workers_for(d);
     // x-axis of Figs. 23-25: min (1 block/worker) then 50..400 blocks
     // total, scaled to blocks per worker.
     let per_worker: Vec<usize> = vec![1, 2, 4, 8, 16, 32, 64];
     let mut t = Table::new(
-        &format!("Figs 23-25 — impact of Vblock count over {}", d.name()),
+        format!("Figs 23-25 — impact of Vblock count over {}", d.name()),
         &[
             "Vblocks/worker",
             "PR mem",
@@ -27,7 +27,7 @@ fn sweep(d: Dataset, scale: Scale) {
         ],
     );
     for &v in &per_worker {
-        let mut row = vec![v.to_string()];
+        let mut row = vec![Cell::Count(v as u64)];
         for algo in [Algo::PageRank, Algo::Sssp] {
             let mut cfg = JobConfig::new(Mode::BPull, workers).with_buffer(buffer_for(d, scale));
             cfg.vblocks_per_worker = Some(v);
@@ -39,17 +39,17 @@ fn sweep(d: Dataset, scale: Scale) {
             } else {
                 m.peak_memory_bytes()
             };
-            row.push(bytes(mem));
-            row.push(bytes(m.total_io_bytes()));
-            row.push(secs(scale.project_secs(m.modeled_total_secs())));
+            row.push(Cell::Bytes(mem));
+            row.push(Cell::Bytes(m.total_io_bytes()));
+            row.push(Cell::Secs(scale.project_secs(m.modeled_total_secs())));
         }
         t.row(row);
     }
-    t.print();
+    rep.add(t);
 }
 
-/// Prints the V sweep over `livej` and `wiki`.
-pub fn run(scale: Scale) {
-    sweep(Dataset::LiveJ, scale);
-    sweep(Dataset::Wiki, scale);
+/// Adds the V sweep over `livej` and `wiki`.
+pub fn run(scale: Scale, rep: &mut Report) {
+    sweep(Dataset::LiveJ, scale, rep);
+    sweep(Dataset::Wiki, scale, rep);
 }

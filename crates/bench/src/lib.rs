@@ -14,12 +14,12 @@
 //!   budgets and per-algorithm reporting convention (PageRank and LPA
 //!   report per-superstep averages; SSSP and SA run to convergence).
 //! * [`run_algo`] — one job run returning its [`JobMetrics`].
-//! * [`table`] — fixed-width table printing for the figure output.
+//! * [`report`] — the typed tables every experiment prints, and the
+//!   `BENCH_<experiment>.json` file `repro` writes from them.
 
 pub mod experiments;
 pub mod gwcli;
 pub mod report;
-pub mod table;
 
 use hybridgraph_algos::{Lpa, PageRank, Sa, Sssp};
 use hybridgraph_core::{run_job, JobConfig, JobMetrics};

@@ -48,7 +48,7 @@
 //!    crash mid-append — and reports the clean prefix length so the
 //!    caller can truncate back to it.
 
-use crate::{decode_blob_frame, encode_blob_frame, CodecChoice};
+use crate::{decode_blob_frame, encode_blob_frame_into, CodecChoice};
 use std::io;
 use std::sync::Arc;
 
@@ -805,7 +805,7 @@ pub fn seal(magic: u32, ids: &[u64], fields: PayloadWriter, codec: CodecChoice) 
         (BodyEncoding::Plain, fields)
     } else {
         let mut out = PayloadWriter::sealed(ids.len());
-        out.put_raw(&encode_blob_frame(codec, &fields.buf[hdr..]));
+        encode_blob_frame_into(codec, &fields.buf[hdr..], &mut out.buf);
         (BodyEncoding::BlobFrame, out)
     };
     let (words, id_room) = out.buf[..hdr].split_at_mut(8);
@@ -892,19 +892,24 @@ pub fn record_log_header(magic: u32, codec: CodecChoice) -> Vec<u8> {
 
 /// Appends one record to `out` and returns its logical length (what it
 /// would occupy with the body stored as-is). With a codec the body is
-/// stored as one blob frame.
+/// stored as one blob frame, framed straight into `out`.
 pub fn push_record(out: &mut PayloadWriter, kind: u8, body: &[u8], codec: CodecChoice) -> u64 {
-    let frame;
-    let stored = if codec.is_none() {
-        body
-    } else {
-        frame = encode_blob_frame(codec, body);
-        &frame
-    };
-    out.buf.reserve(RECORD_OVERHEAD + stored.len());
+    out.buf.reserve(RECORD_OVERHEAD + body.len());
     out.put_u8(kind);
-    out.put_bytes(stored);
-    out.put_u64((RECORD_OVERHEAD + stored.len()) as u64);
+    let stored = if codec.is_none() {
+        out.put_bytes(body);
+        body.len()
+    } else {
+        // The length word goes in front of a frame whose length is only
+        // known once it is written: reserve it, frame, then fill it in.
+        let len_at = out.len();
+        out.put_u64(0);
+        encode_blob_frame_into(codec, body, &mut out.buf);
+        let stored = out.len() - len_at - 8;
+        out.buf[len_at..len_at + 8].copy_from_slice(&(stored as u64).to_le_bytes());
+        stored
+    };
+    out.put_u64((RECORD_OVERHEAD + stored) as u64);
     (RECORD_OVERHEAD + body.len()) as u64
 }
 

@@ -29,9 +29,67 @@ use hybridgraph_storage::{AccessClass, Record};
 use std::io;
 use std::sync::Arc;
 
-/// Runs one pull (gather) superstep.
+/// The buffers a pull superstep works in. The worker keeps them from
+/// superstep to superstep, and each superstep starts by emptying them, so
+/// a step aborted mid-exchange leaves nothing behind for its rollback
+/// re-run.
+pub(crate) struct PullScratch<M: Record> {
+    /// Outgoing gather requests and signals: `()` records per peer.
+    ids: ThresholdBuffer<()>,
+    /// Outgoing gather responses per requester.
+    responses: ThresholdBuffer<M>,
+    /// Each peer's gather-request payloads, staged until every peer is
+    /// done requesting.
+    requests: Vec<Vec<Arc<[u8]>>>,
+    /// Each peer's response payloads, staged until every peer has ended
+    /// its gather.
+    staged: Vec<Vec<Arc<[u8]>>>,
+    /// The in-edges of the vertex a gather request is served for.
+    in_edges: InEdgeScratch,
+    /// The out-edges of the responder being scattered.
+    out_edges: OutEdges,
+}
+
+impl<M: Record> PullScratch<M> {
+    fn new(workers: usize, sending_threshold: usize) -> Self {
+        PullScratch {
+            ids: ThresholdBuffer::new(workers, sending_threshold),
+            responses: ThresholdBuffer::new(workers, sending_threshold),
+            requests: vec![Vec::new(); workers],
+            staged: vec![Vec::new(); workers],
+            in_edges: InEdgeScratch::default(),
+            out_edges: OutEdges::default(),
+        }
+    }
+
+    /// Drops whatever an aborted superstep left buffered or staged.
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.responses.clear();
+        self.requests.iter_mut().for_each(Vec::clear);
+        self.staged.iter_mut().for_each(Vec::clear);
+    }
+}
+
+/// Runs one pull (gather) superstep in the worker's kept buffers.
 pub(crate) fn run_pull_step<P: VertexProgram>(
     w: &mut Worker<P>,
+    rep: &mut StepReport,
+) -> io::Result<()> {
+    let (workers, threshold) = (w.cfg.workers, w.cfg.sending_threshold);
+    let mut s = w
+        .pull
+        .take()
+        .unwrap_or_else(|| PullScratch::new(workers, threshold));
+    s.clear();
+    let done = pull_step(w, &mut s, rep);
+    w.pull = Some(s);
+    done
+}
+
+fn pull_step<P: VertexProgram>(
+    w: &mut Worker<P>,
+    s: &mut PullScratch<P::Message>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let workers = w.cfg.workers;
@@ -39,7 +97,7 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
         // Local init, then scatter activation signals from the
         // responders so superstep 2 knows who must gather.
         init_updates(w, rep)?;
-        scatter_signals(w, rep)?;
+        scatter_signals(w, s, rep)?;
         w.ep.broadcast(Packet::SuperstepDone);
         let mut done_peers = 0usize;
         while done_peers < workers {
@@ -60,27 +118,22 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
     // mirror workers (including itself, over loopback) — PowerGraph's
     // scatter-driven activation.
     let request = |p, ids: &[u8]| w.ep.send(p, Packet::GatherRequests { ids: ids.into() });
-    let mut req_bufs = ThresholdBuffer::<()>::new(workers, w.cfg.sending_threshold);
     for i in w.signaled.cur().ones() {
         let (v, mask) = (VertexId(w.range.start + i as u32), w.mirror_peers[i]);
         for p in (0..workers)
             .filter(|p| mask >> p & 1 == 1)
             .map(WorkerId::from)
         {
-            req_bufs.push(p, v, (), |ids| request(p, ids));
+            s.ids.push(p, v, (), |ids| request(p, ids));
         }
     }
-    req_bufs.flush_all(request);
+    s.ids.flush_all(request);
     w.ep.broadcast(Packet::DoneRequesting);
     w.trace_phase("request");
 
     // Event loop: stage requests and responses per sender as they
     // arrive, serve once every peer is done requesting, update when both
     // directions have quiesced.
-    let mut requests: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
-    let mut staged: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
-    let mut tbuf: ThresholdBuffer<P::Message> =
-        ThresholdBuffer::new(workers, w.cfg.sending_threshold);
     let (mut done_requesting, mut got_ends, mut done_peers) = (0usize, 0usize, 0usize);
     let (mut served, mut my_done) = (false, false);
     loop {
@@ -89,36 +142,35 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
             // gather store's cursor see the same request sequence whatever
             // order the fabric delivered it in. Every peer has sent all its
             // requests already, so none of them waits on these responses.
-            let mut in_edges = std::mem::take(&mut w.in_edges);
-            for (p, payloads) in std::mem::take(&mut requests).into_iter().enumerate() {
+            for (p, payloads) in s.requests.iter_mut().enumerate() {
                 let from = WorkerId::from(p);
                 let requester = w.partition.worker_range(from);
-                for ids in payloads {
+                for ids in payloads.drain(..) {
                     // Ids of the requester's own vertices, as for signals.
                     wire::check_batch::<()>(BatchKind::Plain, &ids, &requester)?;
                     for (v, ()) in wire::messages::<()>(BatchKind::Plain, &ids) {
-                        serve_gather(w, VertexId(v), from, &mut tbuf, &mut in_edges, rep)?;
+                        let (tbuf, in_edges) = (&mut s.responses, &mut s.in_edges);
+                        serve_gather(w, VertexId(v), from, tbuf, in_edges, rep)?;
                     }
                 }
-                tbuf.flush(from, |records| {
+                s.responses.flush(from, |records| {
                     send_batch(w, from, w.batch_kind(), None, records)
                 });
                 w.ep.send(from, Packet::EndOfGather);
             }
-            w.in_edges = in_edges;
             served = true;
         }
         if got_ends == workers && served && !my_done {
             let mut fold = std::mem::take(&mut w.fold);
-            let (inbox, values) = staged_inbox(w, &mut fold, &staged, &w.range);
+            let (inbox, values) = staged_inbox(w, &mut fold, &s.staged, &w.range);
             w.fold = fold;
-            staged.iter_mut().for_each(Vec::clear);
+            s.staged.iter_mut().for_each(Vec::clear);
             let held = values * (4 + P::Message::BYTES as u64);
             w.note_memory(held + w.standing_memory_bytes());
             update_cached(w, rep, &inbox)?;
             // Scatter: responders signal their out-neighbors to gather
             // next superstep.
-            scatter_signals(w, rep)?;
+            scatter_signals(w, s, rep)?;
             my_done = true;
             w.ep.broadcast(Packet::SuperstepDone);
         }
@@ -127,11 +179,11 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
         }
         let env = w.recv_timed();
         match env.packet {
-            Packet::GatherRequests { ids } => requests[env.from.index()].push(ids),
+            Packet::GatherRequests { ids } => s.requests[env.from.index()].push(ids),
             // FIFO per pair: all of this peer's requests are staged.
             Packet::DoneRequesting => done_requesting += 1,
             Packet::Messages { kind, payload, .. } => {
-                stage_response(w, &mut staged[env.from.index()], kind, payload, &w.range)?;
+                stage_response(w, &mut s.staged[env.from.index()], kind, payload, &w.range)?;
             }
             Packet::EndOfGather => got_ends += 1,
             Packet::Signals { ids } => accept_signals(w, &ids)?,
@@ -149,18 +201,20 @@ pub(crate) fn run_pull_step<P: VertexProgram>(
 /// PowerGraph-style scatter: every responder reads its out-edges from the
 /// adjacency store and signals each destination's owner that the vertex
 /// must gather next superstep.
-fn scatter_signals<P: VertexProgram>(w: &mut Worker<P>, rep: &mut StepReport) -> io::Result<()> {
+fn scatter_signals<P: VertexProgram>(
+    w: &mut Worker<P>,
+    s: &mut PullScratch<P::Message>,
+    rep: &mut StepReport,
+) -> io::Result<()> {
     let signal = |p, ids: &[u8]| w.ep.send(p, Packet::Signals { ids: ids.into() });
-    let mut bufs = ThresholdBuffer::<()>::new(w.cfg.workers, w.cfg.sending_threshold);
-    let mut out_edges = OutEdges::default();
     for i in w.respond.next().ones() {
         let v = VertexId(w.range.start + i as u32);
-        for e in w.read_out_edges(v, AccessClass::SeqRead, rep, &mut out_edges)? {
+        for e in w.read_out_edges(v, AccessClass::SeqRead, rep, &mut s.out_edges)? {
             let p = w.partition.worker_of(e.dst);
-            bufs.push(p, e.dst, (), |ids| signal(p, ids));
+            s.ids.push(p, e.dst, (), |ids| signal(p, ids));
         }
     }
-    bufs.flush_all(signal);
+    s.ids.flush_all(signal);
     Ok(())
 }
 

@@ -20,6 +20,7 @@ use crate::config::{JobConfig, Mode};
 use crate::frontier::Frontier;
 use crate::metrics::{StepKind, StepReport};
 use crate::modes::bpull::Responder;
+use crate::modes::pull::PullScratch;
 use crate::program::{GraphInfo, VertexProgram};
 use crate::shared::EdgeStores;
 use hybridgraph_graph::{BlockLayout, Edge, Graph, Partition, VertexId, WorkerId};
@@ -28,7 +29,7 @@ use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::BatchKind;
 use hybridgraph_obs::TraceShard;
 use hybridgraph_storage::adjacency::{AdjacencyStore, EdgeScratch};
-use hybridgraph_storage::gather::{GatherStore, InEdgeScratch};
+use hybridgraph_storage::gather::GatherStore;
 use hybridgraph_storage::inbox::FoldBuf;
 use hybridgraph_storage::lru::LruCache;
 use hybridgraph_storage::msg_store::SpillBuffer;
@@ -218,9 +219,9 @@ pub struct Worker<P: VertexProgram> {
     pub staged: Vec<(u32, P::Value)>,
     /// b-pull's Pull-Respond buffers, kept from superstep to superstep.
     pub(crate) responder: Responder,
-    /// The buffers pull's gather requests read in-edges into, kept from
-    /// superstep to superstep.
-    pub(crate) in_edges: InEdgeScratch,
+    /// Pull's per-superstep buffers, kept from superstep to superstep
+    /// once a pull superstep has run.
+    pub(crate) pull: Option<PullScratch<P::Message>>,
     /// The combining fold of b-pull's responses and the pull family's
     /// completed inboxes, kept from superstep to superstep.
     pub(crate) fold: FoldBuf<P::Message>,
@@ -373,7 +374,7 @@ impl<P: VertexProgram> Worker<P> {
             interior,
             staged: Vec::new(),
             responder: Responder::default(),
-            in_edges: InEdgeScratch::default(),
+            pull: None,
             fold: FoldBuf::default(),
             superstep: 0,
             io_baseline: IoSnapshot::default(),

@@ -89,6 +89,13 @@ impl<M: Record> ThresholdBuffer<M> {
         }
     }
 
+    /// Empties every peer's buffer without sending it, keeping the
+    /// allocations.
+    pub fn clear(&mut self) {
+        self.per_peer.iter_mut().for_each(Vec::clear);
+        self.buffered = 0;
+    }
+
     /// [`Self::flush`]es every peer, in worker-id order.
     pub fn flush_all(&mut self, mut send: impl FnMut(WorkerId, &[u8])) {
         for i in 0..self.per_peer.len() {

@@ -33,6 +33,8 @@ GUARDS=(
   "0 :: enum Json|pub fn parse :: crates/obs/src :: validate_json is a syntax-only walk: no JSON document is built, since nothing reads one back"
   "0 :: bench_diff|report::diff|diff_reports|GatedReport :: crates/bench/src :: CI regenerates every committed BENCH_*.json and compares it byte for byte: no tolerance tool beside that gate"
   "0 :: wall_secs :: crates/bench/src/report.rs :: a report compared byte for byte carries nothing timed: wall-clock numbers live in benchmark/"
+  "0 :: crate::table|BenchRow|BenchReport :: crates/bench/src :: report::Report is the one output type: an experiment builds each number once, as a Cell of a Table, and repro writes the tables it printed"
+  "0 :: fn (table|bench|outcome)_row\b :: crates/bench/src :: no second row builder beside the printed table: a gated job row is job_cells plus the experiment's own cells"
   "0 :: fn (to|from)_bytes :: crates/codec/src/ef.rs :: Elias-Fano directories are rebuilt at load, never persisted"
   "0 :: \.(put|get)_(u8|u32|u64|f64|str|bytes|count)\( :: crates/core/src/snapshot.rs crates/core/src/switch.rs crates/service/src/wal.rs crates/obs/src/sink.rs crates/net/src/packet.rs crates/gateway/src/proto.rs :: each persisted record is one record!/tagged! declaration, with no hand-written layout beside it: a step always carries its async block and residual, an audit its verdict and extensions as plain fields"
   "0 :: QT_AUDIT_MIN_BYTES|MIN_(STATE|EVENT|ARG)_BYTES :: crates :: MIN_BYTES is derived from each declaration, never kept by hand"

@@ -7,22 +7,23 @@
 use crate::report::{Cell, Report, Table};
 use crate::{buffer_for, run_algo, workers_for, Algo, Scale};
 use hybridgraph_core::{JobConfig, JobMetrics, Mode, SuperstepMetrics};
-use hybridgraph_graph::Dataset;
+use hybridgraph_graph::{Dataset, Graph};
 use hybridgraph_storage::DeviceProfile;
 
-fn run_mode(mode: Mode, profile: DeviceProfile, scale: Scale) -> JobMetrics {
+/// SSSP over `g`, the `twi` stand-in, under `mode` and `profile`.
+fn run_mode(g: &Graph, mode: Mode, profile: DeviceProfile, scale: Scale) -> JobMetrics {
     let d = Dataset::Twi;
-    let g = scale.build(d);
     let cfg = JobConfig::new(mode, workers_for(d))
         .with_buffer(buffer_for(d, scale))
         .with_profile(profile);
-    run_algo(Algo::Sssp, &g, cfg)
+    run_algo(Algo::Sssp, g, cfg)
 }
 
 /// Adds Fig. 14 (a)–(d).
 pub fn run(scale: Scale, rep: &mut Report) {
-    let hdd = run_mode(Mode::Hybrid, DeviceProfile::local_hdd(), scale);
-    let ssd = run_mode(Mode::Hybrid, DeviceProfile::amazon_ssd(), scale);
+    let g = scale.build(Dataset::Twi);
+    let hdd = run_mode(&g, Mode::Hybrid, DeviceProfile::local_hdd(), scale);
+    let ssd = run_mode(&g, Mode::Hybrid, DeviceProfile::amazon_ssd(), scale);
 
     // (a) Q_t per superstep and switch points.
     let mut t = Table::new(
@@ -54,8 +55,8 @@ pub fn run(scale: Scale, rep: &mut Report) {
     );
 
     // (b)-(d): per-superstep resources for push, b-pull, hybrid.
-    let push = run_mode(Mode::Push, DeviceProfile::local_hdd(), scale);
-    let bpull = run_mode(Mode::BPull, DeviceProfile::local_hdd(), scale);
+    let push = run_mode(&g, Mode::Push, DeviceProfile::local_hdd(), scale);
+    let bpull = run_mode(&g, Mode::BPull, DeviceProfile::local_hdd(), scale);
     let mut t = Table::new(
         "Fig 14(b-d) — per-superstep resources (HDD)",
         &[

@@ -25,9 +25,9 @@ pub enum Metric {
 impl Metric {
     fn get(self, s: &SuperstepMetrics) -> f64 {
         match self {
-            Metric::Mco => s.mco as f64,
-            Metric::CioPush => s.cio_push_bytes as f64,
-            Metric::CioBpull => s.cio_bpull_bytes as f64,
+            Metric::Mco => s.qt.mco as f64,
+            Metric::CioPush => s.cio_push_bytes() as f64,
+            Metric::CioBpull => s.cio_bpull_bytes() as f64,
         }
     }
 

@@ -49,7 +49,7 @@ pub use config::{
 pub use fault::{FaultPhase, FaultPlan, MasterKillPoint};
 pub use metrics::{
     AsyncStepStats, FailureEvent, JobMetrics, NetOverhead, RecoveryMetrics, SemanticBytes,
-    StepKind, StepReport, SuperstepMetrics,
+    StepKind, StepReport, SuperstepMetrics, WorkerCost,
 };
 pub use pacer::StepPacer;
 pub use program::{GraphInfo, Update, VertexProgram};

@@ -7,8 +7,9 @@
 //! profile (Figs. 7–9, 15, 25).
 
 use crate::config::Mode;
+use crate::switch::q_metric;
 pub use hybridgraph_net::NetOverhead;
-use hybridgraph_obs::QtAudit;
+use hybridgraph_obs::{QtAudit, QtInputs};
 use hybridgraph_storage::{DeviceProfile, IoSnapshot};
 
 /// What a worker executed in one superstep.
@@ -142,19 +143,6 @@ impl SemanticBytes {
             msg_spill_bytes: self.msg_spill_bytes + o.msg_spill_bytes,
         }
     }
-
-    /// `C_io(push)` per Eq. 7: `IO(V) + IO(Ē) + 2 · IO(M_disk)`.
-    pub fn cio_push(&self) -> u64 {
-        self.value_update_bytes + self.push_edge_bytes + 2 * self.msg_spill_bytes
-    }
-
-    /// `C_io(b-pull)` per Eq. 8: `IO(V) + IO(E) + IO(F) + IO(V_rr)`.
-    pub fn cio_bpull(&self) -> u64 {
-        self.value_update_bytes
-            + self.bpull_edge_bytes
-            + self.fragment_aux_bytes
-            + self.svertex_rand_bytes
-    }
 }
 
 /// One worker's report for one superstep.
@@ -248,15 +236,11 @@ pub struct SuperstepMetrics {
     pub messages_produced: u64,
     /// Messages pending for the next superstep (push).
     pub pending_messages: u64,
-    /// `C_io(push)` for this superstep — measured if push ran, estimated
-    /// otherwise (Fig. 12's quantity).
-    pub cio_push_bytes: u64,
-    /// `C_io(b-pull)` — measured if b-pull ran, estimated otherwise
-    /// (Fig. 13's quantity).
-    pub cio_bpull_bytes: u64,
-    /// `M_co` — measured in (b-)pull supersteps, estimated in push ones
-    /// (Fig. 11's quantity).
-    pub mco: u64,
+    /// Eq. 11's inputs for this superstep, each measured where its mode
+    /// ran and estimated otherwise: `M_co` (Fig. 11's quantity) and the
+    /// byte terms of [`cio_push_bytes`](Self::cio_push_bytes) and
+    /// [`cio_bpull_bytes`](Self::cio_bpull_bytes).
+    pub qt: QtInputs,
     /// The switching metric `Q_t` of Eq. 11, evaluated with this
     /// superstep's quantities (positive favours b-pull).
     pub q_metric: f64,
@@ -264,8 +248,6 @@ pub struct SuperstepMetrics {
     pub memory_bytes: u64,
     /// Modeled seconds: max over workers of I/O + network + CPU time.
     pub modeled_secs: f64,
-    /// Modeled I/O seconds (max over workers).
-    pub modeled_io_secs: f64,
     /// Modeled network seconds (max over workers).
     pub modeled_net_secs: f64,
     /// Measured wall seconds of the superstep (slowest worker).
@@ -284,6 +266,71 @@ pub struct SuperstepMetrics {
     /// Maximum per-update residual across workers (0.0 unless the program
     /// declares a convergence tolerance).
     pub max_residual: f64,
+}
+
+/// Modeled CPU cost per message handled (microseconds).
+pub(crate) const CPU_US_PER_MESSAGE: f64 = 0.5;
+/// Modeled CPU cost per vertex update (microseconds).
+pub(crate) const CPU_US_PER_VERTEX: f64 = 0.5;
+
+/// One worker's share of a superstep, as the cost model prices it: its
+/// physical bytes per access class, its network traffic and its CPU
+/// work. Nothing here depends on a [`DeviceProfile`].
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct WorkerCost {
+    /// Physical bytes per access class, named as in [`IoSnapshot`].
+    pub seq_read_bytes: u64,
+    pub seq_write_bytes: u64,
+    pub rand_read_bytes: u64,
+    pub rand_write_bytes: u64,
+    /// Remote bytes sent plus received.
+    pub net_bytes: u64,
+    /// Messages produced plus consumed.
+    pub messages: u64,
+    /// Vertices updated.
+    pub updated: u64,
+}
+
+impl SuperstepMetrics {
+    /// `C_io(push)` per Eq. 7, `IO(V) + IO(Ē) + 2 · IO(M_disk)` — measured
+    /// if push ran, estimated otherwise (Fig. 12's quantity).
+    pub fn cio_push_bytes(&self) -> u64 {
+        self.sem.value_update_bytes + self.qt.io_e_push + 2 * self.qt.io_mdisk
+    }
+
+    /// `C_io(b-pull)` per Eq. 8, `IO(V) + IO(E) + IO(F) + IO(V_rr)` —
+    /// measured if b-pull ran, estimated otherwise (Fig. 13's quantity).
+    pub fn cio_bpull_bytes(&self) -> u64 {
+        self.sem.value_update_bytes + self.qt.io_e_bpull + self.qt.io_f + self.qt.io_vrr
+    }
+
+    /// Sets this superstep's modeled seconds and `Q_t` from its record —
+    /// its Eq. 11 inputs and `workers`, its per-worker costs — under
+    /// `profile`. This is the one place a modeled second is made: per
+    /// worker, I/O plus network plus CPU seconds; the superstep takes the
+    /// slowest worker.
+    pub(crate) fn price(&mut self, workers: &[WorkerCost], profile: &DeviceProfile) {
+        let (mut modeled, mut modeled_net) = (0.0f64, 0.0f64);
+        for w in workers {
+            let io = IoSnapshot {
+                seq_read_bytes: w.seq_read_bytes,
+                seq_write_bytes: w.seq_write_bytes,
+                rand_read_bytes: w.rand_read_bytes,
+                rand_write_bytes: w.rand_write_bytes,
+                ..IoSnapshot::default()
+            };
+            let io_secs = io.modeled_secs(profile);
+            let net_secs = profile.net_secs(w.net_bytes);
+            let cpu_secs = (CPU_US_PER_MESSAGE * w.messages as f64
+                + CPU_US_PER_VERTEX * w.updated as f64)
+                * 1e-6;
+            modeled = modeled.max(io_secs + net_secs + cpu_secs);
+            modeled_net = modeled_net.max(net_secs);
+        }
+        self.modeled_secs = modeled;
+        self.modeled_net_secs = modeled_net;
+        self.q_metric = q_metric(profile, &self.qt);
+    }
 }
 
 /// Loading-phase measurements (Fig. 16).
@@ -371,6 +418,12 @@ pub struct JobMetrics {
     pub load: LoadReport,
     /// One entry per executed superstep.
     pub steps: Vec<SuperstepMetrics>,
+    /// What pricing reads besides each step's Eq. 11 inputs: per step,
+    /// then per worker in worker order, so step `i` of a job on `n`
+    /// workers owns `worker_costs[i * n..(i + 1) * n]`. One vector for
+    /// the job, not one per step: the barrier adds no allocation that
+    /// outlives it.
+    pub worker_costs: Vec<WorkerCost>,
     /// `(superstep, from, to)` for every hybrid switch taken.
     pub switches: Vec<(u64, Mode, Mode)>,
     /// One [`QtAudit`] record per switching evaluation
@@ -391,6 +444,24 @@ impl JobMetrics {
     /// Number of supersteps executed.
     pub fn supersteps(&self) -> u64 {
         self.steps.len() as u64
+    }
+
+    /// The same job priced under `profile`: every step's modeled seconds
+    /// and `Q_t`, bit for bit what a run under `profile` books for the
+    /// same bytes. Only what steers a run reads its profile: hybrid's
+    /// [`switch::decide`](crate::switch::decide),
+    /// [`async_gain`](crate::switch::async_gain), the adaptive checkpoint
+    /// policy and a service pacer's lane times. A job none of them
+    /// steered re-prices to exactly its run under `profile`; its
+    /// `qt_audit`, trace and `recovery.mtbf_secs` are not re-priced.
+    pub fn price(&self, profile: &DeviceProfile) -> JobMetrics {
+        let mut m = self.clone();
+        m.profile = *profile;
+        let n = m.worker_costs.len() / m.steps.len().max(1);
+        for (s, w) in m.steps.iter_mut().zip(m.worker_costs.chunks(n.max(1))) {
+            s.price(w, profile);
+        }
+        m
     }
 
     /// Total modeled seconds across supersteps.
@@ -538,19 +609,27 @@ mod tests {
 
     #[test]
     fn semantic_cost_formulas() {
-        let s = SemanticBytes {
-            value_update_bytes: 10,
-            push_edge_bytes: 20,
-            bpull_edge_bytes: 30,
-            fragment_aux_bytes: 4,
-            svertex_rand_bytes: 6,
-            msg_spill_bytes: 50,
+        let s = SuperstepMetrics {
+            sem: SemanticBytes {
+                value_update_bytes: 10,
+                msg_spill_bytes: 50,
+                ..SemanticBytes::default()
+            },
+            qt: QtInputs {
+                io_e_push: 20,
+                io_mdisk: 50,
+                io_e_bpull: 30,
+                io_f: 4,
+                io_vrr: 6,
+                ..QtInputs::default()
+            },
+            ..SuperstepMetrics::default()
         };
-        assert_eq!(s.cio_push(), 10 + 20 + 100);
-        assert_eq!(s.cio_bpull(), 10 + 30 + 4 + 6);
-        let d = s.plus(&s);
+        assert_eq!(s.cio_push_bytes(), 10 + 20 + 100);
+        assert_eq!(s.cio_bpull_bytes(), 10 + 30 + 4 + 6);
+        let d = s.sem.plus(&s.sem);
         assert_eq!(d.msg_spill_bytes, 100);
-        assert_eq!(d.cio_push(), 2 * s.cio_push());
+        assert_eq!(d.value_update_bytes, 20);
     }
 
     #[test]
@@ -573,16 +652,13 @@ mod tests {
             responders: 1,
             messages_produced: 2,
             pending_messages: 0,
-            cio_push_bytes: 0,
-            cio_bpull_bytes: 0,
-            mco: 0,
+            qt: QtInputs::default(),
             q_metric: 0.0,
             memory_bytes: 7,
             cache_hits: 0,
             cache_misses: 0,
             cache_evictions: 0,
             modeled_secs: secs,
-            modeled_io_secs: secs / 2.0,
             modeled_net_secs: secs / 2.0,
             wall_secs: secs,
             blocking_secs: 0.0,
@@ -592,6 +668,7 @@ mod tests {
         let m = JobMetrics {
             load: LoadReport::default(),
             steps: vec![step(1.0, 100), step(3.0, 200)],
+            worker_costs: vec![],
             switches: vec![],
             qt_audit: vec![],
             recovery: RecoveryMetrics::default(),
@@ -620,6 +697,7 @@ mod tests {
                 ..Default::default()
             },
             steps: vec![],
+            worker_costs: vec![],
             switches: vec![],
             qt_audit: vec![],
             recovery: RecoveryMetrics::default(),
@@ -641,16 +719,13 @@ mod tests {
             responders: 4,
             messages_produced: 0,
             pending_messages: 0,
-            cio_push_bytes: 0,
-            cio_bpull_bytes: 0,
-            mco: 0,
+            qt: QtInputs::default(),
             q_metric: 0.0,
             memory_bytes: 0,
             cache_hits: 0,
             cache_misses: 0,
             cache_evictions: 0,
             modeled_secs: 0.0,
-            modeled_io_secs: 0.0,
             modeled_net_secs: 0.0,
             wall_secs: 0.0,
             blocking_secs: 0.0,

@@ -62,13 +62,13 @@ mod master;
 
 use crate::config::{JobConfig, Mode};
 use crate::fault::MasterKillPoint;
-use crate::metrics::{JobMetrics, StepKind, StepReport, SuperstepMetrics};
+use crate::metrics::{JobMetrics, StepKind, StepReport, SuperstepMetrics, WorkerCost};
 use crate::program::VertexProgram;
 use crate::snapshot::MasterState;
-use crate::switch::{estimate_mco, observe_rco, q_terms};
+use crate::switch::{estimate_mco, observe_rco};
 use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Graph, Partition};
 use hybridgraph_net::fabric::{Fabric, NetSnapshot};
-use hybridgraph_obs::{QtInputs, QtTerms};
+use hybridgraph_obs::QtInputs;
 use hybridgraph_storage::frame;
 use hybridgraph_storage::vfs::{MemVfs, Vfs};
 use hybridgraph_storage::{IoSnapshot, Record};
@@ -387,15 +387,11 @@ pub fn run_job<P: VertexProgram>(
             net_stats,
             all: (0..t).collect(),
             faults_base: (0, 0, 0),
+            reports: Vec::new(),
         };
         run.run(endpoints, resume)
     })
 }
-
-/// Modeled CPU cost per message handled (microseconds).
-const CPU_US_PER_MESSAGE: f64 = 0.5;
-/// Modeled CPU cost per vertex update (microseconds).
-const CPU_US_PER_VERTEX: f64 = 0.5;
 
 /// Job-constant inputs the per-superstep aggregation needs.
 struct AggCtx<'a> {
@@ -409,24 +405,19 @@ struct AggCtx<'a> {
     combinable: bool,
 }
 
-/// Builds the master-side superstep metrics and Eq. 11's inputs and
-/// terms from worker reports; a b-pull superstep updates the cursor's
-/// `R_co`.
+/// Builds the master-side superstep metrics from worker reports, with
+/// Eq. 11's inputs, and appends each worker's costs to the cursor's
+/// `worker_costs`; prices the step from both under the job's profile. A
+/// b-pull superstep updates the cursor's `R_co`.
 fn aggregate(
     superstep: u64,
     kind: StepKind,
     reports: &[StepReport],
     net: &NetSnapshot,
     ctx: &AggCtx<'_>,
-    rco: &mut Option<f64>,
+    st: &mut MasterState,
     wall: f64,
-) -> (SuperstepMetrics, (QtInputs, QtTerms)) {
-    let AggCtx {
-        cfg,
-        b_total,
-        msg_bytes,
-        combinable,
-    } = *ctx;
+) -> SuperstepMetrics {
     let sem = reports
         .iter()
         .fold(crate::metrics::SemanticBytes::default(), |acc, r| {
@@ -440,21 +431,6 @@ fn aggregate(
     let delivered_raw = sum(|r| r.delivered_raw);
     let delivered_distinct = sum(|r| r.delivered_distinct);
 
-    // Modeled time: max over workers of io + net + cpu.
-    let mut modeled = 0.0f64;
-    let mut modeled_io = 0.0f64;
-    let mut modeled_net = 0.0f64;
-    for (i, r) in reports.iter().enumerate() {
-        let io_secs = r.io.modeled_secs(&cfg.profile);
-        let net_secs = cfg.profile.net_secs(net.out_bytes[i] + net.in_bytes[i]);
-        let cpu_secs = (CPU_US_PER_MESSAGE * (r.messages_produced + r.messages_consumed) as f64
-            + CPU_US_PER_VERTEX * r.updated as f64)
-            * 1e-6;
-        modeled = modeled.max(io_secs + net_secs + cpu_secs);
-        modeled_io = modeled_io.max(io_secs);
-        modeled_net = modeled_net.max(net_secs);
-    }
-
     // Push-side quantities: actual when push ran, estimated otherwise.
     // Async supersteps are push-flavoured — the boundary exchange is a
     // real push whose spill and edge traffic were measured.
@@ -463,7 +439,7 @@ fn aggregate(
         StepKind::Push | StepKind::PushM | StepKind::Async | StepKind::AsyncThenPush
     );
     let pull_ran = matches!(kind, StepKind::BPull | StepKind::BPullThenPush);
-    let mdisk_est = msg_bytes * produced.saturating_sub(b_total);
+    let mdisk_est = ctx.msg_bytes * produced.saturating_sub(ctx.b_total);
     let (io_e_push, io_mdisk) = if push_ran {
         (sem.push_edge_bytes, sem.msg_spill_bytes)
     } else {
@@ -486,7 +462,7 @@ fn aggregate(
     // M_co: observed in (b-)pull supersteps, estimated in push ones.
     let mco = if pull_ran {
         let saved = net.total_saved_messages();
-        observe_rco(rco, saved, net.total_raw_messages());
+        observe_rco(&mut st.rco, saved, net.total_raw_messages());
         saved
     } else {
         let distinct_est = if delivered_raw > 0 {
@@ -494,21 +470,8 @@ fn aggregate(
         } else {
             produced // unknown: assume no sharing -> M_co estimate 0
         };
-        estimate_mco(*rco, produced, distinct_est.min(produced))
+        estimate_mco(st.rco, produced, distinct_est.min(produced))
     };
-
-    let cio_push_bytes = sem.value_update_bytes + io_e_push + 2 * io_mdisk;
-    let cio_bpull_bytes = sem.value_update_bytes + io_e_bpull + io_f + io_vrr;
-    let inputs = QtInputs {
-        mco,
-        bytes_per_saved: if combinable { msg_bytes } else { 4 },
-        io_mdisk,
-        io_vrr,
-        io_e_push,
-        io_e_bpull,
-        io_f,
-    };
-    let terms = q_terms(&cfg.profile, &inputs);
 
     // Pseudo-round stats: rounds are a max (workers iterate in lockstep
     // between two barriers), the work counts are sums.
@@ -519,7 +482,7 @@ fn aggregate(
             acc
         });
 
-    let metrics = SuperstepMetrics {
+    let mut metrics = SuperstepMetrics {
         superstep,
         kind,
         io,
@@ -534,21 +497,38 @@ fn aggregate(
         responders: sum(|r| r.responders),
         messages_produced: produced,
         pending_messages: sum(|r| r.pending_messages),
-        cio_push_bytes,
-        cio_bpull_bytes,
-        mco,
-        q_metric: terms.q(),
+        qt: QtInputs {
+            mco,
+            bytes_per_saved: if ctx.combinable { ctx.msg_bytes } else { 4 },
+            io_mdisk,
+            io_vrr,
+            io_e_push,
+            io_e_bpull,
+            io_f,
+        },
+        q_metric: 0.0,
         memory_bytes: sum(|r| r.memory_bytes),
         cache_hits: sum(|r| r.cache_hits),
         cache_misses: sum(|r| r.cache_misses),
         cache_evictions: sum(|r| r.cache_evictions),
-        modeled_secs: modeled,
-        modeled_io_secs: modeled_io,
-        modeled_net_secs: modeled_net,
+        modeled_secs: 0.0,
+        modeled_net_secs: 0.0,
         wall_secs: wall,
         blocking_secs: reports.iter().map(|r| r.blocking_secs).fold(0.0, f64::max),
         asy,
         max_residual: reports.iter().map(|r| r.max_residual).fold(0.0, f64::max),
     };
-    (metrics, (inputs, terms))
+    let first = st.worker_costs.len();
+    st.worker_costs
+        .extend(reports.iter().enumerate().map(|(i, r)| WorkerCost {
+            seq_read_bytes: r.io.seq_read_bytes,
+            seq_write_bytes: r.io.seq_write_bytes,
+            rand_read_bytes: r.io.rand_read_bytes,
+            rand_write_bytes: r.io.rand_write_bytes,
+            net_bytes: net.out_bytes[i] + net.in_bytes[i],
+            messages: r.messages_produced + r.messages_consumed,
+            updated: r.updated,
+        }));
+    metrics.price(&st.worker_costs[first..], &ctx.cfg.profile);
+    metrics
 }

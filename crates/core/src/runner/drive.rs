@@ -79,6 +79,9 @@ pub(super) struct Run<'s, 'e, P: VertexProgram> {
     /// Traffic and fired-fault counters at the last barrier.
     pub net_base: NetSnapshot,
     pub faults_base: (u64, u64, u64),
+    /// The last step round's reports, one per worker: kept so a
+    /// superstep reuses the buffer.
+    pub reports: Vec<StepReport>,
 }
 
 impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
@@ -376,7 +379,7 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
         self.acquire();
         let kind = self.master.next_kind();
         let t_step = Instant::now();
-        let (reports, failures) = self.step_round(s, kind)?;
+        let failures = self.step_round(s, kind)?;
         if !failures.is_empty() {
             self.recover(s, kind, failures)?;
             return Ok(true);
@@ -386,8 +389,9 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
         let net_delta = net_now.delta(&self.net_base);
         self.net_base = net_now;
         let st = &mut self.master.st;
+        let reports = &self.reports;
         st.recovery.msg_log_bytes += reports.iter().map(|r| r.msg_log_bytes).sum::<u64>();
-        let (metrics, q) = aggregate(s, kind, &reports, &net_delta, &self.agg, &mut st.rco, wall);
+        let metrics = aggregate(s, kind, reports, &net_delta, &self.agg, st, wall);
         self.trace_step(&metrics);
         let step_secs = metrics.modeled_secs;
         self.master.complete_step(metrics);
@@ -399,7 +403,7 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
         let AfterStep::Continue {
             switched,
             checkpoint,
-        } = self.master.after_step(q)
+        } = self.master.after_step()
         else {
             return Ok(false);
         };
@@ -417,20 +421,18 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
     }
 
     /// Orders superstep `s` and takes exactly one terminal reply per
-    /// worker. On the first failure, broadcasts an abort so peers blocked
-    /// on the dead worker's packets unwind (they answer `Aborted` and
-    /// stay alive) instead of deadlocking.
-    fn step_round(
-        &mut self,
-        s: u64,
-        kind: StepKind,
-    ) -> Result<(Vec<StepReport>, Vec<Failure>), JobError> {
+    /// worker into [`Run::reports`]. On the first failure, broadcasts an
+    /// abort so peers blocked on the dead worker's packets unwind (they
+    /// answer `Aborted` and stay alive) instead of deadlocking.
+    fn step_round(&mut self, s: u64, kind: StepKind) -> Result<Vec<Failure>, JobError> {
         let cmd = Cmd::Step {
             kind,
             superstep: s,
             base_us: self.sink().map_or(0, |t| t.master().clock_us()),
         };
-        let mut reports = vec![StepReport::default(); self.all.len()];
+        let reports = &mut self.reports;
+        reports.clear();
+        reports.resize(self.all.len(), StepReport::default());
         let mut failures = Vec::new();
         let control = &self.control;
         self.links.round(&self.all, Some(cmd), s, |i, msg| {
@@ -447,7 +449,7 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
             }
             Ok(())
         })?;
-        Ok((reports, failures))
+        Ok(failures)
     }
 
     /// Recover: respawn the dead, then either confine the recovery to
@@ -659,6 +661,7 @@ impl<'s, 'e, P: VertexProgram> Run<'s, 'e, P> {
                 load,
                 qt_audit: st.audit,
                 steps: st.steps,
+                worker_costs: st.worker_costs,
                 switches: st.switches,
                 profile: cfg.profile,
                 recovery: st.recovery,

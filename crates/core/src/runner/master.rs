@@ -24,13 +24,13 @@
 //! the fault-free run's values and byte counts exactly.
 
 use super::control::Failure;
-use super::{JobError, CPU_US_PER_MESSAGE, CPU_US_PER_VERTEX};
+use super::JobError;
 use crate::config::{CheckpointPolicy, JobConfig, Mode};
 use crate::fault::MasterKillPoint;
 use crate::metrics::{FailureEvent, StepKind, SuperstepMetrics};
 use crate::snapshot::{adaptive_spacing_secs, MasterState};
-use crate::switch::{self, async_gain, AsyncCostInputs};
-use hybridgraph_obs::{QtAudit, QtInputs, QtTerms, QtTiers, QtVerdict};
+use crate::switch::{self, async_gain, q_terms, AsyncCostInputs};
+use hybridgraph_obs::{QtAudit, QtTiers, QtVerdict};
 
 /// How the master recovers from the deaths of one superstep, when it can.
 #[derive(Debug, PartialEq)]
@@ -313,8 +313,8 @@ impl<'a> Master<'a> {
     }
 
     /// The barrier's verdict on the superstep [`Master::complete_step`]
-    /// just booked, whose Eq. 11 inputs and terms are `q`.
-    pub fn after_step(&mut self, q: (QtInputs, QtTerms)) -> AfterStep {
+    /// just booked.
+    pub fn after_step(&mut self) -> AfterStep {
         let Some(m) = self.st.steps.last() else {
             return AfterStep::Terminate;
         };
@@ -335,7 +335,7 @@ impl<'a> Master<'a> {
         }
         let switching = matches!(self.cfg.mode, Mode::Hybrid | Mode::Async);
         let switched = if switching && s + 1 < self.max_steps {
-            self.decide(q)
+            self.decide()
         } else {
             None
         };
@@ -345,14 +345,15 @@ impl<'a> Master<'a> {
         }
     }
 
-    /// One switching evaluation on the last booked superstep, whose
-    /// Eq. 11 inputs and terms `aggregate` priced: appends its audit
-    /// record and moves the Δt cursor; a switch updates the mode, the
-    /// pending transition kind and `switches`.
-    fn decide(&mut self, (inputs, terms): (QtInputs, QtTerms)) -> Option<(Mode, Mode)> {
+    /// One switching evaluation on the last booked superstep, from its
+    /// Eq. 11 inputs: appends its audit record and moves the Δt cursor; a
+    /// switch updates the mode, the pending transition kind and
+    /// `switches`.
+    fn decide(&mut self) -> Option<(Mode, Mode)> {
         let m = self.st.steps.last()?;
-        let (s, step_secs, io) = (m.superstep, m.modeled_secs, m.io);
+        let (s, step_secs, io, inputs) = (m.superstep, m.modeled_secs, m.io, m.qt);
         let profile = &self.cfg.profile;
+        let terms = q_terms(profile, &inputs);
         // The async extension term's inputs: the duplicated-compute side
         // is exactly what the pseudo-rounds did beyond the first sweep,
         // the savings side is what a strict replacement superstep would
@@ -364,8 +365,6 @@ impl<'a> Master<'a> {
                 interior_msg_bytes: m.asy.interior_msg_bytes,
                 dup_updates: m.asy.interior_updates,
                 dup_messages: m.asy.interior_messages,
-                cpu_us_per_vertex: CPU_US_PER_VERTEX,
-                cpu_us_per_message: CPU_US_PER_MESSAGE,
             };
             async_gain(profile, &asy)
         });
@@ -492,6 +491,8 @@ impl<'a> Master<'a> {
         st.last_decision = cut.last_decision;
         st.rco = cut.rco;
         st.steps.truncate(cut.steps_len);
+        st.worker_costs
+            .truncate(cut.steps_len * st.workers as usize);
         st.switches.truncate(cut.switches_len);
         st.audit.truncate(cut.audit_len);
         st.accum_step_secs = 0.0;
@@ -524,7 +525,7 @@ mod tests {
         s: u64,
         kind: StepKind,
         tweak: impl FnOnce(&mut SuperstepMetrics),
-    ) -> (SuperstepMetrics, (QtInputs, QtTerms)) {
+    ) -> SuperstepMetrics {
         let ctx = AggCtx {
             cfg,
             b_total: u64::MAX / 2,
@@ -533,11 +534,12 @@ mod tests {
         };
         let (_, net, _) = Fabric::mesh_with_control(cfg.workers);
         let reports = vec![StepReport::default(); cfg.workers];
-        let (mut m, q) = aggregate(s, kind, &reports, &net.snapshot(), &ctx, &mut None, 0.0);
+        let mut st = MasterState::fresh(cfg.workers as u32);
+        let mut m = aggregate(s, kind, &reports, &net.snapshot(), &ctx, &mut st, 0.0);
         m.responders = 5;
         m.modeled_secs = 0.01;
         tweak(&mut m);
-        (m, q)
+        m
     }
 
     /// Runs supersteps `from..=to` through the master, taking every
@@ -545,11 +547,10 @@ mod tests {
     fn drive(m: &mut Master<'_>, cfg: &JobConfig, from: u64, to: u64) {
         for s in from..=to {
             let kind = m.next_kind();
-            let (metrics, q) = step(cfg, s, kind, |_| {});
-            m.complete_step(metrics);
+            m.complete_step(step(cfg, s, kind, |_| {}));
             if let AfterStep::Continue {
                 checkpoint: true, ..
-            } = m.after_step(q)
+            } = m.after_step()
             {
                 m.checkpointed(64);
             }
@@ -692,9 +693,8 @@ mod tests {
     #[test]
     fn checkpoint_schedules() {
         let due = |m: &mut Master<'_>, c: &JobConfig, s: u64, secs: f64| {
-            let (metrics, q) = step(c, s, StepKind::Push, |x| x.modeled_secs = secs);
-            m.complete_step(metrics);
-            match m.after_step(q) {
+            m.complete_step(step(c, s, StepKind::Push, |x| x.modeled_secs = secs));
+            match m.after_step() {
                 AfterStep::Continue { checkpoint, .. } => checkpoint,
                 AfterStep::Terminate => panic!("superstep {s} terminated"),
             }
@@ -742,9 +742,8 @@ mod tests {
         let verdict = |tolerance, s, tweak: fn(&mut SuperstepMetrics)| {
             let mut m = Master::new(&c, 100, tolerance);
             m.loaded(Mode::Push, 0);
-            let (metrics, q) = step(&c, s, StepKind::Push, tweak);
-            m.complete_step(metrics);
-            m.after_step(q) == AfterStep::Terminate
+            m.complete_step(step(&c, s, StepKind::Push, tweak));
+            m.after_step() == AfterStep::Terminate
         };
         // Quiescence: no responders and nothing in flight.
         assert!(verdict(None, 1, |m| m.responders = 0));
@@ -776,7 +775,7 @@ mod tests {
         let c = cfg(Mode::Push).with_io_budget(1500).with_memory_budget(10);
         let mut m = started(&c, Mode::Push);
         assert!(m.check_budgets().is_ok(), "1000 logical bytes after load");
-        let (metrics, _) = step(&c, 1, StepKind::Push, |x| x.memory_bytes = 11);
+        let metrics = step(&c, 1, StepKind::Push, |x| x.memory_bytes = 11);
         m.complete_step(metrics);
         let over = |m: &Master<'_>| match m.check_budgets() {
             Err(JobError::BudgetExceeded {

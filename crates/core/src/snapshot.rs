@@ -22,6 +22,7 @@
 use crate::config::Mode;
 use crate::metrics::{
     AsyncStepStats, FailureEvent, RecoveryMetrics, SemanticBytes, StepKind, SuperstepMetrics,
+    WorkerCost,
 };
 use crate::switch::AuditLayout;
 use hybridgraph_obs::{QtAudit, ShardState};
@@ -44,12 +45,15 @@ record! { AsyncStepStats {
     interior_active, blocks_active, blocks_converged,
 } }
 
+record! { WorkerCost {
+    seq_read_bytes, seq_write_bytes, rand_read_bytes, rand_write_bytes, net_bytes, messages,
+    updated,
+} }
 record! { SuperstepMetrics {
     superstep, kind, io, sem, net_out_bytes, net_local_bytes, net_raw_messages, net_wire_values,
-    net_saved_messages, net_requests, updated, responders, messages_produced, pending_messages,
-    cio_push_bytes, cio_bpull_bytes, mco, q_metric, memory_bytes, cache_hits, cache_misses,
-    cache_evictions, modeled_secs, modeled_io_secs, modeled_net_secs, wall_secs, blocking_secs,
-    asy, max_residual,
+    net_saved_messages, net_requests, updated, responders, messages_produced, pending_messages, qt,
+    q_metric, memory_bytes, cache_hits, cache_misses, cache_evictions, modeled_secs,
+    modeled_net_secs, wall_secs, blocking_secs, asy, max_residual,
 } }
 
 record! { FailureEvent { superstep, worker, error } }
@@ -62,7 +66,8 @@ record! { MtbfEstimator { observed_secs, failures } }
 record! { MasterState {
     superstep, prev_checkpoint, last_ckpt_worker_bytes, epoch, workers, cur, pending_kind,
     recoveries_used, cum_logical, accum_step_secs, pending_release_secs, audit_seen, last_decision,
-    rco, audit via Vec<AuditLayout>, steps, switches, recovery, mtbf, trace via Option<Framed>,
+    rco, audit via Vec<AuditLayout>, steps, worker_costs, switches, recovery, mtbf,
+    trace via Option<Framed>,
 } }
 
 /// Modeled mean time between failures, fed by observed kills.
@@ -181,6 +186,9 @@ pub struct MasterState {
     pub audit: Vec<QtAudit>,
     /// Aggregated metrics of every completed superstep up to the cut.
     pub steps: Vec<SuperstepMetrics>,
+    /// Each completed superstep's per-worker costs, in step then worker
+    /// order (see [`JobMetrics::worker_costs`](crate::JobMetrics::worker_costs)).
+    pub worker_costs: Vec<WorkerCost>,
     /// Mode switches up to the cut.
     pub switches: Vec<(u64, Mode, Mode)>,
     /// Recovery bookkeeping up to the cut.
@@ -213,6 +221,7 @@ impl MasterState {
             rco: None,
             audit: Vec::new(),
             steps: Vec::new(),
+            worker_costs: Vec::new(),
             switches: Vec::new(),
             recovery: RecoveryMetrics::default(),
             mtbf: MtbfEstimator::new(),
@@ -224,6 +233,7 @@ impl MasterState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridgraph_obs::QtInputs;
     use hybridgraph_storage::frame::{decode, encode};
     use hybridgraph_storage::IoSnapshot;
 
@@ -263,16 +273,21 @@ mod tests {
             responders: 8,
             messages_produced: 9,
             pending_messages: 4,
-            cio_push_bytes: 80,
-            cio_bpull_bytes: 64,
-            mco: 3,
+            qt: QtInputs {
+                mco: 3,
+                bytes_per_saved: 12,
+                io_mdisk: 0,
+                io_vrr: 5,
+                io_e_push: 69,
+                io_e_bpull: 40,
+                io_f: 8,
+            },
             q_metric: 0.25 * s as f64 - 0.1,
             memory_bytes: 4096,
             cache_hits: 5,
             cache_misses: 2,
             cache_evictions: 1,
             modeled_secs: 0.031 + s as f64 * 1e-4,
-            modeled_io_secs: 0.02,
             modeled_net_secs: 0.004,
             wall_secs: 0.0009,
             blocking_secs: 0.0001,
@@ -303,6 +318,17 @@ mod tests {
             rco: Some(0.6),
             audit: Vec::new(),
             steps: vec![sample_step(1), sample_step(2), sample_step(3)],
+            worker_costs: (0..9)
+                .map(|i| WorkerCost {
+                    seq_read_bytes: 33 + i,
+                    seq_write_bytes: 2,
+                    rand_read_bytes: i % 3,
+                    rand_write_bytes: 0,
+                    net_bytes: 21 * i,
+                    messages: 3 + i,
+                    updated: 4,
+                })
+                .collect(),
             switches: vec![(3, Mode::Push, Mode::BPull)],
             recovery: RecoveryMetrics {
                 checkpoints_taken: 2,
@@ -333,6 +359,8 @@ mod tests {
             back.steps[2].q_metric.to_bits(),
             st.steps[2].q_metric.to_bits()
         );
+        assert_eq!(back.steps[2].qt, st.steps[2].qt);
+        assert_eq!(back.worker_costs, st.worker_costs);
         assert_eq!(back.switches, vec![(3, Mode::Push, Mode::BPull)]);
         assert_eq!((back.last_decision, back.rco), (2, Some(0.6)));
         assert_eq!(back.recovery.failures.len(), 1);
@@ -390,6 +418,7 @@ mod tests {
             rco: None,
             audit: Vec::new(),
             steps: vec![asy_step, fused],
+            worker_costs: Vec::new(),
             switches: vec![(2, Mode::Async, Mode::Push)],
             recovery: RecoveryMetrics::default(),
             mtbf: MtbfEstimator::new(),

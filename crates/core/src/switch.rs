@@ -17,6 +17,7 @@
 //!   are [`MasterState`](crate::snapshot::MasterState) fields.
 
 use crate::config::{JobConfig, Mode, ModeLabel};
+use crate::metrics::{CPU_US_PER_MESSAGE, CPU_US_PER_VERTEX};
 use hybridgraph_obs::{QtAsync, QtAudit, QtInputs, QtTerms, QtVerdict};
 use hybridgraph_storage::frame::{self, PayloadWriter, Via};
 use hybridgraph_storage::{record, DeviceProfile};
@@ -70,21 +71,18 @@ pub struct AsyncCostInputs {
     pub dup_updates: u64,
     /// Interior messages regenerated beyond one per in-block edge use.
     pub dup_messages: u64,
-    /// Modeled CPU microseconds per vertex update (`JobConfig`).
-    pub cpu_us_per_vertex: f64,
-    /// Modeled CPU microseconds per message handled (`JobConfig`).
-    pub cpu_us_per_message: f64,
 }
 
 /// The async extension term: modeled seconds saved by replacing strict
 /// supersteps with in-memory pseudo-rounds, minus the modeled cost of the
-/// duplicated interior compute. Positive favours `Async`. All-zero
-/// inputs (an empty frontier) produce exactly `0.0` — never NaN.
+/// duplicated interior compute, at the cost model's CPU rates. Positive
+/// favours `Async`. All-zero inputs (an empty frontier) produce exactly
+/// `0.0` — never NaN.
 pub fn async_gain(profile: &DeviceProfile, c: &AsyncCostInputs) -> QtAsync {
     let barrier_saved_secs = c.extra_rounds as f64 * c.value_io_bytes as f64 / (profile.ssr * MB)
         + c.interior_msg_bytes as f64 / (profile.srw * MB);
-    let dup_compute_secs = (c.dup_updates as f64 * c.cpu_us_per_vertex
-        + c.dup_messages as f64 * c.cpu_us_per_message)
+    let dup_compute_secs = (c.dup_updates as f64 * CPU_US_PER_VERTEX
+        + c.dup_messages as f64 * CPU_US_PER_MESSAGE)
         * 1e-6;
     QtAsync {
         barrier_saved_secs,
@@ -538,8 +536,6 @@ mod tests {
         let dup_only = AsyncCostInputs {
             dup_updates: 1_000_000,
             dup_messages: 2_000_000,
-            cpu_us_per_vertex: 0.5,
-            cpu_us_per_message: 0.5,
             ..Default::default()
         };
         let g = async_gain(&p, &dup_only);
@@ -550,7 +546,6 @@ mod tests {
         // More duplicated compute monotonically erodes the same savings.
         let mixed = AsyncCostInputs {
             dup_updates: 1_000_000,
-            cpu_us_per_vertex: 0.5,
             ..saving
         };
         assert!(async_gain(&p, &mixed).q_async < async_gain(&p, &saving).q_async);
@@ -598,7 +593,6 @@ mod tests {
             &p,
             &AsyncCostInputs {
                 dup_updates: 10_000_000,
-                cpu_us_per_vertex: 1.0,
                 ..Default::default()
             },
         );

@@ -40,7 +40,7 @@
 //! logging on, at two chain lengths 4× apart and one Vblock size, it
 //! must not grow with the chain: a fresh responding-flag vector per
 //! superstep and four cloned flag vectors per undo capture once took it
-//! from 8.6 kB to 16.5 kB per superstep (≈ 5.7 kB flat now).
+//! from 8.6 kB to 16.5 kB per superstep (≈ 5.1 kB flat now).
 //!
 //! Everything runs inside one `#[test]`: the counter is process-wide and
 //! the harness would otherwise run tests on parallel threads.

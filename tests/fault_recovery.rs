@@ -268,20 +268,17 @@ fn assert_byte_parity(clean: &JobMetrics, other: &JobMetrics, label: &str) {
             c.net_requests, f.net_requests,
             "{label}: superstep {s} pull requests"
         );
-        assert_eq!(
-            c.cio_push_bytes, f.cio_push_bytes,
-            "{label}: superstep {s} C_io push bytes"
-        );
-        assert_eq!(
-            c.cio_bpull_bytes, f.cio_bpull_bytes,
-            "{label}: superstep {s} C_io b-pull bytes"
-        );
+        assert_eq!(c.qt, f.qt, "{label}: superstep {s} Eq. 11 inputs");
         assert_eq!(
             c.q_metric.to_bits(),
             f.q_metric.to_bits(),
             "{label}: superstep {s} Q_t"
         );
     }
+    assert_eq!(
+        clean.worker_costs, other.worker_costs,
+        "{label}: per-worker priced records"
+    );
 }
 
 /// Seeded drop/duplicate/delay faults on every link must be fully

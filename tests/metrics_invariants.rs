@@ -1,8 +1,9 @@
 //! Invariants of the measurement machinery — the quantities the figure
 //! harness reports must mean what they claim.
 
+use hybridgraph::codec::frame;
 use hybridgraph::prelude::*;
-use hybridgraph_core::StepKind;
+use hybridgraph_core::{StepKind, SuperstepMetrics};
 use hybridgraph_graph::gen;
 use std::sync::Arc;
 
@@ -104,8 +105,20 @@ fn eq7_eq8_formulas_hold_in_metrics() {
         let m = run(mode, 60);
         for s in &m.steps {
             match s.kind {
-                StepKind::Push => assert_eq!(s.cio_push_bytes, s.sem.cio_push()),
-                StepKind::BPull => assert_eq!(s.cio_bpull_bytes, s.sem.cio_bpull()),
+                // A step prices Eq. 7 (8) from the bytes push (b-pull)
+                // measured when that mode ran.
+                StepKind::Push => assert_eq!(
+                    (s.qt.io_e_push, s.qt.io_mdisk),
+                    (s.sem.push_edge_bytes, s.sem.msg_spill_bytes)
+                ),
+                StepKind::BPull => assert_eq!(
+                    (s.qt.io_e_bpull, s.qt.io_f, s.qt.io_vrr),
+                    (
+                        s.sem.bpull_edge_bytes,
+                        s.sem.fragment_aux_bytes,
+                        s.sem.svertex_rand_bytes
+                    )
+                ),
                 _ => {}
             }
         }
@@ -152,22 +165,54 @@ fn hybrid_switches_match_step_kinds() {
 }
 
 #[test]
-fn modeled_time_scales_with_slower_disk() {
+fn pricing_a_run_under_another_profile_equals_running_under_it() {
+    // Push, pushM, pull and b-pull read no profile while they run, so a
+    // job's record priced under the SSD profile is its SSD run: every
+    // field of every step but the two wall clocks, floats bit for bit.
     let g = graph();
-    let mk = |profile| {
-        let cfg = JobConfig::new(Mode::Push, 4)
+    let (hdd, ssd) = (DeviceProfile::local_hdd(), DeviceProfile::amazon_ssd());
+    let run = |mode, sssp: bool, codec, profile| {
+        let cfg = JobConfig::new(mode, 4)
             .with_buffer(50)
+            .with_codec(codec)
             .with_profile(profile);
-        hybridgraph_core::run_job(Arc::new(PageRank::new(5)), &g, cfg)
-            .unwrap()
-            .metrics
+        match sssp {
+            true => {
+                hybridgraph_core::run_job(Arc::new(Sssp::new(VertexId(0))), &g, cfg)
+                    .unwrap()
+                    .metrics
+            }
+            false => {
+                hybridgraph_core::run_job(Arc::new(PageRank::new(5)), &g, cfg)
+                    .unwrap()
+                    .metrics
+            }
+        }
     };
-    let hdd = mk(DeviceProfile::local_hdd());
-    let ssd = mk(DeviceProfile::amazon_ssd());
-    assert!(hdd.modeled_total_secs() > ssd.modeled_total_secs());
-    // Byte counts are hardware-independent.
-    assert_eq!(hdd.total_io_bytes(), ssd.total_io_bytes());
-    assert_eq!(hdd.total_net_bytes(), ssd.total_net_bytes());
+    let untimed = |m: &JobMetrics| -> Vec<Vec<u8>> {
+        let untimed = |s: &SuperstepMetrics| SuperstepMetrics {
+            wall_secs: 0.0,
+            blocking_secs: 0.0,
+            ..s.clone()
+        };
+        m.steps.iter().map(|s| frame::encode(&untimed(s))).collect()
+    };
+    for mode in [Mode::Push, Mode::PushM, Mode::Pull, Mode::BPull] {
+        for sssp in [false, true] {
+            for codec in CodecChoice::ALL {
+                let case = format!("{mode:?} sssp={sssp} {codec:?}");
+                let on_hdd = run(mode, sssp, codec, hdd);
+                let (on_ssd, priced) = (run(mode, sssp, codec, ssd), on_hdd.price(&ssd));
+                assert_eq!(priced.profile, on_ssd.profile, "{case}");
+                assert_eq!(untimed(&priced), untimed(&on_ssd), "{case}");
+                assert_eq!(priced.worker_costs, on_ssd.worker_costs, "{case}");
+                assert!(
+                    on_hdd.modeled_total_secs() > priced.modeled_total_secs(),
+                    "{case}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -62,6 +62,9 @@ GUARDS=(
   "0 :: Vec<Vec<\(VertexId :: crates/net/src/flow.rs :: a sending buffer holds the wire records it flushes, not (dst, message) pairs re-encoded at each flush"
   "0 :: Responder<|out: Vec<\( :: crates/core/src :: b-pull's concatenating responder builds its response as wire records, not (dst, message) pairs"
   "0 :: fn buffer_id|fn flush_ids|fn vertex_ids :: crates/core/src/modes/pull.rs :: pull's ids are () records in a ThresholdBuffer<()>, read through wire::check_batch and wire::messages: no second per-peer buffer or id decoder"
+  "0 :: modeled_io_secs :: crates src tests examples !framed_records.rs :: a step keeps the modeled seconds something reads: its total and its network share (framed_records.rs rebuilds the step layout its goldens were captured in)"
+  "1 :: \.net_secs\( :: crates/core/src :: SuperstepMetrics::price is the one place a step's modeled seconds are made, from its per-worker record"
+  "0 :: LimitedSsd :: crates/bench/src :: Fig. 9 prices Fig. 8's runs under the SSD profile (JobMetrics::price); only hybrid, whose switch reads the profile, runs again"
 )
 
 # file :: most lines it may have

@@ -10,8 +10,11 @@
 //! eight bytes belong to, but never their size.) The VE-BLOCK scan into a
 //! reused scratch gets the same treatment, and then a flip of every bit
 //! of the file.
+//!
+//! `extent_file_bytes_are_pinned` holds the bytes themselves: an
+//! encoder change that moves no byte count can still move a byte.
 
-use hybridgraph_graph::{gen, BlockLayout, Edge, Graph, Partition, VertexId, WorkerId};
+use hybridgraph_graph::{gen, BlockLayout, Dataset, Edge, Graph, Partition, VertexId, WorkerId};
 use hybridgraph_storage::adjacency::{AdjacencyStore, EdgeScratch};
 use hybridgraph_storage::gather::{GatherStore, InEdgeScratch};
 use hybridgraph_storage::veblock::{EblockScratch, VeBlockStore};
@@ -219,5 +222,104 @@ fn gather_files_survive_truncation_and_header_flips() {
             },
             |(srcs, _)| srcs.len(),
         );
+    }
+}
+
+/// FNV-1a 64 over a whole file.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of every file the VE-BLOCK (1 and 4 Vblocks per worker),
+/// adjacency and gather builds write for livej at 1/2000 on 2 workers,
+/// under each codec. Only the stores' byte counts were pinned before
+/// (`BENCH_io_compress.json`); an encoder that picks another copy
+/// reference at the same length moves one of these.
+#[test]
+fn extent_file_bytes_are_pinned() {
+    const PINNED: &[(&str, u64)] = &[
+        ("none/ve1/eblk_0", 0xe95d7225be9cf181),
+        ("none/ve1/eblk_1", 0xfdf60454572ed6fc),
+        ("none/ve4/eblk_0", 0x436ee64db44c59ef),
+        ("none/ve4/eblk_1", 0xbbbd1c18c7a53786),
+        ("none/ve4/eblk_2", 0x9922592335f831d2),
+        ("none/ve4/eblk_3", 0x3cc36616766f7674),
+        ("none/ve4/eblk_4", 0x8832d07d90f614b2),
+        ("none/ve4/eblk_5", 0xbd2c505befc40ca8),
+        ("none/ve4/eblk_6", 0x18e5b6d266b07b4b),
+        ("none/ve4/eblk_7", 0x044d5d66751e39c5),
+        ("none/adj0", 0x6bfcddb4908a9bb9),
+        ("none/gather0", 0x2dab00c02055e3bd),
+        ("none/adj1", 0x3b23ae5bb9d0bb5b),
+        ("none/gather1", 0x5175d1ae22a3a85c),
+        ("gaps/ve1/eblk_0", 0x139e45cf611886c9),
+        ("gaps/ve1/eblk_1", 0xec3f097038c7a35c),
+        ("gaps/ve4/eblk_0", 0xf9acd194afbbdbfd),
+        ("gaps/ve4/eblk_1", 0x9cb4b6c5179953df),
+        ("gaps/ve4/eblk_2", 0x99991799bbb81f4c),
+        ("gaps/ve4/eblk_3", 0x11385cf768543138),
+        ("gaps/ve4/eblk_4", 0x54697a6954f84d0d),
+        ("gaps/ve4/eblk_5", 0x02530622f5ae9d59),
+        ("gaps/ve4/eblk_6", 0xdd116dcca10e1c9b),
+        ("gaps/ve4/eblk_7", 0x277880884d494ac6),
+        ("gaps/adj0", 0x2b619d6c7574f1b4),
+        ("gaps/gather0", 0xd419da55e127c95e),
+        ("gaps/adj1", 0x4084d5f17ad4e282),
+        ("gaps/gather1", 0xbc88cc7d9eb30d88),
+        ("bv/ve1/eblk_0", 0x1ccbb999f7bbb462),
+        ("bv/ve1/eblk_1", 0xec3bb2a32004c2a3),
+        ("bv/ve4/eblk_0", 0x9fdd3f655c94c3ff),
+        ("bv/ve4/eblk_1", 0x99a9be68016f6d79),
+        ("bv/ve4/eblk_2", 0x6fc7cf1849a1e5d4),
+        ("bv/ve4/eblk_3", 0xafe1f6d4289f5fbe),
+        ("bv/ve4/eblk_4", 0x1154d81c7fe162ae),
+        ("bv/ve4/eblk_5", 0x61eacc04520bf72a),
+        ("bv/ve4/eblk_6", 0xe44f5f790295174e),
+        ("bv/ve4/eblk_7", 0xcc65a7edf8116c49),
+        ("bv/adj0", 0x4a7335195de812fd),
+        ("bv/gather0", 0xa8da1e6f81c9cf99),
+        ("bv/adj1", 0xedb4237e6c3f4ac0),
+        ("bv/gather1", 0x9f6b137db3e1807e),
+    ];
+    let g = Dataset::LiveJ.build_scaled(2_000);
+    let p = Partition::range(g.num_vertices(), 2);
+    let mut got = Vec::new();
+    for codec in CodecChoice::ALL {
+        let vfs = MemVfs::new();
+        let mut pin = |name: &str, tag: String| {
+            let bytes = vfs
+                .open(name)
+                .unwrap()
+                .read_all(AccessClass::SeqRead)
+                .unwrap();
+            got.push((tag, fnv1a(&bytes)));
+        };
+        for per_worker in [1, 4] {
+            let l = BlockLayout::uniform(&p, per_worker);
+            for w in p.workers() {
+                VeBlockStore::build_with(&vfs, &g, &l, w, codec).unwrap();
+                for j in l.blocks_of_worker(w) {
+                    let name = format!("eblk_{}", j.0);
+                    pin(&name, format!("{codec}/ve{per_worker}/{name}"));
+                }
+            }
+        }
+        for w in p.workers() {
+            let (adj, gather) = (format!("adj{}", w.0), format!("gather{}", w.0));
+            AdjacencyStore::build_with(&vfs, &adj, &g, p.worker_range(w), codec).unwrap();
+            GatherStore::build_with(&vfs, &gather, &g, p.worker_range(w), codec).unwrap();
+            for name in [adj, gather] {
+                pin(&name, format!("{codec}/{name}"));
+            }
+        }
+    }
+    let got: Vec<(&str, u64)> = got.iter().map(|(n, h)| (n.as_str(), *h)).collect();
+    if got != PINNED {
+        for (name, hash) in &got {
+            println!("    (\"{name}\", {hash:#018x}),");
+        }
+        panic!("extent file bytes moved (the table above is what this tree writes)");
     }
 }

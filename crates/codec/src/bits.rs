@@ -20,8 +20,9 @@ pub const MAX_WIDTH: u32 = 57;
 #[derive(Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
+    /// Pending bits, zero above them, written out a whole word at a time.
     acc: u64,
-    /// Number of pending bits held in the low end of `acc`.
+    /// Number of pending bits held in the low end of `acc` (0..=64).
     n: u32,
 }
 
@@ -46,15 +47,17 @@ impl BitWriter {
     /// `width` must be ≤ [`MAX_WIDTH`]; `value` must fit in `width` bits.
     pub fn write_bits(&mut self, value: u64, width: u32) {
         debug_assert!(width <= MAX_WIDTH, "width {width} > {MAX_WIDTH}");
-        debug_assert!(width == 64 || value >> width == 0, "value overflows width");
-        if width == 0 {
-            return;
-        }
-        self.acc = (self.acc << width) | value;
-        self.n += width;
-        while self.n >= 8 {
-            self.n -= 8;
-            self.buf.push((self.acc >> self.n) as u8);
+        debug_assert!(value >> width == 0, "value overflows width");
+        if self.n + width <= 64 {
+            self.acc = (self.acc << width) | value;
+            self.n += width;
+        } else {
+            // Fill the word, write it, keep the bits that spill over.
+            let spill = self.n + width - 64;
+            let word = (self.acc << (64 - self.n)) | (value >> spill);
+            self.buf.extend_from_slice(&word.to_be_bytes());
+            self.acc = value & ((1u64 << spill) - 1);
+            self.n = spill;
         }
     }
 
@@ -71,16 +74,28 @@ impl BitWriter {
     pub fn write_gamma(&mut self, n: u64) {
         let v = n + 1;
         let b = 63 - v.leading_zeros();
-        self.write_unary(b as u64);
-        self.write_split(v & ((1u64 << b) - 1), b);
+        if 2 * b < MAX_WIDTH {
+            // `b` zeros, then `v`'s `b + 1` bits: `v` itself in `2b + 1`.
+            self.write_bits(v, 2 * b + 1);
+        } else {
+            self.write_unary(b as u64);
+            self.write_split(v & ((1u64 << b) - 1), b);
+        }
     }
 
     /// Elias δ: γ-coded exponent then the mantissa of `n + 1`.
     pub fn write_delta(&mut self, n: u64) {
         let v = n + 1;
         let b = 63 - v.leading_zeros();
-        self.write_gamma(b as u64);
-        self.write_split(v & ((1u64 << b) - 1), b);
+        let mantissa = v & ((1u64 << b) - 1);
+        let e = 63 - (u64::from(b) + 1).leading_zeros();
+        if 2 * e + 1 + b <= MAX_WIDTH {
+            // γ(b) is `b + 1` in `2e + 1` bits; the mantissa follows.
+            self.write_bits(((u64::from(b) + 1) << b) | mantissa, 2 * e + 1 + b);
+        } else {
+            self.write_gamma(b as u64);
+            self.write_split(mantissa, b);
+        }
     }
 
     /// ζ_k (Boldi–Vigna): unary shard index, then minimal-binary offset
@@ -90,32 +105,27 @@ impl BitWriter {
         debug_assert!((1..=20).contains(&k));
         let v = n + 1;
         let h = (63 - v.leading_zeros()) / k;
-        self.write_unary(h as u64);
         let base = 1u64 << (h * k);
         let span = if (h + 1) * k >= 64 {
             u64::MAX - base + 1
         } else {
             (base << k) - base
         };
-        self.write_minimal_binary(v - base, span);
+        let (x, width) = minimal_binary(v - base, span);
+        if h + 1 + width <= MAX_WIDTH {
+            // The unary index ends in a one, just above the offset.
+            self.write_bits((1 << width) | x, h + 1 + width);
+        } else {
+            self.write_unary(h as u64);
+            self.write_split(x, width);
+        }
     }
 
     /// Minimal binary code of `x` in `[0, m)`: the first `2^s - m`
     /// values use `s-1` bits, the rest use `s` bits, `s = ⌈log2 m⌉`.
     pub fn write_minimal_binary(&mut self, x: u64, m: u64) {
-        debug_assert!(m >= 1 && x < m);
-        if m == 1 {
-            return;
-        }
-        let s = 64 - (m - 1).leading_zeros();
-        // s can be 64 for huge universes; 2^64 - m wraps to the right
-        // threshold in u64 arithmetic.
-        let thresh = (1u64 << (s - 1)).wrapping_mul(2).wrapping_sub(m);
-        if x < thresh {
-            self.write_split(x, s - 1);
-        } else {
-            self.write_split(x.wrapping_add(thresh), s);
-        }
+        let (value, width) = minimal_binary(x, m);
+        self.write_split(value, width);
     }
 
     /// Writes up to 64 bits by splitting into `MAX_WIDTH`-sized chunks.
@@ -131,10 +141,29 @@ impl BitWriter {
     /// Pads to a byte boundary with zero bits and returns the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.n > 0 {
-            let pad = 8 - self.n;
-            self.write_bits(0, pad);
+            let top = (self.acc << (64 - self.n)).to_be_bytes();
+            self.buf
+                .extend_from_slice(&top[..self.n.div_ceil(8) as usize]);
         }
         self.buf
+    }
+}
+
+/// The bits and width [`BitWriter::write_minimal_binary`] writes for `x`
+/// in `[0, m)`.
+fn minimal_binary(x: u64, m: u64) -> (u64, u32) {
+    debug_assert!(m >= 1 && x < m);
+    if m == 1 {
+        return (0, 0);
+    }
+    let s = 64 - (m - 1).leading_zeros();
+    // s can be 64 for huge universes; 2^64 - m wraps to the right
+    // threshold in u64 arithmetic.
+    let thresh = (1u64 << (s - 1)).wrapping_mul(2).wrapping_sub(m);
+    if x < thresh {
+        (x, s - 1)
+    } else {
+        (x.wrapping_add(thresh), s)
     }
 }
 

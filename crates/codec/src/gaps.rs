@@ -13,7 +13,7 @@
 //! width-0 column — one varint plus one byte regardless of edge count.
 
 use crate::varint::{read_u64, unzigzag, write_u64, zigzag};
-use crate::{CodecError, ExtentKind, FragmentColumns};
+use crate::{CodecError, FragmentColumns};
 
 /// Appends zig-zag delta coding of `ids` (count is *not* written).
 fn write_deltas(out: &mut Vec<u8>, ids: &[u32]) {
@@ -127,17 +127,11 @@ fn read_packed(
 // Both extent kinds are parsed into and decoded as [`FragmentColumns`];
 // an edge list (AdjacencyStore runs) is repeated `id u32 LE | w f32 LE`.
 
-/// Gap-codes a raw fragment stream, appending to `out` and parsing into
-/// `f`, which the caller keeps from extent to extent. Layout: `nfrags
-/// varint`, zig-zag delta-coded svertex ids, per-fragment edge counts,
-/// per-fragment delta-coded neighbour ids, then one bit-packed weight
-/// column over all edges. Every input check runs before `out` is touched.
-pub(crate) fn encode_fragments(
-    raw: &[u8],
-    f: &mut FragmentColumns,
-    out: &mut Vec<u8>,
-) -> Result<(), CodecError> {
-    f.parse(ExtentKind::Fragments, raw)?;
+/// Gap-codes a fragment stream's columns, appending to `out`. Layout:
+/// `nfrags varint`, zig-zag delta-coded svertex ids, per-fragment edge
+/// counts, per-fragment delta-coded neighbour ids, then one bit-packed
+/// weight column over all edges.
+pub(crate) fn encode_fragments(f: &FragmentColumns, out: &mut Vec<u8>) {
     write_u64(out, f.len() as u64);
     write_deltas(out, &f.svertices);
     for k in 0..f.len() {
@@ -147,7 +141,6 @@ pub(crate) fn encode_fragments(
         write_deltas(out, &f.ids[f.span(k)]);
     }
     write_packed(out, &f.weights);
-    Ok(())
 }
 
 /// Decodes an [`encode_fragments`] body into `cols`, which the caller
@@ -169,20 +162,12 @@ pub(crate) fn decode_fragments(coded: &[u8], cols: &mut FragmentColumns) -> Resu
     read_packed(coded, &mut pos, total_edges, &mut cols.weights)
 }
 
-/// Gap-codes a bare edge list (`id u32 LE | w f32 LE` pairs), appending
-/// to `out` and parsing into `f`, which the caller keeps: `count` varint,
-/// delta-coded ids, bit-packed weight column. Every input check runs
-/// before `out` is touched.
-pub(crate) fn encode_edges(
-    raw: &[u8],
-    f: &mut FragmentColumns,
-    out: &mut Vec<u8>,
-) -> Result<(), CodecError> {
-    f.parse(ExtentKind::Edges, raw)?;
+/// Gap-codes an edge list's columns, appending to `out`: `count` varint,
+/// delta-coded ids, bit-packed weight column.
+pub(crate) fn encode_edges(f: &FragmentColumns, out: &mut Vec<u8>) {
     write_u64(out, f.ids.len() as u64);
     write_deltas(out, &f.ids);
     write_packed(out, &f.weights);
-    Ok(())
 }
 
 /// Decodes an [`encode_edges`] body into `cols`' id and weight
@@ -197,13 +182,15 @@ pub(crate) fn decode_edges(coded: &[u8], cols: &mut FragmentColumns) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExtentKind;
 
     /// `raw` gap-coded as `kind`.
     fn code(kind: ExtentKind, raw: &[u8]) -> Result<Vec<u8>, CodecError> {
         let (mut f, mut out) = (FragmentColumns::default(), Vec::new());
+        f.parse(kind, raw)?;
         match kind {
-            ExtentKind::Fragments => encode_fragments(raw, &mut f, &mut out)?,
-            ExtentKind::Edges => encode_edges(raw, &mut f, &mut out)?,
+            ExtentKind::Fragments => encode_fragments(&f, &mut out),
+            ExtentKind::Edges => encode_edges(&f, &mut out),
         }
         Ok(out)
     }

@@ -227,7 +227,7 @@ impl FragmentColumns {
 
     /// Length of the raw extent these columns stand for: 8 bytes per
     /// fragment header and per edge.
-    fn raw_len(&self) -> usize {
+    pub fn raw_len(&self) -> usize {
         8 * (self.svertices.len() + self.ids.len())
     }
 
@@ -277,22 +277,31 @@ impl FragmentColumns {
     /// Serialises the columns back into the raw extent of `kind`.
     fn to_raw(&self, kind: ExtentKind) -> Vec<u8> {
         let mut raw = Vec::with_capacity(self.raw_len());
-        let pairs = |raw: &mut Vec<u8>, span: std::ops::Range<usize>| {
-            for (id, w) in self.ids[span.clone()].iter().zip(&self.weights[span]) {
-                raw.extend_from_slice(&id.to_le_bytes());
-                raw.extend_from_slice(&w.to_le_bytes());
-            }
+        self.write_raw(kind, &mut raw);
+        raw
+    }
+
+    /// Appends the raw extent of `kind` the columns stand for to `raw`.
+    pub fn write_raw(&self, kind: ExtentKind, raw: &mut Vec<u8>) {
+        let mut at = raw.len();
+        raw.resize(at + self.raw_len(), 0);
+        let mut put = |a: u32, b: u32| {
+            raw[at..at + 4].copy_from_slice(&a.to_le_bytes());
+            raw[at + 4..at + 8].copy_from_slice(&b.to_le_bytes());
+            at += 8;
         };
         if kind == ExtentKind::Edges {
-            pairs(&mut raw, 0..self.ids.len());
+            self.ids
+                .iter()
+                .zip(&self.weights)
+                .for_each(|(&id, &w)| put(id, w));
         }
         for (k, &sv) in self.svertices.iter().enumerate() {
             let span = self.span(k);
-            raw.extend_from_slice(&sv.to_le_bytes());
-            raw.extend_from_slice(&(span.len() as u32).to_le_bytes());
-            pairs(&mut raw, span);
+            put(sv, span.len() as u32);
+            let pairs = self.ids[span.clone()].iter().zip(&self.weights[span]);
+            pairs.for_each(|(&id, &w)| put(id, w));
         }
-        raw
     }
 }
 
@@ -314,7 +323,9 @@ pub fn encode_extent(choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> Vec<u
 /// build under either codec allocates only while they grow.
 #[derive(Default)]
 pub struct ExtentEncoder {
-    scratch: bv::EncodeScratch,
+    /// A raw extent parsed into columns.
+    cols: FragmentColumns,
+    bv: bv::Encoder,
     out: Vec<u8>,
 }
 
@@ -323,34 +334,65 @@ impl ExtentEncoder {
     /// call.
     pub fn encode(&mut self, choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> &[u8] {
         debug_assert!(!choice.is_none(), "None bypasses extent framing");
-        let (s, out) = (&mut self.scratch, &mut self.out);
-        out.clear();
-        let coded = match (choice, kind) {
-            (CodecChoice::None, _) => false,
-            (CodecChoice::Gaps, kind) => {
-                out.push(TAG_GAPS);
-                match kind {
-                    ExtentKind::Fragments => gaps::encode_fragments(raw, &mut s.cols, out),
-                    ExtentKind::Edges => gaps::encode_edges(raw, &mut s.cols, out),
-                }
-                .is_ok()
-            }
-            (CodecChoice::Bv, kind) => {
-                out.push(TAG_BV);
-                match kind {
-                    ExtentKind::Fragments => bv::encode_fragments(raw, s, out),
-                    ExtentKind::Edges => bv::encode_edges(raw, s, out),
-                }
-                .is_ok()
-            }
-        };
+        let coded = self.cols.parse(kind, raw).is_ok()
+            && code(choice, kind, &self.cols, &mut self.bv, &mut self.out);
         // The coded body stays only when strictly shorter than `raw`.
-        if !coded || out.len() > raw.len() {
-            out.clear();
-            out.push(TAG_RAW);
-            out.extend_from_slice(raw);
+        if !coded || self.out.len() > raw.len() {
+            self.out.clear();
+            self.out.push(TAG_RAW);
+            self.out.extend_from_slice(raw);
         }
-        out
+        &self.out
+    }
+
+    /// The bytes [`ExtentEncoder::encode`] returns for the raw extent of
+    /// `kind` that `cols` stand for, coded from the columns as they are:
+    /// raw bytes are serialised only for the raw fallback.
+    pub fn encode_columns(
+        &mut self,
+        choice: CodecChoice,
+        kind: ExtentKind,
+        cols: &FragmentColumns,
+    ) -> &[u8] {
+        debug_assert!(!choice.is_none(), "None bypasses extent framing");
+        let coded = code(choice, kind, cols, &mut self.bv, &mut self.out);
+        if !coded || self.out.len() > cols.raw_len() {
+            self.out.clear();
+            self.out.push(TAG_RAW);
+            cols.write_raw(kind, &mut self.out);
+        }
+        &self.out
+    }
+}
+
+/// Overwrites `out` with `cols` coded under `choice` behind its tag; false
+/// where the tier does not code this structure (then `out` is garbage).
+fn code(
+    choice: CodecChoice,
+    kind: ExtentKind,
+    cols: &FragmentColumns,
+    bv: &mut bv::Encoder,
+    out: &mut Vec<u8>,
+) -> bool {
+    out.clear();
+    match choice {
+        CodecChoice::None => false,
+        CodecChoice::Gaps => {
+            out.push(TAG_GAPS);
+            match kind {
+                ExtentKind::Fragments => gaps::encode_fragments(cols, out),
+                ExtentKind::Edges => gaps::encode_edges(cols, out),
+            }
+            true
+        }
+        CodecChoice::Bv => {
+            out.push(TAG_BV);
+            match kind {
+                ExtentKind::Fragments => bv::encode_fragments(cols, bv, out),
+                ExtentKind::Edges => bv::encode_edges(cols, bv, out),
+            }
+            .is_ok()
+        }
     }
 }
 

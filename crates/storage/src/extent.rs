@@ -103,11 +103,35 @@ impl ExtentWriter {
                 .append_coded(AccessClass::SeqWrite, coded, raw.len() as u64)?;
             coded.len() as u64
         };
+        Ok(self.record(stored, raw.len() as u64))
+    }
+
+    /// [`ExtentWriter::append`] of the raw extent `cols` stand for, coded
+    /// from the columns as they are, under a codec only (without one the
+    /// raw bytes are what the file holds): raw bytes are serialised only
+    /// where the coded extent would not be shorter.
+    pub fn append_columns(&mut self, cols: &FragmentColumns) -> io::Result<u64> {
+        debug_assert!(!self.codec.is_none(), "None appends raw bytes");
+        let logical = cols.raw_len() as u64;
+        let stored = if logical == 0 {
+            0
+        } else {
+            let coded = self.encoder.encode_columns(self.codec, self.kind, cols);
+            self.file
+                .append_coded(AccessClass::SeqWrite, coded, logical)?;
+            coded.len() as u64
+        };
+        Ok(self.record(stored, logical))
+    }
+
+    /// Enters the next extent, `stored` physical and `logical` logical
+    /// bytes, into the directory; returns `stored`.
+    fn record(&mut self, stored: u64, logical: u64) -> u64 {
         self.phys.push(self.phys[self.phys.len() - 1] + stored);
         if let Some(logi) = &mut self.logi {
-            logi.push(logi[logi.len() - 1] + raw.len() as u64);
+            logi.push(logi[logi.len() - 1] + logical);
         }
-        Ok(stored)
+        stored
     }
 
     /// Freezes the directory. Errs unless exactly the announced number of

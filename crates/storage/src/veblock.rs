@@ -127,6 +127,55 @@ struct ScanTotals {
     stored_aux: u64,
 }
 
+/// One Eblock being built: its raw bytes without a codec, which the file
+/// stores as they are, or its columns under one, which the encoder codes
+/// with no raw bytes in between.
+#[derive(Default)]
+struct EblockBuf {
+    raw: Vec<u8>,
+    cols: FragmentColumns,
+    fragments: u64,
+}
+
+impl EblockBuf {
+    fn clear(&mut self) {
+        self.raw.clear();
+        self.cols.clear();
+        self.fragments = 0;
+    }
+
+    /// Adds the fragment of `src` with `edges`.
+    fn push(&mut self, codec: CodecChoice, src: u32, edges: &[Edge]) {
+        if codec.is_none() {
+            extent::push_fragment_header(&mut self.raw, src, edges.len());
+            edges.iter().for_each(|e| e.append_to(&mut self.raw));
+        } else {
+            let c = &mut self.cols;
+            c.svertices.push(src);
+            for e in edges {
+                c.ids.push(e.dst.0);
+                c.weights.push(e.weight.to_bits());
+            }
+            c.ends.push(c.ids.len());
+        }
+        self.fragments += 1;
+    }
+
+    /// Logical bytes.
+    fn bytes(&self) -> u64 {
+        (self.raw.len() + self.cols.raw_len()) as u64
+    }
+
+    /// Appends the Eblock as `w`'s next extent; returns its stored bytes.
+    fn append_to(&self, w: &mut ExtentWriter, codec: CodecChoice) -> io::Result<u64> {
+        if codec.is_none() {
+            w.append(&self.raw)
+        } else {
+            w.append_columns(&self.cols)
+        }
+    }
+}
+
 /// The VE-BLOCK store for one worker's local blocks.
 pub struct VeBlockStore {
     /// One extent file per local block, holding its `V` Eblocks back to
@@ -194,13 +243,14 @@ impl VeBlockStore {
         let mut fragment_counts = vec![0u32; local_vertices];
         let mut total_fragments = 0u64;
         let mut total_edge_bytes = 0u64;
+        // One Eblock per destination block, refilled for each local block.
+        let mut eblocks: Vec<EblockBuf> = Vec::new();
+        eblocks.resize_with(num_blocks, EblockBuf::default);
 
         for &bj in &local_blocks {
             let range = layout.block_range(bj);
             let mut m = BlockMeta::new(range.len() as u32, num_blocks);
-            // Accumulate per-destination-block fragment buffers.
-            let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); num_blocks];
-            let mut frag_counts = vec![0u64; num_blocks];
+            eblocks.iter_mut().for_each(EblockBuf::clear);
             for v in range.clone() {
                 let v = VertexId(v);
                 m.in_degree += in_degrees[v.index()] as u64;
@@ -217,12 +267,7 @@ impl VeBlockStore {
                     while end < row.len() && row[end].dst.0 < block_end {
                         end += 1;
                     }
-                    let buf = &mut bufs[bi.index()];
-                    extent::push_fragment_header(buf, v.0, end - k);
-                    for e in &row[k..end] {
-                        e.append_to(buf);
-                    }
-                    frag_counts[bi.index()] += 1;
+                    eblocks[bi.index()].push(codec, v.0, &row[k..end]);
                     fragment_counts[(v.0 - base_vertex) as usize] += 1;
                     m.set_bit(bi);
                     k = end;
@@ -232,9 +277,10 @@ impl VeBlockStore {
             let name = format!("eblk_{}", bj.0);
             let mut w = ExtentWriter::create(vfs, &name, ExtentKind::Fragments, codec, num_blocks)?;
             let mut totals = ScanTotals::default();
-            for (buf, &fragments) in bufs.iter().zip(&frag_counts) {
-                let stored = w.append(buf)?;
-                let (bytes, aux) = (buf.len() as u64, fragments * FRAGMENT_AUX_BYTES);
+            for eblock in &eblocks {
+                let stored = eblock.append_to(&mut w, codec)?;
+                let fragments = eblock.fragments;
+                let (bytes, aux) = (eblock.bytes(), fragments * FRAGMENT_AUX_BYTES);
                 let (stored_edge, stored_aux) = split_stored(stored, bytes, aux);
                 total_edge_bytes += bytes - aux;
                 totals.stored_edge += stored_edge;

@@ -4,14 +4,19 @@
 //! `adj+VE-BLOCK` (hybrid's double storage). Reported as ratios to `adj`,
 //! like the paper's y-axis. The runtime ratio is modeled, a function of
 //! bytes alone (so two runs print the same numbers); the measured
-//! build-CPU ratio, which varies run to run, prints beside it.
+//! build-CPU ratio, which varies run to run, prints beside it, uncoded
+//! and under `bv` (each layout's bv build against the bv adjacency
+//! build).
 
 use crate::report::{Cell, Report, Table};
 use crate::{buffer_for, workers_for, Scale};
-use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Dataset, Partition, WorkerId};
+use hybridgraph_graph::{
+    partition::vblock_counts, BlockLayout, Dataset, Graph, Partition, WorkerId,
+};
 use hybridgraph_storage::adjacency::AdjacencyStore;
 use hybridgraph_storage::veblock::VeBlockStore;
 use hybridgraph_storage::vfs::{MemVfs, Vfs};
+use hybridgraph_storage::CodecChoice;
 use std::time::Instant;
 
 struct LoadCost {
@@ -33,13 +38,12 @@ fn modeled_secs(raw: u64, c: &LoadCost) -> f64 {
     p.seq_read_secs(raw) + p.seq_write_secs(c.write_bytes)
 }
 
-fn build_adj(d: Dataset, scale: Scale) -> LoadCost {
-    let g = scale.build(d);
+fn build_adj(d: Dataset, g: &Graph, codec: CodecChoice) -> LoadCost {
     let p = Partition::range(g.num_vertices(), workers_for(d));
     let vfs = MemVfs::new();
     let t = Instant::now();
     for w in p.workers() {
-        AdjacencyStore::build(&vfs, &format!("adj{w}"), &g, p.worker_range(w)).unwrap();
+        AdjacencyStore::build_with(&vfs, &format!("adj{w}"), g, p.worker_range(w), codec).unwrap();
     }
     LoadCost {
         wall_secs: t.elapsed().as_secs_f64(),
@@ -47,15 +51,14 @@ fn build_adj(d: Dataset, scale: Scale) -> LoadCost {
     }
 }
 
-fn build_ve(d: Dataset, scale: Scale) -> LoadCost {
-    let g = scale.build(d);
+fn build_ve(d: Dataset, scale: Scale, g: &Graph, codec: CodecChoice) -> LoadCost {
     let p = Partition::range(g.num_vertices(), workers_for(d));
-    let counts = vblock_counts(&g, &p, buffer_for(d, scale), true);
+    let counts = vblock_counts(g, &p, buffer_for(d, scale), true);
     let layout = BlockLayout::new(&p, &counts);
     let vfs = MemVfs::new();
     let t = Instant::now();
     for w in 0..p.num_workers() {
-        VeBlockStore::build(&vfs, &g, &layout, WorkerId::from(w)).unwrap();
+        VeBlockStore::build_with(&vfs, g, &layout, WorkerId::from(w), codec).unwrap();
     }
     LoadCost {
         wall_secs: t.elapsed().as_secs_f64(),
@@ -73,17 +76,18 @@ pub fn run(scale: Scale, rep: &mut Report) {
     );
     let mut cpu = Table::new(
         "Fig 16(a) — build CPU ratio vs adj (measured, not in the report)",
-        &["graph", "adj", "VE-BLOCK", "adj+VE-BLOCK"],
+        &["graph", "codec", "adj", "VE-BLOCK", "adj+VE-BLOCK"],
     );
     let mut iot = Table::new(
         "Fig 16(b) — loading write-byte ratio vs adj",
         &["graph", "adj", "VE-BLOCK", "adj+VE-BLOCK"],
     );
     for d in Dataset::ALL {
-        let adj = build_adj(d, scale);
-        let ve = build_ve(d, scale);
-        let raw = raw_input_bytes(scale.build(d).num_edges());
-        let both = LoadCost {
+        let g = scale.build(d);
+        let adj = build_adj(d, &g, CodecChoice::None);
+        let ve = build_ve(d, scale, &g, CodecChoice::None);
+        let raw = raw_input_bytes(g.num_edges());
+        let both = |adj: &LoadCost, ve: &LoadCost| LoadCost {
             wall_secs: adj.wall_secs + ve.wall_secs,
             write_bytes: adj.write_bytes + ve.write_bytes,
         };
@@ -93,21 +97,32 @@ pub fn run(scale: Scale, rep: &mut Report) {
             Cell::text("modeled (input + writes)"),
             Cell::ratio(1.0),
             Cell::ratio(modeled(&ve)),
-            Cell::ratio(modeled(&both)),
+            Cell::ratio(modeled(&both(&adj, &ve))),
         ]);
-        let measured = |c: &LoadCost| Cell::ratio(c.wall_secs / adj.wall_secs);
-        cpu.row(vec![
-            Cell::text(d.name()),
-            Cell::ratio(1.0),
-            measured(&ve),
-            measured(&both),
-        ]);
+        // The same ratios of build CPU, uncoded and under bv.
+        let bv = (
+            build_adj(d, &g, CodecChoice::Bv),
+            build_ve(d, scale, &g, CodecChoice::Bv),
+        );
+        for (codec, (adj, ve)) in [
+            (CodecChoice::None, (&adj, &ve)),
+            (CodecChoice::Bv, (&bv.0, &bv.1)),
+        ] {
+            let measured = |c: &LoadCost| Cell::ratio(c.wall_secs / adj.wall_secs);
+            cpu.row(vec![
+                Cell::text(d.name()),
+                Cell::text(codec.label()),
+                Cell::ratio(1.0),
+                measured(ve),
+                measured(&both(adj, ve)),
+            ]);
+        }
         let written = |c: &LoadCost| Cell::ratio(c.write_bytes as f64 / adj.write_bytes as f64);
         iot.row(vec![
             Cell::text(d.name()),
             Cell::ratio(1.0),
             written(&ve),
-            written(&both),
+            written(&both(&adj, &ve)),
         ]);
     }
     rep.add(rt);

@@ -8,13 +8,59 @@
 
 use crate::report::{Cell, Report, Table};
 use crate::{run_algo, workers_for, Algo, Scale};
-use hybridgraph_core::{JobConfig, Mode};
+use hybridgraph_core::{JobConfig, JobMetrics, Mode};
 use hybridgraph_graph::Dataset;
 
-/// Fig. 17 — modeled network (blocking) seconds per superstep.
-pub fn fig17(scale: Scale, rep: &mut Report) {
-    for d in [Dataset::Wiki, Dataset::Orkut] {
+const DATASETS: [Dataset; 2] = [Dataset::Wiki, Dataset::Orkut];
+
+/// The PageRank runs of one stand-in: push, which both figures read, and
+/// the others each figure asks for.
+struct Runs {
+    push: JobMetrics,
+    /// pushM and b-pull (Fig. 17).
+    fig17: Option<[JobMetrics; 2]>,
+    /// b-pull with combining off (Fig. 18).
+    fig18: Option<JobMetrics>,
+}
+
+/// The runs over wiki and orkut, each graph built once and each job run
+/// once.
+fn runs(scale: Scale, fig17: bool, fig18: bool) -> [Runs; 2] {
+    DATASETS.map(|d| {
         let g = scale.build(d);
+        let run = |mode, combining| {
+            let mut cfg = JobConfig::new(mode, workers_for(d));
+            cfg.combining = combining;
+            run_algo(Algo::PageRank, &g, cfg)
+        };
+        Runs {
+            push: run(Mode::Push, true),
+            fig17: fig17.then(|| [run(Mode::PushM, true), run(Mode::BPull, true)]),
+            fig18: fig18.then(|| run(Mode::BPull, false)),
+        }
+    })
+}
+
+/// Fig. 17 alone.
+pub fn fig17(scale: Scale, rep: &mut Report) {
+    add_fig17(scale, &runs(scale, true, false), rep);
+}
+
+/// Fig. 18 alone.
+pub fn fig18(scale: Scale, rep: &mut Report) {
+    add_fig18(&runs(scale, false, true), rep);
+}
+
+/// Figs. 17 and 18 in order, from one set of runs.
+pub fn figs17_18(scale: Scale, rep: &mut Report) {
+    let runs = runs(scale, true, true);
+    add_fig17(scale, &runs, rep);
+    add_fig18(&runs, rep);
+}
+
+/// Fig. 17 — modeled network (blocking) seconds per superstep.
+fn add_fig17(scale: Scale, runs: &[Runs], rep: &mut Report) {
+    for (d, r) in DATASETS.iter().zip(runs) {
         let mut t = Table::new(
             format!(
                 "Fig 17 — blocking time per superstep (PageRank over {})",
@@ -22,13 +68,8 @@ pub fn fig17(scale: Scale, rep: &mut Report) {
             ),
             &["superstep", "push (s)", "pushM (s)", "b-pull (s)"],
         );
-        let runs: Vec<_> = [Mode::Push, Mode::PushM, Mode::BPull]
-            .into_iter()
-            .map(|mode| {
-                let cfg = JobConfig::new(mode, workers_for(d));
-                run_algo(Algo::PageRank, &g, cfg)
-            })
-            .collect();
+        let [push_m, b_pull] = r.fig17.as_ref().expect("Fig. 17 runs");
+        let runs = [&r.push, push_m, b_pull];
         let len = runs.iter().map(|m| m.steps.len()).max().unwrap_or(0);
         for i in 0..len {
             let cell = |ri: usize| {
@@ -45,17 +86,9 @@ pub fn fig17(scale: Scale, rep: &mut Report) {
 /// Fig. 18 — per-superstep network bytes, push vs b-pull
 /// (b-pull combining disabled; concatenation alone still roughly halves
 /// traffic by sharing destination ids).
-pub fn fig18(scale: Scale, rep: &mut Report) {
-    for d in [Dataset::Wiki, Dataset::Orkut] {
-        let g = scale.build(d);
-        let push = run_algo(
-            Algo::PageRank,
-            &g,
-            JobConfig::new(Mode::Push, workers_for(d)),
-        );
-        let mut cfg = JobConfig::new(Mode::BPull, workers_for(d));
-        cfg.combining = false;
-        let bpull = run_algo(Algo::PageRank, &g, cfg);
+fn add_fig18(runs: &[Runs], rep: &mut Report) {
+    for (d, r) in DATASETS.iter().zip(runs) {
+        let (push, bpull) = (&r.push, r.fig18.as_ref().expect("Fig. 18 run"));
         let mut t = Table::new(
             format!(
                 "Fig 18 — network traffic per superstep (PageRank over {})",

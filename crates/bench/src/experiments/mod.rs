@@ -31,7 +31,8 @@ pub mod vblocks;
 /// The paper's evaluation into one report — the tables `datasets`,
 /// `fig2`, `fig7`–`fig18`, `table5`, `vblocks`, `fig26` and `theorems`
 /// print alone, in that order. Figs. 8 and 10 read one set of
-/// limited-memory HDD runs, and Figs. 11–13 one hybrid SSSP/SA sweep.
+/// limited-memory HDD runs, Figs. 11–13 one hybrid SSSP/SA sweep, and
+/// Figs. 17 and 18 one push PageRank per stand-in.
 pub fn paper(scale: Scale, rep: &mut Report) {
     datasets::run(scale, rep);
     fig2::run(scale, rep);
@@ -40,8 +41,7 @@ pub fn paper(scale: Scale, rep: &mut Report) {
     fig14::run(scale, rep);
     fig15::run(scale, rep);
     fig16::run(scale, rep);
-    fig17_18::fig17(scale, rep);
-    fig17_18::fig18(scale, rep);
+    fig17_18::figs17_18(scale, rep);
     table5::run(scale, rep);
     vblocks::run(scale, rep);
     fig26::run(scale, rep);

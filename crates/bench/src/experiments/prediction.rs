@@ -46,17 +46,19 @@ const ALGOS: [Algo; 2] = [Algo::Sssp, Algo::Sa];
 /// Per algorithm of [`ALGOS`], per dataset, every superstep's metrics.
 type Runs = [Vec<Vec<SuperstepMetrics>>; 2];
 
-/// Runs each algorithm of [`ALGOS`] in hybrid over every dataset once.
+/// Runs each algorithm of [`ALGOS`] in hybrid over every dataset once,
+/// building each dataset once.
 fn runs(scale: Scale) -> Runs {
-    ALGOS.map(|algo| {
-        let run = |&d: &Dataset| {
-            let g = scale.build(d);
+    let mut runs = Runs::default();
+    for d in Dataset::ALL {
+        let g = scale.build(d);
+        for (algo, per_dataset) in ALGOS.into_iter().zip(&mut runs) {
             let cfg =
                 JobConfig::new(Mode::Hybrid, workers_for(d)).with_buffer(buffer_for(d, scale));
-            run_algo(algo, &g, cfg).steps
-        };
-        Dataset::ALL.iter().map(run).collect()
-    })
+            per_dataset.push(run_algo(algo, &g, cfg).steps);
+        }
+    }
+    runs
 }
 
 /// Adds, per algorithm, the per-superstep predicted/actual ratios of

@@ -38,7 +38,7 @@ pub const ZETA_K: u32 = 3;
 // ------------------------------------------------------------- planning
 //
 // A list is written from a `ListPlan` (reference choice, copy blocks,
-// intervals, residuals). Every list is first split alone (`plan_alone`)
+// intervals, residuals). Every list is first split alone (`AlonePlan`)
 // into maximal runs of consecutive ids — intervals from MIN_INTERVAL ids
 // up, residuals below — and most lists are written from that plan.
 //
@@ -46,26 +46,29 @@ pub const ZETA_K: u32 = 3;
 // (`WindowIndex`). Each distinct id has an entry holding one bit per
 // window slot (the REF_WINDOW lists a reference may name and the current
 // list, in a ring of SLOTS) and its first position in each slot's list.
-// One pass over the current list reads every id's entry (`Encoder::share`):
-// a candidate whose bit never shows shares no id with the list and is
-// skipped unpriced (see `Encoder::choose`); for the others the pass
-// records the runs of the list they copy (`Match`). These are exactly the
-// positions the two-pointer multiset intersection of `decompose` copies:
-// both copy an id's first min(count here, count there) occurrences.
+// One pass over the current list (`Encoder::share`) reads every id's
+// entry and enters the list into its own slot. A candidate whose bit
+// never shows shares no id with the list and is skipped unpriced (see
+// `Encoder::choose`). For the others the pass records the stretches of
+// the list they copy (`Match`): exactly the positions the two-pointer
+// multiset intersection of `decompose` copies, since both copy an id's
+// first min(count here, count there) occurrences, in order.
 //
-// A candidate is priced from its matches alone (`Encoder::price`), never
-// by merging its list. Its copy blocks follow from the copied reference
-// positions. If no copied id is part of an interval of the alone plan and
-// the ids left on the two sides of each copied run are not consecutive
-// (they could be only around duplicate ids), no run of the list changes
-// except by losing copied residuals. The candidate's intervals are then
-// the alone plan's, and its residuals are the alone plan's minus the
-// copied ones. Its residual bits are the alone plan's, less the copied
-// residuals' gaps, plus one re-linked gap after each copied stretch.
-// Any other candidate is decomposed in full and priced from its plan.
-// Only a reference that wins is decomposed into the plan it is written
-// from, by `write_plan`. Cost helpers must stay in lockstep with
-// `bits::BitWriter` — `tests::cost_helpers_match_writer` enforces it, and
+// A candidate is priced from its matches and the alone plan
+// (`Encoder::price`), never by merging its list, so pricing costs about
+// the copied ids, not the two lists. The copy blocks follow from the
+// copied reference positions. The ids left over form the alone plan's
+// runs less the copied ids, except where the ids either side of a copied
+// stretch are consecutive (around duplicate ids) and two runs join. So
+// only the runs holding a copied id and the runs a join touches change;
+// they are split again from what is left of them (`Edits::resplit`).
+// Every other piece keeps the bits it has in the alone plan, which prefix
+// sums give in O(1) per kept stretch, and the first piece after each
+// edit is re-linked to the piece now before it (`Relinked`): the price is
+// the exact bit length the candidate's plan would have. Only a reference
+// that wins is decomposed into the plan it is written from. Cost helpers
+// must stay in lockstep with `bits::BitWriter` —
+// `tests::cost_helpers_match_writer` enforces it, and
 // `tests::streaming_choice_matches_exhaustive_planner` holds every price
 // and choice to a planner that builds and prices every candidate's plan.
 

@@ -1852,7 +1852,7 @@ mod tests {
 
         // 0 and u32::MAX in one extent, in lists that share them across
         // more than a window and around empty lists.
-        let lists: Vec<Vec<u32>> = (0..24u32)
+        let lists: Vec<_> = (0..24u32)
             .map(|f| match f % 6 {
                 0 => vec![0, 1, 2, 3, m - 1, m],
                 1 => vec![0, 0, m, m],

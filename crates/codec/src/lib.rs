@@ -282,7 +282,7 @@ impl FragmentColumns {
     }
 
     /// Appends the raw extent of `kind` the columns stand for to `raw`.
-    pub fn write_raw(&self, kind: ExtentKind, raw: &mut Vec<u8>) {
+    fn write_raw(&self, kind: ExtentKind, raw: &mut Vec<u8>) {
         let mut at = raw.len();
         raw.resize(at + self.raw_len(), 0);
         let mut put = |a: u32, b: u32| {

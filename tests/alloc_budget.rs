@@ -28,8 +28,9 @@
 //! and adjacency stores under `bv`, one Vblock per worker as an
 //! ample-memory job lays them out. The bv encoder prices a list's
 //! copy-reference candidates without building their plans and keeps its
-//! buffers from one extent to the next, so a build allocates per file
-//! and per Eblock, never per list, candidate or vertex: both builds are
+//! buffers — plans, window index, matches — from one extent to the
+//! next, so a build allocates per file and per Eblock, never per list,
+//! candidate or vertex: both builds are
 //! held to 0.01 allocations per edge (a plan per candidate cost the
 //! VE-BLOCK build ≈ 3.2, a buffer set per vertex the adjacency build
 //! ≈ 0.44).

@@ -1558,7 +1558,7 @@ mod tests {
     //
     // The reference choice by brute force: every candidate's plan built
     // in full — copied bitmap, extras, runs — and priced. It is the
-    // oracle `choose_reference` and `list_cost` are held to.
+    // oracle `Encoder::choose` and `Encoder::price` are held to.
 
     fn split_intervals(extras: &[u32]) -> (Vec<(u32, u32)>, Vec<u32>) {
         let mut intervals = Vec::new();

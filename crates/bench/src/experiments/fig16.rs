@@ -6,15 +6,18 @@
 //! bytes alone (so two runs print the same numbers); the measured
 //! build-CPU ratio, which varies run to run, prints beside it, uncoded
 //! and under `bv` (each layout's bv build against the bv adjacency
-//! build).
+//! build), and so does the measured CPU of scanning the VE-BLOCK build's
+//! Eblocks under each codec: b-pull's Pull-Respond reads every Eblock
+//! with responders once a superstep, so under a codec that decode is
+//! what a superstep pays for the smaller bytes.
 
 use crate::report::{Cell, Report, Table};
 use crate::{buffer_for, workers_for, Scale};
 use hybridgraph_graph::{
-    partition::vblock_counts, BlockLayout, Dataset, Graph, Partition, WorkerId,
+    partition::vblock_counts, BlockId, BlockLayout, Dataset, Graph, Partition,
 };
 use hybridgraph_storage::adjacency::AdjacencyStore;
-use hybridgraph_storage::veblock::VeBlockStore;
+use hybridgraph_storage::veblock::{EblockScratch, VeBlockStore};
 use hybridgraph_storage::vfs::{MemVfs, Vfs};
 use hybridgraph_storage::CodecChoice;
 use std::time::Instant;
@@ -51,19 +54,34 @@ fn build_adj(d: Dataset, g: &Graph, codec: CodecChoice) -> LoadCost {
     }
 }
 
-fn build_ve(d: Dataset, scale: Scale, g: &Graph, codec: CodecChoice) -> LoadCost {
+/// The VE-BLOCK build's cost, and the measured CPU of one scan of every
+/// Eblock it wrote, in nanoseconds per edge.
+fn build_ve(d: Dataset, scale: Scale, g: &Graph, codec: CodecChoice) -> (LoadCost, f64) {
     let p = Partition::range(g.num_vertices(), workers_for(d));
     let counts = vblock_counts(g, &p, buffer_for(d, scale), true);
     let layout = BlockLayout::new(&p, &counts);
     let vfs = MemVfs::new();
     let t = Instant::now();
-    for w in 0..p.num_workers() {
-        VeBlockStore::build_with(&vfs, g, &layout, WorkerId::from(w), codec).unwrap();
-    }
-    LoadCost {
+    let stores: Vec<_> = p
+        .workers()
+        .map(|w| VeBlockStore::build_with(&vfs, g, &layout, w, codec).unwrap())
+        .collect();
+    let cost = LoadCost {
         wall_secs: t.elapsed().as_secs_f64(),
         write_bytes: vfs.stats().snapshot().seq_write_bytes,
+    };
+    let mut scratch = EblockScratch::default();
+    let t = Instant::now();
+    for (w, store) in p.workers().zip(&stores) {
+        for j in layout.blocks_of_worker(w) {
+            for i in 0..layout.num_blocks() {
+                let i = BlockId(i as u32);
+                store.scan_eblock_into(j, i, &mut scratch).unwrap();
+            }
+        }
     }
+    let scan_ns = t.elapsed().as_secs_f64() * 1e9 / g.num_edges().max(1) as f64;
+    (cost, scan_ns)
 }
 
 /// Adds Fig. 16 (a) modeled runtime ratios and (b) written-byte ratios.
@@ -78,6 +96,10 @@ pub fn run(scale: Scale, rep: &mut Report) {
         "Fig 16(a) — build CPU ratio vs adj (measured, not in the report)",
         &["graph", "codec", "adj", "VE-BLOCK", "adj+VE-BLOCK"],
     );
+    let mut scan = Table::new(
+        "Eblock scan CPU (ns/edge, measured, not in the report)",
+        &["graph", "none", "gaps", "bv"],
+    );
     let mut iot = Table::new(
         "Fig 16(b) — loading write-byte ratio vs adj",
         &["graph", "adj", "VE-BLOCK", "adj+VE-BLOCK"],
@@ -85,7 +107,7 @@ pub fn run(scale: Scale, rep: &mut Report) {
     for d in Dataset::ALL {
         let g = scale.build(d);
         let adj = build_adj(d, &g, CodecChoice::None);
-        let ve = build_ve(d, scale, &g, CodecChoice::None);
+        let (ve, scan_none) = build_ve(d, scale, &g, CodecChoice::None);
         let raw = raw_input_bytes(g.num_edges());
         let both = |adj: &LoadCost, ve: &LoadCost| LoadCost {
             wall_secs: adj.wall_secs + ve.wall_secs,
@@ -100,10 +122,8 @@ pub fn run(scale: Scale, rep: &mut Report) {
             Cell::ratio(modeled(&both(&adj, &ve))),
         ]);
         // The same ratios of build CPU, uncoded and under bv.
-        let bv = (
-            build_adj(d, &g, CodecChoice::Bv),
-            build_ve(d, scale, &g, CodecChoice::Bv),
-        );
+        let (ve_bv, scan_bv) = build_ve(d, scale, &g, CodecChoice::Bv);
+        let bv = (build_adj(d, &g, CodecChoice::Bv), ve_bv);
         for (codec, (adj, ve)) in [
             (CodecChoice::None, (&adj, &ve)),
             (CodecChoice::Bv, (&bv.0, &bv.1)),
@@ -117,6 +137,14 @@ pub fn run(scale: Scale, rep: &mut Report) {
                 measured(&both(adj, ve)),
             ]);
         }
+        let (_, scan_gaps) = build_ve(d, scale, &g, CodecChoice::Gaps);
+        let ns = |v: f64| Cell::Fixed(v, 1);
+        scan.row(vec![
+            Cell::text(d.name()),
+            ns(scan_none),
+            ns(scan_gaps),
+            ns(scan_bv),
+        ]);
         let written = |c: &LoadCost| Cell::ratio(c.write_bytes as f64 / adj.write_bytes as f64);
         iot.row(vec![
             Cell::text(d.name()),
@@ -127,5 +155,6 @@ pub fn run(scale: Scale, rep: &mut Report) {
     }
     rep.add(rt);
     cpu.print();
+    scan.print();
     rep.add(iot);
 }

@@ -8,6 +8,33 @@
 //! with zero bits to a byte boundary on [`BitWriter::finish`], and every
 //! read checks for overrun so torn extents surface as
 //! [`CodecError::Truncated`] rather than garbage.
+//!
+//! Decoding is at word speed, as in Boldi and Vigna's WebGraph reader:
+//!
+//! * *A position reader.* [`BitReader`] is a bit position. A read peeks
+//!   the 64 bits at byte `pos / 8` shifted by `pos % 8` — at least
+//!   [`MAX_WIDTH`] stream bits, zeros past the end — and decodes its code
+//!   from that one word, with no refill branch per code.
+//! * *Code tables.* γ, δ and ζ₃ codes of up to 12 bits — most of a
+//!   list's — decode in one lookup in a 4,096-entry table built at
+//!   compile time from the same code functions [`BitWriter`] writes with
+//!   (`Code::of`). A run of ζ₃ residual gaps takes several codes from
+//!   one peek. Longer codes decode from the word's leading zeros, or
+//!   through a unary count that may span words.
+//! * *One check per column.* A weight column of `count` values of
+//!   `width` bits is checked against the bits left once, then read
+//!   without a check per value.
+//!
+//! Why each check still holds: a read uses a code only after checking
+//! that the stream holds all of its bits, so the zeros a peek holds past
+//! the end are never read as code and every overrun is `Truncated`; a
+//! read that errs consumes nothing. The bulk column read checks
+//! `count · width` (overflow-checked) against the bits left before it
+//! reads any value, and where that fails, or where `min + 2^width − 1`
+//! could overflow `u32`, the caller reads value by value with the
+//! per-value check. The accumulator reader these replaced is kept,
+//! test-only, in `oracle.rs`; the differential tests there hold every
+//! read and every extent decode to it, value or error.
 
 use crate::CodecError;
 
@@ -72,29 +99,26 @@ impl BitWriter {
 
     /// Elias γ: unary exponent then the mantissa of `n + 1`.
     pub fn write_gamma(&mut self, n: u64) {
-        let v = n + 1;
-        let b = 63 - v.leading_zeros();
-        if 2 * b < MAX_WIDTH {
-            // `b` zeros, then `v`'s `b + 1` bits: `v` itself in `2b + 1`.
-            self.write_bits(v, 2 * b + 1);
+        let (code, width) = gamma_code(n);
+        if width <= MAX_WIDTH {
+            self.write_bits(code, width);
         } else {
-            self.write_unary(b as u64);
-            self.write_split(v & ((1u64 << b) - 1), b);
+            let b = width / 2;
+            self.write_unary(u64::from(b));
+            self.write_split(code & ((1u64 << b) - 1), b);
         }
     }
 
     /// Elias δ: γ-coded exponent then the mantissa of `n + 1`.
     pub fn write_delta(&mut self, n: u64) {
-        let v = n + 1;
-        let b = 63 - v.leading_zeros();
-        let mantissa = v & ((1u64 << b) - 1);
-        let e = 63 - (u64::from(b) + 1).leading_zeros();
-        if 2 * e + 1 + b <= MAX_WIDTH {
-            // γ(b) is `b + 1` in `2e + 1` bits; the mantissa follows.
-            self.write_bits(((u64::from(b) + 1) << b) | mantissa, 2 * e + 1 + b);
+        let (code, width) = delta_code(n);
+        if width <= MAX_WIDTH {
+            self.write_bits(code, width);
         } else {
-            self.write_gamma(b as u64);
-            self.write_split(mantissa, b);
+            let v = n + 1;
+            let b = 63 - v.leading_zeros();
+            self.write_gamma(u64::from(b));
+            self.write_split(v & ((1u64 << b) - 1), b);
         }
     }
 
@@ -103,20 +127,12 @@ impl BitWriter {
     /// power-law gap distributions of web/social adjacency.
     pub fn write_zeta(&mut self, n: u64, k: u32) {
         debug_assert!((1..=20).contains(&k));
-        let v = n + 1;
-        let h = (63 - v.leading_zeros()) / k;
-        let base = 1u64 << (h * k);
-        let span = if (h + 1) * k >= 64 {
-            u64::MAX - base + 1
-        } else {
-            (base << k) - base
-        };
-        let (x, width) = minimal_binary(v - base, span);
+        let (h, x, width) = zeta_parts(n, k);
         if h + 1 + width <= MAX_WIDTH {
             // The unary index ends in a one, just above the offset.
             self.write_bits((1 << width) | x, h + 1 + width);
         } else {
-            self.write_unary(h as u64);
+            self.write_unary(u64::from(h));
             self.write_split(x, width);
         }
     }
@@ -149,9 +165,43 @@ impl BitWriter {
     }
 }
 
+/// `n`'s γ code as one word: `n + 1` in `2b + 1` bits, `b` its
+/// exponent. The word holds the whole code only where the width is at
+/// most 64.
+const fn gamma_code(n: u64) -> (u64, u32) {
+    let v = n + 1;
+    (v, 2 * (63 - v.leading_zeros()) + 1)
+}
+
+/// `n`'s δ code as one word: γ of the exponent `b` of `n + 1` — `b + 1`
+/// in `2e + 1` bits — then its `b`-bit mantissa. The word holds the whole
+/// code only where the width is at most 64.
+const fn delta_code(n: u64) -> (u64, u32) {
+    let v = n + 1;
+    let b = 63 - v.leading_zeros();
+    let mantissa = v & ((1u64 << b) - 1);
+    let e = 63 - (b as u64 + 1).leading_zeros();
+    (((b as u64 + 1) << b) | mantissa, 2 * e + 1 + b)
+}
+
+/// `n`'s ζ_k code in parts: the shard `h`, written in unary, and the
+/// minimal-binary offset `x` in the shard, `width` bits.
+const fn zeta_parts(n: u64, k: u32) -> (u32, u64, u32) {
+    let v = n + 1;
+    let h = (63 - v.leading_zeros()) / k;
+    let base = 1u64 << (h * k);
+    let span = if (h + 1) * k >= 64 {
+        u64::MAX - base + 1
+    } else {
+        (base << k) - base
+    };
+    let (x, width) = minimal_binary(v - base, span);
+    (h, x, width)
+}
+
 /// The bits and width [`BitWriter::write_minimal_binary`] writes for `x`
 /// in `[0, m)`.
-fn minimal_binary(x: u64, m: u64) -> (u64, u32) {
+const fn minimal_binary(x: u64, m: u64) -> (u64, u32) {
     debug_assert!(m >= 1 && x < m);
     if m == 1 {
         return (0, 0);
@@ -167,22 +217,106 @@ fn minimal_binary(x: u64, m: u64) -> (u64, u32) {
     }
 }
 
+/// Bits a [`CodeTable`] indexes: codes of up to this many bits decode
+/// in one lookup.
+const TABLE_BITS: u32 = 12;
+
+/// A decoding table of one code: entry `p` is `n << 4 | len` for the
+/// value `n` whose code, `len` bits, the `TABLE_BITS`-bit prefix `p` of
+/// the stream starts with, or 0 where that code is longer than
+/// `TABLE_BITS` bits. Each is built at compile time from the encoder's
+/// own code function (`Code::of`), so a table cannot disagree with what
+/// [`BitWriter`] writes.
+struct CodeTable([u16; 1 << TABLE_BITS]);
+
+/// The codes with a [`CodeTable`].
+#[derive(Copy, Clone)]
+enum Code {
+    Gamma,
+    Delta,
+    Zeta3,
+}
+
+impl Code {
+    /// The bits and width [`BitWriter`] writes for `n`, for every `n`
+    /// whose code fits in [`MAX_WIDTH`] bits.
+    const fn of(self, n: u64) -> (u64, u32) {
+        match self {
+            Code::Gamma => gamma_code(n),
+            Code::Delta => delta_code(n),
+            Code::Zeta3 => {
+                let (h, x, width) = zeta_parts(n, 3);
+                ((1 << width) | x, h + 1 + width)
+            }
+        }
+    }
+
+    const fn table(self) -> CodeTable {
+        let mut t = [0u16; 1 << TABLE_BITS];
+        // Every code of ≤ TABLE_BITS bits stands for a value below
+        // 2^TABLE_BITS, and no code is a prefix of another, so each entry
+        // is filled at most once.
+        let mut n = 0u64;
+        while n < 1 << TABLE_BITS {
+            let (code, len) = self.of(n);
+            if len <= TABLE_BITS {
+                let first = (code << (TABLE_BITS - len)) as usize;
+                let mut p = first;
+                while p < first + (1 << (TABLE_BITS - len)) {
+                    t[p] = ((n << 4) | len as u64) as u16;
+                    p += 1;
+                }
+            }
+            n += 1;
+        }
+        CodeTable(t)
+    }
+}
+
+static GAMMA: CodeTable = Code::Gamma.table();
+static DELTA: CodeTable = Code::Delta.table();
+static ZETA3: CodeTable = Code::Zeta3.table();
+
+/// The 64 bits of `data` from bit `pos` on, MSB first, zeros past the
+/// end: the big-endian word at byte `pos / 8` shifted left by `pos % 8`,
+/// so at least `min(MAX_WIDTH, bits left)` of them are stream bits.
+#[inline]
+fn peek_at(data: &[u8], pos: usize) -> u64 {
+    let byte = pos >> 3;
+    let word = match data.get(byte..byte + 8) {
+        Some(w) => u64::from_be_bytes(w.try_into().expect("eight bytes")),
+        None => tail_word(data, byte),
+    };
+    word << (pos & 7)
+}
+
+/// The last bytes of `data` from `byte` on, fewer than eight, as the top
+/// of a word.
+#[cold]
+fn tail_word(data: &[u8], byte: usize) -> u64 {
+    let rest = data.get(byte..).unwrap_or_default();
+    let mut word = [0u8; 8];
+    word[..rest.len()].copy_from_slice(rest);
+    u64::from_be_bytes(word)
+}
+
 /// Reads bits MSB-first from a byte slice, erroring on overrun.
 ///
-/// The next `n` stream bits sit left-aligned at the top of `acc`. A refill
-/// loads one big-endian word while eight bytes remain — after it `n` is at
-/// least [`MAX_WIDTH`], so any single read needs at most one — and falls
-/// back to single bytes in the last seven.
+/// The reader is a bit position. Each read peeks the 64 stream bits from
+/// it — the big-endian word at byte `pos / 8` shifted left by `pos % 8`,
+/// so at least [`MAX_WIDTH`] of them are stream bits — and decodes a code
+/// of up to [`MAX_WIDTH`] bits from that one word; γ, δ and ζ₃ codes of
+/// up to 12 bits, most of what a list holds, take one code table
+/// lookup. A read first checks that its code ends inside the stream, so
+/// every overrun is [`CodecError::Truncated`] before any bit is used; the
+/// bits a peek holds past the end are zeros and are never read as code.
+/// Longer codes fall back to a unary count that may span many words.
 pub struct BitReader<'a> {
     data: &'a [u8],
-    /// Next byte not yet counted in `n`.
+    /// Stream position of the next bit to read, `0..=end`.
     pos: usize,
-    /// Stream bits, MSB first. Below the top `n` it holds either zeros or
-    /// the stream bits that follow (a word refill loads whole bytes it
-    /// does not count yet), so OR-ing those bits in again is harmless.
-    acc: u64,
-    /// Valid bits at the top of `acc`.
-    n: u32,
+    /// Stream length in bits.
+    end: usize,
 }
 
 impl<'a> BitReader<'a> {
@@ -190,94 +324,108 @@ impl<'a> BitReader<'a> {
         Self {
             data,
             pos: 0,
-            acc: 0,
-            n: 0,
+            // A slice holds at most isize::MAX bytes.
+            end: data.len().saturating_mul(8),
         }
     }
 
-    /// Tops `n` up to 57..=64 bits, or to whatever the stream has left.
-    /// Only called with `n < 64`.
+    /// Stream bits not read yet.
     #[inline]
-    fn refill(&mut self) {
-        if let Some(word) = self.data[self.pos..].first_chunk::<8>() {
-            self.acc |= u64::from_be_bytes(*word) >> self.n;
-            let bytes = (64 - self.n) / 8;
-            self.pos += bytes as usize;
-            self.n += bytes * 8;
-        } else {
-            while self.n <= 56 && self.pos < self.data.len() {
-                self.acc |= u64::from(self.data[self.pos]) << (56 - self.n);
-                self.pos += 1;
-                self.n += 8;
-            }
+    fn left(&self) -> usize {
+        self.end - self.pos
+    }
+
+    /// The 64 stream bits from the read position: see [`peek_at`].
+    #[inline]
+    fn peek(&self) -> u64 {
+        peek_at(self.data, self.pos)
+    }
+
+    /// Moves past a code of `len` bits if the stream holds them.
+    #[inline]
+    fn take(&mut self, len: u32) -> Result<(), CodecError> {
+        if len as usize > self.left() {
+            return Err(CodecError::Truncated);
         }
+        self.pos += len as usize;
+        Ok(())
+    }
+
+    /// The value of the code a [`CodeTable`] entry names for the next
+    /// bits, if it has one and the stream holds all of it.
+    #[inline]
+    fn lookup(&mut self, table: &CodeTable, word: u64) -> Option<u64> {
+        let e = table.0[(word >> (64 - TABLE_BITS)) as usize];
+        let len = u32::from(e & 15);
+        if len == 0 || self.take(len).is_err() {
+            return None;
+        }
+        Some(u64::from(e >> 4))
     }
 
     /// Reads `width` (≤ [`MAX_WIDTH`]) bits MSB-first.
     #[inline]
     pub fn read_bits(&mut self, width: u32) -> Result<u64, CodecError> {
         debug_assert!(width <= MAX_WIDTH);
-        if width == 0 {
-            return Ok(0);
-        }
-        if self.n < width {
-            self.refill();
-            if self.n < width {
-                return Err(CodecError::Truncated);
-            }
-        }
-        let v = self.acc >> (64 - width);
-        self.acc <<= width;
-        self.n -= width;
-        Ok(v)
+        let word = self.peek();
+        self.take(width)?;
+        // Two shifts, so a width of 0 reads 0.
+        Ok(word >> 1 >> (63 - width))
+    }
+
+    /// Reads `count` values of `width` (1..=32) bits each and appends
+    /// `min` plus each to `out`, after one check that the stream holds all
+    /// of them: where it does not, errs having read nothing. The caller
+    /// makes sure `min + 2^width − 1` fits in `u32`.
+    pub(crate) fn read_column(
+        &mut self,
+        width: u32,
+        count: usize,
+        min: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<(), CodecError> {
+        debug_assert!((1..=32).contains(&width));
+        debug_assert!(u64::from(min) + (1u64 << width) - 1 <= u64::from(u32::MAX));
+        let bits = count
+            .checked_mul(width as usize)
+            .filter(|&bits| bits <= self.left())
+            .ok_or(CodecError::Truncated)?;
+        let (data, start, width) = (self.data, self.pos, width as usize);
+        let value = |i: usize| min + (peek_at(data, start + i * width) >> (64 - width)) as u32;
+        out.extend((0..count).map(value));
+        self.pos += bits;
+        Ok(())
     }
 
     /// Reads a unary code (count of zeros before the terminating one).
-    #[inline]
     fn read_unary(&mut self) -> Result<u64, CodecError> {
         let mut count = 0u64;
         loop {
-            if self.n == 0 {
-                self.refill();
-                if self.n == 0 {
-                    return Err(CodecError::Truncated);
-                }
+            // The peek's stream bits: at least one, since some are left.
+            let valid = self.left().min(64 - (self.pos & 7)) as u32;
+            if valid == 0 {
+                return Err(CodecError::Truncated);
             }
-            let lz = self.acc.leading_zeros();
-            if lz < self.n {
-                // `lz + 1` may be 64 when all 64 bits are valid.
-                self.acc = self.acc << lz << 1;
-                self.n -= lz + 1;
+            let lz = self.peek().leading_zeros();
+            if lz < valid {
+                self.pos += lz as usize + 1;
                 return Ok(count + u64::from(lz));
             }
-            // All valid bits are zeros; drop them (and the uncounted bits
-            // below, which the next refill loads again).
-            count += u64::from(self.n);
-            self.acc = 0;
-            self.n = 0;
-        }
-    }
-
-    /// Tops the valid bits up to a whole refill unless [`MAX_WIDTH`] are
-    /// already there: the codes' fast paths decode from `acc` alone.
-    #[inline]
-    fn fill(&mut self) {
-        if self.n < MAX_WIDTH {
-            self.refill();
+            count += u64::from(valid);
+            self.pos += valid as usize;
         }
     }
 
     #[inline]
     pub fn read_gamma(&mut self) -> Result<u64, CodecError> {
-        self.fill();
-        let b = self.acc.leading_zeros();
-        // Fast path: unary, stop bit and mantissa are all valid bits.
-        let len = 2 * b + 1;
-        if len <= self.n {
-            let v = self.acc >> (64 - len);
-            self.acc <<= len;
-            self.n -= len;
-            return Ok(v - 1);
+        let word = self.peek();
+        if let Some(n) = self.lookup(&GAMMA, word) {
+            return Ok(n);
+        }
+        // `b` zeros, then `n + 1` in `b + 1` bits: one word while it fits.
+        let b = word.leading_zeros();
+        if 2 * b < MAX_WIDTH && self.take(2 * b + 1).is_ok() {
+            return Ok((word >> (63 - 2 * b)) - 1);
         }
         let b = self.read_unary()?;
         if b > 63 {
@@ -289,6 +437,21 @@ impl<'a> BitReader<'a> {
 
     #[inline]
     pub fn read_delta(&mut self) -> Result<u64, CodecError> {
+        let word = self.peek();
+        if let Some(n) = self.lookup(&DELTA, word) {
+            return Ok(n);
+        }
+        // γ(b) — `b + 1` in `2e + 1` bits — then the `b`-bit mantissa: one
+        // word while the whole code fits.
+        let e = word.leading_zeros();
+        if 2 * e < MAX_WIDTH {
+            let b = (word >> (63 - 2 * e)) as u32 - 1;
+            let len = 2 * e + 1 + b;
+            if len <= MAX_WIDTH && self.take(len).is_ok() {
+                let mantissa = (word << (2 * e + 1)) >> 1 >> (63 - b);
+                return Ok(((1u64 << b) | mantissa) - 1);
+            }
+        }
         let b = self.read_gamma()?;
         if b > 63 {
             return Err(CodecError::Corrupt("delta exponent out of range"));
@@ -300,25 +463,29 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub fn read_zeta(&mut self, k: u32) -> Result<u64, CodecError> {
         debug_assert!((1..=20).contains(&k));
-        self.fill();
-        let h = self.acc.leading_zeros();
-        // Fast path (k ≥ 2): unary, stop bit and the offset — at most
-        // `need` bits — are all valid bits. The shard holds
-        // base·(2^k − 1) values, so the minimal-binary code of the offset
-        // has `s = (h + 1)·k` bits and its threshold is `base` itself.
+        let word = self.peek();
+        if k == 3 {
+            if let Some(n) = self.lookup(&ZETA3, word) {
+                return Ok(n);
+            }
+        }
+        let h = word.leading_zeros();
+        // One word (k ≥ 2): unary, stop bit and the offset — at most
+        // `need` bits — are all in it. The shard holds base·(2^k − 1)
+        // values, so the minimal-binary code of the offset has
+        // `s = (h + 1)·k` bits and its threshold is `base` itself.
         let need = (h + 1) * (k + 1);
-        if k >= 2 && need < 64 && need <= self.n {
+        if k >= 2 && need <= MAX_WIDTH {
             let base = 1u64 << (h * k);
             let s = (h + 1) * k;
-            let rest = self.acc << (h + 1);
+            let rest = word << (h + 1);
             // The long form takes one more bit and subtracts `base`;
             // chosen without a branch, since it is a coin flip.
             let long = u32::from(rest >> (64 - (s - 1)) >= base);
             let off = (rest >> (64 - (s - 1 + long))) - (base & u64::from(long).wrapping_neg());
-            let len = h + s + long;
-            self.acc <<= len;
-            self.n -= len;
-            return Ok(base + off - 1);
+            if self.take(h + s + long).is_ok() {
+                return Ok(base + off - 1);
+            }
         }
         let h = self.read_unary()?;
         if h as u32 * k > 63 {
@@ -332,6 +499,43 @@ impl<'a> BitReader<'a> {
         };
         let off = self.read_minimal_binary(span)?;
         Ok(base + off - 1)
+    }
+
+    /// Reads `n` ζ₃ codes and hands each value to `put`, which may end
+    /// the read with an error. Table codes come from one peek while the
+    /// next 12-bit index lies in its [`MAX_WIDTH`] stream bits — at least
+    /// four codes, since each is at most 12 bits: the index is the word
+    /// shifted past the codes before it, which keeps the position and the
+    /// memory load off the path from one code to the next. A code the
+    /// table does not hold, or one that would end past the stream, is read
+    /// by [`BitReader::read_zeta`].
+    #[inline]
+    pub(crate) fn read_zeta3s(
+        &mut self,
+        mut n: usize,
+        mut put: impl FnMut(u64) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        while n > 0 {
+            let (mut word, room) = (self.peek(), self.left());
+            let mut used = 0;
+            while n > 0 && used <= (MAX_WIDTH - TABLE_BITS) as usize {
+                let e = ZETA3.0[(word >> (64 - TABLE_BITS)) as usize];
+                let len = u32::from(e & 15);
+                if len == 0 || used + len as usize > room {
+                    break;
+                }
+                word <<= len;
+                used += len as usize;
+                n -= 1;
+                put(u64::from(e >> 4))?;
+            }
+            self.pos += used;
+            if used == 0 {
+                put(self.read_zeta(3)?)?;
+                n -= 1;
+            }
+        }
+        Ok(())
     }
 
     fn read_minimal_binary(&mut self, m: u64) -> Result<u64, CodecError> {

@@ -50,8 +50,8 @@ pub const ZETA_K: u32 = 3;
 // entry and enters the list into its own slot. A candidate whose bit
 // never shows shares no id with the list and is skipped unpriced (see
 // `Encoder::choose`). For the others the pass records the stretches of
-// the list they copy (`Match`): exactly the positions the two-pointer
-// multiset intersection of `decompose` copies, since both copy an id's
+// the list they copy (`Match`): exactly the positions a two-pointer
+// multiset intersection of the two lists copies, since both copy an id's
 // first min(count here, count there) occurrences, in order.
 //
 // A candidate is priced from its matches and the alone plan
@@ -66,7 +66,8 @@ pub const ZETA_K: u32 = 3;
 // sums give in O(1) per kept stretch, and the first piece after each
 // edit is re-linked to the piece now before it (`Relinked`): the price is
 // the exact bit length the candidate's plan would have. Only a reference
-// that wins is decomposed into the plan it is written from. Cost helpers
+// that wins gets the plan it is written from, built from the same
+// matches (`ListPlan::copy`), again with no merge. Cost helpers
 // must stay in lockstep with `bits::BitWriter` —
 // `tests::cost_helpers_match_writer` enforces it, and
 // `tests::streaming_choice_matches_exhaustive_planner` holds every price
@@ -269,11 +270,43 @@ impl ListPlan {
         self.residuals.clear();
     }
 
-    /// Overwrites the plan with `cur`'s decomposition against `rl`, the
-    /// list `r` positions back.
-    fn build(&mut self, cur: &[u32], rl: &[u32], r: u64) {
+    /// Overwrites the plan with `cur`'s against the list `r` positions
+    /// back, of `rl_len` ids, from the stretches of `cur` that list copies
+    /// (`matches`, as [`Encoder::share`] records them): the plan a merge
+    /// of the two lists builds, without merging them. The copy
+    /// blocks follow from the copied reference positions, as
+    /// [`Encoder::price`] counts them; the ids left over split into
+    /// maximal runs, a run going on across a copied stretch.
+    fn copy(&mut self, cur: &[u32], rl_len: usize, matches: &[Match], r: u64) {
         self.clear(r);
-        decompose(cur, rl, self);
+        let mut blocks = BlockRuns::START;
+        let mut next = 0;
+        for m in matches {
+            let skipped = (m.from - next) as usize;
+            blocks.push(false, skipped, &mut |len| self.blocks.push(len));
+            blocks.push(true, m.len as usize, &mut |len| self.blocks.push(len));
+            next = m.from + m.len;
+        }
+        blocks.push(false, rl_len - next as usize, &mut |len| {
+            self.blocks.push(len)
+        });
+        let (mut run_first, mut run_len) = (0u64, 0u64);
+        let mut pos = 0;
+        let stretches = matches
+            .iter()
+            .map(|m| (m.at as usize, (m.at + m.len) as usize));
+        for (at, end) in stretches.chain([(cur.len(), cur.len())]) {
+            for &v in &cur[pos..at] {
+                if run_len > 0 && u64::from(v) == run_first + run_len {
+                    run_len += 1;
+                } else {
+                    self.push_run(run_first, run_len);
+                    (run_first, run_len) = (u64::from(v), 1);
+                }
+            }
+            pos = end;
+        }
+        self.push_run(run_first, run_len);
     }
 
     /// Appends a finished run of `len` consecutive ids from `first`: an
@@ -317,34 +350,6 @@ impl BlockRuns {
     }
 }
 
-/// Decomposes `cur` against reference `rl` into `plan` in one merge. A
-/// two-pointer multiset intersection decides which reference positions
-/// are copied; the ids it leaves over ("extras") split into maximal runs
-/// of consecutive ids.
-fn decompose(cur: &[u32], rl: &[u32], plan: &mut ListPlan) {
-    let mut blocks = BlockRuns::START;
-    let (mut run_first, mut run_len) = (0u64, 0u64);
-    let mut j = 0usize;
-    for &v in cur {
-        let skipped_from = j;
-        while j < rl.len() && rl[j] < v {
-            j += 1;
-        }
-        blocks.push(false, j - skipped_from, &mut |len| plan.blocks.push(len));
-        if j < rl.len() && rl[j] == v {
-            blocks.push(true, 1, &mut |len| plan.blocks.push(len));
-            j += 1;
-        } else if run_len > 0 && u64::from(v) == run_first + run_len {
-            run_len += 1;
-        } else {
-            plan.push_run(run_first, run_len);
-            (run_first, run_len) = (u64::from(v), 1);
-        }
-    }
-    blocks.push(false, rl.len() - j, &mut |len| plan.blocks.push(len));
-    plan.push_run(run_first, run_len);
-}
-
 /// Where a run of an [`AlonePlan`] starts in the list, and how many
 /// residuals and intervals come before it in the plan.
 #[derive(Copy, Clone)]
@@ -371,8 +376,8 @@ struct AlonePlan {
 }
 
 impl AlonePlan {
-    /// Overwrites the plan with `cur`'s, its runs split as [`decompose`]
-    /// splits them.
+    /// Overwrites the plan with `cur`'s, its runs split as
+    /// [`ListPlan::copy`] splits the ids a reference leaves over.
     fn build(&mut self, cur: &[u32]) {
         let p = &mut self.plan;
         p.clear(0);
@@ -494,13 +499,16 @@ struct WindowIndex {
 }
 
 impl WindowIndex {
-    /// Empties the index for a new extent.
-    fn reset(&mut self) {
+    /// Empties the index for a new extent of `ids` ids, sized for them
+    /// at once: the table for as many distinct ids, each position its
+    /// entry.
+    fn reset(&mut self, ids: usize) {
         self.keys.clear();
         self.slots.clear();
         self.pos.clear();
         self.entry.clear();
-        self.rehash(16);
+        self.entry.reserve(ids);
+        self.rehash((2 * ids).next_power_of_two().max(16));
     }
 
     /// Resizes the table to `cells` (a power of two) and re-enters every
@@ -585,7 +593,7 @@ impl Encoder {
     fn write_lists(&mut self, f: &FragmentColumns, w: &mut BitWriter) {
         let windowed = f.len() > 1;
         if windowed {
-            self.window.reset();
+            self.window.reset(f.ids.len());
         }
         let mut anchor = None;
         for k in 0..f.len() {
@@ -616,7 +624,9 @@ impl Encoder {
             let plan = if r == 0 {
                 &self.alone.plan
             } else {
-                self.plan.build(cur, &f.ids[f.span(k - r as usize)], r);
+                let back = k - r as usize;
+                self.plan
+                    .copy(cur, f.span(back).len(), &self.matches[back % SLOTS], r);
                 &self.plan
             };
             write_plan(w, plan, cur.len(), anchor);
@@ -671,7 +681,8 @@ impl Encoder {
     /// that hold any of its ids, and leaves in `matches[s]` the stretches
     /// of the list that slot `s`'s list copies: of each id, its first
     /// min(count here, count there) occurrences, copied from that list's
-    /// first occurrences, as [`decompose`] pairs them.
+    /// first occurrences, as a two-pointer multiset intersection pairs
+    /// them.
     fn share(&mut self, f: &FragmentColumns, k: usize) -> u8 {
         let cur = &f.ids[f.span(k)];
         let own = k % SLOTS;
@@ -875,6 +886,8 @@ pub(crate) struct ListScratch {
     copied: Vec<u32>,
     /// `(left, len)` runs.
     intervals: Vec<(u32, u32)>,
+    /// The intervals' ids, in order.
+    expanded: Vec<u32>,
     residuals: Vec<u32>,
 }
 
@@ -883,10 +896,6 @@ const DONE: u64 = u64::MAX;
 
 fn head(v: &[u32], i: usize) -> u64 {
     v.get(i).map_or(DONE, |&x| u64::from(x))
-}
-
-fn interval_head(v: &[(u32, u32)], i: usize) -> u64 {
-    v.get(i).map_or(DONE, |&(left, _)| u64::from(left))
 }
 
 /// Decodes one list of `count` ids written by [`write_plan`] and appends it
@@ -904,7 +913,6 @@ fn read_list(
     }
     s.copied.clear();
     s.intervals.clear();
-    s.residuals.clear();
     let rref = r.read_gamma()?;
     if rref != 0 {
         let back = usize::try_from(rref).map_err(|_| CodecError::Corrupt("bv ref too far"))?;
@@ -977,59 +985,86 @@ fn read_list(
         .checked_sub(s.copied.len())
         .and_then(|x| x.checked_sub(extra_total))
         .ok_or(CodecError::Corrupt("bv list pieces exceed count"))?;
-    if nresiduals > 0 {
-        let mut prev = read_first(r, anchor)?;
-        s.residuals.push(prev);
-        for _ in 1..nresiduals {
-            let gap = r.read_zeta(ZETA_K)?;
-            prev = gap
-                .checked_add(u64::from(prev))
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or(CodecError::Corrupt("bv residual overflow"))?;
-            s.residuals.push(prev);
-        }
-    }
-    let start = ids.len();
     if s.copied.is_empty() && s.intervals.is_empty() {
         // Residuals only (most lists): they are the list.
-        ids.extend_from_slice(&s.residuals);
+        return read_residuals(r, nresiduals, anchor, ids);
+    }
+    s.residuals.clear();
+    read_residuals(r, nresiduals, anchor, &mut s.residuals)?;
+    if s.intervals.is_empty() {
+        merge(&s.copied, &s.residuals, ids);
         return Ok(());
     }
-    // Three-way merge of the sorted pieces back into the sorted list; an
-    // exhausted piece reads as `DONE`, above every id.
-    let (mut ci, mut ri, mut ii, mut ioff) = (0usize, 0usize, 0usize, 0u32);
-    let (mut cv, mut rv, mut iv) = (
-        head(&s.copied, 0),
-        head(&s.residuals, 0),
-        interval_head(&s.intervals, 0),
-    );
-    loop {
-        let m = cv.min(rv).min(iv);
-        if m == DONE {
-            break;
-        }
-        ids.push(m as u32);
-        if cv == m {
-            ci += 1;
-            cv = head(&s.copied, ci);
-        } else if iv == m {
-            ioff += 1;
-            if ioff == s.intervals[ii].1 {
-                ii += 1;
-                ioff = 0;
-                iv = interval_head(&s.intervals, ii);
-            } else {
-                iv += 1;
-            }
-        } else {
-            ri += 1;
-            rv = head(&s.residuals, ri);
-        }
+    s.expanded.clear();
+    for &(left, len) in &s.intervals {
+        let ids = u64::from(left)..u64::from(left) + u64::from(len);
+        s.expanded.extend(ids.map(|id| id as u32));
     }
+    let start = ids.len();
+    merge3(&s.copied, &s.expanded, &s.residuals, ids);
     if ids.len() - start != count {
         return Err(CodecError::Corrupt("bv list length mismatch"));
     }
     Ok(())
+}
+
+/// Reads `n` residuals — the first against `anchor`, then ζ₃ gaps — and
+/// appends them to `out`.
+fn read_residuals(
+    r: &mut BitReader<'_>,
+    n: usize,
+    anchor: Option<u32>,
+    out: &mut Vec<u32>,
+) -> Result<(), CodecError> {
+    const _: () = assert!(ZETA_K == 3, "residual gaps decode as ζ₃");
+    if n == 0 {
+        return Ok(());
+    }
+    let mut prev = read_first(r, anchor)?;
+    out.push(prev);
+    r.read_zeta3s(n - 1, |gap| {
+        prev = gap
+            .checked_add(u64::from(prev))
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or(CodecError::Corrupt("bv residual overflow"))?;
+        out.push(prev);
+        Ok(())
+    })
+}
+
+/// Appends the merge of `a` and `b` to `out`, taking from `a` on ties:
+/// [`merge3`] with no intervals, as a two-way merge.
+fn merge(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        let from_a = x <= y;
+        out.push(if from_a { x } else { y });
+        i += usize::from(from_a);
+        j += usize::from(!from_a);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// Appends the three-way merge of a list's copied ids `a`, interval ids
+/// `b` and residuals `c` to `out`: the smallest head each time, the
+/// first of `a`, `b`, `c` on ties, and an exhausted piece reads as
+/// `DONE`, above every id. Each id is chosen without a branch.
+fn merge3(a: &[u32], b: &[u32], c: &[u32], out: &mut Vec<u32>) {
+    let total = a.len() + b.len() + c.len();
+    out.reserve(total);
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    for _ in 0..total {
+        let (x, y, z) = (head(a, i), head(b, j), head(c, k));
+        let m = x.min(y).min(z);
+        out.push(m as u32);
+        let (from_a, from_b) = (x == m, x != m && y == m);
+        i += usize::from(from_a);
+        j += usize::from(from_b);
+        k += usize::from(!from_a && !from_b);
+    }
 }
 
 // -------------------------------------------------------- weight column
@@ -1072,6 +1107,13 @@ fn read_weights(
     }
     if width == 0 {
         vals.resize(vals.len() + count, min);
+        return Ok(());
+    }
+    // No value can overflow: one check that the stream holds the column.
+    // Where it does not, the loop below finds where it ends.
+    if u64::from(min) + (1u64 << width) - 1 <= u64::from(u32::MAX)
+        && r.read_column(width, count, min, vals).is_ok()
+    {
         return Ok(());
     }
     for _ in 0..count {
@@ -1719,7 +1761,7 @@ mod tests {
     fn check_against_oracle(lists: &[Vec<u32>]) -> Seen {
         let f = columns(lists);
         let mut s = Encoder::default();
-        s.window.reset();
+        s.window.reset(f.ids.len());
         let (mut anchor, mut seen) = (None, Seen::default());
         let (mut streamed, mut exhaustive) = (BitWriter::new(), BitWriter::new());
         for (k, cur) in lists.iter().enumerate() {

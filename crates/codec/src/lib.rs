@@ -53,6 +53,8 @@ pub mod bv;
 pub mod ef;
 pub mod frame;
 pub mod gaps;
+#[cfg(test)]
+mod oracle;
 pub mod varint;
 
 use std::fmt;

@@ -48,7 +48,7 @@ pub(crate) fn invalid(why: impl ToString) -> io::Error {
 }
 
 /// Accepts extents in index order and accumulates the directory.
-pub struct ExtentWriter {
+pub struct ExtentWriter<'e> {
     file: VfsFile,
     codec: CodecChoice,
     kind: ExtentKind,
@@ -58,20 +58,23 @@ pub struct ExtentWriter {
     /// Cumulative logical bytes; kept only under a codec (without one
     /// they would repeat `phys`).
     logi: Option<Vec<u64>>,
-    /// Codes extent after extent in the same buffers.
-    encoder: ExtentEncoder,
+    /// Codes extent after extent in the same buffers, which the caller
+    /// keeps: a build that writes file after file passes one encoder on,
+    /// so its buffers grow once.
+    encoder: &'e mut ExtentEncoder,
 }
 
-impl ExtentWriter {
+impl<'e> ExtentWriter<'e> {
     /// Creates (or truncates) `name` for exactly `extents` extents of
-    /// record structure `kind`.
+    /// record structure `kind`, coded (under a codec) in `encoder`.
     pub fn create(
         vfs: &dyn Vfs,
         name: &str,
         kind: ExtentKind,
         codec: CodecChoice,
         extents: usize,
-    ) -> io::Result<ExtentWriter> {
+        encoder: &'e mut ExtentEncoder,
+    ) -> io::Result<ExtentWriter<'e>> {
         let offsets = || {
             let mut v = Vec::with_capacity(extents + 1);
             v.push(0);
@@ -84,7 +87,7 @@ impl ExtentWriter {
             extents,
             phys: offsets(),
             logi: (!codec.is_none()).then(offsets),
-            encoder: ExtentEncoder::default(),
+            encoder,
         })
     }
 
@@ -381,8 +384,9 @@ mod tests {
     }
 
     fn write(vfs: &MemVfs, codec: CodecChoice, raws: &[Vec<u8>]) -> ExtentFile {
-        let mut w =
-            ExtentWriter::create(vfs, "x", ExtentKind::Fragments, codec, raws.len()).unwrap();
+        let mut encoder = ExtentEncoder::default();
+        let kind = ExtentKind::Fragments;
+        let mut w = ExtentWriter::create(vfs, "x", kind, codec, raws.len(), &mut encoder).unwrap();
         for raw in raws {
             w.append(raw).unwrap();
         }
@@ -433,7 +437,9 @@ mod tests {
         for codec in CodecChoice::ALL {
             for (kind, raws) in [(ExtentKind::Fragments, &raws), (ExtentKind::Edges, &runs)] {
                 let vfs = MemVfs::new();
-                let mut w = ExtentWriter::create(&vfs, "x", kind, codec, raws.len()).unwrap();
+                let mut encoder = ExtentEncoder::default();
+                let mut w =
+                    ExtentWriter::create(&vfs, "x", kind, codec, raws.len(), &mut encoder).unwrap();
                 for raw in raws {
                     w.append(raw).unwrap();
                 }
@@ -474,9 +480,9 @@ mod tests {
 
     #[test]
     fn wrong_extent_count_is_rejected() {
-        let vfs = MemVfs::new();
-        let mut w =
-            ExtentWriter::create(&vfs, "x", ExtentKind::Fragments, CodecChoice::None, 9).unwrap();
+        let (vfs, mut encoder) = (MemVfs::new(), ExtentEncoder::default());
+        let (kind, codec) = (ExtentKind::Fragments, CodecChoice::None);
+        let mut w = ExtentWriter::create(&vfs, "x", kind, codec, 9, &mut encoder).unwrap();
         w.append(&[]).unwrap();
         assert_eq!(
             w.finish().err().map(|e| e.kind()),

@@ -22,7 +22,7 @@ use crate::extent::{self, ExtentFile, ExtentWriter};
 use crate::record::Record;
 use crate::stats::{AccessClass, IoStats};
 use crate::vfs::Vfs;
-use hybridgraph_codec::{CodecChoice, ExtentKind, FragmentColumns};
+use hybridgraph_codec::{CodecChoice, ExtentEncoder, ExtentKind, FragmentColumns};
 use hybridgraph_graph::{BlockId, BlockLayout, Edge, Graph, VertexId, WorkerId};
 use std::io;
 use std::sync::Arc;
@@ -167,7 +167,7 @@ impl EblockBuf {
     }
 
     /// Appends the Eblock as `w`'s next extent; returns its stored bytes.
-    fn append_to(&self, w: &mut ExtentWriter, codec: CodecChoice) -> io::Result<u64> {
+    fn append_to(&self, w: &mut ExtentWriter<'_>, codec: CodecChoice) -> io::Result<u64> {
         if codec.is_none() {
             w.append(&self.raw)
         } else {
@@ -246,6 +246,8 @@ impl VeBlockStore {
         // One Eblock per destination block, refilled for each local block.
         let mut eblocks: Vec<EblockBuf> = Vec::new();
         eblocks.resize_with(num_blocks, EblockBuf::default);
+        // One encoder codes every file.
+        let mut encoder = ExtentEncoder::default();
 
         for &bj in &local_blocks {
             let range = layout.block_range(bj);
@@ -275,7 +277,8 @@ impl VeBlockStore {
             }
             // Concatenate the Eblocks into this block's file.
             let name = format!("eblk_{}", bj.0);
-            let mut w = ExtentWriter::create(vfs, &name, ExtentKind::Fragments, codec, num_blocks)?;
+            let kind = ExtentKind::Fragments;
+            let mut w = ExtentWriter::create(vfs, &name, kind, codec, num_blocks, &mut encoder)?;
             let mut totals = ScanTotals::default();
             for eblock in &eblocks {
                 let stored = eblock.append_to(&mut w, codec)?;

@@ -21,7 +21,7 @@ use crate::Scale;
 use hybridgraph_graph::StreamSpec;
 use hybridgraph_storage::extent::{self, ExtentFile, ExtentWriter};
 use hybridgraph_storage::{
-    AccessClass, CodecChoice, DirVfs, ExtentEncoder, ExtentKind, FragmentColumns, MemVfs, Vfs,
+    AccessClass, CodecChoice, DirVfs, ExtentKind, FragmentColumns, MemVfs, Vfs,
 };
 use std::sync::Arc;
 
@@ -44,9 +44,7 @@ fn build(spec: &StreamSpec, vfs: &dyn Vfs, codec: CodecChoice) -> Built {
     let bs = u64::from(spec.block_size());
     let n = spec.vertices;
     let cells_total = nblocks as usize * nblocks as usize;
-    let mut encoder = ExtentEncoder::default();
-    let kind = ExtentKind::Fragments;
-    let mut w = ExtentWriter::create(vfs, "billion", kind, codec, cells_total, &mut encoder)
+    let mut w = ExtentWriter::create(vfs, "billion", ExtentKind::Fragments, codec, cells_total)
         .expect("create store");
     let mut deg = vec![0u32; n as usize];
     let mut dsts: Vec<u32> = Vec::new();

@@ -15,20 +15,24 @@
 //!   the 64 bits at byte `pos / 8` shifted by `pos % 8` — at least
 //!   [`MAX_WIDTH`] stream bits, zeros past the end — and decodes its code
 //!   from that one word, with no refill branch per code.
-//! * *Code tables.* γ, δ and ζ₃ codes of up to 12 bits — most of a
-//!   list's — decode in one lookup in a 4,096-entry table built at
-//!   compile time from the same code functions [`BitWriter`] writes with
-//!   (`Code::of`). A run of ζ₃ residual gaps takes several codes from
-//!   one peek. Longer codes decode from the word's leading zeros, or
-//!   through a unary count that may span words.
+//! * *A ζ₃ table.* ζ₃ codes of up to 12 bits — 97 % of a LiveJ-like
+//!   graph's residual gaps — decode in one lookup in a 4,096-entry table
+//!   built at compile time from the code parts [`BitWriter`] writes, and
+//!   a run of residual gaps takes several codes from one peek. γ and δ
+//!   codes, and longer ζ codes, decode from the word's leading zeros, or
+//!   through a unary count that may span words. (γ and δ tables of the
+//!   same size decoded the LiveJ Eblocks 0–3 % slower than the leading
+//!   zeros alone, so there are none.)
 //! * *One check per column.* A weight column of `count` values of
 //!   `width` bits is checked against the bits left once, then read
 //!   without a check per value.
 //!
 //! Why each check still holds: a read uses a code only after checking
 //! that the stream holds all of its bits, so the zeros a peek holds past
-//! the end are never read as code and every overrun is `Truncated`; a
-//! read that errs consumes nothing. The bulk column read checks
+//! the end are never read as code and every overrun is `Truncated`. A read
+//! that errs may have moved the position (a unary count, a split read, a
+//! run of ζ₃ codes), so any error ends the decode — except a failed
+//! `BitReader::read_column`, which reads nothing: it checks
 //! `count · width` (overflow-checked) against the bits left before it
 //! reads any value, and where that fails, or where `min + 2^width − 1`
 //! could overflow `u32`, the caller reads value by value with the
@@ -99,26 +103,29 @@ impl BitWriter {
 
     /// Elias γ: unary exponent then the mantissa of `n + 1`.
     pub fn write_gamma(&mut self, n: u64) {
-        let (code, width) = gamma_code(n);
-        if width <= MAX_WIDTH {
-            self.write_bits(code, width);
+        let v = n + 1;
+        let b = 63 - v.leading_zeros();
+        if 2 * b < MAX_WIDTH {
+            // `b` zeros, then `v`'s `b + 1` bits: `v` itself in `2b + 1`.
+            self.write_bits(v, 2 * b + 1);
         } else {
-            let b = width / 2;
-            self.write_unary(u64::from(b));
-            self.write_split(code & ((1u64 << b) - 1), b);
+            self.write_unary(b as u64);
+            self.write_split(v & ((1u64 << b) - 1), b);
         }
     }
 
     /// Elias δ: γ-coded exponent then the mantissa of `n + 1`.
     pub fn write_delta(&mut self, n: u64) {
-        let (code, width) = delta_code(n);
-        if width <= MAX_WIDTH {
-            self.write_bits(code, width);
+        let v = n + 1;
+        let b = 63 - v.leading_zeros();
+        let mantissa = v & ((1u64 << b) - 1);
+        let e = 63 - (u64::from(b) + 1).leading_zeros();
+        if 2 * e + 1 + b <= MAX_WIDTH {
+            // γ(b) is `b + 1` in `2e + 1` bits; the mantissa follows.
+            self.write_bits(((u64::from(b) + 1) << b) | mantissa, 2 * e + 1 + b);
         } else {
-            let v = n + 1;
-            let b = 63 - v.leading_zeros();
-            self.write_gamma(u64::from(b));
-            self.write_split(v & ((1u64 << b) - 1), b);
+            self.write_gamma(b as u64);
+            self.write_split(mantissa, b);
         }
     }
 
@@ -165,25 +172,6 @@ impl BitWriter {
     }
 }
 
-/// `n`'s γ code as one word: `n + 1` in `2b + 1` bits, `b` its
-/// exponent. The word holds the whole code only where the width is at
-/// most 64.
-const fn gamma_code(n: u64) -> (u64, u32) {
-    let v = n + 1;
-    (v, 2 * (63 - v.leading_zeros()) + 1)
-}
-
-/// `n`'s δ code as one word: γ of the exponent `b` of `n + 1` — `b + 1`
-/// in `2e + 1` bits — then its `b`-bit mantissa. The word holds the whole
-/// code only where the width is at most 64.
-const fn delta_code(n: u64) -> (u64, u32) {
-    let v = n + 1;
-    let b = 63 - v.leading_zeros();
-    let mantissa = v & ((1u64 << b) - 1);
-    let e = 63 - (b as u64 + 1).leading_zeros();
-    (((b as u64 + 1) << b) | mantissa, 2 * e + 1 + b)
-}
-
 /// `n`'s ζ_k code in parts: the shard `h`, written in unary, and the
 /// minimal-binary offset `x` in the shard, `width` bits.
 const fn zeta_parts(n: u64, k: u32) -> (u32, u64, u32) {
@@ -217,48 +205,27 @@ const fn minimal_binary(x: u64, m: u64) -> (u64, u32) {
     }
 }
 
-/// Bits a [`CodeTable`] indexes: codes of up to this many bits decode
-/// in one lookup.
+/// Bits the [`ZETA3`] table indexes: ζ₃ codes of up to this many bits
+/// decode in one lookup.
 const TABLE_BITS: u32 = 12;
 
-/// A decoding table of one code: entry `p` is `n << 4 | len` for the
-/// value `n` whose code, `len` bits, the `TABLE_BITS`-bit prefix `p` of
-/// the stream starts with, or 0 where that code is longer than
-/// `TABLE_BITS` bits. Each is built at compile time from the encoder's
-/// own code function (`Code::of`), so a table cannot disagree with what
-/// [`BitWriter`] writes.
+/// A ζ₃ decoding table: entry `p` is `n << 4 | len` for the value `n`
+/// whose code, `len` bits, the `TABLE_BITS`-bit prefix `p` of the stream
+/// starts with, or 0 where that code is longer than `TABLE_BITS` bits.
+/// It is built at compile time from the code parts [`BitWriter::write_zeta`]
+/// writes (`zeta_parts`), so it cannot disagree with what the writer wrote.
 struct CodeTable([u16; 1 << TABLE_BITS]);
 
-/// The codes with a [`CodeTable`].
-#[derive(Copy, Clone)]
-enum Code {
-    Gamma,
-    Delta,
-    Zeta3,
-}
-
-impl Code {
-    /// The bits and width [`BitWriter`] writes for `n`, for every `n`
-    /// whose code fits in [`MAX_WIDTH`] bits.
-    const fn of(self, n: u64) -> (u64, u32) {
-        match self {
-            Code::Gamma => gamma_code(n),
-            Code::Delta => delta_code(n),
-            Code::Zeta3 => {
-                let (h, x, width) = zeta_parts(n, 3);
-                ((1 << width) | x, h + 1 + width)
-            }
-        }
-    }
-
-    const fn table(self) -> CodeTable {
+impl CodeTable {
+    const fn zeta3() -> CodeTable {
         let mut t = [0u16; 1 << TABLE_BITS];
         // Every code of ≤ TABLE_BITS bits stands for a value below
         // 2^TABLE_BITS, and no code is a prefix of another, so each entry
         // is filled at most once.
         let mut n = 0u64;
         while n < 1 << TABLE_BITS {
-            let (code, len) = self.of(n);
+            let (h, x, width) = zeta_parts(n, 3);
+            let (code, len) = ((1 << width) | x, h + 1 + width);
             if len <= TABLE_BITS {
                 let first = (code << (TABLE_BITS - len)) as usize;
                 let mut p = first;
@@ -273,9 +240,7 @@ impl Code {
     }
 }
 
-static GAMMA: CodeTable = Code::Gamma.table();
-static DELTA: CodeTable = Code::Delta.table();
-static ZETA3: CodeTable = Code::Zeta3.table();
+static ZETA3: CodeTable = CodeTable::zeta3();
 
 /// The 64 bits of `data` from bit `pos` on, MSB first, zeros past the
 /// end: the big-endian word at byte `pos / 8` shifted left by `pos % 8`,
@@ -305,12 +270,14 @@ fn tail_word(data: &[u8], byte: usize) -> u64 {
 /// The reader is a bit position. Each read peeks the 64 stream bits from
 /// it — the big-endian word at byte `pos / 8` shifted left by `pos % 8`,
 /// so at least [`MAX_WIDTH`] of them are stream bits — and decodes a code
-/// of up to [`MAX_WIDTH`] bits from that one word; γ, δ and ζ₃ codes of
-/// up to 12 bits, most of what a list holds, take one code table
-/// lookup. A read first checks that its code ends inside the stream, so
-/// every overrun is [`CodecError::Truncated`] before any bit is used; the
-/// bits a peek holds past the end are zeros and are never read as code.
-/// Longer codes fall back to a unary count that may span many words.
+/// of up to [`MAX_WIDTH`] bits from that one word; ζ₃ codes of up to 12
+/// bits, most of a list's residual gaps, take one table lookup. A read
+/// first checks that its code ends inside the stream, so every overrun is
+/// [`CodecError::Truncated`] before any bit is used; the bits a peek holds
+/// past the end are zeros and are never read as code. Longer codes fall
+/// back to a unary count that may span many words. After an error the
+/// position is unspecified, save after a failed
+/// `read_column`, which reads nothing.
 pub struct BitReader<'a> {
     data: &'a [u8],
     /// Stream position of the next bit to read, `0..=end`.
@@ -349,18 +316,6 @@ impl<'a> BitReader<'a> {
         }
         self.pos += len as usize;
         Ok(())
-    }
-
-    /// The value of the code a [`CodeTable`] entry names for the next
-    /// bits, if it has one and the stream holds all of it.
-    #[inline]
-    fn lookup(&mut self, table: &CodeTable, word: u64) -> Option<u64> {
-        let e = table.0[(word >> (64 - TABLE_BITS)) as usize];
-        let len = u32::from(e & 15);
-        if len == 0 || self.take(len).is_err() {
-            return None;
-        }
-        Some(u64::from(e >> 4))
     }
 
     /// Reads `width` (≤ [`MAX_WIDTH`]) bits MSB-first.
@@ -419,9 +374,6 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub fn read_gamma(&mut self) -> Result<u64, CodecError> {
         let word = self.peek();
-        if let Some(n) = self.lookup(&GAMMA, word) {
-            return Ok(n);
-        }
         // `b` zeros, then `n + 1` in `b + 1` bits: one word while it fits.
         let b = word.leading_zeros();
         if 2 * b < MAX_WIDTH && self.take(2 * b + 1).is_ok() {
@@ -438,9 +390,6 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub fn read_delta(&mut self) -> Result<u64, CodecError> {
         let word = self.peek();
-        if let Some(n) = self.lookup(&DELTA, word) {
-            return Ok(n);
-        }
         // γ(b) — `b + 1` in `2e + 1` bits — then the `b`-bit mantissa: one
         // word while the whole code fits.
         let e = word.leading_zeros();
@@ -464,11 +413,6 @@ impl<'a> BitReader<'a> {
     pub fn read_zeta(&mut self, k: u32) -> Result<u64, CodecError> {
         debug_assert!((1..=20).contains(&k));
         let word = self.peek();
-        if k == 3 {
-            if let Some(n) = self.lookup(&ZETA3, word) {
-                return Ok(n);
-            }
-        }
         let h = word.leading_zeros();
         // One word (k ≥ 2): unary, stop bit and the offset — at most
         // `need` bits — are all in it. The shard holds base·(2^k − 1)

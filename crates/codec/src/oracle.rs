@@ -1,5 +1,5 @@
 //! The extent decoders as they were before the position bit reader and
-//! the code tables: an accumulator bit reader that refills a word at a
+//! the ζ₃ table: an accumulator bit reader that refills a word at a
 //! time, byte-at-a-time varints and packed columns, and the bv list
 //! decoder with one three-way merge. They are kept, test-only, as the
 //! oracle the decoders of [`crate::decode_columns`] are held to: the same

@@ -12,7 +12,7 @@ use crate::extent::{ExtentFile, ExtentWriter};
 use crate::record::Record;
 use crate::stats::{AccessClass, IoStats};
 use crate::vfs::Vfs;
-use hybridgraph_codec::{CodecChoice, ExtentEncoder, ExtentKind, FragmentColumns};
+use hybridgraph_codec::{CodecChoice, ExtentKind, FragmentColumns};
 use hybridgraph_graph::{Edge, Graph, VertexId};
 use std::io;
 use std::ops::Range;
@@ -67,9 +67,7 @@ impl AdjacencyStore {
         range: Range<u32>,
         codec: CodecChoice,
     ) -> io::Result<AdjacencyStore> {
-        let mut encoder = ExtentEncoder::default();
-        let kind = ExtentKind::Edges;
-        let mut w = ExtentWriter::create(vfs, name, kind, codec, range.len(), &mut encoder)?;
+        let mut w = ExtentWriter::create(vfs, name, ExtentKind::Edges, codec, range.len())?;
         let mut buf = Vec::new();
         for v in range.clone() {
             buf.clear();

@@ -48,7 +48,7 @@ pub(crate) fn invalid(why: impl ToString) -> io::Error {
 }
 
 /// Accepts extents in index order and accumulates the directory.
-pub struct ExtentWriter<'e> {
+pub struct ExtentWriter {
     file: VfsFile,
     codec: CodecChoice,
     kind: ExtentKind,
@@ -58,23 +58,20 @@ pub struct ExtentWriter<'e> {
     /// Cumulative logical bytes; kept only under a codec (without one
     /// they would repeat `phys`).
     logi: Option<Vec<u64>>,
-    /// Codes extent after extent in the same buffers, which the caller
-    /// keeps: a build that writes file after file passes one encoder on,
-    /// so its buffers grow once.
-    encoder: &'e mut ExtentEncoder,
+    /// Codes extent after extent in the same buffers.
+    encoder: ExtentEncoder,
 }
 
-impl<'e> ExtentWriter<'e> {
+impl ExtentWriter {
     /// Creates (or truncates) `name` for exactly `extents` extents of
-    /// record structure `kind`, coded (under a codec) in `encoder`.
+    /// record structure `kind`.
     pub fn create(
         vfs: &dyn Vfs,
         name: &str,
         kind: ExtentKind,
         codec: CodecChoice,
         extents: usize,
-        encoder: &'e mut ExtentEncoder,
-    ) -> io::Result<ExtentWriter<'e>> {
+    ) -> io::Result<ExtentWriter> {
         let offsets = || {
             let mut v = Vec::with_capacity(extents + 1);
             v.push(0);
@@ -87,8 +84,15 @@ impl<'e> ExtentWriter<'e> {
             extents,
             phys: offsets(),
             logi: (!codec.is_none()).then(offsets),
-            encoder,
+            encoder: ExtentEncoder::default(),
         })
+    }
+
+    /// Swaps the writer's encoder with `encoder`: a build that writes file
+    /// after file swaps its one encoder in after `create` and out before
+    /// `finish`, so the encoder's buffers grow once, not once a file.
+    pub(crate) fn swap_encoder(&mut self, encoder: &mut ExtentEncoder) {
+        std::mem::swap(&mut self.encoder, encoder);
     }
 
     /// Appends the next extent as one sequential write and returns the
@@ -384,9 +388,8 @@ mod tests {
     }
 
     fn write(vfs: &MemVfs, codec: CodecChoice, raws: &[Vec<u8>]) -> ExtentFile {
-        let mut encoder = ExtentEncoder::default();
-        let kind = ExtentKind::Fragments;
-        let mut w = ExtentWriter::create(vfs, "x", kind, codec, raws.len(), &mut encoder).unwrap();
+        let mut w =
+            ExtentWriter::create(vfs, "x", ExtentKind::Fragments, codec, raws.len()).unwrap();
         for raw in raws {
             w.append(raw).unwrap();
         }
@@ -437,9 +440,7 @@ mod tests {
         for codec in CodecChoice::ALL {
             for (kind, raws) in [(ExtentKind::Fragments, &raws), (ExtentKind::Edges, &runs)] {
                 let vfs = MemVfs::new();
-                let mut encoder = ExtentEncoder::default();
-                let mut w =
-                    ExtentWriter::create(&vfs, "x", kind, codec, raws.len(), &mut encoder).unwrap();
+                let mut w = ExtentWriter::create(&vfs, "x", kind, codec, raws.len()).unwrap();
                 for raw in raws {
                     w.append(raw).unwrap();
                 }
@@ -480,9 +481,9 @@ mod tests {
 
     #[test]
     fn wrong_extent_count_is_rejected() {
-        let (vfs, mut encoder) = (MemVfs::new(), ExtentEncoder::default());
-        let (kind, codec) = (ExtentKind::Fragments, CodecChoice::None);
-        let mut w = ExtentWriter::create(&vfs, "x", kind, codec, 9, &mut encoder).unwrap();
+        let vfs = MemVfs::new();
+        let mut w =
+            ExtentWriter::create(&vfs, "x", ExtentKind::Fragments, CodecChoice::None, 9).unwrap();
         w.append(&[]).unwrap();
         assert_eq!(
             w.finish().err().map(|e| e.kind()),

@@ -13,7 +13,7 @@ use crate::extent::{self, ExtentFile, ExtentWriter};
 use crate::record::Record;
 use crate::stats::{seek_pad, AccessClass, IoStats};
 use crate::vfs::Vfs;
-use hybridgraph_codec::{CodecChoice, ExtentEncoder, ExtentKind, FragmentColumns};
+use hybridgraph_codec::{CodecChoice, ExtentKind, FragmentColumns};
 use hybridgraph_graph::{Graph, VertexId};
 use std::io;
 use std::ops::Range;
@@ -73,8 +73,7 @@ impl GatherStore {
         triples.sort_by_key(|&(dst, src, _)| (dst, src));
 
         let n = graph.num_vertices();
-        let mut encoder = ExtentEncoder::default();
-        let mut w = ExtentWriter::create(vfs, name, ExtentKind::Fragments, codec, n, &mut encoder)?;
+        let mut w = ExtentWriter::create(vfs, name, ExtentKind::Fragments, codec, n)?;
         let mut runs = triples.chunk_by(|a, b| a.0 == b.0).peekable();
         let mut destinations = 0;
         let mut buf = Vec::new();
@@ -303,10 +302,8 @@ mod tests {
         for codec in [CodecChoice::None, CodecChoice::Gaps] {
             for (what, raw) in &bad {
                 let vfs = MemVfs::new();
-                let mut encoder = ExtentEncoder::default();
-                let kind = ExtentKind::Fragments;
                 let mut w =
-                    ExtentWriter::create(&vfs, "gather", kind, codec, 3, &mut encoder).unwrap();
+                    ExtentWriter::create(&vfs, "gather", ExtentKind::Fragments, codec, 3).unwrap();
                 for extent in [&Vec::new(), &good, raw] {
                     w.append(extent).unwrap();
                 }

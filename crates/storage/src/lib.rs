@@ -58,7 +58,7 @@ pub mod veblock;
 pub mod vfs;
 
 pub use hybridgraph_codec::{
-    frame, record, tagged, CodecChoice, CodecError, ExtentEncoder, ExtentKind, FragmentColumns,
+    frame, record, tagged, CodecChoice, CodecError, ExtentKind, FragmentColumns,
 };
 pub use profile::DeviceProfile;
 pub use record::Record;

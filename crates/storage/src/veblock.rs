@@ -167,7 +167,7 @@ impl EblockBuf {
     }
 
     /// Appends the Eblock as `w`'s next extent; returns its stored bytes.
-    fn append_to(&self, w: &mut ExtentWriter<'_>, codec: CodecChoice) -> io::Result<u64> {
+    fn append_to(&self, w: &mut ExtentWriter, codec: CodecChoice) -> io::Result<u64> {
         if codec.is_none() {
             w.append(&self.raw)
         } else {
@@ -277,8 +277,8 @@ impl VeBlockStore {
             }
             // Concatenate the Eblocks into this block's file.
             let name = format!("eblk_{}", bj.0);
-            let kind = ExtentKind::Fragments;
-            let mut w = ExtentWriter::create(vfs, &name, kind, codec, num_blocks, &mut encoder)?;
+            let mut w = ExtentWriter::create(vfs, &name, ExtentKind::Fragments, codec, num_blocks)?;
+            w.swap_encoder(&mut encoder);
             let mut totals = ScanTotals::default();
             for eblock in &eblocks {
                 let stored = eblock.append_to(&mut w, codec)?;
@@ -290,6 +290,7 @@ impl VeBlockStore {
                 totals.stored_aux += stored_aux;
                 total_fragments += fragments;
             }
+            w.swap_encoder(&mut encoder);
             files.push(w.finish()?);
             meta.push(m);
             scan.push(totals);

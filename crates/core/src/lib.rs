@@ -37,6 +37,7 @@ pub(crate) mod modes;
 pub mod pacer;
 pub mod program;
 pub mod runner;
+pub(crate) mod scratch;
 pub mod shared;
 pub mod snapshot;
 pub mod switch;

@@ -27,34 +27,24 @@ use super::push::sink_payloads;
 use super::{init_updates, send_batch, send_payloads, stage_response, staged_inbox};
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
+use crate::scratch::StepScratch;
 use crate::worker::Worker;
 use hybridgraph_graph::{BlockId, VertexId, WorkerId};
-use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::{self, BatchKind};
-use hybridgraph_storage::adjacency::EdgeScratch;
-use hybridgraph_storage::inbox::{FoldBuf, Inbox};
-use hybridgraph_storage::veblock::EblockScratch;
+use hybridgraph_storage::inbox::Inbox;
 use hybridgraph_storage::{AccessClass, Record};
-use std::collections::VecDeque;
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
 
-struct Inflight {
+/// A Vblock whose responses are being collected.
+pub(crate) struct Inflight {
     block: BlockId,
     ends: usize,
-    /// The response payloads as they arrived, per sending peer. Responses
-    /// arrive in whatever order the fabric interleaves them; the inbox is
-    /// built from the slots in worker order once the block completes.
-    staged: Vec<Vec<Arc<[u8]>>>,
-}
-
-/// What the fused switch step adds to `update()`: push's sending buffers
-/// and the scratch `pushRes()` reads out-edges into.
-struct FusedPush<M: Record> {
-    tbuf: ThresholdBuffer<M>,
-    edges: EdgeScratch,
+    /// Its run of [`StepScratch::slots`]: the responses as they arrived,
+    /// per sender, read in worker order once the block completes.
+    slots: Range<usize>,
 }
 
 /// A response or end marker names a block this worker is not pulling:
@@ -71,63 +61,51 @@ fn not_in_flight(block: BlockId) -> io::Error {
 /// b-pull → push switch superstep).
 pub(crate) fn run_bpull_step<P: VertexProgram>(
     w: &mut Worker<P>,
+    s: &mut StepScratch<P>,
     rep: &mut StepReport,
     also_push: bool,
 ) -> io::Result<()> {
     if w.superstep == 1 {
-        init_updates(w, rep)?;
+        init_updates(w, s, rep)?;
         w.trace_phase("init");
         return Ok(());
     }
     let workers = w.cfg.workers;
 
-    let mut pending: VecDeque<BlockId> = w.layout.blocks_of_worker(w.id).collect();
+    let mut pending = w.layout.blocks_of_worker(w.id).peekable();
     // During a confined-recovery replay, survivors re-serve their logged
     // responses without flow control (the whole superstep's packets arrive
     // up front), so every block must already be in flight when they land.
     let pipeline = if w.ep.replaying() {
-        pending.len().max(1)
+        w.layout.worker_block_count(w.id).max(1)
     } else if w.batch_kind() == BatchKind::Combined && w.cfg.pre_pull {
         2
     } else {
         1
     };
-    let mut inflight: Vec<Inflight> = Vec::new();
-    let mut resp = std::mem::take(&mut w.responder);
-    let mut fold = std::mem::take(&mut w.fold);
-    let mut push = also_push.then(|| FusedPush {
-        tbuf: ThresholdBuffer::new(workers, w.cfg.sending_threshold),
-        edges: EdgeScratch::default(),
-    });
+    s.slots
+        .resize(s.slots.len().max(pipeline * workers), Vec::new());
 
-    // `staged` is empty slots: fresh for the first `pipeline` blocks, then
-    // those of the block that just completed.
-    let issue = |w: &Worker<P>, b: BlockId, staged, inflight: &mut Vec<Inflight>| {
-        w.ep.broadcast(Packet::PullRequest { block: b });
-        inflight.push(Inflight {
-            block: b,
-            ends: 0,
-            staged,
-        });
+    // `slots` is empty: the first `pipeline` runs for the first blocks,
+    // then those of the block that just completed.
+    let issue = |w: &Worker<P>, block, slots, inflight: &mut Vec<Inflight>| {
+        w.ep.broadcast(Packet::PullRequest { block });
+        let ends = 0;
+        inflight.push(Inflight { block, ends, slots });
     };
-    for _ in 0..pipeline {
-        if let Some(b) = pending.pop_front() {
-            issue(w, b, vec![Vec::new(); workers], &mut inflight);
-        }
+    for (b, run) in pending.by_ref().take(pipeline).zip(0..) {
+        issue(w, b, run * workers..(run + 1) * workers, &mut s.inflight);
     }
     w.trace_phase("Pull-Request");
 
     let mut my_done = false;
     let mut done_peers = 0usize;
-    let mut push_inbound: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
-    // Values staged for the last `pipeline` blocks to complete.
-    let mut window: VecDeque<u64> = VecDeque::new();
     loop {
-        if inflight.is_empty() && pending.is_empty() && !my_done {
+        if s.inflight.is_empty() && pending.peek().is_none() && !my_done {
             my_done = true;
-            if let Some(push) = &mut push {
+            if also_push {
                 let kind = w.push_kind();
-                push.tbuf
+                s.tbuf
                     .flush_all(|peer, records| send_batch(w, peer, kind, None, records));
             }
             w.ep.broadcast(Packet::SuperstepDone);
@@ -137,17 +115,16 @@ pub(crate) fn run_bpull_step<P: VertexProgram>(
         }
         let env = w.recv_timed();
         match env.packet {
-            Packet::PullRequest { block } => {
-                serve_pull(w, env.from, block, &mut resp, &mut fold, rep)?
-            }
+            Packet::PullRequest { block } => serve_pull(w, env.from, block, s, rep)?,
             Packet::Messages {
                 kind,
                 payload,
                 for_block: Some(b),
                 ..
             } => {
-                let fl = inflight.iter_mut().find(|f| f.block == b);
-                let slot = &mut fl.ok_or_else(|| not_in_flight(b))?.staged[env.from.index()];
+                let fl = s.inflight.iter().find(|f| f.block == b);
+                let first = fl.ok_or_else(|| not_in_flight(b))?.slots.start;
+                let slot = &mut s.slots[first + env.from.index()];
                 stage_response(w, slot, kind, payload, &w.layout.block_range(b))?;
             }
             Packet::Messages {
@@ -160,31 +137,33 @@ pub(crate) fn run_bpull_step<P: VertexProgram>(
                 // loop so the spill file's content, and the staged-order
                 // inbox next superstep, stay deterministic (see the push
                 // executor's exchange phase).
-                push_inbound[env.from.index()].push(payload);
+                s.inbound[env.from.index()].push(payload);
             }
             Packet::EndOfResponses { block } => {
-                let pos = inflight.iter().position(|f| f.block == block);
+                let pos = s.inflight.iter().position(|f| f.block == block);
                 let pos = pos.ok_or_else(|| not_in_flight(block))?;
-                inflight[pos].ends += 1;
-                if inflight[pos].ends == workers {
-                    let mut staged = inflight.swap_remove(pos).staged;
+                s.inflight[pos].ends += 1;
+                if s.inflight[pos].ends == workers {
+                    let slots = s.inflight.swap_remove(pos).slots;
                     let br = w.layout.block_range(block);
-                    let (inbox, values) = staged_inbox(w, &mut fold, &staged, &br);
+                    let (inbox, values) =
+                        staged_inbox(w, &mut s.fold, &s.slots[slots.clone()], &br);
                     // Blocks complete in request order (FIFO links), so
                     // the footprint is taken from complete inboxes only:
                     // this block's beside the `pipeline − 1` before it —
                     // the double buffer at its fullest — never from what
                     // happens to have arrived of the block pre-pulled.
-                    if window.len() == pipeline {
-                        window.pop_front();
+                    if s.completed.len() == pipeline {
+                        s.completed.pop_front();
                     }
-                    window.push_back(values);
-                    let held = window.iter().sum::<u64>() * (4 + P::Message::BYTES as u64);
-                    w.note_memory(held + w.standing_memory_bytes());
-                    update_block(w, rep, block, &inbox, push.as_mut())?;
-                    if let Some(nb) = pending.pop_front() {
-                        staged.iter_mut().for_each(Vec::clear);
-                        issue(w, nb, staged, &mut inflight);
+                    s.completed.push_back(values);
+                    let held = s.completed.iter().sum::<u64>() * (4 + P::Message::BYTES as u64);
+                    let staged = s.window.staged.len() as u64 * (4 + P::Value::BYTES as u64);
+                    w.note_memory(held + staged + w.standing_memory_bytes());
+                    update_block(w, s, rep, br, &inbox, also_push)?;
+                    if let Some(nb) = pending.next() {
+                        s.slots[slots.clone()].iter_mut().for_each(Vec::clear);
+                        issue(w, nb, slots, &mut s.inflight);
                     }
                 }
             }
@@ -195,26 +174,13 @@ pub(crate) fn run_bpull_step<P: VertexProgram>(
     }
 
     if also_push {
-        sink_payloads(w, &push_inbound, false, rep)?;
+        sink_payloads(w, s, false, rep)?;
     }
 
-    w.responder = resp;
-    w.fold = fold;
     w.trace_phase("Pull-Respond+update");
-    w.flush_staged()?;
+    s.window.flush(w)?;
     w.trace_phase("flush");
     Ok(())
-}
-
-/// What Pull-Respond reuses from request to request (and the worker from
-/// superstep to superstep): the buffers each Eblock is decoded into and,
-/// for a concatenated response, the `dst | M` records of the response
-/// being built. A combined response holds no message: each one folds into
-/// the worker's [`FoldBuf`] as it is produced.
-#[derive(Default)]
-pub(crate) struct Responder {
-    scan: EblockScratch,
-    out: Vec<u8>,
 }
 
 /// Eblock `g_{j,i}` names vertex `v`, as `what`, outside `range`.
@@ -243,8 +209,7 @@ fn serve_pull<P: VertexProgram>(
     w: &Worker<P>,
     from: WorkerId,
     block: BlockId,
-    resp: &mut Responder,
-    fold: &mut FoldBuf<P::Message>,
+    s: &mut StepScratch<P>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     if block.index() >= w.layout.num_blocks() {
@@ -261,8 +226,9 @@ fn serve_pull<P: VertexProgram>(
     let kind = w.batch_kind();
     let combiner = program.combiner().filter(|_| kind == BatchKind::Combined);
     let dsts = w.layout.block_range(block);
+    let (fold, out) = (&mut s.fold, &mut s.records);
     fold.reset(dsts.clone());
-    resp.out.clear();
+    out.clear();
     let produced = rep.messages_produced;
     for (jidx, j) in w.layout.blocks_of_worker(w.id).enumerate() {
         // X_j.res and bitmap short-circuit: skip blocks with no responders
@@ -270,8 +236,8 @@ fn serve_pull<P: VertexProgram>(
         if !w.respond.block_has(jidx) || !ve.meta(j).has_edges_to(block) {
             continue;
         }
-        ve.scan_eblock_into(j, block, &mut resp.scan)?;
-        let frags = resp.scan.fragments();
+        ve.scan_eblock_into(j, block, &mut s.scan)?;
+        let frags = s.scan.fragments();
         // Physical stored bytes (== logical without a codec), split
         // proportionally into edge and fragment-auxiliary shares.
         let (stored_edge, stored_aux) = ve.eblock_info(j, block).stored_split(frags.len());
@@ -297,7 +263,7 @@ fn serve_pull<P: VertexProgram>(
                     rep.messages_produced += 1;
                     match combiner {
                         Some(c) => fold.add(e.dst.0, m, |a, b| c.combine(a, b)),
-                        None => (e.dst, m).append_to(&mut resp.out),
+                        None => (e.dst, m).append_to(out),
                     }
                 }
             }
@@ -313,43 +279,41 @@ fn serve_pull<P: VertexProgram>(
             wire::combined_payload(fold, raw),
         );
     } else {
-        send_batch(w, from, kind, Some(block), &resp.out);
+        send_batch(w, from, kind, Some(block), out);
     }
     w.ep.send(from, Packet::EndOfResponses { block });
     Ok(())
 }
 
-/// Pull-Request's update half (Algorithm 1 lines 7–9), plus the fused
-/// `pushRes` when switching to push.
+/// Pull-Request's update half (Algorithm 1 lines 7–9) over Vblock range
+/// `br`, plus the fused `pushRes` when switching to push.
 fn update_block<P: VertexProgram>(
     w: &mut Worker<P>,
+    s: &mut StepScratch<P>,
     rep: &mut StepReport,
-    block: BlockId,
+    br: Range<u32>,
     inbox: &Inbox<P::Message>,
-    mut push: Option<&mut FusedPush<P::Message>>,
+    also_push: bool,
 ) -> io::Result<()> {
     if inbox.is_empty() {
         return Ok(());
     }
-    let br = w.layout.block_range(block);
-    let vals = w.values.read_range(br.clone())?;
-    w.note_value_preimage(br.start, &vals);
-    rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
+    s.window.open(w, br, rep)?;
     // Staging checked every destination against the block's range.
     for (vg, msgs) in inbox.iter() {
         let v = VertexId(vg);
-        let upd = w.update_vertex(v, &vals[(vg - br.start) as usize], msgs, rep);
-        if let (true, Some(push)) = (upd.respond, &mut push) {
+        let upd = w.update_vertex(v, &s.window[vg], msgs, rep);
+        if upd.respond && also_push {
             let adj = w
                 .adjacency
                 .as_ref()
                 .expect("hybrid keeps the adjacency store");
-            let edges = adj.read_edges(v, AccessClass::SeqRead, &mut push.edges)?;
+            let edges = adj.read_edges(v, AccessClass::SeqRead, &mut s.out_edges.own)?;
             rep.sem.push_edge_bytes += adj.stored_bytes_of(v);
-            w.push_res(v, &upd.value, edges, |_| true, &mut push.tbuf, rep);
+            w.push_res(v, &upd.value, edges, |_| true, &mut s.tbuf, rep);
         }
         // Staged: flushed after every peer stops reading this superstep.
-        w.staged.push((vg, upd.value));
+        s.window.staged.push((vg, upd.value));
         rep.sem.value_update_bytes += P::Value::BYTES as u64;
     }
     Ok(())
@@ -363,6 +327,7 @@ mod tests {
     use crate::metrics::StepKind;
     use crate::runner::control::run_step_kind;
     use hybridgraph_net::wire::encode_batch;
+    use hybridgraph_storage::inbox::FoldBuf;
 
     /// Worker 1 of 2 of a b-pull job (Vblocks 2 = 20..30 and 3 = 30..40),
     /// responses combined or — with `combining` off — concatenated.

@@ -44,9 +44,9 @@ use crate::bitset::BitSet;
 use crate::frontier::Frontier;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
-use crate::worker::{OutEdges, Worker};
+use crate::scratch::StepScratch;
+use crate::worker::Worker;
 use hybridgraph_graph::{Edge, VertexId};
-use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_storage::{AccessClass, Record};
 use std::io;
 use std::sync::Arc;
@@ -66,6 +66,7 @@ pub const ASYNC_MAX_ROUNDS: u64 = 8;
 ///   (crate::metrics::StepKind::AsyncThenPush)).
 pub(crate) fn run_async_step<P: VertexProgram>(
     w: &mut Worker<P>,
+    s: &mut StepScratch<P>,
     rep: &mut StepReport,
     send_all: bool,
 ) -> io::Result<()> {
@@ -79,180 +80,161 @@ pub(crate) fn run_async_step<P: VertexProgram>(
     w.trace_phase("load");
 
     let cls = Arc::clone(w.cls.as_ref().expect("async mode requires classification"));
-    let index = w
-        .interior
-        .take()
-        .expect("async mode requires interior index");
+    let index = Arc::clone(
+        w.interior
+            .as_ref()
+            .expect("async mode requires interior index"),
+    );
 
-    // Vertices updated this superstep. Only an update sets `next`, so a
-    // vertex is live if `next` has it, or if it is untouched and `cur` has.
-    let mut touched = BitSet::new(w.range.len());
+    // Vertices updated this superstep (`s.touched`). Only an update sets
+    // `next`, so a vertex is live if `next` has it, or if it is untouched
+    // and `cur` has.
     let live =
         |f: &Frontier, touched: &BitSet, i| f.next().get(i) || (!touched.get(i) && f.responds(i));
-
-    let mut tbuf: ThresholdBuffer<P::Message> =
-        ThresholdBuffer::new(w.cfg.workers, w.cfg.sending_threshold);
     let mut max_extra_rounds = 0u64;
 
-    // The index is out of the worker for the sweep, so it is added to
-    // the standing footprint by hand; neither changes before the
+    // Neither the standing footprint nor the index changes before the
     // exchange phase.
-    let standing = w.standing_memory_bytes() + index.memory_bytes();
-    let mut out_edges = OutEdges::default();
+    let standing = w.standing_memory_bytes();
     let mut groups = work.iter().peekable();
-    let result = (|| -> io::Result<()> {
-        for (bi, ib) in index.blocks.iter().enumerate() {
-            let br = ib.range.clone();
-            if br.is_empty() {
-                continue;
-            }
-            let block_bytes = br.len() as u64 * P::Value::BYTES as u64;
-            let mut vals = w.values.read_range(br.clone())?;
-            w.note_value_preimage(br.start, &vals);
-            rep.sem.value_update_bytes += block_bytes;
+    for (bi, ib) in index.blocks.iter().enumerate() {
+        let br = ib.range.clone();
+        if br.is_empty() {
+            continue;
+        }
+        let block_bytes = br.len() as u64 * P::Value::BYTES as u64;
+        let vals = &mut s.window;
+        vals.open(w, br.clone(), rep)?;
 
-            // Sweep: apply the real inbox (strict semantics, boundary and
-            // interior destinations alike).
-            while let Some((v, msgs)) = groups.next_if(|(v, _)| *v < br.end) {
-                debug_assert!(br.contains(&v));
-                let idx = (v - br.start) as usize;
-                let upd = w.update_vertex(VertexId(v), &vals[idx], msgs, rep);
-                // The kernel raised the responding flag; the sweep is this
-                // vertex's first update of the superstep, so a lowered one
-                // is already clear.
-                touched.set((v - base) as usize);
-                if cls.is_boundary(v) {
-                    rep.asy.boundary_active += 1;
-                } else {
-                    rep.asy.interior_active += 1;
-                }
-                vals[idx] = upd.value;
+        // Sweep: apply the real inbox (strict semantics, boundary and
+        // interior destinations alike).
+        while let Some((v, msgs)) = groups.next_if(|(v, _)| *v < br.end) {
+            debug_assert!(br.contains(&v));
+            let upd = w.update_vertex(VertexId(v), &vals[v], msgs, rep);
+            // The kernel raised the responding flag; the sweep is this
+            // vertex's first update of the superstep, so a lowered one
+            // is already clear.
+            s.touched.set((v - base) as usize);
+            if cls.is_boundary(v) {
+                rep.asy.boundary_active += 1;
+            } else {
+                rep.asy.interior_active += 1;
             }
+            vals[v] = upd.value;
+        }
 
-            // Pseudo-rounds: regenerate interior inboxes in memory and
-            // iterate until the block's residual settles.
-            let mut extra_rounds = 0u64;
-            if !ib.interior.is_empty() {
-                // Round 1 visits every interior vertex (the inbox left by
-                // an arbitrary previous mode is consumed by the sweep;
-                // regeneration re-derives the in-block part from current
-                // values). Later rounds visit only dirtied vertices.
-                let mut dirty: Vec<u32> = (0..ib.interior.len() as u32).collect();
-                let mut dirty_mark = vec![false; ib.interior.len()];
-                let mut inbox: Vec<P::Message> = Vec::new();
-                let mut block_active = false;
-                for round in 1..=ASYNC_MAX_ROUNDS {
-                    let mut round_updates = 0u64;
-                    let mut round_msgs = 0u64;
-                    let mut round_max = 0.0f64;
-                    let mut changed: Vec<u32> = Vec::new();
-                    for &p in &dirty {
-                        let v = ib.interior[p as usize];
-                        inbox.clear();
-                        let (s, e) = (
-                            ib.rev_offsets[p as usize] as usize,
-                            ib.rev_offsets[p as usize + 1] as usize,
-                        );
-                        for (src, edge) in &ib.rev[s..e] {
-                            let slocal = (*src - base) as usize;
-                            if live(&w.respond, &touched, slocal) {
-                                let sval = &vals[(*src - br.start) as usize];
-                                if let Some(m) = program.message(
-                                    VertexId(*src),
-                                    sval,
-                                    w.out_degrees[slocal],
-                                    edge,
-                                ) {
-                                    inbox.push(m);
-                                }
+        // Pseudo-rounds: regenerate interior inboxes in memory and
+        // iterate until the block's residual settles.
+        let mut extra_rounds = 0u64;
+        if !ib.interior.is_empty() {
+            // Round 1 visits every interior vertex (the inbox left by
+            // an arbitrary previous mode is consumed by the sweep;
+            // regeneration re-derives the in-block part from current
+            // values). Later rounds visit only dirtied vertices.
+            let (dirty, dirty_mark) = (&mut s.dirty, &mut s.dirty_mark);
+            let (changed, inbox, touched) = (&mut s.changed, &mut s.inbox, &mut s.touched);
+            dirty.clear();
+            dirty.extend(0..ib.interior.len() as u32);
+            let mut block_active = false;
+            for round in 1..=ASYNC_MAX_ROUNDS {
+                let mut round_updates = 0u64;
+                let mut round_msgs = 0u64;
+                let mut round_max = 0.0f64;
+                changed.clear();
+                for &p in dirty.iter() {
+                    let v = ib.interior[p as usize];
+                    inbox.clear();
+                    let (lo, hi) = (
+                        ib.rev_offsets[p as usize] as usize,
+                        ib.rev_offsets[p as usize + 1] as usize,
+                    );
+                    for (src, edge) in &ib.rev[lo..hi] {
+                        let slocal = (*src - base) as usize;
+                        if live(&w.respond, touched, slocal) {
+                            if let Some(m) = program.message(
+                                VertexId(*src),
+                                &vals[*src],
+                                w.out_degrees[slocal],
+                                edge,
+                            ) {
+                                inbox.push(m);
                             }
                         }
-                        // No live in-block sender: under strict semantics
-                        // the vertex would not compute — skip it.
-                        if inbox.is_empty() {
-                            continue;
-                        }
-                        let idx = (v - br.start) as usize;
-                        let upd = program.update(
-                            VertexId(v),
-                            &info,
-                            superstep + round,
-                            &vals[idx],
-                            &inbox,
-                        );
-                        let residual = program.residual(&vals[idx], &upd.value);
-                        round_max = round_max.max(residual);
-                        rep.max_residual = rep.max_residual.max(residual);
-                        round_updates += 1;
-                        round_msgs += inbox.len() as u64;
-                        rep.asy.interior_updates += 1;
-                        rep.asy.interior_messages += inbox.len() as u64;
-                        rep.asy.interior_msg_bytes += inbox.len() as u64 * P::Message::BYTES as u64;
-                        let local = (v - base) as usize;
-                        let was_live = live(&w.respond, &touched, local);
-                        touched.set(local);
-                        w.respond.set_next(local, upd.respond);
-                        if residual != 0.0 || was_live != upd.respond {
-                            changed.push(p);
-                        }
-                        vals[idx] = upd.value;
                     }
-                    if round_updates == 0 {
-                        break;
+                    // No live in-block sender: under strict semantics
+                    // the vertex would not compute — skip it.
+                    if inbox.is_empty() {
+                        continue;
                     }
-                    extra_rounds = round;
-                    block_active = true;
-                    w.trace_round(bi, round, round_updates, round_msgs);
-                    if round_max <= ASYNC_RESIDUAL {
-                        rep.asy.blocks_converged += 1;
-                        break;
+                    let upd =
+                        program.update(VertexId(v), &info, superstep + round, &vals[v], inbox);
+                    let residual = program.residual(&vals[v], &upd.value);
+                    round_max = round_max.max(residual);
+                    rep.max_residual = rep.max_residual.max(residual);
+                    round_updates += 1;
+                    round_msgs += inbox.len() as u64;
+                    rep.asy.interior_updates += 1;
+                    rep.asy.interior_messages += inbox.len() as u64;
+                    rep.asy.interior_msg_bytes += inbox.len() as u64 * P::Message::BYTES as u64;
+                    let local = (v - base) as usize;
+                    let was_live = live(&w.respond, touched, local);
+                    touched.set(local);
+                    w.respond.set_next(local, upd.respond);
+                    if residual != 0.0 || was_live != upd.respond {
+                        changed.push(p);
                     }
-                    // Dirty propagation: in-block interior destinations of
-                    // every vertex whose value or liveness changed.
-                    dirty_mark.iter_mut().for_each(|d| *d = false);
-                    for &p in &changed {
-                        let j = (ib.interior[p as usize] - br.start) as usize;
-                        let (fs, fe) = (ib.fwd_offsets[j] as usize, ib.fwd_offsets[j + 1] as usize);
-                        for &q in &ib.fwd[fs..fe] {
-                            dirty_mark[q as usize] = true;
-                        }
-                    }
-                    dirty = (0..ib.interior.len() as u32)
-                        .filter(|&q| dirty_mark[q as usize])
-                        .collect();
-                    if dirty.is_empty() {
-                        break;
+                    vals[v] = upd.value;
+                }
+                if round_updates == 0 {
+                    break;
+                }
+                extra_rounds = round;
+                block_active = true;
+                w.trace_round(bi, round, round_updates, round_msgs);
+                if round_max <= ASYNC_RESIDUAL {
+                    rep.asy.blocks_converged += 1;
+                    break;
+                }
+                // Dirty propagation: in-block interior destinations of
+                // every vertex whose value or liveness changed.
+                dirty_mark.clear();
+                dirty_mark.resize(ib.interior.len(), false);
+                for &p in changed.iter() {
+                    let j = (ib.interior[p as usize] - br.start) as usize;
+                    let (fs, fe) = (ib.fwd_offsets[j] as usize, ib.fwd_offsets[j + 1] as usize);
+                    for &q in &ib.fwd[fs..fe] {
+                        dirty_mark[q as usize] = true;
                     }
                 }
-                if block_active {
-                    rep.asy.blocks_active += 1;
+                dirty.clear();
+                dirty.extend((0..ib.interior.len() as u32).filter(|&q| dirty_mark[q as usize]));
+                if dirty.is_empty() {
+                    break;
                 }
             }
-            max_extra_rounds = max_extra_rounds.max(extra_rounds);
-
-            // pushRes() from final values: every vertex that updated this
-            // superstep and is finally responding — set in `next`, which
-            // only updates set — sends, to boundary destinations only
-            // unless this is the async → push switch.
-            let keep = |e: &Edge| send_all || cls.is_boundary(e.dst.0);
-            for i in (br.start - base) as usize..(br.end - base) as usize {
-                if !w.respond.next().get(i) {
-                    continue;
-                }
-                let v = VertexId(base + i as u32);
-                let edges = w.read_out_edges(v, AccessClass::SeqRead, rep, &mut out_edges)?;
-                let value = &vals[(v.0 - br.start) as usize];
-                w.push_res(v, value, edges, keep, &mut tbuf, rep);
+            if block_active {
+                rep.asy.blocks_active += 1;
             }
-
-            w.note_memory(tbuf.memory_bytes() + block_bytes + standing);
-            rep.sem.value_update_bytes += block_bytes;
-            w.values.write_range(br.clone(), &vals)?;
         }
-        Ok(())
-    })();
-    w.interior = Some(index);
-    result?;
+        max_extra_rounds = max_extra_rounds.max(extra_rounds);
+
+        // pushRes() from final values: every vertex that updated this
+        // superstep and is finally responding — set in `next`, which
+        // only updates set — sends, to boundary destinations only
+        // unless this is the async → push switch.
+        let keep = |e: &Edge| send_all || cls.is_boundary(e.dst.0);
+        for i in (br.start - base) as usize..(br.end - base) as usize {
+            if !w.respond.next().get(i) {
+                continue;
+            }
+            let v = VertexId(base + i as u32);
+            let edges = w.read_out_edges(v, AccessClass::SeqRead, rep, &mut s.out_edges)?;
+            w.push_res(v, &vals[v.0], edges, keep, &mut s.tbuf, rep);
+        }
+
+        w.note_memory(s.tbuf.memory_bytes() + block_bytes + standing);
+        vals.close(w, rep)?;
+    }
     rep.asy.pseudo_rounds = 1 + max_extra_rounds;
     w.trace_phase(if send_all {
         "sweep+rounds+pushAll"
@@ -261,7 +243,7 @@ pub(crate) fn run_async_step<P: VertexProgram>(
     });
 
     // Exchange phase (identical to push).
-    exchange(w, tbuf, false, rep)?;
+    exchange(w, s, false, rep)?;
     w.trace_phase("exchange");
     Ok(())
 }

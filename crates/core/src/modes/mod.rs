@@ -9,6 +9,12 @@
 //! every one of them updates a vertex through [`Worker::update_vertex`],
 //! and the push family sends through [`Worker::push_res`].
 //!
+//! Per-superstep state lives in the worker's [`StepScratch`] — sending
+//! buffers, staging tables, decode and round buffers, and the
+//! [`ValueWindow`](crate::scratch::ValueWindow), the executors' one path
+//! to vertex values. The frame empties it and lends it to the executor,
+//! which returns on any path, an abort included, restoring nothing.
+//!
 //! All executors obey the same BSP contract: a superstep's packets are
 //! fully drained before the executor returns, so the master's barrier
 //! (waiting for every worker's report before issuing the next superstep)
@@ -21,13 +27,13 @@ pub mod push;
 
 use crate::metrics::StepReport;
 use crate::program::{Update, VertexProgram};
+use crate::scratch::StepScratch;
 use crate::worker::Worker;
 use hybridgraph_graph::{BlockId, Edge, VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::{self, BatchKind, WireStats};
 use hybridgraph_storage::inbox::{FoldBuf, Inbox};
-use hybridgraph_storage::Record;
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
@@ -231,31 +237,17 @@ impl<P: VertexProgram> Worker<P> {
 /// then scatters signals.
 pub(crate) fn init_updates<P: VertexProgram>(
     w: &mut Worker<P>,
+    s: &mut StepScratch<P>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let program = Arc::clone(&w.program);
-    let info = w.info;
-    for b in w.layout.blocks_of_worker(w.id).collect::<Vec<_>>() {
-        let br = w.layout.block_range(b);
-        let actives: Vec<u32> = br
-            .clone()
-            .filter(|&v| program.initially_active(VertexId(v), &info))
-            .collect();
-        if actives.is_empty() {
-            continue;
+    for v in w.range.clone() {
+        if program.initially_active(VertexId(v), &w.info) {
+            s.window.seek(w, v, rep)?;
+            s.window[v] = w.update_vertex(VertexId(v), &s.window[v], &[], rep).value;
         }
-        let mut vals = w.values.read_range(br.clone())?;
-        w.note_value_preimage(br.start, &vals);
-        let block_bytes = vals.len() as u64 * P::Value::BYTES as u64;
-        rep.sem.value_update_bytes += block_bytes;
-        for v in actives {
-            let idx = (v - br.start) as usize;
-            vals[idx] = w.update_vertex(VertexId(v), &vals[idx], &[], rep).value;
-        }
-        w.values.write_range(br.clone(), &vals)?;
-        rep.sem.value_update_bytes += block_bytes;
     }
-    Ok(())
+    s.window.close(w, rep)
 }
 
 /// A hand-built worker for the executors' unit tests.

@@ -17,7 +17,8 @@
 use super::{init_updates, send_batch, stage_response, staged_inbox};
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
-use crate::worker::{OutEdges, Worker};
+use crate::scratch::StepScratch;
+use crate::worker::Worker;
 use hybridgraph_graph::{Edge, VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
@@ -29,74 +30,17 @@ use hybridgraph_storage::{AccessClass, Record};
 use std::io;
 use std::sync::Arc;
 
-/// The buffers a pull superstep works in. The worker keeps them from
-/// superstep to superstep, and each superstep starts by emptying them, so
-/// a step aborted mid-exchange leaves nothing behind for its rollback
-/// re-run.
-pub(crate) struct PullScratch<M: Record> {
-    /// Outgoing gather requests and signals: `()` records per peer.
-    ids: ThresholdBuffer<()>,
-    /// Outgoing gather responses per requester.
-    responses: ThresholdBuffer<M>,
-    /// Each peer's gather-request payloads, staged until every peer is
-    /// done requesting.
-    requests: Vec<Vec<Arc<[u8]>>>,
-    /// Each peer's response payloads, staged until every peer has ended
-    /// its gather.
-    staged: Vec<Vec<Arc<[u8]>>>,
-    /// The in-edges of the vertex a gather request is served for.
-    in_edges: InEdgeScratch,
-    /// The out-edges of the responder being scattered.
-    out_edges: OutEdges,
-}
-
-impl<M: Record> PullScratch<M> {
-    fn new(workers: usize, sending_threshold: usize) -> Self {
-        PullScratch {
-            ids: ThresholdBuffer::new(workers, sending_threshold),
-            responses: ThresholdBuffer::new(workers, sending_threshold),
-            requests: vec![Vec::new(); workers],
-            staged: vec![Vec::new(); workers],
-            in_edges: InEdgeScratch::default(),
-            out_edges: OutEdges::default(),
-        }
-    }
-
-    /// Drops whatever an aborted superstep left buffered or staged.
-    fn clear(&mut self) {
-        self.ids.clear();
-        self.responses.clear();
-        self.requests.iter_mut().for_each(Vec::clear);
-        self.staged.iter_mut().for_each(Vec::clear);
-    }
-}
-
-/// Runs one pull (gather) superstep in the worker's kept buffers.
+/// Runs one pull (gather) superstep.
 pub(crate) fn run_pull_step<P: VertexProgram>(
     w: &mut Worker<P>,
-    rep: &mut StepReport,
-) -> io::Result<()> {
-    let (workers, threshold) = (w.cfg.workers, w.cfg.sending_threshold);
-    let mut s = w
-        .pull
-        .take()
-        .unwrap_or_else(|| PullScratch::new(workers, threshold));
-    s.clear();
-    let done = pull_step(w, &mut s, rep);
-    w.pull = Some(s);
-    done
-}
-
-fn pull_step<P: VertexProgram>(
-    w: &mut Worker<P>,
-    s: &mut PullScratch<P::Message>,
+    s: &mut StepScratch<P>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let workers = w.cfg.workers;
     if w.superstep == 1 {
         // Local init, then scatter activation signals from the
         // responders so superstep 2 knows who must gather.
-        init_updates(w, rep)?;
+        init_updates(w, s, rep)?;
         scatter_signals(w, s, rep)?;
         w.ep.broadcast(Packet::SuperstepDone);
         let mut done_peers = 0usize;
@@ -149,11 +93,10 @@ fn pull_step<P: VertexProgram>(
                     // Ids of the requester's own vertices, as for signals.
                     wire::check_batch::<()>(BatchKind::Plain, &ids, &requester)?;
                     for (v, ()) in wire::messages::<()>(BatchKind::Plain, &ids) {
-                        let (tbuf, in_edges) = (&mut s.responses, &mut s.in_edges);
-                        serve_gather(w, VertexId(v), from, tbuf, in_edges, rep)?;
+                        serve_gather(w, VertexId(v), from, &mut s.tbuf, &mut s.in_edges, rep)?;
                     }
                 }
-                s.responses.flush(from, |records| {
+                s.tbuf.flush(from, |records| {
                     send_batch(w, from, w.batch_kind(), None, records)
                 });
                 w.ep.send(from, Packet::EndOfGather);
@@ -161,10 +104,8 @@ fn pull_step<P: VertexProgram>(
             served = true;
         }
         if got_ends == workers && served && !my_done {
-            let mut fold = std::mem::take(&mut w.fold);
-            let (inbox, values) = staged_inbox(w, &mut fold, &s.staged, &w.range);
-            w.fold = fold;
-            s.staged.iter_mut().for_each(Vec::clear);
+            let (inbox, values) = staged_inbox(w, &mut s.fold, &s.inbound, &w.range);
+            s.inbound.iter_mut().for_each(Vec::clear);
             let held = values * (4 + P::Message::BYTES as u64);
             w.note_memory(held + w.standing_memory_bytes());
             update_cached(w, rep, &inbox)?;
@@ -183,7 +124,7 @@ fn pull_step<P: VertexProgram>(
             // FIFO per pair: all of this peer's requests are staged.
             Packet::DoneRequesting => done_requesting += 1,
             Packet::Messages { kind, payload, .. } => {
-                stage_response(w, &mut s.staged[env.from.index()], kind, payload, &w.range)?;
+                stage_response(w, &mut s.inbound[env.from.index()], kind, payload, &w.range)?;
             }
             Packet::EndOfGather => got_ends += 1,
             Packet::Signals { ids } => accept_signals(w, &ids)?,
@@ -203,7 +144,7 @@ fn pull_step<P: VertexProgram>(
 /// must gather next superstep.
 fn scatter_signals<P: VertexProgram>(
     w: &mut Worker<P>,
-    s: &mut PullScratch<P::Message>,
+    s: &mut StepScratch<P>,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let signal = |p, ids: &[u8]| w.ep.send(p, Packet::Signals { ids: ids.into() });

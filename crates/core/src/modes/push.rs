@@ -19,9 +19,9 @@
 use super::send_batch;
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
-use crate::worker::{OutEdges, Worker};
+use crate::scratch::StepScratch;
+use crate::worker::Worker;
 use hybridgraph_graph::VertexId;
-use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
 use hybridgraph_net::wire::{check_batch, BatchKind};
 use hybridgraph_storage::inbox::Inbox;
@@ -35,6 +35,7 @@ use std::sync::Arc;
 /// * `online` — MOCgraph message online computing (requires a combiner).
 pub(crate) fn run_push_step<P: VertexProgram>(
     w: &mut Worker<P>,
+    s: &mut StepScratch<P>,
     rep: &mut StepReport,
     send: bool,
     online: bool,
@@ -46,48 +47,30 @@ pub(crate) fn run_push_step<P: VertexProgram>(
     // does changes the standing footprint: the receive store fills in
     // the exchange phase.
     let standing = w.standing_memory_bytes();
-    let mut tbuf: ThresholdBuffer<P::Message> =
-        ThresholdBuffer::new(w.cfg.workers, w.cfg.sending_threshold);
-    let mut edges = OutEdges::default();
-    let mut br = 0..0u32;
-    let mut vals: Vec<P::Value> = Vec::new();
     for (vg, msgs) in work.iter() {
         let v = VertexId(vg);
-        if vg >= br.end {
-            if !br.is_empty() {
-                rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
-                w.values.write_range(br, &vals)?;
-            }
-            br = w.layout.block_range(w.layout.block_of(v));
-            vals = w.values.read_range(br.clone())?;
-            w.note_value_preimage(br.start, &vals);
-            rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
-        }
-        let idx = (vg - br.start) as usize;
-        let upd = w.update_vertex(v, &vals[idx], msgs, rep);
+        s.window.seek(w, vg, rep)?;
+        let upd = w.update_vertex(v, &s.window[vg], msgs, rep);
         if send {
             // The vertex object is loaded with its edges for every
             // computed vertex (Giraph), whether or not it responds. The
             // read goes through the cross-job shared cache when the job
             // has one; a miss charges the physical bytes (== logical
             // without a codec) to `IO(Ē^t)`, a hit charges nothing.
-            let out = w.read_out_edges(v, AccessClass::SeqRead, rep, &mut edges)?;
+            let out = w.read_out_edges(v, AccessClass::SeqRead, rep, &mut s.out_edges)?;
             if upd.respond {
-                w.push_res(v, &upd.value, out, |_| true, &mut tbuf, rep);
+                w.push_res(v, &upd.value, out, |_| true, &mut s.tbuf, rep);
             }
         }
-        vals[idx] = upd.value;
-        let mem = tbuf.memory_bytes() + (br.len() * P::Value::BYTES) as u64;
+        s.window[vg] = upd.value;
+        let mem = s.tbuf.memory_bytes() + (s.window.range.len() * P::Value::BYTES) as u64;
         w.note_memory(mem + standing);
     }
-    if !br.is_empty() {
-        rep.sem.value_update_bytes += vals.len() as u64 * P::Value::BYTES as u64;
-        w.values.write_range(br, &vals)?;
-    }
+    s.window.close(w, rep)?;
     w.trace_phase(if send { "compute+pushRes" } else { "compute" });
 
     if send {
-        exchange(w, tbuf, online, rep)?;
+        exchange(w, s, online, rep)?;
         w.trace_phase("exchange");
     }
     Ok(())
@@ -107,39 +90,39 @@ pub(crate) fn run_push_step<P: VertexProgram>(
 /// `staged_inbox`.
 pub(crate) fn exchange<P: VertexProgram>(
     w: &mut Worker<P>,
-    mut tbuf: ThresholdBuffer<P::Message>,
+    s: &mut StepScratch<P>,
     online: bool,
     rep: &mut StepReport,
 ) -> io::Result<()> {
     let workers = w.cfg.workers;
-    tbuf.flush_all(|peer, records| send_batch(w, peer, w.push_kind(), None, records));
+    s.tbuf
+        .flush_all(|peer, records| send_batch(w, peer, w.push_kind(), None, records));
     w.ep.broadcast(Packet::DoneSending);
-    let mut inbound: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); workers];
     let mut done = 0usize;
     while done < workers {
         let env = w.recv_timed();
         match env.packet {
             Packet::Messages { kind, payload, .. } => {
                 debug_assert_ne!(kind, BatchKind::Concatenated, "push never concatenates");
-                inbound[env.from.index()].push(payload);
+                s.inbound[env.from.index()].push(payload);
             }
             Packet::DoneSending => done += 1,
             Packet::Abort => return Err(super::abort_error()),
             other => return Err(super::unexpected(&other, "push exchange")),
         }
     }
-    sink_payloads(w, &inbound, online, rep)
+    sink_payloads(w, s, online, rep)
 }
 
-/// Sinks staged plain payloads, sender by sender, into the receive
-/// store. A payload's records are the store's own format, so after one
-/// validating pass each payload goes in as a single run: resident up to
-/// `B_i`, spilled past it. In pushM (`online`) records for hot vertices
+/// Sinks the payloads staged in `s.inbound`, sender by sender, into the
+/// receive store. A payload's records are the store's own format, so after
+/// one validating pass each payload goes in as a single run: resident up
+/// to `B_i`, spilled past it. In pushM (`online`) records for hot vertices
 /// are combined into their accumulators instead and only the cold rest
 /// of each payload is sunk.
 pub(crate) fn sink_payloads<P: VertexProgram>(
     w: &mut Worker<P>,
-    inbound: &[Vec<Arc<[u8]>>],
+    s: &mut StepScratch<P>,
     online: bool,
     rep: &mut StepReport,
 ) -> io::Result<()> {
@@ -147,8 +130,7 @@ pub(crate) fn sink_payloads<P: VertexProgram>(
     let base = w.range.start;
     let spill = w.spill.as_mut().expect("push needs a spill buffer");
     let spill_before = spill.spilled_bytes();
-    let mut cold: Vec<u8> = Vec::new();
-    for payload in inbound.iter().flatten() {
+    for payload in s.inbound.iter().flatten() {
         check_batch::<P::Message>(BatchKind::Plain, payload, &w.range)?;
         if !online {
             spill.push_encoded(payload)?;
@@ -158,17 +140,17 @@ pub(crate) fn sink_payloads<P: VertexProgram>(
             .combiner()
             .expect("pushM requires a combiner (message online computing)");
         let hot = w.hotset.as_mut().expect("pushM requires the hot set");
-        cold.clear();
+        s.records.clear();
         for record in payload.chunks_exact(4 + P::Message::BYTES) {
             let dst = u32::read_from(&record[..4]);
             if hot.hot.get((dst - base) as usize) {
                 let m = P::Message::read_from(&record[4..]);
                 hot.acc.add(dst, m, |a, b| combiner.combine(a, b));
             } else {
-                cold.extend_from_slice(record);
+                s.records.extend_from_slice(record);
             }
         }
-        spill.push_encoded(&cold)?;
+        spill.push_encoded(&s.records)?;
     }
     rep.sem.msg_spill_bytes += spill.spilled_bytes() - spill_before;
     Ok(())
@@ -217,9 +199,21 @@ mod tests {
         worker(JobConfig::new(Mode::PushM, 2).with_buffer(4)).0
     }
 
-    fn payload(msgs: &[(u32, f64)]) -> Vec<Vec<Arc<[u8]>>> {
+    fn payload(msgs: &[(u32, f64)]) -> Arc<[u8]> {
         let records: Vec<(VertexId, f64)> = msgs.iter().map(|&(d, m)| (VertexId(d), m)).collect();
-        vec![vec![encode_slice(&records).into()], Vec::new()]
+        encode_slice(&records).into()
+    }
+
+    /// Sinks `payload`, staged as worker 0's one payload.
+    fn sink(
+        w: &mut Worker<Sum>,
+        payload: Arc<[u8]>,
+        online: bool,
+        rep: &mut StepReport,
+    ) -> io::Result<()> {
+        let mut s = StepScratch::new(2, w.cfg.sending_threshold, w.range.len());
+        s.inbound[0].push(payload);
+        sink_payloads(w, &mut s, online, rep)
     }
 
     #[test]
@@ -239,7 +233,7 @@ mod tests {
         let mut rep = StepReport::default();
         w.superstep = 2;
         for online in [false, true] {
-            sink_payloads(&mut w, &payload(&msgs), online, &mut rep).unwrap();
+            sink(&mut w, payload(&msgs), online, &mut rep).unwrap();
             let pending = w.spill.as_ref().unwrap().total();
             assert_eq!(pending, if online { 18 } else { 30 });
             let inbox = load_inbox(&mut w, &mut rep).unwrap();
@@ -265,9 +259,9 @@ mod tests {
         // Vertex 19 lives on worker 0; vertex 40 does not exist.
         for stray in [19, 40, u32::MAX] {
             for online in [false, true] {
-                let err = sink_payloads(
+                let err = sink(
                     &mut w,
-                    &payload(&[(25, 1.0), (stray, 2.0)]),
+                    payload(&[(25, 1.0), (stray, 2.0)]),
                     online,
                     &mut rep,
                 )
@@ -276,9 +270,8 @@ mod tests {
             }
         }
         // One byte short of two records.
-        let mut short = payload(&[(25, 1.0), (26, 2.0)]);
-        short[0][0] = short[0][0][..23].into();
-        let err = sink_payloads(&mut w, &short, false, &mut rep).unwrap_err();
+        let short = payload(&[(25, 1.0), (26, 2.0)])[..23].into();
+        let err = sink(&mut w, short, false, &mut rep).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Nothing of a rejected payload was sunk.
         assert_eq!(w.spill.as_ref().unwrap().total(), 0);

@@ -181,8 +181,9 @@ impl<V> Links<V> {
     }
 }
 
-/// The one superstep frame, live or replayed: opens the superstep, runs
-/// the executor of `kind` into a fresh report, closes the superstep, and
+/// The one superstep frame, live or replayed: opens the superstep, lends
+/// the executor of `kind` the worker's emptied scratch and a fresh report,
+/// takes the scratch back on every outcome, closes the superstep, and
 /// stamps the wall and blocking seconds.
 pub(crate) fn run_step_kind<P: VertexProgram>(
     w: &mut Worker<P>,
@@ -191,17 +192,21 @@ pub(crate) fn run_step_kind<P: VertexProgram>(
 ) -> io::Result<StepReport> {
     let t0 = Instant::now();
     w.begin_superstep(superstep, kind);
+    let mut s = std::mem::take(&mut w.scratch);
+    s.clear();
     let mut rep = StepReport::default();
-    match kind {
-        StepKind::Push => run_push_step(w, &mut rep, true, false),
-        StepKind::PushNoSend => run_push_step(w, &mut rep, false, false),
-        StepKind::PushM => run_push_step(w, &mut rep, true, true),
-        StepKind::Pull => run_pull_step(w, &mut rep),
-        StepKind::BPull => run_bpull_step(w, &mut rep, false),
-        StepKind::BPullThenPush => run_bpull_step(w, &mut rep, true),
-        StepKind::Async => run_async_step(w, &mut rep, false),
-        StepKind::AsyncThenPush => run_async_step(w, &mut rep, true),
-    }?;
+    let ran = match kind {
+        StepKind::Push => run_push_step(w, &mut s, &mut rep, true, false),
+        StepKind::PushNoSend => run_push_step(w, &mut s, &mut rep, false, false),
+        StepKind::PushM => run_push_step(w, &mut s, &mut rep, true, true),
+        StepKind::Pull => run_pull_step(w, &mut s, &mut rep),
+        StepKind::BPull => run_bpull_step(w, &mut s, &mut rep, false),
+        StepKind::BPullThenPush => run_bpull_step(w, &mut s, &mut rep, true),
+        StepKind::Async => run_async_step(w, &mut s, &mut rep, false),
+        StepKind::AsyncThenPush => run_async_step(w, &mut s, &mut rep, true),
+    };
+    w.scratch = s;
+    ran?;
     w.finish_superstep(&mut rep);
     rep.wall_secs = t0.elapsed().as_secs_f64();
     rep.blocking_secs = w.blocking_secs;

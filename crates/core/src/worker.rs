@@ -19,9 +19,8 @@ use crate::bitset::BitSet;
 use crate::config::{JobConfig, Mode};
 use crate::frontier::Frontier;
 use crate::metrics::{StepKind, StepReport};
-use crate::modes::bpull::Responder;
-use crate::modes::pull::PullScratch;
 use crate::program::{GraphInfo, VertexProgram};
+use crate::scratch::StepScratch;
 use crate::shared::EdgeStores;
 use hybridgraph_graph::{BlockLayout, Edge, Graph, Partition, VertexId, WorkerId};
 use hybridgraph_net::fabric::{Endpoint, Envelope};
@@ -93,7 +92,7 @@ impl<M: Record> HotSet<M> {
 /// into reused buffers, or shared with the cross-job cache.
 #[derive(Default)]
 pub struct OutEdges {
-    own: EdgeScratch,
+    pub(crate) own: EdgeScratch,
     shared: Option<Arc<Vec<Edge>>>,
 }
 
@@ -130,10 +129,8 @@ pub struct WorkerSeed<'g, P: VertexProgram> {
 /// Only the modes `plan_recovery` confines (push, b-pull, hybrid) ever
 /// apply a capture, so it holds what they change: the responding
 /// frontier's `cur` words, copied eagerly (they are small) into the
-/// previous capture's buffers;
-/// vertex-value pre-images are captured lazily by the executors at the
-/// moment they read a value block anyway
-/// ([`Worker::note_value_preimage`]), so the capture adds **zero** extra
+/// previous capture's buffers; vertex-value pre-images lazily, as the
+/// value window reads a block anyway, so the capture adds **zero** extra
 /// reads. Spilled messages snapshot via the non-destructive
 /// [`SpillBuffer::snapshot_pending`]: a superstep that *completed* has
 /// drained the spill, so there is no tail to cut back to.
@@ -141,7 +138,8 @@ pub struct StepUndo<P: VertexProgram> {
     respond: BitSet,
     /// Pending spill-buffer records (`dst | message`, as buffered).
     spill_pending: Option<Vec<u8>>,
-    value_blocks: Vec<(u32, Vec<P::Value>)>,
+    /// Value-block pre-images by first vertex id, the oldest kept.
+    pub(crate) value_blocks: Vec<(u32, Vec<P::Value>)>,
 }
 
 /// A worker checkpoint's body: value records, the local vertex count and
@@ -212,19 +210,10 @@ pub struct Worker<P: VertexProgram> {
     /// Global boundary/interior classification (`Async` mode).
     pub cls: Option<Arc<crate::blockexec::BlockClassification>>,
     /// This worker's interior-iteration index (`Async` mode).
-    pub interior: Option<crate::blockexec::InteriorIndex>,
+    pub interior: Option<Arc<crate::blockexec::InteriorIndex>>,
 
-    /// Value updates staged during a (b-)pull superstep, flushed once no
-    /// peer can read this worker's values anymore.
-    pub staged: Vec<(u32, P::Value)>,
-    /// b-pull's Pull-Respond buffers, kept from superstep to superstep.
-    pub(crate) responder: Responder,
-    /// Pull's per-superstep buffers, kept from superstep to superstep
-    /// once a pull superstep has run.
-    pub(crate) pull: Option<PullScratch<P::Message>>,
-    /// The combining fold of b-pull's responses and the pull family's
-    /// completed inboxes, kept from superstep to superstep.
-    pub(crate) fold: FoldBuf<P::Message>,
+    /// The executors' buffers and value window, lent out by the frame.
+    pub(crate) scratch: StepScratch<P>,
 
     /// Current superstep (set by the runner before each step).
     pub superstep: u64,
@@ -331,7 +320,7 @@ impl<P: VertexProgram> Worker<P> {
         let (cls, interior) = if matches!(cfg.mode, Mode::Async) {
             let c = classification.expect("Async mode requires the block classification");
             let idx = crate::blockexec::InteriorIndex::build(graph, &layout, &c, id);
-            (Some(c), Some(idx))
+            (Some(c), Some(Arc::new(idx)))
         } else {
             (None, None)
         };
@@ -350,6 +339,7 @@ impl<P: VertexProgram> Worker<P> {
         let respond = Frontier::new(n_local, blocks.collect());
         let shard = cfg.trace.as_ref().map(|t| t.worker(id.index()));
         let worker = Worker {
+            scratch: StepScratch::new(cfg.workers, cfg.sending_threshold, n_local),
             id,
             program,
             info,
@@ -372,10 +362,6 @@ impl<P: VertexProgram> Worker<P> {
             lru,
             cls,
             interior,
-            staged: Vec::new(),
-            responder: Responder::default(),
-            pull: None,
-            fold: FoldBuf::default(),
             superstep: 0,
             io_baseline: IoSnapshot::default(),
             mem_peak: 0,
@@ -453,7 +439,7 @@ impl<P: VertexProgram> Worker<P> {
     }
 
     /// Baseline memory that exists all superstep: flag vectors, metadata,
-    /// spill buffer contents, hot accumulators, staged updates.
+    /// spill buffer contents, hot accumulators.
     pub fn standing_memory_bytes(&self) -> u64 {
         let mut m = self.respond.memory_bytes();
         if let Some(ve) = &self.veblock {
@@ -474,7 +460,6 @@ impl<P: VertexProgram> Worker<P> {
         if let Some(ix) = &self.interior {
             m += ix.memory_bytes();
         }
-        m += self.staged.len() as u64 * (4 + P::Value::BYTES as u64);
         m
     }
 
@@ -560,16 +545,14 @@ impl<P: VertexProgram> Worker<P> {
     /// experiment plots. Replayed supersteps (confined recovery) emit
     /// nothing: their original execution already did.
     fn emit_phase_trace(&mut self) {
-        if self.shard.is_none() || self.ep.replaying() {
-            self.phase_marks.clear();
-            self.round_marks.clear();
+        // `trace_phase` and `trace_round` record nothing in a step skipped
+        // here.
+        let Some(shard) = self.shard.as_ref().filter(|_| !self.ep.replaying()) else {
             return;
-        }
-        let marks = std::mem::take(&mut self.phase_marks);
-        let shard = self.shard.as_ref().expect("checked above");
+        };
         shard.set_clock_us(self.step_base_us);
         let mut prev = self.io_baseline;
-        for (name, snap) in marks {
+        for (name, snap) in self.phase_marks.drain(..) {
             let d = snap.delta(&prev);
             let dur_us = hybridgraph_obs::secs_to_us(d.modeled_secs(&self.cfg.profile));
             let start = shard.clock_us();
@@ -676,35 +659,6 @@ impl<P: VertexProgram> Worker<P> {
         env
     }
 
-    /// Flushes staged value updates (contiguous runs become sequential
-    /// writes) after all peers finished reading this superstep.
-    pub fn flush_staged(&mut self) -> io::Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let mut staged = std::mem::take(&mut self.staged);
-        staged.sort_by_key(|(v, _)| *v);
-        let mut run = Vec::new();
-        let mut i = 0;
-        while i < staged.len() {
-            let start = staged[i].0;
-            let mut end = i + 1;
-            while end < staged.len() && staged[end].0 == staged[end - 1].0 + 1 {
-                end += 1;
-            }
-            run.clear();
-            for (_, v) in &staged[i..end] {
-                v.append_to(&mut run);
-            }
-            self.values.write_encoded(start, &run)?;
-            i = end;
-        }
-        // Kept for the next superstep's updates.
-        staged.clear();
-        self.staged = staged;
-        Ok(())
-    }
-
     /// Reads back all local values (used when collecting results).
     pub fn collect_values(&mut self) -> io::Result<Vec<P::Value>> {
         // Flush any dirty cached values first (pull mode).
@@ -726,10 +680,6 @@ impl<P: VertexProgram> Worker<P> {
     /// visible in `IoStats` and modeled time like any other byte the
     /// engine moves. Returns the bytes written.
     pub fn write_checkpoint(&mut self, superstep: u64) -> io::Result<u64> {
-        debug_assert!(
-            self.staged.is_empty(),
-            "staged updates must be flushed before checkpointing"
-        );
         // Pull mode: push dirty cached values down so the on-disk value
         // segment is authoritative, then rebuild the cache clean (drain
         // returns MRU-first; reinserting oldest-first preserves recency).
@@ -771,7 +721,7 @@ impl<P: VertexProgram> Worker<P> {
     /// Restores this worker's recoverable state from the checkpoint taken
     /// after `superstep` (the rollback half of recovery). Values, flag
     /// vectors, pending messages, and online accumulators revert to the
-    /// checkpointed cut; the LRU cache and staged updates reset. Works
+    /// checkpointed cut; the LRU cache resets. Works
     /// identically on a surviving worker (discarding newer state) and on
     /// a freshly respawned one (adopting the cut).
     pub fn restore_checkpoint(&mut self, superstep: u64) -> io::Result<()> {
@@ -817,7 +767,6 @@ impl<P: VertexProgram> Worker<P> {
         if self.lru.is_some() {
             self.lru = Some(Self::new_value_lru(&self.cfg));
         }
-        self.staged.clear();
         self.superstep = superstep;
         Ok(())
     }
@@ -845,19 +794,6 @@ impl<P: VertexProgram> Worker<P> {
         Ok(())
     }
 
-    /// Records the pre-image of a value block the executor is about to
-    /// read-modify-write, keyed by the block's first vertex id. No-op
-    /// when no undo capture is active; duplicate starts within one
-    /// superstep keep the first (oldest) image. Executors call this at
-    /// their existing `read_range` sites, so capture costs no extra I/O.
-    pub fn note_value_preimage(&mut self, start: u32, vals: &[P::Value]) {
-        if let Some(u) = &mut self.undo {
-            if !u.value_blocks.iter().any(|(s, _)| *s == start) {
-                u.value_blocks.push((start, vals.to_vec()));
-            }
-        }
-    }
-
     /// Reverts exactly the last captured superstep: value-block
     /// pre-images, pending spilled messages and the responding frontier.
     /// Consumes the capture. Returns `true` if a
@@ -874,7 +810,6 @@ impl<P: VertexProgram> Worker<P> {
             s.restore_pending(&records)?;
         }
         self.respond.restore_from(u.respond);
-        self.staged.clear();
         Ok(true)
     }
 

@@ -6,7 +6,7 @@
 //! sequential, while the svertex lookups Pull-Respond performs while
 //! scanning fragments are random reads (the paper's `IO(V^t_rr)` term).
 
-use crate::record::{decode_slice, encode_slice, Record};
+use crate::record::{encode_slice, Record};
 use crate::stats::AccessClass;
 use crate::vfs::{Vfs, VfsFile};
 use hybridgraph_graph::VertexId;
@@ -69,22 +69,51 @@ impl<V: Record> ValueStore<V> {
 
     /// Sequentially reads values of the contiguous vertex range.
     pub fn read_range(&self, range: Range<u32>) -> io::Result<Vec<V>> {
+        let mut values = Vec::new();
+        self.read_range_into(range, &mut Vec::new(), &mut values)?;
+        Ok(values)
+    }
+
+    /// [`ValueStore::read_range`] into `values` through `raw`, both
+    /// caller-kept buffers, so a read allocates only while they grow.
+    pub fn read_range_into(
+        &self,
+        range: Range<u32>,
+        raw: &mut Vec<u8>,
+        values: &mut Vec<V>,
+    ) -> io::Result<()> {
+        values.clear();
         if range.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
+        raw.resize(range.len() * V::BYTES, 0);
         let off = self.offset_of(VertexId(range.start));
-        let len = range.len() * V::BYTES;
-        let bytes = self.file.read_vec(AccessClass::SeqRead, off, len)?;
-        decode_slice(&bytes)
+        self.file.read_at(AccessClass::SeqRead, off, raw)?;
+        // Zero-width records decode to none, as in `decode_slice`.
+        values.extend(raw.chunks_exact(V::BYTES.max(1)).map(V::read_from));
+        Ok(())
     }
 
     /// Sequentially writes values of the contiguous vertex range.
     pub fn write_range(&self, range: Range<u32>, values: &[V]) -> io::Result<()> {
+        let mut raw = Vec::with_capacity(values.len() * V::BYTES);
+        self.write_range_from(range, values, &mut raw)
+    }
+
+    /// [`ValueStore::write_range`], encoding through the caller-kept `raw`.
+    pub fn write_range_from(
+        &self,
+        range: Range<u32>,
+        values: &[V],
+        raw: &mut Vec<u8>,
+    ) -> io::Result<()> {
         assert_eq!(range.len(), values.len(), "range/value length mismatch");
         if range.is_empty() {
             return Ok(());
         }
-        self.write_encoded(range.start, &encode_slice(values))
+        raw.clear();
+        values.iter().for_each(|v| v.append_to(raw));
+        self.write_encoded(range.start, raw)
     }
 
     /// [`ValueStore::write_range`] of a non-empty run starting at `start`

@@ -41,7 +41,18 @@
 //! logging on, at two chain lengths 4× apart and one Vblock size, it
 //! must not grow with the chain: a fresh responding-flag vector per
 //! superstep and four cloned flag vectors per undo capture once took it
-//! from 8.6 kB to 16.5 kB per superstep (≈ 5.1 kB flat now).
+//! from 8.6 kB to 16.5 kB per superstep (≈ 4.0 kB flat now).
+//!
+//! Per-superstep state lives in one place: the `StepScratch` each worker
+//! keeps, which the superstep frame empties before every executor runs,
+//! an aborted step's leftovers included. Sending buffers, staging tables,
+//! b-pull's response slots and the Vblock value window are sized once and
+//! reused, where each executor once built its own every superstep (push
+//! 41.1 bytes per message then, 20.8 now). So push PageRank's allocations
+//! per superstep must not grow with the Vblock count: at 1 and 16
+//! Vblocks a worker they differ by thread timing alone, where a value
+//! block read and written through fresh vectors cost three allocations
+//! per Vblock a superstep (114 vs 204).
 //!
 //! Everything runs inside one `#[test]`: the counter is process-wide and
 //! the harness would otherwise run tests on parallel threads.
@@ -112,16 +123,21 @@ const BUDGET: f64 = 0.05;
 /// gaps / bv when it was rebuilt every superstep), and its request,
 /// response and signal buffers and staging tables too (0.1066 / 0.1069 /
 /// 0.1073 allocations and 40.2 / 40.3 / 40.6 bytes when those were).
+/// Every executor now works in the worker's kept `StepScratch`, which the
+/// superstep frame empties: push's, pushM's and async's sending buffers,
+/// staging tables and value-block buffers, and b-pull's response slots,
+/// were built fresh each superstep (push 41.1, pushM 36.4, async 42.4,
+/// b-pull 5.2, push 41.3 under gaps and 41.4 under bv bytes).
 /// Every row repeats exactly run to run.
 const BUDGETS: [(Mode, CodecChoice, f64, f64); 10] = [
-    (Mode::Push, CodecChoice::None, BUDGET, 41.1 * 1.05),
-    (Mode::PushM, CodecChoice::None, BUDGET, 36.4 * 1.05),
-    (Mode::Async, CodecChoice::None, BUDGET, 42.4 * 1.05),
-    (Mode::BPull, CodecChoice::None, 0.01, 5.3 * 1.05),
-    (Mode::BPull, CodecChoice::Bv, 0.01, 5.3 * 1.05),
+    (Mode::Push, CodecChoice::None, BUDGET, 20.8 * 1.05),
+    (Mode::PushM, CodecChoice::None, BUDGET, 14.2 * 1.05),
+    (Mode::Async, CodecChoice::None, BUDGET, 20.7 * 1.05),
+    (Mode::BPull, CodecChoice::None, 0.01, 4.2 * 1.05),
+    (Mode::BPull, CodecChoice::Bv, 0.01, 4.2 * 1.05),
     (Mode::Pull, CodecChoice::None, 0.1038 * 1.05, 14.9 * 1.05),
-    (Mode::Push, CodecChoice::Gaps, BUDGET, 41.3 * 1.05),
-    (Mode::Push, CodecChoice::Bv, BUDGET, 41.6 * 1.05),
+    (Mode::Push, CodecChoice::Gaps, BUDGET, 20.8 * 1.05),
+    (Mode::Push, CodecChoice::Bv, BUDGET, 20.8 * 1.05),
     (Mode::Pull, CodecChoice::Gaps, 0.1038 * 1.05, 14.9 * 1.05),
     (Mode::Pull, CodecChoice::Bv, 0.1038 * 1.05, 14.9 * 1.05),
 ];
@@ -132,6 +148,17 @@ const CHAIN_BUFFER: usize = 256;
 
 /// `(short, long)` superstep caps of the chain rows.
 const CHAIN_STEPS: (u64, u64) = (64, 256);
+
+/// Runs of each chain job, the fewest bytes counted.
+const CHAIN_RUNS: usize = 3;
+
+/// Vblocks per worker of the Vblock rows: `(few, many)`.
+const VBLOCKS: (usize, usize) = (1, 16);
+
+/// Allocations per superstep the Vblock rows may differ by: thread timing
+/// moves a job's count by one or two, where one allocation per Vblock
+/// would add 30.
+const VBLOCK_SLACK: f64 = 2.0;
 
 /// Allocations per edge a `bv` store build may make.
 const BUILD_BUDGET: f64 = 0.01;
@@ -194,10 +221,13 @@ fn measure(g: &Graph, mode: Mode, codec: CodecChoice, supersteps: u64) -> (u64, 
 
 /// Marginal bytes allocated per superstep of push-mode SSSP from vertex
 /// 0 down a chain of `n` vertices, message logging on: the difference
-/// between the two [`CHAIN_STEPS`] jobs, printed as one row.
+/// between the two [`CHAIN_STEPS`] jobs, printed as one row. Thread
+/// timing only adds bytes to a job (a channel block a sender allocates
+/// ahead, then drops when another sender wins the slot), a whole block
+/// at a time, so each job counts its fewest bytes of [`CHAIN_RUNS`].
 fn chain_bytes_per_superstep(n: usize) -> f64 {
     let g = gen::chain(n);
-    let bytes = |steps: u64| {
+    let once = |steps: u64| {
         let mut cfg = JobConfig::new(Mode::Push, 2)
             .with_buffer(CHAIN_BUFFER)
             .with_message_logging(true);
@@ -211,9 +241,26 @@ fn chain_bytes_per_superstep(n: usize) -> f64 {
         );
         ALLOCATED_BYTES.load(Ordering::Relaxed) - before
     };
+    let bytes = |steps| (0..CHAIN_RUNS).map(|_| once(steps)).min().expect("runs");
     let (short, long) = CHAIN_STEPS;
     let per_step = bytes(long).saturating_sub(bytes(short)) as f64 / (long - short) as f64;
     println!("sssp   chain {n:>6} vertices: {per_step:.1} bytes/superstep");
+    per_step
+}
+
+/// Marginal allocations per superstep of push PageRank with `vblocks`
+/// Vblocks per worker: the difference between a 9- and a 3-superstep job,
+/// printed as one row.
+fn allocations_per_superstep(g: &Graph, vblocks: usize) -> f64 {
+    let allocations = |supersteps: u64| {
+        let mut cfg = JobConfig::new(Mode::Push, 2).with_buffer(1_000);
+        cfg.vblocks_per_worker = Some(vblocks);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        run_job(Arc::new(PageRank::new(supersteps)), g, cfg).expect("job");
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    let per_step = allocations(9).saturating_sub(allocations(3)) as f64 / 6.0;
+    println!("push   {vblocks:>2} Vblocks/worker: {per_step:.1} allocations/superstep");
     per_step
 }
 
@@ -260,6 +307,17 @@ fn push_family_supersteps_allocate_per_block_not_per_message() {
         long <= short * 1.01,
         "a superstep of a 4x longer chain allocates {long:.1} bytes, not the {short:.1} \
          of the short chain: the barrier path allocates per local vertex"
+    );
+    let (few, many) = (
+        allocations_per_superstep(&g, VBLOCKS.0),
+        allocations_per_superstep(&g, VBLOCKS.1),
+    );
+    assert!(
+        many <= few + VBLOCK_SLACK,
+        "a push superstep over {} Vblocks a worker makes {many:.1} allocations, more than the \
+         {few:.1} over {}: values are read or written through per-block buffers",
+        VBLOCKS.1,
+        VBLOCKS.0
     );
     let (ve, adj) = build_allocations(&g);
     assert!(

@@ -117,13 +117,15 @@ fn never_policy_fails_fast_with_typed_error() {
 }
 
 /// Kills in every lifecycle phase — loading, before compute, and at the
-/// barrier — must all recover to bit-identical values, in both b-pull
-/// and hybrid modes.
+/// barrier — must all recover to bit-identical values, in every mode. A
+/// compute kill aborts the peers mid-exchange, so each executor's re-run
+/// starts from the buffers the aborted superstep left: the superstep
+/// frame must have emptied them.
 #[test]
 fn every_phase_and_mode_recovers() {
     let g = pagerank_graph();
     let program = PageRank::new(12);
-    for mode in [Mode::BPull, Mode::Hybrid] {
+    for mode in Mode::ALL {
         let base = JobConfig::new(mode, 3).with_buffer(128);
         let clean = run_job(Arc::new(program.clone()), &g, base.clone()).unwrap();
         for phase in FaultPhase::ALL {
@@ -136,8 +138,17 @@ fn every_phase_and_mode_recovers() {
                 .clone()
                 .with_checkpoint(CheckpointPolicy::EveryK(3))
                 .with_fault_plan(Arc::clone(&plan));
-            let faulted = run_job(Arc::new(program.clone()), &g, cfg).unwrap();
+            let mut faulted = run_job(Arc::new(program.clone()), &g, cfg).unwrap();
             assert_eq!(plan.fired(), 1, "{mode:?}/{phase:?}: fault did not fire");
+            if mode == Mode::Pull {
+                // Pull's LRU value cache restarts empty at a rollback (a
+                // checkpoint holds values, not the cache), so a re-run
+                // superstep reads svertices the clean run found cached:
+                // values and every other semantic byte still match.
+                for (c, f) in clean.metrics.steps.iter().zip(&mut faulted.metrics.steps) {
+                    f.sem.svertex_rand_bytes = c.sem.svertex_rand_bytes;
+                }
+            }
             assert_equivalent(&clean, &faulted, &format!("{mode:?}/{phase:?}"));
             if phase != FaultPhase::Load {
                 assert!(faulted.metrics.recovery.rollbacks >= 1);

@@ -65,6 +65,12 @@ GUARDS=(
   "0 :: modeled_io_secs :: crates src tests examples !framed_records.rs :: a step keeps the modeled seconds something reads: its total and its network share (framed_records.rs rebuilds the step layout its goldens were captured in)"
   "1 :: \.net_secs\( :: crates/core/src :: SuperstepMetrics::price is the one place a step's modeled seconds are made, from its per-worker record"
   "0 :: LimitedSsd :: crates/bench/src :: Fig. 9 prices Fig. 8's runs under the SSD profile (JobMetrics::price); only hybrid, whose switch reads the profile, runs again"
+  "0 :: ThresholdBuffer::new\( :: crates/core/src/modes :: sending buffers live in the worker's StepScratch, sized once at load: no executor builds one per superstep"
+  "0 :: vec!\[Vec::new\(\); workers\] :: crates/core/src/modes :: per-sender staging tables (push batches, pull requests and responses, b-pull's slots) live in the worker's StepScratch"
+  "0 :: (read|write)_range :: crates/core/src/modes :: executors read and write a Vblock's values through the value window, which notes the undo pre-image and charges IO(V^t)"
+  "0 :: PullScratch :: crates/core/src :: pull's buffers are the worker's StepScratch, emptied by the superstep frame like every executor's"
+  "0 :: mem::take\(&mut w\.(responder|fold|pull) :: crates/core/src/modes :: no executor takes buffers out of the worker and puts them back: the frame lends the scratch and takes it back on every path"
+  "1 :: mem::take\(&mut w\.scratch\) :: crates/core/src :: run_step_kind is the one place the scratch is lent out and emptied"
 )
 
 # file :: most lines it may have
